@@ -7,7 +7,7 @@ import (
 )
 
 // Build-path benchmarks: the legacy mutable-Graph path (per-node slice
-// appends + multiplicity map, then Freeze) versus the direct-CSR path
+// appends, then Freeze) versus the direct-CSR path
 // (chunked edge buffers + parallel count/scatter), at the scales the
 // experiment engine builds per realization. The *Graph variants include
 // the freeze the sim pipeline performs, so the pair compares the full

@@ -96,13 +96,15 @@ func HAPABuild(cfg HAPAConfig, b Build) (*graph.Graph, Stats, error) {
 				}
 				pos = rng.Intn(i)
 			}
-			// Hop along an existing link (Appendix C line 10).
-			next := g.RandomNeighbor(pos, rng)
+			// Hop along an existing link (Appendix C line 10): a uniform
+			// draw over pos's row, on the concrete RNG.
+			next := -1
+			if nbrs := g.Neighbors(pos); len(nbrs) > 0 {
+				next = int(nbrs[rng.Intn(len(nbrs))])
+			}
 			if next < 0 || next >= i {
-				// Neighbor may be a node joined later in ID order only
-				// when pos == i, which cannot happen; next < 0 means an
-				// isolated node, possible only for unfilled earlier
-				// joins — restart.
+				// pos is isolated (an unfilled earlier join) or the hop
+				// landed on the joining node itself — restart.
 				pos = rng.Intn(i)
 				continue
 			}

@@ -4,14 +4,14 @@ package graph
 // per-chunk append-only buffers and finalizes a *Frozen via a parallel
 // two-pass count/scatter, skipping the mutable Graph entirely.
 //
-// The mutable Graph pays three costs per inserted edge that a read-only
+// The mutable Graph pays two costs per inserted edge that a read-only
 // topology never recoups: per-node []int32 append churn (each adjacency
-// list regrows O(log deg) times), a map[uint64]int32 multiplicity probe,
-// and the final Freeze copy of everything into CSR form. Generators that
-// never query the graph mid-build — CM wires precomputed stub pairs, GRN
-// connects precomputed points — only need the CSR end state, so they emit
-// raw (u,v) pairs here instead. Growth models (PA, HAPA, NLPA, DAPA,
-// rewiring) genuinely need mid-build HasEdge/Degree and stay on Graph.
+// list regrows O(log deg) times) and the final Freeze copy of everything
+// into CSR form. Generators that never query the graph mid-build — CM
+// wires precomputed stub pairs, GRN connects precomputed points — only
+// need the CSR end state, so they emit raw (u,v) pairs here instead.
+// Growth models (PA, HAPA, NLPA, DAPA, rewiring) genuinely need mid-build
+// HasEdge/Degree and stay on Graph.
 //
 // Determinism contract (pinned by the equivalence and fuzz tests): the
 // chunk index order IS the emission order. Finalizing chunks c0, c1, ...
@@ -20,8 +20,7 @@ package graph
 // every worker count. FinalizeSimplified additionally replays
 // Graph.Simplify's deletion pass (ascending edge keys, swap-with-last
 // adjacency removal) on the CSR arrays, so its output is byte-identical
-// to Graph+Simplify+FreezeSorted on the same stream, multiplicity map
-// and all.
+// to Graph+Simplify+FreezeSorted on the same stream.
 
 // CSRArena recycles a builder's large transient buffers — the per-chunk
 // edge buffers plus the count/scatter and dedup scratch arrays — across
@@ -311,7 +310,7 @@ func (b *CSRBuilder) Finalize(workers int, sorted bool) *Frozen {
 // Byte-for-byte equivalence with the legacy path is the whole point, so
 // the deletions replay Graph.Simplify literally: duplicates are detected
 // on the sorted CSR ranges (ascending (min,max) key order — the same
-// order Simplify visits its multiplicity-map keys) and each deletion
+// order Simplify visits its sorted edge keys) and each deletion
 // removes the first matching adjacency entry by swap-with-last, exactly
 // as Graph.RemoveEdge perturbs surviving neighbor order. The sorted
 // membership ranges of the result are built eagerly (they fall out of the

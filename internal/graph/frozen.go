@@ -13,7 +13,8 @@ import (
 // generation: floods, NF sweeps, random walks, and clustering/betweenness
 // metrics hammer Degree/Neighbors/HasEdge millions of times per
 // realization, and the slice-of-slices Graph pays a pointer chase per node
-// and a map probe per HasEdge.
+// and an unsorted row scan per HasEdge — linear in the smaller degree,
+// which is what a hub-to-hub clustering probe cannot afford.
 //
 // Layout and guarantees:
 //
@@ -25,22 +26,21 @@ import (
 //     identical, which the equivalence tests pin.
 //   - sorted[offsets[u]:offsets[u+1]] is the same multiset ascending, so
 //     HasEdge/EdgeMultiplicity are a binary search over the
-//     smaller-degree endpoint instead of a global map probe. Freeze builds
-//     it lazily on first use (search kernels, walkers, and BFS never touch
-//     it, so one-shot freezes don't pay for it); FreezeSorted builds it
-//     eagerly, which the experiment engine uses to move the O(E)
-//     construction into the pipelined build stage, off the sweep's
-//     critical path.
+//     smaller-degree endpoint instead of Graph's linear scan of it.
+//     Freeze builds it lazily on first use (search kernels, walkers, and
+//     BFS never touch it, so one-shot freezes don't pay for it);
+//     FreezeSorted builds it eagerly, which the experiment engine uses to
+//     move the O(E) construction into the pipelined build stage, off the
+//     sweep's critical path.
 //   - Self-loops appear twice per adjacency list and parallel edges once
 //     per copy, exactly as in Graph (multigraphs freeze faithfully).
 //
 // Memory: 4 bytes per adjacency entry plus 4·(N+1) bytes of offsets
 // (another 4 bytes per entry once a membership query materializes the
-// sorted ranges) — a fraction of the Graph's slice headers plus
-// edge-multiplicity map at paper scale, in a handful of allocations
-// instead of O(N). Freezing each realization and dropping the *Graph
-// lets the generator's map and per-node slices be collected before the
-// search sweep.
+// sorted ranges) — against the Graph's 24-byte slice header per node and
+// append-grown row capacities, in a handful of allocations instead of
+// O(N). Freezing each realization and dropping the *Graph lets the
+// generator's per-node slices be collected before the search sweep.
 //
 // A Frozen is immutable and safe for concurrent readers. Accessors do not
 // re-validate node IDs beyond the slice bounds check; callers validate at

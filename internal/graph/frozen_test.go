@@ -277,59 +277,6 @@ func FuzzFrozenEquivalence(f *testing.F) {
 
 // --- Benchmarks --------------------------------------------------------
 
-// benchGraph is a PA-like random graph at a size where cache effects show.
-func benchGraph(b *testing.B) *Graph {
-	b.Helper()
-	rng := xrand.New(7)
-	const n = 200000
-	g := New(n)
-	for u := 1; u < n; u++ {
-		// Two edges per node to earlier nodes: power-law-ish, connected.
-		for k := 0; k < 2; k++ {
-			if err := g.AddEdge(u, rng.Intn(u)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	return g
-}
-
-// BenchmarkHasEdgeMap measures the historical read path: the global
-// edge-multiplicity map probe.
-func BenchmarkHasEdgeMap(b *testing.B) {
-	g := benchGraph(b)
-	rng := xrand.New(8)
-	n := g.N()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.HasEdge(rng.Intn(n), rng.Intn(n))
-	}
-}
-
-// BenchmarkHasEdgeCSR measures the frozen read path: binary search over
-// the smaller endpoint's sorted CSR range.
-func BenchmarkHasEdgeCSR(b *testing.B) {
-	f := benchGraph(b).Freeze()
-	rng := xrand.New(8)
-	n := f.N()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.HasEdge(rng.Intn(n), rng.Intn(n))
-	}
-}
-
-// BenchmarkFreeze tracks the one-time snapshot cost itself.
-func BenchmarkFreeze(b *testing.B) {
-	g := benchGraph(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f := g.Freeze(); f.N() != g.N() {
-			b.Fatal("bad freeze")
-		}
-	}
-}
-
 // TestFrozenConcurrentMembership hammers the lazily-built sorted ranges
 // from many goroutines at once: the sync.Once materialization must be
 // safe for concurrent first readers (run under -race in CI).

@@ -8,7 +8,7 @@ import (
 
 // FuzzReadEdgeList hardens the parser against arbitrary input: it must
 // never panic, and any successfully parsed graph must round-trip through
-// WriteEdgeList with identical structure.
+// WriteEdgeList with every pair's edge multiplicity intact.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# nodes 3\n0 1\n1 2\n")
 	f.Add("0 0\n")
@@ -46,6 +46,19 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if g2.N() != g.N() || g2.M() != g.M() {
 			t.Fatalf("round trip changed shape: N %d->%d M %d->%d", g.N(), g2.N(), g.M(), g2.M())
+		}
+		// Every edge copy survives: each node's neighbors (self included)
+		// keep their multiplicity. Walking rows keeps this O(E) on the
+		// sparse million-node graphs a seven-digit ID can produce.
+		for u := 0; u < g.N(); u++ {
+			if g2.Degree(u) != g.Degree(u) {
+				t.Fatalf("round trip changed Degree(%d): %d -> %d", u, g.Degree(u), g2.Degree(u))
+			}
+			for _, v := range g.Neighbors(u) {
+				if a, b := g.EdgeMultiplicity(u, int(v)), g2.EdgeMultiplicity(u, int(v)); a != b {
+					t.Fatalf("round trip changed EdgeMultiplicity(%d,%d): %d -> %d", u, v, a, b)
+				}
+			}
 		}
 	})
 }

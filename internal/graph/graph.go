@@ -4,8 +4,11 @@
 // Design goals, in order:
 //
 //  1. Predictable performance at paper scale (N = 10^5 nodes, ~3·10^5 edges):
-//     O(1) edge insertion and membership tests, O(1) random-neighbor
-//     selection, O(V+E) traversals.
+//     O(1) edge insertion and random-neighbor selection, O(V+E)
+//     traversals, and membership tests that scan the shorter of the two
+//     adjacency rows — O(min deg). The growth models only ever ask about
+//     the joining node, which holds at most m links, so they never pay
+//     more than m comparisons per query.
 //  2. Multigraph tolerance: the configuration model (Appendix B of the
 //     paper) wires random stub pairs first and deletes self-loops and
 //     multi-edges afterwards, so the structure must represent them
@@ -14,16 +17,17 @@
 //     fixed RNG seed reproduces identical graphs and search traces.
 //
 // Nodes are dense integer IDs 0..N-1. Adjacency is stored as per-node
-// neighbor slices (int32 to halve memory at paper scale) plus a global
-// edge-multiplicity map for O(1) HasEdge. Once a topology stops mutating,
-// Freeze snapshots it into the CSR Frozen form (frozen.go) — the flat
-// read path every search kernel and structural metric runs on.
+// neighbor slices (int32 to halve memory at paper scale) and nothing else:
+// edge multiplicities are read off the rows. Once a topology stops
+// mutating, Freeze snapshots it into the CSR Frozen form (frozen.go) — the
+// flat read path every search kernel and structural metric runs on, with
+// binary-search membership for hub-to-hub queries.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrNodeRange is returned when an operation references a node ID outside
@@ -36,24 +40,12 @@ var ErrNodeRange = errors.New("graph: node out of range")
 // are safe.
 type Graph struct {
 	adj   [][]int32
-	count map[uint64]int32 // edge multiplicity; self-loop keyed (u,u)
-	edges int              // number of edges counting multiplicity
+	edges int // number of edges counting multiplicity
 }
 
 // New returns a graph with n isolated nodes.
 func New(n int) *Graph {
-	return &Graph{
-		adj:   make([][]int32, n),
-		count: make(map[uint64]int32, 4*n),
-	}
-}
-
-// edgeKey packs an unordered node pair into a map key.
-func edgeKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+	return &Graph{adj: make([][]int32, n)}
 }
 
 // N returns the number of nodes.
@@ -69,14 +61,14 @@ func (g *Graph) AddNode() int {
 	return len(g.adj) - 1
 }
 
-// check validates node IDs.
-func (g *Graph) check(nodes ...int) error {
-	for _, u := range nodes {
-		if u < 0 || u >= len(g.adj) {
-			return fmt.Errorf("%w: %d (n=%d)", ErrNodeRange, u, len(g.adj))
-		}
+// rangeErr builds the ErrNodeRange error for an edge {u,v} with at least
+// one endpoint outside [0, N), naming the first bad one. Kept out of line
+// so the bounds tests on the hot paths stay two compares.
+func (g *Graph) rangeErr(u, v int) error {
+	if uint(u) < uint(len(g.adj)) {
+		u = v
 	}
-	return nil
+	return fmt.Errorf("%w: %d (n=%d)", ErrNodeRange, u, len(g.adj))
 }
 
 // AddEdge inserts an undirected edge {u,v}. Parallel edges and self-loops
@@ -84,78 +76,94 @@ func (g *Graph) check(nodes ...int) error {
 // when building simple graphs. A self-loop appears twice in u's adjacency
 // list, following the degree convention deg(u) += 2.
 func (g *Graph) AddEdge(u, v int) error {
-	if err := g.check(u, v); err != nil {
-		return err
+	if uint(u) >= uint(len(g.adj)) || uint(v) >= uint(len(g.adj)) {
+		return g.rangeErr(u, v)
 	}
-	ui, vi := int32(u), int32(v)
-	g.adj[u] = append(g.adj[u], vi)
-	if u == v {
-		g.adj[u] = append(g.adj[u], vi)
-	} else {
-		g.adj[v] = append(g.adj[v], ui)
-	}
-	g.count[edgeKey(ui, vi)]++
+	g.adj[u] = append(g.adj[u], int32(v))
+	g.adj[v] = append(g.adj[v], int32(u))
 	g.edges++
 	return nil
 }
 
 // RemoveEdge deletes one copy of edge {u,v} if present, reporting whether an
-// edge was removed.
+// edge was removed. Each endpoint loses the first matching entry of its row
+// (both entries of u's row for a self-loop).
 func (g *Graph) RemoveEdge(u, v int) bool {
-	if g.check(u, v) != nil {
+	if uint(u) >= uint(len(g.adj)) || uint(v) >= uint(len(g.adj)) {
 		return false
 	}
-	key := edgeKey(int32(u), int32(v))
-	if g.count[key] == 0 {
+	if len(g.adj[u]) > len(g.adj[v]) {
+		u, v = v, u
+	}
+	if !g.removeOneFromAdj(u, int32(v)) {
 		return false
 	}
-	g.count[key]--
-	if g.count[key] == 0 {
-		delete(g.count, key)
-	}
+	g.removeOneFromAdj(v, int32(u))
 	g.edges--
-	g.removeOneFromAdj(u, int32(v))
-	if u == v {
-		g.removeOneFromAdj(u, int32(v))
-	} else {
-		g.removeOneFromAdj(v, int32(u))
-	}
 	return true
 }
 
-// removeOneFromAdj removes a single occurrence of w from u's adjacency via
-// swap-with-last (order of remaining neighbors is perturbed deterministically).
-func (g *Graph) removeOneFromAdj(u int, w int32) {
+// removeOneFromAdj removes the first occurrence of w from u's adjacency via
+// swap-with-last (order of remaining neighbors is perturbed
+// deterministically), reporting whether there was one.
+func (g *Graph) removeOneFromAdj(u int, w int32) bool {
 	a := g.adj[u]
-	for i, x := range a {
-		if x == w {
-			a[i] = a[len(a)-1]
-			g.adj[u] = a[:len(a)-1]
-			return
-		}
-	}
-}
-
-// HasEdge reports whether at least one edge {u,v} exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	if g.check(u, v) != nil {
+	i := slices.Index(a, w)
+	if i < 0 {
 		return false
 	}
-	return g.count[edgeKey(int32(u), int32(v))] > 0
+	a[i] = a[len(a)-1]
+	g.adj[u] = a[:len(a)-1]
+	return true
 }
 
-// EdgeMultiplicity returns the number of parallel edges between u and v.
+// shorterRow returns the shorter of u's and v's adjacency rows and the
+// endpoint to look for in it: every copy of {u,v} has one entry in each
+// row (two in the single row of a self-loop).
+func (g *Graph) shorterRow(u, v int) ([]int32, int32) {
+	if len(g.adj[v]) < len(g.adj[u]) {
+		return g.adj[v], int32(u)
+	}
+	return g.adj[u], int32(v)
+}
+
+// HasEdge reports whether at least one edge {u,v} exists. It scans the
+// shorter of the two rows, O(min(deg u, deg v)): constant for the growth
+// models' "is the joining node already linked to this candidate" (the
+// joiner has at most m links), and linear only between two hubs, e.g. two
+// of the degree-O(N) super-hubs of a no-cutoff HAPA graph. Read-heavy code
+// freezes the graph and uses Frozen.HasEdge's binary search.
+func (g *Graph) HasEdge(u, v int) bool {
+	if uint(u) >= uint(len(g.adj)) || uint(v) >= uint(len(g.adj)) {
+		return false
+	}
+	row, w := g.shorterRow(u, v)
+	return slices.Contains(row, w)
+}
+
+// EdgeMultiplicity returns the number of parallel edges between u and v,
+// by the same shorter-row scan as HasEdge.
 func (g *Graph) EdgeMultiplicity(u, v int) int {
-	if g.check(u, v) != nil {
+	if uint(u) >= uint(len(g.adj)) || uint(v) >= uint(len(g.adj)) {
 		return 0
 	}
-	return int(g.count[edgeKey(int32(u), int32(v))])
+	row, w := g.shorterRow(u, v)
+	c := 0
+	for _, x := range row {
+		if x == w {
+			c++
+		}
+	}
+	if u == v {
+		c /= 2
+	}
+	return c
 }
 
 // Degree returns the degree of u; self-loops count twice. Out-of-range
 // nodes have degree 0.
 func (g *Graph) Degree(u int) int {
-	if g.check(u) != nil {
+	if uint(u) >= uint(len(g.adj)) {
 		return 0
 	}
 	return len(g.adj[u])
@@ -165,7 +173,7 @@ func (g *Graph) Degree(u int) int {
 // storage: callers must not mutate it and must not hold it across
 // mutations. Self-loops appear twice; parallel edges appear per copy.
 func (g *Graph) Neighbors(u int) []int32 {
-	if g.check(u) != nil {
+	if uint(u) >= uint(len(g.adj)) {
 		return nil
 	}
 	return g.adj[u]
@@ -177,14 +185,9 @@ func (g *Graph) NeighborAt(u, i int) int {
 	return int(g.adj[u][i])
 }
 
-// TotalDegree returns the sum of all node degrees (2·M for a simple graph).
-func (g *Graph) TotalDegree() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total
-}
+// TotalDegree returns the sum of all node degrees: 2·M, since every edge —
+// a self-loop included — adds two adjacency entries.
+func (g *Graph) TotalDegree() int { return 2 * g.edges }
 
 // MinDegree returns the smallest degree over all nodes, or 0 for an empty
 // graph.
@@ -240,48 +243,55 @@ func (g *Graph) DegreeHistogram() []int {
 // and therefore every downstream order-sensitive traversal — is identical
 // across runs (the package's determinism guarantee).
 func (g *Graph) Simplify() (selfLoops, multiEdges int) {
-	keys := make([]uint64, 0, len(g.count))
-	for key := range g.count {
-		keys = append(keys, key)
-	}
-	sortUint64s(keys)
-	for _, key := range keys {
-		c := g.count[key]
-		u := int(int32(key >> 32))
-		v := int(int32(uint32(key)))
-		if u == v {
-			for i := int32(0); i < c; i++ {
-				selfLoops++
-				g.RemoveEdge(u, v)
-			}
-			continue
-		}
-		for c > 1 {
+	keys := g.sortedEdgeKeys()
+	for i, key := range keys {
+		u, v := int(key>>32), int(uint32(key))
+		switch {
+		case u == v:
+			selfLoops++
+			g.RemoveEdge(u, v)
+		case i > 0 && keys[i-1] == key:
 			multiEdges++
 			g.RemoveEdge(u, v)
-			c--
 		}
 	}
 	return selfLoops, multiEdges
 }
 
-// sortUint64s sorts a uint64 slice ascending.
-func sortUint64s(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+// sortedEdgeKeys returns one key per edge copy — smaller endpoint in the
+// high word, larger in the low — in ascending (u,v) order, so parallel
+// copies are adjacent. It is the one deterministic edge enumeration:
+// Simplify's deletion order and the edge-list/DOT writers all read it.
+func (g *Graph) sortedEdgeKeys() []uint64 {
+	keys := make([]uint64, 0, g.edges)
+	for u, a := range g.adj {
+		loopHalf := false
+		for _, v := range a {
+			if int(v) == u {
+				// A self-loop is two entries of the same row: emit on
+				// every second one.
+				loopHalf = !loopHalf
+				if loopHalf {
+					continue
+				}
+			}
+			if int(v) >= u {
+				keys = append(keys, uint64(u)<<32|uint64(v))
+			}
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		adj:   make([][]int32, len(g.adj)),
-		count: make(map[uint64]int32, len(g.count)),
 		edges: g.edges,
 	}
 	for u, a := range g.adj {
 		c.adj[u] = append([]int32(nil), a...)
-	}
-	for k, v := range g.count {
-		c.count[k] = v
 	}
 	return c
 }
@@ -297,7 +307,7 @@ type randSource interface {
 // none. Parallel edges weight their endpoint proportionally, matching a
 // uniform choice over adjacency entries (the behavior random walks expect).
 func (g *Graph) RandomNeighbor(u int, rng randSource) int {
-	if g.check(u) != nil || len(g.adj[u]) == 0 {
+	if uint(u) >= uint(len(g.adj)) || len(g.adj[u]) == 0 {
 		return -1
 	}
 	return int(g.adj[u][rng.Intn(len(g.adj[u]))])
@@ -307,7 +317,7 @@ func (g *Graph) RandomNeighbor(u int, rng randSource) int {
 // than excl, or -1 if none exists. Random-walk search uses this to avoid
 // immediately bouncing back to the forwarding node (paper §V-A3).
 func (g *Graph) RandomNeighborExcluding(u, excl int, rng randSource) int {
-	if g.check(u) != nil {
+	if uint(u) >= uint(len(g.adj)) {
 		return -1
 	}
 	a := g.adj[u]

@@ -100,6 +100,40 @@ func TestMultiEdges(t *testing.T) {
 	}
 }
 
+// TestTotalDegreeCountsLoopsAndCopies pins TotalDegree = 2·M against the
+// row sum it replaced, where the two could differ: self-loops (one edge,
+// two entries of one row), parallel copies, and after removals.
+func TestTotalDegreeCountsLoopsAndCopies(t *testing.T) {
+	t.Parallel()
+	g := New(4)
+	rowSum := func() int {
+		total := 0
+		for u := 0; u < g.N(); u++ {
+			total += len(g.Neighbors(u))
+		}
+		return total
+	}
+	check := func(step string, want int) {
+		t.Helper()
+		if got := g.TotalDegree(); got != want || got != rowSum() || got != 2*g.M() {
+			t.Fatalf("%s: TotalDegree=%d rowSum=%d 2M=%d, want %d", step, got, rowSum(), 2*g.M(), want)
+		}
+	}
+	check("empty", 0)
+	mustAdd(t, g, 1, 1)
+	mustAdd(t, g, 1, 1)
+	check("two self-loops", 4)
+	mustAdd(t, g, 0, 2)
+	mustAdd(t, g, 2, 0)
+	mustAdd(t, g, 2, 3)
+	check("plus a parallel pair and an edge", 10)
+	g.RemoveEdge(1, 1)
+	g.RemoveEdge(3, 0) // absent: must not move the count
+	check("after removals", 8)
+	g.Simplify()
+	check("after Simplify", 4)
+}
+
 func TestRemoveEdge(t *testing.T) {
 	t.Parallel()
 	g := New(3)

@@ -15,20 +15,17 @@ import (
 )
 
 // WriteEdgeList writes g in edge-list format. Each undirected edge is
-// written once (smaller endpoint first); parallel edges are written per
-// copy and self-loops as "u u".
+// written once (smaller endpoint first), in ascending (u,v) order so the
+// same graph always writes the same bytes; parallel edges are written per
+// copy, adjacent, and self-loops as "u u".
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# nodes %d\n", g.N()); err != nil {
 		return fmt.Errorf("write header: %w", err)
 	}
-	for key, c := range g.count {
-		u := int64(int32(key >> 32))
-		v := int64(int32(uint32(key)))
-		for i := int32(0); i < c; i++ {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-				return fmt.Errorf("write edge: %w", err)
-			}
+	for _, key := range g.sortedEdgeKeys() {
+		if _, err := fmt.Fprintf(bw, "%d %d\n", key>>32, uint32(key)); err != nil {
+			return fmt.Errorf("write edge: %w", err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -96,7 +93,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 // WriteDOT writes g in Graphviz DOT format (`graph` block, one "u -- v"
 // line per undirected edge, degree-scaled node sizes), for visual
 // inspection with dot/neato/sfdp. Self-loops and parallel edges are
-// emitted per copy, matching WriteEdgeList.
+// emitted per copy and in the same ascending order as WriteEdgeList.
 func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	if name == "" {
 		name = "overlay"
@@ -117,13 +114,9 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 			return fmt.Errorf("write node: %w", err)
 		}
 	}
-	for key, c := range g.count {
-		u := int64(int32(key >> 32))
-		v := int64(int32(uint32(key)))
-		for i := int32(0); i < c; i++ {
-			if _, err := fmt.Fprintf(bw, "  %d -- %d;\n", u, v); err != nil {
-				return fmt.Errorf("write edge: %w", err)
-			}
+	for _, key := range g.sortedEdgeKeys() {
+		if _, err := fmt.Fprintf(bw, "  %d -- %d;\n", key>>32, uint32(key)); err != nil {
+			return fmt.Errorf("write edge: %w", err)
 		}
 	}
 	if _, err := fmt.Fprintln(bw, "}"); err != nil {

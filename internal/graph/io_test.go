@@ -39,6 +39,49 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWritersDeterministic pins the writers' edge order: ascending (u,v),
+// parallel copies adjacent, self-loops as "u u" — and therefore the same
+// bytes on every write, whatever order the edges were inserted in.
+func TestWritersDeterministic(t *testing.T) {
+	t.Parallel()
+	edges := [][2]int{{3, 4}, {1, 0}, {3, 3}, {2, 1}, {4, 3}, {0, 0}, {4, 0}, {3, 3}}
+	build := func(order []int) *Graph {
+		g := New(5)
+		for _, i := range order {
+			mustAdd(t, g, edges[i][0], edges[i][1])
+		}
+		return g
+	}
+	write := func(g *Graph) (edgeList, dot string) {
+		var a, b bytes.Buffer
+		if err := g.WriteEdgeList(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.WriteDOT(&b, "g"); err != nil {
+			t.Fatal(err)
+		}
+		return a.String(), b.String()
+	}
+	g := build([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	el, dot := write(g)
+	const wantEL = "# nodes 5\n0 0\n0 1\n0 4\n1 2\n3 3\n3 3\n3 4\n3 4\n"
+	if el != wantEL {
+		t.Fatalf("edge list:\n%s\nwant:\n%s", el, wantEL)
+	}
+	const wantDOTEdges = "  0 -- 0;\n  0 -- 1;\n  0 -- 4;\n  1 -- 2;\n  3 -- 3;\n  3 -- 3;\n  3 -- 4;\n  3 -- 4;\n}\n"
+	if !strings.HasSuffix(dot, wantDOTEdges) {
+		t.Fatalf("DOT edges out of order:\n%s", dot)
+	}
+	for i := 0; i < 20; i++ { // map iteration would differ within a few tries
+		if el2, dot2 := write(g); el2 != el || dot2 != dot {
+			t.Fatalf("write %d of the same graph produced different bytes", i+2)
+		}
+	}
+	if el2, dot2 := write(build([]int{7, 5, 6, 2, 4, 0, 3, 1})); el2 != el || dot2 != dot {
+		t.Fatal("insertion order leaked into the written edge order")
+	}
+}
+
 func TestEdgeListRoundTripRandomProperty(t *testing.T) {
 	t.Parallel()
 	for seed := uint64(0); seed < 20; seed++ {

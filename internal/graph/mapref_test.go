@@ -1,0 +1,312 @@
+package graph
+
+import (
+	"slices"
+	"sort"
+	"testing"
+)
+
+// mapGraph is the Graph this package shipped until the edge-multiplicity
+// map was removed: per-node rows plus a global map[edgeKey]count, verbatim
+// apart from the receiver type. It stays as the model the map-free Graph
+// is fuzzed against — same answers, same adjacency order after every
+// mutation, same Simplify counts.
+type mapGraph struct {
+	adj   [][]int32
+	count map[uint64]int32
+	edges int
+}
+
+func newMapGraph(n int) *mapGraph {
+	return &mapGraph{adj: make([][]int32, n), count: make(map[uint64]int32, 4*n)}
+}
+
+func mapEdgeKey(u, v int32) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(uint32(u))<<32 | uint64(uint32(v))
+}
+
+func (g *mapGraph) ok(nodes ...int) bool {
+	for _, u := range nodes {
+		if u < 0 || u >= len(g.adj) {
+			return false
+		}
+	}
+	return true
+}
+
+func (g *mapGraph) AddEdge(u, v int) bool {
+	if !g.ok(u, v) {
+		return false
+	}
+	ui, vi := int32(u), int32(v)
+	g.adj[u] = append(g.adj[u], vi)
+	if u == v {
+		g.adj[u] = append(g.adj[u], vi)
+	} else {
+		g.adj[v] = append(g.adj[v], ui)
+	}
+	g.count[mapEdgeKey(ui, vi)]++
+	g.edges++
+	return true
+}
+
+func (g *mapGraph) RemoveEdge(u, v int) bool {
+	if !g.ok(u, v) {
+		return false
+	}
+	key := mapEdgeKey(int32(u), int32(v))
+	if g.count[key] == 0 {
+		return false
+	}
+	g.count[key]--
+	if g.count[key] == 0 {
+		delete(g.count, key)
+	}
+	g.edges--
+	g.removeOneFromAdj(u, int32(v))
+	if u == v {
+		g.removeOneFromAdj(u, int32(v))
+	} else {
+		g.removeOneFromAdj(v, int32(u))
+	}
+	return true
+}
+
+func (g *mapGraph) removeOneFromAdj(u int, w int32) {
+	a := g.adj[u]
+	for i, x := range a {
+		if x == w {
+			a[i] = a[len(a)-1]
+			g.adj[u] = a[:len(a)-1]
+			return
+		}
+	}
+}
+
+func (g *mapGraph) HasEdge(u, v int) bool {
+	return g.ok(u, v) && g.count[mapEdgeKey(int32(u), int32(v))] > 0
+}
+
+func (g *mapGraph) EdgeMultiplicity(u, v int) int {
+	if !g.ok(u, v) {
+		return 0
+	}
+	return int(g.count[mapEdgeKey(int32(u), int32(v))])
+}
+
+func (g *mapGraph) Degree(u int) int {
+	if !g.ok(u) {
+		return 0
+	}
+	return len(g.adj[u])
+}
+
+func (g *mapGraph) TotalDegree() int {
+	total := 0
+	for _, a := range g.adj {
+		total += len(a)
+	}
+	return total
+}
+
+func (g *mapGraph) Simplify() (selfLoops, multiEdges int) {
+	keys := make([]uint64, 0, len(g.count))
+	for key := range g.count {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, key := range keys {
+		c := g.count[key]
+		u := int(int32(key >> 32))
+		v := int(int32(uint32(key)))
+		if u == v {
+			for i := int32(0); i < c; i++ {
+				selfLoops++
+				g.RemoveEdge(u, v)
+			}
+			continue
+		}
+		for c > 1 {
+			multiEdges++
+			g.RemoveEdge(u, v)
+			c--
+		}
+	}
+	return selfLoops, multiEdges
+}
+
+func (g *mapGraph) Clone() *mapGraph {
+	c := &mapGraph{
+		adj:   make([][]int32, len(g.adj)),
+		count: make(map[uint64]int32, len(g.count)),
+		edges: g.edges,
+	}
+	for u, a := range g.adj {
+		c.adj[u] = append([]int32(nil), a...)
+	}
+	for k, v := range g.count {
+		c.count[k] = v
+	}
+	return c
+}
+
+func (g *mapGraph) InducedSubgraph(nodes []int) *mapGraph {
+	idx := make(map[int32]int32, len(nodes))
+	for i, u := range nodes {
+		idx[int32(u)] = int32(i)
+	}
+	sub := newMapGraph(len(nodes))
+	for i, u := range nodes {
+		if !g.ok(u) {
+			continue
+		}
+		for _, v := range g.adj[u] {
+			j, ok := idx[v]
+			if !ok {
+				continue
+			}
+			if int32(i) < j {
+				sub.adj[i] = append(sub.adj[i], j)
+				sub.adj[j] = append(sub.adj[j], int32(i))
+				sub.count[mapEdgeKey(int32(i), j)]++
+				sub.edges++
+			} else if int32(i) == j {
+				sub.count[mapEdgeKey(int32(i), j)]++
+			}
+		}
+	}
+	for key, c := range sub.count {
+		u := int32(key >> 32)
+		v := int32(uint32(key))
+		if u == v {
+			c /= 2
+			if c == 0 {
+				delete(sub.count, key)
+				continue
+			}
+			sub.count[key] = c
+			for i := int32(0); i < 2*c; i++ {
+				sub.adj[u] = append(sub.adj[u], u)
+			}
+			sub.edges += int(c)
+		}
+	}
+	return sub
+}
+
+// freezeArrays is the CSR layout Freeze produces, built from the model's
+// rows.
+func (g *mapGraph) freezeArrays() (offsets, neighbors []int32) {
+	offsets = make([]int32, len(g.adj)+1)
+	for u, a := range g.adj {
+		offsets[u+1] = offsets[u] + int32(len(a))
+		neighbors = append(neighbors, a...)
+	}
+	return offsets, neighbors
+}
+
+// requireMatchesModel asserts every observable of g against the model.
+func requireMatchesModel(t *testing.T, step string, g *Graph, ref *mapGraph) {
+	t.Helper()
+	if g.N() != len(ref.adj) || g.M() != ref.edges || g.TotalDegree() != ref.TotalDegree() {
+		t.Fatalf("%s: N/M/TotalDegree = %d/%d/%d, model %d/%d/%d",
+			step, g.N(), g.M(), g.TotalDegree(), len(ref.adj), ref.edges, ref.TotalDegree())
+	}
+	for u := -1; u <= g.N(); u++ {
+		if g.Degree(u) != ref.Degree(u) {
+			t.Fatalf("%s: Degree(%d) = %d, model %d", step, u, g.Degree(u), ref.Degree(u))
+		}
+		if u >= 0 && u < g.N() && !slices.Equal(g.Neighbors(u), ref.adj[u]) {
+			t.Fatalf("%s: row %d = %v, model %v", step, u, g.Neighbors(u), ref.adj[u])
+		}
+		for v := -1; v <= g.N(); v++ {
+			if g.HasEdge(u, v) != ref.HasEdge(u, v) {
+				t.Fatalf("%s: HasEdge(%d,%d) = %v, model %v", step, u, v, g.HasEdge(u, v), ref.HasEdge(u, v))
+			}
+			if g.EdgeMultiplicity(u, v) != ref.EdgeMultiplicity(u, v) {
+				t.Fatalf("%s: EdgeMultiplicity(%d,%d) = %d, model %d",
+					step, u, v, g.EdgeMultiplicity(u, v), ref.EdgeMultiplicity(u, v))
+			}
+		}
+	}
+	f := g.Freeze()
+	offsets, neighbors := ref.freezeArrays()
+	if !slices.Equal(f.offsets, offsets) || !slices.Equal(f.neighbors, neighbors) || f.M() != ref.edges {
+		t.Fatalf("%s: Freeze arrays differ from the model's", step)
+	}
+}
+
+// FuzzGraphMatchesMapReference drives the map-free Graph and the map-backed
+// model through the same random operation sequence — self-loops, parallel
+// edges and out-of-range IDs included — and compares every observable
+// after every step. Each input byte pair is one operation.
+func FuzzGraphMatchesMapReference(f *testing.F) {
+	f.Add([]byte{0, 0x01, 0, 0x01, 0, 0x11, 0, 0x11, 3, 0})             // parallel pair, two self-loops, Simplify
+	f.Add([]byte{0, 0x12, 0, 0x21, 0, 0x23, 1, 0x12, 1, 0x12, 1, 0x12}) // remove until absent
+	f.Add([]byte{0, 0x22, 0, 0x22, 0, 0x02, 5, 0x2a, 5, 0x22, 5, 0x52}) // induced subgraph over loops, duplicate and out-of-range IDs
+	f.Add([]byte{0, 0x34, 0, 0x43, 0, 0x44, 4, 0, 1, 0x34, 3, 0, 2, 0}) // clone, diverge, simplify, grow
+	f.Add([]byte{0, 0x06, 1, 0x60, 0, 0x66, 1, 0x66, 0, 0xd1, 0, 0x01}) // out-of-range endpoints
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 128 {
+			t.Skip("sequence too long for fuzz budget")
+		}
+		const n0 = 6
+		g, ref := New(n0), newMapGraph(n0)
+		var orig *Graph // the graph the last Clone copied, and its model
+		var origRef *mapGraph
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%6, ops[i+1]
+			// IDs run one past the current node count so out-of-range
+			// endpoints are drawn too.
+			u, v := int(arg>>4)%(g.N()+1), int(arg&15)%(g.N()+1)
+			step := ""
+			switch op {
+			case 0:
+				step = "AddEdge"
+				if (g.AddEdge(u, v) == nil) != ref.AddEdge(u, v) {
+					t.Fatalf("AddEdge(%d,%d) acceptance differs", u, v)
+				}
+			case 1:
+				step = "RemoveEdge"
+				if g.RemoveEdge(u, v) != ref.RemoveEdge(u, v) {
+					t.Fatalf("RemoveEdge(%d,%d) result differs", u, v)
+				}
+			case 2:
+				step = "AddNode"
+				if g.N() < 12 {
+					g.AddNode()
+					ref.adj = append(ref.adj, nil)
+				}
+			case 3:
+				step = "Simplify"
+				s, m := g.Simplify()
+				rs, rm := ref.Simplify()
+				if s != rs || m != rm {
+					t.Fatalf("Simplify = (%d,%d), model (%d,%d)", s, m, rs, rm)
+				}
+			case 4:
+				step = "Clone"
+				// Continue on the copies; the originals must not move.
+				orig, origRef = g, ref
+				g, ref = g.Clone(), ref.Clone()
+			case 5:
+				step = "InducedSubgraph"
+				// Node list from the two nibbles and their neighbors:
+				// may repeat an ID and may hold N (out of range).
+				nodes := []int{u, v, (u + 1) % (g.N() + 1), (v + 2) % (g.N() + 1)}
+				sub, ids := g.InducedSubgraph(nodes)
+				if !slices.Equal(ids, nodes) {
+					t.Fatalf("InducedSubgraph mapping %v, want %v", ids, nodes)
+				}
+				requireMatchesModel(t, "InducedSubgraph result", sub, ref.InducedSubgraph(nodes))
+			}
+			requireMatchesModel(t, step, g, ref)
+			if orig != nil {
+				requireMatchesModel(t, step+" (cloned-from graph)", orig, origRef)
+			}
+		}
+	})
+}

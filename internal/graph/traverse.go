@@ -9,7 +9,7 @@ import "sort"
 // BFS computes hop distances from src to every node. Unreachable nodes get
 // distance -1. The src node itself gets 0. Returns nil if src is invalid.
 func (g *Graph) BFS(src int) []int32 {
-	if g.check(src) != nil {
+	if uint(src) >= uint(len(g.adj)) {
 		return nil
 	}
 	dist := make([]int32, len(g.adj))
@@ -46,7 +46,7 @@ func (g *Graph) bfsInto(src int, dist []int32, queue []int32) []int32 {
 // (Appendix D) and flooding-search hit counting. visit returning false
 // stops the traversal early.
 func (g *Graph) BFSWithin(src, maxDepth int, visit func(node, depth int) bool) {
-	if g.check(src) != nil || maxDepth < 0 {
+	if uint(src) >= uint(len(g.adj)) || maxDepth < 0 {
 		return
 	}
 	dist := make(map[int32]int32, 64)
@@ -258,43 +258,30 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 	}
 	sub := New(len(nodes))
 	for i, u := range nodes {
-		if g.check(u) != nil {
+		if uint(u) >= uint(len(g.adj)) {
 			continue
 		}
+		loopEntries := 0
 		for _, v := range g.adj[u] {
 			j, ok := idx[v]
 			if !ok {
 				continue
 			}
-			// Add each undirected edge once: when u is the smaller new ID,
-			// or for self-loops only once per two adjacency entries.
+			// Add each undirected edge once: from its smaller new ID.
 			if int32(i) < j {
 				sub.adj[i] = append(sub.adj[i], j)
 				sub.adj[j] = append(sub.adj[j], int32(i))
-				sub.count[edgeKey(int32(i), j)]++
 				sub.edges++
 			} else if int32(i) == j {
-				// Self-loop entries come in pairs; count each pair once.
-				sub.count[edgeKey(int32(i), j)]++
+				loopEntries++
 			}
 		}
-	}
-	// Materialize self-loop adjacency and edge totals from counts.
-	for key, c := range sub.count {
-		u := int32(key >> 32)
-		v := int32(uint32(key))
-		if u == v {
-			// Each self-loop was counted twice (two adjacency entries).
-			c /= 2
-			if c == 0 {
-				delete(sub.count, key)
-				continue
-			}
-			sub.count[key] = c
-			for i := int32(0); i < 2*c; i++ {
-				sub.adj[u] = append(sub.adj[u], u)
-			}
-			sub.edges += int(c)
+		// Self-loop entries come in pairs, one pair per loop. Row i is
+		// otherwise complete here (only new IDs <= i append to it), so the
+		// loops land last.
+		for c := loopEntries / 2; c > 0; c-- {
+			sub.adj[i] = append(sub.adj[i], int32(i), int32(i))
+			sub.edges++
 		}
 	}
 	return sub, orig

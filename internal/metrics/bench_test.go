@@ -1,10 +1,11 @@
 package metrics
 
 // Before/after benchmarks for the CSR migration of the clustering
-// coefficient, the worst map-probe offender in the package (O(Σ deg²)
-// HasEdge calls). referenceGlobalClustering preserves the pre-CSR
-// implementation — per-node map dedupe plus global edge-map probes — so
-// scripts/bench.sh can record the speedup into BENCH_PR2.json.
+// coefficient, the worst membership-probe offender in the package (O(Σ
+// deg²) HasEdge calls). referenceGlobalClustering preserves the pre-CSR
+// implementation — per-node map dedupe plus a mutable-Graph HasEdge per
+// neighbor pair (an edge-map probe when BENCH_PR2.json recorded the
+// speedup, a scan of the shorter row since the map was removed).
 
 import (
 	"testing"
@@ -33,7 +34,7 @@ func referenceDistinctNeighbors(g *graph.Graph, u int) []int32 {
 }
 
 // referenceGlobalClustering is the historical transitivity computation on
-// the mutable Graph (edge-map HasEdge).
+// the mutable Graph (one HasEdge per neighbor pair).
 func referenceGlobalClustering(g *graph.Graph) float64 {
 	n := g.N()
 	triangles := 0
@@ -80,7 +81,7 @@ func TestReferenceClusteringAgrees(t *testing.T) {
 	}
 }
 
-// BenchmarkClusteringReference is the pre-CSR clustering (map probes).
+// BenchmarkClusteringReference is the pre-CSR clustering (Graph.HasEdge probes).
 func BenchmarkClusteringReference(b *testing.B) {
 	g := clusteringBenchGraph(b)
 	b.ReportAllocs()

@@ -20,7 +20,7 @@ package search
 // loops are two array indexings per hop with no pointer chase and no
 // bounds-checked Graph method calls. Freeze once per generated topology
 // (the sim engine does this right after generation, letting the mutable
-// Graph and its edge map be collected) and run any number of searches.
+// Graph be collected) and run any number of searches.
 //
 // Usage: one Scratch per goroutine (it is not safe for concurrent use),
 // reused across any number of searches and graph sizes (buffers grow on

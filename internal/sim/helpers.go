@@ -22,10 +22,9 @@ import (
 // Two build paths hide behind this type. The growth models (PA, HAPA,
 // DAPA) need mid-build HasEdge/Degree, so they grow a mutable Graph and
 // freeze it here, in the pipelined build stage — the Graph's per-node
-// slices and edge-multiplicity map become garbage before the search
-// sweep starts. CM (and the GRN substrates) never query the graph
-// mid-build, so they emit straight into a graph.CSRBuilder and no mutable
-// Graph ever exists.
+// slices become garbage before the search sweep starts. CM (and the GRN
+// substrates) never query the graph mid-build, so they emit straight into
+// a graph.CSRBuilder and no mutable Graph ever exists.
 //
 // The sorted HasEdge ranges are NOT part of the factory contract:
 // degree-only consumers (mergedDegreeDist, fairness, table1) never probe

@@ -152,8 +152,8 @@ var SmokeScale = Scale{
 // CSR-frozen read path — each realization is frozen right after
 // generation, so the search sweep holds only the flat offsets/neighbors
 // arrays (~8 bytes per adjacency entry) instead of the generator's
-// per-node slices plus edge map. Realizations are reduced to 3: at 10⁶
-// nodes a single realization's degree distribution is already smooth.
+// per-node slices. Realizations are reduced to 3: at 10⁶ nodes a single
+// realization's degree distribution is already smooth.
 // See EXPERIMENTS.md ("Scales" and "Performance model") for the memory
 // arithmetic and the recommended per-experiment subsets.
 var XLScale = Scale{

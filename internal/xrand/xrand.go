@@ -14,7 +14,10 @@
 // statistically independent streams.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator
 // (xoshiro256** with splitmix64 seeding).
@@ -104,34 +107,15 @@ func (r *RNG) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded sampling.
 	v := r.Uint64()
-	hi, lo := mul64(v, uint64(n))
+	hi, lo := bits.Mul64(v, uint64(n))
 	if lo < uint64(n) {
 		thresh := uint64(-int64(n)) % uint64(n)
 		for lo < thresh {
 			v = r.Uint64()
-			hi, lo = mul64(v, uint64(n))
+			hi, lo = bits.Mul64(v, uint64(n))
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo * bLo
-	lo32 := t & mask32
-	carry := t >> 32
-	t = aHi*bLo + carry
-	mid1 := t & mask32
-	hi1 := t >> 32
-	t = aLo*bHi + mid1
-	mid2 := t & mask32
-	hi2 := t >> 32
-	hi = aHi*bHi + hi1 + hi2
-	lo = mid2<<32 | lo32
-	return hi, lo
 }
 
 // IntRange returns a uniform integer in [lo, hi] inclusive.

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -377,4 +378,58 @@ func TestNewStreamUniform(t *testing.T) {
 			t.Fatalf("bucket %d has %d of %d draws (want ~%d)", b, c, streams, want)
 		}
 	}
+}
+
+// mul64Ref is the hand-rolled 32-bit-limb 128-bit product Intn used before
+// it moved to the math/bits.Mul64 intrinsic. It stays as the reference:
+// Lemire's bounded sampling reads both halves, so a differing product
+// would change every bounded draw in the repository.
+func mul64Ref(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	aLo, aHi := a&mask32, a>>32
+	bLo, bHi := b&mask32, b>>32
+	t := aLo * bLo
+	lo32 := t & mask32
+	carry := t >> 32
+	t = aHi*bLo + carry
+	mid1 := t & mask32
+	hi1 := t >> 32
+	t = aLo*bHi + mid1
+	mid2 := t & mask32
+	hi2 := t >> 32
+	hi = aHi*bHi + hi1 + hi2
+	lo = mid2<<32 | lo32
+	return hi, lo
+}
+
+func requireMul64(t *testing.T, a, b uint64) {
+	t.Helper()
+	hi, lo := bits.Mul64(a, b)
+	if rhi, rlo := mul64Ref(a, b); hi != rhi || lo != rlo {
+		t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), reference (%#x, %#x)", a, b, hi, lo, rhi, rlo)
+	}
+}
+
+func TestMul64MatchesReference(t *testing.T) {
+	t.Parallel()
+	edges := []uint64{0, 1, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+	for _, a := range edges {
+		for _, b := range edges {
+			requireMul64(t, a, b)
+		}
+	}
+	rng := New(99)
+	for i := 0; i < 10000; i++ {
+		// Full-width × full-width, and full-width × small bound (Intn's shape).
+		a := rng.Uint64()
+		requireMul64(t, a, rng.Uint64())
+		requireMul64(t, a, rng.Uint64()>>uint(rng.Uint64()%64))
+	}
+}
+
+func FuzzMul64MatchesReference(f *testing.F) {
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(1<<64-1), uint64(1<<64-1))
+	f.Add(uint64(1<<32+1), uint64(1<<32-1))
+	f.Fuzz(func(t *testing.T, a, b uint64) { requireMul64(t, a, b) })
 }

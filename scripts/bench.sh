@@ -11,7 +11,7 @@
 #   internal/xrand    power-law degree sampling: the exact math.Pow kernel
 #                     vs the inverse-CDF threshold table (incl. the xl
 #                     natural-cutoff regime)
-#   internal/graph    Freeze cost, HasEdge map-vs-CSR point probes, and
+#   internal/graph    Freeze cost, HasEdge row-scan-vs-CSR point probes, and
 #                     the PR 9 estimators (pivot-sampled betweenness with
 #                     stderr, landmark path stats)
 #   internal/search   Reference (pre-CSR) vs Scratch (CSR) kernels,
@@ -19,7 +19,7 @@
 #                     and the prefetch on/off flood pair
 #   internal/gen      CM/GRN build pairs: legacy mutable-Graph+Freeze vs
 #                     direct-CSR (CSRBuilder), fresh and arena-pooled
-#   internal/metrics  clustering coefficient, map probes vs CSR scan
+#   internal/metrics  clustering coefficient, mutable-Graph probes vs CSR scan
 #   internal/des      message-level DES flood/k-walk vs the CSR flood
 #                     baseline on the same topology (0 allocs/op steady
 #                     state)

@@ -79,24 +79,3 @@ func TestFreezeSortedEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestFrozenPrefetchInBounds checks the prefetch hook never faults on
-// boundary rows (last node, isolated nodes, empty trailing ranges).
-func TestFrozenPrefetchInBounds(t *testing.T) {
-	t.Parallel()
-	g := New(4)
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	f := g.Freeze()
-	var sink int32
-	for u := int32(0); u < 4; u++ {
-		sink += f.Prefetch(u)
-	}
-	_ = sink
-	// Fully empty graph: every offset is 0, neighbors is empty.
-	e := New(3).Freeze()
-	for u := int32(0); u < 3; u++ {
-		sink += e.Prefetch(u)
-	}
-}

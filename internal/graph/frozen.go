@@ -250,21 +250,6 @@ func (f *Frozen) SortedNeighbors(u int) []int32 {
 // NeighborAt returns the i-th neighbor of u (insertion order).
 func (f *Frozen) NeighborAt(u, i int) int { return int(f.neighbors[int(f.offsets[u])+i]) }
 
-// Prefetch touches u's offsets entry — the first link of the dependent
-// load chain offsets[u] → neighbors[offsets[u]] — and returns it. It is
-// the software-prefetch hook for BFS kernels: called for the frontier
-// node a few dequeue iterations ahead, it starts u's row-metadata load
-// resolving behind the current iteration's neighbor chase. Deliberately a
-// single bounds-checked load, issued at a short distance: both a deeper
-// touch (following into the neighbors array) and an enqueue-time touch (a
-// whole frontier level early, evicted again before use on large
-// frontiers) measured slower than no prefetch at all. Callers must
-// accumulate the return value into state that outlives the loop so the
-// compiler cannot elide the touch.
-func (f *Frozen) Prefetch(u int32) int32 {
-	return f.offsets[u]
-}
-
 // TotalDegree returns the sum of all node degrees.
 func (f *Frozen) TotalDegree() int { return len(f.neighbors) }
 

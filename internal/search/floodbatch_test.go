@@ -1,0 +1,282 @@
+package search
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+
+	"scalefree/internal/gen"
+	"scalefree/internal/graph"
+	"scalefree/internal/xrand"
+)
+
+// batchTopo is one topology of the FloodBatch equivalence matrix.
+type batchTopo struct {
+	name string
+	f    *graph.Frozen
+}
+
+// batchTopos builds the matrix once: CM across the fig7 parameter grid
+// (m=1 fragments into many components, m=3 is connected), PA, a raw
+// multigraph snapshot, and a graph that is mostly isolated nodes.
+var batchTopos = sync.OnceValue(func() []batchTopo {
+	var out []batchTopo
+	for _, gamma := range []float64{2.2, 3.0} {
+		for _, m := range []int{1, 2, 3} {
+			for _, kc := range []int{10, 40, gen.NoCutoff} {
+				cfg := gen.CMConfig{N: 600, M: m, KC: kc, Gamma: gamma}
+				g, _, err := gen.CM(cfg, xrand.New(uint64(100*m+kc)))
+				if err != nil {
+					panic(err)
+				}
+				out = append(out, batchTopo{fmt.Sprintf("cm/g%.1f/m%d/kc%d", gamma, m, kc), g.Freeze()})
+			}
+		}
+	}
+	pa, _, err := gen.PA(gen.PAConfig{N: 900, M: 2, KC: 20}, xrand.New(5))
+	if err != nil {
+		panic(err)
+	}
+	out = append(out, batchTopo{"pa", pa.Freeze()})
+
+	// Not simplified: self-loops and parallel edges stay in the rows, so
+	// Degree (and with it the message count) differs from the simple graph.
+	multi := graph.New(40)
+	rng := xrand.New(77)
+	for i := 0; i < 120; i++ {
+		u, v := rng.Intn(40), rng.Intn(40)
+		if i%10 == 0 {
+			v = u
+		}
+		if err := multi.AddEdge(u, v); err != nil {
+			panic(err)
+		}
+		if i%7 == 0 {
+			if err := multi.AddEdge(u, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	out = append(out, batchTopo{"multigraph", multi.Freeze()})
+
+	sparse := graph.New(50)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {10, 11}, {30, 31}, {31, 32}} {
+		if err := sparse.AddEdge(e[0], e[1]); err != nil {
+			panic(err)
+		}
+	}
+	out = append(out, batchTopo{"isolated", sparse.Freeze()})
+	return out
+})
+
+// checkBatch compares one FloodBatch call against per-source Flood on a
+// separate scratch.
+func checkBatch(t *testing.T, name string, batch, single *Scratch, f *graph.Frozen, srcs []int, maxTTL int) {
+	t.Helper()
+	got, err := batch.FloodBatch(f, srcs, maxTTL)
+	if err != nil {
+		t.Fatalf("%s: FloodBatch: %v", name, err)
+	}
+	if len(got) != len(srcs) {
+		t.Fatalf("%s: %d results for %d sources", name, len(got), len(srcs))
+	}
+	for i, src := range srcs {
+		want, err := single.Flood(f, src, maxTTL)
+		if err != nil {
+			t.Fatalf("%s: Flood(%d): %v", name, src, err)
+		}
+		sameResult(t, fmt.Sprintf("%s src[%d]=%d ttl=%d", name, i, src, maxTTL), want, got[i])
+	}
+}
+
+// TestFloodBatchMatchesFlood is the kernel's contract: every Hits[t] and
+// Messages[t] of every source equals Scratch.Flood, for every width and
+// TTL, with one Scratch carried across all topologies (different N, so
+// stale bit state from a larger graph would show).
+func TestFloodBatchMatchesFlood(t *testing.T) {
+	t.Parallel()
+	batch, single := NewScratch(0), NewScratch(0)
+	rng := xrand.New(2007)
+	for _, tp := range batchTopos() {
+		n := tp.f.N()
+		for _, k := range []int{1, 2, 63, 64} {
+			for _, ttl := range []int{0, 1, 3, 30} {
+				srcs := make([]int, k)
+				for i := range srcs {
+					srcs[i] = rng.Intn(n)
+				}
+				if k > 1 {
+					srcs[k-1] = srcs[0] // two equal sources in one batch
+				}
+				checkBatch(t, fmt.Sprintf("%s k=%d", tp.name, k), batch, single, tp.f, srcs, ttl)
+			}
+		}
+	}
+	// Every node of the isolated-nodes graph, isolated ones included.
+	for _, tp := range batchTopos() {
+		if tp.name != "isolated" {
+			continue
+		}
+		srcs := make([]int, tp.f.N())
+		for i := range srcs {
+			srcs[i] = i
+		}
+		checkBatch(t, "isolated all", batch, single, tp.f, srcs, 5)
+	}
+	if res, err := batch.FloodBatch(batchTopos()[0].f, nil, 4); err != nil || len(res) != 0 {
+		t.Fatalf("empty batch: %v, %d results", err, len(res))
+	}
+}
+
+// TestFloodBatchErrors pins that a bad source or TTL yields Flood's error,
+// and that an over-wide batch is refused.
+func TestFloodBatchErrors(t *testing.T) {
+	t.Parallel()
+	f := batchTopos()[0].f
+	s := NewScratch(0)
+	for _, tc := range []struct {
+		name   string
+		srcs   []int
+		maxTTL int
+		want   error
+	}{
+		{"source past end", []int{3, f.N(), 5}, 4, ErrBadSource},
+		{"negative source", []int{3, -1}, 4, ErrBadSource},
+		{"negative ttl", []int{3, 4}, -1, ErrBadTTL},
+	} {
+		_, err := s.FloodBatch(f, tc.srcs, tc.maxTTL)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: FloodBatch error %v, want %v", tc.name, err, tc.want)
+		}
+		var bad int
+		for _, src := range tc.srcs {
+			if validate(f, src, tc.maxTTL) != nil {
+				bad = src
+				break
+			}
+		}
+		_, ferr := s.Flood(f, bad, tc.maxTTL)
+		if ferr == nil || ferr.Error() != err.Error() {
+			t.Fatalf("%s: FloodBatch error %q, Flood error %q", tc.name, err, ferr)
+		}
+	}
+	if _, err := s.FloodBatch(f, make([]int, MaxBatch+1), 4); err == nil {
+		t.Fatalf("batch of %d sources accepted", MaxBatch+1)
+	}
+	// A refused call must not poison the scratch.
+	checkBatch(t, "after errors", s, NewScratch(0), f, []int{1, 2, 3}, 6)
+}
+
+func TestFloodBatchZeroAllocs(t *testing.T) {
+	f := scratchTestFrozen(t)
+	s := NewScratch(f.N())
+	srcs := make([]int, MaxBatch)
+	for i := range srcs {
+		srcs[i] = (i * 37) % f.N()
+	}
+	if _, err := s.FloodBatch(f, srcs, 30); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.FloodBatch(f, srcs, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FloodBatch with reused scratch: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// FuzzFloodBatchMatchesFlood drives the same comparison from arbitrary
+// edge lists, source sets and TTLs: the edge bytes build a raw multigraph
+// (loops and parallel edges kept), the source bytes pick up to 64 sources.
+func FuzzFloodBatchMatchesFlood(f *testing.F) {
+	f.Add(uint8(12), []byte{0, 1, 1, 2, 2, 0, 5, 5, 7, 8, 7, 8}, []byte{0, 5, 7, 11, 0}, uint8(4))
+	f.Add(uint8(1), []byte{}, []byte{0}, uint8(0))
+	f.Add(uint8(40), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 20, 21}, []byte{0, 6, 20, 39}, uint8(30))
+	f.Fuzz(func(t *testing.T, nodes uint8, edges, sources []byte, ttl uint8) {
+		n := int(nodes)%64 + 1
+		g := graph.New(n)
+		for i := 0; i+1 < len(edges); i += 2 {
+			if err := g.AddEdge(int(edges[i])%n, int(edges[i+1])%n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(sources) > MaxBatch {
+			sources = sources[:MaxBatch]
+		}
+		srcs := make([]int, len(sources))
+		for i, b := range sources {
+			srcs[i] = int(b) % n
+		}
+		checkBatch(t, "fuzz", NewScratch(0), NewScratch(0), g.Freeze(), srcs, int(ttl)%40)
+	})
+}
+
+// floodSweepTopos is the sweep-cm shape: the 18 fig7 CM topologies at
+// N=20 000.
+var floodSweepTopos = sync.OnceValue(func() []*graph.Frozen {
+	var out []*graph.Frozen
+	for _, gamma := range []float64{2.2, 3.0} {
+		for _, m := range []int{1, 2, 3} {
+			for _, kc := range []int{10, 40, gen.NoCutoff} {
+				cfg := gen.CMConfig{N: 20_000, M: m, KC: kc, Gamma: gamma}
+				g, _, err := gen.CM(cfg, xrand.New(uint64(1000*m+kc)))
+				if err != nil {
+					panic(err)
+				}
+				out = append(out, g.Freeze())
+			}
+		}
+	}
+	return out
+})
+
+var floodSweepSink int
+
+// BenchmarkFloodSweep measures one source sweep per topology at the batch
+// widths the registry's source counts produce, against the per-source
+// queue kernel. One iteration floods the same sources (as many whole
+// batches as fit in MaxBatch) on each of the 18 topologies; the figure to
+// compare is µs/source.
+func BenchmarkFloodSweep(b *testing.B) {
+	topos := floodSweepTopos()
+	const maxTTL = 30
+	srcs := make([]int, MaxBatch)
+	rng := xrand.New(11)
+	for i := range srcs {
+		srcs[i] = rng.Intn(20_000)
+	}
+	run := func(name string, k int, flood func(s *Scratch, f *graph.Frozen, srcs []int) (Result, error)) {
+		b.Run(name, func(b *testing.B) {
+			s := NewScratch(0)
+			swept := srcs[:MaxBatch/k*k]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, f := range topos {
+					for lo := 0; lo < len(swept); lo += k {
+						res, err := flood(s, f, swept[lo:lo+k])
+						if err != nil {
+							b.Fatal(err)
+						}
+						floodSweepSink += res.Hits[maxTTL]
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(topos)*len(swept)), "µs/source")
+		})
+	}
+	run("single", 1, func(s *Scratch, f *graph.Frozen, srcs []int) (Result, error) {
+		return s.Flood(f, srcs[0], maxTTL)
+	})
+	for _, k := range []int{1, 12, 20, 50, 64} {
+		run(fmt.Sprintf("k=%d", k), k, func(s *Scratch, f *graph.Frozen, srcs []int) (Result, error) {
+			res, err := s.FloodBatch(f, srcs, maxTTL)
+			if err != nil {
+				return Result{}, err
+			}
+			return res[0], nil
+		})
+	}
+}

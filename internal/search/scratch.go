@@ -68,11 +68,9 @@ type Scratch struct {
 	// is the number handed out since the last reset.
 	bufs [][]int
 	nbuf int
-	// pf is the software-prefetch sink: the BFS kernels fold
-	// Frozen.Prefetch values for frontier nodes prefetchDist dequeue
-	// iterations ahead into it, so the compiler cannot elide the
-	// cache-warming loads. The value itself is meaningless.
-	pf int32
+	// batch is FloodBatch's per-node bit state, allocated on first use so
+	// scratches that never batch do not carry it.
+	batch *batchState
 }
 
 // NewScratch returns a Scratch pre-sized for n-node graphs. n may be 0;
@@ -95,13 +93,6 @@ func (s *Scratch) ensure(n int) {
 		s.epoch = 0 // fresh zeroed marks: restart the epoch counter
 	}
 }
-
-// prefetchDist is how many dequeue iterations ahead the BFS kernels touch
-// a frontier node's CSR row. Far enough that the offsets load resolves
-// behind real work, near enough that the line is still resident when its
-// iteration arrives (a whole-level lookahead fails both ways: large
-// frontiers evict the line again before use).
-const prefetchDist = 12
 
 // newEpoch invalidates all visited marks in O(1).
 func (s *Scratch) newEpoch() int32 {
@@ -181,16 +172,9 @@ func (s *Scratch) floodLevels(f *graph.Frozen, src, maxTTL int, res Result, targ
 		foundDepth = 0
 	}
 	hits, msgs := 0, 0
-	pf := s.pf
 	d := 0
 	for len(cur) > 0 {
-		for i, u := range cur {
-			// Software prefetch: touch the CSR row of the node a few
-			// dequeue iterations ahead, so its offsets line is resolving
-			// while this iteration chases neighbors (see Frozen.Prefetch).
-			if i+prefetchDist < len(cur) {
-				pf += f.Prefetch(cur[i+prefetchDist])
-			}
+		for _, u := range cur {
 			hits++
 			if d == maxTTL {
 				continue
@@ -236,7 +220,6 @@ func (s *Scratch) floodLevels(f *graph.Frozen, src, maxTTL int, res Result, targ
 		}
 	}
 	res.Messages[0] = 0
-	s.pf = pf
 	s.cur, s.next = cur, next
 	if d == maxTTL && len(cur) > 0 {
 		return cur, foundDepth
@@ -295,13 +278,9 @@ func (s *Scratch) normalizedFlood(f *graph.Frozen, src, maxTTL, kMin int, rng *x
 	fromCur := append(s.fromCur[:0], -1)
 	next, fromNext := s.next[:0], s.fromNext[:0]
 	hits, msgs := 0, 0
-	pf := s.pf
 	d := 0
 	for len(cur) > 0 {
 		for i, u := range cur {
-			if i+prefetchDist < len(cur) {
-				pf += f.Prefetch(cur[i+prefetchDist]) // see prefetchDist
-			}
 			sender := fromCur[i]
 			hits++
 			if d == maxTTL {
@@ -335,7 +314,6 @@ func (s *Scratch) normalizedFlood(f *graph.Frozen, src, maxTTL, kMin int, rng *x
 		}
 	}
 	res.Messages[0] = 0
-	s.pf = pf
 	s.cur, s.next, s.fromCur, s.fromNext = cur, next, fromCur, fromNext
 	return res, nil
 }
@@ -425,14 +403,10 @@ func (s *Scratch) FloodVisit(f *graph.Frozen, src, maxTTL int, visit func(node, 
 	s.mark[src] = ep
 	cur := append(s.cur[:0], int32(src))
 	next := s.next[:0]
-	pf := s.pf
 	d := 0
 sweep:
 	for len(cur) > 0 {
-		for i, u := range cur {
-			if i+prefetchDist < len(cur) {
-				pf += f.Prefetch(cur[i+prefetchDist]) // see prefetchDist
-			}
+		for _, u := range cur {
 			if !visit(int(u), d) {
 				break sweep
 			}
@@ -452,7 +426,6 @@ sweep:
 		cur, next = next, cur[:0]
 		d++
 	}
-	s.pf = pf
 	s.cur, s.next = cur, next
 	return nil
 }
@@ -473,13 +446,9 @@ func (s *Scratch) FloodLoad(f *graph.Frozen, src, maxTTL int, load *Load) error 
 	cur := append(s.cur[:0], int32(src))
 	fromCur := append(s.fromCur[:0], -1)
 	next, fromNext := s.next[:0], s.fromNext[:0]
-	pf := s.pf
 	d := 0
 	for len(cur) > 0 {
 		for i, u := range cur {
-			if i+prefetchDist < len(cur) {
-				pf += f.Prefetch(cur[i+prefetchDist]) // see prefetchDist
-			}
 			sender := fromCur[i]
 			if d == maxTTL {
 				continue
@@ -504,7 +473,6 @@ func (s *Scratch) FloodLoad(f *graph.Frozen, src, maxTTL int, load *Load) error 
 		fromCur, fromNext = fromNext, fromCur[:0]
 		d++
 	}
-	s.pf = pf
 	s.cur, s.next, s.fromCur, s.fromNext = cur, next, fromCur, fromNext
 	return nil
 }
@@ -531,13 +499,9 @@ func (s *Scratch) NormalizedFloodLoad(f *graph.Frozen, src, maxTTL, kMin int, rn
 	cur := append(s.cur[:0], int32(src))
 	fromCur := append(s.fromCur[:0], -1)
 	next, fromNext := s.next[:0], s.fromNext[:0]
-	pf := s.pf
 	d := 0
 	for len(cur) > 0 {
 		for i, u := range cur {
-			if i+prefetchDist < len(cur) {
-				pf += f.Prefetch(cur[i+prefetchDist]) // see prefetchDist
-			}
 			sender := fromCur[i]
 			if d == maxTTL {
 				continue
@@ -559,7 +523,6 @@ func (s *Scratch) NormalizedFloodLoad(f *graph.Frozen, src, maxTTL, kMin int, rn
 		fromCur, fromNext = fromNext, fromCur[:0]
 		d++
 	}
-	s.pf = pf
 	s.cur, s.next, s.fromCur, s.fromNext = cur, next, fromCur, fromNext
 	return nil
 }

@@ -1,0 +1,194 @@
+package sim
+
+// Tests for the batched FL sweep (sweeper.FloodSources over
+// search.FloodBatch) and the scratch free list behind newSweeper. The
+// reference throughout is the per-source path the engine ran before:
+// sweeper.Sources calling Scratch.Flood once per source.
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+
+	"scalefree/internal/gen"
+	"scalefree/internal/graph"
+	"scalefree/internal/search"
+	"scalefree/internal/xrand"
+)
+
+// perSourceFLRows runs cfg's FL sweep one Scratch.Flood per source and
+// returns the slot rows (layout r*sources+s) as sample fills them.
+func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint64, sample func(search.Result, []float64)) [][]float64 {
+	t.Helper()
+	rows := make([][]float64, cfg.realizations*cfg.sources)
+	err := forEachRealizationPipeline(engineOpts{}, 1, 1, 1, cfg.realizations, seed,
+		func(r int, b *builder) (*graph.Frozen, error) { return sweepTopo(factory, r, b) },
+		func(r int, f *graph.Frozen, sw *sweeper) error {
+			return sw.Sources(uint64(r), cfg.sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
+				res, err := scratch.Flood(f, rng.Intn(f.N()), cfg.maxTTL)
+				if err != nil {
+					return err
+				}
+				row := make([]float64, cfg.maxTTL+1)
+				sample(res, row)
+				rows[r*cfg.sources+s] = row
+				return nil
+			})
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestBatchSweepMatchesPerSourceSweep: for source counts on both sides of
+// every batch-width boundary and for serial, sharded and worker-parallel
+// schedules, the FL hits and message series equal the per-source sweep's,
+// and a journaled run writes the same record bytes.
+func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
+	t.Parallel()
+	const seed = 2007
+	sc := testScaleTiny()
+	factory := cmTopo(300, 1, 10, 2.2) // m=1: many components, floods exhaust early
+	kinds := []struct {
+		name   string
+		series func(string, topoFactory, searchCfg, uint64) (Series, error)
+		sample func(search.Result, []float64)
+		tag    string
+	}{
+		{"hits", searchSeries, func(res search.Result, row []float64) {
+			for t := range row {
+				row[t] = float64(res.HitsAt(t))
+			}
+		}, "fl"},
+		{"msgs", messageSeries, func(res search.Result, row []float64) {
+			for t := range row {
+				row[t] = float64(res.MessagesAt(t))
+			}
+		}, "msgs: fl"},
+	}
+	for _, sources := range []int{1, 12, 64, 65, 150} {
+		cfg := searchCfg{alg: algFL, maxTTL: 12, sources: sources, realizations: 3}
+		for _, kind := range kinds {
+			rows := perSourceFLRows(t, factory, cfg, seed, kind.sample)
+			want, err := aggregate("fl", meanRows(rows, cfg.realizations, cfg.sources), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, knobs := range [][2]int{{1, 1}, {2, 3}, {1, 7}} {
+				name := fmt.Sprintf("%s sources=%d workers=%d shards=%d", kind.name, sources, knobs[0], knobs[1])
+				path := filepath.Join(t.TempDir(), "fl.journal")
+				j, err := OpenJournal(path, "fig", seed, sc, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jcfg := cfg
+				jcfg.workers, jcfg.sourceShards = knobs[0], knobs[1]
+				jcfg.run = NewRunControl(context.Background(), 0, 0, j)
+				got, err := kind.series("fl", factory, jcfg, seed)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: series differs from the per-source sweep", name)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				written, err := OpenJournal(path, "fig", seed, sc, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < cfg.realizations; r++ {
+					rec := written.resumed[journalKey{kind: recSweepSlots, stream: seed, sub: journalTag(kind.tag), r: r}]
+					if !bytes.Equal(rec, encodeRowBlock(rows[r*sources:(r+1)*sources], cfg.maxTTL+1)) {
+						t.Fatalf("%s: journal record of realization %d differs from the per-source sweep's", name, r)
+					}
+				}
+				written.Close()
+			}
+		}
+	}
+}
+
+// freeListTopo builds one CM snapshot outside the engine.
+func freeListTopo(t *testing.T, n int) *graph.Frozen {
+	t.Helper()
+	f, _, err := gen.CMFrozen(gen.CMConfig{N: n, M: 2, KC: 40, Gamma: 2.6}, gen.Build{RNG: xrand.New(uint64(n))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestFreeListScratchServesSmallerGraph: a released scratch is the one the
+// next sweeper gets, and the kernel state it grew on a 20 000-node sweep
+// does not leak into a 400-node one. Not parallel: it owns the free list.
+func TestFreeListScratchServesSmallerGraph(t *testing.T) {
+	big, small := freeListTopo(t, 20_000), freeListTopo(t, 400)
+	const sources, maxTTL = 70, 30
+	discard := func(int, search.Result) {}
+
+	first := newSweeper(3, 1)
+	used := first.scratches[0]
+	if err := first.FloodSources(0, sources, big, maxTTL, discard); err != nil {
+		t.Fatal(err)
+	}
+	first.release()
+	second := newSweeper(3, 1)
+	if second.scratches[0] != used {
+		t.Fatal("newSweeper did not take the released scratch")
+	}
+	defer second.release()
+
+	ref := search.NewScratch(0)
+	err := second.FloodSources(1, sources, small, maxTTL, func(s int, got search.Result) {
+		want, err := ref.Flood(small, xrand.NewStream(3, 1, uint64(s)).Intn(small.N()), maxTTL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Hits, want.Hits) || !slices.Equal(got.Messages, want.Messages) {
+			t.Fatalf("source %d on the reused scratch: hits %v msgs %v, want %v %v", s, got.Hits, got.Messages, want.Hits, want.Messages)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFreeListDropsFailedSweeper: the sweeper a sweep panicked on is
+// replaced and never reaches the free list; the replacement, which
+// finished cleanly, does. Not parallel: it owns the free list.
+func TestFreeListDropsFailedSweeper(t *testing.T) {
+	var failed, clean *search.Scratch
+	err := forEachRealizationPipeline(engineOpts{rc: testRC(1, 0)}, 1, 1, 1, 2, 99,
+		func(r int, _ *builder) (int, error) { return r, nil },
+		func(r, _ int, sw *sweeper) error {
+			switch {
+			case failed == nil:
+				failed = sw.scratches[0]
+				panic("injected sweep panic")
+			case r == 1:
+				clean = sw.scratches[0]
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed == nil || clean == nil || failed == clean {
+		t.Fatalf("test did not see both sweepers (failed %p, clean %p)", failed, clean)
+	}
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	if slices.Contains(scratchFree.list, failed) {
+		t.Fatal("scratch of the failed sweeper was released to the free list")
+	}
+	if !slices.Contains(scratchFree.list, clean) {
+		t.Fatal("scratch of the cleanly finished sweeper was not released")
+	}
+}

@@ -330,17 +330,26 @@ func sweepSeries(label string, factory topoFactory, cfg searchCfg, seed uint64, 
 			return sweepTopo(factory, r, b)
 		},
 		func(r int, f *graph.Frozen, sw *sweeper) error {
-			err := sw.Sources(uint64(r), cfg.sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
-				src := rng.Intn(f.N())
-				res, err := cfg.runSearch(scratch, f, src, rng)
-				if err != nil {
-					return err
-				}
+			deposit := func(s int, res search.Result) {
 				row := make([]float64, rowLen)
 				sample(res, row)
 				perSource[r*cfg.sources+s] = row
-				return nil
-			})
+			}
+			var err error
+			if cfg.alg == algFL {
+				// FL draws nothing but its source node, so whole runs of
+				// sources share one bit-parallel flood.
+				err = sw.FloodSources(uint64(r), cfg.sources, f, cfg.maxTTL, deposit)
+			} else {
+				err = sw.Sources(uint64(r), cfg.sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
+					res, err := cfg.runSearch(scratch, f, rng.Intn(f.N()), rng)
+					if err != nil {
+						return err
+					}
+					deposit(s, res)
+					return nil
+				})
+			}
 			if err != nil {
 				return err
 			}

@@ -277,7 +277,8 @@ func forEachRealizationPipeline[T any](o engineOpts, workers, shards, genWorkers
 				if err != nil {
 					// The failed sweep may have corrupted this worker's
 					// sweeper scratches mid-write; replace it before any
-					// other realization touches it.
+					// other realization touches it. The old one is dropped,
+					// never released to the free list.
 					sw = newSweeper(seed, shards)
 				}
 				for err != nil && attempts < o.rc.maxAttempts() && o.rc.interrupted() == nil {
@@ -303,6 +304,7 @@ func forEachRealizationPipeline[T any](o engineOpts, workers, shards, genWorkers
 				}
 				o.rc.noteProgress()
 			}
+			sw.release()
 		}()
 	}
 	swg.Wait()
@@ -414,5 +416,10 @@ func withSweeper(shards int, seed uint64, fn func(sw *sweeper) error) error {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	return fn(newSweeper(seed, shards))
+	sw := newSweeper(seed, shards)
+	err := fn(sw)
+	if err == nil {
+		sw.release()
+	}
+	return err
 }

@@ -13,10 +13,12 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"scalefree/internal/des"
+	"scalefree/internal/graph"
 	"scalefree/internal/search"
 	"scalefree/internal/xrand"
 )
@@ -287,18 +289,45 @@ type sweeper struct {
 	sims      []*des.Sim
 }
 
+// scratchFree keeps the scratches of finished sweeps for the next
+// newSweeper: a figure runs one engine per series, and without reuse each
+// would grow its own O(N) kernel state from nothing. It is a plain free
+// list, not a sync.Pool, so what a run allocates does not depend on when
+// the garbage collector happens to empty the pool.
+var scratchFree struct {
+	sync.Mutex
+	list []*search.Scratch
+}
+
 // newSweeper builds a sweeper with `shards` scratches (the engine resolves
-// automatic sizing before construction; <=1 means serial sweeps).
-// Scratches start empty and grow on first use.
+// automatic sizing before construction; <=1 means serial sweeps), taken
+// from the free list when it has any. Fresh scratches start empty and grow
+// on first use.
 func newSweeper(seed uint64, shards int) *sweeper {
 	if shards < 1 {
 		shards = 1
 	}
 	sw := &sweeper{seed: seed, shards: shards, scratches: make([]*search.Scratch, shards), sims: make([]*des.Sim, shards)}
-	for i := range sw.scratches {
+	scratchFree.Lock()
+	keep := max(0, len(scratchFree.list)-shards)
+	reused := copy(sw.scratches, scratchFree.list[keep:])
+	clear(scratchFree.list[keep:]) // the list must not keep a taken scratch alive
+	scratchFree.list = scratchFree.list[:keep]
+	scratchFree.Unlock()
+	for i := reused; i < shards; i++ {
 		sw.scratches[i] = search.NewScratch(0)
 	}
 	return sw
+}
+
+// release hands the sweeper's scratches back for reuse. Only a sweeper
+// whose every sweep returned normally may be released: one that saw a
+// panic may hold half-written kernel state and is dropped instead.
+func (sw *sweeper) release() {
+	scratchFree.Lock()
+	scratchFree.list = append(scratchFree.list, sw.scratches...)
+	scratchFree.Unlock()
+	sw.scratches = nil
 }
 
 // Sim returns the shard's pooled DES simulator, created on first use so
@@ -324,44 +353,99 @@ func (sw *sweeper) Sim(shard int) *des.Sim {
 // accumulators whose merge is order-independent; anything else breaks the
 // bit-for-bit contract. The lowest-index error wins, as in the outer pool.
 func (sw *sweeper) Sources(stream uint64, sources int, query func(shard, s int, rng *xrand.RNG, scratch *search.Scratch) error) error {
+	return sw.each(sources, func(shard, s int) error {
+		return query(shard, s, xrand.NewStream(sw.seed, stream, uint64(s)), sw.scratches[shard])
+	})
+}
+
+// FloodSources is Sources for plain flooding, where a figure reads only
+// each source's per-TTL counts: source s still draws its node from the
+// (seed, stream, s) stream, but contiguous runs of sources are flooded
+// together by search.FloodBatch, one run per work item of the shard pool,
+// and emit(s, result) is called for every s exactly as a Sources query
+// calling Scratch.Flood would have been. The run width follows from the
+// shard count — every shard gets a run, no run exceeds the kernel's word —
+// and cannot change a result, only how many adjacency scans are shared.
+// The Result passed to emit aliases the shard's scratch.
+func (sw *sweeper) FloodSources(stream uint64, sources int, f *graph.Frozen, maxTTL int, emit func(s int, res search.Result)) error {
 	if sources <= 0 {
 		return nil
 	}
-	shards := sw.shards
-	if shards > sources {
-		shards = sources
-	}
+	shards := min(sw.shards, sources)
+	width := min(search.MaxBatch, (sources+shards-1)/shards)
+	return sw.each((sources+width-1)/width, func(shard, b int) error {
+		scratch := sw.scratches[shard]
+		lo := b * width
+		var buf [search.MaxBatch]int
+		srcs := buf[:min(width, sources-lo)]
+		for i := range srcs {
+			srcs[i] = xrand.NewStream(sw.seed, stream, uint64(lo+i)).Intn(f.N())
+		}
+		if len(srcs) == 1 {
+			// The queue kernel is the faster one for a lone source.
+			res, err := scratch.Flood(f, srcs[0], maxTTL)
+			if err != nil {
+				return err
+			}
+			emit(lo, res)
+			return nil
+		}
+		results, err := scratch.FloodBatch(f, srcs, maxTTL)
+		if err != nil {
+			return err
+		}
+		for i, res := range results {
+			emit(lo+i, res)
+		}
+		return nil
+	})
+}
+
+// each runs fn for i = 0..n-1 across the shard pool, the calling goroutine
+// acting as shard 0, and returns the lowest-index error. A panic in fn on
+// any shard is caught there, the other shards finish, and the lowest-index
+// failure is re-raised on the calling goroutine with the original stack
+// attached — so the engine's supervisor (protectCall) sees it wherever it
+// happened, and no shard is still writing when the caller moves on.
+func (sw *sweeper) each(n int, fn func(shard, i int) error) error {
+	shards := min(sw.shards, n)
 	if shards <= 1 {
-		for s := 0; s < sources; s++ {
-			if err := query(0, s, xrand.NewStream(sw.seed, stream, uint64(s)), sw.scratches[0]); err != nil {
+		for i := 0; i < n; i++ {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, sources)
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	work := func(shard int) {
-		scratch := sw.scratches[shard]
+		defer wg.Done()
+		i := -1
+		defer func() {
+			if v := recover(); v != nil {
+				errs[i] = &panicError{val: v, stack: debug.Stack()}
+			}
+		}()
 		for {
-			s := int(next.Add(1)) - 1
-			if s >= sources {
+			i = int(next.Add(1)) - 1
+			if i >= n {
 				return
 			}
-			errs[s] = query(shard, s, xrand.NewStream(sw.seed, stream, uint64(s)), scratch)
+			errs[i] = fn(shard, i)
 		}
 	}
-	wg.Add(shards - 1)
+	wg.Add(shards)
 	for sh := 1; sh < shards; sh++ {
-		go func(sh int) {
-			defer wg.Done()
-			work(sh)
-		}(sh)
+		go work(sh)
 	}
 	work(0)
 	wg.Wait()
 	for _, err := range errs {
+		if pe, ok := err.(*panicError); ok {
+			panic(shardPanic{pe})
+		}
 		if err != nil {
 			return err
 		}

@@ -57,6 +57,16 @@ type panicError struct {
 
 func (p *panicError) Error() string { return fmt.Sprintf("panic: %v", p.val) }
 
+// shardPanic is the value sweeper.each re-raises on the calling goroutine
+// for a panic caught on a shard goroutine. protectCall unwraps it, so the
+// failure record carries the shard's stack rather than the re-raise site's;
+// with no supervisor it crashes the process and prints that stack.
+type shardPanic struct{ *panicError }
+
+func (p shardPanic) Error() string {
+	return fmt.Sprintf("%v [on a sweep shard]\n\n%s", p.val, p.stack)
+}
+
 // protectCall runs fn, converting a panic into a *panicError. When rc is
 // nil there is no supervisor to hand the failure to, so the panic
 // propagates exactly as before.
@@ -65,7 +75,11 @@ func protectCall[T any](rc *RunControl, fn func() (T, error)) (out T, err error)
 		return fn()
 	}
 	defer func() {
-		if v := recover(); v != nil {
+		switch v := recover().(type) {
+		case nil:
+		case shardPanic:
+			err = v.panicError
+		default:
 			err = &panicError{val: v, stack: debug.Stack()}
 		}
 	}()

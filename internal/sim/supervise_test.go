@@ -76,7 +76,10 @@ func TestBuildPanicRetriedBitIdentical(t *testing.T) {
 // TestSweepPanicRetriedBitIdentical injects a one-shot panic into the
 // sweep stage. The retry must rebuild the realization end-to-end (the
 // snapshot may carry consumed phase streams), so the factory runs
-// realizations+1 times, and the output is still bit-identical.
+// realizations+1 times, and the output is still bit-identical. With four
+// source shards every source of the first realization panics, each on a
+// different shard, so all but one fire off the engine's goroutine: they
+// must reach the supervisor instead of killing the process.
 func TestSweepPanicRetriedBitIdentical(t *testing.T) {
 	t.Parallel()
 	const seed = 8888
@@ -87,30 +90,38 @@ func TestSweepPanicRetriedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var builds atomic.Int64
-	factory := countingFactory(inner, &builds)
-	var tripped atomic.Bool
-	rcfg := cfg
-	rcfg.run = testRC(1, 0)
-	got, err := sweepSeries("fl", factory, rcfg, seed, func(res search.Result, row []float64) {
-		if tripped.CompareAndSwap(false, true) {
-			panic("injected sweep panic")
-		}
-		for t := range row {
-			row[t] = float64(res.HitsAt(t))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, baseline) {
-		t.Fatal("sweep-retried series differs from baseline")
-	}
-	if got, want := builds.Load(), int64(cfg.realizations+1); got != want {
-		t.Fatalf("factory ran %d times, want %d (one rebuild for the retried sweep)", got, want)
-	}
-	if rcfg.run.Recovered() != 1 {
-		t.Fatalf("Recovered() = %d, want 1", rcfg.run.Recovered())
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("sourceShards=%d", shards), func(t *testing.T) {
+			var builds atomic.Int64
+			factory := countingFactory(inner, &builds)
+			var trips atomic.Int64
+			rcfg := cfg
+			rcfg.workers = 1 // realization 0 is swept first, alone
+			rcfg.sourceShards = shards
+			rcfg.run = testRC(1, 0)
+			got, err := sweepSeries("fl", factory, rcfg, seed, func(res search.Result, row []float64) {
+				// A shard stops at its first panic, so `shards` panics
+				// take out the whole pool and the retry sees none.
+				if trips.Add(1) <= int64(shards) {
+					panic("injected sweep panic")
+				}
+				for t := range row {
+					row[t] = float64(res.HitsAt(t))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, baseline) {
+				t.Fatal("sweep-retried series differs from baseline")
+			}
+			if got, want := builds.Load(), int64(cfg.realizations+1); got != want {
+				t.Fatalf("factory ran %d times, want %d (one rebuild for the retried sweep)", got, want)
+			}
+			if rcfg.run.Recovered() != 1 {
+				t.Fatalf("Recovered() = %d, want 1", rcfg.run.Recovered())
+			}
+		})
 	}
 }
 
@@ -154,28 +165,11 @@ func TestPermanentFailureWithinBudget(t *testing.T) {
 
 	// The partial series must equal the baseline computed WITHOUT the
 	// cursed realization's contribution: recompute by dropping r=2 rows.
-	baselineCfg := cfg
-	perSource := make([][]float64, cfg.realizations*cfg.sources)
-	err = forEachRealizationPipeline(engineOpts{}, baselineCfg.workers, baselineCfg.sourceShards, baselineCfg.genWorkers, baselineCfg.realizations, seed,
-		func(r int, b *builder) (*graph.Frozen, error) { return sweepTopo(inner, r, b) },
-		func(r int, f *graph.Frozen, sw *sweeper) error {
-			return sw.Sources(uint64(r), baselineCfg.sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
-				src := rng.Intn(f.N())
-				res, err := baselineCfg.runSearch(scratch, f, src, rng)
-				if err != nil {
-					return err
-				}
-				row := make([]float64, baselineCfg.maxTTL+1)
-				for t := range row {
-					row[t] = float64(res.HitsAt(t))
-				}
-				perSource[r*baselineCfg.sources+s] = row
-				return nil
-			})
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	perSource := perSourceFLRows(t, inner, cfg, seed, func(res search.Result, row []float64) {
+		for t := range row {
+			row[t] = float64(res.HitsAt(t))
+		}
+	})
 	for s := 0; s < cfg.sources; s++ {
 		perSource[2*cfg.sources+s] = nil
 	}

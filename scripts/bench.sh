@@ -16,7 +16,7 @@
 #                     stderr, landmark path stats)
 #   internal/search   Reference (pre-CSR) vs Scratch (CSR) kernels,
 #                     including the Scratch strategy kernels (0 allocs/op)
-#                     and the prefetch on/off flood pair
+#                     and the FloodSweep single-vs-batch pair
 #   internal/gen      CM/GRN build pairs: legacy mutable-Graph+Freeze vs
 #                     direct-CSR (CSRBuilder), fresh and arena-pooled
 #   internal/metrics  clustering coefficient, mutable-Graph probes vs CSR scan

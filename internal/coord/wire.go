@@ -40,14 +40,14 @@ import (
 // fail; the coordinator replies lease/wait to claims and pushes shutdown
 // when the whole session is over.
 const (
-	mtClaim     = "claim"     // worker → coord: give me work
-	mtLease     = "lease"     // coord → worker: realization granted
-	mtWait      = "wait"      // coord → worker: nothing leasable now, poll again
-	mtHeartbeat = "hb"        // worker → coord: still computing, renew my lease
-	mtResult    = "result"    // worker → coord: one slot record
-	mtComplete  = "complete"  // worker → coord: realization finished, Records streamed
-	mtFail      = "fail"      // worker → coord: realization failed permanently here
-	mtShutdown  = "shutdown"  // coord → worker: session over, exit
+	mtClaim     = "claim"    // worker → coord: give me work
+	mtLease     = "lease"    // coord → worker: realization granted
+	mtWait      = "wait"     // coord → worker: nothing leasable now, poll again
+	mtHeartbeat = "hb"       // worker → coord: still computing, renew my lease
+	mtResult    = "result"   // worker → coord: one slot record
+	mtComplete  = "complete" // worker → coord: realization finished, Records streamed
+	mtFail      = "fail"     // worker → coord: realization failed permanently here
+	mtShutdown  = "shutdown" // coord → worker: session over, exit
 )
 
 // wireMsg is the coordinator/worker protocol message, carried as opaque

@@ -4,18 +4,37 @@
 // for coverage but cannot express the transport effects the paper's
 // protocol actually lives with — heterogeneous link latency, message loss,
 // duplicate arrivals racing each other to a node. Here a TTL flood or a
-// k-walker search is a population of events on a time-ordered heap:
-// per-node inboxes are the first-receipt marks, per-edge latency comes
-// from a deterministic distribution, and loss drops copies in flight.
+// k-walker search is a population of message copies ordered by arrival
+// time: per-node inboxes are the first-receipt marks, per-edge latency
+// comes from a deterministic distribution, and loss drops copies in
+// flight.
+//
+// Floods resolve a copy when it is sent. All but N − 1 of a flood's
+// 2M − N copies arrive as duplicates, which only bump counters, and a
+// copy's arrival time, FIFO key and receiver down-window are known at the
+// send. So a copy over a cut edge or into a down-window is FailDropped and
+// a lost one Dropped without being queued; a copy to a node that is
+// covered, or that a queued copy reaches at an earlier (time, key), can
+// only be a duplicate — Delivered, Duplicates and Completion are credited
+// at once, and it is not queued either; any other copy becomes its
+// receiver's best pending arrival and is queued (one it overtakes stays
+// queued and pops as an ordinary duplicate — no decrease-key). Hits,
+// HitsByHop and TimeByHop are credited at first-receipt pops. About 1.1 N
+// of 3 N copies reach the queue on an m = 2 overlay, and the Metrics are
+// bit-identical to queueing them all (TestFloodMetricsDigests): unqueued
+// copies still consume a key, so queued ones keep their pop order; only
+// first receipts send, so loss draws keep theirs; and the early credits
+// are sums and a max. With Config.NoDedup every arrival forwards, so
+// every surviving copy is queued; k-walks queue one event per step.
 //
 // Determinism is the same contract the experiment engine enforces
 // everywhere else. Three ingredients:
 //
-//   - Per-edge latency is a pure function of (seed, realization, edge):
-//     Latency derives a throwaway RNG from an xrand.Phases sub-stream
-//     keyed by the canonical edge id, so an edge's delay never depends on
-//     when (or how often) a message crosses it.
-//   - Event ties are broken by a unique uint64 key, giving the heap a
+//   - Per-edge latency is a pure function of (seed, realization, edge): an
+//     xrand.Phases sub-stream keyed by the canonical edge id, its per-run
+//     prefix folded once (xrand.ChunkRoot), so an edge's delay never
+//     depends on when (or how often) a message crosses it.
+//   - Event ties are broken by a unique uint64 key, giving the queue a
 //     total order: two runs with the same inputs pop events identically.
 //   - All protocol randomness (NF-style choices, walk steps, loss draws)
 //     comes from the caller's per-source stream, consumed in pop order.
@@ -27,11 +46,11 @@
 // with search.Scratch — the correctness gate pinned by the equivalence
 // tests here and in internal/sim.
 //
-// Allocation discipline follows search.Scratch: a Sim owns the event heap,
-// the epoch-stamped first-receipt marks, and a small arena of per-hop
-// series, so repeated runs on one topology allocate nothing after the
-// first call. One Sim per goroutine; Metrics alias the Sim's buffers and
-// are valid until the next run on the same Sim.
+// Allocation discipline follows search.Scratch: a Sim owns the event queue
+// (a 4-ary heap), the epoch-stamped per-node marks, and a small arena of
+// per-hop series, so repeated runs on one topology allocate nothing after
+// the first call. One Sim per goroutine; Metrics alias the Sim's buffers
+// and are valid until the next run on the same Sim.
 package des
 
 import (
@@ -63,7 +82,7 @@ type Latency struct {
 	// Base is the fixed delay component shared by all edges.
 	Base float64
 	// Jitter scales the per-edge uniform component; 0 makes every edge
-	// delay exactly Base and skips the stream derivation entirely.
+	// delay exactly Base and skips the per-edge derivation.
 	Jitter float64
 	// Phases roots the per-edge derivation at (seed, realization).
 	Phases xrand.Phases
@@ -72,17 +91,25 @@ type Latency struct {
 // latencyPhase names the per-edge latency sub-stream family.
 const latencyPhase = "des.latency"
 
-// Edge returns the delay of edge {u, v}. Orientation does not matter. The
-// per-edge uniform draw goes through the allocation-free ChunkU01 path, so
-// a million-message run derives latencies without touching the heap.
-func (l Latency) Edge(u, v int32) float64 {
+// Edge returns the delay of edge {u, v}. Orientation does not matter.
+func (l Latency) Edge(u, v int32) float64 { return l.edge(l.root(), u, v) }
+
+// root folds the part of the per-edge derivation that is constant for a
+// run — (seed, realization, latencyPhase) — so the kernels pay for it once
+// per run instead of once per message.
+func (l Latency) root() xrand.ChunkRoot { return l.Phases.ChunkRoot(latencyPhase) }
+
+// edge is Edge on a root hoisted by the caller: the one derivation behind
+// Edge, Flood and KWalk. The uniform draw is allocation-free, so a
+// million-message run derives latencies without touching the heap.
+func (l Latency) edge(root xrand.ChunkRoot, u, v int32) float64 {
 	if l.Jitter == 0 {
 		return l.Base
 	}
 	if u > v {
 		u, v = v, u
 	}
-	return l.Base + l.Jitter*l.Phases.ChunkU01(latencyPhase, int(uint64(u)<<32|uint64(uint32(v))))
+	return l.Base + l.Jitter*root.U01(int(uint64(u)<<32|uint64(uint32(v))))
 }
 
 // Config bundles the transport knobs of one DES run.
@@ -132,7 +159,8 @@ type Metrics struct {
 	Dropped int
 	// FailDropped counts copies lost to injected failures: sends over a
 	// partitioned edge and arrivals at a crashed node (both after
-	// Sent/SentByHop counted the transmission attempt, like loss).
+	// Sent/SentByHop counted the transmission attempt, like loss). Floods
+	// decide both when the copy is sent, k-walks the second on arrival.
 	FailDropped int
 	// Duplicates counts arrivals at already-covered nodes.
 	Duplicates int
@@ -196,20 +224,23 @@ type event struct {
 	hop  int32
 }
 
-func (e event) before(o event) bool {
-	return e.time < o.time || (e.time == o.time && e.key < o.key)
-}
-
 // Sim owns the reusable DES state: the event heap, the epoch-stamped
-// first-receipt marks (cleared in O(1) by bumping the epoch), the earliest
+// per-node marks (cleared in O(1) by bumping the epoch), the earliest
 // step values for k-walks, and the per-hop series arena. The zero value is
 // ready to use; buffers grow on demand and are retained. A Sim must not be
 // copied after first use and is not safe for concurrent use — one Sim per
 // goroutine, exactly like search.Scratch.
 type Sim struct {
-	heap  []event
-	epoch int32
-	mark  []int32
+	heap []event
+	// pushes counts heap insertions of the current run (the benchmarks
+	// report it next to Metrics.Sent).
+	pushes int
+	epoch  int32
+	// mark[v] == epoch: v has received the query. mark[v] == -epoch
+	// (floods only): v has not, but a copy to it is queued, the earliest
+	// arriving at best[v].
+	mark []int32
+	best []float64
 	// val[v] is the earliest k-walk step at which v was reached; valid
 	// only while mark[v] carries the epoch that wrote it.
 	val  []int32
@@ -228,11 +259,12 @@ func NewSim(n int) *Sim {
 	return s
 }
 
-func (s *Sim) reset() { s.nInt, s.nFloat = 0, 0 }
+func (s *Sim) reset() { s.nInt, s.nFloat, s.pushes = 0, 0, 0 }
 
 func (s *Sim) ensure(n int) {
 	if len(s.mark) < n {
 		s.mark = make([]int32, n)
+		s.best = make([]float64, n)
 		s.val = make([]int32, n)
 		s.epoch = 0
 	}
@@ -287,45 +319,53 @@ func (s *Sim) floatBuf(n int) []float64 {
 	return b
 }
 
-// push inserts an event into the heap (sift-up on (time, key)).
+// The heap is 4-ary (children of i at 4i+1..4i+4): half the levels of a
+// binary heap, and a node's four children share one or two cache lines.
+// Both sifts move a hole instead of swapping 32-byte events, and compare
+// (time, key) field by field.
+
+// push inserts an event into the heap.
 func (s *Sim) push(ev event) {
+	s.pushes++
 	h := append(s.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
-		p := (i - 1) / 2
-		if !h[i].before(h[p]) {
+		p := (i - 1) / 4
+		if pt := h[p].time; pt < ev.time || (pt == ev.time && h[p].key < ev.key) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = ev
 	s.heap = h
 }
 
-// pop removes the earliest event (sift-down on (time, key)).
+// pop removes the earliest event: the last one sifts down from the root.
 func (s *Sim) pop() event {
 	h := s.heap
 	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
+	n := len(h) - 1
+	ev := h[n]
+	h = h[:n]
+	s.heap = h
 	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && h[l].before(h[m]) {
-			m = l
+	for c := 1; c < n; c = 4*i + 1 {
+		m, mt, mk := c, h[c].time, h[c].key
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if t := h[j].time; t < mt || (t == mt && h[j].key < mk) {
+				m, mt, mk = j, t, h[j].key
+			}
 		}
-		if r < last && h[r].before(h[m]) {
-			m = r
-		}
-		if m == i {
+		if ev.time < mt || (ev.time == mt && ev.key < mk) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
-	s.heap = h
+	if n > 0 {
+		h[i] = ev
+	}
 	return top
 }
 
@@ -353,7 +393,7 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 	if err := cfg.check(); err != nil {
 		return Metrics{}, err
 	}
-	if rng == nil {
+	if rng == nil && cfg.Loss > 0 {
 		rng = xrand.New(0)
 	}
 	s.reset()
@@ -368,33 +408,33 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 	var downStart, downEnd []float64
 	if failing {
 		downStart, downEnd = s.nodeWindows(cfg.Fail, f.N())
+		if downStart[src] <= 0 && downEnd[src] > 0 {
+			// The source is down at time 0: its own copy fizzles uncounted
+			// and nothing is ever sent.
+			return m, nil
+		}
 	}
+	lat, root := cfg.Latency, cfg.Latency.root()
+	mark, best := s.mark, s.best
 	s.heap = s.heap[:0]
-	var seq uint64
-	s.push(event{time: 0, key: seq, node: int32(src), from: -1, hop: 0})
-	seq++
+	s.push(event{node: int32(src), from: -1})
+	seq := uint64(1)
 	for len(s.heap) > 0 {
 		ev := s.pop()
-		if failing && ev.time >= downStart[ev.node] && ev.time < downEnd[ev.node] {
-			// The node is down: an in-flight copy is lost on arrival (the
-			// source's own time-0 copy just fizzles uncounted).
-			if ev.hop > 0 {
-				m.FailDropped++
-			}
-			continue
-		}
 		if ev.hop > 0 {
 			m.Delivered++
 			if ev.time > m.Completion {
 				m.Completion = ev.time
 			}
 		}
-		if s.mark[ev.node] != ep {
-			s.mark[ev.node] = ep
+		if mark[ev.node] != ep {
+			mark[ev.node] = ep
 			m.Hits++
 			m.HitsByHop[ev.hop]++
 			m.TimeByHop[ev.hop] += ev.time
 		} else {
+			// A queued copy that a later-sent, earlier-arriving one
+			// overtook (or, with NoDedup, any repeat arrival).
 			m.Duplicates++
 			if !cfg.NoDedup {
 				continue
@@ -418,14 +458,30 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 				m.Dropped++
 				continue
 			}
-			s.push(event{
-				time: ev.time + cfg.Latency.Edge(ev.node, w),
-				key:  seq,
-				node: w,
-				from: ev.node,
-				hop:  ev.hop + 1,
-			})
+			// Every copy in flight takes a key, queued or not, so the
+			// queued ones pop in the order they would among all copies.
+			at, key := ev.time+lat.edge(root, ev.node, w), seq
 			seq++
+			if failing && at >= downStart[w] && at < downEnd[w] {
+				// The receiver is down on arrival: lost in flight.
+				m.FailDropped++
+				continue
+			}
+			if !cfg.NoDedup {
+				if mk := mark[w]; mk == ep || (mk == -ep && at >= best[w]) {
+					// w is covered, or a queued copy reaches it first (at
+					// equal times the queued one holds the smaller key):
+					// this one can only arrive as a duplicate.
+					m.Delivered++
+					m.Duplicates++
+					if at > m.Completion {
+						m.Completion = at
+					}
+					continue
+				}
+				mark[w], best[w] = -ep, at
+			}
+			s.push(event{time: at, key: key, node: w, from: ev.node, hop: ev.hop + 1})
 		}
 	}
 	return m, nil
@@ -468,6 +524,7 @@ func (s *Sim) KWalk(f *graph.Frozen, src, walkers, steps int, cfg Config, rng *x
 	if failing {
 		downStart, downEnd = s.nodeWindows(cfg.Fail, f.N())
 	}
+	lat, root := cfg.Latency, cfg.Latency.root()
 	seen := s.seen[:0]
 	s.mark[src] = ep
 	s.val[src] = 0
@@ -523,7 +580,7 @@ func (s *Sim) KWalk(f *graph.Frozen, src, walkers, steps int, cfg Config, rng *x
 			continue // the copy was lost in flight; the walker dies
 		}
 		s.push(event{
-			time: ev.time + cfg.Latency.Edge(ev.node, int32(next)),
+			time: ev.time + lat.edge(root, ev.node, int32(next)),
 			key:  ev.key + 1,
 			node: int32(next),
 			from: ev.node,

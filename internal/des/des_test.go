@@ -3,6 +3,7 @@ package des
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"scalefree/internal/gen"
@@ -271,6 +272,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}); allocs > 0 {
 		t.Fatalf("Flood steady state allocates %v/op", allocs)
 	}
+	// A lossless flood never draws, so a nil rng must not be replaced by
+	// a freshly allocated one.
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sim.Flood(f, 1, cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Fatalf("Flood with a nil rng allocates %v/op", allocs)
+	}
 	if _, err := sim.KWalk(f, 0, 4, 50, cfg, rng); err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +290,41 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Fatalf("KWalk steady state allocates %v/op", allocs)
+	}
+}
+
+// TestHeapPopsInTimeKeyOrder drains shuffled batches, most of them sharing
+// a handful of times, and requires exact (time, key) order. The sizes
+// straddle where the 4-ary heap's last level starts (1, 5, 21, 85 nodes
+// fill 1–4 levels), so a sift that mishandles a node with one to three
+// children shows.
+func TestHeapPopsInTimeKeyOrder(t *testing.T) {
+	t.Parallel()
+	rng := xrand.New(31)
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 21, 22, 85, 86} {
+		for trial := 0; trial < 50; trial++ {
+			batch := make([]event, n)
+			for i := range batch {
+				batch[i] = event{time: float64(rng.Intn(4)), key: uint64(i), node: int32(i)}
+			}
+			rng.Shuffle(n, func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			var s Sim
+			for _, ev := range batch {
+				s.push(ev)
+			}
+			sort.Slice(batch, func(i, j int) bool {
+				a, b := batch[i], batch[j]
+				return a.time < b.time || (a.time == b.time && a.key < b.key)
+			})
+			for i, want := range batch {
+				if got := s.pop(); got != want {
+					t.Fatalf("n=%d trial %d: pop %d = %+v, want %+v", n, trial, i, got, want)
+				}
+			}
+			if len(s.heap) != 0 {
+				t.Fatalf("n=%d: %d events left after draining", n, len(s.heap))
+			}
+		}
 	}
 }
 

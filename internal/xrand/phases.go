@@ -59,18 +59,35 @@ func (p Phases) Chunk(name string, chunk int) *RNG {
 // ChunkU01 returns the first uniform [0, 1) value of the named chunk
 // stream — bit-identical to Chunk(name, chunk).Float64() — without
 // materializing an RNG. It exists for per-key derived quantities drawn
-// once per key on a hot path (the DES per-edge latencies draw one value
-// per message send), where allocating a heap RNG per derivation would
-// dominate the simulation's allocation profile.
+// once per key on a hot path, where allocating a heap RNG per derivation
+// would dominate the allocation profile. A loop drawing many chunks of
+// one phase should hoist ChunkRoot(name) out of it.
 func (p Phases) ChunkU01(name string, chunk int) float64 {
+	return p.ChunkRoot(name).U01(chunk)
+}
+
+// ChunkRoot is the part of a chunk stream's derivation that does not
+// depend on the chunk: (seed, realization, phaseTag, PhaseKey(name))
+// folded once, so each U01 costs one fold and one state word instead of
+// re-hashing the name and re-folding four path components per draw (the
+// DES latency model draws one value per message sent).
+type ChunkRoot struct{ x uint64 }
+
+// ChunkRoot returns the derivation root of the named phase's chunks.
+func (p Phases) ChunkRoot(name string) ChunkRoot {
 	x := mix64(p.Seed + 0x6a09e667f3bcc909)
-	for _, q := range [...]uint64{p.Realization, phaseTag, PhaseKey(name), uint64(chunk)} {
+	for _, q := range [...]uint64{p.Realization, phaseTag, PhaseKey(name)} {
 		x = mix64(x ^ (q + 0x9e3779b97f4a7c15))
 	}
-	var r RNG
-	r.s0 = splitmix64(&x)
-	r.s1 = splitmix64(&x)
-	r.s2 = splitmix64(&x)
-	r.s3 = splitmix64(&x)
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return ChunkRoot{x}
+}
+
+// U01 returns the first uniform [0, 1) value of the root's chunk stream,
+// bit-identical to Chunk(name, chunk).Float64(). xoshiro256**'s first
+// output reads only s1, the second splitmix64 word of the seed expansion,
+// so the other three state words are never computed.
+func (r ChunkRoot) U01(chunk int) float64 {
+	x := mix64(r.x ^ (uint64(chunk) + 0x9e3779b97f4a7c15))
+	s1 := mix64(x + 0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15) // splitmix64's second step
+	return float64((rotl(s1*5, 7)*9)>>11) / (1 << 53)
 }

@@ -81,3 +81,47 @@ func TestChunkU01MatchesChunk(t *testing.T) {
 		t.Fatalf("ChunkU01 allocates %v/op", allocs)
 	}
 }
+
+// requireChunkRootU01 checks the hoisted derivation against the
+// RNG-materializing one for a single (seed, realization, name, chunk).
+func requireChunkRootU01(t *testing.T, seed, realization uint64, name string, chunk int) {
+	t.Helper()
+	p := Phases{Seed: seed, Realization: realization}
+	want := p.Chunk(name, chunk).Float64()
+	if got := p.ChunkRoot(name).U01(chunk); got != want {
+		t.Fatalf("Phases{%d, %d}.ChunkRoot(%q).U01(%d) = %v, Chunk(...).Float64() = %v",
+			seed, realization, name, chunk, got, want)
+	}
+}
+
+// TestChunkRootU01MatchesChunk pins ChunkRoot.U01 — one fold and one
+// splitmix word per draw — to the full NewStream → New → Float64 chain,
+// including one root reused across many chunks (how the DES uses it).
+func TestChunkRootU01MatchesChunk(t *testing.T) {
+	t.Parallel()
+	for _, seed := range []uint64{0, 1, 2007, 1<<64 - 1} {
+		for _, realization := range []uint64{0, 9, 1 << 40} {
+			for _, name := range []string{"", "des.latency", "des.fail.linkat", "cm.degrees"} {
+				for _, chunk := range []int{0, 1, -1, 1 << 32, 3<<32 | 7, 1<<63 - 1} {
+					requireChunkRootU01(t, seed, realization, name, chunk)
+				}
+			}
+		}
+	}
+	p := Phases{Seed: 5, Realization: 2}
+	root := p.ChunkRoot("des.latency")
+	for chunk := 0; chunk < 2000; chunk++ {
+		if got, want := root.U01(chunk), p.Chunk("des.latency", chunk).Float64(); got != want {
+			t.Fatalf("reused root, chunk %d: %v, want %v", chunk, got, want)
+		}
+	}
+}
+
+func FuzzChunkRootU01(f *testing.F) {
+	f.Add(uint64(0), uint64(0), "", 0)
+	f.Add(uint64(2007), uint64(3), "des.latency", 17<<32|4242)
+	f.Add(uint64(1<<64-1), uint64(1<<64-1), "des.fail.node", -1)
+	f.Fuzz(func(t *testing.T, seed, realization uint64, name string, chunk int) {
+		requireChunkRootU01(t, seed, realization, name, chunk)
+	})
+}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"hash/fnv"
+	"io"
 	"strings"
 	"testing"
 )
@@ -92,9 +94,44 @@ type testError struct{}
 
 func (*testError) Error() string { return "test error" }
 
+// specDigests pins every registered spec to the bytes it published before
+// the two realization engines and the three journaled helpers were folded
+// into one path: FNV-64a over each figure's ID, its WriteCSV bytes and its
+// Notes, in figure order, at tinyScale and seed 12345, captured at commit
+// 37c3cd5. A drifted stream offset, reduction order or x axis fails here
+// long before anyone diffs a CSV.
+var specDigests = map[string]uint64{
+	"fig1a": 0x7d007b0fa29328ae, "fig1b": 0xe94ee8daa856e2a8, "fig1c": 0xde6f694e4497bdbb,
+	"fig2": 0x684588a9ea63f751, "fig3": 0x95e13bb692b31347, "fig4": 0x5481c3f64d7a9560,
+	"fig4g": 0x90d31fbfb4577511, "fig6": 0xe62b046d5b935add, "fig7": 0xad259c6d4f060050,
+	"fig8": 0x000761e52947b430, "fig9": 0x1566e3d3ae3bb8f0, "fig10": 0xbc1d3de3074852ea,
+	"fig11": 0xdf1086d9cdedcc08, "fig12": 0x73fedb96ec068502,
+	"table1": 0x7cb2851183cb107b, "table2": 0xbd560dd015a97856, "messaging": 0x6a615461cbc0e316,
+	"attack": 0x1d5573227ab7d9fa, "delivery": 0x35a0207659018649, "kwalk": 0xf7511c63d3d3fa2a,
+	"fairness": 0x1298ce6afe384e2e, "strategies": 0xa16f27113404a17a,
+	"replication": 0xbcd63867b6ed4c97, "churn": 0x6b271ba598ec364f,
+	"desflood": 0x596c369306d01cb3, "deskwalk": 0xbc92259b40a2d5a6, "desfail": 0x5c7e8d41d4229d16,
+}
+
+// figuresDigest hashes what a spec publishes: per figure its ID, CSV bytes
+// and Notes.
+func figuresDigest(t *testing.T, figs []Figure) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	for _, fig := range figs {
+		io.WriteString(h, fig.ID+"\n")
+		if err := WriteCSV(h, fig); err != nil {
+			t.Fatal(err)
+		}
+		io.WriteString(h, fig.Notes+"\n")
+	}
+	return h.Sum64()
+}
+
 // TestAllSpecsRun executes every registered experiment at tiny scale,
-// checking that each produces non-empty figures with sane structure. This
-// is the end-to-end smoke test for the whole harness.
+// checking that each produces non-empty figures with sane structure and
+// exactly the golden bytes of specDigests. This is the end-to-end smoke
+// test for the whole harness.
 func TestAllSpecsRun(t *testing.T) {
 	t.Parallel()
 	for _, spec := range Registry() {
@@ -120,6 +157,10 @@ func TestAllSpecsRun(t *testing.T) {
 						t.Errorf("%s/%s: unlabeled series", spec.ID, fig.ID)
 					}
 				}
+			}
+			want, ok := specDigests[spec.ID]
+			if got := figuresDigest(t, figs); !ok || got != want {
+				t.Errorf("%s: figures digest %#x, want %#x (golden: %v)", spec.ID, got, want, ok)
 			}
 		})
 	}

@@ -406,8 +406,10 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 	}
 	failing := cfg.Fail.Enabled()
 	var downStart, downEnd []float64
+	var linkSel, linkAt xrand.ChunkRoot
 	if failing {
 		downStart, downEnd = s.nodeWindows(cfg.Fail, f.N())
+		linkSel, linkAt = cfg.Fail.linkRoots()
 		if downStart[src] <= 0 && downEnd[src] > 0 {
 			// The source is down at time 0: its own copy fizzles uncounted
 			// and nothing is ever sent.
@@ -449,7 +451,7 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 			}
 			m.Sent++
 			m.SentByHop[ev.hop]++
-			if failing && cfg.Fail.edgeDown(ev.node, w, ev.time) {
+			if failing && cfg.Fail.edgeDown(linkSel, linkAt, ev.node, w, ev.time) {
 				// Partitioned at send time: the copy never leaves.
 				m.FailDropped++
 				continue
@@ -521,8 +523,10 @@ func (s *Sim) KWalk(f *graph.Frozen, src, walkers, steps int, cfg Config, rng *x
 	}
 	failing := cfg.Fail.Enabled()
 	var downStart, downEnd []float64
+	var linkSel, linkAt xrand.ChunkRoot
 	if failing {
 		downStart, downEnd = s.nodeWindows(cfg.Fail, f.N())
+		linkSel, linkAt = cfg.Fail.linkRoots()
 	}
 	lat, root := cfg.Latency, cfg.Latency.root()
 	seen := s.seen[:0]
@@ -571,7 +575,7 @@ func (s *Sim) KWalk(f *graph.Frozen, src, walkers, steps int, cfg Config, rng *x
 		}
 		m.Sent++
 		m.SentByHop[ev.hop]++
-		if failing && cfg.Fail.edgeDown(ev.node, int32(next), ev.time) {
+		if failing && cfg.Fail.edgeDown(linkSel, linkAt, ev.node, int32(next), ev.time) {
 			m.FailDropped++
 			continue // partitioned at send time; the walker dies
 		}

@@ -65,14 +65,15 @@ func (p FailPlan) check() error {
 	return nil
 }
 
-// nodeWindow returns the down-window [start, end) of node v; a node that
-// never crashes gets [+Inf, +Inf).
-func (p FailPlan) nodeWindow(v int) (start, end float64) {
+// nodeWindow returns the down-window [start, end) of node v, given the
+// selection and onset roots hoisted by nodeWindows; a node that never
+// crashes gets [+Inf, +Inf).
+func (p FailPlan) nodeWindow(sel, at xrand.ChunkRoot, v int) (start, end float64) {
 	inf := math.Inf(1)
-	if p.NodeFrac <= 0 || p.Phases.ChunkU01(failNodePhase, v) >= p.NodeFrac {
+	if sel.U01(v) >= p.NodeFrac {
 		return inf, inf
 	}
-	start = -p.MTBF * math.Log1p(-p.Phases.ChunkU01(failNodeAtPhase, v))
+	start = -p.MTBF * math.Log1p(-at.U01(v))
 	end = inf
 	if p.Downtime > 0 {
 		end = start + p.Downtime
@@ -80,11 +81,18 @@ func (p FailPlan) nodeWindow(v int) (start, end float64) {
 	return start, end
 }
 
-// edgeDown reports whether edge {u, v} is partitioned at time t.
-// Orientation does not matter; the derivation goes through the same
-// canonical edge id the latency model uses, via the allocation-free
-// ChunkU01 path.
-func (p FailPlan) edgeDown(u, v int32, t float64) bool {
+// linkRoots returns the derivation roots of the per-edge partition
+// selection and onset draws. A run hoists them once, so edgeDown costs a
+// send two folds instead of two phase-name hashes (as Latency.root does
+// for the delay draw).
+func (p FailPlan) linkRoots() (sel, at xrand.ChunkRoot) {
+	return p.Phases.ChunkRoot(failLinkPhase), p.Phases.ChunkRoot(failLinkAtPhase)
+}
+
+// edgeDown reports whether edge {u, v} is partitioned at time t, given
+// linkRoots. Orientation does not matter; the derivation goes through the
+// same canonical edge id the latency model uses.
+func (p FailPlan) edgeDown(sel, at xrand.ChunkRoot, u, v int32, t float64) bool {
 	if p.LinkFrac <= 0 {
 		return false
 	}
@@ -92,10 +100,10 @@ func (p FailPlan) edgeDown(u, v int32, t float64) bool {
 		u, v = v, u
 	}
 	key := int(uint64(u)<<32 | uint64(uint32(v)))
-	if p.Phases.ChunkU01(failLinkPhase, key) >= p.LinkFrac {
+	if sel.U01(key) >= p.LinkFrac {
 		return false
 	}
-	start := -p.MTBF * math.Log1p(-p.Phases.ChunkU01(failLinkAtPhase, key))
+	start := -p.MTBF * math.Log1p(-at.U01(key))
 	if t < start {
 		return false
 	}
@@ -116,8 +124,9 @@ func (s *Sim) nodeWindows(p FailPlan, n int) (starts, ends []float64) {
 		}
 		return starts, ends
 	}
+	sel, at := p.Phases.ChunkRoot(failNodePhase), p.Phases.ChunkRoot(failNodeAtPhase)
 	for v := 0; v < n; v++ {
-		starts[v], ends[v] = p.nodeWindow(v)
+		starts[v], ends[v] = p.nodeWindow(sel, at, v)
 	}
 	return starts, ends
 }

@@ -24,18 +24,18 @@ import (
 // returns the slot rows (layout r*sources+s) as sample fills them.
 func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint64, sample func(search.Result, []float64)) [][]float64 {
 	t.Helper()
-	rows := make([][]float64, cfg.realizations*cfg.sources)
-	err := forEachRealizationPipeline(engineOpts{}, 1, 1, 1, cfg.realizations, seed,
+	rows := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 1, GenWorkers: 1, Realizations: cfg.sc.Realizations}, seed,
 		func(r int, b *builder) (*graph.Frozen, error) { return sweepTopo(factory, r, b) },
 		func(r int, f *graph.Frozen, sw *sweeper) error {
-			return sw.Sources(uint64(r), cfg.sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
+			return sw.Sources(uint64(r), cfg.sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
 				res, err := scratch.Flood(f, rng.Intn(f.N()), cfg.maxTTL)
 				if err != nil {
 					return err
 				}
 				row := make([]float64, cfg.maxTTL+1)
 				sample(res, row)
-				rows[r*cfg.sources+s] = row
+				rows[r*cfg.sc.Sources+s] = row
 				return nil
 			})
 		})
@@ -72,10 +72,10 @@ func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 		}, "msgs: fl"},
 	}
 	for _, sources := range []int{1, 12, 64, 65, 150} {
-		cfg := searchCfg{alg: algFL, maxTTL: 12, sources: sources, realizations: 3}
+		cfg := searchCfg{alg: algFL, maxTTL: 12, sc: Scale{Sources: sources, Realizations: 3}}
 		for _, kind := range kinds {
 			rows := perSourceFLRows(t, factory, cfg, seed, kind.sample)
-			want, err := aggregate("fl", meanRows(rows, cfg.realizations, cfg.sources), 1)
+			want, err := aggregate("fl", meanRows(blocksOf(rows, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,8 +87,8 @@ func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				jcfg := cfg
-				jcfg.workers, jcfg.sourceShards = knobs[0], knobs[1]
-				jcfg.run = NewRunControl(context.Background(), 0, 0, j)
+				jcfg.sc.Workers, jcfg.sc.SourceShards = knobs[0], knobs[1]
+				jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
 				got, err := kind.series("fl", factory, jcfg, seed)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -103,7 +103,7 @@ func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for r := 0; r < cfg.realizations; r++ {
+				for r := 0; r < cfg.sc.Realizations; r++ {
 					rec := written.resumed[journalKey{kind: recSweepSlots, stream: seed, sub: journalTag(kind.tag), r: r}]
 					if !bytes.Equal(rec, encodeRowBlock(rows[r*sources:(r+1)*sources], cfg.maxTTL+1)) {
 						t.Fatalf("%s: journal record of realization %d differs from the per-source sweep's", name, r)
@@ -123,6 +123,18 @@ func freeListTopo(t *testing.T, n int) *graph.Frozen {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// blocksOf cuts a flat realization-major slot array into per-realization
+// blocks of `sources` rows; a realization whose rows are nil is absent.
+func blocksOf(flat [][]float64, sources int) [][][]float64 {
+	blocks := make([][][]float64, len(flat)/sources)
+	for r := range blocks {
+		if rows := flat[r*sources : (r+1)*sources]; rows[0] != nil {
+			blocks[r] = rows
+		}
+	}
+	return blocks
 }
 
 // TestFreeListScratchServesSmallerGraph: a released scratch is the one the
@@ -165,7 +177,7 @@ func TestFreeListScratchServesSmallerGraph(t *testing.T) {
 // finished cleanly, does. Not parallel: it owns the free list.
 func TestFreeListDropsFailedSweeper(t *testing.T) {
 	var failed, clean *search.Scratch
-	err := forEachRealizationPipeline(engineOpts{rc: testRC(1, 0)}, 1, 1, 1, 2, 99,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 1, GenWorkers: 1, Realizations: 2, Run: testRC(1, 0)}, 99,
 		func(r int, _ *builder) (int, error) { return r, nil },
 		func(r, _ int, sw *sweeper) error {
 			switch {

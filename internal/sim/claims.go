@@ -179,8 +179,8 @@ func checkWeakDAPACutoffHelpsFL(sc Scale, seed uint64) (bool, string, error) {
 	// extra overlays per substrate (dapaTopo cycles r over the substrate
 	// pool) and extra sources. With this averaging the no-cutoff overlays
 	// win or tie at every tested seed and scale.
-	cfg.realizations *= 3
-	cfg.sources *= 2
+	cfg.sc.Realizations *= 3
+	cfg.sc.Sources *= 2
 	tight, err := searchSeries("kc=10", dapaTopo(subs, sc.NOverlay, 1, 10, 4), cfg, seed+1)
 	if err != nil {
 		return false, "", err

@@ -138,36 +138,31 @@ func checkChurnRepair(sc Scale, seed uint64) (bool, string, error) {
 
 func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 	ratio := func(kc int) (float64, error) {
-		factory := paTopo(sc.NSearch, 2, kc)
 		steps := sc.NSearch / 2
-		hdsHits := make([]float64, sc.Realizations*sc.Sources)
-		rwHits := make([]float64, sc.Realizations*sc.Sources)
-		err := forEachRealizationPipeline(engineOpts{rc: sc.Run}, sc.Workers, sc.SourceShards, sc.GenWorkers, sc.Realizations, seed+uint64(kc), func(r int, b *builder) (*graph.Frozen, error) {
-			return sweepTopo(factory, r, b)
-		}, func(r int, f *graph.Frozen, sw *sweeper) error {
-			return sw.Sources(uint64(r), sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
-				src := rng.Intn(f.N())
+		blocks, err := sourceBlocks(fmt.Sprintf("hds-cutoff-dependence %s", cutoffLabel(kc)), paTopo(sc.NSearch, 2, kc), sc, seed+uint64(kc), 2,
+			perSource(func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
 				rh, err := scratch.HighDegreeWalk(f, src, steps, rng)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				// Consume rh before the next scratch call recycles it.
-				hdsHits[r*sc.Sources+s] = float64(rh.HitsAt(steps))
+				row := []float64{float64(rh.HitsAt(steps)), 0}
 				rb, err := scratch.RandomWalk(f, src, steps, rng)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				rwHits[r*sc.Sources+s] = float64(rb.HitsAt(steps))
-				return nil
-			})
-		})
+				row[1] = float64(rb.HitsAt(steps))
+				return row, nil
+			}))
 		if err != nil {
 			return 0, err
 		}
 		var hds, rw float64
-		for i := range hdsHits {
-			hds += hdsHits[i]
-			rw += rwHits[i]
+		for _, rows := range blocks {
+			for _, row := range rows {
+				hds += row[0]
+				rw += row[1]
+			}
 		}
 		if rw == 0 {
 			return 0, fmt.Errorf("blind walk covered nothing")

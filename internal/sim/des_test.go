@@ -81,7 +81,7 @@ func TestDESFloodSweepMatchesCSR(t *testing.T) {
 	t.Parallel()
 	const seed, maxTTL = 424242, 8
 	factory := paTopo(800, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: maxTTL, sources: 5, realizations: 2}
+	cfg := searchCfg{alg: algFL, maxTTL: maxTTL, sc: Scale{Sources: 5, Realizations: 2}}
 	wantHits, err := searchSeries("fl", factory, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -121,14 +121,14 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 	t.Parallel()
 	const seed, k, steps = 171717, 4, 25
 	factory := paTopo(800, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: steps, sources: 5, realizations: 2}
-	perSource := make([][]float64, cfg.realizations*cfg.sources)
-	err := forEachRealizationPipeline(engineOpts{}, cfg.workers, cfg.sourceShards, cfg.genWorkers, cfg.realizations, seed,
+	cfg := searchCfg{alg: algFL, maxTTL: steps, sc: Scale{Sources: 5, Realizations: 2}}
+	perSource := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
+	err := forEachRealizationPipeline(engineOpts{}, cfg.sc, seed,
 		func(r int, b *builder) (*graph.Frozen, error) {
 			return sweepTopo(factory, r, b)
 		},
 		func(r int, f *graph.Frozen, sw *sweeper) error {
-			return sw.Sources(uint64(r), cfg.sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
+			return sw.Sources(uint64(r), cfg.sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
 				src := rng.Intn(f.N())
 				res, err := scratch.KRandomWalks(f, src, k, steps, rng)
 				if err != nil {
@@ -138,14 +138,14 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 				for t := range row {
 					row[t] = float64(res.HitsAt(t))
 				}
-				perSource[r*cfg.sources+s] = row
+				perSource[r*cfg.sc.Sources+s] = row
 				return nil
 			})
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := aggregate("kw", meanRows(perSource, cfg.realizations, cfg.sources), 1)
+	want, err := aggregate("kw", meanRows(blocksOf(perSource, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (rec SlotRecord) Key() string {
 	return fmt.Sprintf("(kind=%d, stream=%#x, sub=%#x, r=%d)", rec.Kind, rec.Stream, rec.Sub, rec.Realization)
 }
 
-// slotKinds reports whether kind is a replayable slot-payload family (as
+// slotKind reports whether kind is a replayable slot-payload family (as
 // opposed to the header, failure, or completion-marker bookkeeping kinds).
 func slotKind(kind uint8) bool {
 	switch kind {

@@ -7,6 +7,7 @@ package sim
 // journal inspector behind `analyze journal`.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"os"
@@ -133,7 +134,7 @@ func TestWorkerSinkRecordsBitIdentical(t *testing.T) {
 	sc := testScaleTiny()
 	const seed, label = 2007, "fl"
 	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: sc.MaxTTLFlood, sources: sc.Sources, realizations: sc.Realizations}
+	cfg := searchCfg{alg: algFL, maxTTL: sc.MaxTTLFlood, sc: Scale{Sources: sc.Sources, Realizations: sc.Realizations}}
 
 	// Local journaled run: the reference records.
 	path := filepath.Join(t.TempDir(), "ref.journal")
@@ -142,7 +143,7 @@ func TestWorkerSinkRecordsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	jcfg := cfg
-	jcfg.run = NewRunControl(context.Background(), 0, 0, j)
+	jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
 	if _, err := searchSeries(label, factory, jcfg, seed); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestWorkerSinkRecordsBitIdentical(t *testing.T) {
 		var got []SlotRecord
 		var builds atomic.Int64
 		wcfg := cfg
-		wcfg.run = NewWorkerRunControl(context.Background(), 0, r, func(rec SlotRecord) {
+		wcfg.sc.Run = NewWorkerRunControl(context.Background(), 0, r, func(rec SlotRecord) {
 			mu.Lock()
 			got = append(got, rec)
 			mu.Unlock()
@@ -197,7 +198,7 @@ func TestWorkerSinkRecordsBitIdentical(t *testing.T) {
 }
 
 // Same contract for the histogram records of the degree specs, which run
-// on the build-only engine.
+// with a nil sweep.
 func TestWorkerSinkHistogramBitIdentical(t *testing.T) {
 	sc := testScaleTiny()
 	const seed = 99
@@ -326,5 +327,114 @@ func TestWorkloadFingerprint(t *testing.T) {
 	}
 	if bytes.Equal(base, WorkloadFingerprint("fig9", 2008, sc)) {
 		t.Fatal("seed change did not perturb the fingerprint")
+	}
+}
+
+// recordEnds returns the file offset just past every record of a journal
+// image (the header record included), for cutting it back to a boundary.
+func recordEnds(t *testing.T, image []byte) []int {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(image[len(journalMagic):]))
+	var ends []int
+	for off := len(journalMagic); ; {
+		_, _, n, ok := readRecord(br)
+		if !ok {
+			return ends
+		}
+		off += int(n)
+		ends = append(ends, off)
+	}
+}
+
+// TestDistributableSpecsResumeAndWorkerSink is the journal contract of
+// every distributable spec, against the golden bytes of specDigests:
+// (a) a journaled run, its journal cut back to a record boundary mid-spec
+// and resumed under other scheduler knobs, and (b) every realization run
+// alone as a distributed worker, its records accepted into a fresh journal
+// and reduced locally, both publish exactly what an unjournaled run does —
+// and the worker fleet's records are complete: the reduction appends none.
+func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
+	t.Parallel()
+	const seed = 12345
+	ctx := context.Background()
+	for _, spec := range Registry() {
+		if !spec.Distributable {
+			continue
+		}
+		spec := spec
+		t.Run(spec.ID, func(t *testing.T) {
+			t.Parallel()
+			want, dir := specDigests[spec.ID], t.TempDir()
+			// reduce runs the spec over journal j under the given knobs and
+			// returns the digest of what it published.
+			reduce := func(j *Journal, workers, shards, genWorkers int) uint64 {
+				t.Helper()
+				sc := tinyScale
+				sc.Workers, sc.SourceShards, sc.GenWorkers = workers, shards, genWorkers
+				sc.Run = NewRunControl(ctx, 0, 0, j)
+				figs, err := spec.Run(sc, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return figuresDigest(t, figs)
+			}
+			open := func(name string, resume bool) *Journal {
+				t.Helper()
+				j, err := OpenJournal(filepath.Join(dir, name), spec.ID, seed, tinyScale, resume)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return j
+			}
+
+			if got := reduce(open("full.journal", false), 1, 1, 1); got != want {
+				t.Fatalf("journaled run published %#x, want %#x", got, want)
+			}
+			image, err := os.ReadFile(filepath.Join(dir, "full.journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := recordEnds(t, image)
+			if len(ends) < 3 {
+				t.Fatalf("journal holds %d records, too few to cut mid-spec", len(ends))
+			}
+			if err := os.WriteFile(filepath.Join(dir, "cut.journal"), image[:ends[len(ends)/2]], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cut := open("cut.journal", true)
+			if n := cut.Resumed(); n != len(ends)/2 {
+				t.Fatalf("cut journal resumed %d records, want %d", n, len(ends)/2)
+			}
+			if got := reduce(cut, 2, 3, 2); got != want {
+				t.Fatalf("resumed run published %#x, want %#x", got, want)
+			}
+
+			fleet := open("fleet.journal", false)
+			for r := 0; r < tinyScale.Realizations; r++ {
+				sc := tinyScale
+				sc.Run = NewWorkerRunControl(ctx, 0, r, func(rec SlotRecord) {
+					if fresh, err := fleet.Accept(rec); err != nil || !fresh || rec.Realization != r {
+						t.Errorf("worker %d: record %s accepted fresh=%v err=%v", r, rec.Key(), fresh, err)
+					}
+				})
+				// A restricted run's own reduction sees one realization and
+				// may fail on it; the records are the product.
+				if _, err := spec.Run(sc, seed); err != nil {
+					t.Logf("worker %d reduction: %v", r, err)
+				}
+			}
+			if got := fleet.Resumed(); got != len(ends)-1 {
+				t.Fatalf("workers streamed %d records, the local run journals %d", got, len(ends)-1)
+			}
+			if got := reduce(fleet, 0, 0, 0); got != want {
+				t.Fatalf("reduction of worker records published %#x, want %#x", got, want)
+			}
+			if st, err := os.Stat(filepath.Join(dir, "fleet.journal")); err != nil || st.Size() != int64(len(image)) {
+				t.Fatalf("fleet journal is %d bytes after reduction (err %v); the local run's is %d", st.Size(), err, len(image))
+			}
+		})
 	}
 }

@@ -45,25 +45,25 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 		gs := Series{Label: model.label}
 		ts := Series{Label: model.label}
 		for ci, kc := range cutoffs {
-			giniVals := make([]float64, sc.Realizations)
-			topVals := make([]float64, sc.Realizations)
 			factory := model.mk(kc)
-			err := forEachRealization(engineOpts{rc: sc.Run}, sc.Workers, sc.GenWorkers, sc.Realizations, seed+uint64(mi*1000+ci), func(r int, b *builder) error {
+			tag := fmt.Sprintf("fairness %s kc=%d", model.label, kc)
+			rows, err := realizationBlocks(sc, seed+uint64(mi*1000+ci), tag, oneRow(2), func(r int, b *builder) ([]float64, error) {
 				g, err := factory(r, b)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				seq := g.DegreeSequence()
-				giniVals[r] = stats.Gini(seq)
-				topVals[r] = stats.TopShare(seq, 0.01)
-				return nil
-			})
+				return []float64{stats.Gini(seq), stats.TopShare(seq, 0.01)}, nil
+			}, nil)
 			if err != nil {
-				return nil, fmt.Errorf("fairness %s kc=%d: %w", model.label, kc, err)
+				return nil, fmt.Errorf("%s: %w", tag, err)
 			}
-			x := float64(kc)
-			gs.Points = append(gs.Points, Point{X: x, Y: stats.Mean(giniVals), Err: stats.StdDev(giniVals)})
-			ts.Points = append(ts.Points, Point{X: x, Y: stats.Mean(topVals), Err: stats.StdDev(topVals)})
+			mean, err := aggregate(tag, rows, 0)
+			if err != nil {
+				return nil, err
+			}
+			gs.Points = append(gs.Points, mean.at(0, float64(kc)))
+			ts.Points = append(ts.Points, mean.at(1, float64(kc)))
 		}
 		gini.Series = append(gini.Series, gs)
 		topShare.Series = append(topShare.Series, ts)
@@ -80,12 +80,12 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 	}
 	sl := Series{Label: "PA m=2, NF traffic"}
 	for ci, kc := range cutoffs {
-		vals := make([]float64, sc.Realizations)
 		factory := paTopo(sc.NSearch, 2, kc)
 		queries := 8 * sc.Sources
-		err := forEachRealizationPipeline(engineOpts{rc: sc.Run}, sc.Workers, sc.SourceShards, sc.GenWorkers, sc.Realizations, seed+uint64(9000+ci), func(r int, b *builder) (*graph.Frozen, error) {
+		tag := fmt.Sprintf("fairness searchload kc=%d", kc)
+		rows, err := realizationBlocks(sc, seed+uint64(9000+ci), tag, oneRow(1), func(r int, b *builder) (*graph.Frozen, error) {
 			return sweepTopo(factory, r, b)
-		}, func(r int, f *graph.Frozen, sw *sweeper) error {
+		}, func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
 			// Each shard charges its own Load accumulator; integer merges
 			// commute, so the per-realization total — and its Gini — is
 			// identical for any (Workers, SourceShards) setting.
@@ -97,7 +97,7 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 				return scratch.NormalizedFloodLoad(f, rng.Intn(f.N()), sc.MaxTTLNF, 2, rng, loads[shard])
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			total := search.NewLoad(f.N())
 			for _, ld := range loads {
@@ -105,16 +105,19 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 					continue
 				}
 				if err := total.Merge(ld); err != nil {
-					return err
+					return nil, err
 				}
 			}
-			vals[r] = stats.Gini(total.Work())
-			return nil
+			return []float64{stats.Gini(total.Work())}, nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("fairness searchload kc=%d: %w", kc, err)
+			return nil, fmt.Errorf("%s: %w", tag, err)
 		}
-		sl.Points = append(sl.Points, Point{X: float64(kc), Y: stats.Mean(vals), Err: stats.StdDev(vals)})
+		mean, err := aggregate(tag, rows, 0)
+		if err != nil {
+			return nil, err
+		}
+		sl.Points = append(sl.Points, mean.at(0, float64(kc)))
 	}
 	searchLoad.Series = []Series{sl}
 	return []Figure{gini, topShare, searchLoad}, nil

@@ -62,8 +62,7 @@ func TestFindingTauSubHelpsMoreAtHighM(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratio := func(m int, seed uint64) float64 {
-		cfg := searchCfg{alg: algNF, maxTTL: findScale.MaxTTLNF, kMin: m,
-			sources: findScale.Sources, realizations: findScale.Realizations}
+		cfg := searchCfg{alg: algNF, maxTTL: findScale.MaxTTLNF, kMin: m, sc: Scale{Sources: findScale.Sources, Realizations: findScale.Realizations}}
 		far, err := searchSeries("tau=20", dapaTopo(subs, findScale.NOverlay, m, gen.NoCutoff, 20), cfg, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -85,8 +84,7 @@ func TestFindingTauSubHelpsMoreAtHighM(t *testing.T) {
 func TestFindingLocalModelsTrackCM(t *testing.T) {
 	t.Parallel()
 	const m, kc = 2, 40
-	cfg := searchCfg{alg: algNF, maxTTL: findScale.MaxTTLNF, kMin: m,
-		sources: findScale.Sources, realizations: findScale.Realizations}
+	cfg := searchCfg{alg: algNF, maxTTL: findScale.MaxTTLNF, kMin: m, sc: Scale{Sources: findScale.Sources, Realizations: findScale.Realizations}}
 	cm, err := searchSeries("cm", cmTopo(findScale.NSearch, m, kc, 3.0), cfg, 119)
 	if err != nil {
 		t.Fatal(err)

@@ -101,14 +101,11 @@ func makeSubstrates(n int, sc Scale, seed uint64) ([]*graph.Frozen, error) {
 	subs := make([]*graph.Frozen, sc.Realizations)
 	// Strict supervision (no partial flag): every series of the figure
 	// needs every substrate, so a permanently failed build is fatal.
-	err := forEachRealization(engineOpts{rc: sc.Run}, sc.Workers, sc.GenWorkers, sc.Realizations, seed, func(r int, b *builder) error {
+	err := forEachRealizationPipeline(engineOpts{}, sc, seed, func(r int, b *builder) (*graph.Frozen, error) {
 		f, _, err := gen.GRNFrozen(gen.GRNConfig{N: n, MeanDegree: 10}, b.gen())
-		if err != nil {
-			return err
-		}
 		subs[r] = f
-		return nil
-	})
+		return f, err
+	}, nil)
 	return subs, err
 }
 
@@ -123,54 +120,27 @@ func cutoffLabel(kc int) string {
 // mergedDegreeDist generates sc.Realizations networks and merges their
 // degree distributions, the paper's averaging procedure ("for every data
 // point 10 different realizations of the network have been used"). tag
-// names this sweep in the journal (series label plus any knob that varies
-// under a shared seed); a journaled realization's histogram is replayed
-// verbatim and its build skipped, and realizations that permanently
-// failed within the budget merge with zero weight (MergeDegreeDists
-// weights by node count).
+// names this series in the journal (series label plus any knob that varies
+// under a shared seed). An absent realization merges with zero weight
+// (MergeDegreeDists weights by node count).
 func mergedDegreeDist(tag string, factory topoFactory, sc Scale, seed uint64) (stats.DegreeDist, error) {
-	rc := sc.Run
-	sub := journalTag(tag)
-	if err := rc.journalClaim(recDegreeHist, seed, sub, tag); err != nil {
-		return stats.DegreeDist{}, err
-	}
-	dists := make([]stats.DegreeDist, sc.Realizations)
-	var skip func(int) bool
-	if rc.journaling() {
-		done := make(map[int]bool, sc.Realizations)
-		for r := 0; r < sc.Realizations; r++ {
-			p, ok := rc.journalPayload(recDegreeHist, seed, sub, r)
-			if !ok {
-				continue
+	hists, err := realizationBlocks(sc, seed, tag,
+		blockCodec[[]int]{kind: recDegreeHist, encode: encodeHistogram, decode: decodeHistogram},
+		func(r int, b *builder) ([]int, error) {
+			f, err := factory(r, b)
+			if err != nil {
+				return nil, err
 			}
-			hist, ok := decodeHistogram(p)
-			if !ok {
-				continue // shape drift: treat as not completed, rebuild
-			}
-			dists[r] = stats.NewDegreeDist(hist)
-			done[r] = true
-		}
-		if len(done) > 0 {
-			skip = func(r int) bool { return done[r] }
-		}
-	}
-	err := forEachRealization(engineOpts{rc: rc, skip: skip, partial: true}, sc.Workers, sc.GenWorkers, sc.Realizations, seed, func(r int, b *builder) error {
-		f, err := factory(r, b)
-		if err != nil {
-			return err
-		}
-		hist := f.DegreeHistogram()
-		dists[r] = stats.NewDegreeDist(hist)
-		if rc.journaling() {
-			rc.journalAppend(recDegreeHist, seed, sub, r, encodeHistogram(hist))
-		}
-		return nil
-	})
+			return f.DegreeHistogram(), nil
+		}, nil)
 	if err != nil {
 		return stats.DegreeDist{}, err
 	}
-	for r := range rc.failedSet(seed) {
-		dists[r] = stats.DegreeDist{} // zero node weight: drops out of the merge
+	dists := make([]stats.DegreeDist, len(hists))
+	for r, hist := range hists {
+		if hist != nil {
+			dists[r] = stats.NewDegreeDist(hist)
+		}
 	}
 	return stats.MergeDegreeDists(dists), nil
 }
@@ -211,18 +181,15 @@ func (a algKind) String() string {
 	}
 }
 
-// searchCfg bundles the parameters of one search-efficiency series.
+// searchCfg bundles the parameters of one search-efficiency series: the
+// scale (workload, scheduler knobs and supervisor, as the engine takes
+// them) plus what the series sweeps.
 type searchCfg struct {
-	alg          algKind
-	maxTTL       int
-	kMin         int // NF fan-out; the paper uses the prescribed m
-	sources      int
-	realizations int
-	workers      int         // concurrent sweeps; 0 = GOMAXPROCS
-	sourceShards int         // concurrent sources per realization; 0 = automatic
-	genWorkers   int         // pipelined build-stage bound; 0 = match workers
-	run          *RunControl // supervision + journal; nil = unsupervised
-	tag          string      // journal-key prefix for panels whose series labels repeat across shared seeds (see sweepSeries)
+	sc     Scale
+	alg    algKind
+	maxTTL int
+	kMin   int    // NF fan-out; the paper uses the prescribed m
+	tag    string // journal-key prefix for panels whose series labels repeat across shared seeds (see sweepSeries)
 }
 
 // withTag returns the config with a journal-key prefix. Required when two
@@ -234,16 +201,9 @@ func (cfg searchCfg) withTag(tag string) searchCfg {
 	return cfg
 }
 
-// searchCfg wires a series configuration to the scale's workload and
-// scheduler knobs (plus the run supervisor), so every spec passes
-// Workers, SourceShards, GenWorkers, and Run through uniformly.
+// searchCfg wires a series configuration to the scale.
 func (sc Scale) searchCfg(alg algKind, maxTTL, kMin int) searchCfg {
-	return searchCfg{
-		alg: alg, maxTTL: maxTTL, kMin: kMin,
-		sources: sc.Sources, realizations: sc.Realizations,
-		workers: sc.Workers, sourceShards: sc.SourceShards,
-		genWorkers: sc.GenWorkers, run: sc.Run,
-	}
+	return searchCfg{sc: sc, alg: alg, maxTTL: maxTTL, kMin: kMin}
 }
 
 // runSearch dispatches one search on the per-worker scratch. The Result
@@ -269,7 +229,7 @@ func (cfg searchCfg) runSearch(scratch *search.Scratch, f *graph.Frozen, src int
 // normalization: a walk of as many steps as NF sent messages at that τ.
 //
 // The source sweep of each realization is sharded across
-// cfg.sourceShards goroutines sharing the frozen topology: source s draws
+// SourceShards goroutines sharing the frozen topology: source s draws
 // its own source node and all search randomness from the (seed, r, s)
 // stream, and its curve lands in slot (r, s), reduced in source order.
 func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
@@ -294,142 +254,136 @@ func messageSeries(label string, factory topoFactory, cfg searchCfg, seed uint64
 	})
 }
 
-// sweepSeries is the shared engine of searchSeries and messageSeries,
-// run through the three-stage pipeline: the build stage generates and
-// freezes each realization (sorted ranges included) while the sweep stage
-// fans an earlier realization's sources out across the shard pool; the
-// per-(realization, source) curves land in index slots and reduce
-// deterministically.
-//
-// Under a journaling RunControl each completed realization's source rows
-// are checkpointed keyed by (seed, hash(cfg.tag + label), r) — the label
-// disambiguates series that share an engine seed, and cfg.tag
-// disambiguates panels that share both (journal.claim fails loudly if a
-// collision slips through anyway) — resumed realizations
-// replay those exact bits and skip the engine, and realizations that
-// permanently failed within the budget are dropped from the reduction
-// with explicit accounting upstream.
+// sweepSeries is the shared engine of searchSeries and messageSeries:
+// each source's search result is sampled into a row of maxTTL+1 values.
+// The journal tag is cfg.tag + label — the label disambiguates series that
+// share an engine seed, and cfg.tag disambiguates panels that share both.
 func sweepSeries(label string, factory topoFactory, cfg searchCfg, seed uint64, sample func(res search.Result, row []float64)) (Series, error) {
-	rc := cfg.run
 	rowLen := cfg.maxTTL + 1
-	jl := label
+	tag := label
 	if cfg.tag != "" {
-		jl = cfg.tag + ": " + label
+		tag = cfg.tag + ": " + label
 	}
-	sub := journalTag(jl)
-	if err := rc.journalClaim(recSweepSlots, seed, sub, jl); err != nil {
-		return Series{}, err
-	}
-	perSource := make([][]float64, cfg.realizations*cfg.sources)
-	skip := replayRowBlocks(rc, recSweepSlots, seed, sub, cfg.realizations, cfg.sources, rowLen, func(r int, rows [][]float64) {
-		copy(perSource[r*cfg.sources:(r+1)*cfg.sources], rows)
-	})
-	err := forEachRealizationPipeline(engineOpts{rc: rc, skip: skip, partial: true},
-		cfg.workers, cfg.sourceShards, cfg.genWorkers, cfg.realizations, seed,
-		func(r int, b *builder) (*graph.Frozen, error) {
-			return sweepTopo(factory, r, b)
-		},
-		func(r int, f *graph.Frozen, sw *sweeper) error {
-			deposit := func(s int, res search.Result) {
-				row := make([]float64, rowLen)
-				sample(res, row)
-				perSource[r*cfg.sources+s] = row
-			}
-			var err error
-			if cfg.alg == algFL {
-				// FL draws nothing but its source node, so whole runs of
-				// sources share one bit-parallel flood.
-				err = sw.FloodSources(uint64(r), cfg.sources, f, cfg.maxTTL, deposit)
-			} else {
-				err = sw.Sources(uint64(r), cfg.sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
-					res, err := cfg.runSearch(scratch, f, rng.Intn(f.N()), rng)
-					if err != nil {
-						return err
-					}
-					deposit(s, res)
-					return nil
-				})
-			}
+	return sourceSeries(label, tag, factory, cfg.sc, seed, rowLen, 1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+		deposit := func(s int, res search.Result) {
+			rows[s] = make([]float64, rowLen)
+			sample(res, rows[s])
+		}
+		if cfg.alg == algFL {
+			// FL draws nothing but its source node, so whole runs of
+			// sources share one bit-parallel flood.
+			return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, deposit)
+		}
+		return sw.Sources(uint64(r), len(rows), func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
+			res, err := cfg.runSearch(scratch, f, rng.Intn(f.N()), rng)
 			if err != nil {
 				return err
 			}
-			if rc.journaling() {
-				rc.journalAppend(recSweepSlots, seed, sub, r,
-					encodeRowBlock(perSource[r*cfg.sources:(r+1)*cfg.sources], rowLen))
-			}
+			deposit(s, res)
 			return nil
 		})
+	})
+}
+
+// sourceBlocks runs the series shape every search figure shares through
+// the three-stage pipeline: the build stage generates and freezes each
+// realization (sorted ranges included) while the sweep stage fills an
+// earlier realization's block of sc.Sources rows — sweep deposits source
+// s's curve of rowLen values in rows[s], whatever shard computed it.
+func sourceBlocks(tag string, factory topoFactory, sc Scale, seed uint64, rowLen int,
+	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) ([][][]float64, error) {
+	return realizationBlocks(sc, seed, tag, rowBlocks(recSweepSlots, sc.Sources, rowLen),
+		func(r int, b *builder) (*graph.Frozen, error) { return sweepTopo(factory, r, b) },
+		func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+			rows := make([][]float64, sc.Sources)
+			return rows, sweep(r, f, sw, rows)
+		})
+}
+
+// sourceSeries reduces sourceBlocks to a plot series: per realization the
+// mean over sources, then mean ± σ across realizations from x = firstX.
+func sourceSeries(label, tag string, factory topoFactory, sc Scale, seed uint64, rowLen, firstX int,
+	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) (Series, error) {
+	blocks, err := sourceBlocks(tag, factory, sc, seed, rowLen, sweep)
 	if err != nil {
 		return Series{}, fmt.Errorf("series %s: %w", label, err)
 	}
-	for r := range rc.failedSet(seed) {
-		for s := 0; s < cfg.sources; s++ {
-			perSource[r*cfg.sources+s] = nil // partial attempt bits must not average in
-		}
-	}
-	return aggregate(label, meanRows(perSource, cfg.realizations, cfg.sources), 1)
+	return aggregate(label, meanRows(blocks, 0, sc.Sources), firstX)
 }
 
-// replayRowBlocks restores journaled row-block records into a sweep's
-// slot array and returns the engine skip function covering them; nil when
-// nothing is replayable (not journaling, or no matching records).
-func replayRowBlocks(rc *RunControl, kind uint8, stream, sub uint64, realizations, nRows, rowLen int, restore func(r int, rows [][]float64)) func(int) bool {
-	if !rc.journaling() {
-		return nil
+// perSource adapts a per-source query to a sourceBlocks sweep: source s
+// draws its node and all search randomness from the (seed, r, s) stream
+// and its row lands in slot s.
+func perSource(query func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error)) func(int, *graph.Frozen, *sweeper, [][]float64) error {
+	return func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+		return sw.Sources(uint64(r), len(rows), func(_, s int, rng *xrand.RNG, scratch *search.Scratch) (err error) {
+			rows[s], err = query(scratch, f, rng.Intn(f.N()), rng)
+			return err
+		})
 	}
-	done := make(map[int]bool, realizations)
-	for r := 0; r < realizations; r++ {
-		p, ok := rc.journalPayload(kind, stream, sub, r)
-		if !ok {
+}
+
+// meanRows reduces each realization's block to the mean of its rows
+// lo..hi-1, summing in row order so the result is bit-for-bit independent
+// of how the sweep was scheduled. An absent realization (nil block) stays
+// a nil entry, which aggregate then drops.
+func meanRows(blocks [][][]float64, lo, hi int) [][]float64 {
+	perReal := make([][]float64, len(blocks))
+	for r, rows := range blocks {
+		if rows == nil {
 			continue
 		}
-		rows, ok := decodeRowBlock(p, nRows, rowLen)
-		if !ok {
-			continue // shape drift: treat as not completed, recompute
-		}
-		restore(r, rows)
-		done[r] = true
-	}
-	if len(done) == 0 {
-		return nil
-	}
-	return func(r int) bool { return done[r] }
-}
-
-// meanRows reduces per-(realization, source) rows (slot layout
-// r*sources+s) to per-realization means, summing in source order so the
-// result is bit-for-bit independent of how the sweep was scheduled. A
-// realization with any nil row (permanently failed within the budget,
-// cleared by the caller) reduces to a nil entry, which aggregate then
-// drops — the accumulation order over surviving rows is unchanged, so a
-// failure-free reduction is bit-identical to the unsupervised one.
-func meanRows(perSource [][]float64, realizations, sources int) [][]float64 {
-	perReal := make([][]float64, realizations)
-	for r := range perReal {
-		var sums []float64
-		dropped := false
-		for s := 0; s < sources; s++ {
-			row := perSource[r*sources+s]
-			if row == nil {
-				dropped = true
-				break
-			}
-			if sums == nil {
-				sums = make([]float64, len(row))
-			}
+		sums := make([]float64, len(rows[lo]))
+		for _, row := range rows[lo:hi] {
 			for t := range sums {
 				sums[t] += row[t]
 			}
 		}
-		if dropped || sums == nil {
-			continue
-		}
 		for t := range sums {
-			sums[t] /= float64(sources)
+			sums[t] /= float64(hi - lo)
 		}
 		perReal[r] = sums
 	}
 	return perReal
+}
+
+// blockRow picks row c of every realization's block (nil where absent).
+func blockRow(blocks [][][]float64, c int) [][]float64 {
+	rows := make([][]float64, len(blocks))
+	for r, blk := range blocks {
+		if blk != nil {
+			rows[r] = blk[c]
+		}
+	}
+	return rows
+}
+
+// firstRow returns the first present realization's row: the shared x axis
+// when realizations carry it in their blocks. Nil when every one is absent.
+func firstRow(rows [][]float64) []float64 {
+	for _, row := range rows {
+		if row != nil {
+			return row
+		}
+	}
+	return nil
+}
+
+// at returns point i re-plotted at x — the mean ± σ of column i when the
+// realizations' rows hold scalars rather than a curve.
+func (s Series) at(i int, x float64) Point {
+	p := s.Points[i]
+	p.X = x
+	return p
+}
+
+// withX replaces a series' positional x values, as aggregate numbers them,
+// with the axis the spec plots against.
+func (s Series) withX(xs []float64) Series {
+	for i := range s.Points {
+		s.Points[i].X = xs[i]
+	}
+	return s
 }
 
 // aggregate converts per-realization curves (indexed from 0) into a Series

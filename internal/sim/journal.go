@@ -45,8 +45,11 @@ import (
 // Journal record kinds. The header pins the schema version, so kinds are
 // only ever extended, never reinterpreted.
 const (
-	recHeader     uint8 = 0 // header payload; always the first record
-	recSweepSlots uint8 = 1 // sweepSeries: sources rows of (maxTTL+1) float64s
+	recHeader uint8 = 0 // header payload; always the first record
+	// recSweepSlots is a block of float64 rows: sources × (maxTTL+1) for
+	// the search sweeps, one row of per-realization values or a few curves
+	// for the extension specs.
+	recSweepSlots uint8 = 1
 	recDegreeHist uint8 = 2 // mergedDegreeDist: one degree histogram
 	recDESSlots   uint8 = 3 // desSweep: nCurves × sources rows
 	recRealDone   uint8 = 4 // coordinator: realization verified complete
@@ -412,9 +415,13 @@ func encodeJournalHeader(spec string, seed uint64, sc Scale) []byte {
 }
 
 // encodeRowBlock serializes nRows float64 rows of rowLen values each —
-// the exact bits of one realization's slot contribution, so replay is
-// bit-for-bit. Returns nil (skip journaling) on any shape mismatch.
+// the exact bits of one realization's block, so replay is bit-for-bit.
+// rowLen < 0 takes the first row's length. Returns nil (skip journaling) on
+// any shape mismatch.
 func encodeRowBlock(rows [][]float64, rowLen int) []byte {
+	if rowLen < 0 && len(rows) > 0 {
+		rowLen = len(rows[0])
+	}
 	b := make([]byte, 0, 8+len(rows)*rowLen*8)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(rowLen))
@@ -432,12 +439,15 @@ func encodeRowBlock(rows [][]float64, rowLen int) []byte {
 // decodeRowBlock is the inverse of encodeRowBlock; ok=false when the
 // payload does not carry exactly nRows × rowLen values (a record from a
 // schema drift the header check missed — treated as not-completed).
+// rowLen < 0 accepts whatever row length the payload declares.
 func decodeRowBlock(p []byte, nRows, rowLen int) ([][]float64, bool) {
-	if len(p) != 8+nRows*rowLen*8 {
+	if len(p) < 8 || binary.LittleEndian.Uint32(p[0:4]) != uint32(nRows) {
 		return nil, false
 	}
-	if binary.LittleEndian.Uint32(p[0:4]) != uint32(nRows) ||
-		binary.LittleEndian.Uint32(p[4:8]) != uint32(rowLen) {
+	if rowLen < 0 {
+		rowLen = int(binary.LittleEndian.Uint32(p[4:8]))
+	}
+	if binary.LittleEndian.Uint32(p[4:8]) != uint32(rowLen) || len(p) != 8+nRows*rowLen*8 {
 		return nil, false
 	}
 	rows := make([][]float64, nRows)

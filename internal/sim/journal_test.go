@@ -201,7 +201,7 @@ func TestSweepSeriesResumeBitIdentical(t *testing.T) {
 	sc := testScaleTiny()
 	const seed, label = 2007, "fl"
 	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: sc.MaxTTLFlood, sources: sc.Sources, realizations: sc.Realizations}
+	cfg := searchCfg{alg: algFL, maxTTL: sc.MaxTTLFlood, sc: Scale{Sources: sc.Sources, Realizations: sc.Realizations}}
 
 	baseline, err := searchSeries(label, factory, cfg, seed)
 	if err != nil {
@@ -216,7 +216,7 @@ func TestSweepSeriesResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	jcfg := cfg
-	jcfg.run = NewRunControl(context.Background(), 0, 0, j)
+	jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
 	journaled, err := searchSeries(label, factory, jcfg, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +252,8 @@ func TestSweepSeriesResumeBitIdentical(t *testing.T) {
 		}
 		var builds atomic.Int64
 		rcfg := cfg
-		rcfg.workers, rcfg.sourceShards, rcfg.genWorkers = knobs.workers, knobs.shards, knobs.gw
-		rcfg.run = NewRunControl(context.Background(), 0, 0, j2)
+		rcfg.sc.Workers, rcfg.sc.SourceShards, rcfg.sc.GenWorkers = knobs.workers, knobs.shards, knobs.gw
+		rcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j2)
 		resumed, err := searchSeries(label, countingFactory(factory, &builds), rcfg, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -355,7 +355,7 @@ func TestJournalKeyCollisionRejected(t *testing.T) {
 	}
 	defer j.Close()
 	rc := NewRunControl(context.Background(), 0, 0, j)
-	cfg := searchCfg{alg: algFL, maxTTL: 4, sources: 2, realizations: 2, run: rc}
+	cfg := searchCfg{alg: algFL, maxTTL: 4, sc: Scale{Sources: 2, Realizations: 2, Run: rc}}
 	pa := paTopo(400, 2, gen.NoCutoff)
 
 	if _, err := searchSeries("m=1, kc=10", pa, cfg, seed); err != nil {

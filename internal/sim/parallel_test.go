@@ -41,7 +41,7 @@ func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
 	t.Parallel()
 	run := func(workers int) Series {
 		s, err := searchSeries("rw", paTopo(1000, 2, 40),
-			searchCfg{alg: algRW, maxTTL: 5, kMin: 2, sources: 6, realizations: 5, workers: workers}, 99)
+			searchCfg{alg: algRW, maxTTL: 5, kMin: 2, sc: Scale{Sources: 6, Realizations: 5, Workers: workers}}, 99)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -55,6 +55,14 @@ func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
 	}
 }
 
+// buildOnly runs fn as the build of a strict engine with a nil sweep: the
+// build-only shape degree, churn and robustness specs run in.
+func buildOnly(sc Scale, seed uint64, fn func(r int, b *builder) error) error {
+	return forEachRealizationPipeline(engineOpts{}, sc, seed, func(r int, b *builder) (struct{}, error) {
+		return struct{}{}, fn(r, b)
+	}, nil)
+}
+
 // TestForEachRealizationWorkerPool is the table-driven concurrency test of
 // the pool itself (run under -race in CI): every realization index must run
 // exactly once and receive the same RNG stream regardless of worker count,
@@ -63,7 +71,7 @@ func TestForEachRealizationWorkerPool(t *testing.T) {
 	t.Parallel()
 	reference := func(n int, seed uint64) []uint64 {
 		out := make([]uint64, n)
-		if err := forEachRealization(engineOpts{}, 1, 1, n, seed, func(r int, b *builder) error {
+		if err := buildOnly(Scale{Workers: 1, GenWorkers: 1, Realizations: n}, seed, func(r int, b *builder) error {
 			out[r] = b.rng.Uint64()
 			return nil
 		}); err != nil {
@@ -82,7 +90,7 @@ func TestForEachRealizationWorkerPool(t *testing.T) {
 			want := reference(tc.n, 42)
 			got := make([]uint64, tc.n)
 			ran := make([]atomic.Int32, tc.n)
-			err := forEachRealization(engineOpts{}, tc.workers, 0, tc.n, 42, func(r int, b *builder) error {
+			err := buildOnly(Scale{Workers: tc.workers, Realizations: tc.n}, 42, func(r int, b *builder) error {
 				ran[r].Add(1)
 				got[r] = b.rng.Uint64()
 				return nil
@@ -108,7 +116,7 @@ func TestForEachRealizationConcurrencyBounded(t *testing.T) {
 	t.Parallel()
 	const workers, n = 3, 24
 	var inFlight, peak atomic.Int32
-	err := forEachRealization(engineOpts{}, workers, 0, n, 7, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: workers, Realizations: n}, 7, func(r int, b *builder) error {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -138,7 +146,7 @@ func TestForEachRealizationScratchPerWorker(t *testing.T) {
 	const workers, n = 4, 32
 	var mu sync.Mutex
 	seen := make(map[*search.Scratch]int)
-	err := forEachRealizationPipeline(engineOpts{}, workers, 1, 1, n, 5,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: workers, SourceShards: 1, GenWorkers: 1, Realizations: n}, 5,
 		func(r int, b *builder) (int, error) { return r, nil },
 		func(r int, _ int, sw *sweeper) error {
 			scratch := sw.scratches[0]
@@ -171,7 +179,7 @@ func TestForEachRealizationScratchPerWorker(t *testing.T) {
 func TestForEachRealizationReturnsLowestIndexError(t *testing.T) {
 	t.Parallel()
 	errA, errB := errors.New("a"), errors.New("b")
-	err := forEachRealization(engineOpts{}, 4, 0, 8, 1, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 4, Realizations: 8}, 1, func(r int, b *builder) error {
 		switch r {
 		case 3:
 			return errB
@@ -223,8 +231,7 @@ func TestSourceShardsDeterminismRandomizedAlg(t *testing.T) {
 		alg := alg
 		run := func(workers, shards int) Series {
 			s, err := searchSeries(alg.String(), paTopo(1000, 2, 40),
-				searchCfg{alg: alg, maxTTL: 5, kMin: 2, sources: 9,
-					realizations: 4, workers: workers, sourceShards: shards}, 99)
+				searchCfg{alg: alg, maxTTL: 5, kMin: 2, sc: Scale{Sources: 9, Realizations: 4, Workers: workers, SourceShards: shards}}, 99)
 			if err != nil {
 				t.Fatalf("%v workers=%d shards=%d: %v", alg, workers, shards, err)
 			}

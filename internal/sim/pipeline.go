@@ -10,9 +10,9 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// This file is the three-stage pipelined experiment engine that replaced
-// the PR 3 two-level scheduler's generate→freeze→sweep-in-one-callback
-// shape. A figure's realizations now flow through:
+// This file is the realization engine — the one way a spec runs its R
+// realizations — and the journaled series helper every spec calls it
+// through. A figure's realizations flow through:
 //
 //	build stage   — up to GenWorkers goroutines generate topologies and
 //	                freeze them (CSR fill and the sorted HasEdge ranges
@@ -23,54 +23,54 @@ import (
 //	                GenWorkers, which is the pipeline's backpressure: the
 //	                build stage stalls rather than running unboundedly
 //	                ahead of the sweep;
-//	sweep stage   — `workers` goroutines pull snapshots in completion
+//	sweep stage   — `Workers` goroutines pull snapshots in completion
 //	                order and shard each one's sources across
-//	                `SourceShards` goroutines (the PR 3 sweeper pool,
-//	                unchanged).
+//	                `SourceShards` goroutines (the sweeper pool).
 //
-// Determinism contract (extended from PR 3, pinned by the scheduler
-// tests): realization r's build draws only from xrand phase streams
-// derived from (seed, r, phase) — never from which build worker ran it or
-// how many goroutines a generator used internally — and its legacy
-// sibling stream rngs[r] depends only on (seed, r); source s of sweep
-// `stream` draws from xrand.NewStream(seed, stream, s); and all outputs
-// land in per-index slots (or order-independent integer accumulators)
-// reduced in index order. Under that contract the figure output is
-// bit-for-bit identical for every (Workers, SourceShards, GenWorkers)
-// combination, including fully serial runs.
+// A spec with nothing to sweep (degree distributions, churn traces,
+// robustness curves) passes a nil sweep: the build stage is then the whole
+// engine — no queue, no sweepers — bounded by Workers as well as
+// GenWorkers, because the build callback is all the work there is.
 //
-// Supervision (PR 8): both engines take an engineOpts whose *RunControl
-// layers panic recovery, bounded deterministic retries, a
-// permanent-failure budget, and realization-boundary interruption over
-// the same dispatch loops. The zero engineOpts{} is the unsupervised
-// engine exactly as before: panics propagate, the first error aborts.
-// Retries cannot perturb results — a re-attempt re-derives realization
-// r's legacy stream from xrand.New(seed).SplitN(n)[r] (the failed attempt
-// may have consumed stream state) and runs on a fresh arena and a fresh
-// sweeper (the panic may have corrupted the shared scratch buffers
-// mid-write), so a surviving attempt deposits exactly the bits of a
-// never-failed run.
+// Determinism contract (pinned by the scheduler tests): realization r's
+// build draws only from xrand phase streams derived from (seed, r, phase)
+// — never from which build worker ran it or how many goroutines a
+// generator used internally — and its legacy sibling stream rngs[r]
+// depends only on (seed, r); source s of sweep `stream` draws from
+// xrand.NewStream(seed, stream, s); and all outputs land in per-index
+// slots (or order-independent integer accumulators) reduced in index
+// order. Under that contract the figure output is bit-for-bit identical
+// for every (Workers, SourceShards, GenWorkers) combination, including
+// fully serial runs.
+//
+// Supervision: Scale.Run layers panic recovery, bounded deterministic
+// retries, a permanent-failure budget, and realization-boundary
+// interruption over the dispatch loop; both stages go through the same
+// first-attempt/retry/absorb sequence (settle). A nil Run is the
+// unsupervised engine: panics propagate, the first error aborts. Retries
+// cannot perturb results — a re-attempt re-derives realization r's legacy
+// stream from xrand.New(seed).SplitN(n)[r] (the failed attempt may have
+// consumed stream state) and runs on a fresh arena and a fresh sweeper
+// (the panic may have corrupted the shared scratch buffers mid-write), so
+// a surviving attempt deposits exactly the bits of a never-failed run.
 //
 // Memory: up to 2·GenWorkers + Workers frozen snapshots can be alive at
-// once (building + queued + being swept), versus Workers for the PR 3
-// scheduler. Builds that must stay lean can set GenWorkers=1, which still
-// overlaps one build with the sweeps.
+// once (building + queued + being swept). Builds that must stay lean can
+// set GenWorkers=1, which still overlaps one build with the sweeps.
 
-// engineOpts threads supervision into the realization engines.
+// engineOpts tells the engine what its caller does with failures and with
+// realizations a previous run already journaled.
 type engineOpts struct {
-	// rc supervises the run; nil = unsupervised (pre-PR-8 semantics).
-	rc *RunControl
 	// skip reports realizations already journaled by a previous run; the
 	// engine counts them as progress and never dispatches them. The caller
-	// that supplies skip is responsible for replaying the journaled slots
+	// that supplies skip is responsible for replaying the journaled blocks
 	// into its reduction. May be nil.
 	skip func(r int) bool
-	// partial marks a journaled sweep whose reduction drops permanently
+	// partial marks a journaled series whose reduction drops permanently
 	// failed realizations with explicit accounting, so failures within the
-	// -max-failed budget are absorbed instead of aborting. Strict callers
-	// (everything that averages without a drop path) leave it false and
-	// keep failures fatal — silently averaging a zeroed realization would
-	// corrupt figures.
+	// -max-failed budget are absorbed instead of aborting. A strict caller
+	// (makeSubstrates: every series needs every substrate) leaves it false
+	// and keeps failures fatal.
 	partial bool
 }
 
@@ -124,22 +124,16 @@ func resolveShards(shards, workers int) int {
 }
 
 // resolveBuilders turns the GenWorkers knob into (pool, intra): `pool`
-// build goroutines (never more than the work available) and an `intra`
-// per-build parallelism budget that soaks up the remainder when
+// build goroutines (never more than `limit`, the work available) and an
+// `intra` per-build parallelism budget that soaks up the remainder when
 // realizations are scarcer than GenWorkers — the low-realization
 // configurations where the build phase dominates. GenWorkers<=0 defaults
 // to the resolved sweep worker count.
-func resolveBuilders(genWorkers, workers, n int) (pool, intra int) {
+func resolveBuilders(genWorkers, workers, limit int) (pool, intra int) {
 	if genWorkers <= 0 {
 		genWorkers = workers
 	}
-	pool = genWorkers
-	if pool > n {
-		pool = n
-	}
-	if pool < 1 {
-		pool = 1
-	}
+	pool = max(1, min(genWorkers, limit))
 	return pool, (genWorkers + pool - 1) / pool
 }
 
@@ -162,153 +156,166 @@ func retryRNG(seed uint64, n, r int) *xrand.RNG {
 	return xrand.New(seed).SplitN(n)[r]
 }
 
-// forEachRealizationPipeline is the pipelined engine for specs with a
-// build/sweep split: build(r) generates and freezes realization r's
-// topology (returning the snapshot value the sweep needs), sweep(r)
-// queries it through the per-worker sweeper. Build errors skip the sweep;
-// the lowest-index error wins, whichever stage it came from, exactly as a
-// sequential run would have reported first. Under a RunControl, panics
+// forEachRealizationPipeline is the realization engine: build(r) generates
+// and freezes realization r's topology (returning the snapshot value the
+// sweep needs), sweep(r) queries it through the per-worker sweeper; with a
+// nil sweep, build is the whole realization. sc supplies the realization
+// count, the scheduler knobs and the supervisor. Build errors skip the
+// sweep; the lowest-index error wins, whichever stage it came from, exactly
+// as a sequential run would have reported first. Under a RunControl, panics
 // become errors, failed realizations are retried end-to-end (a sweep
 // failure rebuilds the topology: the snapshot may carry consumed phase
 // streams), cancellation stops dispatch at realization boundaries, and
 // journaled-complete realizations are skipped.
-func forEachRealizationPipeline[T any](o engineOpts, workers, shards, genWorkers, n int, seed uint64,
+func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 	build func(r int, b *builder) (T, error),
 	sweep func(r int, v T, sw *sweeper) error) error {
+	n, rc := sc.Realizations, sc.Run
 	if n <= 0 {
 		return nil
 	}
-	workers = resolveWorkers(workers)
+	workers := resolveWorkers(sc.Workers)
 	// Default GenWorkers from the pre-cap worker count: on a P-core box
 	// running fewer than P realizations — the build-dominated case the
 	// pipeline exists for — the build budget must stay P so the remainder
-	// flows into intra-generator parallelism, exactly as the build-only
-	// pool does. Capping first would silently pin intra to 1 by default.
-	pool, intra := resolveBuilders(genWorkers, workers, n)
-	if workers > n {
-		workers = n
+	// flows into intra-generator parallelism. Capping first would silently
+	// pin intra to 1 by default. Build-only runs are bounded by Workers
+	// too, so `-gen-workers 1` and `-workers 1` each cap in-flight
+	// topologies on the degree specs, the memory-heaviest runs.
+	limit := n
+	if sweep == nil {
+		limit = min(n, workers)
 	}
-	shards = resolveShards(shards, workers)
+	pool, intra := resolveBuilders(sc.GenWorkers, workers, limit)
+	workers = min(workers, n)
+	shards := resolveShards(sc.SourceShards, workers)
 
-	root := xrand.New(seed)
-	rngs := root.SplitN(n)
+	rngs := xrand.New(seed).SplitN(n)
 	errs := make([]error, n)
+
+	// settle is the supervision sequence both stages share: one attempt,
+	// then retries while the budget and the run allow, then either the
+	// failure is absorbed (errs[r] set unless it fits the partial budget)
+	// or the realization counts as progress. It reports how many attempts
+	// ran and whether the last one succeeded.
+	settle := func(r int, first, again func() error) (attempts int, ok bool) {
+		err := protectErr(rc, first)
+		attempts = 1
+		for err != nil && attempts < rc.maxAttempts() && rc.interrupted() == nil {
+			attempts++
+			err = protectErr(rc, again)
+		}
+		if err != nil {
+			errs[r] = rc.absorbFailure(seed, r, attempts, err, o.partial)
+			return attempts, false
+		}
+		if attempts > 1 {
+			rc.noteRecovered()
+		}
+		rc.noteProgress()
+		return attempts, true
+	}
+	// rebuild is a retry's build: fresh stream and fresh arena, because the
+	// failed attempt may have consumed rngs[r] or corrupted the worker's
+	// shared buffers mid-panic.
+	rebuild := func(r int) (T, error) {
+		return build(r, newBuilder(seed, r, retryRNG(seed, n, r), intra, graph.NewCSRArena()))
+	}
 
 	type snapshot struct {
 		r int
 		v T
 	}
-	ready := make(chan snapshot, pool)
-	var bnext atomic.Int64
-	var bwg sync.WaitGroup
-	bwg.Add(pool)
-	for w := 0; w < pool; w++ {
-		go func() {
-			defer bwg.Done()
-			// One arena per build worker: realization r+pool reuses the
-			// chunk and scratch buffers realization r grew, and no arena
-			// ever serves two builds at once.
-			arena := graph.NewCSRArena()
-			for {
-				if o.rc.interrupted() != nil {
-					return
-				}
-				r := int(bnext.Add(1)) - 1
-				if r >= n {
-					return
-				}
-				if o.skip != nil && o.skip(r) {
-					o.rc.noteProgress()
-					continue
-				}
-				// Distributed-worker restriction: realizations leased to
-				// other workers are simply never dispatched; determinism
-				// holds because rngs[r] and the phase streams depend only
-				// on (seed, r), not on which indices this process ran.
-				if !o.rc.owns(r) {
-					continue
-				}
-				v, err := protectCall(o.rc, func() (T, error) {
-					return build(r, newBuilder(seed, r, rngs[r], intra, arena))
-				})
-				attempts := 1
-				for err != nil && attempts < o.rc.maxAttempts() && o.rc.interrupted() == nil {
-					attempts++
-					v, err = protectCall(o.rc, func() (T, error) {
-						// Fresh stream and fresh arena: the failed attempt
-						// may have consumed rngs[r] or corrupted the shared
-						// buffers mid-panic.
-						return build(r, newBuilder(seed, r, retryRNG(seed, n, r), intra, graph.NewCSRArena()))
-					})
-				}
-				if err != nil {
-					errs[r] = o.rc.absorbFailure(seed, r, attempts, err, o.partial)
-					continue
-				}
-				if attempts > 1 {
-					o.rc.noteRecovered()
-				}
-				o.rc.noteProgress()
+	var ready chan snapshot
+	var next atomic.Int64
+	buildWorker := func() {
+		// One arena per build worker: realization r+pool reuses the chunk
+		// and scratch buffers realization r grew, and no arena ever serves
+		// two builds at once.
+		arena := graph.NewCSRArena()
+		for rc.interrupted() == nil {
+			r := int(next.Add(1)) - 1
+			if r >= n {
+				return
+			}
+			if o.skip != nil && o.skip(r) {
+				rc.noteProgress()
+				continue
+			}
+			// Distributed-worker restriction: realizations leased to other
+			// workers are simply never dispatched; determinism holds
+			// because rngs[r] and the phase streams depend only on
+			// (seed, r), not on which indices this process ran.
+			if !rc.owns(r) {
+				continue
+			}
+			var v T
+			_, ok := settle(r, func() (err error) {
+				v, err = build(r, newBuilder(seed, r, rngs[r], intra, arena))
+				return err
+			}, func() (err error) {
+				v, err = rebuild(r)
+				return err
+			})
+			if ok && sweep != nil {
 				ready <- snapshot{r: r, v: v}
 			}
-		}()
+		}
 	}
-	go func() {
-		bwg.Wait()
-		close(ready)
-	}()
-
-	var swg sync.WaitGroup
-	swg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer swg.Done()
-			sw := newSweeper(seed, shards)
-			for snap := range ready {
-				if o.rc.interrupted() != nil {
-					// Keep draining so builders blocked on the bounded
-					// queue can observe the interrupt instead of
-					// deadlocking against it.
-					continue
-				}
-				snap := snap
-				err := protectErr(o.rc, func() error { return sweep(snap.r, snap.v, sw) })
-				attempts := 1
-				if err != nil {
-					// The failed sweep may have corrupted this worker's
-					// sweeper scratches mid-write; replace it before any
-					// other realization touches it. The old one is dropped,
-					// never released to the free list.
-					sw = newSweeper(seed, shards)
-				}
-				for err != nil && attempts < o.rc.maxAttempts() && o.rc.interrupted() == nil {
-					attempts++
-					err = protectErr(o.rc, func() error {
-						// Retry the realization end-to-end: the snapshot may
-						// carry phase streams the failed sweep already
-						// consumed, so only a rebuild restores pristine
-						// state. Fresh arena and sweeper for the same reason.
-						v, berr := build(snap.r, newBuilder(seed, snap.r, retryRNG(seed, n, snap.r), intra, graph.NewCSRArena()))
-						if berr != nil {
-							return berr
-						}
-						return sweep(snap.r, v, newSweeper(seed, shards))
-					})
-				}
-				if err != nil {
-					errs[snap.r] = o.rc.absorbFailure(seed, snap.r, attempts, err, o.partial)
-					continue
-				}
-				if attempts > 1 {
-					o.rc.noteRecovered()
-				}
-				o.rc.noteProgress()
+	sweepWorker := func() {
+		sw := newSweeper(seed, shards)
+		for snap := range ready {
+			if rc.interrupted() != nil {
+				// Keep draining so builders blocked on the bounded queue
+				// can observe the interrupt instead of deadlocking against
+				// it.
+				continue
 			}
-			sw.release()
-		}()
+			attempts, ok := settle(snap.r, func() error {
+				return sweep(snap.r, snap.v, sw)
+			}, func() error {
+				// Retry the realization end-to-end: the snapshot may carry
+				// phase streams the failed sweep already consumed, so only
+				// a rebuild restores pristine state. Fresh sweeper for the
+				// same reason.
+				v, err := rebuild(snap.r)
+				if err != nil {
+					return err
+				}
+				return sweep(snap.r, v, newSweeper(seed, shards))
+			})
+			if attempts > 1 || !ok {
+				// The failed first sweep may have corrupted this worker's
+				// sweeper scratches mid-write; replace it before any other
+				// realization touches it. The old one is dropped, never
+				// released to the free list.
+				sw = newSweeper(seed, shards)
+			}
+		}
+		sw.release()
+	}
+
+	var bwg, swg sync.WaitGroup
+	spawn := func(wg *sync.WaitGroup, count int, worker func()) {
+		wg.Add(count)
+		for w := 0; w < count; w++ {
+			go func() {
+				defer wg.Done()
+				worker()
+			}()
+		}
+	}
+	if sweep != nil {
+		ready = make(chan snapshot, pool)
+		spawn(&swg, workers, sweepWorker)
+	}
+	spawn(&bwg, pool, buildWorker)
+	bwg.Wait()
+	if sweep != nil {
+		close(ready)
 	}
 	swg.Wait()
-	if err := o.rc.interrupted(); err != nil {
+	if err := rc.interrupted(); err != nil {
 		return err
 	}
 	for _, err := range errs {
@@ -319,99 +326,112 @@ func forEachRealizationPipeline[T any](o engineOpts, workers, shards, genWorkers
 	return nil
 }
 
-// forEachRealization runs fn for r = 0..n-1 on a bounded worker pool
-// (`workers` goroutines; <=0 means GOMAXPROCS), collecting the
-// lowest-index error. It is the engine for build-only specs (degree
-// distributions, churn traces, robustness curves): with no sweep stage to
-// overlap there is nothing to pipeline, but the builder still carries the
-// phase streams and the intra-build budget derived from genWorkers, so
-// generators parallelize internally when realizations are scarcer than
-// the build budget. Determinism: b.rng is derived solely from (seed, r)
-// and b.phases from (seed, r, phase); results land in per-index slots, so
-// neither worker count nor scheduling order perturbs results. Supervision
-// via engineOpts mirrors the pipelined engine's.
-func forEachRealization(o engineOpts, workers, genWorkers, n int, seed uint64, fn func(r int, b *builder) error) error {
-	if n <= 0 {
-		return nil
-	}
-	pool := resolveWorkers(workers)
-	if pool > n {
-		pool = n
-	}
-	if genWorkers <= 0 {
-		genWorkers = resolveWorkers(workers)
-	} else if pool > genWorkers {
-		// An explicit GenWorkers bounds concurrent builds here exactly as
-		// in the pipeline — fn IS the build — so `-gen-workers 1` really
-		// does cap in-flight topologies on the build-only degree specs,
-		// the memory-heaviest runs.
-		pool = genWorkers
-	}
-	intra := (genWorkers + pool - 1) / pool
+// blockCodec names the journal record family of one series and converts a
+// realization's block — its whole contribution to the series' reduction —
+// to and from the record payload. decode reports ok=false for a payload of
+// another shape (a record from a schema drift the header check missed).
+type blockCodec[B any] struct {
+	kind   uint8
+	encode func(B) []byte
+	decode func([]byte) (B, bool)
+}
 
-	root := xrand.New(seed)
-	rngs := root.SplitN(n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(pool)
-	for w := 0; w < pool; w++ {
-		go func() {
-			defer wg.Done()
-			arena := graph.NewCSRArena()
-			for {
-				if o.rc.interrupted() != nil {
-					return
-				}
-				r := int(next.Add(1)) - 1
-				if r >= n {
-					return
-				}
-				if o.skip != nil && o.skip(r) {
-					o.rc.noteProgress()
-					continue
-				}
-				if !o.rc.owns(r) {
-					continue
-				}
-				err := protectErr(o.rc, func() error {
-					return fn(r, newBuilder(seed, r, rngs[r], intra, arena))
-				})
-				attempts := 1
-				for err != nil && attempts < o.rc.maxAttempts() && o.rc.interrupted() == nil {
-					attempts++
-					err = protectErr(o.rc, func() error {
-						return fn(r, newBuilder(seed, r, retryRNG(seed, n, r), intra, graph.NewCSRArena()))
-					})
-				}
-				if err != nil {
-					errs[r] = o.rc.absorbFailure(seed, r, attempts, err, o.partial)
-					continue
-				}
-				if attempts > 1 {
-					o.rc.noteRecovered()
-				}
-				o.rc.noteProgress()
+// rowBlocks is the codec of blocks of nRows float64 rows of rowLen values
+// each; rowLen < 0 takes the length each record carries (curves whose
+// length the generator decides: robustness steps, churn probes).
+func rowBlocks(kind uint8, nRows, rowLen int) blockCodec[[][]float64] {
+	return blockCodec[[][]float64]{
+		kind:   kind,
+		encode: func(rows [][]float64) []byte { return encodeRowBlock(rows, rowLen) },
+		decode: func(p []byte) ([][]float64, bool) { return decodeRowBlock(p, nRows, rowLen) },
+	}
+}
+
+// oneRow is rowBlocks for a realization that contributes a single row.
+func oneRow(rowLen int) blockCodec[[]float64] {
+	c := rowBlocks(recSweepSlots, 1, rowLen)
+	return blockCodec[[]float64]{
+		kind:   c.kind,
+		encode: func(row []float64) []byte { return c.encode([][]float64{row}) },
+		decode: func(p []byte) ([]float64, bool) {
+			rows, ok := c.decode(p)
+			if !ok {
+				return nil, false
 			}
-		}()
+			return rows[0], true
+		},
 	}
-	wg.Wait()
-	if err := o.rc.interrupted(); err != nil {
-		return err
+}
+
+// realizationBlocks is the one journaled path from a series to its
+// per-realization blocks: it claims the series' record family, replays the
+// realizations a previous run journaled (their builds and sweeps are
+// skipped), runs the rest through the engine, and journals each block as
+// its realization completes. sweep(r, v, sw) turns the built snapshot into
+// the block; a build-only series passes a nil sweep and its build returns
+// the block itself. tag names the series in the journal: with the engine
+// seed it keys the records, so series that share a seed by design (the DES
+// loss/failure knobs, panels reusing a label format) must differ in tag —
+// a collision fails loudly in journalClaim.
+//
+// A returned block is the zero B when its realization is absent: it
+// permanently failed within the -max-failed budget (only a successful
+// attempt ever stores a block, so no partial bits can average in), or this
+// process is a distributed worker that does not lease it. Reductions drop
+// absent realizations and aggregate the survivors in realization order, so
+// a complete run reduces exactly as an unjournaled one and a resumed or
+// distributed run reproduces its bytes.
+func realizationBlocks[T, B any](sc Scale, seed uint64, tag string, codec blockCodec[B],
+	build func(r int, b *builder) (T, error),
+	sweep func(r int, v T, sw *sweeper) (B, error)) ([]B, error) {
+	rc := sc.Run
+	sub := journalTag(tag)
+	if err := rc.journalClaim(codec.kind, seed, sub, tag); err != nil {
+		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	blocks := make([]B, sc.Realizations)
+	replayed := make([]bool, sc.Realizations)
+	for r := range blocks {
+		if p, ok := rc.journalPayload(codec.kind, seed, sub, r); ok {
+			blocks[r], replayed[r] = codec.decode(p)
 		}
 	}
-	return nil
+	finish := func(r int, blk B) {
+		if rc.journaling() {
+			rc.journalAppend(codec.kind, seed, sub, r, codec.encode(blk))
+		}
+		blocks[r] = blk
+	}
+	o := engineOpts{skip: func(r int) bool { return replayed[r] }, partial: true}
+	var err error
+	if sweep == nil {
+		err = forEachRealizationPipeline(o, sc, seed, func(r int, b *builder) (T, error) {
+			v, err := build(r, b)
+			if err == nil {
+				finish(r, any(v).(B))
+			}
+			return v, err
+		}, nil)
+	} else {
+		err = forEachRealizationPipeline(o, sc, seed, build, func(r int, v T, sw *sweeper) error {
+			blk, err := sweep(r, v, sw)
+			if err == nil {
+				finish(r, blk)
+			}
+			return err
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return blocks, nil
 }
 
 // withSweeper runs fn with a standalone source-sweep pool of `shards`
 // scratches (<=0 sizes it to GOMAXPROCS), for specs that sweep a topology
 // built outside the realization engine (paired-workload claims that probe
 // one shared overlay). Stream derivation inside Sources is identical to
-// the pipelined engine's.
+// the engine's.
 func withSweeper(shards int, seed uint64, fn func(sw *sweeper) error) error {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)

@@ -48,8 +48,7 @@ func TestGenWorkersDeterminismRandomizedAlg(t *testing.T) {
 	t.Parallel()
 	run := func(workers, shards, genWorkers int) Series {
 		s, err := searchSeries("rw", paTopo(1000, 2, 40),
-			searchCfg{alg: algRW, maxTTL: 5, kMin: 2, sources: 6, realizations: 5,
-				workers: workers, sourceShards: shards, genWorkers: genWorkers}, 99)
+			searchCfg{alg: algRW, maxTTL: 5, kMin: 2, sc: Scale{Sources: 6, Realizations: 5, Workers: workers, SourceShards: shards, GenWorkers: genWorkers}}, 99)
 		if err != nil {
 			t.Fatalf("workers=%d shards=%d gen=%d: %v", workers, shards, genWorkers, err)
 		}
@@ -111,7 +110,7 @@ func TestGenWorkersDeterminismParallelGenerators(t *testing.T) {
 func TestPipelineLowestIndexError(t *testing.T) {
 	t.Parallel()
 	errBuild, errSweep := errors.New("build"), errors.New("sweep")
-	err := forEachRealizationPipeline(engineOpts{}, 4, 1, 2, 8, 1,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 4, SourceShards: 1, GenWorkers: 2, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 5 {
 				return 0, errBuild
@@ -127,7 +126,7 @@ func TestPipelineLowestIndexError(t *testing.T) {
 	if err != errSweep {
 		t.Fatalf("err = %v, want the lowest-index error %v (sweep at r=2 beats build at r=5)", err, errSweep)
 	}
-	err = forEachRealizationPipeline(engineOpts{}, 4, 1, 2, 8, 1,
+	err = forEachRealizationPipeline(engineOpts{}, Scale{Workers: 4, SourceShards: 1, GenWorkers: 2, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 2 {
 				return 0, errBuild
@@ -151,7 +150,7 @@ func TestPipelineErrorSkipsSweep(t *testing.T) {
 	t.Parallel()
 	errBuild := errors.New("build")
 	var swept [8]atomic.Int32
-	err := forEachRealizationPipeline(engineOpts{}, 2, 1, 2, 8, 1,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 2, SourceShards: 1, GenWorkers: 2, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 3 {
 				return 0, errBuild
@@ -190,7 +189,7 @@ func TestPipelineConcurrencyBounds(t *testing.T) {
 			}
 		}
 	}
-	err := forEachRealizationPipeline(engineOpts{}, workers, 1, genWorkers, n, 7,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: workers, SourceShards: 1, GenWorkers: genWorkers, Realizations: n}, 7,
 		func(r int, b *builder) (int, error) {
 			peak(buildIn.Add(1), &buildPeak)
 			_ = b.rng.Uint64()
@@ -223,7 +222,7 @@ func TestPipelineRunsEachRealizationOnce(t *testing.T) {
 	} {
 		built := make([]atomic.Int32, tc.n)
 		swept := make([]atomic.Int32, tc.n)
-		err := forEachRealizationPipeline(engineOpts{}, tc.workers, 1, tc.genWorkers, tc.n, 7,
+		err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: tc.workers, SourceShards: 1, GenWorkers: tc.genWorkers, Realizations: tc.n}, 7,
 			func(r int, b *builder) (int, error) {
 				built[r].Add(1)
 				return r, nil
@@ -260,7 +259,7 @@ func TestBuilderContract(t *testing.T) {
 	for r, s := range root.SplitN(n) {
 		wantRNG[r] = s.Uint64()
 	}
-	err := forEachRealization(engineOpts{}, 2, 4, n, seed, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 2, GenWorkers: 4, Realizations: n}, seed, func(r int, b *builder) error {
 		if got := b.rng.Uint64(); got != wantRNG[r] {
 			t.Errorf("realization %d legacy stream is not the r-th root split", r)
 		}
@@ -287,7 +286,7 @@ func TestBuilderContract(t *testing.T) {
 // side must never trigger the lazy init).
 func TestFrozenTopoEagerSorted(t *testing.T) {
 	t.Parallel()
-	err := forEachRealizationPipeline(engineOpts{}, 1, 1, 2, 2, 9,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 1, GenWorkers: 2, Realizations: 2}, 9,
 		func(r int, b *builder) (*graph.Frozen, error) {
 			return sweepTopo(paTopo(300, 2, gen.NoCutoff), r, b)
 		},

@@ -114,7 +114,7 @@ type Scale struct {
 	// time means and accounted explicitly in the figure notes. Zero keeps
 	// the paper's uncapped 200·N budget.
 	WalkCap int
-	// Run supervises the realization engines: panic recovery, bounded
+	// Run supervises the realization engine: panic recovery, bounded
 	// retries, failure budgets, checkpoint/resume via the journal, and
 	// realization-boundary interruption. nil (the default) runs
 	// unsupervised. Run NEVER affects the numbers — retries re-derive
@@ -224,8 +224,8 @@ type Spec struct {
 	// slot records — the prerequisite for coordinator/worker distribution
 	// (internal/coord): a worker can run one realization and stream the
 	// records back, and the coordinator's journal-driven reduction is
-	// complete. Specs that reduce through raw engines (no journaling) run
-	// locally even in coordinator mode.
+	// complete. Every spec with a realization loop is; table2, which has
+	// none, runs locally even in coordinator mode.
 	Distributable bool
 }
 
@@ -247,16 +247,16 @@ func Registry() []Spec {
 		{ID: "fig10", Paper: "Fig. 10", Description: "Normalized flooding on DAPA", Run: Fig10, Distributable: true},
 		{ID: "fig11", Paper: "Fig. 11", Description: "Random walk (NF budget) on PA, CM, HAPA", Run: Fig11, Distributable: true},
 		{ID: "fig12", Paper: "Fig. 12", Description: "Random walk (NF budget) on DAPA", Run: Fig12, Distributable: true},
-		{ID: "table1", Paper: "Table I", Description: "Diameter scaling regimes of scale-free networks", Run: Table1},
+		{ID: "table1", Paper: "Table I", Description: "Diameter scaling regimes of scale-free networks", Run: Table1, Distributable: true},
 		{ID: "table2", Paper: "Table II", Description: "Global-information usage of the four mechanisms", Run: Table2},
 		{ID: "messaging", Paper: "§V-B2", Description: "Messaging complexity: NF vs RW (results omitted from the paper)", Run: Messaging, Distributable: true},
-		{ID: "attack", Paper: "§III (ext)", Description: "Robust-yet-fragile: failures vs hub attacks, with and without cutoffs", Run: Attack},
-		{ID: "delivery", Paper: "Eqs. 6-7 (ext)", Description: "Delivery-time scaling: FL ~ logN, RW ~ N^0.79", Run: Delivery},
-		{ID: "kwalk", Paper: "§V-B1 (ext)", Description: "Multiple random walkers vs NF at equal message budget", Run: KWalk},
-		{ID: "fairness", Paper: "§I (ext)", Description: "Load fairness: Gini and top-1% degree share vs hard cutoff", Run: Fairness},
-		{ID: "strategies", Paper: "§II/§V-B (ext)", Description: "All search strategies (FL/NF/RW/k-walk/HDS/PF/hybrid) at equal message budget", Run: Strategies},
-		{ID: "replication", Paper: "§II refs [22,23] (ext)", Description: "Cohen-Shenker replication strategies: ESS vs budget on PA overlays", Run: Replication},
-		{ID: "churn", Paper: "§VI (ext)", Description: "Join/leave dynamics: repair vs no-repair under balanced churn with kc", Run: Churn},
+		{ID: "attack", Paper: "§III (ext)", Description: "Robust-yet-fragile: failures vs hub attacks, with and without cutoffs", Run: Attack, Distributable: true},
+		{ID: "delivery", Paper: "Eqs. 6-7 (ext)", Description: "Delivery-time scaling: FL ~ logN, RW ~ N^0.79", Run: Delivery, Distributable: true},
+		{ID: "kwalk", Paper: "§V-B1 (ext)", Description: "Multiple random walkers vs NF at equal message budget", Run: KWalk, Distributable: true},
+		{ID: "fairness", Paper: "§I (ext)", Description: "Load fairness: Gini and top-1% degree share vs hard cutoff", Run: Fairness, Distributable: true},
+		{ID: "strategies", Paper: "§II/§V-B (ext)", Description: "All search strategies (FL/NF/RW/k-walk/HDS/PF/hybrid) at equal message budget", Run: Strategies, Distributable: true},
+		{ID: "replication", Paper: "§II refs [22,23] (ext)", Description: "Cohen-Shenker replication strategies: ESS vs budget on PA overlays", Run: Replication, Distributable: true},
+		{ID: "churn", Paper: "§VI (ext)", Description: "Join/leave dynamics: repair vs no-repair under balanced churn with kc", Run: Churn, Distributable: true},
 		{ID: "desflood", Paper: "§V-A (DES ext)", Description: "Message-level DES flooding: coverage, latency-vs-hops, and message cost under per-edge latency and loss", Run: DESFlood, Distributable: true},
 		{ID: "deskwalk", Paper: "§V-B1 (DES ext)", Description: "Message-level DES k-walkers: coverage vs steps under per-edge latency and loss", Run: DESKWalk, Distributable: true},
 		{ID: "desfail", Paper: "§III/§V (DES ext)", Description: "Message-level DES robustness: flood and k-walk coverage under deterministic node-crash and link-partition schedules", Run: DESFail, Distributable: true},
@@ -273,9 +273,9 @@ func Lookup(id string) (Spec, error) {
 	return Spec{}, fmt.Errorf("sim: unknown experiment %q", id)
 }
 
-// The experiment engine — the three-stage build/sweep pipeline
-// (forEachRealizationPipeline), the build-only pool (forEachRealization),
-// and the standalone sweep pool (withSweeper) — lives in pipeline.go.
+// The realization engine (forEachRealizationPipeline), the journaled
+// series helper on top of it (realizationBlocks), and the standalone sweep
+// pool (withSweeper) live in pipeline.go.
 
 // sweeper is one sweep worker's source-sweep pool: a fixed set of shard
 // scratches reused across every realization the worker processes, so the

@@ -58,7 +58,7 @@ func TestForEachRealizationDeterministic(t *testing.T) {
 	t.Parallel()
 	run := func() []uint64 {
 		out := make([]uint64, 8)
-		err := forEachRealization(engineOpts{}, 0, 0, 8, 42, func(r int, b *builder) error {
+		err := buildOnly(Scale{Realizations: 8}, 42, func(r int, b *builder) error {
 			out[r] = b.rng.Uint64()
 			return nil
 		})
@@ -77,7 +77,7 @@ func TestForEachRealizationDeterministic(t *testing.T) {
 
 func TestForEachRealizationPropagatesError(t *testing.T) {
 	t.Parallel()
-	err := forEachRealization(engineOpts{}, 2, 0, 4, 1, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 2, Realizations: 4}, 1, func(r int, b *builder) error {
 		if r == 2 {
 			return errTest
 		}
@@ -169,7 +169,7 @@ func TestAllSpecsRun(t *testing.T) {
 func TestSearchSeriesMonotoneHits(t *testing.T) {
 	t.Parallel()
 	s, err := searchSeries("fl", paTopo(500, 2, 0),
-		searchCfg{alg: algFL, maxTTL: 6, sources: 5, realizations: 2}, 7)
+		searchCfg{alg: algFL, maxTTL: 6, sc: Scale{Sources: 5, Realizations: 2}}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSearchSeriesRWBudgetBelowNF(t *testing.T) {
 	// NF hits >= RW hits at the same message budget, on average (NF does
 	// better averaging, §V-B1).
 	factory := paTopo(2000, 2, 40)
-	cfgNF := searchCfg{alg: algNF, maxTTL: 6, kMin: 2, sources: 10, realizations: 3}
+	cfgNF := searchCfg{alg: algNF, maxTTL: 6, kMin: 2, sc: Scale{Sources: 10, Realizations: 3}}
 	cfgRW := cfgNF
 	cfgRW.alg = algRW
 	nf, err := searchSeries("nf", factory, cfgNF, 9)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"scalefree/internal/churn"
-	"scalefree/internal/stats"
 )
 
 // Churn measures overlay health vs churn events with and without repair.
@@ -41,14 +40,11 @@ func Churn(sc Scale, seed uint64) ([]Figure, error) {
 	var msgNotes string
 	for pi, policy := range policies {
 		policy := policy
-		giantRows := make([][]float64, sc.Realizations)
-		hitRows := make([][]float64, sc.Realizations)
-		msgs := make([]float64, sc.Realizations)
-		var xs []float64
-		err := forEachRealization(engineOpts{rc: sc.Run}, sc.Workers, sc.GenWorkers, sc.Realizations, seed+uint64(pi)*2713, func(r int, b *builder) error {
+		// A realization's block is its probe trace, one row per column:
+		// event count, giant fraction, NF hits, messages per event.
+		traces, err := realizationBlocks(sc, seed+uint64(pi)*2713, "churn "+policy.String(), rowBlocks(recSweepSlots, 4, -1), func(r int, b *builder) ([][]float64, error) {
 			// The churn trace is one long event sequence; it draws from the
 			// realization's legacy stream, sequential by nature.
-			rng := b.rng
 			sim, err := churn.New(churn.Config{
 				InitialN: sc.NSearch,
 				M:        m,
@@ -56,52 +52,46 @@ func Churn(sc Scale, seed uint64) ([]Figure, error) {
 				Join:     churn.JoinPreferential,
 				Repair:   policy,
 				Graceful: true,
-			}, rng)
+			}, b.rng)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			trace, err := sim.Run(events, pJoin, probeEvery, sc.Sources, ttl)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			grow := make([]float64, len(trace))
-			hrow := make([]float64, len(trace))
+			cols := make([][]float64, 4)
+			for c := range cols {
+				cols[c] = make([]float64, len(trace))
+			}
 			for i, snap := range trace {
-				grow[i] = snap.GiantFrac
-				hrow[i] = snap.NFHits
+				cols[0][i], cols[1][i], cols[2][i], cols[3][i] = float64(snap.Event), snap.GiantFrac, snap.NFHits, snap.MessagesPerEvent
 			}
-			giantRows[r] = grow
-			hitRows[r] = hrow
-			msgs[r] = trace[len(trace)-1].MessagesPerEvent
-			if r == 0 {
-				xs = make([]float64, len(trace))
-				for i, snap := range trace {
-					xs[i] = float64(snap.Event)
-				}
-			}
-			return nil
-		})
+			return cols, nil
+		}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("churn %s: %w", policy, err)
 		}
-		gs, err := aggregate(policy.String(), giantRows, 0)
+		// Every realization probes at the same events: row 0 is the x axis.
+		xs := firstRow(blockRow(traces, 0))
+		gs, err := aggregate(policy.String(), blockRow(traces, 1), 0)
 		if err != nil {
 			return nil, err
 		}
-		hs, err := aggregate(policy.String(), hitRows, 0)
+		hs, err := aggregate(policy.String(), blockRow(traces, 2), 0)
 		if err != nil {
 			return nil, err
 		}
-		for i := range gs.Points {
-			gs.Points[i].X = xs[i]
-			hs.Points[i].X = xs[i]
+		msgs, err := aggregate(policy.String(), blockRow(traces, 3), 0)
+		if err != nil {
+			return nil, err
 		}
-		giant.Series = append(giant.Series, gs)
-		hits.Series = append(hits.Series, hs)
+		giant.Series = append(giant.Series, gs.withX(xs))
+		hits.Series = append(hits.Series, hs.withX(xs))
 		if msgNotes != "" {
 			msgNotes += "; "
 		}
-		msgNotes += fmt.Sprintf("%s: %.1f msgs/event", policy, stats.Mean(msgs))
+		msgNotes += fmt.Sprintf("%s: %.1f msgs/event", policy, msgs.Points[len(xs)-1].Y)
 	}
 	giant.Notes = "maintenance cost — " + msgNotes
 	hits.Notes = giant.Notes

@@ -55,8 +55,8 @@ type desTopo struct {
 	lat des.Latency
 }
 
-// desSweep is the DES counterpart of sweepSeries: it pushes `realizations`
-// topologies through the build/sweep pipeline, runs one simulation per
+// desSweep is the DES counterpart of sweepSeries: it pushes the scale's
+// realizations through the build/sweep pipeline, runs one simulation per
 // (realization, source) on the shard's pooled des.Sim, and reduces
 // nCurves per-hop curves (each of rowLen points) to per-realization means
 // in slot order. run executes the simulation with the source's stream;
@@ -66,35 +66,14 @@ type desTopo struct {
 // tag names this sweep in the journal. It is load-bearing here: the DES
 // specs deliberately share one engine seed across their loss/failure
 // series to isolate the knob against identical topologies, so the seed
-// alone cannot key a checkpoint — the tag carries the knob. A journaled
-// realization replays all nCurves × sources rows bit-for-bit.
+// alone cannot key a checkpoint — the tag carries the knob. A realization's
+// block holds nCurves × sources rows, curve-major.
 func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float64, seed uint64, nCurves, rowLen int,
 	run func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error),
 	sample func(m des.Metrics, rows [][]float64),
 ) ([][][]float64, error) {
-	rc := cfg.run
-	sub := journalTag(tag)
-	if err := rc.journalClaim(recDESSlots, seed, sub, tag); err != nil {
-		return nil, err
-	}
-	rs := cfg.realizations * cfg.sources
-	perSource := make([][]float64, nCurves*rs)
-	// Journal layout: one record per realization holding nCurves × sources
-	// rows, curve-major, matching the slot strides below.
-	gather := func(r int) [][]float64 {
-		rows := make([][]float64, 0, nCurves*cfg.sources)
-		for c := 0; c < nCurves; c++ {
-			rows = append(rows, perSource[c*rs+r*cfg.sources:c*rs+(r+1)*cfg.sources]...)
-		}
-		return rows
-	}
-	skip := replayRowBlocks(rc, recDESSlots, seed, sub, cfg.realizations, nCurves*cfg.sources, rowLen, func(r int, rows [][]float64) {
-		for c := 0; c < nCurves; c++ {
-			copy(perSource[c*rs+r*cfg.sources:c*rs+(r+1)*cfg.sources], rows[c*cfg.sources:(c+1)*cfg.sources])
-		}
-	})
-	err := forEachRealizationPipeline(engineOpts{rc: rc, skip: skip, partial: true},
-		cfg.workers, cfg.sourceShards, cfg.genWorkers, cfg.realizations, seed,
+	sources := cfg.sc.Sources
+	blocks, err := realizationBlocks(cfg.sc, seed, tag, rowBlocks(recDESSlots, nCurves*sources, rowLen),
 		func(r int, b *builder) (desTopo, error) {
 			f, err := sweepTopo(factory, r, b)
 			if err != nil {
@@ -102,8 +81,9 @@ func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float
 			}
 			return desTopo{f: f, lat: des.Latency{Base: base, Jitter: jitter, Phases: b.phases}}, nil
 		},
-		func(r int, v desTopo, sw *sweeper) error {
-			err := sw.Sources(uint64(r), cfg.sources, func(shard, s int, rng *xrand.RNG, _ *search.Scratch) error {
+		func(r int, v desTopo, sw *sweeper) ([][]float64, error) {
+			block := make([][]float64, nCurves*sources)
+			return block, sw.Sources(uint64(r), sources, func(shard, s int, rng *xrand.RNG, _ *search.Scratch) error {
 				src := rng.Intn(v.f.N())
 				m, err := run(sw.Sim(shard), v, src, rng)
 				if err != nil {
@@ -112,34 +92,18 @@ func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float
 				rows := make([][]float64, nCurves)
 				for c := range rows {
 					rows[c] = make([]float64, rowLen)
+					block[c*sources+s] = rows[c]
 				}
 				sample(m, rows)
-				for c := range rows {
-					perSource[c*rs+r*cfg.sources+s] = rows[c]
-				}
 				return nil
 			})
-			if err != nil {
-				return err
-			}
-			if rc.journaling() {
-				rc.journalAppend(recDESSlots, seed, sub, r, encodeRowBlock(gather(r), rowLen))
-			}
-			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	for r := range rc.failedSet(seed) {
-		for c := 0; c < nCurves; c++ {
-			for s := 0; s < cfg.sources; s++ {
-				perSource[c*rs+r*cfg.sources+s] = nil
-			}
-		}
-	}
 	out := make([][][]float64, nCurves)
 	for c := range out {
-		out[c] = meanRows(perSource[c*rs:(c+1)*rs], cfg.realizations, cfg.sources)
+		out[c] = meanRows(blocks, c*sources, (c+1)*sources)
 	}
 	return out, nil
 }

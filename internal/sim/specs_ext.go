@@ -21,7 +21,6 @@ import (
 	"scalefree/internal/graph"
 	"scalefree/internal/metrics"
 	"scalefree/internal/search"
-	"scalefree/internal/stats"
 	"scalefree/internal/xrand"
 )
 
@@ -34,127 +33,75 @@ func Attack(sc Scale, seed uint64) ([]Figure, error) {
 		XLabel: "fraction removed", YLabel: "giant component fraction",
 		Notes: "hard cutoffs blunt targeted attacks by removing super-hubs",
 	}
-	for _, kc := range []int{gen.NoCutoff, 10} {
-		for _, strat := range []metrics.RemovalStrategy{metrics.RemoveRandom, metrics.RemoveHighestDegree} {
-			strat := strat
-			label := fmt.Sprintf("%s, %s", cutoffLabel(kc), strat)
-			curves := make([][]float64, sc.Realizations)
-			var xs []float64
-			err := forEachRealization(engineOpts{rc: sc.Run}, sc.Workers, sc.GenWorkers, sc.Realizations, seed+uint64(kc)*31+uint64(strat), func(r int, b *builder) error {
-				g, _, err := gen.PABuild(gen.PAConfig{N: sc.NSearch, M: 2, KC: kc}, b.gen())
-				if err != nil {
-					return err
-				}
-				pts, err := metrics.Robustness(g, strat, 0.02, 0.4, b.rng)
-				if err != nil {
-					return err
-				}
-				row := make([]float64, len(pts))
-				for i, p := range pts {
-					row[i] = p.GiantFrac
-				}
-				curves[r] = row
-				if r == 0 {
-					xs = make([]float64, len(pts))
-					for i, p := range pts {
-						xs[i] = p.RemovedFrac
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("attack %s: %w", label, err)
-			}
-			// Realizations share the removal schedule (same N, same step),
-			// so rows align.
-			minLen := len(curves[0])
-			for _, row := range curves {
-				if len(row) < minLen {
-					minLen = len(row)
-				}
-			}
-			s := Series{Label: label}
-			col := make([]float64, len(curves))
-			for i := 0; i < minLen; i++ {
-				for r := range curves {
-					col[r] = curves[r][i]
-				}
-				s.Points = append(s.Points, Point{X: xs[i], Y: stats.Mean(col), Err: stats.StdDev(col)})
-			}
-			fig.Series = append(fig.Series, s)
-		}
-	}
-	// Betweenness attack — the strongest variant, feasible at scale only
-	// through the batched Brandes–Pich estimator: one pivot-sampled pass
-	// per measurement step prices every node, the step's removals follow
-	// the estimated scores, and each step's mean standard error is
-	// published as its own series (the estimator's uncertainty column).
 	pivots := sc.BCPivots
 	if pivots == 0 {
 		pivots = metrics.DefaultBetweennessPivots
 	}
-	for _, kc := range []int{gen.NoCutoff, 10} {
-		strat := metrics.RemoveHighestBetweenness
-		label := fmt.Sprintf("%s, %s (batched, %d pivots)", cutoffLabel(kc), strat, pivots)
-		curves := make([][]float64, sc.Realizations)
-		seCurves := make([][]float64, sc.Realizations)
-		var xs, seXs []float64
-		err := forEachRealization(engineOpts{rc: sc.Run}, sc.Workers, sc.GenWorkers, sc.Realizations, seed+uint64(kc)*31+uint64(strat), func(r int, b *builder) error {
+	// The betweenness attack — the strongest variant — is feasible at scale
+	// only through the batched Brandes–Pich estimator: one pivot-sampled
+	// pass per measurement step prices every node, the step's removals
+	// follow the estimated scores, and each step's mean standard error is
+	// published as its own series (the estimator's uncertainty column).
+	for _, c := range []struct {
+		kc    int
+		strat metrics.RemovalStrategy
+	}{ // legend order
+		{gen.NoCutoff, metrics.RemoveRandom}, {gen.NoCutoff, metrics.RemoveHighestDegree},
+		{10, metrics.RemoveRandom}, {10, metrics.RemoveHighestDegree},
+		{gen.NoCutoff, metrics.RemoveHighestBetweenness}, {10, metrics.RemoveHighestBetweenness},
+	} {
+		kc, strat := c.kc, c.strat
+		batched := strat == metrics.RemoveHighestBetweenness
+		label, nCols := fmt.Sprintf("%s, %s", cutoffLabel(kc), strat), 2
+		if batched {
+			label, nCols = label+fmt.Sprintf(" (batched, %d pivots)", pivots), 3
+		}
+		// A realization's block is its removal curve, one row per column
+		// over the measurement points: removed fraction, giant fraction,
+		// and for the batched attack the step's mean stderr (zero at point
+		// 0, which no step precedes).
+		curves, err := realizationBlocks(sc, seed+uint64(kc)*31+uint64(strat), "attack "+label, rowBlocks(recSweepSlots, nCols, -1), func(r int, b *builder) ([][]float64, error) {
 			g, _, err := gen.PABuild(gen.PAConfig{N: sc.NSearch, M: 2, KC: kc}, b.gen())
 			if err != nil {
-				return err
+				return nil, err
 			}
 			pts, steps, err := metrics.RobustnessWith(g, metrics.RobustnessConfig{
 				Strategy: strat, StepFrac: 0.02, MaxFrac: 0.4,
-				BetweennessPivots: pivots, BatchedBetweenness: true,
+				BetweennessPivots: pivots, BatchedBetweenness: batched,
 			}, b.rng)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			row := make([]float64, len(pts))
+			cols := make([][]float64, nCols)
+			for c := range cols {
+				cols[c] = make([]float64, len(pts))
+			}
 			for i, p := range pts {
-				row[i] = p.GiantFrac
+				cols[0][i], cols[1][i] = p.RemovedFrac, p.GiantFrac
 			}
-			curves[r] = row
-			seRow := make([]float64, len(steps))
 			for i, s := range steps {
-				seRow[i] = s.MeanSE
+				cols[2][i+1] = s.MeanSE
 			}
-			seCurves[r] = seRow
-			if r == 0 {
-				xs = make([]float64, len(pts))
-				for i, p := range pts {
-					xs[i] = p.RemovedFrac
-				}
-				seXs = make([]float64, len(steps))
-				for i, s := range steps {
-					seXs[i] = s.RemovedFrac
-				}
-			}
-			return nil
-		})
+			return cols, nil
+		}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("attack %s: %w", label, err)
 		}
-		appendMeanSeries := func(label string, xs []float64, curves [][]float64) {
-			minLen := len(curves[0])
-			for _, row := range curves {
-				if len(row) < minLen {
-					minLen = len(row)
-				}
-			}
-			s := Series{Label: label}
-			col := make([]float64, len(curves))
-			for i := 0; i < minLen; i++ {
-				for r := range curves {
-					col[r] = curves[r][i]
-				}
-				s.Points = append(s.Points, Point{X: xs[i], Y: stats.Mean(col), Err: stats.StdDev(col)})
-			}
-			fig.Series = append(fig.Series, s)
+		// Realizations share the removal schedule (same N, same step),
+		// so rows align and row 0 is the x axis.
+		xs := firstRow(blockRow(curves, 0))
+		s, err := aggregate(label, blockRow(curves, 1), 0)
+		if err != nil {
+			return nil, err
 		}
-		appendMeanSeries(label, xs, curves)
-		appendMeanSeries(fmt.Sprintf("%s, %s stderr (removed nodes)", cutoffLabel(kc), strat), seXs, seCurves)
+		fig.Series = append(fig.Series, s.withX(xs))
+		if batched {
+			se, err := aggregate(fmt.Sprintf("%s, %s stderr (removed nodes)", cutoffLabel(kc), strat), blockRow(curves, 2), 1)
+			if err != nil {
+				return nil, err
+			}
+			fig.Series = append(fig.Series, se.withX(xs[1:]))
+		}
 	}
 	fig.Notes += fmt.Sprintf("; betweenness series use batched Brandes-Pich estimates (%d pivots, scores scaled N/pivots, recomputed once per 2%% step) with per-step mean stderr of the removed nodes' scores reported as the stderr series", pivots)
 	return []Figure{fig}, nil
@@ -176,11 +123,6 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 	var truncNotes []string
 	for si, n := range sizes {
 		pairs := sc.Sources
-		flTimes := make([]int, sc.Realizations*pairs)
-		flFound := make([]bool, sc.Realizations*pairs)
-		rwTimes := make([]int, sc.Realizations*pairs)
-		rwFound := make([]bool, sc.Realizations*pairs)
-		rwTried := make([]bool, sc.Realizations*pairs)
 		// The paper's budget is 200·N steps per pair; WalkCap bounds it so
 		// xl sizes stay linear-time. A capped walk that never delivers is
 		// a truncation: excluded from the mean, counted in the notes.
@@ -188,7 +130,10 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 		if sc.WalkCap > 0 && budget > sc.WalkCap {
 			budget = sc.WalkCap
 		}
-		err := forEachRealizationPipeline(engineOpts{rc: sc.Run}, sc.Workers, sc.SourceShards, sc.GenWorkers, sc.Realizations, seed+uint64(si)*977, func(r int, b *builder) (*graph.Frozen, error) {
+		// A realization's row: mean FL time, mean RW time, walks tried,
+		// walks truncated.
+		tag := fmt.Sprintf("delivery N=%d", n)
+		rows, err := realizationBlocks(sc, seed+uint64(si)*977, tag, oneRow(4), func(r int, b *builder) (*graph.Frozen, error) {
 			f, _, err := gen.CMFrozen(gen.CMConfig{N: n, M: 2, Gamma: 2.2}, b.gen())
 			if err != nil {
 				return nil, err
@@ -200,8 +145,11 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 			// snapshot serves every delivery pair.
 			fsub, _ := f.InducedFrozen(f.GiantComponent())
 			return fsub, nil
-		}, func(r int, fsub *graph.Frozen, sw *sweeper) error {
-			return sw.Sources(uint64(r), pairs, func(_, i int, rng *xrand.RNG, scratch *search.Scratch) error {
+		}, func(r int, fsub *graph.Frozen, sw *sweeper) ([]float64, error) {
+			// Per pair: FL time, RW time (0 = not delivered) and whether
+			// the walk ran at all.
+			flTimes, rwTimes, rwTried := make([]int, pairs), make([]int, pairs), make([]bool, pairs)
+			err := sw.Sources(uint64(r), pairs, func(_, i int, rng *xrand.RNG, scratch *search.Scratch) error {
 				src, dst := rng.Intn(fsub.N()), rng.Intn(fsub.N())
 				if src == dst {
 					return nil // slot stays not-found, as the serial skip did
@@ -211,59 +159,60 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 					return err
 				}
 				if fd.Found {
-					flTimes[r*pairs+i], flFound[r*pairs+i] = fd.Time, true
+					flTimes[i] = fd.Time
 				}
-				rwTried[r*pairs+i] = true
+				rwTried[i] = true
 				rd, err := search.RandomWalkDelivery(fsub, src, dst, budget, rng)
 				if err != nil {
 					return err
 				}
 				if rd.Found {
-					rwTimes[r*pairs+i], rwFound[r*pairs+i] = rd.Time, true
+					rwTimes[i] = rd.Time
 				}
 				return nil
 			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		flMeans := make([]float64, sc.Realizations)
-		rwMeans := make([]float64, sc.Realizations)
-		for r := 0; r < sc.Realizations; r++ {
-			var flSum, rwSum float64
-			flN, rwN := 0, 0
+			if err != nil {
+				return nil, err
+			}
+			var flSum, rwSum, flN, rwN, tried float64
 			for i := 0; i < pairs; i++ {
-				if flFound[r*pairs+i] {
-					flSum += float64(flTimes[r*pairs+i])
+				if flTimes[i] > 0 {
+					flSum += float64(flTimes[i])
 					flN++
 				}
-				if rwFound[r*pairs+i] {
-					rwSum += float64(rwTimes[r*pairs+i])
+				if rwTimes[i] > 0 {
+					rwSum += float64(rwTimes[i])
 					rwN++
+				}
+				if rwTried[i] {
+					tried++
 				}
 			}
 			if flN == 0 || rwN == 0 {
 				return nil, fmt.Errorf("no deliveries at n=%d", n)
 			}
-			flMeans[r] = flSum / float64(flN)
-			rwMeans[r] = rwSum / float64(rwN)
+			return []float64{flSum / flN, rwSum / rwN, tried, tried - rwN}, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		mean, err := aggregate(tag, rows, 0)
+		if err != nil {
+			return nil, err
 		}
 		if sc.WalkCap > 0 {
 			tried, trunc := 0, 0
-			for i := range rwTried {
-				if rwTried[i] {
-					tried++
-					if !rwFound[i] {
-						trunc++
-					}
+			for _, row := range rows {
+				if row != nil {
+					tried, trunc = tried+int(row[2]), trunc+int(row[3])
 				}
 			}
 			if trunc > 0 {
 				truncNotes = append(truncNotes, fmt.Sprintf("N=%d: %d/%d walks truncated at %d steps", n, trunc, tried, budget))
 			}
 		}
-		flSeries.Points = append(flSeries.Points, Point{X: float64(n), Y: stats.Mean(flMeans), Err: stats.StdDev(flMeans)})
-		rwSeries.Points = append(rwSeries.Points, Point{X: float64(n), Y: stats.Mean(rwMeans), Err: stats.StdDev(rwMeans)})
+		flSeries.Points = append(flSeries.Points, mean.at(0, float64(n)))
+		rwSeries.Points = append(rwSeries.Points, mean.at(1, float64(n)))
 	}
 	fig.Series = []Series{flSeries, rwSeries}
 
@@ -351,24 +300,7 @@ func KWalk(sc Scale, seed uint64) ([]Figure, error) {
 		}},
 	}
 	for vi, v := range variants {
-		v := v
-		perSource := make([][]float64, sc.Realizations*sc.Sources)
-		err := forEachRealizationPipeline(engineOpts{rc: sc.Run}, sc.Workers, sc.SourceShards, sc.GenWorkers, sc.Realizations, seed+uint64(vi)*4099, func(r int, b *builder) (*graph.Frozen, error) {
-			return sweepTopo(factory, r, b)
-		}, func(r int, f *graph.Frozen, sw *sweeper) error {
-			return sw.Sources(uint64(r), sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
-				row, err := v.run(scratch, f, rng.Intn(f.N()), rng)
-				if err != nil {
-					return err
-				}
-				perSource[r*sc.Sources+s] = row
-				return nil
-			})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("kwalk %s: %w", v.label, err)
-		}
-		s, err := aggregate(v.label, meanRows(perSource, sc.Realizations, sc.Sources), 1)
+		s, err := sourceSeries(v.label, "kwalk "+v.label, factory, sc, seed+uint64(vi)*4099, sc.MaxTTLNF+1, 1, perSource(v.run))
 		if err != nil {
 			return nil, err
 		}

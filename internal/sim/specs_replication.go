@@ -47,7 +47,6 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 		}
 		for si, strat := range strategies {
 			strat := strat
-			perReal := make([][]float64, sc.Realizations)
 			// The build stage hands the sweep the frozen overlay plus the
 			// realization's "replication" phase stream: placements draw
 			// from it sequentially within the realization, so they depend
@@ -56,18 +55,19 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 				fg  *graph.Frozen
 				rep *xrand.RNG
 			}
-			err := forEachRealizationPipeline(engineOpts{rc: sc.Run}, sc.Workers, sc.SourceShards, sc.GenWorkers, sc.Realizations, seed+uint64(si)*6151+uint64(kc), func(r int, b *builder) (replTopo, error) {
+			tag := fmt.Sprintf("replication %s %s", cutoffLabel(kc), strat)
+			perReal, err := realizationBlocks(sc, seed+uint64(si)*6151+uint64(kc), tag, oneRow(len(budgetsPerN)), func(r int, b *builder) (replTopo, error) {
 				g, _, err := gen.PABuild(gen.PAConfig{N: sc.NSearch, M: m, KC: kc}, b.gen())
 				if err != nil {
 					return replTopo{}, err
 				}
 				// All budgets probe the same realization.
 				return replTopo{fg: g.FreezeSorted(b.genWorkers), rep: b.phases.Stream("replication")}, nil
-			}, func(r int, topo replTopo, sw *sweeper) error {
+			}, func(r int, topo replTopo, sw *sweeper) ([]float64, error) {
 				fg := topo.fg
 				cat, err := content.NewCatalog(items, alpha)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				row := make([]float64, len(budgetsPerN))
 				steps := make([]int, queries)
@@ -79,7 +79,7 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 					}
 					p, err := content.Replicate(cat, fg.N(), budget, strat, topo.rep)
 					if err != nil {
-						return err
+						return nil, err
 					}
 					// Sharded query sweep against the shared snapshot; the
 					// stream tag separates budgets within the realization.
@@ -88,28 +88,24 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 						return nil
 					})
 					if err != nil {
-						return err
+						return nil, err
 					}
 					res := content.CollectESS(steps, found)
 					if res.Found == 0 {
-						return fmt.Errorf("replication: no queries resolved at budget %d", budget)
+						return nil, fmt.Errorf("replication: no queries resolved at budget %d", budget)
 					}
 					row[bi] = res.MeanSteps
 				}
-				perReal[r] = row
-				return nil
+				return row, nil
 			})
 			if err != nil {
-				return nil, fmt.Errorf("replication %s %s: %w", cutoffLabel(kc), strat, err)
+				return nil, fmt.Errorf("%s: %w", tag, err)
 			}
 			s, err := aggregate(strat.String(), perReal, 0)
 			if err != nil {
 				return nil, err
 			}
-			for i := range s.Points {
-				s.Points[i].X = budgetsPerN[i]
-			}
-			fig.Series = append(fig.Series, s)
+			fig.Series = append(fig.Series, s.withX(budgetsPerN))
 		}
 		figs = append(figs, fig)
 	}

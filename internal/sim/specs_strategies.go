@@ -122,23 +122,11 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 		factory := paTopo(sc.NSearch, m, kc)
 		for vi, v := range variants {
 			v := v
-			perSource := make([][]float64, sc.Realizations*sc.Sources)
-			err := forEachRealizationPipeline(engineOpts{rc: sc.Run}, sc.Workers, sc.SourceShards, sc.GenWorkers, sc.Realizations, seed+uint64(vi)*7919+uint64(kc), func(r int, b *builder) (*graph.Frozen, error) {
-				return sweepTopo(factory, r, b)
-			}, func(r int, f *graph.Frozen, sw *sweeper) error {
-				return sw.Sources(uint64(r), sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
-					row, err := v.run(scratch, f, rng.Intn(f.N()), budgets, rng)
-					if err != nil {
-						return err
-					}
-					perSource[r*sc.Sources+s] = row
-					return nil
-				})
-			})
-			if err != nil {
-				return nil, fmt.Errorf("strategies %s %s: %w", cutoffLabel(kc), v.label, err)
-			}
-			s, err := aggregate(v.label, meanRows(perSource, sc.Realizations, sc.Sources), 0)
+			tag := fmt.Sprintf("strategies %s %s", cutoffLabel(kc), v.label)
+			s, err := sourceSeries(v.label, tag, factory, sc, seed+uint64(vi)*7919+uint64(kc), len(budgets), 0,
+				perSource(func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
+					return v.run(scratch, f, src, budgets, rng)
+				}))
 			if err != nil {
 				return nil, err
 			}

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"scalefree/internal/gen"
-	"scalefree/internal/stats"
 )
 
 // Table1 verifies the diameter-scaling regimes of Table I empirically: the
@@ -64,16 +63,15 @@ func Table1(sc Scale, seed uint64) ([]Figure, error) {
 		s := Series{Label: reg.label}
 		// Lower-bound accounting for the landmark estimator: mean of the
 		// per-realization triangle-inequality floors at the largest size.
-		var loSum float64
-		var loN int
+		var lower float64
 		for _, n := range sizes {
 			n := n
-			means := make([]float64, sc.Realizations)
-			lowers := make([]float64, sc.Realizations)
-			err := forEachRealization(engineOpts{rc: sc.Run}, sc.Workers, sc.GenWorkers, sc.Realizations, seed+uint64(ri*1000+n), func(r int, b *builder) error {
+			tag := fmt.Sprintf("table1 %s N=%d", reg.label, n)
+			// A realization's row: mean distance, landmark lower bound.
+			rows, err := realizationBlocks(sc, seed+uint64(ri*1000+n), tag, oneRow(2), func(r int, b *builder) ([]float64, error) {
 				f, err := reg.mk(n)(r, b)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				// Measure within the giant component: CM m=1-adjacent
 				// regimes can have small detached parts. Both the giant
@@ -86,29 +84,28 @@ func Table1(sc Scale, seed uint64) ([]Figure, error) {
 					// inequality — O(L·(V+E)) instead of 40 full BFS
 					// sweeps, which is what lets N=10⁶ into this table.
 					ls := sub.LandmarkPathStats(minInt(sc.PathLandmarks, sub.N()), pathPairs, b.rng)
-					means[r] = ls.MeanDistance
-					lowers[r] = ls.MeanLowerBound
-				} else {
-					means[r] = sub.SamplePathStats(minInt(40, sub.N()), b.rng).MeanDistance
+					return []float64{ls.MeanDistance, ls.MeanLowerBound}, nil
 				}
-				return nil
-			})
+				return []float64{sub.SamplePathStats(minInt(40, sub.N()), b.rng).MeanDistance, 0}, nil
+			}, nil)
 			if err != nil {
-				return nil, fmt.Errorf("table1 %s N=%d: %w", reg.label, n, err)
+				return nil, fmt.Errorf("%s: %w", tag, err)
 			}
-			if sc.PathLandmarks > 0 && n == sizes[len(sizes)-1] {
-				loSum, loN = stats.Mean(lowers), 1
+			mean, err := aggregate(tag, rows, 0)
+			if err != nil {
+				return nil, err
 			}
-			s.Points = append(s.Points, Point{X: float64(n), Y: stats.Mean(means), Err: stats.StdDev(means)})
+			lower = mean.Points[1].Y // the last size's survives the loop
+			s.Points = append(s.Points, mean.at(0, float64(n)))
 		}
 		fig.Series = append(fig.Series, s)
 		nLo, nHi := float64(sizes[0]), float64(sizes[len(sizes)-1])
 		measured := s.Points[len(s.Points)-1].Y / s.Points[0].Y
 		predicted := reg.ref(nHi) / reg.ref(nLo)
 		fig.Notes += fmt.Sprintf("%s: growth measured %.2f vs predicted %.2f; ", reg.label, measured, predicted)
-		if loN > 0 {
+		if sc.PathLandmarks > 0 {
 			fig.Notes += fmt.Sprintf("(landmark bracket at N=%d: [%.2f, %.2f]); ",
-				sizes[len(sizes)-1], loSum, s.Points[len(s.Points)-1].Y)
+				sizes[len(sizes)-1], lower, s.Points[len(s.Points)-1].Y)
 		}
 	}
 	if sc.PathLandmarks > 0 {

@@ -1,9 +1,9 @@
 package sim
 
-// Run supervision for the realization engines: panic recovery, bounded
+// Run supervision for the realization engine: panic recovery, bounded
 // retries, a permanent-failure budget, cooperative interruption, and a
-// stall watchdog. A *RunControl rides into the engines via engineOpts
-// (cmd/experiments threads it through Scale.Run); every method is
+// stall watchdog. A *RunControl rides into the engine in Scale.Run
+// (cmd/experiments sets it); every method is
 // nil-receiver-safe, so library callers and tests that pass no control
 // get exactly the pre-supervision behavior: panics propagate, the first
 // error aborts, nothing is journaled.
@@ -92,7 +92,7 @@ func protectErr(rc *RunControl, fn func() error) error {
 	return err
 }
 
-// RunControl supervises the realization engines of one experiment run.
+// RunControl supervises every realization the engine runs in one experiment.
 type RunControl struct {
 	ctx       context.Context
 	retries   int
@@ -100,7 +100,7 @@ type RunControl struct {
 	journal   *Journal
 
 	// Distributed-worker mode (see dist.go and internal/coord): only
-	// restricts the engines to the realizations this process leases, and
+	// restricts the engine to the realizations this process leases, and
 	// sink — set instead of a journal — receives every record the run
 	// would have journaled, in wire form, for streaming to a coordinator.
 	only func(r int) bool
@@ -111,7 +111,6 @@ type RunControl struct {
 
 	mu         sync.Mutex
 	failures   []FailureRecord
-	failedBy   map[uint64]map[int]bool
 	abort      error
 	sinkClaims map[journalClaimKey]string
 }
@@ -131,17 +130,11 @@ func NewRunControl(ctx context.Context, retries, maxFailed int, j *Journal) *Run
 	if maxFailed < 0 {
 		maxFailed = 0
 	}
-	return &RunControl{
-		ctx:       ctx,
-		retries:   retries,
-		maxFailed: maxFailed,
-		journal:   j,
-		failedBy:  map[uint64]map[int]bool{},
-	}
+	return &RunControl{ctx: ctx, retries: retries, maxFailed: maxFailed, journal: j}
 }
 
 // NewWorkerRunControl builds the supervisor for one distributed worker's
-// lease: the engines run only realization r (every other index is skipped
+// lease: the engine runs only realization r (every other index is skipped
 // without building anything), and every record the run would have
 // journaled is handed to sink in wire form instead. Failures are strict
 // (maxFailed=0): a worker that cannot compute its one realization reports
@@ -236,16 +229,16 @@ func (rc *RunControl) Failures() []FailureRecord {
 }
 
 // absorbFailure records a realization that failed all its attempts.
-// For journaled sweeps (partial=true) the failure is absorbed while the
-// permanent-failure count stays within maxFailed — the sweep continues and
-// the reduction drops the realization with explicit accounting; past the
-// budget the run arms an abort. Strict callers (partial=false) and
+// For journaled series (partial=true) the failure is absorbed while the
+// permanent-failure count stays within maxFailed — the series continues
+// and its reduction finds the realization's block absent; past the budget
+// the run arms an abort. Strict callers (partial=false) and
 // unsupervised runs get the wrapped cause back, which aborts the engine
 // exactly like any realization error always has.
 func (rc *RunControl) absorbFailure(stream uint64, r, attempts int, cause error, partial bool) error {
 	if rc == nil {
-		// Unsupervised engines report the callback's error untouched,
-		// exactly as they always have.
+		// An unsupervised engine reports the callback's error untouched,
+		// exactly as it always has.
 		return cause
 	}
 	wrapped := fmt.Errorf("sim: realization %d (stream %#x) failed after %d attempt(s): %w", r, stream, attempts, cause)
@@ -264,12 +257,6 @@ func (rc *RunControl) absorbFailure(stream uint64, r, attempts int, cause error,
 	if !partial {
 		return wrapped
 	}
-	set := rc.failedBy[stream]
-	if set == nil {
-		set = map[int]bool{}
-		rc.failedBy[stream] = set
-	}
-	set[r] = true
 	if len(rc.failures) > rc.maxFailed {
 		if rc.abort == nil {
 			rc.abort = fmt.Errorf("sim: %d permanently failed realization(s) exceed the -max-failed budget of %d (last: %w)",
@@ -278,25 +265,6 @@ func (rc *RunControl) absorbFailure(stream uint64, r, attempts int, cause error,
 		return rc.abort
 	}
 	return nil
-}
-
-// failedSet returns the realizations of one sweep that permanently failed
-// within budget, so the sweep's reduction can drop them explicitly.
-func (rc *RunControl) failedSet(stream uint64) map[int]bool {
-	if rc == nil {
-		return nil
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	set := rc.failedBy[stream]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make(map[int]bool, len(set))
-	for r := range set {
-		out[r] = true
-	}
-	return out
 }
 
 // journaling reports whether completed realizations should be checkpointed

@@ -40,7 +40,7 @@ func TestBuildPanicRetriedBitIdentical(t *testing.T) {
 	t.Parallel()
 	const seed = 31337
 	factory := paTopo(500, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: 6, sources: 4, realizations: 3}
+	cfg := searchCfg{alg: algFL, maxTTL: 6, sc: Scale{Sources: 4, Realizations: 3}}
 	baseline, err := searchSeries("fl", factory, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestBuildPanicRetriedBitIdentical(t *testing.T) {
 		return factory(r, b)
 	}
 	rcfg := cfg
-	rcfg.run = testRC(1, 0)
+	rcfg.sc.Run = testRC(1, 0)
 	got, err := searchSeries("fl", flaky, rcfg, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +65,11 @@ func TestBuildPanicRetriedBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(got, baseline) {
 		t.Fatal("retried series differs from baseline")
 	}
-	if rcfg.run.Recovered() != 1 {
-		t.Fatalf("Recovered() = %d, want 1", rcfg.run.Recovered())
+	if rcfg.sc.Run.Recovered() != 1 {
+		t.Fatalf("Recovered() = %d, want 1", rcfg.sc.Run.Recovered())
 	}
-	if len(rcfg.run.Failures()) != 0 {
-		t.Fatalf("Failures() = %+v, want none", rcfg.run.Failures())
+	if len(rcfg.sc.Run.Failures()) != 0 {
+		t.Fatalf("Failures() = %+v, want none", rcfg.sc.Run.Failures())
 	}
 }
 
@@ -84,7 +84,7 @@ func TestSweepPanicRetriedBitIdentical(t *testing.T) {
 	t.Parallel()
 	const seed = 8888
 	inner := paTopo(500, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: 6, sources: 4, realizations: 3}
+	cfg := searchCfg{alg: algFL, maxTTL: 6, sc: Scale{Sources: 4, Realizations: 3}}
 	baseline, err := searchSeries("fl", inner, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -96,9 +96,9 @@ func TestSweepPanicRetriedBitIdentical(t *testing.T) {
 			factory := countingFactory(inner, &builds)
 			var trips atomic.Int64
 			rcfg := cfg
-			rcfg.workers = 1 // realization 0 is swept first, alone
-			rcfg.sourceShards = shards
-			rcfg.run = testRC(1, 0)
+			rcfg.sc.Workers = 1 // realization 0 is swept first, alone
+			rcfg.sc.SourceShards = shards
+			rcfg.sc.Run = testRC(1, 0)
 			got, err := sweepSeries("fl", factory, rcfg, seed, func(res search.Result, row []float64) {
 				// A shard stops at its first panic, so `shards` panics
 				// take out the whole pool and the retry sees none.
@@ -115,11 +115,11 @@ func TestSweepPanicRetriedBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(got, baseline) {
 				t.Fatal("sweep-retried series differs from baseline")
 			}
-			if got, want := builds.Load(), int64(cfg.realizations+1); got != want {
+			if got, want := builds.Load(), int64(cfg.sc.Realizations+1); got != want {
 				t.Fatalf("factory ran %d times, want %d (one rebuild for the retried sweep)", got, want)
 			}
-			if rcfg.run.Recovered() != 1 {
-				t.Fatalf("Recovered() = %d, want 1", rcfg.run.Recovered())
+			if rcfg.sc.Run.Recovered() != 1 {
+				t.Fatalf("Recovered() = %d, want 1", rcfg.sc.Run.Recovered())
 			}
 		})
 	}
@@ -132,7 +132,7 @@ func TestPermanentFailureWithinBudget(t *testing.T) {
 	t.Parallel()
 	const seed = 4242
 	inner := paTopo(500, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: 6, sources: 4, realizations: 3}
+	cfg := searchCfg{alg: algFL, maxTTL: 6, sc: Scale{Sources: 4, Realizations: 3}}
 	dead := func(r int, b *builder) (*graph.Frozen, error) {
 		if r == 2 {
 			panic("realization 2 is cursed")
@@ -140,7 +140,7 @@ func TestPermanentFailureWithinBudget(t *testing.T) {
 		return inner(r, b)
 	}
 	rcfg := cfg
-	rcfg.run = testRC(1, 1)
+	rcfg.sc.Run = testRC(1, 1)
 	got, err := searchSeries("fl", dead, rcfg, seed)
 	if err != nil {
 		t.Fatalf("run did not survive a budgeted failure: %v", err)
@@ -148,7 +148,7 @@ func TestPermanentFailureWithinBudget(t *testing.T) {
 	if len(got.Points) == 0 {
 		t.Fatal("partial series is empty")
 	}
-	frs := rcfg.run.Failures()
+	frs := rcfg.sc.Run.Failures()
 	if len(frs) != 1 {
 		t.Fatalf("Failures() = %+v, want exactly one", frs)
 	}
@@ -170,15 +170,84 @@ func TestPermanentFailureWithinBudget(t *testing.T) {
 			row[t] = float64(res.HitsAt(t))
 		}
 	})
-	for s := 0; s < cfg.sources; s++ {
-		perSource[2*cfg.sources+s] = nil
+	for s := 0; s < cfg.sc.Sources; s++ {
+		perSource[2*cfg.sc.Sources+s] = nil
 	}
-	want, err := aggregate("fl", meanRows(perSource, cfg.realizations, cfg.sources), 1)
+	want, err := aggregate("fl", meanRows(blocksOf(perSource, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("partial series differs from baseline-minus-failed-realization")
+	}
+}
+
+// TestAttackAbsorbsBudgetedFailure: attack runs on the journaled series
+// path, so -max-failed covers it like any sweep spec. Realization 1 of the
+// first series fails on every attempt (its record sink panics, inside the
+// supervised build); with a budget of 1 the spec completes, reports the
+// failure — what cmd/experiments turns into the PARTIAL note — and that
+// series averages realizations 0 and 2 only; with the default budget of 0
+// the same failure aborts the run.
+func TestAttackAbsorbsBudgetedFailure(t *testing.T) {
+	t.Parallel()
+	const seed = 777
+	sc := tinyScale
+	sc.Realizations = 3
+	ref, err := Attack(sc, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursed := journalTag("attack " + ref[0].Series[0].Label)
+	run := func(maxFailed int) ([]Figure, *RunControl, [][][]float64, error) {
+		var mu sync.Mutex
+		survivors := make([][][]float64, sc.Realizations)
+		rc := testRC(1, maxFailed)
+		rc.sink = func(rec SlotRecord) {
+			if rec.Sub != cursed {
+				return
+			}
+			if rec.Realization == 1 {
+				panic("realization 1 is cursed")
+			}
+			rows, ok := decodeRowBlock(rec.Payload, 2, -1)
+			if !ok {
+				t.Errorf("record %s is not a two-row block", rec.Key())
+			}
+			mu.Lock()
+			survivors[rec.Realization] = rows
+			mu.Unlock()
+		}
+		s := sc
+		s.Run = rc
+		figs, err := Attack(s, seed)
+		return figs, rc, survivors, err
+	}
+
+	figs, rc, survivors, err := run(1)
+	if err != nil {
+		t.Fatalf("attack did not survive a budgeted failure: %v", err)
+	}
+	frs := rc.Failures()
+	if len(frs) != 1 || frs[0].Realization != 1 || frs[0].Attempts != 2 || !strings.Contains(frs[0].Err, "cursed") {
+		t.Fatalf("Failures() = %+v, want realization 1 after 2 attempts", frs)
+	}
+	want, err := aggregate(ref[0].Series[0].Label, blockRow(survivors, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := figs[0].Series[0]; !reflect.DeepEqual(got, want.withX(survivors[0][0])) {
+		t.Fatal("partial series is not the mean of the surviving realizations")
+	}
+	if reflect.DeepEqual(figs[0].Series[0], ref[0].Series[0]) {
+		t.Fatal("the failed realization still averaged in")
+	}
+	if !reflect.DeepEqual(figs[0].Series[1:], ref[0].Series[1:]) {
+		t.Fatal("a failure in one series perturbed the others")
+	}
+
+	if _, _, _, err := run(0); err == nil || !strings.Contains(err.Error(), "max-failed") {
+		t.Fatalf("err = %v, want the exhausted -max-failed budget", err)
 	}
 }
 
@@ -189,7 +258,7 @@ func TestFailureBudgetAborts(t *testing.T) {
 	factory := func(r int, b *builder) (*graph.Frozen, error) {
 		panic("always broken")
 	}
-	cfg := searchCfg{alg: algFL, maxTTL: 4, sources: 2, realizations: 2, run: testRC(1, 0)}
+	cfg := searchCfg{alg: algFL, maxTTL: 4, sc: Scale{Sources: 2, Realizations: 2, Run: testRC(1, 0)}}
 	_, err := searchSeries("fl", factory, cfg, 7)
 	if err == nil {
 		t.Fatal("run survived with an exhausted failure budget")
@@ -205,7 +274,7 @@ func TestFailureBudgetAborts(t *testing.T) {
 func TestStrictEngineFailureIsFatal(t *testing.T) {
 	t.Parallel()
 	rc := testRC(1, 100)
-	err := forEachRealization(engineOpts{rc: rc}, 2, 1, 4, 5, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 2, GenWorkers: 1, Realizations: 4, Run: rc}, 5, func(r int, b *builder) error {
 		if r == 1 {
 			return fmt.Errorf("no drop path here")
 		}
@@ -224,7 +293,7 @@ func TestErrorRetriedOnce(t *testing.T) {
 	t.Parallel()
 	var tripped atomic.Bool
 	rc := testRC(1, 0)
-	err := forEachRealization(engineOpts{rc: rc}, 1, 1, 3, 5, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 1, GenWorkers: 1, Realizations: 3, Run: rc}, 5, func(r int, b *builder) error {
 		if r == 0 && tripped.CompareAndSwap(false, true) {
 			return errors.New("transient")
 		}
@@ -246,7 +315,7 @@ func TestInterruptStopsAtRealizationBoundary(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	rc := NewRunControl(ctx, 0, 0, nil)
 	var ran atomic.Int64
-	err := forEachRealization(engineOpts{rc: rc}, 2, 1, 64, 5, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 2, GenWorkers: 1, Realizations: 64, Run: rc}, 5, func(r int, b *builder) error {
 		if ran.Add(1) == 3 {
 			cancel()
 		}
@@ -269,7 +338,7 @@ func TestInterruptPipelineNoDeadlock(t *testing.T) {
 	var swept atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		done <- forEachRealizationPipeline(engineOpts{rc: rc}, 2, 1, 2, 64, 5,
+		done <- forEachRealizationPipeline(engineOpts{}, Scale{Workers: 2, SourceShards: 1, GenWorkers: 2, Realizations: 64, Run: rc}, 5,
 			func(r int, b *builder) (int, error) { return r, nil },
 			func(r int, v int, sw *sweeper) error {
 				if swept.Add(1) == 2 {
@@ -296,7 +365,7 @@ func TestInterruptedJournalResumes(t *testing.T) {
 	const seed = 606
 	sc := testScaleTiny()
 	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: 6, sources: sc.Sources, realizations: sc.Realizations}
+	cfg := searchCfg{alg: algFL, maxTTL: 6, sc: Scale{Sources: sc.Sources, Realizations: sc.Realizations}}
 	baseline, err := searchSeries("fl", factory, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -309,11 +378,11 @@ func TestInterruptedJournalResumes(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	icfg := cfg
-	icfg.workers, icfg.genWorkers = 1, 1 // serial: the cancel point is deterministic
-	icfg.run = NewRunControl(ctx, 0, 0, j)
+	icfg.sc.Workers, icfg.sc.GenWorkers = 1, 1 // serial: the cancel point is deterministic
+	icfg.sc.Run = NewRunControl(ctx, 0, 0, j)
 	var sweeps atomic.Int64
 	_, err = sweepSeries("fl", factory, icfg, seed, func(res search.Result, row []float64) {
-		if sweeps.Add(1) == int64(cfg.sources) { // after realization 0's last source
+		if sweeps.Add(1) == int64(cfg.sc.Sources) { // after realization 0's last source
 			cancel()
 		}
 		for t := range row {
@@ -335,7 +404,7 @@ func TestInterruptedJournalResumes(t *testing.T) {
 		t.Fatal("interrupted run journaled nothing")
 	}
 	rcfg := cfg
-	rcfg.run = NewRunControl(context.Background(), 0, 0, j2)
+	rcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j2)
 	resumed, err := searchSeries("fl", factory, rcfg, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +421,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 	t.Parallel()
 	const seed, maxTTL = 515, 6
 	factory := paTopo(500, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: maxTTL, sources: 4, realizations: 3}
+	cfg := searchCfg{alg: algFL, maxTTL: maxTTL, sc: Scale{Sources: 4, Realizations: 3}}
 	run := func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error) {
 		return sim.Flood(v.f, src, des.Config{MaxTTL: maxTTL, Latency: v.lat}, rng)
 	}
@@ -373,7 +442,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	jcfg := cfg
-	jcfg.run = NewRunControl(context.Background(), 0, 0, j)
+	jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
 	journaled, err := desSweep("t", factory, jcfg, 0, 0, seed, 2, maxTTL+1, run, sample)
 	if err != nil {
 		t.Fatal(err)
@@ -387,13 +456,13 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j2.Resumed(); got != cfg.realizations {
-		t.Fatalf("Resumed() = %d, want %d", got, cfg.realizations)
+	if got := j2.Resumed(); got != cfg.sc.Realizations {
+		t.Fatalf("Resumed() = %d, want %d", got, cfg.sc.Realizations)
 	}
 	var builds atomic.Int64
 	rcfg := cfg
-	rcfg.workers, rcfg.sourceShards = 2, 2
-	rcfg.run = NewRunControl(context.Background(), 0, 0, j2)
+	rcfg.sc.Workers, rcfg.sc.SourceShards = 2, 2
+	rcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j2)
 	resumed, err := desSweep("t", countingFactory(factory, &builds), rcfg, 0, 0, seed, 2, maxTTL+1, run, sample)
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +526,7 @@ func TestNilRunControlIsInert(t *testing.T) {
 	}
 	rc.noteProgress()
 	rc.noteRecovered()
-	if rc.Progress() != 0 || rc.Recovered() != 0 || rc.Failures() != nil || rc.failedSet(1) != nil {
+	if rc.Progress() != 0 || rc.Recovered() != 0 || rc.Failures() != nil {
 		t.Fatal("nil RunControl accumulated state")
 	}
 	cause := errors.New("x")

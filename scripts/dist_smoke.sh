@@ -6,7 +6,9 @@
 # crashes, and the final reduction replays the journal in index order.
 # This script exercises that promise the way production would:
 #
-#   1. reference run: fig9 + desflood at smoke scale, local, uninterrupted
+#   1. reference run: fig9 + desflood + kwalk (a sweep spec off the
+#      searchSeries path) + attack (a build-only spec) at smoke scale,
+#      local, uninterrupted
 #   2. distributed run: one coordinator, three workers over TCP
 #   3. SIGKILL one worker mid-run (its lease must be stolen)
 #   4. SIGKILL the coordinator mid-run, restart it with -resume
@@ -28,7 +30,7 @@ REF="$WORK/ref"
 RUN="$WORK/run"
 mkdir -p "$REF" "$RUN"
 
-COMMON=(-exp fig9,desflood -scale smoke -seed 2007 -plot=false)
+COMMON=(-exp fig9,desflood,kwalk,attack -scale smoke -seed 2007 -plot=false)
 DIST=(-lease-ttl 3s -heartbeat 500ms)
 
 PIDS=()

@@ -377,6 +377,9 @@ func run(args []string, stdout io.Writer) error {
 				}
 				fmt.Fprintf(os.Stderr, "experiments: %s: fleet settled %d/%d realization(s) (%d lease(s) issued, %d stolen, %d record(s) journaled)\n",
 					spec.ID, dstats.Done, sc.Realizations, dstats.LeasesIssued, dstats.Reissued, dstats.Accepted)
+				if dstats.BadRecords > 0 || dstats.Rejected > 0 {
+					fmt.Fprintf(os.Stderr, "experiments: %s: records lost in transit: %d bad record(s), %d rejected completion(s)\n", spec.ID, dstats.BadRecords, dstats.Rejected)
+				}
 				if dstats.GivenUp > 0 {
 					fmt.Fprintf(os.Stderr, "experiments: %s: %d realization(s) given up by the fleet; recomputing locally in the final reduction\n", spec.ID, dstats.GivenUp)
 				}

@@ -226,25 +226,8 @@ func (s *Server) RunJob(ctx context.Context, cfg JobConfig, j *sim.Journal) (Sta
 				if m.Spec != cfg.Spec {
 					continue
 				}
-				rec, err := sim.DecodeSlotRecord(m.Record)
-				if err != nil {
-					st.BadRecords++
-					continue
-				}
-				if rec.Realization < 0 || rec.Realization >= n {
-					st.BadRecords++
-					continue
-				}
-				fresh, err := j.Accept(rec)
-				if err != nil {
-					// A journal that cannot persist records voids the whole
-					// crash-safety contract; abort rather than serve on.
-					return st, fmt.Errorf("coord: journal record %s: %w", rec.Key(), err)
-				}
-				if fresh {
-					st.Accepted++
-				} else {
-					st.DupRecords++
+				if err := acceptResult(j, n, m.Record, &st); err != nil {
+					return st, err
 				}
 
 			case mtComplete:
@@ -300,6 +283,28 @@ func (s *Server) RunJob(ctx context.Context, cfg JobConfig, j *sim.Journal) (Sta
 			}
 		}
 	}
+}
+
+// acceptResult journals one streamed record frame, first writer wins. A
+// frame that fails validation or names a realization outside [0,n) is
+// counted bad and dropped; a journal that cannot persist records voids the
+// whole crash-safety contract, so its error aborts the job.
+func acceptResult(j *sim.Journal, n int, frame []byte, st *Stats) error {
+	rec, err := sim.DecodeSlotRecord(frame)
+	if err != nil || rec.Realization < 0 || rec.Realization >= n {
+		st.BadRecords++
+		return nil
+	}
+	fresh, err := j.Accept(rec)
+	if err != nil {
+		return fmt.Errorf("coord: journal record %s: %w", rec.Key(), err)
+	}
+	if fresh {
+		st.Accepted++
+	} else {
+		st.DupRecords++
+	}
+	return nil
 }
 
 // pickRealization grants the lowest-index realization that is neither

@@ -23,9 +23,23 @@
 //     therefore only accelerate a run — it cannot change a single byte of
 //     its output, which is the determinism contract the chaos tests pin.
 //
-// The protocol rides p2p.Network envelopes (KindCoord with an opaque JSON
-// payload), so production runs use the TCP transport's retry/backoff and
-// tests compose with InMemoryNetwork and FaultyNetwork fault injection.
+// The protocol rides p2p.Network envelopes of KindCoord, so production runs
+// use the TCP transport's retry/backoff and tests compose with
+// InMemoryNetwork and FaultyNetwork fault injection. The transport sees an
+// envelope header and opaque Data; only this package knows what they hold:
+//
+//   - a control message (claim, lease, wait, hb, complete, fail, shutdown)
+//     is wireMsg as JSON in Data;
+//   - a result — one slot record, nearly all the bytes a run moves — has
+//     Msg.ID "result", the job's spec in Msg.Key, and as Data exactly the
+//     record's journal frame ([u32 len][u32 CRC][21 B key][payload]): the
+//     buffer the worker's block codec built, handed to the transport without
+//     a copy. The coordinator validates length and CRC in place and appends
+//     those bytes to its journal verbatim; nothing re-encodes a record.
+//
+// p2p.MaxData is sized from sim.MaxRecordFrame (a no-cutoff degree histogram
+// at paper scale is a ~0.8 MB record); a worker whose Send is refused as too
+// large reports fail with that reason, not a complete bound to be rejected.
 package coord
 
 import (
@@ -50,11 +64,14 @@ const (
 	mtShutdown  = "shutdown" // coord → worker: session over, exit
 )
 
-// wireMsg is the coordinator/worker protocol message, carried as opaque
-// JSON in p2p.Message.Data. Spec doubles as the job identity on every
-// worker→coord message: the coordinator serves jobs sequentially and
-// drops stragglers addressed to a different spec, so a late record from
-// the previous job can never leak into the current journal.
+// The transport must carry the largest record the journal would read back.
+var _ [p2p.MaxData - sim.MaxRecordFrame]struct{}
+
+// wireMsg is the coordinator/worker protocol message. Spec doubles as the
+// job identity on every worker→coord message: the coordinator serves jobs
+// sequentially and drops stragglers addressed to a different spec, so a
+// late record from the previous job can never leak into the current
+// journal. A result carries only Spec and Record, outside the JSON.
 type wireMsg struct {
 	Type   string `json:"t"`
 	Worker string `json:"w,omitempty"` // sender's claim/reply address
@@ -69,8 +86,9 @@ type wireMsg struct {
 	TTLMillis   int64      `json:"ttl,omitempty"`
 	HBMillis    int64      `json:"hb,omitempty"`
 	// Record is one sim.SlotRecord in journal framing (length+CRC), so a
-	// frame torn anywhere between worker and journal fails loudly.
-	Record []byte `json:"rec,omitempty"`
+	// frame torn anywhere between worker and journal fails loudly: the
+	// result envelope's Data itself, on both ends.
+	Record []byte `json:"-"`
 	// Records is the completing worker's streamed-record count; the
 	// coordinator verifies its journal holds at least that many for the
 	// realization before marking it done.
@@ -82,11 +100,17 @@ type wireMsg struct {
 // caller's to interpret: fire-and-forget for heartbeats, fatal for a
 // worker's record stream.
 func sendWire(net p2p.Network, from, to string, m wireMsg) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
+	msg := p2p.Message{Kind: p2p.KindCoord}
+	if m.Type == mtResult {
+		msg.ID, msg.Key, msg.Data = mtResult, m.Spec, m.Record
+	} else {
+		b, err := json.Marshal(m)
+		if err != nil {
+			return err
+		}
+		msg.Data = b
 	}
-	return net.Send(p2p.Envelope{From: from, To: to, Msg: p2p.Message{Kind: p2p.KindCoord, Data: b}})
+	return net.Send(p2p.Envelope{From: from, To: to, Msg: msg})
 }
 
 // decodeWire extracts a protocol message from an envelope; ok=false for
@@ -95,6 +119,9 @@ func sendWire(net p2p.Network, from, to string, m wireMsg) error {
 func decodeWire(env p2p.Envelope) (wireMsg, bool) {
 	if env.Msg.Kind != p2p.KindCoord || len(env.Msg.Data) == 0 {
 		return wireMsg{}, false
+	}
+	if env.Msg.ID == mtResult {
+		return wireMsg{Type: mtResult, Spec: env.Msg.Key, Record: env.Msg.Data}, true
 	}
 	var m wireMsg
 	if err := json.Unmarshal(env.Msg.Data, &m); err != nil {

@@ -236,10 +236,7 @@ func (w *worker) execute(ctx context.Context, m wireMsg) error {
 	var sendMu sync.Mutex
 	var sendErr error
 	sink := func(rec sim.SlotRecord) {
-		err := sendWire(w.net, w.addr, w.cfg.CoordAddr, wireMsg{
-			Type: mtResult, Spec: m.Spec, Worker: w.addr,
-			Realization: rec.Realization, Lease: m.Lease, Record: rec.MarshalBinary(),
-		})
+		err := sendWire(w.net, w.addr, w.cfg.CoordAddr, wireMsg{Type: mtResult, Spec: m.Spec, Record: rec.MarshalBinary()})
 		if err != nil {
 			sendMu.Lock()
 			if sendErr == nil {

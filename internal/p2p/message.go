@@ -1,8 +1,9 @@
 package p2p
 
-// Wire protocol. One flat Message struct with a Kind discriminator keeps
-// the JSON framing trivial for the TCP transport and avoids interface
-// marshaling machinery; unused fields are omitted from the wire.
+// Wire protocol. One flat Message struct with a Kind discriminator avoids
+// interface marshaling machinery. On the TCP transport an envelope is one
+// length-prefixed frame: every field but Data as a small JSON header (unused
+// fields omitted), then Data as raw bytes — see tcp.go for the layout.
 
 // Kind discriminates protocol messages.
 type Kind string
@@ -40,10 +41,10 @@ const (
 	KindPing Kind = "ping"
 	KindPong Kind = "pong"
 	// KindCoord carries one coordinator/worker protocol message
-	// (internal/coord) as an opaque payload in Data. The experiment
-	// orchestration protocol rides the same transports — and the same
-	// fault injection — as the overlay protocol without this package
-	// knowing its message set.
+	// (internal/coord): opaque bytes in Data, plus ID and Key as that
+	// protocol sees fit. The experiment orchestration protocol rides the
+	// same transports — and the same fault injection — as the overlay
+	// protocol without this package knowing its message set.
 	KindCoord Kind = "coord"
 )
 
@@ -82,7 +83,8 @@ type Message struct {
 	Degree int `json:"degree,omitempty"`
 	// Accept is the connect verdict.
 	Accept bool `json:"accept,omitempty"`
-	// Data is an opaque payload for embedded protocols (KindCoord).
+	// Data is an opaque payload for embedded protocols (KindCoord); TCP
+	// carries it outside the JSON header, raw, up to MaxData bytes.
 	Data []byte `json:"data,omitempty"`
 }
 

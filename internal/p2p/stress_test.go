@@ -5,6 +5,7 @@ package p2p
 // "potentially uncooperative environment" the paper designs for.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -133,6 +134,13 @@ func TestInboxOverrunCountsDrops(t *testing.T) {
 	}
 }
 
+// TestTCPMalformedFramesIgnored pins what bytes that are not a frame of this
+// protocol cost: their own connection. Whatever a stranger writes — noise, a
+// newline-delimited JSON envelope from a peer built before the binary
+// framing, a well-framed header that is not an envelope — the receiver hangs
+// up, counts it, and delivers nothing from that connection, not even a valid
+// frame queued behind the bad one; the endpoint itself is unharmed and the
+// next connection's frame arrives.
 func TestTCPMalformedFramesIgnored(t *testing.T) {
 	t.Parallel()
 	tnet := NewTCPNetwork()
@@ -142,22 +150,47 @@ func TestTCPMalformedFramesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := tnet.ListenAddr("127.0.0.1:0")
+	valid := wireFrame(t, Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing, ID: "1"}})
+	noHeader := append([]byte(nil), valid[:framePrefix]...)
+	binary.LittleEndian.PutUint32(noHeader[len(frameMagic):], 0)
+	notJSON := append([]byte(nil), valid...)
+	notJSON[framePrefix] = '<'
 
-	// A stranger sends garbage, then a valid frame; the valid frame must
-	// still arrive and nothing crashes.
+	for i, c := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"noise", []byte("this is not json\n{\"also\":\n")},
+		{"old newline JSON", []byte(`{"from":"x","to":"` + addr + `","msg":{"kind":"ping","id":"1"}}` + "\n")},
+		{"wrong version", append([]byte("SFP\x01"), valid[len(frameMagic):]...)},
+		{"empty header", noHeader},
+		{"header not an envelope", notJSON},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(append(c.bytes, valid...)); err != nil {
+			t.Fatal(err)
+		}
+		expectHangup(t, conn, c.name)
+		_ = conn.Close()
+		if st := tnet.Stats(); st.BadFrames != int64(i+1) {
+			t.Fatalf("%s: BadFrames = %d, want %d", c.name, st.BadFrames, i+1)
+		}
+		select {
+		case env := <-inbox:
+			t.Fatalf("%s: delivered %+v from a refused connection", c.name, env)
+		default:
+		}
+	}
+
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if cerr := conn.Close(); cerr != nil {
-			t.Logf("close: %v", cerr)
-		}
-	}()
-	if _, err := conn.Write([]byte("this is not json\n{\"also\":\n")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte(`{"from":"x","to":"` + addr + `","msg":{"kind":"ping","id":"1"}}` + "\n")); err != nil {
+	defer conn.Close()
+	if _, err := conn.Write(valid); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -166,7 +199,7 @@ func TestTCPMalformedFramesIgnored(t *testing.T) {
 			t.Fatalf("got %v", env.Msg.Kind)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("valid frame after garbage never arrived")
+		t.Fatal("valid frame after the refused connections never arrived")
 	}
 }
 

@@ -2,8 +2,12 @@ package p2p
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,8 +16,38 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// TCPNetwork implements Network over real TCP sockets with newline-
-// delimited JSON envelopes — the transport behind cmd/peerd. Peer
+// Wire framing. Every envelope, whatever its Kind, is one frame:
+//
+//	"SFP\x02" | u32 header length | u32 data length | header | data
+//
+// (little-endian). The header is the envelope as JSON minus Msg.Data, so
+// control traffic stays greppable; Msg.Data follows as raw bytes, written
+// from the caller's slice without a copy. Send refuses an envelope over the
+// caps with ErrFrameTooLarge before a byte moves. A receiver hangs up on,
+// and counts in TCPStats.BadFrames, a connection whose next frame fails the
+// magic, a cap or header decoding, and delivers nothing of it — which is
+// what a peer still speaking newline-delimited JSON gets: the two framings
+// never half-understand each other. The refused sender re-dials on its next
+// Send, as after any broken connection.
+const (
+	frameMagic  = "SFP\x02"
+	framePrefix = len(frameMagic) + 8
+	maxHeader   = 1 << 20
+	// MaxData caps Message.Data: sim.MaxRecordFrame, rounded up generously
+	// (internal/coord checks the relation at compile time).
+	MaxData = 64<<20 + 64<<10
+	// readChunk is the most a claimed length may allocate ahead of its bytes.
+	readChunk = 1 << 20
+)
+
+// ErrFrameTooLarge is Send's refusal of an envelope over the frame caps.
+var ErrFrameTooLarge = errors.New("p2p: envelope exceeds the TCP frame cap")
+
+// errBadFrame marks inbound bytes that are not a frame of this protocol.
+var errBadFrame = errors.New("p2p: bad frame")
+
+// TCPNetwork implements Network over real TCP sockets, one frame per
+// envelope — the transport behind cmd/peerd and distributed runs. Peer
 // addresses are "host:port" listen addresses. Outbound connections are
 // cached and re-dialed on failure; delivery remains best-effort, matching
 // the in-memory transport's semantics.
@@ -34,6 +68,7 @@ type TCPNetwork struct {
 
 	retries    atomic.Int64 // send attempts beyond the first
 	reconnects atomic.Int64 // broken connections dropped for re-dial
+	badFrames  atomic.Int64 // inbound connections hung up on for a bad frame
 
 	jitterMu sync.Mutex
 	jitter   *xrand.RNG
@@ -58,14 +93,9 @@ type TCPNetwork struct {
 	closed  bool
 }
 
-// maxFrame caps one newline-delimited envelope frame (1 MiB); longer
-// inbound lines are discarded without harming the connection.
-const maxFrame = 1 << 20
-
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *json.Encoder
 }
 
 var _ Network = (*TCPNetwork)(nil)
@@ -96,11 +126,14 @@ type TCPStats struct {
 	// Reconnects counts cached connections dropped after a write failure,
 	// each re-dialed on the next attempt to that address.
 	Reconnects int64
+	// BadFrames counts inbound connections hung up on because their next
+	// frame failed the magic, a size cap, or header decoding.
+	BadFrames int64
 }
 
 // Stats returns a snapshot of the resilience counters.
 func (t *TCPNetwork) Stats() TCPStats {
-	return TCPStats{Retries: t.retries.Load(), Reconnects: t.reconnects.Load()}
+	return TCPStats{Retries: t.retries.Load(), Reconnects: t.reconnects.Load(), BadFrames: t.badFrames.Load()}
 }
 
 // Register implements Network: it binds a TCP listener on addr (which may
@@ -181,44 +214,69 @@ func (t *TCPNetwork) readLoop(conn net.Conn, inbox chan<- Envelope) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	// Frames are newline-delimited; an oversized frame (> maxFrame) is
-	// discarded byte-by-byte up to its newline and the connection keeps
-	// going — a single huge line from a peer must not kill the link the
-	// way it killed the bufio.Scanner-based loop (which returned a
-	// too-long error and silently ended the readLoop).
-	r := bufio.NewReaderSize(conn, 64*1024)
-	frame := make([]byte, 0, 4096)
-	tooLong := false
+	br := bufio.NewReaderSize(conn, 64*1024)
 	for {
-		chunk, err := r.ReadSlice('\n')
-		if !tooLong {
-			if len(frame)+len(chunk) > maxFrame {
-				tooLong = true
-				frame = frame[:0]
-			} else {
-				frame = append(frame, chunk...)
-			}
-		}
-		if err == bufio.ErrBufferFull {
-			continue // frame spans buffer fills; keep accumulating
-		}
+		env, err := readFrame(br)
 		if err != nil {
-			return // connection closed or broken
-		}
-		if !tooLong {
-			var env Envelope
-			if jerr := json.Unmarshal(frame, &env); jerr == nil {
-				select {
-				case inbox <- env:
-				default:
-					// Inbox overrun: drop, as the in-memory transport does.
-				}
+			// Closed, broken, or (counted) not this protocol: hang up; a bad
+			// frame is never skipped over.
+			if errors.Is(err, errBadFrame) {
+				t.badFrames.Add(1)
 			}
-			// Malformed frames from strangers are tolerated either way.
+			return
 		}
-		frame = frame[:0]
-		tooLong = false
+		select {
+		case inbox <- env:
+		default:
+			// Inbox overrun: drop, as the in-memory transport does.
+		}
 	}
+}
+
+// readFrame reads one envelope frame. Connection errors pass through (io.EOF
+// between frames is a clean hang-up); wrong magic, a length over its cap or
+// an undecodable header is errBadFrame. Msg.Data is the receiver's to keep.
+func readFrame(br *bufio.Reader) (Envelope, error) {
+	var env Envelope
+	var pre [framePrefix]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
+		return env, err
+	}
+	hlen := binary.LittleEndian.Uint32(pre[len(frameMagic):])
+	dlen := binary.LittleEndian.Uint32(pre[len(frameMagic)+4:])
+	if string(pre[:len(frameMagic)]) != frameMagic || hlen == 0 || hlen > maxHeader || dlen > MaxData {
+		return env, errBadFrame
+	}
+	hdr, err := readGrowing(br, int(hlen))
+	if err != nil {
+		return env, err
+	}
+	data, err := readGrowing(br, int(dlen))
+	if err != nil {
+		return env, err
+	}
+	if err := json.Unmarshal(hdr, &env); err != nil {
+		return env, errBadFrame
+	}
+	env.Msg.Data = data // raw bytes only: a "data" field in the header is ignored
+	return env, nil
+}
+
+// readGrowing reads exactly n bytes into a fresh buffer (nil for n = 0) that
+// the claimed n sizes only up to readChunk; past that bytes.Buffer grows it
+// as bytes arrive, so a lying length costs a constant plus what was actually
+// sent, never n. The MinRead of slack keeps ReadFrom from regrowing a buffer
+// that is exactly full.
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	var b bytes.Buffer
+	b.Grow(min(n, readChunk) + bytes.MinRead)
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
 }
 
 // Unregister implements Network. addr may be either the resolved listen
@@ -256,16 +314,22 @@ func (t *TCPNetwork) Unregister(addr string) {
 }
 
 // Send implements Network: it reuses or dials a connection to env.To and
-// writes one JSON line under a write deadline. Failed attempts — dial or
-// write — are retried up to RetryMax times with capped exponential
-// backoff and deterministic jitter; a broken cached connection is
-// dropped between attempts, so the retry path doubles as automatic
-// reconnect. When every attempt fails, the error names the peer and the
-// attempt count and wraps the last cause — ErrUnknownPeer for an
-// unreachable peer, the actual encode error for a write that kept
-// failing on freshly dialed connections — so failure records in
-// distributed runs say which peer and how many tries.
+// writes one frame — head, then Msg.Data straight from the caller's slice,
+// in one vectored write — under a write deadline; an envelope over the caps
+// fails with ErrFrameTooLarge first. Failed attempts — dial or write — are
+// retried up to RetryMax times with capped exponential backoff and
+// deterministic jitter; a broken cached connection is dropped between
+// attempts, so the retry path doubles as automatic reconnect. When every
+// attempt fails, the error names the peer and the attempt count and wraps
+// the last cause — ErrUnknownPeer for an unreachable peer, the actual write
+// error for a write that kept failing on freshly dialed connections — so
+// failure records in distributed runs say which peer and how many tries.
 func (t *TCPNetwork) Send(env Envelope) error {
+	head, err := frameHead(env)
+	if err != nil {
+		return fmt.Errorf("send %s: %w", env.To, err)
+	}
+
 	var lastErr error
 	attempts := t.RetryMax + 1
 	if attempts < 1 {
@@ -290,7 +354,8 @@ func (t *TCPNetwork) Send(env Envelope) error {
 		if t.WriteTimeout > 0 {
 			_ = c.conn.SetWriteDeadline(time.Now().Add(t.WriteTimeout))
 		}
-		err = c.enc.Encode(env)
+		bufs := net.Buffers{head, env.Msg.Data} // WriteTo consumes it: rebuilt per attempt
+		_, err = bufs.WriteTo(c.conn)
 		c.mu.Unlock()
 		if err == nil {
 			return nil
@@ -300,6 +365,24 @@ func (t *TCPNetwork) Send(env Envelope) error {
 		t.reconnects.Add(1)
 	}
 	return fmt.Errorf("send to %s failed after %d attempt(s): %w", env.To, attempts, lastErr)
+}
+
+// frameHead returns the prefix and JSON header of env's frame: everything
+// but Msg.Data, which follows it on the wire as is.
+func frameHead(env Envelope) ([]byte, error) {
+	dlen := len(env.Msg.Data)
+	env.Msg.Data = nil
+	hdr, err := json.Marshal(env)
+	if err != nil {
+		return nil, err
+	}
+	if len(hdr) > maxHeader || dlen > MaxData {
+		return nil, fmt.Errorf("%w (header %d B of %d, data %d B of %d)", ErrFrameTooLarge, len(hdr), maxHeader, dlen, MaxData)
+	}
+	head := append(make([]byte, 0, framePrefix+len(hdr)), frameMagic...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(hdr)))
+	head = binary.LittleEndian.AppendUint32(head, uint32(dlen))
+	return append(head, hdr...), nil
 }
 
 // backoff waits the capped exponential delay before retry `attempt`
@@ -352,7 +435,7 @@ func (t *TCPNetwork) connTo(addr string) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnknownPeer, addr, err)
 	}
-	c := &tcpConn{conn: conn, enc: json.NewEncoder(conn)}
+	c := &tcpConn{conn: conn}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if existing, ok := t.conns[addr]; ok {
@@ -400,7 +483,7 @@ func (t *TCPNetwork) Close() {
 	}
 	t.conns = make(map[string]*tcpConn)
 	// Inbound connections must be closed too: their readLoops otherwise
-	// block in Scan until the REMOTE closes, and wg.Wait would deadlock
+	// block in Read until the REMOTE closes, and wg.Wait would deadlock
 	// when a live peer on another network keeps its side open.
 	for conn := range t.inbound {
 		if err := conn.Close(); err != nil {

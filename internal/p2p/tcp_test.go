@@ -1,7 +1,8 @@
 package p2p
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	gonet "net"
 	"strings"
@@ -219,8 +220,8 @@ func TestTCPSendSurfacesWriteError(t *testing.T) {
 	t.Cleanup(tn.Close)
 	// The payload must exceed the kernel's socket buffering so the write
 	// blocks until the remote's reset arrives instead of being absorbed.
-	huge := strings.Repeat("x", 16<<20)
-	err = tn.Send(Envelope{From: "x", To: ln.Addr().String(), Msg: Message{Kind: KindPing, Key: huge}})
+	huge := make([]byte, 16<<20)
+	err = tn.Send(Envelope{From: "x", To: ln.Addr().String(), Msg: Message{Kind: KindPing, Data: huge}})
 	if err == nil {
 		t.Fatal("send to a resetting remote should fail")
 	}
@@ -229,10 +230,35 @@ func TestTCPSendSurfacesWriteError(t *testing.T) {
 	}
 }
 
-// TestTCPOversizedFrameSurvival is the regression test for the silent
-// readLoop death: one inbound line beyond the 1 MiB frame cap used to end
-// the scan and kill the healthy connection. The oversized frame must be
-// discarded and the next frame on the same connection delivered.
+// wireFrame is env's frame as Send writes it.
+func wireFrame(t *testing.T, env Envelope) []byte {
+	t.Helper()
+	head, err := frameHead(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(head, env.Msg.Data...)
+}
+
+// expectHangup fails unless the remote end closes conn.
+func expectHangup(t *testing.T, conn gonet.Conn, why string) {
+	t.Helper()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("%s: the receiver wrote back instead of hanging up", why)
+	} else if ne, ok := err.(gonet.Error); ok && ne.Timeout() {
+		t.Fatalf("%s: connection still open (read timed out)", why)
+	}
+}
+
+// TestTCPOversizedFrameSurvival pins what a frame over the cap costs: its
+// own connection and nothing else. The receiver refuses the frame at its
+// prefix — before reading, let alone allocating, the claimed bytes — hangs
+// up, and counts it; the endpoint keeps serving, so the next dial delivers.
+// (Under the newline framing the oversized line was skipped and the
+// connection kept; a length prefix that lies cannot be skipped safely.)
 func TestTCPOversizedFrameSurvival(t *testing.T) {
 	t.Parallel()
 	tn := NewTCPNetwork()
@@ -242,25 +268,35 @@ func TestTCPOversizedFrameSurvival(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := tn.ListenAddr("127.0.0.1:0")
+	ping := Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}}
 
 	conn, err := gonet.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	big := make([]byte, 2<<20)
-	for i := range big {
-		big[i] = 'a'
-	}
-	big[len(big)-1] = '\n'
-	if _, err := conn.Write(big); err != nil {
+	big := wireFrame(t, ping)
+	binary.LittleEndian.PutUint32(big[len(frameMagic)+4:], MaxData+1)
+	if _, err := conn.Write(append(big, wireFrame(t, ping)...)); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := json.Marshal(Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}})
-	if err != nil {
-		t.Fatal(err)
+	expectHangup(t, conn, "oversized frame")
+	if st := tn.Stats(); st.BadFrames != 1 {
+		t.Fatalf("BadFrames = %d after one oversized frame, want 1", st.BadFrames)
 	}
-	if _, err := conn.Write(append(frame, '\n')); err != nil {
+	select {
+	case env := <-inbox:
+		t.Fatalf("frame behind the oversized one was delivered: %+v", env)
+	default:
+	}
+
+	// The sender's side of the same cap: refused before a byte moves, with
+	// an error that says so, and nothing counted against the receiver.
+	err = tn.Send(Envelope{From: "x", To: addr, Msg: Message{Kind: KindCoord, Data: make([]byte, MaxData+1)}})
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("Send of an oversized envelope = %v, want ErrFrameTooLarge", err)
+	}
+	if err := tn.Send(ping); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -269,7 +305,50 @@ func TestTCPOversizedFrameSurvival(t *testing.T) {
 			t.Fatalf("got %v", env.Msg.Kind)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("connection did not survive the oversized frame")
+		t.Fatal("endpoint did not survive the oversized frame")
+	}
+	if st := tn.Stats(); st.BadFrames != 1 || st.Retries != 0 {
+		t.Fatalf("stats after recovery = %+v, want BadFrames 1 and no retries", st)
+	}
+}
+
+// TestTCPDataArrivesIntact sends payloads around every size the reader
+// treats differently — none, small, the read chunk and its neighbours, a
+// multi-chunk one — over one connection and checks each arrives byte for
+// byte, with the header fields beside it.
+func TestTCPDataArrivesIntact(t *testing.T) {
+	t.Parallel()
+	recv, send := NewTCPNetwork(), NewTCPNetwork()
+	t.Cleanup(recv.Close)
+	t.Cleanup(send.Close)
+	inbox := make(chan Envelope, 1)
+	if err := recv.Register("127.0.0.1:0", inbox); err != nil {
+		t.Fatal(err)
+	}
+	addr := recv.ListenAddr("127.0.0.1:0")
+	for i, n := range []int{0, 1, 4096, readChunk - 1, readChunk, readChunk + 1, 3*readChunk + 17} {
+		data := make([]byte, n)
+		for j := range data {
+			data[j] = byte(j*31 + i)
+		}
+		if n == 0 {
+			data = nil
+		}
+		want := Envelope{From: "w", To: addr, Msg: Message{Kind: KindCoord, ID: "id", TTL: i, Data: data}}
+		if err := send.Send(want); err != nil {
+			t.Fatalf("send %d B: %v", n, err)
+		}
+		select {
+		case got := <-inbox:
+			if got.From != want.From || got.Msg.Kind != KindCoord || got.Msg.ID != "id" || got.Msg.TTL != i || !bytes.Equal(got.Msg.Data, data) {
+				t.Fatalf("%d B payload arrived damaged (got %d B, header %+v)", n, len(got.Msg.Data), got.Msg.Kind)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d B payload not delivered", n)
+		}
+	}
+	if st := recv.Stats(); st.BadFrames != 0 {
+		t.Fatalf("BadFrames = %d on a clean stream", st.BadFrames)
 	}
 }
 
@@ -293,11 +372,7 @@ func TestTCPUnregisterClosesInbound(t *testing.T) {
 	t.Cleanup(func() { _ = conn.Close() })
 	// Deliver one frame so the connection is provably accepted and pumping
 	// before the unregister.
-	frame, err := json.Marshal(Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(append(frame, '\n')); err != nil {
+	if _, err := conn.Write(wireFrame(t, Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}})); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -307,14 +382,7 @@ func TestTCPUnregisterClosesInbound(t *testing.T) {
 	}
 
 	tn.Unregister(addr)
-	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("inbound connection still open after unregister")
-	} else if ne, ok := err.(gonet.Error); ok && ne.Timeout() {
-		t.Fatal("inbound connection not closed by unregister (read timed out)")
-	}
+	expectHangup(t, conn, "unregister")
 }
 
 // TestTCPReconnectAfterRemoteRestart pins the automatic-reconnect path:

@@ -104,8 +104,8 @@ func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				for r := 0; r < cfg.sc.Realizations; r++ {
-					rec := written.resumed[journalKey{kind: recSweepSlots, stream: seed, sub: journalTag(kind.tag), r: r}]
-					if !bytes.Equal(rec, encodeRowBlock(rows[r*sources:(r+1)*sources], cfg.maxTTL+1)) {
+					rec, _ := written.payloadOf(journalKey{kind: recSweepSlots, stream: seed, sub: journalTag(kind.tag), r: r})
+					if !bytes.Equal(rec, rowPayload(rows[r*sources:(r+1)*sources], cfg.maxTTL+1)) {
 						t.Fatalf("%s: journal record of realization %d differs from the per-source sweep's", name, r)
 					}
 				}

@@ -12,12 +12,9 @@ package sim
 // `analyze journal`.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 )
@@ -33,11 +30,20 @@ type SlotRecord struct {
 	Stream, Sub uint64
 	Realization int
 	Payload     []byte
+
+	// frame is the journal frame the record was cut from — by the block
+	// codec on a worker, by DecodeSlotRecord on a coordinator — of which
+	// Payload is a sub-slice; see framed.
+	frame []byte
 }
 
 // Key renders the record's identity for logs and dedup diagnostics.
 func (rec SlotRecord) Key() string {
 	return fmt.Sprintf("(kind=%d, stream=%#x, sub=%#x, r=%d)", rec.Kind, rec.Stream, rec.Sub, rec.Realization)
+}
+
+func (rec SlotRecord) key() journalKey {
+	return journalKey{kind: rec.Kind, stream: rec.Stream, sub: rec.Sub, r: rec.Realization}
 }
 
 // slotKind reports whether kind is a replayable slot-payload family (as
@@ -50,27 +56,47 @@ func slotKind(kind uint8) bool {
 	return false
 }
 
-// MarshalBinary encodes the record in the journal's on-disk framing —
-// length prefix, CRC32 of the body, then key+payload — so the wire format
-// IS the journal format and a received record can be validated and
-// appended without re-encoding.
-func (rec SlotRecord) MarshalBinary() []byte {
-	return encodeRecord(journalKey{kind: rec.Kind, stream: rec.Stream, sub: rec.Sub, r: rec.Realization}, rec.Payload)
+// framed returns the frame rec was cut from if it still describes rec: the
+// exported fields are the record, so a caller that re-keyed it or swapped
+// its Payload gets a fresh encoding instead.
+func (rec SlotRecord) framed() []byte {
+	f := rec.frame
+	if len(f) != frameOverhead+len(rec.Payload) ||
+		(len(rec.Payload) > 0 && &f[frameOverhead] != &rec.Payload[0]) ||
+		decodeKey(f[frameHeaderLen:]) != rec.key() {
+		return nil
+	}
+	return f
 }
 
-// DecodeSlotRecord is the inverse of MarshalBinary. It rejects torn or
-// corrupt frames (bad length, bad CRC) and trailing garbage, so a record
-// that decodes is exactly a record the journal would accept.
+// MarshalBinary returns the record in the journal's on-disk framing —
+// length prefix, CRC32 of the body, then key+payload — so the wire format
+// IS the journal format and a received record is validated and appended
+// without re-encoding. The result may share memory with Payload: read-only.
+func (rec SlotRecord) MarshalBinary() []byte {
+	if f := rec.framed(); f != nil {
+		return f
+	}
+	return encodeFrame(rec.key(), rec.Payload)
+}
+
+// DecodeSlotRecord is the inverse of MarshalBinary. It validates the frame
+// in place and rejects torn or corrupt ones (bad length, bad CRC), trailing
+// garbage, and bookkeeping kinds, so a record that decodes is exactly a
+// record the journal would accept. The record's Payload is a sub-slice of b.
 func DecodeSlotRecord(b []byte) (SlotRecord, error) {
-	br := bufio.NewReader(bytes.NewReader(b))
-	k, payload, n, ok := readRecord(br)
+	k, payload, n, ok := parseFrame(b)
 	if !ok {
 		return SlotRecord{}, errors.New("sim: corrupt slot record (bad length or checksum)")
 	}
-	if int(n) != len(b) {
-		return SlotRecord{}, fmt.Errorf("sim: slot record carries %d trailing byte(s)", len(b)-int(n))
+	if n != len(b) {
+		return SlotRecord{}, fmt.Errorf("sim: slot record carries %d trailing byte(s)", len(b)-n)
 	}
-	return SlotRecord{Kind: k.kind, Stream: k.stream, Sub: k.sub, Realization: k.r, Payload: payload}, nil
+	rec := SlotRecord{Kind: k.kind, Stream: k.stream, Sub: k.sub, Realization: k.r, Payload: payload, frame: b}
+	if !slotKind(k.kind) {
+		return SlotRecord{}, fmt.Errorf("sim: record %s is not a slot payload kind", rec.Key())
+	}
+	return rec, nil
 }
 
 // WorkloadFingerprint returns the journal header bytes for (spec, seed,
@@ -87,10 +113,11 @@ func WorkloadFingerprint(spec string, seed uint64, sc Scale) []byte {
 // Accept applies one streamed record to the journal with first-writer-wins
 // idempotence: a record whose key is already present — resumed from disk
 // or accepted earlier this run — is dropped (fresh=false) so a slow
-// stolen-from worker's late duplicate cannot double-append. A fresh record
-// is appended to the file (crash-safe under the usual batched-fsync
-// contract) and becomes immediately replayable through the resume path.
-// Only slot-payload kinds are accepted; bookkeeping kinds are rejected.
+// stolen-from worker's late duplicate cannot double-append. A fresh record's
+// frame is appended to the file as received (crash-safe under the usual
+// batched-fsync contract) and indexed, so it is immediately replayable
+// through the resume path. Only slot-payload kinds are accepted;
+// bookkeeping kinds are rejected.
 func (j *Journal) Accept(rec SlotRecord) (fresh bool, err error) {
 	if j == nil {
 		return false, errors.New("sim: Accept on nil journal")
@@ -101,35 +128,23 @@ func (j *Journal) Accept(rec SlotRecord) (fresh bool, err error) {
 	if rec.Payload == nil {
 		return false, fmt.Errorf("sim: record %s has no payload", rec.Key())
 	}
-	k := journalKey{kind: rec.Kind, stream: rec.Stream, sub: rec.Sub, r: rec.Realization}
+	k := rec.key()
 	j.mu.Lock()
-	if _, dup := j.resumed[k]; dup {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if _, dup := j.index[k]; dup {
 		return false, nil
 	}
-	// Mirror append()'s sticky-error discipline inline: the key must be
-	// registered only when the bytes are durably queued.
-	if j.err != nil {
-		defer j.mu.Unlock()
-		return false, j.err
+	frame := rec.MarshalBinary()
+	off, err := j.appendLocked(frame)
+	if err != nil {
+		return false, err
 	}
-	if werr := j.writeRecord(k, rec.Payload); werr != nil {
-		j.err = fmt.Errorf("sim: journal %s: %w", j.path, werr)
-		defer j.mu.Unlock()
-		return false, j.err
-	}
-	j.pending++
-	var serr error
-	if j.pending >= journalFsyncBatch {
-		serr = j.syncLocked()
-	}
-	j.resumed[k] = rec.Payload
+	j.index[k] = recordLoc{off: off, size: len(frame)}
 	if j.recCount == nil {
 		j.recCount = map[int]int{}
 	}
 	j.recCount[rec.Realization]++
-	j.mu.Unlock()
-	return true, serr
+	return true, nil
 }
 
 // MarkRealizationDone journals a completion marker for realization r of
@@ -150,9 +165,8 @@ func (j *Journal) MarkRealizationDone(r int) error {
 	}
 	j.done[r] = true
 	j.mu.Unlock()
-	// The marker payload is a single version byte; append() skips nil
-	// payloads, so it must be non-empty.
-	return j.append(journalKey{kind: recRealDone, r: r}, []byte{1})
+	// The marker payload is a single version byte.
+	return j.appendFrame(encodeFrame(journalKey{kind: recRealDone, r: r}, []byte{1}))
 }
 
 // DoneRealizations returns a copy of the realizations marked complete —
@@ -243,58 +257,24 @@ func InspectJournal(path string) (JournalInfo, error) {
 		return info, err
 	}
 	defer f.Close()
-	if st, err := f.Stat(); err == nil {
-		info.FileBytes = st.Size()
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	magic := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, journalMagic) {
-		return info, fmt.Errorf("sim: %s is not an experiment journal (bad magic)", path)
-	}
-	info.GoodBytes = int64(len(journalMagic))
-	k, payload, n, ok := readRecord(br)
-	if !ok || k.kind != recHeader {
-		return info, fmt.Errorf("sim: %s: unreadable header record", path)
-	}
-	if err := decodeJournalHeaderInto(&info, payload); err != nil {
-		return info, fmt.Errorf("sim: %s: %w", path, err)
-	}
-	info.GoodBytes += n
-	done := map[int]bool{}
-	for {
-		k, payload, n, ok := readRecord(br)
-		if !ok {
-			break
+	sc, err := scanJournal(path, f, func(hdr []byte) error {
+		if err := decodeJournalHeaderInto(&info, hdr); err != nil {
+			return fmt.Errorf("sim: %s: %w", path, err)
 		}
-		switch {
-		case slotKind(k.kind):
-			info.Records = append(info.Records, JournalRecordInfo{
-				Kind: k.kind, KindName: KindName(k.kind),
-				Stream: k.stream, Sub: k.sub, Realization: k.r,
-				PayloadLen: len(payload),
-			})
-		case k.kind == recRealDone:
-			done[k.r] = true
-		case k.kind == recFailure:
-			if fr, ok := decodeFailure(k, payload); ok {
-				info.Failures = append(info.Failures, fr)
-			}
-		default:
-			// Unknown kind that happened to checksum: corruption. Stop at
-			// the last good record, exactly as loadJournal would.
-			return finishInspect(info, done), nil
-		}
-		info.GoodBytes += n
-	}
-	return finishInspect(info, done), nil
-}
-
-func finishInspect(info JournalInfo, done map[int]bool) JournalInfo {
-	for r := range done {
+		return nil
+	}, func(k journalKey, payloadLen int, _ recordLoc) {
+		info.Records = append(info.Records, JournalRecordInfo{
+			Kind: k.kind, KindName: KindName(k.kind),
+			Stream: k.stream, Sub: k.sub, Realization: k.r,
+			PayloadLen: payloadLen,
+		})
+	})
+	info.GoodBytes, info.FileBytes, info.Failures = sc.good, sc.fileBytes, sc.failures
+	for r := range sc.done {
 		info.Done = append(info.Done, r)
 	}
 	sort.Ints(info.Done)
-	return info
+	return info, err
 }
 
 // decodeJournalHeaderInto inverts the identity-bearing prefix of

@@ -7,7 +7,6 @@ package sim
 // journal inspector behind `analyze journal`.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"os"
@@ -23,14 +22,23 @@ import (
 func TestSlotRecordCodecRoundTrip(t *testing.T) {
 	t.Parallel()
 	rec := SlotRecord{Kind: recSweepSlots, Stream: 0xdeadbeef, Sub: 42, Realization: 7,
-		Payload: encodeRowBlock([][]float64{{1.5, -0.0, 5e-324}}, 3)}
+		Payload: rowPayload([][]float64{{1.5, -0.0, 5e-324}}, 3)}
 	b := rec.MarshalBinary()
 	got, err := DecodeSlotRecord(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, rec) {
+	if got.key() != rec.key() || !bytes.Equal(got.Payload, rec.Payload) {
 		t.Fatalf("round trip = %+v, want %+v", got, rec)
+	}
+	// A decoded record re-marshals to the bytes it was decoded from, without
+	// a copy; one re-keyed since is encoded afresh under the new key.
+	if again := got.MarshalBinary(); &again[0] != &b[0] {
+		t.Fatal("MarshalBinary of a decoded record re-encoded it")
+	}
+	got.Realization++
+	if moved, err := DecodeSlotRecord(got.MarshalBinary()); err != nil || moved.Realization != rec.Realization+1 || !bytes.Equal(moved.Payload, rec.Payload) {
+		t.Fatalf("re-keyed record marshalled as %+v (err %v)", moved, err)
 	}
 	// A flipped payload bit must fail the CRC.
 	corrupt := append([]byte{}, b...)
@@ -57,13 +65,13 @@ func TestJournalAcceptFirstWriterWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := SlotRecord{Kind: recSweepSlots, Stream: 3, Sub: 9, Realization: 1,
-		Payload: encodeRowBlock([][]float64{{1, 2}}, 2)}
+		Payload: rowPayload([][]float64{{1, 2}}, 2)}
 	if fresh, err := j.Accept(rec); err != nil || !fresh {
 		t.Fatalf("first Accept = (%v, %v), want (true, nil)", fresh, err)
 	}
 	// The late duplicate — a slow stolen-from worker re-sending — drops.
 	dup := rec
-	dup.Payload = encodeRowBlock([][]float64{{99, 99}}, 2)
+	dup.Payload = rowPayload([][]float64{{99, 99}}, 2)
 	if fresh, err := j.Accept(dup); err != nil || fresh {
 		t.Fatalf("duplicate Accept = (%v, %v), want (false, nil)", fresh, err)
 	}
@@ -85,7 +93,7 @@ func TestJournalAcceptFirstWriterWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	p, ok := j2.resumed[journalKey{kind: recSweepSlots, stream: 3, sub: 9, r: 1}]
+	p, ok := j2.payloadOf(journalKey{kind: recSweepSlots, stream: 3, sub: 9, r: 1})
 	if !ok || !bytes.Equal(p, rec.Payload) {
 		t.Fatal("accepted record did not survive resume intact")
 	}
@@ -182,7 +190,7 @@ func TestWorkerSinkRecordsBitIdentical(t *testing.T) {
 		if rec.Realization != r || rec.Kind != recSweepSlots {
 			t.Fatalf("worker for r=%d emitted %s", r, rec.Key())
 		}
-		want, ok := ref.resumed[journalKey{kind: rec.Kind, stream: rec.Stream, sub: rec.Sub, r: r}]
+		want, ok := ref.payloadOf(journalKey{kind: rec.Kind, stream: rec.Stream, sub: rec.Sub, r: r})
 		if !ok {
 			t.Fatalf("no local record under %s", rec.Key())
 		}
@@ -239,7 +247,7 @@ func TestWorkerSinkHistogramBitIdentical(t *testing.T) {
 		t.Fatalf("worker emitted %d records, want 1", len(got))
 	}
 	rec := got[0]
-	want, ok := refJ.resumed[journalKey{kind: rec.Kind, stream: rec.Stream, sub: rec.Sub, r: r}]
+	want, ok := refJ.payloadOf(journalKey{kind: rec.Kind, stream: rec.Stream, sub: rec.Sub, r: r})
 	if !ok || !bytes.Equal(rec.Payload, want) {
 		t.Fatalf("worker histogram record differs from local journal record (found=%v)", ok)
 	}
@@ -254,7 +262,7 @@ func TestInspectJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := j.Accept(SlotRecord{Kind: recSweepSlots, Stream: 5, Sub: 6, Realization: 0,
-		Payload: encodeRowBlock([][]float64{{1}}, 1)}); err != nil {
+		Payload: rowPayload([][]float64{{1}}, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.MarkRealizationDone(0); err != nil {
@@ -334,14 +342,13 @@ func TestWorkloadFingerprint(t *testing.T) {
 // image (the header record included), for cutting it back to a boundary.
 func recordEnds(t *testing.T, image []byte) []int {
 	t.Helper()
-	br := bufio.NewReader(bytes.NewReader(image[len(journalMagic):]))
 	var ends []int
 	for off := len(journalMagic); ; {
-		_, _, n, ok := readRecord(br)
+		_, _, n, ok := parseFrame(image[off:])
 		if !ok {
 			return ends
 		}
-		off += int(n)
+		off += n
 		ends = append(ends, off)
 	}
 }

@@ -1,0 +1,232 @@
+package sim
+
+// Tests for the record frame as the one serialisation a record gets: its
+// bytes are pinned to what the previous encoder wrote, journals written
+// before the single-buffer encode and the offset index still resume, a
+// length prefix that lies allocates nothing, and the append and replay
+// paths stay within their allocation budgets.
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// TestFrameGoldenBytes pins the frame layout — [u32 len][u32 CRC][21 B key]
+// [payload], journalVersion 3 — to bytes captured from encodeRecord over
+// encodeRowBlock/encodeHistogram at commit ceb98bb, the last one that
+// assembled a frame from separate payload, body and record buffers.
+func TestFrameGoldenBytes(t *testing.T) {
+	t.Parallel()
+	rowKey := journalKey{kind: recSweepSlots, stream: 0x0123456789abcdef, sub: 0xfedcba9876543210, r: 7}
+	rows := [][]float64{{1.5, math.Copysign(0, -1), 5e-324}, {math.Inf(1), -2.25, 1e300}}
+	histKey := journalKey{kind: recDegreeHist, stream: 99, sub: 5, r: 1}
+	for _, c := range []struct {
+		name  string
+		key   journalKey
+		frame []byte
+		want  string
+	}{
+		{"rows", rowKey, encodeRowBlock(rowKey, rows, 3),
+			"4d0000005b46dd1e01efcdab89674523011032547698badcfe070000000200000003000000000000000000f83f00000000000000800100000000000000000000000000f07f00000000000002c09c7500883ce4377e"},
+		{"histogram", histKey, encodeHistogram(histKey, []int{0, 3, 1, 0, 7}),
+			"41000000f41dc3e80263000000000000000500000000000000010000000500000000000000000000000300000000000000010000000000000000000000000000000700000000000000"},
+	} {
+		if got := hex.EncodeToString(c.frame); got != c.want {
+			t.Errorf("%s frame = %s, want %s", c.name, got, c.want)
+		}
+		k, payload, size, ok := parseFrame(c.frame)
+		if !ok || k != c.key || size != len(c.frame) {
+			t.Fatalf("%s: parseFrame = (%+v, size %d, ok=%v)", c.name, k, size, ok)
+		}
+		if again := encodeFrame(c.key, payload); !bytes.Equal(again, c.frame) {
+			t.Errorf("%s: encodeFrame of the payload differs from the codec's frame", c.name)
+		}
+	}
+}
+
+// TestParentWrittenJournalsResume resumes journals written at commit ceb98bb
+// (tinyScale, seed 12345: one spec per record kind — degree histograms, DES
+// slots, variable-length sweep rows). Every record must be found through the
+// offset index and replay to the golden figure bytes, with nothing
+// recomputed: the file is byte-identical after the run.
+func TestParentWrittenJournalsResume(t *testing.T) {
+	t.Parallel()
+	for _, id := range []string{"fig1a", "desflood", "attack"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			image, err := os.ReadFile(filepath.Join("testdata", "parent_"+id+".journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), id+".journal")
+			if err := os.WriteFile(path, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			spec, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := OpenJournal(path, id, 12345, tinyScale, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(recordEnds(t, image)) - 1; j.Resumed() != want {
+				t.Fatalf("resumed %d records, the fixture holds %d", j.Resumed(), want)
+			}
+			sc := tinyScale
+			sc.Run = NewRunControl(context.Background(), 0, 0, j)
+			figs, err := spec.Run(sc, 12345)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := figuresDigest(t, figs); got != specDigests[id] {
+				t.Fatalf("resumed run published %#x, want %#x", got, specDigests[id])
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, image) {
+				t.Fatalf("resume rewrote the journal (%d → %d bytes, err %v): a record was not replayed", len(image), len(after), err)
+			}
+		})
+	}
+}
+
+// allocated reports the bytes fn allocates. Not for parallel tests.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLyingLengthPrefixAllocatesNothing: a torn tail whose length prefix
+// claims 60 MiB — under the record bound, far over what the file holds —
+// must not size a buffer, on any of the three paths that parse frames.
+func TestLyingLengthPrefixAllocatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.journal")
+	j, err := OpenJournal(path, "fig9", 2007, tinyScale, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.appendFrame(encodeRowBlock(journalKey{kind: recSweepSlots, stream: 1}, [][]float64{{1, 2}}, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lie := binary.LittleEndian.AppendUint32(nil, 60<<20)
+	lie = append(lie, "torn after a few bytes"...)
+	if err := os.WriteFile(path, append(append([]byte{}, clean...), lie...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 256 << 10 // the scan's bufio and small change, nowhere near 60 MiB
+	if n := allocated(func() {
+		if info, err := InspectJournal(path); err != nil || info.TornBytes() != int64(len(lie)) || len(info.Records) != 1 {
+			t.Errorf("InspectJournal = %+v, %v", info, err)
+		}
+	}); n > budget {
+		t.Errorf("InspectJournal allocated %d B on a lying prefix", n)
+	}
+	if n := allocated(func() {
+		j, err := OpenJournal(path, "fig9", 2007, tinyScale, true)
+		if err != nil || j.Resumed() != 1 {
+			t.Errorf("OpenJournal(resume) = %v, resumed %d", err, j.Resumed())
+		}
+		j.Close()
+	}); n > budget {
+		t.Errorf("OpenJournal(resume) allocated %d B on a lying prefix", n)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != int64(len(clean)) {
+		t.Fatalf("torn tail not truncated to the clean prefix: %v, %v", st.Size(), err)
+	}
+	if n := allocated(func() {
+		if _, err := DecodeSlotRecord(lie); err == nil {
+			t.Error("DecodeSlotRecord accepted a frame shorter than its prefix claims")
+		}
+	}); n > 1024 {
+		t.Errorf("DecodeSlotRecord allocated %d B on a lying prefix", n)
+	}
+}
+
+// TestRecordPathAllocs pins the allocation budget of the record paths: a
+// local journalAppend of a block costs one frame buffer (the block's bytes
+// plus frame overhead and small change, not a payload, a body and a record
+// copy of it), a worker's sink gets that same buffer, and replay through the
+// offset index allocates nothing once its read buffer is warm.
+func TestRecordPathAllocs(t *testing.T) {
+	// 81 840 B of float64 per block: its frame fills ten 8 KiB pages to within
+	// 43 B, so the allocator's rounding of large objects (which TotalAlloc
+	// counts) stays inside the budget's small change.
+	const nRows, rowLen, records = 110, 93, 16
+	rows := make([][]float64, nRows)
+	for i := range rows {
+		rows[i] = make([]float64, rowLen)
+		for c := range rows[i] {
+			rows[i][c] = float64(i*rowLen + c)
+		}
+	}
+	codec := rowBlocks(recSweepSlots, nRows, rowLen)
+	key := func(r int) journalKey { return journalKey{kind: recSweepSlots, stream: 7, sub: 9, r: r} }
+	path := filepath.Join(t.TempDir(), "a.journal")
+	j, err := OpenJournal(path, "fig7", 2007, tinyScale, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := NewRunControl(context.Background(), 0, 0, j)
+	const block = nRows * rowLen * 8
+	if n := allocated(func() {
+		for r := 0; r < records; r++ {
+			rc.journalAppend(codec.encode(key(r), rows))
+		}
+	}) / records; n > block+512 {
+		t.Errorf("journalAppend of a %d B block allocates %d B, want <= %d", block, n, block+512)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var got SlotRecord
+	wrc := NewWorkerRunControl(context.Background(), 0, 0, func(rec SlotRecord) { got = rec })
+	frame := codec.encode(key(0), rows)
+	if n := allocated(func() { wrc.journalAppend(frame) }); n > 512 {
+		t.Errorf("the worker sink path allocates %d B beyond the codec's frame", n)
+	}
+	if wire := got.MarshalBinary(); &wire[0] != &frame[0] || got.key() != key(0) {
+		t.Error("the sink's record does not marshal to the codec's own frame buffer")
+	}
+
+	j, err = OpenJournal(path, "fig7", 2007, tinyScale, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	rc = NewRunControl(context.Background(), 0, 0, j)
+	var sum byte
+	use := func(p []byte) { sum += p[len(p)-1] }
+	if !rc.journalPayload(key(0), use) {
+		t.Fatal("record 0 not replayable")
+	}
+	r := 0
+	if allocs := testing.AllocsPerRun(records-1, func() {
+		r++
+		if !rc.journalPayload(key(r%records), use) {
+			t.Fatalf("record %d not replayable", r%records)
+		}
+	}); allocs > 0 {
+		t.Errorf("replay allocates %v/record after warm-up", allocs)
+	}
+}

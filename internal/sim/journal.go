@@ -23,10 +23,13 @@ package sim
 // engine seed of the sweep, sub the FNV hash of a human-readable tag
 // distinguishing sweeps that share a seed by design (the DES loss and
 // failure series isolate their knob against identical topologies), kind
-// the payload family. These records are also the wire-format groundwork
-// for ROADMAP item 4: a coordinator/worker protocol streams exactly this
-// shape — (stream, realization)-keyed slot contributions that reduce
-// bit-identically regardless of arrival order.
+// the payload family.
+//
+// The record frame is the only serialisation a record ever gets: the block
+// codec encodes a realization's block straight into one frame buffer, a
+// local run writes that buffer, a distributed worker ships it, the
+// coordinator's Accept appends the received bytes verbatim, and replay
+// reads them back by file offset (see dist.go and internal/coord).
 
 import (
 	"bufio"
@@ -61,7 +64,13 @@ const (
 	journalMaxBody    = 64 << 20 // sanity bound when scanning; larger = torn
 	journalFsyncBatch = 8        // records between fsyncs on the append path
 	journalKeyLen     = 21       // kind + stream + sub + realization
+	frameHeaderLen    = 8        // body length + CRC32(body)
+	frameOverhead     = frameHeaderLen + journalKeyLen
 )
+
+// MaxRecordFrame is the largest record frame a journal reads back, and so
+// the largest a worker-to-coordinator transport has to carry.
+const MaxRecordFrame = frameHeaderLen + journalMaxBody
 
 var journalMagic = []byte("SFEJ1\n")
 
@@ -86,19 +95,22 @@ func journalTag(tag string) uint64 {
 	return h.Sum64()
 }
 
-// Journal is the append side of one experiment's journal file plus the
-// records recovered from a previous run when opened with resume. Appends
-// are safe from concurrent sweep workers; the resumed map is read-only
-// for the Journal's lifetime.
+// Journal is the append side of one experiment's journal file plus an
+// index of the slot records it holds — recovered when opened with resume, or
+// taken by Accept — for replay. Every method is safe for concurrent use.
 type Journal struct {
 	path string
 
 	mu      sync.Mutex
 	f       *os.File
+	end     int64 // append offset: the file is exactly the bytes written so far
 	pending int
 	err     error
 
-	resumed  map[journalKey][]byte
+	// index locates each replayable record's frame in the file — memory
+	// does not grow with the journal; rbuf is the buffer replay reads into.
+	index    map[journalKey]recordLoc
+	rbuf     []byte
 	failures []FailureRecord
 	claims   map[journalClaimKey]string
 
@@ -106,6 +118,12 @@ type Journal struct {
 	// complete by the coordinator, and per-realization slot-record counts.
 	done     map[int]bool
 	recCount map[int]int
+}
+
+// recordLoc is where one record's frame sits in the journal file.
+type recordLoc struct {
+	off  int64
+	size int // frame bytes, prefix included
 }
 
 // journalClaimKey identifies one journaled record family: every record a
@@ -169,18 +187,15 @@ func OpenJournal(path, spec string, seed uint64, sc Scale, resume bool) (*Journa
 	if err != nil {
 		return nil, fmt.Errorf("sim: create journal %s: %w", path, err)
 	}
-	j := &Journal{path: path, f: f, resumed: map[journalKey][]byte{}}
-	if _, err := f.Write(journalMagic); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sim: create journal %s: %w", path, err)
+	j := &Journal{path: path, f: f, index: map[journalKey]recordLoc{}}
+	// Magic and header go out as one write.
+	_, err = j.appendLocked(append(append([]byte(nil), journalMagic...), encodeFrame(journalKey{kind: recHeader}, hdr)...))
+	if err == nil {
+		err = j.syncLocked()
 	}
-	if err := j.writeRecord(journalKey{kind: recHeader}, hdr); err != nil {
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("sim: create journal %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sim: create journal %s: %w", path, err)
+		return nil, err
 	}
 	return j, nil
 }
@@ -190,130 +205,226 @@ func OpenJournal(path, spec string, seed uint64, sc Scale, resume bool) (*Journa
 // record, at which point the file is truncated to the last good offset so
 // subsequent appends extend a clean prefix.
 func loadJournal(path string, f *os.File, wantHdr []byte) (*Journal, error) {
+	j := &Journal{path: path, f: f, index: map[journalKey]recordLoc{}, recCount: map[int]int{}}
+	sc, err := scanJournal(path, f, func(hdr []byte) error {
+		if !bytes.Equal(hdr, wantHdr) {
+			return fmt.Errorf("%w: %s was written by a different run (spec, seed, scale, or schema changed)", errJournalMismatch, path)
+		}
+		return nil
+	}, func(k journalKey, _ int, loc recordLoc) {
+		if _, dup := j.index[k]; !dup {
+			j.recCount[k.r]++
+		}
+		j.index[k] = loc
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w; delete it or rerun without -resume", err)
+	}
+	if err := f.Truncate(sc.good); err != nil {
+		return nil, fmt.Errorf("sim: truncate torn journal %s: %w", path, err)
+	}
+	j.end, j.failures, j.done = sc.good, sc.failures, sc.done
+	return j, nil
+}
+
+// journalScan is what a front-to-back read of a journal file finds besides
+// its slot records: the clean prefix's length, failures, completion markers.
+type journalScan struct {
+	good, fileBytes int64
+	failures        []FailureRecord
+	done            map[int]bool
+}
+
+// scanJournal reads a journal file through one reused buffer: the magic, the
+// header record (handed to header, whose error aborts the scan), then every
+// record up to EOF or the first torn or corrupt one, reporting each slot
+// record's key, payload length and location to slot.
+func scanJournal(path string, f *os.File, header func(hdr []byte) error,
+	slot func(k journalKey, payloadLen int, loc recordLoc)) (journalScan, error) {
+	sc := journalScan{done: map[int]bool{}}
+	st, err := f.Stat()
+	if err != nil {
+		return sc, fmt.Errorf("sim: stat journal %s: %w", path, err)
+	}
+	sc.fileBytes = st.Size()
 	br := bufio.NewReaderSize(f, 1<<16)
 	magic := make([]byte, len(journalMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, journalMagic) {
-		return nil, fmt.Errorf("sim: %s is not an experiment journal (bad magic); delete it or rerun without -resume", path)
+		return sc, fmt.Errorf("sim: %s is not an experiment journal (bad magic)", path)
 	}
-	good := int64(len(journalMagic))
-	k, payload, n, ok := readRecord(br)
-	if !ok || k.kind != recHeader {
-		return nil, fmt.Errorf("sim: journal %s: unreadable header record; delete it or rerun without -resume", path)
-	}
-	if !bytes.Equal(payload, wantHdr) {
-		return nil, fmt.Errorf("%w: %s was written by a different run (spec, seed, scale, or schema changed); delete it or rerun without -resume", errJournalMismatch, path)
-	}
-	good += n
-	resumed := map[journalKey][]byte{}
-	var failures []FailureRecord
-	done := map[int]bool{}
-	recCount := map[int]int{}
-scan:
+	sc.good = int64(len(journalMagic))
+	buf := make([]byte, frameHeaderLen, 4096)
 	for {
-		k, payload, n, ok := readRecord(br)
-		if !ok {
-			break // EOF or torn tail
-		}
-		switch k.kind {
-		case recFailure:
+		k, payload, size, ok := parseFrame(readFrame(br, &buf, sc.fileBytes-sc.good))
+		switch first := sc.good == int64(len(journalMagic)); {
+		case first && (!ok || k.kind != recHeader):
+			return sc, fmt.Errorf("sim: journal %s: unreadable header record", path)
+		case first:
+			if err := header(payload); err != nil {
+				return sc, err
+			}
+		case !ok:
+			return sc, nil
+		case k.kind == recFailure:
 			if fr, ok := decodeFailure(k, payload); ok {
-				failures = append(failures, fr)
+				sc.failures = append(sc.failures, fr)
 			}
-		case recRealDone:
-			done[k.r] = true
-		case recSweepSlots, recDegreeHist, recDESSlots:
-			if _, dup := resumed[k]; !dup {
-				recCount[k.r]++
-			}
-			resumed[k] = payload
+		case k.kind == recRealDone:
+			sc.done[k.r] = true
+		case slotKind(k.kind):
+			slot(k, len(payload), recordLoc{off: sc.good, size: size})
 		default:
 			// The header pinned the schema version, so an unknown kind is
 			// corruption that happened to checksum; stop at the last good
 			// record before it.
-			break scan
+			return sc, nil
 		}
-		good += n
+		sc.good += int64(size)
 	}
-	if err := f.Truncate(good); err != nil {
-		return nil, fmt.Errorf("sim: truncate torn journal %s: %w", path, err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("sim: seek journal %s: %w", path, err)
-	}
-	return &Journal{path: path, f: f, resumed: resumed, failures: failures, done: done, recCount: recCount}, nil
 }
 
-// readRecord reads one length-prefixed record; ok=false on EOF, short
-// read, an implausible length, or a checksum mismatch — all of which mean
-// "torn tail" to the caller.
-func readRecord(br *bufio.Reader) (k journalKey, payload []byte, size int64, ok bool) {
-	var pre [8]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return k, nil, 0, false
+// readFrame reads the next frame's bytes, unverified, into *buf, which grows
+// only to a length the avail bytes left in the file can fill: a torn tail's
+// length prefix must not size an allocation. nil = EOF or no such record.
+func readFrame(br *bufio.Reader, buf *[]byte, avail int64) []byte {
+	b := (*buf)[:frameHeaderLen]
+	if _, err := io.ReadFull(br, b); err != nil {
+		return nil
 	}
-	bodyLen := binary.LittleEndian.Uint32(pre[0:4])
-	sum := binary.LittleEndian.Uint32(pre[4:8])
-	if bodyLen < journalKeyLen || bodyLen > journalMaxBody {
-		return k, nil, 0, false
+	n, ok := frameBodyLen(b, avail-frameHeaderLen)
+	if !ok {
+		return nil
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return k, nil, 0, false
+	if cap(b) < frameHeaderLen+n {
+		b = append(make([]byte, 0, frameHeaderLen+n), b...)
+		*buf = b
 	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return k, nil, 0, false
+	b = b[:frameHeaderLen+n]
+	if _, err := io.ReadFull(br, b[frameHeaderLen:]); err != nil {
+		return nil
 	}
-	k.kind = body[0]
-	k.stream = binary.LittleEndian.Uint64(body[1:9])
-	k.sub = binary.LittleEndian.Uint64(body[9:17])
-	k.r = int(binary.LittleEndian.Uint32(body[17:journalKeyLen]))
-	return k, body[journalKeyLen:], int64(8 + int(bodyLen)), true
+	return b
 }
 
-// append writes one record and fsyncs every journalFsyncBatch appends.
-// Errors are sticky: after a failed write the journal refuses further
-// appends, so a full disk aborts the run instead of silently dropping
-// checkpoints. A nil journal or nil payload is a no-op.
-func (j *Journal) append(k journalKey, payload []byte) error {
-	if j == nil || payload == nil {
+// frameBodyLen reads a frame's length prefix and refuses one over the record
+// bound or over the avail bytes that exist after the prefix.
+func frameBodyLen(pre []byte, avail int64) (int, bool) {
+	n := int64(binary.LittleEndian.Uint32(pre))
+	return int(n), n >= journalKeyLen && n <= journalMaxBody && n <= avail
+}
+
+// parseFrame validates the frame at the head of b in place and returns its
+// key, its payload (a sub-slice of b) and its size. ok=false on a short
+// slice, an implausible length, or a checksum mismatch — all of which mean
+// "torn tail" to a journal scan.
+func parseFrame(b []byte) (k journalKey, payload []byte, size int, ok bool) {
+	if len(b) < frameHeaderLen {
+		return k, nil, 0, false
+	}
+	n, ok := frameBodyLen(b, int64(len(b)-frameHeaderLen))
+	if !ok {
+		return k, nil, 0, false
+	}
+	body := b[frameHeaderLen : frameHeaderLen+n]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[4:8]) {
+		return k, nil, 0, false
+	}
+	return decodeKey(body), body[journalKeyLen:], frameHeaderLen + n, true
+}
+
+func decodeKey(body []byte) journalKey {
+	return journalKey{
+		kind:   body[0],
+		stream: binary.LittleEndian.Uint64(body[1:9]),
+		sub:    binary.LittleEndian.Uint64(body[9:17]),
+		r:      int(binary.LittleEndian.Uint32(body[17:journalKeyLen])),
+	}
+}
+
+// newFrame starts one record frame — [4B body len][4B CRC32(body)][key]
+// [payload], on disk and on the wire alike — with the prefix reserved, the
+// key written and room for payloadLen more bytes: the encoder appends the
+// payload in place, sealFrame patches the prefix, one buffer per record.
+func newFrame(k journalKey, payloadLen int) []byte {
+	b := make([]byte, frameHeaderLen, frameOverhead+payloadLen)
+	b = append(b, k.kind)
+	b = binary.LittleEndian.AppendUint64(b, k.stream)
+	b = binary.LittleEndian.AppendUint64(b, k.sub)
+	return binary.LittleEndian.AppendUint32(b, uint32(k.r))
+}
+
+// sealFrame patches the length and checksum of a frame begun by newFrame.
+func sealFrame(frame []byte) []byte {
+	body := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
+	return frame
+}
+
+// encodeFrame frames a payload that already exists as bytes.
+func encodeFrame(k journalKey, payload []byte) []byte {
+	return sealFrame(append(newFrame(k, len(payload)), payload...))
+}
+
+// appendFrame is appendLocked for one sealed frame; nil journal or frame: no-op.
+func (j *Journal) appendFrame(frame []byte) error {
+	if j == nil || frame == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	_, err := j.appendLocked(frame)
+	return err
+}
+
+// appendLocked writes b at the end of the file, returning its offset, and
+// fsyncs every journalFsyncBatch appends. Errors are sticky: after a failed
+// write the journal refuses further appends, so a full disk aborts the run
+// instead of silently dropping checkpoints. Caller holds j.mu.
+func (j *Journal) appendLocked(b []byte) (off int64, err error) {
 	if j.err != nil {
-		return j.err
+		return 0, j.err
 	}
-	if err := j.writeRecord(k, payload); err != nil {
+	off = j.end
+	if _, err := j.f.WriteAt(b, off); err != nil {
 		j.err = fmt.Errorf("sim: journal %s: %w", j.path, err)
-		return j.err
+		return 0, j.err
 	}
+	j.end += int64(len(b))
 	j.pending++
 	if j.pending >= journalFsyncBatch {
-		return j.syncLocked()
+		return off, j.syncLocked()
 	}
-	return nil
+	return off, nil
 }
 
-// encodeRecord assembles one record's on-disk (and on-wire) bytes:
-// [4B body len][4B CRC32(body)][key][payload].
-func encodeRecord(k journalKey, payload []byte) []byte {
-	body := make([]byte, 0, journalKeyLen+len(payload))
-	body = append(body, k.kind)
-	body = binary.LittleEndian.AppendUint64(body, k.stream)
-	body = binary.LittleEndian.AppendUint64(body, k.sub)
-	body = binary.LittleEndian.AppendUint32(body, uint32(k.r))
-	body = append(body, payload...)
-	rec := make([]byte, 0, 8+len(body))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(body)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
-	return append(rec, body...)
-}
-
-// writeRecord assembles and writes one record. Caller holds j.mu (or has
-// exclusive access during open).
-func (j *Journal) writeRecord(k journalKey, payload []byte) error {
-	_, err := j.f.Write(encodeRecord(k, payload))
-	return err
+// replay hands use the payload of the record journaled under k, read back
+// into the journal's replay buffer with checksum and key verified again, and
+// reports whether there is one (a record that no longer reads back intact
+// counts as absent: its realization is recomputed). use must copy out what
+// it keeps and, running under the journal's lock, not call the journal.
+func (j *Journal) replay(k journalKey, use func(payload []byte)) bool {
+	if j == nil {
+		return false
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	loc, ok := j.index[k]
+	if !ok {
+		return false
+	}
+	if cap(j.rbuf) < loc.size {
+		j.rbuf = make([]byte, loc.size)
+	}
+	if _, err := j.f.ReadAt(j.rbuf[:loc.size], loc.off); err != nil {
+		return false
+	}
+	got, payload, size, ok := parseFrame(j.rbuf[:loc.size])
+	if !ok || size != loc.size || got != k {
+		return false
+	}
+	use(payload)
+	return true
 }
 
 func (j *Journal) syncLocked() error {
@@ -367,13 +478,15 @@ func (j *Journal) Path() string {
 	return j.path
 }
 
-// Resumed reports how many completed-realization records were recovered
-// when the journal was opened with resume.
+// Resumed reports how many replayable records the journal holds: those
+// recovered when it was opened with resume plus those Accept has taken.
 func (j *Journal) Resumed() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.resumed)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.index)
 }
 
 // ResumedFailures returns the failure records recovered on resume. The
@@ -414,15 +527,15 @@ func encodeJournalHeader(spec string, seed uint64, sc Scale) []byte {
 	return b
 }
 
-// encodeRowBlock serializes nRows float64 rows of rowLen values each —
+// encodeRowBlock frames nRows float64 rows of rowLen values each under k —
 // the exact bits of one realization's block, so replay is bit-for-bit.
 // rowLen < 0 takes the first row's length. Returns nil (skip journaling) on
 // any shape mismatch.
-func encodeRowBlock(rows [][]float64, rowLen int) []byte {
+func encodeRowBlock(k journalKey, rows [][]float64, rowLen int) []byte {
 	if rowLen < 0 && len(rows) > 0 {
 		rowLen = len(rows[0])
 	}
-	b := make([]byte, 0, 8+len(rows)*rowLen*8)
+	b := newFrame(k, 8+len(rows)*rowLen*8)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(rowLen))
 	for _, row := range rows {
@@ -433,7 +546,7 @@ func encodeRowBlock(rows [][]float64, rowLen int) []byte {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	return b
+	return sealFrame(b)
 }
 
 // decodeRowBlock is the inverse of encodeRowBlock; ok=false when the
@@ -463,14 +576,15 @@ func decodeRowBlock(p []byte, nRows, rowLen int) ([][]float64, bool) {
 	return rows, true
 }
 
-// encodeHistogram serializes a degree histogram (counts[k] = #nodes with
+// encodeHistogram frames a degree histogram (counts[k] = #nodes with
 // degree k), the per-realization contribution of the degree specs.
-func encodeHistogram(hist []int) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(hist)))
+func encodeHistogram(k journalKey, hist []int) []byte {
+	b := newFrame(k, 4+len(hist)*8)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(hist)))
 	for _, c := range hist {
 		b = binary.LittleEndian.AppendUint64(b, uint64(c))
 	}
-	return b
+	return sealFrame(b)
 }
 
 func decodeHistogram(p []byte) ([]int, bool) {

@@ -27,6 +27,23 @@ func testScaleTiny() Scale {
 	}
 }
 
+// payloadOf copies out the payload journaled under k.
+func (j *Journal) payloadOf(k journalKey) ([]byte, bool) {
+	var p []byte
+	ok := j.replay(k, func(b []byte) { p = append([]byte{}, b...) })
+	return p, ok
+}
+
+// rowPayload and histPayload are the payload bytes of the block encoders'
+// frames, for records the tests assemble by hand.
+func rowPayload(rows [][]float64, rowLen int) []byte {
+	return encodeRowBlock(journalKey{}, rows, rowLen)[frameOverhead:]
+}
+
+func histPayload(hist []int) []byte {
+	return encodeHistogram(journalKey{}, hist)[frameOverhead:]
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	sc := testScaleTiny()
 	path := filepath.Join(t.TempDir(), "fig9.journal")
@@ -35,15 +52,15 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := [][]float64{{1, 2.5, -3}, {0, 4, 5e-9}}
-	if err := j.append(journalKey{kind: recSweepSlots, stream: 7, sub: 11, r: 1}, encodeRowBlock(rows, 3)); err != nil {
+	if err := j.appendFrame(encodeFrame(journalKey{kind: recSweepSlots, stream: 7, sub: 11, r: 1}, rowPayload(rows, 3))); err != nil {
 		t.Fatal(err)
 	}
 	hist := []int{0, 5, 9, 2}
-	if err := j.append(journalKey{kind: recDegreeHist, stream: 7, r: 2}, encodeHistogram(hist)); err != nil {
+	if err := j.appendFrame(encodeFrame(journalKey{kind: recDegreeHist, stream: 7, r: 2}, histPayload(hist))); err != nil {
 		t.Fatal(err)
 	}
 	fr := FailureRecord{Stream: 7, Realization: 0, Attempts: 2, Err: "boom", Stack: "stack trace"}
-	if err := j.append(journalKey{kind: recFailure, stream: 7, r: 0}, encodeFailure(fr)); err != nil {
+	if err := j.appendFrame(encodeFrame(journalKey{kind: recFailure, stream: 7, r: 0}, encodeFailure(fr))); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -58,7 +75,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if got := j2.Resumed(); got != 2 {
 		t.Fatalf("Resumed() = %d, want 2", got)
 	}
-	p, ok := j2.resumed[journalKey{kind: recSweepSlots, stream: 7, sub: 11, r: 1}]
+	p, ok := j2.payloadOf(journalKey{kind: recSweepSlots, stream: 7, sub: 11, r: 1})
 	if !ok {
 		t.Fatal("sweep record not resumed")
 	}
@@ -66,10 +83,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !ok || !reflect.DeepEqual(gotRows, rows) {
 		t.Fatalf("decodeRowBlock = %v (ok=%v), want %v", gotRows, ok, rows)
 	}
-	if _, ok := j2.resumed[journalKey{kind: recSweepSlots, stream: 7, sub: 12, r: 1}]; ok {
+	if _, ok := j2.payloadOf(journalKey{kind: recSweepSlots, stream: 7, sub: 12, r: 1}); ok {
 		t.Fatal("record found under wrong sub tag")
 	}
-	ph, ok := j2.resumed[journalKey{kind: recDegreeHist, stream: 7, r: 2}]
+	ph, ok := j2.payloadOf(journalKey{kind: recDegreeHist, stream: 7, r: 2})
 	if !ok {
 		t.Fatal("histogram record not resumed")
 	}
@@ -123,7 +140,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		if err := j.append(journalKey{kind: recSweepSlots, stream: 1, r: r}, encodeRowBlock([][]float64{{float64(r)}}, 1)); err != nil {
+		if err := j.appendFrame(encodeFrame(journalKey{kind: recSweepSlots, stream: 1, r: r}, rowPayload([][]float64{{float64(r)}}, 1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +167,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatalf("Resumed() after torn tail = %d, want 2", got)
 	}
 	// Appends after recovery must extend the clean prefix.
-	if err := j2.append(journalKey{kind: recSweepSlots, stream: 1, r: 2}, encodeRowBlock([][]float64{{2}}, 1)); err != nil {
+	if err := j2.appendFrame(encodeFrame(journalKey{kind: recSweepSlots, stream: 1, r: 2}, rowPayload([][]float64{{2}}, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {

@@ -328,11 +328,13 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 
 // blockCodec names the journal record family of one series and converts a
 // realization's block — its whole contribution to the series' reduction —
-// to and from the record payload. decode reports ok=false for a payload of
-// another shape (a record from a schema drift the header check missed).
+// to the record's sealed frame and back from its payload. encode returns
+// nil for a block it cannot represent (journaling is skipped); decode
+// reports ok=false for a payload of another shape (a record from a schema
+// drift the header check missed).
 type blockCodec[B any] struct {
 	kind   uint8
-	encode func(B) []byte
+	encode func(journalKey, B) []byte
 	decode func([]byte) (B, bool)
 }
 
@@ -342,7 +344,7 @@ type blockCodec[B any] struct {
 func rowBlocks(kind uint8, nRows, rowLen int) blockCodec[[][]float64] {
 	return blockCodec[[][]float64]{
 		kind:   kind,
-		encode: func(rows [][]float64) []byte { return encodeRowBlock(rows, rowLen) },
+		encode: func(k journalKey, rows [][]float64) []byte { return encodeRowBlock(k, rows, rowLen) },
 		decode: func(p []byte) ([][]float64, bool) { return decodeRowBlock(p, nRows, rowLen) },
 	}
 }
@@ -352,7 +354,7 @@ func oneRow(rowLen int) blockCodec[[]float64] {
 	c := rowBlocks(recSweepSlots, 1, rowLen)
 	return blockCodec[[]float64]{
 		kind:   c.kind,
-		encode: func(row []float64) []byte { return c.encode([][]float64{row}) },
+		encode: func(k journalKey, row []float64) []byte { return c.encode(k, [][]float64{row}) },
 		decode: func(p []byte) ([]float64, bool) {
 			rows, ok := c.decode(p)
 			if !ok {
@@ -391,14 +393,13 @@ func realizationBlocks[T, B any](sc Scale, seed uint64, tag string, codec blockC
 	}
 	blocks := make([]B, sc.Realizations)
 	replayed := make([]bool, sc.Realizations)
+	key := func(r int) journalKey { return journalKey{kind: codec.kind, stream: seed, sub: sub, r: r} }
 	for r := range blocks {
-		if p, ok := rc.journalPayload(codec.kind, seed, sub, r); ok {
-			blocks[r], replayed[r] = codec.decode(p)
-		}
+		rc.journalPayload(key(r), func(p []byte) { blocks[r], replayed[r] = codec.decode(p) })
 	}
 	finish := func(r int, blk B) {
 		if rc.journaling() {
-			rc.journalAppend(codec.kind, seed, sub, r, codec.encode(blk))
+			rc.journalAppend(codec.encode(key(r), blk))
 		}
 		blocks[r] = blk
 	}

@@ -249,7 +249,7 @@ func (rc *RunControl) absorbFailure(stream uint64, r, attempts int, cause error,
 	}
 	// Best effort: the failure record is for post-mortems and resume-time
 	// accounting, not correctness (it does not mark the realization done).
-	rc.journal.append(journalKey{kind: recFailure, stream: stream, r: r}, encodeFailure(fr))
+	rc.journal.appendFrame(encodeFrame(journalKey{kind: recFailure, stream: stream, r: r}, encodeFailure(fr)))
 	rc.noteProgress()
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -299,29 +299,28 @@ func (rc *RunControl) journalClaim(kind uint8, stream, sub uint64, tag string) e
 	return nil
 }
 
-// journalPayload fetches a resumed record for (kind, stream, sub, r).
-// Worker sinks never replay — the coordinator's journal owns resume.
-func (rc *RunControl) journalPayload(kind uint8, stream, sub uint64, r int) ([]byte, bool) {
-	if rc == nil || rc.journal == nil {
-		return nil, false
-	}
-	p, ok := rc.journal.resumed[journalKey{kind: kind, stream: stream, sub: sub, r: r}]
-	return p, ok
+// journalPayload hands use the payload journaled under k, if any (see
+// Journal.replay for what use may do with it). Worker sinks never replay —
+// the coordinator's journal owns resume.
+func (rc *RunControl) journalPayload(k journalKey, use func(payload []byte)) bool {
+	return rc != nil && rc.journal.replay(k, use)
 }
 
-// journalAppend checkpoints one completed realization's contribution. A
-// nil payload (encoder refused) is skipped; append errors are sticky on
-// the journal and surface through Flush/Close in cmd/experiments. In
-// worker mode the record goes to the sink instead — same key, same bits.
-func (rc *RunControl) journalAppend(kind uint8, stream, sub uint64, r int, payload []byte) {
-	if !rc.journaling() || payload == nil {
+// journalAppend checkpoints one completed realization's contribution, as
+// the sealed frame its codec built. A nil frame (encoder refused) is
+// skipped; append errors are sticky on the journal and surface through
+// Flush/Close in cmd/experiments. In worker mode the record goes to the
+// sink instead — same key, same bits, still carrying its frame.
+func (rc *RunControl) journalAppend(frame []byte) {
+	if !rc.journaling() || frame == nil {
 		return
 	}
 	if rc.journal != nil {
-		rc.journal.append(journalKey{kind: kind, stream: stream, sub: sub, r: r}, payload)
+		rc.journal.appendFrame(frame)
 		return
 	}
-	rc.sink(SlotRecord{Kind: kind, Stream: stream, Sub: sub, Realization: r, Payload: payload})
+	k := decodeKey(frame[frameHeaderLen:])
+	rc.sink(SlotRecord{Kind: k.kind, Stream: k.stream, Sub: k.sub, Realization: k.r, Payload: frame[frameOverhead:], frame: frame})
 }
 
 // StartWatchdog arms a stall watchdog: if the progress counter does not

@@ -21,6 +21,8 @@ type batchState struct {
 	words []uint64
 	// results is the per-source Result header array handed back to callers.
 	results [MaxBatch]Result
+	// dense and thin count the levels of the last call by mode (tests only).
+	dense, thin int
 }
 
 // FloodBatch floods from up to MaxBatch sources at once and returns, for
@@ -31,12 +33,24 @@ type batchState struct {
 //
 // It is the bit-parallel multi-source BFS: a figure reads only the per-TTL
 // counts of each source, never the discovery order, so one adjacency scan
-// of a frontier node v can serve every source whose frontier contains v
-// (`visit[v] &^ seen[w]` is the set of sources that reach w through v for
-// the first time). The cost of a level is the number of distinct frontier
-// nodes across all sources, not the sum of the frontiers. Kernels that
-// need discovery order or a target depth (hybrid, ring) keep using the
-// queue kernel, which also stays faster for a single source.
+// of a frontier node v serves every source whose frontier contains v. A
+// level runs in one of two modes, chosen from the frontier size alone:
+//
+//   - dense (MS-BFS's aggregated neighbour processing): scatter
+//     next[w] |= visit[v] over the frontier's arcs with no test, then filter
+//     next &^ seen in one sequential pass over the nodes. It costs the
+//     frontier's arcs, each one random read-modify-write, plus one pass over
+//     N words; seen is read once per node, in order, and the new frontier
+//     comes out in ascending node order for free.
+//   - thin: test vv &^ seen[w] on every arc and list a node when its first
+//     new bit arrives. It costs the frontier's arcs only, each with a second
+//     random load and two unpredictable branches, so the ~90 small levels of
+//     a long-diameter overlay never pay for N.
+//
+// The two emit the same frontier set in a different order, and nothing
+// below depends on the order. Kernels that need discovery order or a target
+// depth (hybrid, ring) keep using the queue kernel, which also stays faster
+// for a single source.
 func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result, error) {
 	k := len(srcs)
 	if k > MaxBatch {
@@ -61,6 +75,11 @@ func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result,
 	words := b.words[:3*n]
 	clear(words)
 	seen, visit, next := words[:n], words[n:2*n], words[2*n:]
+	// A dense level writes its frontier by index, so both queues must hold
+	// every node; no level finds more, so thin levels never regrow them.
+	if cap(s.cur) < n || cap(s.next) < n {
+		s.cur, s.next = make([]int32, 0, n), make([]int32, 0, n)
+	}
 
 	// Row i of hits/msgs collects per-level increments and is prefix-summed
 	// at the end, which also carries an exhausted source's totals forward to
@@ -81,39 +100,71 @@ func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result,
 		}
 	}
 
+	b.dense, b.thin = 0, 0
 	for d := 1; d <= maxTTL && len(active) > 0; d++ {
-		for _, v := range active {
-			vv := visit[v]
-			visit[v] = 0
-			for _, w := range f.Neighbors(int(v)) {
-				if nw := vv &^ seen[w]; nw != 0 {
-					if next[w] == 0 {
-						found = append(found, w)
+		// Below n/16 frontier nodes the N-word pass of a dense level costs
+		// more than the per-arc tests it saves; BenchmarkFloodSweep pins the
+		// constant on the CM set (dense pays) and the long-diameter set
+		// (thin pays), and both are flat from n/8 to n/32.
+		if len(active) < n/16 {
+			b.thin++
+			for _, v := range active {
+				vv := visit[v]
+				visit[v] = 0
+				for _, w := range f.Neighbors(int(v)) {
+					if nw := vv &^ seen[w]; nw != 0 {
+						if next[w] == 0 {
+							found = append(found, w)
+						}
+						next[w] |= nw
+						seen[w] |= nw
 					}
-					next[w] |= nw
-					seen[w] |= nw
 				}
 			}
+		} else {
+			b.dense++
+			for _, v := range active {
+				vv := visit[v]
+				visit[v] = 0
+				for _, w := range f.Neighbors(int(v)) {
+					next[w] |= vv
+				}
+			}
+			// Every node is written as a candidate and kept only if it has
+			// a new bit: a conditional move, not a branch on random data.
+			found = found[:n]
+			j := 0
+			for w, x := range next {
+				nw := x &^ seen[w]
+				next[w] = nw
+				seen[w] |= nw
+				found[j] = int32(w)
+				if nw != 0 {
+					j++
+				}
+			}
+			found = found[:j]
 		}
-		// Level d is complete: credit each node found to the sources that
-		// found it. A node below maxTTL forwards to all neighbors but its
-		// sender, and those messages arrive by d+1.
-		var dh, dm [MaxBatch]int
+		// Level d is complete, next holds each found node's new bits: credit
+		// the node to the sources that found it. A node below maxTTL forwards
+		// to all neighbors but its sender, and those messages arrive by d+1.
+		// One word per source carries both sums, nodes found in the high half
+		// and Σ(deg−1) in the low: each is below 2³¹ because Frozen's arc
+		// offsets are int32, so the low half cannot carry into the high.
+		var acc [MaxBatch]uint64
 		for _, w := range found {
 			nw := next[w]
 			next[w] = 0
 			visit[w] = nw
-			fwd := f.Degree(int(w)) - 1
+			c := 1<<32 | uint64(f.Degree(int(w))-1)
 			for ; nw != 0; nw &= nw - 1 {
-				i := bits.TrailingZeros64(nw)
-				dh[i]++
-				dm[i] += fwd
+				acc[bits.TrailingZeros64(nw)] += c
 			}
 		}
 		for i := 0; i < k; i++ {
-			hits[i*L+d] = dh[i]
+			hits[i*L+d] = int(acc[i] >> 32)
 			if d < maxTTL {
-				msgs[i*L+d+1] = dm[i]
+				msgs[i*L+d+1] = int(uint32(acc[i]))
 			}
 		}
 		active, found = found, active[:0]

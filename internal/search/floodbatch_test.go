@@ -127,6 +127,79 @@ func TestFloodBatchMatchesFlood(t *testing.T) {
 	if res, err := batch.FloodBatch(batchTopos()[0].f, nil, 4); err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(res))
 	}
+
+	// The level modes. Each case states which modes its call must run and
+	// the kernel's per-call counters hold it to that.
+	wantModes := func(name string, dense, thin bool) {
+		t.Helper()
+		if b := batch.batch; (b.dense > 0) != dense || (b.thin > 0) != thin {
+			t.Fatalf("%s: ran %d dense and %d thin levels, want dense=%v thin=%v", name, b.dense, b.thin, dense, thin)
+		}
+	}
+	edges := func(g *graph.Graph, es ...[2]int) *graph.Frozen {
+		for _, e := range es {
+			if err := g.AddEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g.Freeze()
+	}
+
+	// A lollipop, K40 on nodes 0..39 glued to the path 39..339: three
+	// sources make a thin first level, the clique a dense second one, and
+	// the path a thin tail of 300 levels.
+	var lolli [][2]int
+	for u := 0; u < 40; u++ {
+		for v := u + 1; v < 40; v++ {
+			lolli = append(lolli, [2]int{u, v})
+		}
+	}
+	for u := 39; u < 339; u++ {
+		lolli = append(lolli, [2]int{u, u + 1})
+	}
+	checkBatch(t, "lollipop", batch, single, edges(graph.New(340), lolli...), []int{339, 39, 7}, 320)
+	wantModes("lollipop", true, true)
+
+	topo := func(name string) *graph.Frozen {
+		for _, tp := range batchTopos() {
+			if tp.name == name {
+				return tp.f
+			}
+		}
+		t.Fatalf("no topology %q in the matrix", name)
+		return nil
+	}
+
+	// maxTTL stops a call inside its dense levels, leaving a frontier in
+	// visit; the same scratch then serves a smaller graph at width 1.
+	cut := topo("cm/g2.2/m3/kc40")
+	srcs := make([]int, MaxBatch)
+	for i := range srcs {
+		srcs[i] = rng.Intn(cut.N())
+	}
+	checkBatch(t, "cut dense", batch, single, cut, srcs, 2)
+	wantModes("cut dense", true, false)
+	checkBatch(t, "after cut", batch, single, topo("multigraph"), []int{3}, 30)
+
+	// Duplicate and isolated sources in a frontier wide enough to start
+	// dense: every node of the isolated-nodes graph, the first 14 twice
+	// (the last level, two path ends finding each other, is thin).
+	iso := topo("isolated")
+	for i := range srcs {
+		srcs[i] = i % iso.N()
+	}
+	checkBatch(t, "isolated dense", batch, single, iso, srcs, 5)
+	wantModes("isolated dense", true, true)
+
+	// A star whose hub has degree 70 000: one level counts 70 000 nodes per
+	// source and one credit adds a Σ(deg−1) term of 69 999, both past 16
+	// bits, so a packing with less headroom than the kernel's would carry.
+	var star [][2]int
+	for v := 1; v <= 70_000; v++ {
+		star = append(star, [2]int{0, v})
+	}
+	checkBatch(t, "star", batch, single, edges(graph.New(70_001), star...), []int{5, 0, 70_000, 5}, 4)
+	wantModes("star", true, true)
 }
 
 // TestFloodBatchErrors pins that a bad source or TTL yields Flood's error,
@@ -233,30 +306,55 @@ var floodSweepTopos = sync.OnceValue(func() []*graph.Frozen {
 	return out
 })
 
+// floodLongTopos is the shape the dense level can hurt: four fig8-style DAPA
+// overlays (N_O = 10⁴ on a 2·10⁴ GRN, kc 10) whose short substrate horizon
+// gives them a long diameter, so a flood runs ~90 levels that each hold a
+// small share of the nodes.
+var floodLongTopos = sync.OnceValue(func() []*graph.Frozen {
+	sub, _, err := gen.GRN(gen.GRNConfig{N: 20_000, MeanDegree: 10}, xrand.New(3))
+	if err != nil {
+		panic(err)
+	}
+	frozen := sub.Freeze()
+	var out []*graph.Frozen
+	for _, tauSub := range []int{2, 4} {
+		for _, m := range []int{1, 2} {
+			cfg := gen.DAPAConfig{NOverlay: 10_000, M: m, KC: 10, TauSub: tauSub}
+			ov, _, err := gen.DAPAFrozen(frozen, cfg, xrand.New(uint64(10*tauSub+m)))
+			if err != nil {
+				panic(err)
+			}
+			out = append(out, ov.G.Freeze())
+		}
+	}
+	return out
+})
+
 var floodSweepSink int
 
 // BenchmarkFloodSweep measures one source sweep per topology at the batch
 // widths the registry's source counts produce, against the per-source
 // queue kernel. One iteration floods the same sources (as many whole
-// batches as fit in MaxBatch) on each of the 18 topologies; the figure to
-// compare is µs/source.
+// batches as fit in MaxBatch) on each topology of a set; the figure to
+// compare is µs/source. The CM set at τ 30 is where dense levels pay; the
+// long-diameter set at τ 90 is where they would cost without the thin-level
+// mode, so the rule that picks between them is pinned on both.
 func BenchmarkFloodSweep(b *testing.B) {
-	topos := floodSweepTopos()
-	const maxTTL = 30
-	srcs := make([]int, MaxBatch)
-	rng := xrand.New(11)
-	for i := range srcs {
-		srcs[i] = rng.Intn(20_000)
-	}
-	run := func(name string, k int, flood func(s *Scratch, f *graph.Frozen, srcs []int) (Result, error)) {
+	run := func(name string, topos func() []*graph.Frozen, maxTTL, k int, flood func(s *Scratch, f *graph.Frozen, srcs []int, maxTTL int) (Result, error)) {
 		b.Run(name, func(b *testing.B) {
+			topos := topos()
+			rng := xrand.New(11)
+			swept := make([]int, MaxBatch/k*k)
+			for i := range swept {
+				swept[i] = rng.Intn(topos[0].N())
+			}
 			s := NewScratch(0)
-			swept := srcs[:MaxBatch/k*k]
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, f := range topos {
 					for lo := 0; lo < len(swept); lo += k {
-						res, err := flood(s, f, swept[lo:lo+k])
+						res, err := flood(s, f, swept[lo:lo+k], maxTTL)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -267,16 +365,20 @@ func BenchmarkFloodSweep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(topos)*len(swept)), "µs/source")
 		})
 	}
-	run("single", 1, func(s *Scratch, f *graph.Frozen, srcs []int) (Result, error) {
+	batch := func(s *Scratch, f *graph.Frozen, srcs []int, maxTTL int) (Result, error) {
+		res, err := s.FloodBatch(f, srcs, maxTTL)
+		if err != nil {
+			return Result{}, err
+		}
+		return res[0], nil
+	}
+	run("single", floodSweepTopos, 30, 1, func(s *Scratch, f *graph.Frozen, srcs []int, maxTTL int) (Result, error) {
 		return s.Flood(f, srcs[0], maxTTL)
 	})
 	for _, k := range []int{1, 12, 20, 50, 64} {
-		run(fmt.Sprintf("k=%d", k), k, func(s *Scratch, f *graph.Frozen, srcs []int) (Result, error) {
-			res, err := s.FloodBatch(f, srcs, maxTTL)
-			if err != nil {
-				return Result{}, err
-			}
-			return res[0], nil
-		})
+		run(fmt.Sprintf("k=%d", k), floodSweepTopos, 30, k, batch)
+	}
+	for _, k := range []int{12, 50} {
+		run(fmt.Sprintf("long/k=%d", k), floodLongTopos, 90, k, batch)
 	}
 }

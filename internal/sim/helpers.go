@@ -265,10 +265,8 @@ func sweepSeries(label string, factory topoFactory, cfg searchCfg, seed uint64, 
 		tag = cfg.tag + ": " + label
 	}
 	return sourceSeries(label, tag, factory, cfg.sc, seed, rowLen, 1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
-		deposit := func(s int, res search.Result) {
-			rows[s] = make([]float64, rowLen)
-			sample(res, rows[s])
-		}
+		slabRows(rows, rowLen)
+		deposit := func(s int, res search.Result) { sample(res, rows[s]) }
 		if cfg.alg == algFL {
 			// FL draws nothing but its source node, so whole runs of
 			// sources share one bit-parallel flood.
@@ -321,6 +319,18 @@ func perSource(query func(scratch *search.Scratch, f *graph.Frozen, src int, rng
 			return err
 		})
 	}
+}
+
+// slabRows points every row of a block at its own rowLen values of one
+// backing array — one allocation per block instead of one per row — and
+// returns rows. Each row's capacity ends where the next row begins, so an
+// append to a row cannot write into its neighbour.
+func slabRows(rows [][]float64, rowLen int) [][]float64 {
+	slab := make([]float64, len(rows)*rowLen)
+	for s := range rows {
+		rows[s] = slab[s*rowLen : (s+1)*rowLen : (s+1)*rowLen]
+	}
+	return rows
 }
 
 // meanRows reduces each realization's block to the mean of its rows

@@ -563,15 +563,13 @@ func decodeRowBlock(p []byte, nRows, rowLen int) ([][]float64, bool) {
 	if binary.LittleEndian.Uint32(p[4:8]) != uint32(rowLen) || len(p) != 8+nRows*rowLen*8 {
 		return nil, false
 	}
-	rows := make([][]float64, nRows)
+	rows := slabRows(make([][]float64, nRows), rowLen)
 	off := 8
-	for i := range rows {
-		row := make([]float64, rowLen)
+	for _, row := range rows {
 		for t := range row {
 			row[t] = math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8]))
 			off += 8
 		}
-		rows[i] = row
 	}
 	return rows, true
 }

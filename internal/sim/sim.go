@@ -379,7 +379,8 @@ func (sw *sweeper) FloodSources(stream uint64, sources int, f *graph.Frozen, max
 		var buf [search.MaxBatch]int
 		srcs := buf[:min(width, sources-lo)]
 		for i := range srcs {
-			srcs[i] = xrand.NewStream(sw.seed, stream, uint64(lo+i)).Intn(f.N())
+			rng := xrand.StreamValue(sw.seed, stream, uint64(lo+i))
+			srcs[i] = rng.Intn(f.N())
 		}
 		if len(srcs) == 1 {
 			// The queue kernel is the faster one for a lone source.

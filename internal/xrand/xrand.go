@@ -30,12 +30,16 @@ type RNG struct {
 // zero, yields a well-mixed internal state.
 func New(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
-	r.s0 = splitmix64(&sm)
-	r.s1 = splitmix64(&sm)
-	r.s2 = splitmix64(&sm)
-	r.s3 = splitmix64(&sm)
+	r.seed(seed)
 	return r
+}
+
+// seed expands seed into the full xoshiro state through splitmix64.
+func (r *RNG) seed(seed uint64) {
+	r.s0 = splitmix64(&seed)
+	r.s1 = splitmix64(&seed)
+	r.s2 = splitmix64(&seed)
+	r.s3 = splitmix64(&seed)
 }
 
 // splitmix64 advances *x and returns the next splitmix64 output. It is used
@@ -61,11 +65,22 @@ func mix64(z uint64) uint64 {
 // indices yield statistically independent streams, and an offset constant
 // domain-separates the result from New(seed) and its Split descendants.
 func NewStream(seed uint64, path ...uint64) *RNG {
+	r := StreamValue(seed, path...)
+	return &r
+}
+
+// StreamValue is NewStream returning the generator by value: the same state
+// and so the same outputs, but a caller that draws a few numbers and drops
+// the generator (one source node per flooded source, say) keeps it on its
+// stack instead of allocating one per draw.
+func StreamValue(seed uint64, path ...uint64) RNG {
 	x := mix64(seed + 0x6a09e667f3bcc909)
 	for _, p := range path {
 		x = mix64(x ^ (p + 0x9e3779b97f4a7c15))
 	}
-	return New(x)
+	var r RNG
+	r.seed(x)
+	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

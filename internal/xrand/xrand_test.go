@@ -336,6 +336,34 @@ func TestNewStreamDeterministic(t *testing.T) {
 	}
 }
 
+// TestStreamValueMatchesNewStream pins the by-value form to the pointer
+// form, and both to the derivation every journal and golden digest was
+// written under (New over the mixed path), for random seeds and paths of
+// depth 0..4: same state, same first 8 outputs.
+func TestStreamValueMatchesNewStream(t *testing.T) {
+	t.Parallel()
+	rng := New(99)
+	for trial := 0; trial < 500; trial++ {
+		seed := rng.Uint64()
+		path := make([]uint64, rng.Intn(5))
+		x := mix64(seed + 0x6a09e667f3bcc909)
+		for i := range path {
+			path[i] = rng.Uint64() >> uint(rng.Intn(64)) // small indices and full words
+			x = mix64(x ^ (path[i] + 0x9e3779b97f4a7c15))
+		}
+		val, ptr, want := StreamValue(seed, path...), NewStream(seed, path...), New(x)
+		if val != *ptr || val != *want {
+			t.Fatalf("seed %#x path %v: StreamValue %v, NewStream %v, New(mixed) %v", seed, path, val, *ptr, *want)
+		}
+		for i := 0; i < 8; i++ {
+			a, b, c := val.Uint64(), ptr.Uint64(), want.Uint64()
+			if a != b || a != c {
+				t.Fatalf("seed %#x path %v: output %d is %#x, %#x, %#x", seed, path, i, a, b, c)
+			}
+		}
+	}
+}
+
 func TestNewStreamPathSensitivity(t *testing.T) {
 	t.Parallel()
 	// Neighboring paths, permuted paths, different depths, and the plain

@@ -14,7 +14,7 @@
 //	experiments -exp fig9 -cpuprofile cpu.pprof          # profile a hot experiment
 //	experiments -mode des                                # message-level DES specs
 //	experiments -mode des -loss 0.05 -latency-jitter 2   # single loss rate, wider jitter
-//	experiments -mode des -exp desfail -fail-frac 0.2    # 20% failure sweep
+//	experiments -exp desfail -fail-frac 0.2              # 20% failure sweep
 //	experiments -exp all -scale paper -resume            # continue a killed run
 //	experiments -exp fig9 -retries 2 -max-failed 1       # tolerate flaky realizations
 //	experiments -mode coordinator -coord-addr :9009 -exp fig9   # serve work leases
@@ -31,14 +31,13 @@
 // bit-for-bit identical for every (workers, source-shards, gen-workers)
 // combination; see EXPERIMENTS.md.
 //
-// -mode selects the simulation substrate: "csr" (default) runs the
-// algorithmic kernels; "des" runs the message-level discrete-event specs
-// (desflood, deskwalk, desfail), where -latency-base/-latency-jitter set
-// the per-edge delay model (both unset = 1 + U[0,1)), -loss pins a single
-// message-loss rate (unset = sweep {0, 2%, 10%}), and -fail-frac/-fail-mtbf
-// shape the desfail failure schedule (unset = sweep {0, 10%, 20%, 30%} with
-// MTBF 2). With -mode des and no explicit -exp, the DES spec family runs;
-// -exp still selects any spec.
+// The message-level discrete-event specs (desflood, deskwalk, desfail)
+// take their knobs in every mode but worker: -latency-base/-latency-jitter
+// set the per-edge delay model (both unset = 1 + U[0,1)), -loss pins a
+// single message-loss rate (unset = sweep {0, 2%, 10%}), and
+// -fail-frac/-fail-mtbf shape the desfail failure schedule (unset = sweep
+// {0, 10%, 20%, 30%} with MTBF 2). -mode des only changes the default
+// -exp from "all" to the DES spec family; -exp still selects any spec.
 //
 // Crash safety (see EXPERIMENTS.md "Checkpoint / resume"): by default each
 // spec checkpoints completed realizations to <outdir>/<exp>.journal;
@@ -125,7 +124,7 @@ func run(args []string, stdout io.Writer) error {
 		genWorkers = fs.Int("gen-workers", 0, "pipelined build-stage bound: concurrent topology builds, and intra-generator parallelism when realizations are scarce (0 = match workers); results are identical for any value")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after the last experiment")
-		mode       = fs.String("mode", "csr", "simulation substrate: csr (algorithmic kernels) or des (message-level discrete-event)")
+		mode       = fs.String("mode", "csr", "csr (default -exp all), des (default -exp is the DES spec family), coordinator, or worker")
 		latBase    = fs.Float64("latency-base", 0, "DES fixed per-edge delay component (with -latency-jitter both 0: defaults to 1+U[0,1))")
 		latJitter  = fs.Float64("latency-jitter", 0, "DES per-edge uniform delay component scale")
 		loss       = fs.Float64("loss", 0, "DES message loss rate in [0,1); 0 sweeps the default series {0, 0.02, 0.10}")
@@ -199,7 +198,33 @@ func run(args []string, stdout io.Writer) error {
 		sc.WalkCap = *walkCap
 	}
 
-	applyDES := func() error {
+	switch *mode {
+	case "csr":
+	case "des":
+		if !expSet {
+			*exp = "desflood,deskwalk,desfail"
+		}
+	case "coordinator":
+		if *coordAddr == "" {
+			return errors.New("-mode coordinator requires -coord-addr (the listen address for worker claims)")
+		}
+		if *leaseTTL <= 0 {
+			return fmt.Errorf("-lease-ttl %v must be > 0", *leaseTTL)
+		}
+		if *heartbeat < 0 {
+			return fmt.Errorf("-heartbeat %v must be >= 0", *heartbeat)
+		}
+	case "worker":
+		if *coordAddr == "" {
+			return errors.New("-mode worker requires -coord-addr (the coordinator's address)")
+		}
+	default:
+		return fmt.Errorf("unknown mode %q (want csr, des, coordinator, or worker)", *mode)
+	}
+	// The DES knobs shape the DES specs in whichever mode selects them
+	// (a coordinator ships them to the fleet inside every lease); only a
+	// worker ignores its own, because its workload arrives in the lease.
+	if *mode != "worker" {
 		if *loss < 0 || *loss >= 1 {
 			return fmt.Errorf("-loss %v out of range [0, 1)", *loss)
 		}
@@ -214,39 +239,6 @@ func run(args []string, stdout io.Writer) error {
 		sc.DESLoss = *loss
 		sc.DESFailFrac = *failFrac
 		sc.DESFailMTBF = *failMTBF
-		return nil
-	}
-	switch *mode {
-	case "csr":
-	case "des":
-		if err := applyDES(); err != nil {
-			return err
-		}
-		if !expSet {
-			*exp = "desflood,deskwalk,desfail"
-		}
-	case "coordinator":
-		// The coordinator accepts the DES knobs too: its -exp selection may
-		// include DES specs, and the workload (knobs included) ships to the
-		// fleet inside every lease.
-		if *coordAddr == "" {
-			return errors.New("-mode coordinator requires -coord-addr (the listen address for worker claims)")
-		}
-		if *leaseTTL <= 0 {
-			return fmt.Errorf("-lease-ttl %v must be > 0", *leaseTTL)
-		}
-		if *heartbeat < 0 {
-			return fmt.Errorf("-heartbeat %v must be >= 0", *heartbeat)
-		}
-		if err := applyDES(); err != nil {
-			return err
-		}
-	case "worker":
-		if *coordAddr == "" {
-			return errors.New("-mode worker requires -coord-addr (the coordinator's address)")
-		}
-	default:
-		return fmt.Errorf("unknown mode %q (want csr, des, coordinator, or worker)", *mode)
 	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries %d must be >= 0", *retries)

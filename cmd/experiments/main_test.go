@@ -68,17 +68,39 @@ func TestRunSingleExperimentWritesCSV(t *testing.T) {
 	}
 }
 
+// TestRunDESModeWritesCSV also pins that the DES knobs do not depend on
+// -mode des: the same -exp with the same -loss writes the same bytes, one
+// series per figure, whether or not the mode is spelled out.
 func TestRunDESModeWritesCSV(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	var buf strings.Builder
-	args := []string{"-mode", "des", "-loss", "0.05", "-exp", "desflood", "-outdir", dir, "-plot=false"}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"desflood-hits.csv", "desflood-time.csv", "desflood-msgs.csv"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("missing %s: %v", f, err)
+	files := []string{"desflood-hits.csv", "desflood-time.csv", "desflood-msgs.csv"}
+	var want [][]byte
+	for _, mode := range [][]string{{"-mode", "des"}, nil} {
+		dir := t.TempDir()
+		var buf strings.Builder
+		args := append(mode, "-loss", "0.05", "-exp", "desflood", "-outdir", dir, "-plot=false")
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range files {
+			data, err := os.ReadFile(filepath.Join(dir, f))
+			if err != nil {
+				t.Fatalf("%v: missing %s: %v", mode, f, err)
+			}
+			if mode != nil {
+				want = append(want, data)
+				continue
+			}
+			if !bytes.Equal(data, want[i]) {
+				t.Errorf("%s without -mode differs from -mode des", f)
+			}
+			series := map[string]bool{}
+			for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+				series[line[:strings.IndexByte(line, ',')]] = true
+			}
+			if len(series) != 1 {
+				t.Errorf("%s: -loss 0.05 without -mode published series %v, want one", f, series)
+			}
 		}
 	}
 }
@@ -109,8 +131,10 @@ func TestRunBadMode(t *testing.T) {
 func TestRunBadLoss(t *testing.T) {
 	t.Parallel()
 	var buf strings.Builder
-	if err := run([]string{"-mode", "des", "-loss", "1.5"}, &buf); err == nil {
-		t.Fatal("out-of-range loss should fail")
+	for _, args := range [][]string{{"-mode", "des", "-loss", "1.5"}, {"-exp", "desflood", "-loss", "1.5", "-outdir", t.TempDir(), "-plot=false"}} {
+		if err := run(args, &buf); err == nil {
+			t.Fatalf("%v: out-of-range loss should fail", args)
+		}
 	}
 }
 

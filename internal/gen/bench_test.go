@@ -11,9 +11,9 @@ import (
 // (chunked edge buffers + parallel count/scatter), at the scales the
 // experiment engine builds per realization. The *Graph variants include
 // the freeze the sim pipeline performs, so the pair compares the full
-// build-stage cost of producing one sweep-ready snapshot. The *Arena
-// variants reuse one CSRArena across iterations, which is exactly how a
-// pipeline build worker runs back-to-back realizations.
+// build-stage cost of producing one snapshot. The *Arena variants reuse
+// one CSRArena across iterations, which is exactly how a pipeline build
+// worker runs back-to-back realizations.
 
 // Paper scale for degree figures (Scale.NDegree) and substrates
 // (Scale.NSubstrate).
@@ -27,12 +27,8 @@ const (
 // path must allocate at least this much per iteration — it escapes with
 // the snapshot — so B/op minus snapshotB/op is the transient allocation
 // traffic the direct-CSR path (and its arena) actually eliminates.
-func reportSnapshotBytes(b *testing.B, f *graph.Frozen, sortedMaterialized bool, extra int) {
-	per := 1
-	if sortedMaterialized {
-		per = 2 // insertion-order + sorted copies of the adjacency
-	}
-	bytes := 4*(f.N()+1) + 4*per*f.TotalDegree() + extra
+func reportSnapshotBytes(b *testing.B, f *graph.Frozen, extra int) {
+	bytes := 4*(f.N()+1) + 4*f.TotalDegree() + extra
 	b.ReportMetric(float64(bytes), "snapshotB/op")
 }
 
@@ -46,9 +42,9 @@ func BenchmarkCMBuildGraph(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sinkFrozen = g.FreezeSorted(1)
+		sinkFrozen = g.FreezePar(1)
 	}
-	reportSnapshotBytes(b, sinkFrozen, true, 0)
+	reportSnapshotBytes(b, sinkFrozen, 0)
 }
 
 func BenchmarkCMBuildCSR(b *testing.B) {
@@ -61,7 +57,7 @@ func BenchmarkCMBuildCSR(b *testing.B) {
 		}
 		sinkFrozen = f
 	}
-	reportSnapshotBytes(b, sinkFrozen, true, 0)
+	reportSnapshotBytes(b, sinkFrozen, 0)
 }
 
 func BenchmarkCMBuildCSRArena(b *testing.B) {
@@ -77,7 +73,7 @@ func BenchmarkCMBuildCSRArena(b *testing.B) {
 		}
 		sinkFrozen = f
 	}
-	reportSnapshotBytes(b, sinkFrozen, true, 0)
+	reportSnapshotBytes(b, sinkFrozen, 0)
 }
 
 func BenchmarkGRNBuildGraph(b *testing.B) {
@@ -90,7 +86,7 @@ func BenchmarkGRNBuildGraph(b *testing.B) {
 		}
 		sinkFrozen = g.Freeze()
 	}
-	reportSnapshotBytes(b, sinkFrozen, false, 16*benchGRNNodes)
+	reportSnapshotBytes(b, sinkFrozen, 16*benchGRNNodes)
 }
 
 func BenchmarkGRNBuildCSR(b *testing.B) {
@@ -103,7 +99,7 @@ func BenchmarkGRNBuildCSR(b *testing.B) {
 		}
 		sinkFrozen = f
 	}
-	reportSnapshotBytes(b, sinkFrozen, false, 16*benchGRNNodes)
+	reportSnapshotBytes(b, sinkFrozen, 16*benchGRNNodes)
 }
 
 func BenchmarkGRNBuildCSRArena(b *testing.B) {
@@ -119,7 +115,7 @@ func BenchmarkGRNBuildCSRArena(b *testing.B) {
 		}
 		sinkFrozen = f
 	}
-	reportSnapshotBytes(b, sinkFrozen, false, 16*benchGRNNodes)
+	reportSnapshotBytes(b, sinkFrozen, 16*benchGRNNodes)
 }
 
 // sinkFrozen keeps the built snapshots observable so the compiler cannot

@@ -91,11 +91,10 @@ func CMBuild(cfg CMConfig, b Build) (*graph.Graph, Stats, error) {
 // (the pairing is RNG-free after the wire shuffle, so the emission fans
 // out across Build.Workers without touching the draw sequence) and
 // finalized with the cleanup pass replayed on the sorted CSR. The result
-// is byte-identical — offsets, neighbor order, sorted membership ranges,
-// Stats — to CMBuild followed by FreezeSorted, for every Workers value
-// and for legacy Builds, but never allocates per-node adjacency slices.
-// The snapshot is sweep-ready (sorted ranges eager); Build.Arena, when
-// set, recycles the build's transient buffers.
+// is byte-identical — offsets, neighbor order, Stats — to CMBuild
+// followed by Freeze, for every Workers value and for legacy Builds, but
+// never allocates per-node adjacency slices. Build.Arena, when set,
+// recycles the build's transient buffers.
 func CMFrozen(cfg CMConfig, b Build) (*graph.Frozen, Stats, error) {
 	var st Stats
 	b = b.normalize()

@@ -23,7 +23,7 @@ func frozenFingerprint(f *graph.Frozen) [][2][]int32 {
 }
 
 // TestCMFrozenMatchesLegacyFreeze pins the CM direct-CSR contract:
-// CMFrozen is byte-identical to CMBuild+FreezeSorted — post-cleanup
+// CMFrozen is byte-identical to CMBuild+FreezePar — post-cleanup
 // neighbor order, sorted ranges, edge count, Stats — for legacy
 // single-stream builds and for phased builds at every worker count, with
 // and without an arena.
@@ -45,7 +45,7 @@ func TestCMFrozenMatchesLegacyFreeze(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
-		want := frozenFingerprint(g.FreezeSorted(1))
+		want := frozenFingerprint(g.FreezePar(1))
 		wantM := g.M()
 		for _, withArena := range []bool{false, true} {
 			b := tc.mk()
@@ -63,7 +63,7 @@ func TestCMFrozenMatchesLegacyFreeze(t *testing.T) {
 				t.Fatalf("%s arena=%v: M=%d, want %d", tc.label, withArena, f.M(), wantM)
 			}
 			if !reflect.DeepEqual(want, frozenFingerprint(f)) {
-				t.Fatalf("%s arena=%v: CMFrozen diverged from CMBuild+FreezeSorted", tc.label, withArena)
+				t.Fatalf("%s arena=%v: CMFrozen diverged from CMBuild+FreezePar", tc.label, withArena)
 			}
 		}
 	}

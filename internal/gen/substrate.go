@@ -107,9 +107,7 @@ func GRNBuild(cfg GRNConfig, b Build) (*graph.Graph, []Point, error) {
 // order — the exact edge order the mutable build inserts. The result is
 // byte-identical to GRNBuild followed by FreezePar for every Workers
 // value and for legacy Builds. The scan produces each unordered pair once
-// and no self-loops, so no cleanup pass runs; the sorted membership
-// ranges stay lazy, matching how substrate snapshots are consumed
-// (DAPA's discovery floods only scan Neighbors). Build.Arena, when set,
+// and no self-loops, so no cleanup pass runs. Build.Arena, when set,
 // recycles the build's transient buffers.
 func GRNFrozen(cfg GRNConfig, b Build) (*graph.Frozen, []Point, error) {
 	b = b.normalize()

@@ -20,7 +20,7 @@ package graph
 // every worker count. FinalizeSimplified additionally replays
 // Graph.Simplify's deletion pass (ascending edge keys, swap-with-last
 // adjacency removal) on the CSR arrays, so its output is byte-identical
-// to Graph+Simplify+FreezeSorted on the same stream.
+// to Graph+Simplify+Freeze on the same stream.
 
 // CSRArena recycles a builder's large transient buffers — the per-chunk
 // edge buffers plus the count/scatter and dedup scratch arrays — across
@@ -279,9 +279,10 @@ func (b *CSRBuilder) scatter(workers int, offsets []int32, grabDst func(n int) [
 
 // Finalize builds the Frozen snapshot of the emitted stream as-is
 // (multigraph faithful, like Graph+Freeze). With sorted true the
-// binary-search membership ranges are built eagerly, as FreezeSorted
-// does; otherwise they stay lazy, as Freeze leaves them. workers bounds
-// internal parallelism; the snapshot is identical for every value.
+// binary-search membership ranges are built before returning
+// (MaterializeSorted); otherwise the first membership query builds them.
+// workers bounds internal parallelism; the snapshot is identical for
+// every value.
 func (b *CSRBuilder) Finalize(workers int, sorted bool) *Frozen {
 	if workers < 1 {
 		workers = 1
@@ -291,12 +292,7 @@ func (b *CSRBuilder) Finalize(workers int, sorted bool) *Frozen {
 	neighbors, f.edges = b.scatter(workers, f.offsets, func(n int) []int32 { return make([]int32, n) })
 	f.neighbors = neighbors
 	if sorted {
-		if workers > 1 {
-			f.sorted = sortedParallel(f.offsets, f.neighbors, workers)
-		} else {
-			f.sorted = sortedFromAdjacency(f.offsets, f.neighbors)
-		}
-		f.sortedOnce.Do(func() {})
+		f.MaterializeSorted(workers)
 	}
 	return f
 }
@@ -313,8 +309,8 @@ func (b *CSRBuilder) Finalize(workers int, sorted bool) *Frozen {
 // order Simplify visits its sorted edge keys) and each deletion
 // removes the first matching adjacency entry by swap-with-last, exactly
 // as Graph.RemoveEdge perturbs surviving neighbor order. The sorted
-// membership ranges of the result are built eagerly (they fall out of the
-// dedup scan), so the snapshot is sweep-ready like FreezeSorted.
+// ranges of the dedup scan are arena scratch; the result's own membership
+// ranges are built by its first membership query, like any other Frozen.
 func (b *CSRBuilder) FinalizeSimplified(workers int) (*Frozen, int, int) {
 	if workers < 1 {
 		workers = 1
@@ -382,10 +378,7 @@ func (b *CSRBuilder) FinalizeSimplified(workers int) (*Frozen, int, int) {
 		}
 	}
 
-	// Compact the survivors into exact-size final arrays. The final
-	// sorted ranges need no re-sort: post-cleanup row u holds exactly the
-	// distinct non-u values of the multigraph row, so compacting sorted0's
-	// runs yields them ascending.
+	// Compact the survivors into exact-size final arrays.
 	f := &Frozen{
 		offsets: make([]int32, n+1),
 		edges:   edges0 - selfLoops - multiEdges,
@@ -394,27 +387,11 @@ func (b *CSRBuilder) FinalizeSimplified(workers int) (*Frozen, int, int) {
 		f.offsets[u+1] = f.offsets[u] + lens[u]
 	}
 	f.neighbors = make([]int32, f.offsets[n])
-	f.sorted = make([]int32, f.offsets[n])
 	parallelNodeRanges(n, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			copy(f.neighbors[f.offsets[u]:f.offsets[u+1]], neighbors0[offsets0[u]:offsets0[u]+lens[u]])
-			p := f.offsets[u]
-			row := sorted0[offsets0[u]:offsets0[u+1]]
-			for i := 0; i < len(row); {
-				v := row[i]
-				j := i + 1
-				for j < len(row) && row[j] == v {
-					j++
-				}
-				if int(v) != u {
-					f.sorted[p] = v
-					p++
-				}
-				i = j
-			}
 		}
 	})
-	f.sortedOnce.Do(func() {})
 
 	b.arena.Release(lens)
 	b.arena.Release(sorted0)

@@ -7,7 +7,7 @@ import "testing"
 // counts — to the CSRBuilder and to the mutable-Graph reference path,
 // asserting byte-identical offsets/neighbors/sorted arrays for both the
 // multigraph (Finalize vs Freeze) and simplified (FinalizeSimplified vs
-// Simplify+FreezeSorted) contracts. `go test -fuzz FuzzCSRBuilder`
+// Simplify+FreezePar) contracts. `go test -fuzz FuzzCSRBuilder`
 // explores further; the seed corpus runs in every ordinary test and race
 // invocation.
 func FuzzCSRBuilderEquivalence(f *testing.F) {
@@ -31,13 +31,13 @@ func FuzzCSRBuilderEquivalence(f *testing.F) {
 		w := int(workers)%5 + 1
 
 		g := graphFromStream(t, n, stream)
-		wantMulti := g.FreezeSorted(1)
+		wantMulti := g.FreezePar(1)
 		arena := NewCSRArena()
 		gotMulti := builderFromStream(n, stream, chunks, arena).Finalize(w, true)
 		expectIdentical(t, "fuzz multigraph", wantMulti, gotMulti)
 
 		wantLoops, wantEdges := g.Simplify()
-		wantSimple := g.FreezeSorted(1)
+		wantSimple := g.FreezePar(1)
 		gotSimple, loops, multi := builderFromStream(n, stream, chunks, arena).FinalizeSimplified(w)
 		if loops != wantLoops || multi != wantEdges {
 			t.Fatalf("deletions (%d,%d), want (%d,%d)", loops, multi, wantLoops, wantEdges)

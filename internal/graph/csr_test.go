@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -60,19 +61,24 @@ func builderFromStream(n int, stream [][2]int32, chunkCount int, arena *CSRArena
 }
 
 // expectIdentical asserts two Frozens match byte for byte: offsets,
-// insertion-order neighbors, sorted ranges, and edge count.
+// insertion-order neighbors, sorted ranges, and edge count. Both sides'
+// SortedNeighbors — built on this first call — are held against want's
+// rows sorted by comparison, a reference that shares nothing with the
+// counting transpose.
 func expectIdentical(t *testing.T, label string, want, got *Frozen) {
 	t.Helper()
-	wo, wn, ws := frozenArrays(want)
-	o, n, s := frozenArrays(got)
-	if !reflect.DeepEqual(wo, o) {
+	if !reflect.DeepEqual(want.offsets, got.offsets) {
 		t.Fatalf("%s: offsets diverged", label)
 	}
-	if !reflect.DeepEqual(wn, n) {
+	if !reflect.DeepEqual(want.neighbors, got.neighbors) {
 		t.Fatalf("%s: neighbor order diverged", label)
 	}
-	if !reflect.DeepEqual(ws, s) {
-		t.Fatalf("%s: sorted ranges diverged", label)
+	for u := 0; u < want.N(); u++ {
+		ref := slices.Clone(want.Neighbors(u))
+		slices.Sort(ref)
+		if !slices.Equal(ref, want.SortedNeighbors(u)) || !slices.Equal(ref, got.SortedNeighbors(u)) {
+			t.Fatalf("%s: sorted range of node %d diverged", label, u)
+		}
 	}
 	if want.M() != got.M() {
 		t.Fatalf("%s: edges %d vs %d", label, want.M(), got.M())
@@ -81,7 +87,7 @@ func expectIdentical(t *testing.T, label string, want, got *Frozen) {
 
 // TestCSRBuilderMatchesFreeze pins the multigraph contract: Finalize on a
 // chunked stream is byte-identical to Graph.AddEdge in stream order plus
-// FreezeSorted, for every chunking, worker count, and arena reuse state.
+// FreezePar, for every chunking, worker count, and arena reuse state.
 func TestCSRBuilderMatchesFreeze(t *testing.T) {
 	t.Parallel()
 	arena := NewCSRArena()
@@ -89,7 +95,7 @@ func TestCSRBuilderMatchesFreeze(t *testing.T) {
 		{1, 5}, {2, 0}, {7, 40}, {50, 400}, {300, 900}, {1000, 300},
 	} {
 		stream := randomEdgeStream(uint64(tc.n*31+tc.edges), tc.n, tc.edges)
-		want := graphFromStream(t, tc.n, stream).FreezeSorted(1)
+		want := graphFromStream(t, tc.n, stream).FreezePar(1)
 		for _, chunks := range []int{1, 3, 16} {
 			for _, workers := range []int{1, 4} {
 				got := builderFromStream(tc.n, stream, chunks, nil).Finalize(workers, true)
@@ -105,10 +111,11 @@ func TestCSRBuilderMatchesFreeze(t *testing.T) {
 }
 
 // TestCSRBuilderSimplifiedMatchesGraph pins the cleanup contract:
-// FinalizeSimplified is byte-identical to Graph+Simplify+FreezeSorted on
+// FinalizeSimplified is byte-identical to Graph+Simplify+FreezePar on
 // the same stream — surviving neighbor order included, which exercises
 // Simplify's swap-with-last removal — and reports the same deletion
-// counts.
+// counts. Its sorted dedup scratch must not escape: the result's
+// membership ranges stay unbuilt until first use.
 func TestCSRBuilderSimplifiedMatchesGraph(t *testing.T) {
 	t.Parallel()
 	arena := NewCSRArena()
@@ -118,12 +125,15 @@ func TestCSRBuilderSimplifiedMatchesGraph(t *testing.T) {
 		stream := randomEdgeStream(uint64(tc.n)*977+uint64(tc.edges), tc.n, tc.edges)
 		g := graphFromStream(t, tc.n, stream)
 		wantLoops, wantMulti := g.Simplify()
-		want := g.FreezeSorted(1)
+		want := g.FreezePar(1)
 		for _, chunks := range []int{1, 5, 32} {
 			for _, workers := range []int{1, 3} {
 				got, loops, multi := builderFromStream(tc.n, stream, chunks, arena).FinalizeSimplified(workers)
 				if loops != wantLoops || multi != wantMulti {
 					t.Fatalf("n=%d: deletions (%d,%d), want (%d,%d)", tc.n, loops, multi, wantLoops, wantMulti)
+				}
+				if got.sorted != nil {
+					t.Fatalf("n=%d: FinalizeSimplified built the membership ranges", tc.n)
 				}
 				expectIdentical(t, "simplified", want, got)
 			}
@@ -192,8 +202,9 @@ type fakeRand struct{ s *splitMix64 }
 func (r fakeRand) Intn(n int) int { return int(r.s.next() % uint64(n)) }
 
 // TestInducedFrozenMatchesInducedSubgraph pins the byte-level equivalence
-// of the CSR-native induced subgraph with InducedSubgraph+FreezeSorted,
-// including self-loop placement and dropped out-of-set edges.
+// of the CSR-native induced subgraph with InducedSubgraph+FreezePar,
+// including self-loop placement and dropped out-of-set edges; the
+// membership ranges stay unbuilt until first use.
 func TestInducedFrozenMatchesInducedSubgraph(t *testing.T) {
 	t.Parallel()
 	stream := randomEdgeStream(99, 80, 400) // dense: loops and multi-edges
@@ -207,10 +218,13 @@ func TestInducedFrozenMatchesInducedSubgraph(t *testing.T) {
 	}
 	for si, nodes := range sets {
 		wantSub, wantOrig := g.InducedSubgraph(nodes)
-		want := wantSub.FreezeSorted(1)
+		want := wantSub.FreezePar(1)
 		got, orig := f.InducedFrozen(nodes)
 		if !reflect.DeepEqual(wantOrig, orig) {
 			t.Fatalf("set %d: orig mapping diverged", si)
+		}
+		if got.sorted != nil {
+			t.Fatalf("set %d: InducedFrozen built the membership ranges", si)
 		}
 		expectIdentical(t, "induced", want, got)
 	}

@@ -54,28 +54,29 @@ func TestFreezeParEquivalence(t *testing.T) {
 	}
 }
 
-// TestFreezeSortedEquivalence pins the eager sorted build: FreezeSorted
-// produces exactly the arrays the lazy path would have built, for both
-// the serial counting transpose and the parallel per-range sort, and the
-// snapshot answers membership queries without further initialization.
-func TestFreezeSortedEquivalence(t *testing.T) {
+// TestMaterializeSortedEquivalence pins the one explicit "build now":
+// a fresh snapshot carries no membership ranges, and MaterializeSorted
+// produces exactly the arrays the first membership query would have built,
+// for every worker count, answering membership queries without further
+// initialization.
+func TestMaterializeSortedEquivalence(t *testing.T) {
 	t.Parallel()
 	g := buildTestMultigraph(t)
-	wo, wn, ws := frozenArrays(g.Freeze())
 	for _, workers := range []int{1, 2, 4, 16, 64} {
-		f := g.FreezeSorted(workers)
+		f := g.FreezePar(workers)
+		if f.sorted != nil {
+			t.Fatalf("FreezePar(%d) built the membership ranges", workers)
+		}
+		f.MaterializeSorted(workers)
 		if f.sorted == nil {
-			t.Fatalf("FreezeSorted(%d) left sorted ranges lazy", workers)
+			t.Fatalf("MaterializeSorted(%d) left sorted ranges lazy", workers)
 		}
-		o, n, s := frozenArrays(f)
-		if !reflect.DeepEqual(wo, o) || !reflect.DeepEqual(wn, n) || !reflect.DeepEqual(ws, s) {
-			t.Fatalf("FreezeSorted(%d) diverged from the lazy build", workers)
-		}
+		expectIdentical(t, "materialized", g.Freeze(), f)
 		if !f.HasEdge(4, 5) || f.HasEdge(4, 6) {
-			t.Fatalf("FreezeSorted(%d) membership wrong", workers)
+			t.Fatalf("MaterializeSorted(%d) membership wrong", workers)
 		}
 		if f.EdgeMultiplicity(4, 5) != 2 || f.EdgeMultiplicity(3, 3) != 1 {
-			t.Fatalf("FreezeSorted(%d) multiplicity wrong", workers)
+			t.Fatalf("MaterializeSorted(%d) multiplicity wrong", workers)
 		}
 	}
 }

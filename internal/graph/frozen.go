@@ -27,11 +27,10 @@ import (
 //   - sorted[offsets[u]:offsets[u+1]] is the same multiset ascending, so
 //     HasEdge/EdgeMultiplicity are a binary search over the
 //     smaller-degree endpoint instead of Graph's linear scan of it.
-//     Freeze builds it lazily on first use (search kernels, walkers, and
-//     BFS never touch it, so one-shot freezes don't pay for it);
-//     FreezeSorted builds it eagerly, which the experiment engine uses to
-//     move the O(E) construction into the pipelined build stage, off the
-//     sweep's critical path.
+//     It is nil until ensureSorted builds it, once, on the first
+//     membership query. Search kernels, walkers, BFS and the DES
+//     only forward to neighbors and never touch it, so no experiment
+//     spec pays for it — only the clustering and rich-club metrics do.
 //   - Self-loops appear twice per adjacency list and parallel edges once
 //     per copy, exactly as in Graph (multigraphs freeze faithfully).
 //
@@ -63,8 +62,7 @@ type Frozen struct {
 // Freeze snapshots g into CSR form. The Frozen shares nothing with g:
 // mutating g afterwards does not invalidate it. Typical use is once per
 // generated topology, after Simplify, before the read-only sweep. The
-// sorted membership ranges stay lazy; see FreezeSorted for the eager
-// variant the experiment engine's build stage uses.
+// sorted membership ranges are built by the first membership query.
 func (g *Graph) Freeze() *Frozen { return g.FreezePar(1) }
 
 // FreezePar is Freeze with the neighbor-array fill fanned out across up to
@@ -92,34 +90,10 @@ func (g *Graph) FreezePar(workers int) *Frozen {
 	return f
 }
 
-// FreezeSorted is FreezePar plus an eager build of the sorted HasEdge
-// ranges, for snapshots that will serve membership queries from many
-// goroutines: the O(E) sorted-range construction runs here, on the build
-// side, instead of inside the first HasEdge call of the sweep, so the
-// sweep's hot path never takes (or contends on) the lazy-init slow path.
-func (g *Graph) FreezeSorted(workers int) *Frozen {
-	f := g.FreezePar(workers)
-	f.MaterializeSorted(workers)
-	return f
-}
-
 // MaterializeSorted builds the sorted HasEdge ranges now, on the calling
-// goroutine (fanning per-node sorts across up to `workers` goroutines),
-// instead of lazily inside the first membership query. The experiment
-// engine calls it in the pipelined build stage for snapshots headed into
-// a sweep, so the sweep's hot path never takes (or contends on) the
-// lazy-init slow path; snapshots that already carry sorted ranges (CM's
-// FinalizeSimplified output) make this a no-op. The resulting array is
-// identical to the lazy build's for every worker count.
-func (f *Frozen) MaterializeSorted(workers int) {
-	f.sortedOnce.Do(func() {
-		if workers > 1 {
-			f.sorted = sortedParallel(f.offsets, f.neighbors, workers)
-		} else {
-			f.sorted = sortedFromAdjacency(f.offsets, f.neighbors)
-		}
-	})
-}
+// goroutine, instead of inside the first membership query. The array is
+// the same for every worker count, so workers is ignored.
+func (f *Frozen) MaterializeSorted(workers int) { f.ensureSorted() }
 
 // parallelNodeRanges splits [0, n) into up to `workers` contiguous ranges
 // and runs fn on each concurrently (serially when workers <= 1). fn must
@@ -151,20 +125,13 @@ func parallelNodeRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// sortedParallel builds the same per-node ascending neighbor array as
-// sortedFromAdjacency by sorting each node's range independently, which
-// parallelizes over node ranges (the counting transpose writes to
-// arbitrary target buckets and cannot). The sorted multiset of a range is
-// unique, so both constructions yield the identical array.
-func sortedParallel(offsets, neighbors []int32, workers int) []int32 {
-	sorted := make([]int32, len(neighbors))
-	fillSortedParallel(sorted, offsets, neighbors, workers)
-	return sorted
-}
-
-// fillSortedParallel is sortedParallel writing into caller-provided
-// storage, so the CSR builder can stage intermediate sorted ranges in
-// arena scratch instead of fresh allocations.
+// fillSortedParallel fills caller-provided storage with the same per-node
+// ascending neighbor array as sortedFromAdjacency by sorting each node's
+// range independently, which parallelizes over node ranges (the counting
+// transpose writes to arbitrary target buckets and cannot). The sorted
+// multiset of a range is unique, so both constructions yield the
+// identical array. The CSR builder stages its dedup scan's sorted ranges
+// in arena scratch with it.
 func fillSortedParallel(sorted, offsets, neighbors []int32, workers int) {
 	n := len(offsets) - 1
 	copy(sorted, neighbors)

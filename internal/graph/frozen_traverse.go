@@ -121,13 +121,12 @@ func (f *Frozen) SamplePathStats(sources int, rng randSource) PathStats {
 // InducedFrozen returns the CSR snapshot of the subgraph on the given
 // node set, renumbered 0..len(nodes)-1 in the given order, plus the
 // mapping from new IDs back to original IDs. It is byte-identical —
-// offsets, neighbor order, sorted ranges — to
-// Graph.InducedSubgraph(nodes) followed by FreezeSorted on the graph this
-// snapshot was frozen from: edges with an endpoint outside the set are
-// dropped, parallel edges and self-loops inside the set are preserved,
-// and the adjacency order replays InducedSubgraph's two-sided insertion
-// scan (self-loop entries landing at the end of their row). The sorted
-// membership ranges are built eagerly; the result is sweep-ready.
+// offsets and neighbor order — to Graph.InducedSubgraph(nodes) followed
+// by Freeze on the graph this snapshot was frozen from: edges with an
+// endpoint outside the set are dropped, parallel edges and self-loops
+// inside the set are preserved, and the adjacency order replays
+// InducedSubgraph's two-sided insertion scan (self-loop entries landing
+// at the end of their row).
 func (f *Frozen) InducedFrozen(nodes []int) (*Frozen, []int) {
 	n := f.N()
 	k := len(nodes)
@@ -203,7 +202,5 @@ func (f *Frozen) InducedFrozen(nodes []int) (*Frozen, []int) {
 			next[i] += 2
 		}
 	}
-	sub.sorted = sortedFromAdjacency(sub.offsets, sub.neighbors)
-	sub.sortedOnce.Do(func() {})
 	return sub, orig
 }

@@ -9,7 +9,7 @@ package search
 //     random topologies and seeds (TestFrozenKernels*Equivalence below).
 //  2. Benchmarks: BenchmarkReference* vs BenchmarkScratch* in
 //     scratch_test.go is the before/after record of the CSR migration
-//     (scripts/bench.sh captures both into BENCH_PR2.json).
+//     (BENCH_PR2.json holds the snapshot of both).
 
 import (
 	"testing"

@@ -26,7 +26,7 @@ func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint
 	t.Helper()
 	rows := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
 	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 1, GenWorkers: 1, Realizations: cfg.sc.Realizations}, seed,
-		func(r int, b *builder) (*graph.Frozen, error) { return sweepTopo(factory, r, b) },
+		factory,
 		func(r int, f *graph.Frozen, sw *sweeper) error {
 			return sw.Sources(uint64(r), cfg.sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
 				res, err := scratch.Flood(f, rng.Intn(f.N()), cfg.maxTTL)

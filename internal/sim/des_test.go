@@ -124,9 +124,7 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 	cfg := searchCfg{alg: algFL, maxTTL: steps, sc: Scale{Sources: 5, Realizations: 2}}
 	perSource := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
 	err := forEachRealizationPipeline(engineOpts{}, cfg.sc, seed,
-		func(r int, b *builder) (*graph.Frozen, error) {
-			return sweepTopo(factory, r, b)
-		},
+		factory,
 		func(r int, f *graph.Frozen, sw *sweeper) error {
 			return sw.Sources(uint64(r), cfg.sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
 				src := rng.Intn(f.N())

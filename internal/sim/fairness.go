@@ -83,9 +83,7 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 		factory := paTopo(sc.NSearch, 2, kc)
 		queries := 8 * sc.Sources
 		tag := fmt.Sprintf("fairness searchload kc=%d", kc)
-		rows, err := realizationBlocks(sc, seed+uint64(9000+ci), tag, oneRow(1), func(r int, b *builder) (*graph.Frozen, error) {
-			return sweepTopo(factory, r, b)
-		}, func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
+		rows, err := realizationBlocks(sc, seed+uint64(9000+ci), tag, oneRow(1), factory, func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
 			// Each shard charges its own Load accumulator; integer merges
 			// commute, so the per-realization total — and its Gini — is
 			// identical for any (Workers, SourceShards) setting.

@@ -25,27 +25,7 @@ import (
 // slices become garbage before the search sweep starts. CM (and the GRN
 // substrates) never query the graph mid-build, so they emit straight into
 // a graph.CSRBuilder and no mutable Graph ever exists.
-//
-// The sorted HasEdge ranges are NOT part of the factory contract:
-// degree-only consumers (mergedDegreeDist, fairness, table1) never probe
-// membership and would pay an O(E) sorted build per realization for
-// nothing. Sweep specs route factories through sweepTopo, which
-// materializes the ranges in the build stage; CM snapshots carry them
-// anyway (the cleanup pass yields them for free).
 type topoFactory func(r int, b *builder) (*graph.Frozen, error)
-
-// sweepTopo adapts a factory into a pipeline build callback that delivers
-// sweep-ready snapshots: the sorted membership ranges are materialized
-// here, in the pipelined build stage, so a sweep that probes HasEdge can
-// never take (or contend on) the lazy-init path.
-func sweepTopo(factory topoFactory, r int, b *builder) (*graph.Frozen, error) {
-	f, err := factory(r, b)
-	if err != nil {
-		return nil, err
-	}
-	f.MaterializeSorted(b.genWorkers)
-	return f, nil
-}
 
 func paTopo(n, m, kc int) topoFactory {
 	return func(_ int, b *builder) (*graph.Frozen, error) {
@@ -95,8 +75,7 @@ func dapaTopo(substrates []*graph.Frozen, nOverlay, m, kc, tauSub int) topoFacto
 // makeSubstrates generates one GRN substrate per realization with the
 // paper's parameters (k̄ = 10), built straight into CSR form for the whole
 // figure: every series reuses the snapshots, and no mutable substrate
-// graph is ever materialized. Substrates serve only Neighbors scans
-// (DAPA's discovery floods), so the sorted ranges stay lazy.
+// graph is ever materialized.
 func makeSubstrates(n int, sc Scale, seed uint64) ([]*graph.Frozen, error) {
 	subs := make([]*graph.Frozen, sc.Realizations)
 	// Strict supervision (no partial flag): every series of the figure
@@ -285,13 +264,12 @@ func sweepSeries(label string, factory topoFactory, cfg searchCfg, seed uint64, 
 
 // sourceBlocks runs the series shape every search figure shares through
 // the three-stage pipeline: the build stage generates and freezes each
-// realization (sorted ranges included) while the sweep stage fills an
-// earlier realization's block of sc.Sources rows — sweep deposits source
-// s's curve of rowLen values in rows[s], whatever shard computed it.
+// realization while the sweep stage fills an earlier realization's block
+// of sc.Sources rows — sweep deposits source s's curve of rowLen values in
+// rows[s], whatever shard computed it.
 func sourceBlocks(tag string, factory topoFactory, sc Scale, seed uint64, rowLen int,
 	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) ([][][]float64, error) {
-	return realizationBlocks(sc, seed, tag, rowBlocks(recSweepSlots, sc.Sources, rowLen),
-		func(r int, b *builder) (*graph.Frozen, error) { return sweepTopo(factory, r, b) },
+	return realizationBlocks(sc, seed, tag, rowBlocks(recSweepSlots, sc.Sources, rowLen), factory,
 		func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
 			rows := make([][]float64, sc.Sources)
 			return rows, sweep(r, f, sw, rows)

@@ -15,10 +15,11 @@ import (
 // through. A figure's realizations flow through:
 //
 //	build stage   — up to GenWorkers goroutines generate topologies and
-//	                freeze them (CSR fill and the sorted HasEdge ranges
-//	                both built here, in parallel), so realization r+1 (and
-//	                beyond, up to the GenWorkers bound) is being built
-//	                while realization r is being swept;
+//	                freeze them into CSR adjacency (the sweeps only forward
+//	                to neighbors, so no membership ranges are built), so
+//	                realization r+1 (and beyond, up to the GenWorkers
+//	                bound) is being built while realization r is being
+//	                swept;
 //	bounded queue — finished snapshots wait on a channel of capacity
 //	                GenWorkers, which is the pipeline's backpressure: the
 //	                build stage stalls rather than running unboundedly

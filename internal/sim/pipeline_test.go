@@ -8,6 +8,7 @@ import (
 
 	"scalefree/internal/gen"
 	"scalefree/internal/graph"
+	"scalefree/internal/search"
 	"scalefree/internal/xrand"
 )
 
@@ -281,25 +282,24 @@ func TestBuilderContract(t *testing.T) {
 	}
 }
 
-// TestFrozenTopoEagerSorted checks the build stage delivers snapshots with
-// the sorted HasEdge ranges already materialized and correct (the sweep
-// side must never trigger the lazy init).
-func TestFrozenTopoEagerSorted(t *testing.T) {
+// TestSweepShardsRaceLazyMembership checks that a snapshot's membership
+// ranges, which no factory builds, are built correctly by whichever sweep
+// shard probes HasEdge first while the other shards race it (run under
+// -race in CI).
+func TestSweepShardsRaceLazyMembership(t *testing.T) {
 	t.Parallel()
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 1, GenWorkers: 2, Realizations: 2}, 9,
-		func(r int, b *builder) (*graph.Frozen, error) {
-			return sweepTopo(paTopo(300, 2, gen.NoCutoff), r, b)
-		},
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 4, GenWorkers: 2, Realizations: 2}, 9,
+		paTopo(300, 2, gen.NoCutoff),
 		func(r int, f *graph.Frozen, sw *sweeper) error {
 			// Cross-check membership against the insertion-order adjacency.
-			for u := 0; u < f.N(); u++ {
+			return sw.Sources(uint64(r), f.N(), func(_, u int, _ *xrand.RNG, _ *search.Scratch) error {
 				for _, v := range f.Neighbors(u) {
 					if !f.HasEdge(u, int(v)) {
 						t.Errorf("r=%d: HasEdge(%d,%d) = false for a real edge", r, u, v)
 					}
 				}
-			}
-			return nil
+				return nil
+			})
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float
 	sources := cfg.sc.Sources
 	blocks, err := realizationBlocks(cfg.sc, seed, tag, rowBlocks(recDESSlots, nCurves*sources, rowLen),
 		func(r int, b *builder) (desTopo, error) {
-			f, err := sweepTopo(factory, r, b)
+			f, err := factory(r, b)
 			if err != nil {
 				return desTopo{}, err
 			}

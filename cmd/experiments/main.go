@@ -85,6 +85,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -233,6 +234,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if *failMTBF < 0 {
 			return fmt.Errorf("-fail-mtbf %v must be >= 0", *failMTBF)
+		}
+		for name, v := range map[string]float64{"-latency-base": *latBase, "-latency-jitter": *latJitter} {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("%s %v must be finite and >= 0", name, v)
+			}
 		}
 		sc.DESLatencyBase = *latBase
 		sc.DESLatencyJitter = *latJitter

@@ -138,6 +138,23 @@ func TestRunBadLoss(t *testing.T) {
 	}
 }
 
+// A negative, NaN or infinite per-edge delay is refused in every mode but
+// worker (whose knobs arrive in the lease), before anything runs.
+func TestRunBadLatency(t *testing.T) {
+	t.Parallel()
+	var buf strings.Builder
+	for _, args := range [][]string{
+		{"-mode", "des", "-latency-base", "-1"},
+		{"-exp", "desflood", "-latency-jitter", "NaN", "-outdir", t.TempDir(), "-plot=false"},
+		{"-exp", "desflood", "-latency-base", "+Inf", "-outdir", t.TempDir(), "-plot=false"},
+		{"-mode", "coordinator", "-coord-addr", "127.0.0.1:0", "-exp", "desflood", "-latency-jitter", "-0.5"},
+	} {
+		if err := run(args, &buf); err == nil || !strings.Contains(err.Error(), "-latency-") {
+			t.Fatalf("%v: err %v, want the bad latency flag refused", args, err)
+		}
+	}
+}
+
 func TestRunCommaSeparatedExperiments(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()

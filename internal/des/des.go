@@ -68,6 +68,7 @@ var (
 	ErrBadTTL     = fmt.Errorf("des: TTL must be >= 0")
 	ErrBadLoss    = fmt.Errorf("des: loss rate must be in [0, 1)")
 	ErrBadWalkers = fmt.Errorf("des: walkers must be >= 1")
+	ErrBadLatency = fmt.Errorf("des: latency base and jitter must be finite and >= 0")
 )
 
 // Latency is the deterministic per-edge delay model: every edge {u, v}
@@ -141,8 +142,16 @@ func (cfg Config) check() error {
 	if cfg.Loss < 0 || cfg.Loss >= 1 {
 		return fmt.Errorf("%w: %v", ErrBadLoss, cfg.Loss)
 	}
+	// A negative delay delivers a copy before it is sent; NaN leaves the
+	// heap's order, and with it every RNG draw, arbitrary.
+	if l := cfg.Latency; !validDelay(l.Base) || !validDelay(l.Jitter) {
+		return fmt.Errorf("%w: base %v, jitter %v", ErrBadLatency, l.Base, l.Jitter)
+	}
 	return cfg.Fail.check()
 }
+
+// validDelay reports whether d is a finite, non-negative delay (NaN is not).
+func validDelay(d float64) bool { return d >= 0 && !math.IsInf(d, 1) }
 
 // Metrics is the outcome of one DES run. Slices alias the Sim's arena and
 // are valid until the next run on the same Sim.

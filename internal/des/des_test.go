@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sort"
@@ -344,6 +345,14 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := sim.Flood(f, 0, Config{MaxTTL: 2, Loss: 1.5}, nil); err == nil {
 		t.Fatal("loss > 1 accepted")
+	}
+	for _, lat := range []Latency{{Base: -1}, {Jitter: -0.5}, {Base: math.NaN()}, {Jitter: math.NaN()}, {Base: math.Inf(1)}, {Base: 1, Jitter: math.Inf(1)}} {
+		if _, err := sim.Flood(f, 0, Config{MaxTTL: 2, Latency: lat}, nil); !errors.Is(err, ErrBadLatency) {
+			t.Fatalf("flood latency %+v: err %v, want ErrBadLatency", lat, err)
+		}
+		if _, err := sim.KWalk(f, 0, 1, 5, Config{Latency: lat}, nil); !errors.Is(err, ErrBadLatency) {
+			t.Fatalf("k-walk latency %+v: err %v, want ErrBadLatency", lat, err)
+		}
 	}
 	if _, err := sim.KWalk(f, 0, 0, 5, Config{}, nil); err == nil {
 		t.Fatal("zero walkers accepted")

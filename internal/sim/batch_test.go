@@ -14,6 +14,7 @@ import (
 	"slices"
 	"testing"
 
+	"scalefree/internal/des"
 	"scalefree/internal/gen"
 	"scalefree/internal/graph"
 	"scalefree/internal/search"
@@ -137,6 +138,30 @@ func blocksOf(flat [][]float64, sources int) [][][]float64 {
 	return blocks
 }
 
+// meanRows is the reduction the engine ran before blocks were reduced as
+// they land, kept as the reference: each realization's block reduced to
+// the mean of its rows lo..hi-1, summed in row order; a nil block stays a
+// nil entry.
+func meanRows(blocks [][][]float64, lo, hi int) [][]float64 {
+	perReal := make([][]float64, len(blocks))
+	for r, rows := range blocks {
+		if rows == nil {
+			continue
+		}
+		sums := make([]float64, len(rows[lo]))
+		for _, row := range rows[lo:hi] {
+			for t := range sums {
+				sums[t] += row[t]
+			}
+		}
+		for t := range sums {
+			sums[t] /= float64(hi - lo)
+		}
+		perReal[r] = sums
+	}
+	return perReal
+}
+
 // TestFreeListScratchServesSmallerGraph: a released scratch is the one the
 // next sweeper gets, and the kernel state it grew on a 20 000-node sweep
 // does not leak into a 400-node one. Not parallel: it owns the free list.
@@ -173,34 +198,42 @@ func TestFreeListScratchServesSmallerGraph(t *testing.T) {
 }
 
 // TestFreeListDropsFailedSweeper: the sweeper a sweep panicked on is
-// replaced and never reaches the free list; the replacement, which
-// finished cleanly, does. Not parallel: it owns the free list.
+// replaced and never reaches the free list — neither its scratch nor its DES
+// sim; the replacement, which finished cleanly, does, with both. Not
+// parallel: it owns the free list.
 func TestFreeListDropsFailedSweeper(t *testing.T) {
-	var failed, clean *search.Scratch
+	var failed, clean *sweeper
+	var failedSim, cleanSim *des.Sim
 	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 1, GenWorkers: 1, Realizations: 2, Run: testRC(1, 0)}, 99,
 		func(r int, _ *builder) (int, error) { return r, nil },
 		func(r, _ int, sw *sweeper) error {
 			switch {
 			case failed == nil:
-				failed = sw.scratches[0]
+				failed, failedSim = sw, sw.Sim(0)
 				panic("injected sweep panic")
 			case r == 1:
-				clean = sw.scratches[0]
+				clean, cleanSim = sw, sw.Sim(0)
 			}
 			return nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failed == nil || clean == nil || failed == clean {
+	if failed == nil || clean == nil || failed == clean || failedSim == cleanSim {
 		t.Fatalf("test did not see both sweepers (failed %p, clean %p)", failed, clean)
 	}
 	scratchFree.Lock()
 	defer scratchFree.Unlock()
-	if slices.Contains(scratchFree.list, failed) {
-		t.Fatal("scratch of the failed sweeper was released to the free list")
+	var scratches []*search.Scratch
+	var sims []*des.Sim
+	for _, sw := range scratchFree.list {
+		scratches = append(scratches, sw.scratches...)
+		sims = append(sims, sw.sims...)
 	}
-	if !slices.Contains(scratchFree.list, clean) {
-		t.Fatal("scratch of the cleanly finished sweeper was not released")
+	if slices.Contains(scratches, failed.scratches[0]) || slices.Contains(sims, failedSim) {
+		t.Fatal("the failed sweeper's scratch or sim was released to the free list")
+	}
+	if !slices.Contains(scratches, clean.scratches[0]) || !slices.Contains(sims, cleanSim) {
+		t.Fatal("the cleanly finished sweeper's scratch or sim was not released")
 	}
 }

@@ -139,21 +139,27 @@ func checkChurnRepair(sc Scale, seed uint64) (bool, string, error) {
 func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 	ratio := func(kc int) (float64, error) {
 		steps := sc.NSearch / 2
-		blocks, err := sourceBlocks(fmt.Sprintf("hds-cutoff-dependence %s", cutoffLabel(kc)), paTopo(sc.NSearch, 2, kc), sc, seed+uint64(kc), 2,
-			perSource(func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
-				rh, err := scratch.HighDegreeWalk(f, src, steps, rng)
-				if err != nil {
-					return nil, err
-				}
-				// Consume rh before the next scratch call recycles it.
-				row := []float64{float64(rh.HitsAt(steps)), 0}
-				rb, err := scratch.RandomWalk(f, src, steps, rng)
-				if err != nil {
-					return nil, err
-				}
-				row[1] = float64(rb.HitsAt(steps))
-				return row, nil
-			}))
+		walks := perSource(func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
+			rh, err := scratch.HighDegreeWalk(f, src, steps, rng)
+			if err != nil {
+				return nil, err
+			}
+			// Consume rh before the next scratch call recycles it.
+			row := []float64{float64(rh.HitsAt(steps)), 0}
+			rb, err := scratch.RandomWalk(f, src, steps, rng)
+			if err != nil {
+				return nil, err
+			}
+			row[1] = float64(rb.HitsAt(steps))
+			return row, nil
+		})
+		// The running sums below cross realizations, so this series keeps
+		// every block whole, in rows of its own.
+		blocks, err := realizationBlocks(sc, seed+uint64(kc), fmt.Sprintf("hds-cutoff-dependence %s", cutoffLabel(kc)), rowBlocks(recSweepSlots, sc.Sources, 2),
+			paTopo(sc.NSearch, 2, kc), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+				rows := make([][]float64, sc.Sources)
+				return rows, walks(r, f, sw, rows)
+			})
 		if err != nil {
 			return 0, err
 		}

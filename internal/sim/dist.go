@@ -33,7 +33,11 @@ type SlotRecord struct {
 
 	// frame is the journal frame the record was cut from — by the block
 	// codec on a worker, by DecodeSlotRecord on a coordinator — of which
-	// Payload is a sub-slice; see framed.
+	// Payload is a sub-slice; see framed. A record a worker's sink receives
+	// owns its frame for as long as the record lives: the engine encodes
+	// every sink record into a fresh buffer and never touches it again, so
+	// a sink may retain records, and a transport may deliver them by
+	// reference. DecodeSlotRecord's record borrows the caller's bytes.
 	frame []byte
 }
 

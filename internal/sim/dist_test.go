@@ -253,6 +253,66 @@ func TestWorkerSinkHistogramBitIdentical(t *testing.T) {
 	}
 }
 
+// TestWorkerSinkFramesStayIntact: a worker's sink owns every frame it is
+// handed. Records kept until a whole multi-series spec has run — while its
+// sweepers reuse their block buffers across realizations and series — must
+// still decode and equal, byte for byte, the records a local journaled run
+// wrote under the same keys.
+func TestWorkerSinkFramesStayIntact(t *testing.T) {
+	t.Parallel()
+	const seed = 2007
+	ctx := context.Background()
+	spec, err := Lookup("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "local.journal")
+	j, err := OpenJournal(path, spec.ID, seed, tinyScale, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := tinyScale
+	sc.Run = NewRunControl(ctx, 0, 0, j)
+	if _, err := spec.Run(sc, seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := OpenJournal(path, spec.ID, seed, tinyScale, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	var mu sync.Mutex
+	var got []SlotRecord
+	for r := 0; r < tinyScale.Realizations; r++ {
+		sc := tinyScale
+		sc.Run = NewWorkerRunControl(ctx, 0, r, func(rec SlotRecord) {
+			mu.Lock()
+			got = append(got, rec)
+			mu.Unlock()
+		})
+		if _, err := spec.Run(sc, seed); err != nil {
+			t.Logf("worker %d reduction: %v", r, err)
+		}
+	}
+	if len(got) != ref.Resumed() || len(got) < 2*tinyScale.Realizations {
+		t.Fatalf("workers emitted %d records, the local run journaled %d", len(got), ref.Resumed())
+	}
+	for _, rec := range got {
+		back, err := DecodeSlotRecord(rec.frame)
+		if err != nil {
+			t.Fatalf("record %s no longer decodes: %v", rec.Key(), err)
+		}
+		want, ok := ref.payloadOf(back.key())
+		if !ok || back.key() != rec.key() || !bytes.Equal(rec.frame, encodeFrame(back.key(), want)) {
+			t.Fatalf("record %s differs from the local journal's record under its key (found=%v)", rec.Key(), ok)
+		}
+	}
+}
+
 func TestInspectJournal(t *testing.T) {
 	t.Parallel()
 	sc := testScaleTiny()

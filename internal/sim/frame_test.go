@@ -16,6 +16,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"scalefree/internal/gen"
 )
 
 // TestFrameGoldenBytes pins the frame layout — [u32 len][u32 CRC][21 B key]
@@ -163,14 +165,12 @@ func TestLyingLengthPrefixAllocatesNothing(t *testing.T) {
 }
 
 // TestRecordPathAllocs pins the allocation budget of the record paths: a
-// local journalAppend of a block costs one frame buffer (the block's bytes
-// plus frame overhead and small change, not a payload, a body and a record
-// copy of it), a worker's sink gets that same buffer, and replay through the
-// offset index allocates nothing once its read buffer is warm.
+// local journalAppend of a block encoded into a warm, reused frame buffer —
+// what a sweep worker does — allocates nothing (not a frame, a payload, a
+// body or a record copy of it), a worker's sink gets the codec's own fresh
+// buffer, and replay through the offset index allocates nothing once its
+// read buffer is warm.
 func TestRecordPathAllocs(t *testing.T) {
-	// 81 840 B of float64 per block: its frame fills ten 8 KiB pages to within
-	// 43 B, so the allocator's rounding of large objects (which TotalAlloc
-	// counts) stays inside the budget's small change.
 	const nRows, rowLen, records = 110, 93, 16
 	rows := make([][]float64, nRows)
 	for i := range rows {
@@ -187,13 +187,14 @@ func TestRecordPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := NewRunControl(context.Background(), 0, 0, j)
-	const block = nRows * rowLen * 8
+	buf := codec.encode(nil, key(0), rows)
 	if n := allocated(func() {
 		for r := 0; r < records; r++ {
-			rc.journalAppend(codec.encode(key(r), rows))
+			buf = codec.encode(buf, key(r), rows)
+			rc.journalAppend(buf)
 		}
-	}) / records; n > block+512 {
-		t.Errorf("journalAppend of a %d B block allocates %d B, want <= %d", block, n, block+512)
+	}) / records; n > 64 {
+		t.Errorf("journalAppend of a %d B block from a warm frame buffer allocates %d B, want ~0", nRows*rowLen*8, n)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -201,7 +202,7 @@ func TestRecordPathAllocs(t *testing.T) {
 
 	var got SlotRecord
 	wrc := NewWorkerRunControl(context.Background(), 0, 0, func(rec SlotRecord) { got = rec })
-	frame := codec.encode(key(0), rows)
+	frame := codec.encode(nil, key(0), rows)
 	if n := allocated(func() { wrc.journalAppend(frame) }); n > 512 {
 		t.Errorf("the worker sink path allocates %d B beyond the codec's frame", n)
 	}
@@ -228,5 +229,42 @@ func TestRecordPathAllocs(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("replay allocates %v/record after warm-up", allocs)
+	}
+}
+
+// TestSeriesAllocsPerRealization: a journaled sweep series keeps one block
+// per sweep worker, in that sweeper's reused buffers, and only a mean row
+// per realization, so what each extra realization allocates — its
+// topology, its mean row, engine bookkeeping — stays below one block's
+// slab. Allocating a slab, a frame and row headers per realization, as the
+// engine did before, costs over twice that. Not parallel: it reads
+// process-wide allocation counters.
+func TestSeriesAllocsPerRealization(t *testing.T) {
+	const sources, maxTTL = 400, 20
+	slab := int64(sources * (maxTTL + 1) * 8)
+	factory := paTopo(100, 2, gen.NoCutoff)
+	run := func(realizations int) int64 {
+		t.Helper()
+		sc := Scale{NSearch: 100, Realizations: realizations, Sources: sources, MaxTTLFlood: maxTTL, Workers: 1, SourceShards: 1, GenWorkers: 1}
+		j, err := OpenJournal(filepath.Join(t.TempDir(), "s.journal"), "fig", 7, sc, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Run = NewRunControl(context.Background(), 0, 0, j)
+		n := allocated(func() { _, err = searchSeries("fl", factory, sc.searchCfg(algFL, maxTTL, 0), 7) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return int64(n)
+	}
+	run(4) // the first series' sweeper grows its buffers; later ones reuse them
+	small, large := run(4), run(16)
+	if per := (large - small) / 12; per >= slab {
+		t.Errorf("each extra realization allocates %d B, one block's slab is %d B", per, slab)
+	} else {
+		t.Logf("each extra realization allocates %d B (slab %d B)", per, slab)
 	}
 }

@@ -104,7 +104,7 @@ func cutoffLabel(kc int) string {
 // (MergeDegreeDists weights by node count).
 func mergedDegreeDist(tag string, factory topoFactory, sc Scale, seed uint64) (stats.DegreeDist, error) {
 	hists, err := realizationBlocks(sc, seed, tag,
-		blockCodec[[]int]{kind: recDegreeHist, encode: encodeHistogram, decode: decodeHistogram},
+		blockCodec[[]int, []int]{kind: recDegreeHist, encode: appendHistogram, reduce: same[[]int], decode: decodeHistogram},
 		func(r int, b *builder) ([]int, error) {
 			f, err := factory(r, b)
 			if err != nil {
@@ -244,7 +244,6 @@ func sweepSeries(label string, factory topoFactory, cfg searchCfg, seed uint64, 
 		tag = cfg.tag + ": " + label
 	}
 	return sourceSeries(label, tag, factory, cfg.sc, seed, rowLen, 1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
-		slabRows(rows, rowLen)
 		deposit := func(s int, res search.Result) { sample(res, rows[s]) }
 		if cfg.alg == algFL {
 			// FL draws nothing but its source node, so whole runs of
@@ -262,32 +261,28 @@ func sweepSeries(label string, factory topoFactory, cfg searchCfg, seed uint64, 
 	})
 }
 
-// sourceBlocks runs the series shape every search figure shares through
+// sourceSeries runs the series shape every search figure shares through
 // the three-stage pipeline: the build stage generates and freezes each
-// realization while the sweep stage fills an earlier realization's block
-// of sc.Sources rows — sweep deposits source s's curve of rowLen values in
-// rows[s], whatever shard computed it.
-func sourceBlocks(tag string, factory topoFactory, sc Scale, seed uint64, rowLen int,
-	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) ([][][]float64, error) {
-	return realizationBlocks(sc, seed, tag, rowBlocks(recSweepSlots, sc.Sources, rowLen), factory,
-		func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
-			rows := make([][]float64, sc.Sources)
-			return rows, sweep(r, f, sw, rows)
-		})
-}
-
-// sourceSeries reduces sourceBlocks to a plot series: per realization the
-// mean over sources, then mean ± σ across realizations from x = firstX.
+// realization while the sweep stage fills an earlier realization's block of
+// sc.Sources rows — sweep deposits source s's curve of rowLen values in
+// rows[s], whatever shard computed it. The block is the sweeper's, zeroed
+// and reused for its next realization, because each block is reduced to its
+// mean over sources as it lands; the series is then mean ± σ across
+// realizations from x = firstX.
 func sourceSeries(label, tag string, factory topoFactory, sc Scale, seed uint64, rowLen, firstX int,
 	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) (Series, error) {
-	blocks, err := sourceBlocks(tag, factory, sc, seed, rowLen, sweep)
+	means, err := realizationBlocks(sc, seed, tag, rowMeans(recSweepSlots, 1, sc.Sources, rowLen), factory,
+		func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+			rows := sw.block(sc.Sources, rowLen)
+			return rows, sweep(r, f, sw, rows)
+		})
 	if err != nil {
 		return Series{}, fmt.Errorf("series %s: %w", label, err)
 	}
-	return aggregate(label, meanRows(blocks, 0, sc.Sources), firstX)
+	return aggregate(label, blockRow(means, 0), firstX)
 }
 
-// perSource adapts a per-source query to a sourceBlocks sweep: source s
+// perSource adapts a per-source query to a sourceSeries sweep: source s
 // draws its node and all search randomness from the (seed, r, s) stream
 // and its row lands in slot s.
 func perSource(query func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error)) func(int, *graph.Frozen, *sweeper, [][]float64) error {
@@ -299,40 +294,38 @@ func perSource(query func(scratch *search.Scratch, f *graph.Frozen, src int, rng
 	}
 }
 
-// slabRows points every row of a block at its own rowLen values of one
-// backing array — one allocation per block instead of one per row — and
-// returns rows. Each row's capacity ends where the next row begins, so an
-// append to a row cannot write into its neighbour.
-func slabRows(rows [][]float64, rowLen int) [][]float64 {
-	slab := make([]float64, len(rows)*rowLen)
+// slabRows points every row of a block at its own rowLen values of slab —
+// one backing array per block instead of one per row — and returns rows.
+// Each row's capacity ends where the next row begins, so an append to a row
+// cannot write into its neighbour.
+func slabRows(rows [][]float64, slab []float64, rowLen int) [][]float64 {
 	for s := range rows {
 		rows[s] = slab[s*rowLen : (s+1)*rowLen : (s+1)*rowLen]
 	}
 	return rows
 }
 
-// meanRows reduces each realization's block to the mean of its rows
-// lo..hi-1, summing in row order so the result is bit-for-bit independent
-// of how the sweep was scheduled. An absent realization (nil block) stays
-// a nil entry, which aggregate then drops.
-func meanRows(blocks [][][]float64, lo, hi int) [][]float64 {
-	perReal := make([][]float64, len(blocks))
-	for r, rows := range blocks {
-		if rows == nil {
-			continue
-		}
-		sums := make([]float64, len(rows[lo]))
-		for _, row := range rows[lo:hi] {
+// meanCurves reduces one realization's block of nCurves curves × sources
+// rows (curve-major) to the nCurves mean rows, summing each curve's rows in
+// row order so the result is bit-for-bit independent of how the sweep was
+// scheduled.
+func meanCurves(rows [][]float64, nCurves int) [][]float64 {
+	sources := len(rows) / nCurves
+	means := make([][]float64, nCurves)
+	for c := range means {
+		curve := rows[c*sources : (c+1)*sources]
+		sums := make([]float64, len(curve[0]))
+		for _, row := range curve {
 			for t := range sums {
 				sums[t] += row[t]
 			}
 		}
 		for t := range sums {
-			sums[t] /= float64(hi - lo)
+			sums[t] /= float64(sources)
 		}
-		perReal[r] = sums
+		means[c] = sums
 	}
-	return perReal
+	return means
 }
 
 // blockRow picks row c of every realization's block (nil where absent).

@@ -30,6 +30,14 @@ package sim
 // local run writes that buffer, a distributed worker ships it, the
 // coordinator's Accept appends the received bytes verbatim, and replay
 // reads them back by file offset (see dist.go and internal/coord).
+//
+// Who owns a frame, and for how long: the journal never keeps one — append
+// copies it into the file before returning — so a local run encodes every
+// record of a sweep worker into that worker's one frame buffer, reused for
+// its next realization. A frame handed to a worker's sink is the sink's for
+// good (it becomes the SlotRecord's), so sink mode encodes each record
+// into a fresh buffer. Replay hands out a view of the journal's read
+// buffer, valid only inside the callback.
 
 import (
 	"bufio"
@@ -42,6 +50,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -342,11 +351,12 @@ func decodeKey(body []byte) journalKey {
 }
 
 // newFrame starts one record frame — [4B body len][4B CRC32(body)][key]
-// [payload], on disk and on the wire alike — with the prefix reserved, the
-// key written and room for payloadLen more bytes: the encoder appends the
-// payload in place, sealFrame patches the prefix, one buffer per record.
-func newFrame(k journalKey, payloadLen int) []byte {
-	b := make([]byte, frameHeaderLen, frameOverhead+payloadLen)
+// [payload], on disk and on the wire alike — in dst's storage (nil: a fresh
+// buffer), with the prefix reserved, the key written and room for
+// payloadLen more bytes: the encoder appends the payload in place and
+// sealFrame patches the prefix, so the payload is never copied.
+func newFrame(dst []byte, k journalKey, payloadLen int) []byte {
+	b := slices.Grow(dst[:0], frameOverhead+payloadLen)[:frameHeaderLen]
 	b = append(b, k.kind)
 	b = binary.LittleEndian.AppendUint64(b, k.stream)
 	b = binary.LittleEndian.AppendUint64(b, k.sub)
@@ -363,7 +373,7 @@ func sealFrame(frame []byte) []byte {
 
 // encodeFrame frames a payload that already exists as bytes.
 func encodeFrame(k journalKey, payload []byte) []byte {
-	return sealFrame(append(newFrame(k, len(payload)), payload...))
+	return sealFrame(append(newFrame(nil, k, len(payload)), payload...))
 }
 
 // appendFrame is appendLocked for one sealed frame; nil journal or frame: no-op.
@@ -527,15 +537,15 @@ func encodeJournalHeader(spec string, seed uint64, sc Scale) []byte {
 	return b
 }
 
-// encodeRowBlock frames nRows float64 rows of rowLen values each under k —
-// the exact bits of one realization's block, so replay is bit-for-bit.
-// rowLen < 0 takes the first row's length. Returns nil (skip journaling) on
-// any shape mismatch.
-func encodeRowBlock(k journalKey, rows [][]float64, rowLen int) []byte {
+// appendRowBlock frames nRows float64 rows of rowLen values each under k,
+// in dst's storage (see newFrame) — the exact bits of one realization's
+// block, so replay is bit-for-bit. rowLen < 0 takes the first row's length.
+// Returns nil (skip journaling) on any shape mismatch.
+func appendRowBlock(dst []byte, k journalKey, rows [][]float64, rowLen int) []byte {
 	if rowLen < 0 && len(rows) > 0 {
 		rowLen = len(rows[0])
 	}
-	b := newFrame(k, 8+len(rows)*rowLen*8)
+	b := newFrame(dst, k, 8+len(rows)*rowLen*8)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(rowLen))
 	for _, row := range rows {
@@ -549,21 +559,28 @@ func encodeRowBlock(k journalKey, rows [][]float64, rowLen int) []byte {
 	return sealFrame(b)
 }
 
-// decodeRowBlock is the inverse of encodeRowBlock; ok=false when the
-// payload does not carry exactly nRows × rowLen values (a record from a
-// schema drift the header check missed — treated as not-completed).
-// rowLen < 0 accepts whatever row length the payload declares.
-func decodeRowBlock(p []byte, nRows, rowLen int) ([][]float64, bool) {
+// rowBlockShape checks that a row-block payload carries exactly nRows rows
+// of rowLen values and returns rowLen; rowLen < 0 accepts whatever row
+// length the payload declares. ok=false is a record from a schema drift the
+// header check missed — treated as not-completed.
+func rowBlockShape(p []byte, nRows, rowLen int) (int, bool) {
 	if len(p) < 8 || binary.LittleEndian.Uint32(p[0:4]) != uint32(nRows) {
-		return nil, false
+		return 0, false
 	}
 	if rowLen < 0 {
 		rowLen = int(binary.LittleEndian.Uint32(p[4:8]))
 	}
-	if binary.LittleEndian.Uint32(p[4:8]) != uint32(rowLen) || len(p) != 8+nRows*rowLen*8 {
+	return rowLen, binary.LittleEndian.Uint32(p[4:8]) == uint32(rowLen) && len(p) == 8+nRows*rowLen*8
+}
+
+// decodeRowBlock is the inverse of appendRowBlock for a payload of
+// rowBlockShape: the block, in rows of one fresh slab.
+func decodeRowBlock(p []byte, nRows, rowLen int) ([][]float64, bool) {
+	rowLen, ok := rowBlockShape(p, nRows, rowLen)
+	if !ok {
 		return nil, false
 	}
-	rows := slabRows(make([][]float64, nRows), rowLen)
+	rows := slabRows(make([][]float64, nRows), make([]float64, nRows*rowLen), rowLen)
 	off := 8
 	for _, row := range rows {
 		for t := range row {
@@ -574,10 +591,37 @@ func decodeRowBlock(p []byte, nRows, rowLen int) ([][]float64, bool) {
 	return rows, true
 }
 
-// encodeHistogram frames a degree histogram (counts[k] = #nodes with
-// degree k), the per-realization contribution of the degree specs.
-func encodeHistogram(k journalKey, hist []int) []byte {
-	b := newFrame(k, 4+len(hist)*8)
+// decodeRowMeans reduces a payload of nCurves × sources rows of rowLen
+// values (curve-major) straight from its bytes to the nCurves mean rows —
+// bit-for-bit what meanCurves makes of the decoded block, because it sums
+// the same values in the same order — without decoding the block.
+func decodeRowMeans(p []byte, nCurves, sources, rowLen int) ([][]float64, bool) {
+	if _, ok := rowBlockShape(p, nCurves*sources, rowLen); !ok {
+		return nil, false
+	}
+	means := make([][]float64, nCurves)
+	off := 8
+	for c := range means {
+		sums := make([]float64, rowLen)
+		for range sources {
+			for t := range sums {
+				sums[t] += math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8]))
+				off += 8
+			}
+		}
+		for t := range sums {
+			sums[t] /= float64(sources)
+		}
+		means[c] = sums
+	}
+	return means, true
+}
+
+// appendHistogram frames a degree histogram (counts[k] = #nodes with
+// degree k), the per-realization contribution of the degree specs, in dst's
+// storage (see newFrame).
+func appendHistogram(dst []byte, k journalKey, hist []int) []byte {
+	b := newFrame(dst, k, 4+len(hist)*8)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(hist)))
 	for _, c := range hist {
 		b = binary.LittleEndian.AppendUint64(b, uint64(c))

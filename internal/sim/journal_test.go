@@ -9,6 +9,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,7 @@ import (
 
 	"scalefree/internal/gen"
 	"scalefree/internal/graph"
+	"scalefree/internal/xrand"
 )
 
 func testScaleTiny() Scale {
@@ -36,6 +38,13 @@ func (j *Journal) payloadOf(k journalKey) ([]byte, bool) {
 
 // rowPayload and histPayload are the payload bytes of the block encoders'
 // frames, for records the tests assemble by hand.
+// encodeRowBlock and encodeHistogram frame a record in a fresh buffer.
+func encodeRowBlock(k journalKey, rows [][]float64, rowLen int) []byte {
+	return appendRowBlock(nil, k, rows, rowLen)
+}
+
+func encodeHistogram(k journalKey, hist []int) []byte { return appendHistogram(nil, k, hist) }
+
 func rowPayload(rows [][]float64, rowLen int) []byte {
 	return encodeRowBlock(journalKey{}, rows, rowLen)[frameOverhead:]
 }
@@ -97,6 +106,40 @@ func TestJournalRoundTrip(t *testing.T) {
 	frs := j2.ResumedFailures()
 	if len(frs) != 1 || frs[0] != fr {
 		t.Fatalf("ResumedFailures() = %+v, want [%+v]", frs, fr)
+	}
+}
+
+// TestDecodeRowMeansMatchesMeanCurves: reducing a journaled block straight
+// from its bytes yields, bit for bit, what meanCurves makes of the block —
+// the property that lets replay skip decoding — and a payload of another
+// shape is refused.
+func TestDecodeRowMeansMatchesMeanCurves(t *testing.T) {
+	t.Parallel()
+	const nCurves, sources, rowLen = 3, 7, 5
+	rng := xrand.New(5)
+	rows := make([][]float64, nCurves*sources)
+	for i := range rows {
+		rows[i] = make([]float64, rowLen)
+		for c := range rows[i] {
+			rows[i][c] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(30)-15))
+		}
+	}
+	rows[0][1], rows[9][2] = math.Copysign(0, -1), math.Inf(1)
+	p := rowPayload(rows, rowLen)
+	got, ok := decodeRowMeans(p, nCurves, sources, rowLen)
+	want := meanCurves(rows, nCurves)
+	if !ok || len(got) != nCurves {
+		t.Fatalf("decodeRowMeans = %v, ok=%v", got, ok)
+	}
+	for c := range want {
+		for i := range want[c] {
+			if math.Float64bits(got[c][i]) != math.Float64bits(want[c][i]) {
+				t.Fatalf("curve %d point %d: %v from the bytes, %v from the block", c, i, got[c][i], want[c][i])
+			}
+		}
+	}
+	if _, ok := decodeRowMeans(p, nCurves, sources+1, rowLen); ok {
+		t.Fatal("a payload of another shape was reduced")
 	}
 }
 

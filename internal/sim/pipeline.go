@@ -57,7 +57,9 @@ import (
 //
 // Memory: up to 2·GenWorkers + Workers frozen snapshots can be alive at
 // once (building + queued + being swept). Builds that must stay lean can
-// set GenWorkers=1, which still overlaps one build with the sweeps.
+// set GenWorkers=1, which still overlaps one build with the sweeps. A
+// sweep series holds one block per sweep worker, in that sweeper's
+// buffers, and keeps only each realization's reduction (realizationBlocks).
 
 // engineOpts tells the engine what its caller does with failures and with
 // realizations a previous run already journaled.
@@ -327,35 +329,54 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 	return nil
 }
 
-// blockCodec names the journal record family of one series and converts a
-// realization's block — its whole contribution to the series' reduction —
-// to the record's sealed frame and back from its payload. encode returns
-// nil for a block it cannot represent (journaling is skipped); decode
-// reports ok=false for a payload of another shape (a record from a schema
-// drift the header check missed).
-type blockCodec[B any] struct {
+// blockCodec names the journal record family of one series, converts a
+// realization's block — its whole contribution to the series — to the
+// record's sealed frame, and reduces the block to the R the series keeps
+// the moment it lands: reduce for a block the engine just computed, decode
+// for a journaled payload, straight from the replay buffer (ok=false for a
+// payload of another shape: a record from a schema drift the header check
+// missed). encode builds the frame in dst's storage (nil: a fresh buffer)
+// and returns nil for a block it cannot represent (journaling is skipped).
+type blockCodec[B, R any] struct {
 	kind   uint8
-	encode func(journalKey, B) []byte
-	decode func([]byte) (B, bool)
+	encode func(dst []byte, k journalKey, blk B) []byte
+	reduce func(B) R
+	decode func([]byte) (R, bool)
 }
 
+// same is the reduction of a series that keeps whole blocks.
+func same[B any](blk B) B { return blk }
+
 // rowBlocks is the codec of blocks of nRows float64 rows of rowLen values
-// each; rowLen < 0 takes the length each record carries (curves whose
-// length the generator decides: robustness steps, churn probes).
-func rowBlocks(kind uint8, nRows, rowLen int) blockCodec[[][]float64] {
-	return blockCodec[[][]float64]{
+// each, kept whole; rowLen < 0 takes the length each record carries (curves
+// whose length the generator decides: robustness steps, churn probes).
+func rowBlocks(kind uint8, nRows, rowLen int) blockCodec[[][]float64, [][]float64] {
+	return blockCodec[[][]float64, [][]float64]{
 		kind:   kind,
-		encode: func(k journalKey, rows [][]float64) []byte { return encodeRowBlock(k, rows, rowLen) },
+		encode: func(dst []byte, k journalKey, rows [][]float64) []byte { return appendRowBlock(dst, k, rows, rowLen) },
+		reduce: same[[][]float64],
 		decode: func(p []byte) ([][]float64, bool) { return decodeRowBlock(p, nRows, rowLen) },
 	}
 }
 
+// rowMeans is the codec of a sweep's blocks of nCurves × sources rows of
+// rowLen values, curve-major, which the series reduces to their nCurves
+// mean rows as each lands (meanCurves; decodeRowMeans for a journaled one).
+// The block itself is never kept, so it may live in its sweeper's buffers.
+func rowMeans(kind uint8, nCurves, sources, rowLen int) blockCodec[[][]float64, [][]float64] {
+	c := rowBlocks(kind, nCurves*sources, rowLen)
+	c.reduce = func(rows [][]float64) [][]float64 { return meanCurves(rows, nCurves) }
+	c.decode = func(p []byte) ([][]float64, bool) { return decodeRowMeans(p, nCurves, sources, rowLen) }
+	return c
+}
+
 // oneRow is rowBlocks for a realization that contributes a single row.
-func oneRow(rowLen int) blockCodec[[]float64] {
+func oneRow(rowLen int) blockCodec[[]float64, []float64] {
 	c := rowBlocks(recSweepSlots, 1, rowLen)
-	return blockCodec[[]float64]{
+	return blockCodec[[]float64, []float64]{
 		kind:   c.kind,
-		encode: func(k journalKey, row []float64) []byte { return c.encode(k, [][]float64{row}) },
+		encode: func(dst []byte, k journalKey, row []float64) []byte { return c.encode(dst, k, [][]float64{row}) },
+		reduce: same[[]float64],
 		decode: func(p []byte) ([]float64, bool) {
 			rows, ok := c.decode(p)
 			if !ok {
@@ -367,42 +388,52 @@ func oneRow(rowLen int) blockCodec[[]float64] {
 }
 
 // realizationBlocks is the one journaled path from a series to its
-// per-realization blocks: it claims the series' record family, replays the
-// realizations a previous run journaled (their builds and sweeps are
-// skipped), runs the rest through the engine, and journals each block as
-// its realization completes. sweep(r, v, sw) turns the built snapshot into
-// the block; a build-only series passes a nil sweep and its build returns
-// the block itself. tag names the series in the journal: with the engine
-// seed it keys the records, so series that share a seed by design (the DES
-// loss/failure knobs, panels reusing a label format) must differ in tag —
-// a collision fails loudly in journalClaim.
+// per-realization reductions: it claims the series' record family, replays
+// the realizations a previous run journaled (their builds and sweeps are
+// skipped), runs the rest through the engine, and journals and reduces each
+// block as its realization completes, so no block outlives its
+// realization unless the codec's reduction keeps it. sweep(r, v, sw) turns
+// the built snapshot into the block; a build-only series passes a nil sweep
+// and its build returns the block itself. tag names the series in the
+// journal: with the engine seed it keys the records, so series that share a
+// seed by design (the DES loss/failure knobs, panels reusing a label
+// format) must differ in tag — a collision fails loudly in journalClaim.
 //
-// A returned block is the zero B when its realization is absent: it
+// A returned reduction is the zero R when its realization is absent: it
 // permanently failed within the -max-failed budget (only a successful
-// attempt ever stores a block, so no partial bits can average in), or this
+// attempt ever lands a block, so no partial bits can average in), or this
 // process is a distributed worker that does not lease it. Reductions drop
 // absent realizations and aggregate the survivors in realization order, so
 // a complete run reduces exactly as an unjournaled one and a resumed or
 // distributed run reproduces its bytes.
-func realizationBlocks[T, B any](sc Scale, seed uint64, tag string, codec blockCodec[B],
+func realizationBlocks[T, B, R any](sc Scale, seed uint64, tag string, codec blockCodec[B, R],
 	build func(r int, b *builder) (T, error),
-	sweep func(r int, v T, sw *sweeper) (B, error)) ([]B, error) {
+	sweep func(r int, v T, sw *sweeper) (B, error)) ([]R, error) {
 	rc := sc.Run
 	sub := journalTag(tag)
 	if err := rc.journalClaim(codec.kind, seed, sub, tag); err != nil {
 		return nil, err
 	}
-	blocks := make([]B, sc.Realizations)
+	reduced := make([]R, sc.Realizations)
 	replayed := make([]bool, sc.Realizations)
 	key := func(r int) journalKey { return journalKey{kind: codec.kind, stream: seed, sub: sub, r: r} }
-	for r := range blocks {
-		rc.journalPayload(key(r), func(p []byte) { blocks[r], replayed[r] = codec.decode(p) })
+	for r := range reduced {
+		rc.journalPayload(key(r), func(p []byte) { reduced[r], replayed[r] = codec.decode(p) })
 	}
-	finish := func(r int, blk B) {
-		if rc.journaling() {
-			rc.journalAppend(codec.encode(key(r), blk))
+	// land journals and reduces one computed block. A journal copies the
+	// frame into its file, so a sweeper's frame buffer serves its next
+	// realization too; a worker's sink keeps the frame it is handed, and a
+	// build-only series has no sweeper: those frames are fresh.
+	land := func(r int, blk B, sw *sweeper) {
+		switch {
+		case !rc.journaling():
+		case sw != nil && rc.journal != nil:
+			sw.frame = codec.encode(sw.frame, key(r), blk)
+			rc.journalAppend(sw.frame)
+		default:
+			rc.journalAppend(codec.encode(nil, key(r), blk))
 		}
-		blocks[r] = blk
+		reduced[r] = codec.reduce(blk)
 	}
 	o := engineOpts{skip: func(r int) bool { return replayed[r] }, partial: true}
 	var err error
@@ -410,7 +441,7 @@ func realizationBlocks[T, B any](sc Scale, seed uint64, tag string, codec blockC
 		err = forEachRealizationPipeline(o, sc, seed, func(r int, b *builder) (T, error) {
 			v, err := build(r, b)
 			if err == nil {
-				finish(r, any(v).(B))
+				land(r, any(v).(B), nil)
 			}
 			return v, err
 		}, nil)
@@ -418,7 +449,7 @@ func realizationBlocks[T, B any](sc Scale, seed uint64, tag string, codec blockC
 		err = forEachRealizationPipeline(o, sc, seed, build, func(r int, v T, sw *sweeper) error {
 			blk, err := sweep(r, v, sw)
 			if err == nil {
-				finish(r, blk)
+				land(r, blk, sw)
 			}
 			return err
 		})
@@ -426,7 +457,7 @@ func realizationBlocks[T, B any](sc Scale, seed uint64, tag string, codec blockC
 	if err != nil {
 		return nil, err
 	}
-	return blocks, nil
+	return reduced, nil
 }
 
 // withSweeper runs fn with a standalone source-sweep pool of `shards`

@@ -278,56 +278,68 @@ func Lookup(id string) (Spec, error) {
 // pool (withSweeper) live in pipeline.go.
 
 // sweeper is one sweep worker's source-sweep pool: a fixed set of shard
-// scratches reused across every realization the worker processes, so the
-// search kernels stay allocation-free no matter how work is scheduled.
-// A sweeper belongs to its worker goroutine; Sources may be called any
-// number of times per realization (one call per sub-experiment).
+// scratches (and DES sims) reused across every realization the worker
+// processes, so the search kernels stay allocation-free no matter how work
+// is scheduled, plus the buffers of the block and record frame of the
+// realization being swept, reused by the next one. A sweeper belongs to its
+// worker goroutine; Sources may be called any number of times per
+// realization (one call per sub-experiment).
 type sweeper struct {
 	seed      uint64
 	shards    int
 	scratches []*search.Scratch
 	sims      []*des.Sim
+	// rows and slab back block; frame is the journal frame buffer
+	// realizationBlocks encodes the block into. The series reduces the block
+	// and the journal copies the frame before the sweep returns.
+	rows  [][]float64
+	slab  []float64
+	frame []byte
 }
 
-// scratchFree keeps the scratches of finished sweeps for the next
-// newSweeper: a figure runs one engine per series, and without reuse each
-// would grow its own O(N) kernel state from nothing. It is a plain free
-// list, not a sync.Pool, so what a run allocates does not depend on when
-// the garbage collector happens to empty the pool.
+// scratchFree keeps finished sweepers — shard scratches, DES sims, block
+// and frame buffers — for the next newSweeper: a figure runs one engine per
+// series, and without reuse each would grow its own O(N) kernel state and
+// its per-realization buffers from nothing. It is a plain free list, which
+// the garbage collector never empties, so what a run allocates does not
+// depend on when a collection happens.
 var scratchFree struct {
 	sync.Mutex
-	list []*search.Scratch
+	list []*sweeper
 }
 
-// newSweeper builds a sweeper with `shards` scratches (the engine resolves
-// automatic sizing before construction; <=1 means serial sweeps), taken
-// from the free list when it has any. Fresh scratches start empty and grow
-// on first use.
+// newSweeper returns a sweeper of `shards` scratches (the engine resolves
+// automatic sizing before construction; <=1 means serial sweeps): the last
+// one released, when there is one, topped up with fresh scratches that
+// start empty and grow on first use. A reused sweeper keeps any scratches
+// beyond `shards` unused.
 func newSweeper(seed uint64, shards int) *sweeper {
-	if shards < 1 {
-		shards = 1
-	}
-	sw := &sweeper{seed: seed, shards: shards, scratches: make([]*search.Scratch, shards), sims: make([]*des.Sim, shards)}
+	var sw *sweeper
 	scratchFree.Lock()
-	keep := max(0, len(scratchFree.list)-shards)
-	reused := copy(sw.scratches, scratchFree.list[keep:])
-	clear(scratchFree.list[keep:]) // the list must not keep a taken scratch alive
-	scratchFree.list = scratchFree.list[:keep]
+	if n := len(scratchFree.list); n > 0 {
+		sw = scratchFree.list[n-1]
+		scratchFree.list[n-1] = nil // the list must not keep a taken sweeper alive
+		scratchFree.list = scratchFree.list[:n-1]
+	}
 	scratchFree.Unlock()
-	for i := reused; i < shards; i++ {
-		sw.scratches[i] = search.NewScratch(0)
+	if sw == nil {
+		sw = &sweeper{}
+	}
+	sw.seed, sw.shards = seed, max(shards, 1)
+	for len(sw.scratches) < sw.shards {
+		sw.scratches = append(sw.scratches, search.NewScratch(0))
+		sw.sims = append(sw.sims, nil)
 	}
 	return sw
 }
 
-// release hands the sweeper's scratches back for reuse. Only a sweeper
-// whose every sweep returned normally may be released: one that saw a
-// panic may hold half-written kernel state and is dropped instead.
+// release hands the sweeper back for reuse. Only a sweeper whose every
+// sweep returned normally may be released: one that saw a panic may hold
+// half-written kernel state and is dropped instead.
 func (sw *sweeper) release() {
 	scratchFree.Lock()
-	scratchFree.list = append(scratchFree.list, sw.scratches...)
+	scratchFree.list = append(scratchFree.list, sw)
 	scratchFree.Unlock()
-	sw.scratches = nil
 }
 
 // Sim returns the shard's pooled DES simulator, created on first use so
@@ -338,6 +350,21 @@ func (sw *sweeper) Sim(shard int) *des.Sim {
 		sw.sims[shard] = des.NewSim(0)
 	}
 	return sw.sims[shard]
+}
+
+// block returns n zeroed rows of rowLen values in the sweeper's buffers,
+// one slab for all rows (see slabRows). The sweeper's next block reuses
+// them, so the block must not outlive the realization it is swept for.
+func (sw *sweeper) block(n, rowLen int) [][]float64 {
+	if cap(sw.rows) < n {
+		sw.rows = make([][]float64, n)
+	}
+	if cap(sw.slab) < n*rowLen {
+		sw.slab = make([]float64, n*rowLen)
+	}
+	slab := sw.slab[:n*rowLen]
+	clear(slab)
+	return slabRows(sw.rows[:n], slab, rowLen)
 }
 
 // Sources enumerates the (source, stream) pairs of one sweep and runs

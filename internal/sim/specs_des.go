@@ -59,9 +59,10 @@ type desTopo struct {
 // realizations through the build/sweep pipeline, runs one simulation per
 // (realization, source) on the shard's pooled des.Sim, and reduces
 // nCurves per-hop curves (each of rowLen points) to per-realization means
-// in slot order. run executes the simulation with the source's stream;
-// sample extracts the curves from the run's Metrics before the next
-// simulation invalidates them.
+// in slot order, as each realization's block lands. run executes the
+// simulation with the source's stream; sample extracts the curves from the
+// run's Metrics, into zeroed rows, before the next simulation invalidates
+// them.
 //
 // tag names this sweep in the journal. It is load-bearing here: the DES
 // specs deliberately share one engine seed across their loss/failure
@@ -73,7 +74,7 @@ func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float
 	sample func(m des.Metrics, rows [][]float64),
 ) ([][][]float64, error) {
 	sources := cfg.sc.Sources
-	blocks, err := realizationBlocks(cfg.sc, seed, tag, rowBlocks(recDESSlots, nCurves*sources, rowLen),
+	means, err := realizationBlocks(cfg.sc, seed, tag, rowMeans(recDESSlots, nCurves, sources, rowLen),
 		func(r int, b *builder) (desTopo, error) {
 			f, err := factory(r, b)
 			if err != nil {
@@ -82,7 +83,7 @@ func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float
 			return desTopo{f: f, lat: des.Latency{Base: base, Jitter: jitter, Phases: b.phases}}, nil
 		},
 		func(r int, v desTopo, sw *sweeper) ([][]float64, error) {
-			block := make([][]float64, nCurves*sources)
+			block := sw.block(nCurves*sources, rowLen)
 			return block, sw.Sources(uint64(r), sources, func(shard, s int, rng *xrand.RNG, _ *search.Scratch) error {
 				src := rng.Intn(v.f.N())
 				m, err := run(sw.Sim(shard), v, src, rng)
@@ -91,8 +92,7 @@ func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float
 				}
 				rows := make([][]float64, nCurves)
 				for c := range rows {
-					rows[c] = make([]float64, rowLen)
-					block[c*sources+s] = rows[c]
+					rows[c] = block[c*sources+s]
 				}
 				sample(m, rows)
 				return nil
@@ -103,7 +103,7 @@ func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float
 	}
 	out := make([][][]float64, nCurves)
 	for c := range out {
-		out[c] = meanRows(blocks, c*sources, (c+1)*sources)
+		out[c] = blockRow(means, c)
 	}
 	return out, nil
 }

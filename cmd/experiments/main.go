@@ -226,13 +226,13 @@ func run(args []string, stdout io.Writer) error {
 	// (a coordinator ships them to the fleet inside every lease); only a
 	// worker ignores its own, because its workload arrives in the lease.
 	if *mode != "worker" {
-		if *loss < 0 || *loss >= 1 {
+		if !(*loss >= 0 && *loss < 1) {
 			return fmt.Errorf("-loss %v out of range [0, 1)", *loss)
 		}
-		if *failFrac < 0 || *failFrac >= 1 {
+		if !(*failFrac >= 0 && *failFrac < 1) {
 			return fmt.Errorf("-fail-frac %v out of range [0, 1)", *failFrac)
 		}
-		if *failMTBF < 0 {
+		if !(*failMTBF >= 0) {
 			return fmt.Errorf("-fail-mtbf %v must be >= 0", *failMTBF)
 		}
 		for name, v := range map[string]float64{"-latency-base": *latBase, "-latency-jitter": *latJitter} {

@@ -131,9 +131,15 @@ func TestRunBadMode(t *testing.T) {
 func TestRunBadLoss(t *testing.T) {
 	t.Parallel()
 	var buf strings.Builder
-	for _, args := range [][]string{{"-mode", "des", "-loss", "1.5"}, {"-exp", "desflood", "-loss", "1.5", "-outdir", t.TempDir(), "-plot=false"}} {
+	for _, args := range [][]string{
+		{"-mode", "des", "-loss", "1.5"},
+		{"-exp", "desflood", "-loss", "1.5", "-outdir", t.TempDir(), "-plot=false"},
+		{"-exp", "desflood", "-loss", "NaN", "-outdir", t.TempDir(), "-plot=false"},
+		{"-exp", "desfail", "-fail-frac", "NaN", "-outdir", t.TempDir(), "-plot=false"},
+		{"-exp", "desfail", "-fail-frac", "0.2", "-fail-mtbf", "NaN", "-outdir", t.TempDir(), "-plot=false"},
+	} {
 		if err := run(args, &buf); err == nil {
-			t.Fatalf("%v: out-of-range loss should fail", args)
+			t.Fatalf("%v: out-of-range DES knob should fail", args)
 		}
 	}
 }

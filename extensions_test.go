@@ -1,38 +1,13 @@
 package scalefree
 
-// Public-API tests for the extension surface: alternative generators,
-// multiple walkers, delivery times, and robustness analysis.
+// Public-API tests for the extension surface: multiple walkers, delivery
+// times, and robustness analysis.
 
 import (
 	"testing"
+
+	"scalefree/internal/search"
 )
-
-func TestPublicAPINLPA(t *testing.T) {
-	t.Parallel()
-	g, _, err := GenerateNLPA(NLPAConfig{N: 2000, M: 2, Alpha: 0.5}, NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsConnected() {
-		t.Fatal("NLPA graph disconnected")
-	}
-	// Sublinear kernel: hubs bounded well under the linear-PA natural
-	// cutoff m·sqrt(N) ≈ 89.
-	if g.MaxDegree() > 89 {
-		t.Fatalf("sublinear NLPA max degree %d", g.MaxDegree())
-	}
-}
-
-func TestPublicAPIFitness(t *testing.T) {
-	t.Parallel()
-	g, eta, _, err := GenerateFitness(FitnessConfig{N: 2000, M: 2, KC: 30}, NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eta) != 2000 || g.MaxDegree() > 30 {
-		t.Fatalf("eta=%d maxdeg=%d", len(eta), g.MaxDegree())
-	}
-}
 
 func TestPublicAPIKRandomWalks(t *testing.T) {
 	t.Parallel()
@@ -40,7 +15,7 @@ func TestPublicAPIKRandomWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := KRandomWalks(g, 0, 4, 100, NewRNG(4))
+	res, err := NewSearchScratch(0).KRandomWalks(Freeze(g), 0, 4, 100, NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +33,15 @@ func TestPublicAPIDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := FloodDelivery(g, 0, 1500, 30)
+	f := Freeze(g)
+	fd, err := NewSearchScratch(0).FloodDelivery(f, 0, 1500, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fd.Found {
 		t.Fatal("flood failed to deliver on a connected graph")
 	}
-	rd, err := RandomWalkDelivery(g, 0, 1500, 1_000_000, NewRNG(6))
+	rd, err := search.RandomWalkDelivery(f, 0, 1500, 1_000_000, NewRNG(6))
 	if err != nil {
 		t.Fatal(err)
 	}

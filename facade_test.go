@@ -5,16 +5,16 @@ package scalefree
 // internal target, swapped arguments) that the internal tests cannot see.
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"scalefree/internal/p2p"
 )
 
 func TestFacadeTopologyWrappers(t *testing.T) {
 	t.Parallel()
 	rng := NewRNG(1)
-	if _, _, err := GenerateLocalEvents(LocalEventsConfig{N: 400, M: 2, P: 0.2, Q: 0.1}, rng); err != nil {
-		t.Fatal(err)
-	}
 	g, _, err := GeneratePA(PAConfig{N: 600, M: 2, KC: 30}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -25,41 +25,53 @@ func TestFacadeTopologyWrappers(t *testing.T) {
 	if ts := TopLoadShare(g, 0.01); ts <= 0 || ts > 1 {
 		t.Fatalf("TopLoadShare = %v", ts)
 	}
-	knn := AverageNeighborDegree(g)
-	if len(knn) == 0 {
-		t.Fatal("AverageNeighborDegree empty")
-	}
-	d := DegreeDistribution(g)
-	if _, err := KSDistance(d, 2.5, 2); err != nil {
-		t.Fatal(err)
-	}
 	if c := GlobalClustering(g); c < 0 || c > 1 {
 		t.Fatalf("clustering %v", c)
 	}
 }
 
-func TestFacadeSearchWrappers(t *testing.T) {
+// TestFacadeSearchGolden pins the facade searches to the kernels behind
+// them: on the search package's canonical golden topology (PA N=2000, m=2,
+// kc=40, RNG seed 11) they must reproduce the constants of
+// internal/search/golden_test.go exactly.
+func TestFacadeSearchGolden(t *testing.T) {
 	t.Parallel()
-	rng := NewRNG(2)
-	g, _, err := GeneratePA(PAConfig{N: 600, M: 2}, rng)
+	g, _, err := GeneratePA(PAConfig{N: 2000, M: 2, KC: 40}, NewRNG(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := ExpandingRing(g, 0, func(v int) bool { return v == 100 }, nil, 12)
+	eq := func(name string, got, want []int) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+	}
+	fl, err := Flood(g, 17, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ring.Found {
-		t.Fatal("expanding ring missed a reachable node")
-	}
-	if _, err := RandomWalk(g, 0, 50, rng); err != nil {
+	eq("flood.Hits", fl.Hits, []int{1, 41, 282, 1179, 1935, 2000, 2000, 2000, 2000})
+	eq("flood.Messages", fl.Messages, []int{0, 40, 309, 1720, 4583, 5909, 5995, 5995, 5995})
+
+	nf, err := NormalizedFlood(g, 17, 8, 2, NewRNG(5))
+	if err != nil {
 		t.Fatal(err)
 	}
+	eq("nf.Hits", nf.Hits, []int{1, 3, 6, 11, 18, 32, 55, 91, 149})
+	eq("nf.Messages", nf.Messages, []int{0, 2, 5, 10, 17, 31, 54, 91, 154})
+
+	rw, nfb, err := RandomWalkWithNFBudget(g, 17, 6, 2, NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq("rwb.Hits", rw.Hits, []int{1, 3, 7, 14, 24, 41, 68})
+	eq("rwb.Messages", rw.Messages, []int{0, 2, 6, 13, 23, 41, 69})
+	eq("rwb.nf.Hits", nfb.Hits, []int{1, 3, 7, 14, 24, 41, 67})
 }
 
 func TestFacadeLiveWrappers(t *testing.T) {
 	t.Parallel()
-	netw := NewInMemoryNetwork()
+	netw := p2p.NewInMemoryNetwork()
 	mk := func(addr string, seed uint64) *Peer {
 		p, err := NewPeer(PeerConfig{
 			Addr: addr, M: 1, TauSub: 2, Seed: seed,
@@ -80,13 +92,8 @@ func TestFacadeLiveWrappers(t *testing.T) {
 	if err := b.Connect("c"); err != nil {
 		t.Fatal(err)
 	}
-	m := NewMaintainer(a, func() string { return "b" }, JoinDAPA, 10*time.Millisecond)
-	time.Sleep(30 * time.Millisecond)
-	m.Stop()
-
-	// Crawl through the facade type; the crawler excludes its own links,
-	// so from a's vantage the map holds b and c.
-	var res CrawlResult
+	// The crawler excludes its own links, so from a's vantage the map holds
+	// b and c.
 	res, err := a.Crawl("b", 0)
 	if err != nil {
 		t.Fatal(err)

@@ -139,7 +139,7 @@ func (cfg Config) check() error {
 	if cfg.MaxTTL < 0 {
 		return fmt.Errorf("%w: %d", ErrBadTTL, cfg.MaxTTL)
 	}
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
+	if !(cfg.Loss >= 0 && cfg.Loss < 1) {
 		return fmt.Errorf("%w: %v", ErrBadLoss, cfg.Loss)
 	}
 	// A negative delay delivers a copy before it is sent; NaN leaves the

@@ -346,6 +346,17 @@ func TestValidation(t *testing.T) {
 	if _, err := sim.Flood(f, 0, Config{MaxTTL: 2, Loss: 1.5}, nil); err == nil {
 		t.Fatal("loss > 1 accepted")
 	}
+	// Every range check must also refuse NaN, for which each comparison
+	// is false.
+	nan := math.NaN()
+	if _, err := sim.Flood(f, 0, Config{MaxTTL: 2, Loss: nan}, nil); !errors.Is(err, ErrBadLoss) {
+		t.Fatalf("NaN loss: err %v, want ErrBadLoss", err)
+	}
+	for _, fp := range []FailPlan{{NodeFrac: nan, MTBF: 1}, {LinkFrac: nan, MTBF: 1}, {NodeFrac: 0.2, MTBF: nan}, {NodeFrac: 0.2, MTBF: 1, Downtime: nan}} {
+		if _, err := sim.Flood(f, 0, Config{MaxTTL: 2, Fail: fp}, nil); !errors.Is(err, ErrBadFail) {
+			t.Fatalf("fail plan %+v: err %v, want ErrBadFail", fp, err)
+		}
+	}
 	for _, lat := range []Latency{{Base: -1}, {Jitter: -0.5}, {Base: math.NaN()}, {Jitter: math.NaN()}, {Base: math.Inf(1)}, {Base: 1, Jitter: math.Inf(1)}} {
 		if _, err := sim.Flood(f, 0, Config{MaxTTL: 2, Latency: lat}, nil); !errors.Is(err, ErrBadLatency) {
 			t.Fatalf("flood latency %+v: err %v, want ErrBadLatency", lat, err)

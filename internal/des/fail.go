@@ -53,14 +53,17 @@ type FailPlan struct {
 func (p FailPlan) Enabled() bool { return p.NodeFrac > 0 || p.LinkFrac > 0 }
 
 func (p FailPlan) check() error {
-	if p.NodeFrac < 0 || p.NodeFrac > 1 {
+	if !(p.NodeFrac >= 0 && p.NodeFrac <= 1) {
 		return fmt.Errorf("%w: node fraction %v out of [0, 1]", ErrBadFail, p.NodeFrac)
 	}
-	if p.LinkFrac < 0 || p.LinkFrac > 1 {
+	if !(p.LinkFrac >= 0 && p.LinkFrac <= 1) {
 		return fmt.Errorf("%w: link fraction %v out of [0, 1]", ErrBadFail, p.LinkFrac)
 	}
-	if p.Enabled() && p.MTBF <= 0 {
+	if p.Enabled() && !(p.MTBF > 0) {
 		return fmt.Errorf("%w: MTBF %v must be > 0 when failures are enabled", ErrBadFail, p.MTBF)
+	}
+	if math.IsNaN(p.Downtime) {
+		return fmt.Errorf("%w: downtime is NaN", ErrBadFail)
 	}
 	return nil
 }

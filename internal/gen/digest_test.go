@@ -100,19 +100,8 @@ func TestGrowthDigests(t *testing.T) {
 		}
 	}
 
-	// NLPA, LocalEvents and WattsStrogatz have no Build variant: one
-	// stream only.
-	g, st, err := NLPA(NLPAConfig{N: 2000, M: 2, KC: 20, Alpha: 0.7}, xrand.New(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["nlpa"] = res(g, st)
-	g, st, err = LocalEvents(LocalEventsConfig{N: 1500, M: 2, KC: 20, P: 0.2, Q: 0.3}, xrand.New(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["rewire"] = res(g, st)
-	g, err = WattsStrogatz(1500, 3, 0.2, xrand.New(41))
+	// WattsStrogatz has no Build variant: one stream only.
+	g, err := WattsStrogatz(1500, 3, 0.2, xrand.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +116,10 @@ func TestGrowthDigests(t *testing.T) {
 		"hapa-kc10/phased":  {0x4669ffa4b628b5ab, 7631618, 7629621, 0, 0},
 		"hapa-nokc/legacy":  {0x68801d1d06bad076, 54196, 52199, 0, 0},
 		"hapa-nokc/phased":  {0xe1d5be985c831698, 52733, 50736, 0, 0},
-		"nlpa":              {0xb62fe0854cd6554, 5270, 0, 0, 0},
 		"pa-literal/legacy": {0x953566c9ba8ccd8, 210879, 0, 0, 0},
 		"pa-literal/phased": {0xac00db2e71220c51, 242819, 0, 0, 0},
 		"pa/legacy":         {0x53863b7a0502879c, 8053, 0, 0, 0},
 		"pa/phased":         {0x8d139561f514a1d2, 8106, 0, 0, 0},
-		"rewire":            {0x8010e59991a7207b, 7479, 0, 0, 0},
 		"ws":                {0xb8268007638fb7c8, 0, 0, 0, 0},
 	}
 	if len(got) != len(want) {

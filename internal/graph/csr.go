@@ -10,7 +10,7 @@ package graph
 // into CSR form. Generators that never query the graph mid-build — CM
 // wires precomputed stub pairs, GRN connects precomputed points — only
 // need the CSR end state, so they emit raw (u,v) pairs here instead.
-// Growth models (PA, HAPA, NLPA, DAPA, rewiring) genuinely need mid-build
+// Growth models (PA, HAPA, DAPA) genuinely need mid-build
 // HasEdge/Degree and stay on Graph.
 //
 // Determinism contract (pinned by the equivalence and fuzz tests): the

@@ -35,7 +35,7 @@ func TestGoldenClustering(t *testing.T) {
 	}
 }
 
-func TestGoldenAssortativityAndKNN(t *testing.T) {
+func TestGoldenAssortativity(t *testing.T) {
 	t.Parallel()
 	f := goldenMetricsFrozen(t)
 	r, err := DegreeAssortativity(f)
@@ -44,17 +44,6 @@ func TestGoldenAssortativityAndKNN(t *testing.T) {
 	}
 	if math.Abs(r-(-0.0806627465)) > 1e-9 {
 		t.Fatalf("assortativity = %.10f, want -0.0806627465", r)
-	}
-	knn := AverageNeighborDegree(f)
-	if len(knn) != 32 {
-		t.Fatalf("knn classes = %d, want 32", len(knn))
-	}
-	first, last := knn[0], knn[len(knn)-1]
-	if first.K != 2 || first.Count != 1005 || math.Abs(first.KNN-11.792537) > 1e-5 {
-		t.Fatalf("knn[0] = %+v, want {2 11.792537 1005}", first)
-	}
-	if last.K != 40 || last.Count != 12 || math.Abs(last.KNN-9.404167) > 1e-5 {
-		t.Fatalf("knn[last] = %+v, want {40 9.404167 12}", last)
 	}
 }
 

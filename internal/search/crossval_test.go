@@ -44,7 +44,7 @@ func TestFloodMatchesBFSBallProperty(t *testing.T) {
 		g := randomConnectedGraph(rng)
 		src := rng.Intn(g.N())
 		maxTTL := rng.IntRange(0, 10)
-		res, err := Flood(g, src, maxTTL)
+		res, err := new(Scratch).Flood(g.Freeze(), src, maxTTL)
 		if err != nil {
 			return false
 		}
@@ -77,11 +77,11 @@ func TestNFDominatedByFLProperty(t *testing.T) {
 		src := rng.Intn(g.N())
 		const maxTTL = 8
 		kMin := rng.IntRange(1, 4)
-		fl, err := Flood(g, src, maxTTL)
+		fl, err := new(Scratch).Flood(g.Freeze(), src, maxTTL)
 		if err != nil {
 			return false
 		}
-		nf, err := NormalizedFlood(g, src, maxTTL, kMin, rng)
+		nf, err := new(Scratch).NormalizedFlood(g.Freeze(), src, maxTTL, kMin, rng)
 		if err != nil {
 			return false
 		}
@@ -108,7 +108,7 @@ func TestRWIncrementalProperty(t *testing.T) {
 		rng := xrand.New(seed)
 		g := randomConnectedGraph(rng)
 		src := rng.Intn(g.N())
-		res, err := RandomWalk(g, src, 50, rng)
+		res, err := new(Scratch).RandomWalk(g.Freeze(), src, 50, rng)
 		if err != nil {
 			return false
 		}
@@ -132,44 +132,12 @@ func TestFloodDeliveryMatchesBFSProperty(t *testing.T) {
 		rng := xrand.New(seed)
 		g := randomConnectedGraph(rng)
 		src, dst := rng.Intn(g.N()), rng.Intn(g.N())
-		d, err := FloodDelivery(g.Freeze(), src, dst, g.N())
+		d, err := new(Scratch).FloodDelivery(g.Freeze(), src, dst, g.N())
 		if err != nil {
 			return false
 		}
 		want := int(g.BFS(src)[dst])
 		return d.Found && d.Time == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: expanding ring finds a target iff it is within maxTTL hops,
-// and reports the smallest schedule TTL covering the distance.
-func TestExpandingRingExactnessProperty(t *testing.T) {
-	t.Parallel()
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		g := randomConnectedGraph(rng)
-		src, dst := rng.Intn(g.N()), rng.Intn(g.N())
-		trueDist := int(g.BFS(src)[dst])
-		const maxTTL = 8
-		res, err := ExpandingRing(g.Freeze(), src, func(v int) bool { return v == dst }, nil, maxTTL)
-		if err != nil {
-			return false
-		}
-		if trueDist <= maxTTL {
-			if !res.Found {
-				return false
-			}
-			// Ring TTL must cover the distance, and the previous ring
-			// (if any) must not.
-			if src != dst && res.TTL < trueDist {
-				return false
-			}
-			return true
-		}
-		return !res.Found
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -191,7 +159,7 @@ func TestFloodReachesGiantComponentExactly(t *testing.T) {
 		t.Skip("CM draw happened to be connected")
 	}
 	src := comps[0][0]
-	res, err := Flood(g, src, g.N())
+	res, err := new(Scratch).Flood(g.Freeze(), src, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,15 @@ package search
 
 // Per-node load accounting. The paper motivates hard cutoffs by load
 // fairness but measures topology (degree) only; degree is a proxy for the
-// real cost, which is query-handling work. These variants of the three
-// search algorithms charge every transmission to the node that performs
-// it, so the fairness experiment can compare the Gini of actual search
-// load with the Gini of degrees under different cutoffs.
+// real cost, which is query-handling work. Scratch.NormalizedFloodLoad
+// charges every transmission to the node that performs it, so the fairness
+// experiment can compare the Gini of actual search load with the Gini of
+// degrees under different cutoffs.
 
 import (
 	"fmt"
 
 	"scalefree/internal/graph"
-	"scalefree/internal/xrand"
 )
 
 // Load accumulates per-node work across any number of searches.
@@ -67,47 +66,6 @@ func (l *Load) Work() []int {
 func (l *Load) check(f *graph.Frozen) error {
 	if len(l.Forwards) != f.N() {
 		return fmt.Errorf("search: load sized for %d nodes, graph has %d", len(l.Forwards), f.N())
-	}
-	return nil
-}
-
-// FloodLoad runs flooding from src exactly as Flood does, charging each
-// transmission to its sender and each receipt (duplicate or not) to its
-// receiver. Hot paths should use Scratch.FloodLoad instead.
-func FloodLoad(f *graph.Frozen, src, maxTTL int, load *Load) error {
-	var s Scratch
-	return s.FloodLoad(f, src, maxTTL, load)
-}
-
-// NormalizedFloodLoad runs NF from src as NormalizedFlood does, with the
-// same charging rule as FloodLoad. Hot paths should use
-// Scratch.NormalizedFloodLoad instead.
-func NormalizedFloodLoad(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG, load *Load) error {
-	var s Scratch
-	return s.NormalizedFloodLoad(f, src, maxTTL, kMin, rng, load)
-}
-
-// RandomWalkLoad runs a non-backtracking walk from src as RandomWalk
-// does, charging each hop to the node that forwards the query.
-func RandomWalkLoad(f *graph.Frozen, src, steps int, rng *xrand.RNG, load *Load) error {
-	if err := validate(f, src, steps); err != nil {
-		return err
-	}
-	if err := load.check(f); err != nil {
-		return err
-	}
-	if rng == nil {
-		rng = xrand.New(0)
-	}
-	cur, prev := src, -1
-	for t := 1; t <= steps; t++ {
-		next, ok := Step(f, cur, prev, rng)
-		if !ok {
-			return nil
-		}
-		load.Forwards[cur]++
-		load.Receipts[next]++
-		prev, cur = cur, next
 	}
 	return nil
 }

@@ -8,11 +8,13 @@ import (
 	"scalefree/internal/xrand"
 )
 
+// With k_min at or above every degree NF forwards to all neighbors but the
+// sender and draws nothing from the RNG: the load kernel charges a flood.
 func TestFloodLoadStar(t *testing.T) {
 	t.Parallel()
 	g := star(t, 6)
 	load := NewLoad(g.N())
-	if err := FloodLoad(g.Freeze(), 1, 3, load); err != nil {
+	if err := new(Scratch).NormalizedFloodLoad(g.Freeze(), 1, 3, g.N(), nil, load); err != nil {
 		t.Fatal(err)
 	}
 	// Leaf 1 sends 1 to the hub; the hub forwards to 4 other leaves;
@@ -35,12 +37,12 @@ func TestFloodLoadMatchesMessageCount(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 1500, 2, 61)
 	for _, src := range []int{0, 7, 900} {
-		res, err := Flood(g, src, 6)
+		res, err := new(Scratch).Flood(g.Freeze(), src, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		load := NewLoad(g.N())
-		if err := FloodLoad(g.Freeze(), src, 6, load); err != nil {
+		if err := new(Scratch).NormalizedFloodLoad(g.Freeze(), src, 6, g.N(), nil, load); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := load.Total(), int64(res.MessagesAt(6)); got != want {
@@ -53,13 +55,13 @@ func TestNormalizedFloodLoadTotalMatches(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 1500, 2, 67)
 	src := 3
-	res, err := NormalizedFlood(g, src, 6, 2, xrand.New(9))
+	res, err := new(Scratch).NormalizedFlood(g.Freeze(), src, 6, 2, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	load := NewLoad(g.N())
 	// Same seed -> same random fan-out choices -> same total.
-	if err := NormalizedFloodLoad(g.Freeze(), src, 6, 2, xrand.New(9), load); err != nil {
+	if err := new(Scratch).NormalizedFloodLoad(g.Freeze(), src, 6, 2, xrand.New(9), load); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := load.Total(), int64(res.MessagesAt(6)); got != want {
@@ -67,34 +69,22 @@ func TestNormalizedFloodLoadTotalMatches(t *testing.T) {
 	}
 }
 
-func TestRandomWalkLoadChargesSteps(t *testing.T) {
-	t.Parallel()
-	g := paGraph(t, 500, 2, 71)
-	load := NewLoad(g.N())
-	if err := RandomWalkLoad(g.Freeze(), 0, 250, xrand.New(5), load); err != nil {
-		t.Fatal(err)
-	}
-	if load.Total() != 250 {
-		t.Fatalf("walk total %d, want 250", load.Total())
-	}
-}
-
 func TestLoadValidation(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
 	wrong := NewLoad(7)
-	if err := FloodLoad(g.Freeze(), 0, 2, wrong); err == nil {
+	if err := new(Scratch).NormalizedFloodLoad(g.Freeze(), 0, 2, 2, nil, wrong); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	if err := NormalizedFloodLoad(g.Freeze(), 0, 2, 0, nil, NewLoad(4)); err == nil {
+	if err := new(Scratch).NormalizedFloodLoad(g.Freeze(), 0, 2, 0, nil, NewLoad(4)); err == nil {
 		t.Error("kMin 0 should fail")
 	}
-	if err := RandomWalkLoad(g.Freeze(), -1, 5, nil, NewLoad(4)); err == nil {
+	if err := new(Scratch).NormalizedFloodLoad(g.Freeze(), -1, 5, 2, nil, NewLoad(4)); err == nil {
 		t.Error("bad source should fail")
 	}
-	// Isolated source walks nowhere without error.
+	// An isolated source charges nothing and reports no error.
 	g2 := star(t, 1)
-	if err := RandomWalkLoad(g2.Freeze(), 0, 5, nil, NewLoad(1)); err != nil {
+	if err := new(Scratch).NormalizedFloodLoad(g2.Freeze(), 0, 5, 2, nil, NewLoad(1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,7 +116,7 @@ func TestCutoffFlattensSearchLoad(t *testing.T) {
 		rng := xrand.New(79)
 		load := NewLoad(f.N())
 		for q := 0; q < 200; q++ {
-			if err := NormalizedFloodLoad(f, rng.Intn(f.N()), 6, 2, rng, load); err != nil {
+			if err := new(Scratch).NormalizedFloodLoad(f, rng.Intn(f.N()), 6, 2, rng, load); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,16 +126,5 @@ func TestCutoffFlattensSearchLoad(t *testing.T) {
 	capped := loadGini(10)
 	if capped >= free {
 		t.Fatalf("kc=10 should flatten NF search load: Gini %v >= %v", capped, free)
-	}
-}
-
-func BenchmarkFloodLoadPA10k(b *testing.B) {
-	f := paGraph(b, 10000, 2, 1).Freeze()
-	load := NewLoad(f.N())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := FloodLoad(f, i%f.N(), 6, load); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

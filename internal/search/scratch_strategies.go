@@ -1,13 +1,31 @@
 package search
 
-// Allocation-free Scratch variants of the related-work strategy kernels
-// (KRandomWalks, HighDegreeWalk, ProbabilisticFlood, HybridSearch) and of
-// FloodDelivery. Each is bit-for-bit identical to its package-level
-// counterpart — same traversal order, same RNG consumption, same Hits and
-// Messages — which the reference equivalence tests pin; the package-level
-// functions are thin wrappers running on a fresh Scratch. With these, the
-// strategies experiment in internal/sim is allocation-free end to end, the
-// same property the FL/NF/RW kernels gained in earlier PRs.
+// Baseline search strategies from the paper's related work (§II, §V-A),
+// plus the multiple-walker extension and flooding's delivery time:
+//
+//   - HighDegreeWalk: the degree-seeking walk of Adamic, Lukose, Puniyani &
+//     Huberman, "Search in power-law networks" (paper ref [62], the source
+//     of Eq. 7). The walker always moves to its highest-degree unvisited
+//     neighbor, exploiting hubs to cover power-law networks far faster than
+//     a blind walk — and losing exactly that advantage when a hard cutoff
+//     removes the hubs, which is the tradeoff this repository measures.
+//   - ProbabilisticFlood: flooding where interior nodes forward each copy
+//     independently with probability p (paper ref [29], "probabilistic
+//     flooding techniques"). p=1 is exactly Flood; p<1 trades coverage for
+//     messages.
+//   - HybridSearch: the flood-then-walk hybrid of Gkantsidis, Mihail &
+//     Saberi (paper ref [30], the same paper that introduced NF): a short
+//     flood of depth floodTTL seeds the frontier, then k random walkers
+//     continue from frontier nodes.
+//   - KRandomWalks: the paper's "multiple RWs" (§V-B1).
+//
+// All report Result in the same Hits/Messages form as FL/NF/RW so
+// internal/sim can sweep them with the same harness, and all read the
+// topology through the CSR *graph.Frozen. Each is bit-for-bit identical to
+// its straightforward reference implementation — same traversal order,
+// same RNG consumption, same Hits and Messages — which the reference
+// equivalence tests pin. As Scratch methods they reuse buffers, so the
+// strategies experiment in internal/sim is allocation-free end to end.
 
 import (
 	"fmt"
@@ -17,9 +35,14 @@ import (
 	"scalefree/internal/xrand"
 )
 
+// ErrBadProb reports a forwarding probability outside [0,1].
+var ErrBadProb = fmt.Errorf("search: forwarding probability must be in [0,1]")
+
 // KRandomWalks runs `walkers` independent non-backtracking random walks
-// from src, exactly as the package-level KRandomWalks, reusing s's buffers.
-// The Result aliases s.
+// from src, each taking `steps` hops. Hits[t] counts distinct nodes seen
+// by any walker within its first t steps; Messages[t] = walkers·t. One
+// k-walker search with k·steps total messages is the paper's "multiple
+// RWs" alternative to a single long walk. The Result aliases s.
 func (s *Scratch) KRandomWalks(f *graph.Frozen, src, walkers, steps int, rng *xrand.RNG) (Result, error) {
 	if err := validate(f, src, steps); err != nil {
 		return Result{}, err
@@ -71,8 +94,13 @@ func (s *Scratch) KRandomWalks(f *graph.Frozen, src, walkers, steps int, rng *xr
 	return res, nil
 }
 
-// HighDegreeWalk runs the Adamic et al. degree-seeking walk, exactly as the
-// package-level HighDegreeWalk, reusing s's buffers. The Result aliases s.
+// HighDegreeWalk runs the Adamic et al. degree-seeking walk for exactly
+// `steps` hops. At each hop the walker moves to the highest-degree neighbor
+// it has not yet visited (ties broken uniformly at random); when every
+// neighbor has been visited it falls back to a uniformly random neighbor
+// excluding the one it just came from, as in RandomWalk. Hits[t] counts
+// distinct nodes seen within the first t steps; Messages[t] == t. The
+// Result aliases s.
 func (s *Scratch) HighDegreeWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG) (Result, error) {
 	if err := validate(f, src, steps); err != nil {
 		return Result{}, err
@@ -137,9 +165,11 @@ func (s *Scratch) bestUnvisitedNeighbor(f *graph.Frozen, u int, ep int32, rng *x
 	return best
 }
 
-// ProbabilisticFlood runs probabilistic flooding, exactly as the
-// package-level ProbabilisticFlood, reusing s's buffers. The Result
-// aliases s.
+// ProbabilisticFlood runs flooding in which the source forwards to all its
+// neighbors and every interior node, on first receipt, forwards to each
+// neighbor other than the sender independently with probability p. With
+// p=1 the result is identical to Flood. Duplicate receipts are suppressed
+// exactly as in Flood. The Result aliases s.
 func (s *Scratch) ProbabilisticFlood(f *graph.Frozen, src, maxTTL int, p float64, rng *xrand.RNG) (Result, error) {
 	if err := validate(f, src, maxTTL); err != nil {
 		return Result{}, err
@@ -207,8 +237,17 @@ func (s *Scratch) ProbabilisticFlood(f *graph.Frozen, src, maxTTL int, p float64
 	return res, nil
 }
 
-// HybridSearch runs the GMS flood-then-walk hybrid, exactly as the
-// package-level HybridSearch, reusing s's buffers. The Result aliases s.
+// HybridSearch runs the GMS flood-then-walk hybrid: a flood of depth
+// floodTTL from src, then `walkers` independent non-backtracking random
+// walks of `steps` hops each, started from uniformly chosen nodes of the
+// flood's outermost frontier (falling back to the whole covered ball when
+// the frontier is empty).
+//
+// Hits is indexed by a combined time axis of length floodTTL+steps+1:
+// Hits[0..floodTTL] is the flood phase and Hits[floodTTL+s] adds the
+// distinct nodes the walkers reached within their first s steps.
+// Messages follows the same axis (flood transmissions, then walkers·s).
+// The Result aliases s.
 func (s *Scratch) HybridSearch(f *graph.Frozen, src, floodTTL, walkers, steps int, rng *xrand.RNG) (Result, error) {
 	if err := validate(f, src, floodTTL); err != nil {
 		return Result{}, err
@@ -244,7 +283,7 @@ func (s *Scratch) HybridSearch(f *graph.Frozen, src, floodTTL, walkers, steps in
 	copy(res.Messages, flood.Messages)
 
 	// Walk starts: the flood's outermost frontier in ascending node order
-	// (matching the package-level implementation, which scans BFS depths by
+	// (matching the reference implementation, which scans BFS depths by
 	// node ID), falling back to the whole covered ball when the frontier is
 	// empty.
 	starts := append(s.cand[:0], frontier...)
@@ -299,10 +338,12 @@ func (s *Scratch) HybridSearch(f *graph.Frozen, src, floodTTL, walkers, steps in
 	return res, nil
 }
 
-// FloodDelivery measures flooding's delivery time to a specific target,
-// exactly as the package-level FloodDelivery, reusing s's buffers — the
-// whole measurement is one bounded two-queue sweep, with no separate BFS
-// pass and no per-call distance array.
+// FloodDelivery measures flooding's delivery time to a specific target:
+// the number of intermediate links traversed, i.e. the shortest-path
+// length (paper §V-A1, Eq. 6), along with the messages flooded until the
+// target's BFS depth completed. The whole measurement is one bounded
+// two-queue sweep, with no separate BFS pass and no per-call distance
+// array.
 func (s *Scratch) FloodDelivery(f *graph.Frozen, src, target, maxTTL int) (Delivery, error) {
 	if err := validate(f, src, maxTTL); err != nil {
 		return Delivery{}, err

@@ -188,8 +188,7 @@ func TestSharedFrozenConcurrentKernels(t *testing.T) {
 
 // --- Benchmarks --------------------------------------------------------
 
-// Scratch strategy kernels: the 0 allocs/op record for BENCH_PR3.json
-// (compare the package-level *PA10k benchmarks, which allocate per call).
+// Scratch strategy kernels: the 0 allocs/op record for BENCH_PR3.json.
 
 func BenchmarkScratchKRandomWalks(b *testing.B) {
 	f := scratchTestFrozen(b)

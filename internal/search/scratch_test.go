@@ -45,16 +45,16 @@ func sameResult(t *testing.T, name string, a, b Result) {
 }
 
 // TestScratchMatchesPackageFunctions pins the contract that a reused
-// Scratch produces bit-identical results to the package-level functions
-// (same traversal order, same RNG consumption), across many consecutive
-// searches on one scratch.
+// Scratch produces bit-identical results to a fresh one (same traversal
+// order, same RNG consumption), across many consecutive searches on one
+// scratch.
 func TestScratchMatchesPackageFunctions(t *testing.T) {
 	t.Parallel()
 	g := scratchTestGraph(t)
 	f := g.Freeze()
 	s := NewScratch(0) // deliberately unsized: buffers must grow on demand
 	for _, src := range []int{0, 7, 99, 1234} {
-		a, err := Flood(g, src, 6)
+		a, err := new(Scratch).Flood(f, src, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestScratchMatchesPackageFunctions(t *testing.T) {
 		}
 		sameResult(t, "flood", a, b)
 
-		an, err := NormalizedFlood(g, src, 6, 2, xrand.New(5))
+		an, err := new(Scratch).NormalizedFlood(f, src, 6, 2, xrand.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestScratchMatchesPackageFunctions(t *testing.T) {
 		}
 		sameResult(t, "nf", an, bn)
 
-		aw, err := RandomWalk(g, src, 500, xrand.New(7))
+		aw, err := new(Scratch).RandomWalk(f, src, 500, xrand.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestScratchMatchesPackageFunctions(t *testing.T) {
 		}
 		sameResult(t, "rw", aw, bw)
 
-		arw, anf, err := RandomWalkWithNFBudget(g, src, 6, 2, xrand.New(9))
+		arw, anf, err := new(Scratch).RandomWalkWithNFBudget(f, src, 6, 2, xrand.New(9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestScratchMatchesPackageFunctions(t *testing.T) {
 }
 
 // TestScratchLoadMatchesPackageFunctions does the same for the
-// load-charging variants.
+// load-charging NF kernel.
 func TestScratchLoadMatchesPackageFunctions(t *testing.T) {
 	t.Parallel()
 	g := scratchTestGraph(t)
@@ -106,20 +106,7 @@ func TestScratchLoadMatchesPackageFunctions(t *testing.T) {
 	s := NewScratch(f.N())
 	for _, src := range []int{3, 42} {
 		la, lb := NewLoad(g.N()), NewLoad(g.N())
-		if err := FloodLoad(f, src, 5, la); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.FloodLoad(f, src, 5, lb); err != nil {
-			t.Fatal(err)
-		}
-		for v := range la.Forwards {
-			if la.Forwards[v] != lb.Forwards[v] || la.Receipts[v] != lb.Receipts[v] {
-				t.Fatalf("flood load diverges at node %d", v)
-			}
-		}
-
-		la, lb = NewLoad(g.N()), NewLoad(g.N())
-		if err := NormalizedFloodLoad(f, src, 5, 2, xrand.New(13), la); err != nil {
+		if err := new(Scratch).NormalizedFloodLoad(f, src, 5, 2, xrand.New(13), la); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.NormalizedFloodLoad(f, src, 5, 2, xrand.New(13), lb); err != nil {
@@ -332,14 +319,14 @@ func TestScratchLoadKernelsZeroAllocs(t *testing.T) {
 	s := NewScratch(f.N())
 	load := NewLoad(f.N())
 	rng := xrand.New(41)
-	if err := s.FloodLoad(f, 17, 30, load); err != nil {
+	if err := s.NormalizedFloodLoad(f, 17, 30, f.N(), rng, load); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.NormalizedFloodLoad(f, 17, 8, 2, rng, load); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := s.FloodLoad(f, 17, 6, load); err != nil {
+		if err := s.NormalizedFloodLoad(f, 17, 6, f.N(), rng, load); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.NormalizedFloodLoad(f, 17, 8, 2, rng, load); err != nil {
@@ -373,7 +360,7 @@ func BenchmarkFreshFlood(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Flood(g, i%g.N(), 8); err != nil {
+		if _, err := new(Scratch).Flood(g.Freeze(), i%g.N(), 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -398,7 +385,7 @@ func BenchmarkFreshNormalizedFlood(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NormalizedFlood(g, i%g.N(), 8, 2, rng); err != nil {
+		if _, err := new(Scratch).NormalizedFlood(g.Freeze(), i%g.N(), 8, 2, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

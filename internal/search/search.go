@@ -97,9 +97,9 @@ func validate(f *graph.Frozen, src, maxTTL int) error {
 // neighbor of cur excluding prev, backtracking to prev when cur is a dead
 // end. ok is false only when the walker cannot move at all (an isolated
 // node with no previous position). It is the single per-hop primitive
-// behind RandomWalk, KRandomWalks, HybridSearch, the delivery walkers, the
-// load profiles, and the content layer's replica probing, so their RNG
-// consumption can never diverge.
+// behind RandomWalk, KRandomWalks, HybridSearch, RandomWalkDelivery and
+// the content layer's replica probing, so their RNG consumption can never
+// diverge.
 func Step(f *graph.Frozen, cur, prev int, rng *xrand.RNG) (next int, ok bool) {
 	next = f.RandomNeighborExcluding(cur, prev, rng)
 	if next < 0 {
@@ -113,67 +113,4 @@ func Step(f *graph.Frozen, cur, prev int, rng *xrand.RNG) (next int, ok bool) {
 
 func errBadKMin(kMin int) error {
 	return fmt.Errorf("%w: %d", ErrBadKMin, kMin)
-}
-
-// Flood runs flooding search from src up to maxTTL hops (§V-A1). It is a
-// breadth-first sweep with duplicate suppression: a node forwards the query
-// on first receipt only, to every neighbor except the one that delivered
-// it. The source forwards to all its neighbors.
-//
-// Hits[t] is the size of the t-hop ball around src; on a connected graph it
-// approaches N as t grows (Figs. 6–8), while on CM with m=1 it saturates at
-// the source's component size (§V-B1).
-//
-// Flood freezes g and allocates its working buffers per call; hot paths
-// that search the same topology repeatedly should Freeze once and use
-// Scratch.Flood instead.
-func Flood(g *graph.Graph, src, maxTTL int) (Result, error) {
-	var s Scratch
-	return s.Flood(g.Freeze(), src, maxTTL)
-}
-
-// NormalizedFlood runs NF search from src (§V-A2). kMin is the network's
-// minimum degree parameter: a node whose degree (excluding the reverse
-// link) exceeds kMin forwards to kMin uniformly chosen neighbors other than
-// the sender; a node at or below kMin forwards to all neighbors except the
-// sender. The source forwards to min(kMin, deg) random neighbors.
-//
-// NF is randomized: the paper averages hits over many sources and
-// realizations (internal/sim does the averaging).
-//
-// NormalizedFlood freezes g and allocates its working buffers per call;
-// hot paths should Freeze once and use Scratch.NormalizedFlood instead.
-func NormalizedFlood(g *graph.Graph, src, maxTTL, kMin int, rng *xrand.RNG) (Result, error) {
-	var s Scratch
-	return s.NormalizedFlood(g.Freeze(), src, maxTTL, kMin, rng)
-}
-
-// RandomWalk runs a random walk of exactly `steps` hops from src (§V-A3).
-// At each hop the query moves to a uniformly random neighbor excluding the
-// node it just came from; if the walker is at a dead end (its only
-// neighbor is the previous node) it backtracks rather than dying, the
-// standard convention for non-backtracking walks on trees. Hits[t] counts
-// distinct nodes seen within the first t steps; Messages[t] == t.
-//
-// RandomWalk freezes g and allocates its working buffers per call; hot
-// paths should Freeze once and use Scratch.RandomWalk instead.
-func RandomWalk(g *graph.Graph, src, steps int, rng *xrand.RNG) (Result, error) {
-	var s Scratch
-	return s.RandomWalk(g.Freeze(), src, steps, rng)
-}
-
-// RandomWalkWithNFBudget reproduces the paper's RW normalization (§V-B):
-// for each τ in 1..maxTTL, the RW "data point corresponding to that τ
-// value is obtained by simulating a RW search with τ equal to the number
-// of messages that were caused by an NF search using" the same τ. It runs
-// one NF search to obtain the per-τ message budget, then a single long
-// walk, reading hits at each budget point. Returns the RW result (indexed
-// by NF-τ) and the NF result that defined the budget.
-//
-// RandomWalkWithNFBudget freezes g and allocates its working buffers per
-// call; hot paths should Freeze once and use Scratch.RandomWalkWithNFBudget
-// instead.
-func RandomWalkWithNFBudget(g *graph.Graph, src, maxTTL, kMin int, rng *xrand.RNG) (rw, nf Result, err error) {
-	var s Scratch
-	return s.RandomWalkWithNFBudget(g.Freeze(), src, maxTTL, kMin, rng)
 }

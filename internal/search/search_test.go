@@ -35,13 +35,13 @@ func pathN(t *testing.T, n int) *graph.Graph {
 func TestFloodValidation(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
-	if _, err := Flood(g, -1, 2); err == nil {
+	if _, err := new(Scratch).Flood(g.Freeze(), -1, 2); err == nil {
 		t.Error("negative source should fail")
 	}
-	if _, err := Flood(g, 9, 2); err == nil {
+	if _, err := new(Scratch).Flood(g.Freeze(), 9, 2); err == nil {
 		t.Error("out-of-range source should fail")
 	}
-	if _, err := Flood(g, 0, -1); err == nil {
+	if _, err := new(Scratch).Flood(g.Freeze(), 0, -1); err == nil {
 		t.Error("negative TTL should fail")
 	}
 }
@@ -50,7 +50,7 @@ func TestFloodStar(t *testing.T) {
 	t.Parallel()
 	g := star(t, 6)
 	// From the hub: one hop reaches everything.
-	res, err := Flood(g, 0, 3)
+	res, err := new(Scratch).Flood(g.Freeze(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFloodStar(t *testing.T) {
 	}
 
 	// From a leaf: τ=1 reaches the hub, τ=2 reaches everything.
-	res, err = Flood(g, 1, 3)
+	res, err = new(Scratch).Flood(g.Freeze(), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFloodStar(t *testing.T) {
 func TestFloodPath(t *testing.T) {
 	t.Parallel()
 	g := pathN(t, 10)
-	res, err := Flood(g, 0, 5)
+	res, err := new(Scratch).Flood(g.Freeze(), 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFloodPath(t *testing.T) {
 func TestFloodTTLZero(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
-	res, err := Flood(g, 0, 0)
+	res, err := new(Scratch).Flood(g.Freeze(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFloodDisconnected(t *testing.T) {
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Flood(g, 0, 10)
+	res, err := new(Scratch).Flood(g.Freeze(), 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFloodCountsDuplicateMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := Flood(g, 0, 2)
+	res, err := new(Scratch).Flood(g.Freeze(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFloodMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Flood(g, 42, 15)
+	res, err := new(Scratch).Flood(g.Freeze(), 42, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +175,10 @@ func TestFloodMonotone(t *testing.T) {
 func TestNormalizedFloodValidation(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
-	if _, err := NormalizedFlood(g, 0, 2, 0, xrand.New(1)); err == nil {
+	if _, err := new(Scratch).NormalizedFlood(g.Freeze(), 0, 2, 0, xrand.New(1)); err == nil {
 		t.Error("kMin=0 should fail")
 	}
-	if _, err := NormalizedFlood(g, 7, 2, 1, xrand.New(1)); err == nil {
+	if _, err := new(Scratch).NormalizedFlood(g.Freeze(), 7, 2, 1, xrand.New(1)); err == nil {
 		t.Error("bad source should fail")
 	}
 }
@@ -188,7 +188,7 @@ func TestNormalizedFloodFanOut(t *testing.T) {
 	// Star from hub with kMin=2: hub forwards to exactly 2 of its 5
 	// leaves.
 	g := star(t, 6)
-	res, err := NormalizedFlood(g, 0, 3, 2, xrand.New(1))
+	res, err := new(Scratch).NormalizedFlood(g.Freeze(), 0, 3, 2, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestNormalizedFloodEqualsFloodWhenKMinLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := Flood(g, 3, 8)
+	fl, err := new(Scratch).Flood(g.Freeze(), 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := NormalizedFlood(g, 3, 8, 10, xrand.New(3))
+	nf, err := new(Scratch).NormalizedFlood(g.Freeze(), 3, 8, 10, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +230,11 @@ func TestNormalizedFloodCoversFewerThanFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := Flood(g, 10, 6)
+	fl, err := new(Scratch).Flood(g.Freeze(), 10, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := NormalizedFlood(g, 10, 6, 3, xrand.New(5))
+	nf, err := new(Scratch).NormalizedFlood(g.Freeze(), 10, 6, 3, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestNormalizedFloodDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NormalizedFlood(g, 5, 8, 2, xrand.New(9))
+	a, err := new(Scratch).NormalizedFlood(g.Freeze(), 5, 8, 2, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NormalizedFlood(g, 5, 8, 2, xrand.New(9))
+	b, err := new(Scratch).NormalizedFlood(g.Freeze(), 5, 8, 2, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestNormalizedFloodDeterministicWithSeed(t *testing.T) {
 func TestRandomWalkBasics(t *testing.T) {
 	t.Parallel()
 	g := pathN(t, 5)
-	res, err := RandomWalk(g, 0, 10, xrand.New(1))
+	res, err := new(Scratch).RandomWalk(g.Freeze(), 0, 10, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRandomWalkDeadEndBacktracks(t *testing.T) {
 	// Two-node graph: the walker bounces between them forever rather
 	// than dying.
 	g := pathN(t, 2)
-	res, err := RandomWalk(g, 0, 6, xrand.New(1))
+	res, err := new(Scratch).RandomWalk(g.Freeze(), 0, 6, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestRandomWalkDeadEndBacktracks(t *testing.T) {
 func TestRandomWalkIsolatedSource(t *testing.T) {
 	t.Parallel()
 	g := graph.New(3)
-	res, err := RandomWalk(g, 0, 5, xrand.New(1))
+	res, err := new(Scratch).RandomWalk(g.Freeze(), 0, 5, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestRandomWalkHitsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RandomWalk(g, 0, 500, xrand.New(8))
+	res, err := new(Scratch).RandomWalk(g.Freeze(), 0, 500, xrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRandomWalkWithNFBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, nf, err := RandomWalkWithNFBudget(g, 17, 10, 2, xrand.New(10))
+	rw, nf, err := new(Scratch).RandomWalkWithNFBudget(g.Freeze(), 17, 10, 2, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,33 +369,5 @@ func TestResultClamping(t *testing.T) {
 	var empty Result
 	if empty.HitsAt(3) != 0 || empty.MessagesAt(3) != 0 {
 		t.Fatal("empty result clamping broken")
-	}
-}
-
-func BenchmarkFloodPA10k(b *testing.B) {
-	g, _, err := gen.PA(gen.PAConfig{N: 10000, M: 2}, xrand.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := xrand.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Flood(g, rng.Intn(g.N()), 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNormalizedFloodPA10k(b *testing.B) {
-	g, _, err := gen.PA(gen.PAConfig{N: 10000, M: 2}, xrand.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := xrand.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NormalizedFlood(g, rng.Intn(g.N()), 10, 2, rng); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

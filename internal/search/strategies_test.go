@@ -22,10 +22,10 @@ func paGraph(t testing.TB, n, m int, seed uint64) *graph.Graph {
 func TestHighDegreeWalkValidation(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
-	if _, err := HighDegreeWalk(g.Freeze(), -1, 2, nil); err == nil {
+	if _, err := new(Scratch).HighDegreeWalk(g.Freeze(), -1, 2, nil); err == nil {
 		t.Error("negative source should fail")
 	}
-	if _, err := HighDegreeWalk(g.Freeze(), 0, -1, nil); err == nil {
+	if _, err := new(Scratch).HighDegreeWalk(g.Freeze(), 0, -1, nil); err == nil {
 		t.Error("negative steps should fail")
 	}
 }
@@ -35,7 +35,7 @@ func TestHighDegreeWalkPrefersHub(t *testing.T) {
 	// Leaf 1's only move is the hub; from the hub the walk must pick an
 	// unvisited leaf, never revisit immediately.
 	g := star(t, 8)
-	res, err := HighDegreeWalk(g.Freeze(), 1, 4, xrand.New(1))
+	res, err := new(Scratch).HighDegreeWalk(g.Freeze(), 1, 4, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestHighDegreeWalkTwoHubs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := HighDegreeWalk(g.Freeze(), 2, 2, xrand.New(7))
+	res, err := new(Scratch).HighDegreeWalk(g.Freeze(), 2, 2, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestHighDegreeWalkTwoHubs(t *testing.T) {
 func TestHighDegreeWalkIsolatedSource(t *testing.T) {
 	t.Parallel()
 	g := graph.New(3)
-	res, err := HighDegreeWalk(g.Freeze(), 0, 5, xrand.New(1))
+	res, err := new(Scratch).HighDegreeWalk(g.Freeze(), 0, 5, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestHighDegreeWalkBeatsBlindWalkOnPA(t *testing.T) {
 	var hd, blind int
 	for trial := 0; trial < 20; trial++ {
 		src := rng.Intn(g.N())
-		rh, err := HighDegreeWalk(g.Freeze(), src, steps, rng)
+		rh, err := new(Scratch).HighDegreeWalk(g.Freeze(), src, steps, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := RandomWalk(g, src, steps, rng)
+		rb, err := new(Scratch).RandomWalk(g.Freeze(), src, steps, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestHighDegreeWalkBeatsBlindWalkOnPA(t *testing.T) {
 func TestHighDegreeWalkHitsMonotone(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 500, 2, 3)
-	res, err := HighDegreeWalk(g.Freeze(), 0, 100, xrand.New(5))
+	res, err := new(Scratch).HighDegreeWalk(g.Freeze(), 0, 100, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +126,13 @@ func TestHighDegreeWalkHitsMonotone(t *testing.T) {
 func TestProbabilisticFloodValidation(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
-	if _, err := ProbabilisticFlood(g.Freeze(), 0, 2, -0.1, nil); err == nil {
+	if _, err := new(Scratch).ProbabilisticFlood(g.Freeze(), 0, 2, -0.1, nil); err == nil {
 		t.Error("p < 0 should fail")
 	}
-	if _, err := ProbabilisticFlood(g.Freeze(), 0, 2, 1.1, nil); err == nil {
+	if _, err := new(Scratch).ProbabilisticFlood(g.Freeze(), 0, 2, 1.1, nil); err == nil {
 		t.Error("p > 1 should fail")
 	}
-	if _, err := ProbabilisticFlood(g.Freeze(), 9, 2, 0.5, nil); err == nil {
+	if _, err := new(Scratch).ProbabilisticFlood(g.Freeze(), 9, 2, 0.5, nil); err == nil {
 		t.Error("bad source should fail")
 	}
 }
@@ -141,11 +141,11 @@ func TestProbabilisticFloodP1EqualsFlood(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 800, 2, 11)
 	for _, src := range []int{0, 5, 400} {
-		want, err := Flood(g, src, 6)
+		want, err := new(Scratch).Flood(g.Freeze(), src, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProbabilisticFlood(g.Freeze(), src, 6, 1, xrand.New(1))
+		got, err := new(Scratch).ProbabilisticFlood(g.Freeze(), src, 6, 1, xrand.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestProbabilisticFloodP0OnlySourceNeighborhood(t *testing.T) {
 	// closed neighborhood regardless of TTL.
 	g := paGraph(t, 500, 2, 13)
 	src := 0
-	res, err := ProbabilisticFlood(g.Freeze(), src, 8, 0, xrand.New(2))
+	res, err := new(Scratch).ProbabilisticFlood(g.Freeze(), src, 8, 0, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestProbabilisticFloodCoverageBetween(t *testing.T) {
 	// messages are bounded by full flooding, averaged over trials.
 	g := paGraph(t, 2000, 3, 17)
 	src := 1
-	full, err := Flood(g, src, 5)
+	full, err := new(Scratch).Flood(g.Freeze(), src, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestProbabilisticFloodCoverageBetween(t *testing.T) {
 	var hits, msgs int
 	const trials = 10
 	for i := 0; i < trials; i++ {
-		res, err := ProbabilisticFlood(g.Freeze(), src, 5, 0.5, rng)
+		res, err := new(Scratch).ProbabilisticFlood(g.Freeze(), src, 5, 0.5, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,11 +218,11 @@ func TestProbabilisticFloodCoverageBetween(t *testing.T) {
 func TestProbabilisticFloodDeterministicWithSeed(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 600, 2, 23)
-	a, err := ProbabilisticFlood(g.Freeze(), 2, 6, 0.4, xrand.New(77))
+	a, err := new(Scratch).ProbabilisticFlood(g.Freeze(), 2, 6, 0.4, xrand.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ProbabilisticFlood(g.Freeze(), 2, 6, 0.4, xrand.New(77))
+	b, err := new(Scratch).ProbabilisticFlood(g.Freeze(), 2, 6, 0.4, xrand.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +236,13 @@ func TestProbabilisticFloodDeterministicWithSeed(t *testing.T) {
 func TestHybridSearchValidation(t *testing.T) {
 	t.Parallel()
 	g := star(t, 5)
-	if _, err := HybridSearch(g.Freeze(), -1, 1, 1, 5, nil); err == nil {
+	if _, err := new(Scratch).HybridSearch(g.Freeze(), -1, 1, 1, 5, nil); err == nil {
 		t.Error("bad source should fail")
 	}
-	if _, err := HybridSearch(g.Freeze(), 0, 1, 0, 5, nil); err == nil {
+	if _, err := new(Scratch).HybridSearch(g.Freeze(), 0, 1, 0, 5, nil); err == nil {
 		t.Error("zero walkers should fail")
 	}
-	if _, err := HybridSearch(g.Freeze(), 0, 1, 1, -1, nil); err == nil {
+	if _, err := new(Scratch).HybridSearch(g.Freeze(), 0, 1, 1, -1, nil); err == nil {
 		t.Error("negative steps should fail")
 	}
 }
@@ -251,11 +251,11 @@ func TestHybridSearchFloodPhaseMatchesFlood(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 1000, 2, 31)
 	src, floodTTL := 4, 3
-	flood, err := Flood(g, src, floodTTL)
+	flood, err := new(Scratch).Flood(g.Freeze(), src, floodTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := HybridSearch(g.Freeze(), src, floodTTL, 4, 20, xrand.New(9))
+	res, err := new(Scratch).HybridSearch(g.Freeze(), src, floodTTL, 4, 20, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestHybridSearchWalkPhaseExtendsCoverage(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 3000, 2, 37)
 	src, floodTTL, walkers, steps := 0, 2, 8, 150
-	res, err := HybridSearch(g.Freeze(), src, floodTTL, walkers, steps, xrand.New(13))
+	res, err := new(Scratch).HybridSearch(g.Freeze(), src, floodTTL, walkers, steps, xrand.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +299,11 @@ func TestHybridSearchWalkPhaseExtendsCoverage(t *testing.T) {
 func TestHybridSearchZeroStepsIsFlood(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 500, 2, 41)
-	flood, err := Flood(g, 3, 4)
+	flood, err := new(Scratch).Flood(g.Freeze(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := HybridSearch(g.Freeze(), 3, 4, 2, 0, xrand.New(1))
+	res, err := new(Scratch).HybridSearch(g.Freeze(), 3, 4, 2, 0, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestHybridSearchSmallComponentFrontierFallback(t *testing.T) {
 	// A flood that sweeps its whole component leaves an empty frontier;
 	// the walkers must still start (from within the ball) without panic.
 	g := pathN(t, 4) // diameter 3 < floodTTL
-	res, err := HybridSearch(g.Freeze(), 0, 5, 2, 10, xrand.New(3))
+	res, err := new(Scratch).HybridSearch(g.Freeze(), 0, 5, 2, 10, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,15 +346,15 @@ func TestStrategiesHitsWithinN(t *testing.T) {
 		p := float64(pRaw%101) / 100
 		rng := xrand.New(seed)
 		results := make([]Result, 0, 3)
-		r1, err := HighDegreeWalk(fz, src, 50, rng)
+		r1, err := new(Scratch).HighDegreeWalk(fz, src, 50, rng)
 		if err != nil {
 			return false
 		}
-		r2, err := ProbabilisticFlood(fz, src, 5, p, rng)
+		r2, err := new(Scratch).ProbabilisticFlood(fz, src, 5, p, rng)
 		if err != nil {
 			return false
 		}
-		r3, err := HybridSearch(fz, src, 2, 3, 30, rng)
+		r3, err := new(Scratch).HybridSearch(fz, src, 2, 3, 30, rng)
 		if err != nil {
 			return false
 		}
@@ -373,38 +373,5 @@ func TestStrategiesHitsWithinN(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkHighDegreeWalkPA10k(b *testing.B) {
-	f := paGraph(b, 10000, 2, 1).Freeze()
-	rng := xrand.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := HighDegreeWalk(f, i%f.N(), 500, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProbabilisticFloodPA10k(b *testing.B) {
-	f := paGraph(b, 10000, 2, 1).Freeze()
-	rng := xrand.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ProbabilisticFlood(f, i%f.N(), 6, 0.5, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHybridSearchPA10k(b *testing.B) {
-	f := paGraph(b, 10000, 2, 1).Freeze()
-	rng := xrand.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := HybridSearch(f, i%f.N(), 2, 8, 200, rng); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

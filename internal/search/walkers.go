@@ -1,15 +1,11 @@
 package search
 
-// Extensions beyond the paper's three core algorithms: multiple parallel
-// random walkers (the paper repeatedly notes "multiple RWs would perform
-// more similar to NF", §V-B1) and delivery-time measurement for locating a
-// specific target, which backs the scaling laws the paper quotes:
-// T_N = log(N) for flooding (Eq. 6) and T_N ~ N^0.79 for random walks on
-// γ≈2.1 scale-free networks (Eq. 7, from Adamic et al.).
-//
-// All walkers take the CSR *graph.Frozen and advance via the shared Step
-// primitive, so each hop is a flat-array neighbor pick with no per-hop
-// bounds validation.
+// Delivery-time measurement for locating a specific target, which backs
+// the scaling laws the paper quotes: T_N = log(N) for flooding (Eq. 6,
+// Scratch.FloodDelivery) and T_N ~ N^0.79 for random walks on γ≈2.1
+// scale-free networks (Eq. 7, from Adamic et al.). The walker takes the
+// CSR *graph.Frozen and advances via the shared Step primitive, so each
+// hop is a flat-array neighbor pick with no per-hop bounds validation.
 
 import (
 	"fmt"
@@ -17,19 +13,6 @@ import (
 	"scalefree/internal/graph"
 	"scalefree/internal/xrand"
 )
-
-// KRandomWalks runs `walkers` independent non-backtracking random walks
-// from src, each taking `steps` hops. Hits[t] counts distinct nodes seen
-// by any walker within its first t steps; Messages[t] = walkers·t. One
-// k-walker search with k·steps total messages is the paper's "multiple
-// RWs" alternative to a single long walk.
-//
-// It runs on a fresh Scratch per call; query sweeps should use
-// Scratch.KRandomWalks with a reused scratch.
-func KRandomWalks(f *graph.Frozen, src, walkers, steps int, rng *xrand.RNG) (Result, error) {
-	var s Scratch
-	return s.KRandomWalks(f, src, walkers, steps, rng)
-}
 
 // Delivery is the outcome of a targeted search.
 type Delivery struct {
@@ -40,18 +23,6 @@ type Delivery struct {
 	Time int
 	// Messages is the total transmissions used up to delivery.
 	Messages int
-}
-
-// FloodDelivery measures flooding's delivery time to a specific target:
-// the number of intermediate links traversed, i.e. the shortest-path
-// length (paper §V-A1, Eq. 6), along with the messages flooded until the
-// target's BFS depth completed.
-//
-// It runs on a fresh Scratch per call; delivery sweeps should use
-// Scratch.FloodDelivery with a reused scratch.
-func FloodDelivery(f *graph.Frozen, src, target, maxTTL int) (Delivery, error) {
-	var s Scratch
-	return s.FloodDelivery(f, src, target, maxTTL)
 }
 
 // RandomWalkDelivery measures a single walker's delivery time to a target:

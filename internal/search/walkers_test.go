@@ -10,10 +10,10 @@ import (
 func TestKRandomWalksValidation(t *testing.T) {
 	t.Parallel()
 	g := pathN(t, 4)
-	if _, err := KRandomWalks(g.Freeze(), 0, 0, 5, xrand.New(1)); err == nil {
+	if _, err := new(Scratch).KRandomWalks(g.Freeze(), 0, 0, 5, xrand.New(1)); err == nil {
 		t.Error("walkers=0 should fail")
 	}
-	if _, err := KRandomWalks(g.Freeze(), -1, 2, 5, xrand.New(1)); err == nil {
+	if _, err := new(Scratch).KRandomWalks(g.Freeze(), -1, 2, 5, xrand.New(1)); err == nil {
 		t.Error("bad source should fail")
 	}
 }
@@ -26,7 +26,7 @@ func TestKRandomWalksSingleEqualsRandomWalkShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := KRandomWalks(g.Freeze(), 0, 1, 300, xrand.New(2))
+	res, err := new(Scratch).KRandomWalks(g.Freeze(), 0, 1, 300, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestKRandomWalksMoreWalkersMoreCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := KRandomWalks(g.Freeze(), 5, 1, 200, xrand.New(4))
+	one, err := new(Scratch).KRandomWalks(g.Freeze(), 5, 1, 200, xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := KRandomWalks(g.Freeze(), 5, 8, 200, xrand.New(4))
+	eight, err := new(Scratch).KRandomWalks(g.Freeze(), 5, 8, 200, xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +75,16 @@ func TestKRandomWalksApproachNF(t *testing.T) {
 	fz := g.Freeze()
 	for s := 0; s < sources; s++ {
 		src := rng.Intn(g.N())
-		nf, err := NormalizedFlood(g, src, ttl, kMin, rng)
+		nf, err := new(Scratch).NormalizedFlood(g.Freeze(), src, ttl, kMin, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		budget := nf.Messages[ttl]
-		single, err := RandomWalk(g, src, budget, rng)
+		single, err := new(Scratch).RandomWalk(g.Freeze(), src, budget, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, err := KRandomWalks(fz, src, 8, budget/8, rng)
+		multi, err := new(Scratch).KRandomWalks(fz, src, 8, budget/8, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestKRandomWalksApproachNF(t *testing.T) {
 func TestFloodDelivery(t *testing.T) {
 	t.Parallel()
 	g := pathN(t, 8)
-	d, err := FloodDelivery(g.Freeze(), 0, 5, 10)
+	d, err := new(Scratch).FloodDelivery(g.Freeze(), 0, 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFloodDelivery(t *testing.T) {
 		t.Fatalf("delivery %+v, want found at 5 hops", d)
 	}
 	// Out of TTL range.
-	d, err = FloodDelivery(g.Freeze(), 0, 7, 3)
+	d, err = new(Scratch).FloodDelivery(g.Freeze(), 0, 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFloodDelivery(t *testing.T) {
 		t.Fatalf("target beyond TTL reported found: %+v", d)
 	}
 	// Self-delivery.
-	d, err = FloodDelivery(g.Freeze(), 2, 2, 5)
+	d, err = new(Scratch).FloodDelivery(g.Freeze(), 2, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFloodDelivery(t *testing.T) {
 func TestFloodDeliveryValidation(t *testing.T) {
 	t.Parallel()
 	g := pathN(t, 3)
-	if _, err := FloodDelivery(g.Freeze(), 0, 9, 5); err == nil {
+	if _, err := new(Scratch).FloodDelivery(g.Freeze(), 0, 9, 5); err == nil {
 		t.Error("bad target should fail")
 	}
 }
@@ -186,7 +186,7 @@ func TestDeliveryScalingSanity(t *testing.T) {
 		flN, rwN := 0, 0
 		for i := 0; i < pairs; i++ {
 			src, dst := rng.Intn(fz.N()), rng.Intn(fz.N())
-			fd, err := FloodDelivery(fz, src, dst, 50)
+			fd, err := new(Scratch).FloodDelivery(fz, src, dst, 50)
 			if err != nil {
 				t.Fatal(err)
 			}

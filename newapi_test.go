@@ -16,21 +16,22 @@ func TestPublicAPISearchStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd, err := HighDegreeWalk(g, 0, 100, rng)
+	f, s := Freeze(g), NewSearchScratch(g.N())
+	hd, err := s.HighDegreeWalk(f, 0, 100, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hd.HitsAt(100) < 2 {
 		t.Errorf("HDS walk covered %d nodes", hd.HitsAt(100))
 	}
-	pf, err := ProbabilisticFlood(g, 0, 5, 0.5, rng)
+	pf, err := s.ProbabilisticFlood(f, 0, 5, 0.5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pf.HitsAt(5) < 1 || pf.HitsAt(5) > g.N() {
 		t.Errorf("probabilistic flood hits %d out of range", pf.HitsAt(5))
 	}
-	hy, err := HybridSearch(g, 0, 2, 4, 50, rng)
+	hy, err := s.HybridSearch(f, 0, 2, 4, 50, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,16 @@
 // implementing Guclu & Yuksel, "Scale-Free Overlay Topologies with Hard
 // Cutoffs for Unstructured Peer-to-Peer Networks" (ICDCS 2007).
 //
-// The library has five layers, all re-exported here:
+// This package is the entry point the command-line tools and examples use;
+// it exposes each layer of the library through the calls they need:
 //
 //   - Topology generators (GeneratePA, GenerateCM, GenerateHAPA,
 //     GenerateDAPA, plus substrates and baselines): build overlay graphs
 //     with or without per-peer hard cutoffs kc, using global information
 //     (PA, CM) or only local information (HAPA, DAPA).
-//   - Search algorithms (Flood, NormalizedFlood, RandomWalk,
-//     RandomWalkWithNFBudget, plus the cited baselines HighDegreeWalk,
-//     ProbabilisticFlood, HybridSearch): measure hits and messaging per
-//     TTL on any generated topology; load profiles (NewSearchLoad) charge
-//     the work to individual peers.
+//   - Search algorithms (Flood, NormalizedFlood, RandomWalkWithNFBudget,
+//     and SearchScratch for repeated searches on one topology): measure
+//     hits and messaging per TTL on any generated topology.
 //   - A content layer (NewCatalog, Replicate, ExpectedSearchSize): Zipf
 //     item popularity and the Cohen–Shenker replication strategies the
 //     searches ultimately serve.
@@ -39,7 +38,6 @@ package scalefree
 
 import (
 	"io"
-	"time"
 
 	"scalefree/internal/churn"
 	"scalefree/internal/content"
@@ -55,9 +53,6 @@ import (
 // Graph is an undirected (multi)graph over dense node IDs; see the methods
 // on graph.Graph for traversal, components, distances, and serialization.
 type Graph = graph.Graph
-
-// NewGraph returns a graph with n isolated nodes.
-func NewGraph(n int) *Graph { return graph.New(n) }
 
 // FrozenTopology is a compressed-sparse-row (CSR) snapshot of a Graph: the
 // read-only fast path every search kernel and structural metric runs on.
@@ -139,56 +134,26 @@ func GenerateWattsStrogatz(n, k int, beta float64, rng *RNG) (*Graph, error) {
 	return gen.WattsStrogatz(n, k, beta, rng)
 }
 
-// Extension generators (paper §III-C's alternatives to hard cutoffs).
-type (
-	// NLPAConfig parameterizes nonlinear preferential attachment
-	// (attachment kernel k^Alpha).
-	NLPAConfig = gen.NLPAConfig
-	// FitnessConfig parameterizes the Bianconi–Barabási fitness model.
-	FitnessConfig = gen.FitnessConfig
-)
-
-// GenerateNLPA builds a nonlinear preferential-attachment topology:
-// Alpha < 1 suppresses hubs without a cutoff; Alpha > 1 condenses.
-func GenerateNLPA(cfg NLPAConfig, rng *RNG) (*Graph, GenStats, error) { return gen.NLPA(cfg, rng) }
-
-// GenerateFitness builds a fitness-model topology where young-but-fit
-// nodes can overtake old hubs; it returns the per-node fitness values.
-func GenerateFitness(cfg FitnessConfig, rng *RNG) (*Graph, []float64, GenStats, error) {
-	return gen.Fitness(cfg, rng)
-}
-
-// LocalEventsConfig parameterizes the Albert–Barabási local-events
-// (dynamic edge-rewiring) model.
-type LocalEventsConfig = gen.LocalEventsConfig
-
-// GenerateLocalEvents builds an Albert–Barabási local-events network
-// (node additions, edge additions, and rewiring with probabilities
-// 1-P-Q, P, Q), the dynamic-rewiring alternative of §III-C.
-func GenerateLocalEvents(cfg LocalEventsConfig, rng *RNG) (*Graph, GenStats, error) {
-	return gen.LocalEvents(cfg, rng)
-}
-
 // SearchResult is the per-TTL outcome (hits, messages) of one search.
 type SearchResult = search.Result
 
 // Flood runs flooding search (FL, §V-A1) from src up to maxTTL hops.
-func Flood(g *Graph, src, maxTTL int) (SearchResult, error) { return search.Flood(g, src, maxTTL) }
+func Flood(g *Graph, src, maxTTL int) (SearchResult, error) {
+	var s search.Scratch
+	return s.Flood(g.Freeze(), src, maxTTL)
+}
 
 // NormalizedFlood runs NF search (§V-A2) with fan-out kMin.
 func NormalizedFlood(g *Graph, src, maxTTL, kMin int, rng *RNG) (SearchResult, error) {
-	return search.NormalizedFlood(g, src, maxTTL, kMin, rng)
-}
-
-// RandomWalk runs a non-backtracking random walk of `steps` hops (§V-A3).
-func RandomWalk(g *Graph, src, steps int, rng *RNG) (SearchResult, error) {
-	return search.RandomWalk(g, src, steps, rng)
+	var s search.Scratch
+	return s.NormalizedFlood(g.Freeze(), src, maxTTL, kMin, rng)
 }
 
 // RandomWalkWithNFBudget runs RW normalized to NF's message budget, the
 // paper's fair-comparison protocol (§V-B).
 func RandomWalkWithNFBudget(g *Graph, src, maxTTL, kMin int, rng *RNG) (rw, nf SearchResult, err error) {
-	return search.RandomWalkWithNFBudget(g, src, maxTTL, kMin, rng)
+	var s search.Scratch
+	return s.RandomWalkWithNFBudget(g.Freeze(), src, maxTTL, kMin, rng)
 }
 
 // SearchScratch owns reusable search state (visited bitset, frontier
@@ -202,61 +167,6 @@ type SearchScratch = search.Scratch
 // NewSearchScratch returns a search scratch pre-sized for n-node graphs
 // (n may be 0; buffers grow on demand).
 func NewSearchScratch(n int) *SearchScratch { return search.NewScratch(n) }
-
-// KRandomWalks runs `walkers` parallel non-backtracking random walks from
-// src (the paper's "multiple RWs" alternative, §V-B1).
-func KRandomWalks(g *Graph, src, walkers, steps int, rng *RNG) (SearchResult, error) {
-	return search.KRandomWalks(g.Freeze(), src, walkers, steps, rng)
-}
-
-// HighDegreeWalk runs the degree-seeking walk of Adamic et al. (paper ref
-// [62]): each hop moves to the highest-degree unvisited neighbor,
-// exploiting hubs — the strategy hard cutoffs deliberately weaken.
-func HighDegreeWalk(g *Graph, src, steps int, rng *RNG) (SearchResult, error) {
-	return search.HighDegreeWalk(g.Freeze(), src, steps, rng)
-}
-
-// ProbabilisticFlood runs flooding in which interior nodes forward each
-// copy independently with probability p (paper ref [29]); p=1 is Flood.
-func ProbabilisticFlood(g *Graph, src, maxTTL int, p float64, rng *RNG) (SearchResult, error) {
-	return search.ProbabilisticFlood(g.Freeze(), src, maxTTL, p, rng)
-}
-
-// HybridSearch runs the Gkantsidis–Mihail–Saberi flood-then-walk hybrid
-// (paper ref [30]): a flood of depth floodTTL, then `walkers` random walks
-// of `steps` hops from the flood frontier.
-func HybridSearch(g *Graph, src, floodTTL, walkers, steps int, rng *RNG) (SearchResult, error) {
-	return search.HybridSearch(g.Freeze(), src, floodTTL, walkers, steps, rng)
-}
-
-// Delivery is the outcome of a targeted search (found, time, messages).
-type Delivery = search.Delivery
-
-// FloodDelivery measures flooding's delivery time to a target
-// (the shortest-path length; Eq. 6 predicts ~log N growth).
-func FloodDelivery(g *Graph, src, target, maxTTL int) (Delivery, error) {
-	return search.FloodDelivery(g.Freeze(), src, target, maxTTL)
-}
-
-// RandomWalkDelivery measures a single walker's first-arrival time at a
-// target (Eq. 7 predicts ~N^0.79 growth on γ≈2.1 networks).
-func RandomWalkDelivery(g *Graph, src, target, maxSteps int, rng *RNG) (Delivery, error) {
-	return search.RandomWalkDelivery(g.Freeze(), src, target, maxSteps, rng)
-}
-
-// RingResult is the outcome of an expanding-ring search.
-type RingResult = search.RingResult
-
-// ExpandingRing searches for a node satisfying isTarget with escalating
-// flood TTLs (Lv et al.'s technique; nil schedule doubles 1,2,4.. up to
-// maxTTL), saving messages on nearby content.
-func ExpandingRing(g *Graph, src int, isTarget func(node int) bool, schedule []int, maxTTL int) (RingResult, error) {
-	return search.ExpandingRing(g.Freeze(), src, isTarget, schedule, maxTTL)
-}
-
-// CrawlResult is an overlay topology reconstructed by protocol-level
-// crawling (Peer.Crawl).
-type CrawlResult = p2p.CrawlResult
 
 // Structural metrics and robustness analysis (§III's "robust yet
 // fragile").
@@ -275,12 +185,6 @@ const (
 
 // GlobalClustering returns the graph's transitivity.
 func GlobalClustering(g *Graph) float64 { return metrics.GlobalClustering(g.Freeze()) }
-
-// KNNPoint is one point of the average-neighbor-degree curve k_nn(k).
-type KNNPoint = metrics.KNNPoint
-
-// AverageNeighborDegree computes the degree-correlation function k_nn(k).
-func AverageNeighborDegree(g *Graph) []KNNPoint { return metrics.AverageNeighborDegree(g.Freeze()) }
 
 // DegreeAssortativity returns Newman's degree-correlation coefficient r.
 func DegreeAssortativity(g *Graph) (float64, error) { return metrics.DegreeAssortativity(g.Freeze()) }
@@ -317,13 +221,6 @@ func DegreeGini(g *Graph) float64 { return stats.Gini(g.DegreeSequence()) }
 // share of peers (e.g. 0.01 for the top 1%).
 func TopLoadShare(g *Graph, frac float64) float64 { return stats.TopShare(g.DegreeSequence(), frac) }
 
-// KSDistance returns the Kolmogorov–Smirnov distance between a degree
-// distribution's tail (k >= kMin) and a discrete power law with the given
-// exponent.
-func KSDistance(d DegreeDist, gamma float64, kMin int) (float64, error) {
-	return stats.KSDistance(d, gamma, kMin)
-}
-
 // NaturalCutoff returns the Dorogovtsev et al. natural degree cutoff
 // m·N^(1/(γ-1)) (paper Eq. 4), the scale hard cutoffs are compared
 // against.
@@ -337,8 +234,6 @@ type (
 	Peer = p2p.Peer
 	// PeerConfig parameterizes a live peer.
 	PeerConfig = p2p.Config
-	// PeerInfo is a discovered peer's address and advertised degree.
-	PeerInfo = p2p.PeerInfo
 	// Overlay manages an in-process population of live peers.
 	Overlay = p2p.Overlay
 	// OverlayConfig parameterizes an overlay population.
@@ -364,59 +259,15 @@ const (
 	SearchRW    = p2p.AlgRW
 )
 
-// Maintainer runs periodic self-healing for one live peer (§VI).
-type Maintainer = p2p.Maintainer
-
-// NewMaintainer starts background maintenance for a peer: dead-link
-// pruning plus re-join through the bootstrap provider when degree drops
-// below M. Stop it with Maintainer.Stop.
-func NewMaintainer(p *Peer, bootstrap func() string, strategy JoinStrategy, interval time.Duration) *Maintainer {
-	return p2p.NewMaintainer(p, bootstrap, strategy, interval)
-}
-
 // NewOverlay creates an empty in-process overlay population.
 func NewOverlay(cfg OverlayConfig) (*Overlay, error) { return p2p.NewOverlay(cfg) }
 
 // NewPeer starts one live peer on the given transport.
 func NewPeer(cfg PeerConfig, net Network) (*Peer, error) { return p2p.NewPeer(cfg, net) }
 
-// NewInMemoryNetwork returns an in-process transport.
-func NewInMemoryNetwork() *p2p.InMemoryNetwork { return p2p.NewInMemoryNetwork() }
-
-// NewTCPNetwork returns a TCP transport (newline-delimited JSON frames).
+// NewTCPNetwork returns a TCP transport (one length-prefixed frame per
+// message: a JSON header, then the raw payload bytes).
 func NewTCPNetwork() *p2p.TCPNetwork { return p2p.NewTCPNetwork() }
-
-// Fault injection and self-healing (see internal/p2p).
-type (
-	// FaultyNetwork wraps any Network and injects drops, delays,
-	// duplicates, reorders, and named partitions from a deterministic
-	// seeded schedule. A zero FaultConfig is byte-transparent.
-	FaultyNetwork = p2p.FaultyNetwork
-	// FaultConfig parameterizes a FaultyNetwork.
-	FaultConfig = p2p.FaultConfig
-	// FaultStats counts what a FaultyNetwork did to the traffic.
-	FaultStats = p2p.FaultStats
-	// MaintainerConfig parameterizes heartbeat-driven maintenance.
-	MaintainerConfig = p2p.MaintainerConfig
-	// MaintainerReport is the maintenance loop's failure-detection and
-	// recovery metrics (time-to-reconnect, prune/repair counts).
-	MaintainerReport = p2p.MaintainerReport
-	// RecoveryReport is Overlay.Heal's outcome: rounds, repairs, and the
-	// coverage-recovery curve back to one connected component.
-	RecoveryReport = p2p.RecoveryReport
-)
-
-// NewFaultyNetwork wraps inner with the given fault schedule.
-func NewFaultyNetwork(inner Network, cfg FaultConfig) *FaultyNetwork {
-	return p2p.NewFaultyNetwork(inner, cfg)
-}
-
-// NewMaintainerWith starts background maintenance with explicit
-// failure-detection knobs (heartbeat interval, consecutive-miss
-// threshold); NewMaintainer is the legacy single-miss form.
-func NewMaintainerWith(p *Peer, cfg MaintainerConfig) *Maintainer {
-	return p2p.NewMaintainerWith(p, cfg)
-}
 
 // Content layer: items, Zipf popularity, and the Cohen–Shenker replication
 // strategies (paper refs [22], [23]), with random-walk expected-search-size
@@ -480,8 +331,6 @@ type (
 	ChurnSimulator = churn.Simulator
 	// ChurnSnapshot is one periodic overlay-health measurement.
 	ChurnSnapshot = churn.Snapshot
-	// ChurnStats counts joins, leaves, messages, and repair links.
-	ChurnStats = churn.Stats
 	// ChurnJoinRule selects the attachment rule for arrivals.
 	ChurnJoinRule = churn.JoinRule
 	// ChurnRepairPolicy selects the post-departure repair policy.
@@ -537,29 +386,4 @@ func SitePercolation(g *Graph, steps, trials int, rng *RNG) ([]PercolationPoint,
 // the given fraction of the original network.
 func PercolationThreshold(pts []PercolationPoint, frac float64) float64 {
 	return metrics.PercolationThreshold(pts, frac)
-}
-
-// SearchLoad accumulates per-node query-handling work (forwards +
-// receipts) across searches — the dynamic counterpart of degree-based
-// fairness metrics.
-type SearchLoad = search.Load
-
-// NewSearchLoad returns a zeroed accumulator for an n-node graph.
-func NewSearchLoad(n int) *SearchLoad { return search.NewLoad(n) }
-
-// FloodLoadProfile charges one flooding search from src to the
-// accumulator.
-func FloodLoadProfile(g *Graph, src, maxTTL int, load *SearchLoad) error {
-	return search.FloodLoad(g.Freeze(), src, maxTTL, load)
-}
-
-// NormalizedFloodLoadProfile charges one NF search from src to the
-// accumulator.
-func NormalizedFloodLoadProfile(g *Graph, src, maxTTL, kMin int, rng *RNG, load *SearchLoad) error {
-	return search.NormalizedFloodLoad(g.Freeze(), src, maxTTL, kMin, rng, load)
-}
-
-// RandomWalkLoadProfile charges one walk from src to the accumulator.
-func RandomWalkLoadProfile(g *Graph, src, steps int, rng *RNG, load *SearchLoad) error {
-	return search.RandomWalkLoad(g.Freeze(), src, steps, rng, load)
 }

@@ -90,9 +90,6 @@ func TestPublicAPIBaselines(t *testing.T) {
 	if _, err := GenerateMesh(5, 5); err != nil {
 		t.Fatal(err)
 	}
-	if g := NewGraph(3); g.N() != 3 {
-		t.Fatal("NewGraph")
-	}
 }
 
 func TestPublicAPILiveOverlay(t *testing.T) {

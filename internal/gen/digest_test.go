@@ -9,11 +9,10 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// frozenDigest is the FNV-64a hash of g's frozen CSR arrays: the N+1
-// offsets, then the concatenated neighbor array, each entry as a
-// little-endian int32.
-func frozenDigest(g *graph.Graph) uint64 {
-	f := g.Freeze()
+// frozenDigest is the FNV-64a hash of f's CSR arrays: the N+1 offsets,
+// then the concatenated neighbor array, each entry as a little-endian
+// int32.
+func frozenDigest(f *graph.Frozen) uint64 {
 	h := fnv.New64a()
 	var buf [4]byte
 	put := func(x int32) {
@@ -38,7 +37,9 @@ func frozenDigest(g *graph.Graph) uint64 {
 // to the adjacency bytes and rejection-loop counters it produced before
 // the edge-multiplicity map was removed (captured at commit 2b90b12). The
 // counters are the RNG-consumption witnesses: one extra or missing draw
-// shifts Attempts or Hops long before it shows in a figure CSV.
+// shifts Attempts or Hops long before it shows in a figure CSV. The cm and
+// grn rows pin the direct-to-CSR builds, which draw no counters, by
+// digest alone.
 func TestGrowthDigests(t *testing.T) {
 	t.Parallel()
 	legacy := func() Build { return Build{RNG: xrand.New(41)} }
@@ -53,7 +54,7 @@ func TestGrowthDigests(t *testing.T) {
 		Attempts, Hops, HorizonQueries, Fallbacks int
 	}
 	res := func(g *graph.Graph, st Stats) result {
-		return result{frozenDigest(g), st.Attempts, st.Hops, st.HorizonQueries, st.Fallbacks}
+		return result{frozenDigest(g.Freeze()), st.Attempts, st.Hops, st.HorizonQueries, st.Fallbacks}
 	}
 	got := map[string]result{}
 
@@ -84,10 +85,16 @@ func TestGrowthDigests(t *testing.T) {
 			}
 			got[c.name+"/"+b.name] = res(g, st)
 		}
+		cm, _, err := CMFrozen(CMConfig{N: 3000, M: 2, KC: 40, Gamma: 2.4}, b.mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["cm/"+b.name] = result{Digest: frozenDigest(cm)}
 		sub, _, err := GRNFrozen(GRNConfig{N: 2400, MeanDegree: 10}, b.mk())
 		if err != nil {
 			t.Fatal(err)
 		}
+		got["grn/"+b.name] = result{Digest: frozenDigest(sub)}
 		for _, c := range []struct {
 			name string
 			tau  int
@@ -108,6 +115,10 @@ func TestGrowthDigests(t *testing.T) {
 	got["ws"] = res(g, Stats{})
 
 	want := map[string]result{
+		"cm/legacy":         {0xc30dd336e494ba1, 0, 0, 0, 0},
+		"cm/phased":         {0x302a5a69140790e9, 0, 0, 0, 0},
+		"grn/legacy":        {0x4a36eaff9821896d, 0, 0, 0, 0},
+		"grn/phased":        {0xbcc93dcce7d56638, 0, 0, 0, 0},
 		"dapa-tau10/legacy": {0x6321f88530c5b5e3, 229971, 0, 1220, 0},
 		"dapa-tau10/phased": {0xeae17c608aaee062, 225559, 0, 1256, 0},
 		"dapa-tau2/legacy":  {0x3fd7d7873b6a209e, 21533, 0, 3318, 0},

@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *pJoin < 0 || *pJoin > 1 {
+	if !(*pJoin >= 0 && *pJoin <= 1) {
 		return fmt.Errorf("pjoin %v must be in [0,1]", *pJoin)
 	}
 	if *events < 1 {

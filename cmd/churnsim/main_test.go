@@ -49,6 +49,7 @@ func TestRunValidation(t *testing.T) {
 	var buf strings.Builder
 	cases := [][]string{
 		{"-pjoin", "1.5"},
+		{"-pjoin", "NaN"},
 		{"-events", "0"},
 		{"-join", "teleport"},
 		{"-repair", "duct-tape"},

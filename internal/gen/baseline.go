@@ -71,8 +71,8 @@ func Ring(n, k int) (*graph.Graph, error) {
 // endpoint. beta=0 is the lattice; beta=1 approaches a random graph; small
 // beta yields the small-world regime with d ~ ln N.
 func WattsStrogatz(n, k int, beta float64, rng *xrand.RNG) (*graph.Graph, error) {
-	if beta < 0 || beta > 1 {
-		return nil, fmt.Errorf("gen: rewiring probability %v out of [0,1]", beta)
+	if !(beta >= 0 && beta <= 1) {
+		return nil, fmt.Errorf("gen: rewiring probability beta=%v out of [0,1]", beta)
 	}
 	g, err := Ring(n, k)
 	if err != nil {

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"scalefree/internal/xrand"
@@ -137,6 +138,9 @@ func TestWattsStrogatzValidation(t *testing.T) {
 	}
 	if _, err := WattsStrogatz(50, 2, 1.1, xrand.New(1)); err == nil {
 		t.Error("beta > 1 should fail")
+	}
+	if _, err := WattsStrogatz(50, 2, math.NaN(), xrand.New(1)); err == nil {
+		t.Error("beta=NaN should fail")
 	}
 	if _, err := WattsStrogatz(4, 2, 0.5, xrand.New(1)); err == nil {
 		t.Error("invalid lattice should fail")

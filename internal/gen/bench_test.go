@@ -6,7 +6,7 @@ import (
 	"scalefree/internal/graph"
 )
 
-// Build-path benchmarks: the legacy mutable-Graph path (per-node slice
+// Build-path benchmarks: the mutable-Graph path (per-node slice
 // appends, then Freeze) versus the direct-CSR path
 // (chunked edge buffers + parallel count/scatter), at the scales the
 // experiment engine builds per realization. The *Graph variants include

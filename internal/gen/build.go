@@ -8,24 +8,15 @@ import (
 )
 
 // Build describes how a generator draws randomness and schedules its
-// internal work. It exists for the experiment engine's pipelined build
-// stage: with Phases set, a generator splits its randomness into named
-// phase sub-streams (xrand.Phases — derived solely from (seed,
-// realization, phase)) and may parallelize phases whose chunk boundaries
-// are fixed, so the generated topology is bit-for-bit identical for every
-// Workers value and on every pipeline worker.
-//
-// With Phases nil the generator runs its legacy single-stream path: every
-// phase draws from the one RNG in call order, byte-compatible with the
-// plain PA/CM/GRN/DAPA entry points that predate Build.
+// internal work. A generator splits its randomness into named phase
+// sub-streams (xrand.Phases — derived solely from (seed, realization,
+// phase)) and may parallelize phases whose chunk boundaries are fixed, so
+// the generated topology is bit-for-bit identical for every Workers value
+// and on every pipeline worker. The zero Build is a serial build of
+// realization 0 at seed 0.
 type Build struct {
-	// RNG is the legacy single-stream source, used only when Phases is
-	// nil. Nil falls back to a fixed-seed generator, as the plain entry
-	// points do.
-	RNG *xrand.RNG
-	// Phases, when non-nil, switches the generator to named phase
-	// sub-streams and enables deterministic intra-generator parallelism.
-	Phases *xrand.Phases
+	// Phases keys every phase sub-stream the generator draws from.
+	Phases xrand.Phases
 	// Workers bounds intra-generator parallelism; <=1 runs every phase on
 	// the calling goroutine. Output is identical for every value — only
 	// wall-clock changes.
@@ -38,13 +29,10 @@ type Build struct {
 	Arena *graph.CSRArena
 }
 
-// NewBuild returns a phase-stream Build for one realization.
+// NewBuild returns a Build for one realization.
 func NewBuild(phases xrand.Phases, workers int) Build {
-	return Build{Phases: &phases, Workers: workers}
+	return Build{Phases: phases, Workers: workers}
 }
-
-// phased reports whether the build uses phase sub-streams.
-func (b Build) phased() bool { return b.Phases != nil }
 
 // workers returns the effective parallelism bound (>=1).
 func (b Build) workers() int {
@@ -52,29 +40,6 @@ func (b Build) workers() int {
 		return 1
 	}
 	return b.Workers
-}
-
-// normalize returns b with the legacy fallback materialized: when both
-// Phases and RNG are nil, a single fixed-seed RNG is installed so every
-// phase shares one stream, exactly as the plain entry points' defaultRNG
-// does. Generator entry points call this once before the first phase
-// draw — phase itself must not create the fallback, or each phase would
-// get its own identical New(0) stream.
-func (b Build) normalize() Build {
-	if b.Phases == nil && b.RNG == nil {
-		b.RNG = xrand.New(0)
-	}
-	return b
-}
-
-// phase returns the RNG for a named phase. Phased builds get the
-// realization's (seed, realization, phase) stream; legacy builds get the
-// single shared RNG, so phases consume it in exactly the historical order.
-func (b Build) phase(name string) *xrand.RNG {
-	if b.Phases != nil {
-		return b.Phases.Stream(name)
-	}
-	return b.RNG
 }
 
 // buildChunk is the fixed chunk size of parallelized phases. It is a

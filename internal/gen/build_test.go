@@ -23,6 +23,9 @@ func phasesFor(seed, realization uint64) xrand.Phases {
 	return xrand.Phases{Seed: seed, Realization: realization}
 }
 
+// seedBuild is the serial build of realization 0 at seed.
+func seedBuild(seed uint64) Build { return NewBuild(phasesFor(seed, 0), 1) }
+
 // TestCMBuildWorkerInvariance pins the chunked-degree contract: a phased
 // CM build yields the identical graph (and Stats) for every Workers value.
 func TestCMBuildWorkerInvariance(t *testing.T) {
@@ -77,11 +80,10 @@ func TestGRNBuildWorkerInvariance(t *testing.T) {
 // identical overlay (mapping, adjacency, Stats) for every Workers value.
 func TestDAPABuildWorkerInvariance(t *testing.T) {
 	t.Parallel()
-	sub, _, err := GRN(GRNConfig{N: 4000, MeanDegree: 10}, xrand.New(7))
+	fsub, _, err := GRNFrozen(GRNConfig{N: 4000, MeanDegree: 10}, seedBuild(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsub := sub.Freeze()
 	for _, tau := range []int{2, 10} {
 		cfg := DAPAConfig{NOverlay: 1500, M: 2, KC: 40, TauSub: tau}
 		build := func(workers int) ([][]int32, []int, Stats) {
@@ -107,76 +109,11 @@ func TestDAPABuildWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestLegacyBuildMatchesPlainEntryPoints pins the compatibility contract:
-// the plain PA/CM/GRN/DAPAFrozen entry points and a legacy Build (Phases
-// nil) draw from the single stream in the identical order.
-func TestLegacyBuildMatchesPlainEntryPoints(t *testing.T) {
-	t.Parallel()
-	pa1, _, err := PA(PAConfig{N: 600, M: 2, KC: 40}, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa2, _, err := PABuild(PAConfig{N: 600, M: 2, KC: 40}, Build{RNG: xrand.New(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(graphFingerprint(t, pa1), graphFingerprint(t, pa2)) {
-		t.Fatal("PABuild(legacy) diverged from PA")
-	}
-	cm1, _, err := CM(CMConfig{N: 600, M: 2, Gamma: 2.4}, xrand.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm2, _, err := CMBuild(CMConfig{N: 600, M: 2, Gamma: 2.4}, Build{RNG: xrand.New(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(graphFingerprint(t, cm1), graphFingerprint(t, cm2)) {
-		t.Fatal("CMBuild(legacy) diverged from CM")
-	}
-	sub, _, err := GRN(GRNConfig{N: 1500, MeanDegree: 10}, xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsub := sub.Freeze()
-	dcfg := DAPAConfig{NOverlay: 500, M: 2, KC: 40, TauSub: 4}
-	ov1, st1, err := DAPAFrozen(fsub, dcfg, xrand.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov2, st2, err := DAPABuild(fsub, dcfg, Build{RNG: xrand.New(6)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(graphFingerprint(t, ov1.G), graphFingerprint(t, ov2.G)) || st1 != st2 {
-		t.Fatal("DAPABuild(legacy) diverged from DAPAFrozen")
-	}
-}
-
-// TestZeroValueBuildMatchesNilRNG pins the zero-value contract: Build{}
-// must behave exactly like passing a nil RNG to the plain entry points —
-// one shared fixed-seed stream across all phases, not one identical
-// stream per phase.
-func TestZeroValueBuildMatchesNilRNG(t *testing.T) {
-	t.Parallel()
-	want, _, err := CM(CMConfig{N: 500, M: 2, Gamma: 2.4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := CMBuild(CMConfig{N: 500, M: 2, Gamma: 2.4}, Build{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(graphFingerprint(t, want), graphFingerprint(t, got)) {
-		t.Fatal("CMBuild(Build{}) diverged from CM(cfg, nil)")
-	}
-}
-
 // TestStubListParallelMatchesSerial pins the stub expansion on both paths.
 func TestStubListParallelMatchesSerial(t *testing.T) {
 	t.Parallel()
-	seq := PowerLawDegreeSequence(20000, 1, 100, 2.3, xrand.New(9))
-	serial := stubList(seq, Build{RNG: xrand.New(0)})
+	seq := powerLawDegreeSequence(20000, 1, 100, 2.3, seedBuild(9))
+	serial := stubList(seq, seedBuild(0))
 	par := stubList(seq, NewBuild(phasesFor(0, 0), 4))
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatal("parallel stub list diverged from serial expansion")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scalefree/internal/graph"
-	"scalefree/internal/xrand"
 )
 
 // CMConfig parameterizes the configuration model (paper §III-C,
@@ -29,7 +28,7 @@ func (c CMConfig) validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("%w: n=%d", ErrBadN, c.N)
 	}
-	if c.Gamma <= 1 {
+	if !(c.Gamma > 1) {
 		return fmt.Errorf("%w: gamma=%v", ErrBadGamma, c.Gamma)
 	}
 	if c.KC != NoCutoff && c.KC < c.M {
@@ -38,7 +37,7 @@ func (c CMConfig) validate() error {
 	return nil
 }
 
-// CM generates an uncorrelated random graph with a power-law degree
+// CMBuild generates an uncorrelated random graph with a power-law degree
 // sequence P(k) ∝ k^-Gamma on [M, KC] via the configuration model:
 //
 //  1. Draw a degree sequence from the target distribution, adjusting one
@@ -54,25 +53,18 @@ func (c CMConfig) validate() error {
 // pairs uniformly random *stubs*, which is what the cited references
 // [56–58] define and what reproduces the prescribed degree sequence. We
 // implement stub pairing and document the difference here.
-func CM(cfg CMConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
-	return CMBuild(cfg, Build{RNG: defaultRNG(rng)})
-}
-
-// CMBuild is CM under an explicit build context. A phased build splits the
-// randomness into the "cm.degrees" phase (sampled in fixed-size chunks,
-// one sub-stream per chunk, so any number of workers draws identical
-// degrees), the "cm.parity" phase (the even-total repair), and the
-// "cm.wire" phase (the stub shuffle, sequential by nature); degree
+//
+// The randomness splits into the "cm.degrees" phase (sampled in
+// fixed-size chunks, one sub-stream per chunk, so any number of workers
+// draws identical degrees), the "cm.parity" phase (the even-total repair),
+// and the "cm.wire" phase (the stub shuffle, sequential by nature); degree
 // sampling and the stub-list setup fan out across Build.Workers
-// goroutines. Output is bit-for-bit identical for every Workers value. A
-// legacy Build (Phases nil) reproduces CM's historical single-stream draw
-// sequence byte for byte.
+// goroutines. Output is bit-for-bit identical for every Workers value.
 //
 // CMBuild materializes the mutable Graph; the experiment engine uses
 // CMFrozen, which wires the identical stub stream straight into CSR form.
 func CMBuild(cfg CMConfig, b Build) (*graph.Graph, Stats, error) {
 	var st Stats
-	b = b.normalize()
 	stubs, err := cmShuffledStubs(cfg, b)
 	if err != nil {
 		return nil, st, err
@@ -92,12 +84,11 @@ func CMBuild(cfg CMConfig, b Build) (*graph.Graph, Stats, error) {
 // out across Build.Workers without touching the draw sequence) and
 // finalized with the cleanup pass replayed on the sorted CSR. The result
 // is byte-identical — offsets, neighbor order, Stats — to CMBuild
-// followed by Freeze, for every Workers value and for legacy Builds, but
-// never allocates per-node adjacency slices. Build.Arena, when set,
-// recycles the build's transient buffers.
+// followed by Freeze, for every Workers value, but never allocates
+// per-node adjacency slices. Build.Arena, when set, recycles the build's
+// transient buffers.
 func CMFrozen(cfg CMConfig, b Build) (*graph.Frozen, Stats, error) {
 	var st Stats
-	b = b.normalize()
 	stubs, err := cmShuffledStubs(cfg, b)
 	if err != nil {
 		return nil, st, err
@@ -121,7 +112,6 @@ func CMFrozen(cfg CMConfig, b Build) (*graph.Frozen, Stats, error) {
 // cmShuffledStubs runs the randomized front half shared by CMBuild and
 // CMFrozen — degree sampling, parity repair, stub expansion, wire
 // shuffle — consuming the build's streams identically on both paths.
-// b must already be normalized.
 func cmShuffledStubs(cfg CMConfig, b Build) ([]int32, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -130,24 +120,21 @@ func cmShuffledStubs(cfg CMConfig, b Build) ([]int32, error) {
 	if kc == NoCutoff || kc > cfg.N {
 		kc = cfg.N
 	}
-	var seq []int
-	if b.phased() {
-		seq = powerLawDegreeSequenceChunked(cfg.N, cfg.M, kc, cfg.Gamma, b)
-	} else {
-		seq = PowerLawDegreeSequence(cfg.N, cfg.M, kc, cfg.Gamma, b.phase("cm.degrees"))
-	}
-	stubs := stubList(seq, b)
-	wire := b.phase("cm.wire")
+	stubs := stubList(powerLawDegreeSequence(cfg.N, cfg.M, kc, cfg.Gamma, b), b)
+	wire := b.Phases.Stream("cm.wire")
 	wire.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	return stubs, nil
 }
 
-// powerLawDegreeSequenceChunked is the phased counterpart of
-// PowerLawDegreeSequence: chunk c of the sequence draws from the
-// (seed, realization, "cm.degrees", c) sub-stream, so the sampled degrees
-// are identical no matter how many goroutines process the chunks. The
-// parity repair draws from its own "cm.parity" stream.
-func powerLawDegreeSequenceChunked(n, kMin, kMax int, gamma float64, b Build) []int {
+// powerLawDegreeSequence draws n degrees from P(k) ∝ k^-gamma on
+// [kMin, kMax]. Chunk c of the sequence draws from the (seed, realization,
+// "cm.degrees", c) sub-stream, so the sampled degrees are identical no
+// matter how many goroutines process the chunks. If the total is odd, one
+// entry drawn from the "cm.parity" stream is bumped by ±1, preferring to
+// stay inside [kMin, kMax]; in the degenerate kMin == kMax case it is
+// decremented below the bound — parity must win, and the paper's own
+// cleanup phase already tolerates degrees below m.
+func powerLawDegreeSequence(n, kMin, kMax int, gamma float64, b Build) []int {
 	seq := make([]int, n)
 	subtotals := make([]int, chunks(n))
 	// One read-only sampling kernel shared by every chunk worker —
@@ -168,9 +155,7 @@ func powerLawDegreeSequenceChunked(n, kMin, kMax int, gamma float64, b Build) []
 		total += t
 	}
 	if total%2 == 1 {
-		// Same repair rule as PowerLawDegreeSequence, from the dedicated
-		// parity stream.
-		i := b.phase("cm.parity").Intn(n)
+		i := b.Phases.Stream("cm.parity").Intn(n)
 		if seq[i] < kMax {
 			seq[i]++
 		} else {
@@ -181,13 +166,13 @@ func powerLawDegreeSequenceChunked(n, kMin, kMax int, gamma float64, b Build) []
 }
 
 // stubList expands a degree sequence into the stub array (node u appearing
-// seq[u] times, in node order). The expansion is RNG-free; a phased build
-// fills disjoint chunk ranges in parallel from the sequence's prefix sums,
-// a legacy build appends serially — both produce the identical array. The
+// seq[u] times, in node order). The expansion is RNG-free; a parallel
+// build fills disjoint chunk ranges from the sequence's prefix sums, a
+// serial build appends — both produce the identical array. The
 // array comes from Build.Arena when one is set (CMFrozen releases it after
 // wiring), so repeated pipeline builds reuse it.
 func stubList(seq []int, b Build) []int32 {
-	if !b.phased() || b.workers() <= 1 {
+	if b.workers() <= 1 {
 		stubs := b.Arena.Grab(sum(seq))[:0]
 		for u, k := range seq {
 			for i := 0; i < k; i++ {
@@ -214,33 +199,6 @@ func stubList(seq []int, b Build) []int32 {
 	})
 	b.Arena.Release(offsets)
 	return stubs
-}
-
-// PowerLawDegreeSequence draws n degrees from P(k) ∝ k^-gamma on
-// [kMin, kMax], then repairs parity so the total stub count is even (a
-// random entry is bumped within bounds). Exposed for tests and for callers
-// that want to feed a custom sequence through graph construction.
-func PowerLawDegreeSequence(n, kMin, kMax int, gamma float64, rng *xrand.RNG) []int {
-	seq := make([]int, n)
-	total := 0
-	sample := powerLawSampleFunc(n, kMin, kMax, gamma)
-	for i := range seq {
-		seq[i] = sample(rng)
-		total += seq[i]
-	}
-	if total%2 == 1 {
-		// Adjust one random entry by ±1, preferring to stay inside
-		// [kMin, kMax]. In the degenerate kMin == kMax case one entry is
-		// decremented below the bound — parity must win, and the paper's
-		// own cleanup phase already tolerates degrees below m.
-		i := rng.Intn(n)
-		if seq[i] < kMax {
-			seq[i]++
-		} else {
-			seq[i]--
-		}
-	}
-	return seq
 }
 
 func sum(xs []int) int {

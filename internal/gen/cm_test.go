@@ -14,18 +14,19 @@ func TestCMValidation(t *testing.T) {
 		{N: 100, M: 0, Gamma: 2.5},
 		{N: 1, M: 1, Gamma: 2.5},
 		{N: 100, M: 1, Gamma: 1.0},
+		{N: 100, M: 1, Gamma: math.NaN()},
 		{N: 100, M: 3, KC: 2, Gamma: 2.5},
 	}
 	for _, cfg := range cases {
-		if _, _, err := CM(cfg, xrand.New(1)); err == nil {
-			t.Errorf("CM(%+v) should have failed validation", cfg)
+		if _, _, err := CMBuild(cfg, seedBuild(1)); err == nil {
+			t.Errorf("CMBuild(%+v) should have failed validation", cfg)
 		}
 	}
 }
 
 func TestCMSimpleGraphAfterCleanup(t *testing.T) {
 	t.Parallel()
-	g, st, err := CM(CMConfig{N: 5000, M: 2, KC: 100, Gamma: 2.5}, xrand.New(1))
+	g, st, err := CMBuild(CMConfig{N: 5000, M: 2, KC: 100, Gamma: 2.5}, seedBuild(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestCMSimpleGraphAfterCleanup(t *testing.T) {
 func TestCMDegreesRespectCutoff(t *testing.T) {
 	t.Parallel()
 	const kc = 40
-	g, _, err := CM(CMConfig{N: 10000, M: 1, KC: kc, Gamma: 2.2}, xrand.New(3))
+	g, _, err := CMBuild(CMConfig{N: 10000, M: 1, KC: kc, Gamma: 2.2}, seedBuild(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestCMExponentRecovered(t *testing.T) {
 	for _, gamma := range []float64{2.2, 3.0} {
 		var degrees []int
 		for seed := uint64(0); seed < 3; seed++ {
-			g, _, err := CM(CMConfig{N: 20000, M: 1, Gamma: gamma}, xrand.New(10+seed))
+			g, _, err := CMBuild(CMConfig{N: 20000, M: 1, Gamma: gamma}, seedBuild(10+seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +88,7 @@ func TestCMSomeDegreesBelowMAfterCleanup(t *testing.T) {
 	below := 0
 	total := 0
 	for seed := uint64(0); seed < 5; seed++ {
-		g, _, err := CM(CMConfig{N: 5000, M: 2, Gamma: 2.2}, xrand.New(seed))
+		g, _, err := CMBuild(CMConfig{N: 5000, M: 2, Gamma: 2.2}, seedBuild(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,14 +111,14 @@ func TestCMDisconnectedForM1ConnectedForM2(t *testing.T) {
 	t.Parallel()
 	// Paper §III-C: "the network is not a connected network when m=1 ...
 	// For m>1, the network is almost surely connected".
-	g1, _, err := CM(CMConfig{N: 5000, M: 1, Gamma: 2.6}, xrand.New(21))
+	g1, _, err := CMBuild(CMConfig{N: 5000, M: 1, Gamma: 2.6}, seedBuild(21))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g1.IsConnected() {
 		t.Fatal("CM with m=1 should have disconnected components")
 	}
-	g2, _, err := CM(CMConfig{N: 5000, M: 2, KC: 70, Gamma: 2.6}, xrand.New(22))
+	g2, _, err := CMBuild(CMConfig{N: 5000, M: 2, KC: 70, Gamma: 2.6}, seedBuild(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +131,11 @@ func TestCMDisconnectedForM1ConnectedForM2(t *testing.T) {
 func TestCMDeterminism(t *testing.T) {
 	t.Parallel()
 	cfg := CMConfig{N: 1000, M: 1, KC: 50, Gamma: 2.5}
-	a, _, err := CM(cfg, xrand.New(5))
+	a, _, err := CMBuild(cfg, seedBuild(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := CM(cfg, xrand.New(5))
+	b, _, err := CMBuild(cfg, seedBuild(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCMFewerLoopsWithSmallerCutoff(t *testing.T) {
 	removed := func(kc int) int {
 		total := 0
 		for seed := uint64(0); seed < 5; seed++ {
-			_, st, err := CM(CMConfig{N: 5000, M: 1, KC: kc, Gamma: 2.2}, xrand.New(30+seed))
+			_, st, err := CMBuild(CMConfig{N: 5000, M: 1, KC: kc, Gamma: 2.2}, seedBuild(30+seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +173,7 @@ func TestPowerLawDegreeSequence(t *testing.T) {
 	rng := xrand.New(9)
 	for trial := 0; trial < 50; trial++ {
 		n := rng.IntRange(2, 500)
-		seq := PowerLawDegreeSequence(n, 1, 40, 2.5, rng)
+		seq := powerLawDegreeSequence(n, 1, 40, 2.5, seedBuild(uint64(trial)))
 		if len(seq) != n {
 			t.Fatalf("length %d, want %d", len(seq), n)
 		}
@@ -190,16 +191,17 @@ func TestPowerLawDegreeSequence(t *testing.T) {
 func TestPowerLawDegreeSequenceDegenerate(t *testing.T) {
 	t.Parallel()
 	// kMin == kMax with odd total: parity repair must still terminate.
-	seq := PowerLawDegreeSequence(3, 1, 1, 2.5, xrand.New(1))
+	seq := powerLawDegreeSequence(3, 1, 1, 2.5, Build{})
 	if sum(seq)%2 != 0 {
 		t.Fatalf("odd total %v", seq)
 	}
 }
 
 // TestPowerLawDegreeSequenceTableIdentity pins the acceptance contract of
-// the table-driven sampler at paper scale in the kMax≈N cutoff regime:
-// degree sequences (including the parity repair) are byte-identical to the
-// historical per-draw rng.PowerLawInt loop.
+// the shared sampling kernel (table or hoisted sampler, see plcache.go) at
+// paper scale in the kMax≈N cutoff regime: degree sequences, parity repair
+// included, are byte-identical to per-draw rng.PowerLawInt on each chunk's
+// sub-stream, for a multi-worker build.
 func TestPowerLawDegreeSequenceTableIdentity(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -208,72 +210,36 @@ func TestPowerLawDegreeSequenceTableIdentity(t *testing.T) {
 	}{
 		{200000, 2, 200000, 2.2}, // paper-scale CM with natural cutoff
 		{50000, 2, 10, 2.2},      // hard cutoff
+		{60000, 2, 60000, 2.2},
 		{30000, 1, 30000, 3.5},
 		{100, 2, 100000, 2.5}, // range >> n: sampler path, no table build
 	}
 	for _, c := range cases {
-		rngRef := xrand.New(42)
+		b := NewBuild(phasesFor(7, 3), 3)
+		got := powerLawDegreeSequence(c.n, c.kMin, c.kMax, c.gamma, b)
+
 		want := make([]int, c.n)
 		total := 0
-		for i := range want {
-			want[i] = rngRef.PowerLawInt(c.kMin, c.kMax, c.gamma)
-			total += want[i]
+		for chunk := 0; chunk < chunks(c.n); chunk++ {
+			rng := b.Phases.Chunk("cm.degrees", chunk)
+			for i := chunk * buildChunk; i < min(c.n, (chunk+1)*buildChunk); i++ {
+				want[i] = rng.PowerLawInt(c.kMin, c.kMax, c.gamma)
+				total += want[i]
+			}
 		}
 		if total%2 == 1 {
-			i := rngRef.Intn(c.n)
+			i := b.Phases.Stream("cm.parity").Intn(c.n)
 			if want[i] < c.kMax {
 				want[i]++
 			} else {
 				want[i]--
 			}
 		}
-		got := PowerLawDegreeSequence(c.n, c.kMin, c.kMax, c.gamma, xrand.New(42))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("(n=%d,%d,%d,%g): degree %d differs: got %d want %d",
 					c.n, c.kMin, c.kMax, c.gamma, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestPowerLawChunkedTableIdentity does the same for the phased chunked
-// path: the shared table must reproduce the per-chunk sub-stream draws of
-// the historical kernel exactly.
-func TestPowerLawChunkedTableIdentity(t *testing.T) {
-	t.Parallel()
-	const n, kMin, kMax = 60000, 2, 60000
-	const gamma = 2.2
-	ph := xrand.Phases{Seed: 7, Realization: 3}
-	b := Build{Phases: &ph, Workers: 3}.normalize()
-	got := powerLawDegreeSequenceChunked(n, kMin, kMax, gamma, b)
-
-	want := make([]int, n)
-	subtotals := make([]int, chunks(n))
-	b.forChunks(n, func(chunk, lo, hi int) {
-		rng := b.Phases.Chunk("cm.degrees", chunk)
-		t := 0
-		for i := lo; i < hi; i++ {
-			want[i] = rng.PowerLawInt(kMin, kMax, gamma)
-			t += want[i]
-		}
-		subtotals[chunk] = t
-	})
-	total := 0
-	for _, s := range subtotals {
-		total += s
-	}
-	if total%2 == 1 {
-		i := b.phase("cm.parity").Intn(n)
-		if want[i] < kMax {
-			want[i]++
-		} else {
-			want[i]--
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("chunked degree %d differs: got %d want %d", i, got[i], want[i])
 		}
 	}
 }

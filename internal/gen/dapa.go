@@ -73,7 +73,7 @@ type Overlay struct {
 // an exact weighted draw over the remaining eligible horizon peers.
 const dapaAttemptBudget = 10_000
 
-// DAPA grows an overlay network on a substrate by Discover-and-Attempt
+// DAPABuild grows an overlay network on a substrate by Discover-and-Attempt
 // Preferential Attachment (Appendix D):
 //
 //  1. Seed the overlay with Seeds random substrate nodes, fully connected.
@@ -89,30 +89,20 @@ const dapaAttemptBudget = 10_000
 //
 // The loop stalls if the substrate has unreachable pockets (e.g. nodes
 // outside the giant component can never see a peer). After
-// 50·N_S consecutive selections without a successful join, DAPA returns
-// the partial overlay wrapped in ErrStalled; Stats.Joined reports how far
-// it got. With the paper's parameters (GRN, k̄=10) this does not happen.
+// 50·N_S consecutive selections without a successful join, DAPABuild
+// returns the partial overlay wrapped in ErrStalled; Stats.Joined reports
+// how far it got. With the paper's parameters (GRN, k̄=10) this does not
+// happen.
 //
-// DAPA freezes the substrate per call; when the same substrate backs many
-// overlays (the sim engine grows one overlay per series × realization on a
-// shared substrate), freeze it once and call DAPAFrozen directly.
-func DAPA(substrate *graph.Graph, cfg DAPAConfig, rng *xrand.RNG) (*Overlay, Stats, error) {
-	return DAPAFrozen(substrate.Freeze(), cfg, rng)
-}
-
-// DAPAFrozen is DAPA reading the substrate through its CSR snapshot. The
-// discovery floods — one bounded BFS per join attempt, the dominant cost of
-// overlay growth — run on an epoch-marked two-queue frontier reused across
-// every join, so a whole overlay build allocates a handful of buffers
-// instead of one visited map per flood. Horizon order matches the mutable
-// substrate walk exactly (Frozen preserves adjacency order), so overlays
-// are bit-for-bit identical to DAPA's.
-func DAPAFrozen(sub *graph.Frozen, cfg DAPAConfig, rng *xrand.RNG) (*Overlay, Stats, error) {
-	return DAPABuild(sub, cfg, Build{RNG: defaultRNG(rng)})
-}
-
-// DAPABuild is DAPAFrozen under an explicit build context. A phased build
-// splits the randomness into the "dapa.seeds" stream (seed-peer draws),
+// The substrate is read through its CSR snapshot, so when one substrate
+// backs many overlays (the sim engine grows one overlay per series ×
+// realization on a shared substrate) it is frozen once. The discovery
+// floods — one bounded BFS per join attempt, the dominant cost of overlay
+// growth — run on an epoch-marked two-queue frontier reused across every
+// join, so a whole overlay build allocates a handful of buffers instead of
+// one visited map per flood.
+//
+// The randomness splits into the "dapa.seeds" stream (seed-peer draws),
 // the "dapa.select" stream (candidate draws), and the "dapa.attach"
 // stream (preferential-attachment draws). The separation is what makes
 // the horizon floods batchable: candidate nodes are a pure function of
@@ -122,15 +112,12 @@ func DAPAFrozen(sub *graph.Frozen, cfg DAPAConfig, rng *xrand.RNG) (*Overlay, St
 // in parallel while the join loop itself stays sequential. Each ball is
 // filtered against the live overlay state only when its candidate is
 // consumed, in draw order, so the overlay is bit-for-bit identical for
-// every Workers value. A legacy Build (Phases nil) aliases all three
-// streams to the one RNG and runs with a lookahead of one, reproducing
-// DAPAFrozen's historical draw interleaving byte for byte.
+// every Workers value.
 func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, error) {
 	var st Stats
 	if err := cfg.validate(sub.N()); err != nil {
 		return nil, st, err
 	}
-	b = b.normalize()
 	ns := sub.N()
 
 	ov := &Overlay{
@@ -150,7 +137,7 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 
 	// Seed peers: random distinct substrate nodes, fully connected in the
 	// overlay (the paper connects its 2 seeds to each other).
-	seedRNG := b.phase("dapa.seeds")
+	seedRNG := b.Phases.Stream("dapa.seeds")
 	seeds := cfg.seeds()
 	for len(ov.SubstrateID) < seeds {
 		cand := seedRNG.Intn(ns)
@@ -164,16 +151,14 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 		}
 	}
 
-	selectRNG := b.phase("dapa.select")
-	attachRNG := b.phase("dapa.attach")
+	selectRNG := b.Phases.Stream("dapa.select")
+	attachRNG := b.Phases.Stream("dapa.attach")
 
-	// Candidate lookahead. Legacy builds share one RNG across the three
-	// phases, so any lookahead beyond one would reorder its draws; phased
-	// builds give the select stream its own derivation, so the batch size
-	// affects wall-clock only, never output.
+	// Candidate lookahead. The select stream has its own derivation, so the
+	// batch size affects wall-clock only, never output.
 	workers := b.workers()
 	look := 1
-	if b.phased() && workers > 1 {
+	if workers > 1 {
 		look = 2 * workers
 	}
 	// Per-worker discovery-flood scratches: an epoch-stamped visited array

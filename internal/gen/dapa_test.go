@@ -6,24 +6,23 @@ import (
 
 	"scalefree/internal/graph"
 	"scalefree/internal/stats"
-	"scalefree/internal/xrand"
 )
 
 // testSubstrate builds a small GRN substrate shared by DAPA tests.
-func testSubstrate(t *testing.T, n int, seed uint64) *graph.Graph {
+func testSubstrate(t *testing.T, n int, seed uint64) *graph.Frozen {
 	t.Helper()
-	g, _, err := GRN(GRNConfig{N: n, MeanDegree: 10}, xrand.New(seed))
+	f, _, err := GRNFrozen(GRNConfig{N: n, MeanDegree: 10}, seedBuild(seed))
 	if err != nil {
 		t.Fatalf("substrate: %v", err)
 	}
-	return g
+	return f
 }
 
-func genDAPA(t *testing.T, sub *graph.Graph, cfg DAPAConfig, seed uint64) (*Overlay, Stats) {
+func genDAPA(t *testing.T, sub *graph.Frozen, cfg DAPAConfig, seed uint64) (*Overlay, Stats) {
 	t.Helper()
-	ov, st, err := DAPA(sub, cfg, xrand.New(seed))
+	ov, st, err := DAPABuild(sub, cfg, seedBuild(seed))
 	if err != nil {
-		t.Fatalf("DAPA(%+v): %v (joined=%d)", cfg, err, st.Joined)
+		t.Fatalf("DAPABuild(%+v): %v (joined=%d)", cfg, err, st.Joined)
 	}
 	return ov, st
 }
@@ -39,8 +38,8 @@ func TestDAPAValidation(t *testing.T) {
 		{NOverlay: 50, M: 3, KC: 1, TauSub: 4}, // kc < m
 	}
 	for _, cfg := range cases {
-		if _, _, err := DAPA(sub, cfg, xrand.New(1)); err == nil {
-			t.Errorf("DAPA(%+v) should have failed validation", cfg)
+		if _, _, err := DAPABuild(sub, cfg, seedBuild(1)); err == nil {
+			t.Errorf("DAPABuild(%+v) should have failed validation", cfg)
 		}
 	}
 }
@@ -140,9 +139,9 @@ func TestDAPAMinDegreeMayFallBelowM(t *testing.T) {
 
 func TestDAPAStallsOnFragmentedSubstrate(t *testing.T) {
 	t.Parallel()
-	// A substrate of two disconnected cliques: peers seeded in one
-	// component can never be discovered from the other, so a large
-	// overlay target must stall and report ErrStalled.
+	// A substrate of two disconnected cliques: a single seed peer lives in
+	// one component and can never be discovered from the other, so an
+	// overlay target above one clique must stall and report ErrStalled.
 	sub := graph.New(20)
 	for u := 0; u < 10; u++ {
 		for v := u + 1; v < 10; v++ {
@@ -154,7 +153,7 @@ func TestDAPAStallsOnFragmentedSubstrate(t *testing.T) {
 			}
 		}
 	}
-	ov, st, err := DAPA(sub, DAPAConfig{NOverlay: 18, M: 1, TauSub: 3}, xrand.New(11))
+	ov, st, err := DAPABuild(sub.Freeze(), DAPAConfig{NOverlay: 18, M: 1, TauSub: 3, Seeds: 1}, seedBuild(11))
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
 	}
@@ -173,7 +172,7 @@ func TestDAPAMeshSubstrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, st := genDAPA(t, sub, DAPAConfig{NOverlay: 600, M: 2, KC: 30, TauSub: 5}, 12)
+	ov, st := genDAPA(t, sub.Freeze(), DAPAConfig{NOverlay: 600, M: 2, KC: 30, TauSub: 5}, 12)
 	if st.Joined != 600 {
 		t.Fatalf("joined %d", st.Joined)
 	}

@@ -42,12 +42,7 @@ func frozenDigest(f *graph.Frozen) uint64 {
 // digest alone.
 func TestGrowthDigests(t *testing.T) {
 	t.Parallel()
-	legacy := func() Build { return Build{RNG: xrand.New(41)} }
-	phased := func() Build { return NewBuild(phasesFor(41, 2), 2) }
-	builds := []struct {
-		name string
-		mk   func() Build
-	}{{"legacy", legacy}, {"phased", phased}}
+	b := NewBuild(phasesFor(41, 2), 2)
 
 	type result struct {
 		Digest                                    uint64
@@ -58,53 +53,51 @@ func TestGrowthDigests(t *testing.T) {
 	}
 	got := map[string]result{}
 
-	for _, b := range builds {
-		for _, c := range []struct {
-			name string
-			cfg  PAConfig
-		}{
-			{"pa", PAConfig{N: 3000, M: 2, KC: 10}},
-			{"pa-literal", PAConfig{N: 400, M: 2, KC: 10, LiteralSampling: true}},
-		} {
-			g, st, err := PABuild(c.cfg, b.mk())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[c.name+"/"+b.name] = res(g, st)
-		}
-		for _, c := range []struct {
-			name string
-			cfg  HAPAConfig
-		}{
-			{"hapa-kc10", HAPAConfig{N: 2000, M: 2, KC: 10}},
-			{"hapa-nokc", HAPAConfig{N: 2000, M: 2}},
-		} {
-			g, st, err := HAPABuild(c.cfg, b.mk())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[c.name+"/"+b.name] = res(g, st)
-		}
-		cm, _, err := CMFrozen(CMConfig{N: 3000, M: 2, KC: 40, Gamma: 2.4}, b.mk())
+	for _, c := range []struct {
+		name string
+		cfg  PAConfig
+	}{
+		{"pa", PAConfig{N: 3000, M: 2, KC: 10}},
+		{"pa-literal", PAConfig{N: 400, M: 2, KC: 10, LiteralSampling: true}},
+	} {
+		g, st, err := PABuild(c.cfg, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got["cm/"+b.name] = result{Digest: frozenDigest(cm)}
-		sub, _, err := GRNFrozen(GRNConfig{N: 2400, MeanDegree: 10}, b.mk())
+		got[c.name+"/phased"] = res(g, st)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  HAPAConfig
+	}{
+		{"hapa-kc10", HAPAConfig{N: 2000, M: 2, KC: 10}},
+		{"hapa-nokc", HAPAConfig{N: 2000, M: 2}},
+	} {
+		g, st, err := HAPABuild(c.cfg, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got["grn/"+b.name] = result{Digest: frozenDigest(sub)}
-		for _, c := range []struct {
-			name string
-			tau  int
-		}{{"dapa-tau2", 2}, {"dapa-tau10", 10}} {
-			ov, st, err := DAPABuild(sub, DAPAConfig{NOverlay: 1200, M: 2, KC: 10, TauSub: c.tau}, b.mk())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[c.name+"/"+b.name] = res(ov.G, st)
+		got[c.name+"/phased"] = res(g, st)
+	}
+	cm, _, err := CMFrozen(CMConfig{N: 3000, M: 2, KC: 40, Gamma: 2.4}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["cm/phased"] = result{Digest: frozenDigest(cm)}
+	sub, _, err := GRNFrozen(GRNConfig{N: 2400, MeanDegree: 10}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["grn/phased"] = result{Digest: frozenDigest(sub)}
+	for _, c := range []struct {
+		name string
+		tau  int
+	}{{"dapa-tau2", 2}, {"dapa-tau10", 10}} {
+		ov, st, err := DAPABuild(sub, DAPAConfig{NOverlay: 1200, M: 2, KC: 10, TauSub: c.tau}, b)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got[c.name+"/phased"] = res(ov.G, st)
 	}
 
 	// WattsStrogatz has no Build variant: one stream only.
@@ -115,21 +108,13 @@ func TestGrowthDigests(t *testing.T) {
 	got["ws"] = res(g, Stats{})
 
 	want := map[string]result{
-		"cm/legacy":         {0xc30dd336e494ba1, 0, 0, 0, 0},
 		"cm/phased":         {0x302a5a69140790e9, 0, 0, 0, 0},
-		"grn/legacy":        {0x4a36eaff9821896d, 0, 0, 0, 0},
 		"grn/phased":        {0xbcc93dcce7d56638, 0, 0, 0, 0},
-		"dapa-tau10/legacy": {0x6321f88530c5b5e3, 229971, 0, 1220, 0},
 		"dapa-tau10/phased": {0xeae17c608aaee062, 225559, 0, 1256, 0},
-		"dapa-tau2/legacy":  {0x3fd7d7873b6a209e, 21533, 0, 3318, 0},
 		"dapa-tau2/phased":  {0xaadac3636adb8e29, 21102, 0, 4563, 0},
-		"hapa-kc10/legacy":  {0x73a3c21111be2446, 7468499, 7466502, 0, 0},
 		"hapa-kc10/phased":  {0x4669ffa4b628b5ab, 7631618, 7629621, 0, 0},
-		"hapa-nokc/legacy":  {0x68801d1d06bad076, 54196, 52199, 0, 0},
 		"hapa-nokc/phased":  {0xe1d5be985c831698, 52733, 50736, 0, 0},
-		"pa-literal/legacy": {0x953566c9ba8ccd8, 210879, 0, 0, 0},
 		"pa-literal/phased": {0xac00db2e71220c51, 242819, 0, 0, 0},
-		"pa/legacy":         {0x53863b7a0502879c, 8053, 0, 0, 0},
 		"pa/phased":         {0x8d139561f514a1d2, 8106, 0, 0, 0},
 		"ws":                {0xb8268007638fb7c8, 0, 0, 0, 0},
 	}

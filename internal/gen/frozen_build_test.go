@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"scalefree/internal/graph"
-	"scalefree/internal/xrand"
 )
 
 // frozenFingerprint captures a snapshot's full state — insertion-order
@@ -24,9 +23,8 @@ func frozenFingerprint(f *graph.Frozen) [][2][]int32 {
 
 // TestCMFrozenMatchesLegacyFreeze pins the CM direct-CSR contract:
 // CMFrozen is byte-identical to CMBuild+FreezePar — post-cleanup
-// neighbor order, sorted ranges, edge count, Stats — for legacy
-// single-stream builds and for phased builds at every worker count, with
-// and without an arena.
+// neighbor order, sorted ranges, edge count, Stats — at every worker
+// count, with and without an arena.
 func TestCMFrozenMatchesLegacyFreeze(t *testing.T) {
 	t.Parallel()
 	cfg := CMConfig{N: 7000, M: 2, KC: 80, Gamma: 2.2}
@@ -35,7 +33,6 @@ func TestCMFrozenMatchesLegacyFreeze(t *testing.T) {
 		label string
 		mk    func() Build
 	}{
-		{"legacy", func() Build { return Build{RNG: xrand.New(21)} }},
 		{"phased-w1", func() Build { return NewBuild(phasesFor(21, 5), 1) }},
 		{"phased-w4", func() Build { return NewBuild(phasesFor(21, 5), 4) }},
 		{"phased-w7", func() Build { return NewBuild(phasesFor(21, 5), 7) }},
@@ -70,8 +67,8 @@ func TestCMFrozenMatchesLegacyFreeze(t *testing.T) {
 }
 
 // TestGRNFrozenMatchesLegacyFreeze pins the GRN direct-CSR contract:
-// GRNFrozen is byte-identical to GRNBuild+Freeze (points included) for
-// legacy and phased builds at every worker count.
+// GRNFrozen is byte-identical to GRNBuild+Freeze (points included) at
+// every worker count.
 func TestGRNFrozenMatchesLegacyFreeze(t *testing.T) {
 	t.Parallel()
 	cfg := GRNConfig{N: 9000, MeanDegree: 10}
@@ -80,7 +77,6 @@ func TestGRNFrozenMatchesLegacyFreeze(t *testing.T) {
 		label string
 		mk    func() Build
 	}{
-		{"legacy", func() Build { return Build{RNG: xrand.New(8)} }},
 		{"phased-w1", func() Build { return NewBuild(phasesFor(8, 2), 1) }},
 		{"phased-w4", func() Build { return NewBuild(phasesFor(8, 2), 4) }},
 	}
@@ -125,7 +121,7 @@ func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, pooledSt, err := CMFrozen(cmCfg, Build{Phases: &xrand.Phases{Seed: 3, Realization: r}, Workers: 2, Arena: arena})
+		pooled, pooledSt, err := CMFrozen(cmCfg, Build{Phases: phasesFor(3, r), Workers: 2, Arena: arena})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +133,7 @@ func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gPooled, _, err := GRNFrozen(grnCfg, Build{Phases: &xrand.Phases{Seed: 4, Realization: r}, Workers: 2, Arena: arena})
+		gPooled, _, err := GRNFrozen(grnCfg, Build{Phases: phasesFor(4, r), Workers: 2, Arena: arena})
 		if err != nil {
 			t.Fatal(err)
 		}

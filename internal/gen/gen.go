@@ -8,8 +8,11 @@
 // pseudo-code is ambiguous or can stall, the deviation is documented on the
 // generator and surfaced in Stats.
 //
-// All generators are deterministic given an *xrand.RNG: the same seed
-// reproduces the same graph bit-for-bit.
+// All generators are deterministic. The paper's mechanisms draw from the
+// named phase sub-streams of a Build (xrand.Phases, keyed by seed,
+// realization and phase), so the same seed and realization reproduce the
+// same graph bit-for-bit for every Build.Workers value; PA, HAPA and the
+// baselines also take a plain *xrand.RNG.
 package gen
 
 import (

@@ -47,22 +47,14 @@ const (
 // initially selected node. Walks that exhaust hapaHopBudget restart from a
 // fresh uniform node; after hapaRestartBudget restarts the stub is placed
 // by an exact degree-weighted draw (Stats.Fallbacks) or recorded as
-// unfilled if every candidate is saturated.
+// unfilled if every candidate is saturated. A nil rng uses a fixed-seed
+// generator.
 func HAPA(cfg HAPAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
-	return HAPABuild(cfg, Build{RNG: defaultRNG(rng)})
-}
-
-// HAPABuild is HAPA under an explicit build context. Like PA, the hop walk
-// is inherently sequential, so a phased build draws from the single
-// "hapa.grow" stream and Workers has no effect on the output; a legacy
-// Build reproduces HAPA's historical draw sequence byte for byte.
-func HAPABuild(cfg HAPAConfig, b Build) (*graph.Graph, Stats, error) {
 	var st Stats
 	if err := cfg.validate(); err != nil {
 		return nil, st, err
 	}
-	b = b.normalize()
-	rng := b.phase("hapa.grow")
+	rng = defaultRNG(rng)
 	g := graph.New(cfg.N)
 	if err := seedClique(g, cfg.M); err != nil {
 		return nil, st, err
@@ -118,6 +110,13 @@ func HAPABuild(cfg HAPAConfig, b Build) (*graph.Graph, Stats, error) {
 		}
 	}
 	return g, st, nil
+}
+
+// HAPABuild is HAPA drawing from the build's "hapa.grow" phase stream.
+// Like PA, the hop walk is inherently sequential, so Workers has no effect
+// on the output.
+func HAPABuild(cfg HAPAConfig, b Build) (*graph.Graph, Stats, error) {
+	return HAPA(cfg, b.Phases.Stream("hapa.grow"))
 }
 
 // hapaAttempt performs one preferential connection attempt of node i at

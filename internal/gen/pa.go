@@ -38,27 +38,17 @@ const paAttemptBudget = 10_000
 // paper's hard-cutoff modification: nodes at degree kc reject further
 // links. Each new node connects to M distinct existing nodes chosen with
 // probability proportional to their degrees among nodes below the cutoff.
+// A nil rng uses a fixed-seed generator.
 //
 // Without a cutoff this yields P(k) ~ k^-3 asymptotically (γ≈2.85 at
 // N=10^5, Fig. 1a); with a cutoff the distribution accumulates a spike at
 // kc and the fitted exponent drops (Figs. 1b, 1c).
 func PA(cfg PAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
-	return PABuild(cfg, Build{RNG: defaultRNG(rng)})
-}
-
-// PABuild is PA under an explicit build context. The growth process is
-// inherently sequential (each join's acceptance depends on the degrees
-// left by every earlier join), so a phased build draws everything from the
-// single "pa.grow" phase stream and Workers has no effect; the topology is
-// therefore trivially identical for any build parallelism. A legacy Build
-// (Phases nil) reproduces PA's historical draw sequence byte for byte.
-func PABuild(cfg PAConfig, b Build) (*graph.Graph, Stats, error) {
 	var st Stats
 	if err := cfg.validate(); err != nil {
 		return nil, st, err
 	}
-	b = b.normalize()
-	rng := b.phase("pa.grow")
+	rng = defaultRNG(rng)
 	g := graph.New(cfg.N)
 	if err := seedClique(g, cfg.M); err != nil {
 		return nil, st, err
@@ -108,6 +98,14 @@ func PABuild(cfg PAConfig, b Build) (*graph.Graph, Stats, error) {
 		}
 	}
 	return g, st, nil
+}
+
+// PABuild is PA drawing from the build's "pa.grow" phase stream. The
+// growth process is inherently sequential (each join's acceptance depends
+// on the degrees left by every earlier join), so Workers has no effect and
+// the topology is trivially identical for any build parallelism.
+func PABuild(cfg PAConfig, b Build) (*graph.Graph, Stats, error) {
+	return PA(cfg, b.Phases.Stream("pa.grow"))
 }
 
 // paLiteral runs Appendix A verbatim: uniform candidate, acceptance

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"scalefree/internal/graph"
-	"scalefree/internal/xrand"
 )
 
 // This file implements the substrate networks DAPA grows its overlay on
@@ -35,66 +34,37 @@ type GRNConfig struct {
 // degree kbar in a unit square with n uniformly placed nodes:
 // kbar = n·π·R² (boundary effects ignored, as in the literature).
 func GRNRadiusForMeanDegree(n int, kbar float64) float64 {
-	if n <= 0 || kbar <= 0 {
+	if n <= 0 || !(kbar > 0) {
 		return 0
 	}
 	return math.Sqrt(kbar / (float64(n) * math.Pi))
 }
 
-// GRN generates a geometric random network and returns the graph together
-// with node coordinates. Pair search uses a uniform grid of cell size R, so
-// construction is O(N·k̄) rather than O(N²).
+// GRNBuild generates a geometric random network and returns the graph
+// together with node coordinates. Pair search uses a uniform grid of cell
+// size R, so construction is O(N·k̄) rather than O(N²). Points are placed
+// in fixed-size chunks, one "grn.points" sub-stream per chunk, so the
+// coordinates are identical for every Build.Workers value; the radius scan
+// consumes no randomness.
 //
 // GRNs have Poissonian degree distributions P(k) = e^-k̄ k̄^k / k!; with
 // k̄ = 10 the network has a giant component spanning nearly all nodes,
 // which is what DAPA's discovery protocol relies on.
-func GRN(cfg GRNConfig, rng *xrand.RNG) (*graph.Graph, []Point, error) {
-	return GRNBuild(cfg, Build{RNG: defaultRNG(rng)})
-}
-
-// GRNBuild is GRN under an explicit build context. A phased build places
-// points in fixed-size chunks, one "grn.points" sub-stream per chunk, so
-// the coordinates are identical for every Build.Workers value; the radius
-// queries consume no randomness at all and fan out across workers, each
-// chunk collecting its candidate pairs into a private buffer that is
-// flushed into the graph in chunk order — the exact edge order the serial
-// scan produces. A legacy Build reproduces GRN's historical single-stream
-// placement byte for byte.
 //
-// GRNBuild materializes the mutable Graph; the experiment engine uses
-// GRNFrozen, which emits the identical edge stream straight into CSR form.
+// GRNBuild materializes the mutable Graph with a serial scan; the
+// experiment engine uses GRNFrozen, which emits the identical edge stream
+// straight into CSR form in parallel.
 func GRNBuild(cfg GRNConfig, b Build) (*graph.Graph, []Point, error) {
-	b = b.normalize()
 	grid, err := grnGridFor(cfg, b)
 	if err != nil {
 		return nil, nil, err
 	}
 	g := graph.New(cfg.N)
-	if b.phased() && b.workers() > 1 {
-		edges := make([][]int32, chunks(cfg.N))
-		b.forChunks(cfg.N, func(chunk, lo, hi int) {
-			var buf []int32 // interleaved (i, j) pairs for this chunk
-			var nbr []int32
-			for i := lo; i < hi; i++ {
-				nbr = grid.scanNode(i, nbr[:0])
-				for _, j := range nbr {
-					buf = append(buf, int32(i), j)
-				}
-			}
-			edges[chunk] = buf
-		})
-		for _, buf := range edges {
-			for e := 0; e+1 < len(buf); e += 2 {
-				mustEdge(g, int(buf[e]), int(buf[e+1]))
-			}
-		}
-	} else {
-		var nbr []int32
-		for i := 0; i < cfg.N; i++ {
-			nbr = grid.scanNode(i, nbr[:0])
-			for _, j := range nbr {
-				mustEdge(g, i, int(j))
-			}
+	var nbr []int32
+	for i := 0; i < cfg.N; i++ {
+		nbr = grid.scanNode(i, nbr[:0])
+		for _, j := range nbr {
+			mustEdge(g, i, int(j))
 		}
 	}
 	grid.recycle(b.Arena)
@@ -105,12 +75,11 @@ func GRNBuild(cfg GRNConfig, b Build) (*graph.Graph, []Point, error) {
 // radius scan emits its (i, j) pairs into a graph.CSRBuilder chunk
 // buffer, and the parallel count/scatter finalize lays them out in chunk
 // order — the exact edge order the mutable build inserts. The result is
-// byte-identical to GRNBuild followed by FreezePar for every Workers
-// value and for legacy Builds. The scan produces each unordered pair once
-// and no self-loops, so no cleanup pass runs. Build.Arena, when set,
-// recycles the build's transient buffers.
+// byte-identical to GRNBuild followed by Freeze for every Workers value.
+// The scan produces each unordered pair once and no self-loops, so no
+// cleanup pass runs. Build.Arena, when set, recycles the build's
+// transient buffers.
 func GRNFrozen(cfg GRNConfig, b Build) (*graph.Frozen, []Point, error) {
-	b = b.normalize()
 	grid, err := grnGridFor(cfg, b)
 	if err != nil {
 		return nil, nil, err
@@ -145,38 +114,30 @@ type grnGrid struct {
 	r2       float64
 }
 
-// grnGridFor validates cfg, places the points (consuming the "grn.points"
-// stream exactly as the historical build), and indexes them. b must
-// already be normalized.
+// grnGridFor validates cfg, places the points (chunk c drawing from the
+// (seed, realization, "grn.points", c) sub-stream), and indexes them.
 func grnGridFor(cfg GRNConfig, b Build) (*grnGrid, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("%w: n=%d", ErrBadN, cfg.N)
 	}
 	r := cfg.R
 	if r == 0 {
-		if cfg.MeanDegree <= 0 {
-			return nil, fmt.Errorf("gen: GRN needs R or MeanDegree")
+		if !(cfg.MeanDegree > 0) {
+			return nil, fmt.Errorf("gen: GRN needs R or MeanDegree > 0, got MeanDegree=%v", cfg.MeanDegree)
 		}
 		r = GRNRadiusForMeanDegree(cfg.N, cfg.MeanDegree)
 	}
-	if r <= 0 || r > math.Sqrt2 {
+	if !(r > 0 && r <= math.Sqrt2) {
 		return nil, fmt.Errorf("gen: GRN radius %v out of (0, sqrt(2)]", r)
 	}
 
 	pts := make([]Point, cfg.N)
-	if b.phased() {
-		b.forChunks(cfg.N, func(chunk, lo, hi int) {
-			rng := b.Phases.Chunk("grn.points", chunk)
-			for i := lo; i < hi; i++ {
-				pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
-			}
-		})
-	} else {
-		rng := b.phase("grn.points")
-		for i := range pts {
+	b.forChunks(cfg.N, func(chunk, lo, hi int) {
+		rng := b.Phases.Chunk("grn.points", chunk)
+		for i := lo; i < hi; i++ {
 			pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
 		}
-	}
+	})
 
 	cells := int(1 / r)
 	if cells < 1 {

@@ -3,8 +3,6 @@ package gen
 import (
 	"math"
 	"testing"
-
-	"scalefree/internal/xrand"
 )
 
 func TestGRNRadiusForMeanDegree(t *testing.T) {
@@ -14,28 +12,34 @@ func TestGRNRadiusForMeanDegree(t *testing.T) {
 	if got := 20000 * math.Pi * r * r; math.Abs(got-10) > 1e-9 {
 		t.Fatalf("round trip kbar = %v", got)
 	}
-	if GRNRadiusForMeanDegree(0, 10) != 0 || GRNRadiusForMeanDegree(10, 0) != 0 {
+	if GRNRadiusForMeanDegree(0, 10) != 0 || GRNRadiusForMeanDegree(10, 0) != 0 || GRNRadiusForMeanDegree(10, math.NaN()) != 0 {
 		t.Fatal("degenerate inputs should give 0")
 	}
 }
 
 func TestGRNValidation(t *testing.T) {
 	t.Parallel()
-	if _, _, err := GRN(GRNConfig{N: 0, R: 0.1}, xrand.New(1)); err == nil {
+	if _, _, err := GRNBuild(GRNConfig{N: 0, R: 0.1}, seedBuild(1)); err == nil {
 		t.Error("N=0 should fail")
 	}
-	if _, _, err := GRN(GRNConfig{N: 10}, xrand.New(1)); err == nil {
+	if _, _, err := GRNBuild(GRNConfig{N: 10}, seedBuild(1)); err == nil {
 		t.Error("missing R and MeanDegree should fail")
 	}
-	if _, _, err := GRN(GRNConfig{N: 10, R: 3}, xrand.New(1)); err == nil {
+	if _, _, err := GRNBuild(GRNConfig{N: 10, R: 3}, seedBuild(1)); err == nil {
 		t.Error("R > sqrt(2) should fail")
+	}
+	if _, _, err := GRNBuild(GRNConfig{N: 10, R: math.NaN()}, seedBuild(1)); err == nil {
+		t.Error("R=NaN should fail")
+	}
+	if _, _, err := GRNBuild(GRNConfig{N: 10, MeanDegree: math.NaN()}, seedBuild(1)); err == nil {
+		t.Error("MeanDegree=NaN should fail")
 	}
 }
 
 func TestGRNMeanDegree(t *testing.T) {
 	t.Parallel()
 	const n, kbar = 5000, 10.0
-	g, pts, err := GRN(GRNConfig{N: n, MeanDegree: kbar}, xrand.New(1))
+	g, pts, err := GRNBuild(GRNConfig{N: n, MeanDegree: kbar}, seedBuild(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestGRNMeanDegree(t *testing.T) {
 func TestGRNEdgesRespectRadius(t *testing.T) {
 	t.Parallel()
 	const n, r = 800, 0.08
-	g, pts, err := GRN(GRNConfig{N: n, R: r}, xrand.New(2))
+	g, pts, err := GRNBuild(GRNConfig{N: n, R: r}, seedBuild(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestGRNGiantComponent(t *testing.T) {
 	t.Parallel()
 	// Paper §IV-B: with k̄ well above the critical 4.52, the GRN has a
 	// giant component covering nearly all nodes.
-	g, _, err := GRN(GRNConfig{N: 10000, MeanDegree: 10}, xrand.New(3))
+	g, _, err := GRNBuild(GRNConfig{N: 10000, MeanDegree: 10}, seedBuild(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func TestGRNPoissonDegrees(t *testing.T) {
 	t.Parallel()
 	// GRN degree distribution is approximately Poisson(k̄): variance
 	// should be close to the mean (unlike a power law).
-	g, _, err := GRN(GRNConfig{N: 10000, MeanDegree: 10}, xrand.New(4))
+	g, _, err := GRNBuild(GRNConfig{N: 10000, MeanDegree: 10}, seedBuild(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +116,8 @@ func TestGRNPoissonDegrees(t *testing.T) {
 
 func TestGRNDeterminism(t *testing.T) {
 	t.Parallel()
-	a, _, _ := GRN(GRNConfig{N: 500, MeanDegree: 8}, xrand.New(7))
-	b, _, _ := GRN(GRNConfig{N: 500, MeanDegree: 8}, xrand.New(7))
+	a, _, _ := GRNBuild(GRNConfig{N: 500, MeanDegree: 8}, seedBuild(7))
+	b, _, _ := GRNBuild(GRNConfig{N: 500, MeanDegree: 8}, seedBuild(7))
 	if a.M() != b.M() {
 		t.Fatalf("edge counts differ: %d vs %d", a.M(), b.M())
 	}

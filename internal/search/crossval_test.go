@@ -150,7 +150,7 @@ func TestFloodDeliveryMatchesBFSProperty(t *testing.T) {
 // internal/p2p; here we pin the static side against gen outputs.)
 func TestFloodReachesGiantComponentExactly(t *testing.T) {
 	t.Parallel()
-	g, _, err := gen.CM(gen.CMConfig{N: 3000, M: 1, Gamma: 2.4}, xrand.New(11))
+	g, _, err := gen.CMBuild(gen.CMConfig{N: 3000, M: 1, Gamma: 2.4}, gen.NewBuild(xrand.Phases{Seed: 11}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,11 @@ var batchTopos = sync.OnceValue(func() []batchTopo {
 		for _, m := range []int{1, 2, 3} {
 			for _, kc := range []int{10, 40, gen.NoCutoff} {
 				cfg := gen.CMConfig{N: 600, M: m, KC: kc, Gamma: gamma}
-				g, _, err := gen.CM(cfg, xrand.New(uint64(100*m+kc)))
+				f, _, err := gen.CMFrozen(cfg, gen.NewBuild(xrand.Phases{Seed: uint64(100*m + kc)}, 1))
 				if err != nil {
 					panic(err)
 				}
-				out = append(out, batchTopo{fmt.Sprintf("cm/g%.1f/m%d/kc%d", gamma, m, kc), g.Freeze()})
+				out = append(out, batchTopo{fmt.Sprintf("cm/g%.1f/m%d/kc%d", gamma, m, kc), f})
 			}
 		}
 	}
@@ -295,11 +295,11 @@ var floodSweepTopos = sync.OnceValue(func() []*graph.Frozen {
 		for _, m := range []int{1, 2, 3} {
 			for _, kc := range []int{10, 40, gen.NoCutoff} {
 				cfg := gen.CMConfig{N: 20_000, M: m, KC: kc, Gamma: gamma}
-				g, _, err := gen.CM(cfg, xrand.New(uint64(1000*m+kc)))
+				f, _, err := gen.CMFrozen(cfg, gen.NewBuild(xrand.Phases{Seed: uint64(1000*m + kc)}, 1))
 				if err != nil {
 					panic(err)
 				}
-				out = append(out, g.Freeze())
+				out = append(out, f)
 			}
 		}
 	}
@@ -311,16 +311,15 @@ var floodSweepTopos = sync.OnceValue(func() []*graph.Frozen {
 // gives them a long diameter, so a flood runs ~90 levels that each hold a
 // small share of the nodes.
 var floodLongTopos = sync.OnceValue(func() []*graph.Frozen {
-	sub, _, err := gen.GRN(gen.GRNConfig{N: 20_000, MeanDegree: 10}, xrand.New(3))
+	frozen, _, err := gen.GRNFrozen(gen.GRNConfig{N: 20_000, MeanDegree: 10}, gen.NewBuild(xrand.Phases{Seed: 3}, 1))
 	if err != nil {
 		panic(err)
 	}
-	frozen := sub.Freeze()
 	var out []*graph.Frozen
 	for _, tauSub := range []int{2, 4} {
 		for _, m := range []int{1, 2} {
 			cfg := gen.DAPAConfig{NOverlay: 10_000, M: m, KC: 10, TauSub: tauSub}
-			ov, _, err := gen.DAPAFrozen(frozen, cfg, xrand.New(uint64(10*tauSub+m)))
+			ov, _, err := gen.DAPABuild(frozen, cfg, gen.NewBuild(xrand.Phases{Seed: uint64(10*tauSub + m)}, 1))
 			if err != nil {
 				panic(err)
 			}

@@ -179,7 +179,7 @@ func referenceSearchGraphs(t testing.TB) []*graph.Graph {
 		}
 		gs = append(gs, g)
 	}
-	cm, _, err := gen.CM(gen.CMConfig{N: 600, M: 1, Gamma: 2.3}, xrand.New(55))
+	cm, _, err := gen.CMBuild(gen.CMConfig{N: 600, M: 1, Gamma: 2.3}, gen.NewBuild(xrand.Phases{Seed: 55}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

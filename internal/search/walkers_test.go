@@ -175,7 +175,7 @@ func TestDeliveryScalingSanity(t *testing.T) {
 	// faster (Eq. 7). Compare mean delivery at two sizes on gamma=2.2 CM
 	// giants.
 	meanDelivery := func(n int, seed uint64) (fl, rw float64) {
-		g, _, err := gen.CM(gen.CMConfig{N: n, M: 2, Gamma: 2.2}, xrand.New(seed))
+		g, _, err := gen.CMBuild(gen.CMConfig{N: n, M: 2, Gamma: 2.2}, gen.NewBuild(xrand.Phases{Seed: seed}, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

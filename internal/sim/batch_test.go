@@ -119,7 +119,7 @@ func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 // freeListTopo builds one CM snapshot outside the engine.
 func freeListTopo(t *testing.T, n int) *graph.Frozen {
 	t.Helper()
-	f, _, err := gen.CMFrozen(gen.CMConfig{N: n, M: 2, KC: 40, Gamma: 2.6}, gen.Build{RNG: xrand.New(uint64(n))})
+	f, _, err := gen.CMFrozen(gen.CMConfig{N: n, M: 2, KC: 40, Gamma: 2.6}, gen.NewBuild(xrand.Phases{Seed: uint64(n)}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

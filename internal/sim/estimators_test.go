@@ -68,7 +68,7 @@ func TestEstimatorSpecsScheduleInvariant(t *testing.T) {
 // mean.
 func TestEstimatorLandmarkAgreementPaperScale(t *testing.T) {
 	t.Parallel()
-	f, _, err := gen.CMFrozen(gen.CMConfig{N: 10_000, M: 2, Gamma: 2.2}, gen.Build{RNG: xrand.New(12)})
+	f, _, err := gen.CMFrozen(gen.CMConfig{N: 10_000, M: 2, Gamma: 2.2}, gen.NewBuild(xrand.Phases{Seed: 12}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

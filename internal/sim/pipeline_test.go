@@ -272,7 +272,7 @@ func TestBuilderContract(t *testing.T) {
 			t.Errorf("realization %d genWorkers = %d, want >= 1", r, b.genWorkers)
 		}
 		// The gen context must carry the phase root through.
-		if gb := b.gen(); gb.Phases == nil || *gb.Phases != want {
+		if b.gen().Phases != want {
 			t.Errorf("realization %d gen build context lost the phase root", r)
 		}
 		return nil

@@ -108,20 +108,43 @@ func GeneratePA(cfg PAConfig, rng *RNG) (*Graph, GenStats, error) { return gen.P
 
 // GenerateCM builds a configuration-model topology with a power-law degree
 // sequence (Appendix B).
-func GenerateCM(cfg CMConfig, rng *RNG) (*Graph, GenStats, error) { return gen.CM(cfg, rng) }
+// The build is seeded with one Uint64 drawn from rng (0 when rng is nil),
+// so a given rng seed draws a different realization than the
+// single-stream build of earlier releases did; the model is unchanged.
+func GenerateCM(cfg CMConfig, rng *RNG) (*Graph, GenStats, error) {
+	return gen.CMBuild(cfg, buildFrom(rng))
+}
 
 // GenerateHAPA builds a Hop-and-Attempt topology (Appendix C).
 func GenerateHAPA(cfg HAPAConfig, rng *RNG) (*Graph, GenStats, error) { return gen.HAPA(cfg, rng) }
 
 // GenerateDAPA grows a Discover-and-Attempt overlay on the given substrate
 // (Appendix D). Build a substrate first with GenerateGRN or GenerateMesh.
+// The build is seeded with one Uint64 drawn from rng (0 when rng is nil),
+// so a given rng seed draws a different realization than the
+// single-stream build of earlier releases did; the model is unchanged.
 func GenerateDAPA(substrate *Graph, cfg DAPAConfig, rng *RNG) (*DAPAOverlay, GenStats, error) {
-	return gen.DAPA(substrate, cfg, rng)
+	return gen.DAPABuild(substrate.Freeze(), cfg, buildFrom(rng))
 }
 
 // GenerateGRN builds a geometric random network substrate and returns node
 // coordinates alongside the graph.
-func GenerateGRN(cfg GRNConfig, rng *RNG) (*Graph, []gen.Point, error) { return gen.GRN(cfg, rng) }
+// The build is seeded with one Uint64 drawn from rng (0 when rng is nil),
+// so a given rng seed draws a different realization than the
+// single-stream build of earlier releases did; the model is unchanged.
+func GenerateGRN(cfg GRNConfig, rng *RNG) (*Graph, []gen.Point, error) {
+	return gen.GRNBuild(cfg, buildFrom(rng))
+}
+
+// buildFrom is the serial build behind GenerateCM, GenerateGRN and
+// GenerateDAPA, seeded with one draw from rng (0 when rng is nil).
+func buildFrom(rng *RNG) gen.Build {
+	var seed uint64
+	if rng != nil {
+		seed = rng.Uint64()
+	}
+	return gen.NewBuild(xrand.Phases{Seed: seed}, 1)
+}
 
 // GenerateMesh builds a width×height 2-D grid substrate.
 func GenerateMesh(width, height int) (*Graph, error) { return gen.Mesh(width, height) }

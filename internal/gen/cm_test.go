@@ -210,7 +210,6 @@ func TestPowerLawDegreeSequenceTableIdentity(t *testing.T) {
 	}{
 		{200000, 2, 200000, 2.2}, // paper-scale CM with natural cutoff
 		{50000, 2, 10, 2.2},      // hard cutoff
-		{60000, 2, 60000, 2.2},
 		{30000, 1, 30000, 3.5},
 		{100, 2, 100000, 2.5}, // range >> n: sampler path, no table build
 	}
@@ -240,6 +239,47 @@ func TestPowerLawDegreeSequenceTableIdentity(t *testing.T) {
 				t.Fatalf("(n=%d,%d,%d,%g): degree %d differs: got %d want %d",
 					c.n, c.kMin, c.kMax, c.gamma, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestPowerLawChunkedTableIdentity checks the same contract with the
+// reference drawn concurrently through forChunks: the shared table must
+// reproduce each chunk's sub-stream draws exactly whatever order the
+// workers run the chunks in.
+func TestPowerLawChunkedTableIdentity(t *testing.T) {
+	t.Parallel()
+	const n, kMin, kMax = 60000, 2, 60000
+	const gamma = 2.2
+	b := NewBuild(phasesFor(7, 3), 3)
+	got := powerLawDegreeSequence(n, kMin, kMax, gamma, b)
+
+	want := make([]int, n)
+	subtotals := make([]int, chunks(n))
+	b.forChunks(n, func(chunk, lo, hi int) {
+		rng := b.Phases.Chunk("cm.degrees", chunk)
+		t := 0
+		for i := lo; i < hi; i++ {
+			want[i] = rng.PowerLawInt(kMin, kMax, gamma)
+			t += want[i]
+		}
+		subtotals[chunk] = t
+	})
+	total := 0
+	for _, s := range subtotals {
+		total += s
+	}
+	if total%2 == 1 {
+		i := b.Phases.Stream("cm.parity").Intn(n)
+		if want[i] < kMax {
+			want[i]++
+		} else {
+			want[i]--
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("chunked degree %d differs: got %d want %d", i, got[i], want[i])
 		}
 	}
 }

@@ -7,9 +7,8 @@
 //	experiments -list
 //	experiments -exp fig6 -scale smoke -outdir results
 //	experiments -exp all  -scale paper -outdir results   # hours at paper scale
-//	experiments -exp fig9 -workers 4                     # bound realization concurrency
-//	experiments -exp fig6 -source-shards 1               # serial source sweeps
-//	experiments -exp fig9 -gen-workers 4                 # bound the pipelined build stage
+//	experiments -exp fig9 -workers 4                     # parallelism budget of 4 goroutines
+//	experiments -exp fig6 -workers 1                     # fully serial run
 //	experiments -scale xl                                # N=10^6 degree distributions
 //	experiments -exp fig9 -cpuprofile cpu.pprof          # profile a hot experiment
 //	experiments -mode des                                # message-level DES specs
@@ -20,16 +19,13 @@
 //	experiments -mode coordinator -coord-addr :9009 -exp fig9   # serve work leases
 //	experiments -mode worker -coord-addr host:9009              # claim and execute leases
 //
-// -workers bounds how many realizations are swept concurrently within
-// each experiment (default 0 = GOMAXPROCS), -source-shards bounds how many
-// sources of one realization are swept concurrently against its shared
-// frozen topology (default 0 = automatic: workers × shards fills
-// GOMAXPROCS), and -gen-workers bounds the pipelined build stage that
-// generates and freezes upcoming realizations while earlier ones are being
-// swept (default 0 = match workers; also the intra-generator parallelism
-// budget when realizations are scarcer than the bound). The output is
-// bit-for-bit identical for every (workers, source-shards, gen-workers)
-// combination; see EXPERIMENTS.md.
+// -workers is each experiment's parallelism budget P (default 0 =
+// GOMAXPROCS). Over n realizations the engine runs min(P, n) of them at
+// once, each building its topology while earlier ones are swept, and gives
+// each realization ceil(P / min(P, n)) goroutines for intra-generator work
+// and for sweeping its sources against the shared frozen topology. At most
+// 3·min(P, n) topologies are alive at once. The output is bit-for-bit
+// identical for any -workers; see EXPERIMENTS.md.
 //
 // The message-level discrete-event specs (desflood, deskwalk, desfail)
 // take their knobs in every mode but worker: -latency-base/-latency-jitter
@@ -120,9 +116,7 @@ func run(args []string, stdout io.Writer) error {
 		list       = fs.Bool("list", false, "list available experiments and exit")
 		verify     = fs.Bool("verify", false, "check the paper's headline claims and exit")
 		plot       = fs.Bool("plot", true, "print ASCII renderings to stdout")
-		workers    = fs.Int("workers", 0, "concurrent realizations per experiment (0 = GOMAXPROCS); results are identical for any value")
-		shards     = fs.Int("source-shards", 0, "concurrent sources per realization (0 = automatic: workers x shards fills GOMAXPROCS); results are identical for any value")
-		genWorkers = fs.Int("gen-workers", 0, "pipelined build-stage bound: concurrent topology builds, and intra-generator parallelism when realizations are scarce (0 = match workers); results are identical for any value")
+		workers    = fs.Int("workers", 0, "parallelism budget per experiment (0 = GOMAXPROCS): concurrent realizations, then generator and source-sweep goroutines per realization; results are identical for any value")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after the last experiment")
 		mode       = fs.String("mode", "csr", "csr (default -exp all), des (default -exp is the DES spec family), coordinator, or worker")
@@ -174,11 +168,10 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown scale %q (want smoke, paper, or xl)", *scale)
 	}
 	sc.Workers = *workers
-	sc.SourceShards = *shards
-	sc.GenWorkers = *genWorkers
 	for name, v := range map[string]int{
-		"-bc-pivots": *bcPivots, "-path-landmarks": *pathLand,
-		"-path-pairs": *pathPairs, "-walk-cap": *walkCap,
+		"-workers": *workers, "-bc-pivots": *bcPivots,
+		"-path-landmarks": *pathLand, "-path-pairs": *pathPairs,
+		"-walk-cap": *walkCap,
 	} {
 		if v < 0 {
 			return fmt.Errorf("%s %d must be >= 0", name, v)
@@ -232,8 +225,8 @@ func run(args []string, stdout io.Writer) error {
 		if !(*failFrac >= 0 && *failFrac < 1) {
 			return fmt.Errorf("-fail-frac %v out of range [0, 1)", *failFrac)
 		}
-		if !(*failMTBF >= 0) {
-			return fmt.Errorf("-fail-mtbf %v must be >= 0", *failMTBF)
+		if !(*failMTBF >= 0) || math.IsInf(*failMTBF, 1) {
+			return fmt.Errorf("-fail-mtbf %v must be finite and >= 0", *failMTBF)
 		}
 		for name, v := range map[string]float64{"-latency-base": *latBase, "-latency-jitter": *latJitter} {
 			if !(v >= 0) || math.IsInf(v, 1) {

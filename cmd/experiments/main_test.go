@@ -137,6 +137,7 @@ func TestRunBadLoss(t *testing.T) {
 		{"-exp", "desflood", "-loss", "NaN", "-outdir", t.TempDir(), "-plot=false"},
 		{"-exp", "desfail", "-fail-frac", "NaN", "-outdir", t.TempDir(), "-plot=false"},
 		{"-exp", "desfail", "-fail-frac", "0.2", "-fail-mtbf", "NaN", "-outdir", t.TempDir(), "-plot=false"},
+		{"-exp", "desfail", "-fail-frac", "0.3", "-fail-mtbf", "Inf", "-outdir", t.TempDir(), "-plot=false"},
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Fatalf("%v: out-of-range DES knob should fail", args)
@@ -234,6 +235,9 @@ func TestRunRejectsNegativeSupervisionFlags(t *testing.T) {
 	}
 	if err := run([]string{"-max-failed", "-1"}, &buf); err == nil {
 		t.Fatal("-max-failed -1 should fail")
+	}
+	if err := run([]string{"-workers", "-3", "-exp", "fig1c", "-outdir", t.TempDir(), "-plot=false"}, &buf); err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Fatalf("-workers -3: err %v, want the flag refused by name", err)
 	}
 }
 

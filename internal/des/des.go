@@ -76,8 +76,8 @@ var (
 // from the phase sub-stream keyed by the canonical edge id. The delay is a
 // pure function of (Phases.Seed, Phases.Realization, u, v) — independent of
 // message order, worker scheduling, and how many times the edge is used —
-// which is what keeps DES figures bit-for-bit identical for any
-// (Workers, SourceShards, GenWorkers) setting. The zero value is the
+// which is what keeps DES figures bit-for-bit identical for any worker
+// count. The zero value is the
 // zero-latency model used by the CSR equivalence gate.
 type Latency struct {
 	// Base is the fixed delay component shared by all edges.

@@ -352,7 +352,7 @@ func TestValidation(t *testing.T) {
 	if _, err := sim.Flood(f, 0, Config{MaxTTL: 2, Loss: nan}, nil); !errors.Is(err, ErrBadLoss) {
 		t.Fatalf("NaN loss: err %v, want ErrBadLoss", err)
 	}
-	for _, fp := range []FailPlan{{NodeFrac: nan, MTBF: 1}, {LinkFrac: nan, MTBF: 1}, {NodeFrac: 0.2, MTBF: nan}, {NodeFrac: 0.2, MTBF: 1, Downtime: nan}} {
+	for _, fp := range []FailPlan{{NodeFrac: nan, MTBF: 1}, {LinkFrac: nan, MTBF: 1}, {NodeFrac: 0.2, MTBF: nan}, {NodeFrac: 0.2, MTBF: math.Inf(1)}, {NodeFrac: 0.2, MTBF: 1, Downtime: nan}} {
 		if _, err := sim.Flood(f, 0, Config{MaxTTL: 2, Fail: fp}, nil); !errors.Is(err, ErrBadFail) {
 			t.Fatalf("fail plan %+v: err %v, want ErrBadFail", fp, err)
 		}

@@ -40,7 +40,8 @@ type FailPlan struct {
 	// LinkFrac is the fraction of edges that partition.
 	LinkFrac float64
 	// MTBF is the mean time before a selected element's down-window
-	// starts (exponential onset). Required > 0 when any fraction is.
+	// starts (exponential onset). Required finite and > 0 when any
+	// fraction is: an infinite MTBF would put every onset at +Inf.
 	MTBF float64
 	// Downtime is the length of each down-window; <= 0 means the element
 	// never recovers.
@@ -59,8 +60,8 @@ func (p FailPlan) check() error {
 	if !(p.LinkFrac >= 0 && p.LinkFrac <= 1) {
 		return fmt.Errorf("%w: link fraction %v out of [0, 1]", ErrBadFail, p.LinkFrac)
 	}
-	if p.Enabled() && !(p.MTBF > 0) {
-		return fmt.Errorf("%w: MTBF %v must be > 0 when failures are enabled", ErrBadFail, p.MTBF)
+	if p.Enabled() && !(p.MTBF > 0 && !math.IsInf(p.MTBF, 1)) {
+		return fmt.Errorf("%w: MTBF %v must be finite and > 0 when failures are enabled", ErrBadFail, p.MTBF)
 	}
 	if math.IsNaN(p.Downtime) {
 		return fmt.Errorf("%w: downtime is NaN", ErrBadFail)

@@ -26,7 +26,7 @@ import (
 func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint64, sample func(search.Result, []float64)) [][]float64 {
 	t.Helper()
 	rows := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 1, GenWorkers: 1, Realizations: cfg.sc.Realizations}, seed,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, Realizations: cfg.sc.Realizations}, seed,
 		factory,
 		func(r int, f *graph.Frozen, sw *sweeper) error {
 			return sw.Sources(uint64(r), cfg.sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
@@ -47,9 +47,10 @@ func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint
 }
 
 // TestBatchSweepMatchesPerSourceSweep: for source counts on both sides of
-// every batch-width boundary and for serial, sharded and worker-parallel
-// schedules, the FL hits and message series equal the per-source sweep's,
-// and a journaled run writes the same record bytes.
+// every batch-width boundary and for serial, sharded and lane-parallel
+// budgets (1: lanes 1, width 1; 6: lanes 3, width 2; 21: lanes 3, width
+// 7), the FL hits and message series equal the per-source sweep's, and a
+// journaled run writes the same record bytes.
 func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 	t.Parallel()
 	const seed = 2007
@@ -80,15 +81,15 @@ func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, knobs := range [][2]int{{1, 1}, {2, 3}, {1, 7}} {
-				name := fmt.Sprintf("%s sources=%d workers=%d shards=%d", kind.name, sources, knobs[0], knobs[1])
+			for _, workers := range []int{1, 6, 21} {
+				name := fmt.Sprintf("%s sources=%d workers=%d", kind.name, sources, workers)
 				path := filepath.Join(t.TempDir(), "fl.journal")
 				j, err := OpenJournal(path, "fig", seed, sc, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				jcfg := cfg
-				jcfg.sc.Workers, jcfg.sc.SourceShards = knobs[0], knobs[1]
+				jcfg.sc.Workers = workers
 				jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
 				got, err := kind.series("fl", factory, jcfg, seed)
 				if err != nil {
@@ -204,7 +205,7 @@ func TestFreeListScratchServesSmallerGraph(t *testing.T) {
 func TestFreeListDropsFailedSweeper(t *testing.T) {
 	var failed, clean *sweeper
 	var failedSim, cleanSim *des.Sim
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 1, GenWorkers: 1, Realizations: 2, Run: testRC(1, 0)}, 99,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, Realizations: 2, Run: testRC(1, 0)}, 99,
 		func(r int, _ *builder) (int, error) { return r, nil },
 		func(r, _ int, sw *sweeper) error {
 			switch {

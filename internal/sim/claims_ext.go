@@ -76,7 +76,7 @@ func checkSqrtReplication(sc Scale, seed uint64) (bool, string, error) {
 		// workload.
 		steps := make([]int, queries)
 		found := make([]bool, queries)
-		err = withSweeper(sc.SourceShards, seed+2, func(sw *sweeper) error {
+		err = withSweeper(sc.Workers, seed+2, func(sw *sweeper) error {
 			return sw.Sources(0, queries, func(_, q int, rng *xrand.RNG, _ *search.Scratch) error {
 				steps[q], found[q] = content.ResolveQuery(fg, p, cat, maxSteps, rng)
 				return nil
@@ -196,7 +196,7 @@ func checkCutoffFlattensLoad(sc Scale, seed uint64) (bool, string, error) {
 		f := g.Freeze()
 		queries := 12 * sc.Sources
 		var gini float64
-		err = withSweeper(sc.SourceShards, seed+1, func(sw *sweeper) error {
+		err = withSweeper(sc.Workers, seed+1, func(sw *sweeper) error {
 			// Each shard charges its own Load; integer merges commute, so
 			// the total is identical for any shard count.
 			loads := make([]*search.Load, sw.shards)

@@ -2,7 +2,7 @@ package sim
 
 // Spec-level pins for the DES mode (CI races these under -run '...DES...'):
 // the schedule-invariance contract — DES figures are bit-for-bit identical
-// for any (Workers, SourceShards, GenWorkers) — and the CSR equivalence
+// for any Workers — and the CSR equivalence
 // gate lifted from the kernel level to the full pipeline: a zero-latency,
 // lossless DES sweep reproduces the CSR sweep series exactly, sources,
 // aggregation, and all.
@@ -19,7 +19,7 @@ import (
 )
 
 // desTinyScale sizes the schedule-invariance matrix: each spec runs once
-// per scheduler setting, so it is smaller than tinyScale.
+// per budget, so it is smaller than tinyScale.
 var desTinyScale = Scale{
 	NSearch:      600,
 	Realizations: 2,
@@ -28,19 +28,20 @@ var desTinyScale = Scale{
 	MaxTTLNF:     2,
 }
 
-// TestDESSpecsScheduleInvariant runs both DES specs under serial, automatic,
-// and deliberately skewed scheduler settings and requires bit-identical
+// TestDESSpecsScheduleInvariant runs the DES specs under a serial, the
+// automatic, and a skewed budget (3 over 2 realizations: lanes 2, width 2)
+// and requires bit-identical
 // figures — the (seed, realization, phase) / (seed, realization, source)
 // determinism contract extended to the DES family.
 func TestDESSpecsScheduleInvariant(t *testing.T) {
 	t.Parallel()
 	schedules := []struct {
-		name                              string
-		workers, sourceShards, genWorkers int
+		name    string
+		workers int
 	}{
-		{"serial", 1, 1, 1},
-		{"auto", 0, 0, 0},
-		{"skewed", 3, 2, 2},
+		{"serial", 1},
+		{"auto", 0},
+		{"skewed", 3},
 	}
 	for _, spec := range []struct {
 		name string
@@ -56,7 +57,7 @@ func TestDESSpecsScheduleInvariant(t *testing.T) {
 			var want []Figure
 			for _, sched := range schedules {
 				sc := desTinyScale
-				sc.Workers, sc.SourceShards, sc.GenWorkers = sched.workers, sched.sourceShards, sched.genWorkers
+				sc.Workers = sched.workers
 				figs, err := spec.run(sc, 777)
 				if err != nil {
 					t.Fatalf("%s: %v", sched.name, err)

@@ -299,11 +299,11 @@ func decodeJournalHeaderInto(info *JournalInfo, p []byte) error {
 	return nil
 }
 
-// Scheduler-knob-free copy of a Scale for the wire: the workload half
-// determines the numbers; the scheduler half is every worker's own
-// business. Run never crosses the wire.
+// Budget-free copy of a Scale for the wire: the workload half determines
+// the numbers; the parallelism budget is every worker's own business. Run
+// never crosses the wire.
 func (sc Scale) WorkloadOnly() Scale {
-	sc.Workers, sc.SourceShards, sc.GenWorkers = 0, 0, 0
+	sc.Workers = 0
 	sc.Run = nil
 	return sc
 }

@@ -374,12 +374,12 @@ func TestWorkloadFingerprint(t *testing.T) {
 	t.Parallel()
 	sc := testScaleTiny()
 	base := WorkloadFingerprint("fig9", 2007, sc)
-	// Scheduler knobs must not perturb the fingerprint (a worker may run
-	// with different parallelism than the coordinator).
-	knobs := sc
-	knobs.Workers, knobs.SourceShards, knobs.GenWorkers = 7, 3, 2
-	if !bytes.Equal(base, WorkloadFingerprint("fig9", 2007, knobs)) {
-		t.Fatal("scheduler knobs perturbed the fingerprint")
+	// The parallelism budget must not perturb the fingerprint (a worker
+	// may run with different parallelism than the coordinator).
+	budget := sc
+	budget.Workers = 7
+	if !bytes.Equal(base, WorkloadFingerprint("fig9", 2007, budget)) {
+		t.Fatal("the parallelism budget perturbed the fingerprint")
 	}
 	if !bytes.Equal(base, WorkloadFingerprint("fig9", 2007, sc.WorkloadOnly())) {
 		t.Fatal("WorkloadOnly perturbed the fingerprint")
@@ -416,7 +416,7 @@ func recordEnds(t *testing.T, image []byte) []int {
 // TestDistributableSpecsResumeAndWorkerSink is the journal contract of
 // every distributable spec, against the golden bytes of specDigests:
 // (a) a journaled run, its journal cut back to a record boundary mid-spec
-// and resumed under other scheduler knobs, and (b) every realization run
+// and resumed under another parallelism budget, and (b) every realization run
 // alone as a distributed worker, its records accepted into a fresh journal
 // and reduced locally, both publish exactly what an unjournaled run does —
 // and the worker fleet's records are complete: the reduction appends none.
@@ -432,12 +432,12 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 		t.Run(spec.ID, func(t *testing.T) {
 			t.Parallel()
 			want, dir := specDigests[spec.ID], t.TempDir()
-			// reduce runs the spec over journal j under the given knobs and
+			// reduce runs the spec over journal j under the given budget and
 			// returns the digest of what it published.
-			reduce := func(j *Journal, workers, shards, genWorkers int) uint64 {
+			reduce := func(j *Journal, workers int) uint64 {
 				t.Helper()
 				sc := tinyScale
-				sc.Workers, sc.SourceShards, sc.GenWorkers = workers, shards, genWorkers
+				sc.Workers = workers
 				sc.Run = NewRunControl(ctx, 0, 0, j)
 				figs, err := spec.Run(sc, seed)
 				if err != nil {
@@ -457,7 +457,7 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 				return j
 			}
 
-			if got := reduce(open("full.journal", false), 1, 1, 1); got != want {
+			if got := reduce(open("full.journal", false), 1); got != want {
 				t.Fatalf("journaled run published %#x, want %#x", got, want)
 			}
 			image, err := os.ReadFile(filepath.Join(dir, "full.journal"))
@@ -475,7 +475,7 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 			if n := cut.Resumed(); n != len(ends)/2 {
 				t.Fatalf("cut journal resumed %d records, want %d", n, len(ends)/2)
 			}
-			if got := reduce(cut, 2, 3, 2); got != want {
+			if got := reduce(cut, 3); got != want {
 				t.Fatalf("resumed run published %#x, want %#x", got, want)
 			}
 
@@ -496,7 +496,7 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 			if got := fleet.Resumed(); got != len(ends)-1 {
 				t.Fatalf("workers streamed %d records, the local run journals %d", got, len(ends)-1)
 			}
-			if got := reduce(fleet, 0, 0, 0); got != want {
+			if got := reduce(fleet, 0); got != want {
 				t.Fatalf("reduction of worker records published %#x, want %#x", got, want)
 			}
 			if st, err := os.Stat(filepath.Join(dir, "fleet.journal")); err != nil || st.Size() != int64(len(image)) {

@@ -3,9 +3,9 @@ package sim
 // Estimator suite: the PR-9 estimators (batched pivot betweenness in
 // attack, landmark path stats in table1, capped delivery-walk budgets)
 // must be (a) schedule-invariant — bit-identical figures for any
-// (Workers, SourceShards, GenWorkers) — and (b) in agreement with the
-// exact measurements they replace at paper scale. These tests are in CI's
-// race matrix (the "Estimator" pattern).
+// Workers — and (b) in agreement with the exact measurements they replace
+// at paper scale. These tests are in CI's race matrix (the "Estimator"
+// pattern).
 
 import (
 	"reflect"
@@ -25,7 +25,7 @@ func estimatorScale() Scale {
 }
 
 // TestEstimatorSpecsScheduleInvariant pins that every estimator-backed
-// spec produces bit-identical figures for any scheduling knobs.
+// spec produces bit-identical figures for any parallelism budget.
 func TestEstimatorSpecsScheduleInvariant(t *testing.T) {
 	t.Parallel()
 	specs := []struct {
@@ -41,21 +41,20 @@ func TestEstimatorSpecsScheduleInvariant(t *testing.T) {
 		t.Run(spec.name, func(t *testing.T) {
 			t.Parallel()
 			base := estimatorScale()
-			base.Workers, base.SourceShards, base.GenWorkers = 1, 1, 1
+			base.Workers = 1
 			want, err := spec.run(base, 77)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, knobs := range [][3]int{{2, 2, 2}, {3, 1, 2}, {0, 0, 0}} {
+			for _, workers := range []int{2, 3, 0} {
 				sc := estimatorScale()
-				sc.Workers, sc.SourceShards, sc.GenWorkers = knobs[0], knobs[1], knobs[2]
+				sc.Workers = workers
 				got, err := spec.run(sc, 77)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s differs at workers=%d shards=%d gen=%d",
-						spec.name, knobs[0], knobs[1], knobs[2])
+					t.Fatalf("%s differs at workers=%d", spec.name, workers)
 				}
 			}
 		})

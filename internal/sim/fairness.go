@@ -86,7 +86,7 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 		rows, err := realizationBlocks(sc, seed+uint64(9000+ci), tag, oneRow(1), factory, func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
 			// Each shard charges its own Load accumulator; integer merges
 			// commute, so the per-realization total — and its Gini — is
-			// identical for any (Workers, SourceShards) setting.
+			// identical for any Workers.
 			loads := make([]*search.Load, sw.shards)
 			err := sw.Sources(uint64(r), queries, func(shard, q int, rng *xrand.RNG, scratch *search.Scratch) error {
 				if loads[shard] == nil {

@@ -245,7 +245,7 @@ func TestSeriesAllocsPerRealization(t *testing.T) {
 	factory := paTopo(100, 2, gen.NoCutoff)
 	run := func(realizations int) int64 {
 		t.Helper()
-		sc := Scale{NSearch: 100, Realizations: realizations, Sources: sources, MaxTTLFlood: maxTTL, Workers: 1, SourceShards: 1, GenWorkers: 1}
+		sc := Scale{NSearch: 100, Realizations: realizations, Sources: sources, MaxTTLFlood: maxTTL, Workers: 1}
 		j, err := OpenJournal(filepath.Join(t.TempDir(), "s.journal"), "fig", 7, sc, false)
 		if err != nil {
 			t.Fatal(err)

@@ -16,8 +16,8 @@ import (
 // pick per-realization shared inputs (DAPA substrates) without mutable
 // state; the builder supplies the phase sub-streams, the intra-generator
 // parallelism budget, and the build worker's CSR arena, so a factory
-// invoked on any pipeline worker with any GenWorkers value produces the
-// identical topology.
+// invoked on any pipeline worker with any intra-generator width produces
+// the identical topology.
 //
 // Two build paths hide behind this type. The growth models (PA, HAPA,
 // DAPA) need mid-build HasEdge/Degree, so they grow a mutable Graph and
@@ -33,7 +33,7 @@ func paTopo(n, m, kc int) topoFactory {
 		if err != nil {
 			return nil, err
 		}
-		return g.FreezePar(b.genWorkers), nil
+		return g.FreezePar(b.width), nil
 	}
 }
 
@@ -43,7 +43,7 @@ func hapaTopo(n, m, kc int) topoFactory {
 		if err != nil {
 			return nil, err
 		}
-		return g.FreezePar(b.genWorkers), nil
+		return g.FreezePar(b.width), nil
 	}
 }
 
@@ -68,7 +68,7 @@ func dapaTopo(substrates []*graph.Frozen, nOverlay, m, kc, tauSub int) topoFacto
 		if err != nil {
 			return nil, err
 		}
-		return ov.G.FreezePar(b.genWorkers), nil
+		return ov.G.FreezePar(b.width), nil
 	}
 }
 
@@ -207,8 +207,8 @@ func (cfg searchCfg) runSearch(scratch *search.Scratch, f *graph.Frozen, src int
 // y = mean number of hits. For algRW, hits follow the paper's
 // normalization: a walk of as many steps as NF sent messages at that τ.
 //
-// The source sweep of each realization is sharded across
-// SourceShards goroutines sharing the frozen topology: source s draws
+// The source sweep of each realization is sharded across the
+// realization's width goroutines sharing the frozen topology: source s draws
 // its own source node and all search randomness from the (seed, r, s)
 // stream, and its curve lands in slot (r, s), reduced in source order.
 func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {

@@ -16,8 +16,8 @@ package sim
 // (or integer) bits the original run deposited, and the index-order
 // reduction consumes replayed and freshly computed slots identically, so
 // a resumed run's figures are byte-identical to an uninterrupted run's —
-// for any (Workers, SourceShards, GenWorkers) on either side; the header
-// deliberately omits the scheduler knobs for exactly that reason.
+// for any Workers on either side; the header deliberately omits the
+// parallelism budget for exactly that reason.
 //
 // The record key is (kind, stream, sub, realization): stream is the
 // engine seed of the sweep, sub the FNV hash of a human-readable tag
@@ -511,9 +511,9 @@ func (j *Journal) ResumedFailures() []FailureRecord {
 
 // encodeJournalHeader pins everything that determines the figures:
 // schema version, spec, seed, and the workload half of Scale. The
-// scheduler knobs (Workers, SourceShards, GenWorkers) are excluded on
-// purpose — they never affect the numbers, so a run may be resumed with
-// different parallelism than it started with.
+// parallelism budget (Workers) is excluded on purpose — it never affects
+// the numbers, so a run may be resumed with different parallelism than it
+// started with.
 func encodeJournalHeader(spec string, seed uint64, sc Scale) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, journalVersion)
 	b = binary.LittleEndian.AppendUint64(b, seed)

@@ -163,13 +163,13 @@ func TestJournalHeaderMismatch(t *testing.T) {
 	if _, err := OpenJournal(path, "fig9", 2007, sc2, true); err == nil {
 		t.Fatal("resume with a different scale did not fail")
 	}
-	// The scheduler knobs are deliberately NOT pinned: resuming with
+	// The parallelism budget is deliberately NOT pinned: resuming with
 	// different parallelism must work (output is scheduler-independent).
 	sc3 := sc
-	sc3.Workers, sc3.SourceShards, sc3.GenWorkers = 7, 3, 2
+	sc3.Workers = 7
 	j3, err := OpenJournal(path, "fig9", 2007, sc3, true)
 	if err != nil {
-		t.Fatalf("resume with different scheduler knobs failed: %v", err)
+		t.Fatalf("resume with a different parallelism budget failed: %v", err)
 	}
 	j3.Close()
 }
@@ -254,8 +254,8 @@ func countingFactory(inner topoFactory, n *atomic.Int64) topoFactory {
 
 // TestSweepSeriesResumeBitIdentical is the tentpole acceptance test at
 // the helper level: a journaled sweepSeries run, killed by truncating its
-// journal mid-record, resumed under several different (Workers,
-// SourceShards, GenWorkers) settings, must reproduce the uninterrupted
+// journal mid-record, resumed under several different parallelism
+// budgets, must reproduce the uninterrupted
 // series bit-for-bit while skipping every journaled realization.
 func TestSweepSeriesResumeBitIdentical(t *testing.T) {
 	sc := testScaleTiny()
@@ -295,9 +295,7 @@ func TestSweepSeriesResumeBitIdentical(t *testing.T) {
 	// Simulate a SIGKILL mid-write: keep the header and a prefix of the
 	// records, tear the next one in half.
 	torn := full[:len(full)-30]
-	for _, knobs := range []struct{ workers, shards, gw int }{
-		{1, 1, 1}, {2, 2, 1}, {3, 1, 2},
-	} {
+	for _, workers := range []int{1, 2, 4} {
 		resumePath := filepath.Join(dir, "torn.journal")
 		if err := os.WriteFile(resumePath, torn, 0o644); err != nil {
 			t.Fatal(err)
@@ -312,7 +310,7 @@ func TestSweepSeriesResumeBitIdentical(t *testing.T) {
 		}
 		var builds atomic.Int64
 		rcfg := cfg
-		rcfg.sc.Workers, rcfg.sc.SourceShards, rcfg.sc.GenWorkers = knobs.workers, knobs.shards, knobs.gw
+		rcfg.sc.Workers = workers
 		rcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j2)
 		resumed, err := searchSeries(label, countingFactory(factory, &builds), rcfg, seed)
 		if err != nil {
@@ -322,7 +320,7 @@ func TestSweepSeriesResumeBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(resumed, baseline) {
-			t.Fatalf("resumed series differs from baseline at knobs %+v", knobs)
+			t.Fatalf("resumed series differs from baseline at Workers=%d", workers)
 		}
 		if got, want := builds.Load(), int64(sc.Realizations-replayed); got != want {
 			t.Fatalf("resume rebuilt %d realizations, want %d (replayed %d)", got, want, replayed)

@@ -12,45 +12,69 @@ import (
 	"scalefree/internal/xrand"
 )
 
+// budgetGrid is the determinism grid over the parallelism budget: for
+// each realization count n, the budgets compared against the serial run
+// (Workers = 1). Between them they reach every schedule shape — shards
+// only (n = 1, P > 1: lanes 1, width P), lanes = n (P = 3), a budget that
+// is not a multiple of n (P = 4: lanes 3, width 2; P = 8: width 3), and
+// the GOMAXPROCS default.
+var budgetGrid = []struct {
+	n       int
+	budgets []int
+}{
+	{1, []int{4}},
+	{3, []int{3, 4, 8, 0}},
+}
+
 // TestWorkersBitForBitDeterminism is the golden-seed regression for the
-// parallel engine: a representative search spec must produce byte-identical
-// Figure series no matter how many workers run it. Fig6 covers both the
-// topology generators and the flooding kernel across 18 series.
+// engine: a representative search spec must produce byte-identical Figures
+// under every budget of budgetGrid. Fig6 covers the PA and HAPA generators
+// plus the flooding kernel (batched FL runs, whose width follows the
+// shard count) across 18 series.
 func TestWorkersBitForBitDeterminism(t *testing.T) {
 	t.Parallel()
-	run := func(workers int) []Figure {
-		sc := SmokeScale
-		sc.Workers = workers
-		figs, err := Fig6(sc, 2007)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, g := range budgetGrid {
+		run := func(workers int) []Figure {
+			sc := tinyScale
+			sc.Realizations, sc.Workers = g.n, workers
+			figs, err := Fig6(sc, 2007)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", g.n, workers, err)
+			}
+			return figs
 		}
-		return figs
-	}
-	serial := run(1)
-	parallel := run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("Fig6 output differs between Workers=1 and Workers=8")
+		want := run(1)
+		for _, p := range g.budgets {
+			if got := run(p); !reflect.DeepEqual(want, got) {
+				t.Fatalf("Fig6 output (n=%d) differs between Workers=1 and Workers=%d", g.n, p)
+			}
+		}
 	}
 }
 
-// TestWorkersDeterminismRandomizedAlg repeats the check on the NF/RW path,
-// whose kernels consume the per-realization RNG stream — the part most at
-// risk from a scheduling-dependent bug.
+// TestWorkersDeterminismRandomizedAlg repeats the grid on randomized
+// kernels — NF consumes the per-source stream heavily and RW additionally
+// couples walk length to NF's draw sequence, while the build stage races
+// ahead — the paths most at risk from a scheduling-dependent stream
+// assignment.
 func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
 	t.Parallel()
-	run := func(workers int) Series {
-		s, err := searchSeries("rw", paTopo(1000, 2, 40),
-			searchCfg{alg: algRW, maxTTL: 5, kMin: 2, sc: Scale{Sources: 6, Realizations: 5, Workers: workers}}, 99)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return s
-	}
-	serial := run(1)
-	for _, w := range []int{2, 3, 8} {
-		if got := run(w); !reflect.DeepEqual(serial, got) {
-			t.Fatalf("RW series differs between Workers=1 and Workers=%d", w)
+	for _, alg := range []algKind{algNF, algRW} {
+		for _, g := range budgetGrid {
+			run := func(workers int) Series {
+				s, err := searchSeries(alg.String(), paTopo(1000, 2, 40),
+					searchCfg{alg: alg, maxTTL: 5, kMin: 2, sc: Scale{Sources: 9, Realizations: g.n, Workers: workers}}, 99)
+				if err != nil {
+					t.Fatalf("%v n=%d workers=%d: %v", alg, g.n, workers, err)
+				}
+				return s
+			}
+			want := run(1)
+			for _, p := range g.budgets {
+				if got := run(p); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%v series (n=%d) differs between Workers=1 and Workers=%d", alg, g.n, p)
+				}
+			}
 		}
 	}
 }
@@ -71,7 +95,7 @@ func TestForEachRealizationWorkerPool(t *testing.T) {
 	t.Parallel()
 	reference := func(n int, seed uint64) []uint64 {
 		out := make([]uint64, n)
-		if err := buildOnly(Scale{Workers: 1, GenWorkers: 1, Realizations: n}, seed, func(r int, b *builder) error {
+		if err := buildOnly(Scale{Workers: 1, Realizations: n}, seed, func(r int, b *builder) error {
 			out[r] = b.rng.Uint64()
 			return nil
 		}); err != nil {
@@ -146,7 +170,7 @@ func TestForEachRealizationScratchPerWorker(t *testing.T) {
 	const workers, n = 4, 32
 	var mu sync.Mutex
 	seen := make(map[*search.Scratch]int)
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: workers, SourceShards: 1, GenWorkers: 1, Realizations: n}, 5,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: workers, Realizations: n}, 5,
 		func(r int, b *builder) (int, error) { return r, nil },
 		func(r int, _ int, sw *sweeper) error {
 			scratch := sw.scratches[0]
@@ -190,62 +214,6 @@ func TestForEachRealizationReturnsLowestIndexError(t *testing.T) {
 	})
 	if err != errA {
 		t.Fatalf("err = %v, want the lowest-index error %v", err, errA)
-	}
-}
-
-// TestSourceShardsBitForBitDeterminism is the golden-seed regression for
-// the two-level scheduler: a deterministic spec (Fig. 6, flooding — no
-// search randomness, so it isolates the slot/reduction machinery and the
-// shared-Frozen sweep) must produce byte-identical Figures for every
-// (Workers, SourceShards) combination.
-func TestSourceShardsBitForBitDeterminism(t *testing.T) {
-	t.Parallel()
-	run := func(workers, shards int) []Figure {
-		sc := tinyScale
-		sc.Workers = workers
-		sc.SourceShards = shards
-		figs, err := Fig6(sc, 2007)
-		if err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-		}
-		return figs
-	}
-	want := run(1, 1)
-	for _, tc := range []struct{ workers, shards int }{
-		{1, 3}, {1, 8}, {2, 3}, {8, 8}, {0, 0},
-	} {
-		if got := run(tc.workers, tc.shards); !reflect.DeepEqual(want, got) {
-			t.Fatalf("Fig6 output differs between (1,1) and (Workers=%d, SourceShards=%d)",
-				tc.workers, tc.shards)
-		}
-	}
-}
-
-// TestSourceShardsDeterminismRandomizedAlg repeats the check on randomized
-// kernels — NF consumes the per-source stream heavily and RW additionally
-// couples walk length to NF's draw sequence — the paths most at risk from
-// a scheduling-dependent stream assignment.
-func TestSourceShardsDeterminismRandomizedAlg(t *testing.T) {
-	t.Parallel()
-	for _, alg := range []algKind{algNF, algRW} {
-		alg := alg
-		run := func(workers, shards int) Series {
-			s, err := searchSeries(alg.String(), paTopo(1000, 2, 40),
-				searchCfg{alg: alg, maxTTL: 5, kMin: 2, sc: Scale{Sources: 9, Realizations: 4, Workers: workers, SourceShards: shards}}, 99)
-			if err != nil {
-				t.Fatalf("%v workers=%d shards=%d: %v", alg, workers, shards, err)
-			}
-			return s
-		}
-		want := run(1, 1)
-		for _, tc := range []struct{ workers, shards int }{
-			{1, 3}, {1, 8}, {4, 3}, {2, 8},
-		} {
-			if got := run(tc.workers, tc.shards); !reflect.DeepEqual(want, got) {
-				t.Fatalf("%v series differs between (1,1) and (Workers=%d, SourceShards=%d)",
-					alg, tc.workers, tc.shards)
-			}
-		}
 	}
 }
 

@@ -12,26 +12,27 @@ import (
 
 // This file is the realization engine — the one way a spec runs its R
 // realizations — and the journaled series helper every spec calls it
-// through. A figure's realizations flow through:
+// through. Scale.Workers is the run's one parallelism budget P, which
+// schedule splits over the R realizations into `lanes` = min(P, R) and
+// `width` = ceil(P / lanes). A figure's realizations flow through:
 //
-//	build stage   — up to GenWorkers goroutines generate topologies and
-//	                freeze them into CSR adjacency (the sweeps only forward
-//	                to neighbors, so no membership ranges are built), so
-//	                realization r+1 (and beyond, up to the GenWorkers
-//	                bound) is being built while realization r is being
-//	                swept;
+//	build stage   — `lanes` goroutines generate topologies, each generator
+//	                using up to `width` goroutines internally, and freeze
+//	                them into CSR adjacency (the sweeps only forward to
+//	                neighbors, so no membership ranges are built), so
+//	                realization r+1 (and beyond) is being built while
+//	                realization r is being swept;
 //	bounded queue — finished snapshots wait on a channel of capacity
-//	                GenWorkers, which is the pipeline's backpressure: the
+//	                `lanes`, which is the pipeline's backpressure: the
 //	                build stage stalls rather than running unboundedly
 //	                ahead of the sweep;
-//	sweep stage   — `Workers` goroutines pull snapshots in completion
-//	                order and shard each one's sources across
-//	                `SourceShards` goroutines (the sweeper pool).
+//	sweep stage   — `lanes` goroutines pull snapshots in completion order
+//	                and shard each one's sources across `width` goroutines
+//	                (the sweeper pool).
 //
 // A spec with nothing to sweep (degree distributions, churn traces,
 // robustness curves) passes a nil sweep: the build stage is then the whole
-// engine — no queue, no sweepers — bounded by Workers as well as
-// GenWorkers, because the build callback is all the work there is.
+// engine — no queue, no sweepers.
 //
 // Determinism contract (pinned by the scheduler tests): realization r's
 // build draws only from xrand phase streams derived from (seed, r, phase)
@@ -41,8 +42,7 @@ import (
 // xrand.NewStream(seed, stream, s); and all outputs land in per-index
 // slots (or order-independent integer accumulators) reduced in index
 // order. Under that contract the figure output is bit-for-bit identical
-// for every (Workers, SourceShards, GenWorkers) combination, including
-// fully serial runs.
+// for any Workers, including fully serial runs.
 //
 // Supervision: Scale.Run layers panic recovery, bounded deterministic
 // retries, a permanent-failure budget, and realization-boundary
@@ -55,9 +55,8 @@ import (
 // (the panic may have corrupted the shared scratch buffers mid-write), so
 // a surviving attempt deposits exactly the bits of a never-failed run.
 //
-// Memory: up to 2·GenWorkers + Workers frozen snapshots can be alive at
-// once (building + queued + being swept). Builds that must stay lean can
-// set GenWorkers=1, which still overlaps one build with the sweeps. A
+// Memory: up to 3·lanes frozen snapshots can be alive at once (building +
+// queued + being swept), so `-workers k` caps them at 3·min(k, R). A
 // sweep series holds one block per sweep worker, in that sweeper's
 // buffers, and keeps only each realization's reduction (realizationBlocks).
 
@@ -91,8 +90,8 @@ type builder struct {
 	rng *xrand.RNG
 	// phases derives the (seed, realization, phase) build sub-streams.
 	phases xrand.Phases
-	// genWorkers bounds intra-generator parallelism for this build.
-	genWorkers int
+	// width bounds intra-generator parallelism for this build.
+	width int
 	// arena recycles direct-to-CSR build buffers. It belongs to the build
 	// worker goroutine (one arena per worker, reused across the
 	// realizations that worker builds), so back-to-back xl realizations
@@ -104,51 +103,35 @@ type builder struct {
 // gen returns the generator build context: phase sub-streams plus the
 // intra-build worker budget and the worker's CSR arena.
 func (b *builder) gen() gen.Build {
-	bld := gen.NewBuild(b.phases, b.genWorkers)
+	bld := gen.NewBuild(b.phases, b.width)
 	bld.Arena = b.arena
 	return bld
 }
 
-// resolveWorkers applies the "0 means GOMAXPROCS" default.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
+// schedule splits the parallelism budget p (<= 0 means GOMAXPROCS) over n
+// realizations: `lanes` build workers and as many sweep workers, and a
+// per-realization `width` — goroutines inside its generator and source
+// shards in its sweep — that soaks up the remainder when realizations are
+// scarcer than p, the configurations where the build phase dominates.
+// lanes × width stays below p + lanes, so the default never runs P²
+// goroutines on a P-core box.
+func schedule(p, n int) (lanes, width int) {
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
 	}
-	return workers
-}
-
-// resolveShards sizes the per-worker source-shard pool: workers × shards
-// ≈ GOMAXPROCS, so the default never runs P² goroutines on a P-core box.
-func resolveShards(shards, workers int) int {
-	if shards > 0 {
-		return shards
-	}
-	return (runtime.GOMAXPROCS(0) + workers - 1) / workers
-}
-
-// resolveBuilders turns the GenWorkers knob into (pool, intra): `pool`
-// build goroutines (never more than `limit`, the work available) and an
-// `intra` per-build parallelism budget that soaks up the remainder when
-// realizations are scarcer than GenWorkers — the low-realization
-// configurations where the build phase dominates. GenWorkers<=0 defaults
-// to the resolved sweep worker count.
-func resolveBuilders(genWorkers, workers, limit int) (pool, intra int) {
-	if genWorkers <= 0 {
-		genWorkers = workers
-	}
-	pool = max(1, min(genWorkers, limit))
-	return pool, (genWorkers + pool - 1) / pool
+	lanes = max(1, min(p, n))
+	return lanes, (p + lanes - 1) / lanes
 }
 
 // newBuilder assembles one realization's build context. arena is the
 // owning build worker's buffer pool (may be nil in tests).
-func newBuilder(seed uint64, r int, rng *xrand.RNG, intra int, arena *graph.CSRArena) *builder {
+func newBuilder(seed uint64, r int, rng *xrand.RNG, width int, arena *graph.CSRArena) *builder {
 	return &builder{
-		r:          r,
-		rng:        rng,
-		phases:     xrand.Phases{Seed: seed, Realization: uint64(r)},
-		genWorkers: intra,
-		arena:      arena,
+		r:      r,
+		rng:    rng,
+		phases: xrand.Phases{Seed: seed, Realization: uint64(r)},
+		width:  width,
+		arena:  arena,
 	}
 }
 
@@ -163,7 +146,7 @@ func retryRNG(seed uint64, n, r int) *xrand.RNG {
 // and freezes realization r's topology (returning the snapshot value the
 // sweep needs), sweep(r) queries it through the per-worker sweeper; with a
 // nil sweep, build is the whole realization. sc supplies the realization
-// count, the scheduler knobs and the supervisor. Build errors skip the
+// count, the parallelism budget and the supervisor. Build errors skip the
 // sweep; the lowest-index error wins, whichever stage it came from, exactly
 // as a sequential run would have reported first. Under a RunControl, panics
 // become errors, failed realizations are retried end-to-end (a sweep
@@ -177,22 +160,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 	if n <= 0 {
 		return nil
 	}
-	workers := resolveWorkers(sc.Workers)
-	// Default GenWorkers from the pre-cap worker count: on a P-core box
-	// running fewer than P realizations — the build-dominated case the
-	// pipeline exists for — the build budget must stay P so the remainder
-	// flows into intra-generator parallelism. Capping first would silently
-	// pin intra to 1 by default. Build-only runs are bounded by Workers
-	// too, so `-gen-workers 1` and `-workers 1` each cap in-flight
-	// topologies on the degree specs, the memory-heaviest runs.
-	limit := n
-	if sweep == nil {
-		limit = min(n, workers)
-	}
-	pool, intra := resolveBuilders(sc.GenWorkers, workers, limit)
-	workers = min(workers, n)
-	shards := resolveShards(sc.SourceShards, workers)
-
+	lanes, width := schedule(sc.Workers, n)
 	rngs := xrand.New(seed).SplitN(n)
 	errs := make([]error, n)
 
@@ -222,7 +190,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 	// failed attempt may have consumed rngs[r] or corrupted the worker's
 	// shared buffers mid-panic.
 	rebuild := func(r int) (T, error) {
-		return build(r, newBuilder(seed, r, retryRNG(seed, n, r), intra, graph.NewCSRArena()))
+		return build(r, newBuilder(seed, r, retryRNG(seed, n, r), width, graph.NewCSRArena()))
 	}
 
 	type snapshot struct {
@@ -232,7 +200,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 	var ready chan snapshot
 	var next atomic.Int64
 	buildWorker := func() {
-		// One arena per build worker: realization r+pool reuses the chunk
+		// One arena per build worker: realization r+lanes reuses the chunk
 		// and scratch buffers realization r grew, and no arena ever serves
 		// two builds at once.
 		arena := graph.NewCSRArena()
@@ -254,7 +222,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 			}
 			var v T
 			_, ok := settle(r, func() (err error) {
-				v, err = build(r, newBuilder(seed, r, rngs[r], intra, arena))
+				v, err = build(r, newBuilder(seed, r, rngs[r], width, arena))
 				return err
 			}, func() (err error) {
 				v, err = rebuild(r)
@@ -266,7 +234,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 		}
 	}
 	sweepWorker := func() {
-		sw := newSweeper(seed, shards)
+		sw := newSweeper(seed, width)
 		for snap := range ready {
 			if rc.interrupted() != nil {
 				// Keep draining so builders blocked on the bounded queue
@@ -285,14 +253,14 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 				if err != nil {
 					return err
 				}
-				return sweep(snap.r, v, newSweeper(seed, shards))
+				return sweep(snap.r, v, newSweeper(seed, width))
 			})
 			if attempts > 1 || !ok {
 				// The failed first sweep may have corrupted this worker's
 				// sweeper scratches mid-write; replace it before any other
 				// realization touches it. The old one is dropped, never
 				// released to the free list.
-				sw = newSweeper(seed, shards)
+				sw = newSweeper(seed, width)
 			}
 		}
 		sw.release()
@@ -309,10 +277,10 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 		}
 	}
 	if sweep != nil {
-		ready = make(chan snapshot, pool)
-		spawn(&swg, workers, sweepWorker)
+		ready = make(chan snapshot, lanes)
+		spawn(&swg, lanes, sweepWorker)
 	}
-	spawn(&bwg, pool, buildWorker)
+	spawn(&bwg, lanes, buildWorker)
 	bwg.Wait()
 	if sweep != nil {
 		close(ready)
@@ -460,16 +428,15 @@ func realizationBlocks[T, B, R any](sc Scale, seed uint64, tag string, codec blo
 	return reduced, nil
 }
 
-// withSweeper runs fn with a standalone source-sweep pool of `shards`
-// scratches (<=0 sizes it to GOMAXPROCS), for specs that sweep a topology
-// built outside the realization engine (paired-workload claims that probe
-// one shared overlay). Stream derivation inside Sources is identical to
-// the engine's.
-func withSweeper(shards int, seed uint64, fn func(sw *sweeper) error) error {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	sw := newSweeper(seed, shards)
+// withSweeper runs fn with a standalone source-sweep pool sized from the
+// parallelism budget p as the engine sizes a lone realization's (schedule
+// at n = 1: the whole budget), for specs that sweep a topology built
+// outside the realization engine (paired-workload claims that probe one
+// shared overlay). Stream derivation inside Sources is identical to the
+// engine's.
+func withSweeper(p int, seed uint64, fn func(sw *sweeper) error) error {
+	_, width := schedule(p, 1)
+	sw := newSweeper(seed, width)
 	err := fn(sw)
 	if err == nil {
 		sw.release()

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -12,94 +13,59 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// TestGenWorkersBitForBitDeterminism is the golden-seed regression for the
-// pipelined build stage: a representative search spec must produce
-// byte-identical Figures for every GenWorkers value crossed with the
-// (Workers, SourceShards) grid PR 3 pinned. Fig6 covers the PA and HAPA
-// generators plus the flooding kernel across 18 series.
-func TestGenWorkersBitForBitDeterminism(t *testing.T) {
+// TestPipelineSchedule pins how the engine splits its budget. Every row is
+// the (sweep workers, source shards, build pool, intra-build width) the
+// engine resolved from Workers = 0 with GOMAXPROCS = P when the scheduler
+// still had three knobs; at that default the four always read
+// (lanes, width, lanes, width), which is all schedule keeps.
+func TestPipelineSchedule(t *testing.T) {
 	t.Parallel()
-	run := func(workers, shards, genWorkers int) []Figure {
-		sc := tinyScale
-		sc.Workers = workers
-		sc.SourceShards = shards
-		sc.GenWorkers = genWorkers
-		figs, err := Fig6(sc, 2007)
-		if err != nil {
-			t.Fatalf("workers=%d shards=%d gen=%d: %v", workers, shards, genWorkers, err)
-		}
-		return figs
-	}
-	want := run(1, 1, 1)
-	for _, tc := range []struct{ workers, shards, genWorkers int }{
-		{1, 1, 2}, {1, 1, 4}, {2, 3, 2}, {8, 8, 4}, {1, 8, 4}, {0, 0, 0},
+	for _, tc := range []struct{ p, n, lanes, width int }{
+		{1, 1, 1, 1}, {1, 2, 1, 1}, {1, 3, 1, 1}, {1, 10, 1, 1},
+		{2, 1, 1, 2}, {2, 2, 2, 1}, {2, 3, 2, 1}, {2, 10, 2, 1},
+		{3, 1, 1, 3}, {3, 2, 2, 2}, {3, 3, 3, 1}, {3, 10, 3, 1},
+		{8, 1, 1, 8}, {8, 2, 2, 4}, {8, 3, 3, 3}, {8, 10, 8, 1},
 	} {
-		if got := run(tc.workers, tc.shards, tc.genWorkers); !reflect.DeepEqual(want, got) {
-			t.Fatalf("Fig6 output differs between (1,1,1) and (Workers=%d, SourceShards=%d, GenWorkers=%d)",
-				tc.workers, tc.shards, tc.genWorkers)
+		if lanes, width := schedule(tc.p, tc.n); lanes != tc.lanes || width != tc.width {
+			t.Errorf("schedule(%d, %d) = (%d, %d), want (%d, %d)", tc.p, tc.n, lanes, width, tc.lanes, tc.width)
 		}
+	}
+	// The default budget is GOMAXPROCS.
+	p := runtime.GOMAXPROCS(0)
+	if lanes, width := schedule(0, 1); lanes != 1 || width != p {
+		t.Errorf("schedule(0, 1) = (%d, %d), want (1, %d)", lanes, width, p)
 	}
 }
 
-// TestGenWorkersDeterminismRandomizedAlg repeats the check on the NF/RW
-// path, whose sweep kernels consume per-source streams while the build
-// stage races ahead — the interleaving most at risk from a
-// scheduling-dependent stream assignment.
-func TestGenWorkersDeterminismRandomizedAlg(t *testing.T) {
-	t.Parallel()
-	run := func(workers, shards, genWorkers int) Series {
-		s, err := searchSeries("rw", paTopo(1000, 2, 40),
-			searchCfg{alg: algRW, maxTTL: 5, kMin: 2, sc: Scale{Sources: 6, Realizations: 5, Workers: workers, SourceShards: shards, GenWorkers: genWorkers}}, 99)
-		if err != nil {
-			t.Fatalf("workers=%d shards=%d gen=%d: %v", workers, shards, genWorkers, err)
-		}
-		return s
-	}
-	want := run(1, 1, 1)
-	for _, tc := range []struct{ workers, shards, genWorkers int }{
-		{1, 1, 4}, {2, 3, 2}, {4, 2, 4}, {2, 8, 1},
-	} {
-		if got := run(tc.workers, tc.shards, tc.genWorkers); !reflect.DeepEqual(want, got) {
-			t.Fatalf("RW series differs between (1,1,1) and (Workers=%d, SourceShards=%d, GenWorkers=%d)",
-				tc.workers, tc.shards, tc.genWorkers)
-		}
-	}
-}
-
-// TestGenWorkersDeterminismParallelGenerators exercises the generators
-// with real intra-build parallelism — chunked CM degree sampling, GRN
+// TestWorkersDeterminismParallelGenerators exercises the generators with
+// real intra-build parallelism — chunked CM degree sampling, GRN
 // placement/radius queries, and DAPA's batched horizon floods — through
 // the degree-distribution engine, pinning byte-identical distributions
-// for GenWorkers ∈ {1, 2, 4}.
-func TestGenWorkersDeterminismParallelGenerators(t *testing.T) {
+// for intra-build widths 1, 2 and 4 (budgets 1, 4 and 8 over tinyScale's
+// two realizations).
+func TestWorkersDeterminismParallelGenerators(t *testing.T) {
 	t.Parallel()
-	sc := tinyScale
-	subsFor := func(genWorkers int) []*graph.Frozen {
-		s := sc
-		s.GenWorkers = genWorkers
+	run := func(workers int) [2]interface{} {
+		s := tinyScale
+		s.Workers = workers
 		subs, err := makeSubstrates(s.NSubstrate, s, 0xf00d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return subs
-	}
-	run := func(genWorkers int) [2]interface{} {
-		s := sc
-		s.GenWorkers = genWorkers
 		cm, err := mergedDegreeDist("cm", cmTopo(s.NDegree, 2, 40, 2.5), s, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dapa, err := mergedDegreeDist("dapa", dapaTopo(subsFor(genWorkers), s.NOverlay, 2, 40, 6), s, 78)
+		dapa, err := mergedDegreeDist("dapa", dapaTopo(subs, s.NOverlay, 2, 40, 6), s, 78)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return [2]interface{}{cm, dapa}
 	}
 	want := run(1)
-	for _, gw := range []int{2, 4} {
-		if got := run(gw); !reflect.DeepEqual(want, got) {
-			t.Fatalf("CM/DAPA degree distributions differ between GenWorkers=1 and GenWorkers=%d", gw)
+	for _, p := range []int{4, 8} {
+		if got := run(p); !reflect.DeepEqual(want, got) {
+			t.Fatalf("CM/DAPA degree distributions differ between Workers=1 and Workers=%d", p)
 		}
 	}
 }
@@ -111,7 +77,7 @@ func TestGenWorkersDeterminismParallelGenerators(t *testing.T) {
 func TestPipelineLowestIndexError(t *testing.T) {
 	t.Parallel()
 	errBuild, errSweep := errors.New("build"), errors.New("sweep")
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 4, SourceShards: 1, GenWorkers: 2, Realizations: 8}, 1,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 4, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 5 {
 				return 0, errBuild
@@ -127,7 +93,7 @@ func TestPipelineLowestIndexError(t *testing.T) {
 	if err != errSweep {
 		t.Fatalf("err = %v, want the lowest-index error %v (sweep at r=2 beats build at r=5)", err, errSweep)
 	}
-	err = forEachRealizationPipeline(engineOpts{}, Scale{Workers: 4, SourceShards: 1, GenWorkers: 2, Realizations: 8}, 1,
+	err = forEachRealizationPipeline(engineOpts{}, Scale{Workers: 4, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 2 {
 				return 0, errBuild
@@ -151,7 +117,7 @@ func TestPipelineErrorSkipsSweep(t *testing.T) {
 	t.Parallel()
 	errBuild := errors.New("build")
 	var swept [8]atomic.Int32
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 2, SourceShards: 1, GenWorkers: 2, Realizations: 8}, 1,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 2, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 3 {
 				return 0, errBuild
@@ -176,12 +142,12 @@ func TestPipelineErrorSkipsSweep(t *testing.T) {
 	}
 }
 
-// TestPipelineConcurrencyBounds checks both stage bounds: never more than
-// GenWorkers concurrent builds, never more than Workers concurrent sweeps.
+// TestPipelineConcurrencyBounds checks the schedule's bounds: a budget of
+// 7 over 24 realizations runs at most lanes = 7 builds and 7 sweeps at
+// once, and one budget of 7 over 3 realizations sweeps each one's sources
+// on at most width = 3 shards, with builds told the same width.
 func TestPipelineConcurrencyBounds(t *testing.T) {
 	t.Parallel()
-	const workers, genWorkers, n = 3, 2, 24
-	var buildIn, buildPeak, sweepIn, sweepPeak atomic.Int32
 	peak := func(cur int32, p *atomic.Int32) {
 		for {
 			v := p.Load()
@@ -190,40 +156,57 @@ func TestPipelineConcurrencyBounds(t *testing.T) {
 			}
 		}
 	}
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: workers, SourceShards: 1, GenWorkers: genWorkers, Realizations: n}, 7,
-		func(r int, b *builder) (int, error) {
-			peak(buildIn.Add(1), &buildPeak)
-			_ = b.rng.Uint64()
-			buildIn.Add(-1)
-			return r, nil
-		},
-		func(r int, v int, sw *sweeper) error {
-			peak(sweepIn.Add(1), &sweepPeak)
-			sweepIn.Add(-1)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := buildPeak.Load(); p > genWorkers {
-		t.Fatalf("observed %d concurrent builds, GenWorkers bound is %d", p, genWorkers)
-	}
-	if p := sweepPeak.Load(); p > workers {
-		t.Fatalf("observed %d concurrent sweeps, worker bound is %d", p, workers)
+	for _, tc := range []struct{ p, n, lanes, width int }{{7, 24, 7, 1}, {7, 3, 3, 3}} {
+		var buildIn, buildPeak, sweepIn, sweepPeak atomic.Int32
+		shardIn := make([]atomic.Int32, tc.n)
+		shardPeak := make([]atomic.Int32, tc.n)
+		err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: tc.p, Realizations: tc.n}, 7,
+			func(r int, b *builder) (int, error) {
+				peak(buildIn.Add(1), &buildPeak)
+				if b.width != tc.width {
+					t.Errorf("p=%d n=%d: build width %d, want %d", tc.p, tc.n, b.width, tc.width)
+				}
+				buildIn.Add(-1)
+				return r, nil
+			},
+			func(r int, v int, sw *sweeper) error {
+				peak(sweepIn.Add(1), &sweepPeak)
+				defer sweepIn.Add(-1)
+				return sw.Sources(uint64(r), 4*tc.width, func(_, _ int, rng *xrand.RNG, _ *search.Scratch) error {
+					peak(shardIn[r].Add(1), &shardPeak[r])
+					_ = rng.Uint64()
+					shardIn[r].Add(-1)
+					return nil
+				})
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := buildPeak.Load(); p > int32(tc.lanes) {
+			t.Fatalf("p=%d n=%d: observed %d concurrent builds, lanes bound is %d", tc.p, tc.n, p, tc.lanes)
+		}
+		if p := sweepPeak.Load(); p > int32(tc.lanes) {
+			t.Fatalf("p=%d n=%d: observed %d concurrent sweeps, lanes bound is %d", tc.p, tc.n, p, tc.lanes)
+		}
+		for r := range shardPeak {
+			if p := shardPeak[r].Load(); p > int32(tc.width) {
+				t.Fatalf("p=%d n=%d: realization %d swept %d sources at once, width bound is %d", tc.p, tc.n, r, p, tc.width)
+			}
+		}
 	}
 }
 
 // TestPipelineRunsEachRealizationOnce checks every realization is built
-// exactly once and swept exactly once for degenerate and oversized stage
-// bounds.
+// exactly once and swept exactly once for degenerate and oversized
+// budgets.
 func TestPipelineRunsEachRealizationOnce(t *testing.T) {
 	t.Parallel()
-	for _, tc := range []struct{ workers, genWorkers, n int }{
-		{-1, -1, 8}, {0, 0, 8}, {1, 16, 5}, {16, 1, 4}, {4, 4, 0}, {2, 3, 1},
+	for _, tc := range []struct{ workers, n int }{
+		{-1, 8}, {0, 8}, {1, 5}, {16, 4}, {4, 0}, {3, 1},
 	} {
 		built := make([]atomic.Int32, tc.n)
 		swept := make([]atomic.Int32, tc.n)
-		err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: tc.workers, SourceShards: 1, GenWorkers: tc.genWorkers, Realizations: tc.n}, 7,
+		err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: tc.workers, Realizations: tc.n}, 7,
 			func(r int, b *builder) (int, error) {
 				built[r].Add(1)
 				return r, nil
@@ -240,10 +223,10 @@ func TestPipelineRunsEachRealizationOnce(t *testing.T) {
 		}
 		for r := 0; r < tc.n; r++ {
 			if c := built[r].Load(); c != 1 {
-				t.Errorf("workers=%d gen=%d: realization %d built %d times", tc.workers, tc.genWorkers, r, c)
+				t.Errorf("workers=%d: realization %d built %d times", tc.workers, r, c)
 			}
 			if c := swept[r].Load(); c != 1 {
-				t.Errorf("workers=%d gen=%d: realization %d swept %d times", tc.workers, tc.genWorkers, r, c)
+				t.Errorf("workers=%d: realization %d swept %d times", tc.workers, r, c)
 			}
 		}
 	}
@@ -260,7 +243,7 @@ func TestBuilderContract(t *testing.T) {
 	for r, s := range root.SplitN(n) {
 		wantRNG[r] = s.Uint64()
 	}
-	err := buildOnly(Scale{Workers: 2, GenWorkers: 4, Realizations: n}, seed, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 8, Realizations: n}, seed, func(r int, b *builder) error {
 		if got := b.rng.Uint64(); got != wantRNG[r] {
 			t.Errorf("realization %d legacy stream is not the r-th root split", r)
 		}
@@ -268,8 +251,8 @@ func TestBuilderContract(t *testing.T) {
 		if b.phases != want {
 			t.Errorf("realization %d phases = %+v, want %+v", r, b.phases, want)
 		}
-		if b.genWorkers < 1 {
-			t.Errorf("realization %d genWorkers = %d, want >= 1", r, b.genWorkers)
+		if b.width < 1 {
+			t.Errorf("realization %d width = %d, want >= 1", r, b.width)
 		}
 		// The gen context must carry the phase root through.
 		if b.gen().Phases != want {
@@ -288,7 +271,7 @@ func TestBuilderContract(t *testing.T) {
 // -race in CI).
 func TestSweepShardsRaceLazyMembership(t *testing.T) {
 	t.Parallel()
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, SourceShards: 4, GenWorkers: 2, Realizations: 2}, 9,
+	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 8, Realizations: 2}, 9,
 		paTopo(300, 2, gen.NoCutoff),
 		func(r int, f *graph.Frozen, sw *sweeper) error {
 			// Cross-check membership against the insertion-order adjacency.

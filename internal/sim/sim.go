@@ -45,37 +45,21 @@ type Scale struct {
 	MaxTTLFlood int
 	// MaxTTLNF bounds τ for NF/RW experiments (paper: 10).
 	MaxTTLNF int
-	// Workers bounds how many realizations run concurrently; 0 (the
-	// default) means GOMAXPROCS. Results are bit-for-bit identical for
-	// every value: realization r's RNG stream is derived solely from
-	// (seed, r), never from scheduling order.
+	// Workers is the run's parallelism budget P; 0 (the default) means
+	// GOMAXPROCS. The engine derives its whole schedule from it: over R
+	// realizations, min(P, R) lanes each build and sweep one realization
+	// at a time, and each realization gets ceil(P / min(P, R)) goroutines
+	// inside its generator (chunked CM degree sampling, GRN placement and
+	// radius queries, batched DAPA horizon floods) and as source shards
+	// sweeping the shared frozen topology — so when realizations are
+	// scarce (the paper's 10 on a big box) the budget flows into each
+	// one. At most 3·min(P, R) snapshots are alive at once. Results are
+	// bit-for-bit identical for any Workers: every build draws from xrand
+	// phase streams derived solely from (seed, realization, phase) with
+	// fixed chunk boundaries, source s of realization r draws from a
+	// stream derived solely from (seed, r, s), and per-index results are
+	// reduced in index order.
 	Workers int
-	// SourceShards bounds how many sources of one realization are swept
-	// concurrently against the shared frozen topology; 0 (the default)
-	// sizes the shard pool automatically so that Workers × SourceShards
-	// fills GOMAXPROCS without oversubscribing it (when realizations
-	// already cover the cores, sweeps stay serial; when they don't — the
-	// paper's 10 realizations on a big box — shards supply the missing
-	// parallelism). Results are bit-for-bit identical for every
-	// (Workers, SourceShards) combination: source s of realization r draws
-	// from an RNG stream derived solely from (seed, r, s), and per-source
-	// results land in per-index slots reduced in source order.
-	SourceShards int
-	// GenWorkers bounds the pipelined build stage: how many realizations
-	// are generated and frozen concurrently ahead of the sweep, and — when
-	// realizations are scarcer than the budget — how many goroutines a
-	// single generator may use internally (chunked CM degree sampling, GRN
-	// placement and radius queries, batched DAPA horizon floods). 0 (the
-	// default) matches the resolved Workers (GOMAXPROCS or the explicit
-	// value, before any realization-count cap, so scarce realizations get
-	// intra-generator parallelism by default). Results are bit-for-bit
-	// identical for every (Workers, SourceShards, GenWorkers) combination:
-	// every build draws from xrand phase streams derived solely from
-	// (seed, realization, phase), with fixed chunk boundaries, so neither
-	// the pipeline schedule nor intra-generator parallelism can perturb a
-	// topology. GenWorkers=1 still overlaps one build with the sweeps;
-	// memory-bound runs can use it to cap in-flight snapshots.
-	GenWorkers int
 	// DESLatencyBase and DESLatencyJitter set the per-edge latency model of
 	// the DES specs: each edge's delay is Base + Jitter·U(edge), with U
 	// derived from the realization's phase streams. Both zero (the default)

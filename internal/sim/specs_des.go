@@ -4,14 +4,12 @@ package sim
 // kernels run as algorithmic traversals, re-expressed as messages in
 // flight through internal/des — which makes per-edge latency, message
 // loss, and duplicate traffic measurable scenario knobs instead of
-// inexpressible ones. The specs ride the same three-stage build/sweep
-// pipeline as every other figure: each realization's topology AND its
-// per-edge latency model are fixed in the build stage from the
-// (seed, realization, phase) streams, each source draws from its
-// (seed, realization, source) stream, and results land in per-index
-// slots — so DES figures are bit-for-bit identical for any
-// (Workers, SourceShards, GenWorkers) setting, pinned by the DES
-// determinism tests. With zero latency and loss the desflood/deskwalk
+// inexpressible ones. The specs ride the same build/sweep pipeline as
+// every other figure: each realization's topology AND its per-edge latency
+// model are fixed in the build stage from the (seed, realization, phase)
+// streams, each source draws from its (seed, realization, source) stream,
+// and results land in per-index slots — so DES figures are bit-for-bit
+// identical for any Workers, pinned by the DES determinism tests. With zero latency and loss the desflood/deskwalk
 // hits curves coincide exactly with the CSR flood/k-walk sweeps (the
 // equivalence tests pin that too).
 

@@ -5,9 +5,8 @@ package sim
 // link partitions scheduled by des.FailPlan from the realization's phase
 // streams. Whether an element fails and when are pure functions of
 // (seed, realization, element id), so the failure sweeps keep the
-// pipeline's bit-for-bit determinism contract for any
-// (Workers, SourceShards, GenWorkers) setting (pinned by the DES
-// schedule-invariance test). The frac=0 series doubles as the acceptance
+// pipeline's bit-for-bit determinism contract for any Workers (pinned by
+// the DES schedule-invariance test). The frac=0 series doubles as the acceptance
 // gate that a disabled plan changes nothing: it must coincide with the
 // plain desflood coverage curve.
 

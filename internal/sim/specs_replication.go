@@ -62,7 +62,7 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 					return replTopo{}, err
 				}
 				// All budgets probe the same realization.
-				return replTopo{fg: g.FreezePar(b.genWorkers), rep: b.phases.Stream("replication")}, nil
+				return replTopo{fg: g.FreezePar(b.width), rep: b.phases.Stream("replication")}, nil
 			}, func(r int, topo replTopo, sw *sweeper) ([]float64, error) {
 				fg := topo.fg
 				cat, err := content.NewCatalog(items, alpha)

@@ -77,27 +77,29 @@ func TestBuildPanicRetriedBitIdentical(t *testing.T) {
 // sweep stage. The retry must rebuild the realization end-to-end (the
 // snapshot may carry consumed phase streams), so the factory runs
 // realizations+1 times, and the output is still bit-identical. With four
-// source shards every source of the first realization panics, each on a
-// different shard, so all but one fire off the engine's goroutine: they
-// must reach the supervisor instead of killing the process.
+// source shards (a budget of 4 over one realization) every source of the
+// realization panics, each on a different shard, so all but one fire off
+// the engine's goroutine: they must reach the supervisor instead of
+// killing the process.
 func TestSweepPanicRetriedBitIdentical(t *testing.T) {
 	t.Parallel()
 	const seed = 8888
 	inner := paTopo(500, 2, gen.NoCutoff)
-	cfg := searchCfg{alg: algFL, maxTTL: 6, sc: Scale{Sources: 4, Realizations: 3}}
-	baseline, err := searchSeries("fl", inner, cfg, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, shards := range []int{1, 4} {
+	for _, tc := range []struct{ shards, realizations int }{{1, 3}, {4, 1}} {
+		shards := tc.shards
 		t.Run(fmt.Sprintf("sourceShards=%d", shards), func(t *testing.T) {
+			cfg := searchCfg{alg: algFL, maxTTL: 6, sc: Scale{Sources: 4, Realizations: tc.realizations}}
+			baseline, err := searchSeries("fl", inner, cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var builds atomic.Int64
 			factory := countingFactory(inner, &builds)
 			var trips atomic.Int64
 			rcfg := cfg
-			rcfg.sc.Workers = 1 // realization 0 is swept first, alone
-			rcfg.sc.SourceShards = shards
+			// One lane of `shards` width: realization 0 is swept first,
+			// alone.
+			rcfg.sc.Workers = shards
 			rcfg.sc.Run = testRC(1, 0)
 			got, err := sweepSeries("fl", factory, rcfg, seed, func(res search.Result, row []float64) {
 				// A shard stops at its first panic, so `shards` panics
@@ -274,7 +276,7 @@ func TestFailureBudgetAborts(t *testing.T) {
 func TestStrictEngineFailureIsFatal(t *testing.T) {
 	t.Parallel()
 	rc := testRC(1, 100)
-	err := buildOnly(Scale{Workers: 2, GenWorkers: 1, Realizations: 4, Run: rc}, 5, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 2, Realizations: 4, Run: rc}, 5, func(r int, b *builder) error {
 		if r == 1 {
 			return fmt.Errorf("no drop path here")
 		}
@@ -293,7 +295,7 @@ func TestErrorRetriedOnce(t *testing.T) {
 	t.Parallel()
 	var tripped atomic.Bool
 	rc := testRC(1, 0)
-	err := buildOnly(Scale{Workers: 1, GenWorkers: 1, Realizations: 3, Run: rc}, 5, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 1, Realizations: 3, Run: rc}, 5, func(r int, b *builder) error {
 		if r == 0 && tripped.CompareAndSwap(false, true) {
 			return errors.New("transient")
 		}
@@ -315,7 +317,7 @@ func TestInterruptStopsAtRealizationBoundary(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	rc := NewRunControl(ctx, 0, 0, nil)
 	var ran atomic.Int64
-	err := buildOnly(Scale{Workers: 2, GenWorkers: 1, Realizations: 64, Run: rc}, 5, func(r int, b *builder) error {
+	err := buildOnly(Scale{Workers: 2, Realizations: 64, Run: rc}, 5, func(r int, b *builder) error {
 		if ran.Add(1) == 3 {
 			cancel()
 		}
@@ -338,7 +340,7 @@ func TestInterruptPipelineNoDeadlock(t *testing.T) {
 	var swept atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		done <- forEachRealizationPipeline(engineOpts{}, Scale{Workers: 2, SourceShards: 1, GenWorkers: 2, Realizations: 64, Run: rc}, 5,
+		done <- forEachRealizationPipeline(engineOpts{}, Scale{Workers: 2, Realizations: 64, Run: rc}, 5,
 			func(r int, b *builder) (int, error) { return r, nil },
 			func(r int, v int, sw *sweeper) error {
 				if swept.Add(1) == 2 {
@@ -378,7 +380,7 @@ func TestInterruptedJournalResumes(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	icfg := cfg
-	icfg.sc.Workers, icfg.sc.GenWorkers = 1, 1 // serial: the cancel point is deterministic
+	icfg.sc.Workers = 1 // serial: the cancel point is deterministic
 	icfg.sc.Run = NewRunControl(ctx, 0, 0, j)
 	var sweeps atomic.Int64
 	_, err = sweepSeries("fl", factory, icfg, seed, func(res search.Result, row []float64) {
@@ -461,7 +463,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 	}
 	var builds atomic.Int64
 	rcfg := cfg
-	rcfg.sc.Workers, rcfg.sc.SourceShards = 2, 2
+	rcfg.sc.Workers = 4
 	rcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j2)
 	resumed, err := desSweep("t", countingFactory(factory, &builds), rcfg, 0, 0, seed, 2, maxTTL+1, run, sample)
 	if err != nil {

@@ -2,10 +2,9 @@ package sim
 
 // Spec-level pins for the DES mode (CI races these under -run '...DES...'):
 // the schedule-invariance contract — DES figures are bit-for-bit identical
-// for any Workers — and the CSR equivalence
-// gate lifted from the kernel level to the full pipeline: a zero-latency,
-// lossless DES sweep reproduces the CSR sweep series exactly, sources,
-// aggregation, and all.
+// for any Workers — and the CSR equivalence gate lifted from the kernel
+// level to the full pipeline: a zero-latency, lossless DES sweep
+// reproduces the CSR sweep series exactly, sources, aggregation, and all.
 
 import (
 	"reflect"
@@ -30,9 +29,9 @@ var desTinyScale = Scale{
 
 // TestDESSpecsScheduleInvariant runs the DES specs under a serial, the
 // automatic, and a skewed budget (3 over 2 realizations: lanes 2, width 2)
-// and requires bit-identical
-// figures — the (seed, realization, phase) / (seed, realization, source)
-// determinism contract extended to the DES family.
+// and requires bit-identical figures — the (seed, realization, phase) /
+// (seed, realization, source) determinism contract extended to the DES
+// family.
 func TestDESSpecsScheduleInvariant(t *testing.T) {
 	t.Parallel()
 	schedules := []struct {

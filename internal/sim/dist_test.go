@@ -416,10 +416,11 @@ func recordEnds(t *testing.T, image []byte) []int {
 // TestDistributableSpecsResumeAndWorkerSink is the journal contract of
 // every distributable spec, against the golden bytes of specDigests:
 // (a) a journaled run, its journal cut back to a record boundary mid-spec
-// and resumed under another parallelism budget, and (b) every realization run
-// alone as a distributed worker, its records accepted into a fresh journal
-// and reduced locally, both publish exactly what an unjournaled run does —
-// and the worker fleet's records are complete: the reduction appends none.
+// and resumed under another parallelism budget, and (b) every realization
+// run alone as a distributed worker, its records accepted into a fresh
+// journal and reduced locally, both publish exactly what an unjournaled
+// run does — and the worker fleet's records are complete: the reduction
+// appends none.
 func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 	t.Parallel()
 	const seed = 12345

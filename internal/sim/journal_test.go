@@ -255,8 +255,8 @@ func countingFactory(inner topoFactory, n *atomic.Int64) topoFactory {
 // TestSweepSeriesResumeBitIdentical is the tentpole acceptance test at
 // the helper level: a journaled sweepSeries run, killed by truncating its
 // journal mid-record, resumed under several different parallelism
-// budgets, must reproduce the uninterrupted
-// series bit-for-bit while skipping every journaled realization.
+// budgets, must reproduce the uninterrupted series bit-for-bit while
+// skipping every journaled realization.
 func TestSweepSeriesResumeBitIdentical(t *testing.T) {
 	sc := testScaleTiny()
 	const seed, label = 2007, "fl"

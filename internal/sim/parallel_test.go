@@ -12,28 +12,50 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// budgetGrid is the determinism grid over the parallelism budget: for
-// each realization count n, the budgets compared against the serial run
-// (Workers = 1). Between them they reach every schedule shape — shards
-// only (n = 1, P > 1: lanes 1, width P), lanes = n (P = 3), a budget that
-// is not a multiple of n (P = 4: lanes 3, width 2; P = 8: width 3), and
-// the GOMAXPROCS default.
-var budgetGrid = []struct {
+// A budgetGrid lists, for each realization count n, the budgets compared
+// against the serial run (Workers = 1). schedule(P, n) turns each budget
+// into `lanes` realizations in flight and a per-realization `width`
+// shared by the generator and the source sweep.
+type budgetGrid []struct {
 	n       int
 	budgets []int
-}{
+}
+
+// mixedGrid reaches every schedule shape — shards only (n = 1, P > 1:
+// lanes 1, width P), lanes = n (P = 3), a budget that is not a multiple
+// of n (P = 4: lanes 3, width 2; P = 8: width 3), and the GOMAXPROCS
+// default.
+var mixedGrid = budgetGrid{
 	{1, []int{4}},
 	{3, []int{3, 4, 8, 0}},
 }
 
-// TestWorkersBitForBitDeterminism is the golden-seed regression for the
-// engine: a representative search spec must produce byte-identical Figures
-// under every budget of budgetGrid. Fig6 covers the PA and HAPA generators
-// plus the flooding kernel (batched FL runs, whose width follows the
-// shard count) across 18 series.
-func TestWorkersBitForBitDeterminism(t *testing.T) {
-	t.Parallel()
-	for _, g := range budgetGrid {
+// laneGrid varies the build stage: several realizations generated and
+// frozen concurrently ahead of the sweep (lanes > 1), with generator
+// widths 1, 2 and 3 (P = 2, 4, 6 at n = 2) and more lanes than the
+// sweep can drain at once (n = 5: lanes 2, 3 and 5).
+var laneGrid = budgetGrid{
+	{2, []int{2, 4, 6}},
+	{5, []int{2, 3, 5, 10}},
+}
+
+// shardGrid varies the source sweep: one realization at a time split
+// across 2, 3 and 8 shards, and several lanes each sharding its own
+// sweep (n = 2, P = 6: lanes 2, width 3; n = 4, P = 12: lanes 4, width 3).
+var shardGrid = budgetGrid{
+	{1, []int{2, 3, 8}},
+	{2, []int{6}},
+	{4, []int{12}},
+}
+
+// checkFig6Budgets is the golden-seed regression for the engine: a
+// representative search spec must produce byte-identical Figures under
+// every budget of grid. Fig6 covers the PA and HAPA generators plus the
+// flooding kernel (batched FL runs, whose width follows the shard count)
+// across 18 series.
+func checkFig6Budgets(t *testing.T, grid budgetGrid) {
+	t.Helper()
+	for _, g := range grid {
 		run := func(workers int) []Figure {
 			sc := tinyScale
 			sc.Realizations, sc.Workers = g.n, workers
@@ -52,18 +74,17 @@ func TestWorkersBitForBitDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterminismRandomizedAlg repeats the grid on randomized
-// kernels — NF consumes the per-source stream heavily and RW additionally
-// couples walk length to NF's draw sequence, while the build stage races
-// ahead — the paths most at risk from a scheduling-dependent stream
-// assignment.
-func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
-	t.Parallel()
-	for _, alg := range []algKind{algNF, algRW} {
-		for _, g := range budgetGrid {
+// checkSearchBudgets repeats the grid on randomized kernels — NF consumes
+// the per-source stream heavily and RW additionally couples walk length to
+// NF's draw sequence, while the build stage races ahead — the paths most
+// at risk from a scheduling-dependent stream assignment.
+func checkSearchBudgets(t *testing.T, algs []algKind, sources int, grid budgetGrid) {
+	t.Helper()
+	for _, alg := range algs {
+		for _, g := range grid {
 			run := func(workers int) Series {
 				s, err := searchSeries(alg.String(), paTopo(1000, 2, 40),
-					searchCfg{alg: alg, maxTTL: 5, kMin: 2, sc: Scale{Sources: 9, Realizations: g.n, Workers: workers}}, 99)
+					searchCfg{alg: alg, maxTTL: 5, kMin: 2, sc: Scale{Sources: sources, Realizations: g.n, Workers: workers}}, 99)
 				if err != nil {
 					t.Fatalf("%v n=%d workers=%d: %v", alg, g.n, workers, err)
 				}
@@ -77,6 +98,45 @@ func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestWorkersBitForBitDeterminism(t *testing.T) {
+	t.Parallel()
+	checkFig6Budgets(t, mixedGrid)
+}
+
+func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
+	t.Parallel()
+	checkSearchBudgets(t, []algKind{algNF, algRW}, 9, mixedGrid)
+}
+
+// TestGenWorkersBitForBitDeterminism pins Fig6 across the build-stage
+// schedules of laneGrid.
+func TestGenWorkersBitForBitDeterminism(t *testing.T) {
+	t.Parallel()
+	checkFig6Budgets(t, laneGrid)
+}
+
+// TestGenWorkersDeterminismRandomizedAlg pins RW, whose sweep consumes
+// per-source streams while later builds race ahead, across laneGrid.
+func TestGenWorkersDeterminismRandomizedAlg(t *testing.T) {
+	t.Parallel()
+	checkSearchBudgets(t, []algKind{algRW}, 6, laneGrid)
+}
+
+// TestSourceShardsBitForBitDeterminism pins Fig6 across the sweep widths
+// of shardGrid. Flooding draws no search randomness, so this isolates the
+// slot/reduction machinery and the shared-Frozen sweep.
+func TestSourceShardsBitForBitDeterminism(t *testing.T) {
+	t.Parallel()
+	checkFig6Budgets(t, shardGrid)
+}
+
+// TestSourceShardsDeterminismRandomizedAlg pins NF and RW, whose per-source
+// streams must not depend on which shard draws them, across shardGrid.
+func TestSourceShardsDeterminismRandomizedAlg(t *testing.T) {
+	t.Parallel()
+	checkSearchBudgets(t, []algKind{algNF, algRW}, 9, shardGrid)
 }
 
 // buildOnly runs fn as the build of a strict engine with a nil sweep: the

@@ -63,11 +63,12 @@
 // from -coord-addr, executes each leased realization under the shared
 // (seed, realization, phase) stream contract, and streams the records
 // home. Leases expire after -lease-ttl without a heartbeat (interval
-// -heartbeat, default ttl/5) and are reissued, so crashed or partitioned
-// workers only cost time. The coordinator's final reduction replays its
-// journal and recomputes anything the fleet never delivered — CSVs are
-// byte-identical to a local run no matter how many workers ran, died, or
-// straggled. A killed coordinator resumes with -resume.
+// -heartbeat, shorter than the TTL, default ttl/5) and are reissued, so
+// crashed or partitioned workers only cost time. The coordinator's final
+// reduction replays its journal and recomputes anything the fleet never
+// delivered — CSVs are byte-identical to a local run no matter how many
+// workers ran, died, or straggled. A killed coordinator resumes with
+// -resume.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments, so performance PRs can attach flame-graph evidence. All
@@ -133,7 +134,7 @@ func run(args []string, stdout io.Writer) error {
 		coordAddr  = fs.String("coord-addr", "", "coordinator endpoint: the listen address in -mode coordinator, the coordinator's address in -mode worker")
 		listenAddr = fs.String("listen", "127.0.0.1:0", "-mode worker: this worker's reply/listen address (port 0 = ephemeral)")
 		leaseTTL   = fs.Duration("lease-ttl", 10*time.Second, "-mode coordinator: lease expiry without a heartbeat before a realization is reissued")
-		heartbeat  = fs.Duration("heartbeat", 0, "-mode coordinator: lease renewal interval workers are told to use (0 = lease-ttl/5)")
+		heartbeat  = fs.Duration("heartbeat", 0, "-mode coordinator: lease renewal interval workers are told to use, shorter than -lease-ttl (0 = lease-ttl/5)")
 		bcPivots   = fs.Int("bc-pivots", 0, "attack spec: Brandes-Pich pivots per batched betweenness step (0 = scale default; >= N prices steps with exact Brandes)")
 		pathLand   = fs.Int("path-landmarks", 0, "table1: landmark BFS passes for estimated path stats (0 = scale default; exact sampled BFS when the scale sets none)")
 		pathPairs  = fs.Int("path-pairs", 0, "table1: sampled node pairs per realization for the landmark estimator (0 = scale default)")
@@ -207,6 +208,12 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if *heartbeat < 0 {
 			return fmt.Errorf("-heartbeat %v must be >= 0", *heartbeat)
+		}
+		// A lease lapses after -lease-ttl without renewal, so a renewal
+		// interval that long or longer reissues every lease before its
+		// first heartbeat lands.
+		if *heartbeat >= *leaseTTL {
+			return fmt.Errorf("-heartbeat %v must be shorter than -lease-ttl %v", *heartbeat, *leaseTTL)
 		}
 	case "worker":
 		if *coordAddr == "" {
@@ -293,6 +300,25 @@ func run(args []string, stdout io.Writer) error {
 		return runWorkerMode(ctx, *coordAddr, *listenAddr, *retries)
 	}
 
+	var specs []sim.Spec
+	if *exp == "all" {
+		specs = sim.Registry()
+	} else {
+		// A spec listed twice would run twice over one journal path.
+		seen := map[string]bool{}
+		for _, id := range strings.Split(*exp, ",") {
+			s, err := sim.Lookup(strings.TrimSpace(id))
+			if err != nil {
+				return err
+			}
+			if seen[s.ID] {
+				return fmt.Errorf("-exp lists %s more than once", s.ID)
+			}
+			seen[s.ID] = true
+			specs = append(specs, s)
+		}
+	}
+
 	// Coordinator mode: one lease server spans every selected spec; the
 	// fleet survives across specs and is dismissed when the session ends.
 	var distSrv *coord.Server
@@ -311,19 +337,6 @@ func run(args []string, stdout io.Writer) error {
 
 	if *scale == "xl" && !expSet && *mode == "csr" {
 		fmt.Fprintln(os.Stderr, "experiments: xl runs the full registry; attack/table1/delivery use estimators with published uncertainty (see EXPERIMENTS.md \"Estimators & budgets\")")
-	}
-
-	var specs []sim.Spec
-	if *exp == "all" {
-		specs = sim.Registry()
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			s, err := sim.Lookup(strings.TrimSpace(id))
-			if err != nil {
-				return err
-			}
-			specs = append(specs, s)
-		}
 	}
 
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {

@@ -180,6 +180,24 @@ func TestRunCommaSeparatedExperiments(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRepeatedExperiment: a spec listed twice would run twice
+// over one journal path, so -exp refuses it by name before running anything.
+func TestRunRejectsRepeatedExperiment(t *testing.T) {
+	t.Parallel()
+	for _, exp := range []string{"table2,table2", "fig1c, table2, fig1c"} {
+		dir := t.TempDir()
+		var buf strings.Builder
+		err := run([]string{"-exp", exp, "-outdir", dir, "-plot=false"}, &buf)
+		want := strings.TrimSpace(strings.Split(exp, ",")[0])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("-exp %q: err %v, want the repeated %s refused by name", exp, err, want)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) > 0 {
+			t.Errorf("-exp %q wrote %d file(s) before refusing", exp, len(entries))
+		}
+	}
+}
+
 func TestRunCleanSuccessLeavesNoJournalOrTemp(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -287,6 +305,17 @@ func TestRunCoordinatorModeRequiresAddr(t *testing.T) {
 	}
 	if err := run([]string{"-mode", "coordinator", "-coord-addr", ":0", "-lease-ttl", "-1s"}, &buf); err == nil {
 		t.Fatal("negative -lease-ttl should fail")
+	}
+	// A lease lapses after -lease-ttl without renewal, so a heartbeat at
+	// least that long would reissue every lease before its first renewal.
+	// (table2 runs locally even in coordinator mode, so a missed refusal
+	// fails fast instead of waiting for workers.)
+	for _, hb := range []string{"5s", "1s"} {
+		err := run([]string{"-mode", "coordinator", "-coord-addr", "127.0.0.1:0",
+			"-lease-ttl", "1s", "-heartbeat", hb, "-exp", "table2", "-outdir", t.TempDir(), "-plot=false"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-heartbeat") || !strings.Contains(err.Error(), "-lease-ttl") {
+			t.Fatalf("-heartbeat %s -lease-ttl 1s: err %v, want both flags named", hb, err)
+		}
 	}
 }
 

@@ -137,22 +137,13 @@ func (r FloodResult) SuccessRate() float64 {
 	return float64(r.Found) / float64(r.Queries)
 }
 
-// FloodForItem floods from src with the given TTL and reports whether any
-// node within the TTL ball hosts the item, plus the messages the flood
-// spent. In a deployed network the flood would stop early on a hit; the
-// message count here is the worst case, as in the paper's FL model (the
-// destination "cannot stop the search", §V-A1).
-//
-// FloodForItem allocates a fresh search scratch per call; query workloads
-// should use FloodForItemScratch with a reused search.Scratch (as
-// FloodSuccess does internally).
-func FloodForItem(f *graph.Frozen, p *Placement, src int, item Item, ttl int) (found bool, messages int, err error) {
-	var s search.Scratch
-	return FloodForItemScratch(f, p, src, item, ttl, &s)
-}
-
-// FloodForItemScratch is FloodForItem reusing the caller's search scratch:
-// repeated queries against one topology allocate nothing.
+// FloodForItemScratch floods from src with the given TTL and reports
+// whether any node within the TTL ball hosts the item, plus the messages
+// the flood spent. In a deployed network the flood would stop early on a
+// hit; the message count here is the worst case, as in the paper's FL
+// model (the destination "cannot stop the search", §V-A1). It reuses the
+// caller's search scratch, so repeated queries against one topology
+// allocate nothing.
 func FloodForItemScratch(f *graph.Frozen, p *Placement, src int, item Item, ttl int, s *search.Scratch) (found bool, messages int, err error) {
 	if src < 0 || src >= f.N() {
 		return false, 0, fmt.Errorf("content: source %d out of range", src)

@@ -5,6 +5,7 @@ import (
 
 	"scalefree/internal/gen"
 	"scalefree/internal/graph"
+	"scalefree/internal/search"
 	"scalefree/internal/xrand"
 )
 
@@ -178,12 +179,14 @@ func TestFloodForItemAndSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := FloodForItem(g.Freeze(), p, -1, 0, 3); err == nil {
+	f := g.Freeze()
+	var s search.Scratch
+	if _, _, err := FloodForItemScratch(f, p, -1, 0, 3, &s); err == nil {
 		t.Error("bad source should fail")
 	}
 	// From a host, TTL 0 already finds the item with zero messages.
 	src := int(p.Hosts(0)[0])
-	found, msgs, err := FloodForItem(g.Freeze(), p, src, 0, 0)
+	found, msgs, err := FloodForItemScratch(f, p, src, 0, 0, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +194,7 @@ func TestFloodForItemAndSuccess(t *testing.T) {
 		t.Fatalf("host flood TTL0: found=%v msgs=%d", found, msgs)
 	}
 
-	res, err := FloodSuccess(g.Freeze(), p, c, 200, 4, xrand.New(43))
+	res, err := FloodSuccess(f, p, c, 200, 4, xrand.New(43))
 	if err != nil {
 		t.Fatal(err)
 	}

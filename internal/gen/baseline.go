@@ -14,19 +14,6 @@ import (
 // the diameter-scaling comparisons (Table I context) and serve as non-
 // scale-free controls in the benchmarks.
 
-// MustPath returns a path graph 0-1-...-(n-1); it panics on invalid n and
-// exists for tests and examples that need a deterministic line topology.
-func MustPath(n int) *graph.Graph {
-	if n < 1 {
-		panic("gen: MustPath needs n >= 1")
-	}
-	g := graph.New(n)
-	for i := 0; i+1 < n; i++ {
-		mustEdge(g, i, i+1)
-	}
-	return g
-}
-
 // ER generates an Erdős–Rényi G(n, M) random graph with exactly edges
 // simple edges (no self-loops, no duplicates). edges must fit in a simple
 // graph: edges <= n(n-1)/2.

@@ -34,7 +34,7 @@ func TestBetweennessAttackOnPathCutsMiddle(t *testing.T) {
 	t.Parallel()
 	// On a path, the most-between node is the middle; removing it halves
 	// the giant immediately.
-	g := gen.MustPath(21)
+	g := pathG(t, 21)
 	pts, err := Robustness(g, RemoveHighestBetweenness, 0.04, 0.05, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)

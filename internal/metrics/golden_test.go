@@ -30,9 +30,6 @@ func TestGoldenClustering(t *testing.T) {
 	if c := GlobalClustering(f); math.Abs(c-0.0057032499) > 1e-9 {
 		t.Fatalf("global clustering = %.10f, want 0.0057032499", c)
 	}
-	if c := AvgLocalClustering(f); math.Abs(c-0.0095890699) > 1e-9 {
-		t.Fatalf("avg local clustering = %.10f, want 0.0095890699", c)
-	}
 }
 
 func TestGoldenAssortativity(t *testing.T) {

@@ -41,25 +41,9 @@ func GlobalClustering(f *graph.Frozen) float64 {
 	return float64(triangles) / float64(triples)
 }
 
-// AvgLocalClustering returns the mean of per-node clustering coefficients
-// (Watts–Strogatz definition); nodes with degree < 2 contribute 0.
-func AvgLocalClustering(f *graph.Frozen) float64 {
-	n := f.N()
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	clusteringScan(f, func(u, d, links int) {
-		if d >= 2 {
-			sum += 2 * float64(links) / float64(d*(d-1))
-		}
-	})
-	return sum / float64(n)
-}
-
 // clusteringScan visits every node with its distinct-neighbor count d and
-// the number of edges among those neighbors (links). It is the shared
-// engine of both clustering coefficients, built for the CSR layout:
+// the number of edges among those neighbors (links). It is
+// GlobalClustering's engine, built for the CSR layout:
 //
 //   - u's distinct neighbors are marked in an epoch-stamped array
 //     (O(1) clear per node);
@@ -441,19 +425,4 @@ func highestDegreeAlive(g *graph.Graph, alive []bool) int {
 		}
 	}
 	return best
-}
-
-// CriticalFraction returns the smallest removed fraction at which the
-// giant component drops below `threshold` of the network (e.g. 0.1), or
-// 1 if it never does within the measured range — a scalar robustness
-// summary for comparing topologies.
-func CriticalFraction(pts []RobustnessPoint, threshold float64) float64 {
-	sorted := append([]RobustnessPoint(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RemovedFrac < sorted[j].RemovedFrac })
-	for _, p := range sorted {
-		if p.GiantFrac < threshold {
-			return p.RemovedFrac
-		}
-	}
-	return 1
 }

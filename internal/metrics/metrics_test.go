@@ -63,19 +63,6 @@ func TestGlobalClusteringKite(t *testing.T) {
 	}
 }
 
-func TestAvgLocalClustering(t *testing.T) {
-	t.Parallel()
-	// Kite again: C(0)=1, C(1)=1, C(2)=1/3, C(3)=0 -> mean 7/12.
-	g := triangle(t)
-	g.AddNode()
-	if err := g.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if c := AvgLocalClustering(g.Freeze()); math.Abs(c-7.0/12) > 1e-12 {
-		t.Fatalf("avg local clustering %v, want %v", c, 7.0/12)
-	}
-}
-
 func TestClusteringIgnoresMultiEdges(t *testing.T) {
 	t.Parallel()
 	g := triangle(t)
@@ -253,20 +240,5 @@ func TestHardCutoffBluntsAttacks(t *testing.T) {
 	if capped <= uncapped {
 		t.Fatalf("hard cutoff should improve attack tolerance: kc=10 giant %.2f vs none %.2f",
 			capped/3, uncapped/3)
-	}
-}
-
-func TestCriticalFraction(t *testing.T) {
-	t.Parallel()
-	pts := []RobustnessPoint{
-		{RemovedFrac: 0, GiantFrac: 1},
-		{RemovedFrac: 0.1, GiantFrac: 0.5},
-		{RemovedFrac: 0.2, GiantFrac: 0.05},
-	}
-	if f := CriticalFraction(pts, 0.1); f != 0.2 {
-		t.Fatalf("critical fraction %v, want 0.2", f)
-	}
-	if f := CriticalFraction(pts, 0.01); f != 1 {
-		t.Fatalf("never-crossed fraction %v, want 1", f)
 	}
 }

@@ -11,7 +11,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"scalefree/internal/graph"
 	"scalefree/internal/xrand"
@@ -205,42 +204,4 @@ func PercolationThreshold(pts []PercolationPoint, frac float64) float64 {
 		}
 	}
 	return 1
-}
-
-// DistanceDistribution returns the histogram of pairwise distances from
-// BFS over `sources` random sources (hist[d] = number of sampled pairs at
-// distance d, d >= 1), plus the count of unreachable sampled pairs.
-func DistanceDistribution(f *graph.Frozen, sources int, rng *xrand.RNG) (hist []int64, unreachable int64, err error) {
-	if f.N() == 0 {
-		return nil, 0, fmt.Errorf("metrics: empty graph")
-	}
-	if rng == nil {
-		rng = xrand.New(0)
-	}
-	n := f.N()
-	if sources < 1 {
-		sources = 1
-	}
-	if sources > n {
-		sources = n
-	}
-	srcs := rng.Perm(n)[:sources]
-	sort.Ints(srcs)
-	for _, s := range srcs {
-		dist := f.BFS(s)
-		for v, d := range dist {
-			if v == s {
-				continue
-			}
-			if d < 0 {
-				unreachable++
-				continue
-			}
-			for int(d) >= len(hist) {
-				hist = append(hist, 0)
-			}
-			hist[d]++
-		}
-	}
-	return hist, unreachable, nil
 }

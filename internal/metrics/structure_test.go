@@ -263,42 +263,3 @@ func TestCutoffRaisesPercolationThreshold(t *testing.T) {
 		t.Fatalf("uncapped threshold %v should be <= capped %v", thF, thC)
 	}
 }
-
-func TestDistanceDistribution(t *testing.T) {
-	t.Parallel()
-	g := pathG(t, 5)
-	hist, unreachable, err := DistanceDistribution(g.Freeze(), g.N(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unreachable != 0 {
-		t.Fatalf("path graph has no unreachable pairs: %d", unreachable)
-	}
-	// Path 0-1-2-3-4, all sources: distance 1 pairs = 8 (ordered), 2 -> 6,
-	// 3 -> 4, 4 -> 2.
-	want := []int64{0, 8, 6, 4, 2}
-	if len(hist) != len(want) {
-		t.Fatalf("hist length %d, want %d", len(hist), len(want))
-	}
-	for d, w := range want {
-		if hist[d] != w {
-			t.Fatalf("hist[%d] = %d, want %d", d, hist[d], w)
-		}
-	}
-
-	// Disconnected pair accounting.
-	g2 := graph.New(3)
-	if err := g2.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, unreachable, err = DistanceDistribution(g2.Freeze(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unreachable != 4 {
-		t.Fatalf("unreachable = %d, want 4 (2 per direction for the isolate)", unreachable)
-	}
-	if _, _, err := DistanceDistribution(graph.New(0).Freeze(), 1, nil); err == nil {
-		t.Error("empty graph should fail")
-	}
-}

@@ -266,9 +266,9 @@ func (p *Peer) PruneDead() int {
 	return removed
 }
 
-// pingNeighbors is the heartbeat primitive behind PruneDead and the
-// Maintainer's failure detector: it pings every current neighbor and
-// returns the addresses that did not answer within the reply window.
+// pingNeighbors is the liveness probe behind PruneDead: it pings every
+// current neighbor and returns the addresses that did not answer within
+// the reply window.
 // All probes share one reply channel, so the wait ends the moment the
 // last pong arrives; a closing peer aborts the wait and reports nobody
 // dead (shutdown is not evidence about the neighbors).

@@ -92,11 +92,6 @@ func Claims() []Claim {
 	}
 }
 
-// CheckClaims runs every claim at the given scale.
-func CheckClaims(sc Scale, seed uint64) []ClaimResult {
-	return checkClaimList(Claims(), sc, seed)
-}
-
 // checkClaimList evaluates claims in order, deriving each claim's seed
 // from its position as the verifier always has.
 func checkClaimList(claims []Claim, sc Scale, seed uint64) []ClaimResult {

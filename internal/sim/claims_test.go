@@ -26,7 +26,7 @@ func TestClaimsWellFormed(t *testing.T) {
 // expected outcome is "not reproduced".
 func TestCheckClaims(t *testing.T) {
 	t.Parallel()
-	results := CheckClaims(findScale, 555)
+	results := checkClaimList(Claims(), findScale, 555)
 	for _, r := range results {
 		if r.Err != nil {
 			t.Errorf("%s: experiment error: %v", r.ID, r.Err)

@@ -118,10 +118,8 @@ type Journal struct {
 
 	// index locates each replayable record's frame in the file — memory
 	// does not grow with the journal; rbuf is the buffer replay reads into.
-	index    map[journalKey]recordLoc
-	rbuf     []byte
-	failures []FailureRecord
-	claims   map[journalClaimKey]string
+	index map[journalKey]recordLoc
+	rbuf  []byte
 
 	// Distributed-run bookkeeping (see dist.go): realizations verified
 	// complete by the coordinator, and per-realization slot-record counts.
@@ -133,39 +131,6 @@ type Journal struct {
 type recordLoc struct {
 	off  int64
 	size int // frame bytes, prefix included
-}
-
-// journalClaimKey identifies one journaled record family: every record a
-// helper writes for one series shares its (kind, stream, sub).
-type journalClaimKey struct {
-	kind        uint8
-	stream, sub uint64
-}
-
-// claim registers a record family under a human-readable tag. Within one
-// process every family is claimed exactly once (a resumed run re-claims
-// in a fresh process), so ANY duplicate means two series would overwrite
-// each other's records and silently replay each other's rows on resume —
-// the exact corruption a checkpoint exists to prevent. The guard turns
-// that into a loud error on the very first checkpointed run, not only
-// after a crash: it caught fig9's PA/HAPA m=1 panels (same seed offset,
-// same label format) and Messaging's hits-vs-messages pair (same label,
-// same seed, different metric).
-func (j *Journal) claim(k journalClaimKey, tag string) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.claims == nil {
-		j.claims = make(map[journalClaimKey]string)
-	}
-	if prev, ok := j.claims[k]; ok {
-		return fmt.Errorf("sim: journal key collision: series %q and %q both checkpoint under (kind=%d, stream=%#x, sub=%#x); give one a distinct tag or seed",
-			prev, tag, k.kind, k.stream, k.sub)
-	}
-	j.claims[k] = tag
-	return nil
 }
 
 // OpenJournal opens <path> for experiment `spec` at the given seed and
@@ -232,7 +197,7 @@ func loadJournal(path string, f *os.File, wantHdr []byte) (*Journal, error) {
 	if err := f.Truncate(sc.good); err != nil {
 		return nil, fmt.Errorf("sim: truncate torn journal %s: %w", path, err)
 	}
-	j.end, j.failures, j.done = sc.good, sc.failures, sc.done
+	j.end, j.done = sc.good, sc.done
 	return j, nil
 }
 
@@ -497,16 +462,6 @@ func (j *Journal) Resumed() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.index)
-}
-
-// ResumedFailures returns the failure records recovered on resume. The
-// realizations they name are re-attempted (a failure record does not mark
-// a realization complete); the records exist for accounting.
-func (j *Journal) ResumedFailures() []FailureRecord {
-	if j == nil {
-		return nil
-	}
-	return append([]FailureRecord(nil), j.failures...)
 }
 
 // encodeJournalHeader pins everything that determines the figures:

@@ -103,9 +103,12 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !ok || !reflect.DeepEqual(gotHist, hist) {
 		t.Fatalf("decodeHistogram = %v (ok=%v), want %v", gotHist, ok, hist)
 	}
-	frs := j2.ResumedFailures()
-	if len(frs) != 1 || frs[0] != fr {
-		t.Fatalf("ResumedFailures() = %+v, want [%+v]", frs, fr)
+	info, err := InspectJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frs := info.Failures; len(frs) != 1 || frs[0] != fr {
+		t.Fatalf("InspectJournal(%s).Failures = %+v, want [%+v]", path, frs, fr)
 	}
 }
 
@@ -431,5 +434,17 @@ func TestJournalKeyCollisionRejected(t *testing.T) {
 	}
 	if _, err := searchSeries("m=1, kc=10", hapaTopo(400, 2, gen.NoCutoff), cfg.withTag("figXc"), seed); err != nil {
 		t.Fatalf("tagged series collided: %v", err)
+	}
+
+	// A worker streaming records to a sink runs the same guard: colliding
+	// series would be indistinguishable on the coordinator too.
+	cfg.sc.Run = NewWorkerRunControl(context.Background(), 0, 0, func(SlotRecord) {})
+	if _, err := searchSeries("m=1, kc=10", pa, cfg, seed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := searchSeries("m=1, kc=10", hapaTopo(400, 2, gen.NoCutoff), cfg, seed); err == nil {
+		t.Fatal("colliding keys were not rejected in worker-sink mode")
+	} else if !strings.Contains(err.Error(), "collision") {
+		t.Fatalf("worker-sink error %q does not name the collision", err)
 	}
 }

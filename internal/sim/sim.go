@@ -178,8 +178,8 @@ type Figure struct {
 	Notes string
 }
 
-// Series is a labeled curve of a figure. It mirrors stats.Series but lives
-// here so rendering code needs only this package.
+// Series is a labeled curve of a figure, e.g. one line of a paper figure
+// ("m=2, kc=40" in Fig 6a).
 type Series struct {
 	Label  string
 	Points []Point

@@ -109,10 +109,10 @@ type RunControl struct {
 	progress  atomic.Int64
 	recovered atomic.Int64
 
-	mu         sync.Mutex
-	failures   []FailureRecord
-	abort      error
-	sinkClaims map[journalClaimKey]string
+	mu       sync.Mutex
+	failures []FailureRecord
+	abort    error
+	claims   map[journalClaimKey]string
 }
 
 // NewRunControl builds a supervisor: ctx stops the run at realization
@@ -218,7 +218,7 @@ func (rc *RunControl) Recovered() int64 {
 }
 
 // Failures returns a copy of the permanent failure records accumulated so
-// far (this run only; resumed failure records live on the Journal).
+// far (this run only; InspectJournal reads the ones a journal holds).
 func (rc *RunControl) Failures() []FailureRecord {
 	if rc == nil {
 		return nil
@@ -273,29 +273,39 @@ func (rc *RunControl) journaling() bool {
 	return rc != nil && (rc.journal != nil || rc.sink != nil)
 }
 
+// journalClaimKey identifies one journaled record family: every record a
+// helper writes for one series shares its (kind, stream, sub).
+type journalClaimKey struct {
+	kind        uint8
+	stream, sub uint64
+}
+
 // journalClaim registers a (kind, stream, sub) record family under its
-// human-readable tag, failing loudly on a collision with a different
-// series (see Journal.claim). No-op when not journaling. Sink mode keeps
-// the guard — a collision would make two series' records
-// indistinguishable on the coordinator too — via a RunControl-local map.
+// human-readable tag; no-op when not journaling. Within one run every
+// family is claimed exactly once (a resumed run re-claims in a fresh
+// process), so ANY duplicate means two series would overwrite each other's
+// records and silently replay each other's rows on resume — the exact
+// corruption a checkpoint exists to prevent. The guard turns that into a
+// loud error on the very first checkpointed run, not only after a crash:
+// it caught fig9's PA/HAPA m=1 panels (same seed offset, same label
+// format) and Messaging's hits-vs-messages pair (same label, same seed,
+// different metric). Sink mode keeps the guard too: a collision would make
+// two series' records indistinguishable on the coordinator.
 func (rc *RunControl) journalClaim(kind uint8, stream, sub uint64, tag string) error {
 	if !rc.journaling() {
 		return nil
 	}
-	if rc.journal != nil {
-		return rc.journal.claim(journalClaimKey{kind: kind, stream: stream, sub: sub}, tag)
-	}
 	k := journalClaimKey{kind: kind, stream: stream, sub: sub}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rc.sinkClaims == nil {
-		rc.sinkClaims = make(map[journalClaimKey]string)
+	if rc.claims == nil {
+		rc.claims = make(map[journalClaimKey]string)
 	}
-	if prev, ok := rc.sinkClaims[k]; ok {
+	if prev, ok := rc.claims[k]; ok {
 		return fmt.Errorf("sim: journal key collision: series %q and %q both checkpoint under (kind=%d, stream=%#x, sub=%#x); give one a distinct tag or seed",
 			prev, tag, k.kind, k.stream, k.sub)
 	}
-	rc.sinkClaims[k] = tag
+	rc.claims[k] = tag
 	return nil
 }
 

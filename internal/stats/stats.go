@@ -324,52 +324,3 @@ func StdDev(xs []float64) float64 {
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
-
-// Summary holds the aggregate of repeated measurements of one quantity.
-type Summary struct {
-	Mean float64
-	Std  float64
-	N    int
-}
-
-// Summarize aggregates xs into a Summary.
-func Summarize(xs []float64) Summary {
-	return Summary{Mean: Mean(xs), Std: StdDev(xs), N: len(xs)}
-}
-
-// SeriesPoint is one (x, y±err) point of a figure series.
-type SeriesPoint struct {
-	X   float64 `json:"x"`
-	Y   float64 `json:"y"`
-	Err float64 `json:"err,omitempty"`
-}
-
-// Series is a named curve, e.g. one line of a paper figure
-// ("m=2, kc=40" in Fig 6a).
-type Series struct {
-	Label  string        `json:"label"`
-	Points []SeriesPoint `json:"points"`
-}
-
-// AggregateSeries builds a Series from repeated realizations: ys[r][i] is
-// the i-th y value of realization r; xs[i] the shared x axis. Mean and
-// standard deviation across realizations become the point and error bar.
-func AggregateSeries(label string, xs []float64, ys [][]float64) (Series, error) {
-	s := Series{Label: label}
-	for _, row := range ys {
-		if len(row) != len(xs) {
-			return s, fmt.Errorf("stats: realization has %d points, x-axis has %d", len(row), len(xs))
-		}
-	}
-	if len(ys) == 0 {
-		return s, ErrInsufficientData
-	}
-	col := make([]float64, len(ys))
-	for i, x := range xs {
-		for r := range ys {
-			col[r] = ys[r][i]
-		}
-		s.Points = append(s.Points, SeriesPoint{X: x, Y: Mean(col), Err: StdDev(col)})
-	}
-	return s, nil
-}

@@ -291,43 +291,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	t.Parallel()
-	s := Summarize([]float64{1, 2, 3})
-	if s.Mean != 2 || s.N != 3 || math.Abs(s.Std-1) > 1e-12 {
-		t.Fatalf("summary %+v", s)
-	}
-}
-
-func TestAggregateSeries(t *testing.T) {
-	t.Parallel()
-	xs := []float64{1, 2, 3}
-	ys := [][]float64{{10, 20, 30}, {12, 22, 32}}
-	s, err := AggregateSeries("test", xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Points) != 3 {
-		t.Fatalf("points %v", s.Points)
-	}
-	if s.Points[0].Y != 11 || s.Points[2].Y != 31 {
-		t.Fatalf("means wrong: %+v", s.Points)
-	}
-	if math.Abs(s.Points[0].Err-math.Sqrt2) > 1e-9 {
-		t.Fatalf("err = %v", s.Points[0].Err)
-	}
-}
-
-func TestAggregateSeriesMismatch(t *testing.T) {
-	t.Parallel()
-	if _, err := AggregateSeries("x", []float64{1, 2}, [][]float64{{1}}); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-	if _, err := AggregateSeries("x", []float64{1}, nil); !errors.Is(err, ErrInsufficientData) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func BenchmarkFitPowerLawLS(b *testing.B) {
 	d := NewDegreeDist(synthPowerLaw(2.5, 1000, 10_000_000))
 	b.ResetTimer()

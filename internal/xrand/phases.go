@@ -56,16 +56,6 @@ func (p Phases) Chunk(name string, chunk int) *RNG {
 	return NewStream(p.Seed, p.Realization, phaseTag, PhaseKey(name), uint64(chunk))
 }
 
-// ChunkU01 returns the first uniform [0, 1) value of the named chunk
-// stream — bit-identical to Chunk(name, chunk).Float64() — without
-// materializing an RNG. It exists for per-key derived quantities drawn
-// once per key on a hot path, where allocating a heap RNG per derivation
-// would dominate the allocation profile. A loop drawing many chunks of
-// one phase should hoist ChunkRoot(name) out of it.
-func (p Phases) ChunkU01(name string, chunk int) float64 {
-	return p.ChunkRoot(name).U01(chunk)
-}
-
 // ChunkRoot is the part of a chunk stream's derivation that does not
 // depend on the chunk: (seed, realization, phaseTag, PhaseKey(name))
 // folded once, so each U01 costs one fold and one state word instead of

@@ -58,30 +58,6 @@ func TestPhaseKeyStability(t *testing.T) {
 	}
 }
 
-// TestChunkU01MatchesChunk pins the allocation-free derivation against the
-// RNG-materializing one: ChunkU01 must equal Chunk(...).Float64() bit for
-// bit (the DES latency model depends on this equivalence) and must not
-// allocate.
-func TestChunkU01MatchesChunk(t *testing.T) {
-	p := Phases{Seed: 11, Realization: 4}
-	for _, tc := range []struct {
-		name  string
-		chunk int
-	}{
-		{"des.latency", 0}, {"des.latency", 1}, {"des.latency", 1 << 40}, {"other", 9},
-	} {
-		want := p.Chunk(tc.name, tc.chunk).Float64()
-		if got := p.ChunkU01(tc.name, tc.chunk); got != want {
-			t.Fatalf("ChunkU01(%q, %d) = %v, want %v", tc.name, tc.chunk, got, want)
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		_ = p.ChunkU01("des.latency", 123)
-	}); allocs > 0 {
-		t.Fatalf("ChunkU01 allocates %v/op", allocs)
-	}
-}
-
 // requireChunkRootU01 checks the hoisted derivation against the
 // RNG-materializing one for a single (seed, realization, name, chunk).
 func requireChunkRootU01(t *testing.T, seed, realization uint64, name string, chunk int) {
@@ -96,7 +72,8 @@ func requireChunkRootU01(t *testing.T, seed, realization uint64, name string, ch
 
 // TestChunkRootU01MatchesChunk pins ChunkRoot.U01 — one fold and one
 // splitmix word per draw — to the full NewStream → New → Float64 chain,
-// including one root reused across many chunks (how the DES uses it).
+// including one root reused across many chunks (how the DES uses it), and
+// requires the derivation not to allocate.
 func TestChunkRootU01MatchesChunk(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []uint64{0, 1, 2007, 1<<64 - 1} {
@@ -114,6 +91,9 @@ func TestChunkRootU01MatchesChunk(t *testing.T) {
 		if got, want := root.U01(chunk), p.Chunk("des.latency", chunk).Float64(); got != want {
 			t.Fatalf("reused root, chunk %d: %v, want %v", chunk, got, want)
 		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = p.ChunkRoot("des.latency").U01(123) }); allocs > 0 {
+		t.Fatalf("ChunkRoot(...).U01 allocates %v/op", allocs)
 	}
 }
 

@@ -39,17 +39,19 @@ func frozenDigest(f *graph.Frozen) uint64 {
 // counters are the RNG-consumption witnesses: one extra or missing draw
 // shifts Attempts or Hops long before it shows in a figure CSV. The cm and
 // grn rows pin the direct-to-CSR builds, which draw no counters, by
-// digest alone.
+// digest alone. The hapa rows cover m = 1, 2 and 3, and hapa-saturated
+// exhausts the hop budget on every late joiner, so it pins the restart
+// draws, the exact-fallback placements and the unfilled stubs.
 func TestGrowthDigests(t *testing.T) {
 	t.Parallel()
 	b := NewBuild(phasesFor(41, 2), 2)
 
 	type result struct {
-		Digest                                    uint64
-		Attempts, Hops, HorizonQueries, Fallbacks int
+		Digest                                                   uint64
+		Attempts, Hops, HorizonQueries, Fallbacks, UnfilledStubs int
 	}
 	res := func(g *graph.Graph, st Stats) result {
-		return result{frozenDigest(g.Freeze()), st.Attempts, st.Hops, st.HorizonQueries, st.Fallbacks}
+		return result{frozenDigest(g.Freeze()), st.Attempts, st.Hops, st.HorizonQueries, st.Fallbacks, st.UnfilledStubs}
 	}
 	got := map[string]result{}
 
@@ -72,6 +74,9 @@ func TestGrowthDigests(t *testing.T) {
 	}{
 		{"hapa-kc10", HAPAConfig{N: 2000, M: 2, KC: 10}},
 		{"hapa-nokc", HAPAConfig{N: 2000, M: 2}},
+		{"hapa-m1-kc10", HAPAConfig{N: 2000, M: 1, KC: 10}},
+		{"hapa-m3-kc50", HAPAConfig{N: 2000, M: 3, KC: 50}},
+		{"hapa-saturated", HAPAConfig{N: 60, M: 2, KC: 3}},
 	} {
 		g, st, err := HAPABuild(c.cfg, b)
 		if err != nil {
@@ -108,15 +113,18 @@ func TestGrowthDigests(t *testing.T) {
 	got["ws"] = res(g, Stats{})
 
 	want := map[string]result{
-		"cm/phased":         {0x302a5a69140790e9, 0, 0, 0, 0},
-		"grn/phased":        {0xbcc93dcce7d56638, 0, 0, 0, 0},
-		"dapa-tau10/phased": {0xeae17c608aaee062, 225559, 0, 1256, 0},
-		"dapa-tau2/phased":  {0xaadac3636adb8e29, 21102, 0, 4563, 0},
-		"hapa-kc10/phased":  {0x4669ffa4b628b5ab, 7631618, 7629621, 0, 0},
-		"hapa-nokc/phased":  {0xe1d5be985c831698, 52733, 50736, 0, 0},
-		"pa-literal/phased": {0xac00db2e71220c51, 242819, 0, 0, 0},
-		"pa/phased":         {0x8d139561f514a1d2, 8106, 0, 0, 0},
-		"ws":                {0xb8268007638fb7c8, 0, 0, 0, 0},
+		"cm/phased":             {0x302a5a69140790e9, 0, 0, 0, 0, 0},
+		"grn/phased":            {0xbcc93dcce7d56638, 0, 0, 0, 0, 0},
+		"dapa-tau10/phased":     {0xeae17c608aaee062, 225559, 0, 1256, 0, 0},
+		"dapa-tau2/phased":      {0xaadac3636adb8e29, 21102, 0, 4563, 0, 0},
+		"hapa-kc10/phased":      {0x4669ffa4b628b5ab, 7631618, 7629621, 0, 0, 0},
+		"hapa-nokc/phased":      {0xe1d5be985c831698, 52733, 50736, 0, 0, 0},
+		"hapa-m1-kc10/phased":   {0xc620a5f11f6f42c3, 2609964, 2607966, 0, 0, 0},
+		"hapa-m3-kc50/phased":   {0x62d8b34558aeded2, 6428942, 6426946, 0, 0, 0},
+		"hapa-saturated/phased": {0xa3ec5499d8851643, 13665941, 13665884, 0, 1, 28},
+		"pa-literal/phased":     {0xac00db2e71220c51, 242819, 0, 0, 0, 0},
+		"pa/phased":             {0x8d139561f514a1d2, 8106, 0, 0, 0, 0},
+		"ws":                    {0xb8268007638fb7c8, 0, 0, 0, 0, 0},
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d cases built, %d pinned", len(got), len(want))
@@ -128,7 +136,7 @@ func TestGrowthDigests(t *testing.T) {
 	}
 	if t.Failed() {
 		for name, g := range got {
-			t.Logf("%q: {%#x, %d, %d, %d, %d},", name, g.Digest, g.Attempts, g.Hops, g.HorizonQueries, g.Fallbacks)
+			t.Logf("%q: {%#x, %d, %d, %d, %d, %d},", name, g.Digest, g.Attempts, g.Hops, g.HorizonQueries, g.Fallbacks, g.UnfilledStubs)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"testing"
 
 	"scalefree/internal/graph"
@@ -118,6 +119,41 @@ func BenchmarkGRNBuildCSRArena(b *testing.B) {
 	reportSnapshotBytes(b, sinkFrozen, 16*benchGRNNodes)
 }
 
-// sinkFrozen keeps the built snapshots observable so the compiler cannot
-// elide a build.
-var sinkFrozen *graph.Frozen
+// BenchmarkHAPABuild times HAPA's hop walk at the grow-hapa workload's
+// shape (fig9 at N=850) for each m and cutoff the registry grows it with.
+// Almost every attempt is rejected, so the cost is per hop: hops/op is the
+// walk length of one build and ns/hop the loop's cost per stop.
+func BenchmarkHAPABuild(b *testing.B) {
+	for _, m := range []int{1, 2, 3} {
+		for _, kc := range []int{10, 50, NoCutoff} {
+			name := fmt.Sprintf("m=%d/kc=%d", m, kc)
+			if kc == NoCutoff {
+				name = fmt.Sprintf("m=%d/kc=none", m)
+			}
+			b.Run(name, func(b *testing.B) {
+				cfg := HAPAConfig{N: 850, M: m, KC: kc}
+				b.ReportAllocs()
+				hops := 0
+				for i := 0; i < b.N; i++ {
+					g, st, err := HAPABuild(cfg, NewBuild(phasesFor(3, uint64(i)), 1))
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkGraph = g
+					hops += st.Hops
+				}
+				b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
+				if hops > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+				}
+			})
+		}
+	}
+}
+
+// sinkFrozen and sinkGraph keep the built topologies observable so the
+// compiler cannot elide a build.
+var (
+	sinkFrozen *graph.Frozen
+	sinkGraph  *graph.Graph
+)

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"slices"
+
 	"scalefree/internal/graph"
 	"scalefree/internal/xrand"
 )
@@ -60,55 +62,73 @@ func HAPA(cfg HAPAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
 		return nil, st, err
 	}
 
-	kTotal := g.TotalDegree()
+	// One stop of the walk costs one attempt and one hop, and almost every
+	// attempt is rejected, so the loop keeps each stop to what the draw
+	// order needs: row is pos's adjacency row, fetched once per stop (its
+	// length is the degree the attempt tests, and the next hop draws from
+	// it), and mine is i's own row, at most M entries long, which answers
+	// "is i already linked to pos?". Both are refetched after every link
+	// i makes, because the append may move them.
+	kc, kTotal := cfg.KC, g.TotalDegree()
+	attempts, hops := 0, 0
 	for i := cfg.M + 1; i < cfg.N; i++ {
-		filled := 0
+		var mine []int32
+		filled, walk, restarts := 0, 0, 0
 		// First attempt from a uniform random node (Appendix C lines 3-7).
 		pos := rng.Intn(i)
-		if hapaAttempt(g, i, pos, cfg.KC, kTotal, rng, &st) {
-			filled++
-			kTotal += 2
-		}
-		restarts := 0
-		hops := 0
-		for filled < cfg.M {
-			if hops >= hapaHopBudget {
-				hops = 0
-				restarts++
-				if restarts > hapaRestartBudget {
-					if cand := paFallback(g, i, cfg.KC, rng); cand >= 0 {
+		row := g.Neighbors(pos)
+	join:
+		for {
+			// One preferential attempt at pos (lines 4 and 11): reject if
+			// pos is at the cutoff or already linked to i, else accept
+			// with probability k_pos/k_total. pos < i always holds.
+			attempts++
+			if (kc == NoCutoff || len(row) < kc) && !slices.Contains(mine, int32(pos)) &&
+				rng.Float64() < float64(len(row))/float64(kTotal) {
+				mustEdge(g, i, pos)
+				kTotal += 2
+				filled++
+				row, mine = g.Neighbors(pos), g.Neighbors(i)
+			}
+			for filled < cfg.M {
+				if walk >= hapaHopBudget {
+					walk = 0
+					restarts++
+					if restarts > hapaRestartBudget {
+						cand := paFallback(g, i, kc, rng)
+						if cand < 0 {
+							st.UnfilledStubs += cfg.M - filled
+							break join
+						}
 						st.Fallbacks++
 						mustEdge(g, i, cand)
 						kTotal += 2
 						filled++
+						row, mine = g.Neighbors(pos), g.Neighbors(i)
 						continue
 					}
-					st.UnfilledStubs += cfg.M - filled
-					break
+					pos = rng.Intn(i)
+					row = g.Neighbors(pos)
 				}
-				pos = rng.Intn(i)
-			}
-			// Hop along an existing link (Appendix C line 10): a uniform
-			// draw over pos's row, on the concrete RNG.
-			next := -1
-			if nbrs := g.Neighbors(pos); len(nbrs) > 0 {
-				next = int(nbrs[rng.Intn(len(nbrs))])
-			}
-			if next < 0 || next >= i {
+				// Hop along an existing link (line 10): a uniform draw
+				// over pos's row.
+				if len(row) > 0 {
+					if next := int(row[rng.Intn(len(row))]); next < i {
+						pos, row = next, g.Neighbors(next)
+						walk++
+						hops++
+						continue join
+					}
+				}
 				// pos is isolated (an unfilled earlier join) or the hop
 				// landed on the joining node itself — restart.
 				pos = rng.Intn(i)
-				continue
+				row = g.Neighbors(pos)
 			}
-			pos = next
-			hops++
-			st.Hops++
-			if hapaAttempt(g, i, pos, cfg.KC, kTotal, rng, &st) {
-				filled++
-				kTotal += 2
-			}
+			break
 		}
 	}
+	st.Attempts, st.Hops = attempts, hops
 	return g, st, nil
 }
 
@@ -117,20 +137,4 @@ func HAPA(cfg HAPAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
 // on the output.
 func HAPABuild(cfg HAPAConfig, b Build) (*graph.Graph, Stats, error) {
 	return HAPA(cfg, b.Phases.Stream("hapa.grow"))
-}
-
-// hapaAttempt performs one preferential connection attempt of node i at
-// walk position pos (Appendix C lines 4 and 11): reject if already
-// adjacent, self, or at the cutoff; otherwise accept with probability
-// k_pos/k_total.
-func hapaAttempt(g *graph.Graph, i, pos, kc, kTotal int, rng *xrand.RNG, st *Stats) bool {
-	st.Attempts++
-	if pos == i || g.HasEdge(i, pos) || !cutoffOK(g, pos, kc) {
-		return false
-	}
-	if rng.Float64() >= float64(g.Degree(pos))/float64(kTotal) {
-		return false
-	}
-	mustEdge(g, i, pos)
-	return true
 }

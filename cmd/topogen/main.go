@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -26,39 +27,48 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "topogen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, generates the topology and writes it to -o (default
+// out), printing the structural summary to stderr. Every flag is checked
+// before -o is created, so a bad invocation leaves an existing file alone.
+func run(args []string, out io.Writer) (err error) {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
 	var (
-		model  = flag.String("model", "pa", "topology model: pa|cm|hapa|dapa|grn|mesh|er|ws")
-		n      = flag.Int("n", 10000, "number of nodes (overlay size for dapa)")
-		m      = flag.Int("m", 2, "stubs per joining node / minimum degree")
-		kc     = flag.Int("kc", 0, "hard degree cutoff (0 = none)")
-		gamma  = flag.Float64("gamma", 2.5, "degree exponent (cm)")
-		tau    = flag.Int("tau", 6, "local TTL tau_sub (dapa)")
-		nsub   = flag.Int("nsub", 0, "substrate size (dapa; default 2n)")
-		kbar   = flag.Float64("kbar", 10, "mean degree (grn substrate)")
-		beta   = flag.Float64("beta", 0.1, "rewiring probability (ws)")
-		seed   = flag.Uint64("seed", 1, "RNG seed")
-		out    = flag.String("o", "", "output edge-list file (default stdout)")
-		format = flag.String("format", "edges", "output format: edges|dot (dot renders with graphviz)")
+		model   = fs.String("model", "pa", "topology model: pa|cm|hapa|dapa|grn|mesh|er|ws")
+		n       = fs.Int("n", 10000, "number of nodes (overlay size for dapa)")
+		m       = fs.Int("m", 2, "stubs per joining node / minimum degree")
+		kc      = fs.Int("kc", 0, "hard degree cutoff (0 = none)")
+		gamma   = fs.Float64("gamma", 2.5, "degree exponent (cm)")
+		tau     = fs.Int("tau", 6, "local TTL tau_sub (dapa)")
+		nsub    = fs.Int("nsub", 0, "substrate size (dapa; default 2n)")
+		kbar    = fs.Float64("kbar", 10, "mean degree (grn substrate)")
+		beta    = fs.Float64("beta", 0.1, "rewiring probability (ws)")
+		seed    = fs.Uint64("seed", 1, "RNG seed")
+		outPath = fs.String("o", "", "output edge-list file (default stdout)")
+		format  = fs.String("format", "edges", "output format: edges|dot (dot renders with graphviz)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *format != "edges" && *format != "dot" {
+		return fmt.Errorf("unknown format %q (want edges or dot)", *format)
+	}
 
 	g, err := generate(*model, *n, *m, *kc, *gamma, *tau, *nsub, *kbar, *beta, *seed)
 	if err != nil {
 		return err
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *out, err)
+	w := out
+	if *outPath != "" {
+		f, cerr := os.Create(*outPath)
+		if cerr != nil {
+			return fmt.Errorf("create %s: %w", *outPath, cerr)
 		}
 		defer func() {
 			if cerr := f.Close(); cerr != nil && err == nil {
@@ -67,17 +77,13 @@ func run() error {
 		}()
 		w = f
 	}
-	switch *format {
-	case "edges":
-		if err := g.WriteEdgeList(w); err != nil {
-			return err
-		}
-	case "dot":
-		if err := g.WriteDOT(w, *model); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown format %q (want edges or dot)", *format)
+	if *format == "dot" {
+		err = g.WriteDOT(w, *model)
+	} else {
+		err = g.WriteEdgeList(w)
+	}
+	if err != nil {
+		return err
 	}
 	printSummary(os.Stderr, g)
 	return nil

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -76,5 +78,46 @@ func TestDOTFormat(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "graph \"pa\" {") {
 		t.Errorf("DOT header missing:\n%.200s", buf.String())
+	}
+}
+
+// TestRunBadFormatKeepsOutput pins that a bad -format is refused before
+// -o is created: an existing file keeps its bytes.
+func TestRunBadFormatKeepsOutput(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "g.edges")
+	const keep = "0 1\n"
+	if err := os.WriteFile(path, []byte(keep), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-model", "pa", "-n", "50", "-format", "bogus", "-o", path}, &buf); err == nil {
+		t.Fatal("-format bogus should fail")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != keep {
+		t.Fatalf("-o file is now %q, want %q", got, keep)
+	}
+}
+
+func TestRunWritesEdgeList(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "g.edges")
+	var stdout bytes.Buffer
+	if err := run([]string{"-model", "pa", "-n", "50", "-o", path}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-model", "pa", "-n", "50"}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || !bytes.Equal(got, stdout.Bytes()) {
+		t.Fatalf("-o wrote %d bytes, stdout %d; want the same non-empty edge list", len(got), stdout.Len())
 	}
 }

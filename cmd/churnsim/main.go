@@ -53,6 +53,9 @@ func run(args []string, out io.Writer) error {
 	if *events < 1 {
 		return fmt.Errorf("events %d must be >= 1", *events)
 	}
+	if *probes < 1 {
+		return fmt.Errorf("probes %d must be >= 1", *probes)
+	}
 
 	var join scalefree.ChurnJoinRule
 	switch *joinStr {

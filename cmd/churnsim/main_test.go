@@ -47,18 +47,26 @@ func TestRunWritesCSV(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	t.Parallel()
 	var buf strings.Builder
-	cases := [][]string{
-		{"-pjoin", "1.5"},
-		{"-pjoin", "NaN"},
-		{"-events", "0"},
-		{"-join", "teleport"},
-		{"-repair", "duct-tape"},
-		{"-no-such-flag"},
-		{"-n", "2", "-m", "2"}, // too small for the seed clique
+	// Each case is refused before any work, with an error naming what
+	// was wrong.
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-pjoin", "1.5"}, "pjoin"},
+		{[]string{"-pjoin", "NaN"}, "pjoin"},
+		{[]string{"-events", "0"}, "events"},
+		{[]string{"-probes", "0"}, "probes"},  // was an integer divide by zero
+		{[]string{"-probes", "-3"}, "probes"}, // was a negative probe interval
+		{[]string{"-join", "teleport"}, "join"},
+		{[]string{"-repair", "duct-tape"}, "repair"},
+		{[]string{"-no-such-flag"}, "no-such-flag"},
+		{[]string{"-n", "2", "-m", "2"}, "InitialN"}, // too small for the seed clique
 	}
-	for _, args := range cases {
-		if err := run(args, &buf); err == nil {
-			t.Errorf("args %v should fail", args)
+	for _, c := range cases {
+		err := run(c.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: got error %v, want one naming %q", c.args, err, c.want)
 		}
 	}
 }

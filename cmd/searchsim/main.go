@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -20,25 +21,44 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "searchsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and prints the per-TTL table to out. Every flag is
+// checked before the topology is loaded or any search runs.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("searchsim", flag.ContinueOnError)
 	var (
-		in      = flag.String("in", "", "edge-list file (empty: generate PA inline)")
-		n       = flag.Int("n", 10000, "nodes for inline PA generation")
-		m       = flag.Int("m", 2, "stubs for inline PA generation")
-		kc      = flag.Int("kc", 0, "hard cutoff for inline PA generation")
-		alg     = flag.String("alg", "all", "algorithm: fl|nf|rw|all")
-		kmin    = flag.Int("kmin", 0, "NF fan-out (default m)")
-		ttl     = flag.Int("ttl", 10, "maximum TTL")
-		sources = flag.Int("sources", 100, "random sources averaged")
-		seed    = flag.Uint64("seed", 1, "RNG seed")
+		in      = fs.String("in", "", "edge-list file (empty: generate PA inline)")
+		n       = fs.Int("n", 10000, "nodes for inline PA generation")
+		m       = fs.Int("m", 2, "stubs for inline PA generation")
+		kc      = fs.Int("kc", 0, "hard cutoff for inline PA generation")
+		alg     = fs.String("alg", "all", "algorithm: fl|nf|rw|all")
+		kmin    = fs.Int("kmin", 0, "NF fan-out (default m)")
+		ttl     = fs.Int("ttl", 10, "maximum TTL")
+		sources = fs.Int("sources", 100, "random sources averaged")
+		seed    = fs.Uint64("seed", 1, "RNG seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	algs := []string{"fl", "nf", "rw"}
+	switch *alg {
+	case "all":
+	case "fl", "nf", "rw":
+		algs = []string{*alg}
+	default:
+		return fmt.Errorf("unknown algorithm %q (want fl, nf, rw or all)", *alg)
+	}
+	if *ttl < 1 {
+		return fmt.Errorf("ttl %d must be >= 1", *ttl)
+	}
+	if *sources < 1 {
+		return fmt.Errorf("sources %d must be >= 1", *sources)
+	}
 	if *kmin <= 0 {
 		*kmin = *m
 	}
@@ -47,12 +67,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if g.N() == 0 {
+		return fmt.Errorf("in %s: the edge list has no nodes", *in)
+	}
 	rng := scalefree.NewRNG(*seed + 1)
 
-	algs := []string{"fl", "nf", "rw"}
-	if *alg != "all" {
-		algs = []string{*alg}
-	}
 	// The whole workload sweeps one static topology: freeze it once and
 	// run every search allocation-free on the CSR snapshot.
 	f := scalefree.Freeze(g)
@@ -74,8 +93,6 @@ func run() error {
 				res, err = scratch.NormalizedFlood(f, src, *ttl, *kmin, rng)
 			case "rw":
 				res, _, err = scratch.RandomWalkWithNFBudget(f, src, *ttl, *kmin, rng)
-			default:
-				return fmt.Errorf("unknown algorithm %q", a)
 			}
 			if err != nil {
 				return err
@@ -92,9 +109,9 @@ func run() error {
 		results[a] = row{hits, msgs}
 	}
 
-	fmt.Printf("topology: nodes=%d edges=%d maxdeg=%d; %d sources, kmin=%d\n",
+	fmt.Fprintf(out, "topology: nodes=%d edges=%d maxdeg=%d; %d sources, kmin=%d\n",
 		g.N(), g.M(), g.MaxDegree(), *sources, *kmin)
-	tw := tabwriter.NewWriter(os.Stdout, 4, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(out, 4, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "tau")
 	for _, a := range algs {
 		fmt.Fprintf(tw, "\t%s hits\t%s msgs", a, a)

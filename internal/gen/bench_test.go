@@ -120,9 +120,10 @@ func BenchmarkGRNBuildCSRArena(b *testing.B) {
 }
 
 // BenchmarkHAPABuild times HAPA's hop walk at the grow-hapa workload's
-// shape (fig9 at N=850) for each m and cutoff the registry grows it with.
-// Almost every attempt is rejected, so the cost is per hop: hops/op is the
-// walk length of one build and ns/hop the loop's cost per stop.
+// size (N=850) for fig9's m = 1, 2 and 3, under a tight cutoff, a loose
+// one and none. Almost every attempt is rejected, so the cost is per hop:
+// hops/op is the walk length of one build and ns/hop the loop's cost per
+// stop.
 func BenchmarkHAPABuild(b *testing.B) {
 	for _, m := range []int{1, 2, 3} {
 		for _, kc := range []int{10, 50, NoCutoff} {

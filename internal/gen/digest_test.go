@@ -35,13 +35,16 @@ func frozenDigest(f *graph.Frozen) uint64 {
 
 // TestGrowthDigests pins every generator that grows on the mutable Graph
 // to the adjacency bytes and rejection-loop counters it produced before
-// the edge-multiplicity map was removed (captured at commit 2b90b12). The
+// the edge-multiplicity map was removed (captured at commit 2b90b12; the
+// m = 1, m = 3 and saturated HAPA rows and the UnfilledStubs column at
+// 25a7b93, before HAPA's attempt was inlined into its hop loop). The
 // counters are the RNG-consumption witnesses: one extra or missing draw
 // shifts Attempts or Hops long before it shows in a figure CSV. The cm and
 // grn rows pin the direct-to-CSR builds, which draw no counters, by
-// digest alone. The hapa rows cover m = 1, 2 and 3, and hapa-saturated
-// exhausts the hop budget on every late joiner, so it pins the restart
-// draws, the exact-fallback placements and the unfilled stubs.
+// digest alone. The hapa rows cover m = 1, 2 and 3; hapa-saturated
+// fills every node to its cutoff of 3, so its late joiners exhaust the
+// hop budget and the row pins the restart draws, the exact-fallback
+// placements and the unfilled stubs.
 func TestGrowthDigests(t *testing.T) {
 	t.Parallel()
 	b := NewBuild(phasesFor(41, 2), 2)

@@ -172,60 +172,3 @@ func TestCSRArenaReuseIsInvisible(t *testing.T) {
 		expectIdentical(t, "arena-round", fresh, pooled)
 	}
 }
-
-// TestFrozenTraverseMatchesGraph pins the CSR-side component/path
-// machinery against the Graph originals on a multigraph with several
-// components, self-loops, and parallel edges.
-func TestFrozenTraverseMatchesGraph(t *testing.T) {
-	t.Parallel()
-	stream := randomEdgeStream(42, 120, 150) // sparse: leaves isolated nodes
-	g := graphFromStream(t, 120, stream)
-	f := g.Freeze()
-	if !reflect.DeepEqual(g.ConnectedComponents(), f.ConnectedComponents()) {
-		t.Fatal("ConnectedComponents diverged")
-	}
-	if !reflect.DeepEqual(g.GiantComponent(), f.GiantComponent()) {
-		t.Fatal("GiantComponent diverged")
-	}
-	gr := splitMix64(7)
-	fr := splitMix64(7)
-	gs := g.SamplePathStats(20, fakeRand{&gr})
-	fs := f.SamplePathStats(20, fakeRand{&fr})
-	if gs != fs {
-		t.Fatalf("SamplePathStats diverged: %+v vs %+v", gs, fs)
-	}
-}
-
-// fakeRand adapts splitMix64 to the randSource interface.
-type fakeRand struct{ s *splitMix64 }
-
-func (r fakeRand) Intn(n int) int { return int(r.s.next() % uint64(n)) }
-
-// TestInducedFrozenMatchesInducedSubgraph pins the byte-level equivalence
-// of the CSR-native induced subgraph with InducedSubgraph+FreezePar,
-// including self-loop placement and dropped out-of-set edges; the
-// membership ranges stay unbuilt until first use.
-func TestInducedFrozenMatchesInducedSubgraph(t *testing.T) {
-	t.Parallel()
-	stream := randomEdgeStream(99, 80, 400) // dense: loops and multi-edges
-	g := graphFromStream(t, 80, stream)
-	f := g.Freeze()
-	sets := [][]int{
-		g.GiantComponent(),
-		{0, 1, 2, 3, 4, 5, 6, 7},
-		{79, 40, 3}, // order is caller-chosen, not ascending
-		{},
-	}
-	for si, nodes := range sets {
-		wantSub, wantOrig := g.InducedSubgraph(nodes)
-		want := wantSub.FreezePar(1)
-		got, orig := f.InducedFrozen(nodes)
-		if !reflect.DeepEqual(wantOrig, orig) {
-			t.Fatalf("set %d: orig mapping diverged", si)
-		}
-		if got.sorted != nil {
-			t.Fatalf("set %d: InducedFrozen built the membership ranges", si)
-		}
-		expectIdentical(t, "induced", want, got)
-	}
-}

@@ -141,22 +141,10 @@ func TestFrozenRandomNeighborDrawEquivalence(t *testing.T) {
 	}
 }
 
-// TestFrozenBFSMatchesGraph pins distance equivalence, including
-// unreachable nodes and invalid sources.
+// TestFrozenBFSMatchesGraph pins BFS's invalid-source contract. Its
+// distances are pinned by TestReadPathDigests and TestBFSEdgeConsistencyProperty.
 func TestFrozenBFSMatchesGraph(t *testing.T) {
 	t.Parallel()
-	rng := xrand.New(3)
-	for trial := 0; trial < 50; trial++ {
-		g := randomMultigraph(rng)
-		f := g.Freeze()
-		src := rng.Intn(g.N())
-		gd, fd := g.BFS(src), f.BFS(src)
-		for v := range gd {
-			if gd[v] != fd[v] {
-				t.Fatalf("BFS(%d) diverges at %d: frozen %d, graph %d", src, v, fd[v], gd[v])
-			}
-		}
-	}
 	g := New(3)
 	if f := g.Freeze(); f.BFS(-1) != nil || f.BFS(3) != nil {
 		t.Fatal("BFS with invalid source should return nil")

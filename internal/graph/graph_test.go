@@ -472,7 +472,7 @@ func TestInducedSubgraph(t *testing.T) {
 	mustAdd(t, g, 1, 2)
 	mustAdd(t, g, 2, 3)
 	mustAdd(t, g, 3, 4)
-	sub, orig := g.InducedSubgraph([]int{1, 2, 3})
+	sub, orig := g.Freeze().InducedFrozen([]int{1, 2, 3})
 	if sub.N() != 3 {
 		t.Fatalf("sub N = %d", sub.N())
 	}
@@ -492,7 +492,7 @@ func TestInducedSubgraphSelfLoop(t *testing.T) {
 	g := New(3)
 	mustAdd(t, g, 1, 1)
 	mustAdd(t, g, 1, 2)
-	sub, _ := g.InducedSubgraph([]int{1, 2})
+	sub, _ := g.Freeze().InducedFrozen([]int{1, 2})
 	if sub.EdgeMultiplicity(0, 0) != 1 {
 		t.Fatalf("self-loop multiplicity = %d, want 1", sub.EdgeMultiplicity(0, 0))
 	}
@@ -612,8 +612,9 @@ func BenchmarkBFS(b *testing.B) {
 	for i := 1; i < n; i++ {
 		_ = g.AddEdge(i, rng.Intn(i))
 	}
+	f := g.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.BFS(i % n)
+		_ = f.BFS(i % n)
 	}
 }

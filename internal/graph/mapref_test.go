@@ -208,6 +208,43 @@ func (g *mapGraph) freezeArrays() (offsets, neighbors []int32) {
 	return offsets, neighbors
 }
 
+// components is the model's connected components, found by union-find
+// over its edge map rather than by traversal: largest first, ties by
+// smallest member, members ascending.
+func (g *mapGraph) components() [][]int {
+	parent := make([]int, len(g.adj))
+	for u := range parent {
+		parent[u] = u
+	}
+	find := func(u int) int {
+		for parent[u] != u {
+			parent[u] = parent[parent[u]]
+			u = parent[u]
+		}
+		return u
+	}
+	for key := range g.count {
+		u, v := find(int(int32(key>>32))), find(int(int32(uint32(key))))
+		parent[max(u, v)] = min(u, v)
+	}
+	// Ascending u: each group is created by its smallest member and
+	// filled in ascending order.
+	var comps [][]int
+	group := make(map[int]int)
+	for u := range g.adj {
+		r := find(u)
+		i, ok := group[r]
+		if !ok {
+			i = len(comps)
+			group[r] = i
+			comps = append(comps, nil)
+		}
+		comps[i] = append(comps[i], u)
+	}
+	sort.SliceStable(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
+	return comps
+}
+
 // requireMatchesModel asserts every observable of g against the model.
 func requireMatchesModel(t *testing.T, step string, g *Graph, ref *mapGraph) {
 	t.Helper()
@@ -232,17 +269,27 @@ func requireMatchesModel(t *testing.T, step string, g *Graph, ref *mapGraph) {
 			}
 		}
 	}
-	f := g.Freeze()
+	requireFrozenMatchesModel(t, step+" (frozen)", g.Freeze(), ref)
+}
+
+// requireFrozenMatchesModel asserts a snapshot's CSR arrays, edge count
+// and connected components against the model.
+func requireFrozenMatchesModel(t *testing.T, step string, f *Frozen, ref *mapGraph) {
+	t.Helper()
 	offsets, neighbors := ref.freezeArrays()
 	if !slices.Equal(f.offsets, offsets) || !slices.Equal(f.neighbors, neighbors) || f.M() != ref.edges {
-		t.Fatalf("%s: Freeze arrays differ from the model's", step)
+		t.Fatalf("%s: CSR arrays differ from the model's", step)
+	}
+	if got, want := f.ConnectedComponents(), ref.components(); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+		t.Fatalf("%s: ConnectedComponents = %v, model %v", step, got, want)
 	}
 }
 
 // FuzzGraphMatchesMapReference drives the map-free Graph and the map-backed
 // model through the same random operation sequence — self-loops, parallel
 // edges and out-of-range IDs included — and compares every observable
-// after every step. Each input byte pair is one operation.
+// after every step, the snapshot's components and induced snapshots
+// included. Each input byte pair is one operation.
 func FuzzGraphMatchesMapReference(f *testing.F) {
 	f.Add([]byte{0, 0x01, 0, 0x01, 0, 0x11, 0, 0x11, 3, 0})             // parallel pair, two self-loops, Simplify
 	f.Add([]byte{0, 0x12, 0, 0x21, 0, 0x23, 1, 0x12, 1, 0x12, 1, 0x12}) // remove until absent
@@ -293,15 +340,15 @@ func FuzzGraphMatchesMapReference(f *testing.F) {
 				orig, origRef = g, ref
 				g, ref = g.Clone(), ref.Clone()
 			case 5:
-				step = "InducedSubgraph"
+				step = "InducedFrozen"
 				// Node list from the two nibbles and their neighbors:
 				// may repeat an ID and may hold N (out of range).
 				nodes := []int{u, v, (u + 1) % (g.N() + 1), (v + 2) % (g.N() + 1)}
-				sub, ids := g.InducedSubgraph(nodes)
+				sub, ids := g.Freeze().InducedFrozen(nodes)
 				if !slices.Equal(ids, nodes) {
-					t.Fatalf("InducedSubgraph mapping %v, want %v", ids, nodes)
+					t.Fatalf("InducedFrozen mapping %v, want %v", ids, nodes)
 				}
-				requireMatchesModel(t, "InducedSubgraph result", sub, ref.InducedSubgraph(nodes))
+				requireFrozenMatchesModel(t, "InducedFrozen result", sub, ref.InducedSubgraph(nodes))
 			}
 			requireMatchesModel(t, step, g, ref)
 			if orig != nil {

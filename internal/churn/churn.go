@@ -327,15 +327,14 @@ func (s *Simulator) Step(pJoin float64) error {
 	return err
 }
 
-// AliveGraph returns the overlay induced on alive peers, plus the mapping
-// from new compact IDs back to simulator node IDs.
-func (s *Simulator) AliveGraph() (*graph.Graph, []int) {
+// AliveGraph returns a snapshot of the overlay induced on alive peers,
+// plus the mapping from new compact IDs back to simulator node IDs.
+func (s *Simulator) AliveGraph() (*graph.Frozen, []int) {
 	nodes := make([]int, len(s.aliveIDs))
 	for i, v := range s.aliveIDs {
 		nodes[i] = int(v)
 	}
-	sub, orig := s.g.InducedSubgraph(nodes)
-	return sub, orig
+	return s.g.Freeze().InducedFrozen(nodes)
 }
 
 // Snapshot is one periodic measurement of overlay health under churn.
@@ -380,10 +379,8 @@ func (s *Simulator) Probe(event, sources, ttl int) (Snapshot, error) {
 		snap.MessagesPerEvent = float64(s.stats.Messages) / float64(ev)
 	}
 	if sources > 0 && len(giant) > 1 {
-		gg, _ := sub.InducedSubgraph(giant)
-		// One CSR freeze serves the whole probe: the giant does not
-		// mutate between the NF sweeps below.
-		fg := gg.Freeze()
+		// One snapshot of the giant serves every NF sweep below.
+		fg, _ := sub.InducedFrozen(giant)
 		var sum float64
 		for i := 0; i < sources; i++ {
 			res, err := s.scratch.NormalizedFlood(fg, s.rng.Intn(fg.N()), ttl, s.cfg.M, s.rng)

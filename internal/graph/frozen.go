@@ -20,10 +20,12 @@ import (
 //
 //   - neighbors[offsets[u]:offsets[u+1]] is node u's adjacency list in
 //     EXACTLY the order Graph.Neighbors(u) reports it (insertion order).
-//     Every traversal, every candidate scan, and every random-neighbor
-//     draw therefore consumes RNG values and visits nodes in the same
-//     sequence as the Graph it was frozen from — results are bit-for-bit
-//     identical, which the equivalence tests pin.
+//     Every candidate scan and random-neighbor draw therefore consumes
+//     RNG values and visits nodes in the same sequence as on the Graph it
+//     was frozen from, which the equivalence tests pin. Whole-graph
+//     traversals (BFS, components, path statistics, induced snapshots;
+//     frozen_traverse.go) exist only here: the Graph methods of the same
+//     names freeze and delegate.
 //   - sorted[offsets[u]:offsets[u+1]] is the same multiset ascending, so
 //     HasEdge/EdgeMultiplicity are a binary search over the
 //     smaller-degree endpoint instead of Graph's linear scan of it.
@@ -365,32 +367,4 @@ func (f *Frozen) RandomNeighborExcluding(u, excl int, rng randSource) int {
 		}
 	}
 	return -1 // unreachable
-}
-
-// BFS computes hop distances from src to every node, as Graph.BFS
-// (unreachable: -1; invalid src: nil). Queue order matches Graph.BFS
-// because neighbor order is preserved.
-func (f *Frozen) BFS(src int) []int32 {
-	n := f.N()
-	if src < 0 || src >= n {
-		return nil
-	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, 64)
-	queue = append(queue, int32(src))
-	dist[src] = 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range f.Neighbors(int(u)) {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }

@@ -1,16 +1,17 @@
 package graph
 
-// Component and sampled-distance machinery on the CSR snapshot, mirroring
-// the Graph implementations in traverse.go bit for bit. These exist so
-// figures whose topologies are built straight into CSR form (CM via
-// CSRBuilder) can extract giant components and measure path statistics
-// without ever materializing a mutable Graph.
+// Whole-graph traversal on the CSR snapshot: BFS, connected components,
+// the sampled path-length and diameter estimators behind Table I, and
+// induced snapshots. This is the one implementation of each; the Graph
+// methods of the same names freeze and delegate here. Queue order follows
+// the preserved insertion order of each row, so every result is a pure
+// function of the adjacency the snapshot was built from.
 
 import "sort"
 
 // bfsInto runs BFS from src writing into dist (pre-filled with -1 for at
-// least the reachable nodes), reusing queue as scratch. Queue order equals
-// Graph.bfsInto's because neighbor order is preserved by freezing.
+// least the reachable nodes), reusing queue as scratch. It returns the
+// queue for reuse.
 func (f *Frozen) bfsInto(src int, dist []int32, queue []int32) []int32 {
 	queue = queue[:0]
 	queue = append(queue, int32(src))
@@ -28,9 +29,25 @@ func (f *Frozen) bfsInto(src int, dist []int32, queue []int32) []int32 {
 	return queue
 }
 
+// BFS computes hop distances from src to every node. Unreachable nodes get
+// distance -1 and src gets 0. Returns nil if src is invalid.
+func (f *Frozen) BFS(src int) []int32 {
+	n := f.N()
+	if src < 0 || src >= n {
+		return nil
+	}
+	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	f.bfsInto(src, dist, nil)
+	return dist
+}
+
 // ConnectedComponents returns the node sets of each connected component,
-// largest first, members ascending — identical to Graph.ConnectedComponents
-// on the graph this snapshot was (or would have been) frozen from.
+// largest first (ties in order of smallest member); members of each
+// component are ascending, so the result is independent of adjacency
+// order.
 func (f *Frozen) ConnectedComponents() [][]int {
 	n := f.N()
 	comp := make([]int32, n)
@@ -65,8 +82,19 @@ func (f *Frozen) ConnectedComponents() [][]int {
 	return comps
 }
 
+// sortBySizeDesc orders components by size, largest first, keeping
+// discovery order among equal sizes. Insertion sort: component lists are
+// few.
+func sortBySizeDesc(comps [][]int) {
+	for i := 1; i < len(comps); i++ {
+		for j := i; j > 0 && len(comps[j]) > len(comps[j-1]); j-- {
+			comps[j], comps[j-1] = comps[j-1], comps[j]
+		}
+	}
+}
+
 // GiantComponent returns the node set of the largest connected component,
-// or nil for an empty snapshot, as Graph.GiantComponent.
+// or nil for an empty snapshot.
 func (f *Frozen) GiantComponent() []int {
 	comps := f.ConnectedComponents()
 	if len(comps) == 0 {
@@ -75,9 +103,20 @@ func (f *Frozen) GiantComponent() []int {
 	return comps[0]
 }
 
-// SamplePathStats estimates mean shortest-path length and diameter from
-// `sources` random BFS sources, drawing and aggregating exactly as
-// Graph.SamplePathStats (same RNG consumption, same result).
+// IsConnected reports whether the snapshot has exactly one connected
+// component containing every node. The empty snapshot is connected.
+func (f *Frozen) IsConnected() bool {
+	if f.N() == 0 {
+		return true
+	}
+	return len(f.GiantComponent()) == f.N()
+}
+
+// SamplePathStats estimates mean shortest-path length and diameter by
+// running BFS from `sources` random source nodes and aggregating distances
+// to all reachable nodes. For sources >= N it is exact (all-pairs, no
+// draws). Scale-free diameter claims (Table I) are verified with this
+// estimator.
 func (f *Frozen) SamplePathStats(sources int, rng randSource) PathStats {
 	n := f.N()
 	var st PathStats
@@ -118,15 +157,61 @@ func (f *Frozen) SamplePathStats(sources int, rng randSource) PathStats {
 	return st
 }
 
-// InducedFrozen returns the CSR snapshot of the subgraph on the given
-// node set, renumbered 0..len(nodes)-1 in the given order, plus the
-// mapping from new IDs back to original IDs. It is byte-identical —
-// offsets and neighbor order — to Graph.InducedSubgraph(nodes) followed
-// by Freeze on the graph this snapshot was frozen from: edges with an
-// endpoint outside the set are dropped, parallel edges and self-loops
-// inside the set are preserved, and the adjacency order replays
-// InducedSubgraph's two-sided insertion scan (self-loop entries landing
-// at the end of their row).
+// Eccentricity returns the greatest BFS distance from src to any reachable
+// node, or 0 if src is invalid or isolated.
+func (f *Frozen) Eccentricity(src int) int {
+	ecc := 0
+	for _, d := range f.BFS(src) {
+		if int(d) > ecc {
+			ecc = int(d)
+		}
+	}
+	return ecc
+}
+
+// EstimateDiameter lower-bounds the diameter with the standard double-sweep
+// heuristic repeated `sweeps` times: BFS from a random node, then BFS again
+// from the farthest node found. On small-world graphs this is near-exact.
+func (f *Frozen) EstimateDiameter(sweeps int, rng randSource) int {
+	n := f.N()
+	if n == 0 || sweeps <= 0 {
+		return 0
+	}
+	best := 0
+	dist := make([]int32, n)
+	var queue []int32
+	for s := 0; s < sweeps; s++ {
+		src := rng.Intn(n)
+		for i := range dist {
+			dist[i] = -1
+		}
+		queue = f.bfsInto(src, dist, queue)
+		far, fd := src, int32(0)
+		for v, d := range dist {
+			if d > fd {
+				far, fd = v, d
+			}
+		}
+		for i := range dist {
+			dist[i] = -1
+		}
+		queue = f.bfsInto(far, dist, queue)
+		for _, d := range dist {
+			if int(d) > best {
+				best = int(d)
+			}
+		}
+	}
+	return best
+}
+
+// InducedFrozen returns the snapshot of the subgraph on the given node
+// list, renumbered 0..len(nodes)-1 in list order, plus the mapping from
+// new IDs back to original IDs. Edges with an endpoint outside the set are
+// dropped; parallel edges and self-loops inside the set are preserved, and
+// an out-of-range ID becomes an isolated node. Row order is fixed:
+// scanning the list, each edge {i, j} with i < j is appended to both rows
+// when i's row is scanned, and each self-loop lands at the end of its row.
 func (f *Frozen) InducedFrozen(nodes []int) (*Frozen, []int) {
 	n := f.N()
 	k := len(nodes)
@@ -142,8 +227,8 @@ func (f *Frozen) InducedFrozen(nodes []int) (*Frozen, []int) {
 		orig[i] = u
 	}
 
-	// Count pass: one increment per surviving directed adjacency entry,
-	// following the same i<j / i==j split InducedSubgraph uses.
+	// Count pass: one increment per surviving edge end, each edge {i, j}
+	// counted from its smaller new ID and self-loop entries counted apart.
 	lens := make([]int32, k)
 	selfEntries := make([]int32, k)
 	edges := 0
@@ -166,7 +251,7 @@ func (f *Frozen) InducedFrozen(nodes []int) (*Frozen, []int) {
 		}
 	}
 	// Self-loop entries come in pairs; each pair becomes one loop (two
-	// adjacency entries) appended after the scan, as InducedSubgraph does.
+	// adjacency entries) appended after the scan.
 	for i := range lens {
 		loops := selfEntries[i] / 2
 		lens[i] += 2 * loops

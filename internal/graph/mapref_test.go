@@ -153,6 +153,9 @@ func (g *mapGraph) Clone() *mapGraph {
 	return c
 }
 
+// InducedSubgraph is the model of Frozen.InducedFrozen: the subgraph on
+// nodes renumbered in list order, with each self-loop re-added at the end
+// of its row.
 func (g *mapGraph) InducedSubgraph(nodes []int) *mapGraph {
 	idx := make(map[int32]int32, len(nodes))
 	for i, u := range nodes {

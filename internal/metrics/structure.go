@@ -162,6 +162,7 @@ func SitePercolation(g *graph.Graph, steps, trials int, rng *xrand.RNG) ([]Perco
 		rng = xrand.New(0)
 	}
 	n := g.N()
+	f := g.Freeze()
 	out := make([]PercolationPoint, steps)
 	keep := make([]int, 0, n)
 	for i := 0; i < steps; i++ {
@@ -177,7 +178,7 @@ func SitePercolation(g *graph.Graph, steps, trials int, rng *xrand.RNG) ([]Perco
 			if len(keep) == 0 {
 				continue
 			}
-			sub, _ := g.InducedSubgraph(keep)
+			sub, _ := f.InducedFrozen(keep)
 			sum += float64(len(sub.GiantComponent())) / float64(n)
 		}
 		out[i] = PercolationPoint{Occupied: p, GiantFrac: sum / float64(trials)}

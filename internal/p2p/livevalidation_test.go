@@ -28,7 +28,7 @@ func TestLiveFloodMatchesStaticFlood(t *testing.T) {
 	for _, ttl := range []int{2, 4, 6} {
 		srcAddr := o.Addrs()[0]
 		src := o.Peer(srcAddr)
-		static, err := new(search.Scratch).Flood(g.Freeze(), id[srcAddr], ttl)
+		static, err := new(search.Scratch).Flood(g, id[srcAddr], ttl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestLiveNFWithinStaticEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := new(search.Scratch).Flood(g.Freeze(), id[srcAddr], ttl)
+	fl, err := new(search.Scratch).Flood(g, id[srcAddr], ttl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,12 +362,12 @@ func (o *Overlay) giantFraction() float64 {
 	return float64(len(g.GiantComponent())) / float64(g.N())
 }
 
-// Snapshot freezes the overlay topology into a graph.Graph for analysis.
+// Snapshot freezes the overlay topology into a CSR snapshot for analysis.
 // Node IDs follow join order; the returned map translates address to node
 // ID. Links are taken from each live peer's neighbor table; a link is
 // included if either endpoint knows it (tolerating the brief asymmetry of
 // in-flight connects).
-func (o *Overlay) Snapshot() (*graph.Graph, map[string]int) {
+func (o *Overlay) Snapshot() (*graph.Frozen, map[string]int) {
 	o.mu.Lock()
 	order := append([]string(nil), o.order...)
 	peers := make(map[string]*Peer, len(o.peers))
@@ -408,14 +408,6 @@ func (o *Overlay) Snapshot() (*graph.Graph, map[string]int) {
 			}
 		}
 	}
-	return g, id
-}
-
-// FrozenSnapshot is Snapshot in CSR form: the overlay topology frozen for
-// read-heavy analysis, plus the address-to-node-ID map. The mutable
-// intermediate Graph is discarded immediately.
-func (o *Overlay) FrozenSnapshot() (*graph.Frozen, map[string]int) {
-	g, id := o.Snapshot()
 	return g.Freeze(), id
 }
 

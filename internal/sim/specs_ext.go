@@ -140,9 +140,8 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 			}
 			// CSR end to end: the CM realization is built straight into
 			// frozen form and the giant component is carved out of it with
-			// InducedFrozen (byte-identical to the old mutable-Graph
-			// InducedSubgraph+Freeze detour). One snapshot serves every
-			// delivery pair.
+			// InducedFrozen, without a mutable Graph. One snapshot serves
+			// every delivery pair.
 			fsub, _ := f.InducedFrozen(f.GiantComponent())
 			return fsub, nil
 		}, func(r int, fsub *graph.Frozen, sw *sweeper) ([]float64, error) {

@@ -50,16 +50,19 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// Graph is an undirected (multi)graph over dense node IDs; see the methods
-// on graph.Graph for traversal, components, distances, and serialization.
+// Graph is an undirected (multi)graph over dense node IDs: the growth
+// buffer generators mutate, with edge-list serialization. Its traversal
+// methods (BFS, components, distances) freeze the graph per call and run
+// the FrozenTopology implementation.
 type Graph = graph.Graph
 
 // FrozenTopology is a compressed-sparse-row (CSR) snapshot of a Graph: the
-// read-only fast path every search kernel and structural metric runs on.
-// Freeze a generated topology once, let the mutable Graph be collected,
-// and run any number of searches against the snapshot — neighbor order is
-// preserved, so results are bit-for-bit identical to searching the Graph
-// directly.
+// read-only fast path every search kernel and structural metric runs on,
+// and the one implementation of BFS, components, path statistics and
+// induced subgraphs. Freeze a generated topology once, let the mutable
+// Graph be collected, and run any number of searches and analyses against
+// the snapshot — neighbor order is preserved, so results are bit-for-bit
+// identical to searching the Graph directly.
 type FrozenTopology = graph.Frozen
 
 // Freeze snapshots g into CSR form. The convenience functions below that

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +30,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// -h prints the usage and exits 0.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
@@ -58,6 +60,9 @@ func run(args []string, out io.Writer) error {
 	g, err := load(*in, *n, *m, *kc, *seed)
 	if err != nil {
 		return err
+	}
+	if g.N() == 0 {
+		return fmt.Errorf("in %s: the edge list has no nodes", *in)
 	}
 	rng := scalefree.NewRNG(*seed + 1)
 

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -75,6 +77,24 @@ func TestRunMissingFile(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-in", "/nonexistent.edges"}, &buf); err == nil {
 		t.Fatal("missing input should fail")
+	}
+}
+
+// TestRunEmptyEdgeList refuses a node-less topology before any analysis,
+// naming -in, instead of failing inside the robustness probe.
+func TestRunEmptyEdgeList(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "empty.edges")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	err := run([]string{"-in", path}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "in "+path) || !strings.Contains(err.Error(), "no nodes") {
+		t.Fatalf("got error %v, want one naming -in and the empty edge list", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused run printed a report:\n%s", buf.String())
 	}
 }
 
@@ -173,4 +193,23 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return st.Size()
+}
+
+// TestMainHelpExitsZero runs main in a child copy of the test binary:
+// -h and journal -h print the usage and exit 0.
+func TestMainHelpExitsZero(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		// Child: the arguments after "--" are the command line.
+		os.Args = append([]string{"analyze"}, args...)
+		main()
+		return
+	}
+	t.Parallel()
+	for _, args := range [][]string{{"-h"}, {"journal", "-h"}} {
+		child := exec.Command(os.Args[0], append([]string{"-test.run=^TestMainHelpExitsZero$", "--"}, args...)...)
+		out, err := child.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "Usage of analyze") {
+			t.Errorf("analyze %v: %v, output:\n%s", args, err, out)
+		}
+	}
 }

@@ -11,6 +11,7 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,7 +22,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// -h prints the usage and exits 0.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "churnsim:", err)
 		os.Exit(1)
 	}
@@ -39,7 +41,7 @@ func run(args []string, out io.Writer) error {
 		repair  = fs.String("repair", "reconnect", "repair policy: reconnect|none")
 		crash   = fs.Bool("crash", false, "departures crash silently instead of announcing")
 		probes  = fs.Int("probes", 8, "snapshots across the run")
-		sources = fs.Int("sources", 10, "NF probe sources per snapshot")
+		sources = fs.Int("sources", 10, "NF probe sources per snapshot (0 skips the NF probe)")
 		ttl     = fs.Int("ttl", 4, "NF probe TTL")
 		seed    = fs.Uint64("seed", 1, "RNG seed")
 		csvPath = fs.String("csv", "", "write the snapshot trace as CSV to this file")
@@ -55,6 +57,12 @@ func run(args []string, out io.Writer) error {
 	}
 	if *probes < 1 {
 		return fmt.Errorf("probes %d must be >= 1", *probes)
+	}
+	if *sources < 0 {
+		return fmt.Errorf("sources %d must be >= 0", *sources)
+	}
+	if *ttl < 0 {
+		return fmt.Errorf("ttl %d must be >= 0", *ttl)
 	}
 
 	var join scalefree.ChurnJoinRule

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -56,8 +58,10 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-pjoin", "1.5"}, "pjoin"},
 		{[]string{"-pjoin", "NaN"}, "pjoin"},
 		{[]string{"-events", "0"}, "events"},
-		{[]string{"-probes", "0"}, "probes"},  // was an integer divide by zero
-		{[]string{"-probes", "-3"}, "probes"}, // was a negative probe interval
+		{[]string{"-probes", "0"}, "probes"},    // was an integer divide by zero
+		{[]string{"-probes", "-3"}, "probes"},   // was a negative probe interval
+		{[]string{"-sources", "-3"}, "sources"}, // was an all-zero NF column
+		{[]string{"-ttl", "-1"}, "ttl"},         // was a search error after the churn
 		{[]string{"-join", "teleport"}, "join"},
 		{[]string{"-repair", "duct-tape"}, "repair"},
 		{[]string{"-no-such-flag"}, "no-such-flag"},
@@ -83,5 +87,21 @@ func TestRunUniformNoRepairCrash(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "repair-links=0") {
 		t.Errorf("no-repair run should create no repair links:\n%s", buf.String())
+	}
+}
+
+// TestMainHelpExitsZero runs main in a child copy of the test binary:
+// -h prints the usage and exits 0.
+func TestMainHelpExitsZero(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		// Child: the arguments after "--" are the command line.
+		os.Args = append([]string{"churnsim"}, args...)
+		main()
+		return
+	}
+	t.Parallel()
+	out, err := exec.Command(os.Args[0], "-test.run=^TestMainHelpExitsZero$", "--", "-h").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "Usage of churnsim") {
+		t.Errorf("churnsim -h: %v, output:\n%s", err, out)
 	}
 }

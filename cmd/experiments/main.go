@@ -98,7 +98,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// -h prints the usage and exits 0.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		if errors.Is(err, sim.ErrInterrupted) {
 			os.Exit(3) // partial run, resumable — distinct from hard failure

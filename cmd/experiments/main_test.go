@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -389,5 +391,21 @@ func TestRunDistributedCoordinatorWorkerTCP(t *testing.T) {
 		if strings.HasSuffix(e.Name(), ".journal") || strings.Contains(e.Name(), ".tmp-") {
 			t.Errorf("distributed run left %s behind", e.Name())
 		}
+	}
+}
+
+// TestMainHelpExitsZero runs main in a child copy of the test binary:
+// -h prints the usage and exits 0.
+func TestMainHelpExitsZero(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		// Child: the arguments after "--" are the command line.
+		os.Args = append([]string{"experiments"}, args...)
+		main()
+		return
+	}
+	t.Parallel()
+	out, err := exec.Command(os.Args[0], "-test.run=^TestMainHelpExitsZero$", "--", "-h").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "Usage of experiments") {
+		t.Errorf("experiments -h: %v, output:\n%s", err, out)
 	}
 }

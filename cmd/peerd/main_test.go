@@ -1,7 +1,10 @@
 package main
 
 import (
+	"flag"
 	"net"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -133,4 +136,20 @@ func (w *lockedWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.b.Write(p)
+}
+
+// TestMainHelpExitsZero runs main in a child copy of the test binary:
+// -h prints the usage and exits 0.
+func TestMainHelpExitsZero(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		// Child: the arguments after "--" are the command line.
+		os.Args = append([]string{"peerd"}, args...)
+		main()
+		return
+	}
+	t.Parallel()
+	out, err := exec.Command(os.Args[0], "-test.run=^TestMainHelpExitsZero$", "--", "-h").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "Usage of peerd") {
+		t.Errorf("peerd -h: %v, output:\n%s", err, out)
+	}
 }

@@ -472,7 +472,11 @@ func TestInducedSubgraph(t *testing.T) {
 	mustAdd(t, g, 1, 2)
 	mustAdd(t, g, 2, 3)
 	mustAdd(t, g, 3, 4)
-	sub, orig := g.Freeze().InducedFrozen([]int{1, 2, 3})
+	f := g.Freeze()
+	sub, orig := f.InducedFrozen([]int{1, 2, 3})
+	if sub.sorted != nil {
+		t.Fatal("InducedFrozen built the membership ranges")
+	}
 	if sub.N() != 3 {
 		t.Fatalf("sub N = %d", sub.N())
 	}
@@ -484,6 +488,9 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	if orig[0] != 1 || orig[1] != 2 || orig[2] != 3 {
 		t.Fatalf("orig mapping %v", orig)
+	}
+	if empty, orig := f.InducedFrozen(nil); empty.N() != 0 || empty.M() != 0 || len(orig) != 0 {
+		t.Fatalf("empty node set: N=%d M=%d orig %v", empty.N(), empty.M(), orig)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 )
 
 // readPath is one way of reading a topology: every read-only analysis the
-// figures go through, bound to a receiver. A nil field is a read that
-// receiver does not offer.
+// figures go through, bound to a receiver. induced is nil on Graph, which
+// has no induced-subgraph method.
 type readPath struct {
 	bfs        func(src int) []int32
 	components func() [][]int
@@ -79,8 +79,10 @@ func readDigests(r readPath, n int) map[string]uint64 {
 		shuffled = append(shuffled, i*7%n)
 	}
 	var dists [][]int32
+	var eccs []int
 	for _, s := range sources {
 		dists = append(dists, r.bfs(s))
+		eccs = append(eccs, r.ecc(s))
 	}
 	out := map[string]uint64{
 		"components": digest(r.components()),
@@ -88,16 +90,8 @@ func readDigests(r readPath, n int) map[string]uint64 {
 		"bfs":        digest(dists),
 		"paths20":    digest(r.paths(20, xrand.New(7))),
 		"pathsExact": digest(r.paths(n, nil)),
-	}
-	if r.ecc != nil {
-		var eccs []int
-		for _, s := range sources {
-			eccs = append(eccs, r.ecc(s))
-		}
-		out["ecc"] = digest(eccs)
-	}
-	if r.diameter != nil {
-		out["diameter5"] = digest(r.diameter(5, xrand.New(8)))
+		"ecc":        digest(eccs),
+		"diameter5":  digest(r.diameter(5, xrand.New(8))),
 	}
 	if r.induced != nil {
 		out["inducedGiant"] = frozenDigest(r.induced(giant))

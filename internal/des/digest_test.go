@@ -90,7 +90,8 @@ func metricsDigest(h io.Writer, m Metrics) {
 // TestFloodMetricsDigests pins every counter Flood reports — not just the
 // hits/time/sent columns the figure CSVs sample — to the values the
 // queue-every-copy flood produced (captured at commit 31ef2ba, before
-// duplicates were resolved at send time). One digest per (topology,
+// duplicates were resolved at send time; the *-permanent rows at 99c09f8,
+// while down-windows could still close). One digest per (topology,
 // failure class, dedup mode) folds the latency × loss × τ × source cells
 // in a fixed order; Delivered, Duplicates, FailDropped and Completion are
 // the fields the send-time path now credits, and the loss draws come from
@@ -114,6 +115,10 @@ func TestFloodMetricsDigests(t *testing.T) {
 		{"crash", FailPlan{NodeFrac: 0.3, MTBF: 2, Downtime: 1.5, Phases: ph}},
 		{"cut", FailPlan{LinkFrac: 0.3, MTBF: 2, Downtime: 1.5, Phases: ph}},
 		{"both", FailPlan{NodeFrac: 0.2, LinkFrac: 0.2, MTBF: 2, Phases: ph}},
+		// One failure class at a time, without recovery: the per-class
+		// pins of a down-window that never closes.
+		{"crash-permanent", FailPlan{NodeFrac: 0.3, MTBF: 2, Phases: ph}},
+		{"cut-permanent", FailPlan{LinkFrac: 0.3, MTBF: 2, Phases: ph}},
 	}
 	got := map[string]uint64{}
 	sim := NewSim(0)
@@ -159,30 +164,42 @@ func TestFloodMetricsDigests(t *testing.T) {
 	}
 
 	want := map[string]uint64{
-		"lone/both":          0x44f3e84ac80b7d55,
-		"lone/both/nodedup":  0x2e1e2accb3284ee3,
-		"lone/crash":         0xe80e48f7e5eb453f,
-		"lone/crash/nodedup": 0xf13d74407a7366a2,
-		"lone/cut":           0x7bc0edd84e43cac5,
-		"lone/cut/nodedup":   0xa271679c51069070,
-		"lone/none":          0x3202c3f954450811,
-		"lone/none/nodedup":  0x4813d3f93f174ab1,
-		"pa-kc10/both":       0xf4db2b48f93e4719,
-		"pa-kc10/crash":      0xfde3d23c7a2fc722,
-		"pa-kc10/cut":        0x9a6c6630ac68370b,
-		"pa-kc10/none":       0xec447497010752be,
-		"pa/both":            0xff1f8a30eff7c805,
-		"pa/crash":           0x57d38985f72ba1b6,
-		"pa/cut":             0xba7148fe63d82f57,
-		"pa/none":            0x737bcc8b6610b86f,
-		"ring/both":          0x427c64b1526431e1,
-		"ring/both/nodedup":  0x4e0a6f930bb7e21,
-		"ring/crash":         0x686f1a6a3c9f53df,
-		"ring/crash/nodedup": 0x7e0dd7fd5f7f9c3a,
-		"ring/cut":           0x221a5b29fc686c26,
-		"ring/cut/nodedup":   0xd23ab8ad17c5389,
-		"ring/none":          0xa44f4a7ea1f71ac8,
-		"ring/none/nodedup":  0x2de1919ac5bd0f9e,
+		"lone/both":                    0x44f3e84ac80b7d55,
+		"lone/both/nodedup":            0x2e1e2accb3284ee3,
+		"lone/crash":                   0xe80e48f7e5eb453f,
+		"lone/crash-permanent":         0x6edaac0c98c19507,
+		"lone/crash-permanent/nodedup": 0x6d0123bd24dabcca,
+		"lone/crash/nodedup":           0xf13d74407a7366a2,
+		"lone/cut":                     0x7bc0edd84e43cac5,
+		"lone/cut-permanent":           0xf96063858f102c6b,
+		"lone/cut-permanent/nodedup":   0xce2939767dae8762,
+		"lone/cut/nodedup":             0xa271679c51069070,
+		"lone/none":                    0x3202c3f954450811,
+		"lone/none/nodedup":            0x4813d3f93f174ab1,
+		"pa-kc10/both":                 0xf4db2b48f93e4719,
+		"pa-kc10/crash":                0xfde3d23c7a2fc722,
+		"pa-kc10/crash-permanent":      0x32c46d038a286132,
+		"pa-kc10/cut":                  0x9a6c6630ac68370b,
+		"pa-kc10/cut-permanent":        0xce5173d79a6d0a87,
+		"pa-kc10/none":                 0xec447497010752be,
+		"pa/both":                      0xff1f8a30eff7c805,
+		"pa/crash":                     0x57d38985f72ba1b6,
+		"pa/crash-permanent":           0x7cf66b32ac041ca8,
+		"pa/cut":                       0xba7148fe63d82f57,
+		"pa/cut-permanent":             0xdb5d09309e9564b4,
+		"pa/none":                      0x737bcc8b6610b86f,
+		"ring/both":                    0x427c64b1526431e1,
+		"ring/both/nodedup":            0x4e0a6f930bb7e21,
+		"ring/crash":                   0x686f1a6a3c9f53df,
+		"ring/crash-permanent":         0x977c65c3a6394270,
+		"ring/crash-permanent/nodedup": 0x1af28d6adc800b0,
+		"ring/crash/nodedup":           0x7e0dd7fd5f7f9c3a,
+		"ring/cut":                     0x221a5b29fc686c26,
+		"ring/cut-permanent":           0x19a58cb0b8a4aee9,
+		"ring/cut-permanent/nodedup":   0x62e517c72c718fa9,
+		"ring/cut/nodedup":             0xd23ab8ad17c5389,
+		"ring/none":                    0xa44f4a7ea1f71ac8,
+		"ring/none/nodedup":            0x2de1919ac5bd0f9e,
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d digests computed, %d pinned", len(got), len(want))

@@ -82,7 +82,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -170,28 +169,33 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown scale %q (want smoke, paper, or xl)", *scale)
 	}
 	sc.Workers = *workers
-	for name, v := range map[string]int{
-		"-workers": *workers, "-bc-pivots": *bcPivots,
-		"-path-landmarks": *pathLand, "-path-pairs": *pathPairs,
-		"-walk-cap": *walkCap,
-	} {
-		if v < 0 {
-			return fmt.Errorf("%s %d must be >= 0", name, v)
-		}
-	}
 	// Estimator knobs: explicit flags win over the scale preset (xl sets
 	// estimator defaults; smoke and paper default to exact measurements).
-	if *bcPivots > 0 {
+	// A negative one is mapped too, for sc.Validate to refuse.
+	if *bcPivots != 0 {
 		sc.BCPivots = *bcPivots
 	}
-	if *pathLand > 0 {
+	if *pathLand != 0 {
 		sc.PathLandmarks = *pathLand
 	}
-	if *pathPairs > 0 {
+	if *pathPairs != 0 {
 		sc.PathPairs = *pathPairs
 	}
-	if *walkCap > 0 {
+	if *walkCap != 0 {
 		sc.WalkCap = *walkCap
+	}
+	// The DES knobs shape the DES specs in whichever mode selects them
+	// (a coordinator ships them to the fleet inside every lease); only a
+	// worker ignores its own, because its workload arrives in the lease.
+	if *mode != "worker" {
+		sc.DESLatencyBase = *latBase
+		sc.DESLatencyJitter = *latJitter
+		sc.DESLoss = *loss
+		sc.DESFailFrac = *failFrac
+		sc.DESFailMTBF = *failMTBF
+	}
+	if err := sc.Validate(); err != nil {
+		return err
 	}
 
 	switch *mode {
@@ -223,35 +227,14 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown mode %q (want csr, des, coordinator, or worker)", *mode)
 	}
-	// The DES knobs shape the DES specs in whichever mode selects them
-	// (a coordinator ships them to the fleet inside every lease); only a
-	// worker ignores its own, because its workload arrives in the lease.
-	if *mode != "worker" {
-		if !(*loss >= 0 && *loss < 1) {
-			return fmt.Errorf("-loss %v out of range [0, 1)", *loss)
-		}
-		if !(*failFrac >= 0 && *failFrac < 1) {
-			return fmt.Errorf("-fail-frac %v out of range [0, 1)", *failFrac)
-		}
-		if !(*failMTBF >= 0) || math.IsInf(*failMTBF, 1) {
-			return fmt.Errorf("-fail-mtbf %v must be finite and >= 0", *failMTBF)
-		}
-		for name, v := range map[string]float64{"-latency-base": *latBase, "-latency-jitter": *latJitter} {
-			if !(v >= 0) || math.IsInf(v, 1) {
-				return fmt.Errorf("%s %v must be finite and >= 0", name, v)
-			}
-		}
-		sc.DESLatencyBase = *latBase
-		sc.DESLatencyJitter = *latJitter
-		sc.DESLoss = *loss
-		sc.DESFailFrac = *failFrac
-		sc.DESFailMTBF = *failMTBF
-	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries %d must be >= 0", *retries)
 	}
 	if *maxFailed < 0 {
 		return fmt.Errorf("-max-failed %d must be >= 0", *maxFailed)
+	}
+	if *stall < 0 {
+		return fmt.Errorf("-stall-timeout %v must be >= 0 (0 disables the watchdog)", *stall)
 	}
 
 	// Signals interrupt cooperatively: the first one cancels the run

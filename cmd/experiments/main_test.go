@@ -259,6 +259,10 @@ func TestRunRejectsNegativeSupervisionFlags(t *testing.T) {
 	if err := run([]string{"-workers", "-3", "-exp", "fig1c", "-outdir", t.TempDir(), "-plot=false"}, &buf); err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Fatalf("-workers -3: err %v, want the flag refused by name", err)
 	}
+	// A negative stall timeout used to disable the watchdog like 0 does.
+	if err := run([]string{"-stall-timeout", "-1s", "-exp", "fig1c", "-outdir", t.TempDir(), "-plot=false"}, &buf); err == nil || !strings.Contains(err.Error(), "-stall-timeout") {
+		t.Fatalf("-stall-timeout -1s: err %v, want the flag refused by name", err)
+	}
 }
 
 func TestRunRejectsNegativeEstimatorFlags(t *testing.T) {

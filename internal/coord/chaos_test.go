@@ -364,6 +364,27 @@ func TestDistributedCoordinatorKillResumeByteIdentical(t *testing.T) {
 // makes the worker report failure and exit fatally rather than compute.
 func TestRunWorkerRefusesSkewedWorkload(t *testing.T) {
 	t.Parallel()
+	sc := sim.Scale{Realizations: 1}
+	fp := sim.WorkloadFingerprint("fig9", 1, sc)
+	fp[len(fp)-1] ^= 0xFF
+	checkLeaseRefused(t, sc, fp)
+}
+
+// TestRunWorkerRefusesInvalidWorkload: a lease whose workload
+// Scale.Validate refuses is refused the way skew is, even when its
+// fingerprint matches — the worker reports failure and exits fatally
+// instead of starting the run.
+func TestRunWorkerRefusesInvalidWorkload(t *testing.T) {
+	t.Parallel()
+	sc := sim.Scale{NSearch: 50, Realizations: 1, Sources: -1, MaxTTLNF: 2}
+	checkLeaseRefused(t, sc, sim.WorkloadFingerprint("fig9", 1, sc))
+}
+
+// checkLeaseRefused grants a worker one fig9 lease carrying sc and the
+// fingerprint fp, and requires it to report the lease failed and then exit
+// with an error.
+func checkLeaseRefused(t *testing.T, sc sim.Scale, fp []byte) {
+	t.Helper()
 	net := p2p.NewInMemoryNetwork()
 	coordInbox := make(chan p2p.Envelope, 64)
 	if err := net.Register("coord", coordInbox); err != nil {
@@ -380,11 +401,8 @@ func TestRunWorkerRefusesSkewedWorkload(t *testing.T) {
 		})
 	}()
 
-	// Wait for a claim, then grant a lease with a corrupted fingerprint.
-	sc := sim.Scale{Realizations: 1}
+	// Wait for a claim, then grant the lease.
 	wire := sc.WorkloadOnly()
-	fp := sim.WorkloadFingerprint("fig9", 1, sc)
-	fp[len(fp)-1] ^= 0xFF
 	var sawFail bool
 	deadline := time.After(10 * time.Second)
 	for !sawFail {
@@ -405,16 +423,16 @@ func TestRunWorkerRefusesSkewedWorkload(t *testing.T) {
 				sawFail = true
 			}
 		case <-deadline:
-			t.Fatal("worker never reported the skewed lease failed")
+			t.Fatal("worker never reported the refused lease failed")
 		}
 	}
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("worker kept serving after workload skew")
+		t.Fatal("worker kept serving after a refused lease")
 	}
 	if werr == nil {
-		t.Error("skewed worker exited without error")
+		t.Error("worker exited without error after a refused lease")
 	}
 }
 

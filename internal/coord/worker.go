@@ -178,7 +178,8 @@ type worker struct {
 
 // execute runs one lease end to end: verify the workload, heartbeat while
 // computing, stream records, then report complete or fail. Errors returned
-// are fatal to the worker (workload skew, cancelled context); a failed
+// are fatal to the worker (workload skew, a workload Scale.Validate
+// refuses, cancelled context); a failed
 // realization is reported to the coordinator and is NOT fatal — the
 // coordinator owns that budget.
 func (w *worker) execute(ctx context.Context, m wireMsg) error {
@@ -204,6 +205,11 @@ func (w *worker) execute(ctx context.Context, m wireMsg) error {
 		return errors.New("coord: lease carries no workload")
 	}
 	sc := m.Scale.WorkloadOnly()
+	if err := sc.Validate(); err != nil {
+		// Refused like version skew: an out-of-range workload never runs.
+		fail(err.Error())
+		return fmt.Errorf("coord: lease for %s: %w", m.Spec, err)
+	}
 	if !bytes.Equal(sim.WorkloadFingerprint(m.Spec, m.Seed, sc), m.Fingerprint) {
 		fail("workload fingerprint mismatch")
 		return fmt.Errorf("coord: workload fingerprint mismatch for %s (worker/coordinator version skew?)", m.Spec)

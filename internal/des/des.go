@@ -11,8 +11,8 @@
 //
 // Floods resolve a copy when it is sent. All but N − 1 of a flood's
 // 2M − N copies arrive as duplicates, which only bump counters, and a
-// copy's arrival time, FIFO key and receiver down-window are known at the
-// send. So a copy over a cut edge or into a down-window is FailDropped and
+// copy's arrival time, FIFO key and receiver crash time are known at the
+// send. So a copy over a cut edge or to a crashed node is FailDropped and
 // a lost one Dropped without being queued; a copy to a node that is
 // covered, or that a queued copy reaches at an earlier (time, key), can
 // only be a duplicate — Delivered, Duplicates and Completion are credited
@@ -24,8 +24,7 @@
 // bit-identical to queueing them all (TestFloodMetricsDigests): unqueued
 // copies still consume a key, so queued ones keep their pop order; only
 // first receipts send, so loss draws keep theirs; and the early credits
-// are sums and a max. With Config.NoDedup every arrival forwards, so
-// every surviving copy is queued; k-walks queue one event per step.
+// are sums and a max. K-walks queue one event per step.
 //
 // Determinism is the same contract the experiment engine enforces
 // everywhere else. Three ingredients:
@@ -45,6 +44,10 @@
 // for k-walks), so coverage, hop counts, and message counts agree exactly
 // with search.Scratch — the correctness gate pinned by the equivalence
 // tests here and in internal/sim.
+//
+// The kernels check only their own indexing (source, TTL or steps,
+// walkers); the loss, latency and failure knobs come from a workload
+// sim.Scale.Validate has judged. Crashed nodes and cut links stay down.
 //
 // Allocation discipline follows search.Scratch: a Sim owns the event queue
 // (a 4-ary heap), the epoch-stamped per-node marks, and a small arena of
@@ -66,9 +69,7 @@ import (
 var (
 	ErrBadSource  = fmt.Errorf("des: source node out of range")
 	ErrBadTTL     = fmt.Errorf("des: TTL must be >= 0")
-	ErrBadLoss    = fmt.Errorf("des: loss rate must be in [0, 1)")
 	ErrBadWalkers = fmt.Errorf("des: walkers must be >= 1")
-	ErrBadLatency = fmt.Errorf("des: latency base and jitter must be finite and >= 0")
 )
 
 // Latency is the deterministic per-edge delay model: every edge {u, v}
@@ -113,7 +114,9 @@ func (l Latency) edge(root xrand.ChunkRoot, u, v int32) float64 {
 	return l.Base + l.Jitter*root.U01(int(uint64(u)<<32|uint64(uint32(v))))
 }
 
-// Config bundles the transport knobs of one DES run.
+// Config bundles the transport knobs of one DES run. Floods always
+// suppress duplicates, as query GUIDs do; the knob ranges are
+// sim.Scale.Validate's to check.
 type Config struct {
 	// MaxTTL is the flood hop budget (ignored by KWalk, which takes an
 	// explicit step count).
@@ -124,34 +127,12 @@ type Config struct {
 	// at send time. Loss == 0 draws nothing, so lossless runs consume the
 	// RNG exactly as the CSR kernels do.
 	Loss float64
-	// NoDedup disables flood duplicate suppression: a duplicate arrival
-	// forwards again (bounded only by the TTL), modeling a protocol
-	// without query GUIDs. Walks never deduplicate.
-	NoDedup bool
 	// Fail is the node-crash/link-partition schedule. The zero value
 	// injects nothing and leaves the run bit-identical to a config
 	// without it (pinned by test): failure draws come from their own
 	// Phases sub-streams, never from the caller's rng.
 	Fail FailPlan
 }
-
-func (cfg Config) check() error {
-	if cfg.MaxTTL < 0 {
-		return fmt.Errorf("%w: %d", ErrBadTTL, cfg.MaxTTL)
-	}
-	if !(cfg.Loss >= 0 && cfg.Loss < 1) {
-		return fmt.Errorf("%w: %v", ErrBadLoss, cfg.Loss)
-	}
-	// A negative delay delivers a copy before it is sent; NaN leaves the
-	// heap's order, and with it every RNG draw, arbitrary.
-	if l := cfg.Latency; !validDelay(l.Base) || !validDelay(l.Jitter) {
-		return fmt.Errorf("%w: base %v, jitter %v", ErrBadLatency, l.Base, l.Jitter)
-	}
-	return cfg.Fail.check()
-}
-
-// validDelay reports whether d is a finite, non-negative delay (NaN is not).
-func validDelay(d float64) bool { return d >= 0 && !math.IsInf(d, 1) }
 
 // Metrics is the outcome of one DES run. Slices alias the Sim's arena and
 // are valid until the next run on the same Sim.
@@ -387,10 +368,9 @@ func validate(f *graph.Frozen, src int) error {
 
 // Flood runs a TTL-limited flood from src as messages in flight: the
 // source's query copy arrives at itself at time 0, and every node forwards
-// on first receipt (or on every receipt with cfg.NoDedup) to all neighbors
-// except the sender, each copy arriving after the edge's latency. rng
-// supplies the loss draws, consumed in event pop order; it may be nil when
-// cfg.Loss == 0. The Metrics alias s.
+// on first receipt to all neighbors except the sender, each copy arriving
+// after the edge's latency. rng supplies the loss draws, consumed in event
+// pop order; it may be nil when cfg.Loss == 0. The Metrics alias s.
 //
 // With zero latency the FIFO event keys reproduce BFS level order, so a
 // lossless run's coverage, hop counts, and message counts equal
@@ -399,8 +379,8 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 	if err := validate(f, src); err != nil {
 		return Metrics{}, err
 	}
-	if err := cfg.check(); err != nil {
-		return Metrics{}, err
+	if cfg.MaxTTL < 0 {
+		return Metrics{}, fmt.Errorf("%w: %d", ErrBadTTL, cfg.MaxTTL)
 	}
 	if rng == nil && cfg.Loss > 0 {
 		rng = xrand.New(0)
@@ -414,12 +394,12 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 		TimeByHop: s.floatBuf(cfg.MaxTTL + 1),
 	}
 	failing := cfg.Fail.Enabled()
-	var downStart, downEnd []float64
+	var crashAt []float64
 	var linkSel, linkAt xrand.ChunkRoot
 	if failing {
-		downStart, downEnd = s.nodeWindows(cfg.Fail, f.N())
+		crashAt = s.crashTimes(cfg.Fail, f.N())
 		linkSel, linkAt = cfg.Fail.linkRoots()
-		if downStart[src] <= 0 && downEnd[src] > 0 {
+		if crashAt[src] <= 0 {
 			// The source is down at time 0: its own copy fizzles uncounted
 			// and nothing is ever sent.
 			return m, nil
@@ -445,11 +425,9 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 			m.TimeByHop[ev.hop] += ev.time
 		} else {
 			// A queued copy that a later-sent, earlier-arriving one
-			// overtook (or, with NoDedup, any repeat arrival).
+			// overtook.
 			m.Duplicates++
-			if !cfg.NoDedup {
-				continue
-			}
+			continue
 		}
 		if int(ev.hop) == cfg.MaxTTL {
 			continue
@@ -473,25 +451,23 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 			// queued ones pop in the order they would among all copies.
 			at, key := ev.time+lat.edge(root, ev.node, w), seq
 			seq++
-			if failing && at >= downStart[w] && at < downEnd[w] {
+			if failing && at >= crashAt[w] {
 				// The receiver is down on arrival: lost in flight.
 				m.FailDropped++
 				continue
 			}
-			if !cfg.NoDedup {
-				if mk := mark[w]; mk == ep || (mk == -ep && at >= best[w]) {
-					// w is covered, or a queued copy reaches it first (at
-					// equal times the queued one holds the smaller key):
-					// this one can only arrive as a duplicate.
-					m.Delivered++
-					m.Duplicates++
-					if at > m.Completion {
-						m.Completion = at
-					}
-					continue
+			if mk := mark[w]; mk == ep || (mk == -ep && at >= best[w]) {
+				// w is covered, or a queued copy reaches it first (at
+				// equal times the queued one holds the smaller key):
+				// this one can only arrive as a duplicate.
+				m.Delivered++
+				m.Duplicates++
+				if at > m.Completion {
+					m.Completion = at
 				}
-				mark[w], best[w] = -ep, at
+				continue
 			}
+			mark[w], best[w] = -ep, at
 			s.push(event{time: at, key: key, node: w, from: ev.node, hop: ev.hop + 1})
 		}
 	}
@@ -504,8 +480,9 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 // arrival event is processed, so with zero latency the walker-major event
 // keys consume rng exactly as Scratch.KRandomWalks does (walker 0's whole
 // walk, then walker 1's, ...), and the earliest-step hop histogram matches
-// it exactly. With cfg.Loss > 0 a lost copy kills that walker. cfg.MaxTTL
-// and cfg.NoDedup are ignored. The Metrics alias s.
+// it exactly. With cfg.Loss > 0 a lost copy kills that walker, as does a
+// crashed node or a cut edge; walks never deduplicate. cfg.MaxTTL is
+// ignored. The Metrics alias s.
 func (s *Sim) KWalk(f *graph.Frozen, src, walkers, steps int, cfg Config, rng *xrand.RNG) (Metrics, error) {
 	if err := validate(f, src); err != nil {
 		return Metrics{}, err
@@ -515,9 +492,6 @@ func (s *Sim) KWalk(f *graph.Frozen, src, walkers, steps int, cfg Config, rng *x
 	}
 	if steps < 0 {
 		return Metrics{}, fmt.Errorf("%w: %d steps", ErrBadTTL, steps)
-	}
-	if err := cfg.check(); err != nil {
-		return Metrics{}, err
 	}
 	if rng == nil {
 		rng = xrand.New(0)
@@ -531,10 +505,10 @@ func (s *Sim) KWalk(f *graph.Frozen, src, walkers, steps int, cfg Config, rng *x
 		TimeByHop: s.floatBuf(steps + 1),
 	}
 	failing := cfg.Fail.Enabled()
-	var downStart, downEnd []float64
+	var crashAt []float64
 	var linkSel, linkAt xrand.ChunkRoot
 	if failing {
-		downStart, downEnd = s.nodeWindows(cfg.Fail, f.N())
+		crashAt = s.crashTimes(cfg.Fail, f.N())
 		linkSel, linkAt = cfg.Fail.linkRoots()
 	}
 	lat, root := cfg.Latency, cfg.Latency.root()
@@ -552,7 +526,7 @@ func (s *Sim) KWalk(f *graph.Frozen, src, walkers, steps int, cfg Config, rng *x
 	}
 	for len(s.heap) > 0 {
 		ev := s.pop()
-		if failing && ev.time >= downStart[ev.node] && ev.time < downEnd[ev.node] {
+		if failing && ev.time >= crashAt[ev.node] {
 			// The node is down: the walker's copy is lost on arrival and
 			// the walker dies (a walker starting on a crashed source
 			// fizzles uncounted, like the flood's time-0 copy).

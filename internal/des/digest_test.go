@@ -19,10 +19,6 @@ type digestTopo struct {
 	name string
 	f    *graph.Frozen
 	srcs []int
-	// small marks the graphs that also run with NoDedup: without duplicate
-	// suppression the copy count grows with the number of non-backtracking
-	// walks, so only the nearly cycle-free graphs can afford τ = 30.
-	small bool
 }
 
 func digestTopos(t testing.TB) []digestTopo {
@@ -59,8 +55,8 @@ func digestTopos(t testing.TB) []digestTopo {
 	return []digestTopo{
 		{name: "pa", f: pa(gen.NoCutoff), srcs: []int{0, 1, 299, 599}},
 		{name: "pa-kc10", f: pa(10), srcs: []int{0, 1, 299, 599}},
-		{name: "ring", f: ring.Freeze(), srcs: []int{0, 17}, small: true},
-		{name: "lone", f: tree.Freeze(), srcs: []int{lone, 0, 7, 39}, small: true},
+		{name: "ring", f: ring.Freeze(), srcs: []int{0, 17}},
+		{name: "lone", f: tree.Freeze(), srcs: []int{lone, 0, 7, 39}},
 	}
 }
 
@@ -92,7 +88,7 @@ func metricsDigest(h io.Writer, m Metrics) {
 // queue-every-copy flood produced (captured at commit 31ef2ba, before
 // duplicates were resolved at send time; the *-permanent rows at 99c09f8,
 // while down-windows could still close). One digest per (topology,
-// failure class, dedup mode) folds the latency × loss × τ × source cells
+// failure class) folds the latency × loss × τ × source cells
 // in a fixed order; Delivered, Duplicates, FailDropped and Completion are
 // the fields the send-time path now credits, and the loss draws come from
 // a per-cell stream so one extra or missing draw shifts Dropped.
@@ -104,102 +100,70 @@ func TestFloodMetricsDigests(t *testing.T) {
 		{Base: 1, Phases: ph},
 		{Base: 1, Jitter: 1, Phases: ph},
 	}
-	// Down-windows open around t = 2 and close 1.5 later, inside the
-	// flood's lifetime under unit latency: copies are dropped on arrival
-	// at a down node and later copies find it up again.
+	// Failures strike around t = 2, inside the flood's lifetime under unit
+	// latency, and never recover: copies sent over a cut edge or arriving
+	// at a crashed node are dropped. One class at a time, then both.
 	fails := []struct {
 		name string
 		plan FailPlan
 	}{
 		{"none", FailPlan{}},
-		{"crash", FailPlan{NodeFrac: 0.3, MTBF: 2, Downtime: 1.5, Phases: ph}},
-		{"cut", FailPlan{LinkFrac: 0.3, MTBF: 2, Downtime: 1.5, Phases: ph}},
 		{"both", FailPlan{NodeFrac: 0.2, LinkFrac: 0.2, MTBF: 2, Phases: ph}},
-		// One failure class at a time, without recovery: the per-class
-		// pins of a down-window that never closes.
 		{"crash-permanent", FailPlan{NodeFrac: 0.3, MTBF: 2, Phases: ph}},
 		{"cut-permanent", FailPlan{LinkFrac: 0.3, MTBF: 2, Phases: ph}},
 	}
 	got := map[string]uint64{}
 	sim := NewSim(0)
 	for _, topo := range digestTopos(t) {
-		for _, noDedup := range []bool{false, true} {
-			if noDedup && !topo.small {
-				continue
-			}
-			for _, fl := range fails {
-				h := fnv.New64a()
-				cell := uint64(0)
-				failDropped := 0
-				for _, lat := range latencies {
-					for _, loss := range []float64{0, 0.1} {
-						for _, ttl := range []int{0, 2, 30} {
-							cfg := Config{MaxTTL: ttl, Latency: lat, Loss: loss, NoDedup: noDedup, Fail: fl.plan}
-							for _, src := range topo.srcs {
-								var rng *xrand.RNG
-								if loss > 0 {
-									rng = xrand.NewStream(77, cell, uint64(src))
-								}
-								m, err := sim.Flood(topo.f, src, cfg, rng)
-								if err != nil {
-									t.Fatal(err)
-								}
-								metricsDigest(h, m)
-								failDropped += m.FailDropped
+		for _, fl := range fails {
+			h := fnv.New64a()
+			cell := uint64(0)
+			failDropped := 0
+			for _, lat := range latencies {
+				for _, loss := range []float64{0, 0.1} {
+					for _, ttl := range []int{0, 2, 30} {
+						cfg := Config{MaxTTL: ttl, Latency: lat, Loss: loss, Fail: fl.plan}
+						for _, src := range topo.srcs {
+							var rng *xrand.RNG
+							if loss > 0 {
+								rng = xrand.NewStream(77, cell, uint64(src))
 							}
-							cell++
+							m, err := sim.Flood(topo.f, src, cfg, rng)
+							if err != nil {
+								t.Fatal(err)
+							}
+							metricsDigest(h, m)
+							failDropped += m.FailDropped
 						}
+						cell++
 					}
 				}
-				name := topo.name + "/" + fl.name
-				if noDedup {
-					name += "/nodedup"
-				}
-				got[name] = h.Sum64()
-				if fired := failDropped > 0; fired != fl.plan.Enabled() {
-					t.Errorf("%s: %d copies lost to failures, plan enabled = %v", name, failDropped, fl.plan.Enabled())
-				}
+			}
+			name := topo.name + "/" + fl.name
+			got[name] = h.Sum64()
+			if fired := failDropped > 0; fired != fl.plan.Enabled() {
+				t.Errorf("%s: %d copies lost to failures, plan enabled = %v", name, failDropped, fl.plan.Enabled())
 			}
 		}
 	}
 
 	want := map[string]uint64{
-		"lone/both":                    0x44f3e84ac80b7d55,
-		"lone/both/nodedup":            0x2e1e2accb3284ee3,
-		"lone/crash":                   0xe80e48f7e5eb453f,
-		"lone/crash-permanent":         0x6edaac0c98c19507,
-		"lone/crash-permanent/nodedup": 0x6d0123bd24dabcca,
-		"lone/crash/nodedup":           0xf13d74407a7366a2,
-		"lone/cut":                     0x7bc0edd84e43cac5,
-		"lone/cut-permanent":           0xf96063858f102c6b,
-		"lone/cut-permanent/nodedup":   0xce2939767dae8762,
-		"lone/cut/nodedup":             0xa271679c51069070,
-		"lone/none":                    0x3202c3f954450811,
-		"lone/none/nodedup":            0x4813d3f93f174ab1,
-		"pa-kc10/both":                 0xf4db2b48f93e4719,
-		"pa-kc10/crash":                0xfde3d23c7a2fc722,
-		"pa-kc10/crash-permanent":      0x32c46d038a286132,
-		"pa-kc10/cut":                  0x9a6c6630ac68370b,
-		"pa-kc10/cut-permanent":        0xce5173d79a6d0a87,
-		"pa-kc10/none":                 0xec447497010752be,
-		"pa/both":                      0xff1f8a30eff7c805,
-		"pa/crash":                     0x57d38985f72ba1b6,
-		"pa/crash-permanent":           0x7cf66b32ac041ca8,
-		"pa/cut":                       0xba7148fe63d82f57,
-		"pa/cut-permanent":             0xdb5d09309e9564b4,
-		"pa/none":                      0x737bcc8b6610b86f,
-		"ring/both":                    0x427c64b1526431e1,
-		"ring/both/nodedup":            0x4e0a6f930bb7e21,
-		"ring/crash":                   0x686f1a6a3c9f53df,
-		"ring/crash-permanent":         0x977c65c3a6394270,
-		"ring/crash-permanent/nodedup": 0x1af28d6adc800b0,
-		"ring/crash/nodedup":           0x7e0dd7fd5f7f9c3a,
-		"ring/cut":                     0x221a5b29fc686c26,
-		"ring/cut-permanent":           0x19a58cb0b8a4aee9,
-		"ring/cut-permanent/nodedup":   0x62e517c72c718fa9,
-		"ring/cut/nodedup":             0xd23ab8ad17c5389,
-		"ring/none":                    0xa44f4a7ea1f71ac8,
-		"ring/none/nodedup":            0x2de1919ac5bd0f9e,
+		"lone/both":               0x44f3e84ac80b7d55,
+		"lone/crash-permanent":    0x6edaac0c98c19507,
+		"lone/cut-permanent":      0xf96063858f102c6b,
+		"lone/none":               0x3202c3f954450811,
+		"pa-kc10/both":            0xf4db2b48f93e4719,
+		"pa-kc10/crash-permanent": 0x32c46d038a286132,
+		"pa-kc10/cut-permanent":   0xce5173d79a6d0a87,
+		"pa-kc10/none":            0xec447497010752be,
+		"pa/both":                 0xff1f8a30eff7c805,
+		"pa/crash-permanent":      0x7cf66b32ac041ca8,
+		"pa/cut-permanent":        0xdb5d09309e9564b4,
+		"pa/none":                 0x737bcc8b6610b86f,
+		"ring/both":               0x427c64b1526431e1,
+		"ring/crash-permanent":    0x977c65c3a6394270,
+		"ring/cut-permanent":      0x19a58cb0b8a4aee9,
+		"ring/none":               0xa44f4a7ea1f71ac8,
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d digests computed, %d pinned", len(got), len(want))
@@ -216,7 +180,7 @@ func TestFloodMetricsDigests(t *testing.T) {
 	}
 }
 
-// TestFloodConservation checks the counter identities of a dedup flood
+// TestFloodConservation checks the counter identities of a flood
 // over random seeds, transport knobs and failure plans: every sent copy
 // is delivered, lost in flight or lost to a failure, and every delivery
 // is either a first receipt (all hits but the source's own) or a
@@ -238,7 +202,6 @@ func TestFloodConservation(t *testing.T) {
 				NodeFrac: []float64{0, 0.3, 1}[pick.Intn(3)],
 				LinkFrac: []float64{0, 0.3}[pick.Intn(2)],
 				MTBF:     0.5 + 3*pick.Float64(),
-				Downtime: float64(pick.Intn(3)),
 				Phases:   ph,
 			},
 		}

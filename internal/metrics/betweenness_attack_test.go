@@ -46,8 +46,10 @@ func TestBetweennessAttackOnPathCutsMiddle(t *testing.T) {
 }
 
 // TestRobustnessWithZeroConfigMatchesRobustness pins that the config
-// surface added for the batched estimator leaves the legacy entry point
-// bit-identical (same RNG draws, same points) for every strategy.
+// surface added for the estimator leaves the legacy entry point
+// bit-identical (same RNG draws, same points) for every strategy, and
+// that estimator steps come back exactly for the betweenness attack: one
+// per measurement step.
 func TestRobustnessWithZeroConfigMatchesRobustness(t *testing.T) {
 	t.Parallel()
 	g, _, err := gen.PA(gen.PAConfig{N: 800, M: 2}, xrand.New(4))
@@ -65,8 +67,12 @@ func TestRobustnessWithZeroConfigMatchesRobustness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if steps != nil {
-			t.Fatalf("%v: non-batched run returned estimator steps", strat)
+		if strat == RemoveHighestBetweenness {
+			if len(steps) != len(got)-1 {
+				t.Fatalf("%v: %d estimator steps for %d points", strat, len(steps), len(got))
+			}
+		} else if steps != nil {
+			t.Fatalf("%v: returned estimator steps", strat)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d points != %d", strat, len(got), len(want))
@@ -80,8 +86,8 @@ func TestRobustnessWithZeroConfigMatchesRobustness(t *testing.T) {
 }
 
 // TestRobustnessBetweennessPivotsParameter: the pivot budget is a real
-// knob — an exact budget (>= N) must reproduce the exact adaptive attack,
-// and small budgets still produce a damaging attack.
+// knob — an exact budget (>= N) prices every step with exact Brandes and
+// so draws no pivots, and small budgets still produce a damaging attack.
 func TestRobustnessBetweennessPivotsParameter(t *testing.T) {
 	t.Parallel()
 	g, _, err := gen.PA(gen.PAConfig{N: 400, M: 2}, xrand.New(5))
@@ -123,7 +129,7 @@ func TestRobustnessBetweennessPivotsParameter(t *testing.T) {
 
 // TestRobustnessBatchedBetweenness: the batched estimator must (a) report
 // one accounting step per measurement step, (b) damage the network
-// comparably to the exact adaptive attack, and (c) be deterministic.
+// comparably to the exact-score attack, and (c) be deterministic.
 func TestRobustnessBatchedBetweenness(t *testing.T) {
 	t.Parallel()
 	g, _, err := gen.PA(gen.PAConfig{N: 1000, M: 2}, xrand.New(8))
@@ -132,7 +138,7 @@ func TestRobustnessBatchedBetweenness(t *testing.T) {
 	}
 	cfg := RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.3,
-		BetweennessPivots: 64, BatchedBetweenness: true,
+		BetweennessPivots: 64,
 	}
 	pts, steps, err := RobustnessWith(g, cfg, xrand.New(10))
 	if err != nil {
@@ -151,19 +157,18 @@ func TestRobustnessBatchedBetweenness(t *testing.T) {
 	}
 	// Agreement gate for the estimator proper: with the batch granularity
 	// held fixed, pivot-sampled scores must reproduce the trajectory of
-	// exact (pivots >= N) scores. The batching itself is the documented
-	// strategy change — per-removal adaptive recomputation is strictly
-	// more damaging and is not what the estimator approximates.
+	// exact (pivots >= N) scores. The batching itself is the attack's
+	// definition, not part of what the estimator approximates.
 	exact, _, err := RobustnessWith(g, RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.3,
-		BetweennessPivots: g.N(), BatchedBetweenness: true,
+		BetweennessPivots: g.N(),
 	}, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sampled, _, err := RobustnessWith(g, RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.3,
-		BetweennessPivots: 256, BatchedBetweenness: true,
+		BetweennessPivots: 256,
 	}, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)

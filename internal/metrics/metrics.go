@@ -148,10 +148,11 @@ const (
 	// RemoveHighestDegree deletes nodes in descending degree order
 	// (a targeted attack on hubs — the "Achilles heel").
 	RemoveHighestDegree
-	// RemoveHighestBetweenness deletes the node carrying the most
-	// shortest-path traffic each step — the strongest (and costliest)
-	// attack, targeting the peers "through which most of the traffic go"
-	// (§III). Uses sampled betweenness for speed.
+	// RemoveHighestBetweenness deletes the nodes carrying the most
+	// shortest-path traffic — the strongest (and costliest) attack,
+	// targeting the peers "through which most of the traffic go" (§III).
+	// Batched: one pivot-sampled Brandes pass per measurement step prices
+	// every live node, and the step removes the top scorers in order.
 	RemoveHighestBetweenness
 )
 
@@ -190,26 +191,17 @@ type RobustnessConfig struct {
 	// StepFrac is the fraction of original nodes removed between
 	// measurements; MaxFrac is where the experiment stops. Both in (0,1].
 	StepFrac, MaxFrac float64
-	// BetweennessPivots bounds the pivot sample behind
+	// BetweennessPivots bounds the pivot sample behind each step of
 	// RemoveHighestBetweenness; 0 selects DefaultBetweennessPivots,
 	// values >= N run exact Brandes. Each pivot's dependency sum is
 	// scaled up by N/pivots (see Frozen.Betweenness), so scores at
 	// different pivot budgets live on the same scale and only their
-	// variance differs.
+	// variance differs. Per-step estimator uncertainty is reported
+	// through BetweennessStep.
 	BetweennessPivots int
-	// BatchedBetweenness switches RemoveHighestBetweenness from the
-	// adaptive per-removal recomputation (the historical semantics, cost
-	// pivots·O(V+E) per removed node) to one recomputation per
-	// measurement step: the whole step's nodes are removed in descending
-	// estimated-betweenness order from a single pivot pass, cost
-	// pivots·O(V+E) per step. The batch is the estimator's documented
-	// approximation — scores go stale within a step — and in exchange
-	// the attack spec runs at N=10⁶. Per-step estimator uncertainty is
-	// reported through BetweennessStep.
-	BatchedBetweenness bool
 }
 
-// BetweennessStep reports the estimator accounting of one batched
+// BetweennessStep reports the estimator accounting of one
 // betweenness-attack step: the mean Brandes–Pich score of the nodes the
 // step removed, and the mean standard error of those scores (see
 // Frozen.BetweennessSampled). Steps that fell back to degree order (no
@@ -237,7 +229,7 @@ func Robustness(g *graph.Graph, strategy RemovalStrategy, stepFrac, maxFrac floa
 // RobustnessWith is Robustness with the full configuration surface. With a
 // zero-valued extension config it is behavior- and RNG-identical to
 // Robustness. The second return value carries per-step estimator
-// accounting and is non-nil only for the batched betweenness attack.
+// accounting and is non-nil only for the betweenness attack.
 func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]RobustnessPoint, []BetweennessStep, error) {
 	strategy, stepFrac, maxFrac := cfg.Strategy, cfg.StepFrac, cfg.MaxFrac
 	pivots := cfg.BetweennessPivots
@@ -301,10 +293,9 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 	if step < 1 {
 		step = 1
 	}
-	batched := cfg.BatchedBetweenness && strategy == RemoveHighestBetweenness
 	var bcSteps []BetweennessStep
 	for float64(n-aliveCount)/float64(n) < maxFrac && aliveCount > 0 {
-		if batched {
+		if strategy == RemoveHighestBetweenness {
 			bs := removeBetweennessBatch(work, alive, &aliveCount, removeNode, step, pivots, rng)
 			bs.RemovedFrac = float64(n-aliveCount) / float64(n)
 			bcSteps = append(bcSteps, bs)
@@ -318,8 +309,6 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 				u = randomAlive(alive, aliveCount, rng)
 			case RemoveHighestDegree:
 				u = highestDegreeAlive(work, alive)
-			case RemoveHighestBetweenness:
-				u = highestBetweennessAlive(work, alive, rng, pivots)
 			default:
 				return nil, nil, errors.New("metrics: unknown removal strategy")
 			}
@@ -333,12 +322,11 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 	return pts, bcSteps, nil
 }
 
-// removeBetweennessBatch runs one batched attack step: a single
+// removeBetweennessBatch runs one betweenness-attack step: a single
 // pivot-sampled Brandes pass prices every live node, the top `step` by
 // estimated score (ties toward lower IDs) are removed in that order, and
 // any shortfall — fewer than `step` live nodes with positive score — falls
-// back to adaptive highest-degree removal, mirroring
-// highestBetweennessAlive's fallback.
+// back to adaptive highest-degree removal.
 func removeBetweennessBatch(work *graph.Graph, alive []bool, aliveCount *int, removeNode func(int), step, pivots int, rng *xrand.RNG) BetweennessStep {
 	bc, se := work.Freeze().BetweennessSampled(pivots, rng)
 	cand := make([]int32, 0, len(alive))
@@ -391,27 +379,6 @@ func randomAlive(alive []bool, aliveCount int, rng *xrand.RNG) int {
 		pick--
 	}
 	return -1
-}
-
-// highestBetweennessAlive picks the live node with the largest sampled
-// betweenness (DefaultBetweennessPivots pivots balance accuracy and cost
-// inside the removal loop; RobustnessConfig.BetweennessPivots overrides).
-func highestBetweennessAlive(g *graph.Graph, alive []bool, rng *xrand.RNG, pivots int) int {
-	bc := g.Betweenness(pivots, rng)
-	best, bestVal := -1, -1.0
-	for u, a := range alive {
-		if !a {
-			continue
-		}
-		if bc[u] > bestVal {
-			best, bestVal = u, bc[u]
-		}
-	}
-	if bestVal <= 0 {
-		// No traffic carriers left; fall back to degree.
-		return highestDegreeAlive(g, alive)
-	}
-	return best
 }
 
 func highestDegreeAlive(g *graph.Graph, alive []bool) int {

@@ -1,12 +1,15 @@
 package sim
 
-// Fuzz targets for the bytes the journal reads back from disk and the
-// record frames a coordinator takes off the network. Seed corpora live under
-// testdata/fuzz/: the parent-written fixture journals and real record frames,
-// whole, truncated and with single bits flipped.
+// Fuzz targets for the bytes the journal reads back from disk, the record
+// frames a coordinator takes off the network, and the workload a lease
+// carries to a worker. Seed corpora live under testdata/fuzz/: the
+// parent-written fixture journals and real record frames, whole, truncated
+// and with single bits flipped, and the presets and edge values of Scale.
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -124,6 +127,50 @@ func FuzzDecodeSlotRecord(f *testing.F) {
 		}
 		if p, ok := j.payloadOf(rec.key()); !ok || (isNew && !bytes.Equal(p, rec.Payload)) {
 			t.Fatalf("accepted record %s does not replay (found=%v)", rec.Key(), ok)
+		}
+	})
+}
+
+// FuzzScaleValidate: Validate never panics, and a Scale it accepts
+// crosses the wire intact — the JSON round trip of WorkloadOnly that a
+// lease makes yields the same WorkloadFingerprint, which is what a
+// worker's fingerprint check relies on.
+func FuzzScaleValidate(f *testing.F) {
+	add := func(sc Scale) {
+		f.Add(sc.NDegree, sc.NSearch, sc.NSubstrate, sc.NOverlay, sc.Realizations, sc.Sources,
+			sc.MaxTTLFlood, sc.MaxTTLNF, sc.Workers, sc.BCPivots, sc.PathLandmarks, sc.PathPairs, sc.WalkCap,
+			sc.DESLatencyBase, sc.DESLatencyJitter, sc.DESLoss, sc.DESFailFrac, sc.DESFailMTBF)
+	}
+	add(Scale{})
+	add(SmokeScale)
+	add(XLScale)
+	add(Scale{Sources: -1, DESLoss: math.Nextafter(1, 0), DESFailMTBF: math.MaxFloat64})
+	f.Fuzz(func(t *testing.T, nDegree, nSearch, nSubstrate, nOverlay, realizations, sources,
+		ttlFlood, ttlNF, workers, bcPivots, landmarks, pairs, walkCap int,
+		latBase, latJitter, loss, failFrac, failMTBF float64) {
+		sc := Scale{
+			NDegree: nDegree, NSearch: nSearch, NSubstrate: nSubstrate, NOverlay: nOverlay,
+			Realizations: realizations, Sources: sources, MaxTTLFlood: ttlFlood, MaxTTLNF: ttlNF,
+			Workers: workers, BCPivots: bcPivots, PathLandmarks: landmarks, PathPairs: pairs, WalkCap: walkCap,
+			DESLatencyBase: latBase, DESLatencyJitter: latJitter, DESLoss: loss,
+			DESFailFrac: failFrac, DESFailMTBF: failMTBF,
+		}
+		if sc.Validate() != nil {
+			return
+		}
+		wire, err := json.Marshal(sc.WorkloadOnly())
+		if err != nil {
+			t.Fatalf("accepted workload %+v does not marshal: %v", sc, err)
+		}
+		var back Scale
+		if err := json.Unmarshal(wire, &back); err != nil {
+			t.Fatalf("accepted workload %+v does not unmarshal: %v", sc, err)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("round trip of %+v made it invalid: %v", sc, err)
+		}
+		if want, got := WorkloadFingerprint("fig9", 2007, sc), WorkloadFingerprint("fig9", 2007, back); !bytes.Equal(want, got) {
+			t.Fatalf("round trip of %+v changed the fingerprint", sc)
 		}
 	})
 }

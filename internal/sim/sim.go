@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,8 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// Scale sets the size of every experiment.
+// Scale sets the size of every experiment. Validate is its one range
+// check; the specs and kernels trust a Scale that passed it.
 type Scale struct {
 	// NDegree is the node count for degree-distribution experiments
 	// (paper: 10⁵).
@@ -72,9 +74,9 @@ type Scale struct {
 	// failure fraction; zero sweeps the default series {0, 0.10, 0.20,
 	// 0.30}.
 	DESFailFrac float64
-	// DESFailMTBF sets the mean time before a selected element's
-	// down-window starts in the desfail spec; zero selects the default of
-	// 2 time units (mid-flight under the default unit-latency model).
+	// DESFailMTBF sets the mean time before a selected element goes down
+	// (for good) in the desfail spec; zero selects the default of 2 time
+	// units (mid-flight under the default unit-latency model).
 	DESFailMTBF float64
 	// BCPivots bounds the Brandes–Pich pivot sample behind the attack
 	// spec's betweenness-attack series (batched: one pivot pass per
@@ -158,6 +160,53 @@ var XLScale = Scale{
 	PathLandmarks: 16,
 	PathPairs:     2_000,
 	WalkCap:       2_000_000,
+}
+
+// Validate reports the first workload knob out of range, naming the field
+// and, where one sets it, the experiments flag. Every count must be >= 0,
+// DESLoss and DESFailFrac must lie in [0, 1), and the DES latency and
+// MTBF knobs must be finite and >= 0. Zero keeps each knob's default
+// meaning, and NaN fails every rule. It is the one check of a workload:
+// cmd/experiments runs it before any spec or coordinator starts, and a
+// coordinator's worker before it runs a lease.
+func (sc Scale) Validate() error {
+	for _, k := range []struct {
+		name string
+		v    int
+	}{
+		{"NDegree", sc.NDegree}, {"NSearch", sc.NSearch},
+		{"NSubstrate", sc.NSubstrate}, {"NOverlay", sc.NOverlay},
+		{"Realizations", sc.Realizations}, {"Sources", sc.Sources},
+		{"MaxTTLFlood", sc.MaxTTLFlood}, {"MaxTTLNF", sc.MaxTTLNF},
+		{"Workers (-workers)", sc.Workers}, {"BCPivots (-bc-pivots)", sc.BCPivots},
+		{"PathLandmarks (-path-landmarks)", sc.PathLandmarks},
+		{"PathPairs (-path-pairs)", sc.PathPairs}, {"WalkCap (-walk-cap)", sc.WalkCap},
+	} {
+		if k.v < 0 {
+			return fmt.Errorf("sim: %s %d must be >= 0", k.name, k.v)
+		}
+	}
+	// A negative delay delivers a copy before it is sent, NaN leaves the
+	// event heap's order (and every RNG draw) arbitrary, and an infinite
+	// MTBF puts every onset at +Inf, silently disabling the failures.
+	for _, k := range []struct {
+		name string
+		v    float64
+		frac bool // in [0, 1); otherwise finite and >= 0
+	}{
+		{"DESLoss (-loss)", sc.DESLoss, true}, {"DESFailFrac (-fail-frac)", sc.DESFailFrac, true},
+		{"DESLatencyBase (-latency-base)", sc.DESLatencyBase, false},
+		{"DESLatencyJitter (-latency-jitter)", sc.DESLatencyJitter, false},
+		{"DESFailMTBF (-fail-mtbf)", sc.DESFailMTBF, false},
+	} {
+		switch {
+		case k.frac && !(k.v >= 0 && k.v < 1):
+			return fmt.Errorf("sim: %s %v out of range [0, 1)", k.name, k.v)
+		case !k.frac && !(k.v >= 0 && k.v <= math.MaxFloat64):
+			return fmt.Errorf("sim: %s %v must be finite and >= 0", k.name, k.v)
+		}
+	}
+	return nil
 }
 
 // Figure is one regenerated paper artifact: a set of labeled series plus

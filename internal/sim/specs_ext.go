@@ -67,7 +67,7 @@ func Attack(sc Scale, seed uint64) ([]Figure, error) {
 			}
 			pts, steps, err := metrics.RobustnessWith(g, metrics.RobustnessConfig{
 				Strategy: strat, StepFrac: 0.02, MaxFrac: 0.4,
-				BetweennessPivots: pivots, BatchedBetweenness: batched,
+				BetweennessPivots: pivots,
 			}, b.rng)
 			if err != nil {
 				return nil, err

@@ -28,8 +28,8 @@ func (sc Scale) desFailFracs() []float64 {
 	return []float64{0, 0.10, 0.20, 0.30}
 }
 
-// desFailMTBF resolves the mean time before a selected element's
-// down-window starts. The default of 2 time units sits inside the flood's
+// desFailMTBF resolves the mean time before a selected element goes
+// down. The default of 2 time units sits inside the flood's
 // active window under the default unit-latency model (first arrivals at
 // t≈1, deepest at t≈maxTTL), so failures strike while the search is in
 // flight rather than before it starts or after it ends.

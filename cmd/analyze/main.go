@@ -56,6 +56,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *ksTrials < 0 {
+		return fmt.Errorf("ks-trials %d must be >= 0 (0 = skip)", *ksTrials)
+	}
 
 	g, err := load(*in, *n, *m, *kc, *seed)
 	if err != nil {

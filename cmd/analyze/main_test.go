@@ -104,6 +104,13 @@ func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-bogus"}, &buf); err == nil {
 		t.Fatal("bad flag should fail")
 	}
+	// A negative trial count used to skip the bootstrap as 0 does.
+	if err := run([]string{"-n", "200", "-robust=false", "-ks-trials", "-1"}, &buf); err == nil || !strings.Contains(err.Error(), "ks-trials") {
+		t.Fatalf("-ks-trials -1: err %v, want the flag refused by name", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused run printed a report:\n%s", buf.String())
+	}
 }
 
 func TestRunJournalSubcommand(t *testing.T) {

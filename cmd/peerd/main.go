@@ -71,6 +71,22 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown join strategy %q", *joinStrat)
 	}
+	// Every flag is judged before the peer registers: a bad one must not
+	// cost a join, and NewTicker panics on a non-positive interval.
+	switch scalefree.SearchAlg(*alg) {
+	case scalefree.SearchFlood, scalefree.SearchNF, scalefree.SearchRW:
+	default:
+		return fmt.Errorf("-alg %q: unknown algorithm (want fl, nf or rw)", *alg)
+	}
+	if *ttl < 1 {
+		return fmt.Errorf("-ttl %d must be >= 1", *ttl)
+	}
+	if *window <= 0 {
+		return fmt.Errorf("-window %v must be > 0", *window)
+	}
+	if *status <= 0 {
+		return fmt.Errorf("-status %v must be > 0", *status)
+	}
 	var keyList []string
 	if *keys != "" {
 		keyList = strings.Split(*keys, ",")

@@ -38,6 +38,35 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRefusesBadFlagsBeforeRegistering: each bad value is refused by
+// flag name before the peer registers. They used to surface only after
+// it had registered (an unknown -alg, -ttl < 1), to panic there (a
+// non-positive -status), or to silently become the library's 200 ms
+// (-window 0, against a documented 500 ms default).
+func TestRunRefusesBadFlagsBeforeRegistering(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-query", "x", "-alg", "bogus"}, "-alg"},
+		{[]string{"-query", "x", "-ttl", "0"}, "-ttl"},
+		{[]string{"-query", "x", "-window", "0"}, "-window"},
+		{[]string{"-query", "x", "-window", "-1ms"}, "-window"},
+		{[]string{"-status", "0"}, "-status"},
+		{[]string{"-status", "-1s"}, "-status"},
+	} {
+		var buf strings.Builder
+		err := run(append([]string{"-listen", freePort(t)}, c.args...), &buf)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%v: err %v, want %s refused by name", c.args, err, c.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: the peer started before the refusal:\n%s", c.args, buf.String())
+		}
+	}
+}
+
 func TestRunQueryAgainstBootstrap(t *testing.T) {
 	t.Parallel()
 	// Start a bootstrap peer holding content, on a real TCP transport.

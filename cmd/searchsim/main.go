@@ -61,7 +61,10 @@ func run(args []string, out io.Writer) error {
 	if *sources < 1 {
 		return fmt.Errorf("sources %d must be >= 1", *sources)
 	}
-	if *kmin <= 0 {
+	if *kmin < 0 {
+		return fmt.Errorf("kmin %d must be >= 0 (0 = m)", *kmin)
+	}
+	if *kmin == 0 {
 		*kmin = *m
 	}
 

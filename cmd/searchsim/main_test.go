@@ -83,6 +83,7 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{[]string{"-n", "50", "-sources", "0"}, "sources"}, // was a NaN table
 		{[]string{"-n", "50", "-ttl", "-2"}, "ttl"},        // was a makeslice panic
+		{[]string{"-n", "50", "-kmin", "-1"}, "kmin"},      // silently ran with kmin=m
 		{[]string{"-in", empty}, empty},                    // was an Intn panic
 		{[]string{"-in", missing, "-alg", "bogus"}, "algorithm"},
 	}

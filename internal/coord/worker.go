@@ -179,9 +179,8 @@ type worker struct {
 // execute runs one lease end to end: verify the workload, heartbeat while
 // computing, stream records, then report complete or fail. Errors returned
 // are fatal to the worker (workload skew, a workload Scale.Validate
-// refuses, cancelled context); a failed
-// realization is reported to the coordinator and is NOT fatal — the
-// coordinator owns that budget.
+// refuses, cancelled context); a failed realization is reported to the
+// coordinator and is NOT fatal — the coordinator owns that budget.
 func (w *worker) execute(ctx context.Context, m wireMsg) error {
 	w.stats.leases.Add(1)
 	fail := func(msg string) {

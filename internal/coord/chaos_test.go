@@ -364,7 +364,7 @@ func TestDistributedCoordinatorKillResumeByteIdentical(t *testing.T) {
 // makes the worker report failure and exit fatally rather than compute.
 func TestRunWorkerRefusesSkewedWorkload(t *testing.T) {
 	t.Parallel()
-	sc := sim.Scale{Realizations: 1}
+	sc := sim.Scale{NSearch: 50, Realizations: 1, Sources: 1, MaxTTLFlood: 1, MaxTTLNF: 2}
 	fp := sim.WorkloadFingerprint("fig9", 1, sc)
 	fp[len(fp)-1] ^= 0xFF
 	checkLeaseRefused(t, sc, fp)

@@ -46,6 +46,29 @@ func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint
 	return rows
 }
 
+// flSweep is searchSeries' FL sweep with the per-source sampling left to
+// the caller: sample fills source s's row from its flood result. It
+// journals under tag and labels the series "fl".
+func flSweep(tag string, factory topoFactory, cfg searchCfg, seed uint64, sample func(search.Result, []float64)) (Series, error) {
+	curves, err := sourceSeries(cfg.sc, seed, tag, recSweepSlots, 1, cfg.maxTTL+1, factory,
+		func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+			return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, func(s int, res search.Result) { sample(res, rows[s]) })
+		})
+	if err != nil {
+		return Series{}, err
+	}
+	return aggregate("fl", curves[0], 1)
+}
+
+// flMsgs samples a flood's messages within t hops into row[t]. No spec
+// sweeps FL messages; the tests pin the batched kernel's and the DES
+// flood's message counts with it.
+func flMsgs(res search.Result, row []float64) {
+	for t := range row {
+		row[t] = float64(res.MessagesAt(t))
+	}
+}
+
 // TestBatchSweepMatchesPerSourceSweep: for source counts on both sides of
 // every batch-width boundary and for serial, sharded and lane-parallel
 // budgets (1: lanes 1, width 1; 6: lanes 3, width 2; 21: lanes 3, width
@@ -62,16 +85,10 @@ func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 		sample func(search.Result, []float64)
 		tag    string
 	}{
-		{"hits", searchSeries, func(res search.Result, row []float64) {
-			for t := range row {
-				row[t] = float64(res.HitsAt(t))
-			}
-		}, "fl"},
-		{"msgs", messageSeries, func(res search.Result, row []float64) {
-			for t := range row {
-				row[t] = float64(res.MessagesAt(t))
-			}
-		}, "msgs: fl"},
+		{"hits", searchSeries, hitsRow, "fl"},
+		{"msgs", func(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
+			return flSweep("msgs: "+label, factory, cfg, seed, flMsgs)
+		}, flMsgs, "msgs: fl"},
 	}
 	for _, sources := range []int{1, 12, 64, 65, 150} {
 		cfg := searchCfg{alg: algFL, maxTTL: 12, sc: Scale{Sources: sources, Realizations: 3}}

@@ -206,15 +206,15 @@ func checkExponentMonotone(sc Scale, seed uint64) (bool, string, error) {
 }
 
 func checkNFBeatsRW(sc Scale, seed uint64) (bool, string, error) {
-	factory := paTopo(sc.NSearch, 2, 40)
-	cfgNF := sc.searchCfg(algNF, sc.MaxTTLNF, 2)
-	cfgRW := cfgNF
-	cfgRW.alg = algRW
-	nf, err := searchSeries("nf", factory, cfgNF, seed)
+	curves, err := nfRWCurves(sc, seed, "nf-beats-rw", paTopo(sc.NSearch, 2, 40), 2)
 	if err != nil {
 		return false, "", err
 	}
-	rw, err := searchSeries("rw", factory, cfgRW, seed)
+	nf, err := aggregate("nf", curves[1], 1)
+	if err != nil {
+		return false, "", err
+	}
+	rw, err := aggregate("rw", curves[2], 1)
 	if err != nil {
 		return false, "", err
 	}

@@ -12,7 +12,6 @@ import (
 	"scalefree/internal/gen"
 	"scalefree/internal/graph"
 	"scalefree/internal/search"
-	"scalefree/internal/stats"
 	"scalefree/internal/xrand"
 )
 
@@ -71,21 +70,16 @@ func checkSqrtReplication(sc Scale, seed uint64) (bool, string, error) {
 		if err != nil {
 			return 0, err
 		}
-		// Sharded query sweep on the shared frozen overlay; stream 0 for
-		// every strategy, so all three resolve the identical paired
-		// workload.
-		steps := make([]int, queries)
-		found := make([]bool, queries)
-		err = withSweeper(sc.Workers, seed+2, func(sw *sweeper) error {
-			return sw.Sources(0, queries, func(_, q int, rng *xrand.RNG, _ *search.Scratch) error {
-				steps[q], found[q] = content.ResolveQuery(fg, p, cat, maxSteps, rng)
-				return nil
-			})
+		// Stream 0 for every strategy, so all three resolve the identical
+		// paired workload.
+		var r content.ESSResult
+		err = withSweeper(sc.Workers, seed+2, func(sw *sweeper) (err error) {
+			r, err = sw.essQueries(0, queries, fg, p, cat, maxSteps)
+			return err
 		})
 		if err != nil {
 			return 0, err
 		}
-		r := content.CollectESS(steps, found)
 		if r.Found == 0 {
 			return 0, fmt.Errorf("no queries resolved for %s", s)
 		}
@@ -139,26 +133,25 @@ func checkChurnRepair(sc Scale, seed uint64) (bool, string, error) {
 func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 	ratio := func(kc int) (float64, error) {
 		steps := sc.NSearch / 2
-		walks := perSource(func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
-			rh, err := scratch.HighDegreeWalk(f, src, steps, rng)
-			if err != nil {
-				return nil, err
-			}
-			// Consume rh before the next scratch call recycles it.
-			row := []float64{float64(rh.HitsAt(steps)), 0}
-			rb, err := scratch.RandomWalk(f, src, steps, rng)
-			if err != nil {
-				return nil, err
-			}
-			row[1] = float64(rb.HitsAt(steps))
-			return row, nil
-		})
 		// The running sums below cross realizations, so this series keeps
 		// every block whole, in rows of its own.
 		blocks, err := realizationBlocks(sc, seed+uint64(kc), fmt.Sprintf("hds-cutoff-dependence %s", cutoffLabel(kc)), rowBlocks(recSweepSlots, sc.Sources, 2),
 			paTopo(sc.NSearch, 2, kc), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
-				rows := make([][]float64, sc.Sources)
-				return rows, walks(r, f, sw, rows)
+				rows := slabRows(make([][]float64, sc.Sources), make([]float64, 2*sc.Sources), 2)
+				return rows, sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
+					rh, err := scratch.HighDegreeWalk(f, src, steps, rng)
+					if err != nil {
+						return err
+					}
+					// Consume rh before the next scratch call recycles it.
+					curves[0][0] = float64(rh.HitsAt(steps))
+					rb, err := scratch.RandomWalk(f, src, steps, rng)
+					if err != nil {
+						return err
+					}
+					curves[0][1] = float64(rb.HitsAt(steps))
+					return nil
+				})
 			})
 		if err != nil {
 			return 0, err
@@ -194,32 +187,10 @@ func checkCutoffFlattensLoad(sc Scale, seed uint64) (bool, string, error) {
 			return 0, err
 		}
 		f := g.Freeze()
-		queries := 12 * sc.Sources
 		var gini float64
-		err = withSweeper(sc.Workers, seed+1, func(sw *sweeper) error {
-			// Each shard charges its own Load; integer merges commute, so
-			// the total is identical for any shard count.
-			loads := make([]*search.Load, sw.shards)
-			err := sw.Sources(0, queries, func(shard, q int, rng *xrand.RNG, scratch *search.Scratch) error {
-				if loads[shard] == nil {
-					loads[shard] = search.NewLoad(f.N())
-				}
-				return scratch.NormalizedFloodLoad(f, rng.Intn(f.N()), sc.MaxTTLNF, 2, rng, loads[shard])
-			})
-			if err != nil {
-				return err
-			}
-			total := search.NewLoad(f.N())
-			for _, ld := range loads {
-				if ld == nil {
-					continue
-				}
-				if err := total.Merge(ld); err != nil {
-					return err
-				}
-			}
-			gini = stats.Gini(total.Work())
-			return nil
+		err = withSweeper(sc.Workers, seed+1, func(sw *sweeper) (err error) {
+			gini, err = sw.nfLoadGini(0, f, 12*sc.Sources, sc.MaxTTLNF)
+			return err
 		})
 		return gini, err
 	}

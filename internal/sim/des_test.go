@@ -74,9 +74,9 @@ func TestDESSpecsScheduleInvariant(t *testing.T) {
 }
 
 // TestDESFloodSweepMatchesCSR pins the pipeline-level equivalence gate for
-// floods: a zero-latency, lossless desSweep must reproduce searchSeries
-// (hits) and messageSeries (messages) bit-for-bit — same topologies, same
-// per-source streams, same aggregation.
+// floods: a zero-latency, lossless desSweep must reproduce the CSR flood
+// sweep's hits (searchSeries) and messages (flSweep) bit-for-bit — same
+// topologies, same per-source streams, same aggregation.
 func TestDESFloodSweepMatchesCSR(t *testing.T) {
 	t.Parallel()
 	const seed, maxTTL = 424242, 8
@@ -86,13 +86,13 @@ func TestDESFloodSweepMatchesCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMsgs, err := messageSeries("fl", factory, cfg, seed)
+	wantMsgs, err := flSweep("msgs: fl", factory, cfg, seed, flMsgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := desSweep("destest", factory, cfg, 0, 0, seed, 2, maxTTL+1,
-		func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error) {
-			return sim.Flood(v.f, src, des.Config{MaxTTL: maxTTL, Latency: v.lat}, rng)
+	curves, err := desSweep(cfg.sc, seed, "destest", 2, maxTTL+1, factory, 0, 0,
+		func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
+			return sim.Flood(f, src, des.Config{MaxTTL: maxTTL, Latency: lat}, rng)
 		},
 		func(m des.Metrics, rows [][]float64) {
 			for h := 0; h <= maxTTL; h++ {
@@ -122,7 +122,7 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 	const seed, k, steps = 171717, 4, 25
 	factory := paTopo(800, 2, gen.NoCutoff)
 	cfg := searchCfg{alg: algFL, maxTTL: steps, sc: Scale{Sources: 5, Realizations: 2}}
-	perSource := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
+	rows := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
 	err := forEachRealizationPipeline(engineOpts{}, cfg.sc, seed,
 		factory,
 		func(r int, f *graph.Frozen, sw *sweeper) error {
@@ -136,20 +136,20 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 				for t := range row {
 					row[t] = float64(res.HitsAt(t))
 				}
-				perSource[r*cfg.sc.Sources+s] = row
+				rows[r*cfg.sc.Sources+s] = row
 				return nil
 			})
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := aggregate("kw", meanRows(blocksOf(perSource, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
+	want, err := aggregate("kw", meanRows(blocksOf(rows, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := desSweep("destest", factory, cfg, 0, 0, seed, 1, steps+1,
-		func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error) {
-			return sim.KWalk(v.f, src, k, steps, des.Config{Latency: v.lat}, rng)
+	curves, err := desSweep(cfg.sc, seed, "destest", 1, steps+1, factory, 0, 0,
+		func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
+			return sim.KWalk(f, src, k, steps, des.Config{Latency: lat}, rng)
 		},
 		func(m des.Metrics, rows [][]float64) {
 			for h := 0; h <= steps; h++ {

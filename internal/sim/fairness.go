@@ -84,29 +84,8 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 		queries := 8 * sc.Sources
 		tag := fmt.Sprintf("fairness searchload kc=%d", kc)
 		rows, err := realizationBlocks(sc, seed+uint64(9000+ci), tag, oneRow(1), factory, func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
-			// Each shard charges its own Load accumulator; integer merges
-			// commute, so the per-realization total — and its Gini — is
-			// identical for any Workers.
-			loads := make([]*search.Load, sw.shards)
-			err := sw.Sources(uint64(r), queries, func(shard, q int, rng *xrand.RNG, scratch *search.Scratch) error {
-				if loads[shard] == nil {
-					loads[shard] = search.NewLoad(f.N())
-				}
-				return scratch.NormalizedFloodLoad(f, rng.Intn(f.N()), sc.MaxTTLNF, 2, rng, loads[shard])
-			})
-			if err != nil {
-				return nil, err
-			}
-			total := search.NewLoad(f.N())
-			for _, ld := range loads {
-				if ld == nil {
-					continue
-				}
-				if err := total.Merge(ld); err != nil {
-					return nil, err
-				}
-			}
-			return []float64{stats.Gini(total.Work())}, nil
+			gini, err := sw.nfLoadGini(uint64(r), f, queries, sc.MaxTTLNF)
+			return []float64{gini}, err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tag, err)
@@ -119,4 +98,32 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 	}
 	searchLoad.Series = []Series{sl}
 	return []Figure{gini, topShare, searchLoad}, nil
+}
+
+// nfLoadGini runs queries NF searches (τ ≤ maxTTL, fan-out 2) from the
+// stream's random sources on f and returns the Gini coefficient of the
+// per-peer handling work they cause. Each shard charges its own Load;
+// integer merges commute, so the total — and its Gini — is identical for
+// any shard count.
+func (sw *sweeper) nfLoadGini(stream uint64, f *graph.Frozen, queries, maxTTL int) (float64, error) {
+	loads := make([]*search.Load, sw.shards)
+	err := sw.Sources(stream, queries, func(shard, _ int, rng *xrand.RNG, scratch *search.Scratch) error {
+		if loads[shard] == nil {
+			loads[shard] = search.NewLoad(f.N())
+		}
+		return scratch.NormalizedFloodLoad(f, rng.Intn(f.N()), maxTTL, 2, rng, loads[shard])
+	})
+	if err != nil {
+		return 0, err
+	}
+	total := search.NewLoad(f.N())
+	for _, ld := range loads {
+		if ld == nil {
+			continue
+		}
+		if err := total.Merge(ld); err != nil {
+			return 0, err
+		}
+	}
+	return stats.Gini(total.Work()), nil
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 
 	"scalefree/internal/gen"
 	"scalefree/internal/graph"
@@ -167,8 +166,11 @@ type searchCfg struct {
 	sc     Scale
 	alg    algKind
 	maxTTL int
-	kMin   int    // NF fan-out; the paper uses the prescribed m
-	tag    string // journal-key prefix for panels whose series labels repeat across shared seeds (see sweepSeries)
+	// kMin is the NF/RW fan-out. Callers pass the topology's stub count m:
+	// the paper runs NF "based on the predefined minimum degree value m"
+	// even when cleanup or short horizons push some nodes below m.
+	kMin int
+	tag  string // journal-key prefix for panels whose series labels repeat across shared seeds (see searchSeries)
 }
 
 // withTag returns the config with a journal-key prefix. Required when two
@@ -185,12 +187,11 @@ func (sc Scale) searchCfg(alg algKind, maxTTL, kMin int) searchCfg {
 	return searchCfg{sc: sc, alg: alg, maxTTL: maxTTL, kMin: kMin}
 }
 
-// runSearch dispatches one search on the per-worker scratch. The Result
-// aliases the scratch: consume it before the next search.
+// runSearch dispatches one NF or RW search on the per-worker scratch (FL
+// sweeps run through sweeper.FloodSources). The Result aliases the
+// scratch: consume it before the next search.
 func (cfg searchCfg) runSearch(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) (search.Result, error) {
 	switch cfg.alg {
-	case algFL:
-		return scratch.Flood(f, src, cfg.maxTTL)
 	case algNF:
 		return scratch.NormalizedFlood(f, src, cfg.maxTTL, cfg.kMin, rng)
 	case algRW:
@@ -206,92 +207,86 @@ func (cfg searchCfg) runSearch(scratch *search.Scratch, f *graph.Frozen, src int
 // across realizations. The returned series has x = τ (1..maxTTL) and
 // y = mean number of hits. For algRW, hits follow the paper's
 // normalization: a walk of as many steps as NF sent messages at that τ.
-//
-// The source sweep of each realization is sharded across the
-// realization's width goroutines sharing the frozen topology: source s draws
-// its own source node and all search randomness from the (seed, r, s)
-// stream, and its curve lands in slot (r, s), reduced in source order.
-func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
-	return sweepSeries(label, factory, cfg, seed, func(res search.Result, row []float64) {
-		for t := range row {
-			row[t] = float64(res.HitsAt(t))
-		}
-	})
-}
-
-// messageSeries is searchSeries for messaging complexity: y = mean number
-// of messages per search request at each τ (§V-B2). The "msgs" journal
-// prefix keeps its checkpoints apart from a hits series over the same
-// label and seed — Messaging measures both from one configuration, and
-// without the prefix their records would overwrite each other.
-func messageSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
-	cfg = cfg.withTag(strings.TrimSpace("msgs " + cfg.tag))
-	return sweepSeries(label, factory, cfg, seed, func(res search.Result, row []float64) {
-		for t := range row {
-			row[t] = float64(res.MessagesAt(t))
-		}
-	})
-}
-
-// sweepSeries is the shared engine of searchSeries and messageSeries:
-// each source's search result is sampled into a row of maxTTL+1 values.
 // The journal tag is cfg.tag + label — the label disambiguates series that
 // share an engine seed, and cfg.tag disambiguates panels that share both.
-func sweepSeries(label string, factory topoFactory, cfg searchCfg, seed uint64, sample func(res search.Result, row []float64)) (Series, error) {
-	rowLen := cfg.maxTTL + 1
+func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
 	tag := label
 	if cfg.tag != "" {
 		tag = cfg.tag + ": " + label
 	}
-	return sourceSeries(label, tag, factory, cfg.sc, seed, rowLen, 1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
-		deposit := func(s int, res search.Result) { sample(res, rows[s]) }
-		if cfg.alg == algFL {
-			// FL draws nothing but its source node, so whole runs of
-			// sources share one bit-parallel flood.
-			return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, deposit)
-		}
-		return sw.Sources(uint64(r), len(rows), func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
-			res, err := cfg.runSearch(scratch, f, rng.Intn(f.N()), rng)
-			if err != nil {
-				return err
+	curves, err := sourceSeries(cfg.sc, seed, tag, recSweepSlots, 1, cfg.maxTTL+1, factory,
+		func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+			if cfg.alg == algFL {
+				// FL draws nothing but its source node, so whole runs of
+				// sources share one bit-parallel flood.
+				return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, func(s int, res search.Result) { hitsRow(res, rows[s]) })
 			}
-			deposit(s, res)
-			return nil
-		})
-	})
-}
-
-// sourceSeries runs the series shape every search figure shares through
-// the three-stage pipeline: the build stage generates and freezes each
-// realization while the sweep stage fills an earlier realization's block of
-// sc.Sources rows — sweep deposits source s's curve of rowLen values in
-// rows[s], whatever shard computed it. The block is the sweeper's, zeroed
-// and reused for its next realization, because each block is reduced to its
-// mean over sources as it lands; the series is then mean ± σ across
-// realizations from x = firstX.
-func sourceSeries(label, tag string, factory topoFactory, sc Scale, seed uint64, rowLen, firstX int,
-	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) (Series, error) {
-	means, err := realizationBlocks(sc, seed, tag, rowMeans(recSweepSlots, 1, sc.Sources, rowLen), factory,
-		func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
-			rows := sw.block(sc.Sources, rowLen)
-			return rows, sweep(r, f, sw, rows)
+			return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
+				res, err := cfg.runSearch(scratch, f, src, rng)
+				if err == nil {
+					hitsRow(res, curves[0])
+				}
+				return err
+			})
 		})
 	if err != nil {
 		return Series{}, fmt.Errorf("series %s: %w", label, err)
 	}
-	return aggregate(label, blockRow(means, 0), firstX)
+	return aggregate(label, curves[0], 1)
 }
 
-// perSource adapts a per-source query to a sourceSeries sweep: source s
-// draws its node and all search randomness from the (seed, r, s) stream
-// and its row lands in slot s.
-func perSource(query func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error)) func(int, *graph.Frozen, *sweeper, [][]float64) error {
-	return func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
-		return sw.Sources(uint64(r), len(rows), func(_, s int, rng *xrand.RNG, scratch *search.Scratch) (err error) {
-			rows[s], err = query(scratch, f, rng.Intn(f.N()), rng)
-			return err
-		})
+// hitsRow fills row[t] with the result's hits within t hops.
+func hitsRow(res search.Result, row []float64) {
+	for t := range row {
+		row[t] = float64(res.HitsAt(t))
 	}
+}
+
+// sourceSeries is the one source sweep under every search and DES series:
+// the pipeline's build stage generates and freezes each realization while
+// the sweep stage fills an earlier realization's block of
+// nCurves × sc.Sources rows of rowLen values, curve-major — sweep deposits
+// source s's curve c in rows[c*sc.Sources+s], whatever shard computed it.
+// The block is the sweeper's, zeroed and reused for its next realization,
+// because each block is reduced to its nCurves mean rows as it lands. tag
+// and kind name the series and its record family in the journal (see
+// realizationBlocks). It returns, per curve, every realization's mean row
+// (nil where the realization is absent), for aggregate.
+func sourceSeries(sc Scale, seed uint64, tag string, kind uint8, nCurves, rowLen int, factory topoFactory,
+	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) ([][][]float64, error) {
+	means, err := realizationBlocks(sc, seed, tag, rowMeans(kind, nCurves, sc.Sources, rowLen), factory,
+		func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+			rows := sw.block(nCurves*sc.Sources, rowLen)
+			return rows, sweep(r, f, sw, rows)
+		})
+	if err != nil {
+		return nil, err
+	}
+	curves := make([][][]float64, nCurves)
+	for c := range curves {
+		curves[c] = blockRow(means, c)
+	}
+	return curves, nil
+}
+
+// eachSource runs a per-source query over realization r's block of
+// nCurves curve-major curves: source s draws its node and all its
+// randomness from the (seed, r, s) stream, and query writes curve c into
+// curves[c], which is rows[c*sources+s]. A one-curve block hands query its
+// row in place, with no per-source allocation.
+func (sw *sweeper) eachSource(r int, f *graph.Frozen, rows [][]float64, nCurves int,
+	query func(shard int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error) error {
+	sources := len(rows) / nCurves
+	return sw.Sources(uint64(r), sources, func(shard, s int, rng *xrand.RNG, scratch *search.Scratch) error {
+		curves := rows[s : s+1 : s+1]
+		if nCurves > 1 {
+			curves = make([][]float64, nCurves)
+			for c := range curves {
+				curves[c] = rows[c*sources+s]
+			}
+		}
+		return query(shard, scratch, rng.Intn(f.N()), rng, curves)
+	})
 }
 
 // slabRows points every row of a block at its own rowLen values of slab —

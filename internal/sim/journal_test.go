@@ -256,7 +256,7 @@ func countingFactory(inner topoFactory, n *atomic.Int64) topoFactory {
 }
 
 // TestSweepSeriesResumeBitIdentical is the tentpole acceptance test at
-// the helper level: a journaled sweepSeries run, killed by truncating its
+// the helper level: a journaled searchSeries run, killed by truncating its
 // journal mid-record, resumed under several different parallelism
 // budgets, must reproduce the uninterrupted series bit-for-bit while
 // skipping every journaled realization.

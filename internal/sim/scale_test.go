@@ -8,14 +8,18 @@ import (
 
 // TestScaleValidate walks every workload field through values on both
 // sides of its rule: each refusal names the field (and the experiments
-// flag that sets it), zero keeps its default meaning, and the presets
-// pass.
+// flag that sets it), zero keeps its default meaning except for the four
+// counts whose zero measures nothing, and the presets pass while the zero
+// Scale does not.
 func TestScaleValidate(t *testing.T) {
 	t.Parallel()
-	for name, sc := range map[string]Scale{"zero": {}, "smoke": SmokeScale, "paper": PaperScale, "xl": XLScale} {
+	for name, sc := range map[string]Scale{"smoke": SmokeScale, "paper": PaperScale, "xl": XLScale} {
 		if err := sc.Validate(); err != nil {
 			t.Errorf("%s preset refused: %v", name, err)
 		}
+	}
+	if err := (Scale{}).Validate(); err == nil || !strings.Contains(err.Error(), "Realizations 0 must be >= 1") {
+		t.Errorf("zero Scale: err = %v, want Realizations refused", err)
 	}
 	check := func(name string, sc Scale, ok bool, v any) {
 		t.Helper()
@@ -31,28 +35,29 @@ func TestScaleValidate(t *testing.T) {
 	}
 
 	counts := []struct {
-		name string
-		set  func(*Scale, int)
+		name   string
+		set    func(*Scale, int)
+		zeroOK bool
 	}{
-		{"NDegree", func(sc *Scale, v int) { sc.NDegree = v }},
-		{"NSearch", func(sc *Scale, v int) { sc.NSearch = v }},
-		{"NSubstrate", func(sc *Scale, v int) { sc.NSubstrate = v }},
-		{"NOverlay", func(sc *Scale, v int) { sc.NOverlay = v }},
-		{"Realizations", func(sc *Scale, v int) { sc.Realizations = v }},
-		{"Sources", func(sc *Scale, v int) { sc.Sources = v }},
-		{"MaxTTLFlood", func(sc *Scale, v int) { sc.MaxTTLFlood = v }},
-		{"MaxTTLNF", func(sc *Scale, v int) { sc.MaxTTLNF = v }},
-		{"Workers (-workers)", func(sc *Scale, v int) { sc.Workers = v }},
-		{"BCPivots (-bc-pivots)", func(sc *Scale, v int) { sc.BCPivots = v }},
-		{"PathLandmarks (-path-landmarks)", func(sc *Scale, v int) { sc.PathLandmarks = v }},
-		{"PathPairs (-path-pairs)", func(sc *Scale, v int) { sc.PathPairs = v }},
-		{"WalkCap (-walk-cap)", func(sc *Scale, v int) { sc.WalkCap = v }},
+		{"NDegree", func(sc *Scale, v int) { sc.NDegree = v }, true},
+		{"NSearch", func(sc *Scale, v int) { sc.NSearch = v }, true},
+		{"NSubstrate", func(sc *Scale, v int) { sc.NSubstrate = v }, true},
+		{"NOverlay", func(sc *Scale, v int) { sc.NOverlay = v }, true},
+		{"Realizations", func(sc *Scale, v int) { sc.Realizations = v }, false},
+		{"Sources", func(sc *Scale, v int) { sc.Sources = v }, false},
+		{"MaxTTLFlood", func(sc *Scale, v int) { sc.MaxTTLFlood = v }, false},
+		{"MaxTTLNF", func(sc *Scale, v int) { sc.MaxTTLNF = v }, false},
+		{"Workers (-workers)", func(sc *Scale, v int) { sc.Workers = v }, true},
+		{"BCPivots (-bc-pivots)", func(sc *Scale, v int) { sc.BCPivots = v }, true},
+		{"PathLandmarks (-path-landmarks)", func(sc *Scale, v int) { sc.PathLandmarks = v }, true},
+		{"PathPairs (-path-pairs)", func(sc *Scale, v int) { sc.PathPairs = v }, true},
+		{"WalkCap (-walk-cap)", func(sc *Scale, v int) { sc.WalkCap = v }, true},
 	}
 	for _, c := range counts {
 		for _, tc := range []struct {
 			v  int
 			ok bool
-		}{{0, true}, {1, true}, {math.MaxInt, true}, {-1, false}, {math.MinInt, false}} {
+		}{{0, c.zeroOK}, {1, true}, {math.MaxInt, true}, {-1, false}, {math.MinInt, false}} {
 			sc := SmokeScale
 			c.set(&sc, tc.v)
 			check(c.name, sc, tc.ok, tc.v)

@@ -42,8 +42,9 @@ type Scale struct {
 	// Sources is the number of random search sources averaged per
 	// topology.
 	Sources int
-	// MaxTTLFlood bounds τ for flooding experiments (paper: up to 20-30;
-	// 100 for DAPA).
+	// MaxTTLFlood bounds τ for flooding experiments. The paper sweeps "up
+	// to the point we reach the system size": 20 for PA/HAPA and 30 for CM
+	// (fig8's DAPA overlays sweep 3·MaxTTLFlood, the paper's 100).
 	MaxTTLFlood int
 	// MaxTTLNF bounds τ for NF/RW experiments (paper: 10).
 	MaxTTLNF int
@@ -164,26 +165,28 @@ var XLScale = Scale{
 
 // Validate reports the first workload knob out of range, naming the field
 // and, where one sets it, the experiments flag. Every count must be >= 0,
-// DESLoss and DESFailFrac must lie in [0, 1), and the DES latency and
-// MTBF knobs must be finite and >= 0. Zero keeps each knob's default
-// meaning, and NaN fails every rule. It is the one check of a workload:
+// and Realizations, Sources, MaxTTLFlood and MaxTTLNF >= 1: a series needs
+// a realization, a source and a hop to measure anything. DESLoss and
+// DESFailFrac must lie in [0, 1), and the DES latency and MTBF knobs must
+// be finite and >= 0. Zero keeps every other knob's default meaning, and
+// NaN fails every rule. It is the one check of a workload:
 // cmd/experiments runs it before any spec or coordinator starts, and a
 // coordinator's worker before it runs a lease.
 func (sc Scale) Validate() error {
 	for _, k := range []struct {
-		name string
-		v    int
+		name   string
+		v, min int
 	}{
-		{"NDegree", sc.NDegree}, {"NSearch", sc.NSearch},
-		{"NSubstrate", sc.NSubstrate}, {"NOverlay", sc.NOverlay},
-		{"Realizations", sc.Realizations}, {"Sources", sc.Sources},
-		{"MaxTTLFlood", sc.MaxTTLFlood}, {"MaxTTLNF", sc.MaxTTLNF},
-		{"Workers (-workers)", sc.Workers}, {"BCPivots (-bc-pivots)", sc.BCPivots},
-		{"PathLandmarks (-path-landmarks)", sc.PathLandmarks},
-		{"PathPairs (-path-pairs)", sc.PathPairs}, {"WalkCap (-walk-cap)", sc.WalkCap},
+		{"NDegree", sc.NDegree, 0}, {"NSearch", sc.NSearch, 0},
+		{"NSubstrate", sc.NSubstrate, 0}, {"NOverlay", sc.NOverlay, 0},
+		{"Realizations", sc.Realizations, 1}, {"Sources", sc.Sources, 1},
+		{"MaxTTLFlood", sc.MaxTTLFlood, 1}, {"MaxTTLNF", sc.MaxTTLNF, 1},
+		{"Workers (-workers)", sc.Workers, 0}, {"BCPivots (-bc-pivots)", sc.BCPivots, 0},
+		{"PathLandmarks (-path-landmarks)", sc.PathLandmarks, 0},
+		{"PathPairs (-path-pairs)", sc.PathPairs, 0}, {"WalkCap (-walk-cap)", sc.WalkCap, 0},
 	} {
-		if k.v < 0 {
-			return fmt.Errorf("sim: %s %d must be >= 0", k.name, k.v)
+		if k.v < k.min {
+			return fmt.Errorf("sim: %s %d must be >= %d", k.name, k.v, k.min)
 		}
 	}
 	// A negative delay delivers a copy before it is sent, NaN leaves the

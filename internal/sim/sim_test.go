@@ -2,8 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"hash/fnv"
 	"io"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -207,6 +210,67 @@ func TestSearchSeriesRWBudgetBelowNF(t *testing.T) {
 	if rw.Points[last].Y > nf.Points[last].Y*1.15 {
 		t.Fatalf("RW (%.1f) should not beat NF (%.1f) decisively at equal budget",
 			rw.Points[last].Y, nf.Points[last].Y)
+	}
+}
+
+// TestNFRWCurvesMatchSeparateSweeps pins the fused NF+RW sweep to the
+// single-algorithm ones: the NF and RW hits curves of one
+// RandomWalkWithNFBudget call per source equal an NF and an RW
+// searchSeries over the same seed bit for bit.
+func TestNFRWCurvesMatchSeparateSweeps(t *testing.T) {
+	t.Parallel()
+	const seed = 31
+	factory := paTopo(800, 2, 40)
+	sc := Scale{Sources: 6, Realizations: 2, MaxTTLNF: 5}
+	curves, err := nfRWCurves(sc, seed, "fused", factory, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, alg := range map[int]algKind{1: algNF, 2: algRW} {
+		want, err := searchSeries("s", factory, sc.searchCfg(alg, sc.MaxTTLNF, 2), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := aggregate("s", curves[c], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: fused curve %d differs from its own sweep\n got: %+v\nwant: %+v", alg, c, got, want)
+		}
+	}
+}
+
+// TestMessagingSweepsEachTopologyOnce pins Messaging to one series per
+// (m, kc): 4 series of R realizations, each built and swept once (two
+// progress steps) and journaled as one record — not one series per curve.
+func TestMessagingSweepsEachTopologyOnce(t *testing.T) {
+	t.Parallel()
+	const seed = 2007
+	path := filepath.Join(t.TempDir(), "messaging.journal")
+	j, err := OpenJournal(path, "messaging", seed, tinyScale, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := tinyScale
+	sc.Run = NewRunControl(context.Background(), 0, 0, j)
+	if _, err := Messaging(sc, seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	series := 4 * sc.Realizations
+	if got := sc.Run.Progress(); got != int64(2*series) {
+		t.Errorf("Progress() = %d, want %d (one build and one sweep per realization of 4 series)", got, 2*series)
+	}
+	written, err := OpenJournal(path, "messaging", seed, tinyScale, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer written.Close()
+	if got := written.Resumed(); got != series {
+		t.Errorf("journal holds %d records, want %d", got, series)
 	}
 }
 

@@ -5,13 +5,13 @@ package sim
 // flight through internal/des — which makes per-edge latency, message
 // loss, and duplicate traffic measurable scenario knobs instead of
 // inexpressible ones. The specs ride the same build/sweep pipeline as
-// every other figure: each realization's topology AND its per-edge latency
-// model are fixed in the build stage from the (seed, realization, phase)
+// every other figure (sourceSeries): each realization's topology and its
+// per-edge latency model derive from the (seed, realization, phase)
 // streams, each source draws from its (seed, realization, source) stream,
 // and results land in per-index slots — so DES figures are bit-for-bit
-// identical for any Workers, pinned by the DES determinism tests. With zero latency and loss the desflood/deskwalk
-// hits curves coincide exactly with the CSR flood/k-walk sweeps (the
-// equivalence tests pin that too).
+// identical for any Workers, pinned by the DES determinism tests. With
+// zero latency and loss the desflood/deskwalk hits curves coincide exactly
+// with the CSR flood/k-walk sweeps (the equivalence tests pin that too).
 
 import (
 	"fmt"
@@ -44,66 +44,32 @@ func (sc Scale) desLossRates() []float64 {
 	return []float64{0, 0.02, 0.10}
 }
 
-// desTopo couples one realization's frozen snapshot with its latency
-// model. Both are fixed in the pipelined build stage — the latency model
-// carries the realization's phase-stream root — so the sweep stage needs
-// no builder context.
-type desTopo struct {
-	f   *graph.Frozen
-	lat des.Latency
-}
-
-// desSweep is the DES counterpart of sweepSeries: it pushes the scale's
-// realizations through the build/sweep pipeline, runs one simulation per
-// (realization, source) on the shard's pooled des.Sim, and reduces
-// nCurves per-hop curves (each of rowLen points) to per-realization means
-// in slot order, as each realization's block lands. run executes the
-// simulation with the source's stream; sample extracts the curves from the
-// run's Metrics, into zeroed rows, before the next simulation invalidates
-// them.
+// desSweep is sourceSeries for the DES specs: one simulation per
+// (realization, source) on the shard's pooled des.Sim, over a per-edge
+// latency model rooted at the same (seed, realization) phases the build
+// stage derives the topology from. run executes the simulation with the
+// source's stream; sample extracts the nCurves curves of rowLen points
+// from the run's Metrics, into zeroed rows, before the next simulation
+// invalidates them.
 //
 // tag names this sweep in the journal. It is load-bearing here: the DES
 // specs deliberately share one engine seed across their loss/failure
 // series to isolate the knob against identical topologies, so the seed
-// alone cannot key a checkpoint — the tag carries the knob. A realization's
-// block holds nCurves × sources rows, curve-major.
-func desSweep(tag string, factory topoFactory, cfg searchCfg, base, jitter float64, seed uint64, nCurves, rowLen int,
-	run func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error),
+// alone cannot key a checkpoint — the tag carries the knob.
+func desSweep(sc Scale, seed uint64, tag string, nCurves, rowLen int, factory topoFactory, base, jitter float64,
+	run func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error),
 	sample func(m des.Metrics, rows [][]float64),
 ) ([][][]float64, error) {
-	sources := cfg.sc.Sources
-	means, err := realizationBlocks(cfg.sc, seed, tag, rowMeans(recDESSlots, nCurves, sources, rowLen),
-		func(r int, b *builder) (desTopo, error) {
-			f, err := factory(r, b)
-			if err != nil {
-				return desTopo{}, err
+	return sourceSeries(sc, seed, tag, recDESSlots, nCurves, rowLen, factory, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+		lat := des.Latency{Base: base, Jitter: jitter, Phases: xrand.Phases{Seed: seed, Realization: uint64(r)}}
+		return sw.eachSource(r, f, rows, nCurves, func(shard int, _ *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
+			m, err := run(sw.Sim(shard), f, lat, src, rng)
+			if err == nil {
+				sample(m, curves)
 			}
-			return desTopo{f: f, lat: des.Latency{Base: base, Jitter: jitter, Phases: b.phases}}, nil
-		},
-		func(r int, v desTopo, sw *sweeper) ([][]float64, error) {
-			block := sw.block(nCurves*sources, rowLen)
-			return block, sw.Sources(uint64(r), sources, func(shard, s int, rng *xrand.RNG, _ *search.Scratch) error {
-				src := rng.Intn(v.f.N())
-				m, err := run(sw.Sim(shard), v, src, rng)
-				if err != nil {
-					return err
-				}
-				rows := make([][]float64, nCurves)
-				for c := range rows {
-					rows[c] = block[c*sources+s]
-				}
-				sample(m, rows)
-				return nil
-			})
+			return err
 		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][][]float64, nCurves)
-	for c := range out {
-		out[c] = blockRow(means, c)
-	}
-	return out, nil
+	})
 }
 
 // lossLabel renders a loss rate the way the DES legends do.
@@ -122,8 +88,7 @@ func lossLabel(loss float64) string {
 // identical topologies and sources.
 func DESFlood(sc Scale, seed uint64) ([]Figure, error) {
 	base, jitter := sc.desLatency()
-	maxTTL := sc.flSweepTTL()
-	cfg := sc.searchCfg(algFL, maxTTL, 0)
+	maxTTL := sc.MaxTTLFlood
 	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
 	hitsFig := Figure{
 		ID: "desflood-hits", Title: "DES flooding: coverage vs tau under message loss (PA, m=2)",
@@ -140,9 +105,9 @@ func DESFlood(sc Scale, seed uint64) ([]Figure, error) {
 	}
 	for _, loss := range sc.desLossRates() {
 		loss := loss
-		curves, err := desSweep("desflood "+lossLabel(loss), factory, cfg, base, jitter, seed, 3, maxTTL+1,
-			func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error) {
-				return sim.Flood(v.f, src, des.Config{MaxTTL: maxTTL, Latency: v.lat, Loss: loss}, rng)
+		curves, err := desSweep(sc, seed, "desflood "+lossLabel(loss), 3, maxTTL+1, factory, base, jitter,
+			func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
+				return sim.Flood(f, src, des.Config{MaxTTL: maxTTL, Latency: lat, Loss: loss}, rng)
 			},
 			func(m des.Metrics, rows [][]float64) {
 				hits, sent := 0, 0
@@ -180,7 +145,6 @@ func DESFlood(sc Scale, seed uint64) ([]Figure, error) {
 func DESKWalk(sc Scale, seed uint64) ([]Figure, error) {
 	base, jitter := sc.desLatency()
 	steps := 10 * sc.MaxTTLNF
-	cfg := sc.searchCfg(algFL, steps, 0)
 	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
 	fig := Figure{
 		ID: "deskwalk-hits", Title: "DES k-walkers: coverage vs steps under message loss (PA, m=2)",
@@ -189,9 +153,9 @@ func DESKWalk(sc Scale, seed uint64) ([]Figure, error) {
 	for _, k := range []int{1, 4, 16} {
 		for _, loss := range sc.desLossRates() {
 			k, loss := k, loss
-			curves, err := desSweep(fmt.Sprintf("deskwalk k=%d %s", k, lossLabel(loss)), factory, cfg, base, jitter, seed, 1, steps+1,
-				func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error) {
-					return sim.KWalk(v.f, src, k, steps, des.Config{Latency: v.lat, Loss: loss}, rng)
+			curves, err := desSweep(sc, seed, fmt.Sprintf("deskwalk k=%d %s", k, lossLabel(loss)), 1, steps+1, factory, base, jitter,
+				func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
+					return sim.KWalk(f, src, k, steps, des.Config{Latency: lat, Loss: loss}, rng)
 				},
 				func(m des.Metrics, rows [][]float64) {
 					hits := 0

@@ -255,27 +255,26 @@ func KWalk(sc Scale, seed uint64) ([]Figure, error) {
 	factory := paTopo(sc.NSearch, 2, 40)
 	variants := []struct {
 		label string
-		run   func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error)
+		run   func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG, row []float64) error
 	}{
-		{"NF", func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
+		{"NF", func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG, row []float64) error {
 			res, err := scratch.NormalizedFlood(f, src, sc.MaxTTLNF, 2, rng)
-			if err != nil {
-				return nil, err
+			if err == nil {
+				hitsRow(res, row)
 			}
-			return hitsPerTau(res, sc.MaxTTLNF), nil
+			return err
 		}},
-		{"1 walker (NF budget)", func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
-			rw, nf, err := scratch.RandomWalkWithNFBudget(f, src, sc.MaxTTLNF, 2, rng)
-			if err != nil {
-				return nil, err
+		{"1 walker (NF budget)", func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG, row []float64) error {
+			rw, _, err := scratch.RandomWalkWithNFBudget(f, src, sc.MaxTTLNF, 2, rng)
+			if err == nil {
+				hitsRow(rw, row)
 			}
-			_ = nf
-			return hitsPerTau(rw, sc.MaxTTLNF), nil
+			return err
 		}},
-		{fmt.Sprintf("%d walkers (NF budget)", kWalkers), func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
+		{fmt.Sprintf("%d walkers (NF budget)", kWalkers), func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG, row []float64) error {
 			nf, err := scratch.NormalizedFlood(f, src, sc.MaxTTLNF, 2, rng)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// Copy the NF budget curve out: the walker call below recycles
 			// the scratch buffers nf aliases.
@@ -289,29 +288,29 @@ func KWalk(sc Scale, seed uint64) ([]Figure, error) {
 			}
 			kw, err := scratch.KRandomWalks(f, src, kWalkers, steps, rng)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out := make([]float64, sc.MaxTTLNF+1)
-			for t := 0; t <= sc.MaxTTLNF; t++ {
-				out[t] = float64(kw.HitsAt(msgs[t] / kWalkers))
+			for t := range row {
+				row[t] = float64(kw.HitsAt(msgs[t] / kWalkers))
 			}
-			return out, nil
+			return nil
 		}},
 	}
 	for vi, v := range variants {
-		s, err := sourceSeries(v.label, "kwalk "+v.label, factory, sc, seed+uint64(vi)*4099, sc.MaxTTLNF+1, 1, perSource(v.run))
+		curves, err := sourceSeries(sc, seed+uint64(vi)*4099, "kwalk "+v.label, recSweepSlots, 1, sc.MaxTTLNF+1, factory,
+			func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+				return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
+					return v.run(scratch, f, src, rng, curves[0])
+				})
+			})
+		if err != nil {
+			return nil, fmt.Errorf("series %s: %w", v.label, err)
+		}
+		s, err := aggregate(v.label, curves[0], 1)
 		if err != nil {
 			return nil, err
 		}
 		fig.Series = append(fig.Series, s)
 	}
 	return []Figure{fig}, nil
-}
-
-func hitsPerTau(res search.Result, maxTTL int) []float64 {
-	out := make([]float64, maxTTL+1)
-	for t := 0; t <= maxTTL; t++ {
-		out[t] = float64(res.HitsAt(t))
-	}
-	return out
 }

@@ -15,6 +15,7 @@ import (
 
 	"scalefree/internal/des"
 	"scalefree/internal/gen"
+	"scalefree/internal/graph"
 	"scalefree/internal/xrand"
 )
 
@@ -59,9 +60,8 @@ func failLabel(frac float64) string {
 func DESFail(sc Scale, seed uint64) ([]Figure, error) {
 	base, jitter := sc.desLatency()
 	mtbf := sc.desFailMTBF()
-	maxTTL := sc.flSweepTTL()
+	maxTTL := sc.MaxTTLFlood
 	steps := 10 * sc.MaxTTLNF
-	cfg := sc.searchCfg(algFL, maxTTL, 0)
 	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
 	notes := fmt.Sprintf("Exp(MTBF=%.2g) crash onsets, no recovery; per-edge latency %.2g + U[0,%.2g)", mtbf, base, jitter)
 	nodeFig := Figure{
@@ -91,9 +91,9 @@ func DESFail(sc Scale, seed uint64) ([]Figure, error) {
 		}
 		for _, p := range panels {
 			p := p
-			curves, err := desSweep(p.fig.ID+" "+failLabel(frac), factory, cfg, base, jitter, seed, 1, maxTTL+1,
-				func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error) {
-					return sim.Flood(v.f, src, des.Config{MaxTTL: maxTTL, Latency: v.lat, Fail: p.plan(v.lat.Phases)}, rng)
+			curves, err := desSweep(sc, seed, p.fig.ID+" "+failLabel(frac), 1, maxTTL+1, factory, base, jitter,
+				func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
+					return sim.Flood(f, src, des.Config{MaxTTL: maxTTL, Latency: lat, Fail: p.plan(lat.Phases)}, rng)
 				},
 				func(m des.Metrics, rows [][]float64) {
 					for h := 0; h <= maxTTL; h++ {
@@ -109,10 +109,10 @@ func DESFail(sc Scale, seed uint64) ([]Figure, error) {
 			}
 			p.fig.Series = append(p.fig.Series, s)
 		}
-		curves, err := desSweep("desfail-kwalk "+failLabel(frac), factory, cfg, base, jitter, seed, 1, steps+1,
-			func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error) {
-				fail := des.FailPlan{NodeFrac: frac, MTBF: mtbf, Phases: v.lat.Phases}
-				return sim.KWalk(v.f, src, 4, steps, des.Config{Latency: v.lat, Fail: fail}, rng)
+		curves, err := desSweep(sc, seed, "desfail-kwalk "+failLabel(frac), 1, steps+1, factory, base, jitter,
+			func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
+				fail := des.FailPlan{NodeFrac: frac, MTBF: mtbf, Phases: lat.Phases}
+				return sim.KWalk(f, src, 4, steps, des.Config{Latency: lat, Fail: fail}, rng)
 			},
 			func(m des.Metrics, rows [][]float64) {
 				for h := 0; h <= steps; h++ {

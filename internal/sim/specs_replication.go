@@ -70,8 +70,6 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 					return nil, err
 				}
 				row := make([]float64, len(budgetsPerN))
-				steps := make([]int, queries)
-				found := make([]bool, queries)
 				for bi, f := range budgetsPerN {
 					budget := int(f * float64(fg.N()))
 					if budget < items {
@@ -81,16 +79,11 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 					if err != nil {
 						return nil, err
 					}
-					// Sharded query sweep against the shared snapshot; the
-					// stream tag separates budgets within the realization.
-					err = sw.Sources(uint64(r)*uint64(len(budgetsPerN))+uint64(bi), queries, func(_, q int, rng *xrand.RNG, _ *search.Scratch) error {
-						steps[q], found[q] = content.ResolveQuery(fg, p, cat, maxSteps, rng)
-						return nil
-					})
+					// The stream tag separates budgets within the realization.
+					res, err := sw.essQueries(uint64(r)*uint64(len(budgetsPerN))+uint64(bi), queries, fg, p, cat, maxSteps)
 					if err != nil {
 						return nil, err
 					}
-					res := content.CollectESS(steps, found)
 					if res.Found == 0 {
 						return nil, fmt.Errorf("replication: no queries resolved at budget %d", budget)
 					}
@@ -121,4 +114,17 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 		}
 	}
 	return figs, nil
+}
+
+// essQueries resolves queries random-probe lookups of p's items on fg,
+// sharded across the sweeper with one (seed, stream, q) stream per query,
+// and collects their expected search size.
+func (sw *sweeper) essQueries(stream uint64, queries int, fg *graph.Frozen, p *content.Placement, cat *content.Catalog, maxSteps int) (content.ESSResult, error) {
+	steps := make([]int, queries)
+	found := make([]bool, queries)
+	err := sw.Sources(stream, queries, func(_, q int, rng *xrand.RNG, _ *search.Scratch) error {
+		steps[q], found[q] = content.ResolveQuery(fg, p, cat, maxSteps, rng)
+		return nil
+	})
+	return content.CollectESS(steps, found), err
 }

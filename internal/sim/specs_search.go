@@ -9,15 +9,6 @@ import (
 	"scalefree/internal/gen"
 )
 
-// flSweepTTL is the τ range for flooding figures; the paper sweeps "up to
-// the point we reach the system size" (20 for PA/HAPA, 30 for CM).
-func (sc Scale) flSweepTTL() int { return sc.MaxTTLFlood }
-
-// searchKMin returns the NF/RW fan-out for a topology built with stub
-// count m: the paper runs NF "based on the predefined minimum degree
-// value m" even when cleanup or short horizons push some nodes below m.
-func searchKMin(m int) int { return m }
-
 // Fig6 regenerates Fig. 6: flooding hits vs τ on PA (panel a) and HAPA
 // (panel b), series m ∈ {1,2,3} × kc ∈ {10,50,none}.
 func Fig6(sc Scale, seed uint64) ([]Figure, error) {
@@ -36,7 +27,7 @@ func Fig6(sc Scale, seed uint64) ([]Figure, error) {
 				s, err := searchSeries(
 					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
 					p.mk(m, kc),
-					sc.searchCfg(algFL, sc.flSweepTTL(), 0),
+					sc.searchCfg(algFL, sc.MaxTTLFlood, 0),
 					seed+uint64(pi*10000+m*100+kc),
 				)
 				if err != nil {
@@ -68,7 +59,7 @@ func Fig7(sc Scale, seed uint64) ([]Figure, error) {
 				s, err := searchSeries(
 					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
 					cmTopo(sc.NSearch, m, kc, gamma),
-					sc.searchCfg(algFL, sc.flSweepTTL(), 0),
+					sc.searchCfg(algFL, sc.MaxTTLFlood, 0),
 					seed+uint64(pi*10000+m*100+kc),
 				)
 				if err != nil {
@@ -152,7 +143,7 @@ func nfRwPanels(sc Scale, seed uint64, alg algKind, figBase string, titleAlg str
 					// checkpoint keys apart: both use offset 0 into the
 					// shared seed AND the same "m=%d, %s" labels, so
 					// without it a resume would swap their rows.
-					sc.searchCfg(alg, sc.MaxTTLNF, searchKMin(m)).withTag(id),
+					sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
 					seed+uint64(i*100000+m*1000+kc),
 				)
 				if err != nil {
@@ -176,7 +167,7 @@ func nfRwPanels(sc Scale, seed uint64, alg algKind, figBase string, titleAlg str
 					s, err := searchSeries(
 						fmt.Sprintf("m=%d, gamma=%.1f, %s", m, gamma, cutoffLabel(kc)),
 						cmTopo(sc.NSearch, m, kc, gamma),
-						sc.searchCfg(alg, sc.MaxTTLNF, searchKMin(m)).withTag(id),
+						sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
 						seed+uint64(i*200000+m*1000+kc+int(gamma*10)),
 					)
 					if err != nil {
@@ -200,7 +191,7 @@ func nfRwPanels(sc Scale, seed uint64, alg algKind, figBase string, titleAlg str
 				s, err := searchSeries(
 					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
 					hapaTopo(sc.NSearch, m, kc),
-					sc.searchCfg(alg, sc.MaxTTLNF, searchKMin(m)).withTag(id),
+					sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
 					seed+uint64(i*300000+m*1000+kc),
 				)
 				if err != nil {
@@ -251,7 +242,7 @@ func dapaNFRW(sc Scale, seed uint64, alg algKind, figBase, titleAlg string) ([]F
 				s, err := searchSeries(
 					fmt.Sprintf("tau_sub=%d", tau),
 					dapaTopo(substrates, sc.NOverlay, m, kc, tau),
-					sc.searchCfg(alg, sc.MaxTTLNF, searchKMin(m)),
+					sc.searchCfg(alg, sc.MaxTTLNF, m),
 					seed+uint64(panel*10000+tau),
 				)
 				if err != nil {

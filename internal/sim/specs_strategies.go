@@ -51,57 +51,29 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 	const m = 2
 	variants := []struct {
 		label string
-		run   func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) ([]float64, error)
+		run   func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) (search.Result, error)
 	}{
-		{"FL", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) ([]float64, error) {
-			res, err := scratch.Flood(f, src, sc.MaxTTLFlood)
-			if err != nil {
-				return nil, err
-			}
-			return sampleBudgets(res, budgets), nil
+		{"FL", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) (search.Result, error) {
+			return scratch.Flood(f, src, sc.MaxTTLFlood)
 		}},
-		{"NF", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) ([]float64, error) {
-			res, err := scratch.NormalizedFlood(f, src, sc.MaxTTLFlood, m, rng)
-			if err != nil {
-				return nil, err
-			}
-			return sampleBudgets(res, budgets), nil
+		{"NF", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) (search.Result, error) {
+			return scratch.NormalizedFlood(f, src, sc.MaxTTLFlood, m, rng)
 		}},
-		{"RW", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) ([]float64, error) {
-			res, err := scratch.RandomWalk(f, src, budgets[len(budgets)-1], rng)
-			if err != nil {
-				return nil, err
-			}
-			return sampleBudgets(res, budgets), nil
+		{"RW", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) (search.Result, error) {
+			return scratch.RandomWalk(f, src, budgets[len(budgets)-1], rng)
 		}},
-		{"8 walkers", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) ([]float64, error) {
+		{"8 walkers", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) (search.Result, error) {
 			const k = 8
-			res, err := scratch.KRandomWalks(f, src, k, budgets[len(budgets)-1]/k+1, rng)
-			if err != nil {
-				return nil, err
-			}
-			return sampleBudgets(res, budgets), nil
+			return scratch.KRandomWalks(f, src, k, budgets[len(budgets)-1]/k+1, rng)
 		}},
-		{"HDS walk", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) ([]float64, error) {
-			res, err := scratch.HighDegreeWalk(f, src, budgets[len(budgets)-1], rng)
-			if err != nil {
-				return nil, err
-			}
-			return sampleBudgets(res, budgets), nil
+		{"HDS walk", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) (search.Result, error) {
+			return scratch.HighDegreeWalk(f, src, budgets[len(budgets)-1], rng)
 		}},
-		{"PF p=0.5", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) ([]float64, error) {
-			res, err := scratch.ProbabilisticFlood(f, src, sc.MaxTTLFlood, 0.5, rng)
-			if err != nil {
-				return nil, err
-			}
-			return sampleBudgets(res, budgets), nil
+		{"PF p=0.5", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) (search.Result, error) {
+			return scratch.ProbabilisticFlood(f, src, sc.MaxTTLFlood, 0.5, rng)
 		}},
-		{"hybrid (flood 2 + 8 walkers)", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) ([]float64, error) {
-			res, err := scratch.HybridSearch(f, src, 2, 8, budgets[len(budgets)-1]/8+1, rng)
-			if err != nil {
-				return nil, err
-			}
-			return sampleBudgets(res, budgets), nil
+		{"hybrid (flood 2 + 8 walkers)", func(scratch *search.Scratch, f *graph.Frozen, src int, budgets []int, rng *xrand.RNG) (search.Result, error) {
+			return scratch.HybridSearch(f, src, 2, 8, budgets[len(budgets)-1]/8+1, rng)
 		}},
 	}
 
@@ -123,10 +95,20 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 		for vi, v := range variants {
 			v := v
 			tag := fmt.Sprintf("strategies %s %s", cutoffLabel(kc), v.label)
-			s, err := sourceSeries(v.label, tag, factory, sc, seed+uint64(vi)*7919+uint64(kc), len(budgets), 0,
-				perSource(func(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) ([]float64, error) {
-					return v.run(scratch, f, src, budgets, rng)
-				}))
+			curves, err := sourceSeries(sc, seed+uint64(vi)*7919+uint64(kc), tag, recSweepSlots, 1, len(budgets), factory,
+				func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+					return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
+						res, err := v.run(scratch, f, src, budgets, rng)
+						if err == nil {
+							sampleBudgets(res, budgets, curves[0])
+						}
+						return err
+					})
+				})
+			if err != nil {
+				return nil, fmt.Errorf("series %s: %w", v.label, err)
+			}
+			s, err := aggregate(v.label, curves[0], 0)
 			if err != nil {
 				return nil, err
 			}
@@ -141,11 +123,9 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 	return figs, nil
 }
 
-// sampleBudgets evaluates hitsAtBudget at each budget point.
-func sampleBudgets(res search.Result, budgets []int) []float64 {
-	out := make([]float64, len(budgets))
+// sampleBudgets fills row[i] with hitsAtBudget at budgets[i].
+func sampleBudgets(res search.Result, budgets []int, row []float64) {
 	for i, b := range budgets {
-		out[i] = hitsAtBudget(res, b)
+		row[i] = hitsAtBudget(res, b)
 	}
-	return out
 }

@@ -7,6 +7,9 @@ import (
 	"math"
 
 	"scalefree/internal/gen"
+	"scalefree/internal/graph"
+	"scalefree/internal/search"
+	"scalefree/internal/xrand"
 )
 
 // Table1 verifies the diameter-scaling regimes of Table I empirically: the
@@ -152,6 +155,9 @@ func Table2(_ Scale, _ uint64) ([]Figure, error) {
 //     connectedness, i.e. m = 1";
 //   - "the effect of hard cutoffs is negative in terms of messaging
 //     complexity ... very minimal and negligible".
+//
+// Each (m, kc) topology is built and swept once per realization: the three
+// curves come from one fused NF+RW sweep (nfRWCurves).
 func Messaging(sc Scale, seed uint64) ([]Figure, error) {
 	figMsgs := Figure{
 		ID:     "messaging-per-request",
@@ -166,29 +172,45 @@ func Messaging(sc Scale, seed uint64) ([]Figure, error) {
 	}
 	for _, m := range []int{1, 3} {
 		for _, kc := range []int{10, gen.NoCutoff} {
-			factory := paTopo(sc.NSearch, m, kc)
 			base := fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc))
-			cfg := sc.searchCfg(0, sc.MaxTTLNF, searchKMin(m))
-
-			cfg.alg = algNF
-			nfMsgs, err := messageSeries("NF "+base, factory, cfg, seed+uint64(m*100+kc))
+			curves, err := nfRWCurves(sc, seed+uint64(m*100+kc), "messaging "+base, paTopo(sc.NSearch, m, kc), m)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("messaging %s: %w", base, err)
 			}
-			nfHits, err := searchSeries("NF "+base, factory, cfg, seed+uint64(m*100+kc))
-			if err != nil {
-				return nil, err
+			var s [3]Series // NF messages, NF hits, RW hits
+			for c, alg := range []string{"NF", "NF", "RW"} {
+				if s[c], err = aggregate(alg+" "+base, curves[c], 1); err != nil {
+					return nil, err
+				}
 			}
-			cfg.alg = algRW
-			rwHits, err := searchSeries("RW "+base, factory, cfg, seed+uint64(m*100+kc))
-			if err != nil {
-				return nil, err
-			}
-			figMsgs.Series = append(figMsgs.Series, nfMsgs)
-			figEff.Series = append(figEff.Series, perHit("NF "+base, nfMsgs, nfHits), perHit("RW "+base, nfMsgs, rwHits))
+			figMsgs.Series = append(figMsgs.Series, s[0])
+			figEff.Series = append(figEff.Series, perHit("NF "+base, s[0], s[1]), perHit("RW "+base, s[0], s[2]))
 		}
 	}
 	return []Figure{figMsgs, figEff}, nil
+}
+
+// nfRWCurves sweeps NF and the random walk normalized to its budget (§V-B)
+// with one RandomWalkWithNFBudget call per source: curves 0, 1 and 2 are
+// NF messages, NF hits and RW hits at τ = 0..MaxTTLNF. The kernel's NF
+// result is the one NormalizedFlood returns on the same (seed, r, s)
+// stream, so each curve equals its single-algorithm sweep bit for bit.
+func nfRWCurves(sc Scale, seed uint64, tag string, factory topoFactory, kMin int) ([][][]float64, error) {
+	maxTTL := sc.MaxTTLNF
+	return sourceSeries(sc, seed, tag, recSweepSlots, 3, maxTTL+1, factory, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+		return sw.eachSource(r, f, rows, 3, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
+			rw, nf, err := scratch.RandomWalkWithNFBudget(f, src, maxTTL, kMin, rng)
+			if err != nil {
+				return err
+			}
+			for t := range curves[0] {
+				curves[0][t] = float64(nf.MessagesAt(t))
+				curves[1][t] = float64(nf.HitsAt(t))
+				curves[2][t] = float64(rw.HitsAt(t))
+			}
+			return nil
+		})
+	})
 }
 
 // perHit divides a message series by a hits series pointwise.

@@ -101,7 +101,7 @@ func TestSweepPanicRetriedBitIdentical(t *testing.T) {
 			// alone.
 			rcfg.sc.Workers = shards
 			rcfg.sc.Run = testRC(1, 0)
-			got, err := sweepSeries("fl", factory, rcfg, seed, func(res search.Result, row []float64) {
+			got, err := flSweep("fl", factory, rcfg, seed, func(res search.Result, row []float64) {
 				// A shard stops at its first panic, so `shards` panics
 				// take out the whole pool and the retry sees none.
 				if trips.Add(1) <= int64(shards) {
@@ -167,15 +167,11 @@ func TestPermanentFailureWithinBudget(t *testing.T) {
 
 	// The partial series must equal the baseline computed WITHOUT the
 	// cursed realization's contribution: recompute by dropping r=2 rows.
-	perSource := perSourceFLRows(t, inner, cfg, seed, func(res search.Result, row []float64) {
-		for t := range row {
-			row[t] = float64(res.HitsAt(t))
-		}
-	})
+	rows := perSourceFLRows(t, inner, cfg, seed, hitsRow)
 	for s := 0; s < cfg.sc.Sources; s++ {
-		perSource[2*cfg.sc.Sources+s] = nil
+		rows[2*cfg.sc.Sources+s] = nil
 	}
-	want, err := aggregate("fl", meanRows(blocksOf(perSource, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
+	want, err := aggregate("fl", meanRows(blocksOf(rows, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +379,7 @@ func TestInterruptedJournalResumes(t *testing.T) {
 	icfg.sc.Workers = 1 // serial: the cancel point is deterministic
 	icfg.sc.Run = NewRunControl(ctx, 0, 0, j)
 	var sweeps atomic.Int64
-	_, err = sweepSeries("fl", factory, icfg, seed, func(res search.Result, row []float64) {
+	_, err = flSweep("fl", factory, icfg, seed, func(res search.Result, row []float64) {
 		if sweeps.Add(1) == int64(cfg.sc.Sources) { // after realization 0's last source
 			cancel()
 		}
@@ -424,8 +420,8 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 	const seed, maxTTL = 515, 6
 	factory := paTopo(500, 2, gen.NoCutoff)
 	cfg := searchCfg{alg: algFL, maxTTL: maxTTL, sc: Scale{Sources: 4, Realizations: 3}}
-	run := func(sim *des.Sim, v desTopo, src int, rng *xrand.RNG) (des.Metrics, error) {
-		return sim.Flood(v.f, src, des.Config{MaxTTL: maxTTL, Latency: v.lat}, rng)
+	run := func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
+		return sim.Flood(f, src, des.Config{MaxTTL: maxTTL, Latency: lat}, rng)
 	}
 	sample := func(m des.Metrics, rows [][]float64) {
 		for h := 0; h <= maxTTL; h++ {
@@ -433,7 +429,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 			rows[1][h] = float64(m.SentBelow(h))
 		}
 	}
-	baseline, err := desSweep("t", factory, cfg, 0, 0, seed, 2, maxTTL+1, run, sample)
+	baseline, err := desSweep(cfg.sc, seed, "t", 2, maxTTL+1, factory, 0, 0, run, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +441,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 	}
 	jcfg := cfg
 	jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
-	journaled, err := desSweep("t", factory, jcfg, 0, 0, seed, 2, maxTTL+1, run, sample)
+	journaled, err := desSweep(jcfg.sc, seed, "t", 2, maxTTL+1, factory, 0, 0, run, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +461,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 	rcfg := cfg
 	rcfg.sc.Workers = 4
 	rcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j2)
-	resumed, err := desSweep("t", countingFactory(factory, &builds), rcfg, 0, 0, seed, 2, maxTTL+1, run, sample)
+	resumed, err := desSweep(rcfg.sc, seed, "t", 2, maxTTL+1, countingFactory(factory, &builds), 0, 0, run, sample)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,17 +163,3 @@ func load(path string, n, m, kc int, seed uint64) (*scalefree.Graph, error) {
 	}()
 	return scalefree.ReadEdgeList(f)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -115,7 +115,7 @@ func TestRunDESModeDefaultsToDESSpecs(t *testing.T) {
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"desflood-hits.csv", "deskwalk-hits.csv"} {
+	for _, f := range []string{"desflood-hits.csv", "deskwalk-hits.csv", "desfail-node.csv", "desfail-link.csv", "desfail-kwalk.csv"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("missing %s: %v", f, err)
 		}

@@ -135,8 +135,8 @@ func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 		steps := sc.NSearch / 2
 		// The running sums below cross realizations, so this series keeps
 		// every block whole, in rows of its own.
-		blocks, err := realizationBlocks(sc, seed+uint64(kc), fmt.Sprintf("hds-cutoff-dependence %s", cutoffLabel(kc)), rowBlocks(recSweepSlots, sc.Sources, 2),
-			paTopo(sc.NSearch, 2, kc), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+		blocks, err := realizationBlocks(sc, seed+uint64(kc), paTopo(sc.NSearch, 2, kc),
+			journaled(fmt.Sprintf("hds-cutoff-dependence %s", cutoffLabel(kc)), rowBlocks(recSweepSlots, sc.Sources, 2), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
 				rows := slabRows(make([][]float64, sc.Sources), make([]float64, 2*sc.Sources), 2)
 				return rows, sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 					rh, err := scratch.HighDegreeWalk(f, src, steps, rng)
@@ -152,12 +152,12 @@ func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 					curves[0][1] = float64(rb.HitsAt(steps))
 					return nil
 				})
-			})
+			}))
 		if err != nil {
 			return 0, err
 		}
 		var hds, rw float64
-		for _, rows := range blocks {
+		for _, rows := range blocks[0] {
 			for _, row := range rows {
 				hds += row[0]
 				rw += row[1]

@@ -90,7 +90,7 @@ func TestDESFloodSweepMatchesCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := desSweep(cfg.sc, seed, "destest", 2, maxTTL+1, factory, 0, 0,
+	curves, err := desSweep(cfg.sc, seed, factory, 0, 0, desSeries{"destest", 2, maxTTL + 1,
 		func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
 			return sim.Flood(f, src, des.Config{MaxTTL: maxTTL, Latency: lat}, rng)
 		},
@@ -99,12 +99,12 @@ func TestDESFloodSweepMatchesCSR(t *testing.T) {
 				rows[0][h] = float64(m.HitsWithin(h))
 				rows[1][h] = float64(m.SentBelow(h))
 			}
-		})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []Series{wantHits, wantMsgs} {
-		got, err := aggregate("fl", curves[i], 1)
+		got, err := aggregate("fl", curves[0][i], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := desSweep(cfg.sc, seed, "destest", 1, steps+1, factory, 0, 0,
+	curves, err := desSweep(cfg.sc, seed, factory, 0, 0, desSeries{"destest", 1, steps + 1,
 		func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
 			return sim.KWalk(f, src, k, steps, des.Config{Latency: lat}, rng)
 		},
@@ -155,11 +155,11 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 			for h := 0; h <= steps; h++ {
 				rows[0][h] = float64(m.HitsWithin(h))
 			}
-		})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := aggregate("kw", curves[0], 1)
+	got, err := aggregate("kw", curves[0][0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}

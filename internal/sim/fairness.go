@@ -47,18 +47,18 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 		for ci, kc := range cutoffs {
 			factory := model.mk(kc)
 			tag := fmt.Sprintf("fairness %s kc=%d", model.label, kc)
-			rows, err := realizationBlocks(sc, seed+uint64(mi*1000+ci), tag, oneRow(2), func(r int, b *builder) ([]float64, error) {
+			rows, err := realizationBlocks(sc, seed+uint64(mi*1000+ci), func(r int, b *builder) ([]float64, error) {
 				g, err := factory(r, b)
 				if err != nil {
 					return nil, err
 				}
 				seq := g.DegreeSequence()
 				return []float64{stats.Gini(seq), stats.TopShare(seq, 0.01)}, nil
-			}, nil)
+			}, journaled[[]float64](tag, oneRow(2), nil))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", tag, err)
 			}
-			mean, err := aggregate(tag, rows, 0)
+			mean, err := aggregate(tag, rows[0], 0)
 			if err != nil {
 				return nil, err
 			}
@@ -83,14 +83,14 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 		factory := paTopo(sc.NSearch, 2, kc)
 		queries := 8 * sc.Sources
 		tag := fmt.Sprintf("fairness searchload kc=%d", kc)
-		rows, err := realizationBlocks(sc, seed+uint64(9000+ci), tag, oneRow(1), factory, func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
+		rows, err := realizationBlocks(sc, seed+uint64(9000+ci), factory, journaled(tag, oneRow(1), func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
 			gini, err := sw.nfLoadGini(uint64(r), f, queries, sc.MaxTTLNF)
 			return []float64{gini}, err
-		})
+		}))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tag, err)
 		}
-		mean, err := aggregate(tag, rows, 0)
+		mean, err := aggregate(tag, rows[0], 0)
 		if err != nil {
 			return nil, err
 		}

@@ -102,20 +102,19 @@ func cutoffLabel(kc int) string {
 // under a shared seed). An absent realization merges with zero weight
 // (MergeDegreeDists weights by node count).
 func mergedDegreeDist(tag string, factory topoFactory, sc Scale, seed uint64) (stats.DegreeDist, error) {
-	hists, err := realizationBlocks(sc, seed, tag,
-		blockCodec[[]int, []int]{kind: recDegreeHist, encode: appendHistogram, reduce: same[[]int], decode: decodeHistogram},
-		func(r int, b *builder) ([]int, error) {
-			f, err := factory(r, b)
-			if err != nil {
-				return nil, err
-			}
-			return f.DegreeHistogram(), nil
-		}, nil)
+	codec := blockCodec[[]int, []int]{kind: recDegreeHist, encode: appendHistogram, reduce: same[[]int], decode: decodeHistogram}
+	hists, err := realizationBlocks(sc, seed, func(r int, b *builder) ([]int, error) {
+		f, err := factory(r, b)
+		if err != nil {
+			return nil, err
+		}
+		return f.DegreeHistogram(), nil
+	}, journaled[[]int](tag, codec, nil))
 	if err != nil {
 		return stats.DegreeDist{}, err
 	}
-	dists := make([]stats.DegreeDist, len(hists))
-	for r, hist := range hists {
+	dists := make([]stats.DegreeDist, len(hists[0]))
+	for r, hist := range hists[0] {
 		if hist != nil {
 			dists[r] = stats.NewDegreeDist(hist)
 		}
@@ -214,7 +213,7 @@ func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64)
 	if cfg.tag != "" {
 		tag = cfg.tag + ": " + label
 	}
-	curves, err := sourceSeries(cfg.sc, seed, tag, recSweepSlots, 1, cfg.maxTTL+1, factory,
+	curves, err := sourceSeries(cfg.sc, seed, recSweepSlots, factory, curveSeries{tag, 1, cfg.maxTTL + 1,
 		func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 			if cfg.alg == algFL {
 				// FL draws nothing but its source node, so whole runs of
@@ -228,11 +227,11 @@ func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64)
 				}
 				return err
 			})
-		})
+		}})
 	if err != nil {
 		return Series{}, fmt.Errorf("series %s: %w", label, err)
 	}
-	return aggregate(label, curves[0], 1)
+	return aggregate(label, curves[0][0], 1)
 }
 
 // hitsRow fills row[t] with the result's hits within t hops.
@@ -242,29 +241,43 @@ func hitsRow(res search.Result, row []float64) {
 	}
 }
 
+// curveSeries is one series of a source sweep: tag names it in the
+// journal, and sweep fills realization r's block of nCurves × sc.Sources
+// rows of rowLen values, curve-major — it deposits source s's curve c in
+// rows[c*sc.Sources+s], whatever shard computed it.
+type curveSeries struct {
+	tag             string
+	nCurves, rowLen int
+	sweep           func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error
+}
+
 // sourceSeries is the one source sweep under every search and DES series:
-// the pipeline's build stage generates and freezes each realization while
-// the sweep stage fills an earlier realization's block of
-// nCurves × sc.Sources rows of rowLen values, curve-major — sweep deposits
-// source s's curve c in rows[c*sc.Sources+s], whatever shard computed it.
-// The block is the sweeper's, zeroed and reused for its next realization,
-// because each block is reduced to its nCurves mean rows as it lands. tag
-// and kind name the series and its record family in the journal (see
-// realizationBlocks). It returns, per curve, every realization's mean row
-// (nil where the realization is absent), for aggregate.
-func sourceSeries(sc Scale, seed uint64, tag string, kind uint8, nCurves, rowLen int, factory topoFactory,
-	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) ([][][]float64, error) {
-	means, err := realizationBlocks(sc, seed, tag, rowMeans(kind, nCurves, sc.Sources, rowLen), factory,
-		func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
-			rows := sw.block(nCurves*sc.Sources, rowLen)
-			return rows, sweep(r, f, sw, rows)
+// the pipeline's build stage generates and freezes each realization once
+// while the sweep stage runs every series over an earlier realization, one
+// after another. A block is the sweeper's, zeroed and reused for the next
+// series and realization, because each block is reduced to its nCurves mean
+// rows as it lands. kind names the series' record family in the journal
+// (see realizationBlocks). It returns, per series and curve, every
+// realization's mean row (nil where the realization is absent), for
+// aggregate.
+func sourceSeries(sc Scale, seed uint64, kind uint8, factory topoFactory, series ...curveSeries) ([][][][]float64, error) {
+	blocks := make([]blockSeries[*graph.Frozen, [][]float64, [][]float64], len(series))
+	for i, s := range series {
+		blocks[i] = journaled(s.tag, rowMeans(kind, s.nCurves, sc.Sources, s.rowLen), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+			rows := sw.block(s.nCurves*sc.Sources, s.rowLen)
+			return rows, s.sweep(r, f, sw, rows)
 		})
+	}
+	means, err := realizationBlocks(sc, seed, factory, blocks...)
 	if err != nil {
 		return nil, err
 	}
-	curves := make([][][]float64, nCurves)
-	for c := range curves {
-		curves[c] = blockRow(means, c)
+	curves := make([][][][]float64, len(series))
+	for i, s := range series {
+		curves[i] = make([][][]float64, s.nCurves)
+		for c := range curves[i] {
+			curves[i][c] = blockRow(means[i], c)
+		}
 	}
 	return curves, nil
 }

@@ -12,9 +12,12 @@ import (
 
 // This file is the realization engine — the one way a spec runs its R
 // realizations — and the journaled series helper every spec calls it
-// through. Scale.Workers is the run's one parallelism budget P, which
-// schedule splits over the R realizations into `lanes` = min(P, R) and
-// `width` = ceil(P / lanes). A figure's realizations flow through:
+// through, which lets one build serve several series: each realization is
+// built once and swept for every series that shares the build (the DES
+// specs' knob series do). Scale.Workers is the run's one parallelism
+// budget P, which schedule splits over the R realizations into `lanes` =
+// min(P, R) and `width` = ceil(P / lanes). A figure's realizations flow
+// through:
 //
 //	build stage   — `lanes` goroutines generate topologies, each generator
 //	                using up to `width` goroutines internally, and freeze
@@ -56,18 +59,21 @@ import (
 // a surviving attempt deposits exactly the bits of a never-failed run.
 //
 // Memory: up to 3·lanes frozen snapshots can be alive at once (building +
-// queued + being swept), so `-workers k` caps them at 3·min(k, R). A
-// sweep series holds one block per sweep worker, in that sweeper's
-// buffers, and keeps only each realization's reduction (realizationBlocks).
+// queued + being swept), so `-workers k` caps them at 3·min(k, R), however
+// many series share them. The series sharing a build are swept one after
+// another into one block per sweep worker, in that sweeper's buffers, and
+// each keeps only its realizations' reductions (realizationBlocks).
 
 // engineOpts tells the engine what its caller does with failures and with
 // realizations a previous run already journaled.
 type engineOpts struct {
-	// skip reports realizations already journaled by a previous run; the
-	// engine counts them as progress and never dispatches them. The caller
-	// that supplies skip is responsible for replaying the journaled blocks
-	// into its reduction. May be nil.
-	skip func(r int) bool
+	// pending reports how many series realization r still has to compute;
+	// the caller replays the others from a previous run's journal into its
+	// reduction and counts them as progress. The engine never dispatches a
+	// realization with none pending, and each stage of one it dispatches
+	// counts its pending series as progress units. nil: one series,
+	// nothing replayed.
+	pending func(r int) int
 	// partial marks a journaled series whose reduction drops permanently
 	// failed realizations with explicit accounting, so failures within the
 	// -max-failed budget are absorbed instead of aborting. A strict caller
@@ -167,9 +173,9 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 	// settle is the supervision sequence both stages share: one attempt,
 	// then retries while the budget and the run allow, then either the
 	// failure is absorbed (errs[r] set unless it fits the partial budget)
-	// or the realization counts as progress. It reports how many attempts
-	// ran and whether the last one succeeded.
-	settle := func(r int, first, again func() error) (attempts int, ok bool) {
+	// or the stage counts `units` of progress, one per series it computed.
+	// It reports how many attempts ran and whether the last one succeeded.
+	settle := func(r, units int, first, again func() error) (attempts int, ok bool) {
 		err := protectErr(rc, first)
 		attempts = 1
 		for err != nil && attempts < rc.maxAttempts() && rc.interrupted() == nil {
@@ -183,7 +189,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 		if attempts > 1 {
 			rc.noteRecovered()
 		}
-		rc.noteProgress()
+		rc.noteProgress(units)
 		return attempts, true
 	}
 	// rebuild is a retry's build: fresh stream and fresh arena, because the
@@ -194,8 +200,8 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 	}
 
 	type snapshot struct {
-		r int
-		v T
+		r, units int
+		v        T
 	}
 	var ready chan snapshot
 	var next atomic.Int64
@@ -209,8 +215,11 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 			if r >= n {
 				return
 			}
-			if o.skip != nil && o.skip(r) {
-				rc.noteProgress()
+			units := 1
+			if o.pending != nil {
+				units = o.pending(r)
+			}
+			if units == 0 {
 				continue
 			}
 			// Distributed-worker restriction: realizations leased to other
@@ -221,7 +230,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 				continue
 			}
 			var v T
-			_, ok := settle(r, func() (err error) {
+			_, ok := settle(r, units, func() (err error) {
 				v, err = build(r, newBuilder(seed, r, rngs[r], width, arena))
 				return err
 			}, func() (err error) {
@@ -229,7 +238,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 				return err
 			})
 			if ok && sweep != nil {
-				ready <- snapshot{r: r, v: v}
+				ready <- snapshot{r: r, units: units, v: v}
 			}
 		}
 	}
@@ -242,7 +251,7 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 				// it.
 				continue
 			}
-			attempts, ok := settle(snap.r, func() error {
+			attempts, ok := settle(snap.r, snap.units, func() error {
 				return sweep(snap.r, snap.v, sw)
 			}, func() error {
 				// Retry the realization end-to-end: the snapshot may carry
@@ -355,71 +364,125 @@ func oneRow(rowLen int) blockCodec[[]float64, []float64] {
 	}
 }
 
-// realizationBlocks is the one journaled path from a series to its
-// per-realization reductions: it claims the series' record family, replays
-// the realizations a previous run journaled (their builds and sweeps are
-// skipped), runs the rest through the engine, and journals and reduces each
-// block as its realization completes, so no block outlives its
-// realization unless the codec's reduction keeps it. sweep(r, v, sw) turns
-// the built snapshot into the block; a build-only series passes a nil sweep
-// and its build returns the block itself. tag names the series in the
-// journal: with the engine seed it keys the records, so series that share a
-// seed by design (the DES loss/failure knobs, panels reusing a label
-// format) must differ in tag — a collision fails loudly in journalClaim.
+// blockSeries is one journaled series of a realizationBlocks call: tag and
+// codec name its records and reduce its blocks, and sweep(r, v, sw) turns
+// realization r's built snapshot into its block. A build-only series has a
+// nil sweep and its build returns the block itself.
+type blockSeries[T, B, R any] struct {
+	tag   string
+	codec blockCodec[B, R]
+	sweep func(r int, v T, sw *sweeper) (B, error)
+}
+
+// journaled assembles a blockSeries, inferring its types from the codec and
+// the sweep (a build-only series, whose sweep is nil, names T).
+func journaled[T, B, R any](tag string, codec blockCodec[B, R], sweep func(r int, v T, sw *sweeper) (B, error)) blockSeries[T, B, R] {
+	return blockSeries[T, B, R]{tag: tag, codec: codec, sweep: sweep}
+}
+
+// realizationBlocks is the one journaled path from series to their
+// per-realization reductions; a one-series caller passes one series. The
+// series share one build: realization r is built and frozen once, then
+// every series that has not landed r yet is swept in list order, each
+// block journaled and reduced before the next series is swept into the
+// sweeper's same buffers, so no block outlives its sweep unless the codec's
+// reduction keeps it. It claims each series' record family and replays what
+// a previous run journaled: a realization every series replays is never
+// built, and a retry or a resume rebuilds r to sweep only the series still
+// missing it. Build-only series (nil sweeps) land the build's value as
+// their block. A tag names its series in the journal: with the engine seed
+// it keys the records, so series that share a seed by design (the DES
+// loss/failure knobs, which also share the build, and panels reusing a
+// label format) must differ in tag — a collision fails loudly in
+// journalClaim.
 //
-// A returned reduction is the zero R when its realization is absent: it
-// permanently failed within the -max-failed budget (only a successful
-// attempt ever lands a block, so no partial bits can average in), or this
-// process is a distributed worker that does not lease it. Reductions drop
-// absent realizations and aggregate the survivors in realization order, so
-// a complete run reduces exactly as an unjournaled one and a resumed or
-// distributed run reproduces its bytes.
-func realizationBlocks[T, B, R any](sc Scale, seed uint64, tag string, codec blockCodec[B, R],
-	build func(r int, b *builder) (T, error),
-	sweep func(r int, v T, sw *sweeper) (B, error)) ([]R, error) {
-	rc := sc.Run
-	sub := journalTag(tag)
-	if err := rc.journalClaim(codec.kind, seed, sub, tag); err != nil {
-		return nil, err
+// A returned reduction, reduced[i][r] for series i, is the zero R when its
+// realization is absent: it permanently failed within the -max-failed
+// budget (only a successful sweep ever lands a block, so no partial bits
+// can average in), or this process is a distributed worker that does not
+// lease it. Reductions drop absent realizations and aggregate the survivors
+// in realization order, so a complete run reduces exactly as an unjournaled
+// one and a resumed or distributed run reproduces its bytes.
+func realizationBlocks[T, B, R any](sc Scale, seed uint64, build func(r int, b *builder) (T, error),
+	series ...blockSeries[T, B, R]) ([][]R, error) {
+	rc, n := sc.Run, sc.Realizations
+	subs := make([]uint64, len(series))
+	for i, s := range series {
+		subs[i] = journalTag(s.tag)
+		if err := rc.journalClaim(s.codec.kind, seed, subs[i], s.tag); err != nil {
+			return nil, err
+		}
 	}
-	reduced := make([]R, sc.Realizations)
-	replayed := make([]bool, sc.Realizations)
-	key := func(r int) journalKey { return journalKey{kind: codec.kind, stream: seed, sub: sub, r: r} }
-	for r := range reduced {
-		rc.journalPayload(key(r), func(p []byte) { reduced[r], replayed[r] = codec.decode(p) })
+	key := func(i, r int) journalKey {
+		return journalKey{kind: series[i].codec.kind, stream: seed, sub: subs[i], r: r}
+	}
+	// landed[i*n+r] marks series i's reduction of realization r as done:
+	// replayed, or computed by an attempt whose later series failed. Only
+	// the worker holding realization r touches its entries.
+	reduced, landed := make([][]R, len(series)), make([]bool, len(series)*n)
+	for i, s := range series {
+		reduced[i] = make([]R, n)
+		for r := range reduced[i] {
+			rc.journalPayload(key(i, r), func(p []byte) { reduced[i][r], landed[i*n+r] = s.codec.decode(p) })
+			if landed[i*n+r] {
+				rc.noteProgress(1)
+			}
+		}
 	}
 	// land journals and reduces one computed block. A journal copies the
-	// frame into its file, so a sweeper's frame buffer serves its next
-	// realization too; a worker's sink keeps the frame it is handed, and a
-	// build-only series has no sweeper: those frames are fresh.
-	land := func(r int, blk B, sw *sweeper) {
+	// frame into its file, so a sweeper's frame buffer serves the next
+	// series and realization too; a worker's sink keeps the frame it is
+	// handed, and a build-only series has no sweeper: those frames are
+	// fresh.
+	land := func(i, r int, blk B, sw *sweeper) {
+		codec := series[i].codec
 		switch {
 		case !rc.journaling():
 		case sw != nil && rc.journal != nil:
-			sw.frame = codec.encode(sw.frame, key(r), blk)
+			sw.frame = codec.encode(sw.frame, key(i, r), blk)
 			rc.journalAppend(sw.frame)
 		default:
-			rc.journalAppend(codec.encode(nil, key(r), blk))
+			rc.journalAppend(codec.encode(nil, key(i, r), blk))
 		}
-		reduced[r] = codec.reduce(blk)
+		reduced[i][r] = codec.reduce(blk)
+		landed[i*n+r] = true
 	}
-	o := engineOpts{skip: func(r int) bool { return replayed[r] }, partial: true}
+	pending := func(r int) (k int) {
+		for i := range series {
+			if !landed[i*n+r] {
+				k++
+			}
+		}
+		return k
+	}
+	o := engineOpts{pending: pending, partial: true}
 	var err error
-	if sweep == nil {
+	if series[0].sweep == nil {
 		err = forEachRealizationPipeline(o, sc, seed, func(r int, b *builder) (T, error) {
 			v, err := build(r, b)
-			if err == nil {
-				land(r, any(v).(B), nil)
+			if err != nil {
+				return v, err
 			}
-			return v, err
+			for i := range series {
+				if !landed[i*n+r] {
+					land(i, r, any(v).(B), nil)
+				}
+			}
+			return v, nil
 		}, nil)
 	} else {
 		err = forEachRealizationPipeline(o, sc, seed, build, func(r int, v T, sw *sweeper) error {
-			blk, err := sweep(r, v, sw)
-			if err == nil {
-				land(r, blk, sw)
+			for i, s := range series {
+				if landed[i*n+r] {
+					continue
+				}
+				blk, err := s.sweep(r, v, sw)
+				if err != nil {
+					return err
+				}
+				land(i, r, blk, sw)
 			}
-			return err
+			return nil
 		})
 	}
 	if err != nil {

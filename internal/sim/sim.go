@@ -317,7 +317,7 @@ func Lookup(id string) (Spec, error) {
 // scratches (and DES sims) reused across every realization the worker
 // processes, so the search kernels stay allocation-free no matter how work
 // is scheduled, plus the buffers of the block and record frame of the
-// realization being swept, reused by the next one. A sweeper belongs to its
+// series and realization being swept, reused by the next one. A sweeper belongs to its
 // worker goroutine; Sources may be called any number of times per
 // realization (one call per sub-experiment).
 type sweeper struct {
@@ -335,8 +335,9 @@ type sweeper struct {
 
 // scratchFree keeps finished sweepers — shard scratches, DES sims, block
 // and frame buffers — for the next newSweeper: a figure runs one engine per
-// series, and without reuse each would grow its own O(N) kernel state and
-// its per-realization buffers from nothing. It is a plain free list, which
+// build (one series, or the series that share its topologies), and without
+// reuse each would grow its own O(N) kernel state and its per-realization
+// buffers from nothing. It is a plain free list, which
 // the garbage collector never empties, so what a run allocates does not
 // depend on when a collection happens.
 var scratchFree struct {
@@ -390,7 +391,8 @@ func (sw *sweeper) Sim(shard int) *des.Sim {
 
 // block returns n zeroed rows of rowLen values in the sweeper's buffers,
 // one slab for all rows (see slabRows). The sweeper's next block reuses
-// them, so the block must not outlive the realization it is swept for.
+// them, so the block must not outlive the series and realization it is
+// swept for.
 func (sw *sweeper) block(n, rowLen int) [][]float64 {
 	if cap(sw.rows) < n {
 		sw.rows = make([][]float64, n)

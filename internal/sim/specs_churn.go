@@ -42,7 +42,7 @@ func Churn(sc Scale, seed uint64) ([]Figure, error) {
 		policy := policy
 		// A realization's block is its probe trace, one row per column:
 		// event count, giant fraction, NF hits, messages per event.
-		traces, err := realizationBlocks(sc, seed+uint64(pi)*2713, "churn "+policy.String(), rowBlocks(recSweepSlots, 4, -1), func(r int, b *builder) ([][]float64, error) {
+		traces, err := realizationBlocks(sc, seed+uint64(pi)*2713, func(r int, b *builder) ([][]float64, error) {
 			// The churn trace is one long event sequence; it draws from the
 			// realization's legacy stream, sequential by nature.
 			sim, err := churn.New(churn.Config{
@@ -68,21 +68,21 @@ func Churn(sc Scale, seed uint64) ([]Figure, error) {
 				cols[0][i], cols[1][i], cols[2][i], cols[3][i] = float64(snap.Event), snap.GiantFrac, snap.NFHits, snap.MessagesPerEvent
 			}
 			return cols, nil
-		}, nil)
+		}, journaled[[][]float64]("churn "+policy.String(), rowBlocks(recSweepSlots, 4, -1), nil))
 		if err != nil {
 			return nil, fmt.Errorf("churn %s: %w", policy, err)
 		}
 		// Every realization probes at the same events: row 0 is the x axis.
-		xs := firstRow(blockRow(traces, 0))
-		gs, err := aggregate(policy.String(), blockRow(traces, 1), 0)
+		xs := firstRow(blockRow(traces[0], 0))
+		gs, err := aggregate(policy.String(), blockRow(traces[0], 1), 0)
 		if err != nil {
 			return nil, err
 		}
-		hs, err := aggregate(policy.String(), blockRow(traces, 2), 0)
+		hs, err := aggregate(policy.String(), blockRow(traces[0], 2), 0)
 		if err != nil {
 			return nil, err
 		}
-		msgs, err := aggregate(policy.String(), blockRow(traces, 3), 0)
+		msgs, err := aggregate(policy.String(), blockRow(traces[0], 3), 0)
 		if err != nil {
 			return nil, err
 		}

@@ -44,32 +44,42 @@ func (sc Scale) desLossRates() []float64 {
 	return []float64{0, 0.02, 0.10}
 }
 
-// desSweep is sourceSeries for the DES specs: one simulation per
-// (realization, source) on the shard's pooled des.Sim, over a per-edge
-// latency model rooted at the same (seed, realization) phases the build
-// stage derives the topology from. run executes the simulation with the
-// source's stream; sample extracts the nCurves curves of rowLen points
-// from the run's Metrics, into zeroed rows, before the next simulation
-// invalidates them.
+// desSeries is one knob series of a DES sweep. run executes source src's
+// simulation with the source's stream; sample extracts the nCurves curves
+// of rowLen points from the run's Metrics, into zeroed rows, before the next
+// simulation invalidates them.
 //
-// tag names this sweep in the journal. It is load-bearing here: the DES
-// specs deliberately share one engine seed across their loss/failure
-// series to isolate the knob against identical topologies, so the seed
-// alone cannot key a checkpoint — the tag carries the knob.
-func desSweep(sc Scale, seed uint64, tag string, nCurves, rowLen int, factory topoFactory, base, jitter float64,
-	run func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error),
-	sample func(m des.Metrics, rows [][]float64),
-) ([][][]float64, error) {
-	return sourceSeries(sc, seed, tag, recDESSlots, nCurves, rowLen, factory, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
-		lat := des.Latency{Base: base, Jitter: jitter, Phases: xrand.Phases{Seed: seed, Realization: uint64(r)}}
-		return sw.eachSource(r, f, rows, nCurves, func(shard int, _ *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
-			m, err := run(sw.Sim(shard), f, lat, src, rng)
-			if err == nil {
-				sample(m, curves)
-			}
-			return err
-		})
-	})
+// tag names the series in the journal. It is load-bearing here: the DES
+// specs deliberately share one engine seed, and so one build, across their
+// loss/failure series to isolate the knob against identical topologies, so
+// the seed alone cannot key a checkpoint — the tag carries the knob.
+type desSeries struct {
+	tag             string
+	nCurves, rowLen int
+	run             func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error)
+	sample          func(m des.Metrics, rows [][]float64)
+}
+
+// desSweep is sourceSeries for the DES specs: each realization's topology
+// is built once and every series runs one simulation per source on the
+// shard's pooled des.Sim, over a per-edge latency model rooted at the same
+// (seed, realization) phases the build stage derives the topology from. It
+// returns, per series and curve, every realization's mean row.
+func desSweep(sc Scale, seed uint64, factory topoFactory, base, jitter float64, series ...desSeries) ([][][][]float64, error) {
+	sweeps := make([]curveSeries, len(series))
+	for i, s := range series {
+		sweeps[i] = curveSeries{s.tag, s.nCurves, s.rowLen, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+			lat := des.Latency{Base: base, Jitter: jitter, Phases: xrand.Phases{Seed: seed, Realization: uint64(r)}}
+			return sw.eachSource(r, f, rows, s.nCurves, func(shard int, _ *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
+				m, err := s.run(sw.Sim(shard), f, lat, src, rng)
+				if err == nil {
+					s.sample(m, curves)
+				}
+				return err
+			})
+		}}
+	}
+	return sourceSeries(sc, seed, recDESSlots, factory, sweeps...)
 }
 
 // lossLabel renders a loss rate the way the DES legends do.
@@ -84,12 +94,17 @@ func lossLabel(loss float64) string {
 // (m=2, no cutoff, the paper's baseline search topology): coverage vs τ
 // under message loss, the latency-vs-hops curve (mean first-receipt
 // arrival time per hop distance), and the cumulative message cost. All
-// loss series share one seed, so the loss knob is isolated against
-// identical topologies and sources.
+// loss series share one seed and one desSweep, so the loss knob is isolated
+// against identical topologies and sources, and each realization's topology
+// is built once for all of them.
 func DESFlood(sc Scale, seed uint64) ([]Figure, error) {
+	return desFlood(sc, seed, paTopo(sc.NSearch, 2, gen.NoCutoff))
+}
+
+// desFlood is DESFlood over the overlays factory builds.
+func desFlood(sc Scale, seed uint64, factory topoFactory) ([]Figure, error) {
 	base, jitter := sc.desLatency()
 	maxTTL := sc.MaxTTLFlood
-	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
 	hitsFig := Figure{
 		ID: "desflood-hits", Title: "DES flooding: coverage vs tau under message loss (PA, m=2)",
 		XLabel: "tau", YLabel: "number of hits",
@@ -103,9 +118,11 @@ func DESFlood(sc Scale, seed uint64) ([]Figure, error) {
 		ID: "desflood-msgs", Title: "DES flooding: cumulative messages vs tau under message loss (PA, m=2)",
 		XLabel: "tau", YLabel: "messages sent",
 	}
-	for _, loss := range sc.desLossRates() {
-		loss := loss
-		curves, err := desSweep(sc, seed, "desflood "+lossLabel(loss), 3, maxTTL+1, factory, base, jitter,
+	// One series per loss rate, all over each realization's one build.
+	losses := sc.desLossRates()
+	series := make([]desSeries, len(losses))
+	for i, loss := range losses {
+		series[i] = desSeries{"desflood " + lossLabel(loss), 3, maxTTL + 1,
 			func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
 				return sim.Flood(f, src, des.Config{MaxTTL: maxTTL, Latency: lat, Loss: loss}, rng)
 			},
@@ -122,13 +139,16 @@ func DESFlood(sc Scale, seed uint64) ([]Figure, error) {
 						sent += m.SentByHop[h]
 					}
 				}
-			})
-		if err != nil {
-			return nil, fmt.Errorf("desflood %s: %w", lossLabel(loss), err)
-		}
+			}}
+	}
+	curves, err := desSweep(sc, seed, factory, base, jitter, series...)
+	if err != nil {
+		return nil, fmt.Errorf("desflood: %w", err)
+	}
+	for i, loss := range losses {
 		label := lossLabel(loss)
-		for i, fig := range []*Figure{&hitsFig, &timeFig, &msgFig} {
-			s, err := aggregate(label, curves[i], 1)
+		for c, fig := range []*Figure{&hitsFig, &timeFig, &msgFig} {
+			s, err := aggregate(label, curves[i][c], 1)
 			if err != nil {
 				return nil, fmt.Errorf("desflood %s: %w", label, err)
 			}
@@ -141,19 +161,26 @@ func DESFlood(sc Scale, seed uint64) ([]Figure, error) {
 // DESKWalk measures k parallel random walkers as messages in flight on
 // the same PA overlays: coverage vs steps for k ∈ {1, 4, 16} under each
 // loss rate (a lost copy kills its walker — the failure mode the CSR
-// k-walk kernel cannot express).
+// k-walk kernel cannot express). Like DESFlood's, its (k, loss) series
+// share one seed and one build per realization.
 func DESKWalk(sc Scale, seed uint64) ([]Figure, error) {
+	return desKWalk(sc, seed, paTopo(sc.NSearch, 2, gen.NoCutoff))
+}
+
+// desKWalk is DESKWalk over the overlays factory builds.
+func desKWalk(sc Scale, seed uint64, factory topoFactory) ([]Figure, error) {
 	base, jitter := sc.desLatency()
 	steps := 10 * sc.MaxTTLNF
-	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
 	fig := Figure{
 		ID: "deskwalk-hits", Title: "DES k-walkers: coverage vs steps under message loss (PA, m=2)",
 		XLabel: "steps", YLabel: "number of hits",
 	}
+	// One series per (k, loss rate), all over each realization's one build.
+	var series []desSeries
+	var labels []string
 	for _, k := range []int{1, 4, 16} {
 		for _, loss := range sc.desLossRates() {
-			k, loss := k, loss
-			curves, err := desSweep(sc, seed, fmt.Sprintf("deskwalk k=%d %s", k, lossLabel(loss)), 1, steps+1, factory, base, jitter,
+			series = append(series, desSeries{fmt.Sprintf("deskwalk k=%d %s", k, lossLabel(loss)), 1, steps + 1,
 				func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
 					return sim.KWalk(f, src, k, steps, des.Config{Latency: lat, Loss: loss}, rng)
 				},
@@ -163,16 +190,20 @@ func DESKWalk(sc Scale, seed uint64) ([]Figure, error) {
 						hits += m.HitsByHop[h]
 						rows[0][h] = float64(hits)
 					}
-				})
-			if err != nil {
-				return nil, fmt.Errorf("deskwalk k=%d %s: %w", k, lossLabel(loss), err)
-			}
-			s, err := aggregate(fmt.Sprintf("k=%d, %s", k, lossLabel(loss)), curves[0], 1)
-			if err != nil {
-				return nil, err
-			}
-			fig.Series = append(fig.Series, s)
+				}})
+			labels = append(labels, fmt.Sprintf("k=%d, %s", k, lossLabel(loss)))
 		}
+	}
+	curves, err := desSweep(sc, seed, factory, base, jitter, series...)
+	if err != nil {
+		return nil, fmt.Errorf("deskwalk: %w", err)
+	}
+	for i, label := range labels {
+		s, err := aggregate(label, curves[i][0], 1)
+		if err != nil {
+			return nil, err
+		}
+		fig.Series = append(fig.Series, s)
 	}
 	return []Figure{fig}, nil
 }

@@ -60,7 +60,7 @@ func Attack(sc Scale, seed uint64) ([]Figure, error) {
 		// over the measurement points: removed fraction, giant fraction,
 		// and for the batched attack the step's mean stderr (zero at point
 		// 0, which no step precedes).
-		curves, err := realizationBlocks(sc, seed+uint64(kc)*31+uint64(strat), "attack "+label, rowBlocks(recSweepSlots, nCols, -1), func(r int, b *builder) ([][]float64, error) {
+		curves, err := realizationBlocks(sc, seed+uint64(kc)*31+uint64(strat), func(r int, b *builder) ([][]float64, error) {
 			g, _, err := gen.PABuild(gen.PAConfig{N: sc.NSearch, M: 2, KC: kc}, b.gen())
 			if err != nil {
 				return nil, err
@@ -83,20 +83,20 @@ func Attack(sc Scale, seed uint64) ([]Figure, error) {
 				cols[2][i+1] = s.MeanSE
 			}
 			return cols, nil
-		}, nil)
+		}, journaled[[][]float64]("attack "+label, rowBlocks(recSweepSlots, nCols, -1), nil))
 		if err != nil {
 			return nil, fmt.Errorf("attack %s: %w", label, err)
 		}
 		// Realizations share the removal schedule (same N, same step),
 		// so rows align and row 0 is the x axis.
-		xs := firstRow(blockRow(curves, 0))
-		s, err := aggregate(label, blockRow(curves, 1), 0)
+		xs := firstRow(blockRow(curves[0], 0))
+		s, err := aggregate(label, blockRow(curves[0], 1), 0)
 		if err != nil {
 			return nil, err
 		}
 		fig.Series = append(fig.Series, s.withX(xs))
 		if batched {
-			se, err := aggregate(fmt.Sprintf("%s, %s stderr (removed nodes)", cutoffLabel(kc), strat), blockRow(curves, 2), 1)
+			se, err := aggregate(fmt.Sprintf("%s, %s stderr (removed nodes)", cutoffLabel(kc), strat), blockRow(curves[0], 2), 1)
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +133,7 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 		// A realization's row: mean FL time, mean RW time, walks tried,
 		// walks truncated.
 		tag := fmt.Sprintf("delivery N=%d", n)
-		rows, err := realizationBlocks(sc, seed+uint64(si)*977, tag, oneRow(4), func(r int, b *builder) (*graph.Frozen, error) {
+		rows, err := realizationBlocks(sc, seed+uint64(si)*977, func(r int, b *builder) (*graph.Frozen, error) {
 			f, _, err := gen.CMFrozen(gen.CMConfig{N: n, M: 2, Gamma: 2.2}, b.gen())
 			if err != nil {
 				return nil, err
@@ -144,7 +144,7 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 			// every delivery pair.
 			fsub, _ := f.InducedFrozen(f.GiantComponent())
 			return fsub, nil
-		}, func(r int, fsub *graph.Frozen, sw *sweeper) ([]float64, error) {
+		}, journaled(tag, oneRow(4), func(r int, fsub *graph.Frozen, sw *sweeper) ([]float64, error) {
 			// Per pair: FL time, RW time (0 = not delivered) and whether
 			// the walk ran at all.
 			flTimes, rwTimes, rwTried := make([]int, pairs), make([]int, pairs), make([]bool, pairs)
@@ -191,17 +191,17 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 				return nil, fmt.Errorf("no deliveries at n=%d", n)
 			}
 			return []float64{flSum / flN, rwSum / rwN, tried, tried - rwN}, nil
-		})
+		}))
 		if err != nil {
 			return nil, err
 		}
-		mean, err := aggregate(tag, rows, 0)
+		mean, err := aggregate(tag, rows[0], 0)
 		if err != nil {
 			return nil, err
 		}
 		if sc.WalkCap > 0 {
 			tried, trunc := 0, 0
-			for _, row := range rows {
+			for _, row := range rows[0] {
 				if row != nil {
 					tried, trunc = tried+int(row[2]), trunc+int(row[3])
 				}
@@ -297,16 +297,16 @@ func KWalk(sc Scale, seed uint64) ([]Figure, error) {
 		}},
 	}
 	for vi, v := range variants {
-		curves, err := sourceSeries(sc, seed+uint64(vi)*4099, "kwalk "+v.label, recSweepSlots, 1, sc.MaxTTLNF+1, factory,
+		curves, err := sourceSeries(sc, seed+uint64(vi)*4099, recSweepSlots, factory, curveSeries{"kwalk " + v.label, 1, sc.MaxTTLNF + 1,
 			func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 				return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 					return v.run(scratch, f, src, rng, curves[0])
 				})
-			})
+			}})
 		if err != nil {
 			return nil, fmt.Errorf("series %s: %w", v.label, err)
 		}
-		s, err := aggregate(v.label, curves[0], 1)
+		s, err := aggregate(v.label, curves[0][0], 1)
 		if err != nil {
 			return nil, err
 		}

@@ -55,14 +55,19 @@ func failLabel(frac float64) string {
 // and k-walker coverage vs steps under node crashes (a crashed node
 // swallows its walkers — the DES analogue of the paper's robustness
 // question). Crash onsets are Exp(MTBF)-distributed with no recovery, the
-// worst case; all series share one seed so the failure knob is isolated
-// against identical topologies, sources, and latency draws.
+// worst case; all series share one seed and one desSweep, so the failure
+// knob is isolated against identical topologies, sources, and latency
+// draws, and each realization's topology is built once for all of them.
 func DESFail(sc Scale, seed uint64) ([]Figure, error) {
+	return desFail(sc, seed, paTopo(sc.NSearch, 2, gen.NoCutoff))
+}
+
+// desFail is DESFail over the overlays factory builds.
+func desFail(sc Scale, seed uint64, factory topoFactory) ([]Figure, error) {
 	base, jitter := sc.desLatency()
 	mtbf := sc.desFailMTBF()
 	maxTTL := sc.MaxTTLFlood
 	steps := 10 * sc.MaxTTLNF
-	factory := paTopo(sc.NSearch, 2, gen.NoCutoff)
 	notes := fmt.Sprintf("Exp(MTBF=%.2g) crash onsets, no recovery; per-edge latency %.2g + U[0,%.2g)", mtbf, base, jitter)
 	nodeFig := Figure{
 		ID: "desfail-node", Title: "DES flooding: coverage vs tau under node crashes (PA, m=2)",
@@ -76,40 +81,32 @@ func DESFail(sc Scale, seed uint64) ([]Figure, error) {
 		ID: "desfail-kwalk", Title: "DES k-walkers (k=4): coverage vs steps under node crashes (PA, m=2)",
 		XLabel: "steps", YLabel: "number of hits", Notes: notes,
 	}
+	// Per failure fraction: a node-crash flood, a link-partition flood and
+	// a node-crash k-walk series, all over each realization's one build.
+	// The floods' rows hold maxTTL+1 points, the walks' steps+1.
+	var series []desSeries
+	var figs []*Figure
+	var labels []string
 	for _, frac := range sc.desFailFracs() {
-		frac := frac
-		panels := []struct {
-			fig  *Figure
-			plan func(ph xrand.Phases) des.FailPlan
-		}{
-			{&nodeFig, func(ph xrand.Phases) des.FailPlan {
-				return des.FailPlan{NodeFrac: frac, MTBF: mtbf, Phases: ph}
-			}},
-			{&linkFig, func(ph xrand.Phases) des.FailPlan {
-				return des.FailPlan{LinkFrac: frac, MTBF: mtbf, Phases: ph}
-			}},
-		}
-		for _, p := range panels {
-			p := p
-			curves, err := desSweep(sc, seed, p.fig.ID+" "+failLabel(frac), 1, maxTTL+1, factory, base, jitter,
+		flood := func(fig *Figure, plan func(ph xrand.Phases) des.FailPlan) {
+			series = append(series, desSeries{fig.ID + " " + failLabel(frac), 1, maxTTL + 1,
 				func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
-					return sim.Flood(f, src, des.Config{MaxTTL: maxTTL, Latency: lat, Fail: p.plan(lat.Phases)}, rng)
+					return sim.Flood(f, src, des.Config{MaxTTL: maxTTL, Latency: lat, Fail: plan(lat.Phases)}, rng)
 				},
 				func(m des.Metrics, rows [][]float64) {
 					for h := 0; h <= maxTTL; h++ {
 						rows[0][h] = float64(m.HitsWithin(h))
 					}
-				})
-			if err != nil {
-				return nil, fmt.Errorf("desfail %s %s: %w", p.fig.ID, failLabel(frac), err)
-			}
-			s, err := aggregate(failLabel(frac), curves[0], 1)
-			if err != nil {
-				return nil, err
-			}
-			p.fig.Series = append(p.fig.Series, s)
+				}})
+			figs, labels = append(figs, fig), append(labels, failLabel(frac))
 		}
-		curves, err := desSweep(sc, seed, "desfail-kwalk "+failLabel(frac), 1, steps+1, factory, base, jitter,
+		flood(&nodeFig, func(ph xrand.Phases) des.FailPlan {
+			return des.FailPlan{NodeFrac: frac, MTBF: mtbf, Phases: ph}
+		})
+		flood(&linkFig, func(ph xrand.Phases) des.FailPlan {
+			return des.FailPlan{LinkFrac: frac, MTBF: mtbf, Phases: ph}
+		})
+		series = append(series, desSeries{"desfail-kwalk " + failLabel(frac), 1, steps + 1,
 			func(sim *des.Sim, f *graph.Frozen, lat des.Latency, src int, rng *xrand.RNG) (des.Metrics, error) {
 				fail := des.FailPlan{NodeFrac: frac, MTBF: mtbf, Phases: lat.Phases}
 				return sim.KWalk(f, src, 4, steps, des.Config{Latency: lat, Fail: fail}, rng)
@@ -118,15 +115,19 @@ func DESFail(sc Scale, seed uint64) ([]Figure, error) {
 				for h := 0; h <= steps; h++ {
 					rows[0][h] = float64(m.HitsWithin(h))
 				}
-			})
-		if err != nil {
-			return nil, fmt.Errorf("desfail kwalk %s: %w", failLabel(frac), err)
-		}
-		s, err := aggregate(failLabel(frac), curves[0], 1)
+			}})
+		figs, labels = append(figs, &walkFig), append(labels, failLabel(frac))
+	}
+	curves, err := desSweep(sc, seed, factory, base, jitter, series...)
+	if err != nil {
+		return nil, fmt.Errorf("desfail: %w", err)
+	}
+	for i, fig := range figs {
+		s, err := aggregate(labels[i], curves[i][0], 1)
 		if err != nil {
 			return nil, err
 		}
-		walkFig.Series = append(walkFig.Series, s)
+		fig.Series = append(fig.Series, s)
 	}
 	return []Figure{nodeFig, linkFig, walkFig}, nil
 }

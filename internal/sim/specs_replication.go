@@ -56,14 +56,14 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 				rep *xrand.RNG
 			}
 			tag := fmt.Sprintf("replication %s %s", cutoffLabel(kc), strat)
-			perReal, err := realizationBlocks(sc, seed+uint64(si)*6151+uint64(kc), tag, oneRow(len(budgetsPerN)), func(r int, b *builder) (replTopo, error) {
+			perReal, err := realizationBlocks(sc, seed+uint64(si)*6151+uint64(kc), func(r int, b *builder) (replTopo, error) {
 				g, _, err := gen.PABuild(gen.PAConfig{N: sc.NSearch, M: m, KC: kc}, b.gen())
 				if err != nil {
 					return replTopo{}, err
 				}
 				// All budgets probe the same realization.
 				return replTopo{fg: g.FreezePar(b.width), rep: b.phases.Stream("replication")}, nil
-			}, func(r int, topo replTopo, sw *sweeper) ([]float64, error) {
+			}, journaled(tag, oneRow(len(budgetsPerN)), func(r int, topo replTopo, sw *sweeper) ([]float64, error) {
 				fg := topo.fg
 				cat, err := content.NewCatalog(items, alpha)
 				if err != nil {
@@ -90,11 +90,11 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 					row[bi] = res.MeanSteps
 				}
 				return row, nil
-			})
+			}))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", tag, err)
 			}
-			s, err := aggregate(strat.String(), perReal, 0)
+			s, err := aggregate(strat.String(), perReal[0], 0)
 			if err != nil {
 				return nil, err
 			}

@@ -95,7 +95,7 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 		for vi, v := range variants {
 			v := v
 			tag := fmt.Sprintf("strategies %s %s", cutoffLabel(kc), v.label)
-			curves, err := sourceSeries(sc, seed+uint64(vi)*7919+uint64(kc), tag, recSweepSlots, 1, len(budgets), factory,
+			curves, err := sourceSeries(sc, seed+uint64(vi)*7919+uint64(kc), recSweepSlots, factory, curveSeries{tag, 1, len(budgets),
 				func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 					return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 						res, err := v.run(scratch, f, src, budgets, rng)
@@ -104,11 +104,11 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 						}
 						return err
 					})
-				})
+				}})
 			if err != nil {
 				return nil, fmt.Errorf("series %s: %w", v.label, err)
 			}
-			s, err := aggregate(v.label, curves[0], 0)
+			s, err := aggregate(v.label, curves[0][0], 0)
 			if err != nil {
 				return nil, err
 			}

@@ -71,7 +71,7 @@ func Table1(sc Scale, seed uint64) ([]Figure, error) {
 			n := n
 			tag := fmt.Sprintf("table1 %s N=%d", reg.label, n)
 			// A realization's row: mean distance, landmark lower bound.
-			rows, err := realizationBlocks(sc, seed+uint64(ri*1000+n), tag, oneRow(2), func(r int, b *builder) ([]float64, error) {
+			rows, err := realizationBlocks(sc, seed+uint64(ri*1000+n), func(r int, b *builder) ([]float64, error) {
 				f, err := reg.mk(n)(r, b)
 				if err != nil {
 					return nil, err
@@ -90,11 +90,11 @@ func Table1(sc Scale, seed uint64) ([]Figure, error) {
 					return []float64{ls.MeanDistance, ls.MeanLowerBound}, nil
 				}
 				return []float64{sub.SamplePathStats(minInt(40, sub.N()), b.rng).MeanDistance, 0}, nil
-			}, nil)
+			}, journaled[[]float64](tag, oneRow(2), nil))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", tag, err)
 			}
-			mean, err := aggregate(tag, rows, 0)
+			mean, err := aggregate(tag, rows[0], 0)
 			if err != nil {
 				return nil, err
 			}
@@ -197,7 +197,7 @@ func Messaging(sc Scale, seed uint64) ([]Figure, error) {
 // stream, so each curve equals its single-algorithm sweep bit for bit.
 func nfRWCurves(sc Scale, seed uint64, tag string, factory topoFactory, kMin int) ([][][]float64, error) {
 	maxTTL := sc.MaxTTLNF
-	return sourceSeries(sc, seed, tag, recSweepSlots, 3, maxTTL+1, factory, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+	curves, err := sourceSeries(sc, seed, recSweepSlots, factory, curveSeries{tag, 3, maxTTL + 1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 		return sw.eachSource(r, f, rows, 3, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 			rw, nf, err := scratch.RandomWalkWithNFBudget(f, src, maxTTL, kMin, rng)
 			if err != nil {
@@ -210,7 +210,11 @@ func nfRWCurves(sc Scale, seed uint64, tag string, factory topoFactory, kMin int
 			}
 			return nil
 		})
-	})
+	}})
+	if err != nil {
+		return nil, err
+	}
+	return curves[0], nil
 }
 
 // perHit divides a message series by a hits series pointwise.

@@ -185,10 +185,11 @@ func (rc *RunControl) maxAttempts() int {
 }
 
 // noteProgress feeds the stall watchdog: any realization-level step
-// (build done, sweep done, skip, failure) counts as progress.
-func (rc *RunControl) noteProgress() {
+// (build done, sweep done, replay, failure) counts as progress, one unit
+// per journaled series it serves.
+func (rc *RunControl) noteProgress(units int) {
 	if rc != nil {
-		rc.progress.Add(1)
+		rc.progress.Add(int64(units))
 	}
 }
 
@@ -250,7 +251,7 @@ func (rc *RunControl) absorbFailure(stream uint64, r, attempts int, cause error,
 	// Best effort: the failure record is for post-mortems and resume-time
 	// accounting, not correctness (it does not mark the realization done).
 	rc.journal.appendFrame(encodeFrame(journalKey{kind: recFailure, stream: stream, r: r}, encodeFailure(fr)))
-	rc.noteProgress()
+	rc.noteProgress(1)
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.failures = append(rc.failures, fr)

@@ -429,7 +429,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 			rows[1][h] = float64(m.SentBelow(h))
 		}
 	}
-	baseline, err := desSweep(cfg.sc, seed, "t", 2, maxTTL+1, factory, 0, 0, run, sample)
+	baseline, err := desSweep(cfg.sc, seed, factory, 0, 0, desSeries{"t", 2, maxTTL + 1, run, sample})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 	}
 	jcfg := cfg
 	jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
-	journaled, err := desSweep(jcfg.sc, seed, "t", 2, maxTTL+1, factory, 0, 0, run, sample)
+	journaled, err := desSweep(jcfg.sc, seed, factory, 0, 0, desSeries{"t", 2, maxTTL + 1, run, sample})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestDESSweepResumeBitIdentical(t *testing.T) {
 	rcfg := cfg
 	rcfg.sc.Workers = 4
 	rcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j2)
-	resumed, err := desSweep(rcfg.sc, seed, "t", 2, maxTTL+1, countingFactory(factory, &builds), 0, 0, run, sample)
+	resumed, err := desSweep(rcfg.sc, seed, countingFactory(factory, &builds), 0, 0, desSeries{"t", 2, maxTTL + 1, run, sample})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestNilRunControlIsInert(t *testing.T) {
 	if rc.interrupted() != nil || rc.maxAttempts() != 1 || rc.journaling() {
 		t.Fatal("nil RunControl is not inert")
 	}
-	rc.noteProgress()
+	rc.noteProgress(1)
 	rc.noteRecovered()
 	if rc.Progress() != 0 || rc.Recovered() != 0 || rc.Failures() != nil {
 		t.Fatal("nil RunControl accumulated state")

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -227,6 +228,50 @@ func TestTCPSendSurfacesWriteError(t *testing.T) {
 	}
 	if errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("write failure misreported as unknown peer: %v", err)
+	}
+}
+
+// TestFrameHeadGolden pins the exact frame head — prefix and JSON header —
+// of the three envelope shapes internal/coord's sendWire builds: a result
+// (ID "result", the spec in Key, the record raw in Data), a control message
+// (its JSON in Data only) and a frame with no Data at all. Coordinators and
+// workers of one build must keep agreeing on these bytes whatever else the
+// Message type gains or loses.
+func TestFrameHeadGolden(t *testing.T) {
+	t.Parallel()
+	const (
+		worker = "127.0.0.1:41001"
+		coord  = "127.0.0.1:40000"
+	)
+	record := []byte{0x10, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef}
+	control := []byte(`{"t":"claim","w":"127.0.0.1:41001","r":0}`)
+	for _, c := range []struct {
+		name string
+		env  Envelope
+		want string
+	}{
+		{"result", Envelope{From: worker, To: coord, Msg: Message{Kind: KindCoord, ID: "result", Key: "fig9", Data: record}},
+			"SFP\x02" + "\x63\x00\x00\x00" + "\x08\x00\x00\x00" +
+				`{"from":"127.0.0.1:41001","to":"127.0.0.1:40000","msg":{"kind":"coord","id":"result","key":"fig9"}}`},
+		{"control", Envelope{From: worker, To: coord, Msg: Message{Kind: KindCoord, Data: control}},
+			"SFP\x02" + "\x48\x00\x00\x00" + "\x29\x00\x00\x00" +
+				`{"from":"127.0.0.1:41001","to":"127.0.0.1:40000","msg":{"kind":"coord"}}`},
+		{"empty data", Envelope{From: coord, To: worker, Msg: Message{Kind: KindCoord}},
+			"SFP\x02" + "\x48\x00\x00\x00" + "\x00\x00\x00\x00" +
+				`{"from":"127.0.0.1:40000","to":"127.0.0.1:41001","msg":{"kind":"coord"}}`},
+	} {
+		head, err := frameHead(c.env)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if string(head) != c.want {
+			t.Fatalf("%s frame head changed:\n got %q\nwant %q", c.name, head, c.want)
+		}
+		got, err := readFrame(bufio.NewReader(bytes.NewReader(append(head, c.env.Msg.Data...))))
+		if err != nil || got.From != c.env.From || got.To != c.env.To || got.Msg.Kind != KindCoord ||
+			got.Msg.ID != c.env.Msg.ID || got.Msg.Key != c.env.Msg.Key || !bytes.Equal(got.Msg.Data, c.env.Msg.Data) {
+			t.Fatalf("%s frame does not read back: %+v, %v", c.name, got, err)
+		}
 	}
 }
 

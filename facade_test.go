@@ -7,9 +7,6 @@ package scalefree
 import (
 	"slices"
 	"testing"
-	"time"
-
-	"scalefree/internal/p2p"
 )
 
 func TestFacadeTopologyWrappers(t *testing.T) {
@@ -67,58 +64,4 @@ func TestFacadeSearchGolden(t *testing.T) {
 	eq("rwb.Hits", rw.Hits, []int{1, 3, 7, 14, 24, 41, 68})
 	eq("rwb.Messages", rw.Messages, []int{0, 2, 6, 13, 23, 41, 69})
 	eq("rwb.nf.Hits", nfb.Hits, []int{1, 3, 7, 14, 24, 41, 67})
-}
-
-func TestFacadeLiveWrappers(t *testing.T) {
-	t.Parallel()
-	netw := p2p.NewInMemoryNetwork()
-	mk := func(addr string, seed uint64) *Peer {
-		p, err := NewPeer(PeerConfig{
-			Addr: addr, M: 1, TauSub: 2, Seed: seed,
-			DiscoverWindow: 40 * time.Millisecond,
-		}, netw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		return p
-	}
-	a := mk("a", 1)
-	b := mk("b", 2)
-	mk("c", 3)
-	if err := a.Connect("b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Connect("c"); err != nil {
-		t.Fatal(err)
-	}
-	// The crawler excludes its own links, so from a's vantage the map holds
-	// b and c.
-	res, err := a.Crawl("b", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.G.N() < 2 {
-		t.Fatalf("crawl found %d peers", res.G.N())
-	}
-}
-
-func TestFacadeTCPWrapper(t *testing.T) {
-	t.Parallel()
-	netw := NewTCPNetwork()
-	t.Cleanup(netw.Close)
-	inbox := make(chan struct {
-		From, To string
-	}, 1)
-	_ = inbox // the TCP transport is exercised end-to-end in internal/p2p
-	p, err := NewPeer(PeerConfig{
-		Addr: "127.0.0.1:0", M: 1, TauSub: 2, Seed: 9,
-		DiscoverWindow: 100 * time.Millisecond,
-	}, netw)
-	if err != nil {
-		// Port-0 identity quirk: the peer registers under the literal
-		// string; dialing it fails but registration must succeed.
-		t.Fatalf("NewPeer over TCP: %v", err)
-	}
-	p.Close()
 }

@@ -5,8 +5,7 @@
 // the scale-freeness in a topology with a hard cutoff".
 //
 // The simulator evolves an overlay under a configurable arrival/departure
-// process at the graph level (the live, message-passing counterpart lives
-// in internal/p2p; this package is the deterministic laboratory). Joins
+// process at the graph level, deterministically for a given seed. Joins
 // follow a preferential or uniform rule restricted to alive peers and the
 // hard cutoff; departures are abrupt (crash) or graceful; an optional
 // repair policy reconnects under-provisioned neighbors after a departure,

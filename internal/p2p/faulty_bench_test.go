@@ -16,7 +16,7 @@ func benchSend(b *testing.B, netw Network) {
 	if err := netw.Register("sink", inbox); err != nil {
 		b.Fatal(err)
 	}
-	env := Envelope{From: "src", To: "sink", Msg: Message{Kind: KindPing}}
+	env := Envelope{From: "src", To: "sink", Msg: Message{Kind: KindCoord}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

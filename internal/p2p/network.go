@@ -5,14 +5,12 @@ import (
 	"sync"
 )
 
-// Network abstracts message delivery between peers. Implementations must
-// be safe for concurrent use. Send is asynchronous and best-effort:
-// unstructured overlay protocols tolerate loss, and queries are
-// re-issuable by design.
+// Network abstracts message delivery between addresses. Implementations
+// must be safe for concurrent use. Send is asynchronous and best-effort:
+// the protocol above it retries what it cannot afford to lose.
 type Network interface {
 	// Register binds an address to an inbox. Delivery to the address
-	// pushes envelopes into the channel, dropping when full (the caller's
-	// Stats track drops).
+	// pushes envelopes into the channel, dropping when full.
 	Register(addr string, inbox chan<- Envelope) error
 	// Unregister removes the address; subsequent sends fail.
 	Unregister(addr string)
@@ -22,10 +20,8 @@ type Network interface {
 	Send(env Envelope) error
 }
 
-// InMemoryNetwork delivers envelopes between goroutine peers in one
-// process via channels. It is the transport used by the examples, the
-// overlay harness, and the churn experiments; it comfortably hosts tens of
-// thousands of peers.
+// InMemoryNetwork delivers envelopes between goroutines of one process via
+// channels: the transport of the coord tests and of in-process fleets.
 type InMemoryNetwork struct {
 	mu     sync.RWMutex
 	inbox  map[string]chan<- Envelope
@@ -56,7 +52,7 @@ func (n *InMemoryNetwork) Register(addr string, inbox chan<- Envelope) error {
 // Unregister implements Network. It is idempotent: unregistering an
 // unknown address, an already-unregistered address, or any address on a
 // closed network is a no-op (mirroring the TCP transport's hardening) —
-// peer teardown paths may overlap and must all be safe.
+// teardown paths may overlap and must all be safe.
 func (n *InMemoryNetwork) Unregister(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -88,15 +84,4 @@ func (n *InMemoryNetwork) Close() {
 	defer n.mu.Unlock()
 	n.closed = true
 	n.inbox = make(map[string]chan<- Envelope)
-}
-
-// Peers returns the currently registered addresses (diagnostic).
-func (n *InMemoryNetwork) Peers() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.inbox))
-	for addr := range n.inbox {
-		out = append(out, addr)
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package p2p
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 // TestInMemoryUnregisterIdempotent pins the Unregister hardening: double
@@ -49,4 +50,60 @@ func TestInMemoryDoubleClose(t *testing.T) {
 	n := NewInMemoryNetwork()
 	n.Close()
 	n.Close() // idempotent
+}
+
+func TestInMemoryNetworkErrors(t *testing.T) {
+	t.Parallel()
+	n := NewInMemoryNetwork()
+	err := n.Send(Envelope{From: "x", To: "ghost"})
+	if !errors.Is(err, ErrUnknownPeer) {
+		t.Fatalf("err = %v", err)
+	}
+	inbox := make(chan Envelope, 1)
+	if err := n.Register("a", inbox); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Send(Envelope{To: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	// The inbox is full: the next send fails at once instead of blocking
+	// the sender until the receiver drains.
+	done := make(chan error, 1)
+	go func() { done <- n.Send(Envelope{To: "a"}) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrInboxOverrun) {
+			t.Fatalf("send to a full inbox = %v, want ErrInboxOverrun", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("send to a full inbox blocked")
+	}
+	n.Unregister("a")
+	if err := n.Send(Envelope{To: "a"}); !errors.Is(err, ErrUnknownPeer) {
+		t.Fatalf("after unregister err = %v", err)
+	}
+	n.Close()
+	if err := n.Register("b", inbox); !errors.Is(err, ErrPeerClosed) {
+		t.Fatalf("register after close err = %v", err)
+	}
+}
+
+// TestDuplicateAddress pins that an address has one owner: a second
+// Register of it fails with ErrDupAddress and leaves the first inbox bound.
+func TestDuplicateAddress(t *testing.T) {
+	t.Parallel()
+	n := NewInMemoryNetwork()
+	first := make(chan Envelope, 1)
+	if err := n.Register("a", first); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Register("a", make(chan Envelope, 1)); !errors.Is(err, ErrDupAddress) {
+		t.Fatalf("err = %v, want ErrDupAddress", err)
+	}
+	if err := n.Send(Envelope{To: "a", Msg: Message{Kind: KindCoord}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 1 {
+		t.Fatal("the refused registration took the address over")
+	}
 }

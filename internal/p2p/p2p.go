@@ -1,199 +1,22 @@
-// Package p2p is a live, message-passing implementation of the paper's
-// protocols: every peer is a goroutine with a mailbox, joins are executed
-// as real discovery/connect message exchanges using only locally available
-// information, and the three search algorithms (flooding, normalized
-// flooding, random walk) run as actual query protocols with GUID duplicate
-// suppression, exactly as Gnutella-like systems do.
+// Package p2p is the transport coord runs on: the coordinator/worker
+// protocol of internal/coord travels as KindCoord envelopes over a Network.
 //
-// Relationship to internal/sim: the simulator reproduces the paper's
-// figures on static graphs; this package demonstrates that HAPA- and
-// DAPA-style joining work as distributed protocols — the paper's
-// motivating claim ("each peer has to figure out the optimal way of
-// joining the P2P overlay by only using the locally available
-// information", §I-A). Table II's locality classification is operational
-// here: a joining peer sends messages only to peers it has discovered;
-// there is no global degree table anywhere in the process.
-//
-// Transports are pluggable: an in-process channel network (used by the
-// examples and tests, able to host tens of thousands of peers in one
-// process) and a TCP transport with length-delimited JSON frames
-// (cmd/peerd) share the same Peer implementation.
+// Three implementations share that interface: InMemoryNetwork delivers
+// between goroutines of one process through channels (the coord tests and
+// in-process fleets), TCPNetwork carries one length-prefixed frame per
+// envelope between processes (cmd/experiments -mode coord and -mode
+// worker), and FaultyNetwork wraps either with a seeded schedule of drops,
+// duplicates, delays, reorders and partitions (the coord chaos tests).
+// Delivery is asynchronous and best-effort; the protocol above it
+// retries and deduplicates.
 package p2p
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
-// Errors returned by peer operations.
+// Errors returned by the transports.
 var (
 	ErrPeerClosed   = errors.New("p2p: peer is shut down")
 	ErrUnknownPeer  = errors.New("p2p: unknown peer address")
-	ErrSaturated    = errors.New("p2p: peer rejected connection (at hard cutoff)")
-	ErrJoinFailed   = errors.New("p2p: join could not establish any connection")
-	ErrBadConfig    = errors.New("p2p: invalid peer configuration")
 	ErrDupAddress   = errors.New("p2p: address already registered")
 	ErrInboxOverrun = errors.New("p2p: inbox overrun, message dropped")
 )
-
-// NoCutoff disables the hard degree cutoff for a peer.
-const NoCutoff = 0
-
-// PeerInfo is what peers learn about each other from discovery: an address
-// and the advertised degree (the only "topology information" the paper's
-// local mechanisms rely on).
-type PeerInfo struct {
-	Addr   string `json:"addr"`
-	Degree int    `json:"degree"`
-}
-
-// JoinStrategy selects how a peer attaches to the overlay.
-type JoinStrategy int
-
-const (
-	// JoinRandom connects to m uniformly random discovered peers —
-	// the naive baseline.
-	JoinRandom JoinStrategy = iota + 1
-	// JoinDAPA discovers peers within a TTL horizon and attaches
-	// preferentially by advertised degree (Discover-and-Attempt, §IV-B).
-	JoinDAPA
-	// JoinHAPA lands on the bootstrap peer and walks random links,
-	// attempting a degree-proportional connection at each stop
-	// (Hop-and-Attempt, §IV-A).
-	JoinHAPA
-)
-
-// String names the strategy.
-func (s JoinStrategy) String() string {
-	switch s {
-	case JoinRandom:
-		return "random"
-	case JoinDAPA:
-		return "dapa"
-	case JoinHAPA:
-		return "hapa"
-	default:
-		return "unknown"
-	}
-}
-
-// Config parameterizes a peer.
-type Config struct {
-	// Addr is the peer's unique address on its network.
-	Addr string
-	// M is the number of links the peer tries to establish when joining.
-	M int
-	// KC is the hard cutoff on the peer's degree (NoCutoff disables);
-	// the peer rejects inbound connections beyond it and never initiates
-	// past it.
-	KC int
-	// TauSub is the discovery TTL for DAPA-style joins.
-	TauSub int
-	// Keys is the content this peer shares (searchable by exact match).
-	Keys []string
-	// Seed derives the peer's private RNG stream.
-	Seed uint64
-	// InboxSize bounds the mailbox; 0 means DefaultInboxSize. Overruns
-	// drop messages and increment Stats.Dropped (unstructured overlays
-	// tolerate loss; searches are best-effort by design).
-	InboxSize int
-	// OutboxSize bounds the send queue drained by the peer's writer
-	// goroutine; 0 means DefaultOutboxSize. Under pressure the oldest
-	// queued message is shed and Stats.Shed incremented — old protocol
-	// traffic ages out fastest, and the dispatcher never blocks on a slow
-	// transport.
-	OutboxSize int
-	// DiscoverWindow is how long a discovery or query collects replies;
-	// 0 means DefaultDiscoverWindow.
-	DiscoverWindow time.Duration
-	// MaxTTL clamps the TTL of forwarded discovery and query floods
-	// (0 means DefaultMaxTTL). Uncooperative peers cannot amplify
-	// traffic by injecting huge TTLs: every forwarder re-clamps.
-	MaxTTL int
-	// Behavior makes the peer uncooperative (the paper's motivating
-	// "distributed and potentially uncooperative environments", §I).
-	// The zero value is a fully cooperative peer.
-	Behavior Behavior
-}
-
-// Behavior models the uncooperative peers the paper motivates hard
-// cutoffs with: peers that will not carry load for others. Each field
-// enables one defection independently; all zero is full cooperation.
-// These behaviors are protocol-compatible — an honest peer cannot tell a
-// defector from an unlucky one — which is what makes them interesting to
-// measure rather than forbid.
-type Behavior struct {
-	// FakeDegree, when > 0, is the degree the peer advertises in every
-	// protocol reply regardless of its true degree. Inflating it attracts
-	// preferential attachments the peer then rejects or carries poorly;
-	// deflating it dodges them.
-	FakeDegree int
-	// RefuseConnects rejects every inbound link request even below the
-	// hard cutoff (the peer still initiates its own M links — the classic
-	// selfish joiner).
-	RefuseConnects bool
-	// DropQueryProb is the probability of silently discarding a query
-	// instead of forwarding it (freeriding on others' relay work).
-	DropQueryProb float64
-	// NeverServeHits suppresses query-hit replies even for local matches
-	// (leeching: consuming the index without contributing to it).
-	NeverServeHits bool
-}
-
-func (b Behavior) validate() error {
-	if b.DropQueryProb < 0 || b.DropQueryProb > 1 {
-		return errors.New("p2p: DropQueryProb must be in [0,1]")
-	}
-	if b.FakeDegree < 0 {
-		return errors.New("p2p: FakeDegree must be >= 0")
-	}
-	return nil
-}
-
-// Uncooperative reports whether any defection is enabled.
-func (b Behavior) Uncooperative() bool {
-	return b.FakeDegree > 0 || b.RefuseConnects || b.DropQueryProb > 0 || b.NeverServeHits
-}
-
-// Defaults for optional Config fields.
-const (
-	DefaultInboxSize      = 4096
-	DefaultOutboxSize     = 4096
-	DefaultDiscoverWindow = 200 * time.Millisecond
-	DefaultMaxTTL         = 32
-)
-
-func (c Config) validate() error {
-	if c.Addr == "" {
-		return errors.New("p2p: empty address")
-	}
-	if c.M < 1 {
-		return errors.New("p2p: m must be >= 1")
-	}
-	if c.KC != NoCutoff && c.KC < c.M {
-		return errors.New("p2p: kc below m")
-	}
-	if c.TauSub < 1 {
-		return errors.New("p2p: tau_sub must be >= 1")
-	}
-	return c.Behavior.validate()
-}
-
-// Stats counts a peer's protocol activity.
-type Stats struct {
-	// Sent and Received count envelopes.
-	Sent, Received int64
-	// Dropped counts messages lost to inbox overrun.
-	Dropped int64
-	// Shed counts outbound messages evicted from a full outbox (oldest
-	// first) before they reached the transport.
-	Shed int64
-	// QueriesSeen counts distinct query GUIDs processed.
-	QueriesSeen int64
-	// QueriesForwarded counts query transmissions initiated by this peer.
-	QueriesForwarded int64
-	// HitsServed counts local key matches answered.
-	HitsServed int64
-	// ConnectsAccepted and ConnectsRejected count inbound link requests.
-	ConnectsAccepted, ConnectsRejected int64
-}

@@ -47,10 +47,10 @@ var ErrFrameTooLarge = errors.New("p2p: envelope exceeds the TCP frame cap")
 var errBadFrame = errors.New("p2p: bad frame")
 
 // TCPNetwork implements Network over real TCP sockets, one frame per
-// envelope — the transport behind cmd/peerd and distributed runs. Peer
-// addresses are "host:port" listen addresses. Outbound connections are
-// cached and re-dialed on failure; delivery remains best-effort, matching
-// the in-memory transport's semantics.
+// envelope — the transport of distributed runs. Addresses are "host:port"
+// listen addresses. Outbound connections are cached and re-dialed on
+// failure; delivery remains best-effort, matching the in-memory transport's
+// semantics.
 type TCPNetwork struct {
 	// DialTimeout bounds connection establishment (default 2s).
 	DialTimeout time.Duration
@@ -484,7 +484,7 @@ func (t *TCPNetwork) Close() {
 	t.conns = make(map[string]*tcpConn)
 	// Inbound connections must be closed too: their readLoops otherwise
 	// block in Read until the REMOTE closes, and wg.Wait would deadlock
-	// when a live peer on another network keeps its side open.
+	// when a sender on another network keeps its side open.
 	for conn := range t.inbound {
 		if err := conn.Close(); err != nil {
 			_ = err

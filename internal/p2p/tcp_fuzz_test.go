@@ -16,10 +16,11 @@ import (
 // a length the stream merely claims; and a stream that opens in the old
 // newline-delimited JSON framing must be refused before anything is
 // delivered. Seeds in testdata/fuzz/FuzzTCPFrameReader are real frames —
-// an overlay ping, a coordinator claim, a result carrying a record frame —
-// whole, cut short, and with single bits flipped in prefix, header and data.
+// a header-only ping, a coordinator claim, a result carrying a record frame
+// — whole, cut short, and with single bits flipped in prefix, header and
+// data.
 func FuzzTCPFrameReader(f *testing.F) {
-	ping, err := frameHead(Envelope{From: "a", To: "b", Msg: Message{Kind: KindPing, ID: "1"}})
+	ping, err := frameHead(Envelope{From: "a", To: "b", Msg: Message{Kind: KindCoord, ID: "1"}})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -6,83 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	gonet "net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
-
-// tcpPeer spawns a peer on the TCP transport with a kernel-assigned port,
-// returning the peer (addressed by its resolved listen address).
-func tcpPeer(t *testing.T, net *TCPNetwork, seed uint64, keys ...string) *Peer {
-	t.Helper()
-	// Bind first to learn the port, since Config.Addr is the identity
-	// other peers dial.
-	probe := make(chan Envelope, 1)
-	if err := net.Register("127.0.0.1:0", probe); err != nil {
-		t.Fatal(err)
-	}
-	addr := net.ListenAddr("127.0.0.1:0")
-	net.Unregister(addr)
-
-	cfg := Config{
-		Addr: addr, M: 2, TauSub: 4, Seed: seed, Keys: keys,
-		DiscoverWindow: 150 * time.Millisecond,
-	}
-	p, err := NewPeer(cfg, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-	return p
-}
-
-func TestTCPConnectAndQuery(t *testing.T) {
-	t.Parallel()
-	net := NewTCPNetwork()
-	t.Cleanup(net.Close)
-
-	a := tcpPeer(t, net, 1)
-	b := tcpPeer(t, net, 2, "tcp-needle")
-	c := tcpPeer(t, net, 3)
-
-	if err := a.Connect(b.Addr()); err != nil {
-		t.Fatalf("connect a-b over TCP: %v", err)
-	}
-	if err := b.Connect(c.Addr()); err != nil {
-		t.Fatalf("connect b-c over TCP: %v", err)
-	}
-	if !waitFor(t, 2*time.Second, func() bool { return b.Degree() == 2 }) {
-		t.Fatalf("b degree %d", b.Degree())
-	}
-
-	res, err := a.Query("tcp-needle", AlgFlood, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 1 || res.Hits[0].Addr != b.Addr() {
-		t.Fatalf("hits %v", res.Hits)
-	}
-}
-
-func TestTCPDiscoverAndJoin(t *testing.T) {
-	t.Parallel()
-	net := NewTCPNetwork()
-	t.Cleanup(net.Close)
-
-	boot := tcpPeer(t, net, 10)
-	b := tcpPeer(t, net, 11)
-	if err := b.Connect(boot.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	newcomer := tcpPeer(t, net, 12)
-	made, err := newcomer.Join(boot.Addr(), JoinDAPA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if made < 1 {
-		t.Fatalf("made %d links", made)
-	}
-}
 
 func TestTCPSendToDeadPeer(t *testing.T) {
 	t.Parallel()
@@ -103,12 +31,12 @@ func TestTCPUnregisterStopsDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := net.ListenAddr("127.0.0.1:0")
-	if err := net.Send(Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}}); err != nil {
+	if err := net.Send(Envelope{From: "x", To: addr, Msg: Message{Kind: KindCoord}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case env := <-inbox:
-		if env.Msg.Kind != KindPing {
+		if env.Msg.Kind != KindCoord {
 			t.Fatalf("got %v", env.Msg.Kind)
 		}
 	case <-time.After(2 * time.Second):
@@ -124,23 +52,30 @@ func TestTCPUnregisterStopsDelivery(t *testing.T) {
 
 // TestTCPCloseWithLivePeerOnOtherNetwork is the regression test for the
 // Close deadlock: closing a network that holds an ESTABLISHED inbound
-// connection from a still-running remote peer must not block waiting for
-// the remote to hang up. (Before the fix, Close only closed listeners and
-// outbound conns; inbound readLoops blocked in Scan forever.)
+// connection from a still-running remote network must not block waiting
+// for the remote to hang up. (Before the fix, Close only closed listeners
+// and outbound conns; inbound readLoops blocked in Read forever.)
 func TestTCPCloseWithLivePeerOnOtherNetwork(t *testing.T) {
 	t.Parallel()
 	netA := NewTCPNetwork()
 	netB := NewTCPNetwork()
 	defer netB.Close()
 
-	a := tcpPeer(t, netA, 1, "alpha")
-	b := tcpPeer(t, netB, 2)
-	if err := b.Connect(a.Addr()); err != nil {
+	inbox := make(chan Envelope, 1)
+	if err := netA.Register("127.0.0.1:0", inbox); err != nil {
 		t.Fatal(err)
 	}
-	// b's dial created an inbound connection on netA, and netB caches the
-	// outbound side, keeping it open. Closing netA must still return.
-	a.Close()
+	addr := netA.ListenAddr("127.0.0.1:0")
+	if err := netB.Send(Envelope{From: "b", To: addr, Msg: Message{Kind: KindCoord}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-inbox:
+	case <-time.After(2 * time.Second):
+		t.Fatal("envelope not delivered over TCP")
+	}
+	// netB's dial created an inbound connection on netA, and netB caches
+	// the outbound side, keeping it open. Closing netA must still return.
 	done := make(chan struct{})
 	go func() {
 		netA.Close()
@@ -181,12 +116,12 @@ func TestTCPDoublePortZeroRegister(t *testing.T) {
 		addr  string
 		inbox chan Envelope
 	}{{addr1, in1}, {addr2, in2}} {
-		if err := tn.Send(Envelope{From: "x", To: c.addr, Msg: Message{Kind: KindPing}}); err != nil {
+		if err := tn.Send(Envelope{From: "x", To: c.addr, Msg: Message{Kind: KindCoord}}); err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case env := <-c.inbox:
-			if env.Msg.Kind != KindPing {
+			if env.Msg.Kind != KindCoord {
 				t.Fatalf("got %v", env.Msg.Kind)
 			}
 		case <-time.After(2 * time.Second):
@@ -222,7 +157,7 @@ func TestTCPSendSurfacesWriteError(t *testing.T) {
 	// The payload must exceed the kernel's socket buffering so the write
 	// blocks until the remote's reset arrives instead of being absorbed.
 	huge := make([]byte, 16<<20)
-	err = tn.Send(Envelope{From: "x", To: ln.Addr().String(), Msg: Message{Kind: KindPing, Data: huge}})
+	err = tn.Send(Envelope{From: "x", To: ln.Addr().String(), Msg: Message{Kind: KindCoord, Data: huge}})
 	if err == nil {
 		t.Fatal("send to a resetting remote should fail")
 	}
@@ -313,7 +248,7 @@ func TestTCPOversizedFrameSurvival(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := tn.ListenAddr("127.0.0.1:0")
-	ping := Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}}
+	ping := Envelope{From: "x", To: addr, Msg: Message{Kind: KindCoord}}
 
 	conn, err := gonet.Dial("tcp", addr)
 	if err != nil {
@@ -346,7 +281,7 @@ func TestTCPOversizedFrameSurvival(t *testing.T) {
 	}
 	select {
 	case env := <-inbox:
-		if env.Msg.Kind != KindPing {
+		if env.Msg.Kind != KindCoord {
 			t.Fatalf("got %v", env.Msg.Kind)
 		}
 	case <-time.After(2 * time.Second):
@@ -379,13 +314,13 @@ func TestTCPDataArrivesIntact(t *testing.T) {
 		if n == 0 {
 			data = nil
 		}
-		want := Envelope{From: "w", To: addr, Msg: Message{Kind: KindCoord, ID: "id", TTL: i, Data: data}}
+		want := Envelope{From: "w", To: addr, Msg: Message{Kind: KindCoord, ID: "id", Key: strconv.Itoa(i), Data: data}}
 		if err := send.Send(want); err != nil {
 			t.Fatalf("send %d B: %v", n, err)
 		}
 		select {
 		case got := <-inbox:
-			if got.From != want.From || got.Msg.Kind != KindCoord || got.Msg.ID != "id" || got.Msg.TTL != i || !bytes.Equal(got.Msg.Data, data) {
+			if got.From != want.From || got.Msg.Kind != KindCoord || got.Msg.ID != "id" || got.Msg.Key != strconv.Itoa(i) || !bytes.Equal(got.Msg.Data, data) {
 				t.Fatalf("%d B payload arrived damaged (got %d B, header %+v)", n, len(got.Msg.Data), got.Msg.Kind)
 			}
 		case <-time.After(5 * time.Second):
@@ -394,6 +329,75 @@ func TestTCPDataArrivesIntact(t *testing.T) {
 	}
 	if st := recv.Stats(); st.BadFrames != 0 {
 		t.Fatalf("BadFrames = %d on a clean stream", st.BadFrames)
+	}
+}
+
+// TestTCPMalformedFramesIgnored pins what bytes that are not a frame of this
+// protocol cost: their own connection. Whatever a stranger writes — noise, a
+// newline-delimited JSON envelope from a peer built before the binary
+// framing, a well-framed header that is not an envelope — the receiver hangs
+// up, counts it, and delivers nothing from that connection, not even a valid
+// frame queued behind the bad one; the endpoint itself is unharmed and the
+// next connection's frame arrives.
+func TestTCPMalformedFramesIgnored(t *testing.T) {
+	t.Parallel()
+	tnet := NewTCPNetwork()
+	t.Cleanup(tnet.Close)
+	inbox := make(chan Envelope, 16)
+	if err := tnet.Register("127.0.0.1:0", inbox); err != nil {
+		t.Fatal(err)
+	}
+	addr := tnet.ListenAddr("127.0.0.1:0")
+	valid := wireFrame(t, Envelope{From: "x", To: addr, Msg: Message{Kind: KindCoord, ID: "1"}})
+	noHeader := append([]byte(nil), valid[:framePrefix]...)
+	binary.LittleEndian.PutUint32(noHeader[len(frameMagic):], 0)
+	notJSON := append([]byte(nil), valid...)
+	notJSON[framePrefix] = '<'
+
+	for i, c := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"noise", []byte("this is not json\n{\"also\":\n")},
+		{"old newline JSON", []byte(`{"from":"x","to":"` + addr + `","msg":{"kind":"coord","id":"1"}}` + "\n")},
+		{"wrong version", append([]byte("SFP\x01"), valid[len(frameMagic):]...)},
+		{"empty header", noHeader},
+		{"header not an envelope", notJSON},
+	} {
+		conn, err := gonet.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(append(c.bytes, valid...)); err != nil {
+			t.Fatal(err)
+		}
+		expectHangup(t, conn, c.name)
+		_ = conn.Close()
+		if st := tnet.Stats(); st.BadFrames != int64(i+1) {
+			t.Fatalf("%s: BadFrames = %d, want %d", c.name, st.BadFrames, i+1)
+		}
+		select {
+		case env := <-inbox:
+			t.Fatalf("%s: delivered %+v from a refused connection", c.name, env)
+		default:
+		}
+	}
+
+	conn, err := gonet.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(valid); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-inbox:
+		if env.Msg.Kind != KindCoord {
+			t.Fatalf("got %v", env.Msg.Kind)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("valid frame after the refused connections never arrived")
 	}
 }
 
@@ -417,7 +421,7 @@ func TestTCPUnregisterClosesInbound(t *testing.T) {
 	t.Cleanup(func() { _ = conn.Close() })
 	// Deliver one frame so the connection is provably accepted and pumping
 	// before the unregister.
-	if _, err := conn.Write(wireFrame(t, Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}})); err != nil {
+	if _, err := conn.Write(wireFrame(t, Envelope{From: "x", To: addr, Msg: Message{Kind: KindCoord}})); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -445,7 +449,7 @@ func TestTCPReconnectAfterRemoteRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := remote.ListenAddr("127.0.0.1:0")
-	if err := sender.Send(Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}}); err != nil {
+	if err := sender.Send(Envelope{From: "x", To: addr, Msg: Message{Kind: KindCoord}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -469,7 +473,7 @@ func TestTCPReconnectAfterRemoteRestart(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	delivered := false
 	for time.Now().Before(deadline) && !delivered {
-		_ = sender.Send(Envelope{From: "x", To: addr, Msg: Message{Kind: KindPing}})
+		_ = sender.Send(Envelope{From: "x", To: addr, Msg: Message{Kind: KindCoord}})
 		select {
 		case <-inbox2:
 			delivered = true

@@ -144,10 +144,9 @@ func TestFloodDeliveryMatchesBFSProperty(t *testing.T) {
 	}
 }
 
-// Cross-check the static searches against the live protocol: a flood on a
-// generated topology and the same topology driven through handleQuery
-// semantics must agree on reachability. (The live runtime is tested in
-// internal/p2p; here we pin the static side against gen outputs.)
+// Cross-check the static flood against gen outputs: on a disconnected CM
+// topology a flood with a TTL past the diameter reaches exactly the
+// source's connected component.
 func TestFloodReachesGiantComponentExactly(t *testing.T) {
 	t.Parallel()
 	g, _, err := gen.CMBuild(gen.CMConfig{N: 3000, M: 1, Gamma: 2.4}, gen.NewBuild(xrand.Phases{Seed: 11}, 1))

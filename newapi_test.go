@@ -2,7 +2,7 @@ package scalefree
 
 // Facade tests for the extension APIs added on top of the paper's core:
 // baseline search strategies, the content/replication layer, the churn
-// laboratory, uncooperative behaviors, and structural metrics.
+// laboratory, and structural metrics.
 
 import (
 	"strings"
@@ -123,32 +123,6 @@ func TestPublicAPIChurn(t *testing.T) {
 	}
 	if sim.Stats().Joins+sim.Stats().Leaves != 200 {
 		t.Errorf("events %+v", sim.Stats())
-	}
-}
-
-func TestPublicAPIBehavior(t *testing.T) {
-	t.Parallel()
-	if (Behavior{}).Uncooperative() {
-		t.Error("zero behavior should be cooperative")
-	}
-	o, err := NewOverlay(OverlayConfig{
-		M: 1, TauSub: 2, Seed: 4, DiscoverWindow: 30,
-		BehaviorFor: func(i int) Behavior {
-			return Behavior{NeverServeHits: i%2 == 1}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Shutdown()
-	if _, err := o.Spawn("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.SpawnJoin("k"); err != nil {
-		t.Fatal(err)
-	}
-	if o.Size() != 2 {
-		t.Fatalf("size %d", o.Size())
 	}
 }
 

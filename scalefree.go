@@ -18,10 +18,6 @@
 //     searches ultimately serve.
 //   - A churn laboratory (NewChurnSimulator): the paper's §VI join/leave
 //     future work as a deterministic graph-level simulation.
-//   - A live overlay runtime (NewOverlay, NewPeer): the same join and
-//     search protocols as actual message-passing code, one goroutine per
-//     peer, with in-memory or TCP transports and optional uncooperative
-//     Behavior models.
 //
 // # Quick start
 //
@@ -44,7 +40,6 @@ import (
 	"scalefree/internal/gen"
 	"scalefree/internal/graph"
 	"scalefree/internal/metrics"
-	"scalefree/internal/p2p"
 	"scalefree/internal/search"
 	"scalefree/internal/stats"
 	"scalefree/internal/xrand"
@@ -254,47 +249,6 @@ func NaturalCutoff(n, m int, gamma float64) float64 {
 	return stats.NaturalCutoffDorogovtsev(n, m, gamma)
 }
 
-// Live overlay runtime (see internal/p2p).
-type (
-	// Peer is one live overlay participant (goroutine + mailbox).
-	Peer = p2p.Peer
-	// PeerConfig parameterizes a live peer.
-	PeerConfig = p2p.Config
-	// Overlay manages an in-process population of live peers.
-	Overlay = p2p.Overlay
-	// OverlayConfig parameterizes an overlay population.
-	OverlayConfig = p2p.OverlayConfig
-	// Network abstracts the transport (in-memory or TCP).
-	Network = p2p.Network
-	// QueryResult is the outcome of one live content search.
-	QueryResult = p2p.QueryResult
-	// JoinStrategy selects the live join protocol.
-	JoinStrategy = p2p.JoinStrategy
-	// SearchAlg names a live search algorithm.
-	SearchAlg = p2p.Alg
-)
-
-// Live join strategies and search algorithms.
-const (
-	JoinRandom = p2p.JoinRandom
-	JoinDAPA   = p2p.JoinDAPA
-	JoinHAPA   = p2p.JoinHAPA
-
-	SearchFlood = p2p.AlgFlood
-	SearchNF    = p2p.AlgNF
-	SearchRW    = p2p.AlgRW
-)
-
-// NewOverlay creates an empty in-process overlay population.
-func NewOverlay(cfg OverlayConfig) (*Overlay, error) { return p2p.NewOverlay(cfg) }
-
-// NewPeer starts one live peer on the given transport.
-func NewPeer(cfg PeerConfig, net Network) (*Peer, error) { return p2p.NewPeer(cfg, net) }
-
-// NewTCPNetwork returns a TCP transport (one length-prefixed frame per
-// message: a JSON header, then the raw payload bytes).
-func NewTCPNetwork() *p2p.TCPNetwork { return p2p.NewTCPNetwork() }
-
 // Content layer: items, Zipf popularity, and the Cohen–Shenker replication
 // strategies (paper refs [22], [23]), with random-walk expected-search-size
 // and flooding success-rate measurements.
@@ -348,8 +302,7 @@ func FloodQuerySuccess(g *Graph, p *Placement, c *Catalog, queries, ttl int, rng
 }
 
 // Churn simulation: the paper's §VI future work (join/leave dynamics with
-// topology maintenance) as a deterministic graph-level laboratory. The
-// live message-passing counterpart is the p2p Overlay runtime.
+// topology maintenance) as a deterministic graph-level laboratory.
 type (
 	// ChurnConfig parameterizes a churn simulation.
 	ChurnConfig = churn.Config
@@ -376,12 +329,6 @@ const (
 func NewChurnSimulator(cfg ChurnConfig, rng *RNG) (*ChurnSimulator, error) {
 	return churn.New(cfg, rng)
 }
-
-// Behavior makes a live peer uncooperative (lying about degree, refusing
-// inbound links, freeriding on relay, or leeching); the zero value is a
-// fully cooperative peer. Assign per-peer behaviors in an Overlay with
-// OverlayConfig.BehaviorFor.
-type Behavior = p2p.Behavior
 
 // RichClubPoint is the rich-club coefficient at one degree threshold.
 type RichClubPoint = metrics.RichClubPoint

@@ -6,7 +6,7 @@ import (
 )
 
 // These tests exercise the public façade end to end, as a downstream user
-// would: generate, analyze, search, and run a live overlay.
+// would: generate, analyze and search.
 
 func TestPublicAPIGenerateAndSearch(t *testing.T) {
 	t.Parallel()
@@ -89,30 +89,5 @@ func TestPublicAPIBaselines(t *testing.T) {
 	}
 	if _, err := GenerateMesh(5, 5); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPublicAPILiveOverlay(t *testing.T) {
-	t.Parallel()
-	o, err := NewOverlay(OverlayConfig{M: 2, KC: 10, TauSub: 4, Strategy: JoinDAPA, Seed: 5, DiscoverWindow: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Shutdown()
-	if err := o.Grow(30, func(i int) []string {
-		if i == 17 {
-			return []string{"target"}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	src := o.Peer(o.Addrs()[0])
-	res, err := src.Query("target", SearchFlood, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 1 {
-		t.Fatalf("hits %v", res.Hits)
 	}
 }

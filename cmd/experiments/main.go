@@ -334,7 +334,7 @@ func run(args []string, stdout io.Writer) error {
 	var cleanJournals []string
 	anyFailures := false
 	for _, spec := range specs {
-		start := time.Now()
+		start, cpu := time.Now(), cpuSeconds()
 		fmt.Fprintf(os.Stderr, "running %s (%s: %s)...\n", spec.ID, spec.Paper, spec.Description)
 		var j *sim.Journal
 		if useJournal {
@@ -428,7 +428,11 @@ func run(args []string, stdout io.Writer) error {
 				}
 			}
 		}
-		fmt.Fprintf(os.Stderr, "%s done in %s (%d panels)\n", spec.ID, time.Since(start).Round(time.Millisecond), len(figs))
+		// How busy the spec kept the cores: its CPU time over wall time
+		// times GOMAXPROCS.
+		wall, cpu, procs := time.Since(start), cpuSeconds()-cpu, runtime.GOMAXPROCS(0)
+		fmt.Fprintf(os.Stderr, "%s done in %s (%d panels; cpu %.2fs, %.2f of %d cores)\n",
+			spec.ID, wall.Round(time.Millisecond), len(figs), cpu, cpu/(wall.Seconds()*float64(procs)), procs)
 	}
 	// Drop clean journals only now, after every selected spec succeeded:
 	// until this point a crash in spec k still resumes specs 0..k-1 for

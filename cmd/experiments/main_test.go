@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -411,5 +415,45 @@ func TestMainHelpExitsZero(t *testing.T) {
 	out, err := exec.Command(os.Args[0], "-test.run=^TestMainHelpExitsZero$", "--", "-h").CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "Usage of experiments") {
 		t.Errorf("experiments -h: %v, output:\n%s", err, out)
+	}
+}
+
+// TestRunReportsSpecUtilisation runs a spec in a child copy of the test
+// binary and parses its "done in" line: the spec's wall time, its CPU
+// seconds and the utilisation cpu / (wall × GOMAXPROCS) it reports must
+// agree with each other and with the child's core count.
+func TestRunReportsSpecUtilisation(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"experiments"}, args...)
+		main()
+		return
+	}
+	t.Parallel()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunReportsSpecUtilisation$", "--",
+		"-exp", "fig1c", "-outdir", t.TempDir(), "-plot=false")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("experiments -exp fig1c: %v\n%s", err, stderr.String())
+	}
+	line := regexp.MustCompile(`(?m)^fig1c done in (\S+) \(1 panels; cpu ([0-9.]+)s, ([0-9.]+) of ([0-9]+) cores\)$`).FindStringSubmatch(stderr.String())
+	if line == nil {
+		t.Fatalf("no parsable \"fig1c done in\" line in:\n%s", stderr.String())
+	}
+	wall, err := time.ParseDuration(line[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, _ := strconv.ParseFloat(line[2], 64)
+	util, _ := strconv.ParseFloat(line[3], 64)
+	cores, _ := strconv.Atoi(line[4])
+	if cores != runtime.GOMAXPROCS(0) {
+		t.Errorf("reported %d cores, GOMAXPROCS is %d", cores, runtime.GOMAXPROCS(0))
+	}
+	if cpu <= 0 || util <= 0 {
+		t.Errorf("cpu %vs, utilisation %v: a spec that ran must have used the CPU", cpu, util)
+	}
+	if want := cpu / (wall.Seconds() * float64(cores)); math.Abs(util-want) > 0.05 {
+		t.Errorf("utilisation %v, want cpu / (wall × cores) = %.3f (%s)", util, want, line[0])
 	}
 }

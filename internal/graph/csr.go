@@ -24,10 +24,10 @@ package graph
 
 // CSRArena recycles a builder's large transient buffers — the per-chunk
 // edge buffers plus the count/scatter and dedup scratch arrays — across
-// consecutive builds. The experiment pipeline gives each build worker one
-// arena, so back-to-back realizations at xl scale (N=10⁶, ~10⁷ adjacency
-// entries) reuse tens of megabytes instead of re-growing them from zero
-// under the GC. An arena serves one build at a time and must not be
+// consecutive builds. The experiment engine gives each build lane one
+// arena and hands it on to later lanes when the lane ends, so back-to-back
+// realizations at xl scale (N=10⁶, ~10⁷ adjacency entries) reuse tens of
+// megabytes instead of re-growing them from zero under the GC. An arena serves one build at a time and must not be
 // shared between concurrent builders; a nil *CSRArena is valid everywhere
 // and simply allocates fresh.
 type CSRArena struct {

@@ -1,8 +1,8 @@
 package sim
 
 // Tests for the batched FL sweep (sweeper.FloodSources over
-// search.FloodBatch) and the scratch free list behind newSweeper. The
-// reference throughout is the per-source path the engine ran before:
+// search.FloodBatch) and the lane free list (laneFree) behind newSweeper.
+// The reference throughout is the per-source path the engine ran before:
 // sweeper.Sources calling Scratch.Flood once per source.
 
 import (
@@ -240,11 +240,11 @@ func TestFreeListDropsFailedSweeper(t *testing.T) {
 	if failed == nil || clean == nil || failed == clean || failedSim == cleanSim {
 		t.Fatalf("test did not see both sweepers (failed %p, clean %p)", failed, clean)
 	}
-	scratchFree.Lock()
-	defer scratchFree.Unlock()
+	laneFree.Lock()
+	defer laneFree.Unlock()
 	var scratches []*search.Scratch
 	var sims []*des.Sim
-	for _, sw := range scratchFree.list {
+	for _, sw := range laneFree.sweepers {
 		scratches = append(scratches, sw.scratches...)
 		sims = append(sims, sw.sims...)
 	}

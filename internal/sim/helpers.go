@@ -14,9 +14,9 @@ import (
 // delivering it as a CSR snapshot. The realization index r lets factories
 // pick per-realization shared inputs (DAPA substrates) without mutable
 // state; the builder supplies the phase sub-streams, the intra-generator
-// parallelism budget, and the build worker's CSR arena, so a factory
-// invoked on any pipeline worker with any intra-generator width produces
-// the identical topology.
+// parallelism budget, and the build lane's CSR arena, so a factory
+// invoked on any lane with any intra-generator width produces the
+// identical topology.
 //
 // Two build paths hide behind this type. The growth models (PA, HAPA,
 // DAPA) need mid-build HasEdge/Degree, so they grow a mutable Graph and
@@ -95,31 +95,57 @@ func cutoffLabel(kc int) string {
 	return fmt.Sprintf("kc=%d", kc)
 }
 
-// mergedDegreeDist generates sc.Realizations networks and merges their
-// degree distributions, the paper's averaging procedure ("for every data
-// point 10 different realizations of the network have been used"). tag
-// names this series in the journal (series label plus any knob that varies
-// under a shared seed). An absent realization merges with zero weight
-// (MergeDegreeDists weights by node count).
-func mergedDegreeDist(tag string, factory topoFactory, sc Scale, seed uint64) (stats.DegreeDist, error) {
-	codec := blockCodec[[]int, []int]{kind: recDegreeHist, encode: appendHistogram, reduce: same[[]int], decode: decodeHistogram}
-	hists, err := realizationBlocks(sc, seed, func(r int, b *builder) ([]int, error) {
-		f, err := factory(r, b)
-		if err != nil {
-			return nil, err
+// degreeRun is one series of a degree batch: the realizations factory
+// builds from seed, whose degree distributions merge into one. tag names
+// the series in the journal (series label plus any knob that varies under
+// a shared seed); label is its legend.
+type degreeRun struct {
+	tag, label string
+	factory    topoFactory
+	seed       uint64
+}
+
+// degreeCodec journals a realization's degree histogram and reduces it to
+// its distribution the moment it lands.
+var degreeCodec = blockCodec[[]int, stats.DegreeDist]{
+	kind: recDegreeHist, encode: appendHistogram, reduce: stats.NewDegreeDist,
+	decode: func(p []byte) (stats.DegreeDist, bool) {
+		hist, ok := decodeHistogram(p)
+		if !ok {
+			return stats.DegreeDist{}, false
 		}
-		return f.DegreeHistogram(), nil
-	}, journaled[[]int](tag, codec, nil))
+		return stats.NewDegreeDist(hist), true
+	},
+}
+
+// mergedDegreeDists generates sc.Realizations networks per run, all runs on
+// one lane pool (realizationBatch), and merges each run's degree
+// distributions, the paper's averaging procedure ("for every data point 10
+// different realizations of the network have been used"). An absent
+// realization merges with zero weight (MergeDegreeDists weights by node
+// count).
+func mergedDegreeDists(sc Scale, runs ...degreeRun) ([]stats.DegreeDist, error) {
+	builds := make([]blockBuild[[]int, []int, stats.DegreeDist], len(runs))
+	for i, run := range runs {
+		builds[i] = blockBuild[[]int, []int, stats.DegreeDist]{name: run.tag, seed: run.seed,
+			build: func(r int, b *builder) ([]int, error) {
+				f, err := run.factory(r, b)
+				if err != nil {
+					return nil, err
+				}
+				return f.DegreeHistogram(), nil
+			},
+			series: []blockSeries[[]int, []int, stats.DegreeDist]{journaled[[]int](run.tag, degreeCodec, nil)}}
+	}
+	dists, err := realizationBatch(sc, builds...)
 	if err != nil {
-		return stats.DegreeDist{}, err
+		return nil, err
 	}
-	dists := make([]stats.DegreeDist, len(hists[0]))
-	for r, hist := range hists[0] {
-		if hist != nil {
-			dists[r] = stats.NewDegreeDist(hist)
-		}
+	merged := make([]stats.DegreeDist, len(runs))
+	for i := range runs {
+		merged[i] = stats.MergeDegreeDists(dists[i][0])
 	}
-	return stats.MergeDegreeDists(dists), nil
+	return merged, nil
 }
 
 // degreeSeries log-bins a degree distribution into a plot series
@@ -201,37 +227,67 @@ func (cfg searchCfg) runSearch(scratch *search.Scratch, f *graph.Frozen, src int
 	}
 }
 
-// searchSeries measures mean hits vs τ: `realizations` topologies from the
-// factory, `sources` random sources each, averaged per τ with error bars
-// across realizations. The returned series has x = τ (1..maxTTL) and
-// y = mean number of hits. For algRW, hits follow the paper's
-// normalization: a walk of as many steps as NF sent messages at that τ.
-// The journal tag is cfg.tag + label — the label disambiguates series that
-// share an engine seed, and cfg.tag disambiguates panels that share both.
-func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
-	tag := label
-	if cfg.tag != "" {
-		tag = cfg.tag + ": " + label
-	}
-	curves, err := sourceSeries(cfg.sc, seed, recSweepSlots, factory, curveSeries{tag, 1, cfg.maxTTL + 1,
-		func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
-			if cfg.alg == algFL {
-				// FL draws nothing but its source node, so whole runs of
-				// sources share one bit-parallel flood.
-				return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, func(s int, res search.Result) { hitsRow(res, rows[s]) })
-			}
-			return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
-				res, err := cfg.runSearch(scratch, f, src, rng)
-				if err == nil {
-					hitsRow(res, curves[0])
+// searchRun is one series of a search batch: searchSeries' arguments.
+type searchRun struct {
+	label   string
+	factory topoFactory
+	cfg     searchCfg
+	seed    uint64
+}
+
+// searchBatch measures mean hits vs τ for every run on one lane pool
+// (sourceBatch; the runs share runs[0].cfg.sc, the spec's scale):
+// sc.Realizations topologies from each run's factory, sc.Sources random
+// sources each, averaged per τ with error bars across realizations. Each
+// returned series has x = τ (1..maxTTL) and y = mean number of hits. For
+// algRW, hits follow the paper's normalization: a walk of as many steps as
+// NF sent messages at that τ. A run's journal tag is cfg.tag + label — the
+// label disambiguates series that share an engine seed, and cfg.tag
+// disambiguates panels that share both.
+func searchBatch(runs ...searchRun) ([]Series, error) {
+	builds := make([]sourceBuild, len(runs))
+	for i, run := range runs {
+		cfg := run.cfg
+		tag := run.label
+		if cfg.tag != "" {
+			tag = cfg.tag + ": " + run.label
+		}
+		builds[i] = sourceBuild{name: "series " + run.label, seed: run.seed, factory: run.factory, series: []curveSeries{{tag, 1, cfg.maxTTL + 1,
+			func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+				if cfg.alg == algFL {
+					// FL draws nothing but its source node, so whole runs of
+					// sources share one bit-parallel flood.
+					return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, func(s int, res search.Result) { hitsRow(res, rows[s]) })
 				}
-				return err
-			})
-		}})
-	if err != nil {
-		return Series{}, fmt.Errorf("series %s: %w", label, err)
+				return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
+					res, err := cfg.runSearch(scratch, f, src, rng)
+					if err == nil {
+						hitsRow(res, curves[0])
+					}
+					return err
+				})
+			}}}}
 	}
-	return aggregate(label, curves[0][0], 1)
+	curves, err := sourceBatch(runs[0].cfg.sc, recSweepSlots, builds...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Series, len(runs))
+	for i, run := range runs {
+		if out[i], err = aggregate(run.label, curves[i][0][0], 1); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// searchSeries is searchBatch for one series.
+func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
+	s, err := searchBatch(searchRun{label, factory, cfg, seed})
+	if err != nil {
+		return Series{}, err
+	}
+	return s[0], nil
 }
 
 // hitsRow fills row[t] with the result's hits within t hops.
@@ -251,35 +307,62 @@ type curveSeries struct {
 	sweep           func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error
 }
 
-// sourceSeries is the one source sweep under every search and DES series:
-// the pipeline's build stage generates and freezes each realization once
-// while the sweep stage runs every series over an earlier realization, one
-// after another. A block is the sweeper's, zeroed and reused for the next
-// series and realization, because each block is reduced to its nCurves mean
-// rows as it lands. kind names the series' record family in the journal
-// (see realizationBlocks). It returns, per series and curve, every
-// realization's mean row (nil where the realization is absent), for
-// aggregate.
-func sourceSeries(sc Scale, seed uint64, kind uint8, factory topoFactory, series ...curveSeries) ([][][][]float64, error) {
-	blocks := make([]blockSeries[*graph.Frozen, [][]float64, [][]float64], len(series))
-	for i, s := range series {
-		blocks[i] = journaled(s.tag, rowMeans(kind, s.nCurves, sc.Sources, s.rowLen), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
-			rows := sw.block(s.nCurves*sc.Sources, s.rowLen)
-			return rows, s.sweep(r, f, sw, rows)
-		})
+// sourceBuild is one build of a sourceBatch: the realizations factory
+// builds from seed, swept for each of its series. name (may be empty)
+// prefixes the error a failed realization of it returns.
+type sourceBuild struct {
+	name    string
+	seed    uint64
+	factory topoFactory
+	series  []curveSeries
+}
+
+// sourceBatch is the one source sweep under every search and DES series:
+// the lane pool's build stage generates and freezes each realization of
+// each build once while the sweep stage runs every series of an earlier
+// one, one after another, with no barrier between builds. A block is the
+// sweeper's, zeroed and reused for the next series and realization,
+// because each block is reduced to its nCurves mean rows as it lands. kind
+// names the series' record family in the journal (see realizationBatch).
+// It returns, per build, series and curve, every realization's mean row
+// (nil where the realization is absent), for aggregate.
+func sourceBatch(sc Scale, kind uint8, builds ...sourceBuild) ([][][][][]float64, error) {
+	blocks := make([]blockBuild[*graph.Frozen, [][]float64, [][]float64], len(builds))
+	for k, bd := range builds {
+		blocks[k] = blockBuild[*graph.Frozen, [][]float64, [][]float64]{name: bd.name, seed: bd.seed, build: bd.factory,
+			series: make([]blockSeries[*graph.Frozen, [][]float64, [][]float64], len(bd.series))}
+		for i, s := range bd.series {
+			blocks[k].series[i] = journaled(s.tag, rowMeans(kind, s.nCurves, sc.Sources, s.rowLen), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+				rows := sw.block(s.nCurves*sc.Sources, s.rowLen)
+				return rows, s.sweep(r, f, sw, rows)
+			})
+		}
 	}
-	means, err := realizationBlocks(sc, seed, factory, blocks...)
+	means, err := realizationBatch(sc, blocks...)
 	if err != nil {
 		return nil, err
 	}
-	curves := make([][][][]float64, len(series))
-	for i, s := range series {
-		curves[i] = make([][][]float64, s.nCurves)
-		for c := range curves[i] {
-			curves[i][c] = blockRow(means[i], c)
+	curves := make([][][][][]float64, len(builds))
+	for k, bd := range builds {
+		curves[k] = make([][][][]float64, len(bd.series))
+		for i, s := range bd.series {
+			curves[k][i] = make([][][]float64, s.nCurves)
+			for c := range curves[k][i] {
+				curves[k][i][c] = blockRow(means[k][i], c)
+			}
 		}
 	}
 	return curves, nil
+}
+
+// sourceSeries is sourceBatch for one build: it returns, per series and
+// curve, every realization's mean row.
+func sourceSeries(sc Scale, seed uint64, kind uint8, factory topoFactory, series ...curveSeries) ([][][][]float64, error) {
+	curves, err := sourceBatch(sc, kind, sourceBuild{seed: seed, factory: factory, series: series})
+	if err != nil {
+		return nil, err
+	}
+	return curves[0], nil
 }
 
 // eachSource runs a per-source query over realization r's block of
@@ -406,23 +489,93 @@ func aggregate(label string, perReal [][]float64, firstX int) (Series, error) {
 	return s, nil
 }
 
-// exponentVsCutoff measures the fitted degree exponent as a function of the
-// hard cutoff for a factory parameterized by kc — the engine behind
-// Figs. 1(c) and 4(g). The fit includes the accumulation spike at kc, as
-// the paper's measurement does ("when the jump on the hard cutoffs is
-// taken into account").
-func exponentVsCutoff(label string, mk func(kc int) topoFactory, cutoffs []int, sc Scale, seed uint64) (Series, error) {
-	s := Series{Label: label}
-	for i, kc := range cutoffs {
-		d, err := mergedDegreeDist(fmt.Sprintf("%s kc=%d", label, kc), mk(kc), sc, seed+uint64(i)*1000)
-		if err != nil {
-			return Series{}, fmt.Errorf("%s kc=%d: %w", label, kc, err)
+// cutoffCurve is one series of exponentVsCutoff: its legend, its factory
+// for a hard cutoff kc, and the seed its i-th cutoff offsets by i·1000.
+type cutoffCurve struct {
+	label string
+	mk    func(kc int) topoFactory
+	seed  uint64
+}
+
+// exponentVsCutoff measures, for each curve, the fitted degree exponent as
+// a function of the hard cutoff — the engine behind Figs. 1(c) and 4(g) —
+// with every (curve, cutoff) distribution on one lane pool. The fit
+// includes the accumulation spike at kc, as the paper's measurement does
+// ("when the jump on the hard cutoffs is taken into account").
+func exponentVsCutoff(sc Scale, cutoffs []int, curves ...cutoffCurve) ([]Series, error) {
+	var runs []degreeRun
+	for _, c := range curves {
+		for i, kc := range cutoffs {
+			runs = append(runs, degreeRun{tag: fmt.Sprintf("%s kc=%d", c.label, kc), factory: c.mk(kc), seed: c.seed + uint64(i)*1000})
 		}
-		fit, err := stats.FitPowerLawBinned(d, 1.5, 1, 0)
-		if err != nil {
-			return Series{}, fmt.Errorf("%s kc=%d fit: %w", label, kc, err)
-		}
-		s.Points = append(s.Points, Point{X: float64(kc), Y: fit.Gamma, Err: fit.StdErr})
 	}
-	return s, nil
+	dists, err := mergedDegreeDists(sc, runs...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Series, len(curves))
+	for ci, c := range curves {
+		out[ci].Label = c.label
+		for i, kc := range cutoffs {
+			fit, err := stats.FitPowerLawBinned(dists[ci*len(cutoffs)+i], 1.5, 1, 0)
+			if err != nil {
+				return nil, fmt.Errorf("%s kc=%d fit: %w", c.label, kc, err)
+			}
+			out[ci].Points = append(out[ci].Points, Point{X: float64(kc), Y: fit.Gamma, Err: fit.StdErr})
+		}
+	}
+	return out, nil
+}
+
+// panelBatch collects a spec's series panel by panel, so that they all run
+// as one batch on one lane pool and are filed back under their panels in
+// declaration order.
+type panelBatch[Run any] struct {
+	figs []Figure
+	runs []Run
+	of   []int // of[i] is the index in figs of run i's panel
+}
+
+// panel opens a figure; the runs added next are its series.
+func (pb *panelBatch[Run]) panel(fig Figure) { pb.figs = append(pb.figs, fig) }
+
+// add declares a series of the open panel.
+func (pb *panelBatch[Run]) add(run Run) {
+	pb.runs = append(pb.runs, run)
+	pb.of = append(pb.of, len(pb.figs)-1)
+}
+
+// file appends series[i], run i's result, to its panel and returns the
+// figures.
+func (pb *panelBatch[Run]) file(series []Series) []Figure {
+	for i, s := range series {
+		fig := &pb.figs[pb.of[i]]
+		fig.Series = append(fig.Series, s)
+	}
+	return pb.figs
+}
+
+// degreePanels runs a degree spec's panels as one batch: each series is
+// its run's merged distribution, log-binned under its label.
+func degreePanels(sc Scale, pb *panelBatch[degreeRun]) ([]Figure, error) {
+	dists, err := mergedDegreeDists(sc, pb.runs...)
+	if err != nil {
+		return nil, err
+	}
+	series := make([]Series, len(dists))
+	for i, d := range dists {
+		if series[i], err = degreeSeries(pb.runs[i].label, d); err != nil {
+			return nil, err
+		}
+	}
+	return pb.file(series), nil
+}
+
+// searchPanels runs a search spec's panels as one batch (searchBatch).
+func searchPanels(pb *panelBatch[searchRun]) ([]Figure, error) {
+	series, err := searchBatch(pb.runs...)
+	if err != nil {
+		return nil, err
+	}
+	return pb.file(series), nil
 }

@@ -19,6 +19,7 @@ import (
 
 	"scalefree/internal/gen"
 	"scalefree/internal/graph"
+	"scalefree/internal/stats"
 	"scalefree/internal/xrand"
 )
 
@@ -253,6 +254,15 @@ func countingFactory(inner topoFactory, n *atomic.Int64) topoFactory {
 		n.Add(1)
 		return inner(r, b)
 	}
+}
+
+// mergedDegreeDist is mergedDegreeDists for one series.
+func mergedDegreeDist(tag string, factory topoFactory, sc Scale, seed uint64) (stats.DegreeDist, error) {
+	d, err := mergedDegreeDists(sc, degreeRun{tag: tag, factory: factory, seed: seed})
+	if err != nil {
+		return stats.DegreeDist{}, err
+	}
+	return d[0], nil
 }
 
 // TestSweepSeriesResumeBitIdentical is the tentpole acceptance test at

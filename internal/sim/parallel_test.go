@@ -48,27 +48,38 @@ var shardGrid = budgetGrid{
 	{4, []int{12}},
 }
 
-// checkFig6Budgets is the golden-seed regression for the engine: a
-// representative search spec must produce byte-identical Figures under
-// every budget of grid. Fig6 covers the PA and HAPA generators plus the
-// flooding kernel (batched FL runs, whose width follows the shard count)
-// across 18 series.
-func checkFig6Budgets(t *testing.T, grid budgetGrid) {
+// oddGrid runs the batched specs at R = 3, where series overlap on the
+// lane pool: lanes 2, so each series' third realization shares the pool
+// with the next series' first (P = 2), lanes = R (P = 3), width 2 (P = 4),
+// and the GOMAXPROCS default.
+var oddGrid = budgetGrid{{3, []int{2, 3, 4, 0}}}
+
+// checkSpecBudgets is the golden-seed regression for the engine: a spec
+// must produce byte-identical Figures under every budget of grid. Fig6
+// covers the PA and HAPA generators plus the flooding kernel (batched FL
+// runs, whose width follows the shard count) across 18 series; Fig9 runs
+// 60 NF series in six nested panels, and Fig3 18 build-only HAPA series,
+// each spec's series as one batch on one lane pool.
+func checkSpecBudgets(t *testing.T, id string, grid budgetGrid) {
 	t.Helper()
+	spec, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, g := range grid {
 		run := func(workers int) []Figure {
 			sc := tinyScale
 			sc.Realizations, sc.Workers = g.n, workers
-			figs, err := Fig6(sc, 2007)
+			figs, err := spec.Run(sc, 2007)
 			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", g.n, workers, err)
+				t.Fatalf("%s n=%d workers=%d: %v", id, g.n, workers, err)
 			}
 			return figs
 		}
 		want := run(1)
 		for _, p := range g.budgets {
 			if got := run(p); !reflect.DeepEqual(want, got) {
-				t.Fatalf("Fig6 output (n=%d) differs between Workers=1 and Workers=%d", g.n, p)
+				t.Fatalf("%s output (n=%d) differs between Workers=1 and Workers=%d", id, g.n, p)
 			}
 		}
 	}
@@ -102,7 +113,7 @@ func checkSearchBudgets(t *testing.T, algs []algKind, sources int, grid budgetGr
 
 func TestWorkersBitForBitDeterminism(t *testing.T) {
 	t.Parallel()
-	checkFig6Budgets(t, mixedGrid)
+	checkSpecBudgets(t, "fig6", mixedGrid)
 }
 
 func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
@@ -110,11 +121,23 @@ func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
 	checkSearchBudgets(t, []algKind{algNF, algRW}, 9, mixedGrid)
 }
 
+// TestWorkersBatchedSearchSpec pins Fig9 across oddGrid.
+func TestWorkersBatchedSearchSpec(t *testing.T) {
+	t.Parallel()
+	checkSpecBudgets(t, "fig9", oddGrid)
+}
+
+// TestWorkersBatchedBuildSpec pins Fig3 across oddGrid.
+func TestWorkersBatchedBuildSpec(t *testing.T) {
+	t.Parallel()
+	checkSpecBudgets(t, "fig3", oddGrid)
+}
+
 // TestGenWorkersBitForBitDeterminism pins Fig6 across the build-stage
 // schedules of laneGrid.
 func TestGenWorkersBitForBitDeterminism(t *testing.T) {
 	t.Parallel()
-	checkFig6Budgets(t, laneGrid)
+	checkSpecBudgets(t, "fig6", laneGrid)
 }
 
 // TestGenWorkersDeterminismRandomizedAlg pins RW, whose sweep consumes
@@ -129,7 +152,7 @@ func TestGenWorkersDeterminismRandomizedAlg(t *testing.T) {
 // slot/reduction machinery and the shared-Frozen sweep.
 func TestSourceShardsBitForBitDeterminism(t *testing.T) {
 	t.Parallel()
-	checkFig6Budgets(t, shardGrid)
+	checkSpecBudgets(t, "fig6", shardGrid)
 }
 
 // TestSourceShardsDeterminismRandomizedAlg pins NF and RW, whose per-source

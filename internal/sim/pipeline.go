@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,59 +11,72 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// This file is the realization engine — the one way a spec runs its R
-// realizations — and the journaled series helper every spec calls it
-// through, which lets one build serve several series: each realization is
-// built once and swept for every series that shares the build (the DES
-// specs' knob series do). Scale.Workers is the run's one parallelism
-// budget P, which schedule splits over the R realizations into `lanes` =
-// min(P, R) and `width` = ceil(P / lanes). A figure's realizations flow
-// through:
+// This file is the realization engine — one lane pool, the one way a spec
+// runs its realizations — and the journaled series helper every spec calls
+// it through. A spec hands the helper all its series at once (the degree
+// and search figures declare every panel's series before any runs), and
+// the pool runs every (series, realization) task in declaration order with
+// no barrier between series: a lane that finishes series i's last
+// realization starts series i+1's first, so R realizations per series no
+// longer leave lanes idle at the end of each series. One build can also
+// serve several series: each realization is built once and swept for every
+// series that shares the build (the DES specs' knob series do).
+// Scale.Workers is the run's one parallelism budget P, which schedule
+// splits over the R realizations into `lanes` = min(P, R) and `width` =
+// ceil(P / lanes). A batch's tasks flow through:
 //
-//	build stage   — `lanes` goroutines generate topologies, each generator
-//	                using up to `width` goroutines internally, and freeze
-//	                them into CSR adjacency (the sweeps only forward to
-//	                neighbors, so no membership ranges are built), so
-//	                realization r+1 (and beyond) is being built while
-//	                realization r is being swept;
+//	build stage   — `lanes` goroutines take tasks lowest first, generate
+//	                their topologies, each generator using up to `width`
+//	                goroutines internally, and freeze them into CSR
+//	                adjacency (the sweeps only forward to neighbors, so no
+//	                membership ranges are built), so task t+1 (and beyond)
+//	                is being built while task t is being swept;
 //	bounded queue — finished snapshots wait on a channel of capacity
-//	                `lanes`, which is the pipeline's backpressure: the
-//	                build stage stalls rather than running unboundedly
-//	                ahead of the sweep;
+//	                `lanes`, which is the pool's backpressure: the build
+//	                stage stalls rather than running unboundedly ahead of
+//	                the sweep;
 //	sweep stage   — `lanes` goroutines pull snapshots in completion order
 //	                and shard each one's sources across `width` goroutines
 //	                (the sweeper pool).
 //
-// A spec with nothing to sweep (degree distributions, churn traces,
-// robustness curves) passes a nil sweep: the build stage is then the whole
-// engine — no queue, no sweepers.
+// Each lane owns its state for the pool's whole life — a build lane one
+// graph.CSRArena, a sweep lane one sweeper — and takes it from laneFree,
+// the free list that outlives every pool, so the buffers one series (or
+// spec) grew serve the next. A job with nothing to sweep (degree
+// distributions, churn traces, robustness curves) passes a nil sweep: its
+// build is the whole task, and a batch of such jobs runs no queue and no
+// sweepers.
 //
 // Determinism contract (pinned by the scheduler tests): realization r's
 // build draws only from xrand phase streams derived from (seed, r, phase)
-// — never from which build worker ran it or how many goroutines a
-// generator used internally — and its legacy sibling stream rngs[r]
-// depends only on (seed, r); source s of sweep `stream` draws from
-// xrand.NewStream(seed, stream, s); and all outputs land in per-index
-// slots (or order-independent integer accumulators) reduced in index
-// order. Under that contract the figure output is bit-for-bit identical
-// for any Workers, including fully serial runs.
+// — never from which lane ran it, which task ran before it, or how many
+// goroutines a generator used internally — and its legacy sibling stream
+// rngs[k][r] depends only on (seed, r); source s of sweep `stream` draws
+// from xrand.NewStream(seed, stream, s); and all outputs land in per-index
+// slots (or order-independent integer accumulators), each series reduced
+// in realization order and each figure assembled in declaration order.
+// Under that contract the figure output is bit-for-bit identical for any
+// Workers, including fully serial runs.
 //
 // Supervision: Scale.Run layers panic recovery, bounded deterministic
 // retries, a permanent-failure budget, and realization-boundary
 // interruption over the dispatch loop; both stages go through the same
-// first-attempt/retry/absorb sequence (settle). A nil Run is the
-// unsupervised engine: panics propagate, the first error aborts. Retries
-// cannot perturb results — a re-attempt re-derives realization r's legacy
-// stream from xrand.New(seed).SplitN(n)[r] (the failed attempt may have
-// consumed stream state) and runs on a fresh arena and a fresh sweeper
-// (the panic may have corrupted the shared scratch buffers mid-write), so
-// a surviving attempt deposits exactly the bits of a never-failed run.
+// first-attempt/retry sequence (attempt), and failures reach the
+// supervisor in task order (settle). A nil Run is the unsupervised engine:
+// panics propagate, the lowest task's error is returned. Retries cannot
+// perturb results — a re-attempt re-derives realization r's legacy stream
+// from xrand.New(seed).SplitN(n)[r] (the failed attempt may have consumed
+// stream state) and runs on a fresh arena and a fresh sweeper (the panic
+// may have corrupted the lane's buffers mid-write), so a surviving attempt
+// deposits exactly the bits of a never-failed run; the lane then drops the
+// arena or sweeper its failed first attempt used and takes a clean one.
 //
-// Memory: up to 3·lanes frozen snapshots can be alive at once (building +
-// queued + being swept), so `-workers k` caps them at 3·min(k, R), however
-// many series share them. The series sharing a build are swept one after
-// another into one block per sweep worker, in that sweeper's buffers, and
-// each keeps only its realizations' reductions (realizationBlocks).
+// Memory: up to 3·lanes frozen snapshots can be alive at once across the
+// whole pool (building + queued + being swept), so `-workers k` caps them
+// at 3·min(k, R), however many series the batch holds and however many
+// share a build. The series sharing a build are swept one after another
+// into one block per sweep lane, in that sweeper's buffers, and each keeps
+// only its realizations' reductions (realizationBatch).
 
 // engineOpts tells the engine what its caller does with failures and with
 // realizations a previous run already journaled.
@@ -99,15 +113,15 @@ type builder struct {
 	// width bounds intra-generator parallelism for this build.
 	width int
 	// arena recycles direct-to-CSR build buffers. It belongs to the build
-	// worker goroutine (one arena per worker, reused across the
-	// realizations that worker builds), so back-to-back xl realizations
-	// reuse their chunk and scratch memory instead of re-growing it.
-	// Output is identical with or without it.
+	// lane (one arena per lane, reused across every task the lane builds,
+	// of any series, and by later pools through laneFree), so back-to-back
+	// xl realizations reuse their chunk and scratch memory instead of
+	// re-growing it. Output is identical with or without it.
 	arena *graph.CSRArena
 }
 
 // gen returns the generator build context: phase sub-streams plus the
-// intra-build worker budget and the worker's CSR arena.
+// intra-build worker budget and the lane's CSR arena.
 func (b *builder) gen() gen.Build {
 	bld := gen.NewBuild(b.phases, b.width)
 	bld.Arena = b.arena
@@ -130,7 +144,7 @@ func schedule(p, n int) (lanes, width int) {
 }
 
 // newBuilder assembles one realization's build context. arena is the
-// owning build worker's buffer pool (may be nil in tests).
+// owning build lane's buffer pool (may be nil in tests).
 func newBuilder(seed uint64, r int, rng *xrand.RNG, width int, arena *graph.CSRArena) *builder {
 	return &builder{
 		r:      r,
@@ -148,102 +162,163 @@ func retryRNG(seed uint64, n, r int) *xrand.RNG {
 	return xrand.New(seed).SplitN(n)[r]
 }
 
-// forEachRealizationPipeline is the realization engine: build(r) generates
-// and freezes realization r's topology (returning the snapshot value the
-// sweep needs), sweep(r) queries it through the per-worker sweeper; with a
-// nil sweep, build is the whole realization. sc supplies the realization
-// count, the parallelism budget and the supervisor. Build errors skip the
-// sweep; the lowest-index error wins, whichever stage it came from, exactly
-// as a sequential run would have reported first. Under a RunControl, panics
-// become errors, failed realizations are retried end-to-end (a sweep
-// failure rebuilds the topology: the snapshot may carry consumed phase
-// streams), cancellation stops dispatch at realization boundaries, and
-// journaled-complete realizations are skipped.
+// engineJob is one build of a lane pool's batch: its realizations are
+// built from seed's streams and, when sweep is non-nil, swept; with a nil
+// sweep, build is the whole realization. name, when set, prefixes the
+// error a failed realization of this job returns.
+type engineJob[T any] struct {
+	engineOpts
+	name  string
+	seed  uint64
+	build func(r int, b *builder) (T, error)
+	sweep func(r int, v T, sw *sweeper) error
+}
+
+// forEachRealizationPipeline runs one job — build(r) generates and freezes
+// realization r's topology, sweep(r) queries it through the lane's sweeper
+// — as a batch of one on the lane pool (runPool).
 func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 	build func(r int, b *builder) (T, error),
 	sweep func(r int, v T, sw *sweeper) error) error {
+	return runPool(sc, engineJob[T]{engineOpts: o, seed: seed, build: build, sweep: sweep})
+}
+
+// runPool is the realization engine: one lane pool that runs every
+// (job, realization) task of a batch — task t is realization t mod R of
+// job t div R — dispatching the lowest task first, with no barrier between
+// jobs: a lane that finishes job k's last build starts job k+1's first.
+// sc supplies the realization count R, the parallelism budget and the
+// supervisor. Build errors skip the sweep. The error returned is the one a
+// sequential run would have hit first — the lowest job, then the lowest
+// realization — whichever stage it came from: failures are handed to the
+// supervisor in task order (settle), so that holds under -max-failed
+// budgets too. Under a RunControl, panics become errors, failed
+// realizations are retried end-to-end (a sweep failure rebuilds the
+// topology: the snapshot may carry consumed phase streams), cancellation
+// stops dispatch at realization boundaries, and journaled-complete
+// realizations are skipped.
+func runPool[T any](sc Scale, jobs ...engineJob[T]) error {
 	n, rc := sc.Realizations, sc.Run
-	if n <= 0 {
+	tasks := len(jobs) * max(n, 0)
+	if tasks == 0 {
 		return nil
 	}
 	lanes, width := schedule(sc.Workers, n)
-	rngs := xrand.New(seed).SplitN(n)
-	errs := make([]error, n)
+	rngs := make([][]*xrand.RNG, len(jobs))
+	sweeps := false
+	for k, j := range jobs {
+		rngs[k] = xrand.New(j.seed).SplitN(n)
+		sweeps = sweeps || j.sweep != nil
+	}
 
-	// settle is the supervision sequence both stages share: one attempt,
-	// then retries while the budget and the run allow, then either the
-	// failure is absorbed (errs[r] set unless it fits the partial budget)
-	// or the stage counts `units` of progress, one per series it computed.
-	// It reports how many attempts ran and whether the last one succeeded.
-	settle := func(r, units int, first, again func() error) (attempts int, ok bool) {
-		err := protectErr(rc, first)
+	// attempt is the supervision sequence both stages share: one attempt,
+	// then retries while the budget and the run allow. A success counts
+	// `units` of progress, one per series it computed. It reports how many
+	// attempts ran and the last one's error.
+	attempt := func(units int, first, again func() error) (attempts int, err error) {
+		err = protectErr(rc, first)
 		attempts = 1
 		for err != nil && attempts < rc.maxAttempts() && rc.interrupted() == nil {
 			attempts++
 			err = protectErr(rc, again)
 		}
-		if err != nil {
-			errs[r] = rc.absorbFailure(seed, r, attempts, err, o.partial)
-			return attempts, false
+		if err == nil {
+			if attempts > 1 {
+				rc.noteRecovered()
+			}
+			rc.noteProgress(units)
 		}
-		if attempts > 1 {
-			rc.noteRecovered()
+		return attempts, err
+	}
+	// settle marks task t finished and hands failures to the supervisor in
+	// task order: a task's failure is absorbed (errs[t] set unless it fits
+	// the partial budget) only once every lower task has finished, so the
+	// failure that trips the -max-failed budget is the one a sequential run
+	// would have tripped it with, however the lanes interleaved.
+	type outcome struct {
+		done     bool
+		attempts int
+		err      error
+	}
+	outcomes, errs := make([]outcome, tasks), make([]error, tasks)
+	var mu sync.Mutex
+	frontier := 0
+	settle := func(t, attempts int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		outcomes[t] = outcome{done: true, attempts: attempts, err: err}
+		for ; frontier < tasks && outcomes[frontier].done; frontier++ {
+			if o := outcomes[frontier]; o.err != nil {
+				j := &jobs[frontier/n]
+				errs[frontier] = rc.absorbFailure(j.seed, frontier%n, o.attempts, o.err, j.partial)
+			}
 		}
-		rc.noteProgress(units)
-		return attempts, true
 	}
 	// rebuild is a retry's build: fresh stream and fresh arena, because the
-	// failed attempt may have consumed rngs[r] or corrupted the worker's
-	// shared buffers mid-panic.
-	rebuild := func(r int) (T, error) {
-		return build(r, newBuilder(seed, r, retryRNG(seed, n, r), width, graph.NewCSRArena()))
+	// failed attempt may have consumed rngs[k][r] or corrupted the lane's
+	// arena mid-panic.
+	rebuild := func(t int) (T, error) {
+		j, r := &jobs[t/n], t%n
+		return j.build(r, newBuilder(j.seed, r, retryRNG(j.seed, n, r), width, graph.NewCSRArena()))
 	}
 
 	type snapshot struct {
-		r, units int
+		t, units int
 		v        T
 	}
 	var ready chan snapshot
 	var next atomic.Int64
 	buildWorker := func() {
-		// One arena per build worker: realization r+lanes reuses the chunk
-		// and scratch buffers realization r grew, and no arena ever serves
-		// two builds at once.
-		arena := graph.NewCSRArena()
+		// The lane's arena, for the pool's whole life: every build it runs
+		// reuses the chunk and scratch buffers earlier ones grew, and no
+		// arena ever serves two builds at once.
+		arena := takeArena()
 		for rc.interrupted() == nil {
-			r := int(next.Add(1)) - 1
-			if r >= n {
-				return
+			t := int(next.Add(1)) - 1
+			if t >= tasks {
+				break
 			}
+			k, r := t/n, t%n
+			j := &jobs[k]
 			units := 1
-			if o.pending != nil {
-				units = o.pending(r)
-			}
-			if units == 0 {
-				continue
+			if j.pending != nil {
+				units = j.pending(r)
 			}
 			// Distributed-worker restriction: realizations leased to other
 			// workers are simply never dispatched; determinism holds
-			// because rngs[r] and the phase streams depend only on
+			// because rngs[k][r] and the phase streams depend only on
 			// (seed, r), not on which indices this process ran.
-			if !rc.owns(r) {
+			if units == 0 || !rc.owns(r) {
+				settle(t, 0, nil)
 				continue
 			}
 			var v T
-			_, ok := settle(r, units, func() (err error) {
-				v, err = build(r, newBuilder(seed, r, rngs[r], width, arena))
+			attempts, err := attempt(units, func() (err error) {
+				v, err = j.build(r, newBuilder(j.seed, r, rngs[k][r], width, arena))
 				return err
 			}, func() (err error) {
-				v, err = rebuild(r)
+				v, err = rebuild(t)
 				return err
 			})
-			if ok && sweep != nil {
-				ready <- snapshot{r: r, units: units, v: v}
+			if attempts > 1 || err != nil {
+				// The failed first build may have left the arena's buffers
+				// half-written; replace it before any other build touches
+				// it. The old one is dropped, never released to the free
+				// list.
+				arena = takeArena()
 			}
+			if err == nil && j.sweep != nil {
+				ready <- snapshot{t: t, units: units, v: v}
+				continue
+			}
+			settle(t, attempts, err)
 		}
+		releaseArena(arena)
 	}
 	sweepWorker := func() {
-		sw := newSweeper(seed, width)
+		// The lane's sweeper, for the pool's whole life; each task points
+		// it at its job's seed.
+		sw := newSweeper(0, width)
 		for snap := range ready {
 			if rc.interrupted() != nil {
 				// Keep draining so builders blocked on the bounded queue
@@ -251,26 +326,29 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 				// it.
 				continue
 			}
-			attempts, ok := settle(snap.r, snap.units, func() error {
-				return sweep(snap.r, snap.v, sw)
+			j, r := &jobs[snap.t/n], snap.t%n
+			sw.seed = j.seed
+			attempts, err := attempt(snap.units, func() error {
+				return j.sweep(r, snap.v, sw)
 			}, func() error {
 				// Retry the realization end-to-end: the snapshot may carry
 				// phase streams the failed sweep already consumed, so only
 				// a rebuild restores pristine state. Fresh sweeper for the
 				// same reason.
-				v, err := rebuild(snap.r)
+				v, err := rebuild(snap.t)
 				if err != nil {
 					return err
 				}
-				return sweep(snap.r, v, newSweeper(seed, width))
+				return j.sweep(r, v, newSweeper(j.seed, width))
 			})
-			if attempts > 1 || !ok {
-				// The failed first sweep may have corrupted this worker's
+			if attempts > 1 || err != nil {
+				// The failed first sweep may have corrupted this lane's
 				// sweeper scratches mid-write; replace it before any other
 				// realization touches it. The old one is dropped, never
 				// released to the free list.
-				sw = newSweeper(seed, width)
+				sw = newSweeper(0, width)
 			}
+			settle(snap.t, attempts, err)
 		}
 		sw.release()
 	}
@@ -285,21 +363,31 @@ func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
 			}()
 		}
 	}
-	if sweep != nil {
+	if sweeps {
 		ready = make(chan snapshot, lanes)
 		spawn(&swg, lanes, sweepWorker)
 	}
 	spawn(&bwg, lanes, buildWorker)
 	bwg.Wait()
-	if sweep != nil {
+	if sweeps {
 		close(ready)
 	}
 	swg.Wait()
+	// Tasks an interruption left undispatched or undrained settle as not
+	// run, which lets the failures behind them reach the supervisor.
+	for t := range outcomes {
+		if !outcomes[t].done {
+			settle(t, 0, nil)
+		}
+	}
 	if err := rc.interrupted(); err != nil {
 		return err
 	}
-	for _, err := range errs {
+	for t, err := range errs {
 		if err != nil {
+			if name := jobs[t/n].name; name != "" {
+				return fmt.Errorf("%s: %w", name, err)
+			}
 			return err
 		}
 	}
@@ -364,10 +452,10 @@ func oneRow(rowLen int) blockCodec[[]float64, []float64] {
 	}
 }
 
-// blockSeries is one journaled series of a realizationBlocks call: tag and
-// codec name its records and reduce its blocks, and sweep(r, v, sw) turns
-// realization r's built snapshot into its block. A build-only series has a
-// nil sweep and its build returns the block itself.
+// blockSeries is one journaled series of a blockBuild: tag and codec name
+// its records and reduce its blocks, and sweep(r, v, sw) turns realization
+// r's built snapshot into its block. A build-only series has a nil sweep
+// and its build returns the block itself.
 type blockSeries[T, B, R any] struct {
 	tag   string
 	codec blockCodec[B, R]
@@ -380,45 +468,86 @@ func journaled[T, B, R any](tag string, codec blockCodec[B, R], sweep func(r int
 	return blockSeries[T, B, R]{tag: tag, codec: codec, sweep: sweep}
 }
 
-// realizationBlocks is the one journaled path from series to their
-// per-realization reductions; a one-series caller passes one series. The
-// series share one build: realization r is built and frozen once, then
-// every series that has not landed r yet is swept in list order, each
-// block journaled and reduced before the next series is swept into the
-// sweeper's same buffers, so no block outlives its sweep unless the codec's
-// reduction keeps it. It claims each series' record family and replays what
-// a previous run journaled: a realization every series replays is never
-// built, and a retry or a resume rebuilds r to sweep only the series still
-// missing it. Build-only series (nil sweeps) land the build's value as
-// their block. A tag names its series in the journal: with the engine seed
-// it keys the records, so series that share a seed by design (the DES
-// loss/failure knobs, which also share the build, and panels reusing a
-// label format) must differ in tag — a collision fails loudly in
-// journalClaim.
-//
-// A returned reduction, reduced[i][r] for series i, is the zero R when its
-// realization is absent: it permanently failed within the -max-failed
-// budget (only a successful sweep ever lands a block, so no partial bits
-// can average in), or this process is a distributed worker that does not
-// lease it. Reductions drop absent realizations and aggregate the survivors
-// in realization order, so a complete run reduces exactly as an unjournaled
-// one and a resumed or distributed run reproduces its bytes.
+// blockBuild is one build of a realizationBatch: the realizations build
+// makes from seed's streams, shared by its series. name (may be empty)
+// prefixes the error a failed realization of it returns.
+type blockBuild[T, B, R any] struct {
+	name   string
+	seed   uint64
+	build  func(r int, b *builder) (T, error)
+	series []blockSeries[T, B, R]
+}
+
+// realizationBlocks is realizationBatch for one build: reduced[i][r] is
+// series i's reduction of realization r.
 func realizationBlocks[T, B, R any](sc Scale, seed uint64, build func(r int, b *builder) (T, error),
 	series ...blockSeries[T, B, R]) ([][]R, error) {
-	rc, n := sc.Run, sc.Realizations
-	subs := make([]uint64, len(series))
-	for i, s := range series {
-		subs[i] = journalTag(s.tag)
-		if err := rc.journalClaim(s.codec.kind, seed, subs[i], s.tag); err != nil {
-			return nil, err
+	reduced, err := realizationBatch(sc, blockBuild[T, B, R]{seed: seed, build: build, series: series})
+	if err != nil {
+		return nil, err
+	}
+	return reduced[0], nil
+}
+
+// realizationBatch is the one journaled path from series to their
+// per-realization reductions: a spec hands it all its builds at once and
+// every (build, realization) task runs on one lane pool (runPool), in
+// declaration order with no barrier between builds. The series of a build
+// share it: realization r is built and frozen once, then every series that
+// has not landed r yet is swept in list order, each block journaled and
+// reduced before the next series is swept into the sweeper's same buffers,
+// so no block outlives its sweep unless the codec's reduction keeps it.
+// Before any task is dispatched it claims every series' record family, in
+// declaration order, and replays what a previous run journaled: a
+// realization every series of a build replays is never built, and a retry
+// or a resume rebuilds r to sweep only the series still missing it.
+// Build-only series (nil sweeps) land the build's value as their block. A
+// tag names its series in the journal: with the build's seed it keys the
+// records, so series that share a seed by design (the DES loss/failure
+// knobs, which also share the build, and panels reusing a label format)
+// must differ in tag — a collision fails loudly in journalClaim, before any
+// work starts.
+//
+// A returned reduction, reduced[k][i][r] for series i of build k, is the
+// zero R when its realization is absent: it permanently failed within the
+// -max-failed budget (only a successful sweep ever lands a block, so no
+// partial bits can average in), or this process is a distributed worker
+// that does not lease it. Reductions drop absent realizations and
+// aggregate the survivors in realization order, so a complete run reduces
+// exactly as an unjournaled one and a resumed or distributed run
+// reproduces its bytes.
+func realizationBatch[T, B, R any](sc Scale, builds ...blockBuild[T, B, R]) ([][][]R, error) {
+	subs := make([][]uint64, len(builds))
+	for k, bd := range builds {
+		subs[k] = make([]uint64, len(bd.series))
+		for i, s := range bd.series {
+			subs[k][i] = journalTag(s.tag)
+			if err := sc.Run.journalClaim(s.codec.kind, bd.seed, subs[k][i], s.tag); err != nil {
+				return nil, err
+			}
 		}
 	}
+	reduced, jobs := make([][][]R, len(builds)), make([]engineJob[T], len(builds))
+	for k, bd := range builds {
+		reduced[k], jobs[k] = bd.job(sc.Run, sc.Realizations, subs[k])
+	}
+	if err := runPool(sc, jobs...); err != nil {
+		return nil, err
+	}
+	return reduced, nil
+}
+
+// job replays the build's journaled blocks into its reductions and returns
+// them with the engine job that computes the rest; subs are its series'
+// journal sub-keys.
+func (bd blockBuild[T, B, R]) job(rc *RunControl, n int, subs []uint64) ([][]R, engineJob[T]) {
+	series := bd.series
 	key := func(i, r int) journalKey {
-		return journalKey{kind: series[i].codec.kind, stream: seed, sub: subs[i], r: r}
+		return journalKey{kind: series[i].codec.kind, stream: bd.seed, sub: subs[i], r: r}
 	}
 	// landed[i*n+r] marks series i's reduction of realization r as done:
 	// replayed, or computed by an attempt whose later series failed. Only
-	// the worker holding realization r touches its entries.
+	// the lane holding realization r touches its entries.
 	reduced, landed := make([][]R, len(series)), make([]bool, len(series)*n)
 	for i, s := range series {
 		reduced[i] = make([]R, n)
@@ -447,7 +576,9 @@ func realizationBlocks[T, B, R any](sc Scale, seed uint64, build func(r int, b *
 		reduced[i][r] = codec.reduce(blk)
 		landed[i*n+r] = true
 	}
-	pending := func(r int) (k int) {
+	j := engineJob[T]{name: bd.name, seed: bd.seed, build: bd.build}
+	j.partial = true
+	j.pending = func(r int) (k int) {
 		for i := range series {
 			if !landed[i*n+r] {
 				k++
@@ -455,11 +586,9 @@ func realizationBlocks[T, B, R any](sc Scale, seed uint64, build func(r int, b *
 		}
 		return k
 	}
-	o := engineOpts{pending: pending, partial: true}
-	var err error
 	if series[0].sweep == nil {
-		err = forEachRealizationPipeline(o, sc, seed, func(r int, b *builder) (T, error) {
-			v, err := build(r, b)
+		j.build = func(r int, b *builder) (T, error) {
+			v, err := bd.build(r, b)
 			if err != nil {
 				return v, err
 			}
@@ -469,26 +598,23 @@ func realizationBlocks[T, B, R any](sc Scale, seed uint64, build func(r int, b *
 				}
 			}
 			return v, nil
-		}, nil)
-	} else {
-		err = forEachRealizationPipeline(o, sc, seed, build, func(r int, v T, sw *sweeper) error {
-			for i, s := range series {
-				if landed[i*n+r] {
-					continue
-				}
-				blk, err := s.sweep(r, v, sw)
-				if err != nil {
-					return err
-				}
-				land(i, r, blk, sw)
+		}
+		return reduced, j
+	}
+	j.sweep = func(r int, v T, sw *sweeper) error {
+		for i, s := range series {
+			if landed[i*n+r] {
+				continue
 			}
-			return nil
-		})
+			blk, err := s.sweep(r, v, sw)
+			if err != nil {
+				return err
+			}
+			land(i, r, blk, sw)
+		}
+		return nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return reduced, nil
+	return reduced, j
 }
 
 // withSweeper runs fn with a standalone source-sweep pool sized from the

@@ -309,56 +309,91 @@ func Lookup(id string) (Spec, error) {
 	return Spec{}, fmt.Errorf("sim: unknown experiment %q", id)
 }
 
-// The realization engine (forEachRealizationPipeline), the journaled
-// series helper on top of it (realizationBlocks), and the standalone sweep
-// pool (withSweeper) live in pipeline.go.
+// The realization engine (runPool, the lane pool every spec's batches run
+// on), the journaled series helper on top of it (realizationBatch), and the
+// standalone sweep pool (withSweeper) live in pipeline.go.
 
-// sweeper is one sweep worker's source-sweep pool: a fixed set of shard
-// scratches (and DES sims) reused across every realization the worker
-// processes, so the search kernels stay allocation-free no matter how work
-// is scheduled, plus the buffers of the block and record frame of the
-// series and realization being swept, reused by the next one. A sweeper belongs to its
-// worker goroutine; Sources may be called any number of times per
-// realization (one call per sub-experiment).
+// sweeper is one sweep lane's source-sweep pool: a fixed set of shard
+// scratches (and DES sims) the lane keeps for its pool's whole life and
+// reuses across every (series, realization) task it sweeps, whatever build
+// or seed the task belongs to — the engine points seed at each task's —
+// so the search kernels stay allocation-free no matter how work is
+// scheduled, plus the buffers of the block and record frame of the series
+// and realization being swept, reused by the next one. A sweeper belongs
+// to its lane's goroutine; Sources may be called any number of times per
+// realization (one call per sub-experiment). Between pools it waits on
+// laneFree.
 type sweeper struct {
 	seed      uint64
 	shards    int
 	scratches []*search.Scratch
 	sims      []*des.Sim
 	// rows and slab back block; frame is the journal frame buffer
-	// realizationBlocks encodes the block into. The series reduces the block
+	// realizationBatch encodes the block into. The series reduces the block
 	// and the journal copies the frame before the sweep returns.
 	rows  [][]float64
 	slab  []float64
 	frame []byte
 }
 
-// scratchFree keeps finished sweepers — shard scratches, DES sims, block
-// and frame buffers — for the next newSweeper: a figure runs one engine per
-// build (one series, or the series that share its topologies), and without
-// reuse each would grow its own O(N) kernel state and its per-realization
-// buffers from nothing. It is a plain free list, which
-// the garbage collector never empties, so what a run allocates does not
-// depend on when a collection happens.
-var scratchFree struct {
+// laneFree is the one free list of lane state, and it outlives every lane
+// pool: a pool's build lanes take their CSR arenas here and its sweep lanes
+// their sweepers (shard scratches, DES sims, block and frame buffers), keep
+// them for the pool's whole life, and hand them back when it ends — so the
+// next pool, the spec's next batch or the next spec, reuses the O(N) kernel
+// state and build buffers earlier ones grew instead of growing its own from
+// nothing. Only state whose every use returned normally comes back: a
+// sweeper or arena that saw a failed attempt is dropped. It is a plain free
+// list, which the garbage collector never empties, so what a run allocates
+// does not depend on when a collection happens.
+var laneFree struct {
 	sync.Mutex
-	list []*sweeper
+	sweepers []*sweeper
+	arenas   []*graph.CSRArena
+}
+
+// pop takes the last entry of one of laneFree's lists (nil when it is
+// empty), clearing its slot: the list must not keep a taken entry alive.
+// The caller holds laneFree's lock.
+func pop[E any](list *[]*E) *E {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	e := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return e
+}
+
+// takeArena returns the last CSR arena released, or a new one.
+func takeArena() *graph.CSRArena {
+	laneFree.Lock()
+	a := pop(&laneFree.arenas)
+	laneFree.Unlock()
+	if a == nil {
+		a = graph.NewCSRArena()
+	}
+	return a
+}
+
+// releaseArena hands a build lane's arena back for reuse. Only an arena
+// whose every build returned normally may be released.
+func releaseArena(a *graph.CSRArena) {
+	laneFree.Lock()
+	laneFree.arenas = append(laneFree.arenas, a)
+	laneFree.Unlock()
 }
 
 // newSweeper returns a sweeper of `shards` scratches (the engine resolves
-// automatic sizing before construction; <=1 means serial sweeps): the last
-// one released, when there is one, topped up with fresh scratches that
-// start empty and grow on first use. A reused sweeper keeps any scratches
-// beyond `shards` unused.
+// automatic sizing before construction; <=1 means serial sweeps) drawing
+// from seed's streams: the last one released, when there is one, topped up
+// with fresh scratches that start empty and grow on first use. A reused
+// sweeper keeps any scratches beyond `shards` unused.
 func newSweeper(seed uint64, shards int) *sweeper {
-	var sw *sweeper
-	scratchFree.Lock()
-	if n := len(scratchFree.list); n > 0 {
-		sw = scratchFree.list[n-1]
-		scratchFree.list[n-1] = nil // the list must not keep a taken sweeper alive
-		scratchFree.list = scratchFree.list[:n-1]
-	}
-	scratchFree.Unlock()
+	laneFree.Lock()
+	sw := pop(&laneFree.sweepers)
+	laneFree.Unlock()
 	if sw == nil {
 		sw = &sweeper{}
 	}
@@ -374,9 +409,9 @@ func newSweeper(seed uint64, shards int) *sweeper {
 // sweep returned normally may be released: one that saw a panic may hold
 // half-written kernel state and is dropped instead.
 func (sw *sweeper) release() {
-	scratchFree.Lock()
-	scratchFree.list = append(scratchFree.list, sw)
-	scratchFree.Unlock()
+	laneFree.Lock()
+	laneFree.sweepers = append(laneFree.sweepers, sw)
+	laneFree.Unlock()
 }
 
 // Sim returns the shard's pooled DES simulator, created on first use so

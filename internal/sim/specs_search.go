@@ -19,26 +19,21 @@ func Fig6(sc Scale, seed uint64) ([]Figure, error) {
 		{"fig6a", "FL results for PA model", func(m, kc int) topoFactory { return paTopo(sc.NSearch, m, kc) }},
 		{"fig6b", "FL results for HAPA model", func(m, kc int) topoFactory { return hapaTopo(sc.NSearch, m, kc) }},
 	}
-	var figs []Figure
+	pb := &panelBatch[searchRun]{}
 	for pi, p := range panels {
-		fig := Figure{ID: p.id, Title: p.title, XLabel: "tau", YLabel: "number of hits"}
+		pb.panel(Figure{ID: p.id, Title: p.title, XLabel: "tau", YLabel: "number of hits"})
 		for _, m := range []int{1, 2, 3} {
 			for _, kc := range []int{10, 50, gen.NoCutoff} {
-				s, err := searchSeries(
+				pb.add(searchRun{
 					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
 					p.mk(m, kc),
 					sc.searchCfg(algFL, sc.MaxTTLFlood, 0),
-					seed+uint64(pi*10000+m*100+kc),
-				)
-				if err != nil {
-					return nil, err
-				}
-				fig.Series = append(fig.Series, s)
+					seed + uint64(pi*10000+m*100+kc),
+				})
 			}
 		}
-		figs = append(figs, fig)
 	}
-	return figs, nil
+	return searchPanels(pb)
 }
 
 // Fig7 regenerates Fig. 7: flooding hits vs τ on CM for
@@ -46,31 +41,26 @@ func Fig6(sc Scale, seed uint64) ([]Figure, error) {
 // kc ∈ {10,40,none}. The m=1 panels saturate below N because CM with m=1
 // is disconnected (§V-B1).
 func Fig7(sc Scale, seed uint64) ([]Figure, error) {
-	var figs []Figure
+	pb := &panelBatch[searchRun]{}
 	for pi, gamma := range []float64{2.2, 2.6, 3.0} {
-		fig := Figure{
+		pb.panel(Figure{
 			ID:     fmt.Sprintf("fig7%c", 'a'+pi),
 			Title:  fmt.Sprintf("FL results for CM, gamma=%.1f", gamma),
 			XLabel: "tau", YLabel: "number of hits",
 			Notes: "m=1: hits saturate at the giant-component size",
-		}
+		})
 		for _, m := range []int{1, 2, 3} {
 			for _, kc := range []int{10, 40, gen.NoCutoff} {
-				s, err := searchSeries(
+				pb.add(searchRun{
 					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
 					cmTopo(sc.NSearch, m, kc, gamma),
 					sc.searchCfg(algFL, sc.MaxTTLFlood, 0),
-					seed+uint64(pi*10000+m*100+kc),
-				)
-				if err != nil {
-					return nil, err
-				}
-				fig.Series = append(fig.Series, s)
+					seed + uint64(pi*10000+m*100+kc),
+				})
 			}
 		}
-		figs = append(figs, fig)
 	}
-	return figs, nil
+	return searchPanels(pb)
 }
 
 // Fig8 regenerates Fig. 8: flooding hits vs τ on DAPA overlays, one panel
@@ -82,7 +72,7 @@ func Fig8(sc Scale, seed uint64) ([]Figure, error) {
 		return nil, err
 	}
 	maxTTL := 3 * sc.MaxTTLFlood
-	var figs []Figure
+	pb := &panelBatch[searchRun]{}
 	for _, m := range []int{1, 2, 3} {
 		fig := Figure{
 			ID:     fmt.Sprintf("fig8%c", 'a'+m-1),
@@ -93,23 +83,19 @@ func Fig8(sc Scale, seed uint64) ([]Figure, error) {
 			fig.Notes = "paper: hard cutoffs improve FL under weak connectedness; " +
 				"this reproduction measures the opposite ordering (documented deviation, see claims)"
 		}
+		pb.panel(fig)
 		for _, kc := range []int{10, 50, gen.NoCutoff} {
 			for _, tau := range []int{2, 4, 10, 50} {
-				s, err := searchSeries(
+				pb.add(searchRun{
 					fmt.Sprintf("%s, tau_sub=%d", cutoffLabel(kc), tau),
 					dapaTopo(substrates, sc.NOverlay, m, kc, tau),
 					sc.searchCfg(algFL, maxTTL, 0),
-					seed+uint64(m*100000+kc*100+tau),
-				)
-				if err != nil {
-					return nil, err
-				}
-				fig.Series = append(fig.Series, s)
+					seed + uint64(m*100000+kc*100+tau),
+				})
 			}
 		}
-		figs = append(figs, fig)
 	}
-	return figs, nil
+	return searchPanels(pb)
 }
 
 // nfRwPanels builds the six panels shared by Figs. 9 and 11 (NF and RW on
@@ -118,25 +104,18 @@ func Fig8(sc Scale, seed uint64) ([]Figure, error) {
 func nfRwPanels(sc Scale, seed uint64, alg algKind, figBase string, titleAlg string) ([]Figure, error) {
 	paCutoffs := []int{10, 20, 40, 60, 80, 100, 200}
 	cmCutoffs := []int{10, 40, gen.NoCutoff}
-	var figs []Figure
-
-	mkPanel := func(id, title string, ms []int, series func(fig *Figure, m int) error) error {
-		fig := Figure{ID: id, Title: title, XLabel: "tau", YLabel: "number of hits", LogY: len(ms) > 1}
-		for _, m := range ms {
-			if err := series(&fig, m); err != nil {
-				return err
-			}
-		}
-		figs = append(figs, fig)
-		return nil
+	pb := &panelBatch[searchRun]{}
+	panel := func(id, title string, ms []int) {
+		pb.panel(Figure{ID: id, Title: fmt.Sprintf("%s results for %s, m=%v", titleAlg, title, ms), XLabel: "tau", YLabel: "number of hits", LogY: len(ms) > 1})
 	}
 
 	// Panels (a), (d): PA.
 	for i, ms := range [][]int{{1}, {2, 3}} {
 		id := figBase + string(rune('a'+3*i))
-		err := mkPanel(id, fmt.Sprintf("%s results for PA model, m=%v", titleAlg, ms), ms, func(fig *Figure, m int) error {
+		panel(id, "PA model", ms)
+		for _, m := range ms {
 			for _, kc := range paCutoffs {
-				s, err := searchSeries(
+				pb.add(searchRun{
 					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
 					paTopo(sc.NSearch, m, kc),
 					// The panel-id tag keeps the PA and HAPA m=1 panels'
@@ -144,68 +123,46 @@ func nfRwPanels(sc Scale, seed uint64, alg algKind, figBase string, titleAlg str
 					// shared seed AND the same "m=%d, %s" labels, so
 					// without it a resume would swap their rows.
 					sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
-					seed+uint64(i*100000+m*1000+kc),
-				)
-				if err != nil {
-					return err
-				}
-				fig.Series = append(fig.Series, s)
+					seed + uint64(i*100000+m*1000+kc),
+				})
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 
 	// Panels (b), (e): CM with γ ∈ {2.2, 3.0}.
 	for i, ms := range [][]int{{1}, {2, 3}} {
 		id := figBase + string(rune('b'+3*i))
-		err := mkPanel(id, fmt.Sprintf("%s results for CM, m=%v", titleAlg, ms), ms, func(fig *Figure, m int) error {
+		panel(id, "CM", ms)
+		for _, m := range ms {
 			for _, gamma := range []float64{2.2, 3.0} {
 				for _, kc := range cmCutoffs {
-					s, err := searchSeries(
+					pb.add(searchRun{
 						fmt.Sprintf("m=%d, gamma=%.1f, %s", m, gamma, cutoffLabel(kc)),
 						cmTopo(sc.NSearch, m, kc, gamma),
 						sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
-						seed+uint64(i*200000+m*1000+kc+int(gamma*10)),
-					)
-					if err != nil {
-						return err
-					}
-					fig.Series = append(fig.Series, s)
+						seed + uint64(i*200000+m*1000+kc+int(gamma*10)),
+					})
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 
 	// Panels (c), (f): HAPA.
 	for i, ms := range [][]int{{1}, {2, 3}} {
 		id := figBase + string(rune('c'+3*i))
-		err := mkPanel(id, fmt.Sprintf("%s results for HAPA model, m=%v", titleAlg, ms), ms, func(fig *Figure, m int) error {
+		panel(id, "HAPA model", ms)
+		for _, m := range ms {
 			for _, kc := range paCutoffs {
-				s, err := searchSeries(
+				pb.add(searchRun{
 					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
 					hapaTopo(sc.NSearch, m, kc),
 					sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
-					seed+uint64(i*300000+m*1000+kc),
-				)
-				if err != nil {
-					return err
-				}
-				fig.Series = append(fig.Series, s)
+					seed + uint64(i*300000+m*1000+kc),
+				})
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
-	return figs, nil
+	return searchPanels(pb)
 }
 
 // Fig9 regenerates Fig. 9: normalized flooding on PA, CM, and HAPA.
@@ -228,32 +185,27 @@ func dapaNFRW(sc Scale, seed uint64, alg algKind, figBase, titleAlg string) ([]F
 		return nil, err
 	}
 	taus := []int{2, 4, 6, 8, 10, 20, 50}
-	var figs []Figure
+	pb := &panelBatch[searchRun]{}
 	panel := 0
 	for _, m := range []int{1, 2, 3} {
 		for _, kc := range []int{gen.NoCutoff, 50, 10} {
-			fig := Figure{
+			pb.panel(Figure{
 				ID:     fmt.Sprintf("%s%c", figBase, 'a'+panel),
 				Title:  fmt.Sprintf("%s results for DAPA model, m=%d, %s", titleAlg, m, cutoffLabel(kc)),
 				XLabel: "tau", YLabel: "number of hits", LogY: m > 1,
-			}
+			})
 			panel++
 			for _, tau := range taus {
-				s, err := searchSeries(
+				pb.add(searchRun{
 					fmt.Sprintf("tau_sub=%d", tau),
 					dapaTopo(substrates, sc.NOverlay, m, kc, tau),
 					sc.searchCfg(alg, sc.MaxTTLNF, m),
-					seed+uint64(panel*10000+tau),
-				)
-				if err != nil {
-					return nil, err
-				}
-				fig.Series = append(fig.Series, s)
+					seed + uint64(panel*10000+tau),
+				})
 			}
-			figs = append(figs, fig)
 		}
 	}
-	return figs, nil
+	return searchPanels(pb)
 }
 
 // Fig10 regenerates Fig. 10: normalized flooding on DAPA overlays.

@@ -28,7 +28,8 @@ func benchTopo(b *testing.B, kc int) *graph.Frozen {
 // BenchmarkDESFlood's spec-* cases are the shape the desflood spec (and
 // the repo benchmark's des-flood workload) runs: PA without a cutoff,
 // τ = 30, latency 1 + U[0,1), loss 0 and 10 %. The unprefixed cases are
-// the KC = 40, τ = 10 shape the BENCH_PR6/7 snapshots timed, names kept.
+// the KC = 40, τ = 10 shape the BENCH_PR6/7 snapshots timed, names kept
+// (`git show 04c8318:BENCH_PR6.json`, likewise BENCH_PR7.json).
 // "pushes" next to "msgs" is the queue traffic per flood: every copy sent
 // used to be one heap event (pushes ≈ msgs ≈ 3N), send-time duplicate
 // resolution queues only would-be first receipts (≈ 1.1N).

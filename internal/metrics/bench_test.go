@@ -5,7 +5,8 @@ package metrics
 // deg²) HasEdge calls). referenceGlobalClustering preserves the pre-CSR
 // implementation — per-node map dedupe plus a mutable-Graph HasEdge per
 // neighbor pair (an edge-map probe when BENCH_PR2.json recorded the
-// speedup, a scan of the shorter row since the map was removed).
+// speedup, a scan of the shorter row since the map was removed; read it
+// with `git show 04c8318:BENCH_PR2.json`).
 
 import (
 	"testing"

@@ -188,7 +188,8 @@ func TestSharedFrozenConcurrentKernels(t *testing.T) {
 
 // --- Benchmarks --------------------------------------------------------
 
-// Scratch strategy kernels: the 0 allocs/op record for BENCH_PR3.json.
+// Scratch strategy kernels: the 0 allocs/op record for BENCH_PR3.json
+// (`git show 04c8318:BENCH_PR3.json`).
 
 func BenchmarkScratchKRandomWalks(b *testing.B) {
 	f := scratchTestFrozen(b)

@@ -26,7 +26,7 @@ import (
 func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint64, sample func(search.Result, []float64)) [][]float64 {
 	t.Helper()
 	rows := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, Realizations: cfg.sc.Realizations}, seed,
+	err := runJob(Scale{Workers: 1, Realizations: cfg.sc.Realizations}, seed,
 		factory,
 		func(r int, f *graph.Frozen, sw *sweeper) error {
 			return sw.Sources(uint64(r), cfg.sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {
@@ -50,14 +50,14 @@ func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint
 // the caller: sample fills source s's row from its flood result. It
 // journals under tag and labels the series "fl".
 func flSweep(tag string, factory topoFactory, cfg searchCfg, seed uint64, sample func(search.Result, []float64)) (Series, error) {
-	curves, err := sourceSeries(cfg.sc, seed, recSweepSlots, factory, curveSeries{tag, 1, cfg.maxTTL + 1,
+	curves, err := sourceBatch(cfg.sc, recSweepSlots, sourceBuild{seed: seed, factory: factory, series: []curveSeries{{tag, 1, cfg.maxTTL + 1,
 		func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 			return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, func(s int, res search.Result) { sample(res, rows[s]) })
-		}})
+		}}}})
 	if err != nil {
 		return Series{}, err
 	}
-	return aggregate("fl", curves[0][0], 1)
+	return aggregate("fl", curves[0][0][0], 1)
 }
 
 // flMsgs samples a flood's messages within t hops into row[t]. No spec
@@ -222,7 +222,7 @@ func TestFreeListScratchServesSmallerGraph(t *testing.T) {
 func TestFreeListDropsFailedSweeper(t *testing.T) {
 	var failed, clean *sweeper
 	var failedSim, cleanSim *des.Sim
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 1, Realizations: 2, Run: testRC(1, 0)}, 99,
+	err := runJob(Scale{Workers: 1, Realizations: 2, Run: testRC(1, 0)}, 99,
 		func(r int, _ *builder) (int, error) { return r, nil },
 		func(r, _ int, sw *sweeper) error {
 			switch {

@@ -112,53 +112,41 @@ func lastY(s Series) float64 {
 
 func checkNFCutoffGain(sc Scale, seed uint64) (bool, string, error) {
 	cfg := sc.searchCfg(algNF, sc.MaxTTLNF, 2)
-	tight, err := searchSeries("kc=10", paTopo(sc.NSearch, 2, 10), cfg, seed)
+	s, err := searchBatch(searchRun{"kc=10", paTopo(sc.NSearch, 2, 10), cfg, seed},
+		searchRun{"kc=200", paTopo(sc.NSearch, 2, 200), cfg, seed + 1})
 	if err != nil {
 		return false, "", err
 	}
-	loose, err := searchSeries("kc=200", paTopo(sc.NSearch, 2, 200), cfg, seed+1)
-	if err != nil {
-		return false, "", err
-	}
-	a, b := lastY(tight), lastY(loose)
+	a, b := lastY(s[0]), lastY(s[1])
 	return a > b, fmt.Sprintf("NF hits on PA m=2: kc=10 %.1f vs kc=200 %.1f", a, b), nil
 }
 
 func checkCMException(sc Scale, seed uint64) (bool, string, error) {
 	cfg := sc.searchCfg(algNF, sc.MaxTTLNF, 1)
-	tight, err := searchSeries("kc=10", cmTopo(sc.NSearch, 1, 10, 2.2), cfg, seed)
+	s, err := searchBatch(searchRun{"kc=10", cmTopo(sc.NSearch, 1, 10, 2.2), cfg, seed},
+		searchRun{"no kc", cmTopo(sc.NSearch, 1, gen.NoCutoff, 2.2), cfg, seed + 1})
 	if err != nil {
 		return false, "", err
 	}
-	loose, err := searchSeries("no kc", cmTopo(sc.NSearch, 1, gen.NoCutoff, 2.2), cfg, seed+1)
-	if err != nil {
-		return false, "", err
-	}
-	a, b := lastY(tight), lastY(loose)
+	a, b := lastY(s[0]), lastY(s[1])
 	return a < b, fmt.Sprintf("NF hits on CM gamma=2.2 m=1: kc=10 %.2f vs no kc %.2f", a, b), nil
 }
 
 func checkM3ErasesFLPenalty(sc Scale, seed uint64) (bool, string, error) {
-	gap := func(m int, s uint64) (float64, error) {
-		cfg := sc.searchCfg(algFL, 6, 0)
-		tight, err := searchSeries("kc", paTopo(sc.NSearch, m, 10), cfg, s)
-		if err != nil {
-			return 0, err
-		}
-		loose, err := searchSeries("no", paTopo(sc.NSearch, m, gen.NoCutoff), cfg, s+1)
-		if err != nil {
-			return 0, err
-		}
-		return (lastY(loose) - lastY(tight)) / lastY(loose), nil
+	// A kc=10 and a no-cutoff series for m = 1, then m = 3.
+	cfg := sc.searchCfg(algFL, 6, 0)
+	var runs []searchRun
+	for i, m := range []int{1, 3} {
+		s := seed + uint64(i)*100
+		runs = append(runs, searchRun{"kc", paTopo(sc.NSearch, m, 10), cfg, s},
+			searchRun{"no", paTopo(sc.NSearch, m, gen.NoCutoff), cfg, s + 1})
 	}
-	g1, err := gap(1, seed)
+	s, err := searchBatch(runs...)
 	if err != nil {
 		return false, "", err
 	}
-	g3, err := gap(3, seed+100)
-	if err != nil {
-		return false, "", err
-	}
+	gap := func(tight, loose Series) float64 { return (lastY(loose) - lastY(tight)) / lastY(loose) }
+	g1, g3 := gap(s[0], s[1]), gap(s[2], s[3])
 	return g3 < g1/4 && g3 < 0.1,
 		fmt.Sprintf("relative FL penalty of kc=10: m=1 %.0f%%, m=3 %.1f%%", 100*g1, 100*g3), nil
 }
@@ -176,15 +164,12 @@ func checkWeakDAPACutoffHelpsFL(sc Scale, seed uint64) (bool, string, error) {
 	// win or tie at every tested seed and scale.
 	cfg.sc.Realizations *= 3
 	cfg.sc.Sources *= 2
-	tight, err := searchSeries("kc=10", dapaTopo(subs, sc.NOverlay, 1, 10, 4), cfg, seed+1)
+	s, err := searchBatch(searchRun{"kc=10", dapaTopo(subs, sc.NOverlay, 1, 10, 4), cfg, seed + 1},
+		searchRun{"no kc", dapaTopo(subs, sc.NOverlay, 1, gen.NoCutoff, 4), cfg, seed + 2})
 	if err != nil {
 		return false, "", err
 	}
-	loose, err := searchSeries("no kc", dapaTopo(subs, sc.NOverlay, 1, gen.NoCutoff, 4), cfg, seed+2)
-	if err != nil {
-		return false, "", err
-	}
-	a, b := lastY(tight), lastY(loose)
+	a, b := lastY(s[0]), lastY(s[1])
 	return a > b, fmt.Sprintf("FL hits on DAPA m=1 tau=4: kc=10 %.0f vs no kc %.0f", a, b), nil
 }
 
@@ -206,15 +191,15 @@ func checkExponentMonotone(sc Scale, seed uint64) (bool, string, error) {
 }
 
 func checkNFBeatsRW(sc Scale, seed uint64) (bool, string, error) {
-	curves, err := nfRWCurves(sc, seed, "nf-beats-rw", paTopo(sc.NSearch, 2, 40), 2)
+	curves, err := sourceBatch(sc, recSweepSlots, nfRWBuild(sc.MaxTTLNF, seed, "nf-beats-rw", paTopo(sc.NSearch, 2, 40), 2))
 	if err != nil {
 		return false, "", err
 	}
-	nf, err := aggregate("nf", curves[1], 1)
+	nf, err := aggregate("nf", curves[0][0][1], 1)
 	if err != nil {
 		return false, "", err
 	}
-	rw, err := aggregate("rw", curves[2], 1)
+	rw, err := aggregate("rw", curves[0][0][2], 1)
 	if err != nil {
 		return false, "", err
 	}

@@ -131,11 +131,13 @@ func checkChurnRepair(sc Scale, seed uint64) (bool, string, error) {
 }
 
 func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
-	ratio := func(kc int) (float64, error) {
-		steps := sc.NSearch / 2
-		// The running sums below cross realizations, so this series keeps
-		// every block whole, in rows of its own.
-		blocks, err := realizationBlocks(sc, seed+uint64(kc), paTopo(sc.NSearch, 2, kc),
+	steps := sc.NSearch / 2
+	// The running sums below cross realizations, so each series keeps every
+	// block whole, in rows of its own.
+	cutoffs := []int{gen.NoCutoff, 10}
+	builds := make([]blockBuild[*graph.Frozen, [][]float64, [][]float64], len(cutoffs))
+	for i, kc := range cutoffs {
+		builds[i] = shared("", seed+uint64(kc), paTopo(sc.NSearch, 2, kc),
 			journaled(fmt.Sprintf("hds-cutoff-dependence %s", cutoffLabel(kc)), rowBlocks(recSweepSlots, sc.Sources, 2), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
 				rows := slabRows(make([][]float64, sc.Sources), make([]float64, 2*sc.Sources), 2)
 				return rows, sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
@@ -153,29 +155,26 @@ func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 					return nil
 				})
 			}))
-		if err != nil {
-			return 0, err
-		}
+	}
+	blocks, err := realizationBatch(sc, builds...)
+	if err != nil {
+		return false, "", err
+	}
+	ratios := make([]float64, len(cutoffs))
+	for i := range cutoffs {
 		var hds, rw float64
-		for _, rows := range blocks[0] {
+		for _, rows := range blocks[i][0] {
 			for _, row := range rows {
 				hds += row[0]
 				rw += row[1]
 			}
 		}
 		if rw == 0 {
-			return 0, fmt.Errorf("blind walk covered nothing")
+			return false, "", fmt.Errorf("blind walk covered nothing")
 		}
-		return hds / rw, nil
+		ratios[i] = hds / rw
 	}
-	free, err := ratio(gen.NoCutoff)
-	if err != nil {
-		return false, "", err
-	}
-	capped, err := ratio(10)
-	if err != nil {
-		return false, "", err
-	}
+	free, capped := ratios[0], ratios[1]
 	detail := fmt.Sprintf("HDS/RW coverage ratio: no-kc=%.2f kc10=%.2f", free, capped)
 	return free > 1 && capped < free, detail, nil
 }

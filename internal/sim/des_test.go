@@ -123,7 +123,7 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 	factory := paTopo(800, 2, gen.NoCutoff)
 	cfg := searchCfg{alg: algFL, maxTTL: steps, sc: Scale{Sources: 5, Realizations: 2}}
 	rows := make([][]float64, cfg.sc.Realizations*cfg.sc.Sources)
-	err := forEachRealizationPipeline(engineOpts{}, cfg.sc, seed,
+	err := runJob(cfg.sc, seed,
 		factory,
 		func(r int, f *graph.Frozen, sw *sweeper) error {
 			return sw.Sources(uint64(r), cfg.sc.Sources, func(_, s int, rng *xrand.RNG, scratch *search.Scratch) error {

@@ -41,32 +41,18 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 		Title:  "Load concentration: degree share of the top 1% of peers vs hard cutoff",
 		XLabel: "kc (0 = none)", YLabel: "top-1% load share",
 	}
+	// Both panels' degree rows and the search-load rows below are sweeps
+	// of one batch: a degree build's row is its Gini and top-1% share, a
+	// search-load build's its Gini of NF handling work.
+	var builds []blockBuild[*graph.Frozen, []float64, []float64]
 	for mi, model := range models {
-		gs := Series{Label: model.label}
-		ts := Series{Label: model.label}
 		for ci, kc := range cutoffs {
-			factory := model.mk(kc)
 			tag := fmt.Sprintf("fairness %s kc=%d", model.label, kc)
-			rows, err := realizationBlocks(sc, seed+uint64(mi*1000+ci), func(r int, b *builder) ([]float64, error) {
-				g, err := factory(r, b)
-				if err != nil {
-					return nil, err
-				}
+			builds = append(builds, shared(tag, seed+uint64(mi*1000+ci), model.mk(kc), journaled(tag, oneRow(2), func(_ int, g *graph.Frozen, _ *sweeper) ([]float64, error) {
 				seq := g.DegreeSequence()
 				return []float64{stats.Gini(seq), stats.TopShare(seq, 0.01)}, nil
-			}, journaled[[]float64](tag, oneRow(2), nil))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tag, err)
-			}
-			mean, err := aggregate(tag, rows[0], 0)
-			if err != nil {
-				return nil, err
-			}
-			gs.Points = append(gs.Points, mean.at(0, float64(kc)))
-			ts.Points = append(ts.Points, mean.at(1, float64(kc)))
+			})))
 		}
-		gini.Series = append(gini.Series, gs)
-		topShare.Series = append(topShare.Series, ts)
 	}
 
 	// Third panel: the DYNAMIC version of the same claim. Degree is a
@@ -78,23 +64,38 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 		XLabel: "kc (0 = none)", YLabel: "Gini of query-handling work",
 		Notes: "degree Gini is a static proxy; this measures work under live NF query traffic",
 	}
-	sl := Series{Label: "PA m=2, NF traffic"}
+	queries := 8 * sc.Sources
 	for ci, kc := range cutoffs {
-		factory := paTopo(sc.NSearch, 2, kc)
-		queries := 8 * sc.Sources
 		tag := fmt.Sprintf("fairness searchload kc=%d", kc)
-		rows, err := realizationBlocks(sc, seed+uint64(9000+ci), factory, journaled(tag, oneRow(1), func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
+		builds = append(builds, shared(tag, seed+uint64(9000+ci), paTopo(sc.NSearch, 2, kc), journaled(tag, oneRow(1), func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
 			gini, err := sw.nfLoadGini(uint64(r), f, queries, sc.MaxTTLNF)
 			return []float64{gini}, err
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", tag, err)
-		}
-		mean, err := aggregate(tag, rows[0], 0)
-		if err != nil {
+		})))
+	}
+	rows, err := realizationBatch(sc, builds...)
+	if err != nil {
+		return nil, err
+	}
+	means := make([]Series, len(builds))
+	for k, bd := range builds {
+		if means[k], err = aggregate(bd.name, rows[k][0], 0); err != nil {
 			return nil, err
 		}
-		sl.Points = append(sl.Points, mean.at(0, float64(kc)))
+	}
+	for mi, model := range models {
+		gs := Series{Label: model.label}
+		ts := Series{Label: model.label}
+		for ci, kc := range cutoffs {
+			mean := means[mi*len(cutoffs)+ci]
+			gs.Points = append(gs.Points, mean.at(0, float64(kc)))
+			ts.Points = append(ts.Points, mean.at(1, float64(kc)))
+		}
+		gini.Series = append(gini.Series, gs)
+		topShare.Series = append(topShare.Series, ts)
+	}
+	sl := Series{Label: "PA m=2, NF traffic"}
+	for ci, kc := range cutoffs {
+		sl.Points = append(sl.Points, means[len(models)*len(cutoffs)+ci].at(0, float64(kc)))
 	}
 	searchLoad.Series = []Series{sl}
 	return []Figure{gini, topShare, searchLoad}, nil

@@ -79,11 +79,11 @@ func makeSubstrates(n int, sc Scale, seed uint64) ([]*graph.Frozen, error) {
 	subs := make([]*graph.Frozen, sc.Realizations)
 	// Strict supervision (no partial flag): every series of the figure
 	// needs every substrate, so a permanently failed build is fatal.
-	err := forEachRealizationPipeline(engineOpts{}, sc, seed, func(r int, b *builder) (*graph.Frozen, error) {
+	err := runPool(sc, engineJob[*graph.Frozen]{seed: seed, build: func(r int, b *builder) (*graph.Frozen, error) {
 		f, _, err := gen.GRNFrozen(gen.GRNConfig{N: n, MeanDegree: 10}, b.gen())
 		subs[r] = f
 		return f, err
-	}, nil)
+	}})
 	return subs, err
 }
 
@@ -127,15 +127,13 @@ var degreeCodec = blockCodec[[]int, stats.DegreeDist]{
 func mergedDegreeDists(sc Scale, runs ...degreeRun) ([]stats.DegreeDist, error) {
 	builds := make([]blockBuild[[]int, []int, stats.DegreeDist], len(runs))
 	for i, run := range runs {
-		builds[i] = blockBuild[[]int, []int, stats.DegreeDist]{name: run.tag, seed: run.seed,
-			build: func(r int, b *builder) ([]int, error) {
-				f, err := run.factory(r, b)
-				if err != nil {
-					return nil, err
-				}
-				return f.DegreeHistogram(), nil
-			},
-			series: []blockSeries[[]int, []int, stats.DegreeDist]{journaled[[]int](run.tag, degreeCodec, nil)}}
+		builds[i] = shared(run.tag, run.seed, func(r int, b *builder) ([]int, error) {
+			f, err := run.factory(r, b)
+			if err != nil {
+				return nil, err
+			}
+			return f.DegreeHistogram(), nil
+		}, journaled[[]int](run.tag, degreeCodec, nil))
 	}
 	dists, err := realizationBatch(sc, builds...)
 	if err != nil {
@@ -162,7 +160,7 @@ func degreeSeries(label string, d stats.DegreeDist) (Series, error) {
 	return s, nil
 }
 
-// algKind selects the search algorithm for searchSeries.
+// algKind selects the search algorithm of a searchRun.
 type algKind int
 
 const (
@@ -195,7 +193,7 @@ type searchCfg struct {
 	// the paper runs NF "based on the predefined minimum degree value m"
 	// even when cleanup or short horizons push some nodes below m.
 	kMin int
-	tag  string // journal-key prefix for panels whose series labels repeat across shared seeds (see searchSeries)
+	tag  string // journal-key prefix for panels whose series labels repeat across shared seeds (see searchBatch)
 }
 
 // withTag returns the config with a journal-key prefix. Required when two
@@ -227,7 +225,8 @@ func (cfg searchCfg) runSearch(scratch *search.Scratch, f *graph.Frozen, src int
 	}
 }
 
-// searchRun is one series of a search batch: searchSeries' arguments.
+// searchRun is one series of a search batch: its legend, the realizations
+// factory builds from seed, and what cfg sweeps on them.
 type searchRun struct {
 	label   string
 	factory topoFactory
@@ -279,15 +278,6 @@ func searchBatch(runs ...searchRun) ([]Series, error) {
 		}
 	}
 	return out, nil
-}
-
-// searchSeries is searchBatch for one series.
-func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
-	s, err := searchBatch(searchRun{label, factory, cfg, seed})
-	if err != nil {
-		return Series{}, err
-	}
-	return s[0], nil
 }
 
 // hitsRow fills row[t] with the result's hits within t hops.
@@ -353,16 +343,6 @@ func sourceBatch(sc Scale, kind uint8, builds ...sourceBuild) ([][][][][]float64
 		}
 	}
 	return curves, nil
-}
-
-// sourceSeries is sourceBatch for one build: it returns, per series and
-// curve, every realization's mean row.
-func sourceSeries(sc Scale, seed uint64, kind uint8, factory topoFactory, series ...curveSeries) ([][][][]float64, error) {
-	curves, err := sourceBatch(sc, kind, sourceBuild{seed: seed, factory: factory, series: series})
-	if err != nil {
-		return nil, err
-	}
-	return curves[0], nil
 }
 
 // eachSource runs a per-source query over realization r's block of

@@ -58,8 +58,10 @@ var oddGrid = budgetGrid{{3, []int{2, 3, 4, 0}}}
 // must produce byte-identical Figures under every budget of grid. Fig6
 // covers the PA and HAPA generators plus the flooding kernel (batched FL
 // runs, whose width follows the shard count) across 18 series; Fig9 runs
-// 60 NF series in six nested panels, and Fig3 18 build-only HAPA series,
-// each spec's series as one batch on one lane pool.
+// 60 NF series in six nested panels, Strategies 14 source-sweep builds,
+// Fig3 18 build-only HAPA series and Attack 6 build-only builds whose row
+// length the robustness curve decides, each spec's series as one batch on
+// one lane pool.
 func checkSpecBudgets(t *testing.T, id string, grid budgetGrid) {
 	t.Helper()
 	spec, err := Lookup(id)
@@ -121,16 +123,20 @@ func TestWorkersDeterminismRandomizedAlg(t *testing.T) {
 	checkSearchBudgets(t, []algKind{algNF, algRW}, 9, mixedGrid)
 }
 
-// TestWorkersBatchedSearchSpec pins Fig9 across oddGrid.
+// TestWorkersBatchedSearchSpec pins Fig9 and Strategies across oddGrid.
 func TestWorkersBatchedSearchSpec(t *testing.T) {
 	t.Parallel()
-	checkSpecBudgets(t, "fig9", oddGrid)
+	for _, id := range []string{"fig9", "strategies"} {
+		checkSpecBudgets(t, id, oddGrid)
+	}
 }
 
-// TestWorkersBatchedBuildSpec pins Fig3 across oddGrid.
+// TestWorkersBatchedBuildSpec pins Fig3 and Attack across oddGrid.
 func TestWorkersBatchedBuildSpec(t *testing.T) {
 	t.Parallel()
-	checkSpecBudgets(t, "fig3", oddGrid)
+	for _, id := range []string{"fig3", "attack"} {
+		checkSpecBudgets(t, id, oddGrid)
+	}
 }
 
 // TestGenWorkersBitForBitDeterminism pins Fig6 across the build-stage
@@ -165,7 +171,7 @@ func TestSourceShardsDeterminismRandomizedAlg(t *testing.T) {
 // buildOnly runs fn as the build of a strict engine with a nil sweep: the
 // build-only shape degree, churn and robustness specs run in.
 func buildOnly(sc Scale, seed uint64, fn func(r int, b *builder) error) error {
-	return forEachRealizationPipeline(engineOpts{}, sc, seed, func(r int, b *builder) (struct{}, error) {
+	return runJob(sc, seed, func(r int, b *builder) (struct{}, error) {
 		return struct{}{}, fn(r, b)
 	}, nil)
 }
@@ -253,7 +259,7 @@ func TestForEachRealizationScratchPerWorker(t *testing.T) {
 	const workers, n = 4, 32
 	var mu sync.Mutex
 	seen := make(map[*search.Scratch]int)
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: workers, Realizations: n}, 5,
+	err := runJob(Scale{Workers: workers, Realizations: n}, 5,
 		func(r int, b *builder) (int, error) { return r, nil },
 		func(r int, _ int, sw *sweeper) error {
 			scratch := sw.scratches[0]

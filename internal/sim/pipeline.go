@@ -13,12 +13,12 @@ import (
 
 // This file is the realization engine — one lane pool, the one way a spec
 // runs its realizations — and the journaled series helper every spec calls
-// it through. A spec hands the helper all its series at once (the degree
-// and search figures declare every panel's series before any runs), and
-// the pool runs every (series, realization) task in declaration order with
-// no barrier between series: a lane that finishes series i's last
-// realization starts series i+1's first, so R realizations per series no
-// longer leave lanes idle at the end of each series. One build can also
+// it through. A spec declares all its series and hands them to the helper
+// in one batch (realizationBatch, or one of its typed adapters); the pool
+// runs every (series, realization) task in declaration order with no
+// barrier between series: a lane that finishes series i's last realization
+// starts series i+1's first, so R realizations per series no longer leave
+// lanes idle at the end of each series. One build can also
 // serve several series: each realization is built once and swept for every
 // series that shares the build (the DES specs' knob series do).
 // Scale.Workers is the run's one parallelism budget P, which schedule
@@ -77,24 +77,6 @@ import (
 // share a build. The series sharing a build are swept one after another
 // into one block per sweep lane, in that sweeper's buffers, and each keeps
 // only its realizations' reductions (realizationBatch).
-
-// engineOpts tells the engine what its caller does with failures and with
-// realizations a previous run already journaled.
-type engineOpts struct {
-	// pending reports how many series realization r still has to compute;
-	// the caller replays the others from a previous run's journal into its
-	// reduction and counts them as progress. The engine never dispatches a
-	// realization with none pending, and each stage of one it dispatches
-	// counts its pending series as progress units. nil: one series,
-	// nothing replayed.
-	pending func(r int) int
-	// partial marks a journaled series whose reduction drops permanently
-	// failed realizations with explicit accounting, so failures within the
-	// -max-failed budget are absorbed instead of aborting. A strict caller
-	// (makeSubstrates: every series needs every substrate) leaves it false
-	// and keeps failures fatal.
-	partial bool
-}
 
 // builder carries one realization's build-phase context: the phase-stream
 // derivation root, the legacy per-realization stream, and the
@@ -167,20 +149,23 @@ func retryRNG(seed uint64, n, r int) *xrand.RNG {
 // sweep, build is the whole realization. name, when set, prefixes the
 // error a failed realization of this job returns.
 type engineJob[T any] struct {
-	engineOpts
 	name  string
 	seed  uint64
 	build func(r int, b *builder) (T, error)
 	sweep func(r int, v T, sw *sweeper) error
-}
-
-// forEachRealizationPipeline runs one job — build(r) generates and freezes
-// realization r's topology, sweep(r) queries it through the lane's sweeper
-// — as a batch of one on the lane pool (runPool).
-func forEachRealizationPipeline[T any](o engineOpts, sc Scale, seed uint64,
-	build func(r int, b *builder) (T, error),
-	sweep func(r int, v T, sw *sweeper) error) error {
-	return runPool(sc, engineJob[T]{engineOpts: o, seed: seed, build: build, sweep: sweep})
+	// pending reports how many series realization r still has to compute;
+	// the caller replays the others from a previous run's journal into its
+	// reduction and counts them as progress. The engine never dispatches a
+	// realization with none pending, and each stage of one it dispatches
+	// counts its pending series as progress units. nil: one series,
+	// nothing replayed.
+	pending func(r int) int
+	// partial marks a journaled series whose reduction drops permanently
+	// failed realizations with explicit accounting, so failures within the
+	// -max-failed budget are absorbed instead of aborting. A strict caller
+	// (makeSubstrates: every series needs every substrate) leaves it false
+	// and keeps failures fatal.
+	partial bool
 }
 
 // runPool is the realization engine: one lane pool that runs every
@@ -478,15 +463,10 @@ type blockBuild[T, B, R any] struct {
 	series []blockSeries[T, B, R]
 }
 
-// realizationBlocks is realizationBatch for one build: reduced[i][r] is
-// series i's reduction of realization r.
-func realizationBlocks[T, B, R any](sc Scale, seed uint64, build func(r int, b *builder) (T, error),
-	series ...blockSeries[T, B, R]) ([][]R, error) {
-	reduced, err := realizationBatch(sc, blockBuild[T, B, R]{seed: seed, build: build, series: series})
-	if err != nil {
-		return nil, err
-	}
-	return reduced[0], nil
+// shared assembles a blockBuild, inferring its types from the build and
+// its series.
+func shared[T, B, R any](name string, seed uint64, build func(r int, b *builder) (T, error), series ...blockSeries[T, B, R]) blockBuild[T, B, R] {
+	return blockBuild[T, B, R]{name: name, seed: seed, build: build, series: series}
 }
 
 // realizationBatch is the one journaled path from series to their
@@ -576,8 +556,7 @@ func (bd blockBuild[T, B, R]) job(rc *RunControl, n int, subs []uint64) ([][]R, 
 		reduced[i][r] = codec.reduce(blk)
 		landed[i*n+r] = true
 	}
-	j := engineJob[T]{name: bd.name, seed: bd.seed, build: bd.build}
-	j.partial = true
+	j := engineJob[T]{name: bd.name, seed: bd.seed, build: bd.build, partial: true}
 	j.pending = func(r int) (k int) {
 		for i := range series {
 			if !landed[i*n+r] {

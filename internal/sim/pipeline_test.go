@@ -13,6 +13,12 @@ import (
 	"scalefree/internal/xrand"
 )
 
+// runJob runs one engine job — build(r), then sweep(r) unless sweep is nil
+// — strictly, as a batch of one on the lane pool.
+func runJob[T any](sc Scale, seed uint64, build func(r int, b *builder) (T, error), sweep func(r int, v T, sw *sweeper) error) error {
+	return runPool(sc, engineJob[T]{seed: seed, build: build, sweep: sweep})
+}
+
 // TestPipelineSchedule pins how the engine splits its budget. Every row is
 // the (sweep workers, source shards, build pool, intra-build width) the
 // engine resolved from Workers = 0 with GOMAXPROCS = P when the scheduler
@@ -77,7 +83,7 @@ func TestWorkersDeterminismParallelGenerators(t *testing.T) {
 func TestPipelineLowestIndexError(t *testing.T) {
 	t.Parallel()
 	errBuild, errSweep := errors.New("build"), errors.New("sweep")
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 4, Realizations: 8}, 1,
+	err := runJob(Scale{Workers: 4, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 5 {
 				return 0, errBuild
@@ -93,7 +99,7 @@ func TestPipelineLowestIndexError(t *testing.T) {
 	if err != errSweep {
 		t.Fatalf("err = %v, want the lowest-index error %v (sweep at r=2 beats build at r=5)", err, errSweep)
 	}
-	err = forEachRealizationPipeline(engineOpts{}, Scale{Workers: 4, Realizations: 8}, 1,
+	err = runJob(Scale{Workers: 4, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 2 {
 				return 0, errBuild
@@ -117,7 +123,7 @@ func TestPipelineErrorSkipsSweep(t *testing.T) {
 	t.Parallel()
 	errBuild := errors.New("build")
 	var swept [8]atomic.Int32
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 2, Realizations: 8}, 1,
+	err := runJob(Scale{Workers: 2, Realizations: 8}, 1,
 		func(r int, b *builder) (int, error) {
 			if r == 3 {
 				return 0, errBuild
@@ -160,7 +166,7 @@ func TestPipelineConcurrencyBounds(t *testing.T) {
 		var buildIn, buildPeak, sweepIn, sweepPeak atomic.Int32
 		shardIn := make([]atomic.Int32, tc.n)
 		shardPeak := make([]atomic.Int32, tc.n)
-		err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: tc.p, Realizations: tc.n}, 7,
+		err := runJob(Scale{Workers: tc.p, Realizations: tc.n}, 7,
 			func(r int, b *builder) (int, error) {
 				peak(buildIn.Add(1), &buildPeak)
 				if b.width != tc.width {
@@ -206,7 +212,7 @@ func TestPipelineRunsEachRealizationOnce(t *testing.T) {
 	} {
 		built := make([]atomic.Int32, tc.n)
 		swept := make([]atomic.Int32, tc.n)
-		err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: tc.workers, Realizations: tc.n}, 7,
+		err := runJob(Scale{Workers: tc.workers, Realizations: tc.n}, 7,
 			func(r int, b *builder) (int, error) {
 				built[r].Add(1)
 				return r, nil
@@ -271,7 +277,7 @@ func TestBuilderContract(t *testing.T) {
 // -race in CI).
 func TestSweepShardsRaceLazyMembership(t *testing.T) {
 	t.Parallel()
-	err := forEachRealizationPipeline(engineOpts{}, Scale{Workers: 8, Realizations: 2}, 9,
+	err := runJob(Scale{Workers: 8, Realizations: 2}, 9,
 		paTopo(300, 2, gen.NoCutoff),
 		func(r int, f *graph.Frozen, sw *sweeper) error {
 			// Cross-check membership against the insertion-order adjacency.

@@ -69,32 +69,46 @@ func TestLanePoolNoBarrier(t *testing.T) {
 // on several lanes series 5's failure at r = 0 lands first — and the batch
 // returns series 2's error for every budget, unsupervised and under a
 // retrying supervisor with a -max-failed budget of 0 (whose abort must name
-// series 2's failure as the one that tripped it).
+// series 2's failure as the one that tripped it). The six builds run once
+// swept (FL series) and once build-only (degree series: the nil-sweep shape
+// attack, churn and table1 run in).
 func TestLanePoolLowestSeriesError(t *testing.T) {
 	t.Parallel()
 	err2, err5 := errors.New("series 2 failed"), errors.New("series 5 failed")
 	inner := paTopo(200, 2, gen.NoCutoff)
-	for _, supervised := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 3, 4, 0} {
-			sc := Scale{Sources: 2, Realizations: 3, Workers: workers}
-			if supervised {
-				sc.Run = testRC(1, 0)
+	factory := func(i int) topoFactory {
+		return func(r int, b *builder) (*graph.Frozen, error) {
+			switch {
+			case i == 2 && r == 2:
+				time.Sleep(20 * time.Millisecond)
+				return nil, err2
+			case i == 5 && r == 0:
+				return nil, err5
 			}
-			runs := poolRuns(sc, 6, func(i int) topoFactory {
-				return func(r int, b *builder) (*graph.Frozen, error) {
-					switch {
-					case i == 2 && r == 2:
-						time.Sleep(20 * time.Millisecond)
-						return nil, err2
-					case i == 5 && r == 0:
-						return nil, err5
-					}
-					return inner(r, b)
+			return inner(r, b)
+		}
+	}
+	for _, buildOnly := range []bool{false, true} {
+		for _, supervised := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 3, 4, 0} {
+				sc := Scale{Sources: 2, Realizations: 3, Workers: workers}
+				if supervised {
+					sc.Run = testRC(1, 0)
 				}
-			})
-			_, err := searchBatch(runs...)
-			if !errors.Is(err, err2) || errors.Is(err, err5) {
-				t.Errorf("supervised=%v workers=%d: err = %v, want series 2's", supervised, workers, err)
+				runs := poolRuns(sc, 6, factory)
+				var err error
+				if buildOnly {
+					degree := make([]degreeRun, len(runs))
+					for i, run := range runs {
+						degree[i] = degreeRun{tag: run.label, factory: run.factory, seed: run.seed}
+					}
+					_, err = mergedDegreeDists(sc, degree...)
+				} else {
+					_, err = searchBatch(runs...)
+				}
+				if !errors.Is(err, err2) || errors.Is(err, err5) {
+					t.Errorf("buildOnly=%v supervised=%v workers=%d: err = %v, want series 2's", buildOnly, supervised, workers, err)
+				}
 			}
 		}
 	}

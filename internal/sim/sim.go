@@ -309,9 +309,9 @@ func Lookup(id string) (Spec, error) {
 	return Spec{}, fmt.Errorf("sim: unknown experiment %q", id)
 }
 
-// The realization engine (runPool, the lane pool every spec's batches run
-// on), the journaled series helper on top of it (realizationBatch), and the
-// standalone sweep pool (withSweeper) live in pipeline.go.
+// The realization engine (runPool, the lane pool every spec's one batch
+// runs on), the journaled series helper on top of it (realizationBatch),
+// and the standalone sweep pool (withSweeper) live in pipeline.go.
 
 // sweeper is one sweep lane's source-sweep pool: a fixed set of shard
 // scratches (and DES sims) the lane keeps for its pool's whole life and

@@ -11,6 +11,15 @@ import (
 	"testing"
 )
 
+// searchSeries is searchBatch for one series.
+func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
+	s, err := searchBatch(searchRun{label, factory, cfg, seed})
+	if err != nil {
+		return Series{}, err
+	}
+	return s[0], nil
+}
+
 // tinyScale keeps spec tests fast while preserving structure.
 var tinyScale = Scale{
 	NDegree:      1500,
@@ -213,8 +222,8 @@ func TestSearchSeriesRWBudgetBelowNF(t *testing.T) {
 	}
 }
 
-// TestNFRWCurvesMatchSeparateSweeps pins the fused NF+RW sweep to the
-// single-algorithm ones: the NF and RW hits curves of one
+// TestNFRWCurvesMatchSeparateSweeps pins the fused NF+RW sweep (nfRWBuild)
+// to the single-algorithm ones: the NF and RW hits curves of one
 // RandomWalkWithNFBudget call per source equal an NF and an RW
 // searchSeries over the same seed bit for bit.
 func TestNFRWCurvesMatchSeparateSweeps(t *testing.T) {
@@ -222,7 +231,7 @@ func TestNFRWCurvesMatchSeparateSweeps(t *testing.T) {
 	const seed = 31
 	factory := paTopo(800, 2, 40)
 	sc := Scale{Sources: 6, Realizations: 2, MaxTTLNF: 5}
-	curves, err := nfRWCurves(sc, seed, "fused", factory, 2)
+	curves, err := sourceBatch(sc, recSweepSlots, nfRWBuild(sc.MaxTTLNF, seed, "fused", factory, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestNFRWCurvesMatchSeparateSweeps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := aggregate("s", curves[c], 1)
+		got, err := aggregate("s", curves[0][0][c], 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,12 +37,12 @@ func Churn(sc Scale, seed uint64) ([]Figure, error) {
 		Title:  fmt.Sprintf("NF search efficiency under balanced churn (tau=%d)", ttl),
 		XLabel: "churn events", YLabel: "NF hits",
 	}
-	var msgNotes string
+	// A realization's block is its probe trace, one row per column: event
+	// count, giant fraction, NF hits, messages per event.
+	builds := make([]blockBuild[[][]float64, [][]float64, [][]float64], len(policies))
 	for pi, policy := range policies {
-		policy := policy
-		// A realization's block is its probe trace, one row per column:
-		// event count, giant fraction, NF hits, messages per event.
-		traces, err := realizationBlocks(sc, seed+uint64(pi)*2713, func(r int, b *builder) ([][]float64, error) {
+		tag := "churn " + policy.String()
+		builds[pi] = shared(tag, seed+uint64(pi)*2713, func(r int, b *builder) ([][]float64, error) {
 			// The churn trace is one long event sequence; it draws from the
 			// realization's legacy stream, sequential by nature.
 			sim, err := churn.New(churn.Config{
@@ -68,21 +68,26 @@ func Churn(sc Scale, seed uint64) ([]Figure, error) {
 				cols[0][i], cols[1][i], cols[2][i], cols[3][i] = float64(snap.Event), snap.GiantFrac, snap.NFHits, snap.MessagesPerEvent
 			}
 			return cols, nil
-		}, journaled[[][]float64]("churn "+policy.String(), rowBlocks(recSweepSlots, 4, -1), nil))
-		if err != nil {
-			return nil, fmt.Errorf("churn %s: %w", policy, err)
-		}
+		}, journaled[[][]float64](tag, rowBlocks(recSweepSlots, 4, -1), nil))
+	}
+	traces, err := realizationBatch(sc, builds...)
+	if err != nil {
+		return nil, err
+	}
+	var msgNotes string
+	for pi, policy := range policies {
 		// Every realization probes at the same events: row 0 is the x axis.
-		xs := firstRow(blockRow(traces[0], 0))
-		gs, err := aggregate(policy.String(), blockRow(traces[0], 1), 0)
+		blocks := traces[pi][0]
+		xs := firstRow(blockRow(blocks, 0))
+		gs, err := aggregate(policy.String(), blockRow(blocks, 1), 0)
 		if err != nil {
 			return nil, err
 		}
-		hs, err := aggregate(policy.String(), blockRow(traces[0], 2), 0)
+		hs, err := aggregate(policy.String(), blockRow(blocks, 2), 0)
 		if err != nil {
 			return nil, err
 		}
-		msgs, err := aggregate(policy.String(), blockRow(traces[0], 3), 0)
+		msgs, err := aggregate(policy.String(), blockRow(blocks, 3), 0)
 		if err != nil {
 			return nil, err
 		}

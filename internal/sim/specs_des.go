@@ -5,7 +5,7 @@ package sim
 // flight through internal/des — which makes per-edge latency, message
 // loss, and duplicate traffic measurable scenario knobs instead of
 // inexpressible ones. The specs ride the same build/sweep pipeline as
-// every other figure (sourceSeries): each realization's topology and its
+// every other figure (sourceBatch): each realization's topology and its
 // per-edge latency model derive from the (seed, realization, phase)
 // streams, each source draws from its (seed, realization, source) stream,
 // and results land in per-index slots — so DES figures are bit-for-bit
@@ -60,11 +60,12 @@ type desSeries struct {
 	sample          func(m des.Metrics, rows [][]float64)
 }
 
-// desSweep is sourceSeries for the DES specs: each realization's topology
-// is built once and every series runs one simulation per source on the
-// shard's pooled des.Sim, over a per-edge latency model rooted at the same
-// (seed, realization) phases the build stage derives the topology from. It
-// returns, per series and curve, every realization's mean row.
+// desSweep is a DES spec's one batch, a sourceBatch of one build: each
+// realization's topology is built once and every series runs one
+// simulation per source on the shard's pooled des.Sim, over a per-edge
+// latency model rooted at the same (seed, realization) phases the build
+// stage derives the topology from. It returns, per series and curve, every
+// realization's mean row.
 func desSweep(sc Scale, seed uint64, factory topoFactory, base, jitter float64, series ...desSeries) ([][][][]float64, error) {
 	sweeps := make([]curveSeries, len(series))
 	for i, s := range series {
@@ -79,7 +80,11 @@ func desSweep(sc Scale, seed uint64, factory topoFactory, base, jitter float64, 
 			})
 		}}
 	}
-	return sourceSeries(sc, seed, recDESSlots, factory, sweeps...)
+	curves, err := sourceBatch(sc, recDESSlots, sourceBuild{seed: seed, factory: factory, series: sweeps})
+	if err != nil {
+		return nil, err
+	}
+	return curves[0], nil
 }
 
 // lossLabel renders a loss rate the way the DES legends do.

@@ -42,25 +42,28 @@ func Attack(sc Scale, seed uint64) ([]Figure, error) {
 	// pass per measurement step prices every node, the step's removals
 	// follow the estimated scores, and each step's mean standard error is
 	// published as its own series (the estimator's uncertainty column).
-	for _, c := range []struct {
+	cases := []struct {
 		kc    int
 		strat metrics.RemovalStrategy
 	}{ // legend order
 		{gen.NoCutoff, metrics.RemoveRandom}, {gen.NoCutoff, metrics.RemoveHighestDegree},
 		{10, metrics.RemoveRandom}, {10, metrics.RemoveHighestDegree},
 		{gen.NoCutoff, metrics.RemoveHighestBetweenness}, {10, metrics.RemoveHighestBetweenness},
-	} {
+	}
+	labels := make([]string, len(cases))
+	builds := make([]blockBuild[[][]float64, [][]float64, [][]float64], len(cases))
+	for i, c := range cases {
 		kc, strat := c.kc, c.strat
-		batched := strat == metrics.RemoveHighestBetweenness
 		label, nCols := fmt.Sprintf("%s, %s", cutoffLabel(kc), strat), 2
-		if batched {
+		if strat == metrics.RemoveHighestBetweenness {
 			label, nCols = label+fmt.Sprintf(" (batched, %d pivots)", pivots), 3
 		}
+		labels[i] = label
 		// A realization's block is its removal curve, one row per column
 		// over the measurement points: removed fraction, giant fraction,
 		// and for the batched attack the step's mean stderr (zero at point
 		// 0, which no step precedes).
-		curves, err := realizationBlocks(sc, seed+uint64(kc)*31+uint64(strat), func(r int, b *builder) ([][]float64, error) {
+		builds[i] = shared("attack "+label, seed+uint64(kc)*31+uint64(strat), func(r int, b *builder) ([][]float64, error) {
 			g, _, err := gen.PABuild(gen.PAConfig{N: sc.NSearch, M: 2, KC: kc}, b.gen())
 			if err != nil {
 				return nil, err
@@ -84,19 +87,23 @@ func Attack(sc Scale, seed uint64) ([]Figure, error) {
 			}
 			return cols, nil
 		}, journaled[[][]float64]("attack "+label, rowBlocks(recSweepSlots, nCols, -1), nil))
-		if err != nil {
-			return nil, fmt.Errorf("attack %s: %w", label, err)
-		}
+	}
+	curves, err := realizationBatch(sc, builds...)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cases {
 		// Realizations share the removal schedule (same N, same step),
 		// so rows align and row 0 is the x axis.
-		xs := firstRow(blockRow(curves[0], 0))
-		s, err := aggregate(label, blockRow(curves[0], 1), 0)
+		blocks := curves[i][0]
+		xs := firstRow(blockRow(blocks, 0))
+		s, err := aggregate(labels[i], blockRow(blocks, 1), 0)
 		if err != nil {
 			return nil, err
 		}
 		fig.Series = append(fig.Series, s.withX(xs))
-		if batched {
-			se, err := aggregate(fmt.Sprintf("%s, %s stderr (removed nodes)", cutoffLabel(kc), strat), blockRow(curves[0], 2), 1)
+		if c.strat == metrics.RemoveHighestBetweenness {
+			se, err := aggregate(fmt.Sprintf("%s, %s stderr (removed nodes)", cutoffLabel(c.kc), c.strat), blockRow(blocks, 2), 1)
 			if err != nil {
 				return nil, err
 			}
@@ -120,20 +127,23 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 	}
 	flSeries := Series{Label: "FL (shortest path)"}
 	rwSeries := Series{Label: "RW (first arrival)"}
-	var truncNotes []string
+	// budgets[si] is the per-pair walk budget at sizes[si]: the paper's
+	// 200·N steps, bounded by WalkCap so xl sizes stay linear-time. A
+	// capped walk that never delivers is a truncation: excluded from the
+	// mean, counted in the notes.
+	budgets := make([]int, len(sizes))
+	builds := make([]blockBuild[*graph.Frozen, []float64, []float64], len(sizes))
+	pairs := sc.Sources
 	for si, n := range sizes {
-		pairs := sc.Sources
-		// The paper's budget is 200·N steps per pair; WalkCap bounds it so
-		// xl sizes stay linear-time. A capped walk that never delivers is
-		// a truncation: excluded from the mean, counted in the notes.
 		budget := 200 * n
 		if sc.WalkCap > 0 && budget > sc.WalkCap {
 			budget = sc.WalkCap
 		}
+		budgets[si] = budget
 		// A realization's row: mean FL time, mean RW time, walks tried,
 		// walks truncated.
 		tag := fmt.Sprintf("delivery N=%d", n)
-		rows, err := realizationBlocks(sc, seed+uint64(si)*977, func(r int, b *builder) (*graph.Frozen, error) {
+		builds[si] = shared("", seed+uint64(si)*977, func(r int, b *builder) (*graph.Frozen, error) {
 			f, _, err := gen.CMFrozen(gen.CMConfig{N: n, M: 2, Gamma: 2.2}, b.gen())
 			if err != nil {
 				return nil, err
@@ -192,22 +202,26 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 			}
 			return []float64{flSum / flN, rwSum / rwN, tried, tried - rwN}, nil
 		}))
-		if err != nil {
-			return nil, err
-		}
-		mean, err := aggregate(tag, rows[0], 0)
+	}
+	rows, err := realizationBatch(sc, builds...)
+	if err != nil {
+		return nil, err
+	}
+	var truncNotes []string
+	for si, n := range sizes {
+		mean, err := aggregate(builds[si].series[0].tag, rows[si][0], 0)
 		if err != nil {
 			return nil, err
 		}
 		if sc.WalkCap > 0 {
 			tried, trunc := 0, 0
-			for _, row := range rows[0] {
+			for _, row := range rows[si][0] {
 				if row != nil {
 					tried, trunc = tried+int(row[2]), trunc+int(row[3])
 				}
 			}
 			if trunc > 0 {
-				truncNotes = append(truncNotes, fmt.Sprintf("N=%d: %d/%d walks truncated at %d steps", n, trunc, tried, budget))
+				truncNotes = append(truncNotes, fmt.Sprintf("N=%d: %d/%d walks truncated at %d steps", n, trunc, tried, budgets[si]))
 			}
 		}
 		flSeries.Points = append(flSeries.Points, mean.at(0, float64(n)))
@@ -296,17 +310,21 @@ func KWalk(sc Scale, seed uint64) ([]Figure, error) {
 			return nil
 		}},
 	}
+	builds := make([]sourceBuild, len(variants))
 	for vi, v := range variants {
-		curves, err := sourceSeries(sc, seed+uint64(vi)*4099, recSweepSlots, factory, curveSeries{"kwalk " + v.label, 1, sc.MaxTTLNF + 1,
+		builds[vi] = sourceBuild{name: "series " + v.label, seed: seed + uint64(vi)*4099, factory: factory, series: []curveSeries{{"kwalk " + v.label, 1, sc.MaxTTLNF + 1,
 			func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 				return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 					return v.run(scratch, f, src, rng, curves[0])
 				})
-			}})
-		if err != nil {
-			return nil, fmt.Errorf("series %s: %w", v.label, err)
-		}
-		s, err := aggregate(v.label, curves[0][0], 1)
+			}}}}
+	}
+	curves, err := sourceBatch(sc, recSweepSlots, builds...)
+	if err != nil {
+		return nil, err
+	}
+	for vi, v := range variants {
+		s, err := aggregate(v.label, curves[vi][0][0], 1)
 		if err != nil {
 			return nil, err
 		}

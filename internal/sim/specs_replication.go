@@ -18,6 +18,15 @@ import (
 	"scalefree/internal/xrand"
 )
 
+// replTopo is what a Replication build hands its sweep: the frozen overlay
+// plus the realization's "replication" phase stream. Placements draw from
+// it sequentially within the realization, so they depend only on (seed,
+// realization), never on pipeline scheduling.
+type replTopo struct {
+	fg  *graph.Frozen
+	rep *xrand.RNG
+}
+
 // Replication measures ESS vs replication budget for uniform,
 // proportional, and square-root allocation on PA (m=2) topologies, one
 // panel without a cutoff and one with kc=10.
@@ -32,31 +41,12 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 	budgetsPerN := []float64{0.25, 0.5, 1, 2}
 	strategies := []content.Strategy{content.Uniform, content.Proportional, content.SquareRoot}
 
-	var figs []Figure
-	for _, kc := range []int{gen.NoCutoff, 10} {
-		slug := "nokc"
-		if kc != gen.NoCutoff {
-			slug = fmt.Sprintf("kc%d", kc)
-		}
-		fig := Figure{
-			ID:     fmt.Sprintf("replication-%s", slug),
-			Title:  fmt.Sprintf("Expected search size vs replication budget (PA, m=%d, %s, Zipf %.1f)", m, cutoffLabel(kc), alpha),
-			XLabel: "replication budget (copies / N)", YLabel: "expected search size (walk probes)",
-			LogY:  true,
-			Notes: "Cohen-Shenker: square-root allocation minimizes ESS under random probing",
-		}
+	cutoffs := []int{gen.NoCutoff, 10}
+	var builds []blockBuild[replTopo, []float64, []float64]
+	for _, kc := range cutoffs {
 		for si, strat := range strategies {
-			strat := strat
-			// The build stage hands the sweep the frozen overlay plus the
-			// realization's "replication" phase stream: placements draw
-			// from it sequentially within the realization, so they depend
-			// only on (seed, realization), never on pipeline scheduling.
-			type replTopo struct {
-				fg  *graph.Frozen
-				rep *xrand.RNG
-			}
 			tag := fmt.Sprintf("replication %s %s", cutoffLabel(kc), strat)
-			perReal, err := realizationBlocks(sc, seed+uint64(si)*6151+uint64(kc), func(r int, b *builder) (replTopo, error) {
+			builds = append(builds, shared(tag, seed+uint64(si)*6151+uint64(kc), func(r int, b *builder) (replTopo, error) {
 				g, _, err := gen.PABuild(gen.PAConfig{N: sc.NSearch, M: m, KC: kc}, b.gen())
 				if err != nil {
 					return replTopo{}, err
@@ -90,17 +80,33 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 					row[bi] = res.MeanSteps
 				}
 				return row, nil
-			}))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tag, err)
-			}
-			s, err := aggregate(strat.String(), perReal[0], 0)
+			})))
+		}
+	}
+	perReal, err := realizationBatch(sc, builds...)
+	if err != nil {
+		return nil, err
+	}
+	figs := make([]Figure, len(cutoffs))
+	for ki, kc := range cutoffs {
+		slug := "nokc"
+		if kc != gen.NoCutoff {
+			slug = fmt.Sprintf("kc%d", kc)
+		}
+		figs[ki] = Figure{
+			ID:     fmt.Sprintf("replication-%s", slug),
+			Title:  fmt.Sprintf("Expected search size vs replication budget (PA, m=%d, %s, Zipf %.1f)", m, cutoffLabel(kc), alpha),
+			XLabel: "replication budget (copies / N)", YLabel: "expected search size (walk probes)",
+			LogY:  true,
+			Notes: "Cohen-Shenker: square-root allocation minimizes ESS under random probing",
+		}
+		for si, strat := range strategies {
+			s, err := aggregate(strat.String(), perReal[ki*len(strategies)+si][0], 0)
 			if err != nil {
 				return nil, err
 			}
-			fig.Series = append(fig.Series, s.withX(budgetsPerN))
+			figs[ki].Series = append(figs[ki].Series, s.withX(budgetsPerN))
 		}
-		figs = append(figs, fig)
 	}
 
 	// Sanity note: record whether square-root won at the mid budget.

@@ -77,25 +77,14 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 		}},
 	}
 
-	var figs []Figure
-	for _, kc := range []int{gen.NoCutoff, 10} {
-		budgets := strategyBudgets(sc.NSearch)
-		slug := "nokc"
-		if kc != gen.NoCutoff {
-			slug = fmt.Sprintf("kc%d", kc)
-		}
-		fig := Figure{
-			ID:     fmt.Sprintf("strategies-%s", slug),
-			Title:  fmt.Sprintf("Search strategies at equal message budget (PA, m=%d, %s)", m, cutoffLabel(kc)),
-			XLabel: "message budget", YLabel: "number of hits",
-			LogX:  true,
-			Notes: "extends §V-B's NF-budget normalization to all strategies; HDS = Adamic high-degree-seeking walk",
-		}
+	cutoffs := []int{gen.NoCutoff, 10}
+	budgets := strategyBudgets(sc.NSearch)
+	var builds []sourceBuild
+	for _, kc := range cutoffs {
 		factory := paTopo(sc.NSearch, m, kc)
 		for vi, v := range variants {
-			v := v
 			tag := fmt.Sprintf("strategies %s %s", cutoffLabel(kc), v.label)
-			curves, err := sourceSeries(sc, seed+uint64(vi)*7919+uint64(kc), recSweepSlots, factory, curveSeries{tag, 1, len(budgets),
+			builds = append(builds, sourceBuild{name: "series " + v.label, seed: seed + uint64(vi)*7919 + uint64(kc), factory: factory, series: []curveSeries{{tag, 1, len(budgets),
 				func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 					return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 						res, err := v.run(scratch, f, src, budgets, rng)
@@ -104,11 +93,28 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 						}
 						return err
 					})
-				}})
-			if err != nil {
-				return nil, fmt.Errorf("series %s: %w", v.label, err)
-			}
-			s, err := aggregate(v.label, curves[0][0], 0)
+				}}}})
+		}
+	}
+	curves, err := sourceBatch(sc, recSweepSlots, builds...)
+	if err != nil {
+		return nil, err
+	}
+	figs := make([]Figure, len(cutoffs))
+	for ki, kc := range cutoffs {
+		slug := "nokc"
+		if kc != gen.NoCutoff {
+			slug = fmt.Sprintf("kc%d", kc)
+		}
+		figs[ki] = Figure{
+			ID:     fmt.Sprintf("strategies-%s", slug),
+			Title:  fmt.Sprintf("Search strategies at equal message budget (PA, m=%d, %s)", m, cutoffLabel(kc)),
+			XLabel: "message budget", YLabel: "number of hits",
+			LogX:  true,
+			Notes: "extends §V-B's NF-budget normalization to all strategies; HDS = Adamic high-degree-seeking walk",
+		}
+		for vi, v := range variants {
+			s, err := aggregate(v.label, curves[ki*len(variants)+vi][0][0], 0)
 			if err != nil {
 				return nil, err
 			}
@@ -116,9 +122,8 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 			for i := range s.Points {
 				s.Points[i].X = float64(budgets[i])
 			}
-			fig.Series = append(fig.Series, s)
+			figs[ki].Series = append(figs[ki].Series, s)
 		}
-		figs = append(figs, fig)
 	}
 	return figs, nil
 }

@@ -62,16 +62,13 @@ func Table1(sc Scale, seed uint64) ([]Figure, error) {
 	if pathPairs == 0 {
 		pathPairs = 2000
 	}
+	// One build per (regime, size); a realization's row: mean distance,
+	// landmark lower bound.
+	var builds []blockBuild[[]float64, []float64, []float64]
 	for ri, reg := range regimes {
-		s := Series{Label: reg.label}
-		// Lower-bound accounting for the landmark estimator: mean of the
-		// per-realization triangle-inequality floors at the largest size.
-		var lower float64
 		for _, n := range sizes {
-			n := n
 			tag := fmt.Sprintf("table1 %s N=%d", reg.label, n)
-			// A realization's row: mean distance, landmark lower bound.
-			rows, err := realizationBlocks(sc, seed+uint64(ri*1000+n), func(r int, b *builder) ([]float64, error) {
+			builds = append(builds, shared(tag, seed+uint64(ri*1000+n), func(r int, b *builder) ([]float64, error) {
 				f, err := reg.mk(n)(r, b)
 				if err != nil {
 					return nil, err
@@ -90,11 +87,21 @@ func Table1(sc Scale, seed uint64) ([]Figure, error) {
 					return []float64{ls.MeanDistance, ls.MeanLowerBound}, nil
 				}
 				return []float64{sub.SamplePathStats(minInt(40, sub.N()), b.rng).MeanDistance, 0}, nil
-			}, journaled[[]float64](tag, oneRow(2), nil))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tag, err)
-			}
-			mean, err := aggregate(tag, rows[0], 0)
+			}, journaled[[]float64](tag, oneRow(2), nil)))
+		}
+	}
+	rows, err := realizationBatch(sc, builds...)
+	if err != nil {
+		return nil, err
+	}
+	for ri, reg := range regimes {
+		s := Series{Label: reg.label}
+		// Lower-bound accounting for the landmark estimator: mean of the
+		// per-realization triangle-inequality floors at the largest size.
+		var lower float64
+		for ni, n := range sizes {
+			k := ri*len(sizes) + ni
+			mean, err := aggregate(builds[k].name, rows[k][0], 0)
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +164,7 @@ func Table2(_ Scale, _ uint64) ([]Figure, error) {
 //     complexity ... very minimal and negligible".
 //
 // Each (m, kc) topology is built and swept once per realization: the three
-// curves come from one fused NF+RW sweep (nfRWCurves).
+// curves come from one fused NF+RW sweep (nfRWBuild).
 func Messaging(sc Scale, seed uint64) ([]Figure, error) {
 	figMsgs := Figure{
 		ID:     "messaging-per-request",
@@ -170,34 +177,41 @@ func Messaging(sc Scale, seed uint64) ([]Figure, error) {
 		Title:  "Messages per discovered node: NF vs RW on PA topologies",
 		XLabel: "tau", YLabel: "messages / hits",
 	}
+	var bases []string
+	var builds []sourceBuild
 	for _, m := range []int{1, 3} {
 		for _, kc := range []int{10, gen.NoCutoff} {
 			base := fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc))
-			curves, err := nfRWCurves(sc, seed+uint64(m*100+kc), "messaging "+base, paTopo(sc.NSearch, m, kc), m)
-			if err != nil {
-				return nil, fmt.Errorf("messaging %s: %w", base, err)
-			}
-			var s [3]Series // NF messages, NF hits, RW hits
-			for c, alg := range []string{"NF", "NF", "RW"} {
-				if s[c], err = aggregate(alg+" "+base, curves[c], 1); err != nil {
-					return nil, err
-				}
-			}
-			figMsgs.Series = append(figMsgs.Series, s[0])
-			figEff.Series = append(figEff.Series, perHit("NF "+base, s[0], s[1]), perHit("RW "+base, s[0], s[2]))
+			bases = append(bases, base)
+			builds = append(builds, nfRWBuild(sc.MaxTTLNF, seed+uint64(m*100+kc), "messaging "+base, paTopo(sc.NSearch, m, kc), m))
 		}
+	}
+	curves, err := sourceBatch(sc, recSweepSlots, builds...)
+	if err != nil {
+		return nil, err
+	}
+	for k, base := range bases {
+		var s [3]Series // NF messages, NF hits, RW hits
+		for c, alg := range []string{"NF", "NF", "RW"} {
+			if s[c], err = aggregate(alg+" "+base, curves[k][0][c], 1); err != nil {
+				return nil, err
+			}
+		}
+		figMsgs.Series = append(figMsgs.Series, s[0])
+		figEff.Series = append(figEff.Series, perHit("NF "+base, s[0], s[1]), perHit("RW "+base, s[0], s[2]))
 	}
 	return []Figure{figMsgs, figEff}, nil
 }
 
-// nfRWCurves sweeps NF and the random walk normalized to its budget (§V-B)
-// with one RandomWalkWithNFBudget call per source: curves 0, 1 and 2 are
-// NF messages, NF hits and RW hits at τ = 0..MaxTTLNF. The kernel's NF
-// result is the one NormalizedFlood returns on the same (seed, r, s)
-// stream, so each curve equals its single-algorithm sweep bit for bit.
-func nfRWCurves(sc Scale, seed uint64, tag string, factory topoFactory, kMin int) ([][][]float64, error) {
-	maxTTL := sc.MaxTTLNF
-	curves, err := sourceSeries(sc, seed, recSweepSlots, factory, curveSeries{tag, 3, maxTTL + 1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+// nfRWBuild sweeps NF and the random walk normalized to its budget (§V-B)
+// with one RandomWalkWithNFBudget call per source, on the realizations
+// factory builds from seed: curves 0, 1 and 2 of its one series are NF
+// messages, NF hits and RW hits at τ = 0..maxTTL. The kernel's NF result is
+// the one NormalizedFlood returns on the same (seed, r, s) stream, so each
+// curve equals its single-algorithm sweep bit for bit. tag names the series
+// in the journal and prefixes the build's errors.
+func nfRWBuild(maxTTL int, seed uint64, tag string, factory topoFactory, kMin int) sourceBuild {
+	return sourceBuild{name: tag, seed: seed, factory: factory, series: []curveSeries{{tag, 3, maxTTL + 1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 		return sw.eachSource(r, f, rows, 3, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 			rw, nf, err := scratch.RandomWalkWithNFBudget(f, src, maxTTL, kMin, rng)
 			if err != nil {
@@ -210,11 +224,7 @@ func nfRWCurves(sc Scale, seed uint64, tag string, factory topoFactory, kMin int
 			}
 			return nil
 		})
-	}})
-	if err != nil {
-		return nil, err
-	}
-	return curves[0], nil
+	}}}}
 }
 
 // perHit divides a message series by a hits series pointwise.

@@ -336,7 +336,7 @@ func TestInterruptPipelineNoDeadlock(t *testing.T) {
 	var swept atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		done <- forEachRealizationPipeline(engineOpts{}, Scale{Workers: 2, Realizations: 64, Run: rc}, 5,
+		done <- runJob(Scale{Workers: 2, Realizations: 64, Run: rc}, 5,
 			func(r int, b *builder) (int, error) { return r, nil },
 			func(r int, v int, sw *sweeper) error {
 				if swept.Add(1) == 2 {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -114,6 +115,59 @@ func TestResultPathAllocs(t *testing.T) {
 	}
 }
 
+// recyclingNet is an in-memory network that, like TCPNetwork, takes
+// received Data buffers back through Recycle, and keeps what it was handed.
+type recyclingNet struct {
+	*p2p.InMemoryNetwork
+	mu       sync.Mutex
+	recycled [][]byte
+}
+
+func (n *recyclingNet) Recycle(data []byte) {
+	n.mu.Lock()
+	n.recycled = append(n.recycled, data)
+	n.mu.Unlock()
+}
+
+// TestRunJobRecyclesResultFrames: RunJob hands every result buffer back to
+// a transport that takes them — once journaled, and also when it drops the
+// frame as bad or as a straggler of another spec — and nothing else.
+func TestRunJobRecyclesResultFrames(t *testing.T) {
+	t.Parallel()
+	net := &recyclingNet{InMemoryNetwork: p2p.NewInMemoryNetwork()}
+	srv, err := NewServer(net, "coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sc := sim.Scale{Realizations: 1}
+	j := openTestJournal(t, filepath.Join(t.TempDir(), "job.journal"), "job", 13, sc, false)
+	defer j.Close()
+	res := startJob(context.Background(), srv, JobConfig{Spec: "job", Seed: 13, Scale: sc, LeaseTTL: time.Minute}, j)
+
+	w := newFakeWorker(t, net, "w", srv.Addr())
+	l := w.claimLease(5 * time.Second)
+	frames := [][]byte{testRecord(0, 1).MarshalBinary(), testRecord(0, 2).MarshalBinary(), {1, 2, 3}}
+	for i, spec := range []string{"job", "other", "job"} {
+		w.send(wireMsg{Type: mtResult, Spec: spec, Record: frames[i]})
+	}
+	w.send(wireMsg{Type: mtComplete, Spec: "job", Realization: 0, Lease: l.Lease, Records: 1})
+	r := waitJob(t, res)
+	if r.err != nil || r.st.Accepted != 1 || r.st.BadRecords != 1 || r.st.Completions != 1 {
+		t.Fatalf("RunJob = %+v, %v; want one accepted, one bad, one completion", r.st, r.err)
+	}
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	if len(net.recycled) != len(frames) {
+		t.Fatalf("RunJob recycled %d buffers for %d result frames", len(net.recycled), len(frames))
+	}
+	for i, b := range net.recycled {
+		if !bytes.Equal(b, frames[i]) {
+			t.Fatalf("recycled buffer %d is not result frame %d", i, i)
+		}
+	}
+}
+
 func testRecordSized(r, payloadLen int) sim.SlotRecord {
 	rec := testRecord(r, 1)
 	rec.Payload = bytes.Repeat([]byte{byte(r)}, payloadLen)
@@ -121,9 +175,8 @@ func testRecordSized(r, payloadLen int) sim.SlotRecord {
 }
 
 // TestDuplicatedReorderedResultsJournalOnce sends every result through a
-// FaultyNetwork that duplicates each envelope — both copies share one Data
-// slice, which the coordinator validates in place — and swaps neighbours:
-// each key must be journaled exactly once, with its own bytes.
+// FaultyNetwork that duplicates each envelope and swaps neighbours: each
+// key must be journaled exactly once, with its own bytes.
 func TestDuplicatedReorderedResultsJournalOnce(t *testing.T) {
 	t.Parallel()
 	inner := p2p.NewInMemoryNetwork()

@@ -82,6 +82,9 @@ type Server struct {
 	// RunJob and ShutdownWorkers run on the caller's goroutine.
 	workers  map[string]bool
 	leaseSeq uint64
+	// recycle hands a result frame back to a transport that reuses
+	// received buffers (TCPNetwork.Recycle); nil for one that does not.
+	recycle func([]byte)
 }
 
 // NewServer registers a coordinator endpoint on net at addr (the TCP
@@ -94,7 +97,11 @@ func NewServer(net p2p.Network, addr string) (*Server, error) {
 	if ln, ok := net.(interface{ ListenAddr(string) string }); ok {
 		addr = ln.ListenAddr(addr)
 	}
-	return &Server{net: net, addr: addr, inbox: inbox, workers: map[string]bool{}}, nil
+	s := &Server{net: net, addr: addr, inbox: inbox, workers: map[string]bool{}}
+	if rc, ok := net.(interface{ Recycle([]byte) }); ok {
+		s.recycle = rc.Recycle
+	}
+	return s, nil
 }
 
 // Addr returns the coordinator's resolved address.
@@ -223,10 +230,17 @@ func (s *Server) RunJob(ctx context.Context, cfg JobConfig, j *sim.Journal) (Sta
 				}
 
 			case mtResult:
-				if m.Spec != cfg.Spec {
-					continue
+				var err error
+				if m.Spec == cfg.Spec {
+					err = acceptResult(j, n, m.Record, &st)
 				}
-				if err := acceptResult(j, n, m.Record, &st); err != nil {
+				// Journaled (the journal copied it into its file) or dropped,
+				// the frame is done with: the transport may read a later
+				// frame into it.
+				if s.recycle != nil {
+					s.recycle(m.Record)
+				}
+				if err != nil {
 					return st, err
 				}
 

@@ -34,8 +34,13 @@
 //     Msg.ID "result", the job's spec in Msg.Key, and as Data exactly the
 //     record's journal frame ([u32 len][u32 CRC][21 B key][payload]): the
 //     buffer the worker's block codec built, handed to the transport without
-//     a copy. The coordinator validates length and CRC in place and appends
-//     those bytes to its journal verbatim; nothing re-encodes a record.
+//     a copy. Send retains no Data, so the worker's sink releases the record
+//     once Send returns and its sweep encodes the next record into the same
+//     buffer. The coordinator validates length and CRC in place and appends
+//     those bytes to its journal verbatim; nothing re-encodes a record. The
+//     journal keeps no frame, so RunJob then hands the received buffer back
+//     to a transport that reuses them (TCPNetwork.Recycle), which reads a
+//     later frame into it.
 //
 // p2p.MaxData is sized from sim.MaxRecordFrame (a no-cutoff degree histogram
 // at paper scale is a ~0.8 MB record); a worker whose Send is refused as too
@@ -114,8 +119,8 @@ func sendWire(net p2p.Network, from, to string, m wireMsg) error {
 }
 
 // decodeWire extracts a protocol message from an envelope; ok=false for
-// foreign kinds or malformed payloads (both ignored by receivers —
-// overlay traffic and coordinator traffic may share a transport).
+// foreign kinds or malformed payloads, both ignored by receivers: bytes
+// from a stranger or a mismatched build never reach the lease logic.
 func decodeWire(env p2p.Envelope) (wireMsg, bool) {
 	if env.Msg.Kind != p2p.KindCoord || len(env.Msg.Data) == 0 {
 		return wireMsg{}, false
@@ -123,8 +128,10 @@ func decodeWire(env p2p.Envelope) (wireMsg, bool) {
 	if env.Msg.ID == mtResult {
 		return wireMsg{Type: mtResult, Spec: env.Msg.Key, Record: env.Msg.Data}, true
 	}
+	// A result travels only as raw Data under ID "result": JSON claiming
+	// to be one is malformed.
 	var m wireMsg
-	if err := json.Unmarshal(env.Msg.Data, &m); err != nil {
+	if err := json.Unmarshal(env.Msg.Data, &m); err != nil || m.Type == mtResult {
 		return wireMsg{}, false
 	}
 	return m, true

@@ -234,14 +234,17 @@ func (w *worker) execute(ctx context.Context, m wireMsg) error {
 		}
 	}()
 
-	// The sink streams each record as the engines deposit it. A send that
-	// fails after the transport's own retries means the record is lost for
-	// this lease — the realization must NOT be completed on top of it.
+	// The sink streams each record as the engines deposit it, then lends
+	// its frame back to the sweep that built it: Send retains no Data, so
+	// the sweep's next record reuses the buffer. A send that fails after
+	// the transport's own retries means the record is lost for this
+	// lease — the realization must NOT be completed on top of it.
 	var sent atomic.Int64
 	var sendMu sync.Mutex
 	var sendErr error
 	sink := func(rec sim.SlotRecord) {
 		err := sendWire(w.net, w.addr, w.cfg.CoordAddr, wireMsg{Type: mtResult, Spec: m.Spec, Record: rec.MarshalBinary()})
+		rec.Release()
 		if err != nil {
 			sendMu.Lock()
 			if sendErr == nil {

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,8 +145,10 @@ func (f *FaultyNetwork) Stats() FaultStats {
 // Send implements Network. Injected losses (drop, partition) return nil:
 // from the sender's point of view the message went out — that is what
 // makes them faults rather than errors. Delayed and reordered envelopes
-// also return nil and surface later; only envelopes forwarded inline
-// propagate the inner transport's error.
+// also return nil and surface later, from a copy of Data taken before Send
+// returns; only envelopes forwarded inline propagate the inner transport's
+// error, and those (duplicates included) are handed to it before Send
+// returns, so they need no copy.
 func (f *FaultyNetwork) Send(env Envelope) error {
 	// Fast path: nothing can fire, no partitions, no held traffic — stay
 	// byte-transparent without even taking the mutex. The schedule path
@@ -192,6 +195,8 @@ func (f *FaultyNetwork) sendFaulty(env Envelope) error {
 	reorder := delay == 0 && f.cfg.Reorder > 0 && f.rng.Float64() < f.cfg.Reorder
 
 	if delay > 0 {
+		// The envelope outlives Send: hold a copy of Data, not the caller's.
+		env.Msg.Data = bytes.Clone(env.Msg.Data)
 		f.timers.Add(1)
 		time.AfterFunc(delay, func() {
 			defer f.timers.Done()
@@ -202,8 +207,10 @@ func (f *FaultyNetwork) sendFaulty(env Envelope) error {
 		return nil
 	}
 	if reorder && f.held == nil {
-		// Hold this envelope; it goes out right after the next send.
+		// Hold this envelope, with a copy of Data; it goes out right after
+		// the next send.
 		e := env
+		e.Msg.Data = bytes.Clone(env.Msg.Data)
 		f.held = &e
 		f.mu.Unlock()
 		f.reordered.Add(1)

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -16,7 +17,9 @@ type Network interface {
 	Unregister(addr string)
 	// Send routes one envelope. It returns ErrUnknownPeer for
 	// unregistered destinations and ErrInboxOverrun when the inbox is
-	// full.
+	// full. Send keeps no reference to env.Msg.Data once it returns: the
+	// caller may overwrite or reuse the buffer at once, and what the
+	// receiver gets is its own.
 	Send(env Envelope) error
 }
 
@@ -62,7 +65,8 @@ func (n *InMemoryNetwork) Unregister(addr string) {
 	delete(n.inbox, addr)
 }
 
-// Send implements Network.
+// Send implements Network. The inbox gets a copy of Msg.Data, as a
+// receiver on the other end of a socket would.
 func (n *InMemoryNetwork) Send(env Envelope) error {
 	n.mu.RLock()
 	ch, ok := n.inbox[env.To]
@@ -70,6 +74,7 @@ func (n *InMemoryNetwork) Send(env Envelope) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, env.To)
 	}
+	env.Msg.Data = bytes.Clone(env.Msg.Data)
 	select {
 	case ch <- env:
 		return nil

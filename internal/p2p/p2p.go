@@ -9,6 +9,14 @@
 // duplicates, delays, reorders and partitions (the coord chaos tests).
 // Delivery is asynchronous and best-effort; the protocol above it
 // retries and deduplicates.
+//
+// Who owns Data: Send keeps no reference to an envelope's Msg.Data after it
+// returns, so a sender may reuse its buffer for the next envelope at once.
+// TCPNetwork writes the frame before Send returns, InMemoryNetwork delivers
+// a copy, and FaultyNetwork copies what it holds back (delayed and
+// reordered envelopes). A delivered Msg.Data is the receiver's; a receiver
+// done with one from a TCPNetwork may hand it back with Recycle, and the
+// network reads a later frame into it.
 package p2p
 
 import "errors"

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +23,13 @@ import (
 //
 // (little-endian). The header is the envelope as JSON minus Msg.Data, so
 // control traffic stays greppable; Msg.Data follows as raw bytes, written
-// from the caller's slice without a copy. Send refuses an envelope over the
-// caps with ErrFrameTooLarge before a byte moves. A receiver hangs up on,
-// and counts in TCPStats.BadFrames, a connection whose next frame fails the
-// magic, a cap or header decoding, and delivers nothing of it — which is
-// what a peer still speaking newline-delimited JSON gets: the two framings
-// never half-understand each other. The refused sender re-dials on its next
-// Send, as after any broken connection.
+// from the caller's slice without a copy before Send returns. Send refuses
+// an envelope over the caps with ErrFrameTooLarge before a byte moves. A
+// receiver hangs up on, and counts in TCPStats.BadFrames, a connection
+// whose next frame fails the magic, a cap or header decoding, and delivers
+// nothing of it — which is what a peer still speaking newline-delimited
+// JSON gets: the two framings never half-understand each other. The
+// refused sender re-dials on its next Send, as after any broken connection.
 const (
 	frameMagic  = "SFP\x02"
 	framePrefix = len(frameMagic) + 8
@@ -38,6 +39,11 @@ const (
 	MaxData = 64<<20 + 64<<10
 	// readChunk is the most a claimed length may allocate ahead of its bytes.
 	readChunk = 1 << 20
+	// recycleSlots bounds the free list of recycled Data buffers. It is a
+	// constant, not a knob, and the list is a plain slice the garbage
+	// collector never empties (no sync.Pool), so what a run allocates does
+	// not depend on when a collection happens.
+	recycleSlots = 8
 )
 
 // ErrFrameTooLarge is Send's refusal of an envelope over the frame caps.
@@ -91,6 +97,9 @@ type TCPNetwork struct {
 	inbound map[net.Conn]string
 	wg      sync.WaitGroup
 	closed  bool
+
+	// free holds the Data buffers receivers handed back with Recycle.
+	free freeList
 }
 
 type tcpConn struct {
@@ -214,9 +223,9 @@ func (t *TCPNetwork) readLoop(conn net.Conn, inbox chan<- Envelope) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64*1024)
+	fr := frameReader{br: bufio.NewReaderSize(conn, 64*1024), free: &t.free}
 	for {
-		env, err := readFrame(br)
+		env, err := fr.next()
 		if err != nil {
 			// Closed, broken, or (counted) not this protocol: hang up; a bad
 			// frame is never skipped over.
@@ -233,13 +242,23 @@ func (t *TCPNetwork) readLoop(conn net.Conn, inbox chan<- Envelope) {
 	}
 }
 
-// readFrame reads one envelope frame. Connection errors pass through (io.EOF
+// frameReader reads one connection's frames. hdr is its header buffer,
+// reused frame to frame (decoding copies out what the envelope keeps);
+// free, when set, lends Data buffers that receivers recycled.
+type frameReader struct {
+	br   *bufio.Reader
+	hdr  []byte
+	free *freeList
+}
+
+// next reads one envelope frame. Connection errors pass through (io.EOF
 // between frames is a clean hang-up); wrong magic, a length over its cap or
-// an undecodable header is errBadFrame. Msg.Data is the receiver's to keep.
-func readFrame(br *bufio.Reader) (Envelope, error) {
+// an undecodable header is errBadFrame. Msg.Data is the receiver's to keep,
+// or to hand back with Recycle once it is done with every byte.
+func (fr *frameReader) next() (Envelope, error) {
 	var env Envelope
 	var pre [framePrefix]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
+	if _, err := io.ReadFull(fr.br, pre[:]); err != nil {
 		return env, err
 	}
 	hlen := binary.LittleEndian.Uint32(pre[len(frameMagic):])
@@ -247,11 +266,12 @@ func readFrame(br *bufio.Reader) (Envelope, error) {
 	if string(pre[:len(frameMagic)]) != frameMagic || hlen == 0 || hlen > maxHeader || dlen > MaxData {
 		return env, errBadFrame
 	}
-	hdr, err := readGrowing(br, int(hlen))
+	hdr, err := readInto(fr.br, fr.hdr, int(hlen))
 	if err != nil {
 		return env, err
 	}
-	data, err := readGrowing(br, int(dlen))
+	fr.hdr = hdr
+	data, err := readInto(fr.br, fr.free.take(int(dlen)), int(dlen))
 	if err != nil {
 		return env, err
 	}
@@ -260,6 +280,20 @@ func readFrame(br *bufio.Reader) (Envelope, error) {
 	}
 	env.Msg.Data = data // raw bytes only: a "data" field in the header is ignored
 	return env, nil
+}
+
+// readInto reads exactly n bytes into buf when it has the capacity, and
+// through readGrowing otherwise: a buffer already in hand costs nothing,
+// and a new one is never sized by a claimed length alone.
+func readInto(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if n == 0 || cap(buf) < n {
+		return readGrowing(r, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // readGrowing reads exactly n bytes into a fresh buffer (nil for n = 0) that
@@ -277,6 +311,50 @@ func readGrowing(r io.Reader, n int) ([]byte, error) {
 		return nil, err
 	}
 	return b.Bytes(), nil
+}
+
+// Recycle hands back a Msg.Data this network delivered, once the receiver
+// is done with every byte of it: a later frame may be read into it. The
+// free list keeps the last recycleSlots buffers handed back, dropping the
+// oldest when full, and lends one only to a frame it fits within 2× of the
+// frame's length, so a run of small frames never pins big buffers.
+func (t *TCPNetwork) Recycle(data []byte) { t.free.put(data) }
+
+// freeList is a bounded LIFO of recycled buffers, safe for concurrent use:
+// every read loop takes from it, and receivers put back.
+type freeList struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+// put adds b on top, evicting the oldest entry when the list is full.
+func (l *freeList) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	l.mu.Lock()
+	if len(l.bufs) == recycleSlots {
+		l.bufs = slices.Delete(l.bufs, 0, 1)
+	}
+	l.bufs = append(l.bufs, b[:0])
+	l.mu.Unlock()
+}
+
+// take removes and returns the most recently put buffer of capacity n to
+// 2n, or nil when there is none (or no list).
+func (l *freeList) take(n int) []byte {
+	if l == nil || n == 0 {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.bufs) - 1; i >= 0; i-- {
+		if b := l.bufs[i]; cap(b) >= n && cap(b) <= 2*n {
+			l.bufs = slices.Delete(l.bufs, i, i+1)
+			return b
+		}
+	}
+	return nil
 }
 
 // Unregister implements Network. addr may be either the resolved listen

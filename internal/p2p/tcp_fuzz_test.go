@@ -15,7 +15,9 @@ import (
 // by the stream; what it allocates must follow the bytes it was fed, never
 // a length the stream merely claims; and a stream that opens in the old
 // newline-delimited JSON framing must be refused before anything is
-// delivered. Seeds in testdata/fuzz/FuzzTCPFrameReader are real frames —
+// delivered. Every Data delivered is recycled into the reader's free list
+// once checked, as a coordinator does, so later frames may be read into it.
+// Seeds in testdata/fuzz/FuzzTCPFrameReader are real frames —
 // a header-only ping, a coordinator claim, a result carrying a record frame
 // — whole, cut short, and with single bits flipped in prefix, header and
 // data.
@@ -37,13 +39,18 @@ func FuzzTCPFrameReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		br := bufio.NewReaderSize(bytes.NewReader(stream), 4096)
-		var delivered []Envelope
+		fr := frameReader{br: bufio.NewReaderSize(bytes.NewReader(stream), 4096), free: &freeList{}}
+		delivered, carried := 0, 0
 		var err error
 		for err == nil {
 			var env Envelope
-			if env, err = readFrame(br); err == nil {
-				delivered = append(delivered, env)
+			if env, err = fr.next(); err == nil {
+				delivered++
+				carried += framePrefix + len(env.Msg.Data)
+				if len(env.Msg.Data) > 0 && !bytes.Contains(stream, env.Msg.Data) {
+					t.Fatal("delivered data the stream does not contain")
+				}
+				fr.free.put(env.Msg.Data)
 			}
 		}
 		runtime.ReadMemStats(&after)
@@ -51,18 +58,11 @@ func FuzzTCPFrameReader(f *testing.F) {
 		if !errors.Is(err, errBadFrame) && err != io.EOF && err != io.ErrUnexpectedEOF {
 			t.Fatalf("reader stopped with %v", err)
 		}
-		carried := 0
-		for _, env := range delivered {
-			carried += framePrefix + len(env.Msg.Data)
-			if len(env.Msg.Data) > 0 && !bytes.Contains(stream, env.Msg.Data) {
-				t.Fatal("delivered data the stream does not contain")
-			}
-		}
 		if carried > len(stream) {
-			t.Fatalf("delivered %d envelopes needing %d bytes from a %d-byte stream", len(delivered), carried, len(stream))
+			t.Fatalf("delivered %d envelopes needing %d bytes from a %d-byte stream", delivered, carried, len(stream))
 		}
-		if len(stream) >= framePrefix && stream[0] == '{' && (len(delivered) > 0 || !errors.Is(err, errBadFrame)) {
-			t.Fatalf("old newline-JSON framing not refused: %d delivered, err %v", len(delivered), err)
+		if len(stream) >= framePrefix && stream[0] == '{' && (delivered > 0 || !errors.Is(err, errBadFrame)) {
+			t.Fatalf("old newline-JSON framing not refused: %d delivered, err %v", delivered, err)
 		}
 		// Exact-size buffers up to readChunk, doubling beyond it (so at most
 		// 4x what arrived), JSON decoding of the header, and the bufio buffer.

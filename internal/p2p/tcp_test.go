@@ -202,7 +202,8 @@ func TestFrameHeadGolden(t *testing.T) {
 		if string(head) != c.want {
 			t.Fatalf("%s frame head changed:\n got %q\nwant %q", c.name, head, c.want)
 		}
-		got, err := readFrame(bufio.NewReader(bytes.NewReader(append(head, c.env.Msg.Data...))))
+		fr := frameReader{br: bufio.NewReader(bytes.NewReader(append(head, c.env.Msg.Data...)))}
+		got, err := fr.next()
 		if err != nil || got.From != c.env.From || got.To != c.env.To || got.Msg.Kind != KindCoord ||
 			got.Msg.ID != c.env.Msg.ID || got.Msg.Key != c.env.Msg.Key || !bytes.Equal(got.Msg.Data, c.env.Msg.Data) {
 			t.Fatalf("%s frame does not read back: %+v, %v", c.name, got, err)

@@ -34,11 +34,26 @@ type SlotRecord struct {
 	// frame is the journal frame the record was cut from — by the block
 	// codec on a worker, by DecodeSlotRecord on a coordinator — of which
 	// Payload is a sub-slice; see framed. A record a worker's sink receives
-	// owns its frame for as long as the record lives: the engine encodes
-	// every sink record into a fresh buffer and never touches it again, so
-	// a sink may retain records, and a transport may deliver them by
-	// reference. DecodeSlotRecord's record borrows the caller's bytes.
+	// owns its frame until the sink calls Release, and for good if it never
+	// does: the engine reuses a sweep's frame buffer for its next record
+	// only once back is set, so a sink may retain records it does not
+	// release. DecodeSlotRecord's record borrows the caller's bytes.
 	frame []byte
+	// back, when set, is the lending sweep's flag that Release raises.
+	back *bool
+}
+
+// Release hands the record's frame back to the sweep that built it, which
+// encodes its next record into the same buffer instead of a fresh one. A
+// sink calls it once it is done with every byte of the record — after a
+// transport that does not retain Data has sent it, say — and before it
+// returns; the record must not be used afterwards. A sink that never calls
+// it keeps the record for good. Release is a no-op on a record that was not
+// lent (a build-only series' frame, a decoded or hand-built record).
+func (rec SlotRecord) Release() {
+	if rec.back != nil {
+		*rec.back = true
+	}
 }
 
 // Key renders the record's identity for logs and dedup diagnostics.

@@ -313,6 +313,65 @@ func TestWorkerSinkFramesStayIntact(t *testing.T) {
 	}
 }
 
+// TestWorkerSinkReleaseReusesLaneFrames: a sink that releases every record
+// lends each frame back to its lane's sweeper, which encodes the lane's next
+// record into the same buffer — at most one backing array per lane across
+// the run's records — and every record it saw, checked before its release,
+// equals byte for byte the record a local journaled run wrote under its key.
+func TestWorkerSinkReleaseReusesLaneFrames(t *testing.T) {
+	t.Parallel()
+	const seed, lanes = 2007, 2
+	spec, err := Lookup("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "local.journal")
+	j, err := OpenJournal(path, spec.ID, seed, tinyScale, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := tinyScale
+	sc.Run = NewRunControl(context.Background(), 0, 0, j)
+	if _, err := spec.Run(sc, seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := OpenJournal(path, spec.ID, seed, tinyScale, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	var mu sync.Mutex
+	arrays := map[*byte]bool{}
+	records, bad := 0, 0
+	sc = tinyScale
+	sc.Workers = lanes
+	sc.Run = NewWorkerRunControl(context.Background(), 0, 0, func(rec SlotRecord) {
+		defer rec.Release()
+		frame := rec.MarshalBinary()
+		want, ok := ref.payloadOf(rec.key())
+		mu.Lock()
+		defer mu.Unlock()
+		records++
+		arrays[&frame[0]] = true
+		if !ok || !bytes.Equal(frame, encodeFrame(rec.key(), want)) {
+			bad++
+		}
+	})
+	if _, err := spec.Run(sc, seed); err != nil {
+		t.Logf("worker reduction: %v", err)
+	}
+	if bad > 0 || records < 10 {
+		t.Fatalf("%d of %d released records differ from the local journal's", bad, records)
+	}
+	if len(arrays) > lanes {
+		t.Fatalf("%d records on %d lanes took %d frame buffers, want at most one per lane", records, lanes, len(arrays))
+	}
+}
+
 func TestInspectJournal(t *testing.T) {
 	t.Parallel()
 	sc := testScaleTiny()

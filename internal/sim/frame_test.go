@@ -191,7 +191,7 @@ func TestRecordPathAllocs(t *testing.T) {
 	if n := allocated(func() {
 		for r := 0; r < records; r++ {
 			buf = codec.encode(buf, key(r), rows)
-			rc.journalAppend(buf)
+			rc.journalAppend(buf, nil)
 		}
 	}) / records; n > 64 {
 		t.Errorf("journalAppend of a %d B block from a warm frame buffer allocates %d B, want ~0", nRows*rowLen*8, n)
@@ -203,7 +203,7 @@ func TestRecordPathAllocs(t *testing.T) {
 	var got SlotRecord
 	wrc := NewWorkerRunControl(context.Background(), 0, 0, func(rec SlotRecord) { got = rec })
 	frame := codec.encode(nil, key(0), rows)
-	if n := allocated(func() { wrc.journalAppend(frame) }); n > 512 {
+	if n := allocated(func() { wrc.journalAppend(frame, nil) }); n > 512 {
 		t.Errorf("the worker sink path allocates %d B beyond the codec's frame", n)
 	}
 	if wire := got.MarshalBinary(); &wire[0] != &frame[0] || got.key() != key(0) {

@@ -34,10 +34,13 @@ package sim
 // Who owns a frame, and for how long: the journal never keeps one — append
 // copies it into the file before returning — so a local run encodes every
 // record of a sweep worker into that worker's one frame buffer, reused for
-// its next realization. A frame handed to a worker's sink is the sink's for
-// good (it becomes the SlotRecord's), so sink mode encodes each record
-// into a fresh buffer. Replay hands out a view of the journal's read
-// buffer, valid only inside the callback.
+// its next realization. A frame handed to a worker's sink is lent: it
+// becomes the SlotRecord's, and the sink either calls Release before it
+// returns — the buffer goes back to the sweeper for its next record, which
+// is what internal/coord's worker does once the transport has sent it — or
+// keeps the record for good, and the sweeper starts a fresh buffer.
+// Build-only series encode each record into a fresh buffer. Replay hands
+// out a view of the journal's read buffer, valid only inside the callback.
 
 import (
 	"bufio"

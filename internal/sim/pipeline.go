@@ -538,20 +538,23 @@ func (bd blockBuild[T, B, R]) job(rc *RunControl, n int, subs []uint64) ([][]R, 
 			}
 		}
 	}
-	// land journals and reduces one computed block. A journal copies the
-	// frame into its file, so a sweeper's frame buffer serves the next
-	// series and realization too; a worker's sink keeps the frame it is
-	// handed, and a build-only series has no sweeper: those frames are
-	// fresh.
+	// land journals and reduces one computed block. A sweeper's frame
+	// buffer serves the next series and realization too once its record is
+	// back: at once from a journal, which copies the frame into its file;
+	// from a worker's sink only if the sink released the record — a sink
+	// that keeps it keeps the buffer, and the sweeper starts a fresh one. A
+	// build-only series has no sweeper: its frames are fresh.
 	land := func(i, r int, blk B, sw *sweeper) {
 		codec := series[i].codec
 		switch {
 		case !rc.journaling():
-		case sw != nil && rc.journal != nil:
+		case sw != nil:
 			sw.frame = codec.encode(sw.frame, key(i, r), blk)
-			rc.journalAppend(sw.frame)
+			if !rc.journalAppend(sw.frame, &sw.frameBack) {
+				sw.frame = nil
+			}
 		default:
-			rc.journalAppend(codec.encode(nil, key(i, r), blk))
+			rc.journalAppend(codec.encode(nil, key(i, r), blk), nil)
 		}
 		reduced[i][r] = codec.reduce(blk)
 		landed[i*n+r] = true

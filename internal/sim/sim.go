@@ -330,10 +330,13 @@ type sweeper struct {
 	sims      []*des.Sim
 	// rows and slab back block; frame is the journal frame buffer
 	// realizationBatch encodes the block into. The series reduces the block
-	// and the journal copies the frame before the sweep returns.
-	rows  [][]float64
-	slab  []float64
-	frame []byte
+	// and the journal copies the frame before the sweep returns; a worker's
+	// sink lends it back by raising frameBack (SlotRecord.Release) or keeps
+	// it, and the next record then starts a fresh buffer.
+	rows      [][]float64
+	slab      []float64
+	frame     []byte
+	frameBack bool
 }
 
 // laneFree is the one free list of lane state, and it outlives every lane

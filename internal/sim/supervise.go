@@ -136,10 +136,12 @@ func NewRunControl(ctx context.Context, retries, maxFailed int, j *Journal) *Run
 // NewWorkerRunControl builds the supervisor for one distributed worker's
 // lease: the engine runs only realization r (every other index is skipped
 // without building anything), and every record the run would have
-// journaled is handed to sink in wire form instead. Failures are strict
-// (maxFailed=0): a worker that cannot compute its one realization reports
-// the failure to its coordinator rather than papering over it locally —
-// the coordinator owns the -max-failed budget.
+// journaled is handed to sink in wire form instead. sink may keep a record
+// for good, or call its Release before returning to lend the frame back to
+// the sweep that built it. Failures are strict (maxFailed=0): a worker
+// that cannot compute its one realization reports the failure to its
+// coordinator rather than papering over it locally — the coordinator owns
+// the -max-failed budget.
 func NewWorkerRunControl(ctx context.Context, retries, r int, sink func(SlotRecord)) *RunControl {
 	rc := NewRunControl(ctx, retries, 0, nil)
 	rc.only = func(i int) bool { return i == r }
@@ -318,20 +320,28 @@ func (rc *RunControl) journalPayload(k journalKey, use func(payload []byte)) boo
 }
 
 // journalAppend checkpoints one completed realization's contribution, as
-// the sealed frame its codec built. A nil frame (encoder refused) is
-// skipped; append errors are sticky on the journal and surface through
-// Flush/Close in cmd/experiments. In worker mode the record goes to the
-// sink instead — same key, same bits, still carrying its frame.
-func (rc *RunControl) journalAppend(frame []byte) {
+// the sealed frame its codec built, and reports whether the caller may
+// reuse the frame's buffer. A nil frame (encoder refused) is skipped;
+// append errors are sticky on the journal and surface through Flush/Close
+// in cmd/experiments. A journal copies the frame into its file, so the
+// buffer is the caller's again at once. In worker mode the record goes to
+// the sink instead — same key, same bits, still carrying its frame — and
+// the buffer is the caller's again only if the sink called the record's
+// Release, which sets *back; with a nil back the sink keeps the frame.
+func (rc *RunControl) journalAppend(frame []byte, back *bool) bool {
 	if !rc.journaling() || frame == nil {
-		return
+		return true
 	}
 	if rc.journal != nil {
 		rc.journal.appendFrame(frame)
-		return
+		return true
 	}
 	k := decodeKey(frame[frameHeaderLen:])
-	rc.sink(SlotRecord{Kind: k.kind, Stream: k.stream, Sub: k.sub, Realization: k.r, Payload: frame[frameOverhead:], frame: frame})
+	if back != nil {
+		*back = false
+	}
+	rc.sink(SlotRecord{Kind: k.kind, Stream: k.stream, Sub: k.sub, Realization: k.r, Payload: frame[frameOverhead:], frame: frame, back: back})
+	return back != nil && *back
 }
 
 // StartWatchdog arms a stall watchdog: if the progress counter does not

@@ -459,8 +459,8 @@ func runWorkerMode(ctx context.Context, coordAddr, listen string, retries int) e
 	stats, err := coord.RunWorker(ctx, tnet, coord.WorkerConfig{
 		CoordAddr: coordAddr, Addr: listen, Retries: retries,
 	})
-	fmt.Fprintf(os.Stderr, "experiments: worker exiting: %d lease(s), %d record(s) streamed, %d completion(s), %d failure(s)\n",
-		stats.Leases, stats.Records, stats.Completions, stats.Failures)
+	fmt.Fprintf(os.Stderr, "experiments: worker exiting: %d lease(s), %d record(s) streamed, %d completion(s), %d failure(s), %d credit wait(s), %d credit timeout(s)\n",
+		stats.Leases, stats.Records, stats.Completions, stats.Failures, stats.CreditWaits, stats.CreditTimeouts)
 	if err != nil && errors.Is(err, context.Canceled) {
 		// Interrupted by signal: normal fleet operations, not a failure.
 		return nil

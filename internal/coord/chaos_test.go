@@ -362,12 +362,16 @@ func TestDistributedCoordinatorKillResumeByteIdentical(t *testing.T) {
 // TestRunWorkerRefusesSkewedWorkload pins the version-skew guard end to
 // end: a lease whose fingerprint does not match the shipped workload
 // makes the worker report failure and exit fatally rather than compute.
+// So does a lease from a coordinator that speaks the protocol before
+// credit acks, whose fingerprint is the bare workload fingerprint: such a
+// coordinator never acks, and the worker must not stream to it.
 func TestRunWorkerRefusesSkewedWorkload(t *testing.T) {
 	t.Parallel()
 	sc := sim.Scale{NSearch: 50, Realizations: 1, Sources: 1, MaxTTLFlood: 1, MaxTTLNF: 2}
-	fp := sim.WorkloadFingerprint("fig9", 1, sc)
-	fp[len(fp)-1] ^= 0xFF
+	fp := leaseFingerprint("fig9", 1, sc)
+	fp[len(fp)-2] ^= 0xFF
 	checkLeaseRefused(t, sc, fp)
+	checkLeaseRefused(t, sc, sim.WorkloadFingerprint("fig9", 1, sc))
 }
 
 // TestRunWorkerRefusesInvalidWorkload: a lease whose workload
@@ -377,7 +381,7 @@ func TestRunWorkerRefusesSkewedWorkload(t *testing.T) {
 func TestRunWorkerRefusesInvalidWorkload(t *testing.T) {
 	t.Parallel()
 	sc := sim.Scale{NSearch: 50, Realizations: 1, Sources: -1, MaxTTLNF: 2}
-	checkLeaseRefused(t, sc, sim.WorkloadFingerprint("fig9", 1, sc))
+	checkLeaseRefused(t, sc, leaseFingerprint("fig9", 1, sc))
 }
 
 // checkLeaseRefused grants a worker one fig9 lease carrying sc and the
@@ -386,11 +390,7 @@ func TestRunWorkerRefusesInvalidWorkload(t *testing.T) {
 func checkLeaseRefused(t *testing.T, sc sim.Scale, fp []byte) {
 	t.Helper()
 	net := p2p.NewInMemoryNetwork()
-	coordInbox := make(chan p2p.Envelope, 64)
-	if err := net.Register("coord", coordInbox); err != nil {
-		t.Fatal(err)
-	}
-	defer net.Unregister("coord")
+	c := newScriptedCoord(t, net)
 
 	done := make(chan struct{})
 	var werr error
@@ -401,31 +401,16 @@ func checkLeaseRefused(t *testing.T, sc sim.Scale, fp []byte) {
 		})
 	}()
 
-	// Wait for a claim, then grant the lease.
+	claim := c.next(mtClaim)
 	wire := sc.WorkloadOnly()
-	var sawFail bool
-	deadline := time.After(10 * time.Second)
-	for !sawFail {
-		select {
-		case env := <-coordInbox:
-			m, ok := decodeWire(env)
-			if !ok {
-				continue
-			}
-			switch m.Type {
-			case mtClaim:
-				_ = sendWire(net, "coord", m.Worker, wireMsg{
-					Type: mtLease, Spec: "fig9", Seed: 1, Scale: &wire,
-					Fingerprint: fp, Realization: 0, Lease: 1,
-					TTLMillis: 60000, HBMillis: 1000,
-				})
-			case mtFail:
-				sawFail = true
-			}
-		case <-deadline:
-			t.Fatal("worker never reported the refused lease failed")
-		}
+	if err := sendWire(net, "coord", claim.Worker, wireMsg{
+		Type: mtLease, Spec: "fig9", Seed: 1, Scale: &wire,
+		Fingerprint: fp, Realization: 0, Lease: 1,
+		TTLMillis: 60000, HBMillis: 1000, Window: creditWindow,
+	}); err != nil {
+		t.Fatal(err)
 	}
+	c.next(mtFail)
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

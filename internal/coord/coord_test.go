@@ -83,20 +83,27 @@ func (w *fakeWorker) send(m wireMsg) {
 	}
 }
 
-// claim sends one claim and returns the lease or wait reply.
+// claim sends one claim and returns the lease or wait reply. Acks for
+// results sent earlier are skipped: a scripted worker streams without
+// waiting for credit.
 func (w *fakeWorker) claim() wireMsg {
 	w.t.Helper()
 	w.send(wireMsg{Type: mtClaim})
-	select {
-	case env := <-w.inbox:
-		m, ok := decodeWire(env)
-		if !ok {
-			w.t.Fatalf("%s: undecodable claim reply", w.addr)
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case env := <-w.inbox:
+			m, ok := decodeWire(env)
+			if !ok {
+				w.t.Fatalf("%s: undecodable claim reply", w.addr)
+			}
+			if m.Type != mtAck {
+				return m
+			}
+		case <-timeout:
+			w.t.Fatalf("%s: no claim reply", w.addr)
+			return wireMsg{}
 		}
-		return m
-	case <-time.After(10 * time.Second):
-		w.t.Fatalf("%s: no claim reply", w.addr)
-		return wireMsg{}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func TestResultPathAllocs(t *testing.T) {
 		if !ok || m.Type != mtResult || m.Spec != "job" {
 			t.Fatalf("decodeWire = %+v, %v", m.Type, ok)
 		}
-		if err := acceptResult(j, records, m.Record, &st); err != nil {
+		if _, err := acceptResult(j, records, m.Record, &st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,21 +118,35 @@ func TestResultPathAllocs(t *testing.T) {
 
 // recyclingNet is an in-memory network that, like TCPNetwork, takes
 // received Data buffers back through Recycle, and keeps what it was handed.
+// events logs each Recycle and each ack sent, in order.
 type recyclingNet struct {
 	*p2p.InMemoryNetwork
 	mu       sync.Mutex
 	recycled [][]byte
+	events   []string
 }
 
 func (n *recyclingNet) Recycle(data []byte) {
 	n.mu.Lock()
 	n.recycled = append(n.recycled, data)
+	n.events = append(n.events, "recycle")
 	n.mu.Unlock()
+}
+
+func (n *recyclingNet) Send(env p2p.Envelope) error {
+	if m, ok := decodeWire(env); ok && m.Type == mtAck {
+		n.mu.Lock()
+		n.events = append(n.events, mtAck)
+		n.mu.Unlock()
+	}
+	return n.InMemoryNetwork.Send(env)
 }
 
 // TestRunJobRecyclesResultFrames: RunJob hands every result buffer back to
 // a transport that takes them — once journaled, and also when it drops the
-// frame as bad or as a straggler of another spec — and nothing else.
+// frame as bad or as a straggler of another spec — and nothing else. Only
+// the journaled frame is acked, and only after its buffer is back, so the
+// worker's next frame can reuse it.
 func TestRunJobRecyclesResultFrames(t *testing.T) {
 	t.Parallel()
 	net := &recyclingNet{InMemoryNetwork: p2p.NewInMemoryNetwork()}
@@ -165,6 +180,9 @@ func TestRunJobRecyclesResultFrames(t *testing.T) {
 		if !bytes.Equal(b, frames[i]) {
 			t.Fatalf("recycled buffer %d is not result frame %d", i, i)
 		}
+	}
+	if want := []string{"recycle", mtAck, "recycle", "recycle"}; !slices.Equal(net.events, want) {
+		t.Fatalf("RunJob recycled and acked as %v, want %v", net.events, want)
 	}
 }
 
@@ -266,11 +284,16 @@ func FuzzCoordResult(f *testing.F) {
 		valid := derr == nil && rec.Realization >= 0 && rec.Realization < n
 		held := j.Resumed()
 		var first, second Stats
-		if err := acceptResult(j, n, m.Record, &first); err != nil {
+		r1, err := acceptResult(j, n, m.Record, &first)
+		if err != nil {
 			t.Fatalf("result handler failed the job: %v", err)
 		}
-		if err := acceptResult(j, n, m.Record, &second); err != nil {
+		r2, err := acceptResult(j, n, m.Record, &second)
+		if err != nil {
 			t.Fatalf("result handler failed the job: %v", err)
+		}
+		if want := map[bool]int{true: rec.Realization, false: -1}[valid]; r1 != want || r2 != want {
+			t.Fatalf("result handler credited realizations %d, %d, want %d", r1, r2, want)
 		}
 		switch {
 		case !valid:

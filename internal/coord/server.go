@@ -72,7 +72,10 @@ type lease struct {
 // Server is the coordinator endpoint: one registered address serving
 // lease jobs sequentially. Between jobs it is quiescent — worker claims
 // queue in the inbox (or drop; claims are re-sent) until the next RunJob
-// drains them.
+// drains them. Nothing acks result frames then either, and the next job
+// acks only frames of its own spec: a straggler still streaming a finished
+// job's realization runs out of credit, waits at most its lease TTL, and
+// reports the lease failed. Its records were already superseded.
 type Server struct {
 	net   p2p.Network
 	addr  string
@@ -148,10 +151,14 @@ func (s *Server) RunJob(ctx context.Context, cfg JobConfig, j *sim.Journal) (Sta
 	}
 	st.Done = len(done)
 
-	fp := sim.WorkloadFingerprint(cfg.Spec, cfg.Seed, cfg.Scale)
+	fp := leaseFingerprint(cfg.Spec, cfg.Seed, cfg.Scale)
 	wire := cfg.Scale.WorkloadOnly()
 
 	leases := map[int]*lease{}
+	// handled counts, per (worker, realization), the result frames handled
+	// since the worker's latest lease of that realization: what its acks
+	// report.
+	handled := map[ackKey]int{}
 	fails := map[int]int{}
 	givenUp := map[int]bool{}
 	expiredEver := map[int]bool{}
@@ -209,6 +216,7 @@ func (s *Server) RunJob(ctx context.Context, cfg JobConfig, j *sim.Journal) (Sta
 				}
 				s.leaseSeq++
 				leases[r] = &lease{id: s.leaseSeq, worker: worker, expires: now.Add(cfg.LeaseTTL)}
+				delete(handled, ackKey{worker, r})
 				st.LeasesIssued++
 				if expiredEver[r] {
 					st.Reissued++
@@ -217,6 +225,7 @@ func (s *Server) RunJob(ctx context.Context, cfg JobConfig, j *sim.Journal) (Sta
 					Type: mtLease, Spec: cfg.Spec, Seed: cfg.Seed, Scale: &wire,
 					Fingerprint: fp, Realization: r, Lease: s.leaseSeq,
 					TTLMillis: cfg.LeaseTTL.Milliseconds(), HBMillis: cfg.Heartbeat.Milliseconds(),
+					Window: creditWindow,
 				})
 
 			case mtHeartbeat:
@@ -230,18 +239,24 @@ func (s *Server) RunJob(ctx context.Context, cfg JobConfig, j *sim.Journal) (Sta
 				}
 
 			case mtResult:
-				var err error
+				r, err := -1, error(nil)
 				if m.Spec == cfg.Spec {
-					err = acceptResult(j, n, m.Record, &st)
+					r, err = acceptResult(j, n, m.Record, &st)
 				}
 				// Journaled (the journal copied it into its file) or dropped,
 				// the frame is done with: the transport may read a later
-				// frame into it.
+				// frame into it — the one this ack's credit lets the worker
+				// send next.
 				if s.recycle != nil {
 					s.recycle(m.Record)
 				}
 				if err != nil {
 					return st, err
+				}
+				if r >= 0 {
+					k := ackKey{env.From, r}
+					handled[k]++
+					_ = sendWire(s.net, s.addr, env.From, wireMsg{Type: mtAck, Spec: cfg.Spec, Realization: r, Records: handled[k]})
 				}
 
 			case mtComplete:
@@ -299,26 +314,34 @@ func (s *Server) RunJob(ctx context.Context, cfg JobConfig, j *sim.Journal) (Sta
 	}
 }
 
-// acceptResult journals one streamed record frame, first writer wins. A
-// frame that fails validation or names a realization outside [0,n) is
-// counted bad and dropped; a journal that cannot persist records voids the
-// whole crash-safety contract, so its error aborts the job.
-func acceptResult(j *sim.Journal, n int, frame []byte, st *Stats) error {
+// ackKey names one worker's result stream for one realization.
+type ackKey struct {
+	worker string
+	r      int
+}
+
+// acceptResult journals one streamed record frame, first writer wins, and
+// returns the record's realization, or -1 for a frame that fails
+// validation or names a realization outside [0,n): that one is counted bad
+// and dropped, and earns its sender no credit. A journal that cannot
+// persist records voids the whole crash-safety contract, so its error
+// aborts the job.
+func acceptResult(j *sim.Journal, n int, frame []byte, st *Stats) (int, error) {
 	rec, err := sim.DecodeSlotRecord(frame)
 	if err != nil || rec.Realization < 0 || rec.Realization >= n {
 		st.BadRecords++
-		return nil
+		return -1, nil
 	}
 	fresh, err := j.Accept(rec)
 	if err != nil {
-		return fmt.Errorf("coord: journal record %s: %w", rec.Key(), err)
+		return -1, fmt.Errorf("coord: journal record %s: %w", rec.Key(), err)
 	}
 	if fresh {
 		st.Accepted++
 	} else {
 		st.DupRecords++
 	}
-	return nil
+	return rec.Realization, nil
 }
 
 // pickRealization grants the lowest-index realization that is neither

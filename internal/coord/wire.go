@@ -17,6 +17,15 @@
 //   - The coordinator journals every accepted record and every verified
 //     completion, so its own crash resumes through the ordinary -resume
 //     path with nothing recomputed that survived.
+//   - Result frames are flow-controlled: a lease grant carries a credit
+//     window (creditWindow frames), the worker's sink waits while that many
+//     of its frames are unacknowledged, and the coordinator acks each frame
+//     once it has journaled (or dropped) it and handed the buffer back to
+//     the transport. At most workers × window frames are ever queued
+//     toward the coordinator, however slow its journal, so the transport's
+//     small free list of recycled buffers covers them all. The wait is
+//     bounded by the lease TTL: a worker starved that long stops streaming
+//     and reports fail, and the realization is recomputed.
 //   - The final reduction is a normal local spec run against that journal:
 //     journaled realizations replay bit-for-bit, anything lost in flight
 //     or never distributed is recomputed locally. Distribution can
@@ -28,8 +37,8 @@
 // InMemoryNetwork and FaultyNetwork fault injection. The transport sees an
 // envelope header and opaque Data; only this package knows what they hold:
 //
-//   - a control message (claim, lease, wait, hb, complete, fail, shutdown)
-//     is wireMsg as JSON in Data;
+//   - a control message (claim, lease, wait, hb, ack, complete, fail,
+//     shutdown) is wireMsg as JSON in Data;
 //   - a result — one slot record, nearly all the bytes a run moves — has
 //     Msg.ID "result", the job's spec in Msg.Key, and as Data exactly the
 //     record's journal frame ([u32 len][u32 CRC][21 B key][payload]): the
@@ -56,18 +65,37 @@ import (
 )
 
 // Protocol message types. Workers send claim/heartbeat/result/complete/
-// fail; the coordinator replies lease/wait to claims and pushes shutdown
-// when the whole session is over.
+// fail; the coordinator replies lease/wait to claims, ack to results, and
+// pushes shutdown when the whole session is over.
 const (
 	mtClaim     = "claim"    // worker → coord: give me work
 	mtLease     = "lease"    // coord → worker: realization granted
 	mtWait      = "wait"     // coord → worker: nothing leasable now, poll again
 	mtHeartbeat = "hb"       // worker → coord: still computing, renew my lease
 	mtResult    = "result"   // worker → coord: one slot record
+	mtAck       = "ack"      // coord → worker: Records result frames for Realization handled
 	mtComplete  = "complete" // worker → coord: realization finished, Records streamed
 	mtFail      = "fail"     // worker → coord: realization failed permanently here
 	mtShutdown  = "shutdown" // coord → worker: session over, exit
 )
+
+// creditWindow is how many of a lease's result frames may be unacknowledged
+// at once. It is a protocol constant, not a knob: the coordinator's queue
+// holds at most workers × creditWindow frames, which a fleet of two fits
+// into the TCP transport's 8 recycled read buffers.
+const creditWindow = 4
+
+// leaseProtocol is appended to every lease's workload fingerprint. A
+// worker and a coordinator that disagree on the control protocol (one
+// built before credit acks, say) then refuse each other through the
+// fingerprint check, the path any workload skew takes. The byte is not
+// part of sim.WorkloadFingerprint, so journal headers do not change.
+const leaseProtocol byte = 2
+
+// leaseFingerprint is the fingerprint a lease carries and a worker checks.
+func leaseFingerprint(spec string, seed uint64, sc sim.Scale) []byte {
+	return append(sim.WorkloadFingerprint(spec, seed, sc), leaseProtocol)
+}
 
 // The transport must carry the largest record the journal would read back.
 var _ [p2p.MaxData - sim.MaxRecordFrame]struct{}
@@ -90,13 +118,18 @@ type wireMsg struct {
 	Lease       uint64     `json:"lease,omitempty"`
 	TTLMillis   int64      `json:"ttl,omitempty"`
 	HBMillis    int64      `json:"hb,omitempty"`
+	// Window is a lease's credit: how many result frames the worker may
+	// have unacknowledged.
+	Window int `json:"win,omitempty"`
 	// Record is one sim.SlotRecord in journal framing (length+CRC), so a
 	// frame torn anywhere between worker and journal fails loudly: the
 	// result envelope's Data itself, on both ends.
 	Record []byte `json:"-"`
 	// Records is the completing worker's streamed-record count; the
 	// coordinator verifies its journal holds at least that many for the
-	// realization before marking it done.
+	// realization before marking it done. On an ack it is how many of the
+	// worker's result frames for Realization the coordinator has handled
+	// since the lease, so a lost ack is repaired by the next.
 	Records int    `json:"n,omitempty"`
 	Err     string `json:"err,omitempty"`
 }

@@ -12,10 +12,11 @@ import (
 // may send. It must never panic, and every control message it decodes must
 // survive sendWire's encoding: re-encoded and decoded again, it is the same
 // wireMsg (an empty fingerprint travels as none). Seeds in
-// testdata/fuzz/FuzzDecodeWire are one claim, lease, wait, hb, complete,
-// fail and shutdown each as sendWire encodes them, truncated and
-// bit-flipped copies of each, and a result dressed as a control message,
-// which must not decode: a result travels only as raw Data.
+// testdata/fuzz/FuzzDecodeWire are one claim, lease, wait, hb, ack,
+// complete, fail and shutdown each as sendWire encodes them, a lease
+// carrying its credit window (lease_win), truncated and bit-flipped copies
+// of each, and a result dressed as a control message, which must not
+// decode: a result travels only as raw Data.
 func FuzzDecodeWire(f *testing.F) {
 	net := p2p.NewInMemoryNetwork()
 	inbox := make(chan p2p.Envelope, 1)

@@ -51,6 +51,11 @@ type WorkerStats struct {
 	Completions int64 // leases finished with a verified-able complete
 	Failures    int64 // leases reported failed
 	Waits       int64 // wait replies received
+	// CreditWaits counts records the sink held until an ack freed credit;
+	// CreditTimeouts counts leases whose stream starved for a whole lease
+	// TTL and were reported failed.
+	CreditWaits    int64
+	CreditTimeouts int64
 }
 
 // RunWorker claims and executes leases from the coordinator until a
@@ -82,11 +87,14 @@ func RunWorker(ctx context.Context, net p2p.Network, cfg WorkerConfig) (WorkerSt
 	defer cancel()
 
 	// The pump decouples transport delivery from lease execution: claim
-	// replies flow to resp, shutdown trips its channel once, anything else
-	// (stale replies, foreign kinds) is dropped.
+	// replies flow to resp, acks to the running lease's credit counter
+	// (never to resp, where an executor would answer them with a claim),
+	// shutdown trips its channel once, anything else (stale replies,
+	// foreign kinds) is dropped.
 	resp := make(chan wireMsg, 256)
 	shutdown := make(chan struct{})
 	var shutOnce sync.Once
+	w := &worker{net: net, addr: addr, cfg: cfg, stats: &stats, shutdown: shutdown}
 	go func() {
 		for {
 			select {
@@ -97,8 +105,14 @@ func RunWorker(ctx context.Context, net p2p.Network, cfg WorkerConfig) (WorkerSt
 				if !ok {
 					continue
 				}
-				if m.Type == mtShutdown {
+				switch m.Type {
+				case mtShutdown:
 					shutOnce.Do(func() { close(shutdown) })
+					continue
+				case mtAck:
+					if c := w.credit.Load(); c != nil && c.spec == m.Spec && c.r == m.Realization {
+						c.ack(m.Records)
+					}
 					continue
 				}
 				select {
@@ -109,7 +123,6 @@ func RunWorker(ctx context.Context, net p2p.Network, cfg WorkerConfig) (WorkerSt
 		}
 	}()
 
-	w := &worker{net: net, addr: addr, cfg: cfg, stats: &stats}
 	lastContact := time.Now()
 	for {
 		select {
@@ -157,23 +170,100 @@ func RunWorker(ctx context.Context, net p2p.Network, cfg WorkerConfig) (WorkerSt
 // the engines' sweep goroutines.
 type workerCounters struct {
 	leases, records, completions, failures, waits atomic.Int64
+	creditWaits, creditTimeouts                   atomic.Int64
 }
 
 func (c *workerCounters) snapshot() WorkerStats {
 	return WorkerStats{
-		Leases:      c.leases.Load(),
-		Records:     c.records.Load(),
-		Completions: c.completions.Load(),
-		Failures:    c.failures.Load(),
-		Waits:       c.waits.Load(),
+		Leases:         c.leases.Load(),
+		Records:        c.records.Load(),
+		Completions:    c.completions.Load(),
+		Failures:       c.failures.Load(),
+		Waits:          c.waits.Load(),
+		CreditWaits:    c.creditWaits.Load(),
+		CreditTimeouts: c.creditTimeouts.Load(),
 	}
 }
 
 type worker struct {
-	net   p2p.Network
-	addr  string
-	cfg   WorkerConfig
-	stats *workerCounters
+	net      p2p.Network
+	addr     string
+	cfg      WorkerConfig
+	stats    *workerCounters
+	shutdown <-chan struct{}
+	// credit is the running lease's window, nil between leases; the pump
+	// routes acks to it.
+	credit atomic.Pointer[credit]
+}
+
+// Why a lease's stream stopped waiting for credit: its window stayed full
+// for a whole lease TTL, or the coordinator dismissed the fleet.
+var (
+	errCreditStarved = errors.New("no credit from the coordinator for a lease TTL")
+	errShutdown      = errors.New("coordinator shut the fleet down")
+)
+
+// credit is one lease's flow-control window: the sink spends one unit per
+// result frame, and the coordinator's acks give them back.
+type credit struct {
+	spec   string
+	r      int
+	window int
+	mu     sync.Mutex
+	sent   int // frames the sink has taken credit for
+	acked  int // the highest ack count seen
+	// wake holds one token after an ack; the one sink that can wait (the
+	// stream is serialised) rechecks the window on it.
+	wake chan struct{}
+}
+
+func newCredit(spec string, r, window int) *credit {
+	return &credit{spec: spec, r: r, window: max(window, 1), wake: make(chan struct{}, 1)}
+}
+
+// ack records that the coordinator has handled n of this lease's frames.
+// Counts are cumulative, so a reordered older ack never takes credit back.
+func (c *credit) ack(n int) {
+	c.mu.Lock()
+	c.acked = max(c.acked, n)
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take spends one unit of credit, waiting while sent − acked ≥ window. It
+// gives up with errCreditStarved after patience, and at once on a
+// cancelled context or a shutdown; waited reports whether it had to wait.
+func (c *credit) take(ctx context.Context, shutdown <-chan struct{}, patience time.Duration) (waited bool, err error) {
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for {
+		c.mu.Lock()
+		if c.sent-c.acked < c.window {
+			c.sent++
+			c.mu.Unlock()
+			return timer != nil, nil
+		}
+		c.mu.Unlock()
+		if timer == nil {
+			timer = time.NewTimer(patience)
+		}
+		select {
+		case <-c.wake:
+		case <-timer.C:
+			return true, errCreditStarved
+		case <-ctx.Done():
+			return true, ctx.Err()
+		case <-shutdown:
+			return true, errShutdown
+		}
+	}
 }
 
 // execute runs one lease end to end: verify the workload, heartbeat while
@@ -209,7 +299,7 @@ func (w *worker) execute(ctx context.Context, m wireMsg) error {
 		fail(err.Error())
 		return fmt.Errorf("coord: lease for %s: %w", m.Spec, err)
 	}
-	if !bytes.Equal(sim.WorkloadFingerprint(m.Spec, m.Seed, sc), m.Fingerprint) {
+	if !bytes.Equal(leaseFingerprint(m.Spec, m.Seed, sc), m.Fingerprint) {
 		fail("workload fingerprint mismatch")
 		return fmt.Errorf("coord: workload fingerprint mismatch for %s (worker/coordinator version skew?)", m.Spec)
 	}
@@ -236,24 +326,43 @@ func (w *worker) execute(ctx context.Context, m wireMsg) error {
 
 	// The sink streams each record as the engines deposit it, then lends
 	// its frame back to the sweep that built it: Send retains no Data, so
-	// the sweep's next record reuses the buffer. A send that fails after
-	// the transport's own retries means the record is lost for this
-	// lease — the realization must NOT be completed on top of it.
-	var sent atomic.Int64
-	var sendMu sync.Mutex
-	var sendErr error
+	// the sweep's next record reuses the buffer. Each frame first takes a
+	// unit of the lease's credit, so at most Window frames are ever queued
+	// at the coordinator. A send that fails after the transport's own
+	// retries, or credit that does not come within a lease TTL, means the
+	// record is lost for this lease — the realization must NOT be completed
+	// on top of it, and every later record is only released: sending it
+	// would pay the transport's retries for a lease already lost. The
+	// engines' lanes call the sink concurrently; streamMu makes the stream
+	// one sender at a time, as it is on the wire.
+	cr := newCredit(m.Spec, m.Realization, m.Window)
+	w.credit.Store(cr)
+	defer w.credit.Store(nil)
+	patience := millis(m.TTLMillis, 10*time.Second)
+	var streamMu sync.Mutex
+	var lost error
 	sink := func(rec sim.SlotRecord) {
-		err := sendWire(w.net, w.addr, w.cfg.CoordAddr, wireMsg{Type: mtResult, Spec: m.Spec, Record: rec.MarshalBinary()})
-		rec.Release()
-		if err != nil {
-			sendMu.Lock()
-			if sendErr == nil {
-				sendErr = err
-			}
-			sendMu.Unlock()
+		defer rec.Release()
+		streamMu.Lock()
+		defer streamMu.Unlock()
+		if lost != nil {
 			return
 		}
-		sent.Add(1)
+		waited, err := cr.take(ctx, w.shutdown, patience)
+		if waited {
+			w.stats.creditWaits.Add(1)
+		}
+		if errors.Is(err, errCreditStarved) {
+			w.stats.creditTimeouts.Add(1)
+		}
+		if err != nil {
+			lost = err
+			return
+		}
+		if err := sendWire(w.net, w.addr, w.cfg.CoordAddr, wireMsg{Type: mtResult, Spec: m.Spec, Record: rec.MarshalBinary()}); err != nil {
+			lost = err
+			return
+		}
 		w.stats.records.Add(1)
 	}
 
@@ -267,12 +376,12 @@ func (w *worker) execute(ctx context.Context, m wireMsg) error {
 		// realization is stolen. Indistinguishable from a crash, by design.
 		return ctx.Err()
 	}
-	sendMu.Lock()
-	lost := sendErr
-	sendMu.Unlock()
+	streamMu.Lock()
+	sent, streamErr := cr.sent, lost
+	streamMu.Unlock()
 	switch {
-	case lost != nil:
-		fail(fmt.Sprintf("record stream to coordinator failed: %v", lost))
+	case streamErr != nil:
+		fail(fmt.Sprintf("record stream to coordinator failed: %v", streamErr))
 	case runErr == nil,
 		// A restricted run computes one realization but still reduces the
 		// whole figure; reductions that need more than one realization
@@ -281,11 +390,11 @@ func (w *worker) execute(ctx context.Context, m wireMsg) error {
 		// engine failures means the work product is intact — the
 		// coordinator's final reduction sees all realizations and cannot
 		// hit the artifact.
-		sent.Load() > 0 && len(rc.Failures()) == 0:
+		sent > 0 && len(rc.Failures()) == 0:
 		w.stats.completions.Add(1)
 		_ = sendWire(w.net, w.addr, w.cfg.CoordAddr, wireMsg{
 			Type: mtComplete, Spec: m.Spec, Worker: w.addr,
-			Realization: m.Realization, Lease: m.Lease, Records: int(sent.Load()),
+			Realization: m.Realization, Lease: m.Lease, Records: sent,
 		})
 	default:
 		fail(runErr.Error())

@@ -65,40 +65,39 @@ func checkSqrtReplication(sc Scale, seed uint64) (bool, string, error) {
 	fg := g.Freeze() // every replication strategy probes the same overlay
 	queries := 12 * sc.Sources
 	maxSteps := 40 * sc.NSearch
-	ess := func(s content.Strategy) (float64, error) {
+	strategies := []content.Strategy{content.Uniform, content.Proportional, content.SquareRoot}
+	ess := make([]content.ESSResult, len(strategies))
+	jobs := make([]engineJob[*graph.Frozen], len(strategies))
+	for i, s := range strategies {
 		p, err := content.Replicate(cat, fg.N(), fg.N(), s, xrand.New(seed+1))
 		if err != nil {
-			return 0, err
+			return false, "", err
 		}
-		// Stream 0 for every strategy, so all three resolve the identical
-		// paired workload.
-		var r content.ESSResult
-		err = withSweeper(sc.Workers, seed+2, func(sw *sweeper) (err error) {
-			r, err = sw.essQueries(0, queries, fg, p, cat, maxSteps)
+		// Stream 0 of one seed for every strategy, so all three resolve the
+		// identical paired workload.
+		jobs[i] = engineJob[*graph.Frozen]{seed: seed + 2, build: prebuilt(fg), sweep: func(_ int, f *graph.Frozen, sw *sweeper) (err error) {
+			ess[i], err = sw.essQueries(0, queries, f, p, cat, maxSteps)
 			return err
-		})
-		if err != nil {
-			return 0, err
-		}
+		}}
+	}
+	if err := runPool(Scale{Realizations: 1, Workers: sc.Workers}, jobs...); err != nil {
+		return false, "", err
+	}
+	for i, r := range ess {
 		if r.Found == 0 {
-			return 0, fmt.Errorf("no queries resolved for %s", s)
+			return false, "", fmt.Errorf("no queries resolved for %s", strategies[i])
 		}
-		return r.MeanSteps, nil
 	}
-	u, err := ess(content.Uniform)
-	if err != nil {
-		return false, "", err
-	}
-	p, err := ess(content.Proportional)
-	if err != nil {
-		return false, "", err
-	}
-	s, err := ess(content.SquareRoot)
-	if err != nil {
-		return false, "", err
-	}
+	u, p, s := ess[0].MeanSteps, ess[1].MeanSteps, ess[2].MeanSteps
 	detail := fmt.Sprintf("ESS uniform=%.0f proportional=%.0f sqrt=%.0f", u, p, s)
 	return s < u && s < p, detail, nil
+}
+
+// prebuilt is the build of an engine job whose topology is built outside
+// the engine (paired-workload claims that probe one overlay per arm): every
+// realization is f.
+func prebuilt(f *graph.Frozen) func(int, *builder) (*graph.Frozen, error) {
+	return func(int, *builder) (*graph.Frozen, error) { return f, nil }
 }
 
 func checkChurnRepair(sc Scale, seed uint64) (bool, string, error) {
@@ -180,27 +179,23 @@ func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 }
 
 func checkCutoffFlattensLoad(sc Scale, seed uint64) (bool, string, error) {
-	loadGini := func(kc int) (float64, error) {
+	cutoffs := []int{gen.NoCutoff, 10}
+	gini := make([]float64, len(cutoffs))
+	jobs := make([]engineJob[*graph.Frozen], len(cutoffs))
+	for i, kc := range cutoffs {
 		g, _, err := gen.PA(gen.PAConfig{N: sc.NSearch, M: 2, KC: kc}, xrand.New(seed))
 		if err != nil {
-			return 0, err
+			return false, "", err
 		}
-		f := g.Freeze()
-		var gini float64
-		err = withSweeper(sc.Workers, seed+1, func(sw *sweeper) (err error) {
-			gini, err = sw.nfLoadGini(0, f, 12*sc.Sources, sc.MaxTTLNF)
+		jobs[i] = engineJob[*graph.Frozen]{seed: seed + 1, build: prebuilt(g.Freeze()), sweep: func(_ int, f *graph.Frozen, sw *sweeper) (err error) {
+			gini[i], err = sw.nfLoadGini(0, f, 12*sc.Sources, sc.MaxTTLNF)
 			return err
-		})
-		return gini, err
+		}}
 	}
-	free, err := loadGini(gen.NoCutoff)
-	if err != nil {
+	if err := runPool(Scale{Realizations: 1, Workers: sc.Workers}, jobs...); err != nil {
 		return false, "", err
 	}
-	capped, err := loadGini(10)
-	if err != nil {
-		return false, "", err
-	}
+	free, capped := gini[0], gini[1]
 	detail := fmt.Sprintf("NF-load Gini: no-kc=%.3f kc10=%.3f", free, capped)
 	return capped < free, detail, nil
 }

@@ -473,13 +473,14 @@ func recordEnds(t *testing.T, image []byte) []int {
 }
 
 // TestDistributableSpecsResumeAndWorkerSink is the journal contract of
-// every distributable spec, against the golden bytes of specDigests:
-// (a) a journaled run, its journal cut back to a record boundary mid-spec
-// and resumed under another parallelism budget, and (b) every realization
-// run alone as a distributed worker, its records accepted into a fresh
-// journal and reduced locally, both publish exactly what an unjournaled
-// run does — and the worker fleet's records are complete: the reduction
-// appends none.
+// every distributable spec, against the golden bytes of specDigests that
+// TestAllSpecsRun checks each spec's unjournaled run against: (a) every
+// realization run alone as a distributed worker, its records accepted into
+// a fresh journal and reduced locally, publishes exactly those bytes, and
+// the fleet's records are complete — the reduction appends none; (b) that
+// journal, cut back to a record boundary mid-spec and resumed under another
+// parallelism budget, publishes them too, appending exactly the records the
+// cut dropped.
 func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 	t.Parallel()
 	const seed = 12345
@@ -488,7 +489,6 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 		if !spec.Distributable {
 			continue
 		}
-		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
 			t.Parallel()
 			want, dir := specDigests[spec.ID], t.TempDir()
@@ -517,28 +517,6 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 				return j
 			}
 
-			if got := reduce(open("full.journal", false), 1); got != want {
-				t.Fatalf("journaled run published %#x, want %#x", got, want)
-			}
-			image, err := os.ReadFile(filepath.Join(dir, "full.journal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ends := recordEnds(t, image)
-			if len(ends) < 3 {
-				t.Fatalf("journal holds %d records, too few to cut mid-spec", len(ends))
-			}
-			if err := os.WriteFile(filepath.Join(dir, "cut.journal"), image[:ends[len(ends)/2]], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			cut := open("cut.journal", true)
-			if n := cut.Resumed(); n != len(ends)/2 {
-				t.Fatalf("cut journal resumed %d records, want %d", n, len(ends)/2)
-			}
-			if got := reduce(cut, 3); got != want {
-				t.Fatalf("resumed run published %#x, want %#x", got, want)
-			}
-
 			fleet := open("fleet.journal", false)
 			for r := 0; r < tinyScale.Realizations; r++ {
 				sc := tinyScale
@@ -553,14 +531,37 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 					t.Logf("worker %d reduction: %v", r, err)
 				}
 			}
-			if got := fleet.Resumed(); got != len(ends)-1 {
-				t.Fatalf("workers streamed %d records, the local run journals %d", got, len(ends)-1)
-			}
+			streamed := fleet.Resumed()
 			if got := reduce(fleet, 0); got != want {
 				t.Fatalf("reduction of worker records published %#x, want %#x", got, want)
 			}
-			if st, err := os.Stat(filepath.Join(dir, "fleet.journal")); err != nil || st.Size() != int64(len(image)) {
-				t.Fatalf("fleet journal is %d bytes after reduction (err %v); the local run's is %d", st.Size(), err, len(image))
+			image, err := os.ReadFile(filepath.Join(dir, "fleet.journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := recordEnds(t, image)
+			if len(ends)-1 != streamed {
+				t.Fatalf("fleet journal holds %d records after reduction; the workers streamed %d", len(ends)-1, streamed)
+			}
+			if len(ends) < 3 {
+				t.Fatalf("journal holds %d records, too few to cut mid-spec", len(ends))
+			}
+			if err := os.WriteFile(filepath.Join(dir, "cut.journal"), image[:ends[len(ends)/2]], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cut := open("cut.journal", true)
+			if n := cut.Resumed(); n != len(ends)/2 {
+				t.Fatalf("cut journal resumed %d records, want %d", n, len(ends)/2)
+			}
+			if got := reduce(cut, 3); got != want {
+				t.Fatalf("resumed run published %#x, want %#x", got, want)
+			}
+			st, err := os.Stat(filepath.Join(dir, "cut.journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != int64(len(image)) {
+				t.Fatalf("resumed journal is %d bytes; the fleet's is %d", st.Size(), len(image))
 			}
 		})
 	}

@@ -598,19 +598,3 @@ func (bd blockBuild[T, B, R]) job(rc *RunControl, n int, subs []uint64) ([][]R, 
 	}
 	return reduced, j
 }
-
-// withSweeper runs fn with a standalone source-sweep pool sized from the
-// parallelism budget p as the engine sizes a lone realization's (schedule
-// at n = 1: the whole budget), for specs that sweep a topology built
-// outside the realization engine (paired-workload claims that probe one
-// shared overlay). Stream derivation inside Sources is identical to the
-// engine's.
-func withSweeper(p int, seed uint64, fn func(sw *sweeper) error) error {
-	_, width := schedule(p, 1)
-	sw := newSweeper(seed, width)
-	err := fn(sw)
-	if err == nil {
-		sw.release()
-	}
-	return err
-}

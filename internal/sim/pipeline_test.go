@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"errors"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"scalefree/internal/gen"
@@ -19,11 +17,18 @@ func runJob[T any](sc Scale, seed uint64, build func(r int, b *builder) (T, erro
 	return runPool(sc, engineJob[T]{seed: seed, build: build, sweep: sweep})
 }
 
-// TestPipelineSchedule pins how the engine splits its budget. Every row is
-// the (sweep workers, source shards, build pool, intra-build width) the
-// engine resolved from Workers = 0 with GOMAXPROCS = P when the scheduler
-// still had three knobs; at that default the four always read
-// (lanes, width, lanes, width), which is all schedule keeps.
+// buildOnly runs fn as the build of a strict engine with a nil sweep: the
+// build-only shape degree, churn and robustness specs run in.
+func buildOnly(sc Scale, seed uint64, fn func(r int, b *builder) error) error {
+	return runJob(sc, seed, func(r int, b *builder) (struct{}, error) {
+		return struct{}{}, fn(r, b)
+	}, nil)
+}
+
+// TestPipelineSchedule pins how the engine splits a budget of P over n
+// realizations into (lanes, width): lanes = min(P, n) build and sweep
+// lanes, each realization's generator and source sweep width
+// ceil(P / lanes).
 func TestPipelineSchedule(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct{ p, n, lanes, width int }{
@@ -72,168 +77,6 @@ func TestWorkersDeterminismParallelGenerators(t *testing.T) {
 	for _, p := range []int{4, 8} {
 		if got := run(p); !reflect.DeepEqual(want, got) {
 			t.Fatalf("CM/DAPA degree distributions differ between Workers=1 and Workers=%d", p)
-		}
-	}
-}
-
-// TestPipelineLowestIndexError pins the pipeline's error contract: with
-// failures in both stages, the lowest realization index wins regardless of
-// which stage produced it, matching what a sequential run would have
-// reported first.
-func TestPipelineLowestIndexError(t *testing.T) {
-	t.Parallel()
-	errBuild, errSweep := errors.New("build"), errors.New("sweep")
-	err := runJob(Scale{Workers: 4, Realizations: 8}, 1,
-		func(r int, b *builder) (int, error) {
-			if r == 5 {
-				return 0, errBuild
-			}
-			return r, nil
-		},
-		func(r int, v int, sw *sweeper) error {
-			if r == 2 {
-				return errSweep
-			}
-			return nil
-		})
-	if err != errSweep {
-		t.Fatalf("err = %v, want the lowest-index error %v (sweep at r=2 beats build at r=5)", err, errSweep)
-	}
-	err = runJob(Scale{Workers: 4, Realizations: 8}, 1,
-		func(r int, b *builder) (int, error) {
-			if r == 2 {
-				return 0, errBuild
-			}
-			return r, nil
-		},
-		func(r int, v int, sw *sweeper) error {
-			if r == 5 {
-				return errSweep
-			}
-			return nil
-		})
-	if err != errBuild {
-		t.Fatalf("err = %v, want the lowest-index error %v (build at r=2 beats sweep at r=5)", err, errBuild)
-	}
-}
-
-// TestPipelineErrorSkipsSweep checks a failed build never reaches the
-// sweep stage while the other realizations still complete.
-func TestPipelineErrorSkipsSweep(t *testing.T) {
-	t.Parallel()
-	errBuild := errors.New("build")
-	var swept [8]atomic.Int32
-	err := runJob(Scale{Workers: 2, Realizations: 8}, 1,
-		func(r int, b *builder) (int, error) {
-			if r == 3 {
-				return 0, errBuild
-			}
-			return r, nil
-		},
-		func(r int, v int, sw *sweeper) error {
-			swept[r].Add(1)
-			return nil
-		})
-	if err != errBuild {
-		t.Fatalf("err = %v, want %v", err, errBuild)
-	}
-	for r := range swept {
-		want := int32(1)
-		if r == 3 {
-			want = 0
-		}
-		if c := swept[r].Load(); c != want {
-			t.Errorf("realization %d swept %d times, want %d", r, c, want)
-		}
-	}
-}
-
-// TestPipelineConcurrencyBounds checks the schedule's bounds: a budget of
-// 7 over 24 realizations runs at most lanes = 7 builds and 7 sweeps at
-// once, and one budget of 7 over 3 realizations sweeps each one's sources
-// on at most width = 3 shards, with builds told the same width.
-func TestPipelineConcurrencyBounds(t *testing.T) {
-	t.Parallel()
-	peak := func(cur int32, p *atomic.Int32) {
-		for {
-			v := p.Load()
-			if cur <= v || p.CompareAndSwap(v, cur) {
-				break
-			}
-		}
-	}
-	for _, tc := range []struct{ p, n, lanes, width int }{{7, 24, 7, 1}, {7, 3, 3, 3}} {
-		var buildIn, buildPeak, sweepIn, sweepPeak atomic.Int32
-		shardIn := make([]atomic.Int32, tc.n)
-		shardPeak := make([]atomic.Int32, tc.n)
-		err := runJob(Scale{Workers: tc.p, Realizations: tc.n}, 7,
-			func(r int, b *builder) (int, error) {
-				peak(buildIn.Add(1), &buildPeak)
-				if b.width != tc.width {
-					t.Errorf("p=%d n=%d: build width %d, want %d", tc.p, tc.n, b.width, tc.width)
-				}
-				buildIn.Add(-1)
-				return r, nil
-			},
-			func(r int, v int, sw *sweeper) error {
-				peak(sweepIn.Add(1), &sweepPeak)
-				defer sweepIn.Add(-1)
-				return sw.Sources(uint64(r), 4*tc.width, func(_, _ int, rng *xrand.RNG, _ *search.Scratch) error {
-					peak(shardIn[r].Add(1), &shardPeak[r])
-					_ = rng.Uint64()
-					shardIn[r].Add(-1)
-					return nil
-				})
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p := buildPeak.Load(); p > int32(tc.lanes) {
-			t.Fatalf("p=%d n=%d: observed %d concurrent builds, lanes bound is %d", tc.p, tc.n, p, tc.lanes)
-		}
-		if p := sweepPeak.Load(); p > int32(tc.lanes) {
-			t.Fatalf("p=%d n=%d: observed %d concurrent sweeps, lanes bound is %d", tc.p, tc.n, p, tc.lanes)
-		}
-		for r := range shardPeak {
-			if p := shardPeak[r].Load(); p > int32(tc.width) {
-				t.Fatalf("p=%d n=%d: realization %d swept %d sources at once, width bound is %d", tc.p, tc.n, r, p, tc.width)
-			}
-		}
-	}
-}
-
-// TestPipelineRunsEachRealizationOnce checks every realization is built
-// exactly once and swept exactly once for degenerate and oversized
-// budgets.
-func TestPipelineRunsEachRealizationOnce(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct{ workers, n int }{
-		{-1, 8}, {0, 8}, {1, 5}, {16, 4}, {4, 0}, {3, 1},
-	} {
-		built := make([]atomic.Int32, tc.n)
-		swept := make([]atomic.Int32, tc.n)
-		err := runJob(Scale{Workers: tc.workers, Realizations: tc.n}, 7,
-			func(r int, b *builder) (int, error) {
-				built[r].Add(1)
-				return r, nil
-			},
-			func(r int, v int, sw *sweeper) error {
-				if v != r {
-					t.Errorf("realization %d received snapshot %d", r, v)
-				}
-				swept[r].Add(1)
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < tc.n; r++ {
-			if c := built[r].Load(); c != 1 {
-				t.Errorf("workers=%d: realization %d built %d times", tc.workers, r, c)
-			}
-			if c := swept[r].Load(); c != 1 {
-				t.Errorf("workers=%d: realization %d swept %d times", tc.workers, r, c)
-			}
 		}
 	}
 }

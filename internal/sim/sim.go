@@ -310,8 +310,8 @@ func Lookup(id string) (Spec, error) {
 }
 
 // The realization engine (runPool, the lane pool every spec's one batch
-// runs on), the journaled series helper on top of it (realizationBatch),
-// and the standalone sweep pool (withSweeper) live in pipeline.go.
+// and every claim's sweeps run on) and the journaled series helper on top
+// of it (realizationBatch) live in pipeline.go.
 
 // sweeper is one sweep lane's source-sweep pool: a fixed set of shard
 // scratches (and DES sims) the lane keeps for its pool's whole life and

@@ -66,46 +66,6 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestForEachRealizationDeterministic(t *testing.T) {
-	t.Parallel()
-	run := func() []uint64 {
-		out := make([]uint64, 8)
-		err := buildOnly(Scale{Realizations: 8}, 42, func(r int, b *builder) error {
-			out[r] = b.rng.Uint64()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("realization %d differs across runs", i)
-		}
-	}
-}
-
-func TestForEachRealizationPropagatesError(t *testing.T) {
-	t.Parallel()
-	err := buildOnly(Scale{Workers: 2, Realizations: 4}, 1, func(r int, b *builder) error {
-		if r == 2 {
-			return errTest
-		}
-		return nil
-	})
-	if err != errTest {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
-
 // specDigests pins every registered spec to the bytes it published before
 // the two realization engines and the three journaled helpers were folded
 // into one path: FNV-64a over each figure's ID, its WriteCSV bytes and its

@@ -123,7 +123,7 @@ func BenchmarkGRNBuildCSRArena(b *testing.B) {
 // size (N=850) for fig9's m = 1, 2 and 3, under a tight cutoff, a loose
 // one and none. Almost every attempt is rejected, so the cost is per hop:
 // hops/op is the walk length of one build and ns/hop the loop's cost per
-// stop.
+// stop. Every build grows in one arena's graph, as a build lane's do.
 func BenchmarkHAPABuild(b *testing.B) {
 	for _, m := range []int{1, 2, 3} {
 		for _, kc := range []int{10, 50, NoCutoff} {
@@ -133,10 +133,11 @@ func BenchmarkHAPABuild(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				cfg := HAPAConfig{N: 850, M: m, KC: kc}
+				arena := graph.NewCSRArena()
 				b.ReportAllocs()
 				hops := 0
 				for i := 0; i < b.N; i++ {
-					g, st, err := HAPABuild(cfg, NewBuild(phasesFor(3, uint64(i)), 1))
+					g, st, err := HAPABuild(cfg, Build{Phases: phasesFor(3, uint64(i)), Workers: 1, Arena: arena})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -149,6 +150,36 @@ func BenchmarkHAPABuild(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkDAPABuild times DAPA's overlay growth at the grow-dapa
+// workload's size (an N_S = 1600 GRN substrate, N_O = 800, m = 2,
+// kc = 50) for fig8's short, middle and long discovery horizons, every
+// build on one arena as a build lane's are: allocs/op is what a warm
+// lane's build still allocates, and queries/op the horizon floods one
+// build runs.
+func BenchmarkDAPABuild(b *testing.B) {
+	sub, _, err := GRNFrozen(GRNConfig{N: 1600, MeanDegree: 10}, NewBuild(phasesFor(4, 0), 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tau := range []int{2, 10, 50} {
+		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
+			cfg := DAPAConfig{NOverlay: 800, M: 2, KC: 50, TauSub: tau}
+			arena := graph.NewCSRArena()
+			b.ReportAllocs()
+			queries := 0
+			for i := 0; i < b.N; i++ {
+				ov, st, err := DAPABuild(sub, cfg, Build{Phases: phasesFor(5, uint64(i)), Workers: 1, Arena: arena})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkGraph = ov.G
+				queries += st.HorizonQueries
+			}
+			b.ReportMetric(float64(queries)/float64(b.N), "queries/op")
+		})
 	}
 }
 

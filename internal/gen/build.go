@@ -21,11 +21,15 @@ type Build struct {
 	// the calling goroutine. Output is identical for every value — only
 	// wall-clock changes.
 	Workers int
-	// Arena, when non-nil, recycles the direct-to-CSR builders' large
-	// transient buffers (edge chunks, count/scatter/dedup scratch) across
-	// consecutive builds. Output is identical with or without it; only
+	// Arena, when non-nil, lends the build its whole working set: the
+	// direct-to-CSR builders' edge chunks and count/scatter/dedup scratch,
+	// the Graph PA, HAPA and DAPA grow and DAPA's ID maps, and every
+	// generator's int32 scratch (stub lists, degree sequences, flood marks
+	// and queues). What a build returns from an arena — a growth Graph, an
+	// Overlay — stays valid only until the arena's next build; a Frozen
+	// never aliases it. Output is identical with or without it; only
 	// allocation traffic changes. The experiment pipeline hands each build
-	// worker its own arena; an arena must not serve two concurrent builds.
+	// lane its own arena; an arena must not serve two concurrent builds.
 	Arena *graph.CSRArena
 }
 

@@ -120,7 +120,9 @@ func cmShuffledStubs(cfg CMConfig, b Build) ([]int32, error) {
 	if kc == NoCutoff || kc > cfg.N {
 		kc = cfg.N
 	}
-	stubs := stubList(powerLawDegreeSequence(cfg.N, cfg.M, kc, cfg.Gamma, b), b)
+	seq := powerLawDegreeSequence(cfg.N, cfg.M, kc, cfg.Gamma, b)
+	stubs := stubList(seq, b)
+	b.Arena.Release(seq)
 	wire := b.Phases.Stream("cm.wire")
 	wire.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	return stubs, nil
@@ -133,9 +135,11 @@ func cmShuffledStubs(cfg CMConfig, b Build) ([]int32, error) {
 // entry drawn from the "cm.parity" stream is bumped by ±1, preferring to
 // stay inside [kMin, kMax]; in the degenerate kMin == kMax case it is
 // decremented below the bound — parity must win, and the paper's own
-// cleanup phase already tolerates degrees below m.
-func powerLawDegreeSequence(n, kMin, kMax int, gamma float64, b Build) []int {
-	seq := make([]int, n)
+// cleanup phase already tolerates degrees below m. Degrees never exceed
+// kMax <= n, so the sequence is int32 scratch from Build.Arena, which
+// cmShuffledStubs releases once stubList has expanded it.
+func powerLawDegreeSequence(n, kMin, kMax int, gamma float64, b Build) []int32 {
+	seq := b.Arena.Grab(n)
 	subtotals := make([]int, chunks(n))
 	// One read-only sampling kernel shared by every chunk worker —
 	// bit-identical to rng.PowerLawInt per draw (see plcache.go), so the
@@ -145,8 +149,9 @@ func powerLawDegreeSequence(n, kMin, kMax int, gamma float64, b Build) []int {
 		rng := b.Phases.Chunk("cm.degrees", chunk)
 		t := 0
 		for i := lo; i < hi; i++ {
-			seq[i] = sample(rng)
-			t += seq[i]
+			k := sample(rng)
+			seq[i] = int32(k)
+			t += k
 		}
 		subtotals[chunk] = t
 	})
@@ -156,7 +161,7 @@ func powerLawDegreeSequence(n, kMin, kMax int, gamma float64, b Build) []int {
 	}
 	if total%2 == 1 {
 		i := b.Phases.Stream("cm.parity").Intn(n)
-		if seq[i] < kMax {
+		if int(seq[i]) < kMax {
 			seq[i]++
 		} else {
 			seq[i]--
@@ -171,11 +176,11 @@ func powerLawDegreeSequence(n, kMin, kMax int, gamma float64, b Build) []int {
 // serial build appends — both produce the identical array. The
 // array comes from Build.Arena when one is set (CMFrozen releases it after
 // wiring), so repeated pipeline builds reuse it.
-func stubList(seq []int, b Build) []int32 {
+func stubList(seq []int32, b Build) []int32 {
 	if b.workers() <= 1 {
 		stubs := b.Arena.Grab(sum(seq))[:0]
 		for u, k := range seq {
-			for i := 0; i < k; i++ {
+			for i := int32(0); i < k; i++ {
 				stubs = append(stubs, int32(u))
 			}
 		}
@@ -187,7 +192,7 @@ func stubList(seq []int, b Build) []int32 {
 	offsets := b.Arena.Grab(n + 1)
 	offsets[0] = 0
 	for u, k := range seq {
-		offsets[u+1] = offsets[u] + int32(k)
+		offsets[u+1] = offsets[u] + k
 	}
 	stubs := b.Arena.Grab(int(offsets[n]))
 	b.forChunks(n, func(_, lo, hi int) {
@@ -201,10 +206,10 @@ func stubList(seq []int, b Build) []int32 {
 	return stubs
 }
 
-func sum(xs []int) int {
+func sum(xs []int32) int {
 	t := 0
 	for _, x := range xs {
-		t += x
+		t += int(x)
 	}
 	return t
 }

@@ -235,7 +235,7 @@ func TestPowerLawDegreeSequenceTableIdentity(t *testing.T) {
 			}
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if int(got[i]) != want[i] {
 				t.Fatalf("(n=%d,%d,%d,%g): degree %d differs: got %d want %d",
 					c.n, c.kMin, c.kMax, c.gamma, i, got[i], want[i])
 			}
@@ -278,7 +278,7 @@ func TestPowerLawChunkedTableIdentity(t *testing.T) {
 		}
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if int(got[i]) != want[i] {
 			t.Fatalf("chunked degree %d differs: got %d want %d", i, got[i], want[i])
 		}
 	}

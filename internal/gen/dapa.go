@@ -113,6 +113,13 @@ const dapaAttemptBudget = 10_000
 // filtered against the live overlay state only when its candidate is
 // consumed, in draw order, so the overlay is bit-for-bit identical for
 // every Workers value.
+//
+// With a Build.Arena, the build's whole working set is borrowed from it:
+// the overlay graph and both ID maps are the ones the arena lends (Graph,
+// Ints), and the flood marks and queues, the candidate balls and the
+// horizon are arena scratch, so a lane's repeated builds allocate almost
+// nothing. The returned Overlay then stays valid only until the arena's
+// next build: freeze or use up ov.G, and drop the ID maps, first.
 func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, error) {
 	var st Stats
 	if err := cfg.validate(sub.N()); err != nil {
@@ -120,10 +127,13 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 	}
 	ns := sub.N()
 
-	ov := &Overlay{
-		G:         graph.New(0),
-		OverlayID: make([]int, ns),
-	}
+	// Graph comes first: it takes back the ID maps the arena's previous
+	// build borrowed. Exactly NOverlay peers join, so SubstrateID never
+	// outgrows its capacity.
+	arena := b.Arena
+	ov := &Overlay{G: arena.Graph(0)}
+	ov.OverlayID = arena.Ints(ns)
+	ov.SubstrateID = arena.Ints(cfg.NOverlay)[:0]
 	for i := range ov.OverlayID {
 		ov.OverlayID[i] = -1
 	}
@@ -166,25 +176,30 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 	// (bumping the epoch clears the visited set in O(1)). This mirrors
 	// search.Scratch.FloodVisit, which gen cannot import: the search
 	// package's in-package tests import gen, so gen → search would be an
-	// import cycle in the test binary.
+	// import cycle in the test binary. They are all taken here, before any
+	// flood goroutine starts, because the arena serves one goroutine.
 	scratches := make([]*dapaFlood, workers)
-	scratch := func(i int) *dapaFlood {
-		if scratches[i] == nil {
-			scratches[i] = newDAPAFlood(ns)
-		}
-		return scratches[i]
+	for i := range scratches {
+		scratches[i] = newDAPAFlood(ns, arena)
 	}
 
+	// A ball, and so a horizon, holds fewer than ns nodes: every buffer
+	// below is sized once and never regrows.
 	stallLimit := 50 * ns
 	consecutiveFailures := 0
-	horizon := make([]int, 0, 256)
-	candNodes := make([]int32, look)
+	horizon := arena.Grab(ns)[:0]
+	candNodes := arena.Grab(look)
 	candBalls := make([][]int32, look)
+	for i := range candBalls {
+		candBalls[i] = arena.Grab(ns)[:0]
+	}
 	hasBall := make([]bool, look)
 	candPos, candLen := 0, 0
+	var err error
 	for st.Joined < cfg.NOverlay {
 		if consecutiveFailures >= stallLimit {
-			return ov, st, fmt.Errorf("%w: overlay stuck at %d/%d peers", ErrStalled, st.Joined, cfg.NOverlay)
+			err = fmt.Errorf("%w: overlay stuck at %d/%d peers", ErrStalled, st.Joined, cfg.NOverlay)
+			break
 		}
 		if candPos == candLen {
 			// Refill: draw the next batch of candidates from the select
@@ -199,7 +214,7 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 			if candLen == 1 {
 				hasBall[0] = false
 				if ov.OverlayID[candNodes[0]] < 0 {
-					candBalls[0] = scratch(0).ball(sub, int(candNodes[0]), cfg.TauSub, candBalls[0][:0])
+					candBalls[0] = scratches[0].ball(sub, int(candNodes[0]), cfg.TauSub, candBalls[0][:0])
 					hasBall[0] = true
 				}
 			} else {
@@ -208,7 +223,7 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 				for gid := 0; gid < workers; gid++ {
 					go func(gid int) {
 						defer wg.Done()
-						fs := scratch(gid)
+						fs := scratches[gid]
 						for i := gid; i < candLen; i += workers {
 							hasBall[i] = false
 							if ov.OverlayID[candNodes[i]] < 0 {
@@ -236,13 +251,13 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 		// filter runs now, against the live membership and degrees.
 		st.HorizonQueries++
 		if !hasBall[i] { // unreachable (membership never reverts); kept as a safety net
-			candBalls[i] = scratch(0).ball(sub, node, cfg.TauSub, candBalls[i][:0])
+			candBalls[i] = scratches[0].ball(sub, node, cfg.TauSub, candBalls[i][:0])
 		}
 		horizon = horizon[:0]
 		for _, v := range candBalls[i] {
 			oid := ov.OverlayID[v]
 			if oid >= 0 && cutoffOK(ov.G, oid, cfg.KC) {
-				horizon = append(horizon, oid)
+				horizon = append(horizon, int32(oid))
 			}
 		}
 		if len(horizon) == 0 {
@@ -256,13 +271,21 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 		if len(horizon) <= cfg.M {
 			// Appendix D lines 11-15: connect to every horizon peer.
 			for _, peer := range horizon {
-				mustEdge(ov.G, id, peer)
+				mustEdge(ov.G, id, int(peer))
 			}
 			continue
 		}
 		dapaPreferential(ov.G, id, horizon, cfg, attachRNG, &st)
 	}
-	return ov, st, nil
+	for _, fs := range scratches {
+		fs.release(arena)
+	}
+	for _, ball := range candBalls {
+		arena.Release(ball)
+	}
+	arena.Release(candNodes)
+	arena.Release(horizon)
+	return ov, st, err
 }
 
 // dapaFlood is one worker's discovery-flood scratch: the epoch-marked
@@ -273,12 +296,20 @@ type dapaFlood struct {
 	curq, nextq []int32
 }
 
-func newDAPAFlood(ns int) *dapaFlood {
-	return &dapaFlood{
-		mark:  make([]int32, ns),
-		curq:  make([]int32, 0, 256),
-		nextq: make([]int32, 0, 256),
-	}
+// newDAPAFlood takes a flood scratch over ns substrate nodes from arena
+// (a nil arena allocates it). A frontier holds fewer than ns nodes, so
+// the queues never regrow.
+func newDAPAFlood(ns int, arena *graph.CSRArena) *dapaFlood {
+	s := &dapaFlood{mark: arena.Grab(ns), curq: arena.Grab(ns)[:0], nextq: arena.Grab(ns)[:0]}
+	clear(s.mark)
+	return s
+}
+
+// release hands the scratch's buffers back to arena.
+func (s *dapaFlood) release(arena *graph.CSRArena) {
+	arena.Release(s.mark)
+	arena.Release(s.curq)
+	arena.Release(s.nextq)
 }
 
 // ball appends the substrate nodes within tau hops of node (excluding node
@@ -322,16 +353,16 @@ func (s *dapaFlood) ball(sub *graph.Frozen, node, tau int, out []int32) []int32 
 // among eligible peers regardless of the normalizer, so the horizon total
 // is used for speed (the prose of §IV-B describes exactly this
 // normalization).
-func dapaPreferential(g *graph.Graph, id int, horizon []int, cfg DAPAConfig, rng *xrand.RNG, st *Stats) {
+func dapaPreferential(g *graph.Graph, id int, horizon []int32, cfg DAPAConfig, rng *xrand.RNG, st *Stats) {
 	kTotal := 0
 	for _, p := range horizon {
-		kTotal += g.Degree(p)
+		kTotal += g.Degree(int(p))
 	}
 	for j := 0; j < cfg.M; j++ {
 		placed := false
 		for attempt := 0; attempt < dapaAttemptBudget; attempt++ {
 			st.Attempts++
-			peer := horizon[rng.Intn(len(horizon))]
+			peer := int(horizon[rng.Intn(len(horizon))])
 			if g.HasEdge(id, peer) || !cutoffOK(g, peer, cfg.KC) {
 				continue
 			}
@@ -350,9 +381,9 @@ func dapaPreferential(g *graph.Graph, id int, horizon []int, cfg DAPAConfig, rng
 		var cands []int
 		var weights []float64
 		for _, p := range horizon {
-			if !g.HasEdge(id, p) && cutoffOK(g, p, cfg.KC) {
-				cands = append(cands, p)
-				weights = append(weights, float64(g.Degree(p)))
+			if u := int(p); !g.HasEdge(id, u) && cutoffOK(g, u, cfg.KC) {
+				cands = append(cands, u)
+				weights = append(weights, float64(g.Degree(u)))
 			}
 		}
 		idx := rng.Choose(weights)

@@ -1,7 +1,9 @@
 package gen
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"scalefree/internal/graph"
@@ -108,37 +110,154 @@ func TestGRNFrozenMatchesLegacyFreeze(t *testing.T) {
 	}
 }
 
-// TestFrozenBuildArenaAcrossRealizations pins the pooling contract at the
-// gen level: one arena serving a back-to-back mix of CM and GRN builds
-// (the pipeline build-worker pattern) yields snapshots identical to
-// fresh-allocation builds.
+// TestFrozenBuildArenaAcrossRealizations pins the lending contract at the
+// gen level: one arena serving an interleaved run of every generator a
+// build lane runs — PA, HAPA, DAPA (one and two workers), CM and GRN —
+// whose N, m and kc shrink as well as grow, yields build for build the
+// digest and Stats of a build with no arena. Each growth build's graph is
+// frozen, as the engine does, before the next build resets it; DAPA's ID
+// maps must match too.
 func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 	t.Parallel()
+	subs := make([]*graph.Frozen, 2)
+	for i, n := range []int{1500, 900} {
+		f, _, err := GRNFrozen(GRNConfig{N: n, MeanDegree: 10}, NewBuild(phasesFor(5, uint64(i)), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = f
+	}
+	type step struct {
+		name    string
+		workers int
+		build   func(b Build) (*graph.Frozen, Stats, []int, error)
+	}
+	growth := func(g *graph.Graph, st Stats, err error) (*graph.Frozen, Stats, []int, error) {
+		if err != nil {
+			return nil, st, nil, err
+		}
+		return g.FreezePar(1), st, nil, nil
+	}
+	pa := func(n, m, kc int) step {
+		return step{fmt.Sprintf("PA N=%d m=%d kc=%d", n, m, kc), 1, func(b Build) (*graph.Frozen, Stats, []int, error) {
+			return growth(PABuild(PAConfig{N: n, M: m, KC: kc}, b))
+		}}
+	}
+	hapa := func(n, m, kc int) step {
+		return step{fmt.Sprintf("HAPA N=%d m=%d kc=%d", n, m, kc), 1, func(b Build) (*graph.Frozen, Stats, []int, error) {
+			return growth(HAPABuild(HAPAConfig{N: n, M: m, KC: kc}, b))
+		}}
+	}
+	dapa := func(sub *graph.Frozen, workers, n, m, kc, tau int) step {
+		name := fmt.Sprintf("DAPA Ns=%d W=%d N=%d m=%d kc=%d tau=%d", sub.N(), workers, n, m, kc, tau)
+		return step{name, workers, func(b Build) (*graph.Frozen, Stats, []int, error) {
+			ov, st, err := DAPABuild(sub, DAPAConfig{NOverlay: n, M: m, KC: kc, TauSub: tau}, b)
+			if err != nil {
+				return nil, st, nil, err
+			}
+			// One slice holds both maps, so a mismatch in either shows.
+			return ov.G.FreezePar(1), st, append(append([]int(nil), ov.SubstrateID...), ov.OverlayID...), nil
+		}}
+	}
+	cm := func(workers, n, m, kc int) step {
+		return step{fmt.Sprintf("CM W=%d N=%d m=%d kc=%d", workers, n, m, kc), workers, func(b Build) (*graph.Frozen, Stats, []int, error) {
+			f, st, err := CMFrozen(CMConfig{N: n, M: m, KC: kc, Gamma: 2.5}, b)
+			return f, st, nil, err
+		}}
+	}
+	grn := func(workers, n int) step {
+		return step{fmt.Sprintf("GRN W=%d N=%d", workers, n), workers, func(b Build) (*graph.Frozen, Stats, []int, error) {
+			f, _, err := GRNFrozen(GRNConfig{N: n, MeanDegree: 10}, b)
+			return f, Stats{}, nil, err
+		}}
+	}
+	steps := []step{
+		pa(2000, 2, 10),
+		hapa(1500, 3, 50),
+		dapa(subs[0], 1, 800, 2, 10, 4),
+		cm(2, 3000, 2, 80),
+		pa(800, 1, NoCutoff),
+		dapa(subs[0], 2, 1200, 3, NoCutoff, 2),
+		grn(2, 2500),
+		hapa(600, 1, 10),
+		dapa(subs[1], 1, 400, 1, 5, 10),
+		pa(2500, 3, 50),
+		cm(1, 1500, 1, 40),
+		hapa(2200, 2, NoCutoff),
+		dapa(subs[1], 2, 700, 2, 20, 3),
+		grn(1, 1200),
+		hapa(900, 3, 10),
+		dapa(subs[0], 1, 1000, 2, 50, 50),
+	}
 	arena := graph.NewCSRArena()
-	for r := uint64(0); r < 4; r++ {
-		cmCfg := CMConfig{N: 3000 + int(r)*500, M: 1 + int(r%2), Gamma: 2.5}
-		fresh, freshSt, err := CMFrozen(cmCfg, NewBuild(phasesFor(3, r), 2))
+	for r, s := range steps {
+		phases := phasesFor(3, uint64(r))
+		want, wantSt, wantIDs, err := s.build(NewBuild(phases, s.workers))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		pooled, pooledSt, err := CMFrozen(cmCfg, Build{Phases: phasesFor(3, r), Workers: 2, Arena: arena})
+		got, st, ids, err := s.build(Build{Phases: phases, Workers: s.workers, Arena: arena})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s on the arena: %v", s.name, err)
 		}
-		if freshSt != pooledSt || !reflect.DeepEqual(frozenFingerprint(fresh), frozenFingerprint(pooled)) {
-			t.Fatalf("realization %d: CM arena build diverged", r)
+		if st != wantSt {
+			t.Fatalf("%s: stats %+v on the arena, %+v without", s.name, st, wantSt)
 		}
-		grnCfg := GRNConfig{N: 2000 + int(r)*700, MeanDegree: 10}
-		gFresh, _, err := GRNFrozen(grnCfg, NewBuild(phasesFor(4, r), 2))
-		if err != nil {
-			t.Fatal(err)
+		if frozenDigest(got) != frozenDigest(want) || got.M() != want.M() || !slices.Equal(ids, wantIDs) {
+			t.Fatalf("%s: the arena build diverged from a build without one", s.name)
 		}
-		gPooled, _, err := GRNFrozen(grnCfg, Build{Phases: phasesFor(4, r), Workers: 2, Arena: arena})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(frozenFingerprint(gFresh), frozenFingerprint(gPooled)) {
-			t.Fatalf("realization %d: GRN arena build diverged", r)
+	}
+}
+
+// TestArenaSteadyStateAllocs pins a build lane's steady state: once one
+// build has warmed an arena, a second PABuild, HAPABuild, DAPABuild or
+// CMFrozen of the same config allocates a few objects — phase streams,
+// result headers, the CM snapshot's arrays — within a bound that holds at
+// every N, instead of the per-node rows, ID maps and scratch a build
+// without an arena grows (about 1 600 objects for one HAPA build at
+// N = 850). It is not parallel: AllocsPerRun counts the whole process's
+// mallocs.
+func TestArenaSteadyStateAllocs(t *testing.T) {
+	sub, _, err := GRNFrozen(GRNConfig{N: 3200, MeanDegree: 10}, NewBuild(phasesFor(6, 0), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		limit float64
+		build func(n int, b Build) error
+	}{
+		{"PA", 4, func(n int, b Build) error {
+			_, _, err := PABuild(PAConfig{N: n, M: 2, KC: 10}, b)
+			return err
+		}},
+		{"HAPA", 4, func(n int, b Build) error {
+			_, _, err := HAPABuild(HAPAConfig{N: n, M: 2, KC: 10}, b)
+			return err
+		}},
+		{"DAPA", 16, func(n int, b Build) error {
+			_, _, err := DAPABuild(sub, DAPAConfig{NOverlay: n, M: 2, KC: 10, TauSub: 4}, b)
+			return err
+		}},
+		{"CM", 32, func(n int, b Build) error {
+			_, _, err := CMFrozen(CMConfig{N: n, M: 2, KC: 40, Gamma: 2.5}, b)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		for _, n := range []int{400, 1600} {
+			b := Build{Phases: phasesFor(9, 1), Workers: 1, Arena: graph.NewCSRArena()}
+			if err := c.build(n, b); err != nil {
+				t.Fatalf("%s N=%d: %v", c.name, n, err)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if err := c.build(n, b); err != nil {
+					t.Fatalf("%s N=%d: %v", c.name, n, err)
+				}
+			})
+			if allocs > c.limit {
+				t.Errorf("%s N=%d: %v allocations per warm build, want at most %v", c.name, n, allocs, c.limit)
+			}
 		}
 	}
 }

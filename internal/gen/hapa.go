@@ -52,12 +52,18 @@ const (
 // unfilled if every candidate is saturated. A nil rng uses a fixed-seed
 // generator.
 func HAPA(cfg HAPAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
+	return hapa(cfg, rng, nil)
+}
+
+// hapa is HAPA growing in the graph arena lends (a nil arena allocates
+// it).
+func hapa(cfg HAPAConfig, rng *xrand.RNG, arena *graph.CSRArena) (*graph.Graph, Stats, error) {
 	var st Stats
 	if err := cfg.validate(); err != nil {
 		return nil, st, err
 	}
 	rng = defaultRNG(rng)
-	g := graph.New(cfg.N)
+	g := arena.Graph(cfg.N)
 	if err := seedClique(g, cfg.M); err != nil {
 		return nil, st, err
 	}
@@ -134,7 +140,9 @@ func HAPA(cfg HAPAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
 
 // HAPABuild is HAPA drawing from the build's "hapa.grow" phase stream.
 // Like PA, the hop walk is inherently sequential, so Workers has no effect
-// on the output.
+// on the output. With a Build.Arena it grows in the graph the arena lends,
+// as PABuild does, and the returned graph stays valid only until the
+// arena's next build.
 func HAPABuild(cfg HAPAConfig, b Build) (*graph.Graph, Stats, error) {
-	return HAPA(cfg, b.Phases.Stream("hapa.grow"))
+	return hapa(cfg, b.Phases.Stream("hapa.grow"), b.Arena)
 }

@@ -44,12 +44,18 @@ const paAttemptBudget = 10_000
 // N=10^5, Fig. 1a); with a cutoff the distribution accumulates a spike at
 // kc and the fitted exponent drops (Figs. 1b, 1c).
 func PA(cfg PAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
+	return pa(cfg, rng, nil)
+}
+
+// pa is PA growing in the graph arena lends, with its stub list drawn
+// from arena scratch (a nil arena allocates both).
+func pa(cfg PAConfig, rng *xrand.RNG, arena *graph.CSRArena) (*graph.Graph, Stats, error) {
 	var st Stats
 	if err := cfg.validate(); err != nil {
 		return nil, st, err
 	}
 	rng = defaultRNG(rng)
-	g := graph.New(cfg.N)
+	g := arena.Graph(cfg.N)
 	if err := seedClique(g, cfg.M); err != nil {
 		return nil, st, err
 	}
@@ -62,8 +68,10 @@ func PA(cfg PAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
 	// Stub list: each node appears once per unit of degree, so a uniform
 	// index draw is a degree-proportional node draw. Rejecting draws that
 	// violate the adjacency/cutoff conditions leaves the conditional
-	// distribution identical to Appendix A's loop.
-	stubs := make([]int32, 0, 2*cfg.M*cfg.N)
+	// distribution identical to Appendix A's loop. It never outgrows
+	// 2·M·N entries: the seed clique holds M(M+1) and each of the N−M−1
+	// joins adds at most 2M.
+	stubs := arena.Grab(2 * cfg.M * cfg.N)[:0]
 	for u := 0; u < g.N(); u++ {
 		for i := 0; i < g.Degree(u); i++ {
 			stubs = append(stubs, int32(u))
@@ -97,6 +105,7 @@ func PA(cfg PAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
 			}
 		}
 	}
+	arena.Release(stubs)
 	return g, st, nil
 }
 
@@ -104,8 +113,13 @@ func PA(cfg PAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
 // growth process is inherently sequential (each join's acceptance depends
 // on the degrees left by every earlier join), so Workers has no effect and
 // the topology is trivially identical for any build parallelism.
+//
+// With a Build.Arena, the graph is the one the arena lends and the stub
+// list is arena scratch, so a lane's repeated builds allocate neither.
+// The returned graph then stays valid only until the arena's next build:
+// freeze or use it up first.
 func PABuild(cfg PAConfig, b Build) (*graph.Graph, Stats, error) {
-	return PA(cfg, b.Phases.Stream("pa.grow"))
+	return pa(cfg, b.Phases.Stream("pa.grow"), b.Arena)
 }
 
 // paLiteral runs Appendix A verbatim: uniform candidate, acceptance

@@ -11,7 +11,9 @@ package graph
 // wires precomputed stub pairs, GRN connects precomputed points — only
 // need the CSR end state, so they emit raw (u,v) pairs here instead.
 // Growth models (PA, HAPA, DAPA) genuinely need mid-build
-// HasEdge/Degree and stay on Graph.
+// HasEdge/Degree and grow a Graph; given an arena, they grow the one it
+// lends (CSRArena.Graph), whose rows keep their capacity from build to
+// build, so a warm build's new memory is little more than its Freeze copy.
 //
 // Determinism contract (pinned by the equivalence and fuzz tests): the
 // chunk index order IS the emission order. Finalizing chunks c0, c1, ...
@@ -22,12 +24,21 @@ package graph
 // adjacency removal) on the CSR arrays, so its output is byte-identical
 // to Graph+Simplify+Freeze on the same stream.
 
-// CSRArena recycles a builder's large transient buffers — the per-chunk
-// edge buffers plus the count/scatter and dedup scratch arrays — across
-// consecutive builds. The experiment engine gives each build lane one
-// arena and hands it on to later lanes when the lane ends, so back-to-back
-// realizations at xl scale (N=10⁶, ~10⁷ adjacency entries) reuse tens of
-// megabytes instead of re-growing them from zero under the GC. An arena serves one build at a time and must not be
+// CSRArena lends one build lane's builds their working set, so that a
+// lane's Nth build allocates little beyond the result it returns: the
+// direct-to-CSR builders' per-chunk edge buffers and count/scatter/dedup
+// scratch, the growth models' Graph (Graph) and ID tables (Ints), and
+// every generator's int32 scratch (Grab/Release: stub lists, degree
+// sequences, flood marks and queues, spatial-hash tables). The experiment
+// engine gives each build lane one arena and hands it on to later lanes
+// when the lane ends, so back-to-back realizations reuse that memory
+// instead of re-growing it from zero under the GC.
+//
+// What a build gets from an arena stays valid until the arena's next
+// build, which takes it back: a caller must freeze or use up a lent Graph,
+// and drop the ID tables, before it builds on the same arena again. The
+// arrays of a Frozen never come from an arena, so a snapshot outlives
+// every later build. An arena serves one build at a time and must not be
 // shared between concurrent builders; a nil *CSRArena is valid everywhere
 // and simply allocates fresh.
 type CSRArena struct {
@@ -37,6 +48,12 @@ type CSRArena struct {
 	chunks [][]int32
 	// free holds released scratch buffers, reused smallest-fit.
 	free [][]int32
+	// graph is the growth graph Graph lends, reset in place by each call.
+	graph *Graph
+	// ints are the tables Ints lends, in call order since the last Graph
+	// call; lent counts those handed out since then.
+	ints [][]int
+	lent int
 }
 
 // NewCSRArena returns an empty arena.
@@ -58,10 +75,49 @@ func (a *CSRArena) chunkBuffers(count int) [][]int32 {
 	return bufs
 }
 
+// Graph lends the arena's growth graph, emptied to n isolated nodes: the
+// graph a growth build mutates and then freezes. Every row keeps the
+// capacity earlier builds grew, rows beyond n included (AddNode reuses
+// them), so a build of the same shape appends without allocating. The
+// call starts a build: it takes back the graph and every table Ints lent
+// since the previous call. A nil arena returns New(n).
+func (a *CSRArena) Graph(n int) *Graph {
+	if a == nil {
+		return New(n)
+	}
+	if a.graph == nil {
+		a.graph = &Graph{}
+	}
+	a.graph.reset(n)
+	a.lent = 0
+	return a.graph
+}
+
+// Ints lends an int table of length n with unspecified contents, for the
+// node-ID maps a growth build returns beside its Graph (DAPA's overlay and
+// substrate IDs). Like the Graph, it stays valid until the arena's next
+// Graph call, which takes it back; the k-th call after that one reuses the
+// k-th table. A nil arena allocates.
+func (a *CSRArena) Ints(n int) []int {
+	if a == nil {
+		return make([]int, n)
+	}
+	if a.lent == len(a.ints) {
+		a.ints = append(a.ints, nil)
+	}
+	if cap(a.ints[a.lent]) < n {
+		a.ints[a.lent] = make([]int, n)
+	}
+	b := a.ints[a.lent][:n]
+	a.lent++
+	return b
+}
+
 // Grab returns an int32 scratch buffer of length n with unspecified
 // contents, reusing the smallest retained buffer that fits. Generators
 // use it for build-side scratch that dies with the build (stub lists,
-// spatial-hash tables); buffers that escape into a Frozen must never come
+// degree sequences, flood marks and queues, spatial-hash tables) and hand
+// it back with Release; buffers that escape into a Frozen must never come
 // from an arena.
 func (a *CSRArena) Grab(n int) []int32 {
 	if a != nil {
@@ -82,7 +138,8 @@ func (a *CSRArena) Grab(n int) []int32 {
 	return make([]int32, n)
 }
 
-// Release returns a scratch buffer to the arena for reuse.
+// Release returns a scratch buffer to the arena for reuse, with whatever
+// capacity appends grew it to.
 func (a *CSRArena) Release(b []int32) {
 	if a == nil || cap(b) == 0 {
 		return

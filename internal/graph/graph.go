@@ -55,10 +55,31 @@ func (g *Graph) N() int { return len(g.adj) }
 // as one edge.
 func (g *Graph) M() int { return g.edges }
 
-// AddNode appends an isolated node and returns its ID.
+// AddNode appends an isolated node and returns its ID. On a graph an
+// arena lent (CSRArena.Graph), the node reuses the row a node of that ID
+// had in an earlier build, emptied but with its capacity kept.
 func (g *Graph) AddNode() int {
-	g.adj = append(g.adj, nil)
-	return len(g.adj) - 1
+	u := len(g.adj)
+	if u < cap(g.adj) {
+		g.adj = g.adj[:u+1]
+		g.adj[u] = g.adj[u][:0]
+	} else {
+		g.adj = append(g.adj, nil)
+	}
+	return u
+}
+
+// reset empties g to n isolated nodes in place: the node table and every
+// row, those beyond n included, keep their capacity for the next build.
+func (g *Graph) reset(n int) {
+	if n > cap(g.adj) {
+		g.adj = slices.Grow(g.adj[:cap(g.adj)], n-cap(g.adj))
+	}
+	g.adj = g.adj[:n]
+	for u := range g.adj {
+		g.adj[u] = g.adj[u][:0]
+	}
+	g.edges = 0
 }
 
 // rangeErr builds the ErrNodeRange error for an edge {u,v} with at least

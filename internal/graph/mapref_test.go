@@ -292,71 +292,98 @@ func requireFrozenMatchesModel(t *testing.T, step string, f *Frozen, ref *mapGra
 // model through the same random operation sequence — self-loops, parallel
 // edges and out-of-range IDs included — and compares every observable
 // after every step, the snapshot's components and induced snapshots
-// included. Each input byte pair is one operation.
+// included. Each input byte pair is one operation. The sequence runs
+// twice: on a new Graph, and on the Graph an arena lends after it lent
+// one for a different, larger graph, so the reset path — emptied rows
+// that keep their capacity, AddNode reusing a row past the node count —
+// is held to the same model.
 func FuzzGraphMatchesMapReference(f *testing.F) {
 	f.Add([]byte{0, 0x01, 0, 0x01, 0, 0x11, 0, 0x11, 3, 0})             // parallel pair, two self-loops, Simplify
 	f.Add([]byte{0, 0x12, 0, 0x21, 0, 0x23, 1, 0x12, 1, 0x12, 1, 0x12}) // remove until absent
 	f.Add([]byte{0, 0x22, 0, 0x22, 0, 0x02, 5, 0x2a, 5, 0x22, 5, 0x52}) // induced subgraph over loops, duplicate and out-of-range IDs
 	f.Add([]byte{0, 0x34, 0, 0x43, 0, 0x44, 4, 0, 1, 0x34, 3, 0, 2, 0}) // clone, diverge, simplify, grow
 	f.Add([]byte{0, 0x06, 1, 0x60, 0, 0x66, 1, 0x66, 0, 0xd1, 0, 0x01}) // out-of-range endpoints
+	f.Add([]byte{2, 0, 2, 0, 0, 0x67, 0, 0x77, 2, 0, 0, 0x78, 1, 0x76}) // grow into rows the earlier graph filled
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 128 {
 			t.Skip("sequence too long for fuzz budget")
 		}
 		const n0 = 6
-		g, ref := New(n0), newMapGraph(n0)
-		var orig *Graph // the graph the last Clone copied, and its model
-		var origRef *mapGraph
-		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%6, ops[i+1]
-			// IDs run one past the current node count so out-of-range
-			// endpoints are drawn too.
-			u, v := int(arg>>4)%(g.N()+1), int(arg&15)%(g.N()+1)
-			step := ""
-			switch op {
-			case 0:
-				step = "AddEdge"
-				if (g.AddEdge(u, v) == nil) != ref.AddEdge(u, v) {
-					t.Fatalf("AddEdge(%d,%d) acceptance differs", u, v)
-				}
-			case 1:
-				step = "RemoveEdge"
-				if g.RemoveEdge(u, v) != ref.RemoveEdge(u, v) {
-					t.Fatalf("RemoveEdge(%d,%d) result differs", u, v)
-				}
-			case 2:
-				step = "AddNode"
-				if g.N() < 12 {
-					g.AddNode()
-					ref.adj = append(ref.adj, nil)
-				}
-			case 3:
-				step = "Simplify"
-				s, m := g.Simplify()
-				rs, rm := ref.Simplify()
-				if s != rs || m != rm {
-					t.Fatalf("Simplify = (%d,%d), model (%d,%d)", s, m, rs, rm)
-				}
-			case 4:
-				step = "Clone"
-				// Continue on the copies; the originals must not move.
-				orig, origRef = g, ref
-				g, ref = g.Clone(), ref.Clone()
-			case 5:
-				step = "InducedFrozen"
-				// Node list from the two nibbles and their neighbors:
-				// may repeat an ID and may hold N (out of range).
-				nodes := []int{u, v, (u + 1) % (g.N() + 1), (v + 2) % (g.N() + 1)}
-				sub, ids := g.Freeze().InducedFrozen(nodes)
-				if !slices.Equal(ids, nodes) {
-					t.Fatalf("InducedFrozen mapping %v, want %v", ids, nodes)
-				}
-				requireFrozenMatchesModel(t, "InducedFrozen result", sub, ref.InducedSubgraph(nodes))
-			}
-			requireMatchesModel(t, step, g, ref)
-			if orig != nil {
-				requireMatchesModel(t, step+" (cloned-from graph)", orig, origRef)
-			}
+		replayOnModel(t, ops, New(n0), newMapGraph(n0))
+
+		// The earlier graph spans every node ID the sequence can reach
+		// (AddNode stops at 12), with a ring through all of them, a
+		// self-loop, and the sequence's own pairs as edges, so each row
+		// the replay reuses starts full and differs from the model's.
+		arena := NewCSRArena()
+		prev := arena.Graph(12)
+		for u := 0; u < 12; u++ {
+			prev.AddEdge(u, (u+1)%12)
 		}
+		prev.AddEdge(7, 7)
+		for i := 0; i+1 < len(ops); i += 2 {
+			prev.AddEdge(int(ops[i+1]>>4)%12, int(ops[i+1]&15)%12)
+		}
+		replayOnModel(t, ops, arena.Graph(n0), newMapGraph(n0))
 	})
+}
+
+// replayOnModel runs one operation sequence on g and its model ref,
+// requiring them to match after every step.
+func replayOnModel(t *testing.T, ops []byte, g *Graph, ref *mapGraph) {
+	t.Helper()
+	requireMatchesModel(t, "start", g, ref)
+	var orig *Graph // the graph the last Clone copied, and its model
+	var origRef *mapGraph
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i]%6, ops[i+1]
+		// IDs run one past the current node count so out-of-range
+		// endpoints are drawn too.
+		u, v := int(arg>>4)%(g.N()+1), int(arg&15)%(g.N()+1)
+		step := ""
+		switch op {
+		case 0:
+			step = "AddEdge"
+			if (g.AddEdge(u, v) == nil) != ref.AddEdge(u, v) {
+				t.Fatalf("AddEdge(%d,%d) acceptance differs", u, v)
+			}
+		case 1:
+			step = "RemoveEdge"
+			if g.RemoveEdge(u, v) != ref.RemoveEdge(u, v) {
+				t.Fatalf("RemoveEdge(%d,%d) result differs", u, v)
+			}
+		case 2:
+			step = "AddNode"
+			if g.N() < 12 {
+				g.AddNode()
+				ref.adj = append(ref.adj, nil)
+			}
+		case 3:
+			step = "Simplify"
+			s, m := g.Simplify()
+			rs, rm := ref.Simplify()
+			if s != rs || m != rm {
+				t.Fatalf("Simplify = (%d,%d), model (%d,%d)", s, m, rs, rm)
+			}
+		case 4:
+			step = "Clone"
+			// Continue on the copies; the originals must not move.
+			orig, origRef = g, ref
+			g, ref = g.Clone(), ref.Clone()
+		case 5:
+			step = "InducedFrozen"
+			// Node list from the two nibbles and their neighbors:
+			// may repeat an ID and may hold N (out of range).
+			nodes := []int{u, v, (u + 1) % (g.N() + 1), (v + 2) % (g.N() + 1)}
+			sub, ids := g.Freeze().InducedFrozen(nodes)
+			if !slices.Equal(ids, nodes) {
+				t.Fatalf("InducedFrozen mapping %v, want %v", ids, nodes)
+			}
+			requireFrozenMatchesModel(t, "InducedFrozen result", sub, ref.InducedSubgraph(nodes))
+		}
+		requireMatchesModel(t, step, g, ref)
+		if orig != nil {
+			requireMatchesModel(t, step+" (cloned-from graph)", orig, origRef)
+		}
+	}
 }

@@ -19,11 +19,12 @@ import (
 // identical topology.
 //
 // Two build paths hide behind this type. The growth models (PA, HAPA,
-// DAPA) need mid-build HasEdge/Degree, so they grow a mutable Graph and
-// freeze it here, in the pipelined build stage — the Graph's per-node
-// slices become garbage before the search sweep starts. CM (and the GRN
-// substrates) never query the graph mid-build, so they emit straight into
-// a graph.CSRBuilder and no mutable Graph ever exists.
+// DAPA) need mid-build HasEdge/Degree, so they grow a mutable Graph — the
+// one the lane's arena lends, whose rows keep their capacity from build to
+// build — and freeze it here, in the pipelined build stage, before the
+// lane's next build resets it. CM (and the GRN substrates) never query the
+// graph mid-build, so they emit straight into a graph.CSRBuilder and no
+// mutable Graph ever exists.
 type topoFactory func(r int, b *builder) (*graph.Frozen, error)
 
 func paTopo(n, m, kc int) topoFactory {

@@ -69,7 +69,8 @@ import (
 // stream state) and runs on a fresh arena and a fresh sweeper (the panic
 // may have corrupted the lane's buffers mid-write), so a surviving attempt
 // deposits exactly the bits of a never-failed run; the lane then drops the
-// arena or sweeper its failed first attempt used and takes a clean one.
+// arena or sweeper its failed first attempt used and takes a clean one (a
+// sweep lane keeps the sweeper of the retry that succeeded).
 //
 // Memory: up to 3·lanes frozen snapshots can be alive at once across the
 // whole pool (building + queued + being swept), so `-workers k` caps them
@@ -94,11 +95,16 @@ type builder struct {
 	phases xrand.Phases
 	// width bounds intra-generator parallelism for this build.
 	width int
-	// arena recycles direct-to-CSR build buffers. It belongs to the build
-	// lane (one arena per lane, reused across every task the lane builds,
-	// of any series, and by later pools through laneFree), so back-to-back
-	// xl realizations reuse their chunk and scratch memory instead of
-	// re-growing it. Output is identical with or without it.
+	// arena lends the build its working set: the growth graph and ID maps
+	// PA, HAPA and DAPA grow, and every generator's scratch and
+	// direct-to-CSR buffers. It belongs to the build lane (one arena per
+	// lane, reused across every task the lane builds, of any series, and
+	// by later pools through laneFree), so back-to-back realizations reuse
+	// that memory instead of re-growing it. What it lends stays valid only
+	// until the lane's next build, so a build freezes or uses up its graph
+	// before it returns, and what it returns (a snapshot, a histogram, a
+	// curve) never aliases the arena. Output is identical with or without
+	// it.
 	arena *graph.CSRArena
 }
 
@@ -313,6 +319,7 @@ func runPool[T any](sc Scale, jobs ...engineJob[T]) error {
 			}
 			j, r := &jobs[snap.t/n], snap.t%n
 			sw.seed = j.seed
+			var recovered *sweeper // the sweeper of the retry that succeeded
 			attempts, err := attempt(snap.units, func() error {
 				return j.sweep(r, snap.v, sw)
 			}, func() error {
@@ -324,14 +331,24 @@ func runPool[T any](sc Scale, jobs ...engineJob[T]) error {
 				if err != nil {
 					return err
 				}
-				return j.sweep(r, v, newSweeper(j.seed, width))
+				fresh := newSweeper(j.seed, width)
+				if err := j.sweep(r, v, fresh); err != nil {
+					return err
+				}
+				recovered = fresh
+				return nil
 			})
 			if attempts > 1 || err != nil {
 				// The failed first sweep may have corrupted this lane's
 				// sweeper scratches mid-write; replace it before any other
-				// realization touches it. The old one is dropped, never
-				// released to the free list.
-				sw = newSweeper(0, width)
+				// realization touches it: with the sweeper of the retry
+				// that succeeded, if one did, which the lane releases when
+				// the pool ends. The old one, and any a failed retry
+				// used, is dropped, never released to the free list.
+				sw = recovered
+				if sw == nil {
+					sw = newSweeper(0, width)
+				}
 			}
 			settle(snap.t, attempts, err)
 		}

@@ -246,7 +246,8 @@ type poolProbe struct {
 	swept     map[[3]int]int   // (k, i, r) -> sweep calls
 	badArena  map[*graph.CSRArena]bool
 	badSweep  map[*sweeper]bool
-	busy      sync.Map // *sweeper -> *atomic.Bool
+	retried   map[*sweeper]bool // sweepers a retry swept a series on cleanly
+	busy      sync.Map          // *sweeper -> *atomic.Bool
 	overPeak  bool
 }
 
@@ -254,7 +255,7 @@ func (c poolCase) probe(t *testing.T, journaled func(k, i, r int) bool) *poolPro
 	lanes, width := schedule(c.workers, c.R)
 	p := &poolProbe{t: t, c: c, lanes: lanes, width: width, peak: 3 * lanes, maxBuilds: lanes,
 		remaining: map[*float64]int{}, landed: map[[3]int]bool{}, built: map[[2]int]int{}, swept: map[[3]int]int{},
-		badArena: map[*graph.CSRArena]bool{}, badSweep: map[*sweeper]bool{}}
+		badArena: map[*graph.CSRArena]bool{}, badSweep: map[*sweeper]bool{}, retried: map[*sweeper]bool{}}
 	if slices.ContainsFunc(c.faults, func(f poolFault) bool { return f.sweep && c.supervised && c.retries > 0 }) {
 		p.maxBuilds *= 2
 	}
@@ -359,6 +360,9 @@ func (p *poolProbe) sweep(k, i int) func(r int, snap []float64, sw *sweeper) ([]
 			left := p.remaining[&snap[0]] - 1
 			if ok {
 				p.landed[key] = true
+				if calls > 1 {
+					p.retried[sw] = true
+				}
 			} else {
 				left = 0
 			}
@@ -423,7 +427,8 @@ func (c poolCase) run(p *poolProbe, rc *RunControl) ([][][][]float64, error) {
 //   - no sweeper is used by two lanes at once, and a batch without sweep
 //     faults uses at most one per lane;
 //   - no arena or sweeper that saw a failed attempt serves a later task or
-//     reaches the free list.
+//     reaches the free list, and the sweeper of a retry that recovered a
+//     sweep does reach it.
 func FuzzRunPool(f *testing.F) {
 	f.Fuzz(func(t *testing.T, builds, series, reals, workers uint8, buildOnly bool, sup uint8, keep, fault0, fault1 uint16, cost uint64) {
 		c := decodePoolCase(builds, series, reals, workers, buildOnly, sup, keep, [2]uint16{fault0, fault1}, cost)
@@ -525,10 +530,16 @@ func (c poolCase) checkFailures(t *testing.T, got []FailureRecord, want []*poolF
 	}
 }
 
-// checkFreeList: no arena or sweeper a failed attempt used was released.
+// checkFreeList: no arena or sweeper a failed attempt used was released,
+// and every sweeper a retry swept on cleanly was, unless it failed later.
 func (p *poolProbe) checkFreeList() {
 	laneFree.Lock()
 	defer laneFree.Unlock()
+	for sw := range p.retried {
+		if !p.badSweep[sw] && !slices.Contains(laneFree.sweepers, sw) {
+			p.t.Errorf("%+v: the sweeper of a recovered sweep never reached the free list", p.c)
+		}
+	}
 	for _, a := range laneFree.arenas {
 		if p.badArena[a] {
 			p.t.Errorf("%+v: an arena a failed build used reached the free list", p.c)

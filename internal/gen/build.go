@@ -26,10 +26,17 @@ type Build struct {
 	// the Graph PA, HAPA and DAPA grow and DAPA's ID maps, and every
 	// generator's int32 scratch (stub lists, degree sequences, flood marks
 	// and queues). What a build returns from an arena — a growth Graph, an
-	// Overlay — stays valid only until the arena's next build; a Frozen
-	// never aliases it. Output is identical with or without it; only
-	// allocation traffic changes. The experiment pipeline hands each build
-	// lane its own arena; an arena must not serve two concurrent builds.
+	// Overlay — stays valid only until the arena's next build. A Frozen
+	// (CMFrozen, GRNFrozen, or a growth Graph frozen with Arena.Freeze)
+	// outlives every later build: its arrays are the arena's only if its
+	// owner retired a snapshot into it (Arena.Recycle), whose arrays the
+	// freeze refilled, and they stay valid until the owner retires the
+	// result in turn. The experiment engine retires a snapshot its lane
+	// minted after the snapshot's last sweep returns, and a sweep keeps no
+	// reference to it past its return. Output is identical with or without
+	// an arena; only allocation traffic changes. The experiment pipeline
+	// hands each build lane its own arena; an arena must not serve two
+	// concurrent builds.
 	Arena *graph.CSRArena
 }
 

@@ -86,7 +86,8 @@ func CMBuild(cfg CMConfig, b Build) (*graph.Graph, Stats, error) {
 // is byte-identical — offsets, neighbor order, Stats — to CMBuild
 // followed by Freeze, for every Workers value, but never allocates
 // per-node adjacency slices. Build.Arena, when set, recycles the build's
-// transient buffers.
+// transient buffers, and the result refills the arrays of the snapshot
+// retired into it (CSRArena.Recycle) where they fit.
 func CMFrozen(cfg CMConfig, b Build) (*graph.Frozen, Stats, error) {
 	var st Stats
 	stubs, err := cmShuffledStubs(cfg, b)

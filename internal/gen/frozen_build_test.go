@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -115,8 +116,11 @@ func TestGRNFrozenMatchesLegacyFreeze(t *testing.T) {
 // build lane runs — PA, HAPA, DAPA (one and two workers), CM and GRN —
 // whose N, m and kc shrink as well as grow, yields build for build the
 // digest and Stats of a build with no arena. Each growth build's graph is
-// frozen, as the engine does, before the next build resets it; DAPA's ID
-// maps must match too.
+// frozen on the arena, as the engine does, before the next build resets
+// it; DAPA's ID maps must match too. Every build refills the snapshot the
+// previous one returned, retired into the arena as the engine retires a
+// swept one — every other one after a HasEdge built its membership ranges
+// — and the refilled snapshot must answer HasEdge as the fresh one does.
 func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 	t.Parallel()
 	subs := make([]*graph.Frozen, 2)
@@ -132,20 +136,22 @@ func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 		workers int
 		build   func(b Build) (*graph.Frozen, Stats, []int, error)
 	}
-	growth := func(g *graph.Graph, st Stats, err error) (*graph.Frozen, Stats, []int, error) {
+	growth := func(b Build, g *graph.Graph, st Stats, err error) (*graph.Frozen, Stats, []int, error) {
 		if err != nil {
 			return nil, st, nil, err
 		}
-		return g.FreezePar(1), st, nil, nil
+		return b.Arena.Freeze(g, 1), st, nil, nil
 	}
 	pa := func(n, m, kc int) step {
 		return step{fmt.Sprintf("PA N=%d m=%d kc=%d", n, m, kc), 1, func(b Build) (*graph.Frozen, Stats, []int, error) {
-			return growth(PABuild(PAConfig{N: n, M: m, KC: kc}, b))
+			g, st, err := PABuild(PAConfig{N: n, M: m, KC: kc}, b)
+			return growth(b, g, st, err)
 		}}
 	}
 	hapa := func(n, m, kc int) step {
 		return step{fmt.Sprintf("HAPA N=%d m=%d kc=%d", n, m, kc), 1, func(b Build) (*graph.Frozen, Stats, []int, error) {
-			return growth(HAPABuild(HAPAConfig{N: n, M: m, KC: kc}, b))
+			g, st, err := HAPABuild(HAPAConfig{N: n, M: m, KC: kc}, b)
+			return growth(b, g, st, err)
 		}}
 	}
 	dapa := func(sub *graph.Frozen, workers, n, m, kc, tau int) step {
@@ -156,7 +162,7 @@ func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 				return nil, st, nil, err
 			}
 			// One slice holds both maps, so a mismatch in either shows.
-			return ov.G.FreezePar(1), st, append(append([]int(nil), ov.SubstrateID...), ov.OverlayID...), nil
+			return b.Arena.Freeze(ov.G, 1), st, append(append([]int(nil), ov.SubstrateID...), ov.OverlayID...), nil
 		}}
 	}
 	cm := func(workers, n, m, kc int) step {
@@ -190,33 +196,52 @@ func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 		dapa(subs[0], 1, 1000, 2, 50, 50),
 	}
 	arena := graph.NewCSRArena()
+	var retired *graph.Frozen
 	for r, s := range steps {
 		phases := phasesFor(3, uint64(r))
 		want, wantSt, wantIDs, err := s.build(NewBuild(phases, s.workers))
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
+		if retired != nil && r%2 == 0 {
+			retired.HasEdge(0, 1)
+		}
+		arena.Recycle(retired)
 		got, st, ids, err := s.build(Build{Phases: phases, Workers: s.workers, Arena: arena})
 		if err != nil {
 			t.Fatalf("%s on the arena: %v", s.name, err)
 		}
+		arena.Reclaim() // a retired snapshot too small to refill
 		if st != wantSt {
 			t.Fatalf("%s: stats %+v on the arena, %+v without", s.name, st, wantSt)
 		}
 		if frozenDigest(got) != frozenDigest(want) || got.M() != want.M() || !slices.Equal(ids, wantIDs) {
 			t.Fatalf("%s: the arena build diverged from a build without one", s.name)
 		}
+		for u := 0; u < want.N(); u++ {
+			probes := []int{u + 1, (u * 7) % want.N()}
+			if want.Degree(u) > 0 {
+				probes = append(probes, want.NeighborAt(u, 0))
+			}
+			for _, v := range probes {
+				if got.HasEdge(u, v) != want.HasEdge(u, v) {
+					t.Fatalf("%s: HasEdge(%d, %d) = %v on the refilled snapshot", s.name, u, v, got.HasEdge(u, v))
+				}
+			}
+		}
+		retired = got
 	}
 }
 
 // TestArenaSteadyStateAllocs pins a build lane's steady state: once one
-// build has warmed an arena, a second PABuild, HAPABuild, DAPABuild or
-// CMFrozen of the same config allocates a few objects — phase streams,
-// result headers, the CM snapshot's arrays — within a bound that holds at
-// every N, instead of the per-node rows, ID maps and scratch a build
-// without an arena grows (about 1 600 objects for one HAPA build at
-// N = 850). It is not parallel: AllocsPerRun counts the whole process's
-// mallocs.
+// build has warmed an arena, a second PABuild, HAPABuild or DAPABuild of
+// the same config, frozen on the arena, or CMFrozen, each refilling the
+// snapshot the previous build returned (retired into the arena, as the
+// engine retires a swept one), allocates a few objects and bytes — phase
+// streams, result headers — within bounds that hold at every N, instead of
+// the per-node rows, ID maps, scratch and snapshot arrays a build without
+// an arena allocates (about 1 600 objects for one HAPA build at N = 850).
+// It is not parallel: it counts the whole process's mallocs.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	sub, _, err := GRNFrozen(GRNConfig{N: 3200, MeanDegree: 10}, NewBuild(phasesFor(6, 0), 1))
 	if err != nil {
@@ -225,38 +250,62 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
 		limit float64
-		build func(n int, b Build) error
+		build func(n int, b Build) (*graph.Frozen, error)
 	}{
-		{"PA", 4, func(n int, b Build) error {
-			_, _, err := PABuild(PAConfig{N: n, M: 2, KC: 10}, b)
-			return err
+		{"PA", 4, func(n int, b Build) (*graph.Frozen, error) {
+			g, _, err := PABuild(PAConfig{N: n, M: 2, KC: 10}, b)
+			if err != nil {
+				return nil, err
+			}
+			return b.Arena.Freeze(g, 1), nil
 		}},
-		{"HAPA", 4, func(n int, b Build) error {
-			_, _, err := HAPABuild(HAPAConfig{N: n, M: 2, KC: 10}, b)
-			return err
+		{"HAPA", 4, func(n int, b Build) (*graph.Frozen, error) {
+			g, _, err := HAPABuild(HAPAConfig{N: n, M: 2, KC: 10}, b)
+			if err != nil {
+				return nil, err
+			}
+			return b.Arena.Freeze(g, 1), nil
 		}},
-		{"DAPA", 16, func(n int, b Build) error {
-			_, _, err := DAPABuild(sub, DAPAConfig{NOverlay: n, M: 2, KC: 10, TauSub: 4}, b)
-			return err
+		{"DAPA", 16, func(n int, b Build) (*graph.Frozen, error) {
+			ov, _, err := DAPABuild(sub, DAPAConfig{NOverlay: n, M: 2, KC: 10, TauSub: 4}, b)
+			if err != nil {
+				return nil, err
+			}
+			return b.Arena.Freeze(ov.G, 1), nil
 		}},
-		{"CM", 32, func(n int, b Build) error {
-			_, _, err := CMFrozen(CMConfig{N: n, M: 2, KC: 40, Gamma: 2.5}, b)
-			return err
+		{"CM", 24, func(n int, b Build) (*graph.Frozen, error) {
+			f, _, err := CMFrozen(CMConfig{N: n, M: 2, KC: 40, Gamma: 2.5}, b)
+			return f, err
 		}},
 	}
+	// The bytes bound is below one N = 400 snapshot's offsets array
+	// (1 604 B), so a freeze that allocates either array fails it.
+	const warmBytes = 1536
 	for _, c := range cases {
 		for _, n := range []int{400, 1600} {
 			b := Build{Phases: phasesFor(9, 1), Workers: 1, Arena: graph.NewCSRArena()}
-			if err := c.build(n, b); err != nil {
+			last, err := c.build(n, b)
+			if err != nil {
 				t.Fatalf("%s N=%d: %v", c.name, n, err)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			allocs := testing.AllocsPerRun(3, func() {
-				if err := c.build(n, b); err != nil {
+				b.Arena.Recycle(last)
+				if last, err = c.build(n, b); err != nil {
 					t.Fatalf("%s N=%d: %v", c.name, n, err)
 				}
+				if b.Arena.Reclaim() != nil {
+					t.Fatalf("%s N=%d: the build left the retired snapshot unused", c.name, n)
+				}
 			})
+			runtime.ReadMemStats(&after)
 			if allocs > c.limit {
 				t.Errorf("%s N=%d: %v allocations per warm build, want at most %v", c.name, n, allocs, c.limit)
+			}
+			// AllocsPerRun makes one warm-up call besides its 3 runs.
+			if bytes := (after.TotalAlloc - before.TotalAlloc) / 4; bytes > warmBytes {
+				t.Errorf("%s N=%d: %d B allocated per warm build, want at most %d", c.name, n, bytes, warmBytes)
 			}
 		}
 	}

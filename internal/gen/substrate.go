@@ -78,7 +78,8 @@ func GRNBuild(cfg GRNConfig, b Build) (*graph.Graph, []Point, error) {
 // byte-identical to GRNBuild followed by Freeze for every Workers value.
 // The scan produces each unordered pair once and no self-loops, so no
 // cleanup pass runs. Build.Arena, when set, recycles the build's
-// transient buffers.
+// transient buffers, and the result refills the arrays of the snapshot
+// retired into it (CSRArena.Recycle) where they fit.
 func GRNFrozen(cfg GRNConfig, b Build) (*graph.Frozen, []Point, error) {
 	grid, err := grnGridFor(cfg, b)
 	if err != nil {

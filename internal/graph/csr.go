@@ -13,7 +13,9 @@ package graph
 // Growth models (PA, HAPA, DAPA) genuinely need mid-build
 // HasEdge/Degree and grow a Graph; given an arena, they grow the one it
 // lends (CSRArena.Graph), whose rows keep their capacity from build to
-// build, so a warm build's new memory is little more than its Freeze copy.
+// build, and freeze it with CSRArena.Freeze, which — like Finalize and
+// FinalizeSimplified — refills a retired snapshot's arrays (Recycle), so a
+// warm build's new memory is little more than a few headers.
 //
 // Determinism contract (pinned by the equivalence and fuzz tests): the
 // chunk index order IS the emission order. Finalizing chunks c0, c1, ...
@@ -36,11 +38,15 @@ package graph
 //
 // What a build gets from an arena stays valid until the arena's next
 // build, which takes it back: a caller must freeze or use up a lent Graph,
-// and drop the ID tables, before it builds on the same arena again. The
-// arrays of a Frozen never come from an arena, so a snapshot outlives
-// every later build. An arena serves one build at a time and must not be
-// shared between concurrent builders; a nil *CSRArena is valid everywhere
-// and simply allocates fresh.
+// and drop the ID tables, before it builds on the same arena again. A
+// Frozen's arrays come from an arena only through Recycle: a snapshot a
+// freeze returns outlives every later build, and its arrays stay valid
+// until its owner retires it by handing it to Recycle, after which the
+// next freeze may refill them (the engine retires each snapshot a lane
+// minted once its last sweep has returned, and a sweep keeps no reference
+// to the snapshot past its return). An arena serves one build at a time
+// and must not be shared between concurrent builders; a nil *CSRArena is
+// valid everywhere and simply allocates fresh.
 type CSRArena struct {
 	// chunks retains the per-chunk edge buffers between builds. The
 	// builder aliases this slice, so capacity grown during a build is
@@ -54,6 +60,9 @@ type CSRArena struct {
 	// call; lent counts those handed out since then.
 	ints [][]int
 	lent int
+	// retired is the snapshot Recycle handed in, whose arrays the next
+	// freeze refills; nil when there is none or a freeze used it up.
+	retired *Frozen
 }
 
 // NewCSRArena returns an empty arena.
@@ -118,7 +127,7 @@ func (a *CSRArena) Ints(n int) []int {
 // use it for build-side scratch that dies with the build (stub lists,
 // degree sequences, flood marks and queues, spatial-hash tables) and hand
 // it back with Release; buffers that escape into a Frozen must never come
-// from an arena.
+// from Grab.
 func (a *CSRArena) Grab(n int) []int32 {
 	if a != nil {
 		best := -1
@@ -145,6 +154,65 @@ func (a *CSRArena) Release(b []int32) {
 		return
 	}
 	a.free = append(a.free, b[:0])
+}
+
+// Recycle hands the arena a retired snapshot — one nothing will read
+// again — whose offsets and neighbors its next freeze (Freeze, Finalize,
+// FinalizeSimplified) refills when they are large enough, replacing any
+// snapshot it already holds. The refilled snapshot gets a fresh header,
+// so nothing of f but its arrays' storage carries over. A nil f, or a nil
+// arena, is a no-op.
+func (a *CSRArena) Recycle(f *Frozen) {
+	if a != nil && f != nil {
+		a.retired = f
+	}
+}
+
+// Reclaim takes back the snapshot Recycle handed in when no freeze has
+// used it up since (nil otherwise), so its owner can offer it to another
+// build.
+func (a *CSRArena) Reclaim() *Frozen {
+	if a == nil {
+		return nil
+	}
+	f := a.retired
+	a.retired = nil
+	return f
+}
+
+// Freeze is g.FreezePar(workers) into the arrays of the snapshot Recycle
+// handed in, where they fit: the freeze of a growth build on a lane. A nil
+// arena allocates, exactly as FreezePar.
+func (a *CSRArena) Freeze(g *Graph, workers int) *Frozen { return g.freeze(workers, a) }
+
+// csrArrays returns the arrays of a new snapshot of n nodes and total
+// adjacency entries, contents unspecified: the retired snapshot's where
+// they are large enough, fresh ones where they are not. Taking either
+// array uses the retired snapshot up, and its header is emptied, so a
+// reader that kept it past its retirement fails loudly instead of reading
+// another topology; one too small for both stays for Reclaim.
+func (a *CSRArena) csrArrays(n, total int) (offsets, neighbors []int32) {
+	var old *Frozen
+	if a != nil {
+		old = a.retired
+	}
+	refillOffsets := old != nil && cap(old.offsets) >= n+1
+	refillNeighbors := old != nil && cap(old.neighbors) >= total
+	if refillOffsets {
+		offsets = old.offsets[:n+1]
+	} else {
+		offsets = make([]int32, n+1)
+	}
+	if refillNeighbors {
+		neighbors = old.neighbors[:total]
+	} else {
+		neighbors = make([]int32, total)
+	}
+	if refillOffsets || refillNeighbors {
+		old.offsets, old.neighbors, old.sorted = nil, nil, nil
+		a.retired = nil
+	}
+	return offsets, neighbors
 }
 
 // CSRBuilder accumulates an edge stream for one topology build. Edges go
@@ -344,10 +412,13 @@ func (b *CSRBuilder) Finalize(workers int, sorted bool) *Frozen {
 	if workers < 1 {
 		workers = 1
 	}
-	f := &Frozen{offsets: make([]int32, b.n+1)}
-	var neighbors []int32
-	neighbors, f.edges = b.scatter(workers, f.offsets, func(n int) []int32 { return make([]int32, n) })
-	f.neighbors = neighbors
+	total := 0
+	for _, c := range b.chunks {
+		total += len(c)
+	}
+	f := &Frozen{}
+	f.offsets, f.neighbors = b.arena.csrArrays(b.n, total)
+	_, f.edges = b.scatter(workers, f.offsets, func(int) []int32 { return f.neighbors })
 	if sorted {
 		f.MaterializeSorted(workers)
 	}
@@ -435,15 +506,17 @@ func (b *CSRBuilder) FinalizeSimplified(workers int) (*Frozen, int, int) {
 		}
 	}
 
-	// Compact the survivors into exact-size final arrays.
-	f := &Frozen{
-		offsets: make([]int32, n+1),
-		edges:   edges0 - selfLoops - multiEdges,
+	// Compact the survivors into final arrays of exact length.
+	total := 0
+	for _, l := range lens {
+		total += int(l)
 	}
+	f := &Frozen{edges: edges0 - selfLoops - multiEdges}
+	f.offsets, f.neighbors = b.arena.csrArrays(n, total)
+	f.offsets[0] = 0
 	for u := 0; u < n; u++ {
 		f.offsets[u+1] = f.offsets[u] + lens[u]
 	}
-	f.neighbors = make([]int32, f.offsets[n])
 	parallelNodeRanges(n, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			copy(f.neighbors[f.offsets[u]:f.offsets[u+1]], neighbors0[offsets0[u]:offsets0[u]+lens[u]])

@@ -172,3 +172,77 @@ func TestCSRArenaReuseIsInvisible(t *testing.T) {
 		expectIdentical(t, "arena-round", fresh, pooled)
 	}
 }
+
+// TestCSRArenaRecycleRefillsSnapshot pins the retirement contract: each
+// freeze on an arena refills the snapshot the previous round retired into
+// it (Recycle) when its arrays fit — through Freeze, Finalize and
+// FinalizeSimplified alike, on shapes that grow and shrink — and the
+// result equals a fresh freeze, membership ranges included, even when the
+// retired snapshot had built its own by a HasEdge. A refilled snapshot
+// starts with a fresh header: no sorted ranges carry over, and the
+// retired header is emptied. A retired snapshot too small for both arrays
+// is not used up and comes back from Reclaim.
+func TestCSRArenaRecycleRefillsSnapshot(t *testing.T) {
+	t.Parallel()
+	arena := NewCSRArena()
+	var prev *Frozen
+	for round, tc := range []struct{ n, edges int }{
+		{300, 900}, {120, 200}, {40, 500}, {900, 2500}, {900, 2400}, {5, 9}, {2000, 1500}, {600, 700}, {500, 3000}, {1, 6},
+	} {
+		stream := randomEdgeStream(uint64(round)*131+7, tc.n, tc.edges)
+		g := graphFromStream(t, tc.n, stream)
+		var want, got *Frozen
+		switch round % 3 {
+		case 0:
+			want = g.FreezePar(1)
+		case 1:
+			want = builderFromStream(tc.n, stream, 1, nil).Finalize(1, false)
+		case 2:
+			g.Simplify()
+			want = g.FreezePar(1)
+		}
+		total := want.TotalDegree()
+		var oldOffsets, oldNeighbors []int32
+		if prev != nil {
+			if round%2 == 0 && prev.N() > 1 {
+				prev.HasEdge(0, 1) // the retired snapshot built its sorted ranges
+			}
+			oldOffsets, oldNeighbors = prev.offsets, prev.neighbors
+		}
+		arena.Recycle(prev)
+		switch round % 3 {
+		case 0:
+			got = arena.Freeze(graphFromStream(t, tc.n, stream), 2)
+		case 1:
+			got = builderFromStream(tc.n, stream, 3, arena).Finalize(2, false)
+		case 2:
+			got, _, _ = builderFromStream(tc.n, stream, 3, arena).FinalizeSimplified(2)
+		}
+		if got.sorted != nil {
+			t.Fatalf("round %d: a refilled snapshot carried membership ranges", round)
+		}
+		fitsOffsets, fitsNeighbors := cap(oldOffsets) >= tc.n+1, cap(oldNeighbors) >= total
+		if fitsOffsets && &got.offsets[0] != &oldOffsets[0] || fitsNeighbors && total > 0 && &got.neighbors[0] != &oldNeighbors[0] {
+			t.Fatalf("round %d: the freeze allocated arrays the retired snapshot had room for", round)
+		}
+		reclaimed := arena.Reclaim()
+		switch {
+		case prev == nil:
+		case fitsOffsets || fitsNeighbors:
+			if reclaimed != nil || prev.offsets != nil || prev.neighbors != nil {
+				t.Fatalf("round %d: a used-up snapshot was not emptied and taken", round)
+			}
+		case reclaimed != prev:
+			t.Fatalf("round %d: an unused retired snapshot did not come back from Reclaim", round)
+		}
+		expectIdentical(t, "refilled", want, got)
+		for u := 0; u < tc.n; u++ {
+			for v := u; v < tc.n && v < u+8; v++ {
+				if got.HasEdge(u, v) != want.HasEdge(u, v) {
+					t.Fatalf("round %d: HasEdge(%d, %d) = %v on the refilled snapshot", round, u, v, got.HasEdge(u, v))
+				}
+			}
+		}
+		prev = got
+	}
+}

@@ -71,19 +71,23 @@ func (g *Graph) Freeze() *Frozen { return g.FreezePar(1) }
 // `workers` goroutines (<=1 runs serially). The snapshot is identical for
 // every worker count — each worker copies a disjoint node range of the
 // already-fixed layout.
-func (g *Graph) FreezePar(workers int) *Frozen {
+func (g *Graph) FreezePar(workers int) *Frozen { return g.freeze(workers, nil) }
+
+// freeze is FreezePar into the arrays arena.csrArrays hands out.
+func (g *Graph) freeze(workers int, arena *CSRArena) *Frozen {
 	n := len(g.adj)
-	f := &Frozen{
-		offsets: make([]int32, n+1),
-		edges:   g.edges,
-	}
 	total := 0
+	for _, a := range g.adj {
+		total += len(a)
+	}
+	f := &Frozen{edges: g.edges}
+	f.offsets, f.neighbors = arena.csrArrays(n, total)
+	total = 0
 	for u, a := range g.adj {
 		f.offsets[u] = int32(total)
 		total += len(a)
 	}
 	f.offsets[n] = int32(total)
-	f.neighbors = make([]int32, total)
 	parallelNodeRanges(n, workers, func(lo, hi int) {
 		for i, a := range g.adj[lo:hi] {
 			copy(f.neighbors[f.offsets[lo+i]:], a)

@@ -136,7 +136,7 @@ func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 	cutoffs := []int{gen.NoCutoff, 10}
 	builds := make([]blockBuild[*graph.Frozen, [][]float64, [][]float64], len(cutoffs))
 	for i, kc := range cutoffs {
-		builds[i] = shared("", seed+uint64(kc), paTopo(sc.NSearch, 2, kc),
+		builds[i] = minted(shared("", seed+uint64(kc), paTopo(sc.NSearch, 2, kc),
 			journaled(fmt.Sprintf("hds-cutoff-dependence %s", cutoffLabel(kc)), rowBlocks(recSweepSlots, sc.Sources, 2), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
 				rows := slabRows(make([][]float64, sc.Sources), make([]float64, 2*sc.Sources), 2)
 				return rows, sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
@@ -153,7 +153,7 @@ func checkHDSCutoffDependence(sc Scale, seed uint64) (bool, string, error) {
 					curves[0][1] = float64(rb.HitsAt(steps))
 					return nil
 				})
-			}))
+			})))
 	}
 	blocks, err := realizationBatch(sc, builds...)
 	if err != nil {

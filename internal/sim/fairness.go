@@ -48,10 +48,10 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 	for mi, model := range models {
 		for ci, kc := range cutoffs {
 			tag := fmt.Sprintf("fairness %s kc=%d", model.label, kc)
-			builds = append(builds, shared(tag, seed+uint64(mi*1000+ci), model.mk(kc), journaled(tag, oneRow(2), func(_ int, g *graph.Frozen, _ *sweeper) ([]float64, error) {
+			builds = append(builds, minted(shared(tag, seed+uint64(mi*1000+ci), model.mk(kc), journaled(tag, oneRow(2), func(_ int, g *graph.Frozen, _ *sweeper) ([]float64, error) {
 				seq := g.DegreeSequence()
 				return []float64{stats.Gini(seq), stats.TopShare(seq, 0.01)}, nil
-			})))
+			}))))
 		}
 	}
 
@@ -67,10 +67,10 @@ func Fairness(sc Scale, seed uint64) ([]Figure, error) {
 	queries := 8 * sc.Sources
 	for ci, kc := range cutoffs {
 		tag := fmt.Sprintf("fairness searchload kc=%d", kc)
-		builds = append(builds, shared(tag, seed+uint64(9000+ci), paTopo(sc.NSearch, 2, kc), journaled(tag, oneRow(1), func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
+		builds = append(builds, minted(shared(tag, seed+uint64(9000+ci), paTopo(sc.NSearch, 2, kc), journaled(tag, oneRow(1), func(r int, f *graph.Frozen, sw *sweeper) ([]float64, error) {
 			gini, err := sw.nfLoadGini(uint64(r), f, queries, sc.MaxTTLNF)
 			return []float64{gini}, err
-		})))
+		}))))
 	}
 	rows, err := realizationBatch(sc, builds...)
 	if err != nil {

@@ -268,3 +268,43 @@ func TestSeriesAllocsPerRealization(t *testing.T) {
 		t.Logf("each extra realization allocates %d B (slab %d B)", per, slab)
 	}
 }
+
+// TestSnapshotAllocsPerRealization: a swept snapshot goes back to the lane
+// pool and a later build refills its arrays, so once a warm-up series has
+// put snapshots in circulation, what each extra realization allocates
+// stays below one snapshot's arrays, (N+1+2M)·4 B — which every
+// realization allocated when each build froze into fresh arrays. PA
+// freezes its grown graph on the lane's arena and CM finalizes into it.
+// Not parallel: it reads process-wide allocation counters.
+func TestSnapshotAllocsPerRealization(t *testing.T) {
+	const n, sources, maxTTL = 20000, 8, 4
+	for _, c := range []struct {
+		name    string
+		factory topoFactory
+	}{
+		{"PA", paTopo(n, 2, gen.NoCutoff)},
+		{"CM", cmTopo(n, 2, gen.NoCutoff, 2.2)},
+	} {
+		f, err := c.factory(0, newBuilder(7, 0, nil, 1, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshot := int64(4 * (f.N() + 1 + f.TotalDegree()))
+		run := func(realizations int) int64 {
+			t.Helper()
+			sc := Scale{NSearch: n, Realizations: realizations, Sources: sources, MaxTTLFlood: maxTTL, Workers: 1}
+			bytes := allocated(func() { _, err = searchSeries(c.name, c.factory, sc.searchCfg(algFL, maxTTL, 0), 7) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(bytes)
+		}
+		run(4) // puts the series' snapshots in circulation
+		small, large := run(4), run(16)
+		if per := (large - small) / 12; per >= snapshot {
+			t.Errorf("%s: each extra realization allocates %d B, one snapshot's arrays are %d B", c.name, per, snapshot)
+		} else {
+			t.Logf("%s: each extra realization allocates %d B (snapshot %d B)", c.name, per, snapshot)
+		}
+	}
+}

@@ -21,10 +21,13 @@ import (
 // Two build paths hide behind this type. The growth models (PA, HAPA,
 // DAPA) need mid-build HasEdge/Degree, so they grow a mutable Graph — the
 // one the lane's arena lends, whose rows keep their capacity from build to
-// build — and freeze it here, in the pipelined build stage, before the
-// lane's next build resets it. CM (and the GRN substrates) never query the
-// graph mid-build, so they emit straight into a graph.CSRBuilder and no
-// mutable Graph ever exists.
+// build — and freeze it on the arena here, in the pipelined build stage,
+// before the lane's next build resets it. CM (and the GRN substrates) never
+// query the graph mid-build, so they emit straight into a graph.CSRBuilder
+// and no mutable Graph ever exists. Either way the snapshot is minted by
+// the lane: its freeze refills the arrays of the retired snapshot the lane
+// handed its arena, when they fit, and a batch that sweeps it (minted)
+// retires it after its last sweep for a later build to refill.
 type topoFactory func(r int, b *builder) (*graph.Frozen, error)
 
 func paTopo(n, m, kc int) topoFactory {
@@ -33,7 +36,7 @@ func paTopo(n, m, kc int) topoFactory {
 		if err != nil {
 			return nil, err
 		}
-		return g.FreezePar(b.width), nil
+		return b.arena.Freeze(g, b.width), nil
 	}
 }
 
@@ -43,8 +46,16 @@ func hapaTopo(n, m, kc int) topoFactory {
 		if err != nil {
 			return nil, err
 		}
-		return g.FreezePar(b.width), nil
+		return b.arena.Freeze(g, b.width), nil
 	}
+}
+
+// minted marks a build whose every realization is a snapshot its factory
+// minted on the build lane and that only its sweeps read, so the engine
+// retires each one after its last sweep (retireSnapshot).
+func minted[B, R any](bd blockBuild[*graph.Frozen, B, R]) blockBuild[*graph.Frozen, B, R] {
+	bd.retire = retireSnapshot
+	return bd
 }
 
 func cmTopo(n, m, kc int, gamma float64) topoFactory {
@@ -68,7 +79,7 @@ func dapaTopo(substrates []*graph.Frozen, nOverlay, m, kc, tauSub int) topoFacto
 		if err != nil {
 			return nil, err
 		}
-		return ov.G.FreezePar(b.width), nil
+		return b.arena.Freeze(ov.G, b.width), nil
 	}
 }
 
@@ -320,14 +331,14 @@ type sourceBuild struct {
 func sourceBatch(sc Scale, kind uint8, builds ...sourceBuild) ([][][][][]float64, error) {
 	blocks := make([]blockBuild[*graph.Frozen, [][]float64, [][]float64], len(builds))
 	for k, bd := range builds {
-		blocks[k] = blockBuild[*graph.Frozen, [][]float64, [][]float64]{name: bd.name, seed: bd.seed, build: bd.factory,
-			series: make([]blockSeries[*graph.Frozen, [][]float64, [][]float64], len(bd.series))}
+		series := make([]blockSeries[*graph.Frozen, [][]float64, [][]float64], len(bd.series))
 		for i, s := range bd.series {
-			blocks[k].series[i] = journaled(s.tag, rowMeans(kind, s.nCurves, sc.Sources, s.rowLen), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+			series[i] = journaled(s.tag, rowMeans(kind, s.nCurves, sc.Sources, s.rowLen), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
 				rows := sw.block(s.nCurves*sc.Sources, s.rowLen)
 				return rows, s.sweep(r, f, sw, rows)
 			})
 		}
+		blocks[k] = minted(shared(bd.name, bd.seed, bd.factory, series...))
 	}
 	means, err := realizationBatch(sc, blocks...)
 	if err != nil {

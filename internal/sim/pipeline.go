@@ -75,9 +75,18 @@ import (
 // Memory: up to 3·lanes frozen snapshots can be alive at once across the
 // whole pool (building + queued + being swept), so `-workers k` caps them
 // at 3·min(k, R), however many series the batch holds and however many
-// share a build. The series sharing a build are swept one after another
-// into one block per sweep lane, in that sweeper's buffers, and each keeps
-// only its realizations' reductions (realizationBatch).
+// share a build. They are the same few arrays realization after
+// realization: a job whose values are snapshots its lane minted names a
+// retire hook, the sweep lane retires each one once every series pending
+// at its realization has been swept cleanly on the first attempt, and the
+// build lane hands a retired one to its arena before each build of a
+// sweeping job, whose freeze refills its arrays (laneFree). A snapshot of a
+// failed, retried or interrupted attempt is dropped, as a failed arena is,
+// and one the lane did not mint — a prebuilt overlay, a shared substrate,
+// a snapshot carved from another — is never retired. The series sharing a
+// build are swept one after another into one block per sweep lane, in that
+// sweeper's buffers, and each keeps only its realizations' reductions
+// (realizationBatch).
 
 // builder carries one realization's build-phase context: the phase-stream
 // derivation root, the legacy per-realization stream, and the
@@ -103,8 +112,10 @@ type builder struct {
 	// that memory instead of re-growing it. What it lends stays valid only
 	// until the lane's next build, so a build freezes or uses up its graph
 	// before it returns, and what it returns (a snapshot, a histogram, a
-	// curve) never aliases the arena. Output is identical with or without
-	// it.
+	// curve) never aliases what the arena lends: a snapshot's arrays are at
+	// most those of the retired snapshot the lane handed the arena before
+	// the build, which its freeze refilled. Output is identical with or
+	// without it.
 	arena *graph.CSRArena
 }
 
@@ -172,6 +183,13 @@ type engineJob[T any] struct {
 	// (makeSubstrates: every series needs every substrate) leaves it false
 	// and keeps failures fatal.
 	partial bool
+	// retire, when set, takes back realization r's value once every series
+	// pending at r has been swept cleanly on the first attempt: the value
+	// is dead, and a snapshot the build lane minted goes back to laneFree
+	// (retireSnapshot) for a later build to refill. nil for values the
+	// engine must not recycle: overlays built outside it (prebuilt), shared
+	// substrates, snapshots carved from another (InducedFrozen).
+	retire func(T)
 }
 
 // runPool is the realization engine: one lane pool that runs every
@@ -256,6 +274,8 @@ func runPool[T any](sc Scale, jobs ...engineJob[T]) error {
 	type snapshot struct {
 		t, units int
 		v        T
+		// retried: v is a retry's build, which the engine never retires.
+		retried bool
 	}
 	var ready chan snapshot
 	var next atomic.Int64
@@ -283,6 +303,11 @@ func runPool[T any](sc Scale, jobs ...engineJob[T]) error {
 				settle(t, 0, nil)
 				continue
 			}
+			var spare *graph.Frozen
+			if j.sweep != nil {
+				spare = takeSnapshot()
+				arena.Recycle(spare)
+			}
 			var v T
 			attempts, err := attempt(units, func() (err error) {
 				v, err = j.build(r, newBuilder(j.seed, r, rngs[k][r], width, arena))
@@ -295,11 +320,15 @@ func runPool[T any](sc Scale, jobs ...engineJob[T]) error {
 				// The failed first build may have left the arena's buffers
 				// half-written; replace it before any other build touches
 				// it. The old one is dropped, never released to the free
-				// list.
+				// list, with the snapshot it was handed.
 				arena = takeArena()
+			} else if back := arena.Reclaim(); back == spare {
+				shelveSnapshot(back) // too small to refill
+			} else {
+				retireSnapshot(back) // one the build retired itself
 			}
 			if err == nil && j.sweep != nil {
-				ready <- snapshot{t: t, units: units, v: v}
+				ready <- snapshot{t: t, units: units, v: v, retried: attempts > 1}
 				continue
 			}
 			settle(t, attempts, err)
@@ -349,6 +378,10 @@ func runPool[T any](sc Scale, jobs ...engineJob[T]) error {
 				if sw == nil {
 					sw = newSweeper(0, width)
 				}
+			} else if j.retire != nil && !snap.retried {
+				// Every pending series swept cleanly on the first attempt
+				// of a first build: the value is dead.
+				j.retire(snap.v)
 			}
 			settle(snap.t, attempts, err)
 		}
@@ -472,12 +505,14 @@ func journaled[T, B, R any](tag string, codec blockCodec[B, R], sweep func(r int
 
 // blockBuild is one build of a realizationBatch: the realizations build
 // makes from seed's streams, shared by its series. name (may be empty)
-// prefixes the error a failed realization of it returns.
+// prefixes the error a failed realization of it returns; retire (may be
+// nil) is its engine job's hook, set by minted.
 type blockBuild[T, B, R any] struct {
 	name   string
 	seed   uint64
 	build  func(r int, b *builder) (T, error)
 	series []blockSeries[T, B, R]
+	retire func(T)
 }
 
 // shared assembles a blockBuild, inferring its types from the build and
@@ -576,7 +611,7 @@ func (bd blockBuild[T, B, R]) job(rc *RunControl, n int, subs []uint64) ([][]R, 
 		reduced[i][r] = codec.reduce(blk)
 		landed[i*n+r] = true
 	}
-	j := engineJob[T]{name: bd.name, seed: bd.seed, build: bd.build, partial: true}
+	j := engineJob[T]{name: bd.name, seed: bd.seed, build: bd.build, partial: true, retire: bd.retire}
 	j.pending = func(r int) (k int) {
 		for i := range series {
 			if !landed[i*n+r] {

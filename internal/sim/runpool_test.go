@@ -92,6 +92,11 @@ func poolSeed(k int) uint64 { return 0x5eed_0000_0000 + 977*uint64(k) }
 
 func poolTag(k, i int) string { return fmt.Sprintf("pool build %d series %d", k, i) }
 
+// retires reports whether build k names a retire hook. Build 1 stands for
+// a prebuilt overlay, a shared substrate or a carved snapshot: values the
+// engine must never retire.
+func (c poolCase) retires(k int) bool { return k != 1 }
+
 // spin is task t's busy work: yields, never sleeps.
 func (c poolCase) spin(t int) {
 	var n int
@@ -249,13 +254,29 @@ type poolProbe struct {
 	retried   map[*sweeper]bool // sweepers a retry swept a series on cleanly
 	busy      sync.Map          // *sweeper -> *atomic.Bool
 	overPeak  bool
+	// values follows every value a build returned, by its first element's
+	// address, to its retirement; retirements counts those retired.
+	values      map[*float64]*poolValue
+	retirements int
+}
+
+// poolValue is one built value's history.
+type poolValue struct {
+	k, r int
+	// first: built by the first build call of its task, not by a retry.
+	first bool
+	// pending series at the build; clean counts those swept cleanly,
+	// failed marks a failed sweep.
+	pending, clean  int
+	failed, retired bool
 }
 
 func (c poolCase) probe(t *testing.T, journaled func(k, i, r int) bool) *poolProbe {
 	lanes, width := schedule(c.workers, c.R)
 	p := &poolProbe{t: t, c: c, lanes: lanes, width: width, peak: 3 * lanes, maxBuilds: lanes,
 		remaining: map[*float64]int{}, landed: map[[3]int]bool{}, built: map[[2]int]int{}, swept: map[[3]int]int{},
-		badArena: map[*graph.CSRArena]bool{}, badSweep: map[*sweeper]bool{}, retried: map[*sweeper]bool{}}
+		badArena: map[*graph.CSRArena]bool{}, badSweep: map[*sweeper]bool{}, retried: map[*sweeper]bool{},
+		values: map[*float64]*poolValue{}}
 	if slices.ContainsFunc(c.faults, func(f poolFault) bool { return f.sweep && c.supervised && c.retries > 0 }) {
 		p.maxBuilds *= 2
 	}
@@ -316,6 +337,7 @@ func (p *poolProbe) build(k int) func(r int, b *builder) ([]float64, error) {
 				}
 			}
 			p.remaining[&snap[0]] = n
+			p.values[&snap[0]] = &poolValue{k: k, r: r, first: calls == 1, pending: n}
 			if p.alive++; p.alive > p.peak {
 				p.overPeak = true
 			}
@@ -345,6 +367,10 @@ func (p *poolProbe) sweep(k, i int) func(r int, snap []float64, sw *sweeper) ([]
 		p.mu.Lock()
 		p.swept[key]++
 		calls := p.swept[key]
+		value := p.values[&snap[0]]
+		if value.retired {
+			p.t.Errorf("build %d series %d realization %d swept a retired value", k, i, r)
+		}
 		if p.badSweep[sw] {
 			p.t.Errorf("build %d series %d realization %d swept on a sweeper a failed sweep used", k, i, r)
 		}
@@ -363,8 +389,10 @@ func (p *poolProbe) sweep(k, i int) func(r int, snap []float64, sw *sweeper) ([]
 				if calls > 1 {
 					p.retried[sw] = true
 				}
+				value.clean++
 			} else {
 				left = 0
+				value.failed = true
 			}
 			p.remaining[&snap[0]] = left
 			if left <= 0 {
@@ -392,6 +420,51 @@ func (p *poolProbe) sweep(k, i int) func(r int, snap []float64, sw *sweeper) ([]
 	}
 }
 
+// retire is the retire hook of every build that names one: a value may be
+// retired once, only if its build names a hook, was its task's first build
+// call and every series pending at it was swept cleanly.
+func (p *poolProbe) retire(snap []float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	v := p.values[&snap[0]]
+	switch {
+	case v == nil:
+		p.t.Errorf("retired a value no build returned")
+		return
+	case v.retired:
+		p.t.Errorf("build %d realization %d: a value retired twice", v.k, v.r)
+	case !p.c.retires(v.k):
+		p.t.Errorf("build %d realization %d: retired a value of a build without a retire hook", v.k, v.r)
+	case !v.first:
+		p.t.Errorf("build %d realization %d: retired the value of a retried build", v.k, v.r)
+	case v.failed:
+		p.t.Errorf("build %d realization %d: retired a value after a failed sweep", v.k, v.r)
+	case v.clean != v.pending:
+		p.t.Errorf("build %d realization %d: retired after %d of its %d pending series", v.k, v.r, v.clean, v.pending)
+	}
+	v.retired = true
+	p.retirements++
+}
+
+// cleanSweeps counts the tasks whose every pending series a run sweeps
+// cleanly on the first attempt, of builds that name a retire hook: what a
+// run that returns no error must retire.
+func (c poolCase) cleanSweeps(m poolModel, journaled func(k, i, r int) bool) int {
+	n := 0
+	for k := 0; k < c.builds && !c.buildOnly; k++ {
+		for r := 0; r < c.R; r++ {
+			clean := c.retires(k) && m.pending[k][r] > 0 && c.fault(k, 0, r, false) == nil
+			for i := 0; i < c.series && clean; i++ {
+				clean = journaled(k, i, r) || c.fault(k, i, r, true) == nil
+			}
+			if clean {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // run runs the batch under rc (nil: unsupervised) on the case's budget.
 func (c poolCase) run(p *poolProbe, rc *RunControl) ([][][][]float64, error) {
 	builds := make([]blockBuild[[]float64, []float64, []float64], c.builds)
@@ -404,6 +477,9 @@ func (c poolCase) run(p *poolProbe, rc *RunControl) ([][][][]float64, error) {
 			}
 		}
 		builds[k] = shared(fmt.Sprintf("build %d", k), poolSeed(k), p.build(k), series...)
+		if c.retires(k) {
+			builds[k].retire = p.retire
+		}
 	}
 	return realizationBatch(Scale{Realizations: c.R, Workers: c.workers, Run: rc}, builds...)
 }
@@ -428,7 +504,13 @@ func (c poolCase) run(p *poolProbe, rc *RunControl) ([][][][]float64, error) {
 //     faults uses at most one per lane;
 //   - no arena or sweeper that saw a failed attempt serves a later task or
 //     reaches the free list, and the sweeper of a retry that recovered a
-//     sweep does reach it.
+//     sweep does reach it;
+//   - a value is retired at most once, never swept after, only by a build
+//     that names a retire hook (never one standing for a prebuilt overlay),
+//     only if its task's first build call returned it and every pending
+//     series swept it cleanly — so never after a shared build's first of
+//     several series, a failed sweep or a retry — and a run that returns no
+//     error retires one value per task swept cleanly on the first attempt.
 func FuzzRunPool(f *testing.F) {
 	f.Fuzz(func(t *testing.T, builds, series, reals, workers uint8, buildOnly bool, sup uint8, keep, fault0, fault1 uint16, cost uint64) {
 		c := decodePoolCase(builds, series, reals, workers, buildOnly, sup, keep, [2]uint16{fault0, fault1}, cost)
@@ -511,6 +593,9 @@ func FuzzRunPool(f *testing.F) {
 		}
 		if p.overPeak {
 			t.Errorf("%+v: more than %d snapshots alive at once", c, p.peak)
+		}
+		if want := c.cleanSweeps(m, journaled); p.retirements != want {
+			t.Errorf("%+v: %d values retired, want %d", c, p.retirements, want)
 		}
 		p.checkFreeList()
 	})

@@ -14,7 +14,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -345,15 +347,28 @@ type sweeper struct {
 // them for the pool's whole life, and hand them back when it ends — so the
 // next pool, the spec's next batch or the next spec, reuses the O(N) kernel
 // state and build buffers earlier ones grew instead of growing its own from
-// nothing. Only state whose every use returned normally comes back: a
-// sweeper or arena that saw a failed attempt is dropped. It is a plain free
-// list, which the garbage collector never empties, so what a run allocates
-// does not depend on when a collection happens.
+// nothing. Snapshots cycle through it one realization at a time: a sweep
+// lane retires each snapshot its build lane minted once the realization's
+// last series has been swept (retireSnapshot), and a build lane hands one
+// to its arena before each build of a sweeping job (takeSnapshot), whose
+// freeze refills its arrays — or, when they are too small, shelves it
+// behind the others (shelveSnapshot). Only state whose every use returned
+// normally comes back: a sweeper, arena or snapshot that saw a failed
+// attempt is dropped. It is a plain free list, which the garbage collector
+// never empties, so what a run allocates does not depend on when a
+// collection happens; the snapshot list holds at most spareSnapshots.
 var laneFree struct {
 	sync.Mutex
-	sweepers []*sweeper
-	arenas   []*graph.CSRArena
+	sweepers  []*sweeper
+	arenas    []*graph.CSRArena
+	snapshots []*graph.Frozen
 }
+
+// spareSnapshots bounds laneFree's snapshot list: 3·GOMAXPROCS, as many as
+// a pool on the default budget has alive at once (building, queued, being
+// swept), so every build of a pool finds one while the list never holds
+// more than a run could have used.
+func spareSnapshots() int { return 3 * runtime.GOMAXPROCS(0) }
 
 // pop takes the last entry of one of laneFree's lists (nil when it is
 // empty), clearing its slot: the list must not keep a taken entry alive.
@@ -386,6 +401,46 @@ func releaseArena(a *graph.CSRArena) {
 	laneFree.Lock()
 	laneFree.arenas = append(laneFree.arenas, a)
 	laneFree.Unlock()
+}
+
+// takeSnapshot returns the last snapshot retired, or nil.
+func takeSnapshot() *graph.Frozen {
+	laneFree.Lock()
+	defer laneFree.Unlock()
+	return pop(&laneFree.snapshots)
+}
+
+// retireSnapshot hands back a snapshot nothing will read again, for the
+// next build to refill (nil is a no-op); when the list is full the oldest
+// is dropped. Only a snapshot a build lane minted whose every sweep
+// returned normally on its first attempt may be retired: never a prebuilt
+// overlay, a shared substrate or a snapshot carved from another.
+func retireSnapshot(f *graph.Frozen) {
+	if f == nil {
+		return
+	}
+	laneFree.Lock()
+	defer laneFree.Unlock()
+	if over := len(laneFree.snapshots) - spareSnapshots() + 1; over > 0 {
+		laneFree.snapshots = slices.Delete(laneFree.snapshots, 0, over)
+	}
+	laneFree.snapshots = append(laneFree.snapshots, f)
+}
+
+// shelveSnapshot hands back a snapshot a build was handed but could not
+// refill, too small for either of its arrays: it goes behind every other,
+// so a build takes it only when none is left and a full list drops it
+// first, instead of coming straight back to the next build of the shape
+// it did not fit.
+func shelveSnapshot(f *graph.Frozen) {
+	if f == nil {
+		return
+	}
+	laneFree.Lock()
+	defer laneFree.Unlock()
+	if len(laneFree.snapshots) < spareSnapshots() {
+		laneFree.snapshots = slices.Insert(laneFree.snapshots, 0, f)
+	}
 }
 
 // newSweeper returns a sweeper of `shards` scratches (the engine resolves

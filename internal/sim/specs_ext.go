@@ -151,8 +151,12 @@ func Delivery(sc Scale, seed uint64) ([]Figure, error) {
 			// CSR end to end: the CM realization is built straight into
 			// frozen form and the giant component is carved out of it with
 			// InducedFrozen, without a mutable Graph. One snapshot serves
-			// every delivery pair.
+			// every delivery pair. The lane minted f and nothing reads it
+			// once fsub is carved, so it goes back to the arena, which the
+			// engine takes it back from for a later build; fsub, carved
+			// outside the lane's snapshots, is never retired.
 			fsub, _ := f.InducedFrozen(f.GiantComponent())
+			b.arena.Recycle(f)
 			return fsub, nil
 		}, journaled(tag, oneRow(4), func(r int, fsub *graph.Frozen, sw *sweeper) ([]float64, error) {
 			// Per pair: FL time, RW time (0 = not delivered) and whether

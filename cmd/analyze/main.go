@@ -68,28 +68,28 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("in %s: the edge list has no nodes", *in)
 	}
 	rng := scalefree.NewRNG(*seed + 1)
+	// Every section reads one snapshot; only the robustness probe, which
+	// removes nodes from a clone, takes the Graph itself.
+	f := scalefree.Freeze(g)
 
 	fmt.Fprintln(out, "== size ==")
-	mean := 0.0
-	if g.N() > 0 {
-		mean = float64(g.TotalDegree()) / float64(g.N())
-	}
+	mean := float64(f.TotalDegree()) / float64(f.N())
 	fmt.Fprintf(out, "nodes=%d edges=%d degree(min/mean/max)=%d/%.2f/%d\n",
-		g.N(), g.M(), g.MinDegree(), mean, g.MaxDegree())
-	giant := g.GiantComponent()
+		f.N(), f.M(), f.MinDegree(), mean, f.MaxDegree())
+	giant := f.GiantComponent()
 	fmt.Fprintf(out, "connected=%v giant=%d (%.1f%%) components=%d\n",
-		g.IsConnected(), len(giant), 100*float64(len(giant))/float64(max(1, g.N())),
-		len(g.ConnectedComponents()))
+		f.IsConnected(), len(giant), 100*float64(len(giant))/float64(f.N()),
+		len(f.ConnectedComponents()))
 
 	fmt.Fprintln(out, "\n== degree distribution ==")
-	d := scalefree.DegreeDistribution(g)
+	d := scalefree.DegreeDistribution(f)
 	if fit, err := scalefree.FitDegreeExponent(d, 2, 0); err == nil {
 		fmt.Fprintf(out, "power-law fit (log-binned LS): gamma=%.3f ± %.3f over %d bins\n",
 			fit.Gamma, fit.StdErr, fit.Points)
 		if ks, err := stats.KSDistance(d, fit.Gamma, 2); err == nil {
 			fmt.Fprintf(out, "KS distance to fitted model: D=%.4f\n", ks)
 			if *ksTrials > 0 {
-				score, err := stats.KSBootstrap(ks, fit.Gamma, 2, g.MaxDegree(), g.N(), *ksTrials, rng)
+				score, err := stats.KSBootstrap(ks, fit.Gamma, 2, f.MaxDegree(), f.N(), *ksTrials, rng)
 				if err == nil {
 					verdict := "plausible"
 					if score < 0.1 {
@@ -102,28 +102,28 @@ func run(args []string, out io.Writer) error {
 	} else {
 		fmt.Fprintf(out, "power-law fit unavailable: %v\n", err)
 	}
-	if seq := g.DegreeSequence(); len(seq) > 0 {
+	if seq := f.DegreeSequence(); len(seq) > 0 {
 		if fit, err := stats.FitPowerLawMLE(seq, 6); err == nil {
 			fmt.Fprintf(out, "tail MLE (k>=6): gamma=%.3f ± %.3f over %d nodes\n", fit.Gamma, fit.StdErr, fit.Points)
 		}
 	}
 
 	fmt.Fprintf(out, "load fairness: Gini=%.3f, top-1%% of peers hold %.1f%% of links\n",
-		scalefree.DegreeGini(g), 100*scalefree.TopLoadShare(g, 0.01))
+		scalefree.DegreeGini(f), 100*scalefree.TopLoadShare(f, 0.01))
 
 	fmt.Fprintln(out, "\n== structure ==")
-	fmt.Fprintf(out, "global clustering (transitivity): %.4f\n", scalefree.GlobalClustering(g))
-	if r, err := scalefree.DegreeAssortativity(g); err == nil {
+	fmt.Fprintf(out, "global clustering (transitivity): %.4f\n", scalefree.GlobalClustering(f))
+	if r, err := scalefree.DegreeAssortativity(f); err == nil {
 		fmt.Fprintf(out, "degree assortativity: %+.4f\n", r)
 	}
-	fmt.Fprintf(out, "max core (degeneracy): %d; 2-core covers %d nodes\n", g.MaxCore(), len(g.KCore(2)))
-	ps := g.SamplePathStats(min(60, g.N()), rng)
+	fmt.Fprintf(out, "max core (degeneracy): %d; 2-core covers %d nodes\n", f.MaxCore(), len(f.KCore(2)))
+	ps := f.SamplePathStats(min(60, f.N()), rng)
 	fmt.Fprintf(out, "mean distance: %.2f (sampled); diameter >= %d\n",
-		ps.MeanDistance, g.EstimateDiameter(4, rng))
-	if ed, err := scalefree.EffectiveDiameter(g, 0.9, min(64, g.N()), rng); err == nil {
+		ps.MeanDistance, f.EstimateDiameter(4, rng))
+	if ed, err := scalefree.EffectiveDiameter(f, 0.9, min(64, f.N()), rng); err == nil {
 		fmt.Fprintf(out, "effective diameter (90%%): %d\n", ed)
 	}
-	if rc := scalefree.RichClub(g); len(rc) > 0 {
+	if rc := scalefree.RichClub(f); len(rc) > 0 {
 		deepest := rc[len(rc)-1]
 		fmt.Fprintf(out, "rich club: deepest club at k>%d (%d nodes, phi=%.3f)\n",
 			deepest.K, deepest.Nodes, deepest.Phi)
@@ -139,7 +139,7 @@ func run(args []string, out io.Writer) error {
 			last := pts[len(pts)-1]
 			fmt.Fprintf(out, "%-16s giant %.1f%% -> %.1f%%\n", strat, 100*pts[0].GiantFrac, 100*last.GiantFrac)
 		}
-		if pts, err := scalefree.SitePercolation(g, 10, 2, rng); err == nil {
+		if pts, err := scalefree.SitePercolation(f, 10, 2, rng); err == nil {
 			fmt.Fprintf(out, "site percolation: giant reaches 25%% of N at occupation p≈%.2f\n",
 				scalefree.PercolationThreshold(pts, 0.25))
 		}

@@ -11,8 +11,8 @@
 //	experiments -exp fig6 -workers 1                     # fully serial run
 //	experiments -scale xl                                # N=10^6 degree distributions
 //	experiments -exp fig9 -cpuprofile cpu.pprof          # profile a hot experiment
-//	experiments -mode des                                # message-level DES specs
-//	experiments -mode des -loss 0.05 -latency-jitter 2   # single loss rate, wider jitter
+//	experiments -exp desflood,deskwalk,desfail           # message-level DES specs
+//	experiments -exp desflood -loss 0.05 -latency-jitter 2   # single loss rate, wider jitter
 //	experiments -exp desfail -fail-frac 0.2              # 20% failure sweep
 //	experiments -exp all -scale paper -resume            # continue a killed run
 //	experiments -exp fig9 -retries 2 -max-failed 1       # tolerate flaky realizations
@@ -32,8 +32,7 @@
 // set the per-edge delay model (both unset = 1 + U[0,1)), -loss pins a
 // single message-loss rate (unset = sweep {0, 2%, 10%}), and
 // -fail-frac/-fail-mtbf shape the desfail failure schedule (unset = sweep
-// {0, 10%, 20%, 30%} with MTBF 2). -mode des only changes the default
-// -exp from "all" to the DES spec family; -exp still selects any spec.
+// {0, 10%, 20%, 30%} with MTBF 2).
 //
 // Crash safety (see EXPERIMENTS.md "Checkpoint / resume"): by default each
 // spec checkpoints completed realizations to <outdir>/<exp>.journal;
@@ -120,7 +119,7 @@ func run(args []string, stdout io.Writer) error {
 		workers    = fs.Int("workers", 0, "parallelism budget per experiment (0 = GOMAXPROCS): concurrent realizations, then generator and source-sweep goroutines per realization; results are identical for any value")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after the last experiment")
-		mode       = fs.String("mode", "csr", "csr (default -exp all), des (default -exp is the DES spec family), coordinator, or worker")
+		mode       = fs.String("mode", "csr", "csr (run locally), coordinator, or worker")
 		latBase    = fs.Float64("latency-base", 0, "DES fixed per-edge delay component (with -latency-jitter both 0: defaults to 1+U[0,1))")
 		latJitter  = fs.Float64("latency-jitter", 0, "DES per-edge uniform delay component scale")
 		loss       = fs.Float64("loss", 0, "DES message loss rate in [0,1); 0 sweeps the default series {0, 0.02, 0.10}")
@@ -200,10 +199,6 @@ func run(args []string, stdout io.Writer) error {
 
 	switch *mode {
 	case "csr":
-	case "des":
-		if !expSet {
-			*exp = "desflood,deskwalk,desfail"
-		}
 	case "coordinator":
 		if *coordAddr == "" {
 			return errors.New("-mode coordinator requires -coord-addr (the listen address for worker claims)")
@@ -225,7 +220,7 @@ func run(args []string, stdout io.Writer) error {
 			return errors.New("-mode worker requires -coord-addr (the coordinator's address)")
 		}
 	default:
-		return fmt.Errorf("unknown mode %q (want csr, des, coordinator, or worker)", *mode)
+		return fmt.Errorf("unknown mode %q (want csr, coordinator, or worker)", *mode)
 	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries %d must be >= 0", *retries)

@@ -74,48 +74,40 @@ func TestRunSingleExperimentWritesCSV(t *testing.T) {
 	}
 }
 
-// TestRunDESModeWritesCSV also pins that the DES knobs do not depend on
-// -mode des: the same -exp with the same -loss writes the same bytes, one
-// series per figure, whether or not the mode is spelled out.
+// TestRunDESModeWritesCSV pins that -loss reaches the DES specs under a
+// plain -exp: every desflood figure is written with one series.
 func TestRunDESModeWritesCSV(t *testing.T) {
 	t.Parallel()
-	files := []string{"desflood-hits.csv", "desflood-time.csv", "desflood-msgs.csv"}
-	var want [][]byte
-	for _, mode := range [][]string{{"-mode", "des"}, nil} {
-		dir := t.TempDir()
-		var buf strings.Builder
-		args := append(mode, "-loss", "0.05", "-exp", "desflood", "-outdir", dir, "-plot=false")
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	var buf strings.Builder
+	args := []string{"-loss", "0.05", "-exp", "desflood", "-outdir", dir, "-plot=false"}
+	if err := run(args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"desflood-hits.csv", "desflood-time.csv", "desflood-msgs.csv"} {
+		data, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
+			t.Errorf("missing %s: %v", f, err)
+			continue
 		}
-		for i, f := range files {
-			data, err := os.ReadFile(filepath.Join(dir, f))
-			if err != nil {
-				t.Fatalf("%v: missing %s: %v", mode, f, err)
-			}
-			if mode != nil {
-				want = append(want, data)
-				continue
-			}
-			if !bytes.Equal(data, want[i]) {
-				t.Errorf("%s without -mode differs from -mode des", f)
-			}
-			series := map[string]bool{}
-			for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
-				series[line[:strings.IndexByte(line, ',')]] = true
-			}
-			if len(series) != 1 {
-				t.Errorf("%s: -loss 0.05 without -mode published series %v, want one", f, series)
-			}
+		series := map[string]bool{}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+			series[line[:strings.IndexByte(line, ',')]] = true
+		}
+		if len(series) != 1 {
+			t.Errorf("%s: -loss 0.05 published series %v, want one", f, series)
 		}
 	}
 }
 
+// TestRunDESModeDefaultsToDESSpecs runs the DES spec family, the set that
+// -exp desflood,deskwalk,desfail names, with its knobs set: every DES
+// figure is written.
 func TestRunDESModeDefaultsToDESSpecs(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	var buf strings.Builder
-	args := []string{"-mode", "des", "-loss", "0.2", "-latency-jitter", "2", "-outdir", dir, "-plot=false"}
+	args := []string{"-exp", "desflood,deskwalk,desfail", "-loss", "0.2", "-latency-jitter", "2", "-outdir", dir, "-plot=false"}
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +121,10 @@ func TestRunDESModeDefaultsToDESSpecs(t *testing.T) {
 func TestRunBadMode(t *testing.T) {
 	t.Parallel()
 	var buf strings.Builder
-	if err := run([]string{"-mode", "quantum"}, &buf); err == nil {
-		t.Fatal("unknown mode should fail")
+	for _, mode := range []string{"quantum", "des"} {
+		if err := run([]string{"-mode", mode}, &buf); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Fatalf("-mode %s: err %v, want an unknown mode", mode, err)
+		}
 	}
 }
 
@@ -138,7 +132,7 @@ func TestRunBadLoss(t *testing.T) {
 	t.Parallel()
 	var buf strings.Builder
 	for _, args := range [][]string{
-		{"-mode", "des", "-loss", "1.5"},
+		{"-exp", "desflood,deskwalk,desfail", "-loss", "1.5", "-outdir", t.TempDir(), "-plot=false"},
 		{"-exp", "desflood", "-loss", "1.5", "-outdir", t.TempDir(), "-plot=false"},
 		{"-exp", "desflood", "-loss", "NaN", "-outdir", t.TempDir(), "-plot=false"},
 		{"-exp", "desfail", "-fail-frac", "NaN", "-outdir", t.TempDir(), "-plot=false"},
@@ -157,7 +151,7 @@ func TestRunBadLatency(t *testing.T) {
 	t.Parallel()
 	var buf strings.Builder
 	for _, args := range [][]string{
-		{"-mode", "des", "-latency-base", "-1"},
+		{"-exp", "desflood,deskwalk,desfail", "-latency-base", "-1", "-outdir", t.TempDir(), "-plot=false"},
 		{"-exp", "desflood", "-latency-jitter", "NaN", "-outdir", t.TempDir(), "-plot=false"},
 		{"-exp", "desflood", "-latency-base", "+Inf", "-outdir", t.TempDir(), "-plot=false"},
 		{"-mode", "coordinator", "-coord-addr", "127.0.0.1:0", "-exp", "desflood", "-latency-jitter", "-0.5"},

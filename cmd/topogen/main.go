@@ -111,7 +111,7 @@ func generate(model string, n, m, kc int, gamma float64, tau, nsub int, kbar, be
 		if err != nil {
 			return nil, fmt.Errorf("substrate: %w", err)
 		}
-		ov, _, err := scalefree.GenerateDAPA(sub, scalefree.DAPAConfig{
+		ov, _, err := scalefree.GenerateDAPA(scalefree.Freeze(sub), scalefree.DAPAConfig{
 			NOverlay: n, M: m, KC: kc, TauSub: tau,
 		}, rng)
 		if err != nil {
@@ -134,13 +134,14 @@ func generate(model string, n, m, kc int, gamma float64, tau, nsub int, kbar, be
 }
 
 func printSummary(w *os.File, g *scalefree.Graph) {
+	f := scalefree.Freeze(g)
 	mean := 0.0
-	if g.N() > 0 {
-		mean = float64(g.TotalDegree()) / float64(g.N())
+	if f.N() > 0 {
+		mean = float64(f.TotalDegree()) / float64(f.N())
 	}
 	fmt.Fprintf(w, "nodes=%d edges=%d degree(min/mean/max)=%d/%.2f/%d connected=%v giant=%d\n",
-		g.N(), g.M(), g.MinDegree(), mean, g.MaxDegree(), g.IsConnected(), len(g.GiantComponent()))
-	if fit, err := scalefree.FitDegreeExponent(scalefree.DegreeDistribution(g), 1, 0); err == nil {
+		f.N(), f.M(), f.MinDegree(), mean, f.MaxDegree(), f.IsConnected(), len(f.GiantComponent()))
+	if fit, err := scalefree.FitDegreeExponent(scalefree.DegreeDistribution(f), 1, 0); err == nil {
 		fmt.Fprintf(w, "power-law fit: gamma=%.2f ± %.2f (over %d log bins)\n", fit.Gamma, fit.StdErr, fit.Points)
 	}
 }

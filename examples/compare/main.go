@@ -56,7 +56,7 @@ func run() error {
 			if err != nil {
 				return nil, err
 			}
-			ov, _, err := scalefree.GenerateDAPA(sub, scalefree.DAPAConfig{
+			ov, _, err := scalefree.GenerateDAPA(scalefree.Freeze(sub), scalefree.DAPAConfig{
 				NOverlay: nodes, M: m, KC: kc, TauSub: tauSub,
 			}, rng)
 			if err != nil {
@@ -75,12 +75,13 @@ func run() error {
 			if err != nil {
 				return fmt.Errorf("%s kc=%d: %w", topo.name, kc, err)
 			}
-			fl, nf, rw, err := measure(g, rng)
+			f := scalefree.Freeze(g)
+			fl, nf, rw, err := measure(f, rng)
 			if err != nil {
 				return err
 			}
 			gamma := "-"
-			if fit, err := scalefree.FitDegreeExponent(scalefree.DegreeDistribution(g), 1, 0); err == nil {
+			if fit, err := scalefree.FitDegreeExponent(scalefree.DegreeDistribution(f), 1, 0); err == nil {
 				gamma = fmt.Sprintf("%.2f", fit.Gamma)
 			}
 			cut := "none"
@@ -88,7 +89,7 @@ func run() error {
 				cut = fmt.Sprintf("%d", kc)
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%.0f\t%.1f\t%.1f\n",
-				topo.name, cut, gamma, g.MaxDegree(), fl, nf, rw)
+				topo.name, cut, gamma, f.MaxDegree(), fl, nf, rw)
 		}
 	}
 	if err := tw.Flush(); err != nil {
@@ -99,11 +100,10 @@ func run() error {
 	return nil
 }
 
-// measure averages FL/NF/RW hits over random sources on one topology,
-// frozen once into CSR form and swept with a reused scratch — the
-// recommended pattern for many searches against a static overlay.
-func measure(g *scalefree.Graph, rng *scalefree.RNG) (fl, nf, rw float64, err error) {
-	f := scalefree.Freeze(g)
+// measure averages FL/NF/RW hits over random sources on one frozen
+// topology, swept with a reused scratch — the recommended pattern for
+// many searches against a static overlay.
+func measure(f *scalefree.FrozenTopology, rng *scalefree.RNG) (fl, nf, rw float64, err error) {
 	scratch := scalefree.NewSearchScratch(f.N())
 	for s := 0; s < sources; s++ {
 		src := rng.Intn(f.N())

@@ -29,9 +29,11 @@ func run() error {
 	fmt.Printf("topology: %d peers, %d links, max degree %d (cutoff 40), fallback stubs %d\n",
 		g.N(), g.M(), g.MaxDegree(), genStats.Fallbacks)
 
-	// 2. The degree distribution is a power law P(k) ~ k^-gamma with a
-	//    spike at the cutoff.
-	fit, err := scalefree.FitDegreeExponent(scalefree.DegreeDistribution(g), 2, 0)
+	// 2. Freeze the finished overlay once: every read below runs on the
+	//    snapshot. The degree distribution is a power law P(k) ~ k^-gamma
+	//    with a spike at the cutoff.
+	f := scalefree.Freeze(g)
+	fit, err := scalefree.FitDegreeExponent(scalefree.DegreeDistribution(f), 2, 0)
 	if err != nil {
 		return err
 	}
@@ -40,15 +42,15 @@ func run() error {
 
 	// 3. Compare search efficiency from one source.
 	const src, ttl, kMin = 0, 8, 2
-	fl, err := scalefree.Flood(g, src, ttl)
+	fl, err := scalefree.Flood(f, src, ttl)
 	if err != nil {
 		return err
 	}
-	nf, err := scalefree.NormalizedFlood(g, src, ttl, kMin, rng)
+	nf, err := scalefree.NormalizedFlood(f, src, ttl, kMin, rng)
 	if err != nil {
 		return err
 	}
-	rw, _, err := scalefree.RandomWalkWithNFBudget(g, src, ttl, kMin, rng)
+	rw, _, err := scalefree.RandomWalkWithNFBudget(f, src, ttl, kMin, rng)
 	if err != nil {
 		return err
 	}

@@ -44,6 +44,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	f := scalefree.Freeze(g)
 	cat, err := scalefree.NewCatalog(items, alpha)
 	if err != nil {
 		return err
@@ -60,15 +61,15 @@ func run() error {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "strategy\thead copies\ttail copies\tESS (walk probes)\twalk success\tflood hit@TTL3\tflood msgs")
 	for _, s := range strategies {
-		p, err := scalefree.Replicate(cat, g.N(), budget, s, scalefree.NewRNG(seed+1))
+		p, err := scalefree.Replicate(cat, f.N(), budget, s, scalefree.NewRNG(seed+1))
 		if err != nil {
 			return err
 		}
-		ess, err := scalefree.ExpectedSearchSize(g, p, cat, queries, maxSteps, scalefree.NewRNG(seed+2))
+		ess, err := scalefree.ExpectedSearchSize(f, p, cat, queries, maxSteps, scalefree.NewRNG(seed+2))
 		if err != nil {
 			return err
 		}
-		fl, err := scalefree.FloodQuerySuccess(g, p, cat, queries, 3, scalefree.NewRNG(seed+3))
+		fl, err := scalefree.FloodQuerySuccess(f, p, cat, queries, 3, scalefree.NewRNG(seed+3))
 		if err != nil {
 			return err
 		}

@@ -62,7 +62,7 @@ func run(outdir string) error {
 			if err != nil {
 				return nil, err
 			}
-			ov, _, err := scalefree.GenerateDAPA(sub, scalefree.DAPAConfig{
+			ov, _, err := scalefree.GenerateDAPA(scalefree.Freeze(sub), scalefree.DAPAConfig{
 				NOverlay: nodes, M: m, KC: kc, TauSub: 8,
 			}, rng)
 			if err != nil {

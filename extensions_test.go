@@ -59,11 +59,12 @@ func TestPublicAPIMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := GlobalClustering(g)
+	f := Freeze(g)
+	c := GlobalClustering(f)
 	if c < 0 || c > 1 {
 		t.Fatalf("clustering %v", c)
 	}
-	if _, err := DegreeAssortativity(g); err != nil {
+	if _, err := DegreeAssortativity(f); err != nil {
 		t.Fatal(err)
 	}
 	pts, err := Robustness(g, RemoveHighestDegree, 0.05, 0.3, NewRNG(8))

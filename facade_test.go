@@ -16,13 +16,14 @@ func TestFacadeTopologyWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gi := DegreeGini(g); gi <= 0 || gi >= 1 {
+	f := Freeze(g)
+	if gi := DegreeGini(f); gi <= 0 || gi >= 1 {
 		t.Fatalf("DegreeGini = %v", gi)
 	}
-	if ts := TopLoadShare(g, 0.01); ts <= 0 || ts > 1 {
+	if ts := TopLoadShare(f, 0.01); ts <= 0 || ts > 1 {
 		t.Fatalf("TopLoadShare = %v", ts)
 	}
-	if c := GlobalClustering(g); c < 0 || c > 1 {
+	if c := GlobalClustering(f); c < 0 || c > 1 {
 		t.Fatalf("clustering %v", c)
 	}
 }
@@ -43,21 +44,22 @@ func TestFacadeSearchGolden(t *testing.T) {
 			t.Fatalf("%s = %v, want %v", name, got, want)
 		}
 	}
-	fl, err := Flood(g, 17, 8)
+	f := Freeze(g)
+	fl, err := Flood(f, 17, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eq("flood.Hits", fl.Hits, []int{1, 41, 282, 1179, 1935, 2000, 2000, 2000, 2000})
 	eq("flood.Messages", fl.Messages, []int{0, 40, 309, 1720, 4583, 5909, 5995, 5995, 5995})
 
-	nf, err := NormalizedFlood(g, 17, 8, 2, NewRNG(5))
+	nf, err := NormalizedFlood(f, 17, 8, 2, NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eq("nf.Hits", nf.Hits, []int{1, 3, 6, 11, 18, 32, 55, 91, 149})
 	eq("nf.Messages", nf.Messages, []int{0, 2, 5, 10, 17, 31, 54, 91, 154})
 
-	rw, nfb, err := RandomWalkWithNFBudget(g, 17, 6, 2, NewRNG(9))
+	rw, nfb, err := RandomWalkWithNFBudget(f, 17, 6, 2, NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}

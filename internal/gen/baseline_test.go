@@ -16,12 +16,13 @@ func TestER(t *testing.T) {
 	if g.N() != 100 || g.M() != 300 {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}
+	f := g.Freeze()
 	for u := 0; u < 100; u++ {
-		if g.EdgeMultiplicity(u, u) != 0 {
+		if f.EdgeMultiplicity(u, u) != 0 {
 			t.Fatal("ER produced self-loop")
 		}
 		for v := u + 1; v < 100; v++ {
-			if g.EdgeMultiplicity(u, v) > 1 {
+			if f.EdgeMultiplicity(u, v) > 1 {
 				t.Fatal("ER produced multi-edge")
 			}
 		}
@@ -48,8 +49,8 @@ func TestERComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.M() != 15 || g.MinDegree() != 5 {
-		t.Fatalf("complete graph: M=%d minDeg=%d", g.M(), g.MinDegree())
+	if minDeg := g.Freeze().MinDegree(); g.M() != 15 || minDeg != 5 {
+		t.Fatalf("complete graph: M=%d minDeg=%d", g.M(), minDeg)
 	}
 }
 
@@ -67,12 +68,12 @@ func TestRing(t *testing.T) {
 			t.Fatalf("degree(%d)=%d, want 2k=4", u, g.Degree(u))
 		}
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("ring must be connected")
 	}
 	// Ring diameter: floor(n/(2k)) hops... for n=10,k=2 farthest node is
 	// 5 steps around, reachable in ceil(5/2)=3 hops.
-	if d := g.EstimateDiameter(5, xrand.New(1)); d != 3 {
+	if d := g.Freeze().EstimateDiameter(5, xrand.New(1)); d != 3 {
 		t.Fatalf("ring diameter %d, want 3", d)
 	}
 }
@@ -105,8 +106,8 @@ func TestWattsStrogatz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dWS := g.SamplePathStats(50, xrand.New(2)).MeanDistance
-	dLat := lattice.SamplePathStats(50, xrand.New(2)).MeanDistance
+	dWS := g.Freeze().SamplePathStats(50, xrand.New(2)).MeanDistance
+	dLat := lattice.Freeze().SamplePathStats(50, xrand.New(2)).MeanDistance
 	if dWS >= dLat/2 {
 		t.Fatalf("WS mean path %.1f not much shorter than lattice %.1f", dWS, dLat)
 	}

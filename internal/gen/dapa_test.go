@@ -66,7 +66,7 @@ func TestDAPAStructure(t *testing.T) {
 		}
 	}
 	// Every peer connected to at least one other peer.
-	if ov.G.MinDegree() < 1 {
+	if ov.G.Freeze().MinDegree() < 1 {
 		t.Fatal("joined peer with zero degree")
 	}
 }
@@ -127,7 +127,7 @@ func TestDAPAMinDegreeMayFallBelowM(t *testing.T) {
 	sub := testSubstrate(t, 2000, 9)
 	ov, _ := genDAPA(t, sub, DAPAConfig{NOverlay: 1000, M: 3, TauSub: 2}, 10)
 	below := 0
-	for _, k := range ov.G.DegreeSequence() {
+	for _, k := range ov.G.Freeze().DegreeSequence() {
 		if k < 3 {
 			below++
 		}
@@ -191,7 +191,7 @@ func TestDAPAExponentIncreasesAsCutoffShrinks(t *testing.T) {
 		var dists []stats.DegreeDist
 		for seed := uint64(0); seed < 4; seed++ {
 			ov, _ := genDAPA(t, sub, DAPAConfig{NOverlay: 2000, M: 1, KC: kc, TauSub: 20}, 40+seed)
-			dists = append(dists, stats.NewDegreeDist(ov.G.DegreeHistogram()))
+			dists = append(dists, stats.NewDegreeDist(ov.G.Freeze().DegreeHistogram()))
 		}
 		kMax := 0
 		if kc != NoCutoff {

@@ -41,7 +41,7 @@ func TestHAPABasicStructure(t *testing.T) {
 	if g.M() != wantM {
 		t.Fatalf("M = %d, want %d", g.M(), wantM)
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("HAPA graph must be connected")
 	}
 	if st.Hops == 0 {
@@ -82,7 +82,7 @@ func TestHAPASuperHubsWithoutCutoff(t *testing.T) {
 		t.Fatalf("max degree %d; expected a super hub of order N=%d", g.MaxDegree(), n)
 	}
 	// And star-like means very small mean path length relative to PA.
-	st := g.SamplePathStats(30, xrand.New(1))
+	st := g.Freeze().SamplePathStats(30, xrand.New(1))
 	if st.MeanDistance > 4 {
 		t.Fatalf("mean distance %.2f too large for star-like topology", st.MeanDistance)
 	}
@@ -97,7 +97,7 @@ func TestHAPACutoffDestroysStar(t *testing.T) {
 		t.Fatalf("cutoff violated: %d", g.MaxDegree())
 	}
 	// Many nodes accumulate at the cutoff.
-	h := g.DegreeHistogram()
+	h := g.Freeze().DegreeHistogram()
 	if h[kc] < n/100 {
 		t.Fatalf("only %d nodes at cutoff; expected accumulation", h[kc])
 	}
@@ -106,8 +106,8 @@ func TestHAPACutoffDestroysStar(t *testing.T) {
 func TestHAPAMinDegree(t *testing.T) {
 	t.Parallel()
 	g, st := genHAPA(t, HAPAConfig{N: 1500, M: 3, KC: 50}, 11)
-	if st.UnfilledStubs == 0 && g.MinDegree() < 3 {
-		t.Fatalf("min degree %d < m=3 with no unfilled stubs", g.MinDegree())
+	if minDeg := g.Freeze().MinDegree(); st.UnfilledStubs == 0 && minDeg < 3 {
+		t.Fatalf("min degree %d < m=3 with no unfilled stubs", minDeg)
 	}
 }
 

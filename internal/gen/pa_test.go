@@ -45,15 +45,16 @@ func TestPABasicStructure(t *testing.T) {
 	if g.M() != wantM {
 		t.Fatalf("M = %d, want %d (unfilled=%d)", g.M(), wantM, st.UnfilledStubs)
 	}
-	if g.MinDegree() < m {
-		t.Fatalf("min degree %d < m=%d", g.MinDegree(), m)
+	f := g.Freeze()
+	if f.MinDegree() < m {
+		t.Fatalf("min degree %d < m=%d", f.MinDegree(), m)
 	}
-	if !g.IsConnected() {
+	if !f.IsConnected() {
 		t.Fatal("PA graph must be connected")
 	}
 	// Simple graph: no self-loops or duplicate links.
 	for u := 0; u < n; u++ {
-		if g.EdgeMultiplicity(u, u) != 0 {
+		if g.HasEdge(u, u) {
 			t.Fatalf("self-loop at %d", u)
 		}
 	}
@@ -64,12 +65,13 @@ func TestPADeterminism(t *testing.T) {
 	cfg := PAConfig{N: 500, M: 2, KC: 20}
 	a, _ := genPA(t, cfg, 7)
 	b, _ := genPA(t, cfg, 7)
+	fa, fb := a.Freeze(), b.Freeze()
 	for u := 0; u < a.N(); u++ {
 		if a.Degree(u) != b.Degree(u) {
 			t.Fatalf("node %d degree differs: %d vs %d", u, a.Degree(u), b.Degree(u))
 		}
 		for v := u; v < a.N(); v++ {
-			if a.EdgeMultiplicity(u, v) != b.EdgeMultiplicity(u, v) {
+			if fa.EdgeMultiplicity(u, v) != fb.EdgeMultiplicity(u, v) {
 				t.Fatalf("edge (%d,%d) differs", u, v)
 			}
 		}
@@ -122,7 +124,7 @@ func TestPACutoffAccumulation(t *testing.T) {
 	// the power-law continuation from kc-1.
 	const kc = 10
 	g, _ := genPA(t, PAConfig{N: 20000, M: 2, KC: kc}, 11)
-	h := g.DegreeHistogram()
+	h := g.Freeze().DegreeHistogram()
 	if len(h) <= kc {
 		t.Fatalf("no nodes at cutoff: hist len %d", len(h))
 	}
@@ -138,7 +140,7 @@ func TestPADegreeExponentNoCutoff(t *testing.T) {
 	var degrees []int
 	for seed := uint64(0); seed < 3; seed++ {
 		g, _ := genPA(t, PAConfig{N: 20000, M: 2}, 100+seed)
-		degrees = append(degrees, g.DegreeSequence()...)
+		degrees = append(degrees, g.Freeze().DegreeSequence()...)
 	}
 	fit, err := stats.FitPowerLawMLE(degrees, 6)
 	if err != nil {
@@ -159,7 +161,7 @@ func TestPAExponentDecreasesWithCutoff(t *testing.T) {
 		var dists []stats.DegreeDist
 		for seed := uint64(0); seed < 3; seed++ {
 			g, _ := genPA(t, PAConfig{N: 20000, M: 1, KC: kc}, 200+seed)
-			dists = append(dists, stats.NewDegreeDist(g.DegreeHistogram()))
+			dists = append(dists, stats.NewDegreeDist(g.Freeze().DegreeHistogram()))
 		}
 		merged := stats.MergeDegreeDists(dists)
 		fit, err := stats.FitPowerLawBinned(merged, 1.7, 1, 0)
@@ -231,7 +233,7 @@ func TestPATreeWhenM1(t *testing.T) {
 	if g.M() != g.N()-1 {
 		t.Fatalf("tree edge count %d, want %d", g.M(), g.N()-1)
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("PA tree must be connected")
 	}
 }

@@ -83,7 +83,7 @@ func TestGRNGiantComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	giant := len(g.GiantComponent())
+	giant := len(g.Freeze().GiantComponent())
 	if frac := float64(giant) / 10000; frac < 0.95 {
 		t.Fatalf("giant component %.1f%%", 100*frac)
 	}
@@ -97,7 +97,7 @@ func TestGRNPoissonDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := g.DegreeSequence()
+	seq := g.Freeze().DegreeSequence()
 	var mean float64
 	for _, k := range seq {
 		mean += float64(k)
@@ -143,7 +143,7 @@ func TestMesh(t *testing.T) {
 	if g.Degree(5) != 4 { // (1,1) interior
 		t.Fatalf("interior degree %d", g.Degree(5))
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("mesh must be connected")
 	}
 }

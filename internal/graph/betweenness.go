@@ -13,13 +13,6 @@ import "math"
 // neighbor order the accumulation order — hence every floating-point sum —
 // is identical to the historical slice-of-slices implementation.
 
-// Betweenness freezes g and computes betweenness on the CSR snapshot; see
-// Frozen.Betweenness. Read-heavy callers that already hold a Frozen should
-// call it directly.
-func (g *Graph) Betweenness(sampleSources int, rng randSource) []float64 {
-	return g.Freeze().Betweenness(sampleSources, rng)
-}
-
 // Betweenness returns each node's (unnormalized) shortest-path betweenness
 // centrality: the sum over all node pairs (s,t) of the fraction of
 // shortest s-t paths passing through the node. For graphs larger than

@@ -12,7 +12,7 @@ func TestBetweennessPath(t *testing.T) {
 	// Path 0-1-2-3-4: bc(2) covers pairs {0,1}x{3,4} plus {0,3},{0,4}...
 	// Exact values for a path of 5: bc(0)=0, bc(1)=3, bc(2)=4, symmetric.
 	g := path(t, 5)
-	bc := g.Betweenness(0, nil)
+	bc := g.Freeze().Betweenness(0, nil)
 	want := []float64{0, 3, 4, 3, 0}
 	for i := range want {
 		if math.Abs(bc[i]-want[i]) > 1e-9 {
@@ -28,7 +28,7 @@ func TestBetweennessStar(t *testing.T) {
 	for v := 1; v < 6; v++ {
 		mustAdd(t, g, 0, v)
 	}
-	bc := g.Betweenness(0, nil)
+	bc := g.Freeze().Betweenness(0, nil)
 	if math.Abs(bc[0]-10) > 1e-9 { // C(5,2)
 		t.Fatalf("hub bc %v, want 10", bc[0])
 	}
@@ -46,7 +46,7 @@ func TestBetweennessCycleUniform(t *testing.T) {
 	for u := 0; u < 6; u++ {
 		mustAdd(t, g, u, (u+1)%6)
 	}
-	bc := g.Betweenness(0, nil)
+	bc := g.Freeze().Betweenness(0, nil)
 	for v := 1; v < 6; v++ {
 		if math.Abs(bc[v]-bc[0]) > 1e-9 {
 			t.Fatalf("cycle bc not uniform: %v", bc)
@@ -56,10 +56,10 @@ func TestBetweennessCycleUniform(t *testing.T) {
 
 func TestBetweennessEmpty(t *testing.T) {
 	t.Parallel()
-	if bc := New(0).Betweenness(0, nil); len(bc) != 0 {
+	if bc := New(0).Freeze().Betweenness(0, nil); len(bc) != 0 {
 		t.Fatalf("empty bc %v", bc)
 	}
-	bc := New(3).Betweenness(0, nil)
+	bc := New(3).Freeze().Betweenness(0, nil)
 	for _, v := range bc {
 		if v != 0 {
 			t.Fatalf("edgeless bc %v", bc)
@@ -83,8 +83,9 @@ func TestBetweennessSampledApproximatesExact(t *testing.T) {
 			}
 		}
 	}
-	exact := g.Betweenness(0, nil)
-	approx := g.Betweenness(100, xrand.New(7))
+	f := g.Freeze()
+	exact := f.Betweenness(0, nil)
+	approx := f.Betweenness(100, xrand.New(7))
 	// Compare at the exact top-centrality node.
 	top := 0
 	for v := range exact {
@@ -112,7 +113,7 @@ func TestBetweennessLeafZeroProperty(t *testing.T) {
 		for u := 1; u < n; u++ {
 			mustAdd(t, g, u, rng.Intn(u))
 		}
-		bc := g.Betweenness(0, nil)
+		bc := g.Freeze().Betweenness(0, nil)
 		for v := 0; v < n; v++ {
 			if g.Degree(v) == 1 && bc[v] != 0 {
 				t.Fatalf("seed %d: leaf %d has bc %v", seed, v, bc[v])
@@ -129,8 +130,9 @@ func BenchmarkBetweennessExact1k(b *testing.B) {
 		_ = g.AddEdge(u, rng.Intn(u))
 		_ = g.AddEdge(u, rng.Intn(u))
 	}
+	f := g.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Betweenness(0, nil)
+		_ = f.Betweenness(0, nil)
 	}
 }

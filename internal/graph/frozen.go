@@ -23,12 +23,13 @@ import (
 //     Every candidate scan and random-neighbor draw therefore consumes
 //     RNG values and visits nodes in the same sequence as on the Graph it
 //     was frozen from, which the equivalence tests pin. Whole-graph
-//     traversals (BFS, components, path statistics, induced snapshots;
-//     frozen_traverse.go) exist only here: the Graph methods of the same
-//     names freeze and delegate.
+//     traversals (BFS, components, path statistics, cores, betweenness,
+//     induced snapshots) and degree statistics exist only here: a Graph
+//     is the growth buffer, and every read of a finished topology goes
+//     through its snapshot.
 //   - sorted[offsets[u]:offsets[u+1]] is the same multiset ascending, so
 //     HasEdge/EdgeMultiplicity are a binary search over the
-//     smaller-degree endpoint instead of Graph's linear scan of it.
+//     smaller-degree endpoint instead of Graph.HasEdge's linear scan of it.
 //     It is nil until ensureSorted builds it, once, on the first
 //     membership query. Search kernels, walkers, BFS and the DES
 //     only forward to neighbors and never touch it, so no experiment
@@ -241,7 +242,8 @@ func (f *Frozen) HasEdge(u, v int) bool {
 }
 
 // EdgeMultiplicity returns the number of parallel edges between u and v
-// (self-loops counted once each, as Graph.EdgeMultiplicity).
+// (a self-loop counts once, though it is two entries of u's row).
+// Out-of-range IDs report 0.
 func (f *Frozen) EdgeMultiplicity(u, v int) int {
 	n := f.N()
 	if u < 0 || v < 0 || u >= n || v >= n {
@@ -348,8 +350,10 @@ func (f *Frozen) RandomNeighbor(u int, rng randSource) int {
 }
 
 // RandomNeighborExcluding returns a uniformly random neighbor of u other
-// than excl, or -1 if none exists, with the same RNG draw sequence as
-// Graph.RandomNeighborExcluding. u must be a valid node ID.
+// than excl, or -1 if none exists, drawing one Intn over the eligible
+// entries of u's row. Random-walk search uses this to avoid immediately
+// bouncing back to the forwarding node (paper §V-A3). u must be a valid
+// node ID.
 func (f *Frozen) RandomNeighborExcluding(u, excl int, rng randSource) int {
 	a := f.Neighbors(u)
 	n := 0

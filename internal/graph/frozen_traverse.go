@@ -2,8 +2,8 @@ package graph
 
 // Whole-graph traversal on the CSR snapshot: BFS, connected components,
 // the sampled path-length and diameter estimators behind Table I, and
-// induced snapshots. This is the one implementation of each; the Graph
-// methods of the same names freeze and delegate here. Queue order follows
+// induced snapshots. This is the one implementation of each: a Graph has
+// no traversal of its own and is frozen to be read. Queue order follows
 // the preserved insertion order of each row, so every result is a pure
 // function of the adjacency the snapshot was built from.
 

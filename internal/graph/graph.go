@@ -1,5 +1,7 @@
 // Package graph implements the undirected-graph engine underlying every
-// topology generator and search algorithm in this repository.
+// topology generator and search algorithm in this repository, in two
+// types: Graph, the mutable growth buffer generators and churn write, and
+// Frozen, the CSR snapshot every read of a finished topology goes through.
 //
 // Design goals, in order:
 //
@@ -17,11 +19,13 @@
 //     fixed RNG seed reproduces identical graphs and search traces.
 //
 // Nodes are dense integer IDs 0..N-1. Adjacency is stored as per-node
-// neighbor slices (int32 to halve memory at paper scale) and nothing else:
-// edge multiplicities are read off the rows. Once a topology stops
-// mutating, Freeze snapshots it into the CSR Frozen form (frozen.go) — the
-// flat read path every search kernel and structural metric runs on, with
-// binary-search membership for hub-to-hub queries.
+// neighbor slices (int32 to halve memory at paper scale) and nothing else.
+// A Graph answers only what growth and mutation ask — sizes, degrees,
+// rows, membership, a random neighbor — and writes itself out. Once a
+// topology stops mutating, Freeze snapshots it into the CSR Frozen form
+// (frozen.go): the flat read path every search kernel, traversal,
+// structural metric and degree statistic runs on, with binary-search
+// membership for hub-to-hub queries.
 package graph
 
 import (
@@ -35,9 +39,9 @@ import (
 var ErrNodeRange = errors.New("graph: node out of range")
 
 // Graph is an undirected graph (optionally a multigraph) over dense node IDs
-// 0..N-1. The zero value is an empty graph with no nodes; use New to
-// pre-allocate. Graph is not safe for concurrent mutation; concurrent reads
-// are safe.
+// 0..N-1: the buffer a topology grows in. The zero value is an empty graph
+// with no nodes; use New to pre-allocate. Graph is not safe for concurrent
+// mutation; concurrent reads are safe. Analyses read its Freeze snapshot.
 type Graph struct {
 	adj   [][]int32
 	edges int // number of edges counting multiplicity
@@ -162,25 +166,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return slices.Contains(row, w)
 }
 
-// EdgeMultiplicity returns the number of parallel edges between u and v,
-// by the same shorter-row scan as HasEdge.
-func (g *Graph) EdgeMultiplicity(u, v int) int {
-	if uint(u) >= uint(len(g.adj)) || uint(v) >= uint(len(g.adj)) {
-		return 0
-	}
-	row, w := g.shorterRow(u, v)
-	c := 0
-	for _, x := range row {
-		if x == w {
-			c++
-		}
-	}
-	if u == v {
-		c /= 2
-	}
-	return c
-}
-
 // Degree returns the degree of u; self-loops count twice. Out-of-range
 // nodes have degree 0.
 func (g *Graph) Degree(u int) int {
@@ -200,30 +185,9 @@ func (g *Graph) Neighbors(u int) []int32 {
 	return g.adj[u]
 }
 
-// NeighborAt returns the i-th neighbor of u (insertion order). It is the
-// O(1) primitive behind random-neighbor hops in HAPA and random walks.
-func (g *Graph) NeighborAt(u, i int) int {
-	return int(g.adj[u][i])
-}
-
 // TotalDegree returns the sum of all node degrees: 2·M, since every edge —
 // a self-loop included — adds two adjacency entries.
 func (g *Graph) TotalDegree() int { return 2 * g.edges }
-
-// MinDegree returns the smallest degree over all nodes, or 0 for an empty
-// graph.
-func (g *Graph) MinDegree() int {
-	if len(g.adj) == 0 {
-		return 0
-	}
-	minDeg := len(g.adj[0])
-	for _, a := range g.adj[1:] {
-		if len(a) < minDeg {
-			minDeg = len(a)
-		}
-	}
-	return minDeg
-}
 
 // MaxDegree returns the largest degree over all nodes, or 0 for an empty
 // graph.
@@ -235,24 +199,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return maxDeg
-}
-
-// DegreeSequence returns every node's degree, indexed by node ID.
-func (g *Graph) DegreeSequence() []int {
-	seq := make([]int, len(g.adj))
-	for u, a := range g.adj {
-		seq[u] = len(a)
-	}
-	return seq
-}
-
-// DegreeHistogram returns counts[k] = number of nodes with degree k.
-func (g *Graph) DegreeHistogram() []int {
-	h := make([]int, g.MaxDegree()+1)
-	for _, a := range g.adj {
-		h[len(a)]++
-	}
-	return h
 }
 
 // Simplify removes all self-loops and collapses parallel edges to single
@@ -332,33 +278,4 @@ func (g *Graph) RandomNeighbor(u int, rng randSource) int {
 		return -1
 	}
 	return int(g.adj[u][rng.Intn(len(g.adj[u]))])
-}
-
-// RandomNeighborExcluding returns a uniformly random neighbor of u other
-// than excl, or -1 if none exists. Random-walk search uses this to avoid
-// immediately bouncing back to the forwarding node (paper §V-A3).
-func (g *Graph) RandomNeighborExcluding(u, excl int, rng randSource) int {
-	if uint(u) >= uint(len(g.adj)) {
-		return -1
-	}
-	a := g.adj[u]
-	n := 0
-	for _, v := range a {
-		if int(v) != excl {
-			n++
-		}
-	}
-	if n == 0 {
-		return -1
-	}
-	pick := rng.Intn(n)
-	for _, v := range a {
-		if int(v) != excl {
-			if pick == 0 {
-				return int(v)
-			}
-			pick--
-		}
-	}
-	return -1 // unreachable
 }

@@ -30,10 +30,10 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 {
 		t.Fatalf("empty graph: N=%d M=%d", g.N(), g.M())
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("empty graph should be connected by convention")
 	}
-	if g.MinDegree() != 0 || g.MaxDegree() != 0 {
+	if g.MaxDegree() != 0 || g.Freeze().MinDegree() != 0 {
 		t.Fatal("empty graph degrees should be 0")
 	}
 }
@@ -92,8 +92,8 @@ func TestMultiEdges(t *testing.T) {
 	mustAdd(t, g, 0, 1)
 	mustAdd(t, g, 1, 0)
 	mustAdd(t, g, 0, 1)
-	if g.EdgeMultiplicity(0, 1) != 3 {
-		t.Fatalf("multiplicity = %d, want 3", g.EdgeMultiplicity(0, 1))
+	if rowMultiplicity(g, 0, 1) != 3 {
+		t.Fatalf("multiplicity = %d, want 3", rowMultiplicity(g, 0, 1))
 	}
 	if g.M() != 3 || g.Degree(0) != 3 || g.Degree(1) != 3 {
 		t.Fatalf("M=%d deg0=%d deg1=%d", g.M(), g.Degree(0), g.Degree(1))
@@ -143,8 +143,8 @@ func TestRemoveEdge(t *testing.T) {
 	if !g.RemoveEdge(1, 0) {
 		t.Fatal("RemoveEdge(1,0) returned false")
 	}
-	if g.EdgeMultiplicity(0, 1) != 1 || g.M() != 2 {
-		t.Fatalf("after removal: mult=%d M=%d", g.EdgeMultiplicity(0, 1), g.M())
+	if rowMultiplicity(g, 0, 1) != 1 || g.M() != 2 {
+		t.Fatalf("after removal: mult=%d M=%d", rowMultiplicity(g, 0, 1), g.M())
 	}
 	if !g.RemoveEdge(0, 1) {
 		t.Fatal("second RemoveEdge failed")
@@ -192,11 +192,11 @@ func TestSimplify(t *testing.T) {
 	if g.M() != 2 {
 		t.Fatalf("M after simplify = %d, want 2", g.M())
 	}
-	if g.EdgeMultiplicity(0, 1) != 1 || !g.HasEdge(1, 2) {
+	if rowMultiplicity(g, 0, 1) != 1 || !g.HasEdge(1, 2) {
 		t.Fatal("wrong surviving edges")
 	}
 	for u := 0; u < 3; u++ {
-		if g.EdgeMultiplicity(u, u) != 0 {
+		if rowMultiplicity(g, u, u) != 0 {
 			t.Fatalf("self-loop survived at %d", u)
 		}
 	}
@@ -249,7 +249,7 @@ func TestClone(t *testing.T) {
 func TestBFSPath(t *testing.T) {
 	t.Parallel()
 	g := path(t, 5)
-	dist := g.BFS(0)
+	dist := g.Freeze().BFS(0)
 	for i, want := range []int32{0, 1, 2, 3, 4} {
 		if dist[i] != want {
 			t.Fatalf("dist[%d] = %d, want %d", i, dist[i], want)
@@ -262,7 +262,7 @@ func TestBFSDisconnected(t *testing.T) {
 	g := New(4)
 	mustAdd(t, g, 0, 1)
 	mustAdd(t, g, 2, 3)
-	dist := g.BFS(0)
+	dist := g.Freeze().BFS(0)
 	if dist[2] != -1 || dist[3] != -1 {
 		t.Fatalf("unreachable distances: %v", dist)
 	}
@@ -274,37 +274,8 @@ func TestBFSDisconnected(t *testing.T) {
 func TestBFSInvalidSource(t *testing.T) {
 	t.Parallel()
 	g := New(2)
-	if got := g.BFS(5); got != nil {
+	if got := g.Freeze().BFS(5); got != nil {
 		t.Fatalf("BFS(5) = %v, want nil", got)
-	}
-}
-
-func TestBFSWithin(t *testing.T) {
-	t.Parallel()
-	g := path(t, 6)
-	var visited []int
-	g.BFSWithin(0, 2, func(node, depth int) bool {
-		visited = append(visited, node)
-		if depth > 2 {
-			t.Fatalf("visited node %d at depth %d > 2", node, depth)
-		}
-		return true
-	})
-	if len(visited) != 3 { // nodes 0,1,2
-		t.Fatalf("visited %v, want 3 nodes", visited)
-	}
-}
-
-func TestBFSWithinEarlyStop(t *testing.T) {
-	t.Parallel()
-	g := path(t, 10)
-	count := 0
-	g.BFSWithin(0, 9, func(node, depth int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop visited %d, want 3", count)
 	}
 }
 
@@ -315,7 +286,7 @@ func TestConnectedComponents(t *testing.T) {
 	mustAdd(t, g, 1, 2)
 	mustAdd(t, g, 3, 4)
 	// 5, 6 isolated
-	comps := g.ConnectedComponents()
+	comps := g.Freeze().ConnectedComponents()
 	if len(comps) != 4 {
 		t.Fatalf("got %d components, want 4", len(comps))
 	}
@@ -336,11 +307,11 @@ func TestGiantComponent(t *testing.T) {
 	g := New(5)
 	mustAdd(t, g, 0, 1)
 	mustAdd(t, g, 1, 2)
-	gc := g.GiantComponent()
+	gc := g.Freeze().GiantComponent()
 	if len(gc) != 3 {
 		t.Fatalf("giant component size %d, want 3", len(gc))
 	}
-	if New(0).GiantComponent() != nil {
+	if New(0).Freeze().GiantComponent() != nil {
 		t.Fatal("empty graph giant component should be nil")
 	}
 }
@@ -348,11 +319,11 @@ func TestGiantComponent(t *testing.T) {
 func TestIsConnected(t *testing.T) {
 	t.Parallel()
 	g := path(t, 4)
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("path graph should be connected")
 	}
 	g.AddNode()
-	if g.IsConnected() {
+	if g.Freeze().IsConnected() {
 		t.Fatal("graph with isolated node should not be connected")
 	}
 }
@@ -360,7 +331,7 @@ func TestIsConnected(t *testing.T) {
 func TestSamplePathStatsExact(t *testing.T) {
 	t.Parallel()
 	g := path(t, 4) // distances: 1+2+3 + 1+1+2 + ... mean over ordered pairs
-	st := g.SamplePathStats(4, xrand.New(1))
+	st := g.Freeze().SamplePathStats(4, xrand.New(1))
 	// All-pairs ordered distances: sum = 2*(1*3 + 2*2 + 3*1) = 20, pairs = 12.
 	if st.Pairs != 12 {
 		t.Fatalf("pairs = %d, want 12", st.Pairs)
@@ -380,7 +351,7 @@ func TestSamplePathStatsUnreachable(t *testing.T) {
 	t.Parallel()
 	g := New(3)
 	mustAdd(t, g, 0, 1)
-	st := g.SamplePathStats(3, xrand.New(1))
+	st := g.Freeze().SamplePathStats(3, xrand.New(1))
 	if st.UnreachablePairs != 4 { // (0,2),(1,2),(2,0),(2,1)
 		t.Fatalf("unreachable = %d, want 4", st.UnreachablePairs)
 	}
@@ -389,10 +360,10 @@ func TestSamplePathStatsUnreachable(t *testing.T) {
 func TestEstimateDiameter(t *testing.T) {
 	t.Parallel()
 	g := path(t, 10)
-	if d := g.EstimateDiameter(3, xrand.New(1)); d != 9 {
+	if d := g.Freeze().EstimateDiameter(3, xrand.New(1)); d != 9 {
 		t.Fatalf("diameter = %d, want 9", d)
 	}
-	if d := New(0).EstimateDiameter(3, xrand.New(1)); d != 0 {
+	if d := New(0).Freeze().EstimateDiameter(3, xrand.New(1)); d != 0 {
 		t.Fatalf("empty diameter = %d", d)
 	}
 }
@@ -400,10 +371,11 @@ func TestEstimateDiameter(t *testing.T) {
 func TestEccentricity(t *testing.T) {
 	t.Parallel()
 	g := path(t, 5)
-	if e := g.Eccentricity(0); e != 4 {
+	f := g.Freeze()
+	if e := f.Eccentricity(0); e != 4 {
 		t.Fatalf("ecc(0) = %d, want 4", e)
 	}
-	if e := g.Eccentricity(2); e != 2 {
+	if e := f.Eccentricity(2); e != 2 {
 		t.Fatalf("ecc(2) = %d, want 2", e)
 	}
 }
@@ -440,14 +412,15 @@ func TestRandomNeighborExcluding(t *testing.T) {
 	g := New(3)
 	mustAdd(t, g, 0, 1)
 	mustAdd(t, g, 0, 2)
+	f := g.Freeze()
 	rng := xrand.New(1)
 	for i := 0; i < 100; i++ {
-		if v := g.RandomNeighborExcluding(0, 1, rng); v != 2 {
+		if v := f.RandomNeighborExcluding(0, 1, rng); v != 2 {
 			t.Fatalf("excluding 1 gave %d", v)
 		}
 	}
 	// Degree-1 node excluding its only neighbor: dead end.
-	if v := g.RandomNeighborExcluding(1, 0, rng); v != -1 {
+	if v := f.RandomNeighborExcluding(1, 0, rng); v != -1 {
 		t.Fatalf("dead end gave %d, want -1", v)
 	}
 }
@@ -458,7 +431,7 @@ func TestDegreeHistogram(t *testing.T) {
 	mustAdd(t, g, 0, 1)
 	mustAdd(t, g, 0, 2)
 	mustAdd(t, g, 0, 3)
-	h := g.DegreeHistogram()
+	h := g.Freeze().DegreeHistogram()
 	// degrees: node0=3, others=1
 	if h[1] != 3 || h[3] != 1 {
 		t.Fatalf("histogram %v", h)
@@ -529,7 +502,7 @@ func TestDegreeInvariantsProperty(t *testing.T) {
 			return false
 		}
 		sum := 0
-		for _, c := range g.DegreeHistogram() {
+		for _, c := range g.Freeze().DegreeHistogram() {
 			sum += c
 		}
 		return sum == n
@@ -553,11 +526,11 @@ func TestSimplifyProperty(t *testing.T) {
 		}
 		g.Simplify()
 		for u := 0; u < n; u++ {
-			if g.EdgeMultiplicity(u, u) != 0 {
+			if rowMultiplicity(g, u, u) != 0 {
 				return false
 			}
 			for v := u + 1; v < n; v++ {
-				if g.EdgeMultiplicity(u, v) > 1 {
+				if rowMultiplicity(g, u, v) > 1 {
 					return false
 				}
 			}
@@ -585,7 +558,7 @@ func TestBFSEdgeConsistencyProperty(t *testing.T) {
 				}
 			}
 		}
-		dist := g.BFS(0)
+		dist := g.Freeze().BFS(0)
 		for u := 0; u < n; u++ {
 			for _, v := range g.Neighbors(u) {
 				du, dv := dist[u], dist[v]

@@ -5,12 +5,6 @@ package graph
 // resilient backbone — nodes in high cores survive the removal of all
 // lower-degree peers, which complements the hard-cutoff analysis: cutoffs
 // cap the maximum degree but raise the minimum core of the bulk.
-//
-// The peel runs on the CSR form; the Graph methods freeze and delegate.
-
-// CoreNumbers freezes g and peels the CSR snapshot; see
-// Frozen.CoreNumbers.
-func (g *Graph) CoreNumbers() []int { return g.Freeze().CoreNumbers() }
 
 // CoreNumbers returns each node's core number: the largest k such that the
 // node belongs to a subgraph where every member has degree >= k within the
@@ -72,9 +66,6 @@ func (f *Frozen) CoreNumbers() []int {
 }
 
 // MaxCore returns the largest core number (the degeneracy of the graph).
-func (g *Graph) MaxCore() int { return g.Freeze().MaxCore() }
-
-// MaxCore returns the largest core number (the degeneracy of the graph).
 func (f *Frozen) MaxCore() int {
 	best := 0
 	for _, c := range f.CoreNumbers() {
@@ -84,10 +75,6 @@ func (f *Frozen) MaxCore() int {
 	}
 	return best
 }
-
-// KCore returns the node set of the k-core (all nodes with core number
-// >= k), in ascending node order.
-func (g *Graph) KCore(k int) []int { return g.Freeze().KCore(k) }
 
 // KCore returns the node set of the k-core (all nodes with core number
 // >= k), in ascending node order.

@@ -15,13 +15,14 @@ func TestCoreNumbersClique(t *testing.T) {
 			mustAdd(t, g, u, v)
 		}
 	}
-	for u, c := range g.CoreNumbers() {
+	f := g.Freeze()
+	for u, c := range f.CoreNumbers() {
 		if c != 3 {
 			t.Fatalf("core(%d) = %d, want 3", u, c)
 		}
 	}
-	if g.MaxCore() != 3 {
-		t.Fatalf("MaxCore %d", g.MaxCore())
+	if f.MaxCore() != 3 {
+		t.Fatalf("MaxCore %d", f.MaxCore())
 	}
 }
 
@@ -29,12 +30,13 @@ func TestCoreNumbersPath(t *testing.T) {
 	t.Parallel()
 	// A path is 1-degenerate: every node in the 1-core, none in the 2-core.
 	g := path(t, 6)
-	for u, c := range g.CoreNumbers() {
+	f := g.Freeze()
+	for u, c := range f.CoreNumbers() {
 		if c != 1 {
 			t.Fatalf("core(%d) = %d, want 1", u, c)
 		}
 	}
-	if got := g.KCore(2); len(got) != 0 {
+	if got := f.KCore(2); len(got) != 0 {
 		t.Fatalf("2-core of a path: %v", got)
 	}
 }
@@ -48,14 +50,15 @@ func TestCoreNumbersCliqueWithTail(t *testing.T) {
 	mustAdd(t, g, 0, 2)
 	mustAdd(t, g, 2, 3)
 	mustAdd(t, g, 3, 4)
-	core := g.CoreNumbers()
+	f := g.Freeze()
+	core := f.CoreNumbers()
 	want := []int{2, 2, 2, 1, 1}
 	for u := range want {
 		if core[u] != want[u] {
 			t.Fatalf("core %v, want %v", core, want)
 		}
 	}
-	twoCore := g.KCore(2)
+	twoCore := f.KCore(2)
 	if len(twoCore) != 3 || twoCore[0] != 0 || twoCore[2] != 2 {
 		t.Fatalf("2-core %v", twoCore)
 	}
@@ -63,11 +66,11 @@ func TestCoreNumbersCliqueWithTail(t *testing.T) {
 
 func TestCoreNumbersEmptyAndIsolated(t *testing.T) {
 	t.Parallel()
-	if got := New(0).CoreNumbers(); len(got) != 0 {
+	if got := New(0).Freeze().CoreNumbers(); len(got) != 0 {
 		t.Fatalf("empty cores %v", got)
 	}
 	g := New(3)
-	for _, c := range g.CoreNumbers() {
+	for _, c := range g.Freeze().CoreNumbers() {
 		if c != 0 {
 			t.Fatalf("isolated core %d", c)
 		}
@@ -88,11 +91,12 @@ func TestKCoreProperty(t *testing.T) {
 				mustAdd(t, g, u, v)
 			}
 		}
-		core := g.CoreNumbers()
-		maxCore := g.MaxCore()
+		f := g.Freeze()
+		core := f.CoreNumbers()
+		maxCore := f.MaxCore()
 		for k := 1; k <= maxCore; k++ {
 			members := map[int]bool{}
-			for _, u := range g.KCore(k) {
+			for _, u := range f.KCore(k) {
 				members[u] = true
 			}
 			for u := range members {
@@ -133,8 +137,8 @@ func TestPACoreStructure(t *testing.T) {
 			}
 		}
 	}
-	if g.MaxCore() < 2 {
-		t.Fatalf("max core %d, want >= 2", g.MaxCore())
+	if c := g.Freeze().MaxCore(); c < 2 {
+		t.Fatalf("max core %d, want >= 2", c)
 	}
 }
 
@@ -150,8 +154,9 @@ func BenchmarkCoreNumbers(b *testing.B) {
 			}
 		}
 	}
+	f := g.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.CoreNumbers()
+		_ = f.CoreNumbers()
 	}
 }

@@ -266,22 +266,27 @@ func requireMatchesModel(t *testing.T, step string, g *Graph, ref *mapGraph) {
 			if g.HasEdge(u, v) != ref.HasEdge(u, v) {
 				t.Fatalf("%s: HasEdge(%d,%d) = %v, model %v", step, u, v, g.HasEdge(u, v), ref.HasEdge(u, v))
 			}
-			if g.EdgeMultiplicity(u, v) != ref.EdgeMultiplicity(u, v) {
-				t.Fatalf("%s: EdgeMultiplicity(%d,%d) = %d, model %d",
-					step, u, v, g.EdgeMultiplicity(u, v), ref.EdgeMultiplicity(u, v))
-			}
 		}
 	}
 	requireFrozenMatchesModel(t, step+" (frozen)", g.Freeze(), ref)
 }
 
-// requireFrozenMatchesModel asserts a snapshot's CSR arrays, edge count
-// and connected components against the model.
+// requireFrozenMatchesModel asserts a snapshot's CSR arrays, edge count,
+// membership and multiplicity (out-of-range IDs included) and connected
+// components against the model.
 func requireFrozenMatchesModel(t *testing.T, step string, f *Frozen, ref *mapGraph) {
 	t.Helper()
 	offsets, neighbors := ref.freezeArrays()
 	if !slices.Equal(f.offsets, offsets) || !slices.Equal(f.neighbors, neighbors) || f.M() != ref.edges {
 		t.Fatalf("%s: CSR arrays differ from the model's", step)
+	}
+	for u := -1; u <= f.N(); u++ {
+		for v := -1; v <= f.N(); v++ {
+			if f.HasEdge(u, v) != ref.HasEdge(u, v) || f.EdgeMultiplicity(u, v) != ref.EdgeMultiplicity(u, v) {
+				t.Fatalf("%s: HasEdge/EdgeMultiplicity(%d,%d) = %v/%d, model %v/%d", step, u, v,
+					f.HasEdge(u, v), f.EdgeMultiplicity(u, v), ref.HasEdge(u, v), ref.EdgeMultiplicity(u, v))
+			}
+		}
 	}
 	if got, want := f.ConnectedComponents(), ref.components(); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
 		t.Fatalf("%s: ConnectedComponents = %v, model %v", step, got, want)

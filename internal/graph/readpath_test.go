@@ -13,42 +13,6 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// readPath is one way of reading a topology: every read-only analysis the
-// figures go through, bound to a receiver. induced is nil on Graph, which
-// has no induced-subgraph method.
-type readPath struct {
-	bfs        func(src int) []int32
-	components func() [][]int
-	giant      func() []int
-	paths      func(sources int, rng *xrand.RNG) graph.PathStats
-	ecc        func(src int) int
-	diameter   func(sweeps int, rng *xrand.RNG) int
-	induced    func(nodes []int) (*graph.Frozen, []int)
-}
-
-func frozenReads(f *graph.Frozen) readPath {
-	return readPath{
-		bfs:        f.BFS,
-		components: f.ConnectedComponents,
-		giant:      f.GiantComponent,
-		paths:      func(s int, rng *xrand.RNG) graph.PathStats { return f.SamplePathStats(s, rng) },
-		ecc:        f.Eccentricity,
-		diameter:   func(s int, rng *xrand.RNG) int { return f.EstimateDiameter(s, rng) },
-		induced:    f.InducedFrozen,
-	}
-}
-
-func graphReads(g *graph.Graph) readPath {
-	return readPath{
-		bfs:        g.BFS,
-		components: g.ConnectedComponents,
-		giant:      g.GiantComponent,
-		paths:      func(s int, rng *xrand.RNG) graph.PathStats { return g.SamplePathStats(s, rng) },
-		ecc:        g.Eccentricity,
-		diameter:   func(s int, rng *xrand.RNG) int { return g.EstimateDiameter(s, rng) },
-	}
-}
-
 // digest is the FNV-1a hash of v's fmt rendering.
 func digest(v ...any) uint64 {
 	h := fnv.New64a()
@@ -66,11 +30,12 @@ func frozenDigest(f *graph.Frozen, orig []int) uint64 {
 	return digest(f.M(), rows, orig)
 }
 
-// readDigests runs every analysis r offers on an n-node topology and
-// returns one digest per output.
-func readDigests(r readPath, n int) map[string]uint64 {
+// readDigests runs every read-only analysis of a snapshot and returns one
+// digest per output.
+func readDigests(f *graph.Frozen) map[string]uint64 {
+	n := f.N()
 	sources := []int{0, n / 2, n - 1}
-	giant := r.giant()
+	giant := f.GiantComponent()
 	var ascending, shuffled []int
 	for u := 0; u < n; u += 3 {
 		ascending = append(ascending, u)
@@ -81,24 +46,21 @@ func readDigests(r readPath, n int) map[string]uint64 {
 	var dists [][]int32
 	var eccs []int
 	for _, s := range sources {
-		dists = append(dists, r.bfs(s))
-		eccs = append(eccs, r.ecc(s))
+		dists = append(dists, f.BFS(s))
+		eccs = append(eccs, f.Eccentricity(s))
 	}
-	out := map[string]uint64{
-		"components": digest(r.components()),
-		"giant":      digest(giant),
-		"bfs":        digest(dists),
-		"paths20":    digest(r.paths(20, xrand.New(7))),
-		"pathsExact": digest(r.paths(n, nil)),
-		"ecc":        digest(eccs),
-		"diameter5":  digest(r.diameter(5, xrand.New(8))),
+	return map[string]uint64{
+		"components":   digest(f.ConnectedComponents()),
+		"giant":        digest(giant),
+		"bfs":          digest(dists),
+		"paths20":      digest(f.SamplePathStats(20, xrand.New(7))),
+		"pathsExact":   digest(f.SamplePathStats(n, nil)),
+		"ecc":          digest(eccs),
+		"diameter5":    digest(f.EstimateDiameter(5, xrand.New(8))),
+		"inducedGiant": frozenDigest(f.InducedFrozen(giant)),
+		"inducedAsc":   frozenDigest(f.InducedFrozen(ascending)),
+		"inducedPerm":  frozenDigest(f.InducedFrozen(shuffled)),
 	}
-	if r.induced != nil {
-		out["inducedGiant"] = frozenDigest(r.induced(giant))
-		out["inducedAsc"] = frozenDigest(r.induced(ascending))
-		out["inducedPerm"] = frozenDigest(r.induced(shuffled))
-	}
-	return out
 }
 
 // readPathGraphs are the topologies the digests are pinned on: two
@@ -187,23 +149,18 @@ var readPathDigests = map[string]map[string]uint64{
 
 // TestReadPathDigests pins the bytes of BFS, components, sampled and exact
 // path statistics, eccentricity, the diameter estimate and induced
-// snapshots, read through the Frozen snapshot (every output) and through
-// the Graph's delegations (all but the induced snapshots).
+// snapshots, read through the Frozen snapshot.
 func TestReadPathDigests(t *testing.T) {
 	t.Parallel()
 	for name, g := range readPathGraphs(t) {
 		want := readPathDigests[name]
-		for via, got := range map[string]map[string]uint64{
-			"Frozen": readDigests(frozenReads(g.Freeze()), g.N()),
-			"Graph":  readDigests(graphReads(g), g.N()),
-		} {
-			if via == "Frozen" && len(got) != len(want) {
-				t.Errorf("%s via Frozen: %d digests, want all %d", name, len(got), len(want))
-			}
-			for key, d := range got {
-				if d != want[key] {
-					t.Errorf("%s via %s: %s digest %#x, want %#x", name, via, key, d, want[key])
-				}
+		got := readDigests(g.Freeze())
+		if len(got) != len(want) {
+			t.Errorf("%s: %d digests, want all %d", name, len(got), len(want))
+		}
+		for key, d := range got {
+			if d != want[key] {
+				t.Errorf("%s: %s digest %#x, want %#x", name, key, d, want[key])
 			}
 		}
 	}

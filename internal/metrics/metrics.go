@@ -271,7 +271,7 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 	var pts []RobustnessPoint
 	measure := func() {
 		giant := 0
-		for _, comp := range work.ConnectedComponents() {
+		for _, comp := range work.Freeze().ConnectedComponents() {
 			size := 0
 			for _, u := range comp {
 				if alive[u] {

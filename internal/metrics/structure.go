@@ -148,21 +148,20 @@ type PercolationPoint struct {
 // random removal (they stay connected until almost nothing is left) —
 // applying a hard cutoff restores a finite threshold, which is the dual
 // of the attack-tolerance improvement.
-func SitePercolation(g *graph.Graph, steps, trials int, rng *xrand.RNG) ([]PercolationPoint, error) {
+func SitePercolation(f *graph.Frozen, steps, trials int, rng *xrand.RNG) ([]PercolationPoint, error) {
 	if steps < 2 {
 		return nil, fmt.Errorf("metrics: steps %d must be >= 2", steps)
 	}
 	if trials < 1 {
 		return nil, fmt.Errorf("metrics: trials %d must be >= 1", trials)
 	}
-	if g.N() == 0 {
+	if f.N() == 0 {
 		return nil, fmt.Errorf("metrics: empty graph")
 	}
 	if rng == nil {
 		rng = xrand.New(0)
 	}
-	n := g.N()
-	f := g.Freeze()
+	n := f.N()
 	out := make([]PercolationPoint, steps)
 	keep := make([]int, 0, n)
 	for i := 0; i < steps; i++ {

@@ -177,14 +177,14 @@ func TestEffectiveDiameterSampledClose(t *testing.T) {
 
 func TestSitePercolationValidation(t *testing.T) {
 	t.Parallel()
-	g := clique(t, 4)
-	if _, err := SitePercolation(g, 1, 1, nil); err == nil {
+	f := clique(t, 4).Freeze()
+	if _, err := SitePercolation(f, 1, 1, nil); err == nil {
 		t.Error("steps<2 should fail")
 	}
-	if _, err := SitePercolation(g, 4, 0, nil); err == nil {
+	if _, err := SitePercolation(f, 4, 0, nil); err == nil {
 		t.Error("trials<1 should fail")
 	}
-	if _, err := SitePercolation(graph.New(0), 4, 1, nil); err == nil {
+	if _, err := SitePercolation(graph.New(0).Freeze(), 4, 1, nil); err == nil {
 		t.Error("empty graph should fail")
 	}
 }
@@ -195,7 +195,7 @@ func TestSitePercolationEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := SitePercolation(g, 10, 3, xrand.New(17))
+	pts, err := SitePercolation(g.Freeze(), 10, 3, xrand.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +249,11 @@ func TestCutoffRaisesPercolationThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := xrand.New(23)
-	pf, err := SitePercolation(free, 20, 3, rng)
+	pf, err := SitePercolation(free.Freeze(), 20, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := SitePercolation(capped, 20, 3, rng)
+	pc, err := SitePercolation(capped.Freeze(), 20, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,12 @@ func TestFloodMatchesBFSBallProperty(t *testing.T) {
 		g := randomConnectedGraph(rng)
 		src := rng.Intn(g.N())
 		maxTTL := rng.IntRange(0, 10)
-		res, err := new(Scratch).Flood(g.Freeze(), src, maxTTL)
+		fz := g.Freeze()
+		res, err := new(Scratch).Flood(fz, src, maxTTL)
 		if err != nil {
 			return false
 		}
-		dist := g.BFS(src)
+		dist := fz.BFS(src)
 		for tau := 0; tau <= maxTTL; tau++ {
 			ball := 0
 			for _, d := range dist {
@@ -132,11 +133,12 @@ func TestFloodDeliveryMatchesBFSProperty(t *testing.T) {
 		rng := xrand.New(seed)
 		g := randomConnectedGraph(rng)
 		src, dst := rng.Intn(g.N()), rng.Intn(g.N())
-		d, err := new(Scratch).FloodDelivery(g.Freeze(), src, dst, g.N())
+		fz := g.Freeze()
+		d, err := new(Scratch).FloodDelivery(fz, src, dst, g.N())
 		if err != nil {
 			return false
 		}
-		want := int(g.BFS(src)[dst])
+		want := int(fz.BFS(src)[dst])
 		return d.Found && d.Time == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -153,12 +155,13 @@ func TestFloodReachesGiantComponentExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := g.ConnectedComponents()
+	fz := g.Freeze()
+	comps := fz.ConnectedComponents()
 	if len(comps) < 2 {
 		t.Skip("CM draw happened to be connected")
 	}
 	src := comps[0][0]
-	res, err := new(Scratch).Flood(g.Freeze(), src, g.N())
+	res, err := new(Scratch).Flood(fz, src, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}

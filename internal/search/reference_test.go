@@ -132,8 +132,65 @@ func referenceNormalizedFlood(g *graph.Graph, src, maxTTL, kMin int, rng *xrand.
 	return res
 }
 
-// referenceRandomWalk is the historical non-backtracking walk on the
-// bounds-checked Graph.RandomNeighborExcluding.
+// referenceNeighborExcluding is the historical bounds-checked
+// Graph.RandomNeighborExcluding: a uniformly random neighbor of u other
+// than excl, or -1 if none exists, by one Intn over the eligible entries.
+func referenceNeighborExcluding(g *graph.Graph, u, excl int, rng *xrand.RNG) int {
+	if uint(u) >= uint(g.N()) {
+		return -1
+	}
+	a := g.Neighbors(u)
+	n := 0
+	for _, v := range a {
+		if int(v) != excl {
+			n++
+		}
+	}
+	if n == 0 {
+		return -1
+	}
+	pick := rng.Intn(n)
+	for _, v := range a {
+		if int(v) != excl {
+			if pick == 0 {
+				return int(v)
+			}
+			pick--
+		}
+	}
+	return -1 // unreachable
+}
+
+// referenceBFSWithin is the historical map-based bounded BFS on the
+// Graph: visit(node, depth) once per node within maxDepth hops of src, in
+// breadth-first order, until visit returns false.
+func referenceBFSWithin(g *graph.Graph, src, maxDepth int, visit func(node, depth int) bool) {
+	if uint(src) >= uint(g.N()) || maxDepth < 0 {
+		return
+	}
+	dist := make(map[int32]int32, 64)
+	queue := []int32{int32(src)}
+	dist[int32(src)] = 0
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u]
+		if !visit(int(u), int(du)) {
+			return
+		}
+		if int(du) == maxDepth {
+			continue
+		}
+		for _, v := range g.Neighbors(int(u)) {
+			if _, seen := dist[v]; !seen {
+				dist[v] = du + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+}
+
+// referenceRandomWalk is the historical non-backtracking walk on
+// referenceNeighborExcluding.
 func referenceRandomWalk(g *graph.Graph, src, steps int, rng *xrand.RNG) Result {
 	res := Result{Hits: make([]int, steps+1), Messages: make([]int, steps+1)}
 	mark := make([]bool, g.N())
@@ -142,7 +199,7 @@ func referenceRandomWalk(g *graph.Graph, src, steps int, rng *xrand.RNG) Result 
 	res.Hits[0] = 1
 	cur, prev := src, -1
 	for t := 1; t <= steps; t++ {
-		next := g.RandomNeighborExcluding(cur, prev, rng)
+		next := referenceNeighborExcluding(g, cur, prev, rng)
 		if next < 0 {
 			if prev >= 0 {
 				next = prev

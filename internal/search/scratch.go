@@ -407,8 +407,8 @@ func (s *Scratch) RandomWalkWithNFBudget(f *graph.Frozen, src, maxTTL, kMin int,
 // FloodVisit sweeps the maxTTL-hop ball around src in breadth-first order
 // with duplicate suppression, calling visit(node, depth) once per
 // discovered node; visit returning false stops the sweep early. It is the
-// allocation-free counterpart of graph.BFSWithin, used by the content
-// layer's flooding query resolver.
+// allocation-free bounded BFS the content layer's flooding query resolver
+// runs on.
 func (s *Scratch) FloodVisit(f *graph.Frozen, src, maxTTL int, visit func(node, depth int) bool) error {
 	if err := validate(f, src, maxTTL); err != nil {
 		return err

@@ -120,8 +120,9 @@ func TestScratchLoadMatchesPackageFunctions(t *testing.T) {
 	}
 }
 
-// TestFloodVisitMatchesBFSWithin pins FloodVisit to graph.BFSWithin: same
-// nodes, same depths, same breadth-first order, same early-stop contract.
+// TestFloodVisitMatchesBFSWithin pins FloodVisit to the map-based bounded
+// BFS (referenceBFSWithin): same nodes, same depths, same breadth-first
+// order, same early-stop contract.
 func TestFloodVisitMatchesBFSWithin(t *testing.T) {
 	t.Parallel()
 	g := scratchTestGraph(t)
@@ -130,7 +131,7 @@ func TestFloodVisitMatchesBFSWithin(t *testing.T) {
 	type visitRec struct{ node, depth int }
 	for _, ttl := range []int{0, 1, 3} {
 		var want, got []visitRec
-		g.BFSWithin(50, ttl, func(node, depth int) bool {
+		referenceBFSWithin(g, 50, ttl, func(node, depth int) bool {
 			want = append(want, visitRec{node, depth})
 			return true
 		})

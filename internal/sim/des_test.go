@@ -1,6 +1,6 @@
 package sim
 
-// Spec-level pins for the DES mode (CI races these under -run '...DES...'):
+// Spec-level pins for the DES specs (CI races these under -run '...DES...'):
 // the schedule-invariance contract — DES figures are bit-for-bit identical
 // for any Workers — and the CSR equivalence gate lifted from the kernel
 // level to the full pipeline: a zero-latency, lossless DES sweep

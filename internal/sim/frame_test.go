@@ -269,21 +269,38 @@ func TestSeriesAllocsPerRealization(t *testing.T) {
 	}
 }
 
-// TestSnapshotAllocsPerRealization: a swept snapshot goes back to the lane
-// pool and a later build refills its arrays, so once a warm-up series has
-// put snapshots in circulation, what each extra realization allocates
+// TestSnapshotAllocsPerRealization: a retired snapshot goes back to the
+// lane pool and a later build refills its arrays, so once a warm-up batch
+// has put snapshots in circulation, what each extra realization allocates
 // stays below one snapshot's arrays, (N+1+2M)·4 B — which every
-// realization allocated when each build froze into fresh arrays. PA
-// freezes its grown graph on the lane's arena and CM finalizes into it.
+// realization allocated when each build froze into fresh arrays. A search
+// series retires each snapshot after its sweep; a degree batch's build
+// hands its snapshot back itself once the histogram is read. PA freezes
+// its grown graph on the lane's arena and CM finalizes into it.
 // Not parallel: it reads process-wide allocation counters.
 func TestSnapshotAllocsPerRealization(t *testing.T) {
 	const n, sources, maxTTL = 20000, 8, 4
+	sweep := func(name string, factory topoFactory) func(Scale) error {
+		return func(sc Scale) error {
+			_, err := searchSeries(name, factory, sc.searchCfg(algFL, maxTTL, 0), 7)
+			return err
+		}
+	}
+	degrees := func(name string, factory topoFactory) func(Scale) error {
+		return func(sc Scale) error {
+			_, err := mergedDegreeDists(sc, degreeRun{tag: name, label: name, factory: factory, seed: 7})
+			return err
+		}
+	}
+	pa, cm := paTopo(n, 2, gen.NoCutoff), cmTopo(n, 2, gen.NoCutoff, 2.2)
 	for _, c := range []struct {
 		name    string
 		factory topoFactory
+		batch   func(Scale) error
 	}{
-		{"PA", paTopo(n, 2, gen.NoCutoff)},
-		{"CM", cmTopo(n, 2, gen.NoCutoff, 2.2)},
+		{"PA", pa, sweep("PA", pa)},
+		{"CM", cm, sweep("CM", cm)},
+		{"PA degrees", pa, degrees("PA degrees", pa)},
 	} {
 		f, err := c.factory(0, newBuilder(7, 0, nil, 1, nil))
 		if err != nil {
@@ -293,13 +310,13 @@ func TestSnapshotAllocsPerRealization(t *testing.T) {
 		run := func(realizations int) int64 {
 			t.Helper()
 			sc := Scale{NSearch: n, Realizations: realizations, Sources: sources, MaxTTLFlood: maxTTL, Workers: 1}
-			bytes := allocated(func() { _, err = searchSeries(c.name, c.factory, sc.searchCfg(algFL, maxTTL, 0), 7) })
+			bytes := allocated(func() { err = c.batch(sc) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			return int64(bytes)
 		}
-		run(4) // puts the series' snapshots in circulation
+		run(4) // puts the batch's snapshots in circulation
 		small, large := run(4), run(16)
 		if per := (large - small) / 12; per >= snapshot {
 			t.Errorf("%s: each extra realization allocates %d B, one snapshot's arrays are %d B", c.name, per, snapshot)

@@ -26,8 +26,9 @@ import (
 // query the graph mid-build, so they emit straight into a graph.CSRBuilder
 // and no mutable Graph ever exists. Either way the snapshot is minted by
 // the lane: its freeze refills the arrays of the retired snapshot the lane
-// handed its arena, when they fit, and a batch that sweeps it (minted)
-// retires it after its last sweep for a later build to refill.
+// handed its arena, when they fit, and goes back for a later build to
+// refill: a batch that sweeps it (minted) retires it after its last sweep,
+// and a degree batch's build hands it back once its histogram is read.
 type topoFactory func(r int, b *builder) (*graph.Frozen, error)
 
 func paTopo(n, m, kc int) topoFactory {
@@ -144,7 +145,11 @@ func mergedDegreeDists(sc Scale, runs ...degreeRun) ([]stats.DegreeDist, error) 
 			if err != nil {
 				return nil, err
 			}
-			return f.DegreeHistogram(), nil
+			// The lane minted f and nothing reads it past the histogram,
+			// so it goes back to the arena for a later build to refill.
+			hist := f.DegreeHistogram()
+			b.arena.Recycle(f)
+			return hist, nil
 		}, journaled[[]int](run.tag, degreeCodec, nil))
 	}
 	dists, err := realizationBatch(sc, builds...)

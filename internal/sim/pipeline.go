@@ -78,9 +78,11 @@ import (
 // share a build. They are the same few arrays realization after
 // realization: a job whose values are snapshots its lane minted names a
 // retire hook, the sweep lane retires each one once every series pending
-// at its realization has been swept cleanly on the first attempt, and the
-// build lane hands a retired one to its arena before each build of a
-// sweeping job, whose freeze refills its arrays (laneFree). A snapshot of a
+// at its realization has been swept cleanly on the first attempt, a build
+// that reads its snapshot down to a smaller value (a degree histogram, a
+// carved giant component) hands it back to the arena itself, and the
+// build lane hands a retired one to its arena before every build, whose
+// freeze refills its arrays (laneFree). A snapshot of a
 // failed, retried or interrupted attempt is dropped, as a failed arena is,
 // and one the lane did not mint — a prebuilt overlay, a shared substrate,
 // a snapshot carved from another — is never retired. The series sharing a
@@ -303,11 +305,8 @@ func runPool[T any](sc Scale, jobs ...engineJob[T]) error {
 				settle(t, 0, nil)
 				continue
 			}
-			var spare *graph.Frozen
-			if j.sweep != nil {
-				spare = takeSnapshot()
-				arena.Recycle(spare)
-			}
+			spare := takeSnapshot()
+			arena.Recycle(spare)
 			var v T
 			attempts, err := attempt(units, func() (err error) {
 				v, err = j.build(r, newBuilder(j.seed, r, rngs[k][r], width, arena))

@@ -349,10 +349,11 @@ type sweeper struct {
 // state and build buffers earlier ones grew instead of growing its own from
 // nothing. Snapshots cycle through it one realization at a time: a sweep
 // lane retires each snapshot its build lane minted once the realization's
-// last series has been swept (retireSnapshot), and a build lane hands one
-// to its arena before each build of a sweeping job (takeSnapshot), whose
-// freeze refills its arrays — or, when they are too small, shelves it
-// behind the others (shelveSnapshot). Only state whose every use returned
+// last series has been swept (retireSnapshot), a build lane retires the
+// one a build handed back to its arena, and a build lane hands one to its
+// arena before every build (takeSnapshot), whose freeze refills its
+// arrays — or, when they are too small, shelves it behind the others
+// (shelveSnapshot). Only state whose every use returned
 // normally comes back: a sweeper, arena or snapshot that saw a failed
 // attempt is dropped. It is a plain free list, which the garbage collector
 // never empties, so what a run allocates does not depend on when a

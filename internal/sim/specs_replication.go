@@ -18,15 +18,6 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// replTopo is what a Replication build hands its sweep: the frozen overlay
-// plus the realization's "replication" phase stream. Placements draw from
-// it sequentially within the realization, so they depend only on (seed,
-// realization), never on pipeline scheduling.
-type replTopo struct {
-	fg  *graph.Frozen
-	rep *xrand.RNG
-}
-
 // Replication measures ESS vs replication budget for uniform,
 // proportional, and square-root allocation on PA (m=2) topologies, one
 // panel without a cutoff and one with kc=10.
@@ -42,45 +33,44 @@ func Replication(sc Scale, seed uint64) ([]Figure, error) {
 	strategies := []content.Strategy{content.Uniform, content.Proportional, content.SquareRoot}
 
 	cutoffs := []int{gen.NoCutoff, 10}
-	var builds []blockBuild[replTopo, []float64, []float64]
+	var builds []blockBuild[*graph.Frozen, []float64, []float64]
 	for _, kc := range cutoffs {
 		for si, strat := range strategies {
 			tag := fmt.Sprintf("replication %s %s", cutoffLabel(kc), strat)
-			builds = append(builds, shared(tag, seed+uint64(si)*6151+uint64(kc), func(r int, b *builder) (replTopo, error) {
-				g, _, err := gen.PABuild(gen.PAConfig{N: sc.NSearch, M: m, KC: kc}, b.gen())
-				if err != nil {
-					return replTopo{}, err
-				}
-				// All budgets probe the same realization.
-				return replTopo{fg: g.FreezePar(b.width), rep: b.phases.Stream("replication")}, nil
-			}, journaled(tag, oneRow(len(budgetsPerN)), func(r int, topo replTopo, sw *sweeper) ([]float64, error) {
-				fg := topo.fg
-				cat, err := content.NewCatalog(items, alpha)
-				if err != nil {
-					return nil, err
-				}
-				row := make([]float64, len(budgetsPerN))
-				for bi, f := range budgetsPerN {
-					budget := int(f * float64(fg.N()))
-					if budget < items {
-						budget = items
-					}
-					p, err := content.Replicate(cat, fg.N(), budget, strat, topo.rep)
+			buildSeed := seed + uint64(si)*6151 + uint64(kc)
+			builds = append(builds, minted(shared(tag, buildSeed, paTopo(sc.NSearch, m, kc),
+				journaled(tag, oneRow(len(budgetsPerN)), func(r int, fg *graph.Frozen, sw *sweeper) ([]float64, error) {
+					// All budgets probe the same realization. Placements
+					// draw sequentially from the realization's
+					// "replication" phase stream, so they depend only on
+					// (seed, realization), never on pipeline scheduling.
+					rep := xrand.Phases{Seed: buildSeed, Realization: uint64(r)}.Stream("replication")
+					cat, err := content.NewCatalog(items, alpha)
 					if err != nil {
 						return nil, err
 					}
-					// The stream tag separates budgets within the realization.
-					res, err := sw.essQueries(uint64(r)*uint64(len(budgetsPerN))+uint64(bi), queries, fg, p, cat, maxSteps)
-					if err != nil {
-						return nil, err
+					row := make([]float64, len(budgetsPerN))
+					for bi, f := range budgetsPerN {
+						budget := int(f * float64(fg.N()))
+						if budget < items {
+							budget = items
+						}
+						p, err := content.Replicate(cat, fg.N(), budget, strat, rep)
+						if err != nil {
+							return nil, err
+						}
+						// The stream tag separates budgets within the realization.
+						res, err := sw.essQueries(uint64(r)*uint64(len(budgetsPerN))+uint64(bi), queries, fg, p, cat, maxSteps)
+						if err != nil {
+							return nil, err
+						}
+						if res.Found == 0 {
+							return nil, fmt.Errorf("replication: no queries resolved at budget %d", budget)
+						}
+						row[bi] = res.MeanSteps
 					}
-					if res.Found == 0 {
-						return nil, fmt.Errorf("replication: no queries resolved at budget %d", budget)
-					}
-					row[bi] = res.MeanSteps
-				}
-				return row, nil
-			})))
+					return row, nil
+				}))))
 		}
 	}
 	perReal, err := realizationBatch(sc, builds...)

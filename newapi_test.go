@@ -49,7 +49,7 @@ func TestPublicAPISearchScratch(t *testing.T) {
 	}
 	f := Freeze(g) // freeze once, search many times — the hot-path pattern
 	s := NewSearchScratch(f.N())
-	fresh, err := Flood(g, 5, 6)
+	fresh, err := Flood(f, 5, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +73,7 @@ func TestPublicAPIContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := Freeze(g)
 	cat, err := NewCatalog(50, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -82,14 +83,14 @@ func TestPublicAPIContent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		ess, err := ExpectedSearchSize(g, p, cat, 100, 20000, rng)
+		ess, err := ExpectedSearchSize(f, p, cat, 100, 20000, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
 		if ess.SuccessRate() < 0.9 {
 			t.Errorf("%s: success %v", s, ess.SuccessRate())
 		}
-		fl, err := FloodQuerySuccess(g, p, cat, 100, 4, rng)
+		fl, err := FloodQuerySuccess(f, p, cat, 100, 4, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -133,18 +134,19 @@ func TestPublicAPIStructureMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := RichClub(g)
+	f := Freeze(g)
+	rc := RichClub(f)
 	if len(rc) == 0 || rc[0].K != 0 {
 		t.Fatalf("rich club %v", rc)
 	}
-	ed, err := EffectiveDiameter(g, 0.9, 32, rng)
+	ed, err := EffectiveDiameter(f, 0.9, 32, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ed < 2 || ed > 20 {
 		t.Errorf("effective diameter %d implausible for PA N=1200", ed)
 	}
-	pts, err := SitePercolation(g, 8, 2, rng)
+	pts, err := SitePercolation(f, 8, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

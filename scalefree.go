@@ -24,8 +24,12 @@
 //	rng := scalefree.NewRNG(42)
 //	g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: 10000, M: 2, KC: 40}, rng)
 //	if err != nil { ... }
-//	res, err := scalefree.Flood(g, 0, 8)
+//	res, err := scalefree.Flood(scalefree.Freeze(g), 0, 8)
 //	fmt.Println(res.Hits) // nodes discovered per TTL
+//
+// Generators return the mutable *Graph; every search, metric and
+// distribution reads a *FrozenTopology. Freeze a finished topology once
+// and hand the snapshot to as many reads as needed.
 //
 // The experiment harness that regenerates every figure and table of the
 // paper lives in internal/sim and is driven by cmd/experiments; see
@@ -46,25 +50,20 @@ import (
 )
 
 // Graph is an undirected (multi)graph over dense node IDs: the growth
-// buffer generators mutate, with edge-list serialization. Its traversal
-// methods (BFS, components, distances) freeze the graph per call and run
-// the FrozenTopology implementation.
+// buffer generators mutate, with edge-list serialization and nothing to
+// read but sizes, degrees, rows and membership. Freeze it to analyze it.
 type Graph = graph.Graph
 
 // FrozenTopology is a compressed-sparse-row (CSR) snapshot of a Graph: the
-// read-only fast path every search kernel and structural metric runs on,
-// and the one implementation of BFS, components, path statistics and
-// induced subgraphs. Freeze a generated topology once, let the mutable
-// Graph be collected, and run any number of searches and analyses against
-// the snapshot — neighbor order is preserved, so results are bit-for-bit
-// identical to searching the Graph directly.
+// read-only form every search, structural metric and degree statistic in
+// this package takes, and the one implementation of BFS, components, path
+// statistics, cores and induced subgraphs. Neighbor order is the Graph's
+// insertion order, so every RNG-driven read is reproducible from the seed.
 type FrozenTopology = graph.Frozen
 
-// Freeze snapshots g into CSR form. The convenience functions below that
-// accept a *Graph freeze internally per call; hot loops (many searches or
-// metrics on one topology) should Freeze once and use the
-// *FrozenTopology-based APIs (SearchScratch methods, Graph-method
-// counterparts on FrozenTopology).
+// Freeze snapshots g into CSR form, sharing nothing with it. Freeze a
+// generated topology once, let the Graph be collected, and run any number
+// of searches and analyses against the snapshot.
 func Freeze(g *Graph) *FrozenTopology { return g.Freeze() }
 
 // ReadEdgeList parses the edge-list format written by Graph.WriteEdgeList.
@@ -117,12 +116,13 @@ func GenerateCM(cfg CMConfig, rng *RNG) (*Graph, GenStats, error) {
 func GenerateHAPA(cfg HAPAConfig, rng *RNG) (*Graph, GenStats, error) { return gen.HAPA(cfg, rng) }
 
 // GenerateDAPA grows a Discover-and-Attempt overlay on the given substrate
-// (Appendix D). Build a substrate first with GenerateGRN or GenerateMesh.
+// (Appendix D). Build a substrate first with GenerateGRN or GenerateMesh
+// and Freeze it.
 // The build is seeded with one Uint64 drawn from rng (0 when rng is nil),
 // so a given rng seed draws a different realization than the
 // single-stream build of earlier releases did; the model is unchanged.
-func GenerateDAPA(substrate *Graph, cfg DAPAConfig, rng *RNG) (*DAPAOverlay, GenStats, error) {
-	return gen.DAPABuild(substrate.Freeze(), cfg, buildFrom(rng))
+func GenerateDAPA(substrate *FrozenTopology, cfg DAPAConfig, rng *RNG) (*DAPAOverlay, GenStats, error) {
+	return gen.DAPABuild(substrate, cfg, buildFrom(rng))
 }
 
 // GenerateGRN builds a geometric random network substrate and returns node
@@ -159,22 +159,22 @@ func GenerateWattsStrogatz(n, k int, beta float64, rng *RNG) (*Graph, error) {
 type SearchResult = search.Result
 
 // Flood runs flooding search (FL, §V-A1) from src up to maxTTL hops.
-func Flood(g *Graph, src, maxTTL int) (SearchResult, error) {
+func Flood(f *FrozenTopology, src, maxTTL int) (SearchResult, error) {
 	var s search.Scratch
-	return s.Flood(g.Freeze(), src, maxTTL)
+	return s.Flood(f, src, maxTTL)
 }
 
 // NormalizedFlood runs NF search (§V-A2) with fan-out kMin.
-func NormalizedFlood(g *Graph, src, maxTTL, kMin int, rng *RNG) (SearchResult, error) {
+func NormalizedFlood(f *FrozenTopology, src, maxTTL, kMin int, rng *RNG) (SearchResult, error) {
 	var s search.Scratch
-	return s.NormalizedFlood(g.Freeze(), src, maxTTL, kMin, rng)
+	return s.NormalizedFlood(f, src, maxTTL, kMin, rng)
 }
 
 // RandomWalkWithNFBudget runs RW normalized to NF's message budget, the
 // paper's fair-comparison protocol (§V-B).
-func RandomWalkWithNFBudget(g *Graph, src, maxTTL, kMin int, rng *RNG) (rw, nf SearchResult, err error) {
+func RandomWalkWithNFBudget(f *FrozenTopology, src, maxTTL, kMin int, rng *RNG) (rw, nf SearchResult, err error) {
 	var s search.Scratch
-	return s.RandomWalkWithNFBudget(g.Freeze(), src, maxTTL, kMin, rng)
+	return s.RandomWalkWithNFBudget(f, src, maxTTL, kMin, rng)
 }
 
 // SearchScratch owns reusable search state (visited bitset, frontier
@@ -205,13 +205,14 @@ const (
 )
 
 // GlobalClustering returns the graph's transitivity.
-func GlobalClustering(g *Graph) float64 { return metrics.GlobalClustering(g.Freeze()) }
+func GlobalClustering(f *FrozenTopology) float64 { return metrics.GlobalClustering(f) }
 
 // DegreeAssortativity returns Newman's degree-correlation coefficient r.
-func DegreeAssortativity(g *Graph) (float64, error) { return metrics.DegreeAssortativity(g.Freeze()) }
+func DegreeAssortativity(f *FrozenTopology) (float64, error) { return metrics.DegreeAssortativity(f) }
 
 // Robustness measures giant-component survival under progressive node
-// removal (random failures or targeted hub attacks).
+// removal (random failures or targeted hub attacks). It removes nodes from
+// a clone of g; g itself is left as it was.
 func Robustness(g *Graph, strategy RemovalStrategy, stepFrac, maxFrac float64, rng *RNG) ([]RobustnessPoint, error) {
 	return metrics.Robustness(g, strategy, stepFrac, maxFrac, rng)
 }
@@ -224,8 +225,10 @@ type (
 	PowerLawFit = stats.PowerLawFit
 )
 
-// DegreeDistribution computes P(k) for a graph.
-func DegreeDistribution(g *Graph) DegreeDist { return stats.NewDegreeDist(g.DegreeHistogram()) }
+// DegreeDistribution computes P(k) for a topology.
+func DegreeDistribution(f *FrozenTopology) DegreeDist {
+	return stats.NewDegreeDist(f.DegreeHistogram())
+}
 
 // FitDegreeExponent fits P(k) ~ k^-gamma on logarithmically binned data
 // for degrees in [kMin, kMax] (kMax <= 0 unbounded), the paper's fitting
@@ -234,13 +237,16 @@ func FitDegreeExponent(d DegreeDist, kMin, kMax int) (PowerLawFit, error) {
 	return stats.FitPowerLawBinned(d, 1.5, kMin, kMax)
 }
 
-// DegreeGini returns the Gini coefficient of the graph's degree sequence —
-// the load-fairness measure behind the paper's motivation for hard cutoffs.
-func DegreeGini(g *Graph) float64 { return stats.Gini(g.DegreeSequence()) }
+// DegreeGini returns the Gini coefficient of the topology's degree
+// sequence — the load-fairness measure behind the paper's motivation for
+// hard cutoffs.
+func DegreeGini(f *FrozenTopology) float64 { return stats.Gini(f.DegreeSequence()) }
 
 // TopLoadShare returns the fraction of all links held by the top `frac`
 // share of peers (e.g. 0.01 for the top 1%).
-func TopLoadShare(g *Graph, frac float64) float64 { return stats.TopShare(g.DegreeSequence(), frac) }
+func TopLoadShare(f *FrozenTopology, frac float64) float64 {
+	return stats.TopShare(f.DegreeSequence(), frac)
+}
 
 // NaturalCutoff returns the Dorogovtsev et al. natural degree cutoff
 // m·N^(1/(γ-1)) (paper Eq. 4), the scale hard cutoffs are compared
@@ -291,14 +297,14 @@ func Replicate(c *Catalog, n, budget int, s ReplicationStrategy, rng *RNG) (*Pla
 
 // ExpectedSearchSize resolves popularity-distributed queries by random
 // walk and reports the mean probe count (Cohen & Shenker's ESS objective).
-func ExpectedSearchSize(g *Graph, p *Placement, c *Catalog, queries, maxSteps int, rng *RNG) (ESSResult, error) {
-	return content.ExpectedSearchSize(g.Freeze(), p, c, queries, maxSteps, rng)
+func ExpectedSearchSize(f *FrozenTopology, p *Placement, c *Catalog, queries, maxSteps int, rng *RNG) (ESSResult, error) {
+	return content.ExpectedSearchSize(f, p, c, queries, maxSteps, rng)
 }
 
 // FloodQuerySuccess resolves popularity-distributed queries by TTL-bounded
 // flooding and reports success rate and message cost.
-func FloodQuerySuccess(g *Graph, p *Placement, c *Catalog, queries, ttl int, rng *RNG) (FloodQueryResult, error) {
-	return content.FloodSuccess(g.Freeze(), p, c, queries, ttl, rng)
+func FloodQuerySuccess(f *FrozenTopology, p *Placement, c *Catalog, queries, ttl int, rng *RNG) (FloodQueryResult, error) {
+	return content.FloodSuccess(f, p, c, queries, ttl, rng)
 }
 
 // Churn simulation: the paper's §VI future work (join/leave dynamics with
@@ -336,13 +342,13 @@ type RichClubPoint = metrics.RichClubPoint
 // RichClub computes the rich-club coefficient phi(k): the edge density
 // among nodes of degree > k. Hard cutoffs flatten the hub clubs that
 // HAPA's star-like cores otherwise form.
-func RichClub(g *Graph) []RichClubPoint { return metrics.RichClub(g.Freeze()) }
+func RichClub(f *FrozenTopology) []RichClubPoint { return metrics.RichClub(f) }
 
 // EffectiveDiameter estimates the q-quantile (typically 0.9) of pairwise
 // distances from BFS over `sources` random sources — the robust companion
 // to Table I's diameter regimes.
-func EffectiveDiameter(g *Graph, q float64, sources int, rng *RNG) (int, error) {
-	return metrics.EffectiveDiameter(g.Freeze(), q, sources, rng)
+func EffectiveDiameter(f *FrozenTopology, q float64, sources int, rng *RNG) (int, error) {
+	return metrics.EffectiveDiameter(f, q, sources, rng)
 }
 
 // PercolationPoint is one sample of the site-percolation curve.
@@ -351,8 +357,8 @@ type PercolationPoint = metrics.PercolationPoint
 // SitePercolation measures giant-component survival when nodes are kept
 // independently with probability p — the random-failure half of §III's
 // robust-yet-fragile argument.
-func SitePercolation(g *Graph, steps, trials int, rng *RNG) ([]PercolationPoint, error) {
-	return metrics.SitePercolation(g, steps, trials, rng)
+func SitePercolation(f *FrozenTopology, steps, trials int, rng *RNG) ([]PercolationPoint, error) {
+	return metrics.SitePercolation(f, steps, trials, rng)
 }
 
 // PercolationThreshold estimates where the giant component first reaches

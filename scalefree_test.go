@@ -19,15 +19,16 @@ func TestPublicAPIGenerateAndSearch(t *testing.T) {
 		t.Fatalf("N=%d maxDeg=%d", g.N(), g.MaxDegree())
 	}
 
-	fl, err := Flood(g, 0, 10)
+	f := Freeze(g)
+	fl, err := Flood(f, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := NormalizedFlood(g, 0, 10, 2, rng)
+	nf, err := NormalizedFlood(f, 0, 10, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, nfb, err := RandomWalkWithNFBudget(g, 0, 10, 2, rng)
+	rw, nfb, err := RandomWalkWithNFBudget(f, 0, 10, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestPublicAPIDegreeAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := DegreeDistribution(g)
+	d := DegreeDistribution(Freeze(g))
 	fit, err := FitDegreeExponent(d, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestPublicAPIDAPAOnSubstrate(t *testing.T) {
 	if len(pts) != 2000 {
 		t.Fatalf("points %d", len(pts))
 	}
-	ov, st, err := GenerateDAPA(sub, DAPAConfig{NOverlay: 800, M: 2, KC: 20, TauSub: 6}, rng)
+	ov, st, err := GenerateDAPA(Freeze(sub), DAPAConfig{NOverlay: 800, M: 2, KC: 20, TauSub: 6}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,8 +68,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("in %s: the edge list has no nodes", *in)
 	}
 	rng := scalefree.NewRNG(*seed + 1)
-	// Every section reads one snapshot; only the robustness probe, which
-	// removes nodes from a clone, takes the Graph itself.
+	// Every section, the robustness probe included, reads one snapshot.
 	f := scalefree.Freeze(g)
 
 	fmt.Fprintln(out, "== size ==")
@@ -132,7 +131,7 @@ func run(args []string, out io.Writer) error {
 	if *robust {
 		fmt.Fprintln(out, "\n== robustness (20% removal) ==")
 		for _, strat := range []scalefree.RemovalStrategy{scalefree.RemoveRandom, scalefree.RemoveHighestDegree} {
-			pts, err := scalefree.Robustness(g, strat, 0.05, 0.2, rng)
+			pts, err := scalefree.Robustness(f, strat, 0.05, 0.2, rng)
 			if err != nil {
 				return err
 			}

@@ -67,7 +67,7 @@ func TestPublicAPIMetrics(t *testing.T) {
 	if _, err := DegreeAssortativity(f); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := Robustness(g, RemoveHighestDegree, 0.05, 0.3, NewRNG(8))
+	pts, err := Robustness(f, RemoveHighestDegree, 0.05, 0.3, NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,11 +241,31 @@ func TestDistributedDESFloodByteIdenticalUnderFaultyNetwork(t *testing.T) {
 	// is stolen.
 	faulty.Partition("island", "w3")
 	w3 := startWorkerOn(faulty, srv.Addr(), "w3", 0)
-	heal := time.AfterFunc(600*time.Millisecond, faulty.Heal)
-	defer heal.Stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
+	// On a loaded host w1 and w2 can finish the whole job before w3 sends
+	// its first claim, so the job starts only once the partition has
+	// dropped one, and w3 is healed into it after its first journaled
+	// completion. No timer decides whether the partition injects a fault.
+	poll := func(done func() bool) bool {
+		for !done() {
+			select {
+			case <-ctx.Done():
+				return false
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+		return true
+	}
+	if !poll(func() bool { return faulty.Stats().PartitionDropped > 0 }) {
+		t.Fatal("w3's claims never reached the partition")
+	}
+	go func() {
+		if poll(func() bool { return len(j.DoneRealizations()) > 0 }) {
+			faulty.Heal()
+		}
+	}()
 	st, err := srv.RunJob(ctx, JobConfig{
 		Spec: specID, Seed: seed, Scale: sc,
 		LeaseTTL: 400 * time.Millisecond, Heartbeat: 100 * time.Millisecond, WorkerRetries: 6,

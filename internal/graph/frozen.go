@@ -10,8 +10,8 @@ import (
 // plus a per-node-sorted copy of the neighbor array for binary-search edge
 // membership. It exists because every headline experiment in this
 // repository is read-heavy on a topology that never mutates after
-// generation: floods, NF sweeps, random walks, and clustering/betweenness
-// metrics hammer Degree/Neighbors/HasEdge millions of times per
+// generation: floods, NF sweeps, random walks, and clustering metrics
+// hammer Degree/Neighbors/HasEdge millions of times per
 // realization, and the slice-of-slices Graph pays a pointer chase per node
 // and an unsorted row scan per HasEdge — linear in the smaller degree,
 // which is what a hub-to-hub clustering probe cannot afford.
@@ -23,10 +23,10 @@ import (
 //     Every candidate scan and random-neighbor draw therefore consumes
 //     RNG values and visits nodes in the same sequence as on the Graph it
 //     was frozen from, which the equivalence tests pin. Whole-graph
-//     traversals (BFS, components, path statistics, cores, betweenness,
-//     induced snapshots) and degree statistics exist only here: a Graph
-//     is the growth buffer, and every read of a finished topology goes
-//     through its snapshot.
+//     traversals (BFS, components, path statistics, cores, induced
+//     snapshots) and degree statistics exist only here: a Graph is the
+//     growth buffer, and every read of a finished topology goes through
+//     its snapshot (removal experiments shrink a copy of its rows).
 //   - sorted[offsets[u]:offsets[u+1]] is the same multiset ascending, so
 //     HasEdge/EdgeMultiplicity are a binary search over the
 //     smaller-degree endpoint instead of Graph.HasEdge's linear scan of it.

@@ -7,7 +7,10 @@ package graph
 // the preserved insertion order of each row, so every result is a pure
 // function of the adjacency the snapshot was built from.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // bfsInto runs BFS from src writing into dist (pre-filled with -1 for at
 // least the reachable nodes), reusing queue as scratch. It returns the
@@ -75,22 +78,12 @@ func (f *Frozen) ConnectedComponents() [][]int {
 				}
 			}
 		}
-		sort.Ints(members)
+		slices.Sort(members)
 		comps = append(comps, members)
 	}
-	sortBySizeDesc(comps)
+	// Largest first; the stable sort keeps discovery order among ties.
+	slices.SortStableFunc(comps, func(a, b []int) int { return cmp.Compare(len(b), len(a)) })
 	return comps
-}
-
-// sortBySizeDesc orders components by size, largest first, keeping
-// discovery order among equal sizes. Insertion sort: component lists are
-// few.
-func sortBySizeDesc(comps [][]int) {
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && len(comps[j]) > len(comps[j-1]); j-- {
-			comps[j], comps[j-1] = comps[j-1], comps[j]
-		}
-	}
 }
 
 // GiantComponent returns the node set of the largest connected component,

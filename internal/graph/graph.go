@@ -251,18 +251,6 @@ func (g *Graph) sortedEdgeKeys() []uint64 {
 	return keys
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:   make([][]int32, len(g.adj)),
-		edges: g.edges,
-	}
-	for u, a := range g.adj {
-		c.adj[u] = append([]int32(nil), a...)
-	}
-	return c
-}
-
 // randSource is the subset of xrand.RNG the graph package needs. Declared
 // locally to keep the dependency direction substrate→graph acyclic and the
 // package testable with fakes.

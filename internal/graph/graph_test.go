@@ -229,23 +229,6 @@ func TestAddNode(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	t.Parallel()
-	g := New(3)
-	mustAdd(t, g, 0, 1)
-	c := g.Clone()
-	mustAdd(t, c, 1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatal("mutation of clone leaked into original")
-	}
-	if !c.HasEdge(0, 1) || !c.HasEdge(1, 2) {
-		t.Fatal("clone missing edges")
-	}
-	if g.M() != 1 || c.M() != 2 {
-		t.Fatalf("edge counts: orig=%d clone=%d", g.M(), c.M())
-	}
-}
-
 func TestBFSPath(t *testing.T) {
 	t.Parallel()
 	g := path(t, 5)

@@ -1,15 +1,13 @@
 package graph
 
 import (
-	"sort"
 	"testing"
 
 	"scalefree/internal/xrand"
 )
 
-// randomConnectedGraph grows a connected scale-free-ish test graph the same
-// way the betweenness tests do: each new node attaches to a random earlier
-// node plus occasionally a second.
+// randomConnectedGraph grows a connected scale-free-ish test graph: each
+// new node attaches to a random earlier node plus occasionally a second.
 func randomConnectedGraph(t *testing.T, n int, seed uint64) *Graph {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -24,71 +22,6 @@ func randomConnectedGraph(t *testing.T, n int, seed uint64) *Graph {
 		}
 	}
 	return g
-}
-
-// TestBetweennessSampledMatchesBetweenness pins that the SE-reporting
-// variant consumes the identical pivot draws and reproduces Betweenness
-// bit for bit, in both sampled and exact modes.
-func TestBetweennessSampledMatchesBetweenness(t *testing.T) {
-	t.Parallel()
-	f := randomConnectedGraph(t, 200, 11).Freeze()
-	want := f.Betweenness(40, xrand.New(9))
-	got, se := f.BetweennessSampled(40, xrand.New(9))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("node %d: sampled-with-SE bc %v != Betweenness %v", i, got[i], want[i])
-		}
-	}
-	anySE := false
-	for _, s := range se {
-		if s < 0 {
-			t.Fatal("negative standard error")
-		}
-		if s > 0 {
-			anySE = true
-		}
-	}
-	if !anySE {
-		t.Fatal("sampled run reported zero uncertainty everywhere")
-	}
-	exactWant := f.Betweenness(0, nil)
-	exactGot, exactSE := f.BetweennessSampled(0, nil)
-	for i := range exactWant {
-		if exactGot[i] != exactWant[i] {
-			t.Fatalf("node %d: exact bc mismatch", i)
-		}
-		if exactSE[i] != 0 {
-			t.Fatalf("node %d: exact run reported nonzero SE %v", i, exactSE[i])
-		}
-	}
-}
-
-// TestBetweennessSampledSECoversError checks the SE is a usable error bar
-// where it matters: for the highest-centrality nodes — the ones the attack
-// strategy actually removes — the sampled estimate should sit within a few
-// standard errors of the exact value. (For near-zero-centrality nodes the
-// empirical variance is built from rare nonzero contributions and is known
-// to under-cover; the attack never consults those nodes.)
-func TestBetweennessSampledSECoversError(t *testing.T) {
-	t.Parallel()
-	f := randomConnectedGraph(t, 400, 5).Freeze()
-	exact := f.Betweenness(0, nil)
-	bc, se := f.BetweennessSampled(128, xrand.New(7))
-	ids := make([]int, len(exact))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return exact[ids[a]] > exact[ids[b]] })
-	covered := 0
-	const top = 50
-	for _, i := range ids[:top] {
-		if diff := bc[i] - exact[i]; diff <= 4*se[i] && -diff <= 4*se[i] {
-			covered++
-		}
-	}
-	if frac := float64(covered) / top; frac < 0.85 {
-		t.Fatalf("only %.0f%% of the top-%d nodes within 4·SE of exact", frac*100, top)
-	}
 }
 
 // TestLandmarkPathStatsBracketsExact re-derives the sampled pairs with a
@@ -209,19 +142,5 @@ func BenchmarkLandmarkPathStats(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.LandmarkPathStats(16, 2000, xrand.New(uint64(i)))
-	}
-}
-
-func BenchmarkBetweennessSampledSE1k(b *testing.B) {
-	rng := xrand.New(5)
-	const n = 1000
-	g := New(n)
-	for u := 1; u < n; u++ {
-		g.AddEdge(u, rng.Intn(u))
-	}
-	f := g.Freeze()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = f.BetweennessSampled(64, xrand.New(uint64(i)))
 	}
 }

@@ -138,21 +138,6 @@ func (g *mapGraph) Simplify() (selfLoops, multiEdges int) {
 	return selfLoops, multiEdges
 }
 
-func (g *mapGraph) Clone() *mapGraph {
-	c := &mapGraph{
-		adj:   make([][]int32, len(g.adj)),
-		count: make(map[uint64]int32, len(g.count)),
-		edges: g.edges,
-	}
-	for u, a := range g.adj {
-		c.adj[u] = append([]int32(nil), a...)
-	}
-	for k, v := range g.count {
-		c.count[k] = v
-	}
-	return c
-}
-
 // InducedSubgraph is the model of Frozen.InducedFrozen: the subgraph on
 // nodes renumbered in list order, with each self-loop re-added at the end
 // of its row.
@@ -306,7 +291,7 @@ func FuzzGraphMatchesMapReference(f *testing.F) {
 	f.Add([]byte{0, 0x01, 0, 0x01, 0, 0x11, 0, 0x11, 3, 0})             // parallel pair, two self-loops, Simplify
 	f.Add([]byte{0, 0x12, 0, 0x21, 0, 0x23, 1, 0x12, 1, 0x12, 1, 0x12}) // remove until absent
 	f.Add([]byte{0, 0x22, 0, 0x22, 0, 0x02, 5, 0x2a, 5, 0x22, 5, 0x52}) // induced subgraph over loops, duplicate and out-of-range IDs
-	f.Add([]byte{0, 0x34, 0, 0x43, 0, 0x44, 4, 0, 1, 0x34, 3, 0, 2, 0}) // clone, diverge, simplify, grow
+	f.Add([]byte{0, 0x34, 0, 0x43, 0, 0x44, 4, 0, 1, 0x34, 3, 0, 2, 0}) // re-check, remove, simplify, grow
 	f.Add([]byte{0, 0x06, 1, 0x60, 0, 0x66, 1, 0x66, 0, 0xd1, 0, 0x01}) // out-of-range endpoints
 	f.Add([]byte{2, 0, 2, 0, 0, 0x67, 0, 0x77, 2, 0, 0, 0x78, 1, 0x76}) // grow into rows the earlier graph filled
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -338,8 +323,6 @@ func FuzzGraphMatchesMapReference(f *testing.F) {
 func replayOnModel(t *testing.T, ops []byte, g *Graph, ref *mapGraph) {
 	t.Helper()
 	requireMatchesModel(t, "start", g, ref)
-	var orig *Graph // the graph the last Clone copied, and its model
-	var origRef *mapGraph
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%6, ops[i+1]
 		// IDs run one past the current node count so out-of-range
@@ -371,10 +354,9 @@ func replayOnModel(t *testing.T, ops []byte, g *Graph, ref *mapGraph) {
 				t.Fatalf("Simplify = (%d,%d), model (%d,%d)", s, m, rs, rm)
 			}
 		case 4:
-			step = "Clone"
-			// Continue on the copies; the originals must not move.
-			orig, origRef = g, ref
-			g, ref = g.Clone(), ref.Clone()
+			// A no-op that only re-checks: the code stays taken so every
+			// input keeps decoding to the same operations.
+			step = "Check"
 		case 5:
 			step = "InducedFrozen"
 			// Node list from the two nibbles and their neighbors:
@@ -387,8 +369,5 @@ func replayOnModel(t *testing.T, ops []byte, g *Graph, ref *mapGraph) {
 			requireFrozenMatchesModel(t, "InducedFrozen result", sub, ref.InducedSubgraph(nodes))
 		}
 		requireMatchesModel(t, step, g, ref)
-		if orig != nil {
-			requireMatchesModel(t, step+" (cloned-from graph)", orig, origRef)
-		}
 	}
 }

@@ -15,8 +15,9 @@ func TestBetweennessAttackAtLeastAsDamaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := g.Freeze()
 	giantAfter := func(strategy RemovalStrategy) float64 {
-		pts, err := Robustness(g, strategy, 0.05, 0.2, xrand.New(2))
+		pts, err := Robustness(f, strategy, 0.05, 0.2, xrand.New(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,8 +35,8 @@ func TestBetweennessAttackOnPathCutsMiddle(t *testing.T) {
 	t.Parallel()
 	// On a path, the most-between node is the middle; removing it halves
 	// the giant immediately.
-	g := pathG(t, 21)
-	pts, err := Robustness(g, RemoveHighestBetweenness, 0.04, 0.05, xrand.New(3))
+	f := pathG(t, 21).Freeze()
+	pts, err := Robustness(f, RemoveHighestBetweenness, 0.04, 0.05, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +57,13 @@ func TestRobustnessWithZeroConfigMatchesRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := g.Freeze()
 	for _, strat := range []RemovalStrategy{RemoveRandom, RemoveHighestDegree, RemoveHighestBetweenness} {
-		want, err := Robustness(g, strat, 0.05, 0.2, xrand.New(9))
+		want, err := Robustness(f, strat, 0.05, 0.2, xrand.New(9))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, steps, err := RobustnessWith(g, RobustnessConfig{
+		got, steps, err := RobustnessWith(f, RobustnessConfig{
 			Strategy: strat, StepFrac: 0.05, MaxFrac: 0.2,
 		}, xrand.New(9))
 		if err != nil {
@@ -94,18 +96,19 @@ func TestRobustnessBetweennessPivotsParameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactA, _, err := RobustnessWith(g, RobustnessConfig{
+	f := g.Freeze()
+	exactA, _, err := RobustnessWith(f, RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.15,
-		BetweennessPivots: g.N(),
+		BetweennessPivots: f.N(),
 	}, xrand.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exact mode consumes no pivot draws, so a different seed must give
 	// the identical trajectory.
-	exactB, _, err := RobustnessWith(g, RobustnessConfig{
+	exactB, _, err := RobustnessWith(f, RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.15,
-		BetweennessPivots: g.N(),
+		BetweennessPivots: f.N(),
 	}, xrand.New(777))
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +118,7 @@ func TestRobustnessBetweennessPivotsParameter(t *testing.T) {
 			t.Fatalf("exact-pivot attack not seed-independent at point %d", i)
 		}
 	}
-	small, _, err := RobustnessWith(g, RobustnessConfig{
+	small, _, err := RobustnessWith(f, RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.15,
 		BetweennessPivots: 16,
 	}, xrand.New(6))
@@ -136,11 +139,12 @@ func TestRobustnessBatchedBetweenness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := g.Freeze()
 	cfg := RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.3,
 		BetweennessPivots: 64,
 	}
-	pts, steps, err := RobustnessWith(g, cfg, xrand.New(10))
+	pts, steps, err := RobustnessWith(f, cfg, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +163,14 @@ func TestRobustnessBatchedBetweenness(t *testing.T) {
 	// held fixed, pivot-sampled scores must reproduce the trajectory of
 	// exact (pivots >= N) scores. The batching itself is the attack's
 	// definition, not part of what the estimator approximates.
-	exact, _, err := RobustnessWith(g, RobustnessConfig{
+	exact, _, err := RobustnessWith(f, RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.3,
-		BetweennessPivots: g.N(),
+		BetweennessPivots: f.N(),
 	}, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, _, err := RobustnessWith(g, RobustnessConfig{
+	sampled, _, err := RobustnessWith(f, RobustnessConfig{
 		Strategy: RemoveHighestBetweenness, StepFrac: 0.05, MaxFrac: 0.3,
 		BetweennessPivots: 256,
 	}, xrand.New(10))
@@ -189,7 +193,7 @@ func TestRobustnessBatchedBetweenness(t *testing.T) {
 	}
 	// And the estimated attack must remain a real attack: far more
 	// damaging than random failures at the same removal fraction.
-	rnd, _, err := RobustnessWith(g, RobustnessConfig{
+	rnd, _, err := RobustnessWith(f, RobustnessConfig{
 		Strategy: RemoveRandom, StepFrac: 0.05, MaxFrac: 0.3,
 	}, xrand.New(10))
 	if err != nil {
@@ -199,7 +203,7 @@ func TestRobustnessBatchedBetweenness(t *testing.T) {
 		t.Fatalf("batched attack (%.3f) no more damaging than random failure (%.3f)",
 			pts[len(pts)-1].GiantFrac, rnd[len(rnd)-1].GiantFrac)
 	}
-	pts2, steps2, err := RobustnessWith(g, cfg, xrand.New(10))
+	pts2, steps2, err := RobustnessWith(f, cfg, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}

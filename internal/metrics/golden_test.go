@@ -67,7 +67,7 @@ func TestGoldenRichClubAndDiameter(t *testing.T) {
 func TestGoldenBetweennessAndCores(t *testing.T) {
 	t.Parallel()
 	f := goldenMetricsFrozen(t)
-	bc := f.Betweenness(32, xrand.New(37))
+	bc, _ := betweenness(f, 32, xrand.New(37))
 	var sum float64
 	for _, b := range bc {
 		sum += b

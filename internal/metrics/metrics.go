@@ -7,9 +7,10 @@
 package metrics
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"scalefree/internal/graph"
 	"scalefree/internal/xrand"
@@ -194,7 +195,7 @@ type RobustnessConfig struct {
 	// BetweennessPivots bounds the pivot sample behind each step of
 	// RemoveHighestBetweenness; 0 selects DefaultBetweennessPivots,
 	// values >= N run exact Brandes. Each pivot's dependency sum is
-	// scaled up by N/pivots (see Frozen.Betweenness), so scores at
+	// scaled up by N/pivots (Brandes–Pich), so scores at
 	// different pivot budgets live on the same scale and only their
 	// variance differs. Per-step estimator uncertainty is reported
 	// through BetweennessStep.
@@ -203,8 +204,8 @@ type RobustnessConfig struct {
 
 // BetweennessStep reports the estimator accounting of one
 // betweenness-attack step: the mean Brandes–Pich score of the nodes the
-// step removed, and the mean standard error of those scores (see
-// Frozen.BetweennessSampled). Steps that fell back to degree order (no
+// step removed, and the mean standard error of those scores, from the
+// empirical per-pivot variance. Steps that fell back to degree order (no
 // positive-betweenness nodes left) report zeros.
 type BetweennessStep struct {
 	// RemovedFrac is the fraction of original nodes removed after this
@@ -217,10 +218,9 @@ type BetweennessStep struct {
 // Robustness removes nodes in steps of stepFrac (e.g. 0.02) up to maxFrac,
 // by the given strategy, measuring the giant-component fraction after each
 // step. For RemoveHighestDegree, degrees are recomputed after every step
-// (adaptive attack, the stronger variant). The input graph is not
-// modified.
-func Robustness(g *graph.Graph, strategy RemovalStrategy, stepFrac, maxFrac float64, rng *xrand.RNG) ([]RobustnessPoint, error) {
-	pts, _, err := RobustnessWith(g, RobustnessConfig{
+// (adaptive attack, the stronger variant). The snapshot is only read.
+func Robustness(f *graph.Frozen, strategy RemovalStrategy, stepFrac, maxFrac float64, rng *xrand.RNG) ([]RobustnessPoint, error) {
+	pts, _, err := RobustnessWith(f, RobustnessConfig{
 		Strategy: strategy, StepFrac: stepFrac, MaxFrac: maxFrac,
 	}, rng)
 	return pts, err
@@ -230,7 +230,7 @@ func Robustness(g *graph.Graph, strategy RemovalStrategy, stepFrac, maxFrac floa
 // zero-valued extension config it is behavior- and RNG-identical to
 // Robustness. The second return value carries per-step estimator
 // accounting and is non-nil only for the betweenness attack.
-func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]RobustnessPoint, []BetweennessStep, error) {
+func RobustnessWith(f *graph.Frozen, cfg RobustnessConfig, rng *xrand.RNG) ([]RobustnessPoint, []BetweennessStep, error) {
 	strategy, stepFrac, maxFrac := cfg.Strategy, cfg.StepFrac, cfg.MaxFrac
 	pivots := cfg.BetweennessPivots
 	if pivots == 0 {
@@ -245,81 +245,116 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 	if rng == nil {
 		rng = xrand.New(0)
 	}
-	n := g.N()
+	n := f.N()
 	if n == 0 {
 		return nil, nil, errors.New("metrics: empty graph")
 	}
-	work := g.Clone()
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	aliveCount := n
-
-	removeNode := func(u int) {
-		// Drop every incident edge; the node stays as an isolate, which
-		// the giant-component measurement ignores.
-		nbs := append([]int32(nil), work.Neighbors(u)...)
-		for _, v := range nbs {
-			for work.RemoveEdge(u, int(v)) {
-			}
-		}
-		alive[u] = false
-		aliveCount--
-	}
-
-	var pts []RobustnessPoint
-	measure := func() {
-		giant := 0
-		for _, comp := range work.Freeze().ConnectedComponents() {
-			size := 0
-			for _, u := range comp {
-				if alive[u] {
-					size++
-				}
-			}
-			if size > giant {
-				giant = size
-			}
-		}
-		pts = append(pts, RobustnessPoint{
-			RemovedFrac: float64(n-aliveCount) / float64(n),
-			GiantFrac:   float64(giant) / float64(n),
-		})
-	}
-	measure()
-
-	step := int(math.Round(stepFrac * float64(n)))
-	if step < 1 {
-		step = 1
-	}
+	r := newRemoval(f, strategy == RemoveHighestBetweenness)
+	pts := []RobustnessPoint{r.point()}
+	step := max(int(math.Round(stepFrac*float64(n))), 1)
 	var bcSteps []BetweennessStep
-	for float64(n-aliveCount)/float64(n) < maxFrac && aliveCount > 0 {
-		if strategy == RemoveHighestBetweenness {
-			bs := removeBetweennessBatch(work, alive, &aliveCount, removeNode, step, pivots, rng)
-			bs.RemovedFrac = float64(n-aliveCount) / float64(n)
+	for float64(n-r.aliveCount)/float64(n) < maxFrac && r.aliveCount > 0 {
+		switch strategy {
+		case RemoveHighestBetweenness:
+			bs := r.removeBetweennessBatch(step, pivots, rng)
+			bs.RemovedFrac = float64(n-r.aliveCount) / float64(n)
 			bcSteps = append(bcSteps, bs)
-			measure()
-			continue
-		}
-		for i := 0; i < step && aliveCount > 0; i++ {
-			u := -1
-			switch strategy {
-			case RemoveRandom:
-				u = randomAlive(alive, aliveCount, rng)
-			case RemoveHighestDegree:
-				u = highestDegreeAlive(work, alive)
-			default:
-				return nil, nil, errors.New("metrics: unknown removal strategy")
+		case RemoveRandom:
+			for i := 0; i < step && r.aliveCount > 0; i++ {
+				r.remove(randomAlive(r.alive, r.aliveCount, rng))
 			}
-			if u < 0 {
-				break
-			}
-			removeNode(u)
+		case RemoveHighestDegree:
+			r.removeHighestDegree(step)
+		default:
+			return nil, nil, errors.New("metrics: unknown removal strategy")
 		}
-		measure()
+		pts = append(pts, r.point())
 	}
 	return pts, bcSteps, nil
+}
+
+// removal is the working state of one removal experiment: a private copy
+// of the snapshot's rows and the giant-component BFS scratch. A removal
+// empties the node's row and deletes each copy of it from its neighbors'
+// rows by Graph.RemoveEdge's rule (swap-with-last, first copy first), so
+// the rows keep the order a Graph mutated by the same removals would.
+type removal struct {
+	rows       [][]int32 // sliced from one flat array, capacity clipped
+	alive      []bool
+	aliveCount int
+	seen       []bool // reached by the current measurement's BFS
+	queue      []int32
+	bt         *brandes // the betweenness attack's state, else nil
+}
+
+func newRemoval(f *graph.Frozen, withBrandes bool) *removal {
+	n := f.N()
+	r := &removal{
+		rows: make([][]int32, n), alive: make([]bool, n), aliveCount: n,
+		seen: make([]bool, n), queue: make([]int32, 0, n),
+	}
+	flat := make([]int32, 0, f.TotalDegree())
+	for u := range n {
+		lo := len(flat)
+		flat = append(flat, f.Neighbors(u)...)
+		r.rows[u] = flat[lo:len(flat):len(flat)]
+		r.alive[u] = true
+	}
+	if withBrandes {
+		r.bt = newBrandes(f)
+	}
+	return r
+}
+
+// remove deletes u and every edge incident to it.
+func (r *removal) remove(u int) {
+	w := int32(u)
+	for _, v := range r.rows[u] {
+		if v == w {
+			continue
+		}
+		row := r.rows[v]
+		for i := 0; i < len(row); i++ {
+			for i < len(row) && row[i] == w {
+				row[i] = row[len(row)-1]
+				row = row[:len(row)-1]
+			}
+		}
+		r.rows[v] = row
+	}
+	r.rows[u] = r.rows[u][:0]
+	r.alive[u] = false
+	r.aliveCount--
+}
+
+// point measures the current removed fraction and giant fraction. The
+// giant is the largest component of alive nodes, by one BFS over them:
+// a removed node has no edges left, so no BFS crosses one.
+func (r *removal) point() RobustnessPoint {
+	clear(r.seen)
+	giant := 0
+	for s, a := range r.alive {
+		if !a || r.seen[s] {
+			continue
+		}
+		r.seen[s] = true
+		q := append(r.queue[:0], int32(s))
+		for head := 0; head < len(q); head++ {
+			for _, v := range r.rows[q[head]] {
+				if !r.seen[v] {
+					r.seen[v] = true
+					q = append(q, v)
+				}
+			}
+		}
+		giant = max(giant, len(q))
+		r.queue = q
+	}
+	n := float64(len(r.alive))
+	return RobustnessPoint{
+		RemovedFrac: float64(len(r.alive)-r.aliveCount) / n,
+		GiantFrac:   float64(giant) / n,
+	}
 }
 
 // removeBetweennessBatch runs one betweenness-attack step: a single
@@ -327,47 +362,45 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 // estimated score (ties toward lower IDs) are removed in that order, and
 // any shortfall — fewer than `step` live nodes with positive score — falls
 // back to adaptive highest-degree removal.
-func removeBetweennessBatch(work *graph.Graph, alive []bool, aliveCount *int, removeNode func(int), step, pivots int, rng *xrand.RNG) BetweennessStep {
-	bc, se := work.Freeze().BetweennessSampled(pivots, rng)
-	cand := make([]int32, 0, len(alive))
-	for u, a := range alive {
+func (r *removal) removeBetweennessBatch(step, pivots int, rng *xrand.RNG) BetweennessStep {
+	bc, se := r.bt.run(r.rows, pivots, rng)
+	cand := r.queue[:0] // the BFS queue is free between measurements
+	for u, a := range r.alive {
 		if a && bc[u] > 0 {
 			cand = append(cand, int32(u))
 		}
 	}
-	sort.Slice(cand, func(a, b int) bool {
-		if bc[cand[a]] != bc[cand[b]] {
-			return bc[cand[a]] > bc[cand[b]]
-		}
-		return cand[a] < cand[b]
-	})
-	if len(cand) > step {
-		cand = cand[:step]
-	}
+	slices.SortFunc(cand, func(a, b int32) int { return cmp.Or(cmp.Compare(bc[b], bc[a]), cmp.Compare(a, b)) })
+	cand = cand[:min(len(cand), step)]
 	var bs BetweennessStep
 	for _, u := range cand {
 		bs.MeanBC += bc[u]
 		bs.MeanSE += se[u]
-		removeNode(int(u))
+		r.remove(int(u))
 	}
 	if len(cand) > 0 {
 		bs.MeanBC /= float64(len(cand))
 		bs.MeanSE /= float64(len(cand))
 	}
-	for i := len(cand); i < step && *aliveCount > 0; i++ {
-		u := highestDegreeAlive(work, alive)
-		if u < 0 {
-			break
-		}
-		removeNode(u)
-	}
+	r.removeHighestDegree(step - len(cand))
 	return bs
 }
 
-func randomAlive(alive []bool, aliveCount int, rng *xrand.RNG) int {
-	if aliveCount == 0 {
-		return -1
+// removeHighestDegree removes up to k nodes one at a time, each the live
+// node of highest current degree (lowest ID among ties).
+func (r *removal) removeHighestDegree(k int) {
+	for ; k > 0 && r.aliveCount > 0; k-- {
+		best, bestDeg := -1, -1
+		for u, a := range r.alive {
+			if a && len(r.rows[u]) > bestDeg {
+				best, bestDeg = u, len(r.rows[u])
+			}
+		}
+		r.remove(best)
 	}
+}
+
+func randomAlive(alive []bool, aliveCount int, rng *xrand.RNG) int {
 	pick := rng.Intn(aliveCount)
 	for u, a := range alive {
 		if !a {
@@ -379,17 +412,4 @@ func randomAlive(alive []bool, aliveCount int, rng *xrand.RNG) int {
 		pick--
 	}
 	return -1
-}
-
-func highestDegreeAlive(g *graph.Graph, alive []bool) int {
-	best, bestDeg := -1, -1
-	for u := range alive {
-		if !alive[u] {
-			continue
-		}
-		if d := g.Degree(u); d > bestDeg {
-			best, bestDeg = u, d
-		}
-	}
-	return best
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"scalefree/internal/gen"
@@ -137,14 +138,14 @@ func TestPAIsNotAssortative(t *testing.T) {
 
 func TestRobustnessValidation(t *testing.T) {
 	t.Parallel()
-	g := triangle(t)
-	if _, err := Robustness(g, RemoveRandom, 0, 0.5, xrand.New(1)); err == nil {
+	f := triangle(t).Freeze()
+	if _, err := Robustness(f, RemoveRandom, 0, 0.5, xrand.New(1)); err == nil {
 		t.Error("step 0 should fail")
 	}
-	if _, err := Robustness(g, RemovalStrategy(9), 0.1, 0.5, xrand.New(1)); err == nil {
+	if _, err := Robustness(f, RemovalStrategy(9), 0.1, 0.5, xrand.New(1)); err == nil {
 		t.Error("unknown strategy should fail")
 	}
-	if _, err := Robustness(graph.New(0), RemoveRandom, 0.1, 0.5, xrand.New(1)); err == nil {
+	if _, err := Robustness(graph.New(0).Freeze(), RemoveRandom, 0.1, 0.5, xrand.New(1)); err == nil {
 		t.Error("empty graph should fail")
 	}
 }
@@ -155,12 +156,17 @@ func TestRobustnessDoesNotMutateInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := g.M()
-	if _, err := Robustness(g, RemoveHighestDegree, 0.05, 0.5, xrand.New(6)); err != nil {
+	// The removals run on a private copy of the rows: every row of the
+	// snapshot reads as it did before, in order.
+	f := g.Freeze()
+	before := g.Freeze()
+	if _, err := Robustness(f, RemoveHighestDegree, 0.05, 0.5, xrand.New(6)); err != nil {
 		t.Fatal(err)
 	}
-	if g.M() != before {
-		t.Fatalf("input mutated: %d -> %d edges", before, g.M())
+	for u := range f.N() {
+		if !slices.Equal(f.Neighbors(u), before.Neighbors(u)) {
+			t.Fatalf("input mutated: row %d %v -> %v", u, before.Neighbors(u), f.Neighbors(u))
+		}
 	}
 }
 
@@ -170,7 +176,8 @@ func TestRobustnessMonotoneRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := Robustness(g, RemoveRandom, 0.05, 0.6, xrand.New(8))
+	f := g.Freeze()
+	pts, err := Robustness(f, RemoveRandom, 0.05, 0.6, xrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +206,12 @@ func TestRobustYetFragile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	random, err := Robustness(g, RemoveRandom, 0.05, 0.2, xrand.New(10))
+	f := g.Freeze()
+	random, err := Robustness(f, RemoveRandom, 0.05, 0.2, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	attack, err := Robustness(g, RemoveHighestDegree, 0.05, 0.2, xrand.New(11))
+	attack, err := Robustness(f, RemoveHighestDegree, 0.05, 0.2, xrand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +234,7 @@ func TestHardCutoffBluntsAttacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts, err := Robustness(g, RemoveHighestDegree, 0.05, 0.25, xrand.New(seed+1))
+		pts, err := Robustness(g.Freeze(), RemoveHighestDegree, 0.05, 0.25, xrand.New(seed+1))
 		if err != nil {
 			t.Fatal(err)
 		}

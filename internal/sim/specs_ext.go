@@ -68,10 +68,13 @@ func Attack(sc Scale, seed uint64) ([]Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			pts, steps, err := metrics.RobustnessWith(g, metrics.RobustnessConfig{
+			// Nothing reads the snapshot past the curve: back to the arena.
+			f := b.arena.Freeze(g, b.width)
+			pts, steps, err := metrics.RobustnessWith(f, metrics.RobustnessConfig{
 				Strategy: strat, StepFrac: 0.02, MaxFrac: 0.4,
 				BetweennessPivots: pivots,
 			}, b.rng)
+			b.arena.Recycle(f)
 			if err != nil {
 				return nil, err
 			}

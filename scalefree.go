@@ -212,9 +212,9 @@ func DegreeAssortativity(f *FrozenTopology) (float64, error) { return metrics.De
 
 // Robustness measures giant-component survival under progressive node
 // removal (random failures or targeted hub attacks). It removes nodes from
-// a clone of g; g itself is left as it was.
-func Robustness(g *Graph, strategy RemovalStrategy, stepFrac, maxFrac float64, rng *RNG) ([]RobustnessPoint, error) {
-	return metrics.Robustness(g, strategy, stepFrac, maxFrac, rng)
+// a private copy of f's rows; f is only read.
+func Robustness(f *FrozenTopology, strategy RemovalStrategy, stepFrac, maxFrac float64, rng *RNG) ([]RobustnessPoint, error) {
+	return metrics.Robustness(f, strategy, stepFrac, maxFrac, rng)
 }
 
 // Degree-distribution analysis.

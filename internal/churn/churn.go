@@ -137,6 +137,12 @@ type Simulator struct {
 	aliveIDs []int32
 	alivePos map[int32]int
 	stats    Stats
+	// degrees is the degree histogram of every node of g, dead ones
+	// included (at degree 0), and kMax the largest degree it holds:
+	// the Graph.MaxDegree pickTarget needs, kept by addNode, addEdge
+	// and removeEdge instead of scanned for every stub.
+	degrees []int
+	kMax    int
 	// scratch is reused across every probe's NF searches; the probe
 	// freezes the alive giant once and sweeps it allocation-free.
 	scratch search.Scratch
@@ -163,8 +169,57 @@ func New(cfg Config, rng *xrand.RNG) (*Simulator, error) {
 	}
 	for v := 0; v < g.N(); v++ {
 		s.addAlive(int32(v))
+		s.count(g.Degree(v), 1)
 	}
 	return s, nil
+}
+
+// count adds delta nodes at degree k to the histogram.
+func (s *Simulator) count(k, delta int) {
+	for k >= len(s.degrees) {
+		s.degrees = append(s.degrees, 0)
+	}
+	s.degrees[k] += delta
+	if delta > 0 && k > s.kMax {
+		s.kMax = k
+	}
+	for s.kMax > 0 && s.degrees[s.kMax] == 0 {
+		s.kMax--
+	}
+}
+
+// moveDegree records that u's degree changed by delta, already applied
+// to g. Counting the new degree first keeps kMax from walking down past
+// it when u was alone at the old one.
+func (s *Simulator) moveDegree(u, delta int) {
+	k := s.g.Degree(u)
+	s.count(k, 1)
+	s.count(k-delta, -1)
+}
+
+// addNode adds an isolated node to g and the histogram.
+func (s *Simulator) addNode() int32 {
+	s.count(0, 1)
+	return int32(s.g.AddNode())
+}
+
+// addEdge links u and v (u ≠ v, as every churn link is) in g and the
+// histogram.
+func (s *Simulator) addEdge(u, v int) error {
+	if err := s.g.AddEdge(u, v); err != nil {
+		return err
+	}
+	s.moveDegree(u, 1)
+	s.moveDegree(v, 1)
+	return nil
+}
+
+// removeEdge unlinks u and v (u ≠ v) in g and the histogram.
+func (s *Simulator) removeEdge(u, v int) {
+	if s.g.RemoveEdge(u, v) {
+		s.moveDegree(u, -1)
+		s.moveDegree(v, -1)
+	}
 }
 
 func (s *Simulator) addAlive(v int32) {
@@ -215,7 +270,7 @@ func (s *Simulator) pickTarget(joiner int32) int32 {
 	if n == 0 {
 		return -1
 	}
-	kMax := s.g.MaxDegree()
+	kMax := s.kMax
 	if kMax < 1 {
 		kMax = 1
 	}
@@ -251,7 +306,7 @@ func (s *Simulator) Join() (int, error) {
 	if len(s.aliveIDs) == 0 {
 		return -1, ErrDead
 	}
-	v := int32(s.g.AddNode())
+	v := s.addNode()
 	s.addAlive(v)
 	for stub := 0; stub < s.cfg.M; stub++ {
 		target := s.pickTarget(v)
@@ -259,7 +314,7 @@ func (s *Simulator) Join() (int, error) {
 			s.stats.FailedStubs++
 			continue
 		}
-		if err := s.g.AddEdge(int(v), int(target)); err != nil {
+		if err := s.addEdge(int(v), int(target)); err != nil {
 			return -1, err
 		}
 		s.stats.Messages += 2 // connect request + accept
@@ -288,7 +343,7 @@ func (s *Simulator) Leave(id int) (int, error) {
 		s.stats.Messages += len(neighbors) // leave notices
 	}
 	for _, u := range neighbors {
-		s.g.RemoveEdge(int(v), int(u))
+		s.removeEdge(int(v), int(u))
 	}
 	s.removeAlive(v)
 	s.stats.Leaves++
@@ -304,7 +359,7 @@ func (s *Simulator) Leave(id int) (int, error) {
 					s.stats.FailedStubs++
 					break
 				}
-				if err := s.g.AddEdge(int(u), int(target)); err != nil {
+				if err := s.addEdge(int(u), int(target)); err != nil {
 					return -1, err
 				}
 				s.stats.Messages += 2

@@ -403,3 +403,33 @@ func TestJoinRuleAndRepairStrings(t *testing.T) {
 		t.Error("unknown repair name")
 	}
 }
+
+// TestDegreeHistogramTracksMaxDegree pins the kMax pickTarget draws
+// against: after every event of a long mixed run (both repair policies,
+// with and without a cutoff) the histogram's maximum equals a full
+// Graph.MaxDegree scan, and the histogram counts every node once.
+func TestDegreeHistogramTracksMaxDegree(t *testing.T) {
+	t.Parallel()
+	for i, cfg := range []Config{
+		baseCfg(),
+		{InitialN: 120, M: 3, KC: gen.NoCutoff, Join: JoinPreferential, Repair: NoRepair},
+		{InitialN: 80, M: 1, KC: 5, Join: JoinUniform, Repair: ReconnectRepair},
+	} {
+		s := mustSim(t, cfg, uint64(40+i))
+		for e := 0; e < 1500; e++ {
+			if err := s.Step(0.55); err != nil {
+				t.Fatal(err)
+			}
+			if want := s.g.MaxDegree(); s.kMax != want {
+				t.Fatalf("cfg %d event %d: kMax %d, Graph.MaxDegree %d", i, e, s.kMax, want)
+			}
+		}
+		nodes := 0
+		for _, c := range s.degrees {
+			nodes += c
+		}
+		if nodes != s.g.N() {
+			t.Fatalf("cfg %d: histogram holds %d nodes, graph %d", i, nodes, s.g.N())
+		}
+	}
+}

@@ -77,6 +77,35 @@ func BenchmarkCMBuildCSRArena(b *testing.B) {
 	reportSnapshotBytes(b, sinkFrozen, 0)
 }
 
+// BenchmarkCMFrozen times CMFrozen where the cleanup costs most: γ = 2.2
+// with no cutoff, whose hubs hold most of the self-loops and multi-edges
+// the replay deletes, at the sweep-cm size (N = 2·10⁴) and the paper's
+// degree-figure size (N = 10⁵). Each build runs on one arena and refills
+// the snapshot the previous one returned, as a lane does; deleted/op is
+// the self-loops plus multi-edges removed per build.
+func BenchmarkCMFrozen(b *testing.B) {
+	for _, n := range []int{20_000, 100_000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			cfg := CMConfig{N: n, M: 2, KC: NoCutoff, Gamma: 2.2}
+			arena := graph.NewCSRArena()
+			var last *graph.Frozen
+			deleted := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				arena.Recycle(last)
+				f, st, err := CMFrozen(cfg, Build{Phases: phasesFor(1, uint64(i)), Workers: 1, Arena: arena})
+				if err != nil {
+					b.Fatal(err)
+				}
+				deleted += st.SelfLoopsRemoved + st.MultiEdgesRemoved
+				last = f
+			}
+			sinkFrozen = last
+			b.ReportMetric(float64(deleted)/float64(b.N), "deleted/op")
+		})
+	}
+}
+
 func BenchmarkGRNBuildGraph(b *testing.B) {
 	cfg := GRNConfig{N: benchGRNNodes, MeanDegree: 10}
 	b.ReportAllocs()

@@ -22,7 +22,7 @@ type Build struct {
 	// wall-clock changes.
 	Workers int
 	// Arena, when non-nil, lends the build its whole working set: the
-	// direct-to-CSR builders' edge chunks and count/scatter/dedup scratch,
+	// direct-to-CSR builders' edge chunks and count/scatter/replay scratch,
 	// the Graph PA, HAPA and DAPA grow and DAPA's ID maps, and every
 	// generator's int32 scratch (stub lists, degree sequences, flood marks
 	// and queues). What a build returns from an arena — a growth Graph, an

@@ -79,33 +79,24 @@ func CMBuild(cfg CMConfig, b Build) (*graph.Graph, Stats, error) {
 }
 
 // CMFrozen is CMBuild built straight into a CSR snapshot: the shuffled
-// stub pairs are emitted into a graph.CSRBuilder in fixed-size chunks
-// (the pairing is RNG-free after the wire shuffle, so the emission fans
-// out across Build.Workers without touching the draw sequence) and
-// finalized with the cleanup pass replayed on the sorted CSR. The result
-// is byte-identical — offsets, neighbor order, Stats — to CMBuild
-// followed by Freeze, for every Workers value, but never allocates
-// per-node adjacency slices. Build.Arena, when set, recycles the build's
-// transient buffers, and the result refills the arrays of the snapshot
-// retired into it (CSRArena.Recycle) where they fit.
+// stub array is the pair stream (stubs 2i and 2i+1 wire one edge), which
+// graph.SimplifyPairs scatters into the snapshot's arrays where it lies
+// and cleans up by replaying the deletions row by row. The result is
+// byte-identical — offsets, neighbor order, Stats — to CMBuild followed
+// by Freeze, for every Workers value, but never allocates per-node
+// adjacency slices, and holds one stub-length array beside the snapshot.
+// The snapshot's neighbor array keeps the multigraph's capacity — the
+// stub count — for its lifetime. Build.Arena, when set, recycles the
+// build's transient buffers, and the result refills the arrays of the
+// snapshot retired into it (CSRArena.Recycle) where they fit.
 func CMFrozen(cfg CMConfig, b Build) (*graph.Frozen, Stats, error) {
 	var st Stats
 	stubs, err := cmShuffledStubs(cfg, b)
 	if err != nil {
 		return nil, st, err
 	}
-	pairs := len(stubs) / 2
-	cb := graph.NewCSRBuilder(cfg.N, chunks(pairs), b.Arena)
-	b.forChunks(pairs, func(chunk, lo, hi int) {
-		cb.Reserve(chunk, hi-lo)
-		for p := lo; p < hi; p++ {
-			cb.Edge(chunk, stubs[2*p], stubs[2*p+1])
-		}
-	})
-	// The stub array is fully copied into the chunk buffers; recycle it
-	// before finalize so the count/scatter scratch can reuse its memory.
+	f, selfLoops, multiEdges := graph.SimplifyPairs(cfg.N, stubs, b.workers(), b.Arena)
 	b.Arena.Release(stubs)
-	f, selfLoops, multiEdges := cb.FinalizeSimplified(b.workers())
 	st.SelfLoopsRemoved, st.MultiEdgesRemoved = selfLoops, multiEdges
 	return f, st, nil
 }

@@ -241,46 +241,49 @@ func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 // streams, result headers — within bounds that hold at every N, instead of
 // the per-node rows, ID maps, scratch and snapshot arrays a build without
 // an arena allocates (about 1 600 objects for one HAPA build at N = 850).
-// It is not parallel: it counts the whole process's mallocs.
+// CM's bounds are 17 objects and 1 200 B, over its measured 17 objects
+// and 1 120 B (1 136 B under -race): the pair stream is scattered where
+// it lies, so a returning chunk-buffer builder fails them. It is not parallel: it counts the whole process's mallocs.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	sub, _, err := GRNFrozen(GRNConfig{N: 3200, MeanDegree: 10}, NewBuild(phasesFor(6, 0), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The default bytes bound is below one N = 400 snapshot's offsets
+	// array (1 604 B), so a freeze that allocates either array fails it.
+	const warmBytes = 1536
 	cases := []struct {
 		name  string
 		limit float64
+		bytes uint64
 		build func(n int, b Build) (*graph.Frozen, error)
 	}{
-		{"PA", 4, func(n int, b Build) (*graph.Frozen, error) {
+		{"PA", 4, warmBytes, func(n int, b Build) (*graph.Frozen, error) {
 			g, _, err := PABuild(PAConfig{N: n, M: 2, KC: 10}, b)
 			if err != nil {
 				return nil, err
 			}
 			return b.Arena.Freeze(g, 1), nil
 		}},
-		{"HAPA", 4, func(n int, b Build) (*graph.Frozen, error) {
+		{"HAPA", 4, warmBytes, func(n int, b Build) (*graph.Frozen, error) {
 			g, _, err := HAPABuild(HAPAConfig{N: n, M: 2, KC: 10}, b)
 			if err != nil {
 				return nil, err
 			}
 			return b.Arena.Freeze(g, 1), nil
 		}},
-		{"DAPA", 16, func(n int, b Build) (*graph.Frozen, error) {
+		{"DAPA", 16, warmBytes, func(n int, b Build) (*graph.Frozen, error) {
 			ov, _, err := DAPABuild(sub, DAPAConfig{NOverlay: n, M: 2, KC: 10, TauSub: 4}, b)
 			if err != nil {
 				return nil, err
 			}
 			return b.Arena.Freeze(ov.G, 1), nil
 		}},
-		{"CM", 24, func(n int, b Build) (*graph.Frozen, error) {
+		{"CM", 17, 1200, func(n int, b Build) (*graph.Frozen, error) {
 			f, _, err := CMFrozen(CMConfig{N: n, M: 2, KC: 40, Gamma: 2.5}, b)
 			return f, err
 		}},
 	}
-	// The bytes bound is below one N = 400 snapshot's offsets array
-	// (1 604 B), so a freeze that allocates either array fails it.
-	const warmBytes = 1536
 	for _, c := range cases {
 		for _, n := range []int{400, 1600} {
 			b := Build{Phases: phasesFor(9, 1), Workers: 1, Arena: graph.NewCSRArena()}
@@ -304,9 +307,44 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 				t.Errorf("%s N=%d: %v allocations per warm build, want at most %v", c.name, n, allocs, c.limit)
 			}
 			// AllocsPerRun makes one warm-up call besides its 3 runs.
-			if bytes := (after.TotalAlloc - before.TotalAlloc) / 4; bytes > warmBytes {
-				t.Errorf("%s N=%d: %d B allocated per warm build, want at most %d", c.name, n, bytes, warmBytes)
+			if bytes := (after.TotalAlloc - before.TotalAlloc) / 4; bytes > c.bytes {
+				t.Errorf("%s N=%d: %d B allocated per warm build, want at most %d", c.name, n, bytes, c.bytes)
 			}
+		}
+	}
+}
+
+// TestCMWorkingSetIsOneStubArray pins what a CM build holds: besides the
+// snapshot, whose neighbor array is scattered at multigraph size and
+// compacted in place, only the shuffled stub array the scatter reads
+// where it lies, plus node-sized scratch (degree sequence, scatter
+// positions, replay marks, the sampler's table). Built without an arena,
+// where every buffer is a fresh allocation, a build therefore allocates
+// under two stub arrays and ten int32 node arrays; a returning chunk
+// copy of the stream, multigraph staging array or sorted dedup copy adds
+// a third stub-length array and fails. The unmeasured stub draw that
+// sizes the bound first fills the sampler caches. It is not parallel: it
+// counts the whole process's allocation.
+func TestCMWorkingSetIsOneStubArray(t *testing.T) {
+	for _, cfg := range []CMConfig{
+		{N: 20000, M: 2, KC: NoCutoff, Gamma: 2.2},
+		{N: 5000, M: 2, KC: 40, Gamma: 2.5},
+		{N: 3000, M: 3, KC: NoCutoff, Gamma: 3},
+	} {
+		b := Build{Phases: phasesFor(9, 1), Workers: 1}
+		stubs, err := cmShuffledStubs(cfg, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stubBytes := 4 * len(stubs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := CMFrozen(cfg, b); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*stubBytes+10*4*cfg.N); got > limit {
+			t.Errorf("%+v: %d B allocated per build, want at most %d (two %d B stub arrays and ten node arrays)", cfg, got, limit, stubBytes)
 		}
 	}
 }

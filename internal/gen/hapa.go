@@ -77,6 +77,7 @@ func hapa(cfg HAPAConfig, rng *xrand.RNG, arena *graph.CSRArena) (*graph.Graph, 
 	// i makes, because the append may move them.
 	kc, kTotal := cfg.KC, g.TotalDegree()
 	attempts, hops := 0, 0
+	var fb fallbackBuf
 	for i := cfg.M + 1; i < cfg.N; i++ {
 		var mine []int32
 		filled, walk, restarts := 0, 0, 0
@@ -101,7 +102,7 @@ func hapa(cfg HAPAConfig, rng *xrand.RNG, arena *graph.CSRArena) (*graph.Graph, 
 					walk = 0
 					restarts++
 					if restarts > hapaRestartBudget {
-						cand := paFallback(g, i, kc, rng)
+						cand := paFallback(g, i, kc, rng, &fb)
 						if cand < 0 {
 							st.UnfilledStubs += cfg.M - filled
 							break join

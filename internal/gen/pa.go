@@ -78,6 +78,7 @@ func pa(cfg PAConfig, rng *xrand.RNG, arena *graph.CSRArena) (*graph.Graph, Stat
 		}
 	}
 
+	var fb fallbackBuf
 	for i := cfg.M + 1; i < cfg.N; i++ {
 		for j := 0; j < cfg.M; j++ {
 			placed := false
@@ -96,7 +97,7 @@ func pa(cfg PAConfig, rng *xrand.RNG, arena *graph.CSRArena) (*graph.Graph, Stat
 				continue
 			}
 			// Exact weighted fallback over the (possibly tiny) eligible set.
-			if cand := paFallback(g, i, cfg.KC, rng); cand >= 0 {
+			if cand := paFallback(g, i, cfg.KC, rng, &fb); cand >= 0 {
 				st.Fallbacks++
 				mustEdge(g, i, cand)
 				stubs = append(stubs, int32(i), int32(cand))
@@ -126,6 +127,7 @@ func PABuild(cfg PAConfig, b Build) (*graph.Graph, Stats, error) {
 // probability k_cand/k_total, cutoff and adjacency conditions, repeated
 // until the stub is placed.
 func paLiteral(g *graph.Graph, cfg PAConfig, rng *xrand.RNG, st *Stats) error {
+	var fb fallbackBuf
 	for i := cfg.M + 1; i < cfg.N; i++ {
 		for j := 0; j < cfg.M; j++ {
 			placed := false
@@ -147,7 +149,7 @@ func paLiteral(g *graph.Graph, cfg PAConfig, rng *xrand.RNG, st *Stats) error {
 				break
 			}
 			if !placed {
-				if cand := paFallback(g, i, cfg.KC, rng); cand >= 0 {
+				if cand := paFallback(g, i, cfg.KC, rng, &fb); cand >= 0 {
 					st.Fallbacks++
 					mustEdge(g, i, cand)
 				} else {
@@ -159,17 +161,26 @@ func paLiteral(g *graph.Graph, cfg PAConfig, rng *xrand.RNG, st *Stats) error {
 	return nil
 }
 
+// fallbackBuf holds paFallback's candidate and weight lists. A build
+// keeps one for all its joins, so the fallback reuses the lists instead
+// of growing two O(i) slices on every call.
+type fallbackBuf struct {
+	cands   []int
+	weights []float64
+}
+
 // paFallback draws an eligible neighbor for node i exactly proportionally
-// to degree, scanning all nodes below i. Returns -1 if no node is eligible.
-func paFallback(g *graph.Graph, i, kc int, rng *xrand.RNG) int {
-	var cands []int
-	var weights []float64
+// to degree, scanning all nodes below i, with buf's lists as scratch.
+// Returns -1 if no node is eligible.
+func paFallback(g *graph.Graph, i, kc int, rng *xrand.RNG, buf *fallbackBuf) int {
+	cands, weights := buf.cands[:0], buf.weights[:0]
 	for u := 0; u < i; u++ {
 		if u != i && !g.HasEdge(i, u) && cutoffOK(g, u, kc) && g.Degree(u) > 0 {
 			cands = append(cands, u)
 			weights = append(weights, float64(g.Degree(u)))
 		}
 	}
+	buf.cands, buf.weights = cands, weights
 	idx := rng.Choose(weights)
 	if idx < 0 {
 		return -1

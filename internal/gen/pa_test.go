@@ -237,3 +237,22 @@ func TestPATreeWhenM1(t *testing.T) {
 		t.Fatal("PA tree must be connected")
 	}
 }
+
+// TestPAFallbackReusesBuffers pins the fallback's scratch: once a build's
+// buffers have grown to the largest candidate set, a fallback draw
+// allocates nothing, and it draws what a fresh buffer draws from the same
+// stream.
+func TestPAFallbackReusesBuffers(t *testing.T) {
+	t.Parallel()
+	g, _ := genPA(t, PAConfig{N: 600, M: 2, KC: 12}, 5)
+	var held fallbackBuf
+	warm, fresh := xrand.New(9), xrand.New(9)
+	for i := g.N() - 1; i > 300; i -= 7 {
+		if got, want := paFallback(g, i, 12, warm, &held), paFallback(g, i, 12, fresh, &fallbackBuf{}); got != want {
+			t.Fatalf("i=%d: held buffers drew %d, fresh ones %d", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { paFallback(g, g.N()-1, 12, warm, &held) }); allocs != 0 {
+		t.Fatalf("%v allocations per fallback on warm buffers", allocs)
+	}
+}

@@ -1,34 +1,40 @@
 package graph
 
-// Direct-to-CSR construction: CSRBuilder accepts an edge stream into
-// per-chunk append-only buffers and finalizes a *Frozen via a parallel
-// two-pass count/scatter, skipping the mutable Graph entirely.
+import "slices"
+
+// Direct-to-CSR construction: a pair stream — a CSRBuilder's per-chunk
+// append-only buffers, or one caller-held array (SimplifyPairs) — is
+// turned into a *Frozen by a two-pass count/scatter straight into the
+// snapshot's arrays, skipping the mutable Graph entirely.
 //
 // The mutable Graph pays two costs per inserted edge that a read-only
 // topology never recoups: per-node []int32 append churn (each adjacency
 // list regrows O(log deg) times) and the final Freeze copy of everything
 // into CSR form. Generators that never query the graph mid-build — CM
 // wires precomputed stub pairs, GRN connects precomputed points — only
-// need the CSR end state, so they emit raw (u,v) pairs here instead.
+// need the CSR end state: GRN emits raw (u,v) pairs into a CSRBuilder,
+// and CM hands its shuffled stub array to SimplifyPairs as the stream.
 // Growth models (PA, HAPA, DAPA) genuinely need mid-build
 // HasEdge/Degree and grow a Graph; given an arena, they grow the one it
 // lends (CSRArena.Graph), whose rows keep their capacity from build to
 // build, and freeze it with CSRArena.Freeze, which — like Finalize and
-// FinalizeSimplified — refills a retired snapshot's arrays (Recycle), so a
+// SimplifyPairs — refills a retired snapshot's arrays (Recycle), so a
 // warm build's new memory is little more than a few headers.
 //
 // Determinism contract (pinned by the equivalence and fuzz tests): the
 // chunk index order IS the emission order. Finalizing chunks c0, c1, ...
 // yields a Frozen byte-identical to calling Graph.AddEdge for every pair
 // of c0 in order, then every pair of c1, ..., followed by Freeze — for
-// every worker count. FinalizeSimplified additionally replays
-// Graph.Simplify's deletion pass (ascending edge keys, swap-with-last
-// adjacency removal) on the CSR arrays, so its output is byte-identical
-// to Graph+Simplify+Freeze on the same stream.
+// every worker count. SimplifyPairs additionally replays
+// Graph.Simplify's deletions (ascending edge keys, swap-with-last
+// adjacency removal) on the scattered rows, one row at a time, O(1) per
+// deletion beside at most one sort per duplicated value (replayRow), so
+// its output is byte-identical to Graph+Simplify+Freeze on the same
+// stream.
 
 // CSRArena lends one build lane's builds their working set, so that a
 // lane's Nth build allocates little beyond the result it returns: the
-// direct-to-CSR builders' per-chunk edge buffers and count/scatter/dedup
+// direct-to-CSR builders' per-chunk edge buffers and count/scatter/replay
 // scratch, the growth models' Graph (Graph) and ID tables (Ints), and
 // every generator's int32 scratch (Grab/Release: stub lists, degree
 // sequences, flood marks and queues, spatial-hash tables). The experiment
@@ -158,10 +164,11 @@ func (a *CSRArena) Release(b []int32) {
 
 // Recycle hands the arena a retired snapshot — one nothing will read
 // again — whose offsets and neighbors its next freeze (Freeze, Finalize,
-// FinalizeSimplified) refills when they are large enough, replacing any
-// snapshot it already holds. The refilled snapshot gets a fresh header,
-// so nothing of f but its arrays' storage carries over. A nil f, or a nil
-// arena, is a no-op.
+// SimplifyPairs) refills when they are large enough, replacing any
+// snapshot it already holds; SimplifyPairs needs neighbors with room for
+// the multigraph it cleans up in place.
+// The refilled snapshot gets a fresh header, so nothing of f but its
+// arrays' storage carries over. A nil f, or a nil arena, is a no-op.
 func (a *CSRArena) Recycle(f *Frozen) {
 	if a != nil && f != nil {
 		a.retired = f
@@ -217,8 +224,7 @@ func (a *CSRArena) csrArrays(n, total int) (offsets, neighbors []int32) {
 
 // CSRBuilder accumulates an edge stream for one topology build. Edges go
 // into per-chunk buffers — append-only, no membership map, no per-node
-// slices — and Finalize/FinalizeSimplified turn the stream into a
-// *Frozen. A builder is single-use: emit, finalize once, discard.
+// slices — and Finalize turns the stream into a *Frozen. A builder is single-use: emit, finalize once, discard.
 //
 // Emitters append concurrently as long as each goroutine owns disjoint
 // chunk indices (the gen package's fixed-boundary chunking); Edge does no
@@ -233,16 +239,6 @@ type CSRBuilder struct {
 // stream arrives in chunkCount ordered chunks. arena may be nil.
 func NewCSRBuilder(n, chunkCount int, arena *CSRArena) *CSRBuilder {
 	return &CSRBuilder{n: n, chunks: arena.chunkBuffers(chunkCount), arena: arena}
-}
-
-// Reserve pre-sizes a chunk's buffer for `edges` edges, for emitters that
-// know their chunk's volume up front (CM's stub pairing does).
-func (b *CSRBuilder) Reserve(chunk, edges int) {
-	if cap(b.chunks[chunk]) < 2*edges {
-		grown := make([]int32, len(b.chunks[chunk]), 2*edges)
-		copy(grown, b.chunks[chunk])
-		b.chunks[chunk] = grown
-	}
 }
 
 // Edge appends the undirected edge {u,v} to the given chunk. Self-loops
@@ -313,41 +309,20 @@ func forSegments(segs [][2]int, fn func(s int)) {
 }
 
 // scatter is the two-pass core: count per-node degrees, prefix-sum
-// offsets, then scatter neighbors in emission order. offsets must have
-// n+1 entries; it receives the CSR offsets. The returned neighbor array
-// is dst when it fits, so callers choose whether the multigraph adjacency
-// lives in fresh memory (it escapes into the Frozen) or arena scratch (it
-// is an intermediate the simplify pass compacts away). Returns the
-// neighbor array and the edge count.
-func (b *CSRBuilder) scatter(workers int, offsets []int32, grabDst func(n int) []int32) ([]int32, int) {
-	n := b.n
-	segs := segmentChunks(b.chunks, workers)
+// offsets, then scatter neighbors in emission order. chunks is the pair
+// stream in emission order; offsets (n+1 entries) receives the CSR
+// offsets and neighbors (one entry per stream entry) the multigraph
+// adjacency. Returns the edge count.
+func scatter(n int, chunks [][]int32, workers int, arena *CSRArena, offsets, neighbors []int32) int {
+	segs := segmentChunks(chunks, workers)
 	ns := len(segs)
 	counts := make([][]int32, ns)
 	for s := range counts {
-		counts[s] = b.arena.Grab(n)
+		counts[s] = arena.Grab(n)
 		clear(counts[s])
 	}
-	total := 0
-	for _, c := range b.chunks {
-		total += len(c)
-	}
-
 	// Pass 1: per-segment degree histograms.
-	forSegments(segs, func(s int) {
-		cnt := counts[s]
-		for _, ch := range b.chunks[segs[s][0]:segs[s][1]] {
-			for i := 0; i+1 < len(ch); i += 2 {
-				u, v := ch[i], ch[i+1]
-				cnt[u]++
-				if u == v {
-					cnt[u]++ // a self-loop appears twice, as in Graph
-				} else {
-					cnt[v]++
-				}
-			}
-		}
-	})
+	forSegments(segs, func(s int) { countPairs(counts[s], chunks[segs[s][0]:segs[s][1]]) })
 
 	// Offsets: sum the segment histograms per node, then prefix-sum.
 	parallelNodeRanges(n, workers, func(lo, hi int) {
@@ -378,28 +353,45 @@ func (b *CSRBuilder) scatter(workers int, offsets []int32, grabDst func(n int) [
 	})
 
 	// Pass 2: scatter in emission order within each segment.
-	neighbors := grabDst(total)
-	forSegments(segs, func(s int) {
-		pos := counts[s]
-		for _, ch := range b.chunks[segs[s][0]:segs[s][1]] {
-			for i := 0; i+1 < len(ch); i += 2 {
-				u, v := ch[i], ch[i+1]
-				neighbors[pos[u]] = v
-				pos[u]++
-				if u == v {
-					neighbors[pos[u]] = u
-					pos[u]++
-				} else {
-					neighbors[pos[v]] = u
-					pos[v]++
-				}
+	forSegments(segs, func(s int) { scatterPairs(counts[s], neighbors, chunks[segs[s][0]:segs[s][1]]) })
+	for s := range counts {
+		arena.Release(counts[s])
+	}
+	return len(neighbors) / 2
+}
+
+// countPairs adds each pair's two adjacency entries to cnt.
+func countPairs(cnt []int32, chunks [][]int32) {
+	for _, ch := range chunks {
+		for i := 0; i+1 < len(ch); i += 2 {
+			u, v := ch[i], ch[i+1]
+			cnt[u]++
+			if u == v {
+				cnt[u]++ // a self-loop appears twice, as in Graph
+			} else {
+				cnt[v]++
 			}
 		}
-	})
-	for s := range counts {
-		b.arena.Release(counts[s])
 	}
-	return neighbors, total / 2
+}
+
+// scatterPairs writes each pair's two adjacency entries at pos, the next
+// free slot of every row, advancing it.
+func scatterPairs(pos, neighbors []int32, chunks [][]int32) {
+	for _, ch := range chunks {
+		for i := 0; i+1 < len(ch); i += 2 {
+			u, v := ch[i], ch[i+1]
+			neighbors[pos[u]] = v
+			pos[u]++
+			if u == v {
+				neighbors[pos[u]] = u
+				pos[u]++
+			} else {
+				neighbors[pos[v]] = u
+				pos[v]++
+			}
+		}
+	}
 }
 
 // Finalize builds the Frozen snapshot of the emitted stream as-is
@@ -418,114 +410,180 @@ func (b *CSRBuilder) Finalize(workers int, sorted bool) *Frozen {
 	}
 	f := &Frozen{}
 	f.offsets, f.neighbors = b.arena.csrArrays(b.n, total)
-	_, f.edges = b.scatter(workers, f.offsets, func(int) []int32 { return f.neighbors })
+	f.edges = scatter(b.n, b.chunks, workers, b.arena, f.offsets, f.neighbors)
 	if sorted {
 		f.MaterializeSorted(workers)
 	}
 	return f
 }
 
-// FinalizeSimplified builds the Frozen snapshot of the emitted stream
-// after the configuration model's cleanup: all self-loops and all but one
-// copy of each parallel edge deleted. It returns the snapshot plus the
-// deletion counts, matching Graph.Simplify's (selfLoops, multiEdges)
-// report exactly.
+// SimplifyPairs builds the Frozen snapshot of a pair stream after the
+// configuration model's cleanup: all self-loops and all but one copy of
+// each parallel edge deleted. pairs, of even length, holds the edges
+// {pairs[2i], pairs[2i+1]} in emission order (node IDs in [0, n),
+// self-loops and parallel edges allowed); CM's shuffled stub array is
+// exactly such a stream. It returns the snapshot plus the deletion
+// counts, matching Graph.Simplify's (selfLoops, multiEdges) report
+// exactly, and its bytes are Graph+Simplify+Freeze's on the same stream
+// for every workers value: the multigraph is scattered into the
+// snapshot's own arrays, reading pairs where it lies, Simplify's
+// deletions are replayed row by row in place (replayRow), and the
+// survivors are compacted left. pairs is only read, and not retained: the
+// caller may reuse it once SimplifyPairs returns.
 //
-// Byte-for-byte equivalence with the legacy path is the whole point, so
-// the deletions replay Graph.Simplify literally: duplicates are detected
-// on the sorted CSR ranges (ascending (min,max) key order — the same
-// order Simplify visits its sorted edge keys) and each deletion
-// removes the first matching adjacency entry by swap-with-last, exactly
-// as Graph.RemoveEdge perturbs surviving neighbor order. The sorted
-// ranges of the dedup scan are arena scratch; the result's own membership
-// ranges are built by its first membership query, like any other Frozen.
-func (b *CSRBuilder) FinalizeSimplified(workers int) (*Frozen, int, int) {
+// The snapshot's neighbor array keeps the multigraph's capacity, so it
+// holds the deleted entries' memory for its lifetime. That is what lets
+// it refill a retired one through arena (Recycle), which it does only if
+// that one has room for the multigraph. Its membership ranges are built
+// by its first membership query, like any other Frozen's.
+func SimplifyPairs(n int, pairs []int32, workers int, arena *CSRArena) (*Frozen, int, int) {
 	if workers < 1 {
 		workers = 1
 	}
-	n := b.n
-	offsets0 := b.arena.Grab(n + 1)
-	neighbors0, edges0 := b.scatter(workers, offsets0, b.arena.Grab)
-	sorted0 := b.arena.Grab(len(neighbors0))
-	if workers > 1 {
-		fillSortedParallel(sorted0, offsets0, neighbors0, workers)
-	} else {
-		next := b.arena.Grab(n)
-		fillSortedTranspose(sorted0, next, offsets0, neighbors0)
-		b.arena.Release(next)
+	// Split the array into ~workers pair-aligned pieces so the scatter's
+	// segments fan out; where the cuts fall never changes the result.
+	per := (len(pairs)/2 + workers - 1) / workers * 2
+	pieces := make([][]int32, 0, workers)
+	for lo := 0; lo < len(pairs); lo += per {
+		pieces = append(pieces, pairs[lo:min(lo+per, len(pairs))])
 	}
+	offsets, neighbors := arena.csrArrays(n, len(pairs))
+	edges := scatter(n, pieces, workers, arena, offsets, neighbors)
 
-	// Replay Simplify: scan each node's sorted range ascending — node
-	// order ascending, values ascending — which enumerates the edge keys
-	// (u<=v pairs, via the v>=u half of each range) in exactly the sorted
-	// key order Simplify uses. Deletions mutate only the live prefixes of
-	// neighbors0, never sorted0, so the scan and the replay interleave
-	// safely.
-	lens := b.arena.Grab(n)
+	// Replay Simplify row by row — its deletions touch each row
+	// independently, RemoveEdge(u,v) stripping one entry from u's row
+	// and one from v's — and move each row's survivors left to its new
+	// offset as soon as it is done, in place: the new offset never passes
+	// the old one, so no row is overwritten before its replay.
+	maxRow := int32(0)
 	for u := 0; u < n; u++ {
-		lens[u] = offsets0[u+1] - offsets0[u]
+		maxRow = max(maxRow, offsets[u+1]-offsets[u])
 	}
-	removeFirst := func(u int, w int32) {
-		row := neighbors0[offsets0[u] : offsets0[u]+lens[u]]
-		for i, x := range row {
-			if x == w {
-				row[i] = row[len(row)-1]
-				lens[u]--
-				return
-			}
+	var r rowReplay
+	r.grab(arena, n, int(maxRow))
+	start, live := int32(0), int32(0)
+	for u := 0; u < n; u++ {
+		end := offsets[u+1]
+		l := r.replayRow(int32(u), neighbors[start:end])
+		copy(neighbors[live:], neighbors[start:start+l])
+		live += l
+		offsets[u+1] = live
+		start = end
+	}
+	arena.Release(r.base)
+	f := &Frozen{offsets: offsets, neighbors: neighbors[:live], edges: edges - r.selfLoops - r.multiEdges}
+	return f, r.selfLoops, r.multiEdges
+}
+
+// rowReplay is the scratch for replaying Graph.Simplify on CSR rows, and
+// its tally of the deletions.
+type rowReplay struct {
+	// base is the one arena buffer the fields below are carved from.
+	base []int32
+	// mark is indexed by node and zero between rows; within a row it
+	// first counts each value's copies, then holds its list index + 1.
+	mark []int32
+	// vals are the row's values with pending deletions, ascending; the
+	// live positions of vals[k] are pos[lo[k]:hi[k]], and where[p] is the
+	// index in pos that holds position p.
+	vals, lo, hi, pos, where []int32
+
+	selfLoops, multiEdges int
+}
+
+// grab carves the scratch for rows of up to maxRow entries on n nodes
+// out of one arena buffer. A row has at most maxRow/2 values with two or
+// more copies, and at most maxRow positions among them.
+func (r *rowReplay) grab(arena *CSRArena, n, maxRow int) {
+	half := maxRow / 2
+	r.base = arena.Grab(n + 3*half + 2*maxRow)
+	clear(r.base[:n])
+	r.mark = r.base[:n]
+	r.vals = r.base[n : n+half]
+	r.lo = r.base[n+half : n+2*half]
+	r.hi = r.base[n+2*half : n+3*half]
+	r.pos = r.base[n+3*half : n+3*half+maxRow]
+	r.where = r.base[n+3*half+maxRow:]
+}
+
+// replayRow applies to row, node u's multigraph adjacency, the deletions
+// Graph.Simplify makes in it, and returns the length of the live prefix
+// that remains. Simplify visits edge keys (min, max) ascending, so row u
+// receives its deletions in ascending value order: for each value v ≠ u
+// with c copies, c−1 RemoveEdge(u, v) — each taking v's first live copy
+// by swap-with-last — and for v = u every copy, two per self-loop. Each
+// deletion is O(1): the hole is v's smallest live position, and when the
+// entry swapped into it is a value still to come, that value's position
+// moves from the row's last to the hole in place, so its positions,
+// collected ascending, may fall out of order; they are sorted once, at
+// the value's turn. A row of length L thus costs O(L log L) at worst,
+// and O(L) when nothing moves out of order.
+func (r *rowReplay) replayRow(u int32, row []int32) int32 {
+	mark := r.mark
+	for _, x := range row {
+		mark[x]++
+	}
+	vals := r.vals[:0]
+	for _, x := range row {
+		switch c := mark[x]; {
+		case c == 1:
+			mark[x] = 0
+		case c > 1:
+			vals = append(vals, x)
+			mark[x] = -c // collected; the count is kept negated
 		}
 	}
-	selfLoops, multiEdges := 0, 0
-	for u := 0; u < n; u++ {
-		row := sorted0[offsets0[u]:offsets0[u+1]]
-		for i := 0; i < len(row); {
-			v := row[i]
-			j := i + 1
-			for j < len(row) && row[j] == v {
-				j++
-			}
-			c := j - i
-			if int(v) == u {
-				// c adjacency entries = c/2 self-loops; delete them all.
-				// Each RemoveEdge(u,u) strips two entries from u's row.
-				for k := 0; k < c/2; k++ {
-					selfLoops++
-					removeFirst(u, v)
-					removeFirst(u, v)
+	if len(vals) == 0 {
+		return int32(len(row))
+	}
+	slices.Sort(vals)
+	lo, hi, pos, where := r.lo, r.hi, r.pos, r.where
+	next := int32(0)
+	for k, v := range vals {
+		lo[k], hi[k] = next, next
+		next -= mark[v]
+		mark[v] = int32(k + 1)
+	}
+	for p, x := range row {
+		if k := mark[x] - 1; k >= 0 {
+			pos[hi[k]] = int32(p)
+			where[p] = hi[k]
+			hi[k]++
+		}
+	}
+
+	last := int32(len(row)) - 1
+	for k, v := range vals {
+		del := hi[k] - lo[k] - 1
+		switch {
+		case v == u:
+			del++ // every copy: c/2 self-loops
+			r.selfLoops += int(del) / 2
+		case v > u:
+			r.multiEdges += int(del) // counted once, from the smaller endpoint's row
+		}
+		if live := pos[lo[k]:hi[k]]; !slices.IsSorted(live) {
+			slices.Sort(live)
+		}
+		for ; del > 0; del-- {
+			x := row[last]
+			if x == v {
+				// v's own last copy fills the hole: v keeps its smallest
+				// position and loses its largest.
+				hi[k]--
+			} else {
+				i := pos[lo[k]]
+				row[i] = x
+				lo[k]++
+				if mark[x]-1 > int32(k) {
+					// x is still to come: its position last becomes i.
+					pos[where[last]] = i
+					where[i] = where[last]
 				}
-			} else if int(v) > u && c > 1 {
-				// Parallel edges: keep one copy, delete c-1, each
-				// RemoveEdge(u,v) stripping one entry from both rows.
-				for k := 0; k < c-1; k++ {
-					multiEdges++
-					removeFirst(u, v)
-					removeFirst(int(v), int32(u))
-				}
 			}
-			i = j
+			last--
 		}
+		mark[v] = 0
 	}
-
-	// Compact the survivors into final arrays of exact length.
-	total := 0
-	for _, l := range lens {
-		total += int(l)
-	}
-	f := &Frozen{edges: edges0 - selfLoops - multiEdges}
-	f.offsets, f.neighbors = b.arena.csrArrays(n, total)
-	f.offsets[0] = 0
-	for u := 0; u < n; u++ {
-		f.offsets[u+1] = f.offsets[u] + lens[u]
-	}
-	parallelNodeRanges(n, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			copy(f.neighbors[f.offsets[u]:f.offsets[u+1]], neighbors0[offsets0[u]:offsets0[u]+lens[u]])
-		}
-	})
-
-	b.arena.Release(lens)
-	b.arena.Release(sorted0)
-	b.arena.Release(neighbors0)
-	b.arena.Release(offsets0)
-	return f, selfLoops, multiEdges
+	return last + 1
 }

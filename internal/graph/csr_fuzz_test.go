@@ -4,10 +4,12 @@ import "testing"
 
 // FuzzCSRBuilderEquivalence feeds arbitrary byte-derived edge streams —
 // self-loops and parallel edges arise constantly at these tiny node
-// counts — to the CSRBuilder and to the mutable-Graph reference path,
-// asserting byte-identical offsets/neighbors/sorted arrays for both the
-// multigraph (Finalize vs Freeze) and simplified (FinalizeSimplified vs
-// Simplify+FreezePar) contracts. `go test -fuzz FuzzCSRBuilder`
+// counts — to the direct-to-CSR builders and to the mutable-Graph
+// reference path, asserting byte-identical offsets/neighbors/sorted
+// arrays for both the multigraph (CSRBuilder.Finalize vs Freeze) and
+// simplified (SimplifyPairs vs Simplify+FreezePar) contracts. The
+// simplified side runs once with each of the two small bytes as its
+// worker count, which is also how many pieces the stream is cut into. `go test -fuzz FuzzCSRBuilder`
 // explores further; the seed corpus runs in every ordinary test and race
 // invocation.
 func FuzzCSRBuilderEquivalence(f *testing.F) {
@@ -38,10 +40,12 @@ func FuzzCSRBuilderEquivalence(f *testing.F) {
 
 		wantLoops, wantEdges := g.Simplify()
 		wantSimple := g.FreezePar(1)
-		gotSimple, loops, multi := builderFromStream(n, stream, chunks, arena).FinalizeSimplified(w)
-		if loops != wantLoops || multi != wantEdges {
-			t.Fatalf("deletions (%d,%d), want (%d,%d)", loops, multi, wantLoops, wantEdges)
+		for _, sw := range []int{w, chunks} {
+			gotSimple, loops, multi := SimplifyPairs(n, flatPairs(stream), sw, arena)
+			if loops != wantLoops || multi != wantEdges {
+				t.Fatalf("W=%d: deletions (%d,%d), want (%d,%d)", sw, loops, multi, wantLoops, wantEdges)
+			}
+			expectIdentical(t, "fuzz simplified", wantSimple, gotSimple)
 		}
-		expectIdentical(t, "fuzz simplified", wantSimple, gotSimple)
 	})
 }

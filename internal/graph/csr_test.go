@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -60,6 +61,15 @@ func builderFromStream(n int, stream [][2]int32, chunkCount int, arena *CSRArena
 	return b
 }
 
+// flatPairs lays the stream out as one pair array, SimplifyPairs' input.
+func flatPairs(stream [][2]int32) []int32 {
+	pairs := make([]int32, 0, 2*len(stream))
+	for _, e := range stream {
+		pairs = append(pairs, e[0], e[1])
+	}
+	return pairs
+}
+
 // expectIdentical asserts two Frozens match byte for byte: offsets,
 // insertion-order neighbors, sorted ranges, and edge count. Both sides'
 // SortedNeighbors — built on this first call — are held against want's
@@ -111,34 +121,127 @@ func TestCSRBuilderMatchesFreeze(t *testing.T) {
 }
 
 // TestCSRBuilderSimplifiedMatchesGraph pins the cleanup contract:
-// FinalizeSimplified is byte-identical to Graph+Simplify+FreezePar on
-// the same stream — surviving neighbor order included, which exercises
+// SimplifyPairs is byte-identical to Graph+Simplify+FreezePar on the
+// same stream — surviving neighbor order included, which exercises
 // Simplify's swap-with-last removal — and reports the same deletion
-// counts. Its sorted dedup scratch must not escape: the result's
-// membership ranges stay unbuilt until first use.
+// counts, for every worker count, which is also the number of pieces the
+// stream is scattered in. It does not build the result's membership
+// ranges: they stay unbuilt until first use. Besides random streams it
+// runs replayCases, the orders that stress the row replay, with workers
+// 1 to 4 and 7.
 func TestCSRBuilderSimplifiedMatchesGraph(t *testing.T) {
 	t.Parallel()
 	arena := NewCSRArena()
+	check := func(label string, n int, stream [][2]int32, workerCounts []int) {
+		t.Helper()
+		g := graphFromStream(t, n, stream)
+		wantLoops, wantMulti := g.Simplify()
+		want := g.FreezePar(1)
+		pairs := flatPairs(stream)
+		for _, workers := range workerCounts {
+			got, loops, multi := SimplifyPairs(n, pairs, workers, arena)
+			if loops != wantLoops || multi != wantMulti {
+				t.Fatalf("%s W=%d: deletions (%d,%d), want (%d,%d)", label, workers, loops, multi, wantLoops, wantMulti)
+			}
+			if got.sorted != nil {
+				t.Fatalf("%s W=%d: SimplifyPairs built the membership ranges", label, workers)
+			}
+			expectIdentical(t, fmt.Sprintf("%s W=%d", label, workers), want, got)
+		}
+	}
 	for _, tc := range []struct{ n, edges int }{
 		{1, 6}, {2, 9}, {5, 50}, {40, 500}, {256, 2048}, {2000, 1500},
 	} {
 		stream := randomEdgeStream(uint64(tc.n)*977+uint64(tc.edges), tc.n, tc.edges)
-		g := graphFromStream(t, tc.n, stream)
-		wantLoops, wantMulti := g.Simplify()
-		want := g.FreezePar(1)
-		for _, chunks := range []int{1, 5, 32} {
-			for _, workers := range []int{1, 3} {
-				got, loops, multi := builderFromStream(tc.n, stream, chunks, arena).FinalizeSimplified(workers)
-				if loops != wantLoops || multi != wantMulti {
-					t.Fatalf("n=%d: deletions (%d,%d), want (%d,%d)", tc.n, loops, multi, wantLoops, wantMulti)
-				}
-				if got.sorted != nil {
-					t.Fatalf("n=%d: FinalizeSimplified built the membership ranges", tc.n)
-				}
-				expectIdentical(t, "simplified", want, got)
+		check(fmt.Sprintf("random n=%d", tc.n), tc.n, stream, []int{1, 3, 5, 32})
+	}
+	for _, tc := range replayCases() {
+		check(tc.name, tc.n, tc.stream, []int{1, 2, 3, 4, 7})
+	}
+}
+
+// replayCase is one hand-built stream for the simplify replay.
+type replayCase struct {
+	name   string
+	n      int
+	stream [][2]int32
+}
+
+// replayCases are the streams whose rows stress the row-by-row replay of
+// Graph.Simplify: the entry swap-with-last moves into a hole is a pending
+// duplicate, of the deleted value itself or of a larger one still to
+// come; a value with three or more copies beside two or more self-loops;
+// hub rows whose duplicated neighbours arrive in descending order; and a
+// row whose last value fills every earlier hole.
+// Shuffled copies of the small rows vary where the copies sit. The cases
+// with n <= 64 are also the FuzzCSRBuilderEquivalence seed corpus.
+func replayCases() []replayCase {
+	edges := func(es ...int32) [][2]int32 {
+		out := make([][2]int32, 0, len(es)/2)
+		for i := 0; i+1 < len(es); i += 2 {
+			out = append(out, [2]int32{es[i], es[i+1]})
+		}
+		return out
+	}
+	// Row 0 is [5 7 5 5]: both deletions of 5 are filled by 5's own
+	// last copy.
+	sameTail := edges(0, 5, 0, 7, 5, 0, 0, 5)
+	// Row 1 is [4 6 4 6 6 4 6]: 4's first hole takes a 6, whose largest
+	// position becomes its smallest; row 2 is [9 3 9 3 9], where the 9
+	// moved into 3's hole lands between two 9s.
+	largerTail := edges(1, 4, 1, 6, 1, 4, 1, 6, 1, 6, 1, 4, 1, 6,
+		2, 9, 3, 2, 2, 9, 2, 3, 9, 2)
+	// Row 3 holds three self-loops, three copies of 1 below 3 and three
+	// copies of 5 above it.
+	loopsAndTriples := edges(3, 3, 3, 5, 3, 3, 5, 3, 3, 3, 3, 5, 3, 1, 1, 3, 3, 1)
+	cases := []replayCase{
+		{"same-value tail", 8, sameTail},
+		{"larger pending tail", 10, largerTail},
+		{"triples beside self-loops", 6, loopsAndTriples},
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, c := range cases[:3] {
+			stream := slices.Clone(c.stream)
+			rng := splitMix64(seed)
+			for i := len(stream) - 1; i > 0; i-- {
+				j := int(rng.next() % uint64(i+1))
+				stream[i], stream[j] = stream[j], stream[i]
 			}
+			cases = append(cases, replayCase{fmt.Sprintf("%s, shuffle %d", c.name, seed), c.n, stream})
 		}
 	}
+	// A hub with 63 neighbours, 16 copies each, every round descending
+	// and every other round reversed in orientation.
+	var hub64 [][2]int32
+	for round := 0; round < 16; round++ {
+		for v := int32(63); v >= 1; v-- {
+			e := [2]int32{0, v}
+			if round%2 == 1 {
+				e = [2]int32{v, 0}
+			}
+			hub64 = append(hub64, e)
+		}
+	}
+	cases = append(cases, replayCase{"hub of 63 x16, descending", 64, hub64})
+	// Row 0 holds 31 values twice each, then 32 copies of 63: every
+	// deletion of a small value pulls a 63 from the row's end into its
+	// hole, so 63's positions are out of order by its turn.
+	var parked [][2]int32
+	for v := int32(1); v <= 31; v++ {
+		parked = append(parked, [2]int32{0, v}, [2]int32{v, 0})
+	}
+	for c := 0; c < 32; c++ {
+		parked = append(parked, [2]int32{0, 63})
+	}
+	cases = append(cases, replayCase{"value parked behind duplicates", 64, parked})
+	// A hub with 10^3 neighbours, two copies each, both rounds descending.
+	var hub1000 [][2]int32
+	for round := 0; round < 2; round++ {
+		for v := int32(1000); v >= 1; v-- {
+			hub1000 = append(hub1000, [2]int32{0, v})
+		}
+	}
+	return append(cases, replayCase{"hub of 1000 x2, descending", 1001, hub1000})
 }
 
 // TestSegmentChunksEmptyStream pins the empty-stream clamp: an edgeless
@@ -164,8 +267,8 @@ func TestCSRArenaReuseIsInvisible(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		n := 10 + round*37
 		stream := randomEdgeStream(uint64(round), n, 60+round*91)
-		fresh, fl, fm := builderFromStream(n, stream, 4, nil).FinalizeSimplified(2)
-		pooled, pl, pm := builderFromStream(n, stream, 4, arena).FinalizeSimplified(2)
+		fresh, fl, fm := SimplifyPairs(n, flatPairs(stream), 2, nil)
+		pooled, pl, pm := SimplifyPairs(n, flatPairs(stream), 2, arena)
 		if fl != pl || fm != pm {
 			t.Fatalf("round %d: deletion counts diverged under arena reuse", round)
 		}
@@ -176,7 +279,7 @@ func TestCSRArenaReuseIsInvisible(t *testing.T) {
 // TestCSRArenaRecycleRefillsSnapshot pins the retirement contract: each
 // freeze on an arena refills the snapshot the previous round retired into
 // it (Recycle) when its arrays fit — through Freeze, Finalize and
-// FinalizeSimplified alike, on shapes that grow and shrink — and the
+// SimplifyPairs alike, on shapes that grow and shrink — and the
 // result equals a fresh freeze, membership ranges included, even when the
 // retired snapshot had built its own by a HasEdge. A refilled snapshot
 // starts with a fresh header: no sorted ranges carry over, and the
@@ -216,7 +319,7 @@ func TestCSRArenaRecycleRefillsSnapshot(t *testing.T) {
 		case 1:
 			got = builderFromStream(tc.n, stream, 3, arena).Finalize(2, false)
 		case 2:
-			got, _, _ = builderFromStream(tc.n, stream, 3, arena).FinalizeSimplified(2)
+			got, _, _ = SimplifyPairs(tc.n, flatPairs(stream), 2, arena)
 		}
 		if got.sorted != nil {
 			t.Fatalf("round %d: a refilled snapshot carried membership ranges", round)

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // Frozen is a compressed-sparse-row (CSR) snapshot of a Graph: the whole
 // adjacency structure flattened into two int32 arrays (offsets, neighbors)
@@ -132,38 +129,6 @@ func parallelNodeRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// fillSortedParallel fills caller-provided storage with the same per-node
-// ascending neighbor array as sortedFromAdjacency by sorting each node's
-// range independently, which parallelizes over node ranges (the counting
-// transpose writes to arbitrary target buckets and cannot). The sorted
-// multiset of a range is unique, so both constructions yield the
-// identical array. The CSR builder stages its dedup scan's sorted ranges
-// in arena scratch with it.
-func fillSortedParallel(sorted, offsets, neighbors []int32, workers int) {
-	n := len(offsets) - 1
-	copy(sorted, neighbors)
-	parallelNodeRanges(n, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			a := sorted[offsets[u]:offsets[u+1]]
-			if len(a) <= 24 {
-				// Insertion sort: most adjacency ranges are mean-degree
-				// short, where this beats slices.Sort's overhead.
-				for i := 1; i < len(a); i++ {
-					v := a[i]
-					j := i - 1
-					for j >= 0 && a[j] > v {
-						a[j+1] = a[j]
-						j--
-					}
-					a[j+1] = v
-				}
-				continue
-			}
-			slices.Sort(a) // hubs: degree can reach O(N) without a cutoff
-		}
-	})
-}
-
 // ensureSorted builds the sorted ranges once, on the first membership
 // query. sync.Once makes concurrent first readers safe and later reads a
 // single atomic load.
@@ -181,15 +146,8 @@ func (f *Frozen) ensureSorted() {
 // both sides). O(V+E), no comparison sort.
 func sortedFromAdjacency(offsets, neighbors []int32) []int32 {
 	sorted := make([]int32, len(neighbors))
-	next := make([]int32, len(offsets)-1)
-	fillSortedTranspose(sorted, next, offsets, neighbors)
-	return sorted
-}
-
-// fillSortedTranspose is sortedFromAdjacency writing into caller-provided
-// storage (sorted for the result, next as n-entry scratch).
-func fillSortedTranspose(sorted, next, offsets, neighbors []int32) {
-	n := len(next)
+	n := len(offsets) - 1
+	next := make([]int32, n)
 	copy(next, offsets[:n])
 	for u := 0; u < n; u++ {
 		for _, v := range neighbors[offsets[u]:offsets[u+1]] {
@@ -197,6 +155,7 @@ func fillSortedTranspose(sorted, next, offsets, neighbors []int32) {
 			next[v]++
 		}
 	}
+	return sorted
 }
 
 // N returns the number of nodes.

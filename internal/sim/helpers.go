@@ -23,8 +23,9 @@ import (
 // one the lane's arena lends, whose rows keep their capacity from build to
 // build — and freeze it on the arena here, in the pipelined build stage,
 // before the lane's next build resets it. CM (and the GRN substrates) never
-// query the graph mid-build, so they emit straight into a graph.CSRBuilder
-// and no mutable Graph ever exists. Either way the snapshot is minted by
+// query the graph mid-build, so their pair streams — CM's stub array, GRN's
+// graph.CSRBuilder chunks — are scattered straight into the snapshot and
+// no mutable Graph ever exists. Either way the snapshot is minted by
 // the lane: its freeze refills the arrays of the retired snapshot the lane
 // handed its arena, when they fit, and goes back for a later build to
 // refill: a batch that sweeps it (minted) retires it after its last sweep,

@@ -60,16 +60,15 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("ks-trials %d must be >= 0 (0 = skip)", *ksTrials)
 	}
 
-	g, err := load(*in, *n, *m, *kc, *seed)
+	// Every section, the robustness probe included, reads one snapshot.
+	f, err := load(*in, *n, *m, *kc, *seed)
 	if err != nil {
 		return err
 	}
-	if g.N() == 0 {
+	if f.N() == 0 {
 		return fmt.Errorf("in %s: the edge list has no nodes", *in)
 	}
 	rng := scalefree.NewRNG(*seed + 1)
-	// Every section, the robustness probe included, reads one snapshot.
-	f := scalefree.Freeze(g)
 
 	fmt.Fprintln(out, "== size ==")
 	mean := float64(f.TotalDegree()) / float64(f.N())
@@ -146,19 +145,19 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func load(path string, n, m, kc int, seed uint64) (*scalefree.Graph, error) {
+func load(path string, n, m, kc int, seed uint64) (*scalefree.FrozenTopology, error) {
 	if path == "" {
-		g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: n, M: m, KC: kc}, scalefree.NewRNG(seed))
-		return g, err
+		f, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: n, M: m, KC: kc}, scalefree.NewRNG(seed))
+		return f, err
 	}
-	f, err := os.Open(path)
+	file, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		if cerr := f.Close(); cerr != nil {
+		if cerr := file.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "analyze: close:", cerr)
 		}
 	}()
-	return scalefree.ReadEdgeList(f)
+	return scalefree.ReadEdgeList(file)
 }

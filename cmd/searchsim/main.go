@@ -68,18 +68,16 @@ func run(args []string, out io.Writer) error {
 		*kmin = *m
 	}
 
-	g, err := load(*in, *n, *m, *kc, *seed)
+	// The whole workload sweeps one static topology: every search runs
+	// allocation-free on its CSR snapshot.
+	f, err := load(*in, *n, *m, *kc, *seed)
 	if err != nil {
 		return err
 	}
-	if g.N() == 0 {
+	if f.N() == 0 {
 		return fmt.Errorf("in %s: the edge list has no nodes", *in)
 	}
 	rng := scalefree.NewRNG(*seed + 1)
-
-	// The whole workload sweeps one static topology: freeze it once and
-	// run every search allocation-free on the CSR snapshot.
-	f := scalefree.Freeze(g)
 	scratch := scalefree.NewSearchScratch(f.N())
 	type row struct {
 		hits, msgs []float64
@@ -115,7 +113,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "topology: nodes=%d edges=%d maxdeg=%d; %d sources, kmin=%d\n",
-		g.N(), g.M(), g.MaxDegree(), *sources, *kmin)
+		f.N(), f.M(), f.MaxDegree(), *sources, *kmin)
 	tw := tabwriter.NewWriter(out, 4, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "tau")
 	for _, a := range algs {
@@ -132,19 +130,19 @@ func run(args []string, out io.Writer) error {
 	return tw.Flush()
 }
 
-func load(path string, n, m, kc int, seed uint64) (*scalefree.Graph, error) {
+func load(path string, n, m, kc int, seed uint64) (*scalefree.FrozenTopology, error) {
 	if path == "" {
-		g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: n, M: m, KC: kc}, scalefree.NewRNG(seed))
-		return g, err
+		f, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: n, M: m, KC: kc}, scalefree.NewRNG(seed))
+		return f, err
 	}
-	f, err := os.Open(path)
+	file, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		if cerr := f.Close(); cerr != nil {
+		if cerr := file.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "searchsim: close:", cerr)
 		}
 	}()
-	return scalefree.ReadEdgeList(f)
+	return scalefree.ReadEdgeList(file)
 }

@@ -61,48 +61,48 @@ func run(args []string, out io.Writer) (err error) {
 		return fmt.Errorf("unknown format %q (want edges or dot)", *format)
 	}
 
-	g, err := generate(*model, *n, *m, *kc, *gamma, *tau, *nsub, *kbar, *beta, *seed)
+	f, err := generate(*model, *n, *m, *kc, *gamma, *tau, *nsub, *kbar, *beta, *seed)
 	if err != nil {
 		return err
 	}
 
 	w := out
 	if *outPath != "" {
-		f, cerr := os.Create(*outPath)
+		file, cerr := os.Create(*outPath)
 		if cerr != nil {
 			return fmt.Errorf("create %s: %w", *outPath, cerr)
 		}
 		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
+			if cerr := file.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}()
-		w = f
+		w = file
 	}
 	if *format == "dot" {
-		err = g.WriteDOT(w, *model)
+		err = f.WriteDOT(w, *model)
 	} else {
-		err = g.WriteEdgeList(w)
+		err = f.WriteEdgeList(w)
 	}
 	if err != nil {
 		return err
 	}
-	printSummary(os.Stderr, g)
+	printSummary(os.Stderr, f)
 	return nil
 }
 
-func generate(model string, n, m, kc int, gamma float64, tau, nsub int, kbar, beta float64, seed uint64) (*scalefree.Graph, error) {
+func generate(model string, n, m, kc int, gamma float64, tau, nsub int, kbar, beta float64, seed uint64) (*scalefree.FrozenTopology, error) {
 	rng := scalefree.NewRNG(seed)
 	switch model {
 	case "pa":
-		g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: n, M: m, KC: kc}, rng)
-		return g, err
+		f, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: n, M: m, KC: kc}, rng)
+		return f, err
 	case "cm":
-		g, _, err := scalefree.GenerateCM(scalefree.CMConfig{N: n, M: m, KC: kc, Gamma: gamma}, rng)
-		return g, err
+		f, _, err := scalefree.GenerateCM(scalefree.CMConfig{N: n, M: m, KC: kc, Gamma: gamma}, rng)
+		return f, err
 	case "hapa":
-		g, _, err := scalefree.GenerateHAPA(scalefree.HAPAConfig{N: n, M: m, KC: kc}, rng)
-		return g, err
+		f, _, err := scalefree.GenerateHAPA(scalefree.HAPAConfig{N: n, M: m, KC: kc}, rng)
+		return f, err
 	case "dapa":
 		if nsub <= 0 {
 			nsub = 2 * n
@@ -111,16 +111,13 @@ func generate(model string, n, m, kc int, gamma float64, tau, nsub int, kbar, be
 		if err != nil {
 			return nil, fmt.Errorf("substrate: %w", err)
 		}
-		ov, _, err := scalefree.GenerateDAPA(scalefree.Freeze(sub), scalefree.DAPAConfig{
+		f, _, err := scalefree.GenerateDAPA(sub, scalefree.DAPAConfig{
 			NOverlay: n, M: m, KC: kc, TauSub: tau,
 		}, rng)
-		if err != nil {
-			return nil, err
-		}
-		return ov.G, nil
+		return f, err
 	case "grn":
-		g, _, err := scalefree.GenerateGRN(scalefree.GRNConfig{N: n, MeanDegree: kbar}, rng)
-		return g, err
+		f, _, err := scalefree.GenerateGRN(scalefree.GRNConfig{N: n, MeanDegree: kbar}, rng)
+		return f, err
 	case "mesh":
 		side := int(math.Ceil(math.Sqrt(float64(n))))
 		return scalefree.GenerateMesh(side, side)
@@ -133,8 +130,7 @@ func generate(model string, n, m, kc int, gamma float64, tau, nsub int, kbar, be
 	}
 }
 
-func printSummary(w *os.File, g *scalefree.Graph) {
-	f := scalefree.Freeze(g)
+func printSummary(w *os.File, f *scalefree.FrozenTopology) {
 	mean := 0.0
 	if f.N() > 0 {
 		mean = float64(f.TotalDegree()) / float64(f.N())

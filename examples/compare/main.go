@@ -34,35 +34,32 @@ func main() {
 
 type topology struct {
 	name string
-	gen  func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error)
+	gen  func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error)
 }
 
 func run() error {
 	topos := []topology{
-		{"PA", func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error) {
-			g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: nodes, M: m, KC: kc}, rng)
-			return g, err
+		{"PA", func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error) {
+			f, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: nodes, M: m, KC: kc}, rng)
+			return f, err
 		}},
-		{"CM", func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error) {
-			g, _, err := scalefree.GenerateCM(scalefree.CMConfig{N: nodes, M: m, KC: kc, Gamma: 2.6}, rng)
-			return g, err
+		{"CM", func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error) {
+			f, _, err := scalefree.GenerateCM(scalefree.CMConfig{N: nodes, M: m, KC: kc, Gamma: 2.6}, rng)
+			return f, err
 		}},
-		{"HAPA", func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error) {
-			g, _, err := scalefree.GenerateHAPA(scalefree.HAPAConfig{N: nodes, M: m, KC: kc}, rng)
-			return g, err
+		{"HAPA", func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error) {
+			f, _, err := scalefree.GenerateHAPA(scalefree.HAPAConfig{N: nodes, M: m, KC: kc}, rng)
+			return f, err
 		}},
-		{"DAPA", func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error) {
+		{"DAPA", func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error) {
 			sub, _, err := scalefree.GenerateGRN(scalefree.GRNConfig{N: 2 * nodes, MeanDegree: 10}, rng)
 			if err != nil {
 				return nil, err
 			}
-			ov, _, err := scalefree.GenerateDAPA(scalefree.Freeze(sub), scalefree.DAPAConfig{
+			f, _, err := scalefree.GenerateDAPA(sub, scalefree.DAPAConfig{
 				NOverlay: nodes, M: m, KC: kc, TauSub: tauSub,
 			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			return ov.G, nil
+			return f, err
 		}},
 	}
 
@@ -71,11 +68,10 @@ func run() error {
 	for ti, topo := range topos {
 		for _, kc := range []int{scalefree.NoCutoff, hardKC} {
 			rng := scalefree.NewRNG(uint64(seedBase + ti))
-			g, err := topo.gen(kc, rng)
+			f, err := topo.gen(kc, rng)
 			if err != nil {
 				return fmt.Errorf("%s kc=%d: %w", topo.name, kc, err)
 			}
-			f := scalefree.Freeze(g)
 			fl, nf, rw, err := measure(f, rng)
 			if err != nil {
 				return err

@@ -22,23 +22,23 @@ func run() error {
 
 	// 1. Build a 10,000-peer overlay by preferential attachment where no
 	//    peer accepts more than 40 links (the paper's hard cutoff).
-	g, genStats, err := scalefree.GeneratePA(scalefree.PAConfig{N: 10_000, M: 2, KC: 40}, rng)
+	//    The generator returns a read-only snapshot, and every read below
+	//    runs on it.
+	f, genStats, err := scalefree.GeneratePA(scalefree.PAConfig{N: 10_000, M: 2, KC: 40}, rng)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("topology: %d peers, %d links, max degree %d (cutoff 40), fallback stubs %d\n",
-		g.N(), g.M(), g.MaxDegree(), genStats.Fallbacks)
+		f.N(), f.M(), f.MaxDegree(), genStats.Fallbacks)
 
-	// 2. Freeze the finished overlay once: every read below runs on the
-	//    snapshot. The degree distribution is a power law P(k) ~ k^-gamma
-	//    with a spike at the cutoff.
-	f := scalefree.Freeze(g)
+	// 2. The degree distribution is a power law P(k) ~ k^-gamma with a
+	//    spike at the cutoff.
 	fit, err := scalefree.FitDegreeExponent(scalefree.DegreeDistribution(f), 2, 0)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("degree exponent: gamma = %.2f ± %.2f (natural cutoff would be %.0f)\n",
-		fit.Gamma, fit.StdErr, scalefree.NaturalCutoff(g.N(), 2, 3))
+		fit.Gamma, fit.StdErr, scalefree.NaturalCutoff(f.N(), 2, 3))
 
 	// 3. Compare search efficiency from one source.
 	const src, ttl, kMin = 0, 8, 2

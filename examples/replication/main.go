@@ -40,11 +40,10 @@ func main() {
 
 func run() error {
 	rng := scalefree.NewRNG(seed)
-	g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: nodes, M: m, KC: hardKC}, rng)
+	f, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: nodes, M: m, KC: hardKC}, rng)
 	if err != nil {
 		return err
 	}
-	f := scalefree.Freeze(g)
 	cat, err := scalefree.NewCatalog(items, alpha)
 	if err != nil {
 		return err

@@ -38,37 +38,34 @@ func run(outdir string) error {
 	}
 	type variant struct {
 		name string
-		gen  func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error)
+		gen  func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error)
 	}
 	variants := []variant{
-		{"pa", func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error) {
-			g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: nodes, M: m, KC: kc}, rng)
-			return g, err
+		{"pa", func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error) {
+			f, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: nodes, M: m, KC: kc}, rng)
+			return f, err
 		}},
-		{"cm", func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error) {
+		{"cm", func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error) {
 			effKC := kc
 			if effKC == scalefree.NoCutoff {
 				effKC = nodes
 			}
-			g, _, err := scalefree.GenerateCM(scalefree.CMConfig{N: nodes, M: m, KC: effKC, Gamma: 2.5}, rng)
-			return g, err
+			f, _, err := scalefree.GenerateCM(scalefree.CMConfig{N: nodes, M: m, KC: effKC, Gamma: 2.5}, rng)
+			return f, err
 		}},
-		{"hapa", func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error) {
-			g, _, err := scalefree.GenerateHAPA(scalefree.HAPAConfig{N: nodes, M: m, KC: kc}, rng)
-			return g, err
+		{"hapa", func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error) {
+			f, _, err := scalefree.GenerateHAPA(scalefree.HAPAConfig{N: nodes, M: m, KC: kc}, rng)
+			return f, err
 		}},
-		{"dapa", func(kc int, rng *scalefree.RNG) (*scalefree.Graph, error) {
+		{"dapa", func(kc int, rng *scalefree.RNG) (*scalefree.FrozenTopology, error) {
 			sub, _, err := scalefree.GenerateGRN(scalefree.GRNConfig{N: 2 * nodes, MeanDegree: 10}, rng)
 			if err != nil {
 				return nil, err
 			}
-			ov, _, err := scalefree.GenerateDAPA(scalefree.Freeze(sub), scalefree.DAPAConfig{
+			f, _, err := scalefree.GenerateDAPA(sub, scalefree.DAPAConfig{
 				NOverlay: nodes, M: m, KC: kc, TauSub: 8,
 			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			return ov.G, nil
+			return f, err
 		}},
 	}
 	cutoffs := []struct {
@@ -80,16 +77,16 @@ func run(outdir string) error {
 	}
 	for _, v := range variants {
 		for _, c := range cutoffs {
-			g, err := v.gen(c.kc, scalefree.NewRNG(seed))
+			f, err := v.gen(c.kc, scalefree.NewRNG(seed))
 			if err != nil {
 				return fmt.Errorf("%s %s: %w", v.name, c.slug, err)
 			}
 			name := fmt.Sprintf("%s-%s", v.name, c.slug)
 			path := filepath.Join(outdir, name+".dot")
-			if err := writeDOT(path, g, name); err != nil {
+			if err := writeDOT(path, f, name); err != nil {
 				return err
 			}
-			fmt.Printf("%-12s N=%d  max degree %3d  -> %s\n", name, g.N(), g.MaxDegree(), path)
+			fmt.Printf("%-12s N=%d  max degree %3d  -> %s\n", name, f.N(), f.MaxDegree(), path)
 		}
 	}
 	fmt.Println("\nrender with graphviz, e.g.:  sfdp -Tsvg dot/hapa-nokc.dot -o hapa.svg")
@@ -98,15 +95,15 @@ func run(outdir string) error {
 	return nil
 }
 
-func writeDOT(path string, g *scalefree.Graph, name string) (err error) {
-	f, err := os.Create(path)
+func writeDOT(path string, f *scalefree.FrozenTopology, name string) (err error) {
+	file, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", path, err)
 	}
 	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
+		if cerr := file.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
-	return g.WriteDOT(f, name)
+	return f.WriteDOT(file, name)
 }

@@ -15,7 +15,7 @@ func TestPublicAPIKRandomWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewSearchScratch(0).KRandomWalks(Freeze(g), 0, 4, 100, NewRNG(4))
+	res, err := NewSearchScratch(0).KRandomWalks(g, 0, 4, 100, NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,10 @@ func TestPublicAPIKRandomWalks(t *testing.T) {
 
 func TestPublicAPIDelivery(t *testing.T) {
 	t.Parallel()
-	g, _, err := GeneratePA(PAConfig{N: 3000, M: 2}, NewRNG(5))
+	f, _, err := GeneratePA(PAConfig{N: 3000, M: 2}, NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Freeze(g)
 	fd, err := NewSearchScratch(0).FloodDelivery(f, 0, 1500, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -55,11 +54,10 @@ func TestPublicAPIDelivery(t *testing.T) {
 
 func TestPublicAPIMetrics(t *testing.T) {
 	t.Parallel()
-	g, _, err := GeneratePA(PAConfig{N: 3000, M: 3}, NewRNG(7))
+	f, _, err := GeneratePA(PAConfig{N: 3000, M: 3}, NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Freeze(g)
 	c := GlobalClustering(f)
 	if c < 0 || c > 1 {
 		t.Fatalf("clustering %v", c)

@@ -12,11 +12,10 @@ import (
 func TestFacadeTopologyWrappers(t *testing.T) {
 	t.Parallel()
 	rng := NewRNG(1)
-	g, _, err := GeneratePA(PAConfig{N: 600, M: 2, KC: 30}, rng)
+	f, _, err := GeneratePA(PAConfig{N: 600, M: 2, KC: 30}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Freeze(g)
 	if gi := DegreeGini(f); gi <= 0 || gi >= 1 {
 		t.Fatalf("DegreeGini = %v", gi)
 	}
@@ -34,7 +33,7 @@ func TestFacadeTopologyWrappers(t *testing.T) {
 // internal/search/golden_test.go exactly.
 func TestFacadeSearchGolden(t *testing.T) {
 	t.Parallel()
-	g, _, err := GeneratePA(PAConfig{N: 2000, M: 2, KC: 40}, NewRNG(11))
+	f, _, err := GeneratePA(PAConfig{N: 2000, M: 2, KC: 40}, NewRNG(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +43,6 @@ func TestFacadeSearchGolden(t *testing.T) {
 			t.Fatalf("%s = %v, want %v", name, got, want)
 		}
 	}
-	f := Freeze(g)
 	fl, err := Flood(f, 17, 8)
 	if err != nil {
 		t.Fatal(err)

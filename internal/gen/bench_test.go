@@ -7,14 +7,12 @@ import (
 	"scalefree/internal/graph"
 )
 
-// Build-path benchmarks: the mutable-Graph path (per-node slice
-// appends, then Freeze) versus the direct-CSR path
-// (chunked edge buffers + parallel count/scatter), at the scales the
-// experiment engine builds per realization. The *Graph variants include
-// the freeze the sim pipeline performs, so the pair compares the full
-// build-stage cost of producing one snapshot. The *Arena variants reuse
-// one CSRArena across iterations, which is exactly how a pipeline build
-// worker runs back-to-back realizations.
+// Build-path benchmarks: CM and GRN built straight into a snapshot (CM's
+// stub pairs scattered where they lie, GRN's chunked edge buffers laid
+// out by count/scatter), at the scales the experiment engine builds per
+// realization. The *CSR variants allocate every buffer afresh; the
+// *Arena variants reuse one CSRArena across iterations, which is exactly
+// how a pipeline build worker runs back-to-back realizations.
 
 // Paper scale for degree figures (Scale.NDegree) and substrates
 // (Scale.NSubstrate).
@@ -27,26 +25,13 @@ const (
 // arrays, plus any coordinate payload) as a custom metric. Every build
 // path must allocate at least this much per iteration — it escapes with
 // the snapshot — so B/op minus snapshotB/op is the transient allocation
-// traffic the direct-CSR path (and its arena) actually eliminates.
+// traffic of a build: what the arena variants eliminate.
 func reportSnapshotBytes(b *testing.B, f *graph.Frozen, extra int) {
 	bytes := 4*(f.N()+1) + 4*f.TotalDegree() + extra
 	b.ReportMetric(float64(bytes), "snapshotB/op")
 }
 
 func benchCMConfig() CMConfig { return CMConfig{N: benchCMNodes, M: 2, Gamma: 2.2} }
-
-func BenchmarkCMBuildGraph(b *testing.B) {
-	cfg := benchCMConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, _, err := CMBuild(cfg, NewBuild(phasesFor(1, uint64(i)), 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkFrozen = g.FreezePar(1)
-	}
-	reportSnapshotBytes(b, sinkFrozen, 0)
-}
 
 func BenchmarkCMBuildCSR(b *testing.B) {
 	cfg := benchCMConfig()
@@ -104,19 +89,6 @@ func BenchmarkCMFrozen(b *testing.B) {
 			b.ReportMetric(float64(deleted)/float64(b.N), "deleted/op")
 		})
 	}
-}
-
-func BenchmarkGRNBuildGraph(b *testing.B) {
-	cfg := GRNConfig{N: benchGRNNodes, MeanDegree: 10}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, _, err := GRNBuild(cfg, NewBuild(phasesFor(2, uint64(i)), 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkFrozen = g.Freeze()
-	}
-	reportSnapshotBytes(b, sinkFrozen, 16*benchGRNNodes)
 }
 
 func BenchmarkGRNBuildCSR(b *testing.B) {

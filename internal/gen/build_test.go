@@ -27,16 +27,17 @@ func phasesFor(seed, realization uint64) xrand.Phases {
 func seedBuild(seed uint64) Build { return NewBuild(phasesFor(seed, 0), 1) }
 
 // TestCMBuildWorkerInvariance pins the chunked-degree contract: a phased
-// CM build yields the identical graph (and Stats) for every Workers value.
+// CM build yields the identical snapshot (and Stats) for every Workers
+// value.
 func TestCMBuildWorkerInvariance(t *testing.T) {
 	t.Parallel()
 	cfg := CMConfig{N: 9000, M: 2, KC: 60, Gamma: 2.5}
-	build := func(workers int) ([][]int32, Stats) {
-		g, st, err := CMBuild(cfg, NewBuild(phasesFor(11, 3), workers))
+	build := func(workers int) ([][2][]int32, Stats) {
+		f, st, err := CMFrozen(cfg, NewBuild(phasesFor(11, 3), workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return graphFingerprint(t, g), st
+		return frozenFingerprint(f), st
 	}
 	wantG, wantSt := build(1)
 	for _, w := range []int{2, 4, 7} {
@@ -56,12 +57,12 @@ func TestCMBuildWorkerInvariance(t *testing.T) {
 func TestGRNBuildWorkerInvariance(t *testing.T) {
 	t.Parallel()
 	cfg := GRNConfig{N: 9000, MeanDegree: 10}
-	build := func(workers int) ([][]int32, []Point) {
-		g, pts, err := GRNBuild(cfg, NewBuild(phasesFor(5, 1), workers))
+	build := func(workers int) ([][2][]int32, []Point) {
+		f, pts, err := GRNFrozen(cfg, NewBuild(phasesFor(5, 1), workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return graphFingerprint(t, g), pts
+		return frozenFingerprint(f), pts
 	}
 	wantG, wantPts := build(1)
 	for _, w := range []int{2, 4, 7} {

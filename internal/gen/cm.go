@@ -37,8 +37,9 @@ func (c CMConfig) validate() error {
 	return nil
 }
 
-// CMBuild generates an uncorrelated random graph with a power-law degree
-// sequence P(k) ∝ k^-Gamma on [M, KC] via the configuration model:
+// CMFrozen generates an uncorrelated random graph with a power-law degree
+// sequence P(k) ∝ k^-Gamma on [M, KC] via the configuration model, built
+// straight into a CSR snapshot:
 //
 //  1. Draw a degree sequence from the target distribution, adjusting one
 //     entry so the stub total is even.
@@ -61,32 +62,15 @@ func (c CMConfig) validate() error {
 // sampling and the stub-list setup fan out across Build.Workers
 // goroutines. Output is bit-for-bit identical for every Workers value.
 //
-// CMBuild materializes the mutable Graph; the experiment engine uses
-// CMFrozen, which wires the identical stub stream straight into CSR form.
-func CMBuild(cfg CMConfig, b Build) (*graph.Graph, Stats, error) {
-	var st Stats
-	stubs, err := cmShuffledStubs(cfg, b)
-	if err != nil {
-		return nil, st, err
-	}
-	g := graph.New(cfg.N)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		mustEdge(g, int(stubs[i]), int(stubs[i+1]))
-	}
-	b.Arena.Release(stubs)
-	st.SelfLoopsRemoved, st.MultiEdgesRemoved = g.Simplify()
-	return g, st, nil
-}
-
-// CMFrozen is CMBuild built straight into a CSR snapshot: the shuffled
-// stub array is the pair stream (stubs 2i and 2i+1 wire one edge), which
-// graph.SimplifyPairs scatters into the snapshot's arrays where it lies
-// and cleans up by replaying the deletions row by row. The result is
-// byte-identical — offsets, neighbor order, Stats — to CMBuild followed
-// by Freeze, for every Workers value, but never allocates per-node
-// adjacency slices, and holds one stub-length array beside the snapshot.
-// The snapshot's neighbor array keeps the multigraph's capacity — the
-// stub count — for its lifetime. Build.Arena, when set, recycles the
+// The shuffled stub array is the pair stream (stubs 2i and 2i+1 wire one
+// edge), which graph.SimplifyPairs scatters into the snapshot's arrays
+// where it lies and cleans up by replaying the deletions row by row, as
+// Graph.Simplify deletes them from a wired Graph: the snapshot — offsets,
+// neighbor order, Stats — is the one that wiring the pairs into a Graph,
+// simplifying and freezing it gives, but the build never allocates
+// per-node adjacency slices and holds one stub-length array beside the
+// snapshot. The snapshot's neighbor array keeps the multigraph's capacity
+// — the stub count — for its lifetime. Build.Arena, when set, recycles the
 // build's transient buffers, and the result refills the arrays of the
 // snapshot retired into it (CSRArena.Recycle) where they fit.
 func CMFrozen(cfg CMConfig, b Build) (*graph.Frozen, Stats, error) {
@@ -101,9 +85,10 @@ func CMFrozen(cfg CMConfig, b Build) (*graph.Frozen, Stats, error) {
 	return f, st, nil
 }
 
-// cmShuffledStubs runs the randomized front half shared by CMBuild and
-// CMFrozen — degree sampling, parity repair, stub expansion, wire
-// shuffle — consuming the build's streams identically on both paths.
+// cmShuffledStubs runs CMFrozen's randomized front half — degree
+// sampling, parity repair, stub expansion, wire shuffle — and returns the
+// shuffled stub array, the pair stream CMFrozen scatters and the tests'
+// Graph-based reference wires edge by edge.
 func cmShuffledStubs(cfg CMConfig, b Build) ([]int32, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -18,15 +18,15 @@ func TestCMValidation(t *testing.T) {
 		{N: 100, M: 3, KC: 2, Gamma: 2.5},
 	}
 	for _, cfg := range cases {
-		if _, _, err := CMBuild(cfg, seedBuild(1)); err == nil {
-			t.Errorf("CMBuild(%+v) should have failed validation", cfg)
+		if _, _, err := CMFrozen(cfg, seedBuild(1)); err == nil {
+			t.Errorf("CMFrozen(%+v) should have failed validation", cfg)
 		}
 	}
 }
 
 func TestCMSimpleGraphAfterCleanup(t *testing.T) {
 	t.Parallel()
-	g, st, err := CMBuild(CMConfig{N: 5000, M: 2, KC: 100, Gamma: 2.5}, seedBuild(1))
+	g, st, err := CMFrozen(CMConfig{N: 5000, M: 2, KC: 100, Gamma: 2.5}, seedBuild(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCMSimpleGraphAfterCleanup(t *testing.T) {
 func TestCMDegreesRespectCutoff(t *testing.T) {
 	t.Parallel()
 	const kc = 40
-	g, _, err := CMBuild(CMConfig{N: 10000, M: 1, KC: kc, Gamma: 2.2}, seedBuild(3))
+	g, _, err := CMFrozen(CMConfig{N: 10000, M: 1, KC: kc, Gamma: 2.2}, seedBuild(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestCMExponentRecovered(t *testing.T) {
 	for _, gamma := range []float64{2.2, 3.0} {
 		var degrees []int
 		for seed := uint64(0); seed < 3; seed++ {
-			g, _, err := CMBuild(CMConfig{N: 20000, M: 1, Gamma: gamma}, seedBuild(10+seed))
+			g, _, err := CMFrozen(CMConfig{N: 20000, M: 1, Gamma: gamma}, seedBuild(10+seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			degrees = append(degrees, g.Freeze().DegreeSequence()...)
+			degrees = append(degrees, g.DegreeSequence()...)
 		}
 		fit, err := stats.FitPowerLawMLE(degrees, 6)
 		if err != nil {
@@ -88,11 +88,11 @@ func TestCMSomeDegreesBelowMAfterCleanup(t *testing.T) {
 	below := 0
 	total := 0
 	for seed := uint64(0); seed < 5; seed++ {
-		g, _, err := CMBuild(CMConfig{N: 5000, M: 2, Gamma: 2.2}, seedBuild(seed))
+		g, _, err := CMFrozen(CMConfig{N: 5000, M: 2, Gamma: 2.2}, seedBuild(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range g.Freeze().DegreeSequence() {
+		for _, k := range g.DegreeSequence() {
 			if k < 2 {
 				below++
 			}
@@ -111,18 +111,18 @@ func TestCMDisconnectedForM1ConnectedForM2(t *testing.T) {
 	t.Parallel()
 	// Paper §III-C: "the network is not a connected network when m=1 ...
 	// For m>1, the network is almost surely connected".
-	g1, _, err := CMBuild(CMConfig{N: 5000, M: 1, Gamma: 2.6}, seedBuild(21))
+	g1, _, err := CMFrozen(CMConfig{N: 5000, M: 1, Gamma: 2.6}, seedBuild(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1.Freeze().IsConnected() {
+	if g1.IsConnected() {
 		t.Fatal("CM with m=1 should have disconnected components")
 	}
-	g2, _, err := CMBuild(CMConfig{N: 5000, M: 2, KC: 70, Gamma: 2.6}, seedBuild(22))
+	g2, _, err := CMFrozen(CMConfig{N: 5000, M: 2, KC: 70, Gamma: 2.6}, seedBuild(22))
 	if err != nil {
 		t.Fatal(err)
 	}
-	giant := len(g2.Freeze().GiantComponent())
+	giant := len(g2.GiantComponent())
 	if frac := float64(giant) / float64(g2.N()); frac < 0.98 {
 		t.Fatalf("CM m=2 giant component only %.1f%% of nodes", 100*frac)
 	}
@@ -131,11 +131,11 @@ func TestCMDisconnectedForM1ConnectedForM2(t *testing.T) {
 func TestCMDeterminism(t *testing.T) {
 	t.Parallel()
 	cfg := CMConfig{N: 1000, M: 1, KC: 50, Gamma: 2.5}
-	a, _, err := CMBuild(cfg, seedBuild(5))
+	a, _, err := CMFrozen(cfg, seedBuild(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := CMBuild(cfg, seedBuild(5))
+	b, _, err := CMFrozen(cfg, seedBuild(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCMFewerLoopsWithSmallerCutoff(t *testing.T) {
 	removed := func(kc int) int {
 		total := 0
 		for seed := uint64(0); seed < 5; seed++ {
-			_, st, err := CMBuild(CMConfig{N: 5000, M: 1, KC: kc, Gamma: 2.2}, seedBuild(30+seed))
+			_, st, err := CMFrozen(CMConfig{N: 5000, M: 1, KC: kc, Gamma: 2.2}, seedBuild(30+seed))
 			if err != nil {
 				t.Fatal(err)
 			}

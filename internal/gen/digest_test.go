@@ -41,10 +41,11 @@ func frozenDigest(f *graph.Frozen) uint64 {
 // counters are the RNG-consumption witnesses: one extra or missing draw
 // shifts Attempts or Hops long before it shows in a figure CSV. The cm and
 // grn rows pin the direct-to-CSR builds, which draw no counters, by
-// digest alone. The hapa rows cover m = 1, 2 and 3; hapa-saturated
-// fills every node to its cutoff of 3, so its late joiners exhaust the
-// hop budget and the row pins the restart draws, the exact-fallback
-// placements and the unfilled stubs.
+// digest alone. The pa-literal row pins paLiteral, the Appendix A oracle
+// in pa_test.go, grown on PA's "pa.grow" stream. The hapa rows cover
+// m = 1, 2 and 3; hapa-saturated fills every node to its cutoff of 3, so
+// its late joiners exhaust the hop budget and the row pins the restart
+// draws, the exact-fallback placements and the unfilled stubs.
 func TestGrowthDigests(t *testing.T) {
 	t.Parallel()
 	b := NewBuild(phasesFor(41, 2), 2)
@@ -58,19 +59,12 @@ func TestGrowthDigests(t *testing.T) {
 	}
 	got := map[string]result{}
 
-	for _, c := range []struct {
-		name string
-		cfg  PAConfig
-	}{
-		{"pa", PAConfig{N: 3000, M: 2, KC: 10}},
-		{"pa-literal", PAConfig{N: 400, M: 2, KC: 10, LiteralSampling: true}},
-	} {
-		g, st, err := PABuild(c.cfg, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[c.name+"/phased"] = res(g, st)
+	pa, st, err := PABuild(PAConfig{N: 3000, M: 2, KC: 10}, b)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got["pa/phased"] = res(pa, st)
+	got["pa-literal/phased"] = res(paLiteral(t, PAConfig{N: 400, M: 2, KC: 10}, b.Phases.Stream("pa.grow")))
 	for _, c := range []struct {
 		name string
 		cfg  HAPAConfig

@@ -17,13 +17,6 @@ type PAConfig struct {
 	M int
 	// KC is the hard degree cutoff; NoCutoff (0) disables it.
 	KC int
-	// LiteralSampling selects the verbatim Appendix A rejection loop:
-	// pick a uniform node, accept with probability k/k_total. It is
-	// statistically identical to the default stub-list sampler but runs
-	// in O(N² m) instead of O(N m); use it only for fidelity
-	// cross-checks at small N (there is an ablation bench for exactly
-	// that).
-	LiteralSampling bool
 }
 
 func (c PAConfig) validate() error { return validateGrowth(c.N, c.M, c.KC) }
@@ -58,11 +51,6 @@ func pa(cfg PAConfig, rng *xrand.RNG, arena *graph.CSRArena) (*graph.Graph, Stat
 	g := arena.Graph(cfg.N)
 	if err := seedClique(g, cfg.M); err != nil {
 		return nil, st, err
-	}
-
-	if cfg.LiteralSampling {
-		err := paLiteral(g, cfg, rng, &st)
-		return g, st, err
 	}
 
 	// Stub list: each node appears once per unit of degree, so a uniform
@@ -121,44 +109,6 @@ func pa(cfg PAConfig, rng *xrand.RNG, arena *graph.CSRArena) (*graph.Graph, Stat
 // freeze or use it up first.
 func PABuild(cfg PAConfig, b Build) (*graph.Graph, Stats, error) {
 	return pa(cfg, b.Phases.Stream("pa.grow"), b.Arena)
-}
-
-// paLiteral runs Appendix A verbatim: uniform candidate, acceptance
-// probability k_cand/k_total, cutoff and adjacency conditions, repeated
-// until the stub is placed.
-func paLiteral(g *graph.Graph, cfg PAConfig, rng *xrand.RNG, st *Stats) error {
-	var fb fallbackBuf
-	for i := cfg.M + 1; i < cfg.N; i++ {
-		for j := 0; j < cfg.M; j++ {
-			placed := false
-			// The literal loop in the paper has no bound; we keep a very
-			// generous one so a saturated network cannot hang the caller.
-			budget := paAttemptBudget * (i + 1)
-			for attempt := 0; attempt < budget; attempt++ {
-				st.Attempts++
-				cand := rng.Intn(i)
-				kTotal := g.TotalDegree()
-				if g.HasEdge(i, cand) || !cutoffOK(g, cand, cfg.KC) {
-					continue
-				}
-				if rng.Float64() >= float64(g.Degree(cand))/float64(kTotal) {
-					continue
-				}
-				mustEdge(g, i, cand)
-				placed = true
-				break
-			}
-			if !placed {
-				if cand := paFallback(g, i, cfg.KC, rng, &fb); cand >= 0 {
-					st.Fallbacks++
-					mustEdge(g, i, cand)
-				} else {
-					st.UnfilledStubs++
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // fallbackBuf holds paFallback's candidate and weight lists. A build

@@ -177,6 +177,55 @@ func TestPAExponentDecreasesWithCutoff(t *testing.T) {
 	}
 }
 
+// paLiteral is the oracle PA's stub-list sampler is held to: Appendix A
+// verbatim — uniform candidate, acceptance probability k_cand/k_total,
+// cutoff and adjacency conditions, repeated until the stub is placed —
+// grown from the same seed clique as PA and drawing from rng. It is
+// statistically identical to PA but runs in O(N² m) instead of O(N m).
+func paLiteral(t *testing.T, cfg PAConfig, rng *xrand.RNG) (*graph.Graph, Stats) {
+	t.Helper()
+	var st Stats
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New(cfg.N)
+	if err := seedClique(g, cfg.M); err != nil {
+		t.Fatal(err)
+	}
+	var fb fallbackBuf
+	for i := cfg.M + 1; i < cfg.N; i++ {
+		for j := 0; j < cfg.M; j++ {
+			placed := false
+			// The literal loop in the paper has no bound; keep a very
+			// generous one so a saturated network cannot hang the test.
+			budget := paAttemptBudget * (i + 1)
+			for attempt := 0; attempt < budget; attempt++ {
+				st.Attempts++
+				cand := rng.Intn(i)
+				kTotal := g.TotalDegree()
+				if g.HasEdge(i, cand) || !cutoffOK(g, cand, cfg.KC) {
+					continue
+				}
+				if rng.Float64() >= float64(g.Degree(cand))/float64(kTotal) {
+					continue
+				}
+				mustEdge(g, i, cand)
+				placed = true
+				break
+			}
+			if !placed {
+				if cand := paFallback(g, i, cfg.KC, rng, &fb); cand >= 0 {
+					st.Fallbacks++
+					mustEdge(g, i, cand)
+				} else {
+					st.UnfilledStubs++
+				}
+			}
+		}
+	}
+	return g, st
+}
+
 func TestPALiteralSamplingMatchesStubList(t *testing.T) {
 	t.Parallel()
 	// Ablation check: the literal Appendix A loop and the stub-list
@@ -184,7 +233,7 @@ func TestPALiteralSamplingMatchesStubList(t *testing.T) {
 	// distributions (same mean by construction; compare max-degree scale
 	// and exponent roughly).
 	const n, m = 1200, 2
-	gLit, _ := genPA(t, PAConfig{N: n, M: m, LiteralSampling: true}, 31)
+	gLit, _ := paLiteral(t, PAConfig{N: n, M: m}, xrand.New(31))
 	gStub, _ := genPA(t, PAConfig{N: n, M: m}, 31)
 	if gLit.M() != gStub.M() {
 		t.Fatalf("edge counts differ: literal %d stub %d", gLit.M(), gStub.M())

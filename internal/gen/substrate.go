@@ -40,46 +40,25 @@ func GRNRadiusForMeanDegree(n int, kbar float64) float64 {
 	return math.Sqrt(kbar / (float64(n) * math.Pi))
 }
 
-// GRNBuild generates a geometric random network and returns the graph
-// together with node coordinates. Pair search uses a uniform grid of cell
-// size R, so construction is O(N·k̄) rather than O(N²). Points are placed
-// in fixed-size chunks, one "grn.points" sub-stream per chunk, so the
-// coordinates are identical for every Build.Workers value; the radius scan
-// consumes no randomness.
+// GRNFrozen generates a geometric random network, built straight into a
+// CSR snapshot, and returns it together with node coordinates. Pair
+// search uses a uniform grid of cell size R, so construction is O(N·k̄)
+// rather than O(N²). Points are placed in fixed-size chunks, one
+// "grn.points" sub-stream per chunk, so the coordinates are identical for
+// every Build.Workers value; the radius scan consumes no randomness.
 //
 // GRNs have Poissonian degree distributions P(k) = e^-k̄ k̄^k / k!; with
 // k̄ = 10 the network has a giant component spanning nearly all nodes,
 // which is what DAPA's discovery protocol relies on.
 //
-// GRNBuild materializes the mutable Graph with a serial scan; the
-// experiment engine uses GRNFrozen, which emits the identical edge stream
-// straight into CSR form in parallel.
-func GRNBuild(cfg GRNConfig, b Build) (*graph.Graph, []Point, error) {
-	grid, err := grnGridFor(cfg, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	g := graph.New(cfg.N)
-	var nbr []int32
-	for i := 0; i < cfg.N; i++ {
-		nbr = grid.scanNode(i, nbr[:0])
-		for _, j := range nbr {
-			mustEdge(g, i, int(j))
-		}
-	}
-	grid.recycle(b.Arena)
-	return g, grid.pts, nil
-}
-
-// GRNFrozen is GRNBuild built straight into a CSR snapshot: every chunk's
-// radius scan emits its (i, j) pairs into a graph.CSRBuilder chunk
-// buffer, and the parallel count/scatter finalize lays them out in chunk
-// order — the exact edge order the mutable build inserts. The result is
-// byte-identical to GRNBuild followed by Freeze for every Workers value.
-// The scan produces each unordered pair once and no self-loops, so no
-// cleanup pass runs. Build.Arena, when set, recycles the build's
-// transient buffers, and the result refills the arrays of the snapshot
-// retired into it (CSRArena.Recycle) where they fit.
+// Every chunk's radius scan emits its (i, j) pairs into a
+// graph.CSRBuilder chunk buffer, and the parallel count/scatter finalize
+// lays them out in chunk order — node by node, as a serial scan adding
+// each pair to a Graph would insert them — so the snapshot is identical
+// for every Workers value. The scan produces each unordered pair once and
+// no self-loops, so no cleanup pass runs. Build.Arena, when set, recycles
+// the build's transient buffers, and the result refills the arrays of the
+// snapshot retired into it (CSRArena.Recycle) where they fit.
 func GRNFrozen(cfg GRNConfig, b Build) (*graph.Frozen, []Point, error) {
 	grid, err := grnGridFor(cfg, b)
 	if err != nil {
@@ -101,11 +80,11 @@ func GRNFrozen(cfg GRNConfig, b Build) (*graph.Frozen, []Point, error) {
 	return cb.Finalize(b.workers(), false), grid.pts, nil
 }
 
-// grnGrid is the uniform spatial hash shared by GRNBuild and GRNFrozen:
-// cell size >= r, so candidate pairs live in the same or adjacent cells.
-// Buckets are built by counting sort, so each cell lists its nodes in
-// ascending ID order — the same order the historical append-based build
-// produced.
+// grnGrid is GRNFrozen's uniform spatial hash, which the tests' serial
+// Graph-based reference scans too: cell size >= r, so candidate pairs
+// live in the same or adjacent cells. Buckets are built by counting sort,
+// so each cell lists its nodes in ascending ID order — the same order the
+// historical append-based build produced.
 type grnGrid struct {
 	pts      []Point
 	cells    int

@@ -19,19 +19,19 @@ func TestGRNRadiusForMeanDegree(t *testing.T) {
 
 func TestGRNValidation(t *testing.T) {
 	t.Parallel()
-	if _, _, err := GRNBuild(GRNConfig{N: 0, R: 0.1}, seedBuild(1)); err == nil {
+	if _, _, err := GRNFrozen(GRNConfig{N: 0, R: 0.1}, seedBuild(1)); err == nil {
 		t.Error("N=0 should fail")
 	}
-	if _, _, err := GRNBuild(GRNConfig{N: 10}, seedBuild(1)); err == nil {
+	if _, _, err := GRNFrozen(GRNConfig{N: 10}, seedBuild(1)); err == nil {
 		t.Error("missing R and MeanDegree should fail")
 	}
-	if _, _, err := GRNBuild(GRNConfig{N: 10, R: 3}, seedBuild(1)); err == nil {
+	if _, _, err := GRNFrozen(GRNConfig{N: 10, R: 3}, seedBuild(1)); err == nil {
 		t.Error("R > sqrt(2) should fail")
 	}
-	if _, _, err := GRNBuild(GRNConfig{N: 10, R: math.NaN()}, seedBuild(1)); err == nil {
+	if _, _, err := GRNFrozen(GRNConfig{N: 10, R: math.NaN()}, seedBuild(1)); err == nil {
 		t.Error("R=NaN should fail")
 	}
-	if _, _, err := GRNBuild(GRNConfig{N: 10, MeanDegree: math.NaN()}, seedBuild(1)); err == nil {
+	if _, _, err := GRNFrozen(GRNConfig{N: 10, MeanDegree: math.NaN()}, seedBuild(1)); err == nil {
 		t.Error("MeanDegree=NaN should fail")
 	}
 }
@@ -39,7 +39,7 @@ func TestGRNValidation(t *testing.T) {
 func TestGRNMeanDegree(t *testing.T) {
 	t.Parallel()
 	const n, kbar = 5000, 10.0
-	g, pts, err := GRNBuild(GRNConfig{N: n, MeanDegree: kbar}, seedBuild(1))
+	g, pts, err := GRNFrozen(GRNConfig{N: n, MeanDegree: kbar}, seedBuild(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGRNMeanDegree(t *testing.T) {
 func TestGRNEdgesRespectRadius(t *testing.T) {
 	t.Parallel()
 	const n, r = 800, 0.08
-	g, pts, err := GRNBuild(GRNConfig{N: n, R: r}, seedBuild(2))
+	g, pts, err := GRNFrozen(GRNConfig{N: n, R: r}, seedBuild(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestGRNGiantComponent(t *testing.T) {
 	t.Parallel()
 	// Paper §IV-B: with k̄ well above the critical 4.52, the GRN has a
 	// giant component covering nearly all nodes.
-	g, _, err := GRNBuild(GRNConfig{N: 10000, MeanDegree: 10}, seedBuild(3))
+	g, _, err := GRNFrozen(GRNConfig{N: 10000, MeanDegree: 10}, seedBuild(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	giant := len(g.Freeze().GiantComponent())
+	giant := len(g.GiantComponent())
 	if frac := float64(giant) / 10000; frac < 0.95 {
 		t.Fatalf("giant component %.1f%%", 100*frac)
 	}
@@ -93,11 +93,11 @@ func TestGRNPoissonDegrees(t *testing.T) {
 	t.Parallel()
 	// GRN degree distribution is approximately Poisson(k̄): variance
 	// should be close to the mean (unlike a power law).
-	g, _, err := GRNBuild(GRNConfig{N: 10000, MeanDegree: 10}, seedBuild(4))
+	g, _, err := GRNFrozen(GRNConfig{N: 10000, MeanDegree: 10}, seedBuild(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := g.Freeze().DegreeSequence()
+	seq := g.DegreeSequence()
 	var mean float64
 	for _, k := range seq {
 		mean += float64(k)
@@ -116,8 +116,8 @@ func TestGRNPoissonDegrees(t *testing.T) {
 
 func TestGRNDeterminism(t *testing.T) {
 	t.Parallel()
-	a, _, _ := GRNBuild(GRNConfig{N: 500, MeanDegree: 8}, seedBuild(7))
-	b, _, _ := GRNBuild(GRNConfig{N: 500, MeanDegree: 8}, seedBuild(7))
+	a, _, _ := GRNFrozen(GRNConfig{N: 500, MeanDegree: 8}, seedBuild(7))
+	b, _, _ := GRNFrozen(GRNConfig{N: 500, MeanDegree: 8}, seedBuild(7))
 	if a.M() != b.M() {
 		t.Fatalf("edge counts differ: %d vs %d", a.M(), b.M())
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,13 +21,17 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# nodes -5\n")
 	f.Add("999999 0\n")
 	f.Add("0\t1\n")
+	f.Add("0 1\n2147483648 0\n")
+	f.Add("# nodes 2147483647\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		// Guard against absurd node counts blowing up memory: the parser
-		// allocates per node, so cap the input's numeric magnitude by
-		// skipping giant tokens.
+		// allocates per node, so skip inputs naming a node count it
+		// accepts but the fuzz budget cannot hold. IDs and counts at or
+		// past math.MaxInt32 are refused before anything grows, so those
+		// run.
 		for _, tok := range strings.Fields(input) {
-			if len(tok) > 7 {
-				t.Skip("token too large for fuzz budget")
+			if n, err := strconv.Atoi(tok); err == nil && n > 9_999_999 && n < 1<<31-1 {
+				t.Skip("node count too large for fuzz budget")
 			}
 		}
 		g, err := ReadEdgeList(strings.NewReader(input))
@@ -50,13 +55,12 @@ func FuzzReadEdgeList(f *testing.F) {
 		// Every edge copy survives: each node's neighbors (self included)
 		// keep their multiplicity. Walking rows keeps this O(E) on the
 		// sparse million-node graphs a seven-digit ID can produce.
-		f, f2 := g.Freeze(), g2.Freeze()
 		for u := 0; u < g.N(); u++ {
 			if g2.Degree(u) != g.Degree(u) {
 				t.Fatalf("round trip changed Degree(%d): %d -> %d", u, g.Degree(u), g2.Degree(u))
 			}
 			for _, v := range g.Neighbors(u) {
-				if a, b := f.EdgeMultiplicity(u, int(v)), f2.EdgeMultiplicity(u, int(v)); a != b {
+				if a, b := g.EdgeMultiplicity(u, int(v)), g2.EdgeMultiplicity(u, int(v)); a != b {
 					t.Fatalf("round trip changed EdgeMultiplicity(%d,%d): %d -> %d", u, v, a, b)
 				}
 			}

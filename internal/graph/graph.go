@@ -21,11 +21,11 @@
 // Nodes are dense integer IDs 0..N-1. Adjacency is stored as per-node
 // neighbor slices (int32 to halve memory at paper scale) and nothing else.
 // A Graph answers only what growth and mutation ask — sizes, degrees,
-// rows, membership, a random neighbor — and writes itself out. Once a
+// rows, membership, a random neighbor — and nothing else. Once a
 // topology stops mutating, Freeze snapshots it into the CSR Frozen form
 // (frozen.go): the flat read path every search kernel, traversal,
-// structural metric and degree statistic runs on, with binary-search
-// membership for hub-to-hub queries.
+// structural metric, degree statistic and edge-list writer runs on, with
+// binary-search membership for hub-to-hub queries.
 package graph
 
 import (
@@ -206,11 +206,14 @@ func (g *Graph) MaxDegree() int {
 // of the configuration model (Appendix B): "after this procedure we simply
 // delete the multiple connections and self-loops".
 //
-// Keys are processed in sorted order so the post-cleanup adjacency order —
-// and therefore every downstream order-sensitive traversal — is identical
-// across runs (the package's determinism guarantee).
+// Keys are processed in sorted order — the edge keys the writers read,
+// taken from a snapshot of g — so the post-cleanup adjacency order, and
+// therefore every downstream order-sensitive traversal, is identical
+// across runs (the package's determinism guarantee). Simplify is the
+// row-by-row reference SimplifyPairs, the configuration model's build, is
+// held to.
 func (g *Graph) Simplify() (selfLoops, multiEdges int) {
-	keys := g.sortedEdgeKeys()
+	keys := g.Freeze().sortedEdgeKeys()
 	for i, key := range keys {
 		u, v := int(key>>32), int(uint32(key))
 		switch {
@@ -223,32 +226,6 @@ func (g *Graph) Simplify() (selfLoops, multiEdges int) {
 		}
 	}
 	return selfLoops, multiEdges
-}
-
-// sortedEdgeKeys returns one key per edge copy — smaller endpoint in the
-// high word, larger in the low — in ascending (u,v) order, so parallel
-// copies are adjacent. It is the one deterministic edge enumeration:
-// Simplify's deletion order and the edge-list/DOT writers all read it.
-func (g *Graph) sortedEdgeKeys() []uint64 {
-	keys := make([]uint64, 0, g.edges)
-	for u, a := range g.adj {
-		loopHalf := false
-		for _, v := range a {
-			if int(v) == u {
-				// A self-loop is two entries of the same row: emit on
-				// every second one.
-				loopHalf = !loopHalf
-				if loopHalf {
-					continue
-				}
-			}
-			if int(v) >= u {
-				keys = append(keys, uint64(u)<<32|uint64(v))
-			}
-		}
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // randSource is the subset of xrand.RNG the graph package needs. Declared

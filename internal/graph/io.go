@@ -3,27 +3,58 @@ package graph
 // Edge-list serialization. The format is the de-facto standard for network
 // datasets: a header line "# nodes <N>" followed by one "u v" pair per
 // line, whitespace-separated, '#' comments ignored. cmd/topogen emits this
-// format and cmd/searchsim consumes it, so generated topologies can be
-// inspected or fed to external tools.
+// format and cmd/searchsim and cmd/analyze consume it, so generated
+// topologies can be inspected or fed to external tools. Both writers and
+// the reader speak Frozen: a topology is written from its snapshot, in the
+// order of sortedEdgeKeys, and read back as one.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// WriteEdgeList writes g in edge-list format. Each undirected edge is
+// sortedEdgeKeys returns one key per edge copy — smaller endpoint in the
+// high word, larger in the low — in ascending (u,v) order, so parallel
+// copies are adjacent. It is the one deterministic edge enumeration: the
+// edge-list and DOT writers and Graph.Simplify's deletion order all read
+// it.
+func (f *Frozen) sortedEdgeKeys() []uint64 {
+	keys := make([]uint64, 0, f.edges)
+	for u := 0; u < f.N(); u++ {
+		loopHalf := false
+		for _, v := range f.Neighbors(u) {
+			if int(v) == u {
+				// A self-loop is two entries of the same row: emit on
+				// every second one.
+				loopHalf = !loopHalf
+				if loopHalf {
+					continue
+				}
+			}
+			if int(v) >= u {
+				keys = append(keys, uint64(u)<<32|uint64(v))
+			}
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// WriteEdgeList writes f in edge-list format. Each undirected edge is
 // written once (smaller endpoint first), in ascending (u,v) order so the
-// same graph always writes the same bytes; parallel edges are written per
-// copy, adjacent, and self-loops as "u u".
-func (g *Graph) WriteEdgeList(w io.Writer) error {
+// same topology always writes the same bytes; parallel edges are written
+// per copy, adjacent, and self-loops as "u u".
+func (f *Frozen) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# nodes %d\n", g.N()); err != nil {
+	if _, err := fmt.Fprintf(bw, "# nodes %d\n", f.N()); err != nil {
 		return fmt.Errorf("write header: %w", err)
 	}
-	for _, key := range g.sortedEdgeKeys() {
+	for _, key := range f.sortedEdgeKeys() {
 		if _, err := fmt.Fprintf(bw, "%d %d\n", key>>32, uint32(key)); err != nil {
 			return fmt.Errorf("write edge: %w", err)
 		}
@@ -34,11 +65,13 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return nil
 }
 
-// ReadEdgeList parses the edge-list format produced by WriteEdgeList. Lines
-// starting with '#' are comments, except a "# nodes N" header which
-// pre-sizes the graph; otherwise the node count is one more than the
-// largest ID seen.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+// ReadEdgeList parses the edge-list format produced by WriteEdgeList into
+// a snapshot. Lines starting with '#' are comments, except a "# nodes N"
+// header which pre-sizes the topology; otherwise the node count is one
+// more than the largest ID seen. Node IDs and the header count must be
+// below math.MaxInt32, the CSR layout's int32 range: a larger one is a
+// line-numbered error, reported before any node is added.
+func ReadEdgeList(r io.Reader) (*Frozen, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	g := New(0)
@@ -55,6 +88,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				n, err := strconv.Atoi(fields[2])
 				if err != nil || n < 0 {
 					return nil, fmt.Errorf("line %d: bad node count %q", lineNo, fields[2])
+				}
+				if n >= math.MaxInt32 {
+					return nil, fmt.Errorf("line %d: node count %d out of range (must be below %d)", lineNo, n, math.MaxInt32)
 				}
 				for g.N() < n {
 					g.AddNode()
@@ -77,6 +113,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("line %d: negative node ID", lineNo)
 		}
+		if id := max(u, v); id >= math.MaxInt32 {
+			return nil, fmt.Errorf("line %d: node ID %d out of range (must be below %d)", lineNo, id, math.MaxInt32)
+		}
 		for g.N() <= u || g.N() <= v {
 			g.AddNode()
 		}
@@ -87,14 +126,14 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("scan edge list: %w", err)
 	}
-	return g, nil
+	return g.Freeze(), nil
 }
 
-// WriteDOT writes g in Graphviz DOT format (`graph` block, one "u -- v"
+// WriteDOT writes f in Graphviz DOT format (`graph` block, one "u -- v"
 // line per undirected edge, degree-scaled node sizes), for visual
 // inspection with dot/neato/sfdp. Self-loops and parallel edges are
 // emitted per copy and in the same ascending order as WriteEdgeList.
-func (g *Graph) WriteDOT(w io.Writer, name string) error {
+func (f *Frozen) WriteDOT(w io.Writer, name string) error {
 	if name == "" {
 		name = "overlay"
 	}
@@ -104,8 +143,8 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	}
 	// Scale node size with degree so hubs (or their cutoff-capped absence)
 	// are visible at a glance.
-	for v := 0; v < g.N(); v++ {
-		d := g.Degree(v)
+	for v := 0; v < f.N(); v++ {
+		d := f.Degree(v)
 		if d == 0 {
 			continue // skip isolates to keep renders readable
 		}
@@ -114,7 +153,7 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 			return fmt.Errorf("write node: %w", err)
 		}
 	}
-	for _, key := range g.sortedEdgeKeys() {
+	for _, key := range f.sortedEdgeKeys() {
 		if _, err := fmt.Fprintf(bw, "  %d -- %d;\n", key>>32, uint32(key)); err != nil {
 			return fmt.Errorf("write edge: %w", err)
 		}

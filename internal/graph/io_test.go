@@ -18,7 +18,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	mustAdd(t, g, 3, 4) // parallel edge
 
 	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
+	if err := g.Freeze().WriteEdgeList(&buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	got, err := ReadEdgeList(&buf)
@@ -28,11 +28,11 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if got.N() != g.N() || got.M() != g.M() {
 		t.Fatalf("round trip: N=%d M=%d, want N=%d M=%d", got.N(), got.M(), g.N(), g.M())
 	}
-	if rowMultiplicity(got, 3, 4) != 2 {
-		t.Fatalf("parallel edge lost: mult=%d", rowMultiplicity(got, 3, 4))
+	if got.EdgeMultiplicity(3, 4) != 2 {
+		t.Fatalf("parallel edge lost: mult=%d", got.EdgeMultiplicity(3, 4))
 	}
-	if rowMultiplicity(got, 3, 3) != 1 {
-		t.Fatalf("self-loop lost: mult=%d", rowMultiplicity(got, 3, 3))
+	if got.EdgeMultiplicity(3, 3) != 1 {
+		t.Fatalf("self-loop lost: mult=%d", got.EdgeMultiplicity(3, 3))
 	}
 	if got.Degree(3) != g.Degree(3) {
 		t.Fatalf("degree(3): got %d want %d", got.Degree(3), g.Degree(3))
@@ -54,10 +54,11 @@ func TestWritersDeterministic(t *testing.T) {
 	}
 	write := func(g *Graph) (edgeList, dot string) {
 		var a, b bytes.Buffer
-		if err := g.WriteEdgeList(&a); err != nil {
+		f := g.Freeze()
+		if err := f.WriteEdgeList(&a); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.WriteDOT(&b, "g"); err != nil {
+		if err := f.WriteDOT(&b, "g"); err != nil {
 			t.Fatal(err)
 		}
 		return a.String(), b.String()
@@ -94,7 +95,7 @@ func TestEdgeListRoundTripRandomProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := g.WriteEdgeList(&buf); err != nil {
+		if err := g.Freeze().WriteEdgeList(&buf); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadEdgeList(&buf)
@@ -109,7 +110,7 @@ func TestEdgeListRoundTripRandomProperty(t *testing.T) {
 				t.Fatalf("seed %d: degree(%d) %d != %d", seed, u, got.Degree(u), g.Degree(u))
 			}
 			for v := u; v < n; v++ {
-				if rowMultiplicity(got, u, v) != rowMultiplicity(g, u, v) {
+				if got.EdgeMultiplicity(u, v) != rowMultiplicity(g, u, v) {
 					t.Fatalf("seed %d: mult(%d,%d) mismatch", seed, u, v)
 				}
 			}
@@ -166,6 +167,24 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+// TestReadEdgeListRejectsOutOfRangeIDs pins the int32 bound: a node ID or
+// header count at or past math.MaxInt32 is a line-numbered error, returned
+// before the parser grows a single row for it.
+func TestReadEdgeListRejectsOutOfRangeIDs(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ in, want string }{
+		{"0 1\n2147483648 0\n", "line 2: node ID 2147483648 out of range"},
+		{"0 1\n1 2147483647\n", "line 2: node ID 2147483647 out of range"},
+		{"# nodes 2147483648\n0 1\n", "line 1: node count 2147483648 out of range"},
+		{"# nodes 2147483647\n", "line 1: node count 2147483647 out of range"},
+	} {
+		_, err := ReadEdgeList(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadEdgeList(%q) = %v, want an error containing %q", tc.in, err, tc.want)
+		}
+	}
+}
+
 func TestWriteDOT(t *testing.T) {
 	t.Parallel()
 	g := New(4)
@@ -174,8 +193,9 @@ func TestWriteDOT(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	f := g.Freeze()
 	var buf bytes.Buffer
-	if err := g.WriteDOT(&buf, "tri"); err != nil {
+	if err := f.WriteDOT(&buf, "tri"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -193,7 +213,7 @@ func TestWriteDOT(t *testing.T) {
 	}
 	// Default name fallback.
 	buf.Reset()
-	if err := g.WriteDOT(&buf, ""); err != nil {
+	if err := f.WriteDOT(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `graph "overlay" {`) {

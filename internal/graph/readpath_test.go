@@ -66,29 +66,29 @@ func readDigests(f *graph.Frozen) map[string]uint64 {
 // readPathGraphs are the topologies the digests are pinned on: two
 // collision-heavy edge streams (isolates; loops and multi-edges), a
 // connected PA tree under a hard cutoff, and a disconnected CM graph.
-func readPathGraphs(t *testing.T) map[string]*graph.Graph {
+func readPathGraphs(t *testing.T) map[string]*graph.Frozen {
 	t.Helper()
-	fromStream := func(seed uint64, n, edges int) *graph.Graph {
+	fromStream := func(seed uint64, n, edges int) *graph.Frozen {
 		g := graph.New(n)
 		for _, e := range graph.RandomEdgeStream(seed, n, edges) {
 			if err := g.AddEdge(int(e[0]), int(e[1])); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return g
+		return g.Freeze()
 	}
 	pa, _, err := gen.PA(gen.PAConfig{N: 2000, M: 1, KC: 10}, xrand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, _, err := gen.CMBuild(gen.CMConfig{N: 3000, M: 1, Gamma: 2.2}, gen.NewBuild(xrand.Phases{Seed: 12}, 1))
+	cm, _, err := gen.CMFrozen(gen.CMConfig{N: 3000, M: 1, Gamma: 2.2}, gen.NewBuild(xrand.Phases{Seed: 12}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*graph.Graph{
+	return map[string]*graph.Frozen{
 		"sparse": fromStream(42, 120, 150),
 		"dense":  fromStream(99, 80, 400),
-		"pa":     pa,
+		"pa":     pa.Freeze(),
 		"cm":     cm,
 	}
 }
@@ -152,9 +152,9 @@ var readPathDigests = map[string]map[string]uint64{
 // snapshots, read through the Frozen snapshot.
 func TestReadPathDigests(t *testing.T) {
 	t.Parallel()
-	for name, g := range readPathGraphs(t) {
+	for name, f := range readPathGraphs(t) {
 		want := readPathDigests[name]
-		got := readDigests(g.Freeze())
+		got := readDigests(f)
 		if len(got) != len(want) {
 			t.Errorf("%s: %d digests, want all %d", name, len(got), len(want))
 		}

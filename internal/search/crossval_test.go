@@ -151,21 +151,20 @@ func TestFloodDeliveryMatchesBFSProperty(t *testing.T) {
 // source's connected component.
 func TestFloodReachesGiantComponentExactly(t *testing.T) {
 	t.Parallel()
-	g, _, err := gen.CMBuild(gen.CMConfig{N: 3000, M: 1, Gamma: 2.4}, gen.NewBuild(xrand.Phases{Seed: 11}, 1))
+	fz, _, err := gen.CMFrozen(gen.CMConfig{N: 3000, M: 1, Gamma: 2.4}, gen.NewBuild(xrand.Phases{Seed: 11}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz := g.Freeze()
 	comps := fz.ConnectedComponents()
 	if len(comps) < 2 {
 		t.Skip("CM draw happened to be connected")
 	}
 	src := comps[0][0]
-	res, err := new(Scratch).Flood(fz, src, g.N())
+	res, err := new(Scratch).Flood(fz, src, fz.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.HitsAt(g.N()) != len(comps[0]) {
-		t.Fatalf("flood swept %d nodes, component has %d", res.HitsAt(g.N()), len(comps[0]))
+	if res.HitsAt(fz.N()) != len(comps[0]) {
+		t.Fatalf("flood swept %d nodes, component has %d", res.HitsAt(fz.N()), len(comps[0]))
 	}
 }

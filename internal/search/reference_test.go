@@ -237,11 +237,23 @@ func referenceSearchGraphs(t testing.TB) []*graph.Graph {
 		}
 		gs = append(gs, g)
 	}
-	cm, _, err := gen.CMBuild(gen.CMConfig{N: 600, M: 1, Gamma: 2.3}, gen.NewBuild(xrand.Phases{Seed: 55}, 1))
+	cm, _, err := gen.CMFrozen(gen.CMConfig{N: 600, M: 1, Gamma: 2.3}, gen.NewBuild(xrand.Phases{Seed: 55}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs = append(gs, cm) // disconnected: floods saturate below N
+	// The reference kernels walk a Graph, so copy the simple CM snapshot's
+	// edges into one; both kernels then read the copy's rows.
+	g := graph.New(cm.N())
+	for u := 0; u < cm.N(); u++ {
+		for _, v := range cm.Neighbors(u) {
+			if int(v) > u {
+				if err := g.AddEdge(u, int(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	gs = append(gs, g) // disconnected: floods saturate below N
 	return gs
 }
 

@@ -175,11 +175,10 @@ func TestDeliveryScalingSanity(t *testing.T) {
 	// faster (Eq. 7). Compare mean delivery at two sizes on gamma=2.2 CM
 	// giants.
 	meanDelivery := func(n int, seed uint64) (fl, rw float64) {
-		g, _, err := gen.CMBuild(gen.CMConfig{N: n, M: 2, Gamma: 2.2}, gen.NewBuild(xrand.Phases{Seed: seed}, 1))
+		fz, _, err := gen.CMFrozen(gen.CMConfig{N: n, M: 2, Gamma: 2.2}, gen.NewBuild(xrand.Phases{Seed: seed}, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fz := g.Freeze()
 		rng := xrand.New(seed + 1)
 		const pairs = 25
 		var flSum, rwSum float64

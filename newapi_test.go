@@ -12,11 +12,11 @@ import (
 func TestPublicAPISearchStrategies(t *testing.T) {
 	t.Parallel()
 	rng := NewRNG(1)
-	g, _, err := GeneratePA(PAConfig{N: 800, M: 2}, rng)
+	f, _, err := GeneratePA(PAConfig{N: 800, M: 2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, s := Freeze(g), NewSearchScratch(g.N())
+	s := NewSearchScratch(f.N())
 	hd, err := s.HighDegreeWalk(f, 0, 100, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestPublicAPISearchStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.HitsAt(5) < 1 || pf.HitsAt(5) > g.N() {
+	if pf.HitsAt(5) < 1 || pf.HitsAt(5) > f.N() {
 		t.Errorf("probabilistic flood hits %d out of range", pf.HitsAt(5))
 	}
 	hy, err := s.HybridSearch(f, 0, 2, 4, 50, rng)
@@ -43,11 +43,10 @@ func TestPublicAPISearchStrategies(t *testing.T) {
 func TestPublicAPISearchScratch(t *testing.T) {
 	t.Parallel()
 	rng := NewRNG(2)
-	g, _, err := GeneratePA(PAConfig{N: 800, M: 2, KC: 40}, rng)
+	f, _, err := GeneratePA(PAConfig{N: 800, M: 2, KC: 40}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Freeze(g) // freeze once, search many times — the hot-path pattern
 	s := NewSearchScratch(f.N())
 	fresh, err := Flood(f, 5, 6)
 	if err != nil {
@@ -69,17 +68,16 @@ func TestPublicAPISearchScratch(t *testing.T) {
 func TestPublicAPIContent(t *testing.T) {
 	t.Parallel()
 	rng := NewRNG(2)
-	g, _, err := GeneratePA(PAConfig{N: 1000, M: 2, KC: 40}, rng)
+	f, _, err := GeneratePA(PAConfig{N: 1000, M: 2, KC: 40}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Freeze(g)
 	cat, err := NewCatalog(50, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []ReplicationStrategy{ReplicateUniform, ReplicateProportional, ReplicateSquareRoot} {
-		p, err := Replicate(cat, g.N(), 500, s, rng)
+		p, err := Replicate(cat, f.N(), 500, s, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -130,11 +128,10 @@ func TestPublicAPIChurn(t *testing.T) {
 func TestPublicAPIStructureMetrics(t *testing.T) {
 	t.Parallel()
 	rng := NewRNG(5)
-	g, _, err := GeneratePA(PAConfig{N: 1200, M: 2}, rng)
+	f, _, err := GeneratePA(PAConfig{N: 1200, M: 2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Freeze(g)
 	rc := RichClub(f)
 	if len(rc) == 0 || rc[0].K != 0 {
 		t.Fatalf("rich club %v", rc)

@@ -22,14 +22,14 @@
 // # Quick start
 //
 //	rng := scalefree.NewRNG(42)
-//	g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: 10000, M: 2, KC: 40}, rng)
+//	f, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: 10000, M: 2, KC: 40}, rng)
 //	if err != nil { ... }
-//	res, err := scalefree.Flood(scalefree.Freeze(g), 0, 8)
+//	res, err := scalefree.Flood(f, 0, 8)
 //	fmt.Println(res.Hits) // nodes discovered per TTL
 //
-// Generators return the mutable *Graph; every search, metric and
-// distribution reads a *FrozenTopology. Freeze a finished topology once
-// and hand the snapshot to as many reads as needed.
+// Every generator and ReadEdgeList return a *FrozenTopology, the
+// read-only snapshot every search, metric, distribution and writer takes:
+// build a topology once and hand it to as many reads as needed.
 //
 // The experiment harness that regenerates every figure and table of the
 // paper lives in internal/sim and is driven by cmd/experiments; see
@@ -49,25 +49,18 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// Graph is an undirected (multi)graph over dense node IDs: the growth
-// buffer generators mutate, with edge-list serialization and nothing to
-// read but sizes, degrees, rows and membership. Freeze it to analyze it.
-type Graph = graph.Graph
-
-// FrozenTopology is a compressed-sparse-row (CSR) snapshot of a Graph: the
-// read-only form every search, structural metric and degree statistic in
-// this package takes, and the one implementation of BFS, components, path
-// statistics, cores and induced subgraphs. Neighbor order is the Graph's
-// insertion order, so every RNG-driven read is reproducible from the seed.
+// FrozenTopology is a compressed-sparse-row (CSR) snapshot of a finished
+// topology: what every generator returns, and the read-only form every
+// search, structural metric, degree statistic and writer in this package
+// takes, with the one implementation of BFS, components, path statistics,
+// cores and induced subgraphs. Neighbor order is the order the generator
+// wired the edges in, so every RNG-driven read is reproducible from the
+// seed. WriteEdgeList and WriteDOT write it out.
 type FrozenTopology = graph.Frozen
 
-// Freeze snapshots g into CSR form, sharing nothing with it. Freeze a
-// generated topology once, let the Graph be collected, and run any number
-// of searches and analyses against the snapshot.
-func Freeze(g *Graph) *FrozenTopology { return g.Freeze() }
-
-// ReadEdgeList parses the edge-list format written by Graph.WriteEdgeList.
-func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
+// ReadEdgeList parses the edge-list format written by
+// FrozenTopology.WriteEdgeList.
+func ReadEdgeList(r io.Reader) (*FrozenTopology, error) { return graph.ReadEdgeList(r) }
 
 // RNG is the library's deterministic random number generator; every
 // generator and randomized search takes one explicitly.
@@ -96,42 +89,55 @@ type (
 	// GenStats reports generation-time events (rejections, fallbacks,
 	// cleanup counts).
 	GenStats = gen.Stats
-	// DAPAOverlay is a DAPA result: overlay graph plus substrate mapping.
-	DAPAOverlay = gen.Overlay
 )
 
 // GeneratePA builds a preferential-attachment topology (Appendix A).
-func GeneratePA(cfg PAConfig, rng *RNG) (*Graph, GenStats, error) { return gen.PA(cfg, rng) }
+func GeneratePA(cfg PAConfig, rng *RNG) (*FrozenTopology, GenStats, error) {
+	return frozenWithStats(gen.PA(cfg, rng))
+}
 
 // GenerateCM builds a configuration-model topology with a power-law degree
 // sequence (Appendix B).
+// The snapshot's neighbor array keeps the capacity of the multigraph
+// before cleanup, one entry per stub, so it holds the memory of the
+// entries the cleanup deleted: about 16% of the array at Gamma 2.2 with
+// no cutoff (N = 100 000, M = 2), 1.5% at Gamma 2.5, and none to speak
+// of with a cutoff of 40.
 // The build is seeded with one Uint64 drawn from rng (0 when rng is nil),
 // so a given rng seed draws a different realization than the
 // single-stream build of earlier releases did; the model is unchanged.
-func GenerateCM(cfg CMConfig, rng *RNG) (*Graph, GenStats, error) {
-	return gen.CMBuild(cfg, buildFrom(rng))
+func GenerateCM(cfg CMConfig, rng *RNG) (*FrozenTopology, GenStats, error) {
+	return gen.CMFrozen(cfg, buildFrom(rng))
 }
 
 // GenerateHAPA builds a Hop-and-Attempt topology (Appendix C).
-func GenerateHAPA(cfg HAPAConfig, rng *RNG) (*Graph, GenStats, error) { return gen.HAPA(cfg, rng) }
+func GenerateHAPA(cfg HAPAConfig, rng *RNG) (*FrozenTopology, GenStats, error) {
+	return frozenWithStats(gen.HAPA(cfg, rng))
+}
 
 // GenerateDAPA grows a Discover-and-Attempt overlay on the given substrate
-// (Appendix D). Build a substrate first with GenerateGRN or GenerateMesh
-// and Freeze it.
+// (Appendix D) and returns the overlay's snapshot, its nodes numbered in
+// join order; an overlay that stalls short of its target comes back with
+// the peers that joined and an error wrapping gen.ErrStalled. Build a
+// substrate first with GenerateGRN or GenerateMesh.
 // The build is seeded with one Uint64 drawn from rng (0 when rng is nil),
 // so a given rng seed draws a different realization than the
 // single-stream build of earlier releases did; the model is unchanged.
-func GenerateDAPA(substrate *FrozenTopology, cfg DAPAConfig, rng *RNG) (*DAPAOverlay, GenStats, error) {
-	return gen.DAPABuild(substrate, cfg, buildFrom(rng))
+func GenerateDAPA(substrate *FrozenTopology, cfg DAPAConfig, rng *RNG) (*FrozenTopology, GenStats, error) {
+	ov, st, err := gen.DAPABuild(substrate, cfg, buildFrom(rng))
+	if ov == nil {
+		return nil, st, err
+	}
+	return ov.G.Freeze(), st, err
 }
 
 // GenerateGRN builds a geometric random network substrate and returns node
-// coordinates alongside the graph.
+// coordinates alongside the topology.
 // The build is seeded with one Uint64 drawn from rng (0 when rng is nil),
 // so a given rng seed draws a different realization than the
 // single-stream build of earlier releases did; the model is unchanged.
-func GenerateGRN(cfg GRNConfig, rng *RNG) (*Graph, []gen.Point, error) {
-	return gen.GRNBuild(cfg, buildFrom(rng))
+func GenerateGRN(cfg GRNConfig, rng *RNG) (*FrozenTopology, []gen.Point, error) {
+	return gen.GRNFrozen(cfg, buildFrom(rng))
 }
 
 // buildFrom is the serial build behind GenerateCM, GenerateGRN and
@@ -145,14 +151,30 @@ func buildFrom(rng *RNG) gen.Build {
 }
 
 // GenerateMesh builds a width×height 2-D grid substrate.
-func GenerateMesh(width, height int) (*Graph, error) { return gen.Mesh(width, height) }
+func GenerateMesh(width, height int) (*FrozenTopology, error) { return frozen(gen.Mesh(width, height)) }
 
 // GenerateER builds an Erdős–Rényi G(n, M) baseline.
-func GenerateER(n, edges int, rng *RNG) (*Graph, error) { return gen.ER(n, edges, rng) }
+func GenerateER(n, edges int, rng *RNG) (*FrozenTopology, error) {
+	return frozen(gen.ER(n, edges, rng))
+}
 
 // GenerateWattsStrogatz builds a small-world baseline.
-func GenerateWattsStrogatz(n, k int, beta float64, rng *RNG) (*Graph, error) {
-	return gen.WattsStrogatz(n, k, beta, rng)
+func GenerateWattsStrogatz(n, k int, beta float64, rng *RNG) (*FrozenTopology, error) {
+	return frozen(gen.WattsStrogatz(n, k, beta, rng))
+}
+
+// frozen snapshots a generator's finished graph once, passing its error
+// through; frozenWithStats does the same for a generator reporting Stats.
+func frozen(g *graph.Graph, err error) (*FrozenTopology, error) {
+	if err != nil {
+		return nil, err
+	}
+	return g.Freeze(), nil
+}
+
+func frozenWithStats(g *graph.Graph, st GenStats, err error) (*FrozenTopology, GenStats, error) {
+	f, err := frozen(g, err)
+	return f, st, err
 }
 
 // SearchResult is the per-TTL outcome (hits, messages) of one search.

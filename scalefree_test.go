@@ -11,15 +11,14 @@ import (
 func TestPublicAPIGenerateAndSearch(t *testing.T) {
 	t.Parallel()
 	rng := NewRNG(1)
-	g, _, err := GeneratePA(PAConfig{N: 2000, M: 2, KC: 40}, rng)
+	f, _, err := GeneratePA(PAConfig{N: 2000, M: 2, KC: 40}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != 2000 || g.MaxDegree() > 40 {
-		t.Fatalf("N=%d maxDeg=%d", g.N(), g.MaxDegree())
+	if f.N() != 2000 || f.MaxDegree() > 40 {
+		t.Fatalf("N=%d maxDeg=%d", f.N(), f.MaxDegree())
 	}
 
-	f := Freeze(g)
 	fl, err := Flood(f, 0, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func TestPublicAPIDegreeAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := DegreeDistribution(Freeze(g))
+	d := DegreeDistribution(g)
 	fit, err := FitDegreeExponent(d, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +69,12 @@ func TestPublicAPIDAPAOnSubstrate(t *testing.T) {
 	if len(pts) != 2000 {
 		t.Fatalf("points %d", len(pts))
 	}
-	ov, st, err := GenerateDAPA(Freeze(sub), DAPAConfig{NOverlay: 800, M: 2, KC: 20, TauSub: 6}, rng)
+	ov, st, err := GenerateDAPA(sub, DAPAConfig{NOverlay: 800, M: 2, KC: 20, TauSub: 6}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Joined != 800 || ov.G.MaxDegree() > 20 {
-		t.Fatalf("joined=%d maxDeg=%d", st.Joined, ov.G.MaxDegree())
+	if st.Joined != 800 || ov.MaxDegree() > 20 {
+		t.Fatalf("joined=%d maxDeg=%d", st.Joined, ov.MaxDegree())
 	}
 }
 

@@ -426,7 +426,7 @@ func run(args []string, stdout io.Writer) error {
 		// How busy the spec kept the cores: its CPU time over wall time
 		// times GOMAXPROCS.
 		wall, cpu, procs := time.Since(start), cpuSeconds()-cpu, runtime.GOMAXPROCS(0)
-		fmt.Fprintf(os.Stderr, "%s done in %s (%d panels; cpu %.2fs, %.2f of %d cores)\n",
+		fmt.Fprintf(os.Stderr, "%s done in %s (%d panels; cpu %.3fs, %.2f of %d cores)\n",
 			spec.ID, wall.Round(time.Millisecond), len(figs), cpu, cpu/(wall.Seconds()*float64(procs)), procs)
 	}
 	// Drop clean journals only now, after every selected spec succeeded:

@@ -118,15 +118,15 @@ func cmShuffledStubs(cfg CMConfig, b Build) ([]int32, error) {
 func powerLawDegreeSequence(n, kMin, kMax int, gamma float64, b Build) []int32 {
 	seq := b.Arena.Grab(n)
 	subtotals := make([]int, chunks(n))
-	// One read-only sampling kernel shared by every chunk worker —
-	// bit-identical to rng.PowerLawInt per draw (see plcache.go), so the
-	// phase contract is untouched.
-	sample := powerLawSampleFunc(n, kMin, kMax, gamma)
+	// One read-only table shared by every chunk worker — bit-identical to
+	// rng.PowerLawInt per draw (see plcache.go), so the phase contract is
+	// untouched.
+	table := powerLawTable(kMin, kMax, gamma, b)
 	b.forChunks(n, func(chunk, lo, hi int) {
 		rng := b.Phases.Chunk("cm.degrees", chunk)
 		t := 0
 		for i := lo; i < hi; i++ {
-			k := sample(rng)
+			k := table.Sample(rng)
 			seq[i] = int32(k)
 			t += k
 		}

@@ -2,8 +2,11 @@ package gen
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
+	"scalefree/internal/graph"
 	"scalefree/internal/stats"
 	"scalefree/internal/xrand"
 )
@@ -198,10 +201,10 @@ func TestPowerLawDegreeSequenceDegenerate(t *testing.T) {
 }
 
 // TestPowerLawDegreeSequenceTableIdentity pins the acceptance contract of
-// the shared sampling kernel (table or hoisted sampler, see plcache.go) at
-// paper scale in the kMax≈N cutoff regime: degree sequences, parity repair
-// included, are byte-identical to per-draw rng.PowerLawInt on each chunk's
-// sub-stream, for a multi-worker build.
+// the sampling table (see plcache.go) at paper scale in the kMax≈N cutoff
+// regime: degree sequences, parity repair included, are byte-identical to
+// per-draw rng.PowerLawInt on each chunk's sub-stream, for a multi-worker
+// build.
 func TestPowerLawDegreeSequenceTableIdentity(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -211,7 +214,7 @@ func TestPowerLawDegreeSequenceTableIdentity(t *testing.T) {
 		{200000, 2, 200000, 2.2}, // paper-scale CM with natural cutoff
 		{50000, 2, 10, 2.2},      // hard cutoff
 		{30000, 1, 30000, 3.5},
-		{100, 2, 100000, 2.5}, // range >> n: sampler path, no table build
+		{100, 2, 100000, 2.5}, // range >> n: a table far longer than the sequence
 	}
 	for _, c := range cases {
 		b := NewBuild(phasesFor(7, 3), 3)
@@ -281,5 +284,75 @@ func TestPowerLawChunkedTableIdentity(t *testing.T) {
 		if int(got[i]) != want[i] {
 			t.Fatalf("chunked degree %d differs: got %d want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestPowerLawTableSharedAcrossArenas pins who keeps a degree table.
+// Builds with an arena, the engine's, share one table per distribution:
+// two arenas missing on one distribution at once get the same table, and
+// a warm build allocates less than the table's bounds, so it builds none.
+// A build without an arena keeps nothing. It is not parallel: it counts
+// the whole process's allocations and plTables' entries.
+func TestPowerLawTableSharedAcrossArenas(t *testing.T) {
+	entries := func() int {
+		c := 0
+		plTables.Range(func(any, any) bool { c++; return true })
+		return c
+	}
+	// Gammas no other test draws from, so every first call misses.
+	const n, kMin = 20000, 3
+	gammas := []float64{2.3401, 2.3402, 2.3403, 2.3404, 2.3405, 2.3406}
+	before := entries()
+	for _, gamma := range gammas {
+		var tables [2]*xrand.PowerLawTable
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := range tables {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				tables[i] = powerLawTable(kMin, n, gamma, Build{Arena: graph.NewCSRArena()})
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if tables[0] != tables[1] {
+			t.Fatalf("gamma=%v: two arenas got two tables for one distribution", gamma)
+		}
+	}
+	if got := entries() - before; got != len(gammas) {
+		t.Fatalf("%d distributions stored %d tables", len(gammas), got)
+	}
+
+	cfg := CMConfig{N: n, M: kMin, KC: NoCutoff, Gamma: gammas[0]}
+	b := Build{Phases: phasesFor(4, 0), Workers: 1, Arena: graph.NewCSRArena()}
+	last, _, err := CMFrozen(cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The smallest of three readings is the build's own (see
+	// TestArenaSteadyStateAllocs).
+	bytes := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.Arena.Recycle(last)
+		if last, _, err = CMFrozen(cfg, b); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if table := uint64(8 * (n - kMin)); bytes >= table {
+		t.Errorf("a warm build allocated %d B, at least the %d B of its table's bounds", bytes, table)
+	}
+
+	stored := entries()
+	if _, _, err := CMFrozen(CMConfig{N: n, M: kMin, KC: NoCutoff, Gamma: 2.3499}, seedBuild(4)); err != nil {
+		t.Fatal(err)
+	}
+	if got := entries(); got != stored {
+		t.Fatalf("a build without an arena grew the shared tables from %d to %d", stored, got)
 	}
 }

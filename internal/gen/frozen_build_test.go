@@ -273,9 +273,11 @@ func TestFrozenBuildArenaAcrossRealizations(t *testing.T) {
 // streams, result headers — within bounds that hold at every N, instead of
 // the per-node rows, ID maps, scratch and snapshot arrays a build without
 // an arena allocates (about 1 600 objects for one HAPA build at N = 850).
-// CM's bounds are 17 objects and 1 200 B, over its measured 17 objects
-// and 1 120 B (1 136 B under -race): the pair stream is scattered where
-// it lies, so a returning chunk-buffer builder fails them. It is not
+// CM's bounds are its measured 14 objects and 720 B (704 B without
+// -race): the pair stream is scattered where it lies, so a returning
+// chunk-buffer builder fails them, and the degree table is the engine's
+// shared one, so a build that draws from a table of its own (17 objects,
+// 1 120 B) fails them too. It is not
 // parallel: it counts the whole process's mallocs. Each of three rounds
 // reads one warm build, and the smallest reading is checked, so an
 // allocation the race detector or the runtime makes meanwhile does not
@@ -315,7 +317,7 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 			}
 			return b.Arena.Freeze(ov.G, 1), nil
 		}},
-		{"CM", 17, 1200, func(n int, b Build) (*graph.Frozen, error) {
+		{"CM", 14, 720, func(n int, b Build) (*graph.Frozen, error) {
 			f, _, err := CMFrozen(CMConfig{N: n, M: 2, KC: 40, Gamma: 2.5}, b)
 			return f, err
 		}},
@@ -360,13 +362,13 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 // snapshot, whose neighbor array is scattered at multigraph size and
 // compacted in place, only the shuffled stub array the scatter reads
 // where it lies, plus node-sized scratch (degree sequence, scatter
-// positions, replay marks, the sampler's table). Built without an arena,
-// where every buffer is a fresh allocation, a build therefore allocates
+// positions, replay marks, the degree table at 8 B per degree in range).
+// Built without an arena, where every buffer is a fresh allocation and
+// the build draws from a table of its own, a build therefore allocates
 // under two stub arrays and ten int32 node arrays; a returning chunk
 // copy of the stream, multigraph staging array or sorted dedup copy adds
-// a third stub-length array and fails. The unmeasured stub draw that
-// sizes the bound first fills the sampler caches. It is not parallel: it
-// counts the whole process's allocation.
+// a third stub-length array and fails. An unmeasured stub draw sizes the
+// bound. It is not parallel: it counts the whole process's allocation.
 func TestCMWorkingSetIsOneStubArray(t *testing.T) {
 	for _, cfg := range []CMConfig{
 		{N: 20000, M: 2, KC: NoCutoff, Gamma: 2.2},

@@ -2,63 +2,44 @@ package gen
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"scalefree/internal/xrand"
 )
 
 // Table-driven power-law sampling for configuration-model degree
 // sequences. xrand.PowerLawTable is bit-identical to RNG.PowerLawInt with
-// identical RNG consumption (see internal/xrand/powerlaw.go), so swapping
-// it in here cannot change a single sampled degree — pinned by
+// identical RNG consumption (see internal/xrand/powerlaw.go), so drawing
+// from it cannot change a single sampled degree — pinned by
 // TestPowerLawDegreeSequenceTableIdentity. The table is read-only after
-// construction, so one instance is shared across gen workers and chunks,
-// and cached across realizations: the xl registry rebuilds the same
-// (kMin, kMax=N, gamma) distribution for every realization of every CM
-// figure, and the 10⁶-entry table is the whole point of the exercise.
+// construction, so one instance serves every chunk worker of a build, and
+// an engine build shares it with every other: a series fixes its
+// distribution P(k) ∝ k^-γ on [m, kc], so every realization of every CM
+// series draws from one of a handful of tables for the whole run.
 
 type plTableKey struct {
 	kMin, kMax int
 	gamma      float64
 }
 
-var (
-	plTableCache sync.Map // plTableKey -> *xrand.PowerLawTable
-	plTableCount atomic.Int64
-)
+// plTables holds the table of every distribution an engine build has
+// drawn from, for the life of the process.
+var plTables sync.Map // plTableKey -> *xrand.PowerLawTable
 
-// Cache only tables that are expensive to rebuild, and boundedly many of
-// them: property/fuzz tests roam the parameter space with throwaway
-// distributions that must not accrete memory.
-const (
-	plCacheMinRange   = 4096
-	plCacheMaxEntries = 32
-)
-
-func powerLawTableFor(kMin, kMax int, gamma float64) *xrand.PowerLawTable {
+// powerLawTable returns the sampling table for P(k) ∝ k^-gamma on
+// [kMin, kMax]. A build with an Arena — an engine build, which repeats
+// its series' distribution every realization — takes it from plTables,
+// building and storing it on the first miss; concurrent misses agree on
+// the stored one. A build without an arena (the facade, the CLIs, tests
+// that roam the parameter space) builds its own and keeps nothing, so a
+// caller sweeping γ or N cannot pile up tables of 8 B × (kMax − kMin).
+func powerLawTable(kMin, kMax int, gamma float64, b Build) *xrand.PowerLawTable {
+	if b.Arena == nil {
+		return xrand.NewPowerLawTable(kMin, kMax, gamma)
+	}
 	key := plTableKey{kMin, kMax, gamma}
-	if v, ok := plTableCache.Load(key); ok {
+	if v, ok := plTables.Load(key); ok {
 		return v.(*xrand.PowerLawTable)
 	}
-	t := xrand.NewPowerLawTable(kMin, kMax, gamma)
-	if kMax-kMin >= plCacheMinRange && plTableCount.Load() < plCacheMaxEntries {
-		if _, loaded := plTableCache.LoadOrStore(key, t); !loaded {
-			plTableCount.Add(1)
-		}
-	}
-	return t
-}
-
-// powerLawSampleFunc picks the cheapest bit-identical sampling kernel for
-// an n-entry degree sequence on [kMin, kMax]: the threshold table when its
-// one-off build cost (kMax-kMin Pows) amortizes over the sequence, the
-// hoisted-invariant sampler (one Pow per draw) otherwise. Either way every
-// draw consumes exactly one Float64 and matches rng.PowerLawInt bit for
-// bit.
-func powerLawSampleFunc(n, kMin, kMax int, gamma float64) func(*xrand.RNG) int {
-	if kMax-kMin <= 4*n {
-		return powerLawTableFor(kMin, kMax, gamma).Sample
-	}
-	s := xrand.NewPowerLawSampler(kMin, kMax, gamma)
-	return s.Sample
+	v, _ := plTables.LoadOrStore(key, xrand.NewPowerLawTable(kMin, kMax, gamma))
+	return v.(*xrand.PowerLawTable)
 }

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 
 	"scalefree/internal/graph"
@@ -261,7 +262,7 @@ func RobustnessWith(f *graph.Frozen, cfg RobustnessConfig, rng *xrand.RNG) ([]Ro
 			bcSteps = append(bcSteps, bs)
 		case RemoveRandom:
 			for i := 0; i < step && r.aliveCount > 0; i++ {
-				r.remove(randomAlive(r.alive, r.aliveCount, rng))
+				r.remove(r.randomAlive(rng))
 			}
 		case RemoveHighestDegree:
 			r.removeHighestDegree(step)
@@ -278,13 +279,18 @@ func RobustnessWith(f *graph.Frozen, cfg RobustnessConfig, rng *xrand.RNG) ([]Ro
 // empties the node's row and deletes each copy of it from its neighbors'
 // rows by Graph.RemoveEdge's rule (swap-with-last, first copy first), so
 // the rows keep the order a Graph mutated by the same removals would.
+// The indexes that pick the next victim are built on a strategy's first
+// pick and kept current by every removal after it, so a pick costs
+// O(log N) instead of a scan over all N nodes.
 type removal struct {
 	rows       [][]int32 // sliced from one flat array, capacity clipped
 	alive      []bool
 	aliveCount int
 	seen       []bool // reached by the current measurement's BFS
 	queue      []int32
-	bt         *brandes // the betweenness attack's state, else nil
+	bt         *brandes   // the betweenness attack's state, else nil
+	ranks      aliveRanks // the random attack's index, else nil
+	byDegree   degreeTree // the degree attack's index, else nil
 }
 
 func newRemoval(f *graph.Frozen, withBrandes bool) *removal {
@@ -321,10 +327,19 @@ func (r *removal) remove(u int) {
 			}
 		}
 		r.rows[v] = row
+		if r.byDegree != nil {
+			r.byDegree.update(r, int(v))
+		}
 	}
 	r.rows[u] = r.rows[u][:0]
 	r.alive[u] = false
 	r.aliveCount--
+	if r.ranks != nil {
+		r.ranks.remove(u)
+	}
+	if r.byDegree != nil {
+		r.byDegree.update(r, u)
+	}
 }
 
 // point measures the current removed fraction and giant fraction. The
@@ -389,27 +404,104 @@ func (r *removal) removeBetweennessBatch(step, pivots int, rng *xrand.RNG) Betwe
 // removeHighestDegree removes up to k nodes one at a time, each the live
 // node of highest current degree (lowest ID among ties).
 func (r *removal) removeHighestDegree(k int) {
+	if r.byDegree == nil && k > 0 {
+		r.byDegree = newDegreeTree(r)
+	}
 	for ; k > 0 && r.aliveCount > 0; k-- {
-		best, bestDeg := -1, -1
-		for u, a := range r.alive {
-			if a && len(r.rows[u]) > bestDeg {
-				best, bestDeg = u, len(r.rows[u])
-			}
-		}
-		r.remove(best)
+		r.remove(int(r.byDegree[1]))
 	}
 }
 
-func randomAlive(alive []bool, aliveCount int, rng *xrand.RNG) int {
-	pick := rng.Intn(aliveCount)
-	for u, a := range alive {
-		if !a {
-			continue
-		}
-		if pick == 0 {
-			return u
-		}
-		pick--
+// randomAlive draws rng.Intn(aliveCount) and returns that many-th live
+// node in ID order.
+func (r *removal) randomAlive(rng *xrand.RNG) int {
+	if r.ranks == nil {
+		r.ranks = newAliveRanks(r.alive)
 	}
-	return -1
+	return r.ranks.find(rng.Intn(r.aliveCount))
+}
+
+// aliveRanks is a Fenwick tree over the alive flags: entry i (1-based)
+// counts the live nodes among IDs (i − lowbit(i), i − 1].
+type aliveRanks []int32
+
+func newAliveRanks(alive []bool) aliveRanks {
+	t := make(aliveRanks, len(alive)+1)
+	for i := 1; i < len(t); i++ {
+		if alive[i-1] {
+			t[i]++
+		}
+		if j := i + i&-i; j < len(t) {
+			t[j] += t[i]
+		}
+	}
+	return t
+}
+
+// remove drops live node u from the counts.
+func (t aliveRanks) remove(u int) {
+	for i := u + 1; i < len(t); i += i & -i {
+		t[i]--
+	}
+}
+
+// find returns the live node with exactly k live nodes below it.
+func (t aliveRanks) find(k int) int {
+	pos, rem := 0, int32(k)
+	for step := 1 << (bits.Len(uint(len(t)-1)) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next < len(t) && t[next] <= rem {
+			pos, rem = next, rem-t[next]
+		}
+	}
+	return pos
+}
+
+// degreeTree is a tournament tree over the nodes: leaf size+u holds u,
+// and each inner entry the winner of its two children — the live node of
+// longest row, lowest ID among ties — so entry 1 is the degree attack's
+// next victim. Removed nodes and padding (-1) never win against a live
+// node.
+type degreeTree []int32
+
+func newDegreeTree(r *removal) degreeTree {
+	n := len(r.rows)
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	t := make(degreeTree, 2*size)
+	for i := size; i < len(t); i++ {
+		t[i] = -1
+		if i-size < n {
+			t[i] = int32(i - size)
+		}
+	}
+	for i := size - 1; i >= 1; i-- {
+		t[i] = t.winner(r, t[2*i], t[2*i+1])
+	}
+	return t
+}
+
+// winner returns whichever of a and b the degree attack removes first.
+func (t degreeTree) winner(r *removal, a, b int32) int32 {
+	if ka, kb := t.key(r, a), t.key(r, b); kb > ka || (kb == ka && b < a) {
+		return b
+	}
+	return a
+}
+
+// key orders the leaves: a live node's row length, -1 for the rest.
+func (degreeTree) key(r *removal, u int32) int {
+	if u < 0 || !r.alive[u] {
+		return -1
+	}
+	return len(r.rows[u])
+}
+
+// update replays the matches on u's path to the root after its row
+// shrank or it was removed.
+func (t degreeTree) update(r *removal, u int) {
+	for i := (len(t)/2 + u) / 2; i >= 1; i /= 2 {
+		t[i] = t.winner(r, t[2*i], t[2*i+1])
+	}
 }

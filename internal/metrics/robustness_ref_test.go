@@ -133,6 +133,22 @@ func referenceRobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RN
 	return pts, bcSteps, nil
 }
 
+// randomAlive is the random attack's pick by its definition: draw
+// rng.Intn(aliveCount) and scan for that many-th live node in ID order.
+func randomAlive(alive []bool, aliveCount int, rng *xrand.RNG) int {
+	pick := rng.Intn(aliveCount)
+	for u, a := range alive {
+		if !a {
+			continue
+		}
+		if pick == 0 {
+			return u
+		}
+		pick--
+	}
+	return -1
+}
+
 // referenceBetweenness is the Brandes pass the Graph-based experiment ran
 // on each step's graph, with fresh state per call: sampled from pivots
 // random sources when 0 < pivots < N (bc scaled by N/pivots, se from the

@@ -50,14 +50,14 @@ func perSourceFLRows(t *testing.T, factory topoFactory, cfg searchCfg, seed uint
 // the caller: sample fills source s's row from its flood result. It
 // journals under tag and labels the series "fl".
 func flSweep(tag string, factory topoFactory, cfg searchCfg, seed uint64, sample func(search.Result, []float64)) (Series, error) {
-	curves, err := sourceBatch(cfg.sc, recSweepSlots, sourceBuild{seed: seed, factory: factory, series: []curveSeries{{tag, 1, cfg.maxTTL + 1,
+	means, err := realizationBatch(cfg.sc, minted(shared("", seed, factory, sweepSeries(cfg.sc, recSweepSlots, tag, 1, cfg.maxTTL+1,
 		func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 			return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, func(s int, res search.Result) { sample(res, rows[s]) })
-		}}}})
+		}))))
 	if err != nil {
 		return Series{}, err
 	}
-	return aggregate("fl", curves[0][0][0], 1)
+	return aggregate("fl", blockRow(means[0][0], 0), 1)
 }
 
 // flMsgs samples a flood's messages within t hops into row[t]. No spec

@@ -111,9 +111,8 @@ func lastY(s Series) float64 {
 }
 
 func checkNFCutoffGain(sc Scale, seed uint64) (bool, string, error) {
-	cfg := sc.searchCfg(algNF, sc.MaxTTLNF, 2)
-	s, err := searchBatch(searchRun{"kc=10", paTopo(sc.NSearch, 2, 10), cfg, seed},
-		searchRun{"kc=200", paTopo(sc.NSearch, 2, 200), cfg, seed + 1})
+	s, err := searchBatch(sc, searchRun{"kc=10", "", paTopo(sc.NSearch, 2, 10), algNF, sc.MaxTTLNF, 2, seed},
+		searchRun{"kc=200", "", paTopo(sc.NSearch, 2, 200), algNF, sc.MaxTTLNF, 2, seed + 1})
 	if err != nil {
 		return false, "", err
 	}
@@ -122,9 +121,8 @@ func checkNFCutoffGain(sc Scale, seed uint64) (bool, string, error) {
 }
 
 func checkCMException(sc Scale, seed uint64) (bool, string, error) {
-	cfg := sc.searchCfg(algNF, sc.MaxTTLNF, 1)
-	s, err := searchBatch(searchRun{"kc=10", cmTopo(sc.NSearch, 1, 10, 2.2), cfg, seed},
-		searchRun{"no kc", cmTopo(sc.NSearch, 1, gen.NoCutoff, 2.2), cfg, seed + 1})
+	s, err := searchBatch(sc, searchRun{"kc=10", "", cmTopo(sc.NSearch, 1, 10, 2.2), algNF, sc.MaxTTLNF, 1, seed},
+		searchRun{"no kc", "", cmTopo(sc.NSearch, 1, gen.NoCutoff, 2.2), algNF, sc.MaxTTLNF, 1, seed + 1})
 	if err != nil {
 		return false, "", err
 	}
@@ -134,14 +132,13 @@ func checkCMException(sc Scale, seed uint64) (bool, string, error) {
 
 func checkM3ErasesFLPenalty(sc Scale, seed uint64) (bool, string, error) {
 	// A kc=10 and a no-cutoff series for m = 1, then m = 3.
-	cfg := sc.searchCfg(algFL, 6, 0)
 	var runs []searchRun
 	for i, m := range []int{1, 3} {
 		s := seed + uint64(i)*100
-		runs = append(runs, searchRun{"kc", paTopo(sc.NSearch, m, 10), cfg, s},
-			searchRun{"no", paTopo(sc.NSearch, m, gen.NoCutoff), cfg, s + 1})
+		runs = append(runs, searchRun{"kc", "", paTopo(sc.NSearch, m, 10), algFL, 6, 0, s},
+			searchRun{"no", "", paTopo(sc.NSearch, m, gen.NoCutoff), algFL, 6, 0, s + 1})
 	}
-	s, err := searchBatch(runs...)
+	s, err := searchBatch(sc, runs...)
 	if err != nil {
 		return false, "", err
 	}
@@ -156,16 +153,16 @@ func checkWeakDAPACutoffHelpsFL(sc Scale, seed uint64) (bool, string, error) {
 	if err != nil {
 		return false, "", err
 	}
-	cfg := sc.searchCfg(algFL, 20, 0)
 	// This check records a documented deviation (see the claim entry), so
 	// the measurement must be real, not one seed's draw: average over
 	// extra overlays per substrate (dapaTopo cycles r over the substrate
 	// pool) and extra sources. With this averaging the no-cutoff overlays
 	// win or tie at every tested seed and scale.
-	cfg.sc.Realizations *= 3
-	cfg.sc.Sources *= 2
-	s, err := searchBatch(searchRun{"kc=10", dapaTopo(subs, sc.NOverlay, 1, 10, 4), cfg, seed + 1},
-		searchRun{"no kc", dapaTopo(subs, sc.NOverlay, 1, gen.NoCutoff, 4), cfg, seed + 2})
+	wide := sc
+	wide.Realizations *= 3
+	wide.Sources *= 2
+	s, err := searchBatch(wide, searchRun{"kc=10", "", dapaTopo(subs, sc.NOverlay, 1, 10, 4), algFL, 20, 0, seed + 1},
+		searchRun{"no kc", "", dapaTopo(subs, sc.NOverlay, 1, gen.NoCutoff, 4), algFL, 20, 0, seed + 2})
 	if err != nil {
 		return false, "", err
 	}
@@ -191,15 +188,15 @@ func checkExponentMonotone(sc Scale, seed uint64) (bool, string, error) {
 }
 
 func checkNFBeatsRW(sc Scale, seed uint64) (bool, string, error) {
-	curves, err := sourceBatch(sc, recSweepSlots, nfRWBuild(sc.MaxTTLNF, seed, "nf-beats-rw", paTopo(sc.NSearch, 2, 40), 2))
+	means, err := realizationBatch(sc, nfRWBuild(sc, seed, "nf-beats-rw", paTopo(sc.NSearch, 2, 40), 2))
 	if err != nil {
 		return false, "", err
 	}
-	nf, err := aggregate("nf", curves[0][0][1], 1)
+	nf, err := aggregate("nf", blockRow(means[0][0], 1), 1)
 	if err != nil {
 		return false, "", err
 	}
-	rw, err := aggregate("rw", curves[0][0][2], 1)
+	rw, err := aggregate("rw", blockRow(means[0][0], 2), 1)
 	if err != nil {
 		return false, "", err
 	}

@@ -104,7 +104,7 @@ func TestDESFloodSweepMatchesCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []Series{wantHits, wantMsgs} {
-		got, err := aggregate("fl", curves[0][i], 1)
+		got, err := aggregate("fl", blockRow(curves[0], i), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestDESKWalkSweepMatchesCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := aggregate("kw", curves[0][0], 1)
+	got, err := aggregate("kw", blockRow(curves[0], 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

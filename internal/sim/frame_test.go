@@ -53,14 +53,16 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestParentWrittenJournalsResume resumes journals written at commit ceb98bb
-// (tinyScale, seed 12345: one spec per record kind — degree histograms, DES
-// slots, variable-length sweep rows). Every record must be found through the
-// offset index and replay to the golden figure bytes, with nothing
-// recomputed: the file is byte-identical after the run.
+// TestParentWrittenJournalsResume resumes journals written by earlier
+// versions at tinyScale, seed 12345: fig1a, desflood and attack at commit
+// ceb98bb (one spec per record kind — degree histograms, DES slots,
+// variable-length sweep rows), fig9 and messaging at commit 1391c51 (the
+// search series' tags, seeds and fused NF+RW curves). Every record must be
+// found through the offset index and replay to the golden figure bytes,
+// with nothing recomputed: the file is byte-identical after the run.
 func TestParentWrittenJournalsResume(t *testing.T) {
 	t.Parallel()
-	for _, id := range []string{"fig1a", "desflood", "attack"} {
+	for _, id := range []string{"fig1a", "desflood", "attack", "fig9", "messaging"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -251,7 +253,7 @@ func TestSeriesAllocsPerRealization(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.Run = NewRunControl(context.Background(), 0, 0, j)
-		n := allocated(func() { _, err = searchSeries("fl", factory, sc.searchCfg(algFL, maxTTL, 0), 7) })
+		n := allocated(func() { _, err = searchSeries("fl", factory, searchCfg{sc: sc, alg: algFL, maxTTL: maxTTL}, 7) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +284,7 @@ func TestSnapshotAllocsPerRealization(t *testing.T) {
 	const n, sources, maxTTL = 20000, 8, 4
 	sweep := func(name string, factory topoFactory) func(Scale) error {
 		return func(sc Scale) error {
-			_, err := searchSeries(name, factory, sc.searchCfg(algFL, maxTTL, 0), 7)
+			_, err := searchSeries(name, factory, searchCfg{sc: sc, alg: algFL, maxTTL: maxTTL}, 7)
 			return err
 		}
 	}

@@ -200,98 +200,72 @@ func (a algKind) String() string {
 	}
 }
 
-// searchCfg bundles the parameters of one search-efficiency series: the
-// scale (workload, scheduler knobs and supervisor, as the engine takes
-// them) plus what the series sweeps.
-type searchCfg struct {
-	sc     Scale
-	alg    algKind
-	maxTTL int
-	// kMin is the NF/RW fan-out. Callers pass the topology's stub count m:
-	// the paper runs NF "based on the predefined minimum degree value m"
-	// even when cleanup or short horizons push some nodes below m.
-	kMin int
-	tag  string // journal-key prefix for panels whose series labels repeat across shared seeds (see searchBatch)
-}
-
-// withTag returns the config with a journal-key prefix. Required when two
-// series in one spec share both an engine seed and a label format (e.g.
-// fig9's PA and HAPA m=1 panels): the prefix keeps their checkpoint keys
-// distinct so a resume cannot replay one panel's rows into the other.
-func (cfg searchCfg) withTag(tag string) searchCfg {
-	cfg.tag = tag
-	return cfg
-}
-
-// searchCfg wires a series configuration to the scale.
-func (sc Scale) searchCfg(alg algKind, maxTTL, kMin int) searchCfg {
-	return searchCfg{sc: sc, alg: alg, maxTTL: maxTTL, kMin: kMin}
+// searchRun is one series of a search batch: its legend, the realizations
+// factory builds from seed, and the search alg it sweeps on them to maxTTL
+// hops. kMin is the NF/RW fan-out, the topology's stub count m: the paper
+// runs NF "based on the predefined minimum degree value m". tag (may be
+// empty) prefixes the journal key of series that share both a seed and a
+// label format (fig9's PA and HAPA m=1 panels; see searchBatch).
+type searchRun struct {
+	label, tag   string
+	factory      topoFactory
+	alg          algKind
+	maxTTL, kMin int
+	seed         uint64
 }
 
 // runSearch dispatches one NF or RW search on the per-worker scratch (FL
 // sweeps run through sweeper.FloodSources). The Result aliases the
 // scratch: consume it before the next search.
-func (cfg searchCfg) runSearch(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) (search.Result, error) {
-	switch cfg.alg {
+func (run searchRun) runSearch(scratch *search.Scratch, f *graph.Frozen, src int, rng *xrand.RNG) (search.Result, error) {
+	switch run.alg {
 	case algNF:
-		return scratch.NormalizedFlood(f, src, cfg.maxTTL, cfg.kMin, rng)
+		return scratch.NormalizedFlood(f, src, run.maxTTL, run.kMin, rng)
 	case algRW:
-		res, _, err := scratch.RandomWalkWithNFBudget(f, src, cfg.maxTTL, cfg.kMin, rng)
+		res, _, err := scratch.RandomWalkWithNFBudget(f, src, run.maxTTL, run.kMin, rng)
 		return res, err
 	default:
-		return search.Result{}, fmt.Errorf("sim: unknown algorithm %v", cfg.alg)
+		return search.Result{}, fmt.Errorf("sim: unknown algorithm %v", run.alg)
 	}
 }
 
-// searchRun is one series of a search batch: its legend, the realizations
-// factory builds from seed, and what cfg sweeps on them.
-type searchRun struct {
-	label   string
-	factory topoFactory
-	cfg     searchCfg
-	seed    uint64
-}
-
 // searchBatch measures mean hits vs τ for every run on one lane pool
-// (sourceBatch; the runs share runs[0].cfg.sc, the spec's scale):
-// sc.Realizations topologies from each run's factory, sc.Sources random
-// sources each, averaged per τ with error bars across realizations. Each
-// returned series has x = τ (1..maxTTL) and y = mean number of hits. For
-// algRW, hits follow the paper's normalization: a walk of as many steps as
-// NF sent messages at that τ. A run's journal tag is cfg.tag + label — the
-// label disambiguates series that share an engine seed, and cfg.tag
-// disambiguates panels that share both.
-func searchBatch(runs ...searchRun) ([]Series, error) {
-	builds := make([]sourceBuild, len(runs))
+// (realizationBatch): sc.Realizations topologies from each run's factory,
+// sc.Sources random sources each, averaged per τ with error bars across
+// realizations, as series of x = τ (1..maxTTL), y = mean hits. algRW hits
+// follow the paper's normalization: a walk of as many steps as NF sent
+// messages at that τ. A run journals under tag + ": " + label: the label
+// tells apart series that share a seed, the tag panels that share both.
+func searchBatch(sc Scale, runs ...searchRun) ([]Series, error) {
+	builds := make([]blockBuild[*graph.Frozen, [][]float64, [][]float64], len(runs))
 	for i, run := range runs {
-		cfg := run.cfg
 		tag := run.label
-		if cfg.tag != "" {
-			tag = cfg.tag + ": " + run.label
+		if run.tag != "" {
+			tag = run.tag + ": " + run.label
 		}
-		builds[i] = sourceBuild{name: "series " + run.label, seed: run.seed, factory: run.factory, series: []curveSeries{{tag, 1, cfg.maxTTL + 1,
+		builds[i] = minted(shared("series "+run.label, run.seed, run.factory, sweepSeries(sc, recSweepSlots, tag, 1, run.maxTTL+1,
 			func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
-				if cfg.alg == algFL {
+				if run.alg == algFL {
 					// FL draws nothing but its source node, so whole runs of
 					// sources share one bit-parallel flood.
-					return sw.FloodSources(uint64(r), len(rows), f, cfg.maxTTL, func(s int, res search.Result) { hitsRow(res, rows[s]) })
+					return sw.FloodSources(uint64(r), len(rows), f, run.maxTTL, func(s int, res search.Result) { hitsRow(res, rows[s]) })
 				}
 				return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
-					res, err := cfg.runSearch(scratch, f, src, rng)
+					res, err := run.runSearch(scratch, f, src, rng)
 					if err == nil {
 						hitsRow(res, curves[0])
 					}
 					return err
 				})
-			}}}}
+			})))
 	}
-	curves, err := sourceBatch(runs[0].cfg.sc, recSweepSlots, builds...)
+	means, err := realizationBatch(sc, builds...)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Series, len(runs))
 	for i, run := range runs {
-		if out[i], err = aggregate(run.label, curves[i][0][0], 1); err != nil {
+		if out[i], err = aggregate(run.label, blockRow(means[i][0], 0), 1); err != nil {
 			return nil, err
 		}
 	}
@@ -305,62 +279,19 @@ func hitsRow(res search.Result, row []float64) {
 	}
 }
 
-// curveSeries is one series of a source sweep: tag names it in the
-// journal, and sweep fills realization r's block of nCurves × sc.Sources
-// rows of rowLen values, curve-major — it deposits source s's curve c in
-// rows[c*sc.Sources+s], whatever shard computed it.
-type curveSeries struct {
-	tag             string
-	nCurves, rowLen int
-	sweep           func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error
-}
-
-// sourceBuild is one build of a sourceBatch: the realizations factory
-// builds from seed, swept for each of its series. name (may be empty)
-// prefixes the error a failed realization of it returns.
-type sourceBuild struct {
-	name    string
-	seed    uint64
-	factory topoFactory
-	series  []curveSeries
-}
-
-// sourceBatch is the one source sweep under every search and DES series:
-// the lane pool's build stage generates and freezes each realization of
-// each build once while the sweep stage runs every series of an earlier
-// one, one after another, with no barrier between builds. A block is the
-// sweeper's, zeroed and reused for the next series and realization,
-// because each block is reduced to its nCurves mean rows as it lands. kind
-// names the series' record family in the journal (see realizationBatch).
-// It returns, per build, series and curve, every realization's mean row
-// (nil where the realization is absent), for aggregate.
-func sourceBatch(sc Scale, kind uint8, builds ...sourceBuild) ([][][][][]float64, error) {
-	blocks := make([]blockBuild[*graph.Frozen, [][]float64, [][]float64], len(builds))
-	for k, bd := range builds {
-		series := make([]blockSeries[*graph.Frozen, [][]float64, [][]float64], len(bd.series))
-		for i, s := range bd.series {
-			series[i] = journaled(s.tag, rowMeans(kind, s.nCurves, sc.Sources, s.rowLen), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
-				rows := sw.block(s.nCurves*sc.Sources, s.rowLen)
-				return rows, s.sweep(r, f, sw, rows)
-			})
-		}
-		blocks[k] = minted(shared(bd.name, bd.seed, bd.factory, series...))
-	}
-	means, err := realizationBatch(sc, blocks...)
-	if err != nil {
-		return nil, err
-	}
-	curves := make([][][][][]float64, len(builds))
-	for k, bd := range builds {
-		curves[k] = make([][][][]float64, len(bd.series))
-		for i, s := range bd.series {
-			curves[k][i] = make([][][]float64, s.nCurves)
-			for c := range curves[k][i] {
-				curves[k][i][c] = blockRow(means[k][i], c)
-			}
-		}
-	}
-	return curves, nil
+// sweepSeries is one series of a source sweep, search or DES: tag names it
+// in the journal's record family kind, and sweep fills realization r's
+// block of nCurves × sc.Sources rows of rowLen values, curve-major — source
+// s's curve c goes to rows[c*sc.Sources+s], whatever shard computed it. The
+// block is the sweeper's, reused for the next series and realization: it is
+// reduced to its nCurves mean rows as it lands (rowMeans; blockRow picks
+// one curve's rows across realizations).
+func sweepSeries(sc Scale, kind uint8, tag string, nCurves, rowLen int,
+	sweep func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error) blockSeries[*graph.Frozen, [][]float64, [][]float64] {
+	return journaled(tag, rowMeans(kind, nCurves, sc.Sources, rowLen), func(r int, f *graph.Frozen, sw *sweeper) ([][]float64, error) {
+		rows := sw.block(nCurves*sc.Sources, rowLen)
+		return rows, sweep(r, f, sw, rows)
+	})
 }
 
 // eachSource runs a per-source query over realization r's block of
@@ -570,8 +501,8 @@ func degreePanels(sc Scale, pb *panelBatch[degreeRun]) ([]Figure, error) {
 }
 
 // searchPanels runs a search spec's panels as one batch (searchBatch).
-func searchPanels(pb *panelBatch[searchRun]) ([]Figure, error) {
-	series, err := searchBatch(pb.runs...)
+func searchPanels(sc Scale, pb *panelBatch[searchRun]) ([]Figure, error) {
+	series, err := searchBatch(sc, pb.runs...)
 	if err != nil {
 		return nil, err
 	}

@@ -439,10 +439,12 @@ func TestJournalKeyCollisionRejected(t *testing.T) {
 		t.Fatalf("error %q does not name the collision", err)
 	}
 	// Distinct panel tags keep the keys apart.
-	if _, err := searchSeries("m=1, kc=10", pa, cfg.withTag("figXa"), seed); err != nil {
+	figXa, figXc := cfg, cfg
+	figXa.tag, figXc.tag = "figXa", "figXc"
+	if _, err := searchSeries("m=1, kc=10", pa, figXa, seed); err != nil {
 		t.Fatalf("tagged series collided: %v", err)
 	}
-	if _, err := searchSeries("m=1, kc=10", hapaTopo(400, 2, gen.NoCutoff), cfg.withTag("figXc"), seed); err != nil {
+	if _, err := searchSeries("m=1, kc=10", hapaTopo(400, 2, gen.NoCutoff), figXc, seed); err != nil {
 		t.Fatalf("tagged series collided: %v", err)
 	}
 

@@ -11,9 +11,18 @@ import (
 	"testing"
 )
 
+// searchCfg is the tests' shorthand for one search series' settings and
+// the scale it runs at (see searchRun).
+type searchCfg struct {
+	sc           Scale
+	alg          algKind
+	maxTTL, kMin int
+	tag          string
+}
+
 // searchSeries is searchBatch for one series.
 func searchSeries(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
-	s, err := searchBatch(searchRun{label, factory, cfg, seed})
+	s, err := searchBatch(cfg.sc, searchRun{label, cfg.tag, factory, cfg.alg, cfg.maxTTL, cfg.kMin, seed})
 	if err != nil {
 		return Series{}, err
 	}
@@ -191,16 +200,16 @@ func TestNFRWCurvesMatchSeparateSweeps(t *testing.T) {
 	const seed = 31
 	factory := paTopo(800, 2, 40)
 	sc := Scale{Sources: 6, Realizations: 2, MaxTTLNF: 5}
-	curves, err := sourceBatch(sc, recSweepSlots, nfRWBuild(sc.MaxTTLNF, seed, "fused", factory, 2))
+	means, err := realizationBatch(sc, nfRWBuild(sc, seed, "fused", factory, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c, alg := range map[int]algKind{1: algNF, 2: algRW} {
-		want, err := searchSeries("s", factory, sc.searchCfg(alg, sc.MaxTTLNF, 2), seed)
+		want, err := searchSeries("s", factory, searchCfg{sc: sc, alg: alg, maxTTL: sc.MaxTTLNF, kMin: 2}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := aggregate("s", curves[0][0][c], 1)
+		got, err := aggregate("s", blockRow(means[0][0], c), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

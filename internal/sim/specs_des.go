@@ -5,7 +5,7 @@ package sim
 // flight through internal/des — which makes per-edge latency, message
 // loss, and duplicate traffic measurable scenario knobs instead of
 // inexpressible ones. The specs ride the same build/sweep pipeline as
-// every other figure (sourceBatch): each realization's topology and its
+// every other figure (sweepSeries): each realization's topology and its
 // per-edge latency model derive from the (seed, realization, phase)
 // streams, each source draws from its (seed, realization, source) stream,
 // and results land in per-index slots — so DES figures are bit-for-bit
@@ -60,16 +60,16 @@ type desSeries struct {
 	sample          func(m des.Metrics, rows [][]float64)
 }
 
-// desSweep is a DES spec's one batch, a sourceBatch of one build: each
+// desSweep is a DES spec's one batch, one build of sweepSeries: each
 // realization's topology is built once and every series runs one
 // simulation per source on the shard's pooled des.Sim, over a per-edge
 // latency model rooted at the same (seed, realization) phases the build
-// stage derives the topology from. It returns, per series and curve, every
-// realization's mean row.
+// stage derives the topology from. It returns, per series and realization,
+// the curves' mean rows (blockRow picks one curve).
 func desSweep(sc Scale, seed uint64, factory topoFactory, base, jitter float64, series ...desSeries) ([][][][]float64, error) {
-	sweeps := make([]curveSeries, len(series))
+	sweeps := make([]blockSeries[*graph.Frozen, [][]float64, [][]float64], len(series))
 	for i, s := range series {
-		sweeps[i] = curveSeries{s.tag, s.nCurves, s.rowLen, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+		sweeps[i] = sweepSeries(sc, recDESSlots, s.tag, s.nCurves, s.rowLen, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 			lat := des.Latency{Base: base, Jitter: jitter, Phases: xrand.Phases{Seed: seed, Realization: uint64(r)}}
 			return sw.eachSource(r, f, rows, s.nCurves, func(shard int, _ *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 				m, err := s.run(sw.Sim(shard), f, lat, src, rng)
@@ -78,13 +78,13 @@ func desSweep(sc Scale, seed uint64, factory topoFactory, base, jitter float64, 
 				}
 				return err
 			})
-		}}
+		})
 	}
-	curves, err := sourceBatch(sc, recDESSlots, sourceBuild{seed: seed, factory: factory, series: sweeps})
+	means, err := realizationBatch(sc, minted(shared("", seed, factory, sweeps...)))
 	if err != nil {
 		return nil, err
 	}
-	return curves[0], nil
+	return means[0], nil
 }
 
 // lossLabel renders a loss rate the way the DES legends do.
@@ -153,7 +153,7 @@ func desFlood(sc Scale, seed uint64, factory topoFactory) ([]Figure, error) {
 	for i, loss := range losses {
 		label := lossLabel(loss)
 		for c, fig := range []*Figure{&hitsFig, &timeFig, &msgFig} {
-			s, err := aggregate(label, curves[i][c], 1)
+			s, err := aggregate(label, blockRow(curves[i], c), 1)
 			if err != nil {
 				return nil, fmt.Errorf("desflood %s: %w", label, err)
 			}
@@ -204,7 +204,7 @@ func desKWalk(sc Scale, seed uint64, factory topoFactory) ([]Figure, error) {
 		return nil, fmt.Errorf("deskwalk: %w", err)
 	}
 	for i, label := range labels {
-		s, err := aggregate(label, curves[i][0], 1)
+		s, err := aggregate(label, blockRow(curves[i], 0), 1)
 		if err != nil {
 			return nil, err
 		}

@@ -317,21 +317,21 @@ func KWalk(sc Scale, seed uint64) ([]Figure, error) {
 			return nil
 		}},
 	}
-	builds := make([]sourceBuild, len(variants))
+	builds := make([]blockBuild[*graph.Frozen, [][]float64, [][]float64], len(variants))
 	for vi, v := range variants {
-		builds[vi] = sourceBuild{name: "series " + v.label, seed: seed + uint64(vi)*4099, factory: factory, series: []curveSeries{{"kwalk " + v.label, 1, sc.MaxTTLNF + 1,
+		builds[vi] = minted(shared("series "+v.label, seed+uint64(vi)*4099, factory, sweepSeries(sc, recSweepSlots, "kwalk "+v.label, 1, sc.MaxTTLNF+1,
 			func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 				return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 					return v.run(scratch, f, src, rng, curves[0])
 				})
-			}}}}
+			})))
 	}
-	curves, err := sourceBatch(sc, recSweepSlots, builds...)
+	means, err := realizationBatch(sc, builds...)
 	if err != nil {
 		return nil, err
 	}
 	for vi, v := range variants {
-		s, err := aggregate(v.label, curves[vi][0][0], 1)
+		s, err := aggregate(v.label, blockRow(means[vi][0], 0), 1)
 		if err != nil {
 			return nil, err
 		}

@@ -123,7 +123,7 @@ func desFail(sc Scale, seed uint64, factory topoFactory) ([]Figure, error) {
 		return nil, fmt.Errorf("desfail: %w", err)
 	}
 	for i, fig := range figs {
-		s, err := aggregate(labels[i], curves[i][0], 1)
+		s, err := aggregate(labels[i], blockRow(curves[i], 0), 1)
 		if err != nil {
 			return nil, err
 		}

@@ -25,15 +25,15 @@ func Fig6(sc Scale, seed uint64) ([]Figure, error) {
 		for _, m := range []int{1, 2, 3} {
 			for _, kc := range []int{10, 50, gen.NoCutoff} {
 				pb.add(searchRun{
-					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
-					p.mk(m, kc),
-					sc.searchCfg(algFL, sc.MaxTTLFlood, 0),
-					seed + uint64(pi*10000+m*100+kc),
+					label:   fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
+					factory: p.mk(m, kc),
+					seed:    seed + uint64(pi*10000+m*100+kc),
+					alg:     algFL, maxTTL: sc.MaxTTLFlood,
 				})
 			}
 		}
 	}
-	return searchPanels(pb)
+	return searchPanels(sc, pb)
 }
 
 // Fig7 regenerates Fig. 7: flooding hits vs τ on CM for
@@ -52,15 +52,15 @@ func Fig7(sc Scale, seed uint64) ([]Figure, error) {
 		for _, m := range []int{1, 2, 3} {
 			for _, kc := range []int{10, 40, gen.NoCutoff} {
 				pb.add(searchRun{
-					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
-					cmTopo(sc.NSearch, m, kc, gamma),
-					sc.searchCfg(algFL, sc.MaxTTLFlood, 0),
-					seed + uint64(pi*10000+m*100+kc),
+					label:   fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
+					factory: cmTopo(sc.NSearch, m, kc, gamma),
+					seed:    seed + uint64(pi*10000+m*100+kc),
+					alg:     algFL, maxTTL: sc.MaxTTLFlood,
 				})
 			}
 		}
 	}
-	return searchPanels(pb)
+	return searchPanels(sc, pb)
 }
 
 // Fig8 regenerates Fig. 8: flooding hits vs τ on DAPA overlays, one panel
@@ -87,15 +87,15 @@ func Fig8(sc Scale, seed uint64) ([]Figure, error) {
 		for _, kc := range []int{10, 50, gen.NoCutoff} {
 			for _, tau := range []int{2, 4, 10, 50} {
 				pb.add(searchRun{
-					fmt.Sprintf("%s, tau_sub=%d", cutoffLabel(kc), tau),
-					dapaTopo(substrates, sc.NOverlay, m, kc, tau),
-					sc.searchCfg(algFL, maxTTL, 0),
-					seed + uint64(m*100000+kc*100+tau),
+					label:   fmt.Sprintf("%s, tau_sub=%d", cutoffLabel(kc), tau),
+					factory: dapaTopo(substrates, sc.NOverlay, m, kc, tau),
+					seed:    seed + uint64(m*100000+kc*100+tau),
+					alg:     algFL, maxTTL: maxTTL,
 				})
 			}
 		}
 	}
-	return searchPanels(pb)
+	return searchPanels(sc, pb)
 }
 
 // nfRwPanels builds the six panels shared by Figs. 9 and 11 (NF and RW on
@@ -116,14 +116,14 @@ func nfRwPanels(sc Scale, seed uint64, alg algKind, figBase string, titleAlg str
 		for _, m := range ms {
 			for _, kc := range paCutoffs {
 				pb.add(searchRun{
-					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
-					paTopo(sc.NSearch, m, kc),
-					// The panel-id tag keeps the PA and HAPA m=1 panels'
-					// checkpoint keys apart: both use offset 0 into the
-					// shared seed AND the same "m=%d, %s" labels, so
-					// without it a resume would swap their rows.
-					sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
-					seed + uint64(i*100000+m*1000+kc),
+					label: fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
+					// The panel id keeps the PA and HAPA m=1 panels' journal
+					// keys apart: both use seed offset 0 AND one label
+					// format, so a resume would swap their rows.
+					tag:     id,
+					factory: paTopo(sc.NSearch, m, kc),
+					seed:    seed + uint64(i*100000+m*1000+kc),
+					alg:     alg, maxTTL: sc.MaxTTLNF, kMin: m,
 				})
 			}
 		}
@@ -137,10 +137,11 @@ func nfRwPanels(sc Scale, seed uint64, alg algKind, figBase string, titleAlg str
 			for _, gamma := range []float64{2.2, 3.0} {
 				for _, kc := range cmCutoffs {
 					pb.add(searchRun{
-						fmt.Sprintf("m=%d, gamma=%.1f, %s", m, gamma, cutoffLabel(kc)),
-						cmTopo(sc.NSearch, m, kc, gamma),
-						sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
-						seed + uint64(i*200000+m*1000+kc+int(gamma*10)),
+						label:   fmt.Sprintf("m=%d, gamma=%.1f, %s", m, gamma, cutoffLabel(kc)),
+						tag:     id,
+						factory: cmTopo(sc.NSearch, m, kc, gamma),
+						seed:    seed + uint64(i*200000+m*1000+kc+int(gamma*10)),
+						alg:     alg, maxTTL: sc.MaxTTLNF, kMin: m,
 					})
 				}
 			}
@@ -154,15 +155,16 @@ func nfRwPanels(sc Scale, seed uint64, alg algKind, figBase string, titleAlg str
 		for _, m := range ms {
 			for _, kc := range paCutoffs {
 				pb.add(searchRun{
-					fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
-					hapaTopo(sc.NSearch, m, kc),
-					sc.searchCfg(alg, sc.MaxTTLNF, m).withTag(id),
-					seed + uint64(i*300000+m*1000+kc),
+					label:   fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc)),
+					tag:     id,
+					factory: hapaTopo(sc.NSearch, m, kc),
+					seed:    seed + uint64(i*300000+m*1000+kc),
+					alg:     alg, maxTTL: sc.MaxTTLNF, kMin: m,
 				})
 			}
 		}
 	}
-	return searchPanels(pb)
+	return searchPanels(sc, pb)
 }
 
 // Fig9 regenerates Fig. 9: normalized flooding on PA, CM, and HAPA.
@@ -197,15 +199,15 @@ func dapaNFRW(sc Scale, seed uint64, alg algKind, figBase, titleAlg string) ([]F
 			panel++
 			for _, tau := range taus {
 				pb.add(searchRun{
-					fmt.Sprintf("tau_sub=%d", tau),
-					dapaTopo(substrates, sc.NOverlay, m, kc, tau),
-					sc.searchCfg(alg, sc.MaxTTLNF, m),
-					seed + uint64(panel*10000+tau),
+					label:   fmt.Sprintf("tau_sub=%d", tau),
+					factory: dapaTopo(substrates, sc.NOverlay, m, kc, tau),
+					seed:    seed + uint64(panel*10000+tau),
+					alg:     alg, maxTTL: sc.MaxTTLNF, kMin: m,
 				})
 			}
 		}
 	}
-	return searchPanels(pb)
+	return searchPanels(sc, pb)
 }
 
 // Fig10 regenerates Fig. 10: normalized flooding on DAPA overlays.

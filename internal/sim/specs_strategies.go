@@ -79,12 +79,12 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 
 	cutoffs := []int{gen.NoCutoff, 10}
 	budgets := strategyBudgets(sc.NSearch)
-	var builds []sourceBuild
+	var builds []blockBuild[*graph.Frozen, [][]float64, [][]float64]
 	for _, kc := range cutoffs {
 		factory := paTopo(sc.NSearch, m, kc)
 		for vi, v := range variants {
 			tag := fmt.Sprintf("strategies %s %s", cutoffLabel(kc), v.label)
-			builds = append(builds, sourceBuild{name: "series " + v.label, seed: seed + uint64(vi)*7919 + uint64(kc), factory: factory, series: []curveSeries{{tag, 1, len(budgets),
+			builds = append(builds, minted(shared("series "+v.label, seed+uint64(vi)*7919+uint64(kc), factory, sweepSeries(sc, recSweepSlots, tag, 1, len(budgets),
 				func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 					return sw.eachSource(r, f, rows, 1, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
 						res, err := v.run(scratch, f, src, budgets, rng)
@@ -93,10 +93,10 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 						}
 						return err
 					})
-				}}}})
+				}))))
 		}
 	}
-	curves, err := sourceBatch(sc, recSweepSlots, builds...)
+	means, err := realizationBatch(sc, builds...)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func Strategies(sc Scale, seed uint64) ([]Figure, error) {
 			Notes: "extends §V-B's NF-budget normalization to all strategies; HDS = Adamic high-degree-seeking walk",
 		}
 		for vi, v := range variants {
-			s, err := aggregate(v.label, curves[ki*len(variants)+vi][0][0], 0)
+			s, err := aggregate(v.label, blockRow(means[ki*len(variants)+vi][0], 0), 0)
 			if err != nil {
 				return nil, err
 			}

@@ -178,22 +178,22 @@ func Messaging(sc Scale, seed uint64) ([]Figure, error) {
 		XLabel: "tau", YLabel: "messages / hits",
 	}
 	var bases []string
-	var builds []sourceBuild
+	var builds []blockBuild[*graph.Frozen, [][]float64, [][]float64]
 	for _, m := range []int{1, 3} {
 		for _, kc := range []int{10, gen.NoCutoff} {
 			base := fmt.Sprintf("m=%d, %s", m, cutoffLabel(kc))
 			bases = append(bases, base)
-			builds = append(builds, nfRWBuild(sc.MaxTTLNF, seed+uint64(m*100+kc), "messaging "+base, paTopo(sc.NSearch, m, kc), m))
+			builds = append(builds, nfRWBuild(sc, seed+uint64(m*100+kc), "messaging "+base, paTopo(sc.NSearch, m, kc), m))
 		}
 	}
-	curves, err := sourceBatch(sc, recSweepSlots, builds...)
+	means, err := realizationBatch(sc, builds...)
 	if err != nil {
 		return nil, err
 	}
 	for k, base := range bases {
 		var s [3]Series // NF messages, NF hits, RW hits
 		for c, alg := range []string{"NF", "NF", "RW"} {
-			if s[c], err = aggregate(alg+" "+base, curves[k][0][c], 1); err != nil {
+			if s[c], err = aggregate(alg+" "+base, blockRow(means[k][0], c), 1); err != nil {
 				return nil, err
 			}
 		}
@@ -206,14 +206,14 @@ func Messaging(sc Scale, seed uint64) ([]Figure, error) {
 // nfRWBuild sweeps NF and the random walk normalized to its budget (§V-B)
 // with one RandomWalkWithNFBudget call per source, on the realizations
 // factory builds from seed: curves 0, 1 and 2 of its one series are NF
-// messages, NF hits and RW hits at τ = 0..maxTTL. The kernel's NF result is
-// the one NormalizedFlood returns on the same (seed, r, s) stream, so each
-// curve equals its single-algorithm sweep bit for bit. tag names the series
-// in the journal and prefixes the build's errors.
-func nfRWBuild(maxTTL int, seed uint64, tag string, factory topoFactory, kMin int) sourceBuild {
-	return sourceBuild{name: tag, seed: seed, factory: factory, series: []curveSeries{{tag, 3, maxTTL + 1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
+// messages, NF hits and RW hits at τ = 0..sc.MaxTTLNF. The kernel's NF
+// result is the one NormalizedFlood returns on the same (seed, r, s)
+// stream, so each curve equals its single-algorithm sweep bit for bit. tag
+// names the series in the journal and prefixes the build's errors.
+func nfRWBuild(sc Scale, seed uint64, tag string, factory topoFactory, kMin int) blockBuild[*graph.Frozen, [][]float64, [][]float64] {
+	return minted(shared(tag, seed, factory, sweepSeries(sc, recSweepSlots, tag, 3, sc.MaxTTLNF+1, func(r int, f *graph.Frozen, sw *sweeper, rows [][]float64) error {
 		return sw.eachSource(r, f, rows, 3, func(_ int, scratch *search.Scratch, src int, rng *xrand.RNG, curves [][]float64) error {
-			rw, nf, err := scratch.RandomWalkWithNFBudget(f, src, maxTTL, kMin, rng)
+			rw, nf, err := scratch.RandomWalkWithNFBudget(f, src, sc.MaxTTLNF, kMin, rng)
 			if err != nil {
 				return err
 			}
@@ -224,7 +224,7 @@ func nfRWBuild(maxTTL int, seed uint64, tag string, factory topoFactory, kMin in
 			}
 			return nil
 		})
-	}}}}
+	})))
 }
 
 // perHit divides a message series by a hits series pointwise.

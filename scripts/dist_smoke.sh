@@ -6,8 +6,8 @@
 # crashes, and the final reduction replays the journal in index order.
 # This script exercises that promise the way production would:
 #
-#   1. reference run: fig9 + desflood + kwalk (a sweep spec on
-#      sourceBatch, not searchBatch) + attack (a build-only spec) at smoke scale,
+#   1. reference run: fig9 + desflood + kwalk (a sweep spec built on
+#      sweepSeries directly, not searchBatch) + attack (a build-only spec) at smoke scale,
 #      local, uninterrupted
 #   2. clean distributed run: one coordinator, three workers over TCP,
 #      nothing killed. Besides byte-identical CSVs, the coordinator's log

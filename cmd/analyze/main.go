@@ -1,15 +1,17 @@
-// Command analyze prints a full structural report for a topology: size,
-// degree statistics, power-law fit with KS goodness-of-fit, clustering,
+// Command analyze prints a full report for a topology: size, degree
+// statistics, power-law fit with KS goodness-of-fit, clustering,
 // assortativity, k-core structure, path lengths, rich-club and percolation
-// structure, and a quick robustness probe. It reads an edge list (from
-// topogen or any tool emitting the standard format) or generates a PA
-// topology inline.
+// structure, a quick robustness probe, and search efficiency (mean hits and
+// messages per TTL for FL, NF and the NF-budget RW, paper §V). It reads an
+// edge list (from topogen or any tool emitting the standard format) or
+// generates a PA topology inline.
 //
 // Usage:
 //
 //	topogen -model dapa -n 10000 -o overlay.edges
 //	analyze -in overlay.edges
 //	analyze -n 10000 -m 2 -kc 40          # inline PA
+//	analyze -in overlay.edges -ks-trials 0 -robust=false  # skip the slow parts
 //	analyze journal results/fig9.journal  # inspect an experiment journal
 //
 // The "journal" subcommand dumps an experiment journal's header, record
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"text/tabwriter"
 
 	"scalefree"
 	"scalefree/internal/stats"
@@ -142,7 +145,59 @@ func run(args []string, out io.Writer) error {
 				scalefree.PercolationThreshold(pts, 0.25))
 		}
 	}
-	return nil
+	// The search section draws from its own stream, so the sections above
+	// print the same bytes with or without it.
+	return searchReport(out, f, scalefree.NewRNG(*seed+2))
+}
+
+// searchTTL is the paper's NF TTL range; searchSources random sources
+// are averaged per algorithm.
+const searchTTL, searchSources = 10, 100
+
+// searchReport prints mean hits and messages per TTL for flooding,
+// normalized flooding and the random walk on NF's message budget, each
+// averaged over searchSources sources drawn from rng (FL's, then NF's,
+// then RW's). NF fans out to the topology's minimum degree, at least 1:
+// m for an inline PA.
+func searchReport(out io.Writer, f *scalefree.FrozenTopology, rng *scalefree.RNG) error {
+	kMin := max(f.MinDegree(), 1)
+	scratch := scalefree.NewSearchScratch(f.N())
+	var hits, msgs [3][searchTTL + 1]float64
+	for a := range hits {
+		for range searchSources {
+			src := rng.Intn(f.N())
+			var res scalefree.SearchResult
+			var err error
+			switch a {
+			case 0:
+				res, err = scratch.Flood(f, src, searchTTL)
+			case 1:
+				res, err = scratch.NormalizedFlood(f, src, searchTTL, kMin, rng)
+			case 2:
+				res, _, err = scratch.RandomWalkWithNFBudget(f, src, searchTTL, kMin, rng)
+			}
+			if err != nil {
+				return err
+			}
+			for t := 1; t <= searchTTL; t++ {
+				hits[a][t] += float64(res.HitsAt(t))
+				msgs[a][t] += float64(res.MessagesAt(t))
+			}
+		}
+	}
+
+	fmt.Fprintln(out, "\n== search ==")
+	fmt.Fprintf(out, "%d sources, kmin=%d; rw walks NF's message budget\n", searchSources, kMin)
+	tw := tabwriter.NewWriter(out, 4, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "tau\tfl hits\tfl msgs\tnf hits\tnf msgs\trw hits\trw msgs")
+	for t := 1; t <= searchTTL; t++ {
+		fmt.Fprintf(tw, "%d", t)
+		for a := range hits {
+			fmt.Fprintf(tw, "\t%.1f\t%.1f", hits[a][t]/searchSources, msgs[a][t]/searchSources)
+		}
+		fmt.Fprintln(tw)
+	}
+	return tw.Flush()
 }
 
 func load(path string, n, m, kc int, seed uint64) (*scalefree.FrozenTopology, error) {

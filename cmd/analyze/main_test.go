@@ -26,6 +26,7 @@ func TestRunInlineReport(t *testing.T) {
 		"load fairness",
 		"== structure ==", "effective diameter", "rich club",
 		"== robustness", "site percolation",
+		"== search ==", "kmin=2", "fl hits",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
@@ -45,24 +46,41 @@ func TestRunNoRobust(t *testing.T) {
 	}
 }
 
+// TestRunSearchSection pins the search section's contract: it comes last,
+// draws from its own stream (so skipping the robustness probe, which draws
+// from the report's stream, leaves it unchanged), and fans NF out to the
+// minimum degree floored at 1 — an edge list with an isolated node gets
+// kmin=1.
+func TestRunSearchSection(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "g.edges")
+	if err := os.WriteFile(path, []byte("# nodes 5\n0 1\n1 2\n2 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	search := func(args ...string) string {
+		t.Helper()
+		var buf strings.Builder
+		if err := run(append([]string{"-in", path, "-ks-trials", "0"}, args...), &buf); err != nil {
+			t.Fatal(err)
+		}
+		_, section, ok := strings.Cut(buf.String(), "\n== search ==\n")
+		if !ok || strings.Contains(section, "==") {
+			t.Fatalf("search is not the last section:\n%s", buf.String())
+		}
+		return section
+	}
+	with := search("-robust=true")
+	if without := search("-robust=false"); with != without {
+		t.Errorf("the robustness probe moved the search section:\n%s\nvs\n%s", with, without)
+	}
+	if !strings.HasPrefix(with, "100 sources, kmin=1;") || strings.Count(with, "\n") != 12 {
+		t.Errorf("search section = %q, want 100 sources, kmin=1 and ten tau rows", with)
+	}
+}
+
 func TestRunFromEdgeFile(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.edges")
-	g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: 300, M: 2}, scalefree.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteEdgeList(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path, _ := writePAEdges(t, 300, 5)
 	var buf strings.Builder
 	if err := run([]string{"-in", path, "-robust=false", "-ks-trials", "0"}, &buf); err != nil {
 		t.Fatal(err)
@@ -95,6 +113,67 @@ func TestRunEmptyEdgeList(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("refused run printed a report:\n%s", buf.String())
+	}
+}
+
+func TestLoadInlinePA(t *testing.T) {
+	t.Parallel()
+	g, err := load("", 500, 2, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 500 || g.MaxDegree() > 20 {
+		t.Fatalf("N=%d maxdeg=%d", g.N(), g.MaxDegree())
+	}
+}
+
+func TestLoadFromFile(t *testing.T) {
+	t.Parallel()
+	path, g := writePAEdges(t, 200, 3)
+	got, err := load(path, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N() != 200 || got.M() != g.M() {
+		t.Fatalf("loaded N=%d M=%d, want %d/%d", got.N(), got.M(), g.N(), g.M())
+	}
+}
+
+func TestLoadMissingFile(t *testing.T) {
+	t.Parallel()
+	if _, err := load("/nonexistent/file.edges", 0, 0, 0, 0); err == nil {
+		t.Fatal("missing file should error")
+	}
+}
+
+// TestRunValidation pins that each bad input is refused before any report
+// is printed, with an error naming what is wrong.
+func TestRunValidation(t *testing.T) {
+	t.Parallel()
+	empty := filepath.Join(t.TempDir(), "empty.edges")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.edges")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "1", "-m", "2"}, "n=1"},
+		{[]string{"-n", "50", "-m", "0"}, "m=0"},
+		{[]string{"-n", "50", "-m", "2", "-kc", "1"}, "kc=1"},
+		{[]string{"-in", empty}, empty},
+		{[]string{"-in", missing}, missing},
+	}
+	for _, c := range cases {
+		var buf strings.Builder
+		err := run(c.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: got error %v, want one naming %q", c.args, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("args %v: refused run printed a report:\n%s", c.args, buf.String())
+		}
 	}
 }
 
@@ -191,6 +270,28 @@ func TestRunJournalSubcommandErrors(t *testing.T) {
 	if err := run([]string{"journal", notJournal}, &buf); err == nil {
 		t.Fatal("journal on a non-journal file should fail")
 	}
+}
+
+// writePAEdges writes an n-node PA topology (m=2) as an edge list in a
+// temporary directory and returns its path and the topology.
+func writePAEdges(t *testing.T, n int, seed uint64) (string, *scalefree.FrozenTopology) {
+	t.Helper()
+	g, _, err := scalefree.GeneratePA(scalefree.PAConfig{N: n, M: 2}, scalefree.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.edges")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WriteEdgeList(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, g
 }
 
 func fileSize(t *testing.T, path string) int64 {

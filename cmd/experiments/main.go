@@ -47,14 +47,16 @@
 // journals are removed only after the whole run succeeds.
 //
 // The xl scale runs an order of magnitude past the paper (10⁶-node degree
-// distributions, 10⁵-node search topologies) on the CSR-frozen read path,
-// and covers the full registry: the formerly superlinear specs run on
-// estimators with published uncertainty — batched Brandes–Pich pivot
+// distributions, 10⁵-node search topologies) on the CSR-frozen read path.
+// Its estimators make the specs whose measurement is superlinear in N
+// sublinear, with published uncertainty — batched Brandes–Pich pivot
 // betweenness for the attack spec (-bc-pivots), landmark BFS path
 // statistics for table1 (-path-landmarks/-path-pairs), and capped
 // random-walk delivery budgets with truncation accounting (-walk-cap).
-// See EXPERIMENTS.md "Estimators & budgets" for the agreement-gate
-// contract behind each.
+// They do not reach growth: HAPA under a hard cutoff builds in Θ(N²)
+// time, and -exp all -scale xl has not been measured. See EXPERIMENTS.md
+// "Scales" and "Estimators & budgets" for the agreement-gate contract
+// behind each estimator.
 //
 // Distributed runs (see EXPERIMENTS.md "Distributed runs"): -mode
 // coordinator serves (spec, realization) work leases on -coord-addr and
@@ -315,7 +317,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *scale == "xl" && !expSet && *mode == "csr" {
-		fmt.Fprintln(os.Stderr, "experiments: xl runs the full registry; attack/table1/delivery use estimators with published uncertainty (see EXPERIMENTS.md \"Estimators & budgets\")")
+		fmt.Fprintln(os.Stderr, "experiments: xl runs attack/table1/delivery on estimators with published uncertainty (see EXPERIMENTS.md \"Estimators & budgets\"); HAPA growth under a cutoff stays Θ(N²), and the full registry at xl is untimed")
 	}
 
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {

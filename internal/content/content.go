@@ -158,18 +158,6 @@ func (p *Placement) HasItem(node int, i Item) bool {
 	return ok
 }
 
-// Items returns the items hosted on a node, in unspecified order.
-func (p *Placement) Items(node int) []Item {
-	if node < 0 || node >= len(p.onNode) {
-		return nil
-	}
-	out := make([]Item, 0, len(p.onNode[node]))
-	for it := range p.onNode[node] {
-		out = append(out, it)
-	}
-	return out
-}
-
 // TotalCopies returns the number of (item, node) placements made.
 func (p *Placement) TotalCopies() int { return p.copies }
 

@@ -3,8 +3,8 @@ package graph
 // Edge-list serialization. The format is the de-facto standard for network
 // datasets: a header line "# nodes <N>" followed by one "u v" pair per
 // line, whitespace-separated, '#' comments ignored. cmd/topogen emits this
-// format and cmd/searchsim and cmd/analyze consume it, so generated
-// topologies can be inspected or fed to external tools. Both writers and
+// format and cmd/analyze consumes it, so generated topologies can be
+// inspected, searched or fed to external tools. Both writers and
 // the reader speak Frozen: a topology is written from its snapshot, in the
 // order of sortedEdgeKeys, and read back as one.
 

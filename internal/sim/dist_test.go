@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -480,11 +481,28 @@ func recordEnds(t *testing.T, image []byte) []int {
 // the fleet's records are complete — the reduction appends none; (b) that
 // journal, cut back to a record boundary mid-spec and resumed under another
 // parallelism budget, publishes them too, appending exactly the records the
-// cut dropped.
+// cut dropped; (c) the record families the reduction claims share a build
+// seed only where sharedSeeds says so (checkSharedSeeds), and the fig9/fig11
+// and fig10/fig12 pairs claim one seed set.
 func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 	t.Parallel()
 	const seed = 12345
 	ctx := context.Background()
+	var (
+		mu    sync.Mutex
+		seeds = map[string]map[uint64]bool{} // spec -> its claimed build seeds
+	)
+	// The cleanup runs once every parallel subtest has finished, so it sees
+	// the seed sets of whichever pair members this invocation ran.
+	t.Cleanup(func() {
+		for _, pair := range [][2]string{{"fig9", "fig11"}, {"fig10", "fig12"}} {
+			a, aok := seeds[pair[0]]
+			b, bok := seeds[pair[1]]
+			if aok && bok && !reflect.DeepEqual(a, b) {
+				t.Errorf("%s and %s claim different build seeds; they must grow the same topologies", pair[0], pair[1])
+			}
+		}
+	})
 	for _, spec := range Registry() {
 		if !spec.Distributable {
 			continue
@@ -493,8 +511,9 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 			t.Parallel()
 			want, dir := specDigests[spec.ID], t.TempDir()
 			// reduce runs the spec over journal j under the given budget and
-			// returns the digest of what it published.
-			reduce := func(j *Journal, workers int) uint64 {
+			// returns the digest of what it published with the record
+			// families its run claimed.
+			reduce := func(j *Journal, workers int) (uint64, map[journalClaimKey]string) {
 				t.Helper()
 				sc := tinyScale
 				sc.Workers = workers
@@ -506,7 +525,7 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 				if err := j.Close(); err != nil {
 					t.Fatal(err)
 				}
-				return figuresDigest(t, figs)
+				return figuresDigest(t, figs), sc.Run.claims
 			}
 			open := func(name string, resume bool) *Journal {
 				t.Helper()
@@ -532,7 +551,12 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 				}
 			}
 			streamed := fleet.Resumed()
-			if got := reduce(fleet, 0); got != want {
+			got, claims := reduce(fleet, 0)
+			claimed := checkSharedSeeds(t, spec.ID, seed, claims)
+			mu.Lock()
+			seeds[spec.ID] = claimed
+			mu.Unlock()
+			if got != want {
 				t.Fatalf("reduction of worker records published %#x, want %#x", got, want)
 			}
 			image, err := os.ReadFile(filepath.Join(dir, "fleet.journal"))
@@ -553,7 +577,7 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 			if n := cut.Resumed(); n != len(ends)/2 {
 				t.Fatalf("cut journal resumed %d records, want %d", n, len(ends)/2)
 			}
-			if got := reduce(cut, 3); got != want {
+			if got, _ := reduce(cut, 3); got != want {
 				t.Fatalf("resumed run published %#x, want %#x", got, want)
 			}
 			st, err := os.Stat(filepath.Join(dir, "cut.journal"))
@@ -565,4 +589,97 @@ func TestDistributableSpecsResumeAndWorkerSink(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sharedSeeds lists, per spec, every build seed (as an offset from the run
+// seed) whose record families carry more than one series tag, with exactly
+// those tags in sorted order. Series that share a seed draw from one
+// stream, so their curves are correlated samples, not independent ones;
+// each entry below is such a known correlation, left as it is because
+// moving a seed changes figure bytes. Fixing one deletes its entry, and a
+// new one fails checkSharedSeeds. The offsets hold at any run seed.
+var sharedSeeds = map[string]map[uint64][]string{
+	// seed+pi*100+m*10+kc maps (m, kc=10) and (m+1, no cutoff) of one
+	// panel to one seed, and both series are CM, so their degree
+	// sequences come from the same uniforms.
+	"fig2": {
+		20:  {"fig2a m=1 kc=10", "fig2a m=2 no kc"},
+		30:  {"fig2a m=2 kc=10", "fig2a m=3 no kc"},
+		120: {"fig2b m=1 kc=10", "fig2b m=2 no kc"},
+		130: {"fig2b m=2 kc=10", "fig2b m=3 no kc"},
+		220: {"fig2c m=1 kc=10", "fig2c m=2 no kc"},
+		230: {"fig2c m=2 kc=10", "fig2c m=3 no kc"},
+	},
+	// The PA (a) and HAPA (c) m=1 panels use one offset per kc, and CM
+	// m=1, gamma=3.0, kc=10 lands on PA and HAPA's kc=40.
+	"fig9": {
+		1010: {"fig9a: m=1, kc=10", "fig9c: m=1, kc=10"},
+		1020: {"fig9a: m=1, kc=20", "fig9c: m=1, kc=20"},
+		1040: {"fig9a: m=1, kc=40", "fig9b: m=1, gamma=3.0, kc=10", "fig9c: m=1, kc=40"},
+		1060: {"fig9a: m=1, kc=60", "fig9c: m=1, kc=60"},
+		1080: {"fig9a: m=1, kc=80", "fig9c: m=1, kc=80"},
+		1100: {"fig9a: m=1, kc=100", "fig9c: m=1, kc=100"},
+		1200: {"fig9a: m=1, kc=200", "fig9c: m=1, kc=200"},
+	},
+	"fig11": {
+		1010: {"fig11a: m=1, kc=10", "fig11c: m=1, kc=10"},
+		1020: {"fig11a: m=1, kc=20", "fig11c: m=1, kc=20"},
+		1040: {"fig11a: m=1, kc=40", "fig11b: m=1, gamma=3.0, kc=10", "fig11c: m=1, kc=40"},
+		1060: {"fig11a: m=1, kc=60", "fig11c: m=1, kc=60"},
+		1080: {"fig11a: m=1, kc=80", "fig11c: m=1, kc=80"},
+		1100: {"fig11a: m=1, kc=100", "fig11c: m=1, kc=100"},
+		1200: {"fig11a: m=1, kc=200", "fig11c: m=1, kc=200"},
+	},
+	// seed+ri*1000+n: this pair meets at tinyScale's sizes only.
+	"table1": {
+		3200: {"table1 gamma in (2,3), m>=1 (CM 2.2): d ~ lnlnN N=3200", "table1 gamma>3 (CM 3.5, m=2): d ~ lnN N=200"},
+	},
+	// By design, not by accident: each DES spec sweeps all its knob series
+	// on one build, so every knob is measured against identical
+	// topologies, and the tag carries the knob into the journal key.
+	"desflood": {
+		0: {"desflood loss=10%", "desflood loss=2%", "desflood lossless"},
+	},
+	"deskwalk": {
+		0: {"deskwalk k=1 loss=10%", "deskwalk k=1 loss=2%", "deskwalk k=1 lossless",
+			"deskwalk k=16 loss=10%", "deskwalk k=16 loss=2%", "deskwalk k=16 lossless",
+			"deskwalk k=4 loss=10%", "deskwalk k=4 loss=2%", "deskwalk k=4 lossless"},
+	},
+	"desfail": {
+		0: {"desfail-kwalk fail=10%", "desfail-kwalk fail=20%", "desfail-kwalk fail=30%", "desfail-kwalk no failures",
+			"desfail-link fail=10%", "desfail-link fail=20%", "desfail-link fail=30%", "desfail-link no failures",
+			"desfail-node fail=10%", "desfail-node fail=20%", "desfail-node fail=30%", "desfail-node no failures"},
+	},
+}
+
+// checkSharedSeeds fails on any build seed that carries more than one tag
+// among a spec's claimed record families, unless sharedSeeds names exactly
+// that tag set, and on any sharedSeeds entry the run no longer shows. It
+// returns the spec's claimed build seeds.
+func checkSharedSeeds(t *testing.T, spec string, seed uint64, claims map[journalClaimKey]string) map[uint64]bool {
+	t.Helper()
+	tags := map[uint64][]string{}
+	for k, tag := range claims {
+		if off := k.stream - seed; !slices.Contains(tags[off], tag) {
+			tags[off] = append(tags[off], tag)
+		}
+	}
+	claimed := make(map[uint64]bool, len(tags))
+	for off, got := range tags {
+		claimed[off] = true
+		slices.Sort(got)
+		want, listed := sharedSeeds[spec][off]
+		switch {
+		case len(got) > 1 && !listed:
+			t.Errorf("%s: series %q share build seed +%d; give each its own seed", spec, got, off)
+		case listed && !slices.Equal(got, want):
+			t.Errorf("%s: build seed +%d carries series %q; sharedSeeds lists %q", spec, off, got, want)
+		}
+	}
+	for off := range sharedSeeds[spec] {
+		if !claimed[off] {
+			t.Errorf("%s: sharedSeeds lists build seed +%d, which the spec no longer claims", spec, off)
+		}
+	}
+	return claimed
 }

@@ -156,9 +156,10 @@ var XLScale = Scale{
 	Sources:      20,
 	MaxTTLFlood:  30,
 	MaxTTLNF:     10,
-	// Estimator budgets that let the superlinear specs (attack, table1,
-	// delivery) cover the full registry at this size; see EXPERIMENTS.md
-	// "Estimators & budgets".
+	// Estimator budgets that make the measurements of attack, table1 and
+	// delivery sublinear in N. Growth is not covered: HAPA under a cutoff
+	// still builds in Θ(N²) time (EXPERIMENTS.md "Scales"); see
+	// "Estimators & budgets" there.
 	BCPivots:      64,
 	PathLandmarks: 16,
 	PathPairs:     2_000,

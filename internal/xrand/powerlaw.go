@@ -49,12 +49,6 @@ func NewPowerLawSampler(kMin, kMax int, gamma float64) PowerLawSampler {
 	}
 }
 
-// KMin returns the inclusive lower degree bound.
-func (s PowerLawSampler) KMin() int { return s.kMin }
-
-// KMax returns the inclusive upper degree bound.
-func (s PowerLawSampler) KMax() int { return s.kMax }
-
 // Sample draws one integer, consuming exactly one Float64 from r.
 func (s PowerLawSampler) Sample(r *RNG) int { return s.fromU(r.Float64()) }
 
@@ -139,12 +133,6 @@ func NewPowerLawTable(kMin, kMax int, gamma float64) *PowerLawTable {
 	}
 	return t
 }
-
-// KMin returns the inclusive lower degree bound.
-func (t *PowerLawTable) KMin() int { return t.s.kMin }
-
-// KMax returns the inclusive upper degree bound.
-func (t *PowerLawTable) KMax() int { return t.s.kMax }
 
 // Degenerate reports whether the table fell back to the exact kernel for
 // every draw (extreme parameters only; see the type comment).

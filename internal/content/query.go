@@ -5,10 +5,13 @@ package content
 // success rates at bounded TTL (the Gnutella deployment reality the paper
 // opens with). Both resolvers read the topology through the CSR
 // *graph.Frozen: a query workload is thousands of searches against one
-// static overlay, exactly the freeze-once pattern.
+// static overlay, exactly the freeze-once pattern. The flooding resolver
+// is search.Scratch.Flood plus a look at the item's hosts against the
+// flood's reached set, so its messages are FL's by construction.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"scalefree/internal/graph"
@@ -137,38 +140,20 @@ func (r FloodResult) SuccessRate() float64 {
 	return float64(r.Found) / float64(r.Queries)
 }
 
-// FloodForItemScratch floods from src with the given TTL and reports
-// whether any node within the TTL ball hosts the item, plus the messages
-// the flood spent. In a deployed network the flood would stop early on a
-// hit; the message count here is the worst case, as in the paper's FL
-// model (the destination "cannot stop the search", §V-A1). It reuses the
-// caller's search scratch, so repeated queries against one topology
-// allocate nothing.
-func FloodForItemScratch(f *graph.Frozen, p *Placement, src int, item Item, ttl int, s *search.Scratch) (found bool, messages int, err error) {
-	if src < 0 || src >= f.N() {
-		return false, 0, fmt.Errorf("content: source %d out of range", src)
+// floodForItem floods from src with the given TTL and reports whether any
+// node within the TTL ball hosts the item, plus the messages the flood
+// spent. In a deployed network the flood would stop early on a hit; the
+// message count here is the worst case, as in the paper's FL model (the
+// destination "cannot stop the search", §V-A1). It reuses the caller's
+// search scratch, so repeated queries against one topology allocate
+// nothing.
+func floodForItem(f *graph.Frozen, p *Placement, src int, item Item, ttl int, s *search.Scratch) (found bool, messages int, err error) {
+	res, err := s.Flood(f, src, ttl)
+	if err != nil {
+		return false, 0, err
 	}
-	if ttl < 0 {
-		return false, 0, nil
-	}
-	// Message accounting matches search.Flood: every covered node forwards
-	// to its neighbors except the sender, unless it sits on the TTL shell.
-	err = s.FloodVisit(f, src, ttl, func(node, depth int) bool {
-		if p.HasItem(node, item) {
-			found = true
-		}
-		if depth == ttl {
-			return true
-		}
-		deg := f.Degree(node)
-		if depth == 0 {
-			messages += deg
-		} else if deg > 0 {
-			messages += deg - 1
-		}
-		return true
-	})
-	return found, messages, err
+	found = slices.ContainsFunc(p.Hosts(item), func(h int32) bool { return s.Reached(int(h)) })
+	return found, res.Messages[ttl], nil
 }
 
 // FloodSuccess issues popularity-distributed queries resolved by flooding
@@ -189,7 +174,7 @@ func FloodSuccess(f *graph.Frozen, p *Placement, c *Catalog, queries, ttl int, r
 	for q := 0; q < queries; q++ {
 		item := c.SampleQuery(rng)
 		src := rng.Intn(f.N())
-		found, msgs, err := FloodForItemScratch(f, p, src, item, ttl, &scratch)
+		found, msgs, err := floodForItem(f, p, src, item, ttl, &scratch)
 		if err != nil {
 			return FloodResult{}, err
 		}

@@ -181,12 +181,12 @@ func TestFloodForItemAndSuccess(t *testing.T) {
 	}
 	f := g.Freeze()
 	var s search.Scratch
-	if _, _, err := FloodForItemScratch(f, p, -1, 0, 3, &s); err == nil {
+	if _, _, err := floodForItem(f, p, -1, 0, 3, &s); err == nil {
 		t.Error("bad source should fail")
 	}
 	// From a host, TTL 0 already finds the item with zero messages.
 	src := int(p.Hosts(0)[0])
-	found, msgs, err := FloodForItemScratch(f, p, src, 0, 0, &s)
+	found, msgs, err := floodForItem(f, p, src, 0, 0, &s)
 	if err != nil {
 		t.Fatal(err)
 	}

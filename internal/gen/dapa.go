@@ -173,8 +173,8 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 	}
 	// Per-worker discovery-flood scratches: an epoch-stamped visited array
 	// plus the two-queue frontier each, reused across every join attempt
-	// (bumping the epoch clears the visited set in O(1)). This mirrors
-	// search.Scratch.FloodVisit, which gen cannot import: the search
+	// (bumping the epoch clears the visited set in O(1)). This mirrors the
+	// sweep behind search.Scratch.Flood, which gen cannot import: the search
 	// package's in-package tests import gen, so gen → search would be an
 	// import cycle in the test binary. They are all taken here, before any
 	// flood goroutine starts, because the arena serves one goroutine.

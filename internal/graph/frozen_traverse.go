@@ -53,30 +53,21 @@ func (f *Frozen) BFS(src int) []int32 {
 // order.
 func (f *Frozen) ConnectedComponents() [][]int {
 	n := f.N()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
+	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
 	}
 	var comps [][]int
-	queue := make([]int32, 0, 64)
+	var queue []int32
 	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
+		if dist[s] >= 0 {
 			continue
 		}
-		id := int32(len(comps))
-		members := []int{}
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		comp[s] = id
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			members = append(members, int(u))
-			for _, v := range f.Neighbors(int(u)) {
-				if comp[v] < 0 {
-					comp[v] = id
-					queue = append(queue, v)
-				}
-			}
+		// The queue ends holding exactly the nodes reached from s.
+		queue = f.bfsInto(s, dist, queue)
+		members := make([]int, len(queue))
+		for i, u := range queue {
+			members[i] = int(u)
 		}
 		slices.Sort(members)
 		comps = append(comps, members)

@@ -83,7 +83,7 @@ func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result,
 
 	// Row i of hits/msgs collects per-level increments and is prefix-summed
 	// at the end, which also carries an exhausted source's totals forward to
-	// maxTTL exactly as floodLevels' tail fill does.
+	// maxTTL exactly as the single-source sweep's tail fill does.
 	L := maxTTL + 1
 	hits, msgs := s.intBuf(k*L), s.intBuf(k*L)
 	active, found := s.cur[:0], s.next[:0]

@@ -161,34 +161,6 @@ func referenceNeighborExcluding(g *graph.Graph, u, excl int, rng *xrand.RNG) int
 	return -1 // unreachable
 }
 
-// referenceBFSWithin is the historical map-based bounded BFS on the
-// Graph: visit(node, depth) once per node within maxDepth hops of src, in
-// breadth-first order, until visit returns false.
-func referenceBFSWithin(g *graph.Graph, src, maxDepth int, visit func(node, depth int) bool) {
-	if uint(src) >= uint(g.N()) || maxDepth < 0 {
-		return
-	}
-	dist := make(map[int32]int32, 64)
-	queue := []int32{int32(src)}
-	dist[int32(src)] = 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		if !visit(int(u), int(du)) {
-			return
-		}
-		if int(du) == maxDepth {
-			continue
-		}
-		for _, v := range g.Neighbors(int(u)) {
-			if _, seen := dist[v]; !seen {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-}
-
 // referenceRandomWalk is the historical non-backtracking walk on
 // referenceNeighborExcluding.
 func referenceRandomWalk(g *graph.Graph, src, steps int, rng *xrand.RNG) Result {

@@ -9,11 +9,14 @@ package search
 // NF candidate buffer, and a small arena of per-TTL result series — so
 // repeated searches on one topology allocate nothing after the first call.
 //
-// The BFS kernels use a structure-of-arrays two-queue frontier: `cur`
-// holds the nodes of the depth being processed and `next` collects the
-// depth below, swapped at each level boundary. The depth of a node is the
-// loop counter, so no per-node depth array exists at all — one less O(N)
-// store per discovery and one less array to cache-miss on.
+// Every flooding kernel (FL, NF and its load profile, PF, FloodDelivery,
+// the hybrid's flood phase) is one loop, sweep, over a two-queue frontier:
+// `cur` holds the nodes of the depth being processed and `next` collects
+// the depth below, swapped at each level boundary. The depth of a node is
+// the loop counter, so no per-node depth array exists at all, and the node
+// that first delivered the query sits in the epoch-stamped val array, so no
+// queue runs parallel to the frontier either. The kernels differ only in
+// the forwarding rule they hand the sweep.
 //
 // Every kernel reads the topology through *graph.Frozen, the CSR snapshot:
 // flat offsets/neighbors arrays instead of a slice of slices, so the hot
@@ -48,17 +51,16 @@ type Scratch struct {
 	// visited by it. Bumping epoch invalidates every stamp at once.
 	epoch int32
 	mark  []int32
-	// val[v] is a per-node value tied to a mark stamp (walker kernels
-	// store the earliest step a node was seen); valid only while mark[v]
-	// carries the epoch that wrote it.
+	// val[v] is a per-node value tied to a mark stamp (the sweep stores the
+	// node that first delivered the query, walker kernels the earliest step
+	// a node was seen); valid only while mark[v] carries the epoch that
+	// wrote it.
 	val []int32
 	// cur and next are the two-queue BFS frontier: the depth being
 	// processed and the depth being discovered.
 	cur, next []int32
-	// fromCur and fromNext run parallel to cur/next for kernels that need
-	// the forwarding sender (NF, the load variants, PF).
-	fromCur, fromNext []int32
-	// cand is the NF candidate buffer (neighbors minus the sender).
+	// cand is the forward-set buffer of the NF and PF rules (neighbors
+	// minus the sender, then sampled) and the hybrid's walk starts.
 	cand []int32
 	// bufs is a small arena of per-TTL series reused across calls; nbuf
 	// is the number handed out since the last reset.
@@ -142,74 +144,75 @@ func (s *Scratch) intBuf(n int) []int {
 // approaches N as t grows (Figs. 6–8), while on CM with m=1 it saturates at
 // the source's component size (§V-B1). The Result aliases s.
 func (s *Scratch) Flood(f *graph.Frozen, src, maxTTL int) (Result, error) {
-	s.reset()
-	return s.flood(f, src, maxTTL)
-}
-
-func (s *Scratch) flood(f *graph.Frozen, src, maxTTL int) (Result, error) {
 	if err := validate(f, src, maxTTL); err != nil {
 		return Result{}, err
 	}
-	s.ensure(f.N())
-	res := Result{
-		Hits:     s.intBuf(maxTTL + 1),
-		Messages: s.intBuf(maxTTL + 1),
-	}
-	s.floodLevels(f, src, maxTTL, res, -1)
+	s.reset()
+	res := s.newResult(f, maxTTL)
+	s.sweep(f, src, maxTTL, res, func(u, _ int32, d int) ([]int32, int) { return floodRow(f, u, d) })
 	return res, nil
 }
 
-// floodLevels is the two-queue flooding core: it fills res and returns the
-// final frontier — the nodes at depth exactly maxTTL, in discovery order —
-// plus the depth at which `target` was discovered (-1 when target is -1 or
-// unreached). The frontier aliases s's queues and is valid until the next
-// search on s.
-func (s *Scratch) floodLevels(f *graph.Frozen, src, maxTTL int, res Result, target int32) (frontier []int32, foundDepth int) {
+// floodRow is FL's forwarding rule: node u at depth d forwards to its whole
+// row and is charged deg, or deg−1 off the source — the reverse
+// transmission to the sender is not sent. Duplicate suppression never
+// re-enqueues the sender, so the row needs no filtering; on a multigraph
+// the charge still excludes one copy only, which is not the same as
+// dropping every parallel link to the sender.
+func floodRow(f *graph.Frozen, u int32, d int) ([]int32, int) {
+	row := f.Neighbors(int(u))
+	if d > 0 && len(row) > 0 {
+		return row, len(row) - 1
+	}
+	return row, len(row)
+}
+
+// newResult sizes s for f and hands out a zeroed maxTTL-deep Result.
+func (s *Scratch) newResult(f *graph.Frozen, maxTTL int) Result {
+	s.ensure(f.N())
+	return Result{Hits: s.intBuf(maxTTL + 1), Messages: s.intBuf(maxTTL + 1)}
+}
+
+// sweep is the one flooding loop: a duplicate-suppressed breadth-first sweep
+// of the maxTTL-hop ball around src, in which every node reached below
+// maxTTL forwards, on first receipt, to the neighbors fwd names. fwd(u,
+// sender, d) returns node u's targets in order and the messages they cost;
+// sender is the node that first delivered the query to u (-1 at the
+// source) and d is u's depth. FL, NF (with or without a load profile) and
+// PF differ only in that rule.
+//
+// sweep fills res with cumulative per-TTL hits and messages and returns the
+// final frontier — the nodes at depth exactly maxTTL, in discovery order;
+// empty when the sweep exhausted its component first. The frontier aliases
+// s's queues and the reached set is Reached's, both until the next search
+// on s.
+func (s *Scratch) sweep(f *graph.Frozen, src, maxTTL int, res Result, fwd func(u, sender int32, d int) ([]int32, int)) []int32 {
 	ep := s.newEpoch()
 	s.mark[src] = ep
+	s.val[src] = -1
 	cur := append(s.cur[:0], int32(src))
 	next := s.next[:0]
-	foundDepth = -1
-	if target == int32(src) {
-		foundDepth = 0
-	}
 	hits, msgs := 0, 0
 	d := 0
 	for len(cur) > 0 {
+		hits += len(cur)
+		res.Hits[d] = hits
+		if d == maxTTL {
+			break
+		}
 		for _, u := range cur {
-			hits++
-			if d == maxTTL {
-				continue
-			}
-			// Forward to all neighbors except the sender. With duplicate
-			// suppression the sender is never re-enqueued anyway; the
-			// message count excludes the reverse transmission per the
-			// protocol.
-			deg := f.Degree(int(u))
-			if d == 0 {
-				msgs += deg
-			} else if deg > 0 {
-				msgs += deg - 1
-			}
-			for _, w := range f.Neighbors(int(u)) {
+			targets, m := fwd(u, s.val[u], d)
+			msgs += m
+			for _, w := range targets {
 				if s.mark[w] != ep {
 					s.mark[w] = ep
-					if w == target {
-						foundDepth = d + 1
-					}
+					s.val[w] = u
 					next = append(next, w)
 				}
 			}
 		}
-		// Level complete: record cumulative values. Messages sent by
-		// depth <= d arrive by d+1.
-		res.Hits[d] = hits
-		if d+1 <= maxTTL {
-			res.Messages[d+1] = msgs
-		}
-		if d == maxTTL {
-			break
-		}
+		// Messages sent by depth <= d arrive by d+1.
+		res.Messages[d+1] = msgs
 		cur, next = next, cur[:0]
 		d++
 	}
@@ -217,23 +220,25 @@ func (s *Scratch) floodLevels(f *graph.Frozen, src, maxTTL int, res Result, targ
 	// see the same cumulative totals.
 	for t := d; t <= maxTTL; t++ {
 		res.Hits[t] = hits
-		if t+1 <= maxTTL {
+		if t < maxTTL {
 			res.Messages[t+1] = msgs
 		}
 	}
-	res.Messages[0] = 0
 	s.cur, s.next = cur, next
-	if d == maxTTL && len(cur) > 0 {
-		return cur, foundDepth
-	}
-	return nil, foundDepth
+	return cur
 }
 
-// nfTargets builds node u's NF forward set: all neighbors except the
-// sender, down-sampled to kMin uniformly chosen entries (partial
-// Fisher–Yates) when larger. Shared by the search and load-profile NF
-// kernels so their RNG consumption can never diverge. The returned slice
-// reuses s.cand and is valid until the next call.
+// Reached reports whether node v was reached by the last flood on s
+// (Flood, NormalizedFlood, ProbabilisticFlood or FloodDelivery). Like a
+// Result, it holds until the next search on s.
+func (s *Scratch) Reached(v int) bool {
+	return v >= 0 && v < len(s.mark) && s.mark[v] == s.epoch
+}
+
+// nfTargets is NF's forwarding rule: node u forwards to all neighbors
+// except the sender, down-sampled to kMin uniformly chosen entries
+// (partial Fisher–Yates) when larger. The returned slice reuses s.cand and
+// is valid until the next call.
 func (s *Scratch) nfTargets(f *graph.Frozen, u, sender int32, kMin int, rng *xrand.RNG) []int32 {
 	cand := s.cand[:0]
 	for _, w := range f.Neighbors(int(u)) {
@@ -262,67 +267,46 @@ func (s *Scratch) nfTargets(f *graph.Frozen, u, sender int32, kMin int, rng *xra
 // realizations (internal/sim does the averaging). The Result aliases s.
 func (s *Scratch) NormalizedFlood(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG) (Result, error) {
 	s.reset()
-	return s.normalizedFlood(f, src, maxTTL, kMin, rng)
+	return s.normalizedFlood(f, src, maxTTL, kMin, rng, nil)
 }
 
-func (s *Scratch) normalizedFlood(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG) (Result, error) {
+// NormalizedFloodLoad runs NF from src exactly as NormalizedFlood does,
+// charging each transmission to its sender and each receipt (duplicate or
+// not) to its receiver.
+func (s *Scratch) NormalizedFloodLoad(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG, load *Load) error {
+	s.reset()
+	_, err := s.normalizedFlood(f, src, maxTTL, kMin, rng, load)
+	return err
+}
+
+// normalizedFlood is NF, charging each transmission to load when it is
+// non-nil.
+func (s *Scratch) normalizedFlood(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG, load *Load) (Result, error) {
 	if err := validate(f, src, maxTTL); err != nil {
 		return Result{}, err
 	}
 	if kMin < 1 {
 		return Result{}, errBadKMin(kMin)
 	}
+	if load != nil {
+		if err := load.check(f); err != nil {
+			return Result{}, err
+		}
+	}
 	if rng == nil {
 		rng = xrand.New(0)
 	}
-	s.ensure(f.N())
-	ep := s.newEpoch()
-	res := Result{
-		Hits:     s.intBuf(maxTTL + 1),
-		Messages: s.intBuf(maxTTL + 1),
-	}
-	s.mark[src] = ep
-	cur := append(s.cur[:0], int32(src))
-	fromCur := append(s.fromCur[:0], -1)
-	next, fromNext := s.next[:0], s.fromNext[:0]
-	hits, msgs := 0, 0
-	d := 0
-	for len(cur) > 0 {
-		for i, u := range cur {
-			sender := fromCur[i]
-			hits++
-			if d == maxTTL {
-				continue
-			}
-			targets := s.nfTargets(f, u, sender, kMin, rng)
-			msgs += len(targets)
+	res := s.newResult(f, maxTTL)
+	s.sweep(f, src, maxTTL, res, func(u, sender int32, _ int) ([]int32, int) {
+		targets := s.nfTargets(f, u, sender, kMin, rng)
+		if load != nil {
+			load.Forwards[u] += int64(len(targets))
 			for _, w := range targets {
-				if s.mark[w] != ep {
-					s.mark[w] = ep
-					next = append(next, w)
-					fromNext = append(fromNext, u)
-				}
+				load.Receipts[w]++
 			}
 		}
-		res.Hits[d] = hits
-		if d+1 <= maxTTL {
-			res.Messages[d+1] = msgs
-		}
-		if d == maxTTL {
-			break
-		}
-		cur, next = next, cur[:0]
-		fromCur, fromNext = fromNext, fromCur[:0]
-		d++
-	}
-	for t := d; t <= maxTTL; t++ {
-		res.Hits[t] = hits
-		if t+1 <= maxTTL {
-			res.Messages[t+1] = msgs
-		}
-	}
-	res.Messages[0] = 0
-	s.cur, s.next, s.fromCur, s.fromNext = cur, next, fromCur, fromNext
+		return targets, len(targets)
+	})
 	return res, nil
 }
 
@@ -345,12 +329,8 @@ func (s *Scratch) randomWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG) (R
 	if rng == nil {
 		rng = xrand.New(0)
 	}
-	s.ensure(f.N())
+	res := s.newResult(f, steps)
 	ep := s.newEpoch()
-	res := Result{
-		Hits:     s.intBuf(steps + 1),
-		Messages: s.intBuf(steps + 1),
-	}
 	s.mark[src] = ep
 	hits := 1
 	res.Hits[0] = 1
@@ -383,7 +363,7 @@ func (s *Scratch) randomWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG) (R
 // by NF-τ) and the NF result that defined the budget; both alias s.
 func (s *Scratch) RandomWalkWithNFBudget(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG) (rw, nf Result, err error) {
 	s.reset()
-	nf, err = s.normalizedFlood(f, src, maxTTL, kMin, rng)
+	nf, err = s.normalizedFlood(f, src, maxTTL, kMin, rng, nil)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
@@ -392,107 +372,11 @@ func (s *Scratch) RandomWalkWithNFBudget(f *graph.Frozen, src, maxTTL, kMin int,
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	rw = Result{
-		Hits:     s.intBuf(maxTTL + 1),
-		Messages: s.intBuf(maxTTL + 1),
-	}
+	rw = s.newResult(f, maxTTL)
 	for t := 0; t <= maxTTL; t++ {
 		b := nf.Messages[t]
 		rw.Hits[t] = walk.HitsAt(b)
 		rw.Messages[t] = b
 	}
 	return rw, nf, nil
-}
-
-// FloodVisit sweeps the maxTTL-hop ball around src in breadth-first order
-// with duplicate suppression, calling visit(node, depth) once per
-// discovered node; visit returning false stops the sweep early. It is the
-// allocation-free bounded BFS the content layer's flooding query resolver
-// runs on.
-func (s *Scratch) FloodVisit(f *graph.Frozen, src, maxTTL int, visit func(node, depth int) bool) error {
-	if err := validate(f, src, maxTTL); err != nil {
-		return err
-	}
-	s.reset()
-	s.ensure(f.N())
-	ep := s.newEpoch()
-	s.mark[src] = ep
-	cur := append(s.cur[:0], int32(src))
-	next := s.next[:0]
-	d := 0
-sweep:
-	for len(cur) > 0 {
-		for _, u := range cur {
-			if !visit(int(u), d) {
-				break sweep
-			}
-			if d == maxTTL {
-				continue
-			}
-			for _, w := range f.Neighbors(int(u)) {
-				if s.mark[w] != ep {
-					s.mark[w] = ep
-					next = append(next, w)
-				}
-			}
-		}
-		if d == maxTTL {
-			break
-		}
-		cur, next = next, cur[:0]
-		d++
-	}
-	s.cur, s.next = cur, next
-	return nil
-}
-
-// NormalizedFloodLoad runs NF from src exactly as NormalizedFlood does,
-// charging each transmission to its sender and each receipt (duplicate or
-// not) to its receiver.
-func (s *Scratch) NormalizedFloodLoad(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG, load *Load) error {
-	if err := validate(f, src, maxTTL); err != nil {
-		return err
-	}
-	if kMin < 1 {
-		return errBadKMin(kMin)
-	}
-	if err := load.check(f); err != nil {
-		return err
-	}
-	if rng == nil {
-		rng = xrand.New(0)
-	}
-	s.reset()
-	s.ensure(f.N())
-	ep := s.newEpoch()
-	s.mark[src] = ep
-	cur := append(s.cur[:0], int32(src))
-	fromCur := append(s.fromCur[:0], -1)
-	next, fromNext := s.next[:0], s.fromNext[:0]
-	d := 0
-	for len(cur) > 0 {
-		for i, u := range cur {
-			sender := fromCur[i]
-			if d == maxTTL {
-				continue
-			}
-			for _, w := range s.nfTargets(f, u, sender, kMin, rng) {
-				load.Forwards[u]++
-				load.Receipts[w]++
-				if s.mark[w] != ep {
-					s.mark[w] = ep
-					next = append(next, w)
-					fromNext = append(fromNext, u)
-				}
-			}
-		}
-		if d == maxTTL {
-			break
-		}
-		cur, next = next, cur[:0]
-		fromCur, fromNext = fromNext, fromCur[:0]
-		d++
-	}
-	s.cur, s.next, s.fromCur, s.fromNext = cur, next, fromCur, fromNext
-	return nil
 }

@@ -54,44 +54,61 @@ func (s *Scratch) KRandomWalks(f *graph.Frozen, src, walkers, steps int, rng *xr
 		rng = xrand.New(0)
 	}
 	s.reset()
-	s.ensure(f.N())
+	res := s.newResult(f, steps)
+	// The source is covered at step 0; walkCover counts every other node
+	// at the first step any walker reaches it.
+	s.reserveEpochs(2)
+	s.mark[src] = s.newEpoch()
+	res.Hits[0] = 1
+	s.walkCover(f, src, nil, walkers, steps, rng, res)
+	return res, nil
+}
+
+// walkCover runs `walkers` independent non-backtracking walks of `steps`
+// hops each, all from src or, when starts is non-nil, each from an entry of
+// starts drawn uniformly before the walk. The nodes stamped with the
+// current epoch count as covered already; walkCover stamps every other
+// node a walker reaches with a fresh epoch (the caller reserves it) and
+// keeps in val the earliest step at which any walker reached it.
+//
+// res holds one entry per walk step, res.Hits[0] and res.Messages[0] being
+// the totals before the walk: it fills Hits[t] with those plus the new
+// nodes reached within t steps, and Messages[t] with those plus walkers·t.
+func (s *Scratch) walkCover(f *graph.Frozen, src int, starts []int32, walkers, steps int, rng *xrand.RNG, res Result) {
+	covered := s.epoch
 	ep := s.newEpoch()
-	res := Result{
-		Hits:     s.intBuf(steps + 1),
-		Messages: s.intBuf(steps + 1),
-	}
-	// val[v] is the earliest per-walker step at which v was reached; seen
-	// lists the stamped nodes so the histogram never scans the whole graph.
+	// seen lists the stamped nodes so the histogram never scans the graph.
 	seen := s.cur[:0]
-	s.mark[src] = ep
-	s.val[src] = 0
-	seen = append(seen, int32(src))
 	for w := 0; w < walkers; w++ {
 		cur, prev := src, -1
+		if starts != nil {
+			cur = int(starts[rng.Intn(len(starts))])
+		}
 		for t := 1; t <= steps; t++ {
 			next, ok := Step(f, cur, prev, rng)
 			if !ok {
-				break // isolated source
+				break // isolated start
 			}
 			prev, cur = cur, next
-			if s.mark[cur] != ep {
+			switch s.mark[cur] {
+			case covered:
+			case ep:
+				s.val[cur] = min(s.val[cur], int32(t))
+			default:
 				s.mark[cur] = ep
 				s.val[cur] = int32(t)
 				seen = append(seen, int32(cur))
-			} else if int32(t) < s.val[cur] {
-				s.val[cur] = int32(t)
 			}
 		}
 	}
+	s.cur = seen
 	for _, v := range seen {
 		res.Hits[s.val[v]]++
 	}
 	for t := 1; t <= steps; t++ {
 		res.Hits[t] += res.Hits[t-1]
-		res.Messages[t] = walkers * t
+		res.Messages[t] = res.Messages[0] + walkers*t
 	}
-	s.cur = seen
-	return res, nil
 }
 
 // HighDegreeWalk runs the Adamic et al. degree-seeking walk for exactly
@@ -109,12 +126,8 @@ func (s *Scratch) HighDegreeWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG
 		rng = xrand.New(0)
 	}
 	s.reset()
-	s.ensure(f.N())
+	res := s.newResult(f, steps)
 	ep := s.newEpoch()
-	res := Result{
-		Hits:     s.intBuf(steps + 1),
-		Messages: s.intBuf(steps + 1),
-	}
 	s.mark[src] = ep
 	hits := 1
 	res.Hits[0] = 1
@@ -181,59 +194,18 @@ func (s *Scratch) ProbabilisticFlood(f *graph.Frozen, src, maxTTL int, p float64
 		rng = xrand.New(0)
 	}
 	s.reset()
-	s.ensure(f.N())
-	ep := s.newEpoch()
-	res := Result{
-		Hits:     s.intBuf(maxTTL + 1),
-		Messages: s.intBuf(maxTTL + 1),
-	}
-	s.mark[src] = ep
-	cur := append(s.cur[:0], int32(src))
-	fromCur := append(s.fromCur[:0], -1)
-	next, fromNext := s.next[:0], s.fromNext[:0]
-	hits, msgs := 0, 0
-	d := 0
-	for len(cur) > 0 {
-		for i, u := range cur {
-			sender := fromCur[i]
-			hits++
-			if d == maxTTL {
-				continue
-			}
-			for _, v := range f.Neighbors(int(u)) {
-				if v == sender {
-					continue
-				}
-				if d > 0 && !rng.Bool(p) {
-					continue // interior node dropped this copy
-				}
-				msgs++
-				if s.mark[v] != ep {
-					s.mark[v] = ep
-					next = append(next, v)
-					fromNext = append(fromNext, u)
-				}
+	res := s.newResult(f, maxTTL)
+	s.sweep(f, src, maxTTL, res, func(u, sender int32, d int) ([]int32, int) {
+		cand := s.cand[:0]
+		for _, v := range f.Neighbors(int(u)) {
+			// Row order, and no draw for the sender or at the source.
+			if v != sender && (d == 0 || rng.Bool(p)) {
+				cand = append(cand, v)
 			}
 		}
-		res.Hits[d] = hits
-		if d+1 <= maxTTL {
-			res.Messages[d+1] = msgs
-		}
-		if d == maxTTL {
-			break
-		}
-		cur, next = next, cur[:0]
-		fromCur, fromNext = fromNext, fromCur[:0]
-		d++
-	}
-	for t := d; t <= maxTTL; t++ {
-		res.Hits[t] = hits
-		if t+1 <= maxTTL {
-			res.Messages[t+1] = msgs
-		}
-	}
-	res.Messages[0] = 0
-	s.cur, s.next, s.fromCur, s.fromNext = cur, next, fromCur, fromNext
+		s.cand = cand
+		return cand, len(cand)
+	})
 	return res, nil
 }
 
@@ -262,25 +234,13 @@ func (s *Scratch) HybridSearch(f *graph.Frozen, src, floodTTL, walkers, steps in
 		rng = xrand.New(0)
 	}
 	s.reset()
-	s.ensure(f.N())
-	// Two live epochs: ep stamps the flood's coverage, ep2 the walkers'
-	// first-seen set. Reserving both up front keeps ep valid across the
-	// wrap check inside the second newEpoch.
+	res := s.newResult(f, floodTTL+steps)
+	// Two live epochs: the flood's coverage stamp and the walkers'
+	// first-seen stamp. Reserving both up front keeps the first valid
+	// across the wrap check inside the second newEpoch.
 	s.reserveEpochs(2)
-
-	total := floodTTL + steps
-	res := Result{
-		Hits:     s.intBuf(total + 1),
-		Messages: s.intBuf(total + 1),
-	}
-	flood := Result{
-		Hits:     s.intBuf(floodTTL + 1),
-		Messages: s.intBuf(floodTTL + 1),
-	}
-	frontier, _ := s.floodLevels(f, src, floodTTL, flood, -1)
-	ep := s.epoch
-	copy(res.Hits, flood.Hits)
-	copy(res.Messages, flood.Messages)
+	flood := Result{Hits: res.Hits[:floodTTL+1], Messages: res.Messages[:floodTTL+1]}
+	frontier := s.sweep(f, src, floodTTL, flood, func(u, _ int32, d int) ([]int32, int) { return floodRow(f, u, d) })
 
 	// Walk starts: the flood's outermost frontier in ascending node order
 	// (matching the reference implementation, which scans BFS depths by
@@ -290,51 +250,13 @@ func (s *Scratch) HybridSearch(f *graph.Frozen, src, floodTTL, walkers, steps in
 	slices.Sort(starts)
 	if len(starts) == 0 {
 		for v, n := 0, f.N(); v < n; v++ {
-			if s.mark[v] == ep {
+			if s.mark[v] == s.epoch {
 				starts = append(starts, int32(v))
 			}
 		}
 	}
 	s.cand = starts
-
-	// val[v] is the earliest per-walker step at which any walker reached an
-	// uncovered node v (stamped ep2); seen lists the stamped nodes.
-	ep2 := s.newEpoch()
-	seen := s.fromCur[:0]
-	for w := 0; w < walkers; w++ {
-		cur, prev := int(starts[rng.Intn(len(starts))]), -1
-		for t := 1; t <= steps; t++ {
-			next, ok := Step(f, cur, prev, rng)
-			if !ok {
-				break
-			}
-			prev, cur = cur, next
-			if s.mark[cur] == ep {
-				continue // covered by the flood phase
-			}
-			if s.mark[cur] != ep2 {
-				s.mark[cur] = ep2
-				s.val[cur] = int32(t)
-				seen = append(seen, int32(cur))
-			} else if int32(t) < s.val[cur] {
-				s.val[cur] = int32(t)
-			}
-		}
-	}
-	s.fromCur = seen
-	newHits := s.intBuf(steps + 1)
-	for _, v := range seen {
-		newHits[s.val[v]]++
-	}
-	base := flood.HitsAt(floodTTL)
-	baseMsgs := flood.MessagesAt(floodTTL)
-	cum := 0
-	for t := 1; t <= steps; t++ {
-		cum += newHits[t]
-		res.Hits[floodTTL+t] = base + cum
-		res.Messages[floodTTL+t] = baseMsgs + walkers*t
-	}
-	res.Hits[floodTTL] = base
+	s.walkCover(f, 0, starts, walkers, steps, rng, Result{Hits: res.Hits[floodTTL:], Messages: res.Messages[floodTTL:]})
 	return res, nil
 }
 
@@ -355,14 +277,19 @@ func (s *Scratch) FloodDelivery(f *graph.Frozen, src, target, maxTTL int) (Deliv
 		return Delivery{Found: true}, nil
 	}
 	s.reset()
-	s.ensure(f.N())
-	res := Result{
-		Hits:     s.intBuf(maxTTL + 1),
-		Messages: s.intBuf(maxTTL + 1),
-	}
-	_, d := s.floodLevels(f, src, maxTTL, res, int32(target))
-	if d < 0 {
+	res := s.newResult(f, maxTTL)
+	depth := -1
+	s.sweep(f, src, maxTTL, res, func(u, _ int32, d int) ([]int32, int) {
+		if u == int32(target) {
+			depth = d
+		}
+		return floodRow(f, u, d)
+	})
+	switch {
+	case !s.Reached(target):
 		return Delivery{Found: false, Time: maxTTL, Messages: res.MessagesAt(maxTTL)}, nil
+	case depth < 0:
+		depth = maxTTL // reached on the last shell, which never forwards
 	}
-	return Delivery{Found: true, Time: d, Messages: res.MessagesAt(d)}, nil
+	return Delivery{Found: true, Time: depth, Messages: res.MessagesAt(depth)}, nil
 }

@@ -120,53 +120,6 @@ func TestScratchLoadMatchesPackageFunctions(t *testing.T) {
 	}
 }
 
-// TestFloodVisitMatchesBFSWithin pins FloodVisit to the map-based bounded
-// BFS (referenceBFSWithin): same nodes, same depths, same breadth-first
-// order, same early-stop contract.
-func TestFloodVisitMatchesBFSWithin(t *testing.T) {
-	t.Parallel()
-	g := scratchTestGraph(t)
-	f := g.Freeze()
-	s := NewScratch(0)
-	type visitRec struct{ node, depth int }
-	for _, ttl := range []int{0, 1, 3} {
-		var want, got []visitRec
-		referenceBFSWithin(g, 50, ttl, func(node, depth int) bool {
-			want = append(want, visitRec{node, depth})
-			return true
-		})
-		if err := s.FloodVisit(f, 50, ttl, func(node, depth int) bool {
-			got = append(got, visitRec{node, depth})
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(got) {
-			t.Fatalf("ttl=%d: visited %d nodes, want %d", ttl, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("ttl=%d: visit %d = %+v, want %+v", ttl, i, got[i], want[i])
-			}
-		}
-	}
-	// Early stop after 3 visits.
-	count := 0
-	if err := s.FloodVisit(f, 50, 3, func(node, depth int) bool {
-		count++
-		return count < 3
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Fatalf("early stop visited %d nodes, want 3", count)
-	}
-	// Errors propagate.
-	if err := s.FloodVisit(f, -1, 3, func(int, int) bool { return true }); err == nil {
-		t.Fatal("bad source should error")
-	}
-}
-
 // TestScratchValidation checks the scratch methods reject bad input like
 // the package functions do.
 func TestScratchValidation(t *testing.T) {
@@ -295,23 +248,6 @@ func TestScratchNormalizedFloodZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("NormalizedFlood with reused scratch: %.1f allocs/op, want 0", allocs)
-	}
-}
-
-func TestScratchFloodVisitZeroAllocs(t *testing.T) {
-	f := scratchTestFrozen(t)
-	s := NewScratch(f.N())
-	visit := func(node, depth int) bool { return true }
-	if err := s.FloodVisit(f, 17, 30, visit); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := s.FloodVisit(f, 17, 8, visit); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("FloodVisit with reused scratch: %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -20,13 +20,16 @@
 // Fig. 5 of the paper is a schematic of these three strategies; it has no
 // data series and is documented by this package instead.
 //
-// Flooding has two kernels on a Scratch. Flood is the two-queue BFS from
-// one source; it also yields the discovery-ordered frontier and a target's
-// depth, which the hybrid and ring strategies build on. FloodBatch floods
-// up to 64 sources in one pass, one bit per source in a word per node, and
-// returns the same per-TTL counts for each; the FL figures (Figs. 6–8)
-// average such counts over many sources of one frozen topology, so their
-// sweep cost is per batch rather than per source.
+// Flooding has two loops on a Scratch. The single-source sweep is one
+// two-queue BFS that every flooding protocol shares: FL, NF (and NF's load
+// profile) and probabilistic flooding differ only in the rule that picks
+// which neighbors a node forwards to, and FloodDelivery and the hybrid
+// strategy read a target's depth and the final frontier from the same
+// sweep. FloodBatch floods up to 64 sources in one pass, one bit per
+// source in a word per node, and returns the same per-TTL counts for each;
+// the FL figures (Figs. 6–8) average such counts over many sources of one
+// frozen topology, so their sweep cost is per batch rather than per
+// source.
 package search
 
 import (

@@ -347,7 +347,6 @@ type (
 // Churn join rules and repair policies.
 const (
 	ChurnJoinPreferential = churn.JoinPreferential
-	ChurnJoinUniform      = churn.JoinUniform
 	ChurnNoRepair         = churn.NoRepair
 	ChurnReconnectRepair  = churn.ReconnectRepair
 )

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"math/bits"
 
 	"scalefree/internal/graph"
 )
@@ -25,11 +24,27 @@ type batchState struct {
 	dense, thin int
 }
 
+// spread[x] holds bit j of x in byte j: one byte lane per source of an
+// 8-source slice of a batch word.
+var spread = func() (t [256]uint64) {
+	for x := range t {
+		for j := 0; j < 8; j++ {
+			t[x] |= uint64(x>>j&1) << (8 * j)
+		}
+	}
+	return t
+}()
+
+// laneFlush is how many found nodes the byte lanes take before they are
+// flushed: each node adds at most 1 to a byte, and a byte holds 255.
+const laneFlush = 255
+
 // FloodBatch floods from up to MaxBatch sources at once and returns, for
-// source i, exactly the Hits and Messages series Flood(f, srcs[i], maxTTL)
-// returns — equal sources, isolated sources, exhausted components and
-// maxTTL == 0 included — or the validation error of the first offending
-// source. The Results alias s like every other Scratch result.
+// source i, exactly the Hits series Flood(f, srcs[i], maxTTL) returns —
+// equal sources, isolated sources, exhausted components and maxTTL == 0
+// included — or the validation error of the first offending source. It is
+// a hits kernel: Messages is nil in every Result, since the FL figures read
+// hits only. The Results alias s like every other Scratch result.
 //
 // It is the bit-parallel multi-source BFS: a figure reads only the per-TTL
 // counts of each source, never the discovery order, so one adjacency scan
@@ -48,9 +63,10 @@ type batchState struct {
 //     a long-diameter overlay never pay for N.
 //
 // The two emit the same frontier set in a different order, and nothing
-// below depends on the order. Kernels that need discovery order or a target
-// depth (hybrid, ring) keep using the queue kernel, which also stays faster
-// for a single source.
+// below depends on the order. Each level's hits are a positional popcount
+// of the found nodes' new words, counted eight sources per add in byte
+// lanes. Kernels that need discovery order, messages or a target depth keep
+// using the queue kernel.
 func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result, error) {
 	k := len(srcs)
 	if k > MaxBatch {
@@ -81,11 +97,11 @@ func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result,
 		s.cur, s.next = make([]int32, 0, n), make([]int32, 0, n)
 	}
 
-	// Row i of hits/msgs collects per-level increments and is prefix-summed
-	// at the end, which also carries an exhausted source's totals forward to
+	// Row i of hits collects per-level increments and is prefix-summed at
+	// the end, which also carries an exhausted source's total forward to
 	// maxTTL exactly as the single-source sweep's tail fill does.
 	L := maxTTL + 1
-	hits, msgs := s.intBuf(k*L), s.intBuf(k*L)
+	hits := s.intBuf(k * L)
 	active, found := s.cur[:0], s.next[:0]
 	for i, src := range srcs {
 		bit := uint64(1) << uint(i)
@@ -95,9 +111,6 @@ func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result,
 		visit[src] |= bit
 		seen[src] |= bit
 		hits[i*L] = 1
-		if maxTTL > 0 {
-			msgs[i*L+1] = f.Degree(src) // the source forwards to every neighbor
-		}
 	}
 
 	b.dense, b.thin = 0, 0
@@ -145,26 +158,30 @@ func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result,
 			}
 			found = found[:j]
 		}
-		// Level d is complete, next holds each found node's new bits: credit
-		// the node to the sources that found it. A node below maxTTL forwards
-		// to all neighbors but its sender, and those messages arrive by d+1.
-		// One word per source carries both sums, nodes found in the high half
-		// and Σ(deg−1) in the low: each is below 2³¹ because Frozen's arc
-		// offsets are int32, so the low half cannot carry into the high.
-		var acc [MaxBatch]uint64
-		for _, w := range found {
-			nw := next[w]
-			next[w] = 0
-			visit[w] = nw
-			c := 1<<32 | uint64(f.Degree(int(w))-1)
-			for ; nw != 0; nw &= nw - 1 {
-				acc[bits.TrailingZeros64(nw)] += c
+		// Level d is complete, next holds each found node's new bits: count
+		// the node for the sources that found it. Byte q of the new word
+		// adds spread[byte] to lane q, whose byte j then counts source
+		// 8q+j's nodes of this chunk.
+		row := hits[d:]
+		for lo := 0; lo < len(found); lo += laneFlush {
+			var l0, l1, l2, l3, l4, l5, l6, l7 uint64
+			for _, w := range found[lo:min(lo+laneFlush, len(found))] {
+				nw := next[w]
+				next[w] = 0
+				visit[w] = nw
+				l0 += spread[uint8(nw)]
+				l1 += spread[uint8(nw>>8)]
+				l2 += spread[uint8(nw>>16)]
+				l3 += spread[uint8(nw>>24)]
+				l4 += spread[uint8(nw>>32)]
+				l5 += spread[uint8(nw>>40)]
+				l6 += spread[uint8(nw>>48)]
+				l7 += spread[uint8(nw>>56)]
 			}
-		}
-		for i := 0; i < k; i++ {
-			hits[i*L+d] = int(acc[i] >> 32)
-			if d < maxTTL {
-				msgs[i*L+d+1] = int(uint32(acc[i]))
+			for q, lane := range [8]uint64{l0, l1, l2, l3, l4, l5, l6, l7} {
+				for i := 8 * q; i < min(8*q+8, k); i++ {
+					row[i*L] += int(uint8(lane >> (8 * (i - 8*q))))
+				}
 			}
 		}
 		active, found = found, active[:0]
@@ -173,12 +190,11 @@ func (s *Scratch) FloodBatch(f *graph.Frozen, srcs []int, maxTTL int) ([]Result,
 
 	res := b.results[:k]
 	for i := range res {
-		h, m := hits[i*L:(i+1)*L:(i+1)*L], msgs[i*L:(i+1)*L:(i+1)*L]
+		h := hits[i*L : (i+1)*L : (i+1)*L]
 		for t := 1; t <= maxTTL; t++ {
 			h[t] += h[t-1]
-			m[t] += m[t-1]
 		}
-		res[i] = Result{Hits: h, Messages: m}
+		res[i] = Result{Hits: h}
 	}
 	return res, nil
 }

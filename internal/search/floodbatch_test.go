@@ -3,6 +3,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,8 +41,8 @@ var batchTopos = sync.OnceValue(func() []batchTopo {
 	}
 	out = append(out, batchTopo{"pa", pa.Freeze()})
 
-	// Not simplified: self-loops and parallel edges stay in the rows, so
-	// Degree (and with it the message count) differs from the simple graph.
+	// Not simplified: self-loops and parallel edges stay in the rows, so a
+	// frontier node can offer the same neighbor, or itself, more than once.
 	multi := graph.New(40)
 	rng := xrand.New(77)
 	for i := 0; i < 120; i++ {
@@ -70,8 +71,8 @@ var batchTopos = sync.OnceValue(func() []batchTopo {
 	return out
 })
 
-// checkBatch compares one FloodBatch call against per-source Flood on a
-// separate scratch.
+// checkBatch compares one FloodBatch call's hits against per-source Flood
+// on a separate scratch, and holds it to carrying no messages.
 func checkBatch(t *testing.T, name string, batch, single *Scratch, f *graph.Frozen, srcs []int, maxTTL int) {
 	t.Helper()
 	got, err := batch.FloodBatch(f, srcs, maxTTL)
@@ -86,14 +87,16 @@ func checkBatch(t *testing.T, name string, batch, single *Scratch, f *graph.Froz
 		if err != nil {
 			t.Fatalf("%s: Flood(%d): %v", name, src, err)
 		}
-		sameResult(t, fmt.Sprintf("%s src[%d]=%d ttl=%d", name, i, src, maxTTL), want, got[i])
+		if !slices.Equal(got[i].Hits, want.Hits) || got[i].Messages != nil {
+			t.Fatalf("%s src[%d]=%d ttl=%d: hits %v messages %v, want hits %v and no messages", name, i, src, maxTTL, got[i].Hits, got[i].Messages, want.Hits)
+		}
 	}
 }
 
-// TestFloodBatchMatchesFlood is the kernel's contract: every Hits[t] and
-// Messages[t] of every source equals Scratch.Flood, for every width and
-// TTL, with one Scratch carried across all topologies (different N, so
-// stale bit state from a larger graph would show).
+// TestFloodBatchMatchesFlood is the kernel's contract: every Hits[t] of
+// every source equals Scratch.Flood's, for every width and TTL, with one
+// Scratch carried across all topologies (different N, so stale bit state
+// from a larger graph would show).
 func TestFloodBatchMatchesFlood(t *testing.T) {
 	t.Parallel()
 	batch, single := NewScratch(0), NewScratch(0)
@@ -192,14 +195,40 @@ func TestFloodBatchMatchesFlood(t *testing.T) {
 	wantModes("isolated dense", true, true)
 
 	// A star whose hub has degree 70 000: one level counts 70 000 nodes per
-	// source and one credit adds a Σ(deg−1) term of 69 999, both past 16
-	// bits, so a packing with less headroom than the kernel's would carry.
+	// source, past 16 bits and across 275 lane flushes.
 	var star [][2]int
 	for v := 1; v <= 70_000; v++ {
 		star = append(star, [2]int{0, v})
 	}
 	checkBatch(t, "star", batch, single, edges(graph.New(70_001), star...), []int{5, 0, 70_000, 5}, 4)
 	wantModes("star", true, true)
+}
+
+// TestFloodBatchLaneFlush: a level's hits are counted in byte lanes that
+// are flushed every laneFlush found nodes, so on a star K₁,L a batch at the
+// hub finds L nodes per source in one level — one byte short of, at and
+// past each flush boundary — and a batch of hub and leaf sources splits a
+// level between sources that find L nodes and sources that find one.
+func TestFloodBatchLaneFlush(t *testing.T) {
+	t.Parallel()
+	batch, single := NewScratch(0), NewScratch(0)
+	for _, leaves := range []int{254, 255, 256, 509, 510, 511} {
+		g := graph.New(leaves + 1)
+		for v := 1; v <= leaves; v++ {
+			if err := g.AddEdge(0, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		star := g.Freeze()
+		hub, mixed := make([]int, MaxBatch), make([]int, MaxBatch)
+		for i := range mixed {
+			if i%2 == 1 {
+				mixed[i] = i
+			}
+		}
+		checkBatch(t, fmt.Sprintf("K1,%d hub", leaves), batch, single, star, hub, 3)
+		checkBatch(t, fmt.Sprintf("K1,%d mixed", leaves), batch, single, star, mixed, 3)
+	}
 }
 
 // TestFloodBatchErrors pins that a bad source or TTL yields Flood's error,
@@ -287,24 +316,34 @@ func FuzzFloodBatchMatchesFlood(f *testing.F) {
 	})
 }
 
-// floodSweepTopos is the sweep-cm shape: the 18 fig7 CM topologies at
-// N=20 000.
-var floodSweepTopos = sync.OnceValue(func() []*graph.Frozen {
-	var out []*graph.Frozen
-	for _, gamma := range []float64{2.2, 3.0} {
-		for _, m := range []int{1, 2, 3} {
-			for _, kc := range []int{10, 40, gen.NoCutoff} {
-				cfg := gen.CMConfig{N: 20_000, M: m, KC: kc, Gamma: gamma}
-				f, _, err := gen.CMFrozen(cfg, gen.NewBuild(xrand.Phases{Seed: uint64(1000*m + kc)}, 1))
-				if err != nil {
-					panic(err)
+// cmGrid builds, once, fig7's m ∈ {1,2,3} × kc ∈ {10,40,none} CM grid at
+// n nodes for each γ.
+func cmGrid(n int, gammas ...float64) func() []*graph.Frozen {
+	return sync.OnceValue(func() []*graph.Frozen {
+		var out []*graph.Frozen
+		for _, gamma := range gammas {
+			for _, m := range []int{1, 2, 3} {
+				for _, kc := range []int{10, 40, gen.NoCutoff} {
+					cfg := gen.CMConfig{N: n, M: m, KC: kc, Gamma: gamma}
+					f, _, err := gen.CMFrozen(cfg, gen.NewBuild(xrand.Phases{Seed: uint64(1000*m + kc)}, 1))
+					if err != nil {
+						panic(err)
+					}
+					out = append(out, f)
 				}
-				out = append(out, f)
 			}
 		}
-	}
-	return out
-})
+		return out
+	})
+}
+
+// floodSweepTopos is the sweep-cm shape: 18 fig7 CM topologies at
+// N=20 000. floodRecordsTopos is the records-* shape: the whole fig7 grid
+// at N=400, where a 64-source flood covers most of a topology within τ 20.
+var (
+	floodSweepTopos   = cmGrid(20_000, 2.2, 3.0)
+	floodRecordsTopos = cmGrid(400, 2.2, 2.6, 3.0)
+)
 
 // floodLongTopos is the shape the dense level can hurt: four fig8-style DAPA
 // overlays (N_O = 10⁴ on a 2·10⁴ GRN, kc 10) whose short substrate horizon
@@ -337,7 +376,8 @@ var floodSweepSink int
 // batches as fit in MaxBatch) on each topology of a set; the figure to
 // compare is µs/source. The CM set at τ 30 is where dense levels pay; the
 // long-diameter set at τ 90 is where they would cost without the thin-level
-// mode, so the rule that picks between them is pinned on both.
+// mode, so the rule that picks between them is pinned on both. The records
+// set at τ 20 is the small-topology sweep of the records-* workloads.
 func BenchmarkFloodSweep(b *testing.B) {
 	run := func(name string, topos func() []*graph.Frozen, maxTTL, k int, flood func(s *Scratch, f *graph.Frozen, srcs []int, maxTTL int) (Result, error)) {
 		b.Run(name, func(b *testing.B) {
@@ -380,4 +420,5 @@ func BenchmarkFloodSweep(b *testing.B) {
 	for _, k := range []int{12, 50} {
 		run(fmt.Sprintf("long/k=%d", k), floodLongTopos, 90, k, batch)
 	}
+	run("records/k=64", floodRecordsTopos, 20, 64, batch)
 }

@@ -26,10 +26,10 @@
 // which neighbors a node forwards to, and FloodDelivery and the hybrid
 // strategy read a target's depth and the final frontier from the same
 // sweep. FloodBatch floods up to 64 sources in one pass, one bit per
-// source in a word per node, and returns the same per-TTL counts for each;
-// the FL figures (Figs. 6–8) average such counts over many sources of one
-// frozen topology, so their sweep cost is per batch rather than per
-// source.
+// source in a word per node, and returns the same per-TTL hits for each,
+// and no messages; the FL figures (Figs. 6–8) average hits over many
+// sources of one frozen topology, so their sweep cost is per batch rather
+// than per source.
 package search
 
 import (
@@ -53,7 +53,8 @@ type Result struct {
 	// (Hits[0] == 1: the source itself). len(Hits) == maxTTL+1.
 	Hits []int
 	// Messages[t] is the cumulative number of query transmissions sent
-	// by nodes at depth < t (Messages[0] == 0).
+	// by nodes at depth < t (Messages[0] == 0). It is nil in FloodBatch
+	// results, which count hits only.
 	Messages []int
 }
 

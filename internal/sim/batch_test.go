@@ -61,8 +61,8 @@ func flSweep(tag string, factory topoFactory, cfg searchCfg, seed uint64, sample
 }
 
 // flMsgs samples a flood's messages within t hops into row[t]. No spec
-// sweeps FL messages; the tests pin the batched kernel's and the DES
-// flood's message counts with it.
+// sweeps FL messages, and the batched kernel counts none; the DES flood's
+// message counts are pinned to per-source Scratch.Flood rows with it.
 func flMsgs(res search.Result, row []float64) {
 	for t := range row {
 		row[t] = float64(res.MessagesAt(t))
@@ -72,64 +72,51 @@ func flMsgs(res search.Result, row []float64) {
 // TestBatchSweepMatchesPerSourceSweep: for source counts on both sides of
 // every batch-width boundary and for serial, sharded and lane-parallel
 // budgets (1: lanes 1, width 1; 6: lanes 3, width 2; 21: lanes 3, width
-// 7), the FL hits and message series equal the per-source sweep's, and a
-// journaled run writes the same record bytes.
+// 7), the FL hits series equals the per-source sweep's, and a journaled
+// run writes the same record bytes.
 func TestBatchSweepMatchesPerSourceSweep(t *testing.T) {
 	t.Parallel()
 	const seed = 2007
 	sc := testScaleTiny()
 	factory := cmTopo(300, 1, 10, 2.2) // m=1: many components, floods exhaust early
-	kinds := []struct {
-		name   string
-		series func(string, topoFactory, searchCfg, uint64) (Series, error)
-		sample func(search.Result, []float64)
-		tag    string
-	}{
-		{"hits", searchSeries, hitsRow, "fl"},
-		{"msgs", func(label string, factory topoFactory, cfg searchCfg, seed uint64) (Series, error) {
-			return flSweep("msgs: "+label, factory, cfg, seed, flMsgs)
-		}, flMsgs, "msgs: fl"},
-	}
 	for _, sources := range []int{1, 12, 64, 65, 150} {
 		cfg := searchCfg{alg: algFL, maxTTL: 12, sc: Scale{Sources: sources, Realizations: 3}}
-		for _, kind := range kinds {
-			rows := perSourceFLRows(t, factory, cfg, seed, kind.sample)
-			want, err := aggregate("fl", meanRows(blocksOf(rows, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
+		rows := perSourceFLRows(t, factory, cfg, seed, hitsRow)
+		want, err := aggregate("fl", meanRows(blocksOf(rows, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 6, 21} {
+			name := fmt.Sprintf("sources=%d workers=%d", sources, workers)
+			path := filepath.Join(t.TempDir(), "fl.journal")
+			j, err := OpenJournal(path, "fig", seed, sc, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 6, 21} {
-				name := fmt.Sprintf("%s sources=%d workers=%d", kind.name, sources, workers)
-				path := filepath.Join(t.TempDir(), "fl.journal")
-				j, err := OpenJournal(path, "fig", seed, sc, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				jcfg := cfg
-				jcfg.sc.Workers = workers
-				jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
-				got, err := kind.series("fl", factory, jcfg, seed)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: series differs from the per-source sweep", name)
-				}
-				if err := j.Close(); err != nil {
-					t.Fatal(err)
-				}
-				written, err := OpenJournal(path, "fig", seed, sc, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r := 0; r < cfg.sc.Realizations; r++ {
-					rec, _ := written.payloadOf(journalKey{kind: recSweepSlots, stream: seed, sub: journalTag(kind.tag), r: r})
-					if !bytes.Equal(rec, rowPayload(rows[r*sources:(r+1)*sources], cfg.maxTTL+1)) {
-						t.Fatalf("%s: journal record of realization %d differs from the per-source sweep's", name, r)
-					}
-				}
-				written.Close()
+			jcfg := cfg
+			jcfg.sc.Workers = workers
+			jcfg.sc.Run = NewRunControl(context.Background(), 0, 0, j)
+			got, err := searchSeries("fl", factory, jcfg, seed)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: series differs from the per-source sweep", name)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			written, err := OpenJournal(path, "fig", seed, sc, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < cfg.sc.Realizations; r++ {
+				rec, _ := written.payloadOf(journalKey{kind: recSweepSlots, stream: seed, sub: journalTag("fl"), r: r})
+				if !bytes.Equal(rec, rowPayload(rows[r*sources:(r+1)*sources], cfg.maxTTL+1)) {
+					t.Fatalf("%s: journal record of realization %d differs from the per-source sweep's", name, r)
+				}
+			}
+			written.Close()
 		}
 	}
 }
@@ -206,8 +193,8 @@ func TestFreeListScratchServesSmallerGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Hits, want.Hits) || !slices.Equal(got.Messages, want.Messages) {
-			t.Fatalf("source %d on the reused scratch: hits %v msgs %v, want %v %v", s, got.Hits, got.Messages, want.Hits, want.Messages)
+		if !slices.Equal(got.Hits, want.Hits) {
+			t.Fatalf("source %d on the reused scratch: hits %v, want %v", s, got.Hits, want.Hits)
 		}
 	})
 	if err != nil {

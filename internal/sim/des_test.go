@@ -75,8 +75,9 @@ func TestDESSpecsScheduleInvariant(t *testing.T) {
 
 // TestDESFloodSweepMatchesCSR pins the pipeline-level equivalence gate for
 // floods: a zero-latency, lossless desSweep must reproduce the CSR flood
-// sweep's hits (searchSeries) and messages (flSweep) bit-for-bit — same
-// topologies, same per-source streams, same aggregation.
+// sweep's hits (searchSeries) and the per-source Scratch.Flood messages
+// (perSourceFLRows) bit-for-bit — same topologies, same per-source
+// streams, same aggregation.
 func TestDESFloodSweepMatchesCSR(t *testing.T) {
 	t.Parallel()
 	const seed, maxTTL = 424242, 8
@@ -86,7 +87,8 @@ func TestDESFloodSweepMatchesCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMsgs, err := flSweep("msgs: fl", factory, cfg, seed, flMsgs)
+	rows := perSourceFLRows(t, factory, cfg, seed, flMsgs)
+	wantMsgs, err := aggregate("fl", meanRows(blocksOf(rows, cfg.sc.Sources), 0, cfg.sc.Sources), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -519,14 +519,14 @@ func (sw *sweeper) Sources(stream uint64, sources int, query func(shard, s int, 
 }
 
 // FloodSources is Sources for plain flooding, where a figure reads only
-// each source's per-TTL counts: source s still draws its node from the
+// each source's per-TTL hits: source s still draws its node from the
 // (seed, stream, s) stream, but contiguous runs of sources are flooded
 // together by search.FloodBatch, one run per work item of the shard pool,
-// and emit(s, result) is called for every s exactly as a Sources query
-// calling Scratch.Flood would have been. The run width follows from the
-// shard count — every shard gets a run, no run exceeds the kernel's word —
-// and cannot change a result, only how many adjacency scans are shared.
-// The Result passed to emit aliases the shard's scratch.
+// and emit(s, result) is called for every s with the Hits a Sources query
+// calling Scratch.Flood would have seen; Messages is nil. The run width
+// follows from the shard count — every shard gets a run, no run exceeds
+// the kernel's word — and cannot change a result, only how many adjacency
+// scans are shared. The Result passed to emit aliases the shard's scratch.
 func (sw *sweeper) FloodSources(stream uint64, sources int, f *graph.Frozen, maxTTL int, emit func(s int, res search.Result)) error {
 	if sources <= 0 {
 		return nil
@@ -541,15 +541,6 @@ func (sw *sweeper) FloodSources(stream uint64, sources int, f *graph.Frozen, max
 		for i := range srcs {
 			rng := xrand.StreamValue(sw.seed, stream, uint64(lo+i))
 			srcs[i] = rng.Intn(f.N())
-		}
-		if len(srcs) == 1 {
-			// The queue kernel is the faster one for a lone source.
-			res, err := scratch.Flood(f, srcs[0], maxTTL)
-			if err != nil {
-				return err
-			}
-			emit(lo, res)
-			return nil
 		}
 		results, err := scratch.FloodBatch(f, srcs, maxTTL)
 		if err != nil {

@@ -12,7 +12,8 @@
 //	experiments -scale xl                                # N=10^6 degree distributions
 //	experiments -exp fig9 -cpuprofile cpu.pprof          # profile a hot experiment
 //	experiments -exp desflood,deskwalk,desfail           # message-level DES specs
-//	experiments -exp desflood -loss 0.05 -latency-jitter 2   # single loss rate, wider jitter
+//	experiments -exp desflood -loss 0.05 -latency-jitter 2   # single loss rate, delay U[0,2) (base 0)
+//	experiments -exp desflood -latency-base 1 -latency-jitter 2  # delay 1 + U[0,2): wider jitter
 //	experiments -exp desfail -fail-frac 0.2              # 20% failure sweep
 //	experiments -exp all -scale paper -resume            # continue a killed run
 //	experiments -exp fig9 -retries 2 -max-failed 1       # tolerate flaky realizations
@@ -29,7 +30,8 @@
 //
 // The message-level discrete-event specs (desflood, deskwalk, desfail)
 // take their knobs in every mode but worker: -latency-base/-latency-jitter
-// set the per-edge delay model (both unset = 1 + U[0,1)), -loss pins a
+// set the per-edge delay model, base + jitter·U[0,1) (both unset = 1 +
+// U[0,1); setting either leaves the other at 0), -loss pins a
 // single message-loss rate (unset = sweep {0, 2%, 10%}), and
 // -fail-frac/-fail-mtbf shape the desfail failure schedule (unset = sweep
 // {0, 10%, 20%, 30%} with MTBF 2).
@@ -122,8 +124,8 @@ func run(args []string, stdout io.Writer) error {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after the last experiment")
 		mode       = fs.String("mode", "csr", "csr (run locally), coordinator, or worker")
-		latBase    = fs.Float64("latency-base", 0, "DES fixed per-edge delay component (with -latency-jitter both 0: defaults to 1+U[0,1))")
-		latJitter  = fs.Float64("latency-jitter", 0, "DES per-edge uniform delay component scale")
+		latBase    = fs.Float64("latency-base", 0, "DES fixed per-edge delay component; with -latency-jitter also 0 the delay is 1+U[0,1), and setting either leaves the other at 0")
+		latJitter  = fs.Float64("latency-jitter", 0, "DES per-edge uniform delay component scale (see -latency-base for the default)")
 		loss       = fs.Float64("loss", 0, "DES message loss rate in [0,1); 0 sweeps the default series {0, 0.02, 0.10}")
 		failFrac   = fs.Float64("fail-frac", 0, "desfail failure fraction in [0,1); 0 sweeps the default series {0, 0.10, 0.20, 0.30}")
 		failMTBF   = fs.Float64("fail-mtbf", 0, "desfail mean time before a selected element goes down (0 = default 2 time units)")

@@ -11,9 +11,9 @@ import (
 
 // Kernel benchmarks: the DES message-level flood and k-walk on a 10k-node
 // PA overlay, next to the CSR Scratch flood on the same topology — the
-// measured price of the event heap and per-edge latency derivation over
+// measured price of the event queue and per-edge latency derivation over
 // the pure traversal. All DES variants must report 0 allocs/op: the Sim
-// arena, pooled heap, and the allocation-free ChunkRoot latency path are
+// arena, pooled queues, and the allocation-free ChunkRoot latency path are
 // the point.
 
 func benchTopo(b *testing.B, kc int) *graph.Frozen {
@@ -30,9 +30,14 @@ func benchTopo(b *testing.B, kc int) *graph.Frozen {
 // τ = 30, latency 1 + U[0,1), loss 0 and 10 %. The unprefixed cases are
 // the KC = 40, τ = 10 shape the BENCH_PR6/7 snapshots timed, names kept
 // (`git show 04c8318:BENCH_PR6.json`, likewise BENCH_PR7.json).
-// "pushes" next to "msgs" is the queue traffic per flood: every copy sent
-// used to be one heap event (pushes ≈ msgs ≈ 3N), send-time duplicate
-// resolution queues only would-be first receipts (≈ 1.1N).
+// base0-jitter2 is what `-latency-jitter 2` alone runs (Base 0, U[0,2)):
+// runs are narrower than a hop, so copies land in the run being
+// consumed. tiny-jitter (Base 1, Jitter 1e-9) packs each hop's arrivals
+// into a span of nanoseconds, which buckets of a fixed width would sort
+// as one.
+// "pushes" next to "msgs" is the queue traffic per flood: of ≈ 3N copies
+// sent, send-time duplicate resolution queues only those that become
+// their receiver's pending copy (≈ 1.1N).
 func BenchmarkDESFlood(b *testing.B) {
 	lat := Latency{Base: 1, Jitter: 1, Phases: xrand.Phases{Seed: 2}}
 	cases := []struct {
@@ -45,6 +50,8 @@ func BenchmarkDESFlood(b *testing.B) {
 		{"zero-latency", 40, Config{MaxTTL: 10}},
 		{"jitter", 40, Config{MaxTTL: 10, Latency: lat}},
 		{"jitter-loss", 40, Config{MaxTTL: 10, Latency: lat, Loss: 0.05}},
+		{"base0-jitter2", gen.NoCutoff, Config{MaxTTL: 30, Latency: Latency{Jitter: 2, Phases: lat.Phases}}},
+		{"tiny-jitter", gen.NoCutoff, Config{MaxTTL: 30, Latency: Latency{Base: 1, Jitter: 1e-9, Phases: lat.Phases}}},
 	}
 	for _, c := range cases {
 		c := c

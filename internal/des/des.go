@@ -14,17 +14,29 @@
 // copy's arrival time, FIFO key and receiver crash time are known at the
 // send. So a copy over a cut edge or to a crashed node is FailDropped and
 // a lost one Dropped without being queued; a copy to a node that is
-// covered, or that a queued copy reaches at an earlier (time, key), can
+// covered, or whose pending copy arrives at an earlier (time, key), can
 // only be a duplicate — Delivered, Duplicates and Completion are credited
 // at once, and it is not queued either; any other copy becomes its
-// receiver's best pending arrival and is queued (one it overtakes stays
-// queued and pops as an ordinary duplicate — no decrease-key). Hits,
-// HitsByHop and TimeByHop are credited at first-receipt pops. About 1.1 N
-// of 3 N copies reach the queue on an m = 2 overlay, and the Metrics are
-// bit-identical to queueing them all (TestFloodMetricsDigests): unqueued
-// copies still consume a key, so queued ones keep their pop order; only
-// first receipts send, so loss draws keep theirs; and the early credits
-// are sums and a max. K-walks queue one event per step.
+// receiver's pending copy. One it overtakes would pop later as a
+// duplicate, so it is credited as one on the spot and dropped: a node is
+// queued at most once, and its pending copy (arrival, key, sender, hop)
+// lives in per-node arrays. Hits, HitsByHop and TimeByHop are credited at
+// first-receipt pops. About 1.1 N of 3 N copies become pending on an
+// m = 2 overlay, and the Metrics are bit-identical to queueing them all
+// (TestFloodMetricsDigests): unqueued copies still consume a key, so
+// queued ones keep their pop order; only first receipts send, so loss
+// draws keep theirs; and the early credits are sums and a max.
+//
+// The flood's queue is a list of node IDs consumed in runs (Sim.nextRun):
+// each run takes every pending copy arriving within w = max(Base,
+// (Base+Jitter)/8) of the earliest, is put in (time, key) order by a
+// counting pass over its span plus a sort of each small bucket, and is
+// popped front to back. A copy sent meanwhile joins the pending list
+// (or, overtaking, keeps its receiver's place there); only when Base < w
+// can it land in the run being consumed, and it is binary-inserted
+// there. FuzzFloodMatchesHeapReference holds every Metrics field to the
+// event-heap flood this replaced. K-walks queue one event per step on a
+// 4-ary heap: walker-major keys are not in push order.
 //
 // Determinism is the same contract the experiment engine enforces
 // everywhere else. Three ingredients:
@@ -33,8 +45,9 @@
 //     xrand.Phases sub-stream keyed by the canonical edge id, its per-run
 //     prefix folded once (xrand.ChunkRoot), so an edge's delay never
 //     depends on when (or how often) a message crosses it.
-//   - Event ties are broken by a unique uint64 key, giving the queue a
-//     total order: two runs with the same inputs pop events identically.
+//   - Event ties are broken by a unique key (a flood's send sequence, a
+//     walker's step rank), giving each queue a total order: two runs
+//     with the same inputs pop events identically.
 //   - All protocol randomness (NF-style choices, walk steps, loss draws)
 //     comes from the caller's per-source stream, consumed in pop order.
 //
@@ -49,16 +62,18 @@
 // walkers); the loss, latency and failure knobs come from a workload
 // sim.Scale.Validate has judged. Crashed nodes and cut links stay down.
 //
-// Allocation discipline follows search.Scratch: a Sim owns the event queue
-// (a 4-ary heap), the epoch-stamped per-node marks, and a small arena of
-// per-hop series, so repeated runs on one topology allocate nothing after
-// the first call. One Sim per goroutine; Metrics alias the Sim's buffers
-// and are valid until the next run on the same Sim.
+// Allocation discipline follows search.Scratch: a Sim owns both queues,
+// the epoch-stamped per-node marks and pending copies, and a small arena
+// of per-hop series, so repeated runs on one topology allocate nothing
+// after the first call. One Sim per goroutine; Metrics alias the Sim's
+// buffers and are valid until the next run on the same Sim.
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"scalefree/internal/graph"
 	"scalefree/internal/search"
@@ -201,11 +216,10 @@ func (m Metrics) SentBelow(h int) int {
 	return total
 }
 
-// event is one message in flight: it arrives at node (from `from`, having
-// taken `hop` hops) at the given time. key totally orders simultaneous
-// events — FIFO sequence numbers for floods, walker-major (walker, step)
-// ranks for k-walks — so the heap pop order, and with it every RNG draw,
-// is deterministic.
+// event is one k-walk message in flight: it arrives at node (from
+// `from`, having taken `hop` hops) at the given time. key, the
+// walker-major (walker, step) rank, totally orders simultaneous events,
+// so the heap pop order, and with it every RNG draw, is deterministic.
 type event struct {
 	time float64
 	key  uint64
@@ -214,23 +228,35 @@ type event struct {
 	hop  int32
 }
 
-// Sim owns the reusable DES state: the event heap, the epoch-stamped
-// per-node marks (cleared in O(1) by bumping the epoch), the earliest
-// step values for k-walks, and the per-hop series arena. The zero value is
-// ready to use; buffers grow on demand and are retained. A Sim must not be
-// copied after first use and is not safe for concurrent use — one Sim per
-// goroutine, exactly like search.Scratch.
+// Sim owns the reusable DES state: the flood queue and each node's
+// pending copy, the k-walk event heap, the epoch-stamped per-node marks
+// (cleared in O(1) by bumping the epoch), the earliest step values for
+// k-walks, and the per-hop series arena. The zero value is ready to use;
+// buffers grow on demand and are retained. A Sim must not be copied after
+// first use and is not safe for concurrent use — one Sim per goroutine,
+// exactly like search.Scratch.
 type Sim struct {
+	// heap is KWalk's event queue.
 	heap []event
-	// pushes counts heap insertions of the current run (the benchmarks
-	// report it next to Metrics.Sent).
+	// pushes counts the copies queued by the current run: heap pushes
+	// for k-walks, and for floods the copies that became their
+	// receiver's pending copy (the benchmarks report it next to
+	// Metrics.Sent).
 	pushes int
 	epoch  int32
 	// mark[v] == epoch: v has received the query. mark[v] == -epoch
-	// (floods only): v has not, but a copy to it is queued, the earliest
-	// arriving at best[v].
+	// (floods only): v has not, but a copy to it is queued — its pending
+	// copy, which arrives at best[v] with send key key[v] from node
+	// from[v] after hop[v] hops. A flood sends at most 2M < 2³¹ copies
+	// (CSR offsets are int32), so the keys never wrap.
 	mark []int32
 	best []float64
+	key  []uint32
+	from []int32
+	hop  []int32
+	// run, pend, tmp and counts are Flood's queue (see nextRun).
+	run, pend, tmp []int32
+	counts         []int32
 	// val[v] is the earliest k-walk step at which v was reached; valid
 	// only while mark[v] carries the epoch that wrote it.
 	val  []int32
@@ -257,6 +283,21 @@ func (s *Sim) ensure(n int) {
 		s.best = make([]float64, n)
 		s.val = make([]int32, n)
 		s.epoch = 0
+	}
+}
+
+// ensureFlood sizes Flood's per-node copy state and queue for n nodes:
+// run and pend each hold a node at most once, so they never grow during
+// a flood.
+func (s *Sim) ensureFlood(n int) {
+	if len(s.key) < n {
+		s.key = make([]uint32, n)
+		s.from = make([]int32, n)
+		s.hop = make([]int32, n)
+		s.run = make([]int32, 0, n)
+		s.pend = make([]int32, 0, n)
+		s.tmp = make([]int32, 0, n)
+		s.counts = make([]int32, n+1)
 	}
 }
 
@@ -309,10 +350,11 @@ func (s *Sim) floatBuf(n int) []float64 {
 	return b
 }
 
-// The heap is 4-ary (children of i at 4i+1..4i+4): half the levels of a
-// binary heap, and a node's four children share one or two cache lines.
-// Both sifts move a hole instead of swapping 32-byte events, and compare
-// (time, key) field by field.
+// KWalk's heap is 4-ary (children of i at 4i+1..4i+4): half the levels
+// of a binary heap, and a node's four children share one or two cache
+// lines. Both sifts move a hole instead of swapping 32-byte events, and
+// compare (time, key) field by field. (A walker's keys are walker-major,
+// not in push order, so the flood's runs do not fit it.)
 
 // push inserts an event into the heap.
 func (s *Sim) push(ev event) {
@@ -387,6 +429,7 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 	}
 	s.reset()
 	s.ensure(f.N())
+	s.ensureFlood(f.N())
 	ep := s.newEpoch()
 	m := Metrics{
 		HitsByHop: s.intBuf(cfg.MaxTTL + 1),
@@ -406,39 +449,46 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 		}
 	}
 	lat, root := cfg.Latency, cfg.Latency.root()
-	mark, best := s.mark, s.best
-	s.heap = s.heap[:0]
-	s.push(event{node: int32(src), from: -1})
-	seq := uint64(1)
-	for len(s.heap) > 0 {
-		ev := s.pop()
-		if ev.hop > 0 {
+	// Runs are w wide: at least Base, so a copy sent from a run lands in
+	// it only when the jitter dwarfs Base, and at least (Base+Jitter)/8,
+	// so a copy waits in pend for at most eight runs.
+	w := math.Max(lat.Base, (lat.Base+lat.Jitter)/8)
+	mark, best, key, from, hop := s.mark, s.best, s.key, s.from, s.hop
+	mark[src], best[src], key[src], from[src], hop[src] = -ep, 0, 0, -1, 0
+	s.pushes++
+	run, pend := append(s.run[:0], int32(src)), s.pend[:0]
+	// The run spans [lo, hi); pendMin is at most every pend arrival.
+	lo, hi, pendMin := 0.0, w, math.Inf(1)
+	seq := uint32(1)
+	for head := 0; ; head++ {
+		if head == len(run) {
+			if run, pend, lo, hi, pendMin = s.nextRun(run, pend, ep, pendMin, w); len(run) == 0 {
+				break
+			}
+			head = 0
+		}
+		v := run[head]
+		t, h, fv := best[v], hop[v], from[v]
+		mark[v] = ep
+		if h > 0 {
 			m.Delivered++
-			if ev.time > m.Completion {
-				m.Completion = ev.time
+			if t > m.Completion {
+				m.Completion = t
 			}
 		}
-		if mark[ev.node] != ep {
-			mark[ev.node] = ep
-			m.Hits++
-			m.HitsByHop[ev.hop]++
-			m.TimeByHop[ev.hop] += ev.time
-		} else {
-			// A queued copy that a later-sent, earlier-arriving one
-			// overtook.
-			m.Duplicates++
+		m.Hits++
+		m.HitsByHop[h]++
+		m.TimeByHop[h] += t
+		if int(h) == cfg.MaxTTL {
 			continue
 		}
-		if int(ev.hop) == cfg.MaxTTL {
-			continue
-		}
-		for _, w := range f.Neighbors(int(ev.node)) {
-			if w == ev.from {
+		for _, u := range f.Neighbors(int(v)) {
+			if u == fv {
 				continue
 			}
 			m.Sent++
-			m.SentByHop[ev.hop]++
-			if failing && cfg.Fail.edgeDown(linkSel, linkAt, ev.node, w, ev.time) {
+			m.SentByHop[h]++
+			if failing && cfg.Fail.edgeDown(linkSel, linkAt, v, u, t) {
 				// Partitioned at send time: the copy never leaves.
 				m.FailDropped++
 				continue
@@ -449,16 +499,17 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 			}
 			// Every copy in flight takes a key, queued or not, so the
 			// queued ones pop in the order they would among all copies.
-			at, key := ev.time+lat.edge(root, ev.node, w), seq
+			at, k := t+lat.edge(root, v, u), seq
 			seq++
-			if failing && at >= crashAt[w] {
+			if failing && at >= crashAt[u] {
 				// The receiver is down on arrival: lost in flight.
 				m.FailDropped++
 				continue
 			}
-			if mk := mark[w]; mk == ep || (mk == -ep && at >= best[w]) {
-				// w is covered, or a queued copy reaches it first (at
-				// equal times the queued one holds the smaller key):
+			mk := mark[u]
+			if mk == ep || (mk == -ep && at >= best[u]) {
+				// u is covered, or its pending copy reaches it first (at
+				// equal times the pending one holds the smaller key):
 				// this one can only arrive as a duplicate.
 				m.Delivered++
 				m.Duplicates++
@@ -467,11 +518,199 @@ func (s *Sim) Flood(f *graph.Frozen, src int, cfg Config, rng *xrand.RNG) (Metri
 				}
 				continue
 			}
-			mark[w], best[w] = -ep, at
-			s.push(event{time: at, key: key, node: w, from: ev.node, hop: ev.hop + 1})
+			s.pushes++
+			inRun := at < hi || at == lo
+			if mk == -ep {
+				// This copy overtakes u's pending one, which would pop
+				// after it as a duplicate: credit that now.
+				old := best[u]
+				m.Delivered++
+				m.Duplicates++
+				if old > m.Completion {
+					m.Completion = old
+				}
+				// Only a copy arriving before hi can be overtaken while
+				// in the run (one at lo cannot be beaten).
+				if old < hi {
+					s.place(run, head+1, s.locate(run, head+1, u), u, at)
+				} else if inRun {
+					// Its pend entry goes stale: u pops in this run.
+					run = append(run, u)
+					s.place(run, head+1, len(run)-1, u, at)
+				} else {
+					// u keeps its place in pend.
+					pendMin = min(pendMin, at)
+				}
+			} else {
+				mark[u] = -ep
+				if inRun {
+					run = append(run, u)
+					s.place(run, head+1, len(run)-1, u, at)
+				} else {
+					pend = append(pend, u)
+					pendMin = min(pendMin, at)
+				}
+			}
+			best[u], key[u], from[u], hop[u] = at, k, v, h+1
 		}
 	}
+	s.run, s.pend = run, pend
 	return m, nil
+}
+
+// Flood's queue holds each receiver's one pending copy as a node ID; the
+// copy itself (arrival, key, sender, hop) lives in the per-node arrays.
+// Copies are consumed in runs: the current run, in (time, key) order,
+// holds every pending copy arriving before its horizon hi (or at its
+// start lo), and pend the rest in no particular order. A copy sent while
+// a run is consumed joins pend, or, arriving before hi, takes its place
+// in the run's unconsumed tail — it sorts after every copy there at its
+// time, as its key is the newest.
+
+// nextRun forms the run after a spent one in one pass over pend: it
+// drops the entries of nodes reached since (their copies overtaken into a
+// run), starts the run at lo, at most every pending arrival, moves every
+// copy arriving before hi = lo + w (or at lo) into it and orders them.
+// next is the earliest arrival left in pend. lo is exact unless the
+// earliest pend copy was overtaken into a run; if that leaves the run
+// empty, the pass is made again from next. An empty run means the flood
+// is over.
+func (s *Sim) nextRun(run, pend []int32, ep int32, lo, w float64) (_, _ []int32, _, hi, next float64) {
+	mark, best := s.mark, s.best
+	for {
+		hi, next = lo+w, math.Inf(1)
+		tmp, mx := s.tmp[:0], lo
+		rest := 0
+		for _, v := range pend {
+			if mark[v] != -ep {
+				continue
+			}
+			if t := best[v]; t < hi || t == lo {
+				tmp = append(tmp, v)
+				mx = max(mx, t)
+			} else {
+				pend[rest] = v
+				rest++
+				next = min(next, t)
+			}
+		}
+		s.tmp, pend = tmp, pend[:rest]
+		if len(tmp) > 0 || rest == 0 {
+			return s.order(tmp, run, lo, mx), pend, lo, hi, next
+		}
+		lo = next
+	}
+}
+
+// order writes src into dst in (time, key) order. A counting pass
+// spreads the copies over len(src) buckets of equal width across their
+// actual span [lo, mx] — arrivals cluster tightly when the jitter is
+// small next to Base — and each bucket is then sorted on its own.
+func (s *Sim) order(src, dst []int32, lo, mx float64) []int32 {
+	nb := len(src)
+	dst = slices.Grow(dst[:0], nb)[:nb]
+	best := s.best
+	scale := 0.0
+	if mx > lo {
+		// Finite even for a subnormal span, so (t-lo)*scale is never NaN.
+		scale = math.Min(float64(nb)/(mx-lo), math.MaxFloat64)
+	}
+	last := nb - 1
+	bucket := func(t float64) int {
+		if x := (t - lo) * scale; x < float64(last) {
+			return int(x)
+		}
+		return last
+	}
+	counts := s.counts[:nb+1]
+	clear(counts)
+	for _, v := range src {
+		counts[bucket(best[v])+1]++
+	}
+	for b := 1; b < nb; b++ {
+		counts[b] += counts[b-1]
+	}
+	// counts[b] is bucket b's start; the scatter leaves it at b's end.
+	for _, v := range src {
+		b := bucket(best[v])
+		dst[counts[b]] = v
+		counts[b]++
+	}
+	start := int32(0)
+	for _, end := range counts[:nb] {
+		if end-start > 1 {
+			s.sortSpan(dst[start:end])
+		}
+		start = end
+	}
+	return dst
+}
+
+// sortSpan sorts one bucket by (time, key): insertion sort when small,
+// pdqsort otherwise. A bucket is large only when arrivals tie (Jitter 0)
+// or cluster far tighter than the run's span, as a hop's do under a tiny
+// Jitter when the run also reaches into the next hop's.
+func (s *Sim) sortSpan(span []int32) {
+	best, key := s.best, s.key
+	if len(span) > 12 {
+		slices.SortFunc(span, func(a, b int32) int {
+			if c := cmp.Compare(best[a], best[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(key[a], key[b])
+		})
+		return
+	}
+	for i := 1; i < len(span); i++ {
+		v := span[i]
+		t, k := best[v], key[v]
+		j := i
+		for ; j > 0; j-- {
+			u := span[j-1]
+			if bt := best[u]; bt < t || (bt == t && key[u] < k) {
+				break
+			}
+			span[j] = u
+		}
+		span[j] = v
+	}
+}
+
+// place moves u from run[j] to where its copy arriving at t belongs in
+// the unconsumed run tail run[i:j]: after every copy arriving at or
+// before t, since its key is the newest. The copies it passes shift up
+// by one.
+func (s *Sim) place(run []int32, i, j int, u int32, t float64) {
+	best := s.best
+	p := j
+	if j > i && best[run[j-1]] > t {
+		for p = j - 1; i < p; {
+			h := int(uint(i+p) >> 1)
+			if best[run[h]] <= t {
+				i = h + 1
+			} else {
+				p = h
+			}
+		}
+	}
+	copy(run[p+1:j+1], run[p:j])
+	run[p] = u
+}
+
+// locate returns u's index in the unconsumed run tail run[i:], searched
+// by the (time, key) of its queued copy.
+func (s *Sim) locate(run []int32, i int, u int32) int {
+	best, key := s.best, s.key
+	t, k := best[u], key[u]
+	for j := len(run); i < j; {
+		h := int(uint(i+j) >> 1)
+		if x := run[h]; best[x] < t || (best[x] == t && key[x] < k) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // KWalk runs `walkers` independent non-backtracking random walks of

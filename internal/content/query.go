@@ -45,21 +45,20 @@ func (r ESSResult) SuccessRate() float64 {
 
 // WalkToItem walks from src until it lands on a node hosting the item,
 // counting the source itself as probe 0. It returns the number of probes
-// (walk steps) used and whether the item was found within maxSteps.
+// (walk steps) used and whether the item was found within maxSteps. A
+// walker stuck at an isolated src is charged the one probe it tried
+// (none when maxSteps is 0).
 func WalkToItem(f *graph.Frozen, p *Placement, src int, item Item, maxSteps int, rng *xrand.RNG) (steps int, found bool) {
 	if p.HasItem(src, item) {
 		return 0, true
 	}
-	cur, prev := src, -1
-	for t := 1; t <= maxSteps; t++ {
-		next, ok := search.Step(f, cur, prev, rng)
-		if !ok {
-			return t, false
-		}
-		prev, cur = cur, next
-		if p.HasItem(cur, item) {
+	for t, v := range search.Walk(f, src, maxSteps, rng) {
+		if p.HasItem(v, item) {
 			return t, true
 		}
+	}
+	if f.Degree(src) == 0 {
+		return min(1, maxSteps), false
 	}
 	return maxSteps, false
 }

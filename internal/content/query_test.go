@@ -85,8 +85,12 @@ func TestWalkToItemIsolatedSource(t *testing.T) {
 		hosts:  [][]int32{{1}},
 		onNode: []map[Item]struct{}{nil, {0: {}}},
 	}
-	if _, found := WalkToItem(g.Freeze(), p, 0, 0, 10, xrand.New(1)); found {
-		t.Fatal("isolated source cannot find remote item")
+	// A stuck walker is charged the one probe it tried, or none when the
+	// budget allows none.
+	for _, tc := range []struct{ maxSteps, want int }{{10, 1}, {0, 0}} {
+		if steps, found := WalkToItem(g.Freeze(), p, 0, 0, tc.maxSteps, xrand.New(1)); found || steps != tc.want {
+			t.Fatalf("WalkToItem(maxSteps %d) from an isolated source = (%d, %v), want (%d, false)", tc.maxSteps, steps, found, tc.want)
+		}
 	}
 }
 

@@ -126,7 +126,7 @@ func (l Latency) edge(root xrand.ChunkRoot, u, v int32) float64 {
 	if u > v {
 		u, v = v, u
 	}
-	return l.Base + l.Jitter*root.U01(int(uint64(u)<<32|uint64(uint32(v))))
+	return l.Base + l.Jitter*root.U01(uint64(u)<<32|uint64(uint32(v)))
 }
 
 // Config bundles the transport knobs of one DES run. Floods always

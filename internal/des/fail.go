@@ -63,7 +63,7 @@ func (p FailPlan) edgeDown(sel, at xrand.ChunkRoot, u, v int32, t float64) bool 
 	if u > v {
 		u, v = v, u
 	}
-	key := int(uint64(u)<<32 | uint64(uint32(v)))
+	key := uint64(u)<<32 | uint64(uint32(v))
 	if sel.U01(key) >= p.LinkFrac {
 		return false
 	}
@@ -78,8 +78,8 @@ func (s *Sim) crashTimes(p FailPlan, n int) []float64 {
 	sel, at := p.Phases.ChunkRoot(failNodePhase), p.Phases.ChunkRoot(failNodeAtPhase)
 	for v := range crash {
 		crash[v] = math.Inf(1)
-		if p.NodeFrac > 0 && sel.U01(v) < p.NodeFrac {
-			crash[v] = -p.MTBF * math.Log1p(-at.U01(v))
+		if p.NodeFrac > 0 && sel.U01(uint64(v)) < p.NodeFrac {
+			crash[v] = -p.MTBF * math.Log1p(-at.U01(uint64(v)))
 		}
 	}
 	return crash

@@ -70,7 +70,9 @@ func (f *Frozen) WriteEdgeList(w io.Writer) error {
 // header which pre-sizes the topology; otherwise the node count is one
 // more than the largest ID seen. Node IDs and the header count must be
 // below math.MaxInt32, the CSR layout's int32 range: a larger one is a
-// line-numbered error, reported before any node is added.
+// line-numbered error, reported before any node is added. Both parse as
+// 64-bit integers, so a 32-bit build reports the same range error rather
+// than a parse failure.
 func ReadEdgeList(r io.Reader) (*Frozen, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -85,14 +87,14 @@ func ReadEdgeList(r io.Reader) (*Frozen, error) {
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) == 3 && fields[1] == "nodes" {
-				n, err := strconv.Atoi(fields[2])
+				n, err := strconv.ParseInt(fields[2], 10, 64)
 				if err != nil || n < 0 {
 					return nil, fmt.Errorf("line %d: bad node count %q", lineNo, fields[2])
 				}
 				if n >= math.MaxInt32 {
 					return nil, fmt.Errorf("line %d: node count %d out of range (must be below %d)", lineNo, n, math.MaxInt32)
 				}
-				for g.N() < n {
+				for g.N() < int(n) {
 					g.AddNode()
 				}
 			}
@@ -102,11 +104,11 @@ func ReadEdgeList(r io.Reader) (*Frozen, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("line %d: want 2 fields, got %d", lineNo, len(fields))
 		}
-		u, err := strconv.Atoi(fields[0])
+		u, err := strconv.ParseInt(fields[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad node %q", lineNo, fields[0])
 		}
-		v, err := strconv.Atoi(fields[1])
+		v, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad node %q", lineNo, fields[1])
 		}
@@ -116,10 +118,10 @@ func ReadEdgeList(r io.Reader) (*Frozen, error) {
 		if id := max(u, v); id >= math.MaxInt32 {
 			return nil, fmt.Errorf("line %d: node ID %d out of range (must be below %d)", lineNo, id, math.MaxInt32)
 		}
-		for g.N() <= u || g.N() <= v {
+		for g.N() <= int(u) || g.N() <= int(v) {
 			g.AddNode()
 		}
-		if err := g.AddEdge(u, v); err != nil {
+		if err := g.AddEdge(int(u), int(v)); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}

@@ -7,18 +7,21 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// FuzzFloodKernelsMatchReference drives every single-source flooding kernel
-// against its reference on arbitrary multigraphs, built as
-// FuzzFloodBatchMatchesFlood builds them (loops and parallel edges kept):
-// Flood, NormalizedFlood and ProbabilisticFlood against the historical
-// implementations, FloodDelivery against BFS depth plus Flood's messages,
-// and NormalizedFloodLoad's charged total against NF's message count. One
+// FuzzFloodKernelsMatchReference drives every single-source flooding and
+// walk kernel against its reference on arbitrary multigraphs, built as
+// FuzzFloodBatchMatchesFlood builds them (loops, parallel edges and
+// isolated sources kept): Flood, NormalizedFlood and ProbabilisticFlood
+// against the historical implementations, FloodDelivery against BFS depth
+// plus Flood's messages, NormalizedFloodLoad's charged total against NF's
+// message count, and RandomWalk, KRandomWalks, HighDegreeWalk and
+// HybridSearch against their references with ttl as the walk length. One
 // scratch serves every call, and each Result is read before the next call
 // because results alias it.
 func FuzzFloodKernelsMatchReference(f *testing.F) {
 	f.Add(uint8(12), []byte{0, 1, 1, 2, 2, 0, 5, 5, 7, 8, 7, 8, 1, 2}, uint8(1), uint8(8), uint8(4), uint8(1), uint8(128), uint64(1))
 	f.Add(uint8(1), []byte{}, uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint64(2))
 	f.Add(uint8(40), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 20, 21, 3, 3, 0, 1}, uint8(0), uint8(6), uint8(30), uint8(2), uint8(255), uint64(3))
+	f.Add(uint8(5), []byte{0, 1, 1, 2}, uint8(4), uint8(0), uint8(6), uint8(7), uint8(100), uint64(4)) // isolated source
 	f.Fuzz(func(t *testing.T, nodes uint8, edges []byte, src, target, ttl, kMin, pByte uint8, seed uint64) {
 		n := int(nodes)%64 + 1
 		g := graph.New(n)
@@ -76,5 +79,20 @@ func FuzzFloodKernelsMatchReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameResult(t, "pf", ref, pf)
+
+		// The walks take ttl steps; the hybrid floods to depth kMin/4%4
+		// (kMin's spare bits) and, like KRandomWalks, sends k walkers.
+		must := func(r Result, err error) Result {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		sameResult(t, "rw", referenceRandomWalk(g, s, maxTTL, xrand.New(seed)), must(sc.RandomWalk(fz, s, maxTTL, xrand.New(seed))))
+		sameResult(t, "kwalks", must(referenceKRandomWalks(fz, s, k, maxTTL, xrand.New(seed))), must(sc.KRandomWalks(fz, s, k, maxTTL, xrand.New(seed))))
+		sameResult(t, "hds", must(referenceHighDegreeWalk(fz, s, maxTTL, xrand.New(seed))), must(sc.HighDegreeWalk(fz, s, maxTTL, xrand.New(seed))))
+		floodTTL := int(kMin) / 4 % 4
+		sameResult(t, "hybrid", must(referenceHybridSearch(fz, s, floodTTL, k, maxTTL, xrand.New(seed))), must(sc.HybridSearch(fz, s, floodTTL, k, maxTTL, xrand.New(seed))))
 	})
 }

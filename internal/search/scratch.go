@@ -310,13 +310,10 @@ func (s *Scratch) normalizedFlood(f *graph.Frozen, src, maxTTL, kMin int, rng *x
 	return res, nil
 }
 
-// RandomWalk runs a random walk of exactly `steps` hops from src (§V-A3).
-// At each hop the query moves to a uniformly random neighbor excluding the
-// node it just came from; if the walker is at a dead end (its only
-// neighbor is the previous node) it backtracks rather than dying, the
-// standard convention for non-backtracking walks on trees. Hits[t] counts
-// distinct nodes seen within the first t steps; Messages[t] == t. The
-// Result aliases s.
+// RandomWalk runs Walk, the non-backtracking random walk, for exactly
+// `steps` hops from src (§V-A3). Hits[t] counts distinct nodes seen within
+// the first t steps; Messages[t] == t, or 0 throughout when an isolated src
+// leaves the walker stuck (Hits stay 1). The Result aliases s.
 func (s *Scratch) RandomWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG) (Result, error) {
 	s.reset()
 	return s.randomWalk(f, src, steps, rng)
@@ -330,28 +327,28 @@ func (s *Scratch) randomWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG) (R
 		rng = xrand.New(0)
 	}
 	res := s.newResult(f, steps)
-	ep := s.newEpoch()
+	s.walkHits(f, src, s.newEpoch(), res, rng, Step)
+	return res, nil
+}
+
+// walkHits walks len(res.Hits)-1 hops from src with next-hop rule hop,
+// stamping the nodes it visits with ep, and fills res: Hits[t] the
+// distinct nodes seen within t hops, Messages[t] = t. Hits start at 1 and
+// Messages at 0, where a walker stuck at an isolated src leaves them.
+func (s *Scratch) walkHits(f *graph.Frozen, src int, ep int32, res Result, rng *xrand.RNG, hop func(f *graph.Frozen, cur, prev int, rng *xrand.RNG) (int, bool)) {
+	for t := range res.Hits {
+		res.Hits[t] = 1
+	}
 	s.mark[src] = ep
 	hits := 1
-	res.Hits[0] = 1
-	cur, prev := src, -1
-	for step := 1; step <= steps; step++ {
-		next, ok := Step(f, cur, prev, rng)
-		if !ok {
-			// Stuck on an isolated node: the walk cannot move.
-			res.Hits[step] = hits
-			res.Messages[step] = res.Messages[step-1]
-			continue
-		}
-		prev, cur = cur, next
-		if s.mark[cur] != ep {
-			s.mark[cur] = ep
+	for t, v := range walk(f, src, len(res.Hits)-1, rng, hop) {
+		if s.mark[v] != ep {
+			s.mark[v] = ep
 			hits++
 		}
-		res.Hits[step] = hits
-		res.Messages[step] = step
+		res.Hits[t] = hits
+		res.Messages[t] = t
 	}
-	return res, nil
 }
 
 // RandomWalkWithNFBudget reproduces the paper's RW normalization (§V-B):

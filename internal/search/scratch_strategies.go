@@ -40,7 +40,8 @@ var ErrBadProb = fmt.Errorf("search: forwarding probability must be in [0,1]")
 
 // KRandomWalks runs `walkers` independent non-backtracking random walks
 // from src, each taking `steps` hops. Hits[t] counts distinct nodes seen
-// by any walker within its first t steps; Messages[t] = walkers·t. One
+// by any walker within its first t steps; Messages[t] = walkers·t, walkers
+// stuck at an isolated src included. One
 // k-walker search with k·steps total messages is the paper's "multiple
 // RWs" alternative to a single long walk. The Result aliases s.
 func (s *Scratch) KRandomWalks(f *graph.Frozen, src, walkers, steps int, rng *xrand.RNG) (Result, error) {
@@ -74,30 +75,27 @@ func (s *Scratch) KRandomWalks(f *graph.Frozen, src, walkers, steps int, rng *xr
 // res holds one entry per walk step, res.Hits[0] and res.Messages[0] being
 // the totals before the walk: it fills Hits[t] with those plus the new
 // nodes reached within t steps, and Messages[t] with those plus walkers·t.
+// A walker stuck at an isolated start covers nothing but is charged its
+// steps like the others.
 func (s *Scratch) walkCover(f *graph.Frozen, src int, starts []int32, walkers, steps int, rng *xrand.RNG, res Result) {
 	covered := s.epoch
 	ep := s.newEpoch()
 	// seen lists the stamped nodes so the histogram never scans the graph.
 	seen := s.cur[:0]
 	for w := 0; w < walkers; w++ {
-		cur, prev := src, -1
+		start := src
 		if starts != nil {
-			cur = int(starts[rng.Intn(len(starts))])
+			start = int(starts[rng.Intn(len(starts))])
 		}
-		for t := 1; t <= steps; t++ {
-			next, ok := Step(f, cur, prev, rng)
-			if !ok {
-				break // isolated start
-			}
-			prev, cur = cur, next
-			switch s.mark[cur] {
+		for t, v := range Walk(f, start, steps, rng) {
+			switch s.mark[v] {
 			case covered:
 			case ep:
-				s.val[cur] = min(s.val[cur], int32(t))
+				s.val[v] = min(s.val[v], int32(t))
 			default:
-				s.mark[cur] = ep
-				s.val[cur] = int32(t)
-				seen = append(seen, int32(cur))
+				s.mark[v] = ep
+				s.val[v] = int32(t)
+				seen = append(seen, int32(v))
 			}
 		}
 	}
@@ -116,8 +114,9 @@ func (s *Scratch) walkCover(f *graph.Frozen, src int, starts []int32, walkers, s
 // it has not yet visited (ties broken uniformly at random); when every
 // neighbor has been visited it falls back to a uniformly random neighbor
 // excluding the one it just came from, as in RandomWalk. Hits[t] counts
-// distinct nodes seen within the first t steps; Messages[t] == t. The
-// Result aliases s.
+// distinct nodes seen within the first t steps; Messages[t] == t, or 0
+// throughout when an isolated src leaves the walker stuck (Hits stay 1).
+// The Result aliases s.
 func (s *Scratch) HighDegreeWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG) (Result, error) {
 	if err := validate(f, src, steps); err != nil {
 		return Result{}, err
@@ -128,30 +127,12 @@ func (s *Scratch) HighDegreeWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG
 	s.reset()
 	res := s.newResult(f, steps)
 	ep := s.newEpoch()
-	s.mark[src] = ep
-	hits := 1
-	res.Hits[0] = 1
-	cur, prev := src, -1
-	for t := 1; t <= steps; t++ {
-		next := s.bestUnvisitedNeighbor(f, cur, ep, rng)
-		if next < 0 {
-			var ok bool
-			next, ok = Step(f, cur, prev, rng)
-			if !ok {
-				// Stuck on an isolated node.
-				res.Hits[t] = hits
-				res.Messages[t] = res.Messages[t-1]
-				continue
-			}
+	s.walkHits(f, src, ep, res, rng, func(f *graph.Frozen, cur, prev int, rng *xrand.RNG) (int, bool) {
+		if next := s.bestUnvisitedNeighbor(f, cur, ep, rng); next >= 0 {
+			return next, true
 		}
-		prev, cur = cur, next
-		if s.mark[cur] != ep {
-			s.mark[cur] = ep
-			hits++
-		}
-		res.Hits[t] = hits
-		res.Messages[t] = t
-	}
+		return Step(f, cur, prev, rng)
+	})
 	return res, nil
 }
 

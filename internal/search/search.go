@@ -35,6 +35,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"scalefree/internal/graph"
 	"scalefree/internal/xrand"
@@ -99,11 +100,9 @@ func validate(f *graph.Frozen, src, maxTTL int) error {
 
 // Step advances a non-backtracking walker one hop: a uniformly random
 // neighbor of cur excluding prev, backtracking to prev when cur is a dead
-// end. ok is false only when the walker cannot move at all (an isolated
-// node with no previous position). It is the single per-hop primitive
-// behind RandomWalk, KRandomWalks, HybridSearch, RandomWalkDelivery and
-// the content layer's replica probing, so their RNG consumption can never
-// diverge.
+// end. ok is false, and nothing is drawn, only at an isolated start (prev
+// < 0): a walker that has moved can always backtrack. Every walk draws its
+// hops with Step, so their RNG consumption can never diverge.
 func Step(f *graph.Frozen, cur, prev int, rng *xrand.RNG) (next int, ok bool) {
 	next = f.RandomNeighborExcluding(cur, prev, rng)
 	if next < 0 {
@@ -113,6 +112,33 @@ func Step(f *graph.Frozen, cur, prev int, rng *xrand.RNG) (next int, ok bool) {
 		next = prev // dead end: backtrack, the convention for walks on trees
 	}
 	return next, true
+}
+
+// Walk yields (t, v) for t = 1..steps: the node v a non-backtracking
+// random walk from src reaches at hop t, each hop drawn with Step. A walk
+// from an isolated src is stuck: it yields nothing and draws nothing, and
+// each caller states what a stuck walk reports once, outside its loop.
+func Walk(f *graph.Frozen, src, steps int, rng *xrand.RNG) iter.Seq2[int, int] {
+	return walk(f, src, steps, rng, Step)
+}
+
+// walk is the one walker loop: `steps` hops from src, each to the node hop
+// picks (Step, or HighDegreeWalk's rule on top of it). It yields nothing
+// from an isolated src, so every hop it asks for can move.
+func walk(f *graph.Frozen, src, steps int, rng *xrand.RNG, hop func(f *graph.Frozen, cur, prev int, rng *xrand.RNG) (int, bool)) iter.Seq2[int, int] {
+	return func(yield func(t, v int) bool) {
+		if f.Degree(src) == 0 {
+			return
+		}
+		cur, prev := src, -1
+		for t := 1; t <= steps; t++ {
+			next, _ := hop(f, cur, prev, rng)
+			prev, cur = cur, next
+			if !yield(t, cur) {
+				return
+			}
+		}
+	}
 }
 
 func errBadKMin(kMin int) error {

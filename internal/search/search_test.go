@@ -305,8 +305,10 @@ func TestRandomWalkIsolatedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hits[5] != 1 {
-		t.Fatalf("isolated walk hits %v", res.Hits)
+	for tau := range res.Hits {
+		if res.Hits[tau] != 1 || res.Messages[tau] != 0 {
+			t.Fatalf("isolated walk: hits %v, messages %v; want 1 and 0 throughout", res.Hits, res.Messages)
+		}
 	}
 }
 

@@ -77,8 +77,8 @@ func TestHighDegreeWalkIsolatedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	for t2, h := range res.Hits {
-		if h != 1 {
-			t.Fatalf("Hits[%d] = %d, want 1 for isolated source", t2, h)
+		if h != 1 || res.Messages[t2] != 0 {
+			t.Fatalf("Hits[%d] = %d, Messages[%d] = %d; want 1 and 0 for isolated source", t2, h, t2, res.Messages[t2])
 		}
 	}
 }

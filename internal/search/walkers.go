@@ -4,8 +4,8 @@ package search
 // the scaling laws the paper quotes: T_N = log(N) for flooding (Eq. 6,
 // Scratch.FloodDelivery) and T_N ~ N^0.79 for random walks on γ≈2.1
 // scale-free networks (Eq. 7, from Adamic et al.). The walker takes the
-// CSR *graph.Frozen and advances via the shared Step primitive, so each
-// hop is a flat-array neighbor pick with no per-hop bounds validation.
+// CSR *graph.Frozen and hops through the shared Walk loop, so each hop is
+// a flat-array neighbor pick with no per-hop bounds validation.
 
 import (
 	"fmt"
@@ -27,7 +27,8 @@ type Delivery struct {
 
 // RandomWalkDelivery measures a single walker's delivery time to a target:
 // the number of steps until first arrival (Eq. 7 predicts scaling ~N^0.79
-// on γ≈2.1 networks), bounded by maxSteps.
+// on γ≈2.1 networks), bounded by maxSteps. A walk that misses the target,
+// or is stuck at an isolated src, reports {false, maxSteps, maxSteps}.
 func RandomWalkDelivery(f *graph.Frozen, src, target, maxSteps int, rng *xrand.RNG) (Delivery, error) {
 	if err := validate(f, src, maxSteps); err != nil {
 		return Delivery{}, err
@@ -41,14 +42,8 @@ func RandomWalkDelivery(f *graph.Frozen, src, target, maxSteps int, rng *xrand.R
 	if target == src {
 		return Delivery{Found: true}, nil
 	}
-	cur, prev := src, -1
-	for t := 1; t <= maxSteps; t++ {
-		next, ok := Step(f, cur, prev, rng)
-		if !ok {
-			break
-		}
-		prev, cur = cur, next
-		if cur == target {
+	for t, v := range Walk(f, src, maxSteps, rng) {
+		if v == target {
 			return Delivery{Found: true, Time: t, Messages: t}, nil
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scalefree/internal/gen"
+	"scalefree/internal/graph"
 	"scalefree/internal/xrand"
 )
 
@@ -15,6 +16,27 @@ func TestKRandomWalksValidation(t *testing.T) {
 	}
 	if _, err := new(Scratch).KRandomWalks(g.Freeze(), -1, 2, 5, xrand.New(1)); err == nil {
 		t.Error("bad source should fail")
+	}
+}
+
+// TestKRandomWalksIsolatedSource pins the k-walk stuck rule: walkers at an
+// isolated source cover nothing and draw nothing, yet each is still charged
+// its steps (Messages[t] = walkers·t).
+func TestKRandomWalksIsolatedSource(t *testing.T) {
+	t.Parallel()
+	g := graph.New(3)
+	rng := xrand.New(4)
+	res, err := new(Scratch).KRandomWalks(g.Freeze(), 1, 3, 5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tau := range res.Hits {
+		if res.Hits[tau] != 1 || res.Messages[tau] != 3*tau {
+			t.Fatalf("isolated k-walks: hits %v, messages %v; want 1 and 3·t", res.Hits, res.Messages)
+		}
+	}
+	if rng.Uint64() != xrand.New(4).Uint64() {
+		t.Fatal("stuck walkers drew from the RNG")
 	}
 }
 
@@ -166,6 +188,18 @@ func TestRandomWalkDeliveryDisconnected(t *testing.T) {
 	}
 	if d.Found {
 		t.Fatal("reached a disconnected target")
+	}
+	// From the isolated node the walker is stuck: it is charged the whole
+	// budget, as a miss is, and draws nothing.
+	rng := xrand.New(2)
+	if d, err = RandomWalkDelivery(g.Freeze(), 3, 0, 7, rng); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Delivery{Found: false, Time: 7, Messages: 7}); d != want {
+		t.Fatalf("isolated source delivery %+v, want %+v", d, want)
+	}
+	if rng.Uint64() != xrand.New(2).Uint64() {
+		t.Fatal("stuck walker drew from the RNG")
 	}
 }
 

@@ -73,11 +73,15 @@ func (p Phases) ChunkRoot(name string) ChunkRoot {
 }
 
 // U01 returns the first uniform [0, 1) value of the root's chunk stream,
-// bit-identical to Chunk(name, chunk).Float64(). xoshiro256**'s first
+// bit-identical to NewStream(seed, realization, phaseTag, PhaseKey(name),
+// chunk).Float64() — Chunk(name, chunk).Float64() for a chunk that fits an
+// int. The key is a uint64 on every platform, so a 64-bit edge key (the
+// DES packs an edge's two node IDs into one) needs no int conversion on a
+// 32-bit build. xoshiro256**'s first
 // output reads only s1, the second splitmix64 word of the seed expansion,
 // so the other three state words are never computed.
-func (r ChunkRoot) U01(chunk int) float64 {
-	x := mix64(r.x ^ (uint64(chunk) + 0x9e3779b97f4a7c15))
+func (r ChunkRoot) U01(chunk uint64) float64 {
+	x := mix64(r.x ^ (chunk + 0x9e3779b97f4a7c15))
 	s1 := mix64(x + 0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15) // splitmix64's second step
 	return float64((rotl(s1*5, 7)*9)>>11) / (1 << 53)
 }

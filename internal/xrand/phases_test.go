@@ -60,12 +60,12 @@ func TestPhaseKeyStability(t *testing.T) {
 
 // requireChunkRootU01 checks the hoisted derivation against the
 // RNG-materializing one for a single (seed, realization, name, chunk).
-func requireChunkRootU01(t *testing.T, seed, realization uint64, name string, chunk int) {
+func requireChunkRootU01(t *testing.T, seed, realization uint64, name string, chunk uint64) {
 	t.Helper()
 	p := Phases{Seed: seed, Realization: realization}
-	want := p.Chunk(name, chunk).Float64()
+	want := NewStream(seed, realization, phaseTag, PhaseKey(name), chunk).Float64()
 	if got := p.ChunkRoot(name).U01(chunk); got != want {
-		t.Fatalf("Phases{%d, %d}.ChunkRoot(%q).U01(%d) = %v, Chunk(...).Float64() = %v",
+		t.Fatalf("Phases{%d, %d}.ChunkRoot(%q).U01(%d) = %v, NewStream(...).Float64() = %v",
 			seed, realization, name, chunk, got, want)
 	}
 }
@@ -79,7 +79,7 @@ func TestChunkRootU01MatchesChunk(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 2007, 1<<64 - 1} {
 		for _, realization := range []uint64{0, 9, 1 << 40} {
 			for _, name := range []string{"", "des.latency", "des.fail.linkat", "cm.degrees"} {
-				for _, chunk := range []int{0, 1, -1, 1 << 32, 3<<32 | 7, 1<<63 - 1} {
+				for _, chunk := range []uint64{0, 1, 1<<64 - 1, 1 << 32, 3<<32 | 7, 1<<63 - 1} {
 					requireChunkRootU01(t, seed, realization, name, chunk)
 				}
 			}
@@ -88,7 +88,7 @@ func TestChunkRootU01MatchesChunk(t *testing.T) {
 	p := Phases{Seed: 5, Realization: 2}
 	root := p.ChunkRoot("des.latency")
 	for chunk := 0; chunk < 2000; chunk++ {
-		if got, want := root.U01(chunk), p.Chunk("des.latency", chunk).Float64(); got != want {
+		if got, want := root.U01(uint64(chunk)), p.Chunk("des.latency", chunk).Float64(); got != want {
 			t.Fatalf("reused root, chunk %d: %v, want %v", chunk, got, want)
 		}
 	}
@@ -98,10 +98,10 @@ func TestChunkRootU01MatchesChunk(t *testing.T) {
 }
 
 func FuzzChunkRootU01(f *testing.F) {
-	f.Add(uint64(0), uint64(0), "", 0)
-	f.Add(uint64(2007), uint64(3), "des.latency", 17<<32|4242)
-	f.Add(uint64(1<<64-1), uint64(1<<64-1), "des.fail.node", -1)
-	f.Fuzz(func(t *testing.T, seed, realization uint64, name string, chunk int) {
+	f.Add(uint64(0), uint64(0), "", uint64(0))
+	f.Add(uint64(2007), uint64(3), "des.latency", uint64(17<<32|4242))
+	f.Add(uint64(1<<64-1), uint64(1<<64-1), "des.fail.node", uint64(1<<64-1))
+	f.Fuzz(func(t *testing.T, seed, realization uint64, name string, chunk uint64) {
 		requireChunkRootU01(t, seed, realization, name, chunk)
 	})
 }
